@@ -1,8 +1,8 @@
 // Command mqobench regenerates the paper's experiments. With no flags it
 // runs every experiment; -experiment selects one of: fig6, q2ni, fig7,
 // fig8, fig9, fig10, monotonicity, sharability, nosharing, memory, scale,
-// space, parallel, multipick, calibrate, resultcache, ssb, observe,
-// loadgen, tiered, paramcache.
+// space, parallel, multipick, calibrate, resultcache, ssb, observe, tiered,
+// paramcache.
 // With -json the results are emitted as a machine-readable JSON array
 // (one element per experiment) instead of the human-readable tables —
 // the format CI archives as a benchmark trajectory.
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	which := flag.String("experiment", "all", "experiment to run (fig6|q2ni|fig7|fig8|fig9|fig10|monotonicity|sharability|nosharing|memory|scale|space|parallel|multipick|calibrate|resultcache|ssb|observe|loadgen|tiered|paramcache|all)")
+	which := flag.String("experiment", "all", "experiment to run (fig6|q2ni|fig7|fig8|fig9|fig10|monotonicity|sharability|nosharing|memory|scale|space|parallel|multipick|calibrate|resultcache|ssb|observe|tiered|paramcache|all)")
 	maxCQ := flag.Int("maxcq", 3, "largest PSP composite for the ablation experiments (1-5)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for the parallel what-if costing, multi-pick and calibration experiments")
 	multipick := flag.Int("multipick", 4, "multi-pick width k for the multipick experiment")
@@ -31,7 +31,6 @@ func main() {
 	rcWarm := flag.Int64("rcwarm", 0, "tiered experiment's warm-tier budget in bytes (0: 16 MB)")
 	sf := flag.Float64("sf", 0.01, "scale factor for the ssb experiment's generated data")
 	seed := flag.Int64("seed", 11, "generator seed for the ssb experiment")
-	shards := flag.Int("shards", 8, "shard count for the loadgen experiment's sharded configuration")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	flag.Parse()
 
@@ -58,9 +57,6 @@ func main() {
 		{"resultcache", func() (*bench.Experiment, error) { return bench.ResultCacheReplay(*rcBudget) }},
 		{"ssb", func() (*bench.Experiment, error) { return bench.SSB(*sf, *seed, *rcBudget) }},
 		{"observe", func() (*bench.Experiment, error) { return bench.Observe(*sf, *seed) }},
-		{"loadgen", func() (*bench.Experiment, error) {
-			return bench.LoadGen(*sf, *seed, *rcBudget, []int{1, 2, 4, 8}, []int{1, *shards})
-		}},
 		{"tiered", func() (*bench.Experiment, error) {
 			return bench.TieredReplay(*sf, *seed, *rcRAM, *rcWarm)
 		}},

@@ -56,7 +56,7 @@ func main() {
 		maxBatch     = flag.Int("max-batch", 8, "flush a batching window at this many queries")
 		maxWait      = flag.Duration("max-wait", 2*time.Millisecond, "max time the first query of a window waits")
 		workers      = flag.Int("workers", 2, "concurrently in-flight batches")
-		shards       = flag.Int("shards", 0, "shard count for the plan and result caches (0 keeps the default of 1)")
+		shards       = flag.Int("shards", 0, "shard count for the result cache — result cache only (0 keeps the default of 1)")
 		algName      = flag.String("alg", "greedy", "optimization algorithm (volcano|volcano-sh|volcano-ru|greedy)")
 		traceOut     = flag.String("trace", "", "write a chrome://tracing span dump to this file on shutdown")
 		noObs        = flag.Bool("no-obs", false, "disable metrics collection (observability overhead benchmark)")

@@ -91,7 +91,7 @@ func paramScenario(e *Experiment, label string, cat *catalog.Catalog, model cost
 	if err != nil {
 		return cache.Stats{}, err
 	}
-	store := cache.NewStore(dbOn, model, budgetBytes)
+	store := cache.NewStoreTiered(dbOn, model, budgetBytes, 0, 1)
 	on, onRows, err := runParamReplay(cat, model, batches, dbOn, store)
 	if err != nil {
 		return cache.Stats{}, fmt.Errorf("%s cache-on replay: %w", label, err)

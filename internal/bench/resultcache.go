@@ -103,7 +103,7 @@ func ResultCacheReplay(budgetBytes int64) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := cache.NewStore(dbOn, model, budgetBytes)
+	store := cache.NewStoreTiered(dbOn, model, budgetBytes, 0, 1)
 	on, onRows, err := runSequence(dbOn, store)
 	if err != nil {
 		return nil, fmt.Errorf("cache-on replay: %w", err)

@@ -89,7 +89,7 @@ func replayMode(e *Experiment, label string, cat *catalog.Catalog, model cost.Mo
 	if err != nil {
 		return err
 	}
-	store := cache.NewStore(dbOn, model, budgetBytes)
+	store := cache.NewStoreTiered(dbOn, model, budgetBytes, 0, 1)
 	on, onRows, err := runReplay(cat, model, batches, passes, dbOn, store)
 	if err != nil {
 		return fmt.Errorf("%s cache-on replay: %w", label, err)

@@ -108,7 +108,7 @@ func runParamBatch(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalo
 func TestBindingAdmissionRace(t *testing.T) {
 	db, cat := makeWorld(t)
 	// Budget of a few binding entries: concurrent admission has to evict.
-	m := NewStoreShards(db, cost.DefaultModel(), 24<<10, 4)
+	m := newTestStore(t, db, cost.DefaultModel(), 24<<10, 0, 4)
 	q := paramQuery(4)
 
 	var wg sync.WaitGroup
@@ -153,7 +153,7 @@ func TestBindingCacheEquivalence(t *testing.T) {
 	var coldPlans []string
 	for _, shards := range []int{1, 4} {
 		db, cat := makeWorld(t)
-		m := NewStoreShards(db, cost.DefaultModel(), 16<<20, shards)
+		m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 0, shards)
 		on1, plan1 := runParamBatch(t, m, db, cat, q, pass1)
 		on2, plan2 := runParamBatch(t, m, db, cat, q, pass2)
 		coldPlans = append(coldPlans, plan1)
@@ -183,7 +183,7 @@ func TestBindingCacheEquivalence(t *testing.T) {
 // the caller re-optimizes against the fuller binding summary.
 func TestPinPlanRevalidatesBindings(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := NewStore(db, cost.DefaultModel(), 16<<20)
+	m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 0, 1)
 	model := cost.DefaultModel()
 	q := paramQuery(4)
 
@@ -234,7 +234,7 @@ func TestBindingPartialHitPlanAcrossTiers(t *testing.T) {
 
 	planFor := func(demote bool) string {
 		db, cat := makeWorld(t)
-		m := NewStoreTiered(db, cost.DefaultModel(), 16<<20, 16<<20, 2)
+		m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 16<<20, 2)
 		runParamBatch(t, m, db, cat, q, pass1)
 		if demote {
 			m.SetBudgets(1, 16<<20) // demote every unpinned RAM entry to warm

@@ -16,14 +16,17 @@ import (
 	"mqo/internal/storage"
 )
 
-// makeWorld creates four base tables with deterministic data and a catalog
-// whose statistics match.
+// makeWorld creates four 2000-row base tables with deterministic data and a
+// catalog whose statistics match.
 func makeWorld(t *testing.T) (*storage.DB, *catalog.Catalog) {
+	return makeWorldRows(t, 2000)
+}
+
+func makeWorldRows(t *testing.T, rows int) (*storage.DB, *catalog.Catalog) {
 	t.Helper()
 	db := storage.NewDB(1024)
 	cat := catalog.New()
 	rng := rand.New(rand.NewSource(7))
-	const rows = 2000
 	for _, name := range []string{"R", "S", "T", "P"} {
 		schema := algebra.Schema{
 			{Col: algebra.Col(name, "id"), Typ: algebra.TInt},
@@ -37,7 +40,7 @@ func makeWorld(t *testing.T) (*storage.DB, *catalog.Catalog) {
 		for i := 0; i < rows; i++ {
 			r := storage.Row{
 				algebra.IntVal(int64(i + 1)),
-				algebra.IntVal(rng.Int63n(rows) + 1),
+				algebra.IntVal(rng.Int63n(int64(rows)) + 1),
 				algebra.IntVal(rng.Int63n(100) + 1),
 			}
 			if _, err := tab.Heap.Insert(r); err != nil {
@@ -47,11 +50,11 @@ func makeWorld(t *testing.T) (*storage.DB, *catalog.Catalog) {
 		cat.Add(&catalog.Table{
 			Name: name,
 			Cols: []catalog.ColDef{
-				catalog.IntCol("id", rows),
-				catalog.IntColRange("fk", rows, 1, rows),
+				catalog.IntCol("id", int64(rows)),
+				catalog.IntColRange("fk", int64(rows), 1, int64(rows)),
 				catalog.IntColRange("num", 100, 1, 100),
 			},
-			Rows: rows,
+			Rows: int64(rows),
 		})
 	}
 	return db, cat
@@ -149,7 +152,7 @@ func TestCanonicalFingerprintsAcrossDAGs(t *testing.T) {
 // rows, reinforced entry.
 func TestHitOnRepeatedBatch(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := NewStore(db, cost.DefaultModel(), 64<<20)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
 	q := chain([]string{"R", "S", "T"}, 90)
 
 	first, firstStats, hits1, spools1 := runBatch(t, m, db, cat, q)
@@ -204,7 +207,7 @@ func TestHitOnRepeatedBatch(t *testing.T) {
 // guards the fingerprint matching across distinct batch DAGs.
 func TestHitAcrossDifferentQueries(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := NewStore(db, cost.DefaultModel(), 64<<20)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
 	if _, _, _, spools := runBatch(t, m, db, cat,
 		chain([]string{"R", "S", "T"}, 90), chain([]string{"R", "S", "P"}, 90)); spools == 0 {
 		t.Fatal("shared batch admitted nothing")
@@ -222,7 +225,7 @@ func TestHitAcrossDifferentQueries(t *testing.T) {
 func TestSingleFlightAdmission(t *testing.T) {
 	db, cat := makeWorld(t)
 	model := cost.DefaultModel()
-	m := NewStore(db, model, 64<<20)
+	m := newTestStore(t, db, model, 64<<20, 0, 1)
 	q := chain([]string{"R", "S"}, 90)
 
 	build := func() (*physical.DAG, *core.Result, *Ticket) {
@@ -275,7 +278,7 @@ func TestSingleFlightAdmission(t *testing.T) {
 // pinned entries survive rebalancing until unpinned.
 func TestBudgetAndEviction(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := NewStore(db, cost.DefaultModel(), 64<<20)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
 	for _, q := range []*algebra.Tree{
 		chain([]string{"R", "S"}, 90),
 		chain([]string{"S", "T"}, 90),
@@ -304,7 +307,7 @@ func TestBudgetAndEviction(t *testing.T) {
 	if len(ticket.armed) == 0 {
 		t.Fatal("arming the repeated query matched nothing")
 	}
-	m.SetBudget(0)
+	m.SetBudgets(0, 0)
 	if got := m.Stats().Entries; got != len(ticket.armed) {
 		t.Errorf("rebalance kept %d entries, want the %d pinned", got, len(ticket.armed))
 	}
@@ -328,7 +331,7 @@ func TestBudgetAndEviction(t *testing.T) {
 // TestZeroBudgetAdmitsNothing: a zero budget store never spools.
 func TestZeroBudgetAdmitsNothing(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := NewStore(db, cost.DefaultModel(), 0)
+	m := newTestStore(t, db, cost.DefaultModel(), 0, 0, 1)
 	_, _, _, spools := runBatch(t, m, db, cat, chain([]string{"R", "S"}, 90))
 	if spools != 0 || m.UsedBytes() != 0 || db.NumCaches() != 0 {
 		t.Error("zero-budget store admitted entries")
@@ -340,7 +343,7 @@ func TestZeroBudgetAdmitsNothing(t *testing.T) {
 // accounting must stay consistent and storage must mirror the entry set.
 func TestConcurrentBatches(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := NewStore(db, cost.DefaultModel(), 64<<20)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
 	queries := []*algebra.Tree{
 		chain([]string{"R", "S"}, 90),
 		chain([]string{"S", "T"}, 90),
@@ -361,10 +364,10 @@ func TestConcurrentBatches(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			m.SetBudget(64 << 20)
-			m.SetBudget(48 << 20)
+			m.SetBudgets(64<<20, 0)
+			m.SetBudgets(48<<20, 0)
 		}
-		m.SetBudget(64 << 20)
+		m.SetBudgets(64<<20, 0)
 	}()
 	wg.Wait()
 	st := m.Stats()
@@ -389,7 +392,7 @@ func TestConcurrentBatches(t *testing.T) {
 func TestZeroRowResultIsCacheable(t *testing.T) {
 	db, cat := makeWorld(t)
 	model := cost.DefaultModel()
-	m := NewStore(db, model, 64<<20)
+	m := newTestStore(t, db, model, 64<<20, 0, 1)
 	q := chain([]string{"R", "S"}, 90)
 
 	pd, err := core.BuildDAG(cat, model, []*algebra.Tree{q})

@@ -1,0 +1,231 @@
+package cache
+
+import (
+	"sort"
+
+	"mqo/internal/cost"
+	"mqo/internal/storage"
+)
+
+// insertLocked files a new entry in the index, byTable and its tier's
+// accounting; the shard lock is held.
+func (s *cacheShard) insertLocked(e *Entry) {
+	if s.index[e.Key] == nil {
+		s.index[e.Key] = map[entryID]*Entry{}
+	}
+	s.index[e.Key][e.id] = e
+	s.byTable[e.Table] = e
+	s.fileLocked(e, +1)
+}
+
+// fileLocked adds (sign +1) or removes (sign -1) an entry's footprint in its
+// tier's accounting and the binding count.
+func (s *cacheShard) fileLocked(e *Entry, sign int) {
+	ts := &s.tiers[e.Tier]
+	ts.used += int64(sign) * e.Bytes
+	ts.entries += sign
+	if e.Bind != "" {
+		s.bound += sign
+	}
+}
+
+// refileLocked moves an entry's accounting to a new tier and size.
+func (s *cacheShard) refileLocked(e *Entry, tier cost.Tier, bytes int64) {
+	s.fileLocked(e, -1)
+	e.Tier, e.Bytes = tier, bytes
+	s.fileLocked(e, +1)
+}
+
+// dropEntryLocked removes an entry and its spooled table from whichever
+// tier holds it (plus any stale warm copy); the shard lock is held.
+func (s *cacheShard) dropEntryLocked(m *Manager, e *Entry) {
+	delete(s.index[e.Key], e.id)
+	if len(s.index[e.Key]) == 0 {
+		delete(s.index, e.Key)
+	}
+	delete(s.byTable, e.Table)
+	s.fileLocked(e, -1)
+	if e.Tier == cost.TierRAM {
+		m.db.DropCache(e.Table)
+	}
+	if e.Tier == cost.TierWarm || e.staleWarm {
+		e.staleWarm = false
+		m.db.DropWarm(e.Table)
+	}
+}
+
+// unpinLocked releases one pin; at zero pins any deferred warm-copy
+// cleanup (a promotion that finished while readers were still scanning the
+// disk copy) completes. The shard lock is held.
+func (s *cacheShard) unpinLocked(m *Manager, e *Entry) {
+	e.pins--
+	if e.pins == 0 && e.staleWarm {
+		e.staleWarm = false
+		m.db.DropWarm(e.Table)
+	}
+}
+
+// makeRoomLocked is the store's one room-maker: it evicts ready, unpinned
+// entries of the given tier with density below the incoming result's until
+// bytes fit in the shard's slice of that tier's budget. It reports false —
+// having evicted nothing — when the result is larger than the whole slice,
+// not worth the evictions, or pinned entries hold the space. Evicting from
+// RAM demotes where the victim earns warm space, which makes room in the
+// warm tier through this same function.
+func (s *cacheShard) makeRoomLocked(m *Manager, tier cost.Tier, bytes int64, density float64) bool {
+	ts := &s.tiers[tier]
+	if bytes > ts.budget {
+		return false
+	}
+	need := ts.used + bytes - ts.budget // bytes still to free
+	var plan []*Entry
+	if need > 0 {
+		for _, v := range s.victimsLocked(tier) {
+			if v.density() >= density {
+				return false // would evict something more valuable
+			}
+			plan = append(plan, v)
+			if need -= v.Bytes; need <= 0 {
+				break
+			}
+		}
+	}
+	if need > 0 {
+		return false
+	}
+	for _, v := range plan {
+		s.evictLocked(m, v)
+	}
+	return true
+}
+
+// rebalanceLocked evicts lowest-density unpinned entries while the shard
+// is over either tier's budget slice (real sizes can overshoot the
+// admission estimates); it reports whether anything was evicted or moved.
+// RAM eviction demotes into the warm tier when the entry earns the space,
+// so the warm tier is visited second and mops up any resulting overflow.
+// Pinned entries may hold the shard over budget transiently — the next
+// Commit/Abort rebalances again.
+func (s *cacheShard) rebalanceLocked(m *Manager) bool {
+	evicted := false
+	for _, tier := range []cost.Tier{cost.TierRAM, cost.TierWarm} {
+		for _, v := range s.victimsLocked(tier) {
+			if s.tiers[tier].used <= s.tiers[tier].budget {
+				break
+			}
+			s.evictLocked(m, v)
+			evicted = true
+		}
+	}
+	return evicted
+}
+
+// victimsLocked lists the shard's evictable entries of one tier, lowest
+// density first (LRU breaks ties).
+func (s *cacheShard) victimsLocked(tier cost.Tier) []*Entry {
+	var out []*Entry
+	for _, e := range s.byTable {
+		if e.ready && e.pins == 0 && e.Tier == tier {
+			out = append(out, e)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		di, dj := out[i].density(), out[j].density()
+		if di != dj {
+			return di < dj
+		}
+		if out[i].LastUsed != out[j].LastUsed {
+			return out[i].LastUsed < out[j].LastUsed
+		}
+		return out[i].Table < out[j].Table
+	})
+	return out
+}
+
+// evictLocked removes a victim from its tier: a RAM entry valuable enough
+// to earn warm space is demoted (its rows spill to a disk heap file)
+// instead of being destroyed; everything else is dropped for real.
+func (s *cacheShard) evictLocked(m *Manager, e *Entry) {
+	if e.Tier == cost.TierRAM && s.demoteLocked(m, e) {
+		return
+	}
+	s.dropEntryLocked(m, e)
+	m.evictions.Inc()
+	m.gen.Add(1)
+}
+
+// demoteLocked spills a RAM victim to the warm tier: lower-density warm
+// entries are dropped to make room first, and the demotion is refused (the
+// caller then drops the entry) when the warm slice cannot hold it or only
+// denser warm entries occupy it. On success the entry's accounting moves
+// to real on-disk bytes. The shard lock is held across the row copy —
+// demotion happens inside Commit's rebalance, off every request's critical
+// path.
+func (s *cacheShard) demoteLocked(m *Manager, e *Entry) bool {
+	if e.staleWarm || !s.makeRoomLocked(m, cost.TierWarm, e.Bytes, e.density()) {
+		return false
+	}
+	diskBytes, err := m.db.DemoteCache(e.Table)
+	if err != nil {
+		return false
+	}
+	s.refileLocked(e, cost.TierWarm, diskBytes)
+	m.demotions.Inc()
+	m.gen.Add(1)
+	return true
+}
+
+// promote copies a warm entry's rows back into a RAM-tier cache table and
+// swaps the entry's tier, asynchronously after the committing batch
+// already returned. The entry is pinned (by Commit) for the whole copy, so
+// neither tier's table can be dropped underneath it; the row copy runs
+// outside the shard lock (the promoting flag single-flights it), and only
+// the accounting swap holds the lock. The warm file is deleted at the last
+// unpin — an in-flight reader of the disk copy finishes undisturbed.
+func (m *Manager) promote(e *Entry) {
+	defer m.promWG.Done()
+	ramBytes, err := m.db.PromoteWarm(e.Table)
+	ramBytes = max(ramBytes, storage.PageSize)
+	s := m.shards[e.si]
+	s.mu.Lock()
+	e.promoting = false
+	promoted := err == nil && s.byTable[e.Table] == e && e.Tier == cost.TierWarm &&
+		s.makeRoomLocked(m, cost.TierRAM, ramBytes, e.density())
+	if promoted {
+		s.refileLocked(e, cost.TierRAM, ramBytes)
+		e.staleWarm = true // disk copy lingers until the last pin drops
+		m.promotions.Inc()
+		m.gen.Add(1)
+	}
+	s.unpinLocked(m, e)
+	s.publishLocked(m, e.si)
+	s.mu.Unlock()
+	if !promoted && err == nil {
+		// The copy exists but was not adopted (no RAM room, or the entry
+		// was dropped meanwhile): discard it, the warm copy stays truth.
+		m.db.DropCache(e.Table)
+	}
+}
+
+// WaitPromotions blocks until every scheduled async promotion has settled.
+// Promotion is fire-and-forget on the serving path; tests and benchmarks
+// use this to observe a deterministic post-promotion state.
+func (m *Manager) WaitPromotions() { m.promWG.Wait() }
+
+// Close drains in-flight promotions, drops every entry in both tiers
+// (deleting all warm spill files) and removes the warm directory. Callers
+// must have quiesced batches first: pinned entries are dropped regardless,
+// and a concurrently executing plan would lose its tables.
+func (m *Manager) Close() {
+	m.promWG.Wait()
+	for si, s := range m.shards {
+		s.mu.Lock()
+		for _, e := range s.byTable {
+			s.dropEntryLocked(m, e)
+		}
+		s.publishLocked(m, si)
+		s.mu.Unlock()
+	}
+	m.db.CloseWarm()
+	m.gen.Add(1)
+}

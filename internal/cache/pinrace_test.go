@@ -18,7 +18,7 @@ import (
 func TestPinnedEntryNeverEvictedAcrossShards(t *testing.T) {
 	db, cat := makeWorld(t)
 	model := cost.DefaultModel()
-	m := NewStoreShards(db, model, 64<<20, 4)
+	m := newTestStore(t, db, model, 64<<20, 0, 4)
 
 	// Two overlapping queries spread entries over multiple shards
 	// (fingerprints hash independently).
@@ -40,9 +40,9 @@ func TestPinnedEntryNeverEvictedAcrossShards(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				m.SetBudget(1) // evicts every unpinned entry, shard by shard
+				m.SetBudgets(1, 0) // evicts every unpinned entry, shard by shard
 			} else {
-				m.SetBudget(64 << 20)
+				m.SetBudgets(64<<20, 0)
 			}
 		}
 	}()
@@ -59,8 +59,8 @@ func TestPinnedEntryNeverEvictedAcrossShards(t *testing.T) {
 	// while the replay holds its pins (nothing evictable), leaving the
 	// eviction counter at zero; one final shrink from the main goroutine,
 	// with every pin released, guarantees the eviction path executed.
-	m.SetBudget(1)
-	m.SetBudget(64 << 20)
+	m.SetBudgets(1, 0)
+	m.SetBudgets(64<<20, 0)
 
 	st := m.Stats()
 	if st.Evictions == 0 {

@@ -21,7 +21,7 @@ import (
 func TestTierTriangleRaceAtShardBoundary(t *testing.T) {
 	db, cat := makeWorld(t)
 	model := cost.DefaultModel()
-	m := NewStoreTiered(db, model, 64<<20, 64<<20, 4)
+	m := newTestStore(t, db, model, 64<<20, 64<<20, 4)
 
 	// Two overlapping queries spread entries over multiple shards.
 	q1 := chain([]string{"R", "S", "T"}, 90)

@@ -14,7 +14,7 @@ import (
 // must leave nothing — not even the spill directory — behind.
 func TestWarmFilesNeverLeak(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := NewStoreTiered(db, cost.DefaultModel(), 64<<20, 64<<20, 2)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 64<<20, 2)
 	q1 := chain([]string{"R", "S", "T"}, 90)
 	q2 := chain([]string{"R", "S", "P"}, 90)
 	if _, _, _, spools := runBatch(t, m, db, cat, q1, q2); spools == 0 {

@@ -57,7 +57,7 @@ func TestGoldenPartialHitPlans(t *testing.T) {
 		if err := c.load(db); err != nil {
 			t.Fatalf("%s: load: %v", c.name, err)
 		}
-		store := cache.NewStore(db, model, 16<<20)
+		store := cache.NewStoreTiered(db, model, 16<<20, 0, 1)
 
 		// Warm-up pass: run the first binding window so its per-binding
 		// results are spooled and committed.

@@ -171,7 +171,7 @@ func metricOp(op string) string {
 }
 
 // recordRunMetrics exports a completed run — and, when profiled, its
-// per-operator totals and the CostSample stream — to the registry.
+// per-operator totals — to the registry.
 func recordRunMetrics(stats *RunStats) {
 	execRuns.Inc()
 	execRunSeconds.ObserveDuration(stats.Wall)
@@ -190,20 +190,6 @@ func recordRunMetrics(stats *RunStats) {
 		reg.Counter("mqo_exec_operator_pages_total", "Inclusive page misses by executor operators.", obs.L("op", op)).Add(p.Pages)
 		reg.FloatCounter("mqo_exec_operator_seconds_total", "Inclusive wall seconds by executor operators.", obs.L("op", op)).Add(p.Wall.Seconds())
 	})
-	// Publish the measured cost stream: per-table scan costs from the scan
-	// leaves, per-materialization recompute costs from the mat roots. The
-	// next PR's control loop subscribes here.
-	feed := obs.Costs()
-	stats.Profile.Visit(func(p *NodeProfile) {
-		if strings.HasPrefix(p.Op, "SeqScan") || strings.HasPrefix(p.Op, "BaseIndex") {
-			feed.Publish(obs.CostSample{Kind: obs.ScanSample, Key: p.Op, Rows: p.Rows,
-				Bytes: p.Bytes, Wall: p.Wall, SimS: p.EstCost})
-		}
-	})
-	for _, m := range stats.Profile.Mats {
-		feed.Publish(obs.CostSample{Kind: obs.RecomputeSample, Key: fmt.Sprintf("node:%d", m.Node),
-			Rows: m.Rows, Bytes: m.Bytes, Wall: m.Wall, SimS: m.EstCost})
-	}
 }
 
 // FormatAnalyze renders the EXPLAIN ANALYZE view of a profiled run:

@@ -67,7 +67,7 @@ type RunStats struct {
 	// Profile is the per-operator measurement tree recorded when
 	// Env.Profile is set (nil otherwise). Excluded from JSON so the wire
 	// shapes of /stats and bench artifacts are unchanged; EXPLAIN ANALYZE
-	// and the CostSample stream consume it in-process.
+	// consumes it in-process.
 	Profile *BatchProfile `json:"-"`
 }
 

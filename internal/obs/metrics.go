@@ -1,9 +1,7 @@
 // Package obs is the system's observability substrate: a dependency-free
 // metrics registry (lock-free atomic counters, gauges and sharded
-// histograms with quantile extraction), lightweight trace spans in the
-// chrome://tracing format, and a typed CostSample feed carrying measured
-// per-table scan and per-fingerprint recompute costs toward the
-// calibration/admission control loops.
+// histograms with quantile extraction) and lightweight trace spans in the
+// chrome://tracing format.
 //
 // Every hot-path mutation is a handful of atomic operations — no mutex is
 // ever taken on Add/Set/Observe — so the optimizer's search loops, the
@@ -27,7 +25,7 @@ var enabled atomic.Bool
 
 func init() { enabled.Store(true) }
 
-// SetEnabled turns metric/span/sample recording on or off globally.
+// SetEnabled turns metric/span recording on or off globally.
 // Registered metrics keep their accumulated values when disabled.
 func SetEnabled(on bool) { enabled.Store(on) }
 

@@ -273,26 +273,3 @@ func TestTracerRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestCostFeed(t *testing.T) {
-	f := &CostFeed{ring: make([]CostSample, 4)}
-	var seen []string
-	f.Subscribe(func(s CostSample) { seen = append(seen, s.Key) })
-	for i, k := range []string{"a", "b", "c", "d", "e", "f"} {
-		f.Publish(CostSample{Kind: ScanSample, Key: k, Rows: int64(i)})
-	}
-	f.Subscribe(nil)
-	snap := f.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(snap))
-	}
-	if snap[0].Key != "c" || snap[3].Key != "f" {
-		t.Fatalf("snapshot order wrong: %+v", snap)
-	}
-	if len(seen) != 6 {
-		t.Fatalf("subscriber saw %d samples, want 6", len(seen))
-	}
-	if ScanSample.String() != "scan" || RecomputeSample.String() != "recompute" {
-		t.Fatal("SampleKind.String wrong")
-	}
-}

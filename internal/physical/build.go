@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"mqo/internal/algebra"
 	"mqo/internal/cost"
@@ -72,8 +71,9 @@ type PExpr struct {
 
 	// InvokePartial parameters: the cached bindings served by table scans,
 	// the residual binding keys recomputed through the body child, and the
-	// body's cache entry-key prefix (fingerprint§property) PinPlan uses to
-	// revalidate binding-set membership before reusing a cached plan.
+	// body's canonical fingerprint, which (with the body child's property)
+	// PinPlan uses to revalidate binding-set membership before reusing a
+	// cached plan.
 	BindScans     []BindScan
 	ResidualBinds []string
 	BindFP        string
@@ -137,22 +137,11 @@ type DAG struct {
 
 	costing costState
 
-	// Striped free list of reusable CostViews (AcquireView /
-	// ReleaseView): parallel benefit-evaluation workers churn views every
-	// wave, so the list is split into independently locked stripes with a
-	// rotating hint instead of one mutex-guarded slice.
-	viewStripes [viewStripeCount]viewStripe
-	viewHint    atomic.Uint32
-}
-
-// viewStripeCount fixes the free list's stripe count; 8 comfortably covers
-// the auto-tuned worker fan-out without one lock per worker.
-const viewStripeCount = 8
-
-// viewStripe is one independently locked slice of the CostView free list.
-type viewStripe struct {
-	mu    sync.Mutex
-	views []*CostView
+	// Free list of reusable CostViews (AcquireView / ReleaseView). The
+	// coordinating goroutine of a search acquires and releases its workers'
+	// views serially, so one mutex-guarded slice suffices.
+	viewMu sync.Mutex
+	views  []*CostView
 }
 
 type nodeKey struct {

@@ -57,43 +57,32 @@ func (pd *DAG) NewCostView() *CostView {
 // per-view maps (whose capacity tracks the DAG's hot cone sizes) warm
 // across search phases — greedy benefit waves, Volcano-RU order passes —
 // instead of reallocating them per phase. Return views with ReleaseView.
-//
-// The free list is striped: acquisition starts at the stripe of the most
-// recent release (usually a first-probe hit) and scans the rest before
-// allocating fresh, so a pooled view is never missed just because another
-// stripe holds it.
 func (pd *DAG) AcquireView() *CostView {
-	start := pd.viewHint.Load()
-	for i := uint32(0); i < viewStripeCount; i++ {
-		s := &pd.viewStripes[(start+i)%viewStripeCount]
-		s.mu.Lock()
-		if n := len(s.views); n > 0 {
-			v := s.views[n-1]
-			s.views[n-1] = nil
-			s.views = s.views[:n-1]
-			s.mu.Unlock()
-			return v
-		}
-		s.mu.Unlock()
+	pd.viewMu.Lock()
+	defer pd.viewMu.Unlock()
+	n := len(pd.views)
+	if n == 0 {
+		return pd.NewCostView()
 	}
-	return pd.NewCostView()
+	v := pd.views[n-1]
+	pd.views[n-1] = nil
+	pd.views = pd.views[:n-1]
+	return v
 }
 
-// ReleaseView resets v and returns it to pd's pool, rotating across
-// stripes so concurrent releasers spread over distinct locks. The caller
-// must drain the view's instrumentation counters first (DrainCounters) if
-// it wants them; ReleaseView discards whatever is left so the next owner
-// starts at zero.
+// ReleaseView resets v and returns it to pd's pool. The caller must drain
+// the view's instrumentation counters first (DrainCounters) if it wants
+// them; ReleaseView discards whatever is left so the next owner starts at
+// zero.
 func (pd *DAG) ReleaseView(v *CostView) {
 	if v == nil || v.pd != pd {
 		return
 	}
 	v.Reset()
 	v.Propagations, v.Recomputations = 0, 0
-	s := &pd.viewStripes[pd.viewHint.Add(1)%viewStripeCount]
-	s.mu.Lock()
-	s.views = append(s.views, v)
-	s.mu.Unlock()
+	pd.viewMu.Lock()
+	pd.views = append(pd.views, v)
+	pd.viewMu.Unlock()
 }
 
 // DAG returns the view's underlying DAG.

@@ -181,7 +181,7 @@ func TestServeStressShardedHotPath(t *testing.T) {
 	// committing against the same shards.
 	time.Sleep(2 * time.Millisecond)
 	for _, tn := range tenants {
-		tn.opt.ResultCache().SetBudget(64 << 10)
+		tn.opt.ResultCache().SetBudgets(64<<10, 0)
 	}
 
 	wg.Wait()

@@ -29,22 +29,20 @@ import (
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. Each
 // optimization call builds its own AND-OR DAG, so no two calls ever share
-// a DAG's mutable costing state; the plan cache is sharded and
-// mutex-guarded per shard, and concurrent plan executions proceed in
-// parallel on the attached database, each in a private temp-table
-// namespace. Plan-cache hits hand each caller a defensive copy whose
-// shared plan nodes must be treated as read-only.
+// a DAG's mutable costing state; the plan cache is mutex-guarded, and
+// concurrent plan executions proceed in parallel on the attached database,
+// each in a private temp-table namespace. Plan-cache hits hand each caller
+// a defensive copy whose shared plan nodes must be treated as read-only.
 type Optimizer struct {
 	cat   *catalog.Catalog
 	model cost.Model
 	opts  core.Options
 	db    *storage.DB
-	cache *planCacheSet
+	cache *planCache
 
-	// planCacheCap and shardCount are recorded by options and realized at
-	// the end of Open, so WithPlanCache and WithShards compose in any order.
-	planCacheCap int
-	shardCount   int
+	// shardCount is the result cache's shard count (WithShards), realized
+	// when the store is created.
+	shardCount int
 
 	// Cross-batch result cache (WithResultCache): a row-backed store of
 	// spooled intermediate results consulted around every executed batch.
@@ -74,17 +72,24 @@ func WithDB(db *DB) Option { return func(o *Optimizer) { o.db = db } }
 // WithPlanCache enables a fingerprint-keyed LRU cache of optimized plans
 // holding up to n batches. Batches whose queries have equal canonical
 // fingerprints (same logical expressions, in order) optimized with the
-// same algorithm share one cached Result. With WithShards the cache is
-// split into independently locked LRU shards by key hash.
-func WithPlanCache(n int) Option { return func(o *Optimizer) { o.planCacheCap = n } }
+// same algorithm share one cached Result.
+func WithPlanCache(n int) Option {
+	return func(o *Optimizer) {
+		o.cache = nil
+		if n > 0 {
+			o.cache = newPlanCache(n)
+		}
+	}
+}
 
-// WithShards shards the serving hot path n ways: the plan-cache LRU and
-// the cross-batch result cache split into n independently locked shards
-// (by batch-key and expression-fingerprint hash respectively), so
-// concurrent workers stop contending on single locks. The default, 1,
-// keeps the exact unsharded semantics. Plans, rows and table names are
-// identical at every shard count — only lock contention changes — though
-// eviction order may differ once per-shard budgets bind.
+// WithShards splits the cross-batch result cache (result cache only) into n
+// independently locked shards by expression-fingerprint hash, so concurrent
+// workers admitting, pinning and evicting different expressions stop
+// contending on one lock. The default, 1, keeps the exact unsharded
+// semantics. Plans, rows and table names are identical at every shard count
+// — only lock contention changes — though eviction order may differ once
+// per-shard budgets bind. Set it before the store exists: a live store keeps
+// the shard count it was created with.
 func WithShards(n int) Option { return func(o *Optimizer) { o.shardCount = n } }
 
 // WithResultCache enables the cross-batch transient result cache (the
@@ -157,35 +162,12 @@ func Open(cat *Catalog, opts ...Option) (*Optimizer, error) {
 	for _, opt := range opts {
 		opt(o)
 	}
-	if o.shardCount < 1 {
-		o.shardCount = 1
-	}
-	if o.planCacheCap > 0 {
-		o.cache = newPlanCacheSet(o.planCacheCap, o.shardCount)
-	}
 	if o.rcBudget > 0 {
 		if err := o.ensureResultCache(o.rcBudget, o.rcWarmBudget); err != nil {
 			return nil, err
 		}
 	}
 	return o, nil
-}
-
-// setShards re-shards the serving-path caches before traffic (Serve with
-// BatchingOptions.Shards). The plan cache restarts empty at the new shard
-// count; an existing result-cache store keeps its sharding (its spooled
-// tables are live), so set shards before enabling the result cache.
-func (o *Optimizer) setShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n == o.shardCount {
-		return
-	}
-	o.shardCount = n
-	if o.planCacheCap > 0 {
-		o.cache = newPlanCacheSet(o.planCacheCap, n)
-	}
 }
 
 // ensureResultCache creates the session result-cache store on first use
@@ -199,11 +181,7 @@ func (o *Optimizer) ensureResultCache(ramBytes, warmBytes int64) error {
 	o.rcMu.Lock()
 	defer o.rcMu.Unlock()
 	if o.rcache == nil {
-		shards := o.shardCount
-		if shards < 1 {
-			shards = 1
-		}
-		o.rcache = cache.NewStoreTiered(o.db, o.model, ramBytes, warmBytes, shards)
+		o.rcache = cache.NewStoreTiered(o.db, o.model, ramBytes, warmBytes, o.shardCount)
 	} else if o.rcache.Budget() != ramBytes || o.rcache.WarmBudget() != warmBytes {
 		o.rcache.SetBudgets(ramBytes, warmBytes)
 	}
@@ -288,7 +266,7 @@ func (o *Optimizer) parseSQLTimed(sqlText string) ([]*Query, server.PhaseTimes, 
 // calls never interfere. A cancelled context aborts the optimization
 // promptly with ctx.Err().
 func (o *Optimizer) OptimizeBatch(ctx context.Context, queries []*Query, alg Algorithm) (*Result, error) {
-	res, _, err := o.optimizeBatch(ctx, queries, alg)
+	res, _, _, err := o.planBatch(ctx, nil, queries, alg, nil, &execMeta{})
 	return res, err
 }
 
@@ -313,37 +291,6 @@ func (o *Optimizer) buildLogical(ctx context.Context, queries []*Query) (*dag.DA
 		roots[i] = g
 	}
 	return ld, roots, nil
-}
-
-// optimizeBatch is OptimizeBatch plus a flag reporting whether the result
-// was served from the plan cache (the batching service's hit accounting).
-func (o *Optimizer) optimizeBatch(ctx context.Context, queries []*Query, alg Algorithm) (*Result, bool, error) {
-	ld, roots, err := o.buildLogical(ctx, queries)
-	if err != nil {
-		return nil, false, err
-	}
-	var key string
-	if o.cache != nil {
-		key = o.batchKey(ld, roots, alg)
-		if res, ok := o.cache.get(key); ok {
-			return res, true, nil
-		}
-	}
-	pd, err := core.FinishDAG(ld, o.model)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := core.Optimize(ctx, pd, alg, o.opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if o.cache != nil && key != "" {
-		// Hand the miss caller a defensive copy too: the stored entry is
-		// what every later hit clones from, so no caller may alias it.
-		o.cache.put(key, res)
-		res = cloneResult(res)
-	}
-	return res, false, nil
 }
 
 // OptimizeSQL parses a semicolon-separated SQL batch and optimizes it; see
@@ -426,13 +373,77 @@ type execMeta struct {
 	Phases server.PhaseTimes
 }
 
+// planBatch is the one optimize sequence behind OptimizeBatch, Run and the
+// batching service: build logical → key → plan-cache probe → FinishDAG → arm
+// → optimize → spools → put. rc is the result-cache store to plan against,
+// nil for optimize-only calls and cache-less sessions; a nil store yields a
+// nil ticket, which arms, admits and pins nothing. The optimize and spool
+// phase times and the plan-cache outcome are recorded in meta.
+func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []*Query, alg Algorithm,
+	paramSets []map[string]algebra.Value, meta *execMeta) (*Result, *cache.Ticket, map[*physical.Node]string, error) {
+
+	start := time.Now()
+	ld, roots, err := o.buildLogical(ctx, queries)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var key string
+	if o.cache != nil {
+		key = o.batchKey(ld, roots, alg)
+		if rc != nil {
+			// The plan depends on the cache state it was armed against, so
+			// the key folds in the store's ready-set generation: any admission
+			// or eviction strands older plans on unreachable keys. A
+			// parameterized batch's plan additionally depends on which
+			// bindings were armed, so the concrete binding set joins the key —
+			// the same SQL with different ParamSets must not share a plan.
+			key += "|rc" + strconv.FormatInt(rc.Generation(), 10)
+			if len(paramSets) > 0 {
+				key += "|ps" + bindingsSignature(paramSets)
+			}
+		}
+		if res, ok := o.cache.get(key); ok {
+			if ticket, pinned := rc.PinPlan(res.Plan); pinned {
+				meta.PlanCacheHit = true
+				meta.Phases.Optimize = time.Since(start)
+				return res, ticket, nil, nil
+			}
+		}
+	}
+	pd, err := core.FinishDAG(ld, o.model)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ticket := rc.Arm(pd, paramSets)
+	res, err := core.Optimize(ctx, pd, alg, o.opts)
+	if err != nil {
+		ticket.Abort()
+		return nil, nil, nil, err
+	}
+	meta.Phases.Optimize = time.Since(start)
+	spoolStart := time.Now()
+	spools := ticket.PlanSpools(res.Plan)
+	meta.Phases.Spool = time.Since(spoolStart)
+	if o.cache != nil && len(spools) == 0 && len(ticket.BindingSpools()) == 0 {
+		// Nothing newly spooled: the plan is reusable at this generation.
+		// Spooling batches bump the generation on commit, so caching their
+		// plans would only strand dead entries. The miss caller gets a
+		// defensive copy too: the stored entry is what every later hit
+		// clones from, so no caller may alias it.
+		o.cache.put(key, res)
+		res = cloneResult(res)
+	}
+	return res, ticket, spools, nil
+}
+
 // runOnDB optimizes one batch and executes the plan on the attached
 // database — the single execution path behind Run and the micro-batching
-// service. With a result cache enabled it consults the store around the
+// service. With a result cache enabled the store is consulted around the
 // batch: ready entries are armed on the batch DAG before the search (so
 // every algorithm prices cache hits natively), the chosen plan's worthwhile
-// results are spooled during execution, and the store commits — real byte
-// accounting, hit reinforcement, eviction — once the run succeeds.
+// results are spooled during execution, and the ticket commits — real byte
+// accounting, hit reinforcement, eviction — once the run succeeds, or
+// aborts when it fails. Without one the ticket is nil and does nothing.
 func (o *Optimizer) runOnDB(ctx context.Context, queries []*Query, alg Algorithm, env *exec.Env) (*ExecResult, execMeta, error) {
 	meta := execMeta{}
 	// Each batch gets its own trace track, so the optimizer-phase and
@@ -443,95 +454,13 @@ func (o *Optimizer) runOnDB(ctx context.Context, queries []*Query, alg Algorithm
 		"algorithm": alg.String(), "queries": strconv.Itoa(len(queries))})
 	defer span.End()
 
-	rc := o.resultCache()
-	if rc == nil {
-		optStart := time.Now()
-		optSpan := obs.StartSpan("optimize", track, nil)
-		res, hit, err := o.optimizeBatch(ctx, queries, alg)
-		optSpan.End()
-		if err != nil {
-			return nil, meta, err
-		}
-		meta.PlanCacheHit = hit
-		meta.Phases.Optimize = time.Since(optStart)
-		phaseOptimize.ObserveDuration(meta.Phases.Optimize)
-		results, stats, err := exec.Run(ctx, o.db, o.model, res.Plan, env)
-		if err != nil {
-			return nil, meta, err
-		}
-		meta.Phases.Execute = stats.Wall
-		phaseExecute.ObserveDuration(stats.Wall)
-		return &ExecResult{Result: res, Queries: results, Exec: stats}, meta, nil
-	}
-
-	optStart := time.Now()
 	optSpan := obs.StartSpan("optimize", track, nil)
-	ld, roots, err := o.buildLogical(ctx, queries)
-	if err != nil {
-		optSpan.End()
-		return nil, meta, err
-	}
-	// The plan depends on the cache state it was armed against, so the
-	// plan-cache key folds in the store's ready-set generation: any
-	// admission or eviction strands older plans on unreachable keys. A
-	// parameterized batch's plan additionally depends on which bindings the
-	// binding pre-pass armed, so the concrete binding set joins the key —
-	// the same SQL with different ParamSets must not share a plan.
-	var key string
-	if o.cache != nil {
-		key = o.batchKey(ld, roots, alg) + "|rc" + strconv.FormatInt(rc.Generation(), 10)
-		if env != nil && len(env.ParamSets) > 0 {
-			key += "|ps" + bindingsSignature(env.ParamSets)
-		}
-		if res, ok := o.cache.get(key); ok {
-			if ticket, pinned := rc.PinPlan(res.Plan); pinned {
-				optSpan.End()
-				meta.PlanCacheHit = true
-				meta.Phases.Optimize = time.Since(optStart)
-				phaseOptimize.ObserveDuration(meta.Phases.Optimize)
-				return o.execTicket(ctx, res, ticket, nil, env, meta)
-			}
-		}
-	}
-	pd, err := core.FinishDAG(ld, o.model)
-	if err != nil {
-		optSpan.End()
-		return nil, meta, err
-	}
-	var paramSets []map[string]algebra.Value
-	if env != nil {
-		paramSets = env.ParamSets
-	}
-	ticket := rc.Arm(pd, paramSets)
-	res, err := core.Optimize(ctx, pd, alg, o.opts)
+	res, ticket, spools, err := o.planBatch(ctx, o.resultCache(), queries, alg, env.ParamSets, &meta)
 	optSpan.End()
 	if err != nil {
-		ticket.Abort()
 		return nil, meta, err
 	}
-	meta.Phases.Optimize = time.Since(optStart)
 	phaseOptimize.ObserveDuration(meta.Phases.Optimize)
-	spoolStart := time.Now()
-	spools := ticket.PlanSpools(res.Plan)
-	meta.Phases.Spool = time.Since(spoolStart)
-	if o.cache != nil && key != "" && len(spools) == 0 && len(ticket.BindingSpools()) == 0 {
-		// Steady state (nothing newly spooled): the plan is reusable at
-		// this generation. Spooling batches bump the generation on commit,
-		// so caching their plans would only strand dead entries.
-		o.cache.put(key, res)
-		res = cloneResult(res)
-	}
-	return o.execTicket(ctx, res, ticket, spools, env, meta)
-}
-
-// execTicket executes an optimized plan under its result-cache ticket,
-// committing on success and aborting on failure.
-func (o *Optimizer) execTicket(ctx context.Context, res *Result, ticket *cache.Ticket,
-	spools map[*physical.Node]string, env *exec.Env, meta execMeta) (*ExecResult, execMeta, error) {
-
-	if env == nil {
-		env = &exec.Env{}
-	}
 	env.Cache = &exec.CacheIO{Spools: spools, BindSpools: ticket.BindingSpools()}
 	results, stats, err := exec.Run(ctx, o.db, o.model, res.Plan, env)
 	if err != nil {
@@ -540,14 +469,16 @@ func (o *Optimizer) execTicket(ctx context.Context, res *Result, ticket *cache.T
 	}
 	meta.Phases.Execute = stats.Wall
 	phaseExecute.ObserveDuration(stats.Wall)
-	spoolStart := time.Now()
-	meta.ResultCacheHits = ticket.Commit()
-	meta.ResultCacheSpools = len(spools)
-	for _, binds := range ticket.BindingSpools() {
-		meta.ResultCacheSpools += len(binds)
+	if ticket != nil {
+		spoolStart := time.Now()
+		meta.ResultCacheHits = ticket.Commit()
+		meta.ResultCacheSpools = len(spools)
+		for _, binds := range ticket.BindingSpools() {
+			meta.ResultCacheSpools += len(binds)
+		}
+		meta.Phases.Spool += time.Since(spoolStart)
+		phaseSpool.ObserveDuration(meta.Phases.Spool)
 	}
-	meta.Phases.Spool += time.Since(spoolStart)
-	phaseSpool.ObserveDuration(meta.Phases.Spool)
 	return &ExecResult{Result: res, Queries: results, Exec: stats}, meta, nil
 }
 

@@ -2,7 +2,6 @@ package mqo
 
 import (
 	"container/list"
-	"hash/fnv"
 	"maps"
 	"sync"
 
@@ -95,55 +94,4 @@ func (c *planCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.Len(), Cap: c.cap}
-}
-
-// planCacheSet shards the plan cache by batch-key hash: each shard is an
-// independently locked LRU holding an even slice of the capacity, so
-// concurrent workers hitting different batches never contend on one lock.
-// One shard is the exact unsharded cache.
-type planCacheSet struct {
-	shards []*planCache
-}
-
-// newPlanCacheSet builds a set of shards LRUs splitting capacity evenly
-// (each shard rounds up, so total capacity never shrinks below n).
-func newPlanCacheSet(n, shards int) *planCacheSet {
-	if shards < 1 {
-		shards = 1
-	}
-	if n < 1 {
-		n = 1
-	}
-	per := (n + shards - 1) / shards
-	s := &planCacheSet{shards: make([]*planCache, shards)}
-	for i := range s.shards {
-		s.shards[i] = newPlanCache(per)
-	}
-	return s
-}
-
-func (s *planCacheSet) shardFor(key string) *planCache {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
-}
-
-func (s *planCacheSet) get(key string) (*Result, bool) { return s.shardFor(key).get(key) }
-
-func (s *planCacheSet) put(key string, res *Result) { s.shardFor(key).put(key, res) }
-
-// stats sums the shards' accounting; Cap is the total capacity.
-func (s *planCacheSet) stats() CacheStats {
-	var out CacheStats
-	for _, c := range s.shards {
-		st := c.stats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Entries += st.Entries
-		out.Cap += st.Cap
-	}
-	return out
 }

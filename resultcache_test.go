@@ -112,7 +112,7 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 		t.Fatal("no spooled tables to evict")
 	}
 	names := db.CacheNames()
-	opt.ResultCache().SetBudget(4096) // one page: at most one entry survives
+	opt.ResultCache().SetBudgets(4096, 0) // one page: at most one entry survives
 	stAfter := opt.ResultCacheStats()
 	if stAfter.Evictions == 0 {
 		t.Fatal("tight budget triggered no evictions")

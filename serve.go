@@ -3,6 +3,7 @@ package mqo
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -26,11 +27,10 @@ type BatchingOptions struct {
 	// Workers bounds concurrently in-flight batches; batches optimize and
 	// execute fully in parallel over the sharded storage layer (default 2).
 	Workers int
-	// Shards re-shards the serving hot path for the service (equivalent to
-	// opening the session with WithShards): the plan cache and the result
-	// cache split into this many independently locked shards. Applied at
-	// Serve time, before traffic: a session-level WithShards or an earlier
-	// Serve already holding entries wins over a conflicting value here.
+	// Shards shards the service's result cache — result cache only —
+	// (equivalent to opening the session with WithShards) into this many
+	// independently locked shards. Applied at Serve time, before the store
+	// exists: a store the session already created keeps its shard count.
 	// 0 keeps the session's current shard count.
 	Shards int
 	// Algorithm selects the optimization strategy for coalesced batches.
@@ -96,7 +96,7 @@ func Serve(o *Optimizer, cfg BatchingOptions) (*Service, error) {
 		return nil, fmt.Errorf("mqo: Serve: no database attached (use WithDB)")
 	}
 	if cfg.Shards > 0 {
-		o.setShards(cfg.Shards)
+		o.shardCount = cfg.Shards
 	}
 	if cfg.ResultCacheBytes > 0 {
 		if err := o.ensureResultCache(cfg.ResultCacheBytes, cfg.ResultCacheWarmBytes); err != nil {
@@ -151,39 +151,6 @@ func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
 	return &Answer{Query: resp.Result, Batch: resp.Batch}, nil
 }
 
-// SubmitBatch runs queries as exactly one coalesced batch on the caller's
-// goroutine, bypassing the batching window: the batch's composition is
-// whatever the caller hands in, not whatever timing coalesced. The session
-// caches (plan cache, result cache) participate exactly as for batched
-// traffic. Load generators use this to measure per-batch service times for
-// a predetermined batch schedule; interactive callers should prefer Submit,
-// which lets concurrent queries share a window.
-func (s *Service) SubmitBatch(ctx context.Context, queries []*Query) ([]Answer, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("mqo: SubmitBatch: empty batch")
-	}
-	br, err := s.runBatch(ctx, queries)
-	if err != nil {
-		return nil, err
-	}
-	info := BatchInfo{
-		Size:             len(queries),
-		Cost:             br.Cost,
-		NoShareCost:      br.NoShareCost,
-		CacheHit:         br.CacheHit,
-		ResultCacheHits:  br.ResultCacheHits,
-		ResultCacheSpool: br.ResultCacheSpool,
-		Algorithm:        br.Algorithm,
-		Exec:             br.Exec,
-		Phases:           br.Phases,
-	}
-	out := make([]Answer, len(queries))
-	for i := range queries {
-		out[i] = Answer{Query: br.PerQuery[i], Batch: info}
-	}
-	return out, nil
-}
-
 // Stats snapshots the service's accounting.
 func (s *Service) Stats() ServiceStats { return s.b.Stats() }
 
@@ -199,7 +166,7 @@ func (s *Service) Close() { s.b.Close() }
 // optimize+execute pass).
 func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) (*server.BatchResult, error) {
 	// The serving path profiles every run while observability is on: the
-	// per-operator registry series and the CostSample stream come from here.
+	// per-operator registry series come from here.
 	res, meta, err := s.opt.runOnDB(ctx, queries, s.alg, &exec.Env{Profile: obs.Enabled()})
 	if err != nil {
 		return nil, err
@@ -248,6 +215,10 @@ type statsResponse struct {
 	PhaseSeconds map[string]float64 `json:"phase_seconds"`
 }
 
+// maxQueryBodyBytes bounds a POST /query body; a larger one is answered
+// 413 without being read to the end.
+const maxQueryBodyBytes = 1 << 20
+
 // ServiceHandler exposes a Service over HTTP+JSON:
 //
 //	POST /query  {"sql": "SELECT ..."}      -> columns, rows, batch info
@@ -258,8 +229,14 @@ func ServiceHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
 		var req queryRequest
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBodyBytes)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		ctx := r.Context()

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,6 +141,44 @@ func TestSubmitRejectsMultiStatement(t *testing.T) {
 	}
 	if _, err := opt.Submit(context.Background(), sqlBatch); err == nil {
 		t.Error("multi-statement Submit succeeded, want error")
+	}
+}
+
+// TestQueryBodyLimit: POST /query refuses a body over the 1 MiB limit with
+// 413 instead of buffering whatever a client sends, and keeps answering
+// normal queries afterwards.
+func TestQueryBodyLimit(t *testing.T) {
+	db := NewDB(256)
+	if err := tpcd.LoadDB(db, 0.002, 1); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Open(tpcd.Catalog(0.002), WithDB(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Serve(opt, BatchingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(ServiceHandler(svc))
+	defer srv.Close()
+
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"sql": "SELECT ` + strings.Repeat("x", 2<<20) + `"}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body answered %d, want 413", code)
+	}
+	if code := post(fmt.Sprintf(`{"sql": %q}`, sqlCounts)); code != http.StatusOK {
+		t.Errorf("normal query after the oversized one answered %d, want 200", code)
 	}
 }
 
