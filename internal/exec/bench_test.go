@@ -1,0 +1,189 @@
+package exec
+
+import (
+	"context"
+	"testing"
+
+	"mqo/internal/algebra"
+	"mqo/internal/storage"
+)
+
+// Micro-benchmarks of the join and scan kernels over a fact table shaped
+// like SSB's 17-column lineorder, for benchstat:
+//
+//	go test -run '^$' -bench . -benchmem -count 10 ./internal/exec
+
+var factCols = []struct {
+	name string
+	typ  algebra.Type
+}{
+	{"orderkey", algebra.TInt}, {"linenumber", algebra.TInt}, {"custkey", algebra.TInt},
+	{"partkey", algebra.TInt}, {"suppkey", algebra.TInt}, {"orderdate", algebra.TDate},
+	{"orderpriority", algebra.TString}, {"shippriority", algebra.TString}, {"quantity", algebra.TInt},
+	{"extendedprice", algebra.TFloat}, {"ordtotalprice", algebra.TFloat}, {"discount", algebra.TInt},
+	{"revenue", algebra.TFloat}, {"supplycost", algebra.TFloat}, {"tax", algebra.TInt},
+	{"commitdate", algebra.TDate}, {"shipmode", algebra.TString},
+}
+
+const (
+	factCustKey  = 2 // position of custkey
+	factQuantity = 8 // position of quantity
+	dimRows      = 3000
+)
+
+func factSchema() algebra.Schema {
+	s := make(algebra.Schema, len(factCols))
+	for i, c := range factCols {
+		s[i] = algebra.ColInfo{Col: algebra.Col("f", c.name), Typ: c.typ}
+	}
+	return s
+}
+
+// factRows is deterministic; custkey cycles through the dimension's keys in
+// a scattered order and quantity through 1..50.
+func factRows(n int) []storage.Row {
+	priorities := []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECI", "5-LOW"}
+	modes := []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		k := int64(i)
+		price := float64(90000 + k*37%1000000)
+		rows[i] = storage.Row{
+			algebra.IntVal(k / 4), algebra.IntVal(k%4 + 1), algebra.IntVal(k * 7919 % dimRows),
+			algebra.IntVal(k * 31 % 200000), algebra.IntVal(k * 17 % 2000), algebra.DateVal(8036 + k%2557),
+			algebra.StringVal(priorities[i%len(priorities)]), algebra.StringVal("0"), algebra.IntVal(k%50 + 1),
+			algebra.FloatVal(price), algebra.FloatVal(price * 4), algebra.IntVal(k % 11),
+			algebra.FloatVal(price * float64(100-k%11) / 100), algebra.FloatVal(price * 0.6), algebra.IntVal(k % 9),
+			algebra.DateVal(8066 + k%2557), algebra.StringVal(modes[i%len(modes)]),
+		}
+	}
+	return rows
+}
+
+// dimTable is the joined dimension: key ck (0..n-1 in order, so it is also
+// sorted for the merge join) and a value v in 0..49.
+func dimTable(n int) (algebra.Schema, []storage.Row) {
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		rows[i] = storage.Row{algebra.IntVal(int64(i)), algebra.IntVal(int64(i) % 50)}
+	}
+	return intSchema("d", "ck", "v"), rows
+}
+
+func loadTable(tb testing.TB, db *storage.DB, name string, schema algebra.Schema, rows []storage.Row) *storage.Table {
+	tb.Helper()
+	tab, err := db.CreateTable(name, schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, err := tab.Heap.Insert(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tab
+}
+
+// benchDrain opens, drains and closes the operator once per iteration and
+// checks the row count.
+func benchDrain(b *testing.B, it Iterator, want int) {
+	b.Helper()
+	b.ReportAllocs()
+	for b.Loop() {
+		rows, err := drain(context.Background(), it)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != want {
+			b.Fatalf("%d rows, want %d", len(rows), want)
+		}
+	}
+}
+
+var custEqCk = algebra.ColEq(algebra.Col("f", "custkey"), algebra.Col("d", "ck"))
+
+// BenchmarkNLJoinEqui: 20000 fact rows against a 3000-row dimension on a
+// key; every fact row finds its one partner.
+func BenchmarkNLJoinEqui(b *testing.B) {
+	ds, drows := dimTable(dimRows)
+	j, err := newNLJoin(&sliceIter{rows: factRows(20000), schema: factSchema()}, &sliceIter{rows: drows, schema: ds}, custEqCk, &Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDrain(b, j, 20000)
+}
+
+// BenchmarkNLJoinTheta: no key to hash on, so 2000 × 200 pairs all reach
+// the predicate.
+func BenchmarkNLJoinTheta(b *testing.B) {
+	ds, drows := dimTable(200)
+	pred := algebra.ColCmp(algebra.Col("f", "quantity"), algebra.LT, algebra.Col("d", "v"))
+	j, err := newNLJoin(&sliceIter{rows: factRows(2000), schema: factSchema()}, &sliceIter{rows: drows, schema: ds}, pred, &Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := 0
+	for _, f := range j.left.(*sliceIter).rows {
+		for _, d := range drows {
+			if f[factQuantity].I < d[1].I {
+				want++
+			}
+		}
+	}
+	benchDrain(b, j, want)
+}
+
+// BenchmarkMergeJoin: the same join as NLJoinEqui with the fact rows sorted
+// on the key beforehand.
+func BenchmarkMergeJoin(b *testing.B) {
+	fs := factSchema()
+	sorted := &sortIter{child: &sliceIter{rows: factRows(20000), schema: fs}, cols: []algebra.Column{algebra.Col("f", "custkey")}}
+	frows, err := drain(context.Background(), sorted)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, drows := dimTable(dimRows)
+	schema := fs.Concat(ds)
+	pred, err := compilePred(custEqCk, schema, &Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDrain(b, &mergeJoin{
+		left: &sliceIter{rows: frows, schema: fs}, right: &sliceIter{rows: drows, schema: ds},
+		lIdx: []int{factCustKey}, rIdx: []int{0}, pred: pred, schema: schema,
+	}, 20000)
+}
+
+// BenchmarkIndexJoin: 5000 fact rows probing the dimension's B-tree, the
+// pool holding every page.
+func BenchmarkIndexJoin(b *testing.B) {
+	db := storage.NewDB(1024)
+	ds, drows := dimTable(dimRows)
+	tab := loadTable(b, db, "d", ds, drows)
+	idx, err := db.EnsureIndex(tab, "ck")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs := factSchema()
+	schema := fs.Concat(ds)
+	pred, err := compilePred(custEqCk, schema, &Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDrain(b, &indexJoin{
+		outer:  &sliceIter{rows: factRows(5000), schema: fs},
+		inner:  &indexedSource{heap: tab.Heap, index: idx, keyIdx: 0, schema: ds},
+		keyFn:  func(r storage.Row) (algebra.Value, error) { return r[factCustKey], nil },
+		pred:   pred,
+		schema: schema,
+	}, 5000)
+}
+
+// BenchmarkTableScan: 20000 fact rows (about 900 pages) from a pool that
+// holds them all, so what is timed is the decode.
+func BenchmarkTableScan(b *testing.B) {
+	db := storage.NewDB(2048)
+	fs := factSchema()
+	tab := loadTable(b, db, "f", fs, factRows(20000))
+	benchDrain(b, newTableScan(tab.Heap, fs), 20000)
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -70,7 +71,7 @@ func chainQ(tables []string, selConst int64) *algebra.Tree {
 func checkBatchAllAlgorithms(t *testing.T, db *storage.DB, cat *catalog.Catalog, queries []*algebra.Tree, env *Env) {
 	t.Helper()
 	model := cost.DefaultModel()
-	want := make([][]string, len(queries))
+	want := make([]QueryResult, len(queries))
 	for i, q := range queries {
 		e := &Env{}
 		if env != nil {
@@ -80,7 +81,7 @@ func checkBatchAllAlgorithms(t *testing.T, db *storage.DB, cat *catalog.Catalog,
 		if err != nil {
 			t.Fatalf("reference query %d: %v", i, err)
 		}
-		want[i] = Canonicalize(schema, rows)
+		want[i] = QueryResult{Schema: schema, Rows: rows}
 	}
 	pd, err := core.BuildDAG(cat, model, queries)
 	if err != nil {
@@ -103,14 +104,9 @@ func checkBatchAllAlgorithms(t *testing.T, db *storage.DB, cat *catalog.Catalog,
 			t.Fatalf("%v: got %d results, want %d", alg, len(results), len(queries))
 		}
 		for i, qr := range results {
-			got := Canonicalize(qr.Schema, qr.Rows)
-			if len(got) != len(want[i]) {
-				t.Fatalf("%v query %d: %d rows, want %d\nplan:\n%s", alg, i, len(got), len(want[i]), res.Plan)
-			}
-			for j := range got {
-				if got[j] != want[i][j] {
-					t.Fatalf("%v query %d row %d:\n got %s\nwant %s", alg, i, j, got[j], want[i][j])
-				}
+			if !EqualRows(qr, want[i], 1e-9) {
+				t.Fatalf("%v query %d: %d rows differ from the reference's %d\nplan:\n%s",
+					alg, i, len(qr.Rows), len(want[i].Rows), res.Plan)
 			}
 		}
 	}
@@ -267,6 +263,37 @@ func TestCanonicalizeInsensitivity(t *testing.T) {
 	for i := range c1 {
 		if c1[i] != c2[i] {
 			t.Fatalf("canonical forms differ: %v vs %v", c1, c2)
+		}
+	}
+}
+
+// TestEqualRowsAcrossRoundingBoundary is the regression test for comparing
+// against Reference through Canonicalize: SSB Q3.1 summed one group to
+// 2164324.95264 under one plan and to 2164324.952641 under another, the same
+// terms in another order, and the fixed-digit rendering told them apart.
+func TestEqualRowsAcrossRoundingBoundary(t *testing.T) {
+	ab := algebra.Schema{{Col: algebra.Col("q", "nation"), Typ: algebra.TString}, {Col: algebra.Col("q", "rev"), Typ: algebra.TFloat}}
+	ba := algebra.Schema{ab[1], ab[0]}
+	row := func(nation string, rev float64) storage.Row {
+		return storage.Row{algebra.StringVal(nation), algebra.FloatVal(rev)}
+	}
+	one := QueryResult{ab, []storage.Row{row("CHINA", 2164324.95264), row("INDIA", 7)}}
+	other := QueryResult{ba, []storage.Row{{algebra.FloatVal(7), algebra.StringVal("INDIA")}, {algebra.FloatVal(2164324.952641), algebra.StringVal("CHINA")}}}
+	if c1, c2 := Canonicalize(one.Schema, one.Rows), Canonicalize(other.Schema, other.Rows); slices.Equal(c1, c2) {
+		t.Errorf("Canonicalize no longer tells the pair apart (%v); this test needs another pair", c1)
+	}
+	if !EqualRows(one, other, 1e-9) {
+		t.Error("EqualRows at 1e-9 tells two orders of one sum apart")
+	}
+	for what, wrong := range map[string]QueryResult{
+		"another float":   {ab, []storage.Row{row("CHINA", 2164324.96), row("INDIA", 7)}},
+		"another string":  {ab, []storage.Row{row("CHINA", 2164324.95264), row("JAPAN", 7)}},
+		"a missing row":   {ab, []storage.Row{row("CHINA", 2164324.95264)}},
+		"a repeated row":  {ab, []storage.Row{row("CHINA", 2164324.95264), row("CHINA", 2164324.95264)}},
+		"a renamed field": {algebra.Schema{ab[0], {Col: algebra.Col("q", "cost"), Typ: algebra.TFloat}}, one.Rows},
+	} {
+		if EqualRows(one, wrong, 1e-9) {
+			t.Errorf("EqualRows missed %s", what)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"sort"
 
 	"mqo/internal/algebra"
@@ -31,11 +33,13 @@ func newTableScan(heap *storage.HeapFile, schema algebra.Schema) *tableScan {
 	return &tableScan{heap: heap, schema: schema}
 }
 
+// Open reads every page here, in file order, so the pool's fault counts do
+// not depend on how the parent consumes the rows.
 func (s *tableScan) Open() error {
-	s.rows = s.rows[:0]
+	s.rows = make([]storage.Row, 0, s.heap.Rows())
 	s.pos = 0
 	return s.heap.Scan(func(_ storage.RID, r storage.Row) error {
-		s.rows = append(s.rows, r.Clone())
+		s.rows = append(s.rows, r)
 		return nil
 	})
 }
@@ -162,16 +166,102 @@ func (s *sortIter) Next() (storage.Row, bool, error) {
 func (s *sortIter) Close() error           { s.rows = nil; return s.child.Close() }
 func (s *sortIter) Schema() algebra.Schema { return s.child.Schema() }
 
-// nlJoin is a nested-loops join buffering the inner input in memory.
+// joinScratch is the row a join's predicate sees: the outer row followed by
+// the inner candidate, overwritten for every pair. Only a pair that passes
+// is copied out, so a probe whose pairs all fail allocates nothing.
+type joinScratch struct {
+	row    storage.Row
+	nOuter int   // width of the outer side
+	pairs  int64 // predicate evaluations since the join was built
+}
+
+func (s *joinScratch) init(outer, inner algebra.Schema) {
+	if s.row == nil {
+		s.nOuter = len(outer)
+		s.row = make(storage.Row, len(outer)+len(inner))
+	}
+}
+
+func (s *joinScratch) setOuter(r storage.Row) { copy(s.row, r) }
+
+// eval evaluates pred on the current outer row paired with inner; ok reports
+// a pass, and out is then the caller's copy of the pair.
+func (s *joinScratch) eval(pred predFunc, inner storage.Row) (out storage.Row, ok bool, err error) {
+	copy(s.row[s.nOuter:], inner)
+	s.pairs++
+	if ok, err = pred(s.row); err != nil || !ok {
+		return nil, false, err
+	}
+	return s.row.Clone(), true, nil
+}
+
+// pairsEvaluated is what a profiled run reports as NodeProfile.Pairs.
+func (s *joinScratch) pairsEvaluated() int64 { return s.pairs }
+
+var keySeed = maphash.MakeSeed()
+
+// keyHash hashes a row's key columns so that keys equal under
+// algebra.Compare hash alike: numbers by AsFloat with -0 folded into +0,
+// strings by content. ok is false for a NaN key: Compare calls NaN equal to
+// every number, so it belongs in no one bucket.
+func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
+	for _, c := range cols {
+		var x uint64
+		if v := r[c]; v.Typ == algebra.TString {
+			x = maphash.String(keySeed, v.S)
+		} else {
+			f := v.AsFloat()
+			if f != f {
+				return 0, false
+			}
+			if f == 0 {
+				f = 0 // -0 and +0 differ in bits
+			}
+			x = math.Float64bits(f)
+		}
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h, true
+}
+
+// nlJoin is the block nested-loops join: the inner input is buffered in
+// memory and each outer row is paired with it in arrival order. The
+// predicate's cross-side col = col conjuncts (lKey[i] = rKey[i]) key a hash
+// table over the buffer, so an outer row meets only its bucket, the inner
+// rows whose key hashes like its own. The full predicate still decides every
+// pair, which also settles hash collisions, and buckets keep arrival order,
+// so the output is that of the all-pairs loop, row for row. With no such
+// conjunct every row hashes to the empty key and the bucket is the buffer.
 type nlJoin struct {
 	left, right Iterator
 	pred        predFunc
+	lKey, rKey  []int // key column positions in the outer and the inner row
 	schema      algebra.Schema
+	joinScratch
 
-	inner    []storage.Row
-	curLeft  storage.Row
-	innerPos int
-	done     bool
+	inner   []storage.Row
+	buckets map[uint64][]storage.Row // nil once an inner key is NaN: every outer row meets all of inner
+	cands   []storage.Row            // what is left of the current outer row's bucket
+}
+
+// newNLJoin compiles the join predicate and keys the join on its cross-side
+// col = col conjuncts, at the positions the compiled predicate reads them.
+func newNLJoin(left, right Iterator, p algebra.Predicate, env *Env) (*nlJoin, error) {
+	schema := left.Schema().Concat(right.Schema())
+	pred, err := compilePred(p, schema, env)
+	if err != nil {
+		return nil, err
+	}
+	j := &nlJoin{left: left, right: right, pred: pred, schema: schema}
+	nOuter := len(left.Schema())
+	lcols, rcols := p.EquiJoinColumns(left.Schema(), right.Schema())
+	for i := range lcols {
+		if l, r := schema.IndexOf(lcols[i]), schema.IndexOf(rcols[i]); l < nOuter && r >= nOuter {
+			j.lKey, j.rKey = append(j.lKey, l), append(j.rKey, r-nOuter)
+		}
+	}
+	return j, nil
 }
 
 func (j *nlJoin) Open() error {
@@ -181,55 +271,49 @@ func (j *nlJoin) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	j.inner = j.inner[:0]
+	j.init(j.left.Schema(), j.right.Schema())
+	j.inner, j.cands = j.inner[:0], nil
+	j.buckets = map[uint64][]storage.Row{}
 	for {
 		r, ok, err := j.right.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			break
+			return nil
 		}
 		j.inner = append(j.inner, r)
+		if h, ok := keyHash(r, j.rKey); !ok {
+			j.buckets = nil
+		} else if j.buckets != nil {
+			j.buckets[h] = append(j.buckets[h], r)
+		}
 	}
-	j.curLeft, j.innerPos, j.done = nil, 0, false
-	return nil
 }
 
 func (j *nlJoin) Next() (storage.Row, bool, error) {
 	for {
-		if j.done {
-			return nil, false, nil
-		}
-		if j.curLeft == nil {
-			l, ok, err := j.left.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			j.curLeft, j.innerPos = l, 0
-		}
-		for j.innerPos < len(j.inner) {
-			r := j.inner[j.innerPos]
-			j.innerPos++
-			out := concatRows(j.curLeft, r)
-			keep, err := j.pred(out)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return out, true, nil
+		for len(j.cands) > 0 {
+			r := j.cands[0]
+			j.cands = j.cands[1:]
+			if out, ok, err := j.eval(j.pred, r); ok || err != nil {
+				return out, ok, err
 			}
 		}
-		j.curLeft = nil
+		l, ok, err := j.left.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		j.setOuter(l)
+		j.cands = j.inner
+		if h, ok := keyHash(l, j.lKey); ok && j.buckets != nil {
+			j.cands = j.buckets[h]
+		}
 	}
 }
 
 func (j *nlJoin) Close() error {
-	j.inner = nil
+	j.inner, j.buckets, j.cands = nil, nil, nil
 	if err := j.left.Close(); err != nil {
 		return err
 	}
@@ -238,21 +322,29 @@ func (j *nlJoin) Close() error {
 
 func (j *nlJoin) Schema() algebra.Schema { return j.schema }
 
+// compareAt orders row a's columns ai against row b's columns bi, in place.
+func compareAt(a storage.Row, ai []int, b storage.Row, bi []int) int {
+	for i, ix := range ai {
+		if c := algebra.Compare(a[ix], b[bi[i]]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
 // mergeJoin joins two inputs sorted on their key columns, buffering groups
 // of equal right-side keys to produce the cross product within a key group.
 type mergeJoin struct {
 	left, right Iterator
 	lIdx, rIdx  []int
-	pred        predFunc // residual predicate over the concatenated row
+	pred        predFunc // full predicate over the concatenated row
 	schema      algebra.Schema
+	joinScratch
 
-	curLeft   storage.Row
-	group     []storage.Row // right rows matching current key
-	groupKey  storage.Row
+	group     []storage.Row // right rows of the current key group
 	groupPos  int
 	rightNext storage.Row
 	rightDone bool
-	done      bool
 }
 
 func (j *mergeJoin) Open() error {
@@ -262,129 +354,58 @@ func (j *mergeJoin) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	j.curLeft, j.group, j.groupKey, j.groupPos = nil, nil, nil, 0
-	j.rightNext, j.rightDone, j.done = nil, false, false
-	r, ok, err := j.right.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		j.rightDone = true
-	} else {
-		j.rightNext = r
+	j.init(j.left.Schema(), j.right.Schema())
+	j.group, j.groupPos = nil, 0
+	return j.advanceRight()
+}
+
+func (j *mergeJoin) advanceRight() (err error) {
+	var ok bool
+	j.rightNext, ok, err = j.right.Next()
+	j.rightDone = !ok
+	return err
+}
+
+// loadGroup skips the right rows below the left row's key and buffers the
+// group equal to it, which is empty when the right side has no such key.
+func (j *mergeJoin) loadGroup(l storage.Row) error {
+	j.group = j.group[:0]
+	for !j.rightDone {
+		c := compareAt(j.rightNext, j.rIdx, l, j.lIdx)
+		if c > 0 {
+			break
+		}
+		if c == 0 {
+			j.group = append(j.group, j.rightNext)
+		}
+		if err := j.advanceRight(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func keyOf(r storage.Row, idx []int) storage.Row {
-	k := make(storage.Row, len(idx))
-	for i, ix := range idx {
-		k[i] = r[ix]
-	}
-	return k
-}
-
-func compareKeys(a, b storage.Row) int {
-	for i := range a {
-		if c := algebra.Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// advanceGroup loads the next group of right rows with key >= target,
-// returning the group's key comparison against target.
-func (j *mergeJoin) loadGroup(target storage.Row) (int, error) {
-	for {
-		if j.rightDone {
-			return 1, nil // virtual +inf
-		}
-		k := keyOf(j.rightNext, j.rIdx)
-		c := compareKeys(k, target)
-		if c < 0 {
-			// Skip right rows below the target key.
-			r, ok, err := j.right.Next()
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				j.rightDone = true
-				continue
-			}
-			j.rightNext = r
-			continue
-		}
-		if compareKeys(k, target) == 0 {
-			// Buffer the full equal-key group.
-			j.group = j.group[:0]
-			j.groupKey = k
-			for {
-				j.group = append(j.group, j.rightNext)
-				r, ok, err := j.right.Next()
-				if err != nil {
-					return 0, err
-				}
-				if !ok {
-					j.rightDone = true
-					j.rightNext = nil
-					break
-				}
-				j.rightNext = r
-				if compareKeys(keyOf(r, j.rIdx), k) != 0 {
-					break
-				}
-			}
-			return 0, nil
-		}
-		return c, nil
-	}
-}
-
 func (j *mergeJoin) Next() (storage.Row, bool, error) {
 	for {
-		if j.done {
-			return nil, false, nil
-		}
-		if j.curLeft == nil {
-			l, ok, err := j.left.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			j.curLeft = l
-			lk := keyOf(l, j.lIdx)
-			if j.groupKey != nil && compareKeys(lk, j.groupKey) == 0 {
-				j.groupPos = 0 // same key as buffered group: rejoin it
-			} else {
-				c, err := j.loadGroup(lk)
-				if err != nil {
-					return nil, false, err
-				}
-				if c != 0 {
-					// No right rows for this left key.
-					j.curLeft = nil
-					j.groupKey = nil
-					continue
-				}
-				j.groupPos = 0
-			}
-		}
 		for j.groupPos < len(j.group) {
-			out := concatRows(j.curLeft, j.group[j.groupPos])
+			r := j.group[j.groupPos]
 			j.groupPos++
-			keep, err := j.pred(out)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return out, true, nil
+			if out, ok, err := j.eval(j.pred, r); ok || err != nil {
+				return out, ok, err
 			}
 		}
-		j.curLeft = nil
+		l, ok, err := j.left.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		j.setOuter(l)
+		j.groupPos = 0
+		// A left row with the buffered group's key rejoins it.
+		if len(j.group) == 0 || compareAt(l, j.lIdx, j.group[0], j.rIdx) != 0 {
+			if err := j.loadGroup(l); err != nil {
+				return nil, false, err
+			}
+		}
 	}
 }
 
@@ -407,13 +428,12 @@ type indexedSource struct {
 	schema algebra.Schema
 }
 
-// probeEq returns rows with key == v.
-func (s *indexedSource) probeEq(v algebra.Value) ([]storage.Row, error) {
+// probeEq appends the rows with key == v to out.
+func (s *indexedSource) probeEq(v algebra.Value, out []storage.Row) ([]storage.Row, error) {
 	it, err := s.index.Seek(v)
 	if err != nil {
 		return nil, err
 	}
-	var out []storage.Row
 	for {
 		k, rid, ok, err := it.Next()
 		if err != nil {
@@ -463,54 +483,40 @@ type indexJoin struct {
 	keyFn  valueFunc // evaluates the outer join key
 	pred   predFunc
 	schema algebra.Schema
+	joinScratch
 
-	curOuter storage.Row
-	matches  []storage.Row
-	pos      int
-	done     bool
+	matches []storage.Row // the current outer row's probe result, reused across probes
+	pos     int
 }
 
 func (j *indexJoin) Open() error {
-	j.curOuter, j.matches, j.pos, j.done = nil, nil, 0, false
+	j.init(j.outer.Schema(), j.inner.schema)
+	j.matches, j.pos = j.matches[:0], 0
 	return j.outer.Open()
 }
 
 func (j *indexJoin) Next() (storage.Row, bool, error) {
 	for {
-		if j.done {
-			return nil, false, nil
-		}
-		if j.curOuter == nil {
-			o, ok, err := j.outer.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			key, err := j.keyFn(o)
-			if err != nil {
-				return nil, false, err
-			}
-			matches, err := j.inner.probeEq(key)
-			if err != nil {
-				return nil, false, err
-			}
-			j.curOuter, j.matches, j.pos = o, matches, 0
-		}
 		for j.pos < len(j.matches) {
-			out := concatRows(j.curOuter, j.matches[j.pos])
+			r := j.matches[j.pos]
 			j.pos++
-			keep, err := j.pred(out)
-			if err != nil {
-				return nil, false, err
-			}
-			if keep {
-				return out, true, nil
+			if out, ok, err := j.eval(j.pred, r); ok || err != nil {
+				return out, ok, err
 			}
 		}
-		j.curOuter = nil
+		o, ok, err := j.outer.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		key, err := j.keyFn(o)
+		if err != nil {
+			return nil, false, err
+		}
+		j.setOuter(o)
+		j.pos = 0
+		if j.matches, err = j.inner.probeEq(key, j.matches[:0]); err != nil {
+			return nil, false, err
+		}
 	}
 }
 
@@ -538,7 +544,7 @@ func (s *indexSelect) Open() error {
 	var rows []storage.Row
 	switch s.op {
 	case algebra.EQ:
-		rows, err = s.source.probeEq(v)
+		rows, err = s.source.probeEq(v, nil)
 	case algebra.GE, algebra.GT:
 		rows, err = s.source.probeRange(v, nil)
 	case algebra.LE, algebra.LT:
@@ -706,7 +712,6 @@ func (a *sortAgg) Next() (storage.Row, bool, error) {
 		}
 		cur = r
 	}
-	key := keyOf(cur, a.gbIdx)
 	states := a.newStates()
 	for i := range states {
 		if err := states[i].add(cur); err != nil {
@@ -722,7 +727,7 @@ func (a *sortAgg) Next() (storage.Row, bool, error) {
 			a.done = true
 			break
 		}
-		if len(a.groupBy) > 0 && compareKeys(keyOf(r, a.gbIdx), key) != 0 {
+		if compareAt(r, a.gbIdx, cur, a.gbIdx) != 0 {
 			a.pending = r
 			break
 		}

@@ -2,8 +2,11 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -49,56 +52,265 @@ func intRows(vals ...[]int64) []storage.Row {
 	return rows
 }
 
-// TestMergeJoinMatchesNLJoin joins random sorted inputs with both
-// algorithms and requires identical (canonicalized) output, including
-// duplicate-key cross products.
-func TestMergeJoinMatchesNLJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		n1, n2 := 1+rng.Intn(60), 1+rng.Intn(60)
-		mk := func(rel string, n int) []storage.Row {
-			rows := make([]storage.Row, n)
-			for i := range rows {
-				rows[i] = storage.Row{algebra.IntVal(rng.Int63n(10)), algebra.IntVal(rng.Int63n(100))}
-			}
-			sort.Slice(rows, func(a, b int) bool { return rows[a][0].I < rows[b][0].I })
-			return rows
-		}
-		ls, rs := intSchema("l", "k", "v"), intSchema("r", "k", "v")
-		lrows, rrows := mk("l", n1), mk("r", n2)
-		schema := ls.Concat(rs)
-		pred, err := compilePred(algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k")), schema, &Env{})
-		if err != nil {
-			t.Fatal(err)
-		}
+// joinSchema is one side of the differential join tests: two numeric key
+// columns, a string key, a key that is a string in some rows and a number
+// in others, and a payload for residuals.
+func joinSchema(rel string) algebra.Schema {
+	return intSchema(rel, "a", "b", "s", "m", "v")
+}
 
-		mj := &mergeJoin{
-			left:  &sliceIter{rows: lrows, schema: ls},
-			right: &sliceIter{rows: rrows, schema: rs},
-			lIdx:  []int{0}, rIdx: []int{0},
-			pred: pred, schema: schema,
-		}
-		nl := &nlJoin{
-			left:  &sliceIter{rows: lrows, schema: ls},
-			right: &sliceIter{rows: rrows, schema: rs},
-			pred:  pred, schema: schema,
-		}
-		mjRows, err := drain(context.Background(), mj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nlRows, err := drain(context.Background(), nl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := Canonicalize(schema, mjRows), Canonicalize(schema, nlRows)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: merge %d rows, NL %d rows", trial, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d row %d: %s vs %s", trial, i, a[i], b[i])
+// joinRows draws rows over small domains, so keys repeat. Column a holds the
+// same number as an int, a float or a date, and zero also as -0.0: all of
+// these are one key under algebra.Compare.
+func joinRows(rng *rand.Rand, n int) []storage.Row {
+	num := func(k int64) algebra.Value {
+		switch rng.Intn(4) {
+		case 0:
+			return algebra.FloatVal(float64(k))
+		case 1:
+			return algebra.DateVal(k)
+		case 2:
+			if k == 0 {
+				return algebra.FloatVal(math.Copysign(0, -1))
 			}
+		}
+		return algebra.IntVal(k)
+	}
+	strs := []string{"", "1", "a", "ab"}
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		m := algebra.IntVal(rng.Int63n(3))
+		if rng.Intn(2) == 0 {
+			m = algebra.StringVal(strs[rng.Intn(len(strs))])
+		}
+		rows[i] = storage.Row{num(rng.Int63n(5)), algebra.IntVal(rng.Int63n(3)),
+			algebra.StringVal(strs[rng.Intn(len(strs))]), m, algebra.IntVal(rng.Int63n(100))}
+	}
+	return rows
+}
+
+// allPairs is the join the hashed operators must reproduce: every outer row
+// against every inner row, in order.
+func allPairs(t *testing.T, p algebra.Predicate, ls, rs algebra.Schema, lrows, rrows []storage.Row) []storage.Row {
+	t.Helper()
+	pred, err := compilePred(p, ls.Concat(rs), &Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []storage.Row
+	for _, l := range lrows {
+		for _, r := range rrows {
+			row := concatRows(l, r)
+			keep, err := pred(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keep {
+				out = append(out, row)
+			}
+		}
+	}
+	return out
+}
+
+func mustDrain(t *testing.T, it Iterator) []storage.Row {
+	t.Helper()
+	rows, err := drain(context.Background(), it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func requireSameOrder(t *testing.T, what string, got, want []storage.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: row %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestJoinsMatchAllPairs is the differential test of the join kernels:
+// seeded random inputs through the hashed nlJoin, the plain all-pairs loop
+// above, mergeJoin and Reference. nlJoin must give the plain loop's rows in
+// the plain loop's order, on a second Open too (Invoke re-runs its body);
+// the other two give the same multiset.
+func TestJoinsMatchAllPairs(t *testing.T) {
+	l, r := func(c string) algebra.Column { return algebra.Col("l", c) }, func(c string) algebra.Column { return algebra.Col("r", c) }
+	or := func(ps ...algebra.Predicate) algebra.Predicate {
+		var cl algebra.Clause
+		for _, p := range ps {
+			cl.Disj = append(cl.Disj, p.Conj[0].Disj...)
+		}
+		return algebra.Predicate{Conj: []algebra.Clause{cl}}
+	}
+	cases := []struct {
+		name string
+		pred algebra.Predicate
+		keys []string // merge-join key columns; none: no merge join
+	}{
+		{"one key, int/float/date/-0", algebra.ColEq(l("a"), r("a")), []string{"a"}},
+		{"operands swapped", algebra.ColEq(r("a"), l("a")), []string{"a"}},
+		{"two keys", algebra.ColEq(l("a"), r("a")).And(algebra.ColEq(l("b"), r("b"))), []string{"a", "b"}},
+		{"string key", algebra.ColEq(l("s"), r("s")), []string{"s"}},
+		{"string or number key", algebra.ColEq(l("m"), r("m")), []string{"m"}},
+		{"key and < residual", algebra.ColEq(l("a"), r("a")).And(algebra.ColCmp(l("v"), algebra.LT, r("v"))), []string{"a"}},
+		{"key and OR clause", algebra.ColEq(l("b"), r("b")).And(or(algebra.ColEq(l("a"), r("a")),
+			algebra.Cmp(l("v"), algebra.LT, algebra.IntVal(20)))), []string{"b"}},
+		{"OR of equalities only", or(algebra.ColEq(l("a"), r("a")), algebra.ColEq(l("b"), r("b"))), nil},
+		{"no equi conjunct", algebra.ColCmp(l("v"), algebra.LT, r("v")), nil},
+		{"cross product", algebra.TruePred(), nil},
+	}
+	ls, rs := joinSchema("l"), joinSchema("r")
+	schema := ls.Concat(rs)
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range cases {
+		for trial := 0; trial < 12; trial++ {
+			lrows, rrows := joinRows(rng, rng.Intn(40)*rng.Intn(2)), joinRows(rng, rng.Intn(40)*rng.Intn(2))
+			if trial == 0 {
+				lrows, rrows = joinRows(rng, 30), joinRows(rng, 30)
+			}
+			want := allPairs(t, c.pred, ls, rs, lrows, rrows)
+			what := fmt.Sprintf("%s, trial %d", c.name, trial)
+
+			nl, err := newNLJoin(&sliceIter{rows: lrows, schema: ls}, &sliceIter{rows: rrows, schema: rs}, c.pred, &Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (len(nl.lKey) > 0) != (c.keys != nil) {
+				t.Fatalf("%s: nlJoin keyed on %v", what, nl.lKey)
+			}
+			requireSameOrder(t, what+": nlJoin", mustDrain(t, nl), want)
+			requireSameOrder(t, what+": nlJoin reopened", mustDrain(t, nl), want)
+
+			if c.keys != nil {
+				mj := &mergeJoin{pred: nl.pred, schema: schema}
+				var lk, rk []algebra.Column
+				for _, k := range c.keys {
+					lk, rk = append(lk, l(k)), append(rk, r(k))
+					mj.lIdx, mj.rIdx = append(mj.lIdx, ls.IndexOf(l(k))), append(mj.rIdx, rs.IndexOf(r(k)))
+				}
+				mj.left = &sortIter{child: &sliceIter{rows: lrows, schema: ls}, cols: lk}
+				mj.right = &sortIter{child: &sliceIter{rows: rrows, schema: rs}, cols: rk}
+				if got := mustDrain(t, mj); !EqualRows(QueryResult{schema, got}, QueryResult{schema, want}, 0) {
+					t.Fatalf("%s: mergeJoin gave %d rows, all-pairs %d:\n%v\n%v", what, len(got), len(want), got, want)
+				}
+			}
+
+			db := storage.NewDB(64)
+			loadTable(t, db, "l", ls, lrows)
+			loadTable(t, db, "r", rs, rrows)
+			got, gotSchema, err := Reference(db, algebra.JoinT(c.pred, algebra.ScanT("l"), algebra.ScanT("r")), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !EqualRows(QueryResult{gotSchema, got}, QueryResult{schema, want}, 0) {
+				t.Fatalf("%s: Reference gave %d rows, all-pairs %d", what, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestNLJoinNaNKeys pins the decision on NaN: algebra.Compare calls NaN
+// equal to every number, and the keyed join keeps doing so. A NaN outer key
+// meets the whole inner buffer; a NaN inner key turns keying off.
+func TestNLJoinNaNKeys(t *testing.T) {
+	ls, rs := intSchema("l", "a"), intSchema("r", "a")
+	vals := func(fs ...float64) []storage.Row {
+		rows := make([]storage.Row, len(fs))
+		for i, f := range fs {
+			rows[i] = storage.Row{algebra.FloatVal(f)}
+		}
+		return rows
+	}
+	nan := math.NaN()
+	pred := algebra.ColEq(algebra.Col("l", "a"), algebra.Col("r", "a"))
+	for i, c := range [][2][]storage.Row{
+		{vals(1, nan, 2), vals(2, 1, 1, 3)},
+		{vals(1, 2, 4), vals(2, nan, 1)},
+		{vals(nan, 1), vals(nan, 1)},
+	} {
+		want := allPairs(t, pred, ls, rs, c[0], c[1])
+		nl, err := newNLJoin(&sliceIter{rows: c[0], schema: ls}, &sliceIter{rows: c[1], schema: rs}, pred, &Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mustDrain(t, nl)
+		if len(got) != len(want) {
+			t.Fatalf("case %d: %d rows, want %d", i, len(got), len(want))
+		}
+		for k := range got { // NaN != NaN, so compare the rendering
+			if fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
+				t.Fatalf("case %d row %d: %v, want %v", i, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// TestJoinProbeAllocatesOnlyOutput probes a keyed join whose every pair
+// reaches the predicate and fails its residual: nothing may be allocated,
+// an output row being the only thing a probe ever allocates.
+func TestJoinProbeAllocatesOnlyOutput(t *testing.T) {
+	ls, rs := intSchema("l", "k", "v"), intSchema("r", "k", "v")
+	var lrows, rrows []storage.Row
+	for i := int64(0); i < 64; i++ {
+		lrows = append(lrows, intRows([]int64{i % 8, 100})...)
+		rrows = append(rrows, intRows([]int64{i % 8, i})...)
+	}
+	left := &sliceIter{rows: lrows, schema: ls}
+	pred := algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k")).
+		And(algebra.ColCmp(algebra.Col("l", "v"), algebra.LT, algebra.Col("r", "v")))
+	nl, err := newNLJoin(left, &sliceIter{rows: rrows, schema: rs}, pred, &Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nl.Open(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		left.pos = 0
+		if _, ok, err := nl.Next(); ok || err != nil {
+			t.Fatalf("probe returned a row (%v) or failed: %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a probe with no output allocated %v times", allocs)
+	}
+	if want := int64(11 * 64 * 8); nl.pairsEvaluated() != want {
+		t.Errorf("evaluated %d pairs, want %d (64 outer rows x 8-row buckets x 11 runs)", nl.pairsEvaluated(), want)
+	}
+}
+
+// TestAnalyzeShowsJoinPairs pins NodeProfile.Pairs on a small join: four
+// outer rows against a three-row inner are 12 predicate evaluations with no
+// key to hash on, and one per key match with one.
+func TestAnalyzeShowsJoinPairs(t *testing.T) {
+	ls, rs := intSchema("l", "k"), intSchema("r", "k")
+	lrows, rrows := intRows([]int64{1}, []int64{2}, []int64{2}, []int64{9}), intRows([]int64{2}, []int64{1}, []int64{2})
+	pool := storage.NewDB(8).Pool
+	for _, c := range []struct {
+		pred        algebra.Predicate
+		rows, pairs int64
+	}{
+		{algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k")), 5, 5},
+		{algebra.ColCmp(algebra.Col("l", "k"), algebra.LE, algebra.Col("r", "k")), 7, 12},
+	} {
+		nl, err := newNLJoin(&sliceIter{rows: lrows, schema: ls}, &sliceIter{rows: rrows, schema: rs}, c.pred, &Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &NodeProfile{Op: "BNLJoin"}
+		mustDrain(t, newStatIter(nl, p, pool))
+		if p.Rows != c.rows || p.Pairs != c.pairs {
+			t.Errorf("%v: rows=%d pairs=%d, want %d and %d", c.pred, p.Rows, p.Pairs, c.rows, c.pairs)
+		}
+		text := FormatAnalyze(RunStats{Profile: &BatchProfile{Queries: []*NodeProfile{p}}})
+		if want := fmt.Sprintf("actual rows=%d pairs=%d ", c.rows, c.pairs); !strings.Contains(text, want) {
+			t.Errorf("FormatAnalyze lacks %q:\n%s", want, text)
 		}
 	}
 }

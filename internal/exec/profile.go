@@ -24,8 +24,9 @@ type NodeProfile struct {
 	EstRows float64 `json:"est_rows"` // optimizer cardinality estimate
 
 	Rows  int64         `json:"rows"`
-	Pages int64         `json:"pages"` // buffer-pool misses, inclusive
-	Bytes int64         `json:"bytes"` // Pages × storage.PageSize
+	Pairs int64         `json:"pairs,omitempty"` // joins: predicate evaluations, exact
+	Pages int64         `json:"pages"`           // buffer-pool misses, inclusive
+	Bytes int64         `json:"bytes"`           // Pages × storage.PageSize
 	Wall  time.Duration `json:"wall_ns"`
 
 	Children []*NodeProfile `json:"children,omitempty"`
@@ -116,28 +117,64 @@ func opName(pn *physical.PlanNode, asConsumer bool, env *Env) string {
 
 // statIter wraps an operator with measurement. The executor drains plans on
 // a single goroutine, so plain (non-atomic) accumulation into the profile
-// node is safe; pool stats snapshots around each call attribute page misses
-// inclusively to the subtree.
+// node is safe. Rows, pairs and pages are exact: the pool's miss counter is
+// read around each call and attributes page misses inclusively to the
+// subtree. Open and Close are timed exactly. Next is timed exactly while its
+// calls are slow and sampled once they are cheap, because two clock reads
+// around a call that hands over one buffered row cost more than the call
+// (BENCH_7 gates the whole wrapper at 5 % of an unprofiled run); Wall of an
+// operator with many cheap calls is therefore an estimate, and a parent's
+// can come out below its child's.
 type statIter struct {
 	child Iterator
 	p     *NodeProfile
 	pool  *storage.BufferPool
+
+	skip   int // Next calls to let pass untimed before timing one
+	period int // calls the next timed Next stands for: itself and those skipped
 }
 
-func (s *statIter) measure(start time.Time, reads int64) {
+const (
+	// clockBudget is the operator time per timed Next that keeps the clock
+	// reads (about 100 ns a pair) near 2 % of it: after a call of d, the
+	// next clockBudget/d calls pass untimed.
+	clockBudget = 5 * time.Microsecond
+	// maxPeriod bounds that run, so that a slow call after many cheap ones
+	// is not scaled beyond it.
+	maxPeriod = 64
+)
+
+func newStatIter(child Iterator, p *NodeProfile, pool *storage.BufferPool) *statIter {
+	return &statIter{child: child, p: p, pool: pool, period: 1}
+}
+
+func (s *statIter) measure(start time.Time, misses int64) {
 	s.p.Wall += time.Since(start)
-	s.p.Pages += s.pool.Stats().Reads - reads
+	s.p.Pages += s.pool.Misses() - misses
 }
 
 func (s *statIter) Open() error {
-	defer s.measure(time.Now(), s.pool.Stats().Reads)
+	defer s.measure(time.Now(), s.pool.Misses())
 	return s.child.Open()
 }
 
 func (s *statIter) Next() (storage.Row, bool, error) {
-	start, reads := time.Now(), s.pool.Stats().Reads
+	misses := s.pool.Misses()
+	var start time.Time
+	timed := s.skip == 0
+	if timed {
+		start = time.Now()
+	} else {
+		s.skip--
+	}
 	r, ok, err := s.child.Next()
-	s.measure(start, reads)
+	if timed {
+		d := time.Since(start)
+		s.p.Wall += d * time.Duration(s.period)
+		s.period = 1 + int(min(clockBudget/max(d, 1), maxPeriod-1))
+		s.skip = s.period - 1
+	}
+	s.p.Pages += s.pool.Misses() - misses
 	if ok {
 		s.p.Rows++
 	}
@@ -145,7 +182,10 @@ func (s *statIter) Next() (storage.Row, bool, error) {
 }
 
 func (s *statIter) Close() error {
-	defer s.measure(time.Now(), s.pool.Stats().Reads)
+	defer s.measure(time.Now(), s.pool.Misses())
+	if j, ok := s.child.(interface{ pairsEvaluated() int64 }); ok {
+		s.p.Pairs = j.pairsEvaluated()
+	}
 	return s.child.Close()
 }
 
@@ -194,7 +234,9 @@ func recordRunMetrics(stats *RunStats) {
 
 // FormatAnalyze renders the EXPLAIN ANALYZE view of a profiled run:
 // per node the optimizer's estimate (cost-model seconds, cardinality)
-// against the measured rows, inclusive pages and inclusive wall time.
+// against the measured rows, inclusive pages and inclusive wall time; a
+// join also shows pairs=, the predicate evaluations it took (what a keyed
+// probe saves against outer × inner).
 func FormatAnalyze(stats RunStats) string {
 	var sb strings.Builder
 	if stats.Profile == nil {
@@ -207,9 +249,13 @@ func FormatAnalyze(stats RunStats) string {
 		if p.Mat {
 			mat = " [mat]"
 		}
-		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d pages=%d bytes=%d time=%s)\n",
+		pairs := ""
+		if p.Pairs > 0 {
+			pairs = fmt.Sprintf(" pairs=%d", p.Pairs)
+		}
+		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s pages=%d bytes=%d time=%s)\n",
 			strings.Repeat("  ", indent), p.Op, mat, p.EstCost, p.EstRows,
-			p.Rows, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
+			p.Rows, pairs, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
 		for _, c := range p.Children {
 			render(c, indent+1)
 		}

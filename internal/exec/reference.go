@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -221,7 +223,9 @@ func evalTree(db *storage.DB, t *algebra.Tree, env *Env) ([]storage.Row, algebra
 
 // Canonicalize renders a result set order- and column-order-insensitively
 // for comparison: each row becomes "col=value" pairs sorted by column name,
-// and the rows are sorted. Float aggregates are rounded to 6 digits.
+// and the rows are sorted. Float aggregates are rounded to 6 digits, so two
+// sums of the same terms in another order render differently when they
+// straddle a rounding boundary; compare against Reference with EqualRows.
 func Canonicalize(schema algebra.Schema, rows []storage.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -237,6 +241,64 @@ func Canonicalize(schema algebra.Schema, rows []storage.Row) []string {
 		out[i] = strings.Join(parts, ",")
 	}
 	sort.Strings(out)
+	return out
+}
+
+// EqualRows reports whether two results hold the same multiset of rows,
+// matching columns by name. Floats are equal within relTol relative
+// difference (plans sum in different orders), everything else exactly.
+func EqualRows(a, b QueryResult, relTol float64) bool {
+	if len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	ra, rb := tolerantRows(a), tolerantRows(b)
+	for i := range ra {
+		if ra[i].key != rb[i].key {
+			return false
+		}
+		for j, x := range ra[i].floats {
+			y := rb[i].floats[j]
+			if math.Abs(x-y) > relTol*math.Max(math.Abs(x), math.Abs(y)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// tolerantRow is a row with its columns in name order: the floats kept as
+// numbers, everything else (and where the floats stand) rendered into key.
+type tolerantRow struct {
+	key    string
+	floats []float64
+}
+
+func tolerantRows(q QueryResult) []tolerantRow {
+	cols := make([]int, len(q.Schema))
+	for i := range cols {
+		cols[i] = i
+	}
+	sort.Slice(cols, func(a, b int) bool { return q.Schema[cols[a]].Col.Less(q.Schema[cols[b]].Col) })
+	out := make([]tolerantRow, len(q.Rows))
+	for i, r := range q.Rows {
+		var key strings.Builder
+		for _, j := range cols {
+			key.WriteString(q.Schema[j].Col.String())
+			if r[j].Typ == algebra.TFloat {
+				out[i].floats = append(out[i].floats, r[j].F)
+				key.WriteString("=float,")
+			} else {
+				key.WriteString("=" + r[j].String() + ",")
+			}
+		}
+		out[i].key = key.String()
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].key != out[b].key {
+			return out[a].key < out[b].key
+		}
+		return slices.Compare(out[a].floats, out[b].floats) < 0
+	})
 	return out
 }
 

@@ -288,7 +288,7 @@ func (b *builder) build(pn *physical.PlanNode, asConsumer bool) (Iterator, error
 	if err != nil {
 		return nil, err
 	}
-	return &statIter{child: it, p: p, pool: b.db.Pool}, nil
+	return newStatIter(it, p, b.db.Pool), nil
 }
 
 // buildOp instantiates the operator itself (children via build, so nested
@@ -475,13 +475,7 @@ func (b *builder) buildNLJoin(pn *physical.PlanNode) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := pn.E.LE.Op.(algebra.Join)
-	schema := left.Schema().Concat(right.Schema())
-	pred, err := compilePred(op.Pred, schema, b.env)
-	if err != nil {
-		return nil, err
-	}
-	return &nlJoin{left: left, right: right, pred: pred, schema: schema}, nil
+	return newNLJoin(left, right, pn.E.LE.Op.(algebra.Join).Pred, b.env)
 }
 
 func (b *builder) buildMergeJoin(pn *physical.PlanNode) (Iterator, error) {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"mqo/internal/algebra"
 )
@@ -86,7 +85,8 @@ func decodeNode(p []byte) (*btNode, error) {
 	}
 	off := 7
 	for i := 0; i < count; i++ {
-		key, used, err := decodeOneValue(p[off:])
+		var key algebra.Value
+		used, err := decodeValue(&key, p[off:])
 		if err != nil {
 			return nil, err
 		}
@@ -103,30 +103,6 @@ func decodeNode(p []byte) (*btNode, error) {
 		}
 	}
 	return n, nil
-}
-
-// decodeOneValue decodes a single encoded value and reports bytes consumed.
-func decodeOneValue(buf []byte) (algebra.Value, int, error) {
-	if len(buf) == 0 {
-		return algebra.Value{}, 0, fmt.Errorf("storage: empty key")
-	}
-	t := algebra.Type(buf[0])
-	switch t {
-	case algebra.TInt, algebra.TDate, algebra.TFloat:
-		row, err := decodeRow(buf[:9])
-		if err != nil {
-			return algebra.Value{}, 0, err
-		}
-		return row[0], 9, nil
-	case algebra.TString:
-		n := int(binary.LittleEndian.Uint16(buf[1:3]))
-		row, err := decodeRow(buf[:3+n])
-		if err != nil {
-			return algebra.Value{}, 0, err
-		}
-		return row[0], 3 + n, nil
-	}
-	return algebra.Value{}, 0, fmt.Errorf("storage: bad key type %d", t)
 }
 
 // nodeSize returns the encoded size of the node.

@@ -46,44 +46,73 @@ func encodeRow(r Row) []byte {
 	return buf
 }
 
-// decodeRow parses a serialized row.
-func decodeRow(buf []byte) (Row, error) {
-	var r Row
-	for len(buf) > 0 {
-		t := algebra.Type(buf[0])
-		buf = buf[1:]
-		switch t {
-		case algebra.TInt, algebra.TDate:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("storage: truncated numeric value")
-			}
-			v := int64(binary.LittleEndian.Uint64(buf))
-			buf = buf[8:]
-			if t == algebra.TInt {
-				r = append(r, algebra.IntVal(v))
-			} else {
-				r = append(r, algebra.DateVal(v))
-			}
-		case algebra.TFloat:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("storage: truncated float value")
-			}
-			r = append(r, algebra.FloatVal(bitsFloat(binary.LittleEndian.Uint64(buf))))
-			buf = buf[8:]
-		case algebra.TString:
-			if len(buf) < 2 {
-				return nil, fmt.Errorf("storage: truncated string length")
-			}
-			n := int(binary.LittleEndian.Uint16(buf))
-			buf = buf[2:]
-			if len(buf) < n {
-				return nil, fmt.Errorf("storage: truncated string payload")
-			}
-			r = append(r, algebra.StringVal(string(buf[:n])))
-			buf = buf[n:]
-		default:
-			return nil, fmt.Errorf("storage: unknown value type %d", t)
+// decodeValue parses one serialized value into *v, which must be the zero
+// Value, and reports the bytes it took.
+func decodeValue(v *algebra.Value, buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("storage: empty value")
+	}
+	v.Typ = algebra.Type(buf[0])
+	switch v.Typ {
+	case algebra.TInt, algebra.TDate:
+		if len(buf) < 9 {
+			return 0, fmt.Errorf("storage: truncated numeric value")
 		}
+		v.I = int64(binary.LittleEndian.Uint64(buf[1:]))
+		return 9, nil
+	case algebra.TFloat:
+		if len(buf) < 9 {
+			return 0, fmt.Errorf("storage: truncated float value")
+		}
+		v.F = bitsFloat(binary.LittleEndian.Uint64(buf[1:]))
+		return 9, nil
+	case algebra.TString:
+		if len(buf) < 3 {
+			return 0, fmt.Errorf("storage: truncated string length")
+		}
+		n := 3 + int(binary.LittleEndian.Uint16(buf[1:]))
+		if len(buf) < n {
+			return 0, fmt.Errorf("storage: truncated string payload")
+		}
+		v.S = string(buf[3:n])
+		return n, nil
+	default:
+		return 0, fmt.Errorf("storage: unknown value type %d", v.Typ)
+	}
+}
+
+// valueCount counts the values of a serialized row without decoding them,
+// so decodeRow can size its row once. A malformed value counts too, and
+// ends the count: decoding it is what reports the error.
+func valueCount(buf []byte) int {
+	n := 0
+	for len(buf) > 0 {
+		n++
+		size := 9
+		if algebra.Type(buf[0]) == algebra.TString {
+			if len(buf) < 3 {
+				break
+			}
+			size = 3 + int(binary.LittleEndian.Uint16(buf[1:]))
+		}
+		if len(buf) < size {
+			break
+		}
+		buf = buf[size:]
+	}
+	return n
+}
+
+// decodeRow parses a serialized row into a freshly allocated Row the caller
+// owns.
+func decodeRow(buf []byte) (Row, error) {
+	r := make(Row, valueCount(buf))
+	for i := range r {
+		n, err := decodeValue(&r[i], buf)
+		if err != nil {
+			return nil, err
+		}
+		buf = buf[n:]
 	}
 	return r, nil
 }

@@ -130,8 +130,8 @@ func (h *HeapFile) Get(rid RID) (Row, error) {
 	return decodeRow(data[off : off+length])
 }
 
-// Scan visits every row in file order. The callback must not retain the row
-// unless it clones it.
+// Scan visits every row in file order. Each row is decoded into its own
+// allocation, so the callback may keep it.
 func (h *HeapFile) Scan(f func(rid RID, r Row) error) error {
 	for _, pid := range h.pages {
 		data, err := h.pool.Get(pid)

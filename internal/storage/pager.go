@@ -268,6 +268,10 @@ func (bp *BufferPool) Stats() IOStats {
 	return IOStats{Reads: bp.reads.Load(), Writes: bp.writes.Load(), Hits: bp.hits.Load()}
 }
 
+// Misses is Stats().Reads alone: one atomic load, cheap enough to bracket
+// every iterator call of a profiled run.
+func (bp *BufferPool) Misses() int64 { return bp.reads.Load() }
+
 // ResetStats zeroes the I/O counters.
 func (bp *BufferPool) ResetStats() {
 	bp.reads.Store(0)

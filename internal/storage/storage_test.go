@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,30 @@ func TestRowEncodeDecodeRoundTrip(t *testing.T) {
 				t.Errorf("round trip value mismatch at %d: %v vs %v", i, got[i], r[i])
 			}
 		}
+	}
+}
+
+// TestDecodeRowRejectsTruncation cuts an encoded row at every length: a cut
+// on a value boundary decodes to the values before it, any other cut fails.
+func TestDecodeRowRejectsTruncation(t *testing.T) {
+	row := Row{algebra.IntVal(7), algebra.StringVal("abc"), algebra.FloatVal(1.5), algebra.StringVal(""), algebra.DateVal(9)}
+	buf := encodeRow(row)
+	boundary := map[int]int{0: 0}
+	for i := range row {
+		boundary[len(encodeRow(row[:i+1]))] = i + 1
+	}
+	for cut := 0; cut <= len(buf); cut++ {
+		got, err := decodeRow(buf[:cut])
+		if n, ok := boundary[cut]; ok {
+			if err != nil || !slices.Equal(got, row[:n]) {
+				t.Errorf("cut at %d: got %v, %v; want %v", cut, got, err, row[:n])
+			}
+		} else if err == nil {
+			t.Errorf("cut at %d inside a value decoded to %v", cut, got)
+		}
+	}
+	if _, err := decodeRow([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+		t.Error("unknown type byte decoded")
 	}
 }
 
@@ -405,5 +430,22 @@ func TestCacheNamespaceSurvivesRuns(t *testing.T) {
 	db.DropCaches()
 	if db.NumCaches() != 0 {
 		t.Error("DropCaches left cache tables behind")
+	}
+}
+
+// BenchmarkDecodeRow decodes one row shaped like SSB's 17-column lineorder
+// (ints, dates, floats and three short strings).
+func BenchmarkDecodeRow(b *testing.B) {
+	buf := encodeRow(Row{
+		algebra.IntVal(1501), algebra.IntVal(3), algebra.IntVal(2117), algebra.IntVal(155190), algebra.IntVal(828),
+		algebra.DateVal(9131), algebra.StringVal("2-HIGH"), algebra.StringVal("0"), algebra.IntVal(17),
+		algebra.FloatVal(2116823), algebra.FloatVal(18606909), algebra.IntVal(4), algebra.FloatVal(2032150.08),
+		algebra.FloatVal(74711.7), algebra.IntVal(2), algebra.DateVal(9191), algebra.StringVal("REG AIR"),
+	})
+	b.ReportAllocs()
+	for b.Loop() {
+		if r, err := decodeRow(buf); err != nil || len(r) != 17 {
+			b.Fatal(r, err)
+		}
 	}
 }
