@@ -80,8 +80,8 @@ func main() {
 	}
 	degrees := core.ComputeSharability(pd)
 
-	fmt.Printf("queries: %d   logical groups: %d   operation nodes: %d   physical nodes: %d\n",
-		len(queries), len(pd.L.LiveGroups()), pd.L.NumExprs(), len(pd.Nodes))
+	fmt.Printf("queries: %d   logical groups: %d   operation nodes: %d (of %d derived, %d duplicates)   physical nodes: %d\n",
+		len(queries), len(pd.L.LiveGroups()), pd.L.NumExprs(), pd.L.Derivations, pd.L.Duplicates, len(pd.Nodes))
 
 	if *showDAG {
 		fmt.Println("\n-- expanded logical DAG --")

@@ -271,6 +271,8 @@ func TestEndToEndMetrics(t *testing.T) {
 		`mqo_opt_phase_seconds_count{phase="sharability"}`, // optimizer phase timings
 		`mqo_opt_phase_seconds_count{phase="waves"}`,
 		"mqo_opt_batches_total",
+		`mqo_dag_insert_total{outcome="new"}`, // DAG construction's derivation accounting
+		`mqo_dag_insert_total{outcome="duplicate"}`,
 		"mqo_exec_runs_total",
 		"mqo_exec_operator_rows_total", // per-operator executor counters
 		"mqo_resultcache_batches_total",

@@ -112,16 +112,6 @@ func TestImpliesTransitiveProperty(t *testing.T) {
 	}
 }
 
-func TestSplitByColumns(t *testing.T) {
-	a, b := Col("r", "a"), Col("s", "b")
-	p := Cmp(a, EQ, IntVal(1)).And(ColEq(a, b)).And(Cmp(b, GT, IntVal(2)))
-	inR := func(c Column) bool { return c.Rel == "r" }
-	covered, rest := p.SplitByColumns(inR)
-	if len(covered.Conj) != 1 || len(rest.Conj) != 2 {
-		t.Errorf("split = %d covered, %d rest; want 1, 2", len(covered.Conj), len(rest.Conj))
-	}
-}
-
 func TestEquiJoinColumns(t *testing.T) {
 	left := Schema{{Col: Col("r", "a"), Typ: TInt}}
 	right := Schema{{Col: Col("s", "b"), Typ: TInt}}

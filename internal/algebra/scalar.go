@@ -361,26 +361,6 @@ func (p Predicate) Implies(q Predicate) bool {
 	return false
 }
 
-// SplitByColumns partitions the predicate's conjuncts into those fully
-// covered by cols (returned first) and the rest; used by select push-down
-// and join associativity.
-func (p Predicate) SplitByColumns(has func(Column) bool) (covered, rest Predicate) {
-	for _, cl := range p.Conj {
-		all := true
-		cl.VisitColumns(func(c Column) {
-			if !has(c) {
-				all = false
-			}
-		})
-		if all {
-			covered.Conj = append(covered.Conj, cl)
-		} else {
-			rest.Conj = append(rest.Conj, cl)
-		}
-	}
-	return covered, rest
-}
-
 // EquiJoinColumns extracts the pairs (l, r) from top-level conjuncts of the
 // form l = r where l is in the left schema and r in the right (or vice
 // versa, normalized to left-right order). Used to pick merge/index join keys.

@@ -2,10 +2,12 @@
 // optimizer: values, columns, scalar expressions, predicates in conjunctive
 // normal form, and logical operators (scan, select, join, aggregate, project).
 //
-// Every construct can produce a canonical fingerprint string; the AND-OR DAG
-// (package dag) uses fingerprints to detect that two operation nodes denote
-// the same expression, which is the basis of common-subexpression
-// unification (paper §2.1, extension 1).
+// Every construct can produce a canonical fingerprint string: equal strings
+// mean the same expression. The AND-OR DAG (package dag) reads a clause's or
+// operator's fingerprint once, to intern it as an integer, and detects
+// duplicate operation nodes on those integers (paper §2.1, extension 1);
+// the strings themselves are the identity that outlives one DAG — plan
+// printing, dag.CanonicalFingerprints, the result- and plan-cache keys.
 package algebra
 
 import (

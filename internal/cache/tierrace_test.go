@@ -62,7 +62,13 @@ func TestTierTriangleRaceAtShardBoundary(t *testing.T) {
 	// On a single-CPU host the churn goroutine may only ever run while the
 	// replay holds its pins, so the concurrent phase can pass without the
 	// triangle firing; one deterministic demote → warm-hit → promote cycle
-	// from the main goroutine guarantees every edge executed.
+	// from the main goroutine guarantees every edge executed. The churn may
+	// have stopped right after evicting a warm tier that held everything,
+	// so first put entries back in RAM: under ample budgets a batch admits
+	// what is missing and promotes what is warm.
+	m.SetBudgets(64<<20, 64<<20)
+	runBatch(t, m, db, cat, q1, q2)
+	m.WaitPromotions()
 	m.SetBudgets(1, 64<<20)
 	m.SetBudgets(64<<20, 64<<20)
 	runBatch(t, m, db, cat, q1, q2)

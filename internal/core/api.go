@@ -125,6 +125,12 @@ type Stats struct {
 	DAGGroups             int
 	DAGExprs              int
 	PhysNodes             int
+	// DAGDerivations counts the operation nodes building the logical DAG
+	// asked its expression table for, DAGDuplicates those the table
+	// already held: their ratio is the share of expansion spent
+	// rediscovering known expressions.
+	DAGDerivations int
+	DAGDuplicates  int
 	// Search-engine instrumentation: EvalWaves counts benefit-evaluation
 	// waves, SpeculativePicks counts multi-pick commits beyond the first
 	// of a wave. Both depend on MultiPick but never on Parallelism.
@@ -196,6 +202,8 @@ func FinishDAG(ld *dag.DAG, model cost.Model) (*physical.DAG, error) {
 	if _, err := ld.Finalize(); err != nil {
 		return nil, err
 	}
+	dagInsertNew.Add(int64(ld.Derivations - ld.Duplicates))
+	dagInsertDuplicate.Add(int64(ld.Duplicates))
 	return physical.Build(ld, model)
 }
 
@@ -251,6 +259,7 @@ func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options)
 	res.Stats.CostPropagations, res.Stats.CostRecomputations = pd.Counters()
 	res.Stats.DAGGroups = len(pd.L.LiveGroups())
 	res.Stats.DAGExprs = pd.L.NumExprs()
+	res.Stats.DAGDerivations, res.Stats.DAGDuplicates = pd.L.Derivations, pd.L.Duplicates
 	res.Stats.PhysNodes = len(pd.Nodes)
 	recordOptimizeMetrics(res)
 	return res, nil

@@ -278,6 +278,9 @@ func TestStatsPopulated(t *testing.T) {
 	if res.Stats.DAGGroups == 0 || res.Stats.DAGExprs == 0 || res.Stats.PhysNodes == 0 {
 		t.Error("DAG stats not populated")
 	}
+	if st := res.Stats; st.DAGDuplicates == 0 || st.DAGDerivations-st.DAGDuplicates < st.DAGExprs {
+		t.Errorf("%d derivations with %d duplicates cannot account for %d expressions", st.DAGDerivations, st.DAGDuplicates, st.DAGExprs)
+	}
 	if res.Stats.CostRecomputations == 0 || res.Stats.CostPropagations == 0 {
 		t.Error("greedy counters not populated")
 	}

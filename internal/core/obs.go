@@ -43,6 +43,8 @@ var (
 	optSpeculativePicks   = obs.Default().Counter("mqo_opt_speculative_picks_total", "Multi-pick commits beyond the first of a wave.")
 	optCandidates         = obs.Default().Counter("mqo_opt_candidates_total", "Greedy sharing candidates considered.")
 	optSharableNodes      = obs.Default().Counter("mqo_opt_sharable_nodes_total", "Physical nodes found sharable.")
+	dagInsertNew          = obs.Default().Counter("mqo_dag_insert_total", "Operation nodes DAG construction derived, by whether the expression table already held them.", obs.L("outcome", "new"))
+	dagInsertDuplicate    = obs.Default().Counter("mqo_dag_insert_total", "Operation nodes DAG construction derived, by whether the expression table already held them.", obs.L("outcome", "duplicate"))
 	optEstSavedSeconds    = obs.Default().FloatCounter("mqo_opt_est_saved_seconds_total", "Estimated cost-model seconds saved versus the no-sharing baseline.")
 )
 

@@ -137,7 +137,7 @@ func TestApplySelectAndJoin(t *testing.T) {
 	if sel.Rows >= tRel.Rows || sel.Rows <= 0 {
 		t.Errorf("selection rows %v not reduced from %v", sel.Rows, tRel.Rows)
 	}
-	if st := sel.Cols[algebra.Col("t", "num")]; st.Distinct != 1 {
+	if st, _ := sel.ColStat(algebra.Col("t", "num")); st.Distinct != 1 {
 		t.Errorf("equality should pin distinct=1, got %v", st.Distinct)
 	}
 

@@ -17,34 +17,53 @@ type ColStat struct {
 
 // Rel is the estimated profile of a (possibly intermediate) relation:
 // cardinality, tuple width, and per-column statistics. Rel values are
-// immutable once built; derivations return fresh values.
+// immutable once built; derivations return fresh values that share their
+// inputs' column statistics instead of copying them.
 type Rel struct {
 	Rows  float64
 	Width int
-	Cols  map[algebra.Column]ColStat
+	stats *colStats
+}
+
+// colStats is one operator's level of column statistics. A select or join
+// changes few or no columns, so it records only those in own and reads
+// every other column through to its inputs, clamping the distinct count to
+// its own row count on the way out — level by level the same clamps an
+// eager copy of the inputs' maps would have applied.
+type colStats struct {
+	own  map[algebra.Column]ColStat // set or overridden here, already clamped
+	l, r *colStats                  // inputs the other columns show through from; r shadows l
+	rows float64                    // distinct counts read from l and r are clamped to this
+}
+
+// lookup returns the statistics of column c as seen at this level.
+func (s *colStats) lookup(c algebra.Column) (ColStat, bool) {
+	if s == nil {
+		return ColStat{}, false
+	}
+	if st, ok := s.own[c]; ok {
+		return st, true
+	}
+	st, ok := s.r.lookup(c)
+	if !ok {
+		st, ok = s.l.lookup(c)
+	}
+	if ok {
+		st.Distinct = clampDistinct(st.Distinct, s.rows)
+	}
+	return st, ok
+}
+
+// clampDistinct limits a distinct count to a relation's row count.
+func clampDistinct(d, rows float64) float64 {
+	if d > rows {
+		return math.Max(1, rows)
+	}
+	return d
 }
 
 // Blocks returns the size of the relation in blocks under model m.
 func (r Rel) Blocks(m Model) float64 { return m.Blocks(r.Rows, r.Width) }
-
-// clone returns a copy with a fresh column map.
-func (r Rel) clone() Rel {
-	cols := make(map[algebra.Column]ColStat, len(r.Cols))
-	for c, s := range r.Cols {
-		cols[c] = s
-	}
-	return Rel{Rows: r.Rows, Width: r.Width, Cols: cols}
-}
-
-// capDistinct clamps every distinct count to the new row count.
-func (r *Rel) capDistinct() {
-	for c, s := range r.Cols {
-		if s.Distinct > r.Rows {
-			s.Distinct = math.Max(1, r.Rows)
-			r.Cols[c] = s
-		}
-	}
-}
 
 // Estimator derives Rel profiles for algebra operators from catalog
 // statistics.
@@ -61,20 +80,25 @@ func (e Estimator) BaseRel(table, alias string) (Rel, error) {
 	if err != nil {
 		return Rel{}, err
 	}
-	rel := Rel{Rows: float64(t.Rows), Width: t.RowWidth(), Cols: map[algebra.Column]ColStat{}}
+	own := make(map[algebra.Column]ColStat, len(t.Cols))
+	rel := Rel{Rows: float64(t.Rows), Width: t.RowWidth(), stats: &colStats{own: own}}
 	for _, c := range t.Cols {
 		st := ColStat{Distinct: float64(c.Stats.Distinct), Min: c.Stats.Min, Max: c.Stats.Max, HasRange: c.Stats.HasRange}
 		if st.Distinct <= 0 {
 			st.Distinct = math.Max(1, rel.Rows/10)
 		}
-		rel.Cols[algebra.Col(alias, c.Name)] = st
+		own[algebra.Col(alias, c.Name)] = st
 	}
 	return rel, nil
 }
 
+// ColStat returns the statistics of column c, or false if the relation has
+// no such column.
+func (r Rel) ColStat(c algebra.Column) (ColStat, bool) { return r.stats.lookup(c) }
+
 // colStat returns the stats for a column, with a permissive default.
 func (r Rel) colStat(c algebra.Column) ColStat {
-	if s, ok := r.Cols[c]; ok {
+	if s, ok := r.ColStat(c); ok {
 		return s
 	}
 	return ColStat{Distinct: math.Max(1, r.Rows/10)}
@@ -147,31 +171,23 @@ func (e Estimator) Selectivity(r Rel, p algebra.Predicate) float64 {
 
 // ApplySelect derives the profile of σ_pred(r).
 func (e Estimator) ApplySelect(r Rel, pred algebra.Predicate) Rel {
-	out := r.clone()
-	sel := e.Selectivity(r, pred)
-	out.Rows = math.Max(0, r.Rows*sel)
+	rows := math.Max(0, r.Rows*e.Selectivity(r, pred))
+	level := &colStats{l: r.stats, rows: rows}
 	// Equality against a constant pins the column to one value.
 	if col, op, v, ok := pred.SingleColumnRange(); ok && op == algebra.EQ {
-		st := out.colStat(col)
-		st.Distinct = 1
-		st.Min, st.Max, st.HasRange = v, v, v.IsNumeric()
-		out.Cols[col] = st
+		level.own = map[algebra.Column]ColStat{col: {Distinct: 1, Min: v, Max: v, HasRange: v.IsNumeric()}}
 	}
-	out.capDistinct()
-	return out
+	return Rel{Rows: rows, Width: r.Width, stats: level}
 }
 
 // ApplyJoin derives the profile of r1 ⋈_pred r2. Equality conjuncts between
 // the two sides use the standard |r1||r2|/max(d1,d2) formula; remaining
 // conjuncts contribute their plain selectivity.
 func (e Estimator) ApplyJoin(l, r Rel, pred algebra.Predicate) Rel {
-	out := Rel{Width: l.Width + r.Width, Cols: make(map[algebra.Column]ColStat, len(l.Cols)+len(r.Cols))}
-	for c, s := range l.Cols {
-		out.Cols[c] = s
-	}
-	for c, s := range r.Cols {
-		out.Cols[c] = s
-	}
+	// Until Rows is known the level clamps nothing: a non-equi conjunct
+	// below is estimated against the inputs' own distinct counts.
+	level := &colStats{l: l.stats, r: r.stats, rows: math.Inf(1)}
+	out := Rel{Width: l.Width + r.Width, stats: level}
 	rows := l.Rows * r.Rows
 	for _, cl := range pred.Conj {
 		if len(cl.Disj) == 1 {
@@ -179,12 +195,12 @@ func (e Estimator) ApplyJoin(l, r Rel, pred algebra.Predicate) Rel {
 			lc, lok := cmp.L.(algebra.ColExpr)
 			rc, rok := cmp.R.(algebra.ColExpr)
 			if lok && rok && cmp.Op == algebra.EQ {
-				inL, inR := l.Cols[lc.C], r.Cols[rc.C]
-				_, lInL := l.Cols[lc.C]
-				_, rInR := r.Cols[rc.C]
+				inL, lInL := l.ColStat(lc.C)
+				inR, rInR := r.ColStat(rc.C)
 				if !lInL || !rInR {
 					// sides reversed: lc from r, rc from l
-					inL, inR = l.Cols[rc.C], r.Cols[lc.C]
+					inL, _ = l.ColStat(rc.C)
+					inR, _ = r.ColStat(lc.C)
 				}
 				d := math.Max(math.Max(inL.Distinct, inR.Distinct), 1)
 				rows /= d
@@ -196,7 +212,7 @@ func (e Estimator) ApplyJoin(l, r Rel, pred algebra.Predicate) Rel {
 		rows *= e.Selectivity(out, algebra.Predicate{Conj: []algebra.Clause{cl}})
 	}
 	out.Rows = math.Max(0, rows)
-	out.capDistinct()
+	level.rows = out.Rows
 	return out
 }
 
@@ -212,31 +228,32 @@ func (e Estimator) ApplyAggregate(r Rel, agg algebra.Aggregate) Rel {
 		groups = 1
 	}
 	groups = math.Min(groups, math.Max(1, r.Rows))
-	out := Rel{Rows: groups, Width: 8 * (len(agg.GroupBy) + len(agg.Aggs)), Cols: map[algebra.Column]ColStat{}}
+	own := make(map[algebra.Column]ColStat, len(agg.GroupBy)+len(agg.Aggs))
 	for _, c := range agg.GroupBy {
 		st := r.colStat(c)
 		st.Distinct = math.Min(st.Distinct, groups)
-		out.Cols[c] = st
+		own[c] = st
 	}
 	for _, a := range agg.Aggs {
-		out.Cols[a.As] = ColStat{Distinct: math.Max(1, groups/2)}
+		own[a.As] = ColStat{Distinct: math.Max(1, groups/2)}
 	}
-	return out
+	return Rel{Rows: groups, Width: 8 * (len(agg.GroupBy) + len(agg.Aggs)), stats: &colStats{own: own}}
 }
 
 // ApplyProject derives the profile of a projection: cardinality unchanged,
 // width recomputed from the projected expressions.
 func (e Estimator) ApplyProject(r Rel, p algebra.Project) Rel {
-	out := Rel{Rows: r.Rows, Width: 0, Cols: map[algebra.Column]ColStat{}}
+	own := make(map[algebra.Column]ColStat, len(p.Exprs))
+	out := Rel{Rows: r.Rows, Width: 0, stats: &colStats{own: own}}
 	for _, ne := range p.Exprs {
 		w := 8
 		if ce, ok := ne.Expr.(algebra.ColExpr); ok {
-			if st, found := r.Cols[ce.C]; found {
-				out.Cols[ne.As] = st
+			if st, found := r.ColStat(ce.C); found {
+				own[ne.As] = st
 			}
 		}
-		if _, found := out.Cols[ne.As]; !found {
-			out.Cols[ne.As] = ColStat{Distinct: math.Max(1, r.Rows/10)}
+		if _, found := own[ne.As]; !found {
+			own[ne.As] = ColStat{Distinct: math.Max(1, r.Rows/10)}
 		}
 		out.Width += w
 	}

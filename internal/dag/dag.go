@@ -2,8 +2,12 @@
 // nodes (OR, called Group here) whose children are operation nodes (AND,
 // called Expr), with
 //
-//   - fingerprint-based detection of duplicate operation nodes and
-//     unification of equivalence nodes (§2.1 extension 1),
+//   - hash-based detection of duplicate operation nodes and unification of
+//     equivalence nodes (§2.1 extension 1), on interned integer identities:
+//     each distinct clause, predicate-free operator and column gets a dense
+//     ID the first time it is seen, an operation node is keyed on (operator
+//     kind, operator ID, input group IDs), and no operator is rendered
+//     again after its clauses are born,
 //   - transformation rules — join commutativity and associativity with
 //     duplicate-derivation avoidance in the style of [PGLK97], select
 //     merging and select-into-join — applied to fixpoint to produce the
@@ -16,8 +20,6 @@ package dag
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"mqo/internal/algebra"
 	"mqo/internal/cost"
@@ -38,12 +40,13 @@ type Expr struct {
 	// Volcano-SH treats these specially (paper §3.2 prepass).
 	Subsumption bool
 
-	fp string // current fingerprint (maintained under unification)
+	key     exprKey // current identity (maintained under unification)
+	pred    pred    // select, join: Op's predicate with its clauses' IDs
+	dropped bool    // unification found it a duplicate and removed it
 
-	// rule-application flags, per [PGLK97], to avoid deriving the same
+	// rule-application flag, per [PGLK97], to avoid deriving the same
 	// expression repeatedly.
-	commuted   bool
-	associated bool
+	commuted bool
 }
 
 // Group is an equivalence node (OR node): the set of operation nodes
@@ -72,6 +75,7 @@ type Group struct {
 	// prepass/undo logic keys on it.
 	SubsumpNode bool
 
+	cols    colSet  // Schema's columns as the DAG's interner numbers them
 	parents []*Expr // operation nodes that have this group as an input
 	forward *Group  // non-nil after unification: the representative
 }
@@ -92,7 +96,7 @@ func (g *Group) Find() *Group {
 func (g *Group) Parents() []*Expr { return g.parents }
 
 // DAG is the logical AND-OR DAG for a batch of queries, sharing a single
-// fingerprint table so common subexpressions across queries unify.
+// expression table so common subexpressions across queries unify.
 type DAG struct {
 	Est cost.Estimator
 
@@ -105,9 +109,18 @@ type DAG struct {
 	// order they were added.
 	QueryRoots []*Group
 
-	fp       map[string]*Expr
+	// Derivations counts the operation nodes insertion was asked for, by
+	// query trees, rules and subsumption alike; Duplicates counts those the
+	// expression table already held. Their ratio says how much of the
+	// expansion's work is rediscovery.
+	Derivations, Duplicates int
+
+	in       interner
+	table    map[exprKey]*Expr
 	nextID   GroupID
 	worklist []*Expr
+	scratch  [3]pred // predicates a rule is putting together
+	snap     []*Expr // the expression list a rule is ranging over
 
 	// MaxGroups bounds expansion as a safety valve; 0 means unlimited.
 	MaxGroups int
@@ -115,41 +128,31 @@ type DAG struct {
 
 // New creates an empty DAG over the given estimator.
 func New(est cost.Estimator) *DAG {
-	return &DAG{Est: est, fp: map[string]*Expr{}}
+	return &DAG{Est: est, in: newInterner(), table: map[exprKey]*Expr{}}
 }
 
-// exprFingerprint renders op applied to (resolved) child groups.
-func exprFingerprint(op algebra.Op, children []*Group) string {
-	var b strings.Builder
-	b.WriteString(op.Fingerprint())
-	b.WriteByte('(')
-	for i, c := range children {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(c.Find().ID)))
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
-// schemaOf computes the canonical schema for an expression.
-func schemaOf(op algebra.Op, children []*Group) (algebra.Schema, error) {
+// schemaOf computes the canonical schema of an expression and its column
+// set.
+func (d *DAG) schemaOf(op algebra.Op, children []*Group) (algebra.Schema, colSet, error) {
+	var s algebra.Schema
 	switch o := op.(type) {
 	case algebra.Scan:
-		return nil, fmt.Errorf("dag: schemaOf(Scan) requires catalog lookup")
-	case algebra.Select:
-		return children[0].Find().Schema, nil
+		t, err := d.Est.Cat.Table(o.Table)
+		if err != nil {
+			return nil, nil, err
+		}
+		s = t.Schema(o.Alias)
+	case algebra.Select, algebra.Invoke:
+		return children[0].Schema, children[0].cols, nil
 	case algebra.Join:
-		s := children[0].Find().Schema.Concat(children[1].Find().Schema)
-		return canonicalSchema(s), nil
+		l, r := children[0], children[1]
+		return mergeSchemas(l.Schema, r.Schema), l.cols.union(r.cols), nil
 	case algebra.Aggregate:
-		in := children[0].Find().Schema
-		var s algebra.Schema
+		in := children[0].Schema
 		for _, c := range o.GroupBy {
 			i := in.IndexOf(c)
 			if i < 0 {
-				return nil, fmt.Errorf("dag: group-by column %v not in input schema", c)
+				return nil, nil, fmt.Errorf("dag: group-by column %v not in input schema", c)
 			}
 			s = append(s, in[i])
 		}
@@ -160,19 +163,17 @@ func schemaOf(op algebra.Op, children []*Group) (algebra.Schema, error) {
 			}
 			s = append(s, algebra.ColInfo{Col: a.As, Typ: t})
 		}
-		return canonicalSchema(s), nil
 	case algebra.Project:
-		var s algebra.Schema
 		for _, ne := range o.Exprs {
 			s = append(s, algebra.ColInfo{Col: ne.As, Typ: ne.Typ})
 		}
-		return canonicalSchema(s), nil
-	case algebra.Invoke:
-		return children[0].Find().Schema, nil
 	case algebra.NoOp:
-		return nil, nil
+		return nil, nil, nil
+	default:
+		return nil, nil, fmt.Errorf("dag: unknown operator %T", op)
 	}
-	return nil, fmt.Errorf("dag: unknown operator %T", op)
+	s = canonicalSchema(s)
+	return s, d.in.schemaCols(s), nil
 }
 
 // canonicalSchema sorts a schema by column identity so equivalent results
@@ -182,6 +183,20 @@ func canonicalSchema(s algebra.Schema) algebra.Schema {
 	copy(out, s)
 	sort.Slice(out, func(i, j int) bool { return out[i].Col.Less(out[j].Col) })
 	return out
+}
+
+// mergeSchemas returns the canonical schema of a join from its inputs'
+// canonical schemas: a merge of two sorted lists.
+func mergeSchemas(l, r algebra.Schema) algebra.Schema {
+	out := make(algebra.Schema, 0, len(l)+len(r))
+	for len(l) > 0 && len(r) > 0 {
+		if r[0].Col.Less(l[0].Col) {
+			out, r = append(out, r[0]), r[1:]
+		} else {
+			out, l = append(out, l[0]), l[1:]
+		}
+	}
+	return append(append(out, l...), r...)
 }
 
 // relOf estimates the profile of an expression from its children.
@@ -231,39 +246,91 @@ func (d *DAG) newGroup(op algebra.Op, children []*Group) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	var schema algebra.Schema
-	if sc, ok := op.(algebra.Scan); ok {
-		t, err := d.Est.Cat.Table(sc.Table)
-		if err != nil {
-			return nil, err
-		}
-		schema = canonicalSchema(t.Schema(sc.Alias))
-	} else {
-		schema, err = schemaOf(op, children)
-		if err != nil {
-			return nil, err
-		}
+	schema, cols, err := d.schemaOf(op, children)
+	if err != nil {
+		return nil, err
 	}
-	g := &Group{ID: d.nextID, Rel: rel, Schema: schema}
+	g := &Group{ID: d.nextID, Rel: rel, Schema: schema, cols: cols}
 	d.nextID++
 	d.Groups = append(d.Groups, g)
 	return g, nil
 }
 
-// insertExpr adds op(children) to the DAG. If the fingerprint already
-// exists, the existing expression is returned (after unifying its group with
-// `into` when both are specified and differ). If into is nil a fresh group
-// is allocated for a new expression.
-func (d *DAG) insertExpr(op algebra.Op, children []*Group, into *Group, subsumption bool) (*Expr, error) {
+// insertOp adds op(children) for an operator given in full — a query
+// tree's, or one a subsumption derivation builds — interning its identity
+// from its rendering.
+func (d *DAG) insertOp(op algebra.Op, children []*Group, into *Group, subsumption bool) (*Expr, error) {
+	var (
+		kind opKind
+		p    pred
+	)
+	switch o := op.(type) {
+	case algebra.Scan:
+		kind = kindScan
+	case algebra.Select:
+		kind, p = kindSelect, d.in.pred(o.Pred)
+	case algebra.Join:
+		kind, p = kindJoin, d.in.pred(o.Pred)
+	case algebra.Aggregate:
+		kind = kindAggregate
+	case algebra.Project:
+		kind = kindProject
+	case algebra.Invoke:
+		kind = kindInvoke
+	case algebra.NoOp:
+		kind = kindNoOp
+	default:
+		return nil, fmt.Errorf("dag: unknown operator %T", op)
+	}
+	var opID uint32
+	switch kind {
+	case kindSelect, kindJoin:
+		opID = d.in.predID(p.ids)
+	case kindNoOp: // identified by its inputs alone
+	default:
+		opID = d.in.opID(op)
+	}
+	return d.insert(kind, opID, op, p, children, into, subsumption)
+}
+
+// insertLike adds like's operator over other inputs.
+func (d *DAG) insertLike(like *Expr, children []*Group, into *Group, subsumption bool) (*Expr, error) {
+	return d.insert(like.key.kind, like.key.op, like.Op, like.pred, children, into, subsumption)
+}
+
+// insertPred adds the select or join on a predicate a rule has put together
+// in scratch from clauses of existing expressions.
+func (d *DAG) insertPred(kind opKind, p *pred, children []*Group, into *Group, subsumption bool) (*Expr, error) {
+	return d.insert(kind, d.in.predID(p.ids), nil, *p, children, into, subsumption)
+}
+
+// insert adds kind[opID](children) to the DAG, opID being the operator's
+// interned identity. A select or join comes with its predicate p; its op
+// may then be nil, meaning p is a rule's scratch and the operator is built
+// from a copy of it should the expression be new. If the expression
+// already exists it is returned (after unifying its group with `into` when
+// both are specified and differ). If into is nil a fresh group is allocated
+// for a new expression.
+func (d *DAG) insert(kind opKind, opID uint32, op algebra.Op, p pred, children []*Group, into *Group, subsumption bool) (*Expr, error) {
 	for i, c := range children {
 		children[i] = c.Find()
 	}
-	key := exprFingerprint(op, children)
-	if e, ok := d.fp[key]; ok {
+	d.Derivations++
+	key := d.in.key(kind, opID, children)
+	if e, ok := d.table[key]; ok {
+		d.Duplicates++
 		if into != nil && e.Group.Find() != into.Find() {
 			d.unify(into.Find(), e.Group.Find())
 		}
 		return e, nil
+	}
+	if op == nil {
+		p = pred{conj: append([]algebra.Clause(nil), p.conj...), ids: append([]clauseID(nil), p.ids...)}
+		if kind == kindSelect {
+			op = algebra.Select{Pred: p.predicate()}
+		} else {
+			op = algebra.Join{Pred: p.predicate()}
+		}
 	}
 	g := into
 	if g != nil {
@@ -276,7 +343,7 @@ func (d *DAG) insertExpr(op algebra.Op, children []*Group, into *Group, subsumpt
 			return nil, err
 		}
 	}
-	e := &Expr{Op: op, Children: append([]*Group(nil), children...), Group: g, Subsumption: subsumption, fp: key}
+	e := &Expr{Op: op, Children: append([]*Group(nil), children...), Group: g, Subsumption: subsumption, key: key, pred: p}
 	g.Exprs = append(g.Exprs, e)
 	if pd := paramDepOf(op, children); pd {
 		g.ParamDep = true
@@ -284,7 +351,7 @@ func (d *DAG) insertExpr(op algebra.Op, children []*Group, into *Group, subsumpt
 	for _, c := range children {
 		c.parents = append(c.parents, e)
 	}
-	d.fp[key] = e
+	d.table[key] = e
 	d.worklist = append(d.worklist, e)
 	// A new alternative in g can enable associativity in g's parents.
 	for _, p := range g.parents {
@@ -294,9 +361,9 @@ func (d *DAG) insertExpr(op algebra.Op, children []*Group, into *Group, subsumpt
 }
 
 // unify merges group b into group a (both must be representatives). All of
-// b's expressions move into a; every expression referencing b is
-// re-fingerprinted, which can cascade further unifications — exactly the
-// paper's unification of duplicate equivalence nodes.
+// b's expressions move into a; every expression referencing b is re-keyed
+// by swapping the input's ID, which can cascade further unifications —
+// exactly the paper's unification of duplicate equivalence nodes.
 func (d *DAG) unify(a, b *Group) {
 	a, b = a.Find(), b.Find()
 	if a == b {
@@ -312,35 +379,36 @@ func (d *DAG) unify(a, b *Group) {
 
 	// Move b's expressions into a, dropping duplicates.
 	for _, e := range b.Exprs {
-		if d.fp[e.fp] == e {
+		if !e.dropped {
 			e.Group = a
 			a.Exprs = append(a.Exprs, e)
 		}
 	}
 	b.Exprs = nil
 
-	// Re-fingerprint all expressions that reference b as a child.
+	// Re-key all expressions that reference b as a child.
 	refs := b.parents
 	b.parents = nil
 	for _, e := range refs {
-		if d.fp[e.fp] != e { // stale duplicate already dropped
+		if e.dropped {
 			continue
 		}
-		delete(d.fp, e.fp)
+		delete(d.table, e.key)
 		for i, c := range e.Children {
 			e.Children[i] = c.Find()
 		}
-		e.fp = exprFingerprint(e.Op, e.Children)
-		if other, ok := d.fp[e.fp]; ok {
+		e.key = d.in.key(e.key.kind, e.key.op, e.Children)
+		if other, ok := d.table[e.key]; ok {
 			// e duplicates an existing expression: drop e, unify owners.
 			eg, og := e.Group.Find(), other.Group.Find()
 			removeExpr(eg, e)
+			e.dropped = true
 			if eg != og {
 				d.unify(eg, og)
 			}
 			continue
 		}
-		d.fp[e.fp] = e
+		d.table[e.key] = e
 		a.parents = append(a.parents, e)
 		d.worklist = append(d.worklist, e)
 	}
@@ -358,7 +426,7 @@ func removeExpr(g *Group, e *Expr) {
 
 // AddQuery inserts a logical operator tree into the DAG and records its root
 // as a query root. Common subexpressions with previously added queries
-// unify automatically through the shared fingerprint table.
+// unify automatically through the shared expression table.
 func (d *DAG) AddQuery(t *algebra.Tree) (*Group, error) {
 	g, err := d.insertTree(t)
 	if err != nil {
@@ -377,7 +445,7 @@ func (d *DAG) insertTree(t *algebra.Tree) (*Group, error) {
 		}
 		children[i] = c
 	}
-	e, err := d.insertExpr(t.Op, children, nil, false)
+	e, err := d.insertOp(t.Op, children, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +479,7 @@ func (d *DAG) Finalize() (*Group, error) {
 	for i, r := range d.QueryRoots {
 		roots[i] = r.Find()
 	}
-	e, err := d.insertExpr(algebra.NoOp{NInputs: len(roots)}, roots, nil, false)
+	e, err := d.insertOp(algebra.NoOp{NInputs: len(roots)}, roots, nil, false)
 	if err != nil {
 		return nil, err
 	}

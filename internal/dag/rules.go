@@ -9,14 +9,14 @@ import (
 // Expand applies the transformation rule set — join commutativity, join
 // associativity, select merging, select push-down and select-into-join — to
 // fixpoint, producing the expanded DAG (paper §2, Figure 1c). Duplicate
-// derivations are suppressed by the fingerprint table; commutativity
+// derivations are suppressed by the expression table; commutativity
 // additionally carries a [PGLK97]-style flag so an expression produced by
 // commuting is not commuted back.
 func (d *DAG) Expand() error {
 	for len(d.worklist) > 0 {
 		e := d.worklist[len(d.worklist)-1]
 		d.worklist = d.worklist[:len(d.worklist)-1]
-		if d.fp[e.fp] != e { // dropped as duplicate during unification
+		if e.dropped {
 			continue
 		}
 		if d.MaxGroups > 0 && len(d.Groups) > d.MaxGroups {
@@ -29,26 +29,28 @@ func (d *DAG) Expand() error {
 	return nil
 }
 
+// snapshot returns g's expressions as they are now, for a rule to range
+// over while its insertions grow, merge or prune the list itself. Rules run
+// one at a time and range over one list each, so they share the buffer.
+func (d *DAG) snapshot(g *Group) []*Expr {
+	d.snap = append(d.snap[:0], g.Exprs...)
+	return d.snap
+}
+
 func (d *DAG) applyRules(e *Expr) error {
-	switch op := e.Op.(type) {
-	case algebra.Join:
-		if err := d.ruleJoinCommute(e, op); err != nil {
+	switch e.key.kind {
+	case kindJoin:
+		if err := d.ruleJoinCommute(e); err != nil {
 			return err
 		}
-		if err := d.ruleJoinAssociate(e, op); err != nil {
+		return d.ruleJoinAssociate(e)
+	case kindSelect:
+		if err := d.ruleSelectMerge(e); err != nil {
 			return err
 		}
-	case algebra.Select:
-		if err := d.ruleSelectMerge(e, op); err != nil {
-			return err
-		}
-		if err := d.ruleSelectPushdown(e, op); err != nil {
-			return err
-		}
-	case algebra.Aggregate:
-		if err := d.ruleEagerAggregation(e, op); err != nil {
-			return err
-		}
+		return d.ruleSelectPushdown(e)
+	case kindAggregate:
+		return d.ruleEagerAggregation(e, e.Op.(algebra.Aggregate))
 	}
 	return nil
 }
@@ -75,13 +77,11 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 		}
 	}
 	child := e.Children[0].Find()
-	cexprs := append([]*Expr(nil), child.Exprs...)
-	for _, ce := range cexprs {
-		sop, ok := ce.Op.(algebra.Select)
-		if !ok || ce.Subsumption || d.fp[ce.fp] != ce {
+	for _, ce := range d.snapshot(child) {
+		if ce.key.kind != kindSelect || ce.Subsumption || ce.dropped {
 			continue
 		}
-		pcols := sop.Pred.Columns()
+		pcols := ce.pred.predicate().Columns()
 		if len(pcols) == 0 || len(pcols) > 2 {
 			continue
 		}
@@ -92,19 +92,17 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 		gu := unionColumns(op.GroupBy, pcols)
 		if len(gu) == len(op.GroupBy) {
 			// p references only group-by columns: commute.
-			agg, err := d.insertExpr(algebra.Aggregate{GroupBy: op.GroupBy, Aggs: op.Aggs},
-				[]*Group{base}, nil, true)
+			agg, err := d.insertLike(e, []*Group{base}, nil, true)
 			if err != nil {
 				return err
 			}
-			if _, err := d.insertExpr(algebra.Select{Pred: sop.Pred},
-				[]*Group{agg.Group.Find()}, e.Group.Find(), true); err != nil {
+			if _, err := d.insertLike(ce, []*Group{agg.Group.Find()}, e.Group.Find(), true); err != nil {
 				return err
 			}
 			continue
 		}
 		before := len(d.Groups)
-		inner, err := d.insertExpr(algebra.Aggregate{GroupBy: gu, Aggs: op.Aggs}, []*Group{base}, nil, true)
+		inner, err := d.insertOp(algebra.Aggregate{GroupBy: gu, Aggs: op.Aggs}, []*Group{base}, nil, true)
 		if err != nil {
 			return err
 		}
@@ -112,7 +110,7 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 		if len(d.Groups) > before {
 			ig.SubsumpNode = true
 		}
-		sel, err := d.insertExpr(algebra.Select{Pred: sop.Pred}, []*Group{ig}, nil, true)
+		sel, err := d.insertLike(ce, []*Group{ig}, nil, true)
 		if err != nil {
 			return err
 		}
@@ -120,7 +118,7 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 		for i, a := range op.Aggs {
 			reaggs[i] = algebra.AggExpr{Func: a.Func.Reaggregate(), Arg: algebra.ColExpr{C: a.As}, As: a.As}
 		}
-		if _, err := d.insertExpr(algebra.Aggregate{GroupBy: op.GroupBy, Aggs: reaggs},
+		if _, err := d.insertOp(algebra.Aggregate{GroupBy: op.GroupBy, Aggs: reaggs},
 			[]*Group{sel.Group.Find()}, e.Group.Find(), true); err != nil {
 			return err
 		}
@@ -130,12 +128,12 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 
 // ruleJoinCommute adds the commuted join A⋈B → B⋈A under the same
 // equivalence node.
-func (d *DAG) ruleJoinCommute(e *Expr, op algebra.Join) error {
+func (d *DAG) ruleJoinCommute(e *Expr) error {
 	if e.commuted {
 		return nil
 	}
 	e.commuted = true
-	ne, err := d.insertExpr(algebra.Join{Pred: op.Pred}, []*Group{e.Children[1], e.Children[0]}, e.Group, e.Subsumption)
+	ne, err := d.insertLike(e, []*Group{e.Children[1], e.Children[0]}, e.Group, e.Subsumption)
 	if err != nil {
 		return err
 	}
@@ -147,29 +145,35 @@ func (d *DAG) ruleJoinCommute(e *Expr, op algebra.Join) error {
 // predicate so that conjuncts referring only to B∪C move into the lower
 // join. Derivations that would introduce a cross product are skipped unless
 // the combined predicate itself is empty (pure cross-product query).
-func (d *DAG) ruleJoinAssociate(e *Expr, op algebra.Join) error {
+func (d *DAG) ruleJoinAssociate(e *Expr) error {
 	left := e.Children[0].Find()
 	right := e.Children[1].Find()
-	// Copy the expression list: insertions during iteration may grow it.
-	lexprs := append([]*Expr(nil), left.Exprs...)
-	for _, le := range lexprs {
-		lop, ok := le.Op.(algebra.Join)
-		if !ok || d.fp[le.fp] != le {
+	pBC, pTop := &d.scratch[0], &d.scratch[1]
+	for _, le := range d.snapshot(left) {
+		if le.key.kind != kindJoin || le.dropped {
 			continue
 		}
 		gA := le.Children[0].Find()
 		gB := le.Children[1].Find()
-		combined := lop.Pred.And(op.Pred)
-		inBC := func(c algebra.Column) bool { return gB.Schema.Has(c) || right.Schema.Has(c) }
-		pBC, pTop := combined.SplitByColumns(inBC)
-		if pBC.IsTrue() && !combined.IsTrue() {
+		pBC.reset()
+		pTop.reset()
+		for _, p := range [2]pred{le.pred, e.pred} {
+			for i, id := range p.ids {
+				if d.in.clauseCols[id].within(gB.cols, right.cols) {
+					pBC.add(p, i)
+				} else {
+					pTop.add(p, i)
+				}
+			}
+		}
+		if len(pBC.ids) == 0 && len(pTop.ids) > 0 {
 			continue // would create a cross product
 		}
-		bcExpr, err := d.insertExpr(algebra.Join{Pred: pBC}, []*Group{gB, right}, nil, false)
+		bcExpr, err := d.insertPred(kindJoin, pBC, []*Group{gB, right}, nil, false)
 		if err != nil {
 			return err
 		}
-		if _, err := d.insertExpr(algebra.Join{Pred: pTop}, []*Group{gA, bcExpr.Group.Find()}, e.Group, false); err != nil {
+		if _, err := d.insertPred(kindJoin, pTop, []*Group{gA, bcExpr.Group.Find()}, e.Group, false); err != nil {
 			return err
 		}
 	}
@@ -178,16 +182,17 @@ func (d *DAG) ruleJoinAssociate(e *Expr, op algebra.Join) error {
 
 // ruleSelectMerge collapses σp(σq(E)) into σ(p∧q)(E) as an alternative
 // derivation.
-func (d *DAG) ruleSelectMerge(e *Expr, op algebra.Select) error {
+func (d *DAG) ruleSelectMerge(e *Expr) error {
 	child := e.Children[0].Find()
-	cexprs := append([]*Expr(nil), child.Exprs...)
-	for _, ce := range cexprs {
-		cop, ok := ce.Op.(algebra.Select)
-		if !ok || d.fp[ce.fp] != ce {
+	merged := &d.scratch[0]
+	for _, ce := range d.snapshot(child) {
+		if ce.key.kind != kindSelect || ce.dropped {
 			continue
 		}
-		merged := op.Pred.And(cop.Pred)
-		if _, err := d.insertExpr(algebra.Select{Pred: merged}, []*Group{ce.Children[0]}, e.Group, false); err != nil {
+		merged.reset()
+		merged.addAll(e.pred)
+		merged.addAll(ce.pred)
+		if _, err := d.insertPred(kindSelect, merged, []*Group{ce.Children[0]}, e.Group, false); err != nil {
 			return err
 		}
 	}
@@ -196,40 +201,48 @@ func (d *DAG) ruleSelectMerge(e *Expr, op algebra.Select) error {
 
 // ruleSelectPushdown rewrites σp(A⋈B): conjuncts of p covered by one side
 // are pushed onto that side, the remainder merges into the join predicate.
-func (d *DAG) ruleSelectPushdown(e *Expr, op algebra.Select) error {
+func (d *DAG) ruleSelectPushdown(e *Expr) error {
 	child := e.Children[0].Find()
-	cexprs := append([]*Expr(nil), child.Exprs...)
-	for _, ce := range cexprs {
-		jop, ok := ce.Op.(algebra.Join)
-		if !ok || d.fp[ce.fp] != ce {
+	pA, pB, pJoin := &d.scratch[0], &d.scratch[1], &d.scratch[2]
+	for _, ce := range d.snapshot(child) {
+		if ce.key.kind != kindJoin || ce.dropped {
 			continue
 		}
 		gA := ce.Children[0].Find()
 		gB := ce.Children[1].Find()
-		pA, rest := op.Pred.SplitByColumns(gA.Schema.Has)
-		pB, pJoin := rest.SplitByColumns(gB.Schema.Has)
+		pA.reset()
+		pB.reset()
+		pJoin.reset()
+		pJoin.addAll(ce.pred)
+		for i, id := range e.pred.ids {
+			switch cols := d.in.clauseCols[id]; {
+			case cols.within(gA.cols, nil):
+				pA.add(e.pred, i)
+			case cols.within(gB.cols, nil):
+				pB.add(e.pred, i)
+			default:
+				pJoin.add(e.pred, i)
+			}
+		}
 		newA, newB := gA, gB
-		var err error
-		if !pA.IsTrue() {
-			var ae *Expr
-			ae, err = d.insertExpr(algebra.Select{Pred: pA}, []*Group{gA}, nil, false)
+		if len(pA.ids) > 0 {
+			ae, err := d.insertPred(kindSelect, pA, []*Group{gA}, nil, false)
 			if err != nil {
 				return err
 			}
 			newA = ae.Group.Find()
 		}
-		if !pB.IsTrue() {
-			var be *Expr
-			be, err = d.insertExpr(algebra.Select{Pred: pB}, []*Group{gB}, nil, false)
+		if len(pB.ids) > 0 {
+			be, err := d.insertPred(kindSelect, pB, []*Group{gB}, nil, false)
 			if err != nil {
 				return err
 			}
 			newB = be.Group.Find()
 		}
-		if newA == gA && newB == gB && pJoin.IsTrue() {
+		if newA == gA && newB == gB && len(pJoin.ids) == len(ce.pred.ids) {
 			continue // nothing pushed
 		}
-		if _, err := d.insertExpr(algebra.Join{Pred: jop.Pred.And(pJoin)}, []*Group{newA, newB}, e.Group, false); err != nil {
+		if _, err := d.insertPred(kindJoin, pJoin, []*Group{newA, newB}, e.Group, false); err != nil {
 			return err
 		}
 	}

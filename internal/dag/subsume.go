@@ -21,11 +21,7 @@ import (
 // Subsume enqueues new expressions; call Expand again afterwards so
 // transformation rules see them, then Finalize.
 func (d *DAG) Subsume() error {
-	type selEntry struct {
-		e    *Expr
-		pred algebra.Predicate
-	}
-	selsByChild := map[*Group][]selEntry{}
+	selsByChild := map[*Group][]*Expr{}
 	type aggEntry struct {
 		e  *Expr
 		op algebra.Aggregate
@@ -40,7 +36,7 @@ func (d *DAG) Subsume() error {
 			switch op := e.Op.(type) {
 			case algebra.Select:
 				c := e.Children[0].Find()
-				selsByChild[c] = append(selsByChild[c], selEntry{e: e, pred: op.Pred})
+				selsByChild[c] = append(selsByChild[c], e)
 			case algebra.Aggregate:
 				c := e.Children[0].Find()
 				aggsByChild[c] = append(aggsByChild[c], aggEntry{e: e, op: op})
@@ -55,13 +51,12 @@ func (d *DAG) Subsume() error {
 				if i == j {
 					continue
 				}
-				p, q := sels[i].pred, sels[j].pred
-				if p.Fingerprint() == q.Fingerprint() || !p.Implies(q) {
+				p, q := sels[i].pred.predicate(), sels[j].pred.predicate()
+				if sels[i].key.op == sels[j].key.op || !p.Implies(q) { // same predicate, or no containment
 					continue
 				}
 				// σp(E) ≡ σp(σq(E)): derive group(i) from group(j).
-				if _, err := d.insertExpr(algebra.Select{Pred: p},
-					[]*Group{sels[j].e.Group.Find()}, sels[i].e.Group.Find(), true); err != nil {
+				if _, err := d.insertLike(sels[i], []*Group{sels[j].Group.Find()}, sels[i].Group.Find(), true); err != nil {
 					return err
 				}
 			}
@@ -73,12 +68,11 @@ func (d *DAG) Subsume() error {
 		type eqSel struct {
 			e *Expr
 			v algebra.Value
-			p algebra.Predicate
 		}
 		byCol := map[algebra.Column][]eqSel{}
 		for _, s := range sels {
-			if col, op, v, ok := s.pred.SingleColumnRange(); ok && op == algebra.EQ {
-				byCol[col] = append(byCol[col], eqSel{e: s.e, v: v, p: s.pred})
+			if col, op, v, ok := s.pred.predicate().SingleColumnRange(); ok && op == algebra.EQ {
+				byCol[col] = append(byCol[col], eqSel{e: s, v: v})
 			}
 		}
 		for col, group := range byCol {
@@ -99,7 +93,7 @@ func (d *DAG) Subsume() error {
 				continue
 			}
 			sort.Slice(vals, func(i, j int) bool { return algebra.Compare(vals[i], vals[j]) < 0 })
-			disj, err := d.insertExpr(algebra.Select{Pred: algebra.OrValues(col, algebra.EQ, vals)},
+			disj, err := d.insertOp(algebra.Select{Pred: algebra.OrValues(col, algebra.EQ, vals)},
 				[]*Group{child}, nil, true)
 			if err != nil {
 				return err
@@ -110,7 +104,7 @@ func (d *DAG) Subsume() error {
 				if m.e.Group.Find() == dg {
 					continue
 				}
-				if _, err := d.insertExpr(algebra.Select{Pred: m.p}, []*Group{dg}, m.e.Group.Find(), true); err != nil {
+				if _, err := d.insertLike(m.e, []*Group{dg}, m.e.Group.Find(), true); err != nil {
 					return err
 				}
 			}
@@ -169,7 +163,7 @@ func (d *DAG) subsumeAggPair(child *Group, e1 *Expr, a1 algebra.Aggregate, e2 *E
 			merged = append(merged, a)
 		}
 	}
-	ue, err := d.insertExpr(algebra.Aggregate{GroupBy: union, Aggs: merged}, []*Group{child}, nil, true)
+	ue, err := d.insertOp(algebra.Aggregate{GroupBy: union, Aggs: merged}, []*Group{child}, nil, true)
 	if err != nil {
 		return err
 	}
@@ -186,7 +180,7 @@ func (d *DAG) subsumeAggPair(child *Group, e1 *Expr, a1 algebra.Aggregate, e2 *E
 		for i, a := range pair.op.Aggs {
 			reaggs[i] = algebra.AggExpr{Func: a.Func.Reaggregate(), Arg: algebra.ColExpr{C: a.As}, As: a.As}
 		}
-		if _, err := d.insertExpr(algebra.Aggregate{GroupBy: pair.op.GroupBy, Aggs: reaggs},
+		if _, err := d.insertOp(algebra.Aggregate{GroupBy: pair.op.GroupBy, Aggs: reaggs},
 			[]*Group{ug}, pair.e.Group.Find(), true); err != nil {
 			return err
 		}
