@@ -1,11 +1,10 @@
-// Command mqobench regenerates the paper's experiments. With no flags it
-// runs every experiment; -experiment selects one of: fig6, q2ni, fig7,
-// fig8, fig9, fig10, monotonicity, sharability, nosharing, memory, scale,
-// space, parallel, multipick, calibrate, resultcache, ssb, observe, tiered,
-// paramcache.
+// Command mqobench regenerates the paper's experiments (§6: Figures 6-10,
+// the §6.3 ablations, the §6.4 sensitivity checks) plus the observability
+// overhead measurement. With no flags it runs every experiment; -experiment
+// selects one by name (-h lists them).
 // With -json the results are emitted as a machine-readable JSON array
 // (one element per experiment) instead of the human-readable tables —
-// the format CI archives as a benchmark trajectory.
+// the format CI archives as BENCH_paper.json.
 //
 //	mqobench -experiment fig6
 //	mqobench -experiment fig6 -json > fig6.json
@@ -16,29 +15,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
+	"strings"
 
 	"mqo/internal/bench"
 )
 
 func main() {
-	which := flag.String("experiment", "all", "experiment to run (fig6|q2ni|fig7|fig8|fig9|fig10|monotonicity|sharability|nosharing|memory|scale|space|parallel|multipick|calibrate|resultcache|ssb|observe|tiered|paramcache|all)")
 	maxCQ := flag.Int("maxcq", 3, "largest PSP composite for the ablation experiments (1-5)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for the parallel what-if costing, multi-pick and calibration experiments")
-	multipick := flag.Int("multipick", 4, "multi-pick width k for the multipick experiment")
-	rcBudget := flag.Int64("rcbudget", 16<<20, "result-cache byte budget for the resultcache and ssb experiments")
-	rcRAM := flag.Int64("rcram", 0, "tiered experiment's tight RAM budget in bytes (0: auto, smaller than the SSB working set)")
-	rcWarm := flag.Int64("rcwarm", 0, "tiered experiment's warm-tier budget in bytes (0: 16 MB)")
-	sf := flag.Float64("sf", 0.01, "scale factor for the ssb experiment's generated data")
-	seed := flag.Int64("seed", 11, "generator seed for the ssb experiment")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	flag.Parse()
-
-	type runner struct {
+	runners := []struct {
 		name string
 		run  func() (*bench.Experiment, error)
-	}
-	runners := []runner{
+	}{
 		{"fig6", bench.Figure6},
 		{"q2ni", bench.Q2NotIn},
 		{"fig7", bench.Figure7},
@@ -51,18 +39,19 @@ func main() {
 		{"memory", bench.MemorySensitivity},
 		{"scale", bench.ScaleSensitivity},
 		{"space", bench.SpaceBudgetCurve},
-		{"parallel", func() (*bench.Experiment, error) { return bench.ParallelSpeedup(*parallel) }},
-		{"multipick", func() (*bench.Experiment, error) { return bench.MultiPickSpeedup(*parallel, *multipick) }},
-		{"calibrate", func() (*bench.Experiment, error) { return bench.Calibrate(*parallel) }},
-		{"resultcache", func() (*bench.Experiment, error) { return bench.ResultCacheReplay(*rcBudget) }},
-		{"ssb", func() (*bench.Experiment, error) { return bench.SSB(*sf, *seed, *rcBudget) }},
-		{"observe", func() (*bench.Experiment, error) { return bench.Observe(*sf, *seed) }},
-		{"tiered", func() (*bench.Experiment, error) {
-			return bench.TieredReplay(*sf, *seed, *rcRAM, *rcWarm)
-		}},
-		{"paramcache", func() (*bench.Experiment, error) {
-			return bench.ParamCache(*sf, *seed, *rcBudget)
-		}},
+		{"observe", bench.Observe},
+	}
+	names := make([]string, len(runners))
+	for i, r := range runners {
+		names[i] = r.name
+	}
+	valid := strings.Join(names, "|") + "|all"
+
+	which := flag.String("experiment", "all", "experiment to run ("+valid+")")
+	flag.Parse()
+	if *maxCQ < 1 || *maxCQ > 5 {
+		fmt.Fprintf(os.Stderr, "mqobench: -maxcq %d outside 1-5\n", *maxCQ)
+		os.Exit(2)
 	}
 
 	var results []*bench.Experiment
@@ -81,7 +70,7 @@ func main() {
 		results = append(results, exp)
 	}
 	if len(results) == 0 {
-		fmt.Fprintf(os.Stderr, "mqobench: unknown experiment %q\n", *which)
+		fmt.Fprintf(os.Stderr, "mqobench: unknown experiment %q (want %s)\n", *which, valid)
 		os.Exit(2)
 	}
 	if *asJSON {

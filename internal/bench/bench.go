@@ -3,13 +3,16 @@
 // optimization times per algorithm (Figures 6, 8, 9), measured execution
 // with and without MQO (Figure 7), the greedy complexity counters
 // (Figure 10), the §6.3 optimization ablations, and the §6.4 no-sharing
-// overhead, memory- and data-scale sensitivity checks. cmd/mqobench and the
-// root bench_test.go are thin wrappers over this package.
+// overhead, memory- and data-scale sensitivity checks — and, beside them,
+// Observe, the instrumentation-overhead measurement CI gates. Wall-clock
+// performance is measured by the benchmark/ module, not here. cmd/mqobench
+// and the root bench_test.go are thin wrappers over this package.
 package bench
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -18,7 +21,6 @@ import (
 	"mqo/internal/core"
 	"mqo/internal/cost"
 	"mqo/internal/exec"
-	"mqo/internal/physical"
 	"mqo/internal/psp"
 	"mqo/internal/storage"
 	"mqo/internal/tpcd"
@@ -256,17 +258,16 @@ func Figure10() (*Experiment, error) {
 	return e, nil
 }
 
-// AblationMonotonicity regenerates the §6.3 monotonicity experiment:
-// benefit recomputations and optimization time with and without the
-// monotonicity heuristic on CQ1..CQ3 (the paper reports ~45 vs ~1558
-// recomputations per materialization at CQ2, 7 s vs 77 s).
-func AblationMonotonicity(maxCQ int) (*Experiment, error) {
+// ablation optimizes CQ1..CQmaxCQ with Greedy as configured by default and
+// with the ablated options, one row per composite: cells [0] default, [1]
+// ablated, Extra whatever counters the ablation compares.
+func ablation(e *Experiment, maxCQ int, ablated core.GreedyOptions,
+	extra func(with, without core.Stats) map[string]float64) (*Experiment, error) {
 	if maxCQ < 1 || maxCQ > 5 {
-		maxCQ = 3
+		return nil, fmt.Errorf("maxCQ %d outside 1-5", maxCQ)
 	}
 	cat := psp.Catalog(1)
 	model := cost.DefaultModel()
-	e := &Experiment{Name: "monotonicity", Title: "§6.3: Monotonicity heuristic ablation (PSP)"}
 	for i := 1; i <= maxCQ; i++ {
 		pd, err := core.BuildDAG(cat, model, psp.CQ(i))
 		if err != nil {
@@ -276,8 +277,7 @@ func AblationMonotonicity(maxCQ int) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		without, err := core.Optimize(context.Background(), pd, core.Greedy,
-			core.Options{Greedy: core.GreedyOptions{DisableMonotonicity: true}})
+		without, err := core.Optimize(context.Background(), pd, core.Greedy, core.Options{Greedy: ablated})
 		if err != nil {
 			return nil, err
 		}
@@ -287,54 +287,43 @@ func AblationMonotonicity(maxCQ int) (*Experiment, error) {
 				{Alg: core.Greedy, Cost: with.Cost, OptTime: with.Stats.OptTime, Stats: with.Stats},
 				{Alg: core.Greedy, Cost: without.Cost, OptTime: without.Stats.OptTime, Stats: without.Stats},
 			},
-			Extra: map[string]float64{
-				"with_benefit_recomps":    float64(with.Stats.BenefitRecomputations),
-				"without_benefit_recomps": float64(without.Stats.BenefitRecomputations),
-			},
+			Extra: extra(with.Stats, without.Stats),
 		})
 	}
-	e.Notes = append(e.Notes,
-		"Cells: [0] with monotonicity, [1] without. Plan costs must match (the paper found identical plans).")
 	return e, nil
 }
 
-// AblationSharability regenerates the §6.3 sharability experiment:
-// optimization time with the sharability filter on and off.
-func AblationSharability(maxCQ int) (*Experiment, error) {
-	if maxCQ < 1 || maxCQ > 5 {
-		maxCQ = 3
-	}
-	cat := psp.Catalog(1)
-	model := cost.DefaultModel()
-	e := &Experiment{Name: "sharability", Title: "§6.3: Sharability computation ablation (PSP)"}
-	for i := 1; i <= maxCQ; i++ {
-		pd, err := core.BuildDAG(cat, model, psp.CQ(i))
-		if err != nil {
-			return nil, err
-		}
-		with, err := core.Optimize(context.Background(), pd, core.Greedy, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		without, err := core.Optimize(context.Background(), pd, core.Greedy,
-			core.Options{Greedy: core.GreedyOptions{DisableSharability: true}})
-		if err != nil {
-			return nil, err
-		}
-		e.Rows = append(e.Rows, Row{
-			Label: fmt.Sprintf("CQ%d", i),
-			Cells: []Cell{
-				{Alg: core.Greedy, Cost: with.Cost, OptTime: with.Stats.OptTime, Stats: with.Stats},
-				{Alg: core.Greedy, Cost: without.Cost, OptTime: without.Stats.OptTime, Stats: without.Stats},
-			},
-			Extra: map[string]float64{
-				"with_candidates":    float64(with.Stats.Candidates),
-				"without_candidates": float64(without.Stats.Candidates),
-			},
+// AblationMonotonicity regenerates the §6.3 monotonicity experiment:
+// benefit recomputations and optimization time with and without the
+// monotonicity heuristic on CQ1..CQmaxCQ, maxCQ in 1..5 (the paper reports
+// ~45 vs ~1558 recomputations per materialization at CQ2, 7 s vs 77 s).
+func AblationMonotonicity(maxCQ int) (*Experiment, error) {
+	e := &Experiment{Name: "monotonicity", Title: "§6.3: Monotonicity heuristic ablation (PSP)"}
+	e.Notes = append(e.Notes,
+		"Cells: [0] with monotonicity, [1] without (every benefit recomputed every round). Measured: benefit recomputations and optimization time.",
+		"Plan costs are equal on CQ1-2; from CQ3 on the exhaustive loop finds a set up to 0.31% cheaper (CQ3 750.0 vs 748.0; the paper found identical plans).")
+	return ablation(e, maxCQ, core.GreedyOptions{DisableMonotonicity: true},
+		func(with, without core.Stats) map[string]float64 {
+			return map[string]float64{
+				"with_benefit_recomps":    float64(with.BenefitRecomputations),
+				"without_benefit_recomps": float64(without.BenefitRecomputations),
+			}
 		})
-	}
+}
+
+// AblationSharability regenerates the §6.3 sharability experiment:
+// optimization time with the sharability filter on and off, on
+// CQ1..CQmaxCQ, maxCQ in 1..5.
+func AblationSharability(maxCQ int) (*Experiment, error) {
+	e := &Experiment{Name: "sharability", Title: "§6.3: Sharability computation ablation (PSP)"}
 	e.Notes = append(e.Notes, "Cells: [0] with sharability filter, [1] all nodes candidates.")
-	return e, nil
+	return ablation(e, maxCQ, core.GreedyOptions{DisableSharability: true},
+		func(with, without core.Stats) map[string]float64 {
+			return map[string]float64{
+				"with_candidates":    float64(with.Candidates),
+				"without_candidates": float64(without.Candidates),
+			}
+		})
 }
 
 // NoSharingOverhead regenerates the §6.4 overhead experiment: the BQ5 batch
@@ -482,363 +471,6 @@ func SpaceBudgetCurve() (*Experiment, error) {
 	return e, nil
 }
 
-// ParallelSpeedup measures what concurrent what-if costing buys on the
-// TPC-D batch workload BQ5: greedy optimization wall-clock and benefit
-// recomputation counts, serial (Parallelism 1) vs parallel at the given
-// worker count, for both the monotonic heap loop and the exhaustive
-// (DisableMonotonicity) benefit loop — the §6.3 worst case, where nearly
-// all optimization time is candidate benefit recomputation. Both modes
-// must produce the identical plan cost; the parallel rows report the
-// speedup over their serial counterpart. This is the experiment CI
-// archives as BENCH_3.json.
-func ParallelSpeedup(workers int) (*Experiment, error) {
-	if workers < 2 {
-		workers = 2
-	}
-	cat := tpcd.Catalog(1)
-	model := cost.DefaultModel()
-	queries := tpcd.BatchQueries(5)
-	pd, err := core.BuildDAG(cat, model, queries)
-	if err != nil {
-		return nil, err
-	}
-
-	e := &Experiment{Name: "parallel", Title: fmt.Sprintf("Concurrent what-if costing: BQ5, serial vs %d workers", workers)}
-	run := func(opt core.Options) (*core.Result, time.Duration, error) {
-		// Best of three: wall-clock is the quantity under test.
-		var best *core.Result
-		var bestWall time.Duration
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			res, err := core.Optimize(context.Background(), pd, core.Greedy, opt)
-			if err != nil {
-				return nil, 0, err
-			}
-			wall := time.Since(start)
-			if best == nil || wall < bestWall {
-				best, bestWall = res, wall
-			}
-		}
-		return best, bestWall, nil
-	}
-	for _, mode := range []struct {
-		label string
-		opt   core.Options
-	}{
-		{"monotonic", core.Options{}},
-		{"exhaustive", core.Options{Greedy: core.GreedyOptions{DisableMonotonicity: true}}},
-	} {
-		serialOpt, parallelOpt := mode.opt, mode.opt
-		serialOpt.Parallelism = 1
-		parallelOpt.Parallelism = workers
-		serial, serialWall, err := run(serialOpt)
-		if err != nil {
-			return nil, err
-		}
-		parallel, parallelWall, err := run(parallelOpt)
-		if err != nil {
-			return nil, err
-		}
-		if serial.Cost != parallel.Cost {
-			return nil, fmt.Errorf("parallel plan cost %v diverged from serial %v (%s)", parallel.Cost, serial.Cost, mode.label)
-		}
-		e.Rows = append(e.Rows, Row{
-			Label: mode.label,
-			Cells: []Cell{
-				{Alg: core.Greedy, Cost: serial.Cost, OptTime: serialWall, Stats: serial.Stats},
-				{Alg: core.Greedy, Cost: parallel.Cost, OptTime: parallelWall, Stats: parallel.Stats},
-			},
-			Extra: map[string]float64{
-				"workers":                  float64(workers),
-				"serial_wall_ms":           float64(serialWall.Microseconds()) / 1000,
-				"parallel_wall_ms":         float64(parallelWall.Microseconds()) / 1000,
-				"speedup_x":                float64(serialWall) / float64(parallelWall),
-				"serial_benefit_recomps":   float64(serial.Stats.BenefitRecomputations),
-				"parallel_benefit_recomps": float64(parallel.Stats.BenefitRecomputations),
-			},
-		})
-	}
-	e.Notes = append(e.Notes,
-		"Cells: [0] Parallelism=1, [1] Parallelism=workers. Costs are required to match: parallelism is a wall-clock knob, never a plan knob.",
-		"Speedup needs real cores: on a single-CPU host speedup_x ≈ 1 and only the overhead of the fan-out is visible.")
-	return e, nil
-}
-
-// MultiPickSpeedup measures what the speculative multi-pick engine and the
-// overlay-hosted Volcano-RU order passes buy. The greedy rows run on a
-// multi-tenant workload — independent per-tenant copies of the BQ1 batch,
-// the shape the micro-batching service produces — where every wave can
-// commit one pick per tenant: single-pick (k=1) vs multi-pick (k) wall
-// clock, benefit recomputations, evaluation waves and speculative-pick
-// counts, for both the monotonic and the exhaustive greedy loop. The
-// volcano-ru row runs BQ5 with the forward/reverse order passes serial vs
-// concurrent on private CostViews. Every mode pair must agree on plan cost
-// and (as a set) on the materialized nodes; the experiment errors out
-// otherwise. This is the experiment CI archives as BENCH_4.json.
-func MultiPickSpeedup(workers, k int) (*Experiment, error) {
-	if k < 2 {
-		k = 2
-	}
-	const tenants = 6
-	model := cost.DefaultModel()
-
-	e := &Experiment{Name: "multipick", Title: fmt.Sprintf(
-		"Speculative multi-pick (k=%d, %d tenants) and concurrent Volcano-RU", k, tenants)}
-
-	run := func(pd *physical.DAG, alg core.Algorithm, opt core.Options) (*core.Result, time.Duration, error) {
-		// Best of three: wall-clock is the quantity under test.
-		var best *core.Result
-		var bestWall time.Duration
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			res, err := core.Optimize(context.Background(), pd, alg, opt)
-			if err != nil {
-				return nil, 0, err
-			}
-			wall := time.Since(start)
-			if best == nil || wall < bestWall {
-				best, bestWall = res, wall
-			}
-		}
-		return best, bestWall, nil
-	}
-	sameSet := func(a, b *core.Result) bool {
-		if len(a.Materialized) != len(b.Materialized) {
-			return false
-		}
-		ids := map[int]int{}
-		for _, m := range a.Materialized {
-			ids[m.ID]++
-		}
-		for _, m := range b.Materialized {
-			ids[m.ID]--
-		}
-		for _, c := range ids {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-
-	tenantDAG, err := core.BuildDAG(tpcd.TenantCatalog(1, tenants), model, tpcd.TenantBatch(1, tenants))
-	if err != nil {
-		return nil, err
-	}
-	for _, mode := range []struct {
-		label string
-		opt   core.Options
-	}{
-		{"monotonic", core.Options{Parallelism: workers}},
-		{"exhaustive", core.Options{Greedy: core.GreedyOptions{DisableMonotonicity: true}, Parallelism: workers}},
-	} {
-		singleOpt, multiOpt := mode.opt, mode.opt
-		singleOpt.MultiPick = 1
-		multiOpt.MultiPick = k
-		single, singleWall, err := run(tenantDAG, core.Greedy, singleOpt)
-		if err != nil {
-			return nil, err
-		}
-		multi, multiWall, err := run(tenantDAG, core.Greedy, multiOpt)
-		if err != nil {
-			return nil, err
-		}
-		if single.Cost != multi.Cost || !sameSet(single, multi) {
-			return nil, fmt.Errorf("multi-pick diverged from single-pick (%s): cost %v vs %v",
-				mode.label, multi.Cost, single.Cost)
-		}
-		e.Rows = append(e.Rows, Row{
-			Label: mode.label,
-			Cells: []Cell{
-				{Alg: core.Greedy, Cost: single.Cost, OptTime: singleWall, Stats: single.Stats},
-				{Alg: core.Greedy, Cost: multi.Cost, OptTime: multiWall, Stats: multi.Stats},
-			},
-			Extra: map[string]float64{
-				"k":                      float64(k),
-				"workers":                float64(workers),
-				"single_wall_ms":         float64(singleWall.Microseconds()) / 1000,
-				"multi_wall_ms":          float64(multiWall.Microseconds()) / 1000,
-				"speedup_x":              float64(singleWall) / float64(multiWall),
-				"single_benefit_recomps": float64(single.Stats.BenefitRecomputations),
-				"multi_benefit_recomps":  float64(multi.Stats.BenefitRecomputations),
-				"single_eval_waves":      float64(single.Stats.EvalWaves),
-				"multi_eval_waves":       float64(multi.Stats.EvalWaves),
-				"speculative_picks":      float64(multi.Stats.SpeculativePicks),
-			},
-		})
-	}
-
-	// Concurrent Volcano-RU: forward/reverse passes on private CostViews.
-	ruDAG, err := core.BuildDAG(tpcd.Catalog(1), model, tpcd.BatchQueries(5))
-	if err != nil {
-		return nil, err
-	}
-	ruSerial, ruSerialWall, err := run(ruDAG, core.VolcanoRU, core.Options{Parallelism: 1})
-	if err != nil {
-		return nil, err
-	}
-	ruConc, ruConcWall, err := run(ruDAG, core.VolcanoRU, core.Options{Parallelism: 2})
-	if err != nil {
-		return nil, err
-	}
-	if ruSerial.Cost != ruConc.Cost || !sameSet(ruSerial, ruConc) {
-		return nil, fmt.Errorf("concurrent volcano-ru diverged from serial: cost %v vs %v",
-			ruConc.Cost, ruSerial.Cost)
-	}
-	e.Rows = append(e.Rows, Row{
-		Label: "volcano-ru",
-		Cells: []Cell{
-			{Alg: core.VolcanoRU, Cost: ruSerial.Cost, OptTime: ruSerialWall, Stats: ruSerial.Stats},
-			{Alg: core.VolcanoRU, Cost: ruConc.Cost, OptTime: ruConcWall, Stats: ruConc.Stats},
-		},
-		Extra: map[string]float64{
-			"serial_wall_ms":   float64(ruSerialWall.Microseconds()) / 1000,
-			"parallel_wall_ms": float64(ruConcWall.Microseconds()) / 1000,
-			"speedup_x":        float64(ruSerialWall) / float64(ruConcWall),
-		},
-	})
-
-	e.Notes = append(e.Notes,
-		"Greedy rows: cells [0] MultiPick=1, [1] MultiPick=k; costs and materialized sets are required to match — speculation is a wall-clock knob, never a plan knob.",
-		"volcano-ru row: cells [0] Parallelism=1 (sequential order passes), [1] Parallelism=2 (forward/reverse concurrently on private CostViews).",
-		"Speedup needs real cores: on a single-CPU host the recomputation savings (multi_benefit_recomps vs single_benefit_recomps) are the portable signal.")
-	return e, nil
-}
-
-// Calibrate measures the three search phases — greedy benefit waves,
-// sharability analysis, Volcano-RU order passes — serial versus fanned out
-// across workload scales, and derives per-phase serial/fan-out crossover
-// constants with core.DeriveCalibration: the automation that replaces
-// hand-picking one shared constant off the BENCH_3/BENCH_4 artifacts. One
-// row per (phase, workload) measurement; the derived crossovers land in
-// the "derived" row's Extra (0 = phase had no measurements). The
-// measurements use the same work-estimate formula as the auto-tuner
-// (items × DAG nodes), so the derived constants drop straight into
-// core.SetCalibration.
-func Calibrate(workers int) (*Experiment, error) {
-	if workers < 2 {
-		workers = 2
-	}
-	model := cost.DefaultModel()
-	e := &Experiment{Name: "calibrate", Title: fmt.Sprintf("Per-phase auto-tune calibration (serial vs %d workers)", workers)}
-
-	timeIt := func(f func() error) (time.Duration, error) {
-		best := time.Duration(0)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if err := f(); err != nil {
-				return 0, err
-			}
-			if wall := time.Since(start); best == 0 || wall < best {
-				best = wall
-			}
-		}
-		return best, nil
-	}
-
-	var points []core.CalibrationPoint
-	type workload struct {
-		label   string
-		cat     *catalog.Catalog
-		queries []*algebra.Tree
-	}
-	workloads := []workload{
-		{"BQ1", tpcd.Catalog(1), tpcd.BatchQueries(1)},
-		{"BQ3", tpcd.Catalog(1), tpcd.BatchQueries(3)},
-		{"BQ5", tpcd.Catalog(1), tpcd.BatchQueries(5)},
-		{"CQ2", psp.Catalog(1), psp.CQ(2)},
-	}
-	for _, w := range workloads {
-		pd, err := core.BuildDAG(w.cat, model, w.queries)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.label, err)
-		}
-
-		// Benefit waves: exhaustive greedy is the §6.3 worst case, where
-		// nearly all time is candidate benefit recomputation.
-		var stats core.Stats
-		optTime := func(alg core.Algorithm, opt core.Options) (time.Duration, error) {
-			return timeIt(func() error {
-				res, err := core.Optimize(context.Background(), pd, alg, opt)
-				if err == nil {
-					stats = res.Stats
-				}
-				return err
-			})
-		}
-		exh := core.GreedyOptions{DisableMonotonicity: true}
-		serial, err := optTime(core.Greedy, core.Options{Greedy: exh, Parallelism: 1})
-		if err != nil {
-			return nil, err
-		}
-		parallel, err := optTime(core.Greedy, core.Options{Greedy: exh, Parallelism: workers})
-		if err != nil {
-			return nil, err
-		}
-		benefitUnits := stats.Candidates * stats.PhysNodes
-		points = append(points, core.CalibrationPoint{
-			Phase: core.PhaseBenefit, Units: benefitUnits,
-			SerialNS: serial.Nanoseconds(), ParallelNS: parallel.Nanoseconds(),
-		})
-		e.Rows = append(e.Rows, Row{Label: "benefit/" + w.label, Extra: map[string]float64{
-			"units": float64(benefitUnits), "workers": float64(workers), "serial_ms": ms(serial), "parallel_ms": ms(parallel),
-		}})
-
-		// Sharability: the §4.1 recurrences, one logical group per item.
-		shUnits := stats.DAGGroups * stats.DAGGroups
-		serial, err = timeIt(func() error { core.ComputeSharabilityN(pd, 1); return nil })
-		if err != nil {
-			return nil, err
-		}
-		parallel, err = timeIt(func() error { core.ComputeSharabilityN(pd, workers); return nil })
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, core.CalibrationPoint{
-			Phase: core.PhaseSharability, Units: shUnits,
-			SerialNS: serial.Nanoseconds(), ParallelNS: parallel.Nanoseconds(),
-		})
-		e.Rows = append(e.Rows, Row{Label: "sharability/" + w.label, Extra: map[string]float64{
-			"units": float64(shUnits), "workers": float64(workers), "serial_ms": ms(serial), "parallel_ms": ms(parallel),
-		}})
-
-		// Volcano-RU: forward/reverse order passes on private views. The
-		// phase has exactly two work items, so its fan-out is measured at
-		// 2 workers regardless of the caller's count — reported per row as
-		// "workers" so the artifact describes its own measurement.
-		ruUnits := stats.PhysNodes * len(w.queries)
-		serial, err = optTime(core.VolcanoRU, core.Options{Parallelism: 1})
-		if err != nil {
-			return nil, err
-		}
-		parallel, err = optTime(core.VolcanoRU, core.Options{Parallelism: 2})
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, core.CalibrationPoint{
-			Phase: core.PhaseRU, Units: ruUnits,
-			SerialNS: serial.Nanoseconds(), ParallelNS: parallel.Nanoseconds(),
-		})
-		e.Rows = append(e.Rows, Row{Label: "volcano-ru/" + w.label, Extra: map[string]float64{
-			"units": float64(ruUnits), "workers": 2, "serial_ms": ms(serial), "parallel_ms": ms(parallel),
-		}})
-	}
-
-	derived := core.DeriveCalibration(points)
-	row := Row{Label: "derived", Extra: map[string]float64{}}
-	for _, ph := range core.SearchPhases() {
-		row.Extra["crossover_"+ph.String()] = float64(derived.CrossoverUnits[ph])
-	}
-	e.Rows = append(e.Rows, row)
-	e.Notes = append(e.Notes,
-		"Apply with core.SetCalibration(core.DeriveCalibration(points)); zero crossovers mean 'no measurement, keep current'.",
-		"Wall-clock measurements need real cores: on a single-CPU host every phase loses and the derived crossovers sit above the measured range (stay serial).")
-	return e, nil
-}
-
-// ms converts a duration to milliseconds for Extra maps.
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
 // String renders the experiment as an aligned text table.
 func (e *Experiment) String() string {
 	var b strings.Builder
@@ -862,7 +494,7 @@ func (e *Experiment) String() string {
 			for k := range r.Extra {
 				keys = append(keys, k)
 			}
-			sortStrings(keys)
+			sort.Strings(keys)
 			fmt.Fprintf(&b, "    ")
 			for _, k := range keys {
 				fmt.Fprintf(&b, " %s=%.2f", k, r.Extra[k])
@@ -874,12 +506,4 @@ func (e *Experiment) String() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -22,14 +22,8 @@ import (
 // row carries the instrumented slowdown percentage CI gates at ≤5%, taken
 // over pairs of adjacent passes. Row counts must be identical in
 // both modes — instrumentation may observe the execution, never change it.
-// This is the experiment CI archives as BENCH_7.json.
-func Observe(sf float64, seed int64) (*Experiment, error) {
-	if sf <= 0 {
-		sf = 0.01
-	}
-	if seed == 0 {
-		seed = 11
-	}
+func Observe() (*Experiment, error) {
+	const sf, seed = 0.01, 11
 	model := cost.DefaultModel()
 	cat := ssb.Catalog(sf)
 	db := storage.NewDB(1024)

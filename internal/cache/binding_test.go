@@ -54,49 +54,17 @@ func windowSets(starts ...int64) []map[string]algebra.Value {
 	return sets
 }
 
-// runParamBatch drives one parameterized batch through the full cache life
-// cycle and returns the canonicalized rows plus the optimized plan string.
+// runParamBatch is runTicket for one parameterized query, returning the
+// canonicalized rows plus the optimized plan string.
 func runParamBatch(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalog,
 	q *algebra.Tree, sets []map[string]algebra.Value) ([]string, string) {
 	t.Helper()
-	model := cost.DefaultModel()
-	pd, err := core.BuildDAG(cat, model, []*algebra.Tree{q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ticket *Ticket
-	if m != nil {
-		ticket = m.Arm(pd, sets)
-	}
-	res, err := core.Optimize(context.Background(), pd, core.Greedy, core.Options{})
-	if err != nil {
-		if ticket != nil {
-			ticket.Abort()
-		}
-		t.Fatal(err)
-	}
-	env := &exec.Env{ParamSets: sets}
-	if ticket != nil {
-		env.Cache = &exec.CacheIO{
-			Spools:     ticket.PlanSpools(res.Plan),
-			BindSpools: ticket.BindingSpools(),
-		}
-	}
-	results, _, err := exec.Run(context.Background(), db, model, res.Plan, env)
-	if err != nil {
-		if ticket != nil {
-			ticket.Abort()
-		}
-		t.Fatalf("run: %v\nplan:\n%s", err, res.Plan)
-	}
-	if ticket != nil {
-		ticket.Commit()
-	}
+	results, _, plan, _ := runTicket(t, m, db, cat, []*algebra.Tree{q}, sets)
 	var rows []string
 	for _, qr := range results {
 		rows = append(rows, exec.Canonicalize(qr.Schema, qr.Rows)...)
 	}
-	return rows, res.Plan.String()
+	return rows, plan.String()
 }
 
 // TestBindingAdmissionRace races two batches with overlapping binding sets

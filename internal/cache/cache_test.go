@@ -70,38 +70,48 @@ func chain(tables []string, selConst int64) *algebra.Tree {
 	return t
 }
 
-// runBatch drives one batch through the store's full life cycle: arm,
-// optimize, decide spools, execute, commit. It returns the executed rows
-// and stats plus the numbers of CacheScan reads and spools.
-func runBatch(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalog,
-	queries ...*algebra.Tree) ([]exec.QueryResult, exec.RunStats, int, int) {
+// runTicket drives one batch through the store's full life cycle — arm,
+// optimize, decide spools, execute, commit — under the given binding sets;
+// a nil store runs it uncached. It returns the executed rows and stats, the
+// plan and the number of whole-expression spools.
+func runTicket(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalog,
+	queries []*algebra.Tree, sets []map[string]algebra.Value) ([]exec.QueryResult, exec.RunStats, *physical.Plan, int) {
 	t.Helper()
 	model := cost.DefaultModel()
 	pd, err := core.BuildDAG(cat, model, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticket := m.Arm(pd, nil)
+	ticket := m.Arm(pd, sets)
 	res, err := core.Optimize(context.Background(), pd, core.Greedy, core.Options{})
 	if err != nil {
 		ticket.Abort()
 		t.Fatal(err)
 	}
 	spools := ticket.PlanSpools(res.Plan)
-	results, stats, err := exec.Run(context.Background(), db, model, res.Plan,
-		&exec.Env{Cache: &exec.CacheIO{Spools: spools}})
+	results, stats, err := exec.Run(context.Background(), db, model, res.Plan, &exec.Env{
+		ParamSets: sets, Cache: &exec.CacheIO{Spools: spools, BindSpools: ticket.BindingSpools()}})
 	if err != nil {
 		ticket.Abort()
 		t.Fatalf("run: %v\nplan:\n%s", err, res.Plan)
 	}
 	ticket.Commit()
+	return results, stats, res.Plan, len(spools)
+}
+
+// runBatch is runTicket for a parameter-free batch, returning the executed
+// rows and stats plus the numbers of CacheScan reads and spools.
+func runBatch(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalog,
+	queries ...*algebra.Tree) ([]exec.QueryResult, exec.RunStats, int, int) {
+	t.Helper()
+	results, stats, plan, spools := runTicket(t, m, db, cat, queries, nil)
 	reads := map[string]bool{}
-	res.Plan.Root.Walk(func(pn *physical.PlanNode) {
+	plan.Root.Walk(func(pn *physical.PlanNode) {
 		if pn.E.Kind == physical.CacheScanOp {
 			reads[pn.E.CacheName] = true
 		}
 	})
-	return results, stats, len(reads), len(spools)
+	return results, stats, len(reads), spools
 }
 
 func TestCanonicalFingerprintsAcrossDAGs(t *testing.T) {

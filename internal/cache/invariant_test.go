@@ -206,10 +206,8 @@ func TestRandomTicketSequences(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := exec.Canonicalize(schema, rows)
-					got := exec.Canonicalize(results[i].Schema, results[i].Rows)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("query %d rows diverge from the reference\ngot:  %v\nwant: %v\nplan:\n%s", i, got, want, b.plan)
+					if !exec.EqualRows(results[i], exec.QueryResult{Schema: schema, Rows: rows}, 1e-9) {
+						t.Fatalf("query %d rows diverge from the reference\ngot:  %v\nwant: %v\nplan:\n%s", i, results[i].Rows, rows, b.plan)
 					}
 				}
 			}

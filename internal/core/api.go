@@ -88,10 +88,9 @@ type Options struct {
 	// overlay of the shared DAG), Volcano-RU's forward/reverse order
 	// passes (each on a private overlay), and the sharability analysis
 	// (one logical group per worker). 0 — the default — auto-tunes each
-	// phase: serial below the phase's calibrated crossover (work estimate
-	// = items × DAG nodes; per-phase constants in calibrate.go, derived
-	// from the BENCH_3/BENCH_4 artifacts and re-derivable at runtime with
-	// DeriveCalibration). 1 forces strictly serial execution;
+	// phase: serial below the phase's crossover (work estimate = items ×
+	// DAG nodes; the per-phase constants are in parallel.go). 1 forces
+	// strictly serial execution;
 	// n > 1 forces n workers. The materialization set, plan and cost are
 	// identical at every setting (selection breaks ties by benefit, then
 	// node topological order, and the speculation schedules are

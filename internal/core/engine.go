@@ -62,7 +62,7 @@ type searchEngine struct {
 // sizes the auto-tune work estimate (candidates × DAG nodes, the cost of
 // one full evaluation wave).
 func newSearchEngine(pd *physical.DAG, opts Options, numCandidates int) *searchEngine {
-	w := resolveWorkers(PhaseBenefit, opts.Parallelism, numCandidates*len(pd.Nodes))
+	w := resolveWorkers(benefitCrossover, opts.Parallelism, numCandidates*len(pd.Nodes))
 	k := opts.MultiPick
 	if k < 1 {
 		k = 1

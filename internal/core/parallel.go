@@ -20,42 +20,45 @@ import (
 const speculationWidth = 8
 
 // maxAutoWorkers caps auto-tuned fan-out: benefit evaluation saturates
-// memory bandwidth long before it saturates large core counts, and BENCH_3
-// showed no gain past 8 workers on the measured hosts.
+// memory bandwidth long before it saturates large core counts, and the
+// serial-vs-parallel BQ5 measurements showed no gain past 8 workers.
 const maxAutoWorkers = 8
 
-// autoParallelism picks a worker count for a phase with the given work
-// estimate: serial below the phase's calibrated crossover (see
-// calibrate.go), up to maxAutoWorkers hardware threads above it. The
-// choice affects wall-clock only — every worker count produces the
-// identical plan.
-func autoParallelism(ph SearchPhase, units int) int {
-	if units < CurrentCalibration().CrossoverUnits[ph] {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > maxAutoWorkers {
-		w = maxAutoWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// Serial/fan-out crossovers of the three search phases, in work units
+// (items × DAG nodes): a phase whose estimate falls below its crossover
+// runs serially, above it it fans out. They differ because the phases do
+// different work per unit, so one shared constant mis-tunes two of the
+// three. Crossovers move wall-clock only, never the chosen plan.
+const (
+	// Greedy benefit waves (engine.go): each item propagates costs through a
+	// CostView overlay; BQ-scale waves amortize the worker wakeups and
+	// per-view bookkeeping at about this much propagation work, and smaller
+	// batches were faster serial at every worker count.
+	benefitCrossover = 32768
+	// Sharability analysis (§4.1), one logical group per item: pure map
+	// arithmetic with no view bookkeeping, so an item is lighter and the
+	// fan-out needs about twice the units to pay for itself.
+	sharabilityCrossover = 65536
+	// Volcano-RU's forward/reverse order passes: two heavy items, almost no
+	// scheduling overhead, so running them concurrently wins at half the
+	// benefit crossover.
+	ruCrossover = 16384
+)
 
 // resolveWorkers maps the Options.Parallelism knob to a concrete worker
-// count for a phase with the given work estimate: 0 auto-tunes on the
-// phase's calibrated crossover, anything below 1 is serial, and explicit
-// counts are taken as given.
-func resolveWorkers(ph SearchPhase, parallelism, units int) int {
+// count for a phase with the given crossover and work estimate: 0
+// auto-tunes (serial below the crossover, up to maxAutoWorkers hardware
+// threads above it), anything below 1 is serial, and explicit counts are
+// taken as given. The choice affects wall-clock only — every worker count
+// produces the identical plan.
+func resolveWorkers(crossover, parallelism, units int) int {
 	switch {
-	case parallelism == 0:
-		return autoParallelism(ph, units)
-	case parallelism < 1:
-		return 1
-	default:
+	case parallelism > 0:
 		return parallelism
+	case parallelism < 0 || units < crossover:
+		return 1
 	}
+	return max(1, min(runtime.GOMAXPROCS(0), maxAutoWorkers))
 }
 
 // parallelFor runs body(worker, i) for every i in [0, n) across the given

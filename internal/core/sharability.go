@@ -39,7 +39,7 @@ func ComputeSharabilityN(pd *physical.DAG, parallelism int) map[*dag.Group]float
 		}
 	}
 
-	workers := resolveWorkers(PhaseSharability, parallelism, len(zs)*len(order))
+	workers := resolveWorkers(sharabilityCrossover, parallelism, len(zs)*len(order))
 	if workers > len(zs) {
 		workers = len(zs)
 	}

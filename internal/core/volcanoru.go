@@ -39,7 +39,7 @@ func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Res
 
 	workers := 1
 	if len(orders) > 1 {
-		workers = resolveWorkers(PhaseRU, opt.Parallelism, len(pd.Nodes)*n)
+		workers = resolveWorkers(ruCrossover, opt.Parallelism, len(pd.Nodes)*n)
 	}
 	results := make([]*Result, len(orders))
 	errs := make([]error, len(orders))

@@ -167,27 +167,6 @@ func ResidualInvokeWeight(times float64, residual, total int) float64 {
 	return w
 }
 
-// DeriveWarmReadS calibrates the warm tier's per-block read constant from
-// measured per-page scan latencies on the two tiers (the same derive-from-
-// artifacts discipline core.DeriveCalibration applies to the phase
-// crossovers): it scales ReadS by the measured warm/RAM ratio, clamped to
-// at least ReadS so a noisy measurement can never make the optimizer price
-// a disk read cheaper than a RAM read. Non-positive inputs return the
-// model's current effective warm constant unchanged.
-func (m Model) DeriveWarmReadS(ramNsPerPage, warmNsPerPage float64) float64 {
-	if ramNsPerPage <= 0 || warmNsPerPage <= 0 {
-		if m.WarmReadS > 0 {
-			return m.WarmReadS
-		}
-		return m.ReadS
-	}
-	r := m.ReadS * warmNsPerPage / ramNsPerPage
-	if r < m.ReadS {
-		r = m.ReadS
-	}
-	return r
-}
-
 // WriteCost is the cost of sequentially writing blocks to disk. This is the
 // paper's materialization cost matcost: "the cost of writing out the result
 // sequentially".

@@ -763,11 +763,3 @@ func (a *sortAgg) emit(sample storage.Row, states []aggState) storage.Row {
 
 func (a *sortAgg) Close() error           { return a.child.Close() }
 func (a *sortAgg) Schema() algebra.Schema { return a.schema }
-
-// concatRows concatenates two rows.
-func concatRows(a, b storage.Row) storage.Row {
-	out := make(storage.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	return out
-}

@@ -100,7 +100,7 @@ func allPairs(t *testing.T, p algebra.Predicate, ls, rs algebra.Schema, lrows, r
 	var out []storage.Row
 	for _, l := range lrows {
 		for _, r := range rrows {
-			row := concatRows(l, r)
+			row := slices.Concat(l, r)
 			keep, err := pred(row)
 			if err != nil {
 				t.Fatal(err)

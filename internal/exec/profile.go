@@ -122,9 +122,9 @@ func opName(pn *physical.PlanNode, asConsumer bool, env *Env) string {
 // subtree. Open and Close are timed exactly. Next is timed exactly while its
 // calls are slow and sampled once they are cheap, because two clock reads
 // around a call that hands over one buffered row cost more than the call
-// (BENCH_7 gates the whole wrapper at 5 % of an unprofiled run); Wall of an
-// operator with many cheap calls is therefore an estimate, and a parent's
-// can come out below its child's.
+// (mqobench's observe experiment gates the whole wrapper at 5 % of an
+// unprofiled run); Wall of an operator with many cheap calls is therefore an
+// estimate, and a parent's can come out below its child's.
 type statIter struct {
 	child Iterator
 	p     *NodeProfile

@@ -76,15 +76,17 @@ func evalTree(db *storage.DB, t *algebra.Tree, env *Env) ([]storage.Row, algebra
 			return nil, nil, err
 		}
 		var out []storage.Row
+		pair := make(storage.Row, 0, len(schema)) // every pair is tried; only the kept ones are copied
 		for _, lr := range l {
+			pair = append(pair[:0], lr...)
 			for _, rr := range r {
-				row := concatRows(lr, rr)
-				keep, err := pred(row)
+				pair = append(pair[:len(lr)], rr...)
+				keep, err := pred(pair)
 				if err != nil {
 					return nil, nil, err
 				}
 				if keep {
-					out = append(out, row)
+					out = append(out, slices.Clone(pair))
 				}
 			}
 		}

@@ -134,13 +134,13 @@ func TestExecutePSPEndToEnd(t *testing.T) {
 	cat := Catalog(0.01)
 	model := cost.DefaultModel()
 	qs := CQ(1)
-	want := make([][]string, len(qs))
+	want := make([]exec.QueryResult, len(qs))
 	for i, q := range qs {
 		rows, schema, err := exec.Reference(db, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = exec.Canonicalize(schema, rows)
+		want[i] = exec.QueryResult{Schema: schema, Rows: rows}
 	}
 	pd, err := core.BuildDAG(cat, model, qs)
 	if err != nil {
@@ -156,14 +156,8 @@ func TestExecutePSPEndToEnd(t *testing.T) {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		for i, qr := range results {
-			got := exec.Canonicalize(qr.Schema, qr.Rows)
-			if len(got) != len(want[i]) {
-				t.Fatalf("%v query %d: %d rows, want %d", alg, i, len(got), len(want[i]))
-			}
-			for j := range got {
-				if got[j] != want[i][j] {
-					t.Fatalf("%v query %d row %d mismatch", alg, i, j)
-				}
+			if !exec.EqualRows(qr, want[i], 1e-9) {
+				t.Fatalf("%v query %d: %d rows differ from the reference's %d", alg, i, len(qr.Rows), len(want[i].Rows))
 			}
 		}
 	}

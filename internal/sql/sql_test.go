@@ -191,13 +191,13 @@ func TestSQLEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := cost.DefaultModel()
-	want := make([][]string, len(batch))
+	want := make([]exec.QueryResult, len(batch))
 	for i, q := range batch {
 		rows, schema, err := exec.Reference(db, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = exec.Canonicalize(schema, rows)
+		want[i] = exec.QueryResult{Schema: schema, Rows: rows}
 	}
 	pd, err := core.BuildDAG(cat, model, batch)
 	if err != nil {
@@ -213,14 +213,8 @@ func TestSQLEndToEnd(t *testing.T) {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		for i, qr := range results {
-			got := exec.Canonicalize(qr.Schema, qr.Rows)
-			if len(got) != len(want[i]) {
-				t.Fatalf("%v query %d: %d rows, want %d", alg, i, len(got), len(want[i]))
-			}
-			for j := range got {
-				if got[j] != want[i][j] {
-					t.Fatalf("%v query %d row %d mismatch:\n got %s\nwant %s", alg, i, j, got[j], want[i][j])
-				}
+			if !exec.EqualRows(qr, want[i], 1e-9) {
+				t.Fatalf("%v query %d: %d rows differ from the reference's %d", alg, i, len(qr.Rows), len(want[i].Rows))
 			}
 		}
 	}

@@ -188,13 +188,13 @@ func TestExecuteTPCDQueriesEndToEnd(t *testing.T) {
 		"BQ1": BatchQueries(1),
 	}
 	for name, qs := range batches {
-		want := make([][]string, len(qs))
+		want := make([]exec.QueryResult, len(qs))
 		for i, q := range qs {
 			rows, schema, err := exec.Reference(db, q, nil)
 			if err != nil {
 				t.Fatalf("%s reference: %v", name, err)
 			}
-			want[i] = exec.Canonicalize(schema, rows)
+			want[i] = exec.QueryResult{Schema: schema, Rows: rows}
 		}
 		pd, err := core.BuildDAG(cat, model, qs)
 		if err != nil {
@@ -210,15 +210,9 @@ func TestExecuteTPCDQueriesEndToEnd(t *testing.T) {
 				t.Fatalf("%s %v run: %v\nplan:\n%s", name, alg, err, res.Plan)
 			}
 			for i, qr := range results {
-				got := exec.Canonicalize(qr.Schema, qr.Rows)
-				if len(got) != len(want[i]) {
-					t.Fatalf("%s %v query %d: %d rows, want %d", name, alg, i, len(got), len(want[i]))
-				}
-				for j := range got {
-					if got[j] != want[i][j] {
-						t.Fatalf("%s %v query %d row %d mismatch:\n got %s\nwant %s",
-							name, alg, i, j, got[j], want[i][j])
-					}
+				if !exec.EqualRows(qr, want[i], 1e-9) {
+					t.Fatalf("%s %v query %d: %d rows differ from the reference's %d\nplan:\n%s",
+						name, alg, i, len(qr.Rows), len(want[i].Rows), res.Plan)
 				}
 			}
 		}
