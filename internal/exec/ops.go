@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 
 	"mqo/internal/algebra"
@@ -19,26 +20,26 @@ type Iterator interface {
 	Schema() algebra.Schema
 }
 
-// tableScan reads a heap file, re-qualifying columns under an alias.
+// tableScan reads the kept columns of a heap file's rows.
 type tableScan struct {
-	heap   *storage.HeapFile
-	schema algebra.Schema
-	rows   []storage.Row
-	pos    int
+	heap *storage.HeapFile
+	kept
+	rows []storage.Row
+	pos  int
 }
 
-// newTableScan creates a scan over a stored table under the given schema
-// (already alias-qualified by the caller).
-func newTableScan(heap *storage.HeapFile, schema algebra.Schema) *tableScan {
-	return &tableScan{heap: heap, schema: schema}
+// newTableScan creates a scan of the need columns of a stored table, whose
+// schema the caller has already alias-qualified.
+func newTableScan(heap *storage.HeapFile, stored algebra.Schema, need colNeed) *tableScan {
+	return &tableScan{heap: heap, kept: need.of(stored)}
 }
 
 // Open reads every page here, in file order, so the pool's fault counts do
-// not depend on how the parent consumes the rows.
+// not depend on how the parent consumes the rows or on the columns kept.
 func (s *tableScan) Open() error {
 	s.rows = make([]storage.Row, 0, s.heap.Rows())
 	s.pos = 0
-	return s.heap.Scan(func(_ storage.RID, r storage.Row) error {
+	return s.heap.ScanCols(s.cols, func(_ storage.RID, r storage.Row) error {
 		s.rows = append(s.rows, r)
 		return nil
 	})
@@ -240,9 +241,16 @@ type nlJoin struct {
 	schema      algebra.Schema
 	joinScratch
 
-	inner   []storage.Row
-	buckets map[uint64][]storage.Row // nil once an inner key is NaN: every outer row meets all of inner
-	cands   []storage.Row            // what is left of the current outer row's bucket
+	inner []storage.Row
+	// The hash table: bucketOf numbers the key hashes seen, and bucket b is
+	// bucketed[ends[b-1]:ends[b]], all buckets carved from one array.
+	// bucketOf is nil once an inner key is NaN: every outer row then meets
+	// all of inner.
+	bucketOf map[uint64]int32
+	ends     []int32
+	bucketed []storage.Row
+	slot     []int32       // per inner row, its bucket; scratch of Open
+	cands    []storage.Row // what is left of the current outer row's bucket
 }
 
 // newNLJoin compiles the join predicate and keys the join on its cross-side
@@ -264,6 +272,9 @@ func newNLJoin(left, right Iterator, p algebra.Predicate, env *Env) (*nlJoin, er
 	return j, nil
 }
 
+// Open buffers the inner input and buckets it in two passes: the first
+// hashes each row and counts its bucket, the second places the rows, so the
+// buckets share one array and keep arrival order.
 func (j *nlJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
@@ -272,23 +283,69 @@ func (j *nlJoin) Open() error {
 		return err
 	}
 	j.init(j.left.Schema(), j.right.Schema())
-	j.inner, j.cands = j.inner[:0], nil
-	j.buckets = map[uint64][]storage.Row{}
+	j.inner, j.ends, j.slot, j.cands = j.inner[:0], j.ends[:0], j.slot[:0], nil
+	if j.bucketOf == nil {
+		j.bucketOf = map[uint64]int32{}
+	}
+	clear(j.bucketOf)
+	keyed := true
 	for {
 		r, ok, err := j.right.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
 		j.inner = append(j.inner, r)
-		if h, ok := keyHash(r, j.rKey); !ok {
-			j.buckets = nil
-		} else if j.buckets != nil {
-			j.buckets[h] = append(j.buckets[h], r)
+		h, ok := keyHash(r, j.rKey)
+		if keyed = keyed && ok; !keyed {
+			continue
 		}
+		b, seen := j.bucketOf[h]
+		if !seen {
+			b = int32(len(j.ends))
+			j.bucketOf[h] = b
+			j.ends = append(j.ends, 0)
+		}
+		j.ends[b]++
+		j.slot = append(j.slot, b)
 	}
+	if !keyed {
+		j.bucketOf = nil
+		return nil
+	}
+	// Turn the counts into each bucket's start; placing its rows then moves
+	// that up to its end.
+	n := int32(0)
+	for b, count := range j.ends {
+		j.ends[b] = n
+		n += count
+	}
+	j.bucketed = slices.Grow(j.bucketed[:0], len(j.inner))[:len(j.inner)]
+	for i, r := range j.inner {
+		b := j.slot[i]
+		j.bucketed[j.ends[b]] = r
+		j.ends[b]++
+	}
+	return nil
+}
+
+// bucket is the inner rows an outer row has to meet.
+func (j *nlJoin) bucket(outer storage.Row) []storage.Row {
+	h, ok := keyHash(outer, j.lKey)
+	if !ok || j.bucketOf == nil {
+		return j.inner
+	}
+	b, ok := j.bucketOf[h]
+	if !ok {
+		return nil
+	}
+	start := int32(0)
+	if b > 0 {
+		start = j.ends[b-1]
+	}
+	return j.bucketed[start:j.ends[b]]
 }
 
 func (j *nlJoin) Next() (storage.Row, bool, error) {
@@ -305,15 +362,12 @@ func (j *nlJoin) Next() (storage.Row, bool, error) {
 			return nil, false, err
 		}
 		j.setOuter(l)
-		j.cands = j.inner
-		if h, ok := keyHash(l, j.lKey); ok && j.buckets != nil {
-			j.cands = j.buckets[h]
-		}
+		j.cands = j.bucket(l)
 	}
 }
 
 func (j *nlJoin) Close() error {
-	j.inner, j.buckets, j.cands = nil, nil, nil
+	j.inner, j.bucketed, j.cands = nil, nil, nil
 	if err := j.left.Close(); err != nil {
 		return err
 	}
@@ -420,12 +474,15 @@ func (j *mergeJoin) Close() error {
 func (j *mergeJoin) Schema() algebra.Schema { return j.schema }
 
 // indexedSource provides index probes into a stored relation (base table or
-// materialized temp).
+// materialized temp), fetching the kept columns of each row found.
 type indexedSource struct {
-	heap   *storage.HeapFile
-	index  *storage.BTree
-	keyIdx int // position of the indexed column in schema
-	schema algebra.Schema
+	heap  *storage.HeapFile
+	index *storage.BTree
+	kept
+}
+
+func newIndexedSource(heap *storage.HeapFile, index *storage.BTree, stored algebra.Schema, need colNeed) *indexedSource {
+	return &indexedSource{heap: heap, index: index, kept: need.of(stored)}
 }
 
 // probeEq appends the rows with key == v to out.
@@ -442,7 +499,7 @@ func (s *indexedSource) probeEq(v algebra.Value, out []storage.Row) ([]storage.R
 		if !ok || algebra.Compare(k, v) != 0 {
 			break
 		}
-		r, err := s.heap.Get(rid)
+		r, err := s.heap.GetCols(rid, s.cols)
 		if err != nil {
 			return nil, err
 		}
@@ -467,7 +524,7 @@ func (s *indexedSource) probeRange(lo algebra.Value, stop func(algebra.Value) bo
 		if !ok || (stop != nil && stop(k)) {
 			break
 		}
-		r, err := s.heap.Get(rid)
+		r, err := s.heap.GetCols(rid, s.cols)
 		if err != nil {
 			return nil, err
 		}
@@ -523,6 +580,9 @@ func (j *indexJoin) Next() (storage.Row, bool, error) {
 func (j *indexJoin) Close() error           { return j.outer.Close() }
 func (j *indexJoin) Schema() algebra.Schema { return j.schema }
 
+// columns reports the probed inner's.
+func (j *indexJoin) columns() (read, stored int) { return j.inner.columns() }
+
 // indexSelect answers a single-column selection through an index probe.
 type indexSelect struct {
 	source *indexedSource
@@ -561,7 +621,7 @@ func (s *indexSelect) Open() error {
 			if !ok || algebra.Compare(k, v) > 0 {
 				break
 			}
-			r, gerr := s.source.heap.Get(rid)
+			r, gerr := s.source.heap.GetCols(rid, s.source.cols)
 			if gerr != nil {
 				return gerr
 			}
@@ -597,6 +657,8 @@ func (s *indexSelect) Next() (storage.Row, bool, error) {
 
 func (s *indexSelect) Close() error           { s.rows = nil; return nil }
 func (s *indexSelect) Schema() algebra.Schema { return s.schema }
+
+func (s *indexSelect) columns() (read, stored int) { return s.source.columns() }
 
 // aggState accumulates one aggregate function.
 type aggState struct {

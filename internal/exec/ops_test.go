@@ -285,6 +285,35 @@ func TestJoinProbeAllocatesOnlyOutput(t *testing.T) {
 	}
 }
 
+// TestPrunedScanAllocatesPerSlab scans four numeric columns of the wide fact
+// table: the rows come out of slabs and the skipped strings are never built,
+// so opening the scan allocates at most once per hundred rows. It also holds
+// the scan to its result: the four columns of every row, in file order.
+func TestPrunedScanAllocatesPerSlab(t *testing.T) {
+	const n = 5000
+	db := storage.NewDB(512)
+	fs, rows := factSchema(), factRows(n)
+	tab := loadTable(t, db, "f", fs, rows)
+	scan := newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "orderdate", "revenue"))
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := scan.Open(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > n/100 {
+		t.Errorf("scanning %d rows allocated %v times, want at most %d", n, allocs, n/100)
+	}
+	if want := intSchema("f", "custkey", "suppkey", "orderdate", "revenue").Columns(); !slices.Equal(scan.Schema().Columns(), want) {
+		t.Fatalf("schema %v, want %v", scan.Schema(), want)
+	}
+	for i, full := range rows {
+		r, ok, err := scan.Next()
+		if err != nil || !ok || !slices.Equal(r, storage.Row{full[2], full[4], full[5], full[12]}) {
+			t.Fatalf("row %d: %v, %v, %v; stored %v", i, r, ok, err, full)
+		}
+	}
+}
+
 // TestAnalyzeShowsJoinPairs pins NodeProfile.Pairs on a small join: four
 // outer rows against a three-row inner are 12 predicate evaluations with no
 // key to hash on, and one per key match with one.

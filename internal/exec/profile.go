@@ -23,6 +23,11 @@ type NodeProfile struct {
 	EstCost float64 `json:"est_cost"` // optimizer cost-model seconds for the node
 	EstRows float64 `json:"est_rows"` // optimizer cardinality estimate
 
+	// Scans and index probes: the columns decoded out of those the relation
+	// stores (StoredCols is 0 on every other operator).
+	Cols       int `json:"cols,omitempty"`
+	StoredCols int `json:"stored_cols,omitempty"`
+
 	Rows  int64         `json:"rows"`
 	Pairs int64         `json:"pairs,omitempty"` // joins: predicate evaluations, exact
 	Pages int64         `json:"pages"`           // buffer-pool misses, inclusive
@@ -236,7 +241,8 @@ func recordRunMetrics(stats *RunStats) {
 // per node the optimizer's estimate (cost-model seconds, cardinality)
 // against the measured rows, inclusive pages and inclusive wall time; a
 // join also shows pairs=, the predicate evaluations it took (what a keyed
-// probe saves against outer × inner).
+// probe saves against outer × inner), a scan or index probe cols=kept/stored,
+// the columns it decoded out of those the relation holds.
 func FormatAnalyze(stats RunStats) string {
 	var sb strings.Builder
 	if stats.Profile == nil {
@@ -253,9 +259,13 @@ func FormatAnalyze(stats RunStats) string {
 		if p.Pairs > 0 {
 			pairs = fmt.Sprintf(" pairs=%d", p.Pairs)
 		}
-		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s pages=%d bytes=%d time=%s)\n",
+		cols := ""
+		if p.StoredCols > 0 {
+			cols = fmt.Sprintf(" cols=%d/%d", p.Cols, p.StoredCols)
+		}
+		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s pages=%d bytes=%d time=%s)\n",
 			strings.Repeat("  ", indent), p.Op, mat, p.EstCost, p.EstRows,
-			p.Rows, pairs, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
+			p.Rows, pairs, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
 		for _, c := range p.Children {
 			render(c, indent+1)
 		}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
 	"strconv"
 	"time"
 
@@ -123,7 +124,7 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 		queryRoots = []*physical.PlanNode{plan.Root}
 	}
 	for _, q := range queryRoots {
-		it, err := b.build(q, true)
+		it, err := b.build(q, true, nil)
 		if err != nil {
 			return nil, RunStats{}, err
 		}
@@ -245,7 +246,7 @@ func (b *builder) materialize(pn *physical.PlanNode) error {
 	} else if _, err := b.temps.Temp(tempName(pn)); err == nil {
 		return nil // already materialized
 	}
-	it, err := b.build(src, false)
+	it, err := b.build(src, false, nil)
 	if err != nil {
 		return err
 	}
@@ -276,37 +277,46 @@ func (b *builder) materialize(pn *physical.PlanNode) error {
 // the node is materialized, the iterator reads the temp table instead of
 // recomputing. With profiling on, each instantiation is wrapped with a
 // statIter recording into a profile tree that mirrors the build recursion.
-func (b *builder) build(pn *physical.PlanNode, asConsumer bool) (Iterator, error) {
+//
+// need is the set of columns anything above reads from this node's rows. It
+// travels down to the leaves — scans and index probes — which decode only
+// those of their stored columns and deliver the narrowed schema; operators
+// in between resolve columns by name, so they only pass the set on, adding
+// what they read themselves.
+func (b *builder) build(pn *physical.PlanNode, asConsumer bool, need colNeed) (Iterator, error) {
 	if b.prof == nil {
-		return b.buildOp(pn, asConsumer)
+		return b.buildOp(pn, asConsumer, need)
 	}
 	p := &NodeProfile{Node: pn.N.ID, Op: opName(pn, asConsumer, b.env), Mat: pn.Mat,
 		EstCost: float64(pn.N.Cost), EstRows: pn.N.LG.Rel.Rows}
 	b.prof.push(p)
-	it, err := b.buildOp(pn, asConsumer)
+	it, err := b.buildOp(pn, asConsumer, need)
 	b.prof.pop()
 	if err != nil {
 		return nil, err
+	}
+	if c, ok := it.(interface{ columns() (read, stored int) }); ok {
+		p.Cols, p.StoredCols = c.columns()
 	}
 	return newStatIter(it, p, b.db.Pool), nil
 }
 
 // buildOp instantiates the operator itself (children via build, so nested
 // operators are individually profiled).
-func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, error) {
+func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) (Iterator, error) {
 	if asConsumer && pn.Mat {
 		if name, ok := b.env.Cache.spoolName(pn.N); ok && pn.E.Kind != physical.IndexBuildEnf {
 			ct, err := b.db.Cache(name)
 			if err != nil {
 				return nil, fmt.Errorf("exec: spooled node %d not yet computed: %w", pn.N.ID, err)
 			}
-			return newTableScan(ct.Heap, ct.Schema), nil
+			return newTableScan(ct.Heap, ct.Schema, need), nil
 		}
 		temp, err := b.temps.Temp(tempName(pn))
 		if err != nil {
 			return nil, fmt.Errorf("exec: materialized node %d not yet computed: %w", pn.N.ID, err)
 		}
-		return newTableScan(temp.Heap, temp.Schema), nil
+		return newTableScan(temp.Heap, temp.Schema, need), nil
 	}
 	switch pn.E.Kind {
 	case physical.CacheScanOp:
@@ -317,17 +327,17 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 				// execution (async promotion completed mid-batch): fall
 				// through to the RAM namespace before failing.
 				if ct, rerr := b.db.Cache(pn.E.CacheName); rerr == nil {
-					return newTableScan(ct.Heap, ct.Schema), nil
+					return newTableScan(ct.Heap, ct.Schema, need), nil
 				}
 				return nil, fmt.Errorf("exec: armed warm table for node %d missing: %w", pn.N.ID, err)
 			}
-			return newTableScan(wt.Heap, wt.Schema), nil
+			return newTableScan(wt.Heap, wt.Schema, need), nil
 		}
 		ct, err := b.db.Cache(pn.E.CacheName)
 		if err != nil {
 			return nil, fmt.Errorf("exec: armed cache table for node %d missing: %w", pn.N.ID, err)
 		}
-		return newTableScan(ct.Heap, ct.Schema), nil
+		return newTableScan(ct.Heap, ct.Schema, need), nil
 
 	case physical.SeqScan:
 		op := pn.E.LE.Op.(algebra.Scan)
@@ -335,14 +345,14 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 		if err != nil {
 			return nil, err
 		}
-		return newTableScan(tab.Heap, requalify(tab.Schema, op.Alias)), nil
+		return newTableScan(tab.Heap, requalify(tab.Schema, op.Alias), need), nil
 
 	case physical.Filter:
-		child, err := b.build(pn.Children[0], true)
+		op := pn.E.LE.Op.(algebra.Select)
+		child, err := b.build(pn.Children[0], true, need.plus(op.Pred.VisitColumns))
 		if err != nil {
 			return nil, err
 		}
-		op := pn.E.LE.Op.(algebra.Select)
 		pred, err := compilePred(op.Pred, child.Schema(), b.env)
 		if err != nil {
 			return nil, err
@@ -351,7 +361,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 
 	case physical.IndexSelect:
 		op := pn.E.LE.Op.(algebra.Select)
-		src, err := b.resolveIndexedSource(pn.Children[0], pn.E.IxCol)
+		src, err := b.resolveIndexedSource(pn.Children[0], pn.E.IxCol, need.plus(op.Pred.VisitColumns))
 		if err != nil {
 			return nil, err
 		}
@@ -370,20 +380,29 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 		return &indexSelect{source: src, op: cop, rhs: rhsFn, pred: full, schema: src.schema}, nil
 
 	case physical.BNLJoin:
-		return b.buildNLJoin(pn)
+		return b.buildNLJoin(pn, need)
 
 	case physical.MergeJoin:
-		return b.buildMergeJoin(pn)
+		return b.buildMergeJoin(pn, need)
 
 	case physical.IndexJoin:
-		return b.buildIndexJoin(pn)
+		return b.buildIndexJoin(pn, need)
 
 	case physical.SortAgg, physical.ScalarAgg:
-		child, err := b.build(pn.Children[0], true)
+		// An aggregate's output is its own, so what its parent reads says
+		// nothing about its input: the set starts over from the grouping
+		// (and sort) keys and the aggregate arguments.
+		op := pn.E.LE.Op.(algebra.Aggregate)
+		reads := colNeed{}.plus(eachOf(op.GroupBy), eachOf(pn.E.SortCols))
+		for _, a := range op.Aggs {
+			if a.Arg != nil {
+				a.Arg.VisitColumns(reads.add)
+			}
+		}
+		child, err := b.build(pn.Children[0], true, reads)
 		if err != nil {
 			return nil, err
 		}
-		op := pn.E.LE.Op.(algebra.Aggregate)
 		if pn.E.Kind == physical.SortAgg && !sortedOn(pn.Children[0], pn.E.SortCols) {
 			child = &sortIter{child: child, cols: pn.E.SortCols}
 		}
@@ -410,11 +429,15 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 		return &sortAgg{child: child, groupBy: gb, aggs: op.Aggs, schema: schema}, nil
 
 	case physical.ProjectOp:
-		child, err := b.build(pn.Children[0], true)
+		op := pn.E.LE.Op.(algebra.Project)
+		reads := colNeed{}
+		for _, ne := range op.Exprs {
+			ne.Expr.VisitColumns(reads.add)
+		}
+		child, err := b.build(pn.Children[0], true, reads)
 		if err != nil {
 			return nil, err
 		}
-		op := pn.E.LE.Op.(algebra.Project)
 		funcs := make([]valueFunc, len(op.Exprs))
 		schema := make(algebra.Schema, len(op.Exprs))
 		for i, ne := range op.Exprs {
@@ -428,7 +451,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 		return &projectIter{child: child, funcs: funcs, schema: schema}, nil
 
 	case physical.SortEnf:
-		child, err := b.build(pn.Children[0], true)
+		child, err := b.build(pn.Children[0], true, need.plus(eachOf(pn.E.SortCols)))
 		if err != nil {
 			return nil, err
 		}
@@ -437,10 +460,12 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 	case physical.IndexBuildEnf:
 		// Consumed as plain data (an Any-requirement parent reusing the
 		// indexed materialization): read through to the data.
-		return b.build(pn.Children[0], true)
+		return b.build(pn.Children[0], true, need)
 
 	case physical.InvokeOp, physical.InvokePartial:
-		child, err := b.build(pn.Children[0], true)
+		// The body's rows are teed to, and interleaved with scans of,
+		// per-binding cache tables, which hold whole rows.
+		child, err := b.build(pn.Children[0], true, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -461,29 +486,33 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool) (Iterator, err
 		if err != nil {
 			return nil, err
 		}
-		return newTableScan(tab.Heap, requalify(tab.Schema, op.Alias)), nil
+		return newTableScan(tab.Heap, requalify(tab.Schema, op.Alias), need), nil
 	}
 	return nil, fmt.Errorf("exec: cannot instantiate %v", pn.E.Kind)
 }
 
-func (b *builder) buildNLJoin(pn *physical.PlanNode) (Iterator, error) {
-	left, err := b.build(pn.Children[0], true)
-	if err != nil {
-		return nil, err
+// joinInputs builds a join's two inputs. Both are asked for what the parent
+// reads plus the join's predicate and key columns; each side's leaves keep
+// the ones they store.
+func (b *builder) joinInputs(pn *physical.PlanNode, need colNeed) (left, right Iterator, err error) {
+	need = need.plus(pn.E.LE.Op.(algebra.Join).Pred.VisitColumns, eachOf(pn.E.SortCols), eachOf(pn.E.RightCols))
+	if left, err = b.build(pn.Children[0], true, need); err != nil {
+		return nil, nil, err
 	}
-	right, err := b.build(pn.Children[1], true)
+	right, err = b.build(pn.Children[1], true, need)
+	return left, right, err
+}
+
+func (b *builder) buildNLJoin(pn *physical.PlanNode, need colNeed) (Iterator, error) {
+	left, right, err := b.joinInputs(pn, need)
 	if err != nil {
 		return nil, err
 	}
 	return newNLJoin(left, right, pn.E.LE.Op.(algebra.Join).Pred, b.env)
 }
 
-func (b *builder) buildMergeJoin(pn *physical.PlanNode) (Iterator, error) {
-	left, err := b.build(pn.Children[0], true)
-	if err != nil {
-		return nil, err
-	}
-	right, err := b.build(pn.Children[1], true)
+func (b *builder) buildMergeJoin(pn *physical.PlanNode, need colNeed) (Iterator, error) {
+	left, right, err := b.joinInputs(pn, need)
 	if err != nil {
 		return nil, err
 	}
@@ -516,16 +545,17 @@ func (b *builder) buildMergeJoin(pn *physical.PlanNode) (Iterator, error) {
 	return mj, nil
 }
 
-func (b *builder) buildIndexJoin(pn *physical.PlanNode) (Iterator, error) {
-	outer, err := b.build(pn.Children[0], true)
-	if err != nil {
-		return nil, err
-	}
-	src, err := b.resolveIndexedSource(pn.Children[1], pn.E.IxCol)
-	if err != nil {
-		return nil, err
-	}
+func (b *builder) buildIndexJoin(pn *physical.PlanNode, need colNeed) (Iterator, error) {
 	op := pn.E.LE.Op.(algebra.Join)
+	need = need.plus(op.Pred.VisitColumns, eachOf(pn.E.SortCols))
+	outer, err := b.build(pn.Children[0], true, need)
+	if err != nil {
+		return nil, err
+	}
+	src, err := b.resolveIndexedSource(pn.Children[1], pn.E.IxCol, need)
+	if err != nil {
+		return nil, err
+	}
 	schema := outer.Schema().Concat(src.schema)
 	pred, err := compilePred(op.Pred, schema, b.env)
 	if err != nil {
@@ -540,8 +570,8 @@ func (b *builder) buildIndexJoin(pn *physical.PlanNode) (Iterator, error) {
 
 // resolveIndexedSource turns an index-property plan node into a probe-able
 // source: a base table with a stored index, or a (possibly just-built)
-// temp table with a temp index.
-func (b *builder) resolveIndexedSource(pn *physical.PlanNode, col algebra.Column) (*indexedSource, error) {
+// temp table with a temp index. Probes fetch the stored columns in need.
+func (b *builder) resolveIndexedSource(pn *physical.PlanNode, col algebra.Column, need colNeed) (*indexedSource, error) {
 	switch pn.E.Kind {
 	case physical.BaseIndex:
 		op := pn.E.LE.Op.(algebra.Scan)
@@ -556,8 +586,7 @@ func (b *builder) resolveIndexedSource(pn *physical.PlanNode, col algebra.Column
 		if err != nil {
 			return nil, err
 		}
-		schema := requalify(tab.Schema, op.Alias)
-		return &indexedSource{heap: tab.Heap, index: idx, keyIdx: schema.IndexOf(col), schema: schema}, nil
+		return newIndexedSource(tab.Heap, idx, requalify(tab.Schema, op.Alias), need), nil
 
 	case physical.IndexBuildEnf:
 		name := tempName(pn)
@@ -576,7 +605,7 @@ func (b *builder) resolveIndexedSource(pn *physical.PlanNode, col algebra.Column
 		if err != nil {
 			return nil, err
 		}
-		return &indexedSource{heap: temp.Heap, index: idx, keyIdx: temp.Schema.IndexOf(col), schema: temp.Schema}, nil
+		return newIndexedSource(temp.Heap, idx, temp.Schema, need), nil
 	}
 	return nil, fmt.Errorf("exec: node %d (%v) is not an indexed source", pn.N.ID, pn.E.Kind)
 }
@@ -662,14 +691,14 @@ func (iv *invokeIter) openBinding() error {
 func (iv *invokeIter) cacheScan(ref physical.BindScan) (Iterator, error) {
 	if ref.Tier == cost.TierWarm {
 		if wt, err := iv.db.Warm(ref.Table); err == nil {
-			return newTableScan(wt.Heap, wt.Schema), nil
+			return newTableScan(wt.Heap, wt.Schema, nil), nil
 		}
 	}
 	ct, err := iv.db.Cache(ref.Table)
 	if err != nil {
 		return nil, fmt.Errorf("exec: armed binding table %s missing: %w", ref.Table, err)
 	}
-	return newTableScan(ct.Heap, ct.Schema), nil
+	return newTableScan(ct.Heap, ct.Schema, nil), nil
 }
 
 // closeBinding finishes the current binding: a fully drained spooled
@@ -727,6 +756,64 @@ func (iv *invokeIter) Close() error {
 }
 
 func (iv *invokeIter) Schema() algebra.Schema { return iv.child.Schema() }
+
+// colNeed is a set of columns a consumer reads; nil is the set of all
+// columns, whatever the schema they turn out to come from.
+type colNeed map[algebra.Column]struct{}
+
+// eachOf visits the columns of a list, in the shape of the algebra's
+// VisitColumns methods.
+func eachOf(cols []algebra.Column) func(func(algebra.Column)) {
+	return func(f func(algebra.Column)) {
+		for _, c := range cols {
+			f(c)
+		}
+	}
+}
+
+// add puts one column into the set; it has the shape VisitColumns calls.
+func (n colNeed) add(c algebra.Column) { n[c] = struct{}{} }
+
+// plus returns the set with the visited columns added. The receiver is left
+// alone, as sibling subtrees share it.
+func (n colNeed) plus(visits ...func(func(algebra.Column))) colNeed {
+	if n == nil {
+		return nil
+	}
+	out := maps.Clone(n)
+	for _, visit := range visits {
+		visit(out.add)
+	}
+	return out
+}
+
+// kept is what a leaf reads of a stored relation: the positions cols of a
+// stored row, ascending, and the schema a read of just those delivers.
+type kept struct {
+	schema algebra.Schema
+	cols   []int
+	stored int // columns the relation holds
+}
+
+// columns is what a profiled run reports as NodeProfile.Cols/StoredCols.
+func (k kept) columns() (read, stored int) { return len(k.cols), k.stored }
+
+// of picks the set's columns out of a stored schema.
+func (n colNeed) of(stored algebra.Schema) kept {
+	k := kept{schema: stored, cols: make([]int, 0, len(stored)), stored: len(stored)}
+	for i, ci := range stored {
+		if _, ok := n[ci.Col]; ok || n == nil {
+			k.cols = append(k.cols, i)
+		}
+	}
+	if len(k.cols) < len(stored) {
+		k.schema = make(algebra.Schema, len(k.cols))
+		for j, i := range k.cols {
+			k.schema[j] = stored[i]
+		}
+	}
+	return k
+}
 
 // requalify rewrites a stored schema's relation qualifiers to an alias.
 func requalify(s algebra.Schema, alias string) algebra.Schema {

@@ -46,75 +46,74 @@ func encodeRow(r Row) []byte {
 	return buf
 }
 
-// decodeValue parses one serialized value into *v, which must be the zero
-// Value, and reports the bytes it took.
-func decodeValue(v *algebra.Value, buf []byte) (int, error) {
+// valueSize reports the encoded length of the value at the head of buf,
+// rejecting an unknown type byte and a value the buffer cuts short.
+func valueSize(buf []byte) (int, error) {
 	if len(buf) == 0 {
 		return 0, fmt.Errorf("storage: empty value")
 	}
-	v.Typ = algebra.Type(buf[0])
-	switch v.Typ {
-	case algebra.TInt, algebra.TDate:
-		if len(buf) < 9 {
-			return 0, fmt.Errorf("storage: truncated numeric value")
-		}
-		v.I = int64(binary.LittleEndian.Uint64(buf[1:]))
-		return 9, nil
-	case algebra.TFloat:
-		if len(buf) < 9 {
-			return 0, fmt.Errorf("storage: truncated float value")
-		}
-		v.F = bitsFloat(binary.LittleEndian.Uint64(buf[1:]))
-		return 9, nil
+	size := 9
+	switch typ := algebra.Type(buf[0]); typ {
+	case algebra.TInt, algebra.TDate, algebra.TFloat:
 	case algebra.TString:
 		if len(buf) < 3 {
 			return 0, fmt.Errorf("storage: truncated string length")
 		}
-		n := 3 + int(binary.LittleEndian.Uint16(buf[1:]))
-		if len(buf) < n {
-			return 0, fmt.Errorf("storage: truncated string payload")
-		}
-		v.S = string(buf[3:n])
-		return n, nil
+		size = 3 + int(binary.LittleEndian.Uint16(buf[1:]))
 	default:
-		return 0, fmt.Errorf("storage: unknown value type %d", v.Typ)
+		return 0, fmt.Errorf("storage: unknown value type %d", typ)
 	}
+	if len(buf) < size {
+		return 0, fmt.Errorf("storage: truncated value of type %d", buf[0])
+	}
+	return size, nil
 }
 
-// valueCount counts the values of a serialized row without decoding them,
-// so decodeRow can size its row once. A malformed value counts too, and
-// ends the count: decoding it is what reports the error.
-func valueCount(buf []byte) int {
-	n := 0
-	for len(buf) > 0 {
-		n++
-		size := 9
-		if algebra.Type(buf[0]) == algebra.TString {
-			if len(buf) < 3 {
-				break
-			}
-			size = 3 + int(binary.LittleEndian.Uint16(buf[1:]))
-		}
-		if len(buf) < size {
-			break
-		}
-		buf = buf[size:]
+// decodeValue parses one serialized value into *v, which must be the zero
+// Value, and reports the bytes it took.
+func decodeValue(v *algebra.Value, buf []byte) (int, error) {
+	size, err := valueSize(buf)
+	if err != nil {
+		return 0, err
 	}
-	return n
+	v.Typ = algebra.Type(buf[0])
+	switch v.Typ {
+	case algebra.TInt, algebra.TDate:
+		v.I = int64(binary.LittleEndian.Uint64(buf[1:]))
+	case algebra.TFloat:
+		v.F = bitsFloat(binary.LittleEndian.Uint64(buf[1:]))
+	case algebra.TString:
+		v.S = string(buf[3:size])
+	}
+	return size, nil
 }
 
-// decodeRow parses a serialized row into a freshly allocated Row the caller
-// owns.
-func decodeRow(buf []byte) (Row, error) {
-	r := make(Row, valueCount(buf))
-	for i := range r {
-		n, err := decodeValue(&r[i], buf)
+// decodeRow walks a serialized row once and appends to dst the values at the
+// positions cols, which must ascend; nil cols stands for every position. A
+// value nobody asked for is stepped over by its encoded length — no Value,
+// no string — but still checked, so a damaged record errors whichever
+// columns are read.
+func decodeRow(dst Row, buf []byte, cols []int) (Row, error) {
+	k := 0
+	for i := 0; len(buf) > 0; i++ {
+		size := 0
+		var err error
+		if cols == nil || (k < len(cols) && cols[k] == i) {
+			dst = append(dst, algebra.Value{})
+			size, err = decodeValue(&dst[len(dst)-1], buf)
+			k++
+		} else {
+			size, err = valueSize(buf)
+		}
 		if err != nil {
 			return nil, err
 		}
-		buf = buf[n:]
+		buf = buf[size:]
 	}
-	return r, nil
+	if k < len(cols) {
+		return nil, fmt.Errorf("storage: column %d requested of a shorter row", cols[k])
+	}
+	return dst, nil
 }
 
 func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -69,6 +69,7 @@ type HeapFile struct {
 	pool  *BufferPool
 	pages []PageID
 	rows  int64
+	width int // values in the last inserted row: what a read of every column sizes its rows to
 }
 
 // NewHeapFile creates an empty heap file on the pool.
@@ -83,6 +84,7 @@ func (h *HeapFile) NumPages() int { return len(h.pages) }
 // Insert appends a row and returns its RID.
 func (h *HeapFile) Insert(r Row) (RID, error) {
 	rec := encodeRow(r)
+	h.width = len(r)
 	if len(rec)+hdrSize+slotSize > PageSize {
 		return RID{}, fmt.Errorf("storage: row of %d bytes exceeds page capacity", len(rec))
 	}
@@ -117,8 +119,23 @@ func (h *HeapFile) Insert(r Row) (RID, error) {
 	return RID{Page: pid, Slot: slot}, nil
 }
 
+// slabRows is how many scanned rows share one backing array.
+const slabRows = 256
+
+// rowWidth is the number of values a row read at cols holds.
+func (h *HeapFile) rowWidth(cols []int) int {
+	if cols == nil {
+		return h.width
+	}
+	return len(cols)
+}
+
 // Get fetches the row at rid.
-func (h *HeapFile) Get(rid RID) (Row, error) {
+func (h *HeapFile) Get(rid RID) (Row, error) { return h.GetCols(rid, nil) }
+
+// GetCols fetches the values at the ascending positions cols (nil: all) of
+// the row at rid.
+func (h *HeapFile) GetCols(rid RID, cols []int) (Row, error) {
 	data, err := h.pool.Get(rid.Page)
 	if err != nil {
 		return nil, err
@@ -127,12 +144,21 @@ func (h *HeapFile) Get(rid RID) (Row, error) {
 		return nil, fmt.Errorf("storage: slot %d out of range on page %d", rid.Slot, rid.Page)
 	}
 	off, length := slotAt(data, rid.Slot)
-	return decodeRow(data[off : off+length])
+	return decodeRow(make(Row, 0, h.rowWidth(cols)), data[off:off+length], cols)
 }
 
-// Scan visits every row in file order. Each row is decoded into its own
-// allocation, so the callback may keep it.
-func (h *HeapFile) Scan(f func(rid RID, r Row) error) error {
+// Scan visits every row in file order.
+func (h *HeapFile) Scan(f func(rid RID, r Row) error) error { return h.ScanCols(nil, f) }
+
+// ScanCols visits every row in file order, decoding only the values at the
+// ascending positions cols (nil: all). The callback may keep the row: rows
+// are carved len == cap from slabs of slabRows rows, so a scan allocates a
+// few times per table, not once per row, and an append to one row cannot
+// reach the next.
+func (h *HeapFile) ScanCols(cols []int, f func(rid RID, r Row) error) error {
+	width := h.rowWidth(cols)
+	left := h.rows
+	var slab Row
 	for _, pid := range h.pages {
 		data, err := h.pool.Get(pid)
 		if err != nil {
@@ -140,12 +166,16 @@ func (h *HeapFile) Scan(f func(rid RID, r Row) error) error {
 		}
 		n := pageNumSlots(data)
 		for s := uint16(0); s < n; s++ {
+			if cap(slab)-len(slab) < width {
+				slab = make(Row, 0, width*int(min(max(left, 1), slabRows)))
+			}
 			off, length := slotAt(data, s)
-			row, err := decodeRow(data[off : off+length])
-			if err != nil {
+			start := len(slab)
+			if slab, err = decodeRow(slab, data[off:off+length], cols); err != nil {
 				return err
 			}
-			if err := f(RID{Page: pid, Slot: s}, row); err != nil {
+			left--
+			if err := f(RID{Page: pid, Slot: s}, slab[start:len(slab):len(slab)]); err != nil {
 				return err
 			}
 		}
