@@ -57,6 +57,11 @@ func (s *tableScan) Next() (storage.Row, bool, error) {
 func (s *tableScan) Close() error           { s.rows = nil; return nil }
 func (s *tableScan) Schema() algebra.Schema { return s.schema }
 
+// buffered is the optional method of an operator that holds its whole output
+// once open: the rows still to come, so a consumer that buffers them in turn
+// sizes its arrays once.
+func (s *tableScan) buffered() int { return len(s.rows) - s.pos }
+
 // filterIter applies a predicate to its child's rows.
 type filterIter struct {
 	child Iterator
@@ -166,6 +171,7 @@ func (s *sortIter) Next() (storage.Row, bool, error) {
 
 func (s *sortIter) Close() error           { s.rows = nil; return s.child.Close() }
 func (s *sortIter) Schema() algebra.Schema { return s.child.Schema() }
+func (s *sortIter) buffered() int          { return len(s.rows) - s.pos }
 
 // joinScratch is the row a join's predicate sees: the outer row followed by
 // the inner candidate, overwritten for every pair. Only a pair that passes
@@ -284,6 +290,10 @@ func (j *nlJoin) Open() error {
 	}
 	j.init(j.left.Schema(), j.right.Schema())
 	j.inner, j.ends, j.slot, j.cands = j.inner[:0], j.ends[:0], j.slot[:0], nil
+	if b, ok := j.right.(interface{ buffered() int }); ok {
+		n := b.buffered()
+		j.inner, j.slot = slices.Grow(j.inner, n), slices.Grow(j.slot, n)
+	}
 	if j.bucketOf == nil {
 		j.bucketOf = map[uint64]int32{}
 	}
@@ -474,55 +484,36 @@ func (j *mergeJoin) Close() error {
 func (j *mergeJoin) Schema() algebra.Schema { return j.schema }
 
 // indexedSource provides index probes into a stored relation (base table or
-// materialized temp), fetching the kept columns of each row found.
+// materialized temp), fetching the kept columns of each row found. Every
+// probe re-positions the source's one iterator.
 type indexedSource struct {
-	heap  *storage.HeapFile
-	index *storage.BTree
+	heap *storage.HeapFile
+	it   *storage.BTreeIter
 	kept
 }
 
 func newIndexedSource(heap *storage.HeapFile, index *storage.BTree, stored algebra.Schema, need colNeed) *indexedSource {
-	return &indexedSource{heap: heap, index: index, kept: need.of(stored)}
+	return &indexedSource{heap: heap, it: index.NewIter(), kept: need.of(stored)}
 }
 
 // probeEq appends the rows with key == v to out.
 func (s *indexedSource) probeEq(v algebra.Value, out []storage.Row) ([]storage.Row, error) {
-	it, err := s.index.Seek(v)
-	if err != nil {
+	if err := s.it.Seek(v); err != nil {
 		return nil, err
 	}
-	for {
-		k, rid, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok || algebra.Compare(k, v) != 0 {
-			break
-		}
-		r, err := s.heap.GetCols(rid, s.cols)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return s.fetchWhile(func(k algebra.Value) bool { return algebra.Compare(k, v) == 0 }, out)
 }
 
-// probeRange returns rows with lo <= key (hi filtering is the caller's
-// responsibility through the residual predicate); used by index selects.
-func (s *indexedSource) probeRange(lo algebra.Value, stop func(algebra.Value) bool) ([]storage.Row, error) {
-	it, err := s.index.Seek(lo)
-	if err != nil {
-		return nil, err
-	}
-	var out []storage.Row
+// fetchWhile appends to out the rows of the entries from the iterator's
+// position on, up to the first whose key fails while (nil: to the end).
+func (s *indexedSource) fetchWhile(while func(algebra.Value) bool, out []storage.Row) ([]storage.Row, error) {
 	for {
-		k, rid, ok, err := it.Next()
+		k, rid, ok, err := s.it.Next()
 		if err != nil {
 			return nil, err
 		}
-		if !ok || (stop != nil && stop(k)) {
-			break
+		if !ok || (while != nil && !while(k)) {
+			return out, nil
 		}
 		r, err := s.heap.GetCols(rid, s.cols)
 		if err != nil {
@@ -530,7 +521,6 @@ func (s *indexedSource) probeRange(lo algebra.Value, stop func(algebra.Value) bo
 		}
 		out = append(out, r)
 	}
-	return out, nil
 }
 
 // indexJoin probes the inner index once per outer row.
@@ -601,31 +591,19 @@ func (s *indexSelect) Open() error {
 	if err != nil {
 		return err
 	}
+	// The probe brackets the key range; the residual predicate below makes
+	// the bounds strict where the operator is.
 	var rows []storage.Row
-	switch s.op {
+	switch src := s.source; s.op {
 	case algebra.EQ:
-		rows, err = s.source.probeEq(v, nil)
+		rows, err = src.probeEq(v, nil)
 	case algebra.GE, algebra.GT:
-		rows, err = s.source.probeRange(v, nil)
-	case algebra.LE, algebra.LT:
-		// Scan from the beginning up to the bound.
-		it, ferr := s.source.index.SeekFirst()
-		if ferr != nil {
-			return ferr
+		if err = src.it.Seek(v); err == nil {
+			rows, err = src.fetchWhile(nil, nil)
 		}
-		for {
-			k, rid, ok, nerr := it.Next()
-			if nerr != nil {
-				return nerr
-			}
-			if !ok || algebra.Compare(k, v) > 0 {
-				break
-			}
-			r, gerr := s.source.heap.GetCols(rid, s.source.cols)
-			if gerr != nil {
-				return gerr
-			}
-			rows = append(rows, r)
+	case algebra.LE, algebra.LT:
+		if err = src.it.SeekFirst(); err == nil {
+			rows, err = src.fetchWhile(func(k algebra.Value) bool { return algebra.Compare(k, v) <= 0 }, nil)
 		}
 	default:
 		return fmt.Errorf("exec: index select does not support %v", s.op)
@@ -657,6 +635,7 @@ func (s *indexSelect) Next() (storage.Row, bool, error) {
 
 func (s *indexSelect) Close() error           { s.rows = nil; return nil }
 func (s *indexSelect) Schema() algebra.Schema { return s.schema }
+func (s *indexSelect) buffered() int          { return len(s.rows) - s.pos }
 
 func (s *indexSelect) columns() (read, stored int) { return s.source.columns() }
 

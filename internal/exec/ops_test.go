@@ -314,6 +314,36 @@ func TestPrunedScanAllocatesPerSlab(t *testing.T) {
 	}
 }
 
+// TestNLJoinSizesBufferFromScan: a scan holds its rows once open and says how
+// many, so the join over it allocates its row buffer once instead of growing
+// it by append, and alike when a profiled run wraps the scan.
+func TestNLJoinSizesBufferFromScan(t *testing.T) {
+	const n = 5000
+	db := storage.NewDB(512)
+	fs := factSchema()
+	tab := loadTable(t, db, "f", fs, factRows(n))
+	pred := algebra.ColEq(algebra.Col("l", "k"), algebra.Col("f", "custkey"))
+	for _, traced := range []bool{false, true} {
+		var right Iterator = newTableScan(tab.Heap, fs, factNeed("custkey"))
+		if traced {
+			right = newStatIter(right, &NodeProfile{}, db.Pool)
+		}
+		nl, err := newNLJoin(&sliceIter{schema: intSchema("l", "k")}, right, pred, &Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nl.Open(); err != nil {
+			t.Fatal(err)
+		}
+		// Sized once, the arrays exceed n by a size class's rounding at most;
+		// grown by append they would end a growth step above it.
+		if len(nl.inner) != n || cap(nl.inner) > n+n/16 || cap(nl.slot) > n+n/16 {
+			t.Errorf("traced=%v: %d rows buffered in arrays of %d rows and %d slots, want about %d each",
+				traced, len(nl.inner), cap(nl.inner), cap(nl.slot), n)
+		}
+	}
+}
+
 // TestAnalyzeShowsJoinPairs pins NodeProfile.Pairs on a small join: four
 // outer rows against a three-row inner are 12 predicate evaluations with no
 // key to hash on, and one per key match with one.

@@ -196,6 +196,15 @@ func (s *statIter) Close() error {
 
 func (s *statIter) Schema() algebra.Schema { return s.child.Schema() }
 
+// buffered forwards the child's, so a join sizes its buffer alike in traced
+// and plain runs; 0 is "unknown".
+func (s *statIter) buffered() int {
+	if b, ok := s.child.(interface{ buffered() int }); ok {
+		return b.buffered()
+	}
+	return 0
+}
+
 // Executor metrics on the default registry.
 var (
 	execRuns       = obs.Default().Counter("mqo_exec_runs_total", "Executed batch plans.")

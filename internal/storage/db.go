@@ -253,13 +253,6 @@ func (db *DB) DropTemps() {
 	db.mu.Unlock()
 }
 
-// BuildIndex creates a B+-tree index on the named column of t. Prefer
-// EnsureIndex, which is idempotent and safe when concurrent runs race to
-// index the same shared table.
-func (db *DB) BuildIndex(t *Table, column string) (*BTree, error) {
-	return db.EnsureIndex(t, column)
-}
-
 // EnsureIndex returns t's index on column, building it first if absent.
 // The build runs under the table's index lock, so concurrent callers get
 // the same tree and the lazily built index is published exactly once.
@@ -287,8 +280,8 @@ func (db *DB) EnsureIndex(t *Table, column string) (*BTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = t.Heap.Scan(func(rid RID, r Row) error {
-		return bt.Insert(r[idx], rid)
+	err = t.Heap.ScanCols([]int{idx}, func(rid RID, r Row) error {
+		return bt.Insert(r[0], rid)
 	})
 	if err != nil {
 		return nil, err

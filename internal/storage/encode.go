@@ -18,30 +18,39 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// encodeRow serializes a row: per value, one type byte followed by a fixed
-// 8-byte payload for numerics or a u16-length-prefixed byte string.
+// encodedLen is the length of v's serialized form: one type byte followed by
+// a fixed 8-byte payload for numerics or a u16-length-prefixed byte string.
+func encodedLen(v algebra.Value) int {
+	if v.Typ == algebra.TString {
+		return 3 + len(v.S)
+	}
+	return 9
+}
+
+// appendValue appends v's serialized form to buf.
+func appendValue(buf []byte, v algebra.Value) []byte {
+	buf = append(buf, byte(v.Typ))
+	switch v.Typ {
+	case algebra.TInt, algebra.TDate:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
+	case algebra.TFloat:
+		buf = binary.LittleEndian.AppendUint64(buf, floatBits(v.F))
+	case algebra.TString:
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.S)))
+		buf = append(buf, v.S...)
+	}
+	return buf
+}
+
+// encodeRow serializes a row, value after value.
 func encodeRow(r Row) []byte {
 	size := 0
 	for _, v := range r {
-		size++
-		if v.Typ == algebra.TString {
-			size += 2 + len(v.S)
-		} else {
-			size += 8
-		}
+		size += encodedLen(v)
 	}
 	buf := make([]byte, 0, size)
 	for _, v := range r {
-		buf = append(buf, byte(v.Typ))
-		switch v.Typ {
-		case algebra.TInt, algebra.TDate:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-		case algebra.TFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, floatBits(v.F))
-		case algebra.TString:
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(v.S)))
-			buf = append(buf, v.S...)
-		}
+		buf = appendValue(buf, v)
 	}
 	return buf
 }

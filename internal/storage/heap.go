@@ -63,8 +63,8 @@ func pageInsert(p []byte, rec []byte) (uint16, bool) {
 
 // HeapFile is an append-only sequence of slotted pages holding rows. A heap
 // file has a single writer at a time (the engine's table life cycle
-// guarantees this); page bytes are mutated through the pool's Update/
-// AllocateWith so eviction never races a write-back.
+// guarantees this); rows are encoded into and decoded out of page bytes
+// inside the pool's accessors, under the page's shard lock.
 type HeapFile struct {
 	pool  *BufferPool
 	pages []PageID
@@ -135,35 +135,34 @@ func (h *HeapFile) Get(rid RID) (Row, error) { return h.GetCols(rid, nil) }
 
 // GetCols fetches the values at the ascending positions cols (nil: all) of
 // the row at rid.
-func (h *HeapFile) GetCols(rid RID, cols []int) (Row, error) {
-	data, err := h.pool.Get(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	if rid.Slot >= pageNumSlots(data) {
-		return nil, fmt.Errorf("storage: slot %d out of range on page %d", rid.Slot, rid.Page)
-	}
-	off, length := slotAt(data, rid.Slot)
-	return decodeRow(make(Row, 0, h.rowWidth(cols)), data[off:off+length], cols)
+func (h *HeapFile) GetCols(rid RID, cols []int) (r Row, err error) {
+	err = h.pool.View(rid.Page, func(data []byte) error {
+		if rid.Slot >= pageNumSlots(data) {
+			return fmt.Errorf("storage: slot %d out of range on page %d", rid.Slot, rid.Page)
+		}
+		off, length := slotAt(data, rid.Slot)
+		r, err = decodeRow(make(Row, 0, h.rowWidth(cols)), data[off:off+length], cols)
+		return err
+	})
+	return r, err
 }
 
 // Scan visits every row in file order.
 func (h *HeapFile) Scan(f func(rid RID, r Row) error) error { return h.ScanCols(nil, f) }
 
 // ScanCols visits every row in file order, decoding only the values at the
-// ascending positions cols (nil: all). The callback may keep the row: rows
-// are carved len == cap from slabs of slabRows rows, so a scan allocates a
-// few times per table, not once per row, and an append to one row cannot
-// reach the next.
+// ascending positions cols (nil: all). One page at a time is decoded under
+// its shard lock and the callbacks run after it, so f may use the pool — fault,
+// evict, insert into an index — without reaching the page it is being fed
+// from. The callback may keep the row: rows are carved len == cap from slabs
+// of slabRows rows, so a scan allocates a few times per table, not once per
+// row, and an append to one row cannot reach the next.
 func (h *HeapFile) ScanCols(cols []int, f func(rid RID, r Row) error) error {
 	width := h.rowWidth(cols)
 	left := h.rows
 	var slab Row
-	for _, pid := range h.pages {
-		data, err := h.pool.Get(pid)
-		if err != nil {
-			return err
-		}
+	var page []Row // the current page's rows, by slot
+	decode := func(data []byte) (err error) {
 		n := pageNumSlots(data)
 		for s := uint16(0); s < n; s++ {
 			if cap(slab)-len(slab) < width {
@@ -175,7 +174,17 @@ func (h *HeapFile) ScanCols(cols []int, f func(rid RID, r Row) error) error {
 				return err
 			}
 			left--
-			if err := f(RID{Page: pid, Slot: s}, slab[start:len(slab):len(slab)]); err != nil {
+			page = append(page, slab[start:len(slab):len(slab)])
+		}
+		return nil
+	}
+	for _, pid := range h.pages {
+		page = page[:0]
+		if err := h.pool.View(pid, decode); err != nil {
+			return err
+		}
+		for s, r := range page {
+			if err := f(RID{Page: pid, Slot: uint16(s)}, r); err != nil {
 				return err
 			}
 		}

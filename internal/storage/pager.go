@@ -11,14 +11,20 @@
 // Concurrency model: the pager and buffer pool are safe for concurrent use
 // (the pool shards its frame table and LRU by page id, so independent plan
 // executions fault and evict pages in parallel instead of serializing on
-// one pool lock). Page *content* synchronization is by ownership, not
-// locking: every page belongs to exactly one heap file or B-tree, and the
-// engine's table life cycle guarantees a table is never written and read
+// one pool lock), and there is one access rule: page bytes never leave the
+// shard lock. View, Update and AllocateWith run a callback on a page's bytes
+// with the page's shard locked; nothing hands the bytes out, so the lock is
+// the pin. That is what lets an eviction pass its victim's frame straight to
+// the fault that caused it — no reader can be looking at the old page — and
+// what keeps eviction from writing back or dropping a page mid-mutation. A
+// callback decodes, copies out or edits in place; it must not keep the slice
+// and must not call into the pool (its lock is held, and locks do not
+// nest). What a table's pages *say* is still synchronized by ownership:
+// every page belongs to exactly one heap file or B-tree, and the engine's
+// table life cycle guarantees a table is never written and read
 // concurrently (base tables are read-only after load, temp tables are
 // private to their run, cache tables become visible to other runs only
-// after their writer committed). Writers must mutate page bytes through
-// Update/AllocateWith, which hold the page's shard lock so eviction can
-// never write back or drop a page mid-mutation.
+// after their writer committed).
 package storage
 
 import (
@@ -54,6 +60,8 @@ type PageStore interface {
 	// NumPages returns the number of allocated pages.
 	NumPages() int
 
+	// read fills all PageSize bytes of buf: the pool reads into recycled
+	// frames, so anything left unwritten would be another page's bytes.
 	read(id PageID, buf []byte) error
 	write(id PageID, buf []byte) error
 }
@@ -132,9 +140,9 @@ type poolShard struct {
 	tail     *frame // least recently used
 }
 
-// DefaultPoolShards is the buffer pool's shard count when not overridden:
-// pages hash to shards by id, so sequentially allocated heap pages spread
-// round-robin and concurrent runs rarely contend on one shard lock.
+// DefaultPoolShards is the buffer pool's shard count: pages hash to shards
+// by id, so sequentially allocated heap pages spread round-robin and
+// concurrent runs rarely contend on one shard lock.
 const DefaultPoolShards = 8
 
 // BufferPool caches pages with per-shard LRU replacement and lock-free I/O
@@ -149,59 +157,36 @@ type BufferPool struct {
 	hits   atomic.Int64
 }
 
-// NewBufferPool creates a pool holding up to capacity pages (at least 8)
-// across DefaultPoolShards shards.
+// NewBufferPool creates a pool holding up to capacity pages (at least 8),
+// split evenly across DefaultPoolShards shards.
 func NewBufferPool(pager PageStore, capacity int) *BufferPool {
-	return NewBufferPoolShards(pager, capacity, DefaultPoolShards)
-}
-
-// NewBufferPoolShards creates a pool with an explicit shard count; shards
-// <= 1 yields a single-shard pool (the previous fully serialized layout).
-// The capacity is split evenly across shards (total at least 8 pages, so
-// tiny pools keep the original eviction pressure rather than growing by
-// the shard count).
-func NewBufferPoolShards(pager PageStore, capacity, shards int) *BufferPool {
-	if shards < 1 {
-		shards = 1
-	}
-	if capacity < 8 {
-		capacity = 8
-	}
-	perShard := (capacity + shards - 1) / shards
-	bp := &BufferPool{pager: pager, shards: make([]poolShard, shards)}
+	perShard := (max(capacity, 8) + DefaultPoolShards - 1) / DefaultPoolShards
+	bp := &BufferPool{pager: pager, shards: make([]poolShard, DefaultPoolShards)}
 	for i := range bp.shards {
 		bp.shards[i] = poolShard{capacity: perShard, frames: map[PageID]*frame{}}
 	}
 	return bp
 }
 
-// NumShards reports the pool's shard count.
-func (bp *BufferPool) NumShards() int { return len(bp.shards) }
-
 func (bp *BufferPool) shard(id PageID) *poolShard {
 	return &bp.shards[uint32(id)%uint32(len(bp.shards))]
 }
 
-// Get returns the page's buffer, faulting it in if needed. The returned
-// buffer is safe to *read* after the call under the engine's ownership
-// rules (no concurrent writer for the page); all mutation must go through
-// Update or AllocateWith instead.
-func (bp *BufferPool) Get(id PageID) ([]byte, error) {
-	s := bp.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := bp.frameLocked(s, id)
-	if err != nil {
-		return nil, err
-	}
-	return f.data, nil
+// View applies fn to the page's bytes under the page's shard lock, faulting
+// the page in if needed. It is the only way to read a page: data is the
+// pool's frame, valid until fn returns and not to be written.
+func (bp *BufferPool) View(id PageID, fn func(data []byte) error) error {
+	return bp.access(id, fn, false)
 }
 
-// Update applies fn to the page's buffer under the page's shard lock and
-// marks the page dirty. It is the read-modify-write primitive writers must
-// use: eviction (which needs the same shard lock) can never write back or
-// drop the frame mid-mutation, so no update is ever lost.
+// Update is View for writers: fn may edit the page's bytes, and the page is
+// marked dirty unless fn fails. Eviction needs the same shard lock, so it can
+// never write back or drop the frame mid-mutation and no update is ever lost.
 func (bp *BufferPool) Update(id PageID, fn func(data []byte) error) error {
+	return bp.access(id, fn, true)
+}
+
+func (bp *BufferPool) access(id PageID, fn func(data []byte) error, write bool) error {
 	s := bp.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,7 +197,7 @@ func (bp *BufferPool) Update(id PageID, fn func(data []byte) error) error {
 	if err := fn(f.data); err != nil {
 		return err
 	}
-	f.dirty = true
+	f.dirty = f.dirty || write
 	return nil
 }
 
@@ -225,12 +210,14 @@ func (bp *BufferPool) AllocateWith(init func(data []byte)) (PageID, error) {
 	s := bp.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.frames) >= s.capacity {
-		if err := bp.evictLocked(s); err != nil {
-			return InvalidPage, err
-		}
+	f, err := bp.freeFrameLocked(s)
+	if err != nil {
+		return InvalidPage, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), dirty: true}
+	// A new page is zeroed: initHeapPage writes a header, not the body, and
+	// what a recycled frame held would otherwise reach the backing store.
+	clear(f.data)
+	f.id, f.dirty = id, true
 	// Allocation faults count as reads, matching the original pool's
 	// accounting (the paper's cost model charges first-touch I/O); the
 	// calibration constants and bench gates are built on these counters.
@@ -287,35 +274,43 @@ func (bp *BufferPool) frameLocked(s *poolShard, id PageID) (*frame, error) {
 		s.touch(f)
 		return f, nil
 	}
-	if len(s.frames) >= s.capacity {
-		if err := bp.evictLocked(s); err != nil {
-			return nil, err
-		}
+	f, err := bp.freeFrameLocked(s)
+	if err != nil {
+		return nil, err
 	}
-	f := &frame{id: id, data: make([]byte, PageSize)}
 	if err := bp.pager.read(id, f.data); err != nil {
 		return nil, err
 	}
+	f.id = id
 	bp.reads.Add(1)
 	s.frames[id] = f
 	s.pushFront(f)
 	return f, nil
 }
 
-func (bp *BufferPool) evictLocked(s *poolShard) error {
+// freeFrameLocked returns an unlinked, clean frame for the caller to fill: a
+// new one while the shard has room, else the least recently used page's,
+// written back first if dirty. Recycling is safe because page bytes never
+// leave the shard lock, which the caller holds: nobody can still be reading
+// the victim. A pool at capacity therefore allocates no frames at all.
+func (bp *BufferPool) freeFrameLocked(s *poolShard) (*frame, error) {
+	if len(s.frames) < s.capacity {
+		return &frame{data: make([]byte, PageSize)}, nil
+	}
 	victim := s.tail
 	if victim == nil {
-		return fmt.Errorf("storage: buffer pool shard empty during eviction")
+		return nil, fmt.Errorf("storage: buffer pool shard empty during eviction")
 	}
 	if victim.dirty {
 		if err := bp.pager.write(victim.id, victim.data); err != nil {
-			return err
+			return nil, err
 		}
 		bp.writes.Add(1)
+		victim.dirty = false
 	}
 	s.unlink(victim)
 	delete(s.frames, victim.id)
-	return nil
+	return victim, nil
 }
 
 func (s *poolShard) touch(f *frame) {

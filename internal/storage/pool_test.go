@@ -1,0 +1,205 @@
+package storage
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"mqo/internal/algebra"
+)
+
+// The pool recycles a victim's frame into the fault that evicted it, which is
+// only sound while no reader holds page bytes outside the shard lock. These
+// tests put a reader in the position where it would: mid-scan, with its own
+// callback (and other goroutines) evicting every frame of the pool. They fail
+// against a pool that recycles frames under an accessor that hands the bytes
+// out.
+
+var hazardSchema = algebra.Schema{
+	{Col: algebra.Col("t", "id"), Typ: algebra.TInt},
+	{Col: algebra.Col("t", "k"), Typ: algebra.TInt},
+	{Col: algebra.Col("t", "pad"), Typ: algebra.TString},
+}
+
+// hazardRow is row id of the table tagged tag: the model the scans are
+// checked against.
+func hazardRow(tag, id int64) Row {
+	return Row{algebra.IntVal(id), algebra.IntVal((id*7919 + tag) % 311), algebra.StringVal(fmt.Sprintf("%d/%d/%0100d", tag, id, id*id))}
+}
+
+// hazardTable loads a table of at least pages pages.
+func hazardTable(t testing.TB, db *DB, tag int64, pages int) (*Table, int64) {
+	tab, err := db.CreateTable(fmt.Sprint("t", tag), hazardSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(0)
+	for ; tab.Heap.NumPages() <= pages; n++ {
+		if _, err := tab.Heap.Insert(hazardRow(tag, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab, n
+}
+
+// scanUnderEviction scans tab while its callback faults every page of other
+// — more pages than the pool has frames, in every shard — so each page of
+// tab is long evicted, and its frame refilled, before its rows are all
+// delivered. It reports the first row that is not the model's.
+func scanUnderEviction(tab *Table, tag, rows int64, other *Table) error {
+	id := int64(0)
+	err := tab.Heap.Scan(func(rid RID, r Row) error {
+		if want := hazardRow(tag, id); !slices.Equal(r, want) {
+			return fmt.Errorf("row %d at %v reads %v, want %v", id, rid, r, want)
+		}
+		if got, err := tab.Heap.Get(rid); err != nil || !slices.Equal(got, r) {
+			return fmt.Errorf("Get(%v) = %v, %v; the scan read %v", rid, got, err, r)
+		}
+		id++
+		// Last, so that the scanned page is out of the pool when the scan
+		// moves on to its next row.
+		return other.Heap.ScanCols([]int{0}, func(RID, Row) error { return nil })
+	})
+	if err == nil && id != rows {
+		err = fmt.Errorf("scanned %d rows, want %d", id, rows)
+	}
+	return err
+}
+
+// indexUnderEviction builds tab's index on k — EnsureIndex inserts into a
+// B-tree on the scanned table's own pool from inside the scan's callback —
+// and checks the index against the model: every row once, in key order, each
+// entry pointing at a row with its key.
+func indexUnderEviction(db *DB, tab *Table, tag, rows int64) error {
+	bt, err := db.EnsureIndex(tab, "k")
+	if err != nil {
+		return err
+	}
+	it, err := bt.SeekFirst()
+	if err != nil {
+		return err
+	}
+	seen := make([]bool, rows)
+	last := algebra.IntVal(-1)
+	for n := int64(0); ; n++ {
+		k, rid, ok, err := it.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			if n != rows {
+				return fmt.Errorf("index holds %d entries, want %d", n, rows)
+			}
+			return nil
+		}
+		r, err := tab.Heap.Get(rid)
+		if err != nil {
+			return err
+		}
+		id := r[0].I
+		if id < 0 || id >= rows || seen[id] || !slices.Equal(r, hazardRow(tag, id)) || r[1] != k || algebra.Compare(last, k) > 0 {
+			return fmt.Errorf("entry %d: key %v after %v points at %v", n, k, last, r)
+		}
+		seen[id], last = true, k
+	}
+}
+
+func TestScanSurvivesEvictionByItsCallback(t *testing.T) {
+	db := NewDB(8)
+	tab, rows := hazardTable(t, db, 1, 200)
+	other, _ := hazardTable(t, db, 2, 24)
+	if err := scanUnderEviction(tab, 1, rows, other); err != nil {
+		t.Error(err)
+	}
+	if err := indexUnderEviction(db, tab, 1, rows); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRecycledFramesConcurrent runs the same from four goroutines, each over
+// its own tables, on one 8-frame pool: every shard's one frame changes hands
+// between goroutines all the time. Run it under -race.
+func TestRecycledFramesConcurrent(t *testing.T) {
+	db := NewDB(8)
+	type pair struct {
+		tab, other *Table
+		rows       int64
+	}
+	var pairs []pair
+	for g := int64(0); g < 4; g++ {
+		tab, rows := hazardTable(t, db, 2*g, 40)
+		other, _ := hazardTable(t, db, 2*g+1, 12)
+		pairs = append(pairs, pair{tab, other, rows})
+	}
+	var wg sync.WaitGroup
+	for g, p := range pairs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := scanUnderEviction(p.tab, int64(2*g), p.rows, p.other); err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			}
+			if err := indexUnderEviction(db, p.tab, int64(2*g), p.rows); err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAllocatedPageIsZeroed: a new page is born in a recycled frame once the
+// pool is full, and must not carry the evicted page's bytes — a heap page's
+// header is initialized, its body is not.
+func TestAllocatedPageIsZeroed(t *testing.T) {
+	db := NewDB(8)
+	hazardTable(t, db, 1, 16)
+	pid, err := db.Pool.AllocateWith(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.Pool.View(pid, func(data []byte) error {
+		for i, b := range data {
+			if b != 0 {
+				return fmt.Errorf("byte %d of a new page is %#x", i, b)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestScanAllocatesNoFrames: a scan of a table three times the pool faults
+// every page into a recycled frame, so what it allocates is its row slabs
+// and a little per page — far from the 4 KB a fresh frame per fault took.
+func TestScanAllocatesNoFrames(t *testing.T) {
+	db := NewDB(32)
+	tab, rows := hazardTable(t, db, 1, 96)
+	scan := func() {
+		n := int64(0)
+		if err := tab.Heap.ScanCols([]int{0, 1}, func(RID, Row) error { n++; return nil }); err != nil || n != rows {
+			t.Fatal(n, err)
+		}
+	}
+	scan()
+	const scans = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < scans; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perScan := int64(after.TotalAlloc-before.TotalAlloc) / scans
+	slabs := rows * 2 * int64(unsafe.Sizeof(algebra.Value{}))
+	pages := int64(tab.Heap.NumPages())
+	if limit := slabs + slabs/8 + 128*pages; perScan > limit { // an eighth: size-class rounding of the slabs
+		t.Errorf("a scan of %d pages allocates %d bytes: more than its %d of slabs and 128 a page (%d)", pages, perScan, slabs, limit)
+	}
+	if got := db.Pool.Stats().Reads; got < scans*pages {
+		t.Errorf("%d scans faulted %d pages, want every one of %d each time", scans, got, pages)
+	}
+}

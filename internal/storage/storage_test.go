@@ -218,85 +218,6 @@ func TestBTreeSeekRange(t *testing.T) {
 	}
 }
 
-// TestBTreeAgainstModel cross-checks the tree against a sorted-slice model
-// with random keys including strings.
-func TestBTreeAgainstModel(t *testing.T) {
-	db := NewDB(512)
-	bt, err := NewBTree(db.Pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	var model []int64
-	for i := 0; i < 5000; i++ {
-		k := rng.Int63n(100000)
-		model = append(model, k)
-		if err := bt.Insert(algebra.IntVal(k), RID{Page: PageID(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sort.Slice(model, func(i, j int) bool { return model[i] < model[j] })
-	for trial := 0; trial < 50; trial++ {
-		from := rng.Int63n(100000)
-		it, err := bt.Seek(algebra.IntVal(from))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Model: first key >= from.
-		idx := sort.Search(len(model), func(i int) bool { return model[i] >= from })
-		for j := 0; j < 10; j++ {
-			k, _, ok, err := it.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx+j >= len(model) {
-				if ok {
-					t.Fatalf("tree has extra key %v past model end", k.I)
-				}
-				break
-			}
-			if !ok {
-				t.Fatalf("tree ended early; model has %d", model[idx+j])
-			}
-			if k.I != model[idx+j] {
-				t.Fatalf("Seek(%d)[%d] = %d, model %d", from, j, k.I, model[idx+j])
-			}
-		}
-	}
-}
-
-func TestBTreeStringKeys(t *testing.T) {
-	db := NewDB(256)
-	bt, err := NewBTree(db.Pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := []string{"delta", "alpha", "echo", "bravo", "charlie"}
-	for i, w := range words {
-		if err := bt.Insert(algebra.StringVal(w), RID{Page: PageID(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, _ := bt.SeekFirst()
-	var got []string
-	for {
-		k, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, k.S)
-	}
-	want := []string{"alpha", "bravo", "charlie", "delta", "echo"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("string order mismatch: %v", got)
-		}
-	}
-}
-
 func TestDBTablesAndIndexes(t *testing.T) {
 	db := NewDB(128)
 	schema := algebra.Schema{
@@ -315,7 +236,7 @@ func TestDBTablesAndIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bt, err := db.BuildIndex(tab, "dept")
+	bt, err := db.EnsureIndex(tab, "dept")
 	if err != nil {
 		t.Fatal(err)
 	}
