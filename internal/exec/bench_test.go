@@ -177,7 +177,7 @@ func BenchmarkIndexJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inner := newIndexedSource(tab.Heap, idx, ds, colNeed{algebra.Col("d", "ck"): {}})
+	inner := newIndexedSource(tab.Heap, db.Pool, idx, ds, colNeed{algebra.Col("d", "ck"): {}})
 	fs := factSchema()
 	schema := fs.Concat(inner.schema)
 	pred, err := compilePred(custEqCk, schema, &Env{})
@@ -204,4 +204,25 @@ func BenchmarkTableScan(b *testing.B) {
 	b.Run("4of17", func(b *testing.B) {
 		benchDrain(b, newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "orderdate", "revenue")), 20000)
 	})
+}
+
+// BenchmarkScanFilterJoin is the pipeline a star query runs: a scan of the
+// 20000-row fact table, a filter that keeps a fifth of it, and a keyed
+// BNLJoin that streams what is left past a buffered dimension. Only the
+// join's output is kept, by the drain.
+func BenchmarkScanFilterJoin(b *testing.B) {
+	db := storage.NewDB(2048)
+	fs := factSchema()
+	tab := loadTable(b, db, "f", fs, factRows(20000))
+	scan := newTableScan(tab.Heap, fs, factNeed("custkey", "quantity", "revenue"))
+	pred, err := compilePred(algebra.Cmp(algebra.Col("f", "quantity"), algebra.LE, algebra.IntVal(10)), scan.Schema(), &Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, drows := dimTable(dimRows)
+	j, err := newNLJoin(&filterIter{child: scan, pred: pred}, &sliceIter{rows: drows, schema: ds}, custEqCk, &Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDrain(b, j, 4000)
 }

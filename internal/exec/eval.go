@@ -25,6 +25,17 @@ type Env struct {
 	// pages-read / wall-time counters and attaches the resulting per-plan
 	// profile tree to RunStats.Profile (the EXPLAIN ANALYZE input).
 	Profile bool
+
+	// wrap, which only tests set, stands between every operator the builder
+	// instantiates and its consumer.
+	wrap func(Iterator) Iterator
+}
+
+func (e *Env) wrapped(it Iterator) Iterator {
+	if e.wrap != nil {
+		return e.wrap(it)
+	}
+	return it
 }
 
 // valueFunc evaluates a scalar against a row.

@@ -94,7 +94,7 @@ func checkBatchAllAlgorithms(t *testing.T, db *storage.DB, cat *catalog.Catalog,
 		}
 		e := &Env{}
 		if env != nil {
-			e.ParamSets = env.ParamSets
+			e.ParamSets, e.wrap = env.ParamSets, env.wrap
 		}
 		results, _, err := Run(context.Background(), db, model, res.Plan, e)
 		if err != nil {

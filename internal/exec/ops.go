@@ -5,14 +5,23 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
-	"sort"
 
 	"mqo/internal/algebra"
 	"mqo/internal/storage"
 )
 
 // Iterator is the Volcano open-next-close interface. Next returns ok=false
-// at end of stream. Rows returned by Next are owned by the caller.
+// at end of stream.
+//
+// A row returned by Next is valid until the next Next or Close on that
+// iterator, and is not the caller's to write. An operator that streams hands
+// on the row it was given, or one scratch row it rewrites; an operator that
+// keeps a row across its child's next Next — a sort, a join's buffered side,
+// an aggregate's group, whoever collects results — copies it into storage of
+// its own (a rowArena). So a row is copied once by whoever keeps it and never
+// by whoever passes it on. Validity is per iterator: pulling one child does
+// not disturb the row last pulled from another. Open may be called again
+// after Close (Invoke re-runs its body per binding); buffers are reused.
 type Iterator interface {
 	Open() error
 	Next() (storage.Row, bool, error)
@@ -20,47 +29,92 @@ type Iterator interface {
 	Schema() algebra.Schema
 }
 
-// tableScan reads the kept columns of a heap file's rows.
+// rowArena is the storage of an operator that keeps rows: copies are carved
+// len == cap from slabs, so keeping rows allocates once per slab, not once
+// per row, and an append to one row cannot reach the next.
+type rowArena struct {
+	slab storage.Row // the newest slab; rows are carved off its free end
+}
+
+// maxSlab bounds, in values, the slabs an arena grows by: what it allocates
+// beyond the rows it keeps is one slab at most.
+const maxSlab = 4096
+
+// alloc returns an unwritten row of width values.
+func (a *rowArena) alloc(width int) storage.Row {
+	if cap(a.slab)-len(a.slab) < width {
+		// The first slab holds four rows, as most results are a few rows,
+		// and each is twice the last up to maxSlab.
+		a.slab = make(storage.Row, 0, max(min(2*cap(a.slab), maxSlab), 4*width))
+	}
+	n := len(a.slab) + width
+	a.slab = a.slab[:n]
+	return a.slab[n-width : n : n]
+}
+
+// keep returns the arena's copy of r.
+func (a *rowArena) keep(r storage.Row) storage.Row {
+	out := a.alloc(len(r))
+	copy(out, r)
+	return out
+}
+
+// reserve makes room for rows more rows of width values in one slab, for a
+// caller that knows how many are coming.
+func (a *rowArena) reserve(rows, width int) {
+	if n := rows * width; cap(a.slab)-len(a.slab) < n {
+		a.slab = make(storage.Row, 0, n)
+	}
+}
+
+// reset takes back every row handed out, to carve the newest slab again.
+func (a *rowArena) reset() { a.slab = a.slab[:0] }
+
+// bufferedRows is what the child's buffered method promises, 0 without one.
+func bufferedRows(child Iterator) int {
+	if b, ok := child.(interface{ buffered() int }); ok {
+		return b.buffered()
+	}
+	return 0
+}
+
+// tableScan streams the kept columns of a heap file's rows, holding one
+// decoded page at a time.
 type tableScan struct {
-	heap *storage.HeapFile
 	kept
-	rows []storage.Row
-	pos  int
+	cur *storage.HeapCursor
 }
 
 // newTableScan creates a scan of the need columns of a stored table, whose
 // schema the caller has already alias-qualified.
 func newTableScan(heap *storage.HeapFile, stored algebra.Schema, need colNeed) *tableScan {
-	return &tableScan{heap: heap, kept: need.of(stored)}
+	k := need.of(stored)
+	return &tableScan{kept: k, cur: heap.Cursor(k.cols)}
 }
 
-// Open reads every page here, in file order, so the pool's fault counts do
-// not depend on how the parent consumes the rows or on the columns kept.
-func (s *tableScan) Open() error {
-	s.rows = make([]storage.Row, 0, s.heap.Rows())
-	s.pos = 0
-	return s.heap.ScanCols(s.cols, func(_ storage.RID, r storage.Row) error {
-		s.rows = append(s.rows, r)
-		return nil
-	})
-}
+// Open reads nothing: pages are faulted as Next reaches them, so a consumer
+// that stops early leaves the rest of the file alone.
+func (s *tableScan) Open() error { s.cur.Rewind(); return nil }
 
-func (s *tableScan) Next() (storage.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
+func (s *tableScan) Next() (storage.Row, bool, error) { return s.cur.Next() }
 
-func (s *tableScan) Close() error           { s.rows = nil; return nil }
+func (s *tableScan) Close() error           { return nil }
 func (s *tableScan) Schema() algebra.Schema { return s.schema }
 
-// buffered is the optional method of an operator that holds its whole output
-// once open: the rows still to come, so a consumer that buffers them in turn
-// sizes its arrays once.
-func (s *tableScan) buffered() int { return len(s.rows) - s.pos }
+// buffered is the optional method of an operator that knows how many rows it
+// has still to deliver, so a consumer that keeps them sizes its storage once.
+func (s *tableScan) buffered() int { return int(s.cur.Remaining()) }
+
+// decodedAhead is the optional method of an operator some of whose Next calls
+// read a page while the others hand over a decoded row: it counts the latter
+// still to come before the next of the former, which a profiled run times on
+// its own.
+func (s *tableScan) decodedAhead() int { return s.cur.Decoded() }
+
+// pageMisses is the optional method of an operator that reads pages itself:
+// the pool misses it caused since it was built, which a profiled run reports
+// as NodeProfile.Pages.
+func (s *tableScan) pageMisses() int64 { return s.cur.Faults() }
 
 // filterIter applies a predicate to its child's rows.
 type filterIter struct {
@@ -94,6 +148,7 @@ type projectIter struct {
 	child  Iterator
 	funcs  []valueFunc
 	schema algebra.Schema
+	out    storage.Row // the one output row, rewritten by every Next
 }
 
 func (p *projectIter) Open() error { return p.child.Open() }
@@ -103,15 +158,15 @@ func (p *projectIter) Next() (storage.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(storage.Row, len(p.funcs))
-	for i, f := range p.funcs {
+	p.out = p.out[:0]
+	for _, f := range p.funcs {
 		v, err := f(r)
 		if err != nil {
 			return nil, false, err
 		}
-		out[i] = v
+		p.out = append(p.out, v)
 	}
-	return out, true, nil
+	return p.out, true, nil
 }
 
 func (p *projectIter) Close() error           { return p.child.Close() }
@@ -121,6 +176,7 @@ func (p *projectIter) Schema() algebra.Schema { return p.schema }
 type sortIter struct {
 	child Iterator
 	cols  []algebra.Column
+	arena rowArena // the copies of the child's rows
 	rows  []storage.Row
 	pos   int
 }
@@ -129,8 +185,12 @@ func (s *sortIter) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	s.rows = s.rows[:0]
-	s.pos = 0
+	s.arena.reset()
+	s.rows, s.pos = s.rows[:0], 0
+	if n := bufferedRows(s.child); n > 0 {
+		s.arena.reserve(n, len(s.child.Schema()))
+		s.rows = slices.Grow(s.rows, n)
+	}
 	idxs := make([]int, len(s.cols))
 	for i, c := range s.cols {
 		idxs[i] = s.child.Schema().IndexOf(c)
@@ -146,17 +206,9 @@ func (s *sortIter) Open() error {
 		if !ok {
 			break
 		}
-		s.rows = append(s.rows, r)
+		s.rows = append(s.rows, s.arena.keep(r))
 	}
-	sort.SliceStable(s.rows, func(a, b int) bool {
-		for _, ix := range idxs {
-			c := algebra.Compare(s.rows[a][ix], s.rows[b][ix])
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	slices.SortStableFunc(s.rows, func(a, b storage.Row) int { return compareAt(a, idxs, b, idxs) })
 	return nil
 }
 
@@ -169,13 +221,13 @@ func (s *sortIter) Next() (storage.Row, bool, error) {
 	return r, true, nil
 }
 
-func (s *sortIter) Close() error           { s.rows = nil; return s.child.Close() }
+func (s *sortIter) Close() error           { return s.child.Close() }
 func (s *sortIter) Schema() algebra.Schema { return s.child.Schema() }
 func (s *sortIter) buffered() int          { return len(s.rows) - s.pos }
 
-// joinScratch is the row a join's predicate sees: the outer row followed by
-// the inner candidate, overwritten for every pair. Only a pair that passes
-// is copied out, so a probe whose pairs all fail allocates nothing.
+// joinScratch is the row a join's predicate sees, and its output row when the
+// pair passes: the outer row followed by the inner candidate, overwritten for
+// every pair. A join allocates nothing per pair or per output row.
 type joinScratch struct {
 	row    storage.Row
 	nOuter int   // width of the outer side
@@ -192,14 +244,15 @@ func (s *joinScratch) init(outer, inner algebra.Schema) {
 func (s *joinScratch) setOuter(r storage.Row) { copy(s.row, r) }
 
 // eval evaluates pred on the current outer row paired with inner; ok reports
-// a pass, and out is then the caller's copy of the pair.
+// a pass, and out is then the pair: the scratch row, valid until the next
+// eval.
 func (s *joinScratch) eval(pred predFunc, inner storage.Row) (out storage.Row, ok bool, err error) {
 	copy(s.row[s.nOuter:], inner)
 	s.pairs++
 	if ok, err = pred(s.row); err != nil || !ok {
 		return nil, false, err
 	}
-	return s.row.Clone(), true, nil
+	return s.row, true, nil
 }
 
 // pairsEvaluated is what a profiled run reports as NodeProfile.Pairs.
@@ -247,6 +300,7 @@ type nlJoin struct {
 	schema      algebra.Schema
 	joinScratch
 
+	arena rowArena // the copies of the inner input's rows
 	inner []storage.Row
 	// The hash table: bucketOf numbers the key hashes seen, and bucket b is
 	// bucketed[ends[b-1]:ends[b]], all buckets carved from one array.
@@ -289,9 +343,10 @@ func (j *nlJoin) Open() error {
 		return err
 	}
 	j.init(j.left.Schema(), j.right.Schema())
+	j.arena.reset()
 	j.inner, j.ends, j.slot, j.cands = j.inner[:0], j.ends[:0], j.slot[:0], nil
-	if b, ok := j.right.(interface{ buffered() int }); ok {
-		n := b.buffered()
+	if n := bufferedRows(j.right); n > 0 {
+		j.arena.reserve(n, len(j.right.Schema()))
 		j.inner, j.slot = slices.Grow(j.inner, n), slices.Grow(j.slot, n)
 	}
 	if j.bucketOf == nil {
@@ -307,6 +362,7 @@ func (j *nlJoin) Open() error {
 		if !ok {
 			break
 		}
+		r = j.arena.keep(r)
 		j.inner = append(j.inner, r)
 		h, ok := keyHash(r, j.rKey)
 		if keyed = keyed && ok; !keyed {
@@ -377,7 +433,6 @@ func (j *nlJoin) Next() (storage.Row, bool, error) {
 }
 
 func (j *nlJoin) Close() error {
-	j.inner, j.bucketed, j.cands = nil, nil, nil
 	if err := j.left.Close(); err != nil {
 		return err
 	}
@@ -405,9 +460,10 @@ type mergeJoin struct {
 	schema      algebra.Schema
 	joinScratch
 
+	arena     rowArena      // the copies of the current key group's rows
 	group     []storage.Row // right rows of the current key group
 	groupPos  int
-	rightNext storage.Row
+	rightNext storage.Row // the right input's current row, valid until advanceRight
 	rightDone bool
 }
 
@@ -419,7 +475,7 @@ func (j *mergeJoin) Open() error {
 		return err
 	}
 	j.init(j.left.Schema(), j.right.Schema())
-	j.group, j.groupPos = nil, 0
+	j.group, j.groupPos = j.group[:0], 0
 	return j.advanceRight()
 }
 
@@ -433,6 +489,7 @@ func (j *mergeJoin) advanceRight() (err error) {
 // loadGroup skips the right rows below the left row's key and buffers the
 // group equal to it, which is empty when the right side has no such key.
 func (j *mergeJoin) loadGroup(l storage.Row) error {
+	j.arena.reset()
 	j.group = j.group[:0]
 	for !j.rightDone {
 		c := compareAt(j.rightNext, j.rIdx, l, j.lIdx)
@@ -440,7 +497,7 @@ func (j *mergeJoin) loadGroup(l storage.Row) error {
 			break
 		}
 		if c == 0 {
-			j.group = append(j.group, j.rightNext)
+			j.group = append(j.group, j.arena.keep(j.rightNext))
 		}
 		if err := j.advanceRight(); err != nil {
 			return err
@@ -474,7 +531,6 @@ func (j *mergeJoin) Next() (storage.Row, bool, error) {
 }
 
 func (j *mergeJoin) Close() error {
-	j.group = nil
 	if err := j.left.Close(); err != nil {
 		return err
 	}
@@ -485,28 +541,44 @@ func (j *mergeJoin) Schema() algebra.Schema { return j.schema }
 
 // indexedSource provides index probes into a stored relation (base table or
 // materialized temp), fetching the kept columns of each row found. Every
-// probe re-positions the source's one iterator.
+// probe re-positions the source's one iterator and decodes its matches into
+// the source's one arena, over those of the probe before: they are valid
+// until the next probe.
 type indexedSource struct {
 	heap *storage.HeapFile
+	pool *storage.BufferPool
 	it   *storage.BTreeIter
 	kept
+	arena  rowArena
+	misses int64 // pool misses of the probes so far
 }
 
-func newIndexedSource(heap *storage.HeapFile, index *storage.BTree, stored algebra.Schema, need colNeed) *indexedSource {
-	return &indexedSource{heap: heap, it: index.NewIter(), kept: need.of(stored)}
+func newIndexedSource(heap *storage.HeapFile, pool *storage.BufferPool, index *storage.BTree, stored algebra.Schema, need colNeed) *indexedSource {
+	return &indexedSource{heap: heap, pool: pool, it: index.NewIter(), kept: need.of(stored)}
 }
 
-// probeEq appends the rows with key == v to out.
-func (s *indexedSource) probeEq(v algebra.Value, out []storage.Row) ([]storage.Row, error) {
-	if err := s.it.Seek(v); err != nil {
+// probe appends to out the rows of the index entries from key from on (nil:
+// from the smallest), up to the first whose key fails while (nil: to the
+// end).
+func (s *indexedSource) probe(from *algebra.Value, while func(algebra.Value) bool, out []storage.Row) ([]storage.Row, error) {
+	before := s.pool.Misses()
+	out, err := s.fetch(from, while, out)
+	s.misses += s.pool.Misses() - before
+	return out, err
+}
+
+// fetch is probe without the miss count.
+func (s *indexedSource) fetch(from *algebra.Value, while func(algebra.Value) bool, out []storage.Row) ([]storage.Row, error) {
+	s.arena.reset()
+	var err error
+	if from != nil {
+		err = s.it.Seek(*from)
+	} else {
+		err = s.it.SeekFirst()
+	}
+	if err != nil {
 		return nil, err
 	}
-	return s.fetchWhile(func(k algebra.Value) bool { return algebra.Compare(k, v) == 0 }, out)
-}
-
-// fetchWhile appends to out the rows of the entries from the iterator's
-// position on, up to the first whose key fails while (nil: to the end).
-func (s *indexedSource) fetchWhile(while func(algebra.Value) bool, out []storage.Row) ([]storage.Row, error) {
 	for {
 		k, rid, ok, err := s.it.Next()
 		if err != nil {
@@ -515,13 +587,21 @@ func (s *indexedSource) fetchWhile(while func(algebra.Value) bool, out []storage
 		if !ok || (while != nil && !while(k)) {
 			return out, nil
 		}
-		r, err := s.heap.GetCols(rid, s.cols)
+		r, err := s.heap.GetCols(s.arena.alloc(len(s.cols))[:0], rid, s.cols)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
 	}
 }
+
+// probeEq appends the rows with key == v to out.
+func (s *indexedSource) probeEq(v algebra.Value, out []storage.Row) ([]storage.Row, error) {
+	return s.probe(&v, func(k algebra.Value) bool { return algebra.Compare(k, v) == 0 }, out)
+}
+
+// pageMisses reports the probes'.
+func (s *indexedSource) pageMisses() int64 { return s.misses }
 
 // indexJoin probes the inner index once per outer row.
 type indexJoin struct {
@@ -570,8 +650,9 @@ func (j *indexJoin) Next() (storage.Row, bool, error) {
 func (j *indexJoin) Close() error           { return j.outer.Close() }
 func (j *indexJoin) Schema() algebra.Schema { return j.schema }
 
-// columns reports the probed inner's.
+// columns and pageMisses report the probed inner's.
 func (j *indexJoin) columns() (read, stored int) { return j.inner.columns() }
+func (j *indexJoin) pageMisses() int64           { return j.inner.pageMisses() }
 
 // indexSelect answers a single-column selection through an index probe.
 type indexSelect struct {
@@ -586,7 +667,7 @@ type indexSelect struct {
 }
 
 func (s *indexSelect) Open() error {
-	s.rows, s.pos = nil, 0
+	s.pos = 0
 	v, err := s.rhs(nil)
 	if err != nil {
 		return err
@@ -596,15 +677,11 @@ func (s *indexSelect) Open() error {
 	var rows []storage.Row
 	switch src := s.source; s.op {
 	case algebra.EQ:
-		rows, err = src.probeEq(v, nil)
+		rows, err = src.probeEq(v, s.rows[:0])
 	case algebra.GE, algebra.GT:
-		if err = src.it.Seek(v); err == nil {
-			rows, err = src.fetchWhile(nil, nil)
-		}
+		rows, err = src.probe(&v, nil, s.rows[:0])
 	case algebra.LE, algebra.LT:
-		if err = src.it.SeekFirst(); err == nil {
-			rows, err = src.fetchWhile(func(k algebra.Value) bool { return algebra.Compare(k, v) <= 0 }, nil)
-		}
+		rows, err = src.probe(nil, func(k algebra.Value) bool { return algebra.Compare(k, v) <= 0 }, s.rows[:0])
 	default:
 		return fmt.Errorf("exec: index select does not support %v", s.op)
 	}
@@ -612,6 +689,7 @@ func (s *indexSelect) Open() error {
 		return err
 	}
 	// Residual predicate keeps semantics exact (strict bounds etc.).
+	s.rows = rows[:0]
 	for _, r := range rows {
 		keep, err := s.pred(r)
 		if err != nil {
@@ -633,11 +711,12 @@ func (s *indexSelect) Next() (storage.Row, bool, error) {
 	return r, true, nil
 }
 
-func (s *indexSelect) Close() error           { s.rows = nil; return nil }
+func (s *indexSelect) Close() error           { return nil }
 func (s *indexSelect) Schema() algebra.Schema { return s.schema }
 func (s *indexSelect) buffered() int          { return len(s.rows) - s.pos }
 
 func (s *indexSelect) columns() (read, stored int) { return s.source.columns() }
+func (s *indexSelect) pageMisses() int64           { return s.source.pageMisses() }
 
 // aggState accumulates one aggregate function.
 type aggState struct {
@@ -692,43 +771,46 @@ func (a *aggState) result() algebra.Value {
 // sortAgg is sort-based aggregation: the child is sorted on the group-by
 // columns, so groups arrive contiguously.
 type sortAgg struct {
-	child   Iterator
-	groupBy []algebra.Column
-	aggs    []algebra.AggExpr
-	schema  algebra.Schema
+	child  Iterator
+	aggs   []algebra.AggExpr
+	schema algebra.Schema
+	gbIdx  []int       // group-by column positions in the child's rows
+	argFns []valueFunc // per aggregate, its argument; nil for count(*)
 
-	gbIdx   []int
-	argFns  []valueFunc
-	pending storage.Row // first row of the next group
+	first   storage.Row // copy of the current group's first row
+	states  []aggState
+	out     storage.Row // the one output row, rewritten by every Next
+	pending storage.Row // first row of the next group: the child's current row
 	done    bool
-	opened  bool
 }
 
-func (a *sortAgg) Open() error {
-	if err := a.child.Open(); err != nil {
-		return err
-	}
-	cs := a.child.Schema()
-	a.gbIdx = make([]int, len(a.groupBy))
-	for i, c := range a.groupBy {
-		a.gbIdx[i] = cs.IndexOf(c)
-		if a.gbIdx[i] < 0 {
-			return fmt.Errorf("exec: group-by column %v not in input", c)
+// newSortAgg compiles the grouping columns and aggregate arguments against
+// the child's schema, once however often the operator is opened.
+func newSortAgg(child Iterator, groupBy []algebra.Column, aggs []algebra.AggExpr, schema algebra.Schema) (*sortAgg, error) {
+	a := &sortAgg{child: child, aggs: aggs, schema: schema,
+		gbIdx: make([]int, len(groupBy)), argFns: make([]valueFunc, len(aggs)), states: make([]aggState, len(aggs))}
+	cs := child.Schema()
+	for i, c := range groupBy {
+		if a.gbIdx[i] = cs.IndexOf(c); a.gbIdx[i] < 0 {
+			return nil, fmt.Errorf("exec: group-by column %v not in input", c)
 		}
 	}
-	a.argFns = make([]valueFunc, len(a.aggs))
-	for i, ag := range a.aggs {
+	for i, ag := range aggs {
 		if ag.Func == algebra.CountAll {
 			continue
 		}
 		f, err := compileScalar(ag.Arg, cs, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		a.argFns[i] = f
 	}
-	a.pending, a.done, a.opened = nil, false, true
-	return nil
+	return a, nil
+}
+
+func (a *sortAgg) Open() error {
+	a.pending, a.done = nil, false
+	return a.child.Open()
 }
 
 func (a *sortAgg) Next() (storage.Row, bool, error) {
@@ -744,18 +826,20 @@ func (a *sortAgg) Next() (storage.Row, bool, error) {
 		}
 		if !ok {
 			a.done = true
-			if len(a.groupBy) == 0 {
+			if len(a.gbIdx) == 0 {
 				// Scalar aggregate over empty input: one row of zeros.
-				states := a.newStates()
-				return a.emit(nil, states), true, nil
+				a.resetStates()
+				return a.emit(nil), true, nil
 			}
 			return nil, false, nil
 		}
 		cur = r
 	}
-	states := a.newStates()
-	for i := range states {
-		if err := states[i].add(cur); err != nil {
+	// The group's first row outlives the child's next Next: keep a copy.
+	a.first = append(a.first[:0], cur...)
+	a.resetStates()
+	for i := range a.states {
+		if err := a.states[i].add(a.first); err != nil {
 			return nil, false, err
 		}
 	}
@@ -768,38 +852,36 @@ func (a *sortAgg) Next() (storage.Row, bool, error) {
 			a.done = true
 			break
 		}
-		if compareAt(r, a.gbIdx, cur, a.gbIdx) != 0 {
+		if compareAt(r, a.gbIdx, a.first, a.gbIdx) != 0 {
 			a.pending = r
 			break
 		}
-		for i := range states {
-			if err := states[i].add(r); err != nil {
+		for i := range a.states {
+			if err := a.states[i].add(r); err != nil {
 				return nil, false, err
 			}
 		}
 	}
-	return a.emit(cur, states), true, nil
+	return a.emit(a.first), true, nil
 }
 
-func (a *sortAgg) newStates() []aggState {
-	states := make([]aggState, len(a.aggs))
+func (a *sortAgg) resetStates() {
 	for i, ag := range a.aggs {
-		states[i] = aggState{fn: ag.Func, arg: a.argFns[i]}
+		a.states[i] = aggState{fn: ag.Func, arg: a.argFns[i]}
 	}
-	return states
 }
 
 // emit builds the output row: group-by values then aggregate results, in
 // the order of a.schema.
-func (a *sortAgg) emit(sample storage.Row, states []aggState) storage.Row {
-	out := make(storage.Row, 0, len(a.groupBy)+len(states))
+func (a *sortAgg) emit(sample storage.Row) storage.Row {
+	a.out = a.out[:0]
 	for _, ix := range a.gbIdx {
-		out = append(out, sample[ix])
+		a.out = append(a.out, sample[ix])
 	}
-	for i := range states {
-		out = append(out, states[i].result())
+	for i := range a.states {
+		a.out = append(a.out, a.states[i].result())
 	}
-	return out
+	return a.out
 }
 
 func (a *sortAgg) Close() error           { return a.child.Close() }

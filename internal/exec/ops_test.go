@@ -140,6 +140,11 @@ func requireSameOrder(t *testing.T, what string, got, want []storage.Row) {
 // the plain loop's order, on a second Open too (Invoke re-runs its body);
 // the other two give the same multiset.
 func TestJoinsMatchAllPairs(t *testing.T) {
+	joinsMatchAllPairs(t, func(it Iterator) Iterator { return it })
+}
+
+// joinsMatchAllPairs runs the test with wrap around every operator.
+func joinsMatchAllPairs(t *testing.T, wrap func(Iterator) Iterator) {
 	l, r := func(c string) algebra.Column { return algebra.Col("l", c) }, func(c string) algebra.Column { return algebra.Col("r", c) }
 	or := func(ps ...algebra.Predicate) algebra.Predicate {
 		var cl algebra.Clause
@@ -177,15 +182,15 @@ func TestJoinsMatchAllPairs(t *testing.T) {
 			want := allPairs(t, c.pred, ls, rs, lrows, rrows)
 			what := fmt.Sprintf("%s, trial %d", c.name, trial)
 
-			nl, err := newNLJoin(&sliceIter{rows: lrows, schema: ls}, &sliceIter{rows: rrows, schema: rs}, c.pred, &Env{})
+			nl, err := newNLJoin(wrap(&sliceIter{rows: lrows, schema: ls}), wrap(&sliceIter{rows: rrows, schema: rs}), c.pred, &Env{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if (len(nl.lKey) > 0) != (c.keys != nil) {
 				t.Fatalf("%s: nlJoin keyed on %v", what, nl.lKey)
 			}
-			requireSameOrder(t, what+": nlJoin", mustDrain(t, nl), want)
-			requireSameOrder(t, what+": nlJoin reopened", mustDrain(t, nl), want)
+			requireSameOrder(t, what+": nlJoin", mustDrain(t, wrap(nl)), want)
+			requireSameOrder(t, what+": nlJoin reopened", mustDrain(t, wrap(nl)), want)
 
 			if c.keys != nil {
 				mj := &mergeJoin{pred: nl.pred, schema: schema}
@@ -194,9 +199,9 @@ func TestJoinsMatchAllPairs(t *testing.T) {
 					lk, rk = append(lk, l(k)), append(rk, r(k))
 					mj.lIdx, mj.rIdx = append(mj.lIdx, ls.IndexOf(l(k))), append(mj.rIdx, rs.IndexOf(r(k)))
 				}
-				mj.left = &sortIter{child: &sliceIter{rows: lrows, schema: ls}, cols: lk}
-				mj.right = &sortIter{child: &sliceIter{rows: rrows, schema: rs}, cols: rk}
-				if got := mustDrain(t, mj); !EqualRows(QueryResult{schema, got}, QueryResult{schema, want}, 0) {
+				mj.left = wrap(&sortIter{child: wrap(&sliceIter{rows: lrows, schema: ls}), cols: lk})
+				mj.right = wrap(&sortIter{child: wrap(&sliceIter{rows: rrows, schema: rs}), cols: rk})
+				if got := mustDrain(t, wrap(mj)); !EqualRows(QueryResult{schema, got}, QueryResult{schema, want}, 0) {
 					t.Fatalf("%s: mergeJoin gave %d rows, all-pairs %d:\n%v\n%v", what, len(got), len(want), got, want)
 				}
 			}
@@ -286,37 +291,66 @@ func TestJoinProbeAllocatesOnlyOutput(t *testing.T) {
 }
 
 // TestPrunedScanAllocatesPerSlab scans four numeric columns of the wide fact
-// table: the rows come out of slabs and the skipped strings are never built,
-// so opening the scan allocates at most once per hundred rows. It also holds
-// the scan to its result: the four columns of every row, in file order.
+// table: the skipped strings are never built and the rows of every page are
+// decoded into the one slab, so a scan of 16 000 rows allocates its cursor
+// and one page of rows, whatever the table's length — not the table. (The
+// rows are checked, not kept; keeping them is the consumer's allocation.) It
+// also holds the scan to its result, the four columns of every row in file
+// order, and a second Open — what Invoke does per binding — to starting over
+// from the first row in the slab of the first.
 func TestPrunedScanAllocatesPerSlab(t *testing.T) {
-	const n = 5000
-	db := storage.NewDB(512)
+	const n = 16000
+	db := storage.NewDB(1024)
 	fs, rows := factSchema(), factRows(n)
 	tab := loadTable(t, db, "f", fs, rows)
-	scan := newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "orderdate", "revenue"))
-	allocs := testing.AllocsPerRun(5, func() {
+	need := factNeed("custkey", "suppkey", "orderdate", "revenue")
+	pull := func(scan *tableScan) {
 		if err := scan.Open(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > n/100 {
-		t.Errorf("scanning %d rows allocated %v times, want at most %d", n, allocs, n/100)
+		for i := 0; ; i++ {
+			r, ok, err := scan.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if i != n {
+					t.Fatalf("scanned %d rows, want %d", i, n)
+				}
+				break
+			}
+			if full := rows[i]; !slices.Equal(r, storage.Row{full[2], full[4], full[5], full[12]}) {
+				t.Fatalf("row %d: %v; stored %v", i, r, full)
+			}
+		}
+		if err := scan.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	scan := newTableScan(tab.Heap, fs, need)
 	if want := intSchema("f", "custkey", "suppkey", "orderdate", "revenue").Columns(); !slices.Equal(scan.Schema().Columns(), want) {
 		t.Fatalf("schema %v, want %v", scan.Schema(), want)
 	}
-	for i, full := range rows {
-		r, ok, err := scan.Next()
-		if err != nil || !ok || !slices.Equal(r, storage.Row{full[2], full[4], full[5], full[12]}) {
-			t.Fatalf("row %d: %v, %v, %v; stored %v", i, r, ok, err, full)
+	fresh := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			pull(newTableScan(tab.Heap, fs, need))
 		}
+	})
+	if got, limit := fresh.AllocedBytesPerOp(), int64(4*storage.PageSize); got > limit {
+		t.Errorf("a scan of %d rows (%d pages) allocates %d bytes, want at most %d: four pages",
+			n, tab.Heap.NumPages(), got, limit)
+	}
+	pull(scan)
+	if again := testing.AllocsPerRun(3, func() { pull(scan) }); again != 0 {
+		t.Errorf("a re-opened scan allocated %v times, want its first pass's slab reused", again)
 	}
 }
 
-// TestNLJoinSizesBufferFromScan: a scan holds its rows once open and says how
-// many, so the join over it allocates its row buffer once instead of growing
-// it by append, and alike when a profiled run wraps the scan.
+// TestNLJoinSizesBufferFromScan: a scan knows how many rows it has still to
+// deliver, so the join that buffers them allocates its arrays and its arena's
+// slab once instead of growing them, and alike when a profiled run wraps the
+// scan.
 func TestNLJoinSizesBufferFromScan(t *testing.T) {
 	const n = 5000
 	db := storage.NewDB(512)
@@ -326,7 +360,7 @@ func TestNLJoinSizesBufferFromScan(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		var right Iterator = newTableScan(tab.Heap, fs, factNeed("custkey"))
 		if traced {
-			right = newStatIter(right, &NodeProfile{}, db.Pool)
+			right = newStatIter(right, &NodeProfile{}, &profiler{})
 		}
 		nl, err := newNLJoin(&sliceIter{schema: intSchema("l", "k")}, right, pred, &Env{})
 		if err != nil {
@@ -337,9 +371,9 @@ func TestNLJoinSizesBufferFromScan(t *testing.T) {
 		}
 		// Sized once, the arrays exceed n by a size class's rounding at most;
 		// grown by append they would end a growth step above it.
-		if len(nl.inner) != n || cap(nl.inner) > n+n/16 || cap(nl.slot) > n+n/16 {
-			t.Errorf("traced=%v: %d rows buffered in arrays of %d rows and %d slots, want about %d each",
-				traced, len(nl.inner), cap(nl.inner), cap(nl.slot), n)
+		if len(nl.inner) != n || cap(nl.inner) > n+n/16 || cap(nl.slot) > n+n/16 || cap(nl.arena.slab) > n+n/16 {
+			t.Errorf("traced=%v: %d rows buffered in arrays of %d rows and %d slots and a slab of %d values, want about %d each",
+				traced, len(nl.inner), cap(nl.inner), cap(nl.slot), cap(nl.arena.slab), n)
 		}
 	}
 }
@@ -350,7 +384,6 @@ func TestNLJoinSizesBufferFromScan(t *testing.T) {
 func TestAnalyzeShowsJoinPairs(t *testing.T) {
 	ls, rs := intSchema("l", "k"), intSchema("r", "k")
 	lrows, rrows := intRows([]int64{1}, []int64{2}, []int64{2}, []int64{9}), intRows([]int64{2}, []int64{1}, []int64{2})
-	pool := storage.NewDB(8).Pool
 	for _, c := range []struct {
 		pred        algebra.Predicate
 		rows, pairs int64
@@ -363,7 +396,7 @@ func TestAnalyzeShowsJoinPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := &NodeProfile{Op: "BNLJoin"}
-		mustDrain(t, newStatIter(nl, p, pool))
+		mustDrain(t, newStatIter(nl, p, &profiler{}))
 		if p.Rows != c.rows || p.Pairs != c.pairs {
 			t.Errorf("%v: rows=%d pairs=%d, want %d and %d", c.pred, p.Rows, p.Pairs, c.rows, c.pairs)
 		}
@@ -415,6 +448,10 @@ func TestAggStateFunctions(t *testing.T) {
 }
 
 func TestInvokeIterRunsPerBinding(t *testing.T) {
+	invokeRunsPerBinding(t, func(it Iterator) Iterator { return it })
+}
+
+func invokeRunsPerBinding(t *testing.T, wrap func(Iterator) Iterator) {
 	schema := intSchema("t", "v")
 	env := &Env{
 		Params: map[string]algebra.Value{},
@@ -428,18 +465,17 @@ func TestInvokeIterRunsPerBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := &filterIter{
-		child: &sliceIter{rows: intRows([]int64{1}, []int64{2}, []int64{3}), schema: schema},
+	child := wrap(&filterIter{
+		child: wrap(&sliceIter{rows: intRows([]int64{1}, []int64{2}, []int64{3}), schema: schema}),
 		pred:  pred,
-	}
+	})
 	iv := &invokeIter{child: child, env: env}
-	out, err := drain(context.Background(), iv)
+	out, err := drain(context.Background(), wrap(iv))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 { // one match for k=1, one each for the two k=2 bindings
-		t.Fatalf("invoke produced %d rows, want 3", len(out))
-	}
+	// One match for k=1, one each for the two k=2 bindings.
+	requireSameOrder(t, "invoke", out, intRows([]int64{1}, []int64{2}, []int64{2}))
 }
 
 func TestProjectComputesExpressions(t *testing.T) {

@@ -68,6 +68,10 @@ func (bp *BatchProfile) Visit(fn func(*NodeProfile)) {
 type profiler struct {
 	stack []*NodeProfile
 	roots []*NodeProfile
+
+	// fetchWall is the time spent so far in the Next calls of scans that
+	// read a page, each timed exactly; see statIter.
+	fetchWall time.Duration
 }
 
 func (pr *profiler) push(p *NodeProfile) {
@@ -122,26 +126,50 @@ func opName(pn *physical.PlanNode, asConsumer bool, env *Env) string {
 
 // statIter wraps an operator with measurement. The executor drains plans on
 // a single goroutine, so plain (non-atomic) accumulation into the profile
-// node is safe. Rows, pairs and pages are exact: the pool's miss counter is
-// read around each call and attributes page misses inclusively to the
-// subtree. Open and Close are timed exactly. Next is timed exactly while its
-// calls are slow and sampled once they are cheap, because two clock reads
-// around a call that hands over one buffered row cost more than the call
-// (mqobench's observe experiment gates the whole wrapper at 5 % of an
-// unprofiled run); Wall of an operator with many cheap calls is therefore an
-// estimate, and a parent's can come out below its child's.
+// node and the profiler is safe.
+//
+// Rows, pairs and pages are exact. Page misses are counted where they are
+// caused — by a scan's cursor, an index probe, an Invoke's cache scans and
+// spool writes — and read off the operator (pageMisses) when it closes;
+// sumPages then makes them inclusive, once per run.
+//
+// Open and Close are timed exactly. Next is timed exactly while its calls are
+// slow and sampled once they are cheap, because two clock reads around a call
+// that hands over one row cost several times the call (mqobench's observe
+// experiment gates the whole wrapper at 5 % of an unprofiled run). A
+// pipelined tree is bursty, though: one Next of a scan in some forty decodes
+// a page and costs a hundred times its neighbours, and it must neither be
+// scaled by a period learnt from them nor teach them its own. So the two
+// kinds of call are kept apart:
+//
+//   - A scan says how many decoded rows it has in hand (decodedAhead). The
+//     call after those reads a page: it is timed exactly, and its time goes to
+//     the profiler's fetchWall as well as to the scan. The calls that hand
+//     over a decoded row pass through untimed and uncounted (their rows were
+//     counted when the page was read) — each costs less than this wrapper
+//     does — so a scan's Wall is the time it spent reading and decoding pages.
+//   - Every other operator samples. It sees fetchWall move across its own Next
+//     and takes that part of the call as it is; the rest of a timed call
+//     stands for the calls skipped before it, unless a page was read during
+//     it: then the call says nothing about its cheap neighbours, counts for
+//     itself alone, and the next call is timed in its place.
+//
+// Wall of an operator with many cheap calls is therefore an estimate, but not
+// one that a page read landing on a timed call can multiply.
 type statIter struct {
 	child Iterator
 	p     *NodeProfile
-	pool  *storage.BufferPool
+	prof  *profiler
+	scan  interface{ decodedAhead() int } // child, when it is one
 
+	ahead  int // scans: decoded rows already in p.Rows that Next has still to hand over
 	skip   int // Next calls to let pass untimed before timing one
 	period int // calls the next timed Next stands for: itself and those skipped
 }
 
 const (
 	// clockBudget is the operator time per timed Next that keeps the clock
-	// reads (about 100 ns a pair) near 2 % of it: after a call of d, the
+	// reads (about 70 ns a pair) near 2 % of it: after a call of d, the
 	// next clockBudget/d calls pass untimed.
 	clockBudget = 5 * time.Microsecond
 	// maxPeriod bounds that run, so that a slow call after many cheap ones
@@ -149,37 +177,82 @@ const (
 	maxPeriod = 64
 )
 
-func newStatIter(child Iterator, p *NodeProfile, pool *storage.BufferPool) *statIter {
-	return &statIter{child: child, p: p, pool: pool, period: 1}
+// epoch makes a clock read one monotonic reading (time.Since) where time.Now
+// takes the wall clock's as well.
+var epoch = time.Now()
+
+func clock() time.Duration { return time.Since(epoch) }
+
+// clockCost is what a pair of clock reads measures with nothing in between.
+// It is taken off every timed Next: left in, it would be most of what a call
+// handing over one row measures, times the period.
+var clockCost = func() time.Duration {
+	best := time.Hour
+	for i := 0; i < 16; i++ {
+		start := clock()
+		best = min(best, clock()-start)
+	}
+	return best
+}()
+
+func newStatIter(child Iterator, p *NodeProfile, prof *profiler) *statIter {
+	s := &statIter{child: child, p: p, prof: prof, period: 1}
+	s.scan, _ = child.(interface{ decodedAhead() int })
+	return s
 }
 
-func (s *statIter) measure(start time.Time, misses int64) {
-	s.p.Wall += time.Since(start)
-	s.p.Pages += s.pool.Misses() - misses
+// uncount takes back the decoded rows a scan's consumer left unpulled.
+func (s *statIter) uncount() {
+	s.p.Rows -= int64(s.ahead)
+	s.ahead = 0
 }
 
 func (s *statIter) Open() error {
-	defer s.measure(time.Now(), s.pool.Misses())
-	return s.child.Open()
+	s.uncount()
+	start := clock()
+	err := s.child.Open()
+	s.p.Wall += clock() - start
+	return err
 }
 
 func (s *statIter) Next() (storage.Row, bool, error) {
-	misses := s.pool.Misses()
-	var start time.Time
+	if s.scan != nil {
+		if s.ahead > 0 {
+			s.ahead--
+			return s.child.Next()
+		}
+		start := clock()
+		r, ok, err := s.child.Next()
+		d := max(clock()-start-clockCost, 0)
+		s.p.Wall += d
+		s.prof.fetchWall += d
+		if ok {
+			s.ahead = s.scan.decodedAhead()
+			s.p.Rows += 1 + int64(s.ahead)
+		}
+		return r, ok, err
+	}
+	fetched := s.prof.fetchWall
+	var start time.Duration
 	timed := s.skip == 0
 	if timed {
-		start = time.Now()
+		start = clock()
 	} else {
 		s.skip--
 	}
 	r, ok, err := s.child.Next()
+	fetched = s.prof.fetchWall - fetched // the part of this call spent reading pages below
 	if timed {
-		d := time.Since(start)
-		s.p.Wall += d * time.Duration(s.period)
-		s.period = 1 + int(min(clockBudget/max(d, 1), maxPeriod-1))
-		s.skip = s.period - 1
+		d := max(clock()-start-clockCost-fetched, 1)
+		if fetched > 0 {
+			s.p.Wall += d
+		} else {
+			s.p.Wall += d * time.Duration(s.period)
+			s.period = 1 + int(min(clockBudget/d, maxPeriod-1))
+			s.skip = s.period - 1
+		}
 	}
-	s.p.Pages += s.pool.Misses() - misses
+	s.p.Wall += fetched
 	if ok {
 		s.p.Rows++
 	}
@@ -187,22 +260,41 @@ func (s *statIter) Next() (storage.Row, bool, error) {
 }
 
 func (s *statIter) Close() error {
-	defer s.measure(time.Now(), s.pool.Misses())
+	s.uncount()
+	start := clock()
+	err := s.child.Close()
+	s.p.Wall += clock() - start
 	if j, ok := s.child.(interface{ pairsEvaluated() int64 }); ok {
 		s.p.Pairs = j.pairsEvaluated()
 	}
-	return s.child.Close()
+	if l, ok := s.child.(interface{ pageMisses() int64 }); ok {
+		s.p.Pages = l.pageMisses()
+	}
+	return err
 }
 
 func (s *statIter) Schema() algebra.Schema { return s.child.Schema() }
 
-// buffered forwards the child's, so a join sizes its buffer alike in traced
-// and plain runs; 0 is "unknown".
-func (s *statIter) buffered() int {
-	if b, ok := s.child.(interface{ buffered() int }); ok {
-		return b.buffered()
+// buffered forwards the child's, so a consumer sizes its storage alike in
+// traced and plain runs; 0 is "unknown".
+func (s *statIter) buffered() int { return bufferedRows(s.child) }
+
+// sumPages turns the page misses each operator caused itself into the
+// inclusive counts NodeProfile.Pages documents, children before parents.
+func (bp *BatchProfile) sumPages() {
+	var sum func(p *NodeProfile) int64
+	sum = func(p *NodeProfile) int64 {
+		for _, c := range p.Children {
+			p.Pages += sum(c)
+		}
+		p.Bytes = p.Pages * storage.PageSize
+		return p.Pages
 	}
-	return 0
+	for _, roots := range [][]*NodeProfile{bp.Mats, bp.Queries} {
+		for _, p := range roots {
+			sum(p)
+		}
+	}
 }
 
 // Executor metrics on the default registry.
@@ -238,7 +330,6 @@ func recordRunMetrics(stats *RunStats) {
 	}
 	reg := obs.Default()
 	stats.Profile.Visit(func(p *NodeProfile) {
-		p.Bytes = p.Pages * storage.PageSize
 		op := metricOp(p.Op)
 		reg.Counter("mqo_exec_operator_rows_total", "Rows emitted by executor operators.", obs.L("op", op)).Add(p.Rows)
 		reg.Counter("mqo_exec_operator_pages_total", "Inclusive page misses by executor operators.", obs.L("op", op)).Add(p.Pages)

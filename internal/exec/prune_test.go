@@ -36,6 +36,17 @@ type step struct {
 // takes the same risk through cache scans in both tiers, spooled roots and
 // partially cached Invokes, all of which the test insists it crossed.
 func TestPrunedPlansMatchReference(t *testing.T) {
+	plansMatchReference(t, func(env *exec.Env) *exec.Env { return env })
+}
+
+// TestRowsValidUntilNext runs the same matrix with every operator's rows
+// overwritten with garbage the moment the Iterator contract lets them lapse
+// (exec.SpoilRows): an operator that keeps a row across its child's next Next
+// without copying it — which passes unnoticed as long as the next page, probe
+// or pair happens to land elsewhere — then answers wrongly every time.
+func TestRowsValidUntilNext(t *testing.T) { plansMatchReference(t, exec.SpoilRows) }
+
+func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 	const (
 		ample = 16 << 20
 		tight = 4 * storage.PageSize // a dozen one-page flight results do not fit
@@ -105,8 +116,8 @@ func TestPrunedPlansMatchReference(t *testing.T) {
 						t.Fatalf("%v step %d: %v", alg, k, err)
 					}
 					spools := ticket.PlanSpools(res.Plan)
-					got, _, err := exec.Run(context.Background(), db, model, res.Plan, &exec.Env{
-						ParamSets: s.sets, Cache: &exec.CacheIO{Spools: spools, BindSpools: ticket.BindingSpools()}})
+					got, _, err := exec.Run(context.Background(), db, model, res.Plan, with(&exec.Env{
+						ParamSets: s.sets, Cache: &exec.CacheIO{Spools: spools, BindSpools: ticket.BindingSpools()}}))
 					if err != nil {
 						ticket.Abort()
 						t.Fatalf("%v step %d: %v\nplan:\n%s", alg, k, err, res.Plan)

@@ -178,6 +178,7 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 		float64(stats.WarmIO.Reads+stats.WarmIO.Writes)*model.CPUS
 	if b.prof != nil {
 		stats.Profile = &BatchProfile{Mats: b.prof.roots[:matRoots], Queries: b.prof.roots[matRoots:]}
+		stats.Profile.sumPages()
 	}
 	recordRunMetrics(&stats)
 	return results, stats, nil
@@ -187,13 +188,19 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 // checking per row would put a (locking) ctx.Err call on the hot path.
 const drainCheckEvery = 1024
 
-// drain exhausts an iterator, honouring context cancellation.
+// drain exhausts an iterator, honouring context cancellation. The rows it
+// returns are copies of its own, so they outlive the iterator.
 func drain(ctx context.Context, it Iterator) ([]storage.Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
+	var arena rowArena
 	var rows []storage.Row
+	if n := bufferedRows(it); n > 0 {
+		arena.reserve(n, len(it.Schema()))
+		rows = make([]storage.Row, 0, n)
+	}
 	for n := 0; ; n++ {
 		if n%drainCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -207,7 +214,7 @@ func drain(ctx context.Context, it Iterator) ([]storage.Row, error) {
 		if !ok {
 			return rows, nil
 		}
-		rows = append(rows, r)
+		rows = append(rows, arena.keep(r))
 	}
 }
 
@@ -285,7 +292,11 @@ func (b *builder) materialize(pn *physical.PlanNode) error {
 // what they read themselves.
 func (b *builder) build(pn *physical.PlanNode, asConsumer bool, need colNeed) (Iterator, error) {
 	if b.prof == nil {
-		return b.buildOp(pn, asConsumer, need)
+		it, err := b.buildOp(pn, asConsumer, need)
+		if err != nil {
+			return nil, err
+		}
+		return b.env.wrapped(it), nil
 	}
 	p := &NodeProfile{Node: pn.N.ID, Op: opName(pn, asConsumer, b.env), Mat: pn.Mat,
 		EstCost: float64(pn.N.Cost), EstRows: pn.N.LG.Rel.Rows}
@@ -298,7 +309,7 @@ func (b *builder) build(pn *physical.PlanNode, asConsumer bool, need colNeed) (I
 	if c, ok := it.(interface{ columns() (read, stored int) }); ok {
 		p.Cols, p.StoredCols = c.columns()
 	}
-	return newStatIter(it, p, b.db.Pool), nil
+	return b.env.wrapped(newStatIter(it, p, b.prof)), nil
 }
 
 // buildOp instantiates the operator itself (children via build, so nested
@@ -404,7 +415,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 			return nil, err
 		}
 		if pn.E.Kind == physical.SortAgg && !sortedOn(pn.Children[0], pn.E.SortCols) {
-			child = &sortIter{child: child, cols: pn.E.SortCols}
+			child = b.env.wrapped(&sortIter{child: child, cols: pn.E.SortCols})
 		}
 		gb := op.GroupBy
 		if pn.E.Kind == physical.SortAgg {
@@ -426,7 +437,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 			}
 			schema = append(schema, algebra.ColInfo{Col: a.As, Typ: t})
 		}
-		return &sortAgg{child: child, groupBy: gb, aggs: op.Aggs, schema: schema}, nil
+		return newSortAgg(child, gb, op.Aggs, schema)
 
 	case physical.ProjectOp:
 		op := pn.E.LE.Op.(algebra.Project)
@@ -519,10 +530,10 @@ func (b *builder) buildMergeJoin(pn *physical.PlanNode, need colNeed) (Iterator,
 	// Inputs must arrive sorted on the join keys; when a link was replaced
 	// by a differently-sorted materialization, re-sort explicitly.
 	if !sortedOn(pn.Children[0], pn.E.SortCols) {
-		left = &sortIter{child: left, cols: pn.E.SortCols}
+		left = b.env.wrapped(&sortIter{child: left, cols: pn.E.SortCols})
 	}
 	if !sortedOn(pn.Children[1], pn.E.RightCols) {
-		right = &sortIter{child: right, cols: pn.E.RightCols}
+		right = b.env.wrapped(&sortIter{child: right, cols: pn.E.RightCols})
 	}
 	op := pn.E.LE.Op.(algebra.Join)
 	schema := left.Schema().Concat(right.Schema())
@@ -586,7 +597,7 @@ func (b *builder) resolveIndexedSource(pn *physical.PlanNode, col algebra.Column
 		if err != nil {
 			return nil, err
 		}
-		return newIndexedSource(tab.Heap, idx, requalify(tab.Schema, op.Alias), need), nil
+		return newIndexedSource(tab.Heap, b.db.Pool, idx, requalify(tab.Schema, op.Alias), need), nil
 
 	case physical.IndexBuildEnf:
 		name := tempName(pn)
@@ -605,7 +616,7 @@ func (b *builder) resolveIndexedSource(pn *physical.PlanNode, col algebra.Column
 		if err != nil {
 			return nil, err
 		}
-		return newIndexedSource(temp.Heap, idx, temp.Schema, need), nil
+		return newIndexedSource(temp.Heap, b.db.Pool, idx, temp.Schema, need), nil
 	}
 	return nil, fmt.Errorf("exec: node %d (%v) is not an indexed source", pn.N.ID, pn.E.Kind)
 }
@@ -630,10 +641,13 @@ type invokeIter struct {
 	sets    []map[string]algebra.Value
 	keys    []string // BindingKey per set, in order
 	setIdx  int
-	cur     Iterator // current binding's source: the child or a cache scan
+	cur     Iterator   // current binding's source: the child or a cache scan
+	scan    *tableScan // that cache scan, nil while the child runs
 	started bool
 	spoolTo string        // table the current binding spools into ("" = none)
+	arena   rowArena      // the copies of the current binding's teed rows
 	buf     []storage.Row // current binding's teed rows
+	misses  int64         // pool misses of finished cache scans and spool writes
 }
 
 func (iv *invokeIter) Open() error {
@@ -657,14 +671,15 @@ func (iv *invokeIter) Open() error {
 func (iv *invokeIter) openBinding() error {
 	bind := iv.keys[iv.setIdx]
 	if ref, ok := iv.scans[bind]; ok && iv.db != nil {
-		it, err := iv.cacheScan(ref)
+		scan, err := iv.cacheScan(ref)
 		if err != nil {
 			return err
 		}
+		it := iv.env.wrapped(scan)
 		if err := it.Open(); err != nil {
 			return err
 		}
-		iv.cur = it
+		iv.cur, iv.scan = it, scan
 		iv.started = true
 		return nil
 	}
@@ -678,6 +693,7 @@ func (iv *invokeIter) openBinding() error {
 	if table, ok := iv.spools[bind]; ok && iv.db != nil {
 		if _, err := iv.db.Cache(table); err != nil { // not yet written
 			iv.spoolTo = table
+			iv.arena.reset()
 			iv.buf = iv.buf[:0]
 		}
 	}
@@ -688,7 +704,7 @@ func (iv *invokeIter) openBinding() error {
 // cacheScan opens the table scan serving one cached binding, preferring
 // the tier the plan was priced at and falling back from warm to RAM when
 // an async promotion completed mid-batch (mirroring CacheScanOp).
-func (iv *invokeIter) cacheScan(ref physical.BindScan) (Iterator, error) {
+func (iv *invokeIter) cacheScan(ref physical.BindScan) (*tableScan, error) {
 	if ref.Tier == cost.TierWarm {
 		if wt, err := iv.db.Warm(ref.Table); err == nil {
 			return newTableScan(wt.Heap, wt.Schema, nil), nil
@@ -707,15 +723,20 @@ func (iv *invokeIter) cacheScan(ref physical.BindScan) (Iterator, error) {
 func (iv *invokeIter) closeBinding(drained bool) error {
 	if iv.spoolTo != "" {
 		if drained {
+			before := iv.db.Pool.Misses() // a new page counts as one
 			ct := iv.db.CreateCache(iv.spoolTo, iv.child.Schema())
 			for _, r := range iv.buf {
 				if _, err := ct.Heap.Insert(r); err != nil {
 					return err
 				}
 			}
+			iv.misses += iv.db.Pool.Misses() - before
 		}
 		iv.spoolTo = ""
-		iv.buf = nil
+	}
+	if iv.scan != nil {
+		iv.misses += iv.scan.pageMisses()
+		iv.scan = nil
 	}
 	err := iv.cur.Close()
 	iv.cur = nil
@@ -736,7 +757,7 @@ func (iv *invokeIter) Next() (storage.Row, bool, error) {
 		}
 		if ok {
 			if iv.spoolTo != "" {
-				iv.buf = append(iv.buf, r)
+				iv.buf = append(iv.buf, iv.arena.keep(r))
 			}
 			return r, true, nil
 		}
@@ -756,6 +777,9 @@ func (iv *invokeIter) Close() error {
 }
 
 func (iv *invokeIter) Schema() algebra.Schema { return iv.child.Schema() }
+
+// pageMisses reports those of the cache scans and spool writes.
+func (iv *invokeIter) pageMisses() int64 { return iv.misses }
 
 // colNeed is a set of columns a consumer reads; nil is the set of all
 // columns, whatever the schema they turn out to come from.

@@ -437,7 +437,7 @@ func TestBTreeAllocations(t *testing.T) {
 		if err != nil || !ok || k.I != next {
 			t.Fatal(k, ok, err)
 		}
-		if r, err := h.GetCols(rid, cols); err != nil || r[0].I != next {
+		if r, err := h.GetCols(nil, rid, cols); err != nil || r[0].I != next {
 			t.Fatal(r, err)
 		}
 	}); avg > 3 {

@@ -104,10 +104,10 @@ func TestDecodeRowDamageInSkippedValue(t *testing.T) {
 	}
 }
 
-// TestScanColsMatchesScan: a projected scan and a projected fetch deliver
-// the projection of what Scan and Get deliver, row for row, across slab and
-// page boundaries, each row len == cap so appending to one cannot reach the
-// next.
+// TestScanColsMatchesScan: a projected scan, a projected fetch and a cursor
+// deliver the projection of what Scan and Get deliver, row for row, across
+// slab and page boundaries, each row len == cap so appending to one cannot
+// reach the next.
 func TestScanColsMatchesScan(t *testing.T) {
 	h := NewHeapFile(NewBufferPool(NewPager(), 8))
 	rng := rand.New(rand.NewSource(20))
@@ -140,7 +140,7 @@ func TestScanColsMatchesScan(t *testing.T) {
 					t.Fatalf("cols %v row %d: got %v, stored %v", cols, i, r, all[i])
 				}
 			}
-			got, err := h.GetCols(rid, cols)
+			got, err := h.GetCols(nil, rid, cols)
 			if err != nil || !slices.Equal(got, r) {
 				t.Fatalf("GetCols(%v, %v) = %v, %v; scan gave %v", rid, cols, got, err, r)
 			}
@@ -149,6 +149,35 @@ func TestScanColsMatchesScan(t *testing.T) {
 		})
 		if err != nil || i != n {
 			t.Fatalf("cols %v: %d rows, %v", cols, i, err)
+		}
+		// The cursor pulls the same rows, twice: Rewind starts over.
+		c := h.Cursor(cols)
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; ; i++ {
+				if left := c.Remaining(); left != int64(n-i) {
+					t.Fatalf("cols %v pass %d: %d rows remain before row %d of %d", cols, pass, left, i, n)
+				}
+				fetches := c.Decoded() == 0
+				r, ok, err := c.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					if i != n || !fetches {
+						t.Fatalf("cols %v pass %d: cursor ended after %d rows (fetches %v), want %d", cols, pass, i, fetches, n)
+					}
+					break
+				}
+				if fetches != (rids[i].Slot == 0) || len(r) != len(cols) || cap(r) != len(r) {
+					t.Fatalf("cols %v row %d at %v: fetches %v, len %d cap %d", cols, i, rids[i], fetches, len(r), cap(r))
+				}
+				for k, col := range cols {
+					if r[k] != all[i][col] {
+						t.Fatalf("cols %v row %d: cursor gave %v, stored %v", cols, i, r, all[i])
+					}
+				}
+			}
+			c.Rewind()
 		}
 	}
 }

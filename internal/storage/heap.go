@@ -131,20 +131,122 @@ func (h *HeapFile) rowWidth(cols []int) int {
 }
 
 // Get fetches the row at rid.
-func (h *HeapFile) Get(rid RID) (Row, error) { return h.GetCols(rid, nil) }
+func (h *HeapFile) Get(rid RID) (Row, error) { return h.GetCols(nil, rid, nil) }
 
-// GetCols fetches the values at the ascending positions cols (nil: all) of
-// the row at rid.
-func (h *HeapFile) GetCols(rid RID, cols []int) (r Row, err error) {
+// GetCols appends to dst the values at the ascending positions cols (nil:
+// all) of the row at rid; a nil dst is sized to the row.
+func (h *HeapFile) GetCols(dst Row, rid RID, cols []int) (r Row, err error) {
+	if dst == nil {
+		dst = make(Row, 0, h.rowWidth(cols))
+	}
 	err = h.pool.View(rid.Page, func(data []byte) error {
 		if rid.Slot >= pageNumSlots(data) {
 			return fmt.Errorf("storage: slot %d out of range on page %d", rid.Slot, rid.Page)
 		}
 		off, length := slotAt(data, rid.Slot)
-		r, err = decodeRow(make(Row, 0, h.rowWidth(cols)), data[off:off+length], cols)
+		r, err = decodeRow(dst, data[off:off+length], cols)
 		return err
 	})
 	return r, err
+}
+
+// HeapCursor pulls a heap file's rows in file order, decoding the values at
+// the ascending positions cols (nil: all). One page at a time is decoded
+// under its shard lock, so the puller may use the pool between rows without
+// reaching the page it is being fed from. A row is valid until the Next that
+// crosses into the following page, which decodes into the same slab; a
+// puller that keeps a row longer copies it.
+type HeapCursor struct {
+	h     *HeapFile
+	cols  []int
+	width int
+	keep  bool // ScanCols: rows are the callback's to keep, so no slab is reused
+
+	slab   Row
+	page   []Row // the current page's rows, by slot
+	pos    int   // next of them to return
+	next   int   // next of h.pages to decode
+	left   int64 // rows not yet decoded
+	faults int64 // pool misses its page reads took, over every pass
+}
+
+// Cursor returns a cursor over the file, positioned before its first row.
+func (h *HeapFile) Cursor(cols []int) *HeapCursor {
+	c := &HeapCursor{h: h, cols: cols}
+	c.Rewind()
+	return c
+}
+
+// Rewind positions the cursor before the first row again. The slab stays.
+func (c *HeapCursor) Rewind() {
+	c.width = c.h.rowWidth(c.cols)
+	c.page, c.pos, c.next, c.left = c.page[:0], 0, 0, c.h.rows
+}
+
+// Remaining is the number of rows still to come.
+func (c *HeapCursor) Remaining() int64 { return c.left + int64(len(c.page)-c.pos) }
+
+// Decoded is the number of coming Next calls that hand over a row already
+// decoded; the one after them reads a page (or ends the file).
+func (c *HeapCursor) Decoded() int { return len(c.page) - c.pos }
+
+// Faults is the number of pool misses the cursor's page reads have caused
+// since it was created. Like the pool's counters it is exact for a serial
+// caller and approximate while other goroutines fault pages too.
+func (c *HeapCursor) Faults() int64 { return c.faults }
+
+// Next returns the next row, ok=false after the last.
+func (c *HeapCursor) Next() (r Row, ok bool, err error) {
+	for c.pos == len(c.page) {
+		if ok, err := c.nextPage(); err != nil || !ok {
+			return nil, false, err
+		}
+	}
+	r = c.page[c.pos]
+	c.pos++
+	return r, true, nil
+}
+
+// nextPage decodes the next page of the file into c.page; ok=false at the end
+// of the file.
+func (c *HeapCursor) nextPage() (ok bool, err error) {
+	if c.next == len(c.h.pages) {
+		return false, nil
+	}
+	c.page, c.pos = c.page[:0], 0
+	misses := c.h.pool.Misses()
+	err = c.h.pool.View(c.h.pages[c.next], c.decodePage)
+	c.faults += c.h.pool.Misses() - misses
+	c.next++
+	return err == nil, err
+}
+
+// decodePage is the one routine that turns a heap page into rows: each is
+// carved len == cap from the slab, so an append to one cannot reach the next.
+func (c *HeapCursor) decodePage(data []byte) (err error) {
+	n := pageNumSlots(data)
+	if cap(c.page) < int(n) {
+		c.page = make([]Row, 0, n)
+	}
+	if !c.keep {
+		// The last page's rows are no longer valid: decode over them.
+		if c.slab = c.slab[:0]; cap(c.slab) < c.width*int(n) {
+			c.slab = make(Row, 0, c.width*int(n))
+		}
+	}
+	for s := uint16(0); s < n; s++ {
+		if cap(c.slab)-len(c.slab) < c.width {
+			c.slab = make(Row, 0, c.width*int(min(max(c.left, 1), slabRows)))
+		}
+		off, length := slotAt(data, s)
+		start := len(c.slab)
+		if c.slab, err = decodeRow(c.slab, data[off:off+length], c.cols); err != nil {
+			return err
+		}
+		c.left--
+		c.page = append(c.page, c.slab[start:len(c.slab):len(c.slab)])
+	}
+	return nil
 }
 
 // Scan visits every row in file order.
@@ -155,39 +257,22 @@ func (h *HeapFile) Scan(f func(rid RID, r Row) error) error { return h.ScanCols(
 // its shard lock and the callbacks run after it, so f may use the pool — fault,
 // evict, insert into an index — without reaching the page it is being fed
 // from. The callback may keep the row: rows are carved len == cap from slabs
-// of slabRows rows, so a scan allocates a few times per table, not once per
-// row, and an append to one row cannot reach the next.
+// of slabRows rows that are never decoded into twice, so a scan allocates a
+// few times per table, not once per row, and an append to one row cannot
+// reach the next.
 func (h *HeapFile) ScanCols(cols []int, f func(rid RID, r Row) error) error {
-	width := h.rowWidth(cols)
-	left := h.rows
-	var slab Row
-	var page []Row // the current page's rows, by slot
-	decode := func(data []byte) (err error) {
-		n := pageNumSlots(data)
-		for s := uint16(0); s < n; s++ {
-			if cap(slab)-len(slab) < width {
-				slab = make(Row, 0, width*int(min(max(left, 1), slabRows)))
-			}
-			off, length := slotAt(data, s)
-			start := len(slab)
-			if slab, err = decodeRow(slab, data[off:off+length], cols); err != nil {
-				return err
-			}
-			left--
-			page = append(page, slab[start:len(slab):len(slab)])
-		}
-		return nil
-	}
-	for _, pid := range h.pages {
-		page = page[:0]
-		if err := h.pool.View(pid, decode); err != nil {
+	c := h.Cursor(cols)
+	c.keep = true
+	for {
+		ok, err := c.nextPage()
+		if err != nil || !ok {
 			return err
 		}
-		for s, r := range page {
+		pid := h.pages[c.next-1]
+		for s, r := range c.page {
 			if err := f(RID{Page: pid, Slot: uint16(s)}, r); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
 }

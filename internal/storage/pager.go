@@ -256,7 +256,7 @@ func (bp *BufferPool) Stats() IOStats {
 }
 
 // Misses is Stats().Reads alone: one atomic load, cheap enough to bracket
-// every iterator call of a profiled run.
+// every page read of a scan and every index probe.
 func (bp *BufferPool) Misses() int64 { return bp.reads.Load() }
 
 // ResetStats zeroes the I/O counters.

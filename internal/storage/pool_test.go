@@ -69,6 +69,34 @@ func scanUnderEviction(tab *Table, tag, rows int64, other *Table) error {
 	return err
 }
 
+// pullUnderEviction is scanUnderEviction through a cursor: between pulls
+// every frame of the pool is refilled, and the row pulled before must still
+// read as the model's afterwards — it was decoded under the shard lock into
+// the cursor's slab, not left pointing into the frame.
+func pullUnderEviction(tab *Table, tag, rows int64, other *Table) error {
+	c := tab.Heap.Cursor(nil)
+	for id := int64(0); ; id++ {
+		r, ok, err := c.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			if id != rows {
+				return fmt.Errorf("pulled %d rows, want %d", id, rows)
+			}
+			return nil
+		}
+		if id%4 == 0 { // several times a page
+			if err := other.Heap.ScanCols([]int{0}, func(RID, Row) error { return nil }); err != nil {
+				return err
+			}
+		}
+		if want := hazardRow(tag, id); !slices.Equal(r, want) {
+			return fmt.Errorf("row %d reads %v after the pool turned over, want %v", id, r, want)
+		}
+	}
+}
+
 // indexUnderEviction builds tab's index on k — EnsureIndex inserts into a
 // B-tree on the scanned table's own pool from inside the scan's callback —
 // and checks the index against the model: every row once, in key order, each
@@ -114,6 +142,9 @@ func TestScanSurvivesEvictionByItsCallback(t *testing.T) {
 	if err := scanUnderEviction(tab, 1, rows, other); err != nil {
 		t.Error(err)
 	}
+	if err := pullUnderEviction(tab, 1, rows, other); err != nil {
+		t.Error(err)
+	}
 	if err := indexUnderEviction(db, tab, 1, rows); err != nil {
 		t.Error(err)
 	}
@@ -140,6 +171,9 @@ func TestRecycledFramesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if err := scanUnderEviction(p.tab, int64(2*g), p.rows, p.other); err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+			}
+			if err := pullUnderEviction(p.tab, int64(2*g), p.rows, p.other); err != nil {
 				t.Errorf("goroutine %d: %v", g, err)
 			}
 			if err := indexUnderEviction(db, p.tab, int64(2*g), p.rows); err != nil {
