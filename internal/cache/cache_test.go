@@ -108,7 +108,7 @@ func runBatch(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalog,
 	reads := map[string]bool{}
 	plan.Root.Walk(func(pn *physical.PlanNode) {
 		if pn.E.Kind == physical.CacheScanOp {
-			reads[pn.E.CacheName] = true
+			reads[pn.E.Arm.CacheName] = true
 		}
 	})
 	return results, stats, len(reads), spools

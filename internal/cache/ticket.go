@@ -147,7 +147,7 @@ func (t *Ticket) armInvoke(pd *physical.DAG, n *physical.Node, inv *physical.PEx
 		return
 	}
 	scanCost := m.Model.BindingReadbackCost(tiers, blocks)
-	weight := cost.ResidualInvokeWeight(inv.Weights[0], len(residual), len(t.binds))
+	weight := cost.ResidualInvokeWeight(inv.Weight(), len(residual), len(t.binds))
 	pd.ArmInvokePartial(n, inv.LE, body, weight, scanCost, scans, residual, fp)
 	for _, e := range cached {
 		// Per-use saving: one body invocation replaced by one tier-priced
@@ -299,7 +299,7 @@ func (t *Ticket) bindingCandidates(plan *physical.Plan) []candidate {
 		}
 		residual := t.binds
 		if pn.E.Kind == physical.InvokePartial {
-			residual = pn.E.ResidualBinds
+			residual = pn.E.Arm.ResidualBinds
 		}
 		// The optimizer's body cardinality is a per-invocation estimate, so
 		// it prices one binding's rows; a future hit saves one body
@@ -409,12 +409,12 @@ func (m *Manager) PinPlan(plan *physical.Plan) (*Ticket, bool) {
 	plan.Root.Walk(func(pn *physical.PlanNode) {
 		switch pn.E.Kind {
 		case physical.CacheScanOp:
-			ok = ok && t.pinTable(pn.E.CacheName, pn.E.CacheTier)
+			ok = ok && t.pinTable(pn.E.Arm.CacheName, pn.E.Arm.CacheTier)
 		case physical.InvokePartial:
-			for _, bs := range pn.E.BindScans {
+			for _, bs := range pn.E.Arm.BindScans {
 				ok = ok && t.pinTable(bs.Table, bs.Tier)
 			}
-			ok = ok && !m.anyReady(pn.E.BindFP, pn.E.Children[0].Prop, pn.E.ResidualBinds)
+			ok = ok && !m.anyReady(pn.E.Arm.BindFP, pn.E.Children[0].Prop, pn.E.Arm.ResidualBinds)
 		}
 	})
 	if !ok {
@@ -492,13 +492,13 @@ func (t *Ticket) finish(executed bool) (hits int) {
 		t.plan.Root.Walk(func(pn *physical.PlanNode) {
 			switch pn.E.Kind {
 			case physical.CacheScanOp:
-				read[pn.E.CacheName] = true
+				read[pn.E.Arm.CacheName] = true
 			case physical.InvokePartial:
-				for _, bs := range pn.E.BindScans {
+				for _, bs := range pn.E.Arm.BindScans {
 					read[bs.Table] = true
 				}
 				m.bindPartialHits.Inc()
-				m.bindResidual.Add(int64(len(pn.E.ResidualBinds)))
+				m.bindResidual.Add(int64(len(pn.E.Arm.ResidualBinds)))
 			}
 		})
 	}

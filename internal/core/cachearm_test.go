@@ -33,7 +33,7 @@ func TestArmCacheScanPricedByAllAlgorithms(t *testing.T) {
 		}
 		found := false
 		res.Plan.Root.Walk(func(pn *physical.PlanNode) {
-			if pn.E.Kind == physical.CacheScanOp && pn.E.CacheName == table {
+			if pn.E.Kind == physical.CacheScanOp && pn.E.Arm.CacheName == table {
 				found = true
 			}
 		})

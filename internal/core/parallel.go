@@ -35,10 +35,13 @@ const (
 	// per-view bookkeeping at about this much propagation work, and smaller
 	// batches were faster serial at every worker count.
 	benefitCrossover = 32768
-	// Sharability analysis (§4.1), one logical group per item: pure map
-	// arithmetic with no view bookkeeping, so an item is lighter and the
-	// fan-out needs about twice the units to pay for itself.
-	sharabilityCrossover = 65536
+	// Sharability analysis (§4.1), one logical group per item, an item one
+	// pass of the recurrences over flat arrays (sharability.go). Lowered
+	// from 65536 when the pass moved off its scratch map: re-measured with
+	// BenchmarkSharability at -cpu 1,2 and the smaller BQ/CQ batches, two
+	// workers tie or lose up to BQ4 (14.8K units) and win from BQ5 (18.6K,
+	// 0.31 → 0.23 ms) and CQ3 (21.8K) up; CQ5 (67.3K) 0.98 → 0.64 ms.
+	sharabilityCrossover = 16384
 	// Volcano-RU's forward/reverse order passes: two heavy items, almost no
 	// scheduling overhead, so running them concurrently wins at half the
 	// benefit crossover.

@@ -128,8 +128,8 @@ func TestDegreesAreUpperBoundsOnPlanUses(t *testing.T) {
 		if id != parent {
 			counts[id] += mult
 		}
-		for i, c := range pn.Children {
-			walk(c, mult*pn.E.Weights[i], id)
+		for _, c := range pn.Children {
+			walk(c, mult*pn.E.Weight(), id)
 		}
 	}
 	walk(plan.Root, 1, -1)

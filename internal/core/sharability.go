@@ -21,7 +21,7 @@ func ComputeSharability(pd *physical.DAG) map[*dag.Group]float64 {
 // ComputeSharabilityN is ComputeSharability with an explicit parallelism
 // knob (the Options.Parallelism convention: 0 auto-tunes, 1 is serial,
 // n > 1 fans out). The per-z passes are independent — each reads only the
-// immutable logical DAG and writes its own scratch map — so they fan out
+// flattened logical DAG and writes its own scratch array — so they fan out
 // one logical group per worker; the resulting degrees are identical at
 // every worker count.
 //
@@ -30,40 +30,33 @@ func ComputeSharability(pd *physical.DAG) map[*dag.Group]float64 {
 // (the paper's e1/e2/e3 example in §3.2); the bottom-up product over the
 // recurrences accounts for this.
 func ComputeSharabilityN(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
-	root := pd.Root.LG
-	order := logicalTopoOrder(root)
-	zs := make([]*dag.Group, 0, len(order))
-	for _, z := range order {
-		if z != root {
-			zs = append(zs, z)
-		}
-	}
+	order := logicalTopoOrder(pd.L, pd.Root.LG)
+	f := flatten(pd.L, order)
+	zs := len(order) - 1 // every group but the root, which comes last
 
-	workers := resolveWorkers(sharabilityCrossover, parallelism, len(zs)*len(order))
-	if workers > len(zs) {
-		workers = len(zs)
+	workers := resolveWorkers(sharabilityCrossover, parallelism, zs*len(order))
+	if workers > zs {
+		workers = zs
 	}
 	if workers < 1 {
 		workers = 1
 	}
 
-	// degs[i] is z_i's degree; written by exactly one worker each, read
-	// only after the join. Scratch E maps are per-worker, reused across
+	// degs[z] is the degree of order[z]; written by exactly one worker each,
+	// read only after the join. Scratch arrays are per-worker, reused across
 	// that worker's passes.
-	degs := make([]float64, len(zs))
-	scratch := make([]map[*dag.Group]float64, workers)
-	_ = parallelFor(nil, workers, len(zs), func(w, i int) {
-		e := scratch[w]
-		if e == nil {
-			e = make(map[*dag.Group]float64, len(order))
-			scratch[w] = e
+	degs := make([]float64, zs)
+	scratch := make([][]float64, workers)
+	_ = parallelFor(nil, workers, zs, func(w, z int) {
+		if scratch[w] == nil {
+			scratch[w] = make([]float64, len(order))
 		}
-		degs[i] = degreeOfSharing(order, zs[i], root, e)
+		degs[z] = f.degreeOfSharing(z, scratch[w])
 	})
 
-	degrees := make(map[*dag.Group]float64, len(zs))
-	for i, z := range zs {
-		degrees[z] = degs[i]
+	degrees := make(map[*dag.Group]float64, zs)
+	for z, d := range degs {
+		degrees[order[z]] = d
 	}
 	for _, n := range pd.Nodes {
 		n.Sharable = degrees[n.LG] > 1 && !n.LG.ParamDep
@@ -71,31 +64,80 @@ func ComputeSharabilityN(pd *physical.DAG, parallelism int) map[*dag.Group]float
 	return degrees
 }
 
-// degreeOfSharing runs one z pass of the §4.1 recurrences over the groups
-// in topological order, using (and overwriting) the caller's scratch map.
-func degreeOfSharing(order []*dag.Group, z, root *dag.Group, e map[*dag.Group]float64) float64 {
-	for _, g := range order {
-		if g == z {
-			e[g] = 1
-			continue
+// flatDAG is the logical DAG as the §4.1 recurrences read it, laid out by
+// topological position (children before parents, the root last): group g's
+// operation nodes are exprs[groupEnd[g-1]:groupEnd[g]], and operation node
+// x multiplies its inputs by weight[x] and has the groups at positions
+// kids[exprEnd[x-1]:exprEnd[x]] as inputs. The DAG does not change during
+// the analysis, so it is flattened once and every z pass is array reads.
+type flatDAG struct {
+	groupEnd []int32
+	exprEnd  []int32
+	weight   []float64
+	kids     []int32
+}
+
+// flatten lays out the groups of order, which must be closed under inputs.
+func flatten(l *dag.DAG, order []*dag.Group) flatDAG {
+	pos := make([]int32, len(l.Groups)) // by GroupID
+	exprs, kids := 0, 0
+	for i, g := range order {
+		pos[g.ID] = int32(i)
+		exprs += len(g.Exprs)
+		for _, ex := range g.Exprs {
+			kids += len(ex.Children)
 		}
-		best := 0.0
+	}
+	f := flatDAG{
+		groupEnd: make([]int32, 0, len(order)),
+		exprEnd:  make([]int32, 0, exprs),
+		weight:   make([]float64, 0, exprs),
+		kids:     make([]int32, 0, kids),
+	}
+	for _, g := range order {
 		for _, ex := range g.Exprs {
 			w := 1.0
 			if iv, ok := ex.Op.(algebra.Invoke); ok {
 				w = float64(iv.Times)
 			}
-			sum := 0.0
 			for _, c := range ex.Children {
-				sum += w * e[c.Find()]
+				f.kids = append(f.kids, pos[c.Find().ID])
 			}
+			f.weight = append(f.weight, w)
+			f.exprEnd = append(f.exprEnd, int32(len(f.kids)))
+		}
+		f.groupEnd = append(f.groupEnd, int32(len(f.exprEnd)))
+	}
+	return f
+}
+
+// degreeOfSharing runs one pass of the §4.1 recurrences — E[z] = 1, Sum over
+// an operation node's inputs, Max over a group's operation nodes — for the
+// group at position z, in (and overwriting) the caller's scratch array, and
+// returns the root's degree. Groups before z in topological order cannot
+// have z below them, so their degree is zero without being computed.
+func (f *flatDAG) degreeOfSharing(z int, e []float64) float64 {
+	clear(e[:z])
+	e[z] = 1
+	x, k := f.groupEnd[z], int32(0)
+	if x > 0 {
+		k = f.exprEnd[x-1]
+	}
+	for g := z + 1; g < len(e); g++ {
+		best := 0.0
+		for end := f.groupEnd[g]; x < end; x++ {
+			w, sum := f.weight[x], 0.0
+			for _, c := range f.kids[k:f.exprEnd[x]] {
+				sum += w * e[c]
+			}
+			k = f.exprEnd[x]
 			if sum > best {
 				best = sum
 			}
 		}
 		e[g] = best
 	}
-	return e[root]
+	return e[len(e)-1]
 }
 
 // MarkAllSharable marks every non-parameter-dependent node sharable,
@@ -109,16 +151,16 @@ func MarkAllSharable(pd *physical.DAG) {
 
 // logicalTopoOrder returns the logical groups reachable from root with
 // children before parents.
-func logicalTopoOrder(root *dag.Group) []*dag.Group {
+func logicalTopoOrder(l *dag.DAG, root *dag.Group) []*dag.Group {
 	var order []*dag.Group
-	seen := map[*dag.Group]bool{}
+	seen := make([]bool, len(l.Groups)) // by GroupID
 	var visit func(g *dag.Group)
 	visit = func(g *dag.Group) {
 		g = g.Find()
-		if seen[g] {
+		if seen[g.ID] {
 			return
 		}
-		seen[g] = true
+		seen[g.ID] = true
 		for _, e := range g.Exprs {
 			for _, c := range e.Children {
 				visit(c)

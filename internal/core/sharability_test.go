@@ -1,0 +1,148 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"mqo/internal/algebra"
+	"mqo/internal/catalog"
+	"mqo/internal/cost"
+	"mqo/internal/dag"
+	"mqo/internal/psp"
+	"mqo/internal/tpcd"
+)
+
+// The §4.1 pass as it ran before the logical DAG was flattened into arrays,
+// kept as the model the array kernel is held to: one scratch map keyed by
+// group pointer, every group of the order visited for every z.
+
+func mapTopoOrder(root *dag.Group) []*dag.Group {
+	var order []*dag.Group
+	seen := map[*dag.Group]bool{}
+	var visit func(g *dag.Group)
+	visit = func(g *dag.Group) {
+		g = g.Find()
+		if seen[g] {
+			return
+		}
+		seen[g] = true
+		for _, e := range g.Exprs {
+			for _, c := range e.Children {
+				visit(c)
+			}
+		}
+		order = append(order, g)
+	}
+	visit(root)
+	return order
+}
+
+func mapDegreeOfSharing(order []*dag.Group, z, root *dag.Group, e map[*dag.Group]float64) float64 {
+	for _, g := range order {
+		if g == z {
+			e[g] = 1
+			continue
+		}
+		best := 0.0
+		for _, ex := range g.Exprs {
+			w := 1.0
+			if iv, ok := ex.Op.(algebra.Invoke); ok {
+				w = float64(iv.Times)
+			}
+			sum := 0.0
+			for _, c := range ex.Children {
+				sum += w * e[c.Find()]
+			}
+			if sum > best {
+				best = sum
+			}
+		}
+		e[g] = best
+	}
+	return e[root]
+}
+
+// sharabilityBatches are the batches the kernel is checked on — the paper's
+// largest TPC-D and chain batches, the six-tenant batch, and a nested query
+// whose Invoke weighs its body by the invocation count — and, but for the
+// last, timed on.
+var sharabilityBatches = []struct {
+	name    string
+	cat     func() *catalog.Catalog
+	queries func() []*algebra.Tree
+}{
+	{"BQ5", func() *catalog.Catalog { return tpcd.Catalog(1) }, func() []*algebra.Tree { return tpcd.BatchQueries(5) }},
+	{"CQ5", func() *catalog.Catalog { return psp.Catalog(1) }, func() []*algebra.Tree { return psp.CQ(5) }},
+	{"BQ5x6", func() *catalog.Catalog { return tpcd.TenantCatalog(1, 6) }, func() []*algebra.Tree { return tpcd.TenantBatch(5, 6) }},
+	{"Q2", func() *catalog.Catalog { return tpcd.Catalog(1) }, func() []*algebra.Tree { return tpcd.Q2(1) }},
+}
+
+// TestSharabilityMatchesRecurrence: the array kernel returns, for every
+// group and at every worker count, exactly the degree the map-based pass
+// computes, and marks the same nodes sharable.
+func TestSharabilityMatchesRecurrence(t *testing.T) {
+	for _, b := range sharabilityBatches {
+		t.Run(b.name, func(t *testing.T) {
+			pd, err := BuildDAG(b.cat(), cost.DefaultModel(), b.queries())
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := pd.Root.LG
+			order := mapTopoOrder(root)
+			want := map[*dag.Group]float64{}
+			scratch := map[*dag.Group]float64{}
+			above := 0
+			for _, z := range order {
+				if z != root {
+					want[z] = mapDegreeOfSharing(order, z, root, scratch)
+					if want[z] > 1 {
+						above++
+					}
+				}
+			}
+			if above == 0 {
+				t.Fatal("no group is shared: the batch checks nothing")
+			}
+			for _, workers := range []int{1, 2, 4} {
+				got := ComputeSharabilityN(pd, workers)
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d: %d degrees, model %d", workers, len(got), len(want))
+				}
+				for g, d := range want {
+					if gd, ok := got[g]; !ok || gd != d {
+						t.Fatalf("workers=%d: group %d degree %v, model %v", workers, g.ID, gd, d)
+					}
+				}
+				for _, n := range pd.Nodes {
+					if n.Sharable != (want[n.LG] > 1 && !n.LG.ParamDep) {
+						t.Fatalf("workers=%d: node %d sharable=%v at degree %v", workers, n.ID, n.Sharable, want[n.LG])
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSharability times the §4.1 analysis alone. Run it at -cpu 1,2
+// to place sharabilityCrossover: workers=0 is what the constant chooses,
+// 1 and 2 are the two sides of the choice.
+func BenchmarkSharability(b *testing.B) {
+	for _, batch := range sharabilityBatches[:3] {
+		b.Run(batch.name, func(b *testing.B) {
+			pd, err := BuildDAG(batch.cat(), cost.DefaultModel(), batch.queries())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, workers := range []int{0, 1, 2} {
+				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						if len(ComputeSharabilityN(pd, workers)) == 0 {
+							b.Fatal("no degrees")
+						}
+					}
+				})
+			}
+		})
+	}
+}

@@ -155,8 +155,8 @@ func (sh *shState) recountParents() {
 func (sh *shState) numUses() map[*physical.PlanNode]float64 {
 	uses := map[*physical.PlanNode]float64{}
 	sh.plan.Root.Walk(func(pn *physical.PlanNode) {
-		for i, c := range pn.Children {
-			uses[c] += pn.E.Weights[i]
+		for _, c := range pn.Children {
+			uses[c] += pn.E.Weight()
 		}
 	})
 	uses[sh.plan.Root] = 1
@@ -167,12 +167,12 @@ func (sh *shState) numUses() map[*physical.PlanNode]float64 {
 // contributions, where materialized children contribute their reuse cost.
 func (sh *shState) exprCost(e *physical.PExpr, children []*physical.PlanNode) cost.Cost {
 	total := e.OpCost
-	for i, c := range children {
+	for _, c := range children {
 		contrib := sh.costOf[c]
 		if sh.mat[c] && c.N.ReuseSeq < contrib {
 			contrib = c.N.ReuseSeq
 		}
-		total += e.Weights[i] * contrib
+		total += e.Weight() * contrib
 	}
 	return total
 }

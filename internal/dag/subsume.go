@@ -20,6 +20,11 @@ import (
 //
 // Subsume enqueues new expressions; call Expand again afterwards so
 // transformation rules see them, then Finalize.
+//
+// Derivations are added in input-group ID order, and within an input in
+// column order — never in the order a Go map yields — so group IDs and the
+// order of a group's expressions, and with them every index the physical
+// layer derives, are the same on every run.
 func (d *DAG) Subsume() error {
 	selsByChild := map[*Group][]*Expr{}
 	type aggEntry struct {
@@ -44,8 +49,12 @@ func (d *DAG) Subsume() error {
 		}
 	}
 
+	byID := func(a, b *Group) bool { return a.ID < b.ID }
+	selChildren := sortedKeys(selsByChild, byID)
+
 	// Re-select derivations for implied predicates.
-	for _, sels := range selsByChild {
+	for _, child := range selChildren {
+		sels := selsByChild[child]
 		for i := range sels {
 			for j := range sels {
 				if i == j {
@@ -64,7 +73,8 @@ func (d *DAG) Subsume() error {
 	}
 
 	// Disjunction nodes for equality selections on a common column.
-	for child, sels := range selsByChild {
+	for _, child := range selChildren {
+		sels := selsByChild[child]
 		type eqSel struct {
 			e *Expr
 			v algebra.Value
@@ -75,7 +85,8 @@ func (d *DAG) Subsume() error {
 				byCol[col] = append(byCol[col], eqSel{e: s, v: v})
 			}
 		}
-		for col, group := range byCol {
+		for _, col := range sortedKeys(byCol, algebra.Column.Less) {
+			group := byCol[col]
 			// Distinct values only.
 			seen := map[string]bool{}
 			var members []eqSel
@@ -112,7 +123,8 @@ func (d *DAG) Subsume() error {
 	}
 
 	// Aggregate subsumption: group-by union nodes.
-	for child, aggs := range aggsByChild {
+	for _, child := range sortedKeys(aggsByChild, byID) {
+		aggs := aggsByChild[child]
 		for i := range aggs {
 			for j := i + 1; j < len(aggs); j++ {
 				if err := d.subsumeAggPair(child, aggs[i].e, aggs[i].op, aggs[j].e, aggs[j].op); err != nil {
@@ -122,6 +134,16 @@ func (d *DAG) Subsume() error {
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns m's keys in the order less defines.
+func sortedKeys[K comparable, V any](m map[K]V, less func(a, b K) bool) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+	return keys
 }
 
 // subsumeAggPair adds the group-by-union derivation for two aggregates over

@@ -99,23 +99,23 @@ func opName(pn *physical.PlanNode, asConsumer bool, env *Env) string {
 		// The tier tag makes the per-tier pricing auditable in EXPLAIN
 		// ANALYZE: a warm hit's est cost is charged at WarmReadS per page,
 		// a RAM hit's at ReadS.
-		if pn.E.CacheTier == cost.TierWarm {
-			return "CacheScan(" + pn.E.CacheName + ")@warm"
+		if pn.E.Arm.CacheTier == cost.TierWarm {
+			return "CacheScan(" + pn.E.Arm.CacheName + ")@warm"
 		}
-		return "CacheScan(" + pn.E.CacheName + ")"
+		return "CacheScan(" + pn.E.Arm.CacheName + ")"
 	}
 	if pn.E.Kind == physical.InvokePartial {
 		// Partial binding-cache hit: how many bindings scan their cached
 		// tables versus recompute through the body (warm-tier scans tagged,
 		// matching the CacheScan rendering above).
 		warm := 0
-		for _, bs := range pn.E.BindScans {
+		for _, bs := range pn.E.Arm.BindScans {
 			if bs.Tier == cost.TierWarm {
 				warm++
 			}
 		}
 		s := fmt.Sprintf("InvokePartial(%d cached, %d residual)",
-			len(pn.E.BindScans), len(pn.E.ResidualBinds))
+			len(pn.E.Arm.BindScans), len(pn.E.Arm.ResidualBinds))
 		if warm > 0 {
 			s += fmt.Sprintf("@warm×%d", warm)
 		}

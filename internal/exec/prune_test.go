@@ -140,7 +140,7 @@ func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 					}
 					res.Plan.Root.Walk(func(pn *physical.PlanNode) {
 						kind := pn.E.Kind.String()
-						if pn.E.Kind == physical.CacheScanOp && pn.E.CacheTier == cost.TierWarm {
+						if pn.E.Kind == physical.CacheScanOp && pn.E.Arm.CacheTier == cost.TierWarm {
 							kind += "@warm"
 						}
 						crossed[kind] = true

@@ -239,7 +239,7 @@ func (b *builder) materialize(pn *physical.PlanNode) error {
 	src := pn
 	ixCol := ""
 	if pn.E.Kind == physical.IndexBuildEnf {
-		ixCol = pn.E.IxCol.Name
+		ixCol = pn.E.IxCol().Name
 		src = pn.Children[0]
 	}
 	spool, spooled := "", false
@@ -331,20 +331,20 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 	}
 	switch pn.E.Kind {
 	case physical.CacheScanOp:
-		if pn.E.CacheTier == cost.TierWarm {
-			wt, err := b.db.Warm(pn.E.CacheName)
+		if pn.E.Arm.CacheTier == cost.TierWarm {
+			wt, err := b.db.Warm(pn.E.Arm.CacheName)
 			if err != nil {
 				// The entry may have been promoted to RAM between arming and
 				// execution (async promotion completed mid-batch): fall
 				// through to the RAM namespace before failing.
-				if ct, rerr := b.db.Cache(pn.E.CacheName); rerr == nil {
+				if ct, rerr := b.db.Cache(pn.E.Arm.CacheName); rerr == nil {
 					return newTableScan(ct.Heap, ct.Schema, need), nil
 				}
 				return nil, fmt.Errorf("exec: armed warm table for node %d missing: %w", pn.N.ID, err)
 			}
 			return newTableScan(wt.Heap, wt.Schema, need), nil
 		}
-		ct, err := b.db.Cache(pn.E.CacheName)
+		ct, err := b.db.Cache(pn.E.Arm.CacheName)
 		if err != nil {
 			return nil, fmt.Errorf("exec: armed cache table for node %d missing: %w", pn.N.ID, err)
 		}
@@ -372,12 +372,12 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 
 	case physical.IndexSelect:
 		op := pn.E.LE.Op.(algebra.Select)
-		src, err := b.resolveIndexedSource(pn.Children[0], pn.E.IxCol, need.plus(op.Pred.VisitColumns))
+		src, err := b.resolveIndexedSource(pn.Children[0], pn.E.IxCol(), need.plus(op.Pred.VisitColumns))
 		if err != nil {
 			return nil, err
 		}
 		col, cop, rhs, ok := singleColPred(op.Pred)
-		if !ok || col != pn.E.IxCol {
+		if !ok || col != pn.E.IxCol() {
 			return nil, fmt.Errorf("exec: index select predicate mismatch: %v", op.Pred)
 		}
 		rhsFn, err := compileScalar(rhs, nil, b.env)
@@ -483,8 +483,8 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 		iv := &invokeIter{child: child, env: b.env, db: b.db,
 			spools: b.env.Cache.bindSpools(pn.N)}
 		if pn.E.Kind == physical.InvokePartial {
-			iv.scans = make(map[string]physical.BindScan, len(pn.E.BindScans))
-			for _, bs := range pn.E.BindScans {
+			iv.scans = make(map[string]physical.BindScan, len(pn.E.Arm.BindScans))
+			for _, bs := range pn.E.Arm.BindScans {
 				iv.scans[bs.Bind] = bs
 			}
 		}
@@ -563,7 +563,7 @@ func (b *builder) buildIndexJoin(pn *physical.PlanNode, need colNeed) (Iterator,
 	if err != nil {
 		return nil, err
 	}
-	src, err := b.resolveIndexedSource(pn.Children[1], pn.E.IxCol, need)
+	src, err := b.resolveIndexedSource(pn.Children[1], pn.E.IxCol(), need)
 	if err != nil {
 		return nil, err
 	}

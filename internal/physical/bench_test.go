@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mqo/internal/cost"
-	"mqo/internal/dag"
 	"mqo/internal/tpcd"
 )
 
@@ -13,20 +12,7 @@ import (
 // the step after dag.Expand in what a batch pays before any search runs.
 func BenchmarkBuild(b *testing.B) {
 	b.Run("BQ5x6", func(b *testing.B) {
-		ld := dag.New(cost.Estimator{Cat: tpcd.TenantCatalog(1, 6)})
-		for _, q := range tpcd.TenantBatch(5, 6) {
-			if _, err := ld.AddQuery(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, step := range []func() error{ld.Expand, ld.Subsume, ld.Expand} {
-			if err := step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := ld.Finalize(); err != nil {
-			b.Fatal(err)
-		}
+		ld := expandLogical(b, tpcd.TenantCatalog(1, 6), tpcd.TenantBatch(5, 6))
 		model := cost.DefaultModel()
 		b.ReportAllocs()
 		for b.Loop() {

@@ -53,21 +53,51 @@ func (k AlgKind) String() string {
 }
 
 // PExpr is a physical operation node: one implementation algorithm applied
-// to child physical equivalence nodes.
+// to child physical equivalence nodes. A DAG holds tens of thousands of
+// them and the costing recurrences walk them constantly, so the struct is
+// kept to two cache lines (TestPExprSize): what only the result cache's
+// armed alternatives carry sits behind Arm, and the index column is read
+// off the index property of the node it belongs to (IxCol).
 type PExpr struct {
 	Kind     AlgKind
 	LE       *dag.Expr // originating logical expression (nil for enforcers)
-	Children []*Node
-	Weights  []float64 // per-child cost multiplier (Invoke: #invocations)
+	Children []*Node   // carved from the DAG's child slab, never appended to
 	Node     *Node     // owner
 	OpCost   cost.Cost // execution cost of this operator alone
+	weight   float64   // see Weight
 
-	// Algorithm parameters.
+	// Algorithm parameters. A join's key columns are computed once per
+	// logical join and shared by its physical alternatives: read-only.
 	SortCols  []algebra.Column // Sort enforcer order / merge-join left keys / sort-agg order
 	RightCols []algebra.Column // merge-join right keys
-	IxCol     algebra.Column   // index column (IndexSelect, IndexJoin, IndexBuild, BaseIndex)
-	CacheName string           // spooled result table (CacheScanOp)
-	CacheTier cost.Tier        // storage tier of the spooled table (CacheScanOp)
+
+	// Arm is set on the two alternatives the result cache arms per batch
+	// (ArmCacheScan, ArmInvokePartial) and nil on everything Build makes.
+	Arm *CacheArm
+}
+
+// Weight is the cost multiplier of the expression's inputs: 1, except for
+// the body of an Invoke, which is paid once per invocation (§5), and of an
+// InvokePartial, which is paid for the residual bindings only.
+func (e *PExpr) Weight() float64 { return e.weight }
+
+// IxCol is the index column of an index-based operator: the owner's index
+// property for BaseIndex and IndexBuild, the probed input's for IndexSelect
+// (its only child) and IndexJoin (its right child).
+func (e *PExpr) IxCol() algebra.Column {
+	switch e.Kind {
+	case IndexSelect:
+		return e.Children[0].Prop.Index
+	case IndexJoin:
+		return e.Children[1].Prop.Index
+	}
+	return e.Node.Prop.Index
+}
+
+// CacheArm is what the result cache armed an expression with.
+type CacheArm struct {
+	CacheName string    // spooled result table (CacheScanOp)
+	CacheTier cost.Tier // storage tier of the spooled table (CacheScanOp)
 
 	// InvokePartial parameters: the cached bindings served by table scans,
 	// the residual binding keys recomputed through the body child, and the
@@ -96,7 +126,12 @@ type Node struct {
 	Prop    Prop
 	Exprs   []*PExpr
 	Parents []*PExpr
-	Topo    int // topological number: children before parents
+	// Topo is the node's topological number — children before parents —
+	// and its position in DAG.Nodes. It is fixed when Build returns, and it
+	// is what the costing state, every CostView and the conflict cones
+	// index their per-node arrays with.
+	Topo int
+	gi   int32 // row of the DAG's group table; equal exactly when LG is equal
 
 	// Cost is the current computation cost of the node under the costing
 	// state (set of materialized nodes); maintained by costing.go.
@@ -125,15 +160,24 @@ type DAG struct {
 	L     *dag.DAG
 	Model cost.Model
 
-	Nodes []*Node // in topological order: children before parents
+	Nodes []*Node // in topological order: Nodes[n.Topo] == n
 	Root  *Node
 	// QueryRoots are the physical nodes of the individual query roots (any
 	// property), in query order.
 	QueryRoots []*Node
 
-	byGroup map[*dag.Group][]*Node
-	memo    map[nodeKey]*Node
-	nextID  int
+	// groups is the group table: one row per logical group that has
+	// physical nodes, in first-use order. Nodes carry their row (Node.gi);
+	// groupRow is the one lookup from the logical side, by GroupID, holding
+	// row+1 so that zero means "no row yet".
+	groups   []group
+	groupRow []int32
+
+	// Operation nodes and their child arrays are carved from chunks: the
+	// DAG's nodes live and die together, so an expression needs no
+	// allocation of its own.
+	exprSlab []PExpr
+	kidSlab  []*Node
 
 	costing costState
 
@@ -144,9 +188,25 @@ type DAG struct {
 	views  []*CostView
 }
 
-type nodeKey struct {
-	g    *dag.Group
-	prop string
+// group is a row of the group table: what the physical layer keeps per
+// logical equivalence node rather than per physical node.
+type group struct {
+	// nodes are the group's physical nodes, one per property asked of it
+	// (a handful), in creation order. build finds an existing node by
+	// comparing properties over this list.
+	nodes []*Node
+	// mats are the nodes materialized in the shared costing state, in the
+	// order they were set (costing.go).
+	mats []*Node
+	// equi[i] holds the sorted equi-join column pairs of the group's i-th
+	// logical expression, a join, computed by the first physical node that implements it and
+	// shared by the rest.
+	equi []joinKeys
+}
+
+type joinKeys struct {
+	l, r  []algebra.Column
+	known bool
 }
 
 // Build constructs the physical DAG for a finalized, expanded logical DAG.
@@ -154,11 +214,7 @@ func Build(l *dag.DAG, model cost.Model) (*DAG, error) {
 	if l.Root == nil {
 		return nil, fmt.Errorf("physical: logical DAG not finalized")
 	}
-	pd := &DAG{
-		L: l, Model: model,
-		byGroup: map[*dag.Group][]*Node{},
-		memo:    map[nodeKey]*Node{},
-	}
+	pd := &DAG{L: l, Model: model, groupRow: make([]int32, len(l.Groups))}
 	root, err := pd.build(l.Root, AnyProp())
 	if err != nil {
 		return nil, err
@@ -177,24 +233,39 @@ func Build(l *dag.DAG, model cost.Model) (*DAG, error) {
 }
 
 // NodesOf returns the physical nodes of a logical group.
-func (pd *DAG) NodesOf(g *dag.Group) []*Node { return pd.byGroup[g.Find()] }
+func (pd *DAG) NodesOf(g *dag.Group) []*Node {
+	if row := pd.groupRow[g.Find().ID]; row > 0 {
+		return pd.groups[row-1].nodes
+	}
+	return nil
+}
+
+// siblings returns the physical nodes of n's group, n included.
+func (pd *DAG) siblings(n *Node) []*Node { return pd.groups[n.gi].nodes }
 
 // build returns the physical node for (g, prop), creating it and its
 // reachable sub-DAG on first use.
 func (pd *DAG) build(g *dag.Group, prop Prop) (*Node, error) {
 	g = g.Find()
-	key := nodeKey{g: g, prop: prop.Key()}
-	if n, ok := pd.memo[key]; ok {
-		return n, nil
+	gi := pd.groupRow[g.ID] - 1
+	if gi < 0 {
+		gi = int32(len(pd.groups))
+		pd.groups = append(pd.groups, group{})
+		pd.groupRow[g.ID] = gi + 1
 	}
-	n := &Node{ID: pd.nextID, LG: g, Prop: prop}
-	pd.nextID++
-	pd.memo[key] = n
+	for _, n := range pd.groups[gi].nodes {
+		if n.Prop.Equal(prop) {
+			return n, nil
+		}
+	}
+	n := &Node{ID: len(pd.Nodes), LG: g, Prop: prop, gi: gi}
 	pd.Nodes = append(pd.Nodes, n)
-	pd.byGroup[g] = append(pd.byGroup[g], n)
+	// The table may grow while children are built: index it, never hold a
+	// row across a recursive call.
+	pd.groups[gi].nodes = append(pd.groups[gi].nodes, n)
 
-	for _, le := range g.Exprs {
-		if err := pd.addImplementations(n, le); err != nil {
+	for i, le := range g.Exprs {
+		if err := pd.addImplementations(n, i, le); err != nil {
 			return nil, err
 		}
 	}
@@ -216,24 +287,57 @@ func (pd *DAG) build(g *dag.Group, prop Prop) (*Node, error) {
 	return n, nil
 }
 
-// addExpr wires a physical expression into its owner and children.
-func (pd *DAG) addExpr(e *PExpr) {
-	if e.Weights == nil {
-		e.Weights = make([]float64, len(e.Children))
-		for i := range e.Weights {
-			e.Weights[i] = 1
-		}
+// equiJoinKeys returns the equi-join columns of join expression i of n's
+// group, paired and sorted by the left column for canonical merge keys.
+func (pd *DAG) equiJoinKeys(n *Node, i int, op algebra.Join, l, r *dag.Group) (lc, rc []algebra.Column) {
+	row := &pd.groups[n.gi]
+	if row.equi == nil {
+		row.equi = make([]joinKeys, len(n.LG.Exprs))
 	}
-	e.Node.Exprs = append(e.Node.Exprs, e)
-	for _, c := range e.Children {
-		c.Parents = append(c.Parents, e)
+	k := &row.equi[i]
+	if !k.known {
+		k.l, k.r = op.Pred.EquiJoinColumns(l.Schema, r.Schema)
+		sortPairs(k.l, k.r)
+		k.known = true
+	}
+	return k.l, k.r
+}
+
+const (
+	exprChunk = 128 // operation nodes per slab
+	kidChunk  = 256 // child pointers per slab
+)
+
+// addExpr wires a physical expression with unit input weight into its owner
+// and children.
+func (pd *DAG) addExpr(e PExpr, children ...*Node) { pd.addWeighted(e, 1, children...) }
+
+// addWeighted is addExpr for an expression whose inputs are paid for weight
+// times over.
+func (pd *DAG) addWeighted(e PExpr, weight float64, children ...*Node) {
+	if len(pd.exprSlab) == 0 {
+		pd.exprSlab = make([]PExpr, exprChunk)
+	}
+	p := &pd.exprSlab[0]
+	pd.exprSlab = pd.exprSlab[1:]
+	if len(pd.kidSlab) < len(children) {
+		pd.kidSlab = make([]*Node, max(kidChunk, len(children)))
+	}
+	k := len(children)
+	e.Children, pd.kidSlab = pd.kidSlab[:k:k], pd.kidSlab[k:]
+	copy(e.Children, children)
+	e.weight = weight
+	*p = e
+	p.Node.Exprs = append(p.Node.Exprs, p)
+	for _, c := range children {
+		c.Parents = append(c.Parents, p)
 	}
 }
 
 // addImplementations adds every applicable algorithm for logical expression
-// le to node n (whose property the algorithm's delivered property must
-// satisfy).
-func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
+// le, the i-th of its group, to node n (whose property the algorithm's
+// delivered property must satisfy).
+func (pd *DAG) addImplementations(n *Node, i int, le *dag.Expr) error {
 	m := pd.Model
 	g := n.LG
 	outBlocks := g.Rel.Blocks(m)
@@ -253,12 +357,12 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 			}
 		}
 		if delivered.Satisfies(n.Prop) {
-			pd.addExpr(&PExpr{Kind: SeqScan, LE: le, Node: n, OpCost: m.ScanCost(outBlocks)})
+			pd.addExpr(PExpr{Kind: SeqScan, LE: le, Node: n, OpCost: m.ScanCost(outBlocks)})
 		}
 		// Existing base index: zero-cost access point for index consumers.
 		if n.Prop.HasIx && n.Prop.Index.Rel == op.Alias {
 			if exists, _ := t.IndexOn(n.Prop.Index.Name); exists {
-				pd.addExpr(&PExpr{Kind: BaseIndex, LE: le, Node: n, OpCost: 0, IxCol: n.Prop.Index})
+				pd.addExpr(PExpr{Kind: BaseIndex, LE: le, Node: n, OpCost: 0})
 			}
 		}
 
@@ -270,10 +374,7 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 			if err != nil {
 				return err
 			}
-			pd.addExpr(&PExpr{
-				Kind: Filter, LE: le, Node: n, Children: []*Node{cn},
-				OpCost: m.CPUCost(child.Rel.Blocks(m)),
-			})
+			pd.addExpr(PExpr{Kind: Filter, LE: le, Node: n, OpCost: m.CPUCost(child.Rel.Blocks(m))}, cn)
 		}
 		// Index select for a single-column comparison.
 		if col, cop, _, ok := singleColOrParam(op.Pred); ok && cop != algebra.NE && !n.Prop.HasIx && len(n.Prop.Sort) == 0 {
@@ -284,19 +385,17 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 				}
 				matchRows := g.Rel.Rows
 				clustered := pd.hasClusteredBase(child, col)
-				pd.addExpr(&PExpr{
-					Kind: IndexSelect, LE: le, Node: n, Children: []*Node{cn},
+				pd.addExpr(PExpr{
+					Kind: IndexSelect, LE: le, Node: n,
 					OpCost: m.IndexProbeCost(1, matchRows, child.Rel.Width, clustered),
-					IxCol:  col,
-				})
+				}, cn)
 			}
 		}
 
 	case algebra.Join:
 		l, r := le.Children[0].Find(), le.Children[1].Find()
 		lBlocks, rBlocks := l.Rel.Blocks(m), r.Rel.Blocks(m)
-		lc, rc := op.Pred.EquiJoinColumns(l.Schema, r.Schema)
-		sortPairs(lc, rc)
+		lc, rc := pd.equiJoinKeys(n, i, op, l, r)
 		// Block nested loops: always applicable.
 		if !n.Prop.HasIx && len(n.Prop.Sort) == 0 {
 			ln, err := pd.build(l, AnyProp())
@@ -307,10 +406,10 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 			if err != nil {
 				return err
 			}
-			pd.addExpr(&PExpr{
-				Kind: BNLJoin, LE: le, Node: n, Children: []*Node{ln, rn},
+			pd.addExpr(PExpr{
+				Kind: BNLJoin, LE: le, Node: n,
 				OpCost: m.BlockNLJoinCost(lBlocks, rBlocks, outBlocks, l.Rel.Rows, r.Rel.Rows),
-			})
+			}, ln, rn)
 		}
 		// Merge join: requires equijoin columns; delivers sort on left keys.
 		if len(lc) > 0 && !n.Prop.HasIx && SortProp(lc...).Satisfies(n.Prop) {
@@ -322,11 +421,11 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 			if err != nil {
 				return err
 			}
-			pd.addExpr(&PExpr{
-				Kind: MergeJoin, LE: le, Node: n, Children: []*Node{ln, rn},
+			pd.addExpr(PExpr{
+				Kind: MergeJoin, LE: le, Node: n,
 				OpCost:   m.MergeJoinCost(lBlocks, rBlocks, outBlocks, l.Rel.Rows, r.Rel.Rows, g.Rel.Rows),
 				SortCols: lc, RightCols: rc,
-			})
+			}, ln, rn)
 		}
 		// Index nested loops: probe an index on the first right-side key.
 		if len(lc) > 0 && !n.Prop.HasIx && len(n.Prop.Sort) == 0 {
@@ -342,11 +441,11 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 				}
 				matchPerProbe := g.Rel.Rows / maxf(1, l.Rel.Rows)
 				clustered := pd.hasClusteredBase(r, ixCol)
-				pd.addExpr(&PExpr{
-					Kind: IndexJoin, LE: le, Node: n, Children: []*Node{ln, rn},
+				pd.addExpr(PExpr{
+					Kind: IndexJoin, LE: le, Node: n,
 					OpCost:   m.IndexProbeCost(l.Rel.Rows, matchPerProbe, r.Rel.Width, clustered),
-					SortCols: lc[:1], RightCols: rc[:1], IxCol: ixCol,
-				})
+					SortCols: lc[:1], RightCols: rc[:1],
+				}, ln, rn)
 			}
 		}
 
@@ -359,7 +458,7 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 				if err != nil {
 					return err
 				}
-				pd.addExpr(&PExpr{Kind: ScalarAgg, LE: le, Node: n, Children: []*Node{cn}, OpCost: m.CPUCost(inBlocks)})
+				pd.addExpr(PExpr{Kind: ScalarAgg, LE: le, Node: n, OpCost: m.CPUCost(inBlocks)}, cn)
 			}
 			return nil
 		}
@@ -369,10 +468,10 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 			if err != nil {
 				return err
 			}
-			pd.addExpr(&PExpr{
-				Kind: SortAgg, LE: le, Node: n, Children: []*Node{cn},
+			pd.addExpr(PExpr{
+				Kind: SortAgg, LE: le, Node: n,
 				OpCost: m.AggregateCost(inBlocks, outBlocks), SortCols: gb,
-			})
+			}, cn)
 		}
 
 	case algebra.Project:
@@ -381,8 +480,8 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 			if err != nil {
 				return err
 			}
-			pd.addExpr(&PExpr{Kind: ProjectOp, LE: le, Node: n, Children: []*Node{cn},
-				OpCost: m.CPUCost(le.Children[0].Find().Rel.Blocks(m))})
+			pd.addExpr(PExpr{Kind: ProjectOp, LE: le, Node: n,
+				OpCost: m.CPUCost(le.Children[0].Find().Rel.Blocks(m))}, cn)
 		}
 
 	case algebra.NoOp:
@@ -395,7 +494,7 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 				}
 				children[i] = cn
 			}
-			pd.addExpr(&PExpr{Kind: Batch, LE: le, Node: n, Children: children, OpCost: 0})
+			pd.addExpr(PExpr{Kind: Batch, LE: le, Node: n, OpCost: 0}, children...)
 		}
 
 	case algebra.Invoke:
@@ -404,10 +503,7 @@ func (pd *DAG) addImplementations(n *Node, le *dag.Expr) error {
 			if err != nil {
 				return err
 			}
-			pd.addExpr(&PExpr{
-				Kind: InvokeOp, LE: le, Node: n, Children: []*Node{cn},
-				Weights: []float64{float64(op.Times)}, OpCost: 0,
-			})
+			pd.addWeighted(PExpr{Kind: InvokeOp, LE: le, Node: n, OpCost: 0}, float64(op.Times), cn)
 		}
 
 	default:
@@ -435,17 +531,16 @@ func (pd *DAG) addEnforcers(n *Node) error {
 				return nil
 			}
 		}
-		pd.addExpr(&PExpr{
-			Kind: IndexBuildEnf, Node: n, Children: []*Node{base},
+		pd.addExpr(PExpr{
+			Kind: IndexBuildEnf, Node: n,
 			OpCost: m.WriteCost(blocks) + m.IndexBuildCost(n.LG.Rel.Rows, 8),
-			IxCol:  n.Prop.Index,
-		})
+		}, base)
 		return nil
 	}
-	pd.addExpr(&PExpr{
-		Kind: SortEnf, Node: n, Children: []*Node{base},
+	pd.addExpr(PExpr{
+		Kind: SortEnf, Node: n,
 		OpCost: m.SortCost(blocks, n.LG.Rel.Rows), SortCols: n.Prop.Sort,
-	})
+	}, base)
 	return nil
 }
 
@@ -465,7 +560,8 @@ func (pd *DAG) addEnforcers(n *Node) error {
 // than a RAM hit and the algorithms trade it off against recomputation
 // honestly. The executor routes the scan to the matching namespace.
 func (pd *DAG) ArmCacheScan(n *Node, table string, scanCost cost.Cost, tier cost.Tier) {
-	pd.addExpr(&PExpr{Kind: CacheScanOp, Node: n, CacheName: table, OpCost: scanCost, CacheTier: tier})
+	pd.addExpr(PExpr{Kind: CacheScanOp, Node: n, OpCost: scanCost,
+		Arm: &CacheArm{CacheName: table, CacheTier: tier}})
 }
 
 // ArmInvokePartial adds a partial binding-cache hit alternative to an
@@ -480,11 +576,10 @@ func (pd *DAG) ArmCacheScan(n *Node, table string, scanCost cost.Cost, tier cost
 // InvokeOp uses, so extraction below the node is unchanged.
 func (pd *DAG) ArmInvokePartial(n *Node, le *dag.Expr, body *Node, residualWeight float64,
 	scanCost cost.Cost, scans []BindScan, residual []string, bindFP string) {
-	pd.addExpr(&PExpr{
-		Kind: InvokePartial, LE: le, Node: n, Children: []*Node{body},
-		Weights: []float64{residualWeight}, OpCost: scanCost,
-		BindScans: scans, ResidualBinds: residual, BindFP: bindFP,
-	})
+	pd.addWeighted(PExpr{
+		Kind: InvokePartial, LE: le, Node: n, OpCost: scanCost,
+		Arm: &CacheArm{BindScans: scans, ResidualBinds: residual, BindFP: bindFP},
+	}, residualWeight, body)
 }
 
 // indexable reports whether an index on col can exist for group g: either a
@@ -539,15 +634,15 @@ func (pd *DAG) hasClusteredBase(g *dag.Group, col algebra.Column) bool {
 // assignTopo numbers nodes so that every expression's children precede its
 // owner, via iterative post-order DFS over all nodes.
 func (pd *DAG) assignTopo() {
-	visited := map[*Node]bool{}
+	visited := make([]bool, len(pd.Nodes)) // by Node.ID, the creation order
 	topo := 0
-	var order []*Node
+	order := make([]*Node, 0, len(pd.Nodes))
 	var visit func(n *Node)
 	visit = func(n *Node) {
-		if visited[n] {
+		if visited[n.ID] {
 			return
 		}
-		visited[n] = true
+		visited[n.ID] = true
 		for _, e := range n.Exprs {
 			for _, c := range e.Children {
 				visit(c)

@@ -1,23 +1,21 @@
 package physical
 
-import (
-	"container/heap"
-
-	"mqo/internal/cost"
-	"mqo/internal/dag"
-)
+import "mqo/internal/cost"
 
 // costState tracks the set of materialized nodes and supports full and
-// incremental recosting of the DAG (paper Figure 5).
+// incremental recosting of the DAG (paper Figure 5). Membership is an array
+// over Node.Topo; the per-group lists the reuse test scans are the group
+// table's mats.
 type costState struct {
-	mat        map[*Node]bool
-	matByGroup map[*dag.Group][]*Node
-	// matList mirrors mat in topological order. Cost totals sum over this
-	// list, never over the map: float64 addition is not associative, so
-	// summing in Go's randomized map order could make two identical runs
-	// differ by an ulp — enough to flip a near-tie greedy pick and break
-	// the serial ≡ parallel plan guarantee.
+	mat []bool // by Node.Topo
+	// matList is the materialized set in topological order. Cost totals sum
+	// over this list, never over mat: float64 addition is not associative,
+	// so the order of the sum is part of the result — a different order
+	// could move a total by an ulp, enough to flip a near-tie greedy pick
+	// and break the serial ≡ parallel plan guarantee.
 	matList []*Node
+
+	heap nodeHeap // SetMaterialized's propagation front, empty between calls
 
 	// Counters for the Figure 10 / §6.3 experiments.
 	Propagations   int64 // nodes popped from the propagation heap
@@ -48,12 +46,12 @@ func removeNode(list []*Node, n *Node) []*Node {
 
 // initCosting initializes the costing state and runs a full bottom-up pass.
 func (pd *DAG) initCosting() {
-	pd.costing = costState{mat: map[*Node]bool{}, matByGroup: map[*dag.Group][]*Node{}}
+	pd.costing = costState{mat: make([]bool, len(pd.Nodes)), heap: newNodeHeap(len(pd.Nodes))}
 	pd.Recost()
 }
 
 // Materialized reports whether n is currently materialized.
-func (pd *DAG) Materialized(n *Node) bool { return pd.costing.mat[n] }
+func (pd *DAG) Materialized(n *Node) bool { return pd.costing.mat[n.Topo] }
 
 // MaterializedSet returns the current set of materialized nodes, in
 // topological order.
@@ -90,8 +88,8 @@ func (pd *DAG) AddCounters(propagations, recomputations int64) {
 // costIn is the current computation cost of n under the overlay.
 func (pd *DAG) costIn(v *CostView, n *Node) cost.Cost {
 	if v != nil {
-		if c, ok := v.over[n]; ok {
-			return c
+		if o := &v.nodes[n.Topo]; o.costAt == v.epoch {
+			return o.cost
 		}
 	}
 	return n.Cost
@@ -99,35 +97,28 @@ func (pd *DAG) costIn(v *CostView, n *Node) cost.Cost {
 
 // matIn reports whether n is materialized under the overlay.
 func (pd *DAG) matIn(v *CostView, n *Node) bool {
-	if v == nil {
-		return pd.costing.mat[n]
-	}
-	if v.matDel[n] {
-		return false
-	}
-	return v.matAdd[n] || pd.costing.mat[n]
+	return pd.costing.mat[n.Topo] != (v != nil && v.flipped(n))
 }
 
 // firstUsableMat returns the first node materialized under the overlay
 // that can serve input c's requirement for consumer owner, or nil. It
 // excludes owner itself (a node must not account its own materialization
 // while computing its own cost), and when the consumer is an enforcer of
-// the same group (owner.LG == c.LG) only c's own materialization
-// qualifies: allowing a sibling's would let two sibling materializations
-// cyclically claim to derive from each other. It is the single scan
-// behind both costing (reusableBy) and plan extraction
-// (bestSatisfyingMat), so extracted plans always match the costs computed
-// for them.
+// the same group only c's own materialization qualifies: allowing a
+// sibling's would let two sibling materializations cyclically claim to
+// derive from each other. It is the single scan behind both costing
+// (reusableBy) and plan extraction, so extracted plans always match the
+// costs computed for them.
 func (pd *DAG) firstUsableMat(v *CostView, c, owner *Node) *Node {
-	sameGroup := owner != nil && owner.LG == c.LG
+	sameGroup := owner != nil && owner.gi == c.gi
 	usable := func(m *Node) bool {
 		if m == owner || (sameGroup && m != c) {
 			return false
 		}
 		return m.Prop.Satisfies(c.Prop)
 	}
-	for _, m := range pd.costing.matByGroup[c.LG] {
-		if v != nil && v.matDel[m] {
+	for _, m := range pd.groups[c.gi].mats {
+		if v != nil && v.flipped(m) {
 			continue
 		}
 		if usable(m) {
@@ -135,7 +126,7 @@ func (pd *DAG) firstUsableMat(v *CostView, c, owner *Node) *Node {
 		}
 	}
 	if v != nil {
-		for _, m := range v.addByGroup[c.LG] {
+		for _, m := range v.addsOf(c.gi) {
 			if usable(m) {
 				return m
 			}
@@ -165,8 +156,8 @@ func (pd *DAG) childCost(v *CostView, c, owner *Node) cost.Cost {
 // overlay's materialization state.
 func (pd *DAG) exprCostIn(v *CostView, e *PExpr) cost.Cost {
 	total := e.OpCost
-	for i, c := range e.Children {
-		total += e.Weights[i] * pd.childCost(v, c, e.Node)
+	for _, c := range e.Children {
+		total += e.weight * pd.childCost(v, c, e.Node)
 	}
 	return total
 }
@@ -208,73 +199,95 @@ func (pd *DAG) TotalCost() cost.Cost {
 
 // nodeHeap is a min-heap of nodes ordered by topological number, used to
 // propagate cost changes upward without revisiting nodes (paper Figure 5).
+// Topological numbers are unique, so the pop order is the same for any
+// insertion order.
 type nodeHeap struct {
-	items  []*Node
-	inHeap map[*Node]bool
+	items []*Node
+	in    []bool // by Node.Topo: the node is in items
 }
 
-func (h *nodeHeap) Len() int           { return len(h.items) }
-func (h *nodeHeap) Less(i, j int) bool { return h.items[i].Topo < h.items[j].Topo }
-func (h *nodeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *nodeHeap) Push(x interface{}) { h.items = append(h.items, x.(*Node)) }
-func (h *nodeHeap) Pop() interface{} {
-	n := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return n
-}
+func newNodeHeap(nodes int) nodeHeap { return nodeHeap{in: make([]bool, nodes)} }
 
 func (h *nodeHeap) add(n *Node) {
-	if !h.inHeap[n] {
-		h.inHeap[n] = true
-		heap.Push(h, n)
+	if h.in[n.Topo] {
+		return
 	}
+	h.in[n.Topo] = true
+	h.items = append(h.items, n)
+	i := len(h.items) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if h.items[up].Topo < n.Topo {
+			break
+		}
+		h.items[i] = h.items[up]
+		i = up
+	}
+	h.items[i] = n
 }
 
 func (h *nodeHeap) pop() *Node {
-	n := heap.Pop(h).(*Node)
-	delete(h.inHeap, n)
-	return n
+	top := h.items[0]
+	h.in[top.Topo] = false
+	last := len(h.items) - 1
+	n := h.items[last]
+	h.items[last] = nil
+	h.items = h.items[:last]
+	i := 0
+	for {
+		kid := 2*i + 1
+		if kid >= last {
+			break
+		}
+		if kid+1 < last && h.items[kid+1].Topo < h.items[kid].Topo {
+			kid++
+		}
+		if n.Topo < h.items[kid].Topo {
+			break
+		}
+		h.items[i] = h.items[kid]
+		i = kid
+	}
+	if last > 0 {
+		h.items[i] = n
+	}
+	return top
 }
 
-// SetMaterialized toggles the materialization status of n and incrementally
-// propagates the cost change to affected ancestors, in topological order so
-// no node is processed twice (the paper's incremental cost update,
-// Figure 5). It returns the number of nodes whose cost was re-examined.
-func (pd *DAG) SetMaterialized(n *Node, on bool) int {
-	cs := &pd.costing
-	if cs.mat[n] == on {
-		return 0
+// propagate is the paper's incremental cost update (Figure 5) after n's
+// materialization was toggled: seed with the nodes of n's group whose
+// consumers may now see a different input cost (the changed set S△S′), then
+// walk upward in topological order so no node is processed twice. Under a
+// view the new costs are recorded as overrides, otherwise written to the
+// nodes. mark, when non-nil, sees every node whose cost value changed. It
+// returns the number of nodes re-examined.
+func (pd *DAG) propagate(v *CostView, n *Node, mark func(*Node)) int {
+	h := &pd.costing.heap
+	if v != nil {
+		h = &v.heap
 	}
-	if on {
-		cs.mat[n] = true
-		cs.matByGroup[n.LG] = append(cs.matByGroup[n.LG], n)
-		cs.matList = insertTopo(cs.matList, n)
-	} else {
-		delete(cs.mat, n)
-		cs.matByGroup[n.LG] = removeNode(cs.matByGroup[n.LG], n)
-		cs.matList = removeNode(cs.matList, n)
-	}
-	cs.Recomputations++
-
-	// Seed the heap with every sibling node whose consumers may now see a
-	// different input cost (the changed set S△S′ of Figure 5).
-	h := &nodeHeap{inHeap: map[*Node]bool{}}
-	forced := map[*Node]bool{}
-	for _, s := range pd.byGroup[n.LG] {
+	for _, s := range pd.siblings(n) {
 		if n.Prop.Satisfies(s.Prop) {
-			forced[s] = true
 			h.add(s)
 		}
 	}
-
 	touched := 0
-	for h.Len() > 0 {
+	for len(h.items) > 0 {
 		cur := h.pop()
-		cs.Propagations++
 		touched++
-		old := cur.Cost
-		cur.Cost = pd.nodeCost(nil, cur)
-		if cur.Cost != old || forced[cur] {
+		old := pd.costIn(v, cur)
+		next := pd.nodeCost(v, cur)
+		if v != nil {
+			v.override(cur, next)
+		} else {
+			cur.Cost = next
+		}
+		if next != old && mark != nil {
+			mark(cur)
+		}
+		// A seed's consumers are visited even when its own cost stands:
+		// what changed for them is whether they can reuse it.
+		if next != old || (cur.gi == n.gi && n.Prop.Satisfies(cur.Prop)) {
 			for _, p := range cur.Parents {
 				h.add(p.Node)
 			}
@@ -283,22 +296,37 @@ func (pd *DAG) SetMaterialized(n *Node, on bool) int {
 	return touched
 }
 
+// SetMaterialized toggles the materialization status of n and incrementally
+// propagates the cost change to affected ancestors (propagate). It returns
+// the number of nodes whose cost was re-examined.
+func (pd *DAG) SetMaterialized(n *Node, on bool) int {
+	cs := &pd.costing
+	if cs.mat[n.Topo] == on {
+		return 0
+	}
+	pd.SetMaterializedRaw(n, on)
+	cs.Recomputations++
+	touched := pd.propagate(nil, n, nil)
+	cs.Propagations += int64(touched)
+	return touched
+}
+
 // SetMaterializedRaw toggles materialization state without incremental
 // propagation; the caller is responsible for calling Recost. It exists for
 // the §6.3 ablation that disables incremental cost update, and for tests.
 func (pd *DAG) SetMaterializedRaw(n *Node, on bool) {
 	cs := &pd.costing
-	if cs.mat[n] == on {
+	if cs.mat[n.Topo] == on {
 		return
 	}
+	cs.mat[n.Topo] = on
+	mats := &pd.groups[n.gi].mats
 	if on {
-		cs.mat[n] = true
-		cs.matByGroup[n.LG] = append(cs.matByGroup[n.LG], n)
+		*mats = append(*mats, n)
 		cs.matList = insertTopo(cs.matList, n)
 		return
 	}
-	delete(cs.mat, n)
-	cs.matByGroup[n.LG] = removeNode(cs.matByGroup[n.LG], n)
+	*mats = removeNode(*mats, n)
 	cs.matList = removeNode(cs.matList, n)
 }
 

@@ -1,9 +1,6 @@
 package physical
 
-import (
-	"mqo/internal/cost"
-	"mqo/internal/dag"
-)
+import "mqo/internal/cost"
 
 // CostView is a private what-if overlay over a DAG's costing state: a
 // materialized-set delta (additions and removals) plus per-node cost
@@ -21,17 +18,30 @@ import (
 //
 // A CostView is not safe for concurrent use by multiple goroutines; use
 // one view per worker.
+//
+// Everything a view holds per node is an array over Node.Topo, and per
+// group an array over the group table's rows — both fixed when the DAG was
+// built — so the recurrences' reads under a view (costIn, matIn,
+// firstUsableMat) are array reads. An entry belongs to the view's current
+// delta only when its stamp equals the view's epoch: Reset is one increment
+// however many nodes the what-if touched, and a pooled view's arrays are
+// allocated once for the DAG's lifetime. What is summed is never read off
+// the arrays: totals and benefits walk the topologically ordered matList /
+// addList, because the order of a float64 sum is part of its result.
 type CostView struct {
 	pd *DAG
 
-	over       map[*Node]cost.Cost // cost overrides (dirty ancestors)
-	matAdd     map[*Node]bool      // materialized in the view, not in the base
-	matDel     map[*Node]bool      // materialized in the base, not in the view
-	addByGroup map[*dag.Group][]*Node
-	addList    []*Node // matAdd in topological order, for reproducible sums
+	epoch uint32     // never zero, so a zeroed stamp is never current
+	nodes []viewNode // by Node.Topo
+	adds  []viewAdds // by group row: the group's nodes materialized in the view only
+	// addList is the nodes materialized in the view and not in the base, in
+	// topological order, for reproducible sums.
+	addList []*Node
+	// touched lists the nodes whose cost the view overrides, in the order
+	// first recorded — within one propagation wave, topological order.
+	touched []*Node
 
-	heap   nodeHeap
-	forced map[*Node]bool
+	heap nodeHeap
 
 	// Propagation instrumentation, accumulated across what-ifs until the
 	// owner drains it (DrainCounters) into the DAG's Figure 10 counters.
@@ -39,24 +49,59 @@ type CostView struct {
 	Recomputations int64
 }
 
+// viewNode is a view's private state of one node.
+type viewNode struct {
+	cost   cost.Cost
+	costAt uint32 // cost overrides Node.Cost when equal to the epoch
+	// flipAt, when equal to the epoch, says the node's materialization under
+	// the view is the opposite of the base's. (The base does not change
+	// while a view holds a delta, so "opposite" is all a view needs to say.)
+	flipAt uint32
+}
+
+type viewAdds struct {
+	nodes []*Node
+	at    uint32 // nodes is current when equal to the epoch, stale otherwise
+}
+
 // NewCostView returns an empty overlay over pd's current costing state.
 func (pd *DAG) NewCostView() *CostView {
 	return &CostView{
-		pd:         pd,
-		over:       map[*Node]cost.Cost{},
-		matAdd:     map[*Node]bool{},
-		matDel:     map[*Node]bool{},
-		addByGroup: map[*dag.Group][]*Node{},
-		heap:       nodeHeap{inHeap: map[*Node]bool{}},
-		forced:     map[*Node]bool{},
+		pd:    pd,
+		epoch: 1,
+		nodes: make([]viewNode, len(pd.Nodes)),
+		adds:  make([]viewAdds, len(pd.groups)),
+		heap:  newNodeHeap(len(pd.Nodes)),
 	}
+}
+
+// flipped reports whether n's materialization under the view differs from
+// the base's.
+func (v *CostView) flipped(n *Node) bool { return v.nodes[n.Topo].flipAt == v.epoch }
+
+// addsOf returns the nodes of group row gi materialized in the view only.
+func (v *CostView) addsOf(gi int32) []*Node {
+	if a := &v.adds[gi]; a.at == v.epoch {
+		return a.nodes
+	}
+	return nil
+}
+
+// override records c as n's cost under the view.
+func (v *CostView) override(n *Node, c cost.Cost) {
+	o := &v.nodes[n.Topo]
+	if o.costAt != v.epoch {
+		o.costAt = v.epoch
+		v.touched = append(v.touched, n)
+	}
+	o.cost = c
 }
 
 // AcquireView returns a pristine CostView over pd, reusing a pooled view
 // when one is free. Views are bound to their DAG: the pool keeps the
-// per-view maps (whose capacity tracks the DAG's hot cone sizes) warm
-// across search phases — greedy benefit waves, Volcano-RU order passes —
-// instead of reallocating them per phase. Return views with ReleaseView.
+// per-view arrays across search phases — greedy benefit waves, Volcano-RU
+// order passes — instead of reallocating them per phase. Return views with
+// ReleaseView.
 func (pd *DAG) AcquireView() *CostView {
 	pd.viewMu.Lock()
 	defer pd.viewMu.Unlock()
@@ -113,57 +158,30 @@ func (v *CostView) SetMaterializedMark(n *Node, on bool, mark func(*Node)) int {
 	if pd.matIn(v, n) == on {
 		return 0
 	}
-	base := pd.costing.mat[n]
-	if on {
-		if base {
-			delete(v.matDel, n)
-		} else {
-			v.matAdd[n] = true
-			v.addByGroup[n.LG] = append(v.addByGroup[n.LG], n)
-			v.addList = insertTopo(v.addList, n)
-		}
+	base := pd.costing.mat[n.Topo]
+	if on == base {
+		v.nodes[n.Topo].flipAt = 0
 	} else {
-		if base {
-			v.matDel[n] = true
+		v.nodes[n.Topo].flipAt = v.epoch
+	}
+	if !base {
+		// The by-group and topological lists hold the view's additions;
+		// removals of base members are the flipped entries of the base's.
+		a := &v.adds[n.gi]
+		if a.at != v.epoch {
+			a.nodes, a.at = a.nodes[:0], v.epoch
+		}
+		if on {
+			a.nodes = append(a.nodes, n)
+			v.addList = insertTopo(v.addList, n)
 		} else {
-			delete(v.matAdd, n)
-			v.addByGroup[n.LG] = removeNode(v.addByGroup[n.LG], n)
+			a.nodes = removeNode(a.nodes, n)
 			v.addList = removeNode(v.addList, n)
 		}
 	}
 	v.Recomputations++
-
-	// Dirty-ancestor propagation from the toggled node: seed with the
-	// sibling nodes whose consumers may now see a different input cost,
-	// then walk upward in topological order (Figure 5), recording changed
-	// costs as overrides instead of writing Node.Cost.
-	h := &v.heap
-	for _, s := range pd.byGroup[n.LG] {
-		if n.Prop.Satisfies(s.Prop) {
-			v.forced[s] = true
-			h.add(s)
-		}
-	}
-	touched := 0
-	for h.Len() > 0 {
-		cur := h.pop()
-		v.Propagations++
-		touched++
-		old := pd.costIn(v, cur)
-		next := pd.nodeCost(v, cur)
-		v.over[cur] = next
-		if next != old {
-			if mark != nil {
-				mark(cur)
-			}
-		}
-		if next != old || v.forced[cur] {
-			for _, p := range cur.Parents {
-				h.add(p.Node)
-			}
-		}
-	}
-	clear(v.forced)
+	touched := pd.propagate(v, n, mark)
+	v.Propagations += int64(touched)
 	return touched
 }
 
@@ -175,7 +193,7 @@ func (v *CostView) TotalCost() cost.Cost {
 	pd := v.pd
 	total := pd.costIn(v, pd.Root)
 	for _, m := range pd.costing.matList {
-		if v.matDel[m] {
+		if v.flipped(m) {
 			continue
 		}
 		total += pd.costIn(v, m) + m.MatCost
@@ -190,11 +208,17 @@ func (v *CostView) TotalCost() cost.Cost {
 // overlay of the DAG's current state. Instrumentation counters are kept
 // (drain them with DrainCounters).
 func (v *CostView) Reset() {
-	clear(v.over)
-	clear(v.matAdd)
-	clear(v.matDel)
-	clear(v.addByGroup)
 	v.addList = v.addList[:0]
+	v.touched = v.touched[:0]
+	v.epoch++
+	if v.epoch == 0 {
+		// Wrapped: a stamp left 2³² resets ago would read as current.
+		clear(v.nodes)
+		for i := range v.adds {
+			v.adds[i].at = 0
+		}
+		v.epoch = 1
+	}
 }
 
 // DrainCounters returns and zeroes the view's accumulated (propagations,
@@ -248,12 +272,12 @@ func (v *CostView) whatIf(n *Node, wantCone bool) (cost.Cost, Cone) {
 	// and the base materialized list, walked in topological order for
 	// reproducible float sums — minus the new member's own contribution.
 	ben := cost.Cost(0)
-	if c, ok := v.over[pd.Root]; ok {
-		ben += pd.Root.Cost - c
+	if o := &v.nodes[pd.Root.Topo]; o.costAt == v.epoch {
+		ben += pd.Root.Cost - o.cost
 	}
 	for _, m := range pd.costing.matList {
-		if c, ok := v.over[m]; ok {
-			ben += m.Cost - c
+		if o := &v.nodes[m.Topo]; o.costAt == v.epoch {
+			ben += m.Cost - o.cost
 		}
 	}
 	ben -= pd.costIn(v, n) + n.MatCost
@@ -262,13 +286,13 @@ func (v *CostView) whatIf(n *Node, wantCone bool) (cost.Cost, Cone) {
 	if wantCone {
 		cone = Cone{alters: newConeBits(len(pd.Nodes)), sensitive: newConeBits(len(pd.Nodes))}
 		cone.sensitive.add(n)
-		for _, s := range pd.byGroup[n.LG] {
+		for _, s := range pd.siblings(n) {
 			if n.Prop.Satisfies(s.Prop) {
 				cone.sensitive.add(s)
 			}
 		}
-		for x, c := range v.over {
-			if c != x.Cost {
+		for _, x := range v.touched {
+			if v.nodes[x.Topo].cost != x.Cost {
 				cone.alters.add(x)
 				// A changed node whose group already has a materialized
 				// member sits at an armed reuse threshold: its consumers
@@ -276,7 +300,7 @@ func (v *CostView) whatIf(n *Node, wantCone bool) (cost.Cost, Cone) {
 				// the cost above reusecost can jointly push it below,
 				// flipping the min non-additively. Treat such nodes as
 				// choice points, not plain value changes.
-				if len(pd.costing.matByGroup[x.LG]) > 0 || len(v.addByGroup[x.LG]) > 0 {
+				if len(pd.groups[x.gi].mats) > 0 || len(v.addsOf(x.gi)) > 0 {
 					cone.sensitive.add(x)
 				}
 			}

@@ -1,0 +1,442 @@
+package physical
+
+import (
+	"container/heap"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"mqo/internal/algebra"
+	"mqo/internal/catalog"
+	"mqo/internal/cost"
+	"mqo/internal/dag"
+	"mqo/internal/psp"
+	"mqo/internal/tpcd"
+)
+
+// The overlay this package had before its per-node state moved onto arrays
+// over Node.Topo, kept as the model the array overlay is held to: the
+// materialized-set delta, the cost overrides, the heap membership and the
+// forced seeds are Go maps keyed by node and group pointers, and the cone
+// is read off the override map in whatever order it yields. It shares the
+// DAG's nodes (and so the base costs the shared SetMaterialized maintains)
+// but mirrors the base materialized set itself, in mapBase.
+
+type mapBase struct {
+	mat     map[*Node]bool
+	byGroup map[*dag.Group][]*Node
+	list    []*Node
+}
+
+func (b *mapBase) toggle(n *Node, on bool) {
+	if on {
+		b.mat[n] = true
+		b.byGroup[n.LG] = append(b.byGroup[n.LG], n)
+		b.list = insertTopo(b.list, n)
+		return
+	}
+	delete(b.mat, n)
+	b.byGroup[n.LG] = removeNode(b.byGroup[n.LG], n)
+	b.list = removeNode(b.list, n)
+}
+
+type mapHeap struct {
+	items  []*Node
+	inHeap map[*Node]bool
+}
+
+func (h *mapHeap) Len() int           { return len(h.items) }
+func (h *mapHeap) Less(i, j int) bool { return h.items[i].Topo < h.items[j].Topo }
+func (h *mapHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *mapHeap) Push(x interface{}) { h.items = append(h.items, x.(*Node)) }
+func (h *mapHeap) Pop() interface{} {
+	n := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return n
+}
+
+func (h *mapHeap) add(n *Node) {
+	if !h.inHeap[n] {
+		h.inHeap[n] = true
+		heap.Push(h, n)
+	}
+}
+
+func (h *mapHeap) pop() *Node {
+	n := heap.Pop(h).(*Node)
+	delete(h.inHeap, n)
+	return n
+}
+
+type mapView struct {
+	pd   *DAG
+	base *mapBase
+
+	over       map[*Node]cost.Cost
+	matAdd     map[*Node]bool
+	matDel     map[*Node]bool
+	addByGroup map[*dag.Group][]*Node
+	addList    []*Node
+
+	heap   mapHeap
+	forced map[*Node]bool
+}
+
+func newMapView(pd *DAG, base *mapBase) *mapView {
+	return &mapView{
+		pd: pd, base: base,
+		over:       map[*Node]cost.Cost{},
+		matAdd:     map[*Node]bool{},
+		matDel:     map[*Node]bool{},
+		addByGroup: map[*dag.Group][]*Node{},
+		heap:       mapHeap{inHeap: map[*Node]bool{}},
+		forced:     map[*Node]bool{},
+	}
+}
+
+func (v *mapView) costIn(n *Node) cost.Cost {
+	if c, ok := v.over[n]; ok {
+		return c
+	}
+	return n.Cost
+}
+
+func (v *mapView) matIn(n *Node) bool {
+	if v.matDel[n] {
+		return false
+	}
+	return v.matAdd[n] || v.base.mat[n]
+}
+
+func (v *mapView) firstUsableMat(c, owner *Node) *Node {
+	sameGroup := owner != nil && owner.LG == c.LG
+	usable := func(m *Node) bool {
+		if m == owner || (sameGroup && m != c) {
+			return false
+		}
+		return m.Prop.Satisfies(c.Prop)
+	}
+	for _, m := range v.base.byGroup[c.LG] {
+		if v.matDel[m] {
+			continue
+		}
+		if usable(m) {
+			return m
+		}
+	}
+	for _, m := range v.addByGroup[c.LG] {
+		if usable(m) {
+			return m
+		}
+	}
+	return nil
+}
+
+func (v *mapView) childCost(c, owner *Node) cost.Cost {
+	cc := v.costIn(c)
+	if c.ReuseSeq < cc && v.firstUsableMat(c, owner) != nil {
+		return c.ReuseSeq
+	}
+	return cc
+}
+
+func (v *mapView) nodeCost(n *Node) cost.Cost {
+	best := cost.Cost(0)
+	for i, e := range n.Exprs {
+		c := e.OpCost
+		for _, k := range e.Children {
+			c += e.Weight() * v.childCost(k, e.Node)
+		}
+		if i == 0 || c < best {
+			best = c
+		}
+	}
+	return best
+}
+
+func (v *mapView) setMaterialized(n *Node, on bool) int {
+	if v.matIn(n) == on {
+		return 0
+	}
+	base := v.base.mat[n]
+	if on {
+		if base {
+			delete(v.matDel, n)
+		} else {
+			v.matAdd[n] = true
+			v.addByGroup[n.LG] = append(v.addByGroup[n.LG], n)
+			v.addList = insertTopo(v.addList, n)
+		}
+	} else {
+		if base {
+			v.matDel[n] = true
+		} else {
+			delete(v.matAdd, n)
+			v.addByGroup[n.LG] = removeNode(v.addByGroup[n.LG], n)
+			v.addList = removeNode(v.addList, n)
+		}
+	}
+	h := &v.heap
+	for _, s := range v.pd.NodesOf(n.LG) {
+		if n.Prop.Satisfies(s.Prop) {
+			v.forced[s] = true
+			h.add(s)
+		}
+	}
+	touched := 0
+	for h.Len() > 0 {
+		cur := h.pop()
+		touched++
+		old := v.costIn(cur)
+		next := v.nodeCost(cur)
+		v.over[cur] = next
+		if next != old || v.forced[cur] {
+			for _, p := range cur.Parents {
+				h.add(p.Node)
+			}
+		}
+	}
+	clear(v.forced)
+	return touched
+}
+
+func (v *mapView) totalCost() cost.Cost {
+	total := v.costIn(v.pd.Root)
+	for _, m := range v.base.list {
+		if v.matDel[m] {
+			continue
+		}
+		total += v.costIn(m) + m.MatCost
+	}
+	for _, m := range v.addList {
+		total += v.costIn(m) + m.MatCost
+	}
+	return total
+}
+
+func (v *mapView) reset() {
+	clear(v.over)
+	clear(v.matAdd)
+	clear(v.matDel)
+	clear(v.addByGroup)
+	v.addList = v.addList[:0]
+}
+
+func (v *mapView) whatIf(n *Node) (cost.Cost, Cone) {
+	pd := v.pd
+	if v.matIn(n) {
+		return 0, Cone{}
+	}
+	v.setMaterialized(n, true)
+	ben := cost.Cost(0)
+	if c, ok := v.over[pd.Root]; ok {
+		ben += pd.Root.Cost - c
+	}
+	for _, m := range v.base.list {
+		if c, ok := v.over[m]; ok {
+			ben += m.Cost - c
+		}
+	}
+	ben -= v.costIn(n) + n.MatCost
+
+	cone := Cone{alters: newConeBits(len(pd.Nodes)), sensitive: newConeBits(len(pd.Nodes))}
+	cone.sensitive.add(n)
+	for _, s := range pd.NodesOf(n.LG) {
+		if n.Prop.Satisfies(s.Prop) {
+			cone.sensitive.add(s)
+		}
+	}
+	for x, c := range v.over {
+		if c != x.Cost {
+			cone.alters.add(x)
+			if len(v.base.byGroup[x.LG]) > 0 || len(v.addByGroup[x.LG]) > 0 {
+				cone.sensitive.add(x)
+			}
+		}
+		if len(x.Exprs) > 1 {
+			cone.sensitive.add(x)
+		}
+	}
+	v.reset()
+	return ben, cone
+}
+
+// armedDAG is a nested query — an Invoke over a parameterized body — plus a
+// chain sharing its invariant join, with the result cache's two kinds of
+// armed alternative added by hand: CacheScans on a few nodes and an
+// InvokePartial beside the Invoke.
+func armedDAG(t *testing.T) *DAG {
+	inner := algebra.SelectT(algebra.CmpParam(algebra.Col("B", "num"), algebra.EQ, "x"),
+		algebra.JoinT(algebra.ColEq(algebra.Col("A", "fk"), algebra.Col("B", "id")),
+			algebra.ScanT("A"), algebra.ScanT("B")))
+	pd := buildDAG(t, algebra.NewTree(algebra.Invoke{Times: 40}, inner), chain([]string{"A", "B", "C"}, 50))
+	scans, partials := 0, 0
+	for _, n := range pd.Nodes {
+		switch e := n.Exprs[0]; {
+		case e.Kind == InvokeOp:
+			pd.ArmInvokePartial(n, e.LE, e.Children[0], e.Weight()/4, n.Cost/8,
+				[]BindScan{{Bind: "x=1", Table: "b1"}}, []string{"x=2"}, "fp")
+			partials++
+		case e.Kind == BNLJoin && !n.LG.ParamDep && scans < 3:
+			pd.ArmCacheScan(n, "c", n.ReuseSeq, cost.TierRAM)
+			scans++
+		}
+	}
+	if scans == 0 || partials == 0 {
+		t.Fatalf("armed %d cache scans and %d partial invokes", scans, partials)
+	}
+	pd.Recost()
+	return pd
+}
+
+// TestCostViewMatchesMapModel drives the array overlay and the map overlay
+// through one seeded sequence — toggles kept inside the view, what-ifs with
+// and without cones, resets, views going back to the pool and coming out
+// again, commits on the shared DAG between fan-outs, and an epoch counter
+// that wraps halfway — and holds them to each other exactly: re-examined
+// counts, every node's cost and membership, totals and benefits by ==, and
+// both cone bitsets.
+func TestCostViewMatchesMapModel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) *DAG
+	}{
+		{"BQ5", func(t *testing.T) *DAG { return buildOver(t, tpcd.Catalog(1), tpcd.BatchQueries(5)) }},
+		{"CQ3", func(t *testing.T) *DAG { return buildOver(t, psp.Catalog(1), psp.CQ(3)) }},
+		{"armed", armedDAG},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pd := tc.build(t)
+			cands := whatIfCandidates(pd)
+			base := &mapBase{mat: map[*Node]bool{}, byGroup: map[*dag.Group][]*Node{}}
+			model := newMapView(pd, base)
+			v := pd.AcquireView()
+			rng := rand.New(rand.NewSource(21))
+
+			same := func(step int, what string) {
+				t.Helper()
+				if got, want := v.TotalCost(), model.totalCost(); got != want {
+					t.Fatalf("step %d (%s): total %v, model %v", step, what, got, want)
+				}
+				for _, n := range pd.Nodes {
+					if got, want := v.CostOf(n), model.costIn(n); got != want {
+						t.Fatalf("step %d (%s): node %d cost %v, model %v", step, what, n.ID, got, want)
+					}
+					if got, want := v.Materialized(n), model.matIn(n); got != want {
+						t.Fatalf("step %d (%s): node %d materialized %v, model %v", step, what, n.ID, got, want)
+					}
+				}
+			}
+			pristine := func() {
+				v.Reset()
+				model.reset()
+			}
+
+			const steps = 400
+			for step := 0; step < steps; step++ {
+				if step == steps/2 {
+					// Stamps written in the first epochs are still in the
+					// arrays; wrap so the same epoch numbers come round.
+					pristine()
+					v.epoch = math.MaxUint32 - 2
+				}
+				n := cands[rng.Intn(len(cands))]
+				switch op := rng.Intn(10); {
+				case op < 4: // a toggle that stays in the view
+					on := !model.matIn(n)
+					if got, want := v.SetMaterialized(n, on), model.setMaterialized(n, on); got != want {
+						t.Fatalf("step %d: re-examined %d nodes, model %d", step, got, want)
+					}
+					same(step, "toggle")
+				case op < 6:
+					pristine()
+					want, _ := model.whatIf(n)
+					if got := v.WhatIfBenefit(n); got != want {
+						t.Fatalf("step %d: benefit of node %d %v, model %v", step, n.ID, got, want)
+					}
+					same(step, "what-if")
+				case op < 8:
+					pristine()
+					got, cone := v.WhatIfBenefitCone(n)
+					want, wantCone := model.whatIf(n)
+					if got != want {
+						t.Fatalf("step %d: benefit of node %d %v, model %v", step, n.ID, got, want)
+					}
+					if !slices.Equal(cone.alters, wantCone.alters) || !slices.Equal(cone.sensitive, wantCone.sensitive) {
+						t.Fatalf("step %d: cone of node %d differs from the model's", step, n.ID)
+					}
+				case op < 9: // back to the pool and out again: the same arrays, a later epoch
+					pd.ReleaseView(v)
+					model.reset()
+					if again := pd.AcquireView(); again != v {
+						t.Fatalf("step %d: the pool handed out a fresh view", step)
+					}
+					same(step, "reuse")
+				default: // a commit on the shared DAG, views pristine as between fan-outs
+					pristine()
+					on := !pd.Materialized(n)
+					pd.SetMaterialized(n, on)
+					base.toggle(n, on)
+					if got, want := pd.TotalCost(), pd.BestCostWith(pd.MaterializedSet()); !cost.Eq(got, want) {
+						t.Fatalf("step %d: shared total %v, from scratch %v", step, got, want)
+					}
+					same(step, "commit")
+				}
+			}
+			if v.epoch >= math.MaxUint32-2 {
+				t.Fatalf("epoch %d: the counter never wrapped", v.epoch)
+			}
+		})
+	}
+}
+
+// TestWhatIfAllocatesNothing: once a pooled view has been through a wave,
+// its arrays and lists are as large as that wave needs, and the next wave's
+// what-ifs allocate nothing.
+func TestWhatIfAllocatesNothing(t *testing.T) {
+	pd := buildOver(t, tpcd.Catalog(1), tpcd.BatchQueries(5))
+	cands := whatIfCandidates(pd)
+	v := pd.AcquireView()
+	defer pd.ReleaseView(v)
+	wave := func() {
+		for _, n := range cands {
+			v.WhatIfBenefit(n)
+		}
+	}
+	wave()
+	if allocs := testing.AllocsPerRun(3, wave); allocs != 0 {
+		t.Errorf("a wave of %d what-ifs allocated %.0f times", len(cands), allocs)
+	}
+}
+
+// buildOver expands queries over cat and builds the physical DAG.
+func buildOver(tb testing.TB, cat *catalog.Catalog, queries []*algebra.Tree) *DAG {
+	tb.Helper()
+	pd, err := Build(expandLogical(tb, cat, queries), cost.DefaultModel())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pd
+}
+
+// expandLogical is the logical half of a batch's optimization: insert,
+// expand, subsume, expand again, finalize.
+func expandLogical(tb testing.TB, cat *catalog.Catalog, queries []*algebra.Tree) *dag.DAG {
+	tb.Helper()
+	ld := dag.New(cost.Estimator{Cat: cat})
+	for _, q := range queries {
+		if _, err := ld.AddQuery(q); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, step := range []func() error{ld.Expand, ld.Subsume, ld.Expand} {
+		if err := step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := ld.Finalize(); err != nil {
+		tb.Fatal(err)
+	}
+	return ld
+}

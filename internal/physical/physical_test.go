@@ -6,8 +6,6 @@ import (
 
 	"mqo/internal/algebra"
 	"mqo/internal/catalog"
-	"mqo/internal/cost"
-	"mqo/internal/dag"
 )
 
 func testCatalog() *catalog.Catalog {
@@ -29,29 +27,7 @@ func testCatalog() *catalog.Catalog {
 
 func buildDAG(t *testing.T, queries ...*algebra.Tree) *DAG {
 	t.Helper()
-	ld := dag.New(cost.Estimator{Cat: testCatalog()})
-	for _, q := range queries {
-		if _, err := ld.AddQuery(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ld.Expand(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ld.Subsume(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ld.Expand(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ld.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	pd, err := Build(ld, cost.DefaultModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pd
+	return buildOver(t, testCatalog(), queries)
 }
 
 func chain(tables []string, selConst int64) *algebra.Tree {
@@ -266,5 +242,39 @@ func TestSetMaterializedIdempotent(t *testing.T) {
 	pd.SetMaterialized(n, false)
 	if pd.TotalCost() != pd.BestCostWith(nil) {
 		t.Error("state not restored")
+	}
+}
+
+// TestWalkVisitsOnceChildrenFirst: a walk reaches every plan node of a plan
+// with shared sub-plans exactly once, after its children, and its visited
+// set costs no allocation.
+func TestWalkVisitsOnceChildrenFirst(t *testing.T) {
+	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50))
+	p := pd.ExtractPlan()
+	at := map[*PlanNode]int{}
+	p.Root.Walk(func(pn *PlanNode) {
+		if _, twice := at[pn]; twice {
+			t.Errorf("node %d visited twice", pn.N.ID)
+		}
+		for _, c := range pn.Children {
+			if _, done := at[c]; !done {
+				t.Errorf("node %d visited before its child %d", pn.N.ID, c.N.ID)
+			}
+		}
+		at[pn] = len(at)
+	})
+	shared := false
+	for _, pn := range p.ByNode {
+		if _, ok := at[pn]; !ok {
+			t.Errorf("node %d not visited", pn.N.ID)
+		}
+		shared = shared || pn.NumParents > 1
+	}
+	if !shared {
+		t.Error("no plan node has two parents: the plan checks nothing about sharing")
+	}
+	visits := 0
+	if allocs := testing.AllocsPerRun(10, func() { p.Root.Walk(func(*PlanNode) { visits++ }) }); allocs != 0 {
+		t.Errorf("a walk allocated %.0f times", allocs)
 	}
 }

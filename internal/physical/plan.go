@@ -110,21 +110,47 @@ func (pd *DAG) bestSatisfyingMat(v *CostView, c, owner *Node) *Node {
 	return pd.firstUsableMat(v, c, owner)
 }
 
-// Walk visits every plan node reachable from pn once, children first.
+// Walk visits every plan node reachable from pn once, children first. A
+// plan holds one plan node per physical node, so the visited set is a bitset
+// over Node.Topo. It lives in the walk's own frame — on the heap only for
+// the part of a DAG beyond walkBits nodes — and never on the plan nodes,
+// which cached plans share between goroutines.
 func (pn *PlanNode) Walk(f func(*PlanNode)) {
-	seen := map[*PlanNode]bool{}
-	var rec func(*PlanNode)
-	rec = func(n *PlanNode) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, c := range n.Children {
-			rec(c)
-		}
-		f(n)
+	var seen walkSet
+	pn.walk(&seen, f)
+}
+
+func (pn *PlanNode) walk(seen *walkSet, f func(*PlanNode)) {
+	if seen.visit(pn.N.Topo) {
+		return
 	}
-	rec(pn)
+	for _, c := range pn.Children {
+		c.walk(seen, f)
+	}
+	f(pn)
+}
+
+const walkBits = 4096
+
+type walkSet struct {
+	low  [walkBits / 64]uint64
+	high []uint64 // topological numbers from walkBits up
+}
+
+// visit marks topo and reports whether it was marked already.
+func (s *walkSet) visit(topo int) bool {
+	words := s.low[:]
+	if topo >= walkBits {
+		topo -= walkBits
+		if need := topo/64 + 1; need > len(s.high) {
+			s.high = append(s.high, make([]uint64, need-len(s.high))...)
+		}
+		words = s.high
+	}
+	w, bit := &words[topo/64], uint64(1)<<(topo%64)
+	was := *w&bit != 0
+	*w |= bit
+	return was
 }
 
 // String renders the plan with sharing and materialization annotations.
@@ -144,7 +170,7 @@ func (p *Plan) String() string {
 			// Counts only — table names and tiers vary with cache history,
 			// and the rendered plan must stay byte-identical across shard
 			// counts and tiers for the same armed binding sets.
-			fmt.Fprintf(&b, " (%d cached, %d residual)", len(pn.E.BindScans), len(pn.E.ResidualBinds))
+			fmt.Fprintf(&b, " (%d cached, %d residual)", len(pn.E.Arm.BindScans), len(pn.E.Arm.ResidualBinds))
 		}
 		if pn.Mat {
 			b.WriteString(" MATERIALIZED")

@@ -5,9 +5,28 @@
 // index build). It also implements the Volcano costing of the DAG given a
 // set of materialized nodes (§3.1), both from scratch and incrementally
 // (§4.2), which all three MQO heuristics build on.
+//
+// Identities are dense integers fixed when Build returns, and everything
+// the searches do per node or per group indexes a slice with one of them:
+//
+//   - Node.Topo, the topological number and the position in DAG.Nodes,
+//     indexes the materialized set (costState.mat), a CostView's cost
+//     overrides and membership flips, the propagation heap's membership,
+//     the conflict cones' bitsets and a plan walk's visited set;
+//   - the group table row (Node.gi; one row per logical group, found from
+//     the logical side through a slice over dag.GroupID) holds the group's
+//     physical nodes — where Build looks a (group, property) pair up by
+//     comparing properties, never by rendering them — its materialized
+//     nodes, and its joins' equi-column pairs, computed once per logical
+//     join; a CostView's per-group additions are indexed by the same row.
+//
+// Arming the result cache's alternatives after Build adds operation nodes
+// to existing nodes; it never adds a node or a group, so the indices hold
+// for the DAG's lifetime.
 package physical
 
 import (
+	"slices"
 	"strings"
 
 	"mqo/internal/algebra"
@@ -35,7 +54,17 @@ func IndexProp(col algebra.Column) Prop { return Prop{Index: col, HasIx: true} }
 // IsAny reports whether the property imposes no requirement.
 func (p Prop) IsAny() bool { return len(p.Sort) == 0 && !p.HasIx }
 
-// Key is a canonical map key for the property.
+// Equal reports whether p and q are the same property. It is how Build
+// finds a group's existing node for a property, so it must agree with Key.
+func (p Prop) Equal(q Prop) bool {
+	if p.HasIx || q.HasIx {
+		return p.HasIx == q.HasIx && p.Index == q.Index
+	}
+	return slices.Equal(p.Sort, q.Sort)
+}
+
+// Key is a canonical rendering of the property, for plan output and for the
+// result cache's entry keys. Nothing on the build or costing path calls it.
 func (p Prop) Key() string {
 	if p.HasIx {
 		return "ix:" + p.Index.String()
