@@ -105,15 +105,53 @@ func benchDrain(b *testing.B, it Iterator, want int) {
 
 var custEqCk = algebra.ColEq(algebra.Col("f", "custkey"), algebra.Col("d", "ck"))
 
-// BenchmarkNLJoinEqui: 20000 fact rows against a 3000-row dimension on a
-// key; every fact row finds its one partner.
+// BenchmarkNLJoinEqui is the keyed join in both buffering orders. smallInner:
+// 20000 fact rows stream past a buffered 3000-row dimension, every fact row
+// finding its one partner. smallOuter is the shape of a star query that the
+// optimizer joins dimension-first: 40 held dimension rows against a scan of
+// the 30000-row fact table, of which the join keeps the 400 rows with one of
+// their keys, by operators built for the one run.
 func BenchmarkNLJoinEqui(b *testing.B) {
-	ds, drows := dimTable(dimRows)
-	j, err := newNLJoin(&sliceIter{rows: factRows(20000), schema: factSchema()}, &sliceIter{rows: drows, schema: ds}, custEqCk, &Env{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchDrain(b, j, 20000)
+	b.Run("smallInner", func(b *testing.B) {
+		ds, drows := dimTable(dimRows)
+		j, err := newNLJoin(&sliceIter{rows: factRows(20000), schema: factSchema()}, &sliceIter{rows: drows, schema: ds}, custEqCk, &Env{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		j.estimate(20000, dimRows)
+		benchDrain(b, j, 20000)
+	})
+	b.Run("smallOuter", func(b *testing.B) {
+		const n = 30000
+		db := storage.NewDB(2048)
+		fs, frows := factSchema(), factRows(n)
+		tab := loadTable(b, db, "f", fs, frows)
+		ds, drows := dimTable(40)
+		want := 0
+		for _, f := range frows {
+			if f[factCustKey].I < 40 {
+				want++
+			}
+		}
+		// A query builds its operators anew, so what the join holds is
+		// allocated in every iteration, as it is in every run of a plan.
+		b.ReportAllocs()
+		for b.Loop() {
+			scan := newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "orderdate", "revenue"))
+			j, err := newNLJoin(&sliceIter{rows: drows, schema: ds}, scan, custEqCk, &Env{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			j.estimate(40, n)
+			rows, err := drain(context.Background(), j)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rows) != want {
+				b.Fatalf("%d rows, want %d", len(rows), want)
+			}
+		}
+	})
 }
 
 // BenchmarkNLJoinTheta: no key to hash on, so 2000 × 200 pairs all reach

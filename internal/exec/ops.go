@@ -20,8 +20,12 @@ import (
 // an aggregate's group, whoever collects results — copies it into storage of
 // its own (a rowArena). So a row is copied once by whoever keeps it and never
 // by whoever passes it on. Validity is per iterator: pulling one child does
-// not disturb the row last pulled from another. Open may be called again
-// after Close (Invoke re-runs its body per binding); buffers are reused.
+// not disturb the row last pulled from another. Nor does the contract fix
+// the order in which an operator pulls its children: a block nested-loops
+// join drains its right input in Open and then streams its left, or drains
+// the left first and the right after it, as its builder's estimate says.
+// Open may be called again after Close (Invoke re-runs its body per
+// binding); buffers are reused.
 type Iterator interface {
 	Open() error
 	Next() (storage.Row, bool, error)
@@ -176,9 +180,11 @@ func (p *projectIter) Schema() algebra.Schema { return p.schema }
 type sortIter struct {
 	child Iterator
 	cols  []algebra.Column
+	poll  ctxPoll
 	arena rowArena // the copies of the child's rows
 	rows  []storage.Row
 	pos   int
+	kept  int64 // rows copied since the sort was built
 }
 
 func (s *sortIter) Open() error {
@@ -199,6 +205,9 @@ func (s *sortIter) Open() error {
 		}
 	}
 	for {
+		if err := s.poll.err(); err != nil {
+			return err
+		}
 		r, ok, err := s.child.Next()
 		if err != nil {
 			return err
@@ -208,6 +217,7 @@ func (s *sortIter) Open() error {
 		}
 		s.rows = append(s.rows, s.arena.keep(r))
 	}
+	s.kept += int64(len(s.rows))
 	slices.SortStableFunc(s.rows, func(a, b storage.Row) int { return compareAt(a, idxs, b, idxs) })
 	return nil
 }
@@ -225,6 +235,9 @@ func (s *sortIter) Close() error           { return s.child.Close() }
 func (s *sortIter) Schema() algebra.Schema { return s.child.Schema() }
 func (s *sortIter) buffered() int          { return len(s.rows) - s.pos }
 
+// rowsKept is what a profiled run reports as NodeProfile.Kept.
+func (s *sortIter) rowsKept() int64 { return s.kept }
+
 // joinScratch is the row a join's predicate sees, and its output row when the
 // pair passes: the outer row followed by the inner candidate, overwritten for
 // every pair. A join allocates nothing per pair or per output row.
@@ -232,6 +245,7 @@ type joinScratch struct {
 	row    storage.Row
 	nOuter int   // width of the outer side
 	pairs  int64 // predicate evaluations since the join was built
+	kept   int64 // input rows copied into the join's own storage since then
 }
 
 func (s *joinScratch) init(outer, inner algebra.Schema) {
@@ -257,6 +271,9 @@ func (s *joinScratch) eval(pred predFunc, inner storage.Row) (out storage.Row, o
 
 // pairsEvaluated is what a profiled run reports as NodeProfile.Pairs.
 func (s *joinScratch) pairsEvaluated() int64 { return s.pairs }
+
+// rowsKept is what it reports as NodeProfile.Kept.
+func (s *joinScratch) rowsKept() int64 { return s.kept }
 
 var keySeed = maphash.MakeSeed()
 
@@ -285,20 +302,38 @@ func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
 	return h, true
 }
 
-// nlJoin is the block nested-loops join: the inner input is buffered in
-// memory and each outer row is paired with it in arrival order. The
-// predicate's cross-side col = col conjuncts (lKey[i] = rKey[i]) key a hash
-// table over the buffer, so an outer row meets only its bucket, the inner
-// rows whose key hashes like its own. The full predicate still decides every
-// pair, which also settles hash collisions, and buckets keep arrival order,
-// so the output is that of the all-pairs loop, row for row. With no such
-// conjunct every row hashes to the empty key and the bucket is the buffer.
+// nlJoin is the block nested-loops join: one input is held in memory and
+// each outer (left) row is paired with the inner (right) rows in arrival
+// order. The predicate's cross-side col = col conjuncts (lKey[i] = rKey[i])
+// key a hash table over the inner rows, so an outer row meets only its
+// bucket, the inner rows whose key hashes like its own. The full predicate
+// still decides every pair, which also settles hash collisions, and buckets
+// keep arrival order, so the output is that of the all-pairs loop, row for
+// row. With no such conjunct every row hashes to the empty key and the bucket
+// is the buffer.
+//
+// Which input is held is the builder's call (estimate). By default Open
+// buffers the inner input whole and Next streams the outer past it. When the
+// join is keyed and the outer input is the smaller, Open buffers the outer
+// input first and, of the inner, only the rows whose key hash an outer row
+// has: a row it drops has no outer row's key, so the predicate would have
+// passed it with none, and Next walks the held outer rows over the same
+// buckets. The rows, their order and the pairs evaluated are the same either
+// way; what differs is the memory — the smaller input and the matches of the
+// larger, not the whole right input — and which child is pulled first.
 type nlJoin struct {
 	left, right Iterator
 	pred        predFunc
 	lKey, rKey  []int // key column positions in the outer and the inner row
 	schema      algebra.Schema
+	poll        ctxPoll
 	joinScratch
+
+	// holdOuter: Open buffers the outer input and filters the inner by it.
+	holdOuter  bool
+	outerArena rowArena // the copies of the outer input's rows
+	outer      []storage.Row
+	outerPos   int
 
 	arena rowArena // the copies of the inner input's rows
 	inner []storage.Row
@@ -332,9 +367,18 @@ func newNLJoin(left, right Iterator, p algebra.Predicate, env *Env) (*nlJoin, er
 	return j, nil
 }
 
+// estimate tells the join how many rows the plan expects of each input. The
+// outer input is held when it is the smaller and there is a key to filter
+// the inner by; without one both inputs would have to be held.
+func (j *nlJoin) estimate(outerRows, innerRows float64) {
+	j.holdOuter = len(j.lKey) > 0 && outerRows < innerRows
+}
+
 // Open buffers the inner input and buckets it in two passes: the first
 // hashes each row and counts its bucket, the second places the rows, so the
-// buckets share one array and keep arrival order.
+// buckets share one array and keep arrival order. A join that holds its outer
+// input has buffered that before, and skips the inner rows no outer row's
+// key hashes like.
 func (j *nlJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
@@ -345,16 +389,26 @@ func (j *nlJoin) Open() error {
 	j.init(j.left.Schema(), j.right.Schema())
 	j.arena.reset()
 	j.inner, j.ends, j.slot, j.cands = j.inner[:0], j.ends[:0], j.slot[:0], nil
-	if n := bufferedRows(j.right); n > 0 {
-		j.arena.reserve(n, len(j.right.Schema()))
-		j.inner, j.slot = slices.Grow(j.inner, n), slices.Grow(j.slot, n)
-	}
 	if j.bucketOf == nil {
 		j.bucketOf = map[uint64]int32{}
 	}
 	clear(j.bucketOf)
+	filter := false
+	if j.holdOuter {
+		var err error
+		if filter, err = j.bufferOuter(); err != nil {
+			return err
+		}
+	} else if n := bufferedRows(j.right); n > 0 {
+		// Every row is kept, so the child's count sizes the storage once.
+		j.arena.reserve(n, len(j.right.Schema()))
+		j.inner, j.slot = slices.Grow(j.inner, n), slices.Grow(j.slot, n)
+	}
 	keyed := true
 	for {
+		if err := j.poll.err(); err != nil {
+			return err
+		}
 		r, ok, err := j.right.Next()
 		if err != nil {
 			return err
@@ -362,21 +416,23 @@ func (j *nlJoin) Open() error {
 		if !ok {
 			break
 		}
-		r = j.arena.keep(r)
-		j.inner = append(j.inner, r)
 		h, ok := keyHash(r, j.rKey)
-		if keyed = keyed && ok; !keyed {
-			continue
-		}
 		b, seen := j.bucketOf[h]
-		if !seen {
+		if ok && !seen {
+			if filter {
+				continue
+			}
 			b = int32(len(j.ends))
 			j.bucketOf[h] = b
 			j.ends = append(j.ends, 0)
 		}
-		j.ends[b]++
-		j.slot = append(j.slot, b)
+		j.inner = append(j.inner, j.arena.keep(r))
+		if keyed = keyed && ok; keyed {
+			j.ends[b]++
+			j.slot = append(j.slot, b)
+		}
 	}
+	j.kept += int64(len(j.outer) + len(j.inner))
 	if !keyed {
 		j.bucketOf = nil
 		return nil
@@ -395,6 +451,48 @@ func (j *nlJoin) Open() error {
 		j.ends[b]++
 	}
 	return nil
+}
+
+// bufferOuter holds the outer input and gives every key hash in it a bucket,
+// empty as yet. filter reports that an inner row with none of those hashes can
+// be dropped, which a NaN outer key rules out: it equals every number, so its
+// row has to meet all of the inner input.
+func (j *nlJoin) bufferOuter() (filter bool, err error) {
+	j.outerArena.reset()
+	j.outer, j.outerPos = j.outer[:0], 0
+	filter = true
+	for {
+		if err := j.poll.err(); err != nil {
+			return false, err
+		}
+		r, ok, err := j.left.Next()
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			return filter, nil
+		}
+		j.outer = append(j.outer, j.outerArena.keep(r))
+		h, ok := keyHash(r, j.lKey)
+		if !ok {
+			filter = false
+		} else if _, seen := j.bucketOf[h]; !seen {
+			j.bucketOf[h] = int32(len(j.ends))
+			j.ends = append(j.ends, 0)
+		}
+	}
+}
+
+// nextOuter is the next outer row, held or streamed.
+func (j *nlJoin) nextOuter() (storage.Row, bool, error) {
+	if !j.holdOuter {
+		return j.left.Next()
+	}
+	if j.outerPos == len(j.outer) {
+		return nil, false, nil
+	}
+	j.outerPos++
+	return j.outer[j.outerPos-1], true, nil
 }
 
 // bucket is the inner rows an outer row has to meet.
@@ -423,7 +521,7 @@ func (j *nlJoin) Next() (storage.Row, bool, error) {
 				return out, ok, err
 			}
 		}
-		l, ok, err := j.left.Next()
+		l, ok, err := j.nextOuter()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -498,6 +596,7 @@ func (j *mergeJoin) loadGroup(l storage.Row) error {
 		}
 		if c == 0 {
 			j.group = append(j.group, j.arena.keep(j.rightNext))
+			j.kept++
 		}
 		if err := j.advanceRight(); err != nil {
 			return err

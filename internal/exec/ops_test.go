@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -113,6 +114,15 @@ func allPairs(t *testing.T, p algebra.Predicate, ls, rs algebra.Schema, lrows, r
 	return out
 }
 
+// estimates is a pair of input cardinalities for nlJoin.estimate that makes
+// the outer input the smaller one, or the inner.
+func estimates(outerSmaller bool) (outerRows, innerRows float64) {
+	if outerSmaller {
+		return 1, 2
+	}
+	return 2, 1
+}
+
 func mustDrain(t *testing.T, it Iterator) []storage.Row {
 	t.Helper()
 	rows, err := drain(context.Background(), it)
@@ -135,10 +145,11 @@ func requireSameOrder(t *testing.T, what string, got, want []storage.Row) {
 }
 
 // TestJoinsMatchAllPairs is the differential test of the join kernels:
-// seeded random inputs through the hashed nlJoin, the plain all-pairs loop
-// above, mergeJoin and Reference. nlJoin must give the plain loop's rows in
-// the plain loop's order, on a second Open too (Invoke re-runs its body);
-// the other two give the same multiset.
+// seeded random inputs, either side empty in half the trials, through the
+// hashed nlJoin, the plain all-pairs loop above, mergeJoin and Reference.
+// nlJoin must give the plain loop's rows in the plain loop's order whichever
+// input its estimate has it hold, on a second Open too (Invoke re-runs its
+// body); the other two give the same multiset.
 func TestJoinsMatchAllPairs(t *testing.T) {
 	joinsMatchAllPairs(t, func(it Iterator) Iterator { return it })
 }
@@ -182,15 +193,24 @@ func joinsMatchAllPairs(t *testing.T, wrap func(Iterator) Iterator) {
 			want := allPairs(t, c.pred, ls, rs, lrows, rrows)
 			what := fmt.Sprintf("%s, trial %d", c.name, trial)
 
-			nl, err := newNLJoin(wrap(&sliceIter{rows: lrows, schema: ls}), wrap(&sliceIter{rows: rrows, schema: rs}), c.pred, &Env{})
-			if err != nil {
-				t.Fatal(err)
+			var nl *nlJoin
+			for _, outerSmaller := range []bool{false, true} {
+				var err error
+				nl, err = newNLJoin(wrap(&sliceIter{rows: lrows, schema: ls}), wrap(&sliceIter{rows: rrows, schema: rs}), c.pred, &Env{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (len(nl.lKey) > 0) != (c.keys != nil) {
+					t.Fatalf("%s: nlJoin keyed on %v", what, nl.lKey)
+				}
+				nl.estimate(estimates(outerSmaller))
+				if nl.holdOuter != (outerSmaller && c.keys != nil) {
+					t.Fatalf("%s: outer estimated smaller: %v, keyed on %v, yet holdOuter is %v", what, outerSmaller, nl.lKey, nl.holdOuter)
+				}
+				what := fmt.Sprintf("%s: nlJoin holding outer: %v", what, nl.holdOuter)
+				requireSameOrder(t, what, mustDrain(t, wrap(nl)), want)
+				requireSameOrder(t, what+", reopened", mustDrain(t, wrap(nl)), want)
 			}
-			if (len(nl.lKey) > 0) != (c.keys != nil) {
-				t.Fatalf("%s: nlJoin keyed on %v", what, nl.lKey)
-			}
-			requireSameOrder(t, what+": nlJoin", mustDrain(t, wrap(nl)), want)
-			requireSameOrder(t, what+": nlJoin reopened", mustDrain(t, wrap(nl)), want)
 
 			if c.keys != nil {
 				mj := &mergeJoin{pred: nl.pred, schema: schema}
@@ -222,7 +242,12 @@ func joinsMatchAllPairs(t *testing.T, wrap func(Iterator) Iterator) {
 
 // TestNLJoinNaNKeys pins the decision on NaN: algebra.Compare calls NaN
 // equal to every number, and the keyed join keeps doing so. A NaN outer key
-// meets the whole inner buffer; a NaN inner key turns keying off.
+// meets the whole inner buffer, so a join that holds its outer input drops no
+// inner row once it has seen one; a NaN inner key is kept whatever the outer
+// keys are and turns keying off, every outer row then meeting every inner row
+// kept. The rows are the all-pairs loop's either way; the pairs evaluated are
+// pinned, and differ between the two orders only where an inner row is both
+// dropped and, keying being off, would have met every outer row.
 func TestNLJoinNaNKeys(t *testing.T) {
 	ls, rs := intSchema("l", "a"), intSchema("r", "a")
 	vals := func(fs ...float64) []storage.Row {
@@ -234,23 +259,71 @@ func TestNLJoinNaNKeys(t *testing.T) {
 	}
 	nan := math.NaN()
 	pred := algebra.ColEq(algebra.Col("l", "a"), algebra.Col("r", "a"))
-	for i, c := range [][2][]storage.Row{
-		{vals(1, nan, 2), vals(2, 1, 1, 3)},
-		{vals(1, 2, 4), vals(2, nan, 1)},
-		{vals(nan, 1), vals(nan, 1)},
+	for i, c := range []struct {
+		outer, inner []storage.Row
+		pairs        [2]int64 // holding the inner input, holding the outer
+	}{
+		{vals(1, nan, 2), vals(2, 1, 1, 3), [2]int64{7, 7}},  // 2 + 4 + 1: the filter is off
+		{vals(1, 2, 4), vals(2, nan, 1, 7), [2]int64{12, 9}}, // 3 × 4; 3 × 3 with the 7 dropped
+		{vals(nan, 1), vals(nan, 1), [2]int64{4, 4}},
 	} {
-		want := allPairs(t, pred, ls, rs, c[0], c[1])
-		nl, err := newNLJoin(&sliceIter{rows: c[0], schema: ls}, &sliceIter{rows: c[1], schema: rs}, pred, &Env{})
+		want := allPairs(t, pred, ls, rs, c.outer, c.inner)
+		for o, outerSmaller := range []bool{false, true} {
+			nl, err := newNLJoin(&sliceIter{rows: c.outer, schema: ls}, &sliceIter{rows: c.inner, schema: rs}, pred, &Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl.estimate(estimates(outerSmaller))
+			got := mustDrain(t, nl)
+			if len(got) != len(want) {
+				t.Fatalf("case %d, holding outer: %v: %d rows, want %d", i, outerSmaller, len(got), len(want))
+			}
+			for k := range got { // NaN != NaN, so compare the rendering
+				if fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
+					t.Fatalf("case %d, holding outer: %v, row %d: %v, want %v", i, outerSmaller, k, got[k], want[k])
+				}
+			}
+			if nl.pairsEvaluated() != c.pairs[o] {
+				t.Errorf("case %d, holding outer: %v: %d pairs evaluated, want %d", i, outerSmaller, nl.pairsEvaluated(), c.pairs[o])
+			}
+		}
+	}
+}
+
+// TestNLJoinOuterMajorOrder joins inputs where every key has many rows on
+// both sides, and states the order outright instead of by way of the
+// all-pairs loop: outer rows in arrival order, each with its partners in
+// theirs, whichever input is held.
+func TestNLJoinOuterMajorOrder(t *testing.T) {
+	ls, rs := intSchema("l", "k", "seq"), intSchema("r", "k", "seq")
+	var lrows, rrows []storage.Row
+	for i := int64(0); i < 60; i++ {
+		lrows = append(lrows, intRows([]int64{i * 7 % 3, i})...)
+	}
+	for i := int64(0); i < 200; i++ {
+		rrows = append(rrows, intRows([]int64{i * 11 % 4, i})...) // key 3 has no outer row
+	}
+	pred := algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k"))
+	for _, outerSmaller := range []bool{false, true} {
+		nl, err := newNLJoin(&sliceIter{rows: lrows, schema: ls}, &sliceIter{rows: rrows, schema: rs}, pred, &Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		nl.estimate(estimates(outerSmaller))
 		got := mustDrain(t, nl)
-		if len(got) != len(want) {
-			t.Fatalf("case %d: %d rows, want %d", i, len(got), len(want))
+		if want := 60 * 50; len(got) != want {
+			t.Fatalf("holding outer: %v: %d rows, want %d (60 outer rows with 50 partners each)", outerSmaller, len(got), want)
 		}
-		for k := range got { // NaN != NaN, so compare the rendering
-			if fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
-				t.Fatalf("case %d row %d: %v, want %v", i, k, got[k], want[k])
+		for i, r := range got {
+			if r[0].I != r[2].I {
+				t.Fatalf("holding outer: %v: row %d joins keys %d and %d", outerSmaller, i, r[0].I, r[2].I)
+			}
+			if i == 0 {
+				continue
+			}
+			if p := got[i-1]; r[1].I < p[1].I || (r[1].I == p[1].I && r[3].I <= p[3].I) {
+				t.Fatalf("holding outer: %v: row %d is (outer %d, inner %d) after (outer %d, inner %d)",
+					outerSmaller, i, r[1].I, r[3].I, p[1].I, p[3].I)
 			}
 		}
 	}
@@ -348,9 +421,9 @@ func TestPrunedScanAllocatesPerSlab(t *testing.T) {
 }
 
 // TestNLJoinSizesBufferFromScan: a scan knows how many rows it has still to
-// deliver, so the join that buffers them allocates its arrays and its arena's
-// slab once instead of growing them, and alike when a profiled run wraps the
-// scan.
+// deliver, so the join that buffers them all — the one whose inner input is
+// the smaller — allocates its arrays and its arena's slab once instead of
+// growing them, and alike when a profiled run wraps the scan.
 func TestNLJoinSizesBufferFromScan(t *testing.T) {
 	const n = 5000
 	db := storage.NewDB(512)
@@ -366,6 +439,7 @@ func TestNLJoinSizesBufferFromScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		nl.estimate(estimates(false))
 		if err := nl.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -378,30 +452,169 @@ func TestNLJoinSizesBufferFromScan(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShowsJoinPairs pins NodeProfile.Pairs on a small join: four
-// outer rows against a three-row inner are 12 predicate evaluations with no
-// key to hash on, and one per key match with one.
+// TestNLJoinKeepsOnlyMatches: a join that holds a 10-row outer input keeps, of
+// a 5000-row scanned inner, the rows with one of those ten keys — its storage
+// ends Open a growth step above the matches at most, not sized by what the
+// scan has to deliver — and gives the rows the other order gives.
+func TestNLJoinKeepsOnlyMatches(t *testing.T) {
+	const n = 5000
+	db := storage.NewDB(512)
+	fs, frows := factSchema(), factRows(n)
+	tab := loadTable(t, db, "f", fs, frows)
+	ls := intSchema("l", "k")
+	var lrows []storage.Row
+	for k := int64(0); k < 10; k++ {
+		lrows = append(lrows, intRows([]int64{k * 300})...)
+	}
+	matches := 0
+	for _, f := range frows {
+		if f[factCustKey].I%300 == 0 {
+			matches++
+		}
+	}
+	pred := algebra.ColEq(algebra.Col("l", "k"), algebra.Col("f", "custkey"))
+	join := func(traced, outerSmaller bool) *nlJoin {
+		var right Iterator = newTableScan(tab.Heap, fs, factNeed("custkey", "orderkey"))
+		if traced {
+			right = newStatIter(right, &NodeProfile{}, &profiler{})
+		}
+		nl, err := newNLJoin(&sliceIter{rows: lrows, schema: ls}, right, pred, &Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl.estimate(estimates(outerSmaller))
+		return nl
+	}
+	want := mustDrain(t, join(false, false))
+	if len(want) != matches || matches < 10 {
+		t.Fatalf("%d rows joined, %d fact rows have one of the keys", len(want), matches)
+	}
+	for _, traced := range []bool{false, true} {
+		nl := join(traced, true)
+		if err := nl.Open(); err != nil {
+			t.Fatal(err)
+		}
+		// Grown by append and by doubling slabs, the storage ends a growth
+		// step and a size class's rounding above what it holds at most; sized
+		// by the scan's count it would be n rows.
+		if limit := 3 * matches; len(nl.outer) != 10 || len(nl.inner) != matches || cap(nl.inner) > limit ||
+			cap(nl.slot) > limit || cap(nl.bucketed) > limit || cap(nl.arena.slab) > 2*limit {
+			t.Errorf("traced=%v: %d outer and %d inner rows held in arrays of %d rows, %d slots and %d bucketed and a slab of %d values, want %d rows and under %d each (two values a row)",
+				traced, len(nl.outer), len(nl.inner), cap(nl.inner), cap(nl.slot), cap(nl.bucketed), cap(nl.arena.slab), matches, limit)
+		}
+		if got := int64(10 + matches); nl.rowsKept() != got {
+			t.Errorf("traced=%v: %d rows kept, want %d", traced, nl.rowsKept(), got)
+		}
+		if err := nl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		requireSameOrder(t, fmt.Sprintf("traced=%v", traced), mustDrain(t, nl), want)
+	}
+}
+
+// cancelIter cancels a context when its at-th row is pulled.
+type cancelIter struct {
+	sliceIter
+	at     int
+	cancel context.CancelFunc
+}
+
+func (c *cancelIter) Next() (storage.Row, bool, error) {
+	if c.pos == c.at {
+		c.cancel()
+	}
+	return c.sliceIter.Next()
+}
+
+// TestBlockingOperatorsStopWhenCancelled: a join buffering either of its
+// inputs and a sort pull a whole input inside Open, where drain's own check
+// does not reach; each must return the context's error within drainCheckEvery
+// rows of the cancellation instead of finishing the input.
+func TestBlockingOperatorsStopWhenCancelled(t *testing.T) {
+	const n, at = 10 * drainCheckEvery, 3*drainCheckEvery + 17
+	schema := intSchema("t", "k")
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		rows[i] = storage.Row{algebra.IntVal(int64(i))}
+	}
+	few := &sliceIter{rows: rows[:5], schema: intSchema("s", "k")}
+	pred := algebra.ColEq(algebra.Col("s", "k"), algebra.Col("t", "k"))
+	for _, c := range []struct {
+		name string
+		op   func(ctx context.Context, big Iterator) Iterator
+	}{
+		{"join buffering its inner input", func(ctx context.Context, big Iterator) Iterator {
+			nl, err := newNLJoin(few, big, pred, &Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl.poll.ctx = ctx
+			return nl
+		}},
+		{"join holding its outer input, filtering the inner", func(ctx context.Context, big Iterator) Iterator {
+			nl, err := newNLJoin(few, big, pred, &Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl.poll.ctx = ctx
+			nl.estimate(estimates(true))
+			return nl
+		}},
+		{"join holding its outer input", func(ctx context.Context, big Iterator) Iterator {
+			nl, err := newNLJoin(big, few, algebra.ColEq(algebra.Col("t", "k"), algebra.Col("s", "k")), &Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl.poll.ctx = ctx
+			nl.estimate(estimates(true))
+			return nl
+		}},
+		{"sort", func(ctx context.Context, big Iterator) Iterator {
+			return &sortIter{child: big, cols: schema.Columns(), poll: ctxPoll{ctx: ctx}}
+		}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		big := &cancelIter{sliceIter: sliceIter{rows: rows, schema: schema}, at: at, cancel: cancel}
+		err := c.op(ctx, big).Open()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Open returned %v, want context.Canceled", c.name, err)
+		}
+		if big.pos < at || big.pos > at+drainCheckEvery {
+			t.Errorf("%s: %d rows pulled, cancelled at row %d of %d: want at most %d more", c.name, big.pos, at, n, drainCheckEvery)
+		}
+		cancel()
+	}
+}
+
+// TestAnalyzeShowsJoinPairs pins NodeProfile.Pairs and Kept on a small join:
+// four outer rows against a three-row inner are 12 predicate evaluations with
+// no key to hash on, and one per key match with one; the inner rows are the
+// ones kept, and where the outer input is held instead, its four rows and the
+// inner rows with one of their keys, which here is all three.
 func TestAnalyzeShowsJoinPairs(t *testing.T) {
 	ls, rs := intSchema("l", "k"), intSchema("r", "k")
 	lrows, rrows := intRows([]int64{1}, []int64{2}, []int64{2}, []int64{9}), intRows([]int64{2}, []int64{1}, []int64{2})
 	for _, c := range []struct {
-		pred        algebra.Predicate
-		rows, pairs int64
+		pred              algebra.Predicate
+		outerSmaller      bool
+		rows, pairs, kept int64
 	}{
-		{algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k")), 5, 5},
-		{algebra.ColCmp(algebra.Col("l", "k"), algebra.LE, algebra.Col("r", "k")), 7, 12},
+		{algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k")), false, 5, 5, 3},
+		{algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k")), true, 5, 5, 7},
+		{algebra.ColCmp(algebra.Col("l", "k"), algebra.LE, algebra.Col("r", "k")), true, 7, 12, 3},
 	} {
 		nl, err := newNLJoin(&sliceIter{rows: lrows, schema: ls}, &sliceIter{rows: rrows, schema: rs}, c.pred, &Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		nl.estimate(estimates(c.outerSmaller))
 		p := &NodeProfile{Op: "BNLJoin"}
 		mustDrain(t, newStatIter(nl, p, &profiler{}))
-		if p.Rows != c.rows || p.Pairs != c.pairs {
-			t.Errorf("%v: rows=%d pairs=%d, want %d and %d", c.pred, p.Rows, p.Pairs, c.rows, c.pairs)
+		if p.Rows != c.rows || p.Pairs != c.pairs || p.Kept != c.kept {
+			t.Errorf("%v: rows=%d pairs=%d kept=%d, want %d, %d and %d", c.pred, p.Rows, p.Pairs, p.Kept, c.rows, c.pairs, c.kept)
 		}
 		text := FormatAnalyze(RunStats{Profile: &BatchProfile{Queries: []*NodeProfile{p}}})
-		if want := fmt.Sprintf("actual rows=%d pairs=%d ", c.rows, c.pairs); !strings.Contains(text, want) {
+		if want := fmt.Sprintf("actual rows=%d pairs=%d kept=%d ", c.rows, c.pairs, c.kept); !strings.Contains(text, want) {
 			t.Errorf("FormatAnalyze lacks %q:\n%s", want, text)
 		}
 	}

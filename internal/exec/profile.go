@@ -30,6 +30,7 @@ type NodeProfile struct {
 
 	Rows  int64         `json:"rows"`
 	Pairs int64         `json:"pairs,omitempty"` // joins: predicate evaluations, exact
+	Kept  int64         `json:"kept,omitempty"`  // joins and sorts: input rows copied into the operator's own storage
 	Pages int64         `json:"pages"`           // buffer-pool misses, inclusive
 	Bytes int64         `json:"bytes"`           // Pages × storage.PageSize
 	Wall  time.Duration `json:"wall_ns"`
@@ -267,6 +268,9 @@ func (s *statIter) Close() error {
 	if j, ok := s.child.(interface{ pairsEvaluated() int64 }); ok {
 		s.p.Pairs = j.pairsEvaluated()
 	}
+	if k, ok := s.child.(interface{ rowsKept() int64 }); ok {
+		s.p.Kept = k.rowsKept()
+	}
 	if l, ok := s.child.(interface{ pageMisses() int64 }); ok {
 		s.p.Pages = l.pageMisses()
 	}
@@ -341,8 +345,10 @@ func recordRunMetrics(stats *RunStats) {
 // per node the optimizer's estimate (cost-model seconds, cardinality)
 // against the measured rows, inclusive pages and inclusive wall time; a
 // join also shows pairs=, the predicate evaluations it took (what a keyed
-// probe saves against outer × inner), a scan or index probe cols=kept/stored,
-// the columns it decoded out of those the relation holds.
+// probe saves against outer × inner), a join or a sort kept=, the input rows
+// it copied into storage of its own (what a join that holds its smaller input
+// saves against the whole of its right one), a scan or index probe
+// cols=kept/stored, the columns it decoded out of those the relation holds.
 func FormatAnalyze(stats RunStats) string {
 	var sb strings.Builder
 	if stats.Profile == nil {
@@ -359,13 +365,17 @@ func FormatAnalyze(stats RunStats) string {
 		if p.Pairs > 0 {
 			pairs = fmt.Sprintf(" pairs=%d", p.Pairs)
 		}
+		kept := ""
+		if p.Kept > 0 {
+			kept = fmt.Sprintf(" kept=%d", p.Kept)
+		}
 		cols := ""
 		if p.StoredCols > 0 {
 			cols = fmt.Sprintf(" cols=%d/%d", p.Cols, p.StoredCols)
 		}
-		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s pages=%d bytes=%d time=%s)\n",
+		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s pages=%d bytes=%d time=%s)\n",
 			strings.Repeat("  ", indent), p.Op, mat, p.EstCost, p.EstRows,
-			p.Rows, pairs, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
+			p.Rows, pairs, kept, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
 		for _, c := range p.Children {
 			render(c, indent+1)
 		}

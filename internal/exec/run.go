@@ -82,8 +82,10 @@ type RunStats struct {
 // before/after pool snapshots overlap with other runs); serial callers get
 // exact counts.
 //
-// The context is checked between materializations and periodically while
-// draining iterator output; a cancelled context aborts the run with
+// The context is checked between materializations and once per
+// drainCheckEvery rows pulled, by the drain of a root's output and by the
+// operators that pull a whole input before delivering a row (a sort, a block
+// nested-loops join's Open); a cancelled context aborts the run with
 // ctx.Err() (temporary tables are still dropped).
 func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.Plan, env *Env) ([]QueryResult, RunStats, error) {
 	if env == nil {
@@ -184,9 +186,32 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 	return results, stats, nil
 }
 
-// drainCheckEvery is how many rows drain pulls between context checks;
+// drainCheckEvery is how many rows are pulled between context checks;
 // checking per row would put a (locking) ctx.Err call on the hot path.
 const drainCheckEvery = 1024
+
+// ctxPoll is the context check of a loop that pulls rows: drain's, and those
+// of the operators that pull a whole input before they deliver a row (a sort,
+// a join's buffered sides), inside which a cancelled run would otherwise keep
+// working until the root saw its first row. The zero value never fails.
+type ctxPoll struct {
+	ctx  context.Context
+	skip int // calls to let pass before the next check
+}
+
+// err is called once per row pulled: it reports the context's error on the
+// first call and on every drainCheckEvery-th after it.
+func (p *ctxPoll) err() error {
+	if p.skip > 0 {
+		p.skip--
+		return nil
+	}
+	p.skip = drainCheckEvery - 1
+	if p.ctx == nil {
+		return nil
+	}
+	return p.ctx.Err()
+}
 
 // drain exhausts an iterator, honouring context cancellation. The rows it
 // returns are copies of its own, so they outlive the iterator.
@@ -201,11 +226,10 @@ func drain(ctx context.Context, it Iterator) ([]storage.Row, error) {
 		arena.reserve(n, len(it.Schema()))
 		rows = make([]storage.Row, 0, n)
 	}
-	for n := 0; ; n++ {
-		if n%drainCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	poll := ctxPoll{ctx: ctx}
+	for {
+		if err := poll.err(); err != nil {
+			return nil, err
 		}
 		r, ok, err := it.Next()
 		if err != nil {
@@ -415,7 +439,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 			return nil, err
 		}
 		if pn.E.Kind == physical.SortAgg && !sortedOn(pn.Children[0], pn.E.SortCols) {
-			child = b.env.wrapped(&sortIter{child: child, cols: pn.E.SortCols})
+			child = b.env.wrapped(b.sort(child, pn.E.SortCols))
 		}
 		gb := op.GroupBy
 		if pn.E.Kind == physical.SortAgg {
@@ -466,7 +490,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 		if err != nil {
 			return nil, err
 		}
-		return &sortIter{child: child, cols: pn.E.SortCols}, nil
+		return b.sort(child, pn.E.SortCols), nil
 
 	case physical.IndexBuildEnf:
 		// Consumed as plain data (an Any-requirement parent reusing the
@@ -514,12 +538,25 @@ func (b *builder) joinInputs(pn *physical.PlanNode, need colNeed) (left, right I
 	return left, right, err
 }
 
+// sort returns a sort of child that stops when the run is cancelled.
+func (b *builder) sort(child Iterator, cols []algebra.Column) *sortIter {
+	return &sortIter{child: child, cols: cols, poll: ctxPoll{ctx: b.ctx}}
+}
+
+// buildNLJoin hands the join the plan's cardinalities of its two inputs, by
+// which it decides the one to hold.
 func (b *builder) buildNLJoin(pn *physical.PlanNode, need colNeed) (Iterator, error) {
 	left, right, err := b.joinInputs(pn, need)
 	if err != nil {
 		return nil, err
 	}
-	return newNLJoin(left, right, pn.E.LE.Op.(algebra.Join).Pred, b.env)
+	j, err := newNLJoin(left, right, pn.E.LE.Op.(algebra.Join).Pred, b.env)
+	if err != nil {
+		return nil, err
+	}
+	j.poll.ctx = b.ctx
+	j.estimate(pn.Children[0].N.LG.Rel.Rows, pn.Children[1].N.LG.Rel.Rows)
+	return j, nil
 }
 
 func (b *builder) buildMergeJoin(pn *physical.PlanNode, need colNeed) (Iterator, error) {
@@ -530,10 +567,10 @@ func (b *builder) buildMergeJoin(pn *physical.PlanNode, need colNeed) (Iterator,
 	// Inputs must arrive sorted on the join keys; when a link was replaced
 	// by a differently-sorted materialization, re-sort explicitly.
 	if !sortedOn(pn.Children[0], pn.E.SortCols) {
-		left = b.env.wrapped(&sortIter{child: left, cols: pn.E.SortCols})
+		left = b.env.wrapped(b.sort(left, pn.E.SortCols))
 	}
 	if !sortedOn(pn.Children[1], pn.E.RightCols) {
-		right = b.env.wrapped(&sortIter{child: right, cols: pn.E.RightCols})
+		right = b.env.wrapped(b.sort(right, pn.E.RightCols))
 	}
 	op := pn.E.LE.Op.(algebra.Join)
 	schema := left.Schema().Concat(right.Schema())
