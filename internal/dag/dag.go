@@ -40,13 +40,22 @@ type Expr struct {
 	// Volcano-SH treats these specially (paper §3.2 prepass).
 	Subsumption bool
 
-	key     exprKey // current identity (maintained under unification)
-	pred    pred    // select, join: Op's predicate with its clauses' IDs
-	dropped bool    // unification found it a duplicate and removed it
+	dropped bool // unification found it a duplicate and removed it
 
 	// rule-application flag, per [PGLK97], to avoid deriving the same
 	// expression repeatedly.
 	commuted bool
+
+	key exprKey // current identity (maintained under unification)
+
+	// stamp is the DAG's clock when the expression joined its group's list:
+	// when it was born, or when unification moved it in. seen is the clock
+	// when the expression's rules last ranged over its first input's
+	// alternatives; those stamped no later have fired with it already (see
+	// DAG.unseen). Unification zeroes seen when it re-keys the expression.
+	stamp, seen uint32
+
+	pred pred // select, join: Op's predicate with its clauses' IDs
 }
 
 // Group is an equivalence node (OR node): the set of operation nodes
@@ -59,7 +68,11 @@ type Group struct {
 	// the common result.
 	Rel cost.Rel
 
-	// Schema is the canonical (sorted) column set of the result.
+	// Schema is the canonical (sorted) column set of the result. Finalize
+	// fills it for every live group. Before that it is nil for a group a
+	// join created, and for one a select or invoke created over such a
+	// group, unless an aggregate over the group needed it: most groups
+	// expansion creates are unified away, and rules need only the columns.
 	Schema algebra.Schema
 
 	// ParamDep marks groups whose result depends on a correlation or query
@@ -118,9 +131,10 @@ type DAG struct {
 	in       interner
 	table    map[exprKey]*Expr
 	nextID   GroupID
+	clock    uint32 // ticks at every birth and unification; see Expr.stamp
 	worklist []*Expr
 	scratch  [3]pred // predicates a rule is putting together
-	snap     []*Expr // the expression list a rule is ranging over
+	snap     []*Expr // the expressions a rule is ranging over
 
 	// MaxGroups bounds expansion as a safety valve; 0 means unlimited.
 	MaxGroups int
@@ -132,7 +146,8 @@ func New(est cost.Estimator) *DAG {
 }
 
 // schemaOf computes the canonical schema of an expression and its column
-// set.
+// set. A join's schema is left nil, to be built when somebody asks (see
+// Group.schema), and a select's or invoke's is then nil with it.
 func (d *DAG) schemaOf(op algebra.Op, children []*Group) (algebra.Schema, colSet, error) {
 	var s algebra.Schema
 	switch o := op.(type) {
@@ -145,10 +160,9 @@ func (d *DAG) schemaOf(op algebra.Op, children []*Group) (algebra.Schema, colSet
 	case algebra.Select, algebra.Invoke:
 		return children[0].Schema, children[0].cols, nil
 	case algebra.Join:
-		l, r := children[0], children[1]
-		return mergeSchemas(l.Schema, r.Schema), l.cols.union(r.cols), nil
+		return nil, children[0].cols.union(children[1].cols), nil
 	case algebra.Aggregate:
-		in := children[0].Schema
+		in := children[0].schema()
 		for _, c := range o.GroupBy {
 			i := in.IndexOf(c)
 			if i < 0 {
@@ -197,6 +211,27 @@ func mergeSchemas(l, r algebra.Schema) algebra.Schema {
 		}
 	}
 	return append(append(out, l...), r...)
+}
+
+// schema returns g's Schema, building it first if it was left nil when g was
+// created. Every alternative of a group has the same canonical schema, so
+// the first join, select or invoke still in g stands for the one that
+// created it (unification drops such an expression only for an equal one).
+func (g *Group) schema() algebra.Schema {
+	if g.Schema != nil {
+		return g.Schema
+	}
+	for _, e := range g.Exprs {
+		switch e.key.kind {
+		case kindJoin:
+			g.Schema = mergeSchemas(e.Children[0].Find().schema(), e.Children[1].Find().schema())
+			return g.Schema
+		case kindSelect, kindInvoke:
+			g.Schema = e.Children[0].Find().schema()
+			return g.Schema
+		}
+	}
+	return nil // a NoOp's group
 }
 
 // relOf estimates the profile of an expression from its children.
@@ -343,7 +378,8 @@ func (d *DAG) insert(kind opKind, opID uint32, op algebra.Op, p pred, children [
 			return nil, err
 		}
 	}
-	e := &Expr{Op: op, Children: append([]*Group(nil), children...), Group: g, Subsumption: subsumption, key: key, pred: p}
+	d.clock++
+	e := &Expr{Op: op, Children: append([]*Group(nil), children...), Group: g, Subsumption: subsumption, key: key, stamp: d.clock, pred: p}
 	g.Exprs = append(g.Exprs, e)
 	if pd := paramDepOf(op, children); pd {
 		g.ParamDep = true
@@ -377,10 +413,13 @@ func (d *DAG) unify(a, b *Group) {
 	a.ParamDep = a.ParamDep || b.ParamDep
 	a.SubsumpNode = a.SubsumpNode && b.SubsumpNode
 
-	// Move b's expressions into a, dropping duplicates.
+	// Move b's expressions into a, dropping duplicates. They are new to
+	// a's parents, whatever b's have seen of them.
+	d.clock++
 	for _, e := range b.Exprs {
 		if !e.dropped {
 			e.Group = a
+			e.stamp = d.clock
 			a.Exprs = append(a.Exprs, e)
 		}
 	}
@@ -410,6 +449,7 @@ func (d *DAG) unify(a, b *Group) {
 		}
 		d.table[e.key] = e
 		a.parents = append(a.parents, e)
+		e.seen = 0 // its input is another group now: all of it is unseen
 		d.worklist = append(d.worklist, e)
 	}
 }
@@ -473,8 +513,14 @@ func (d *DAG) NumExprs() int {
 }
 
 // Finalize creates the pseudo-root NoOp node over all query roots and
-// returns it. Call after all queries are added and Expand has run.
+// returns it, and builds the schemas expansion left for later. Call after
+// all queries are added and Expand has run.
 func (d *DAG) Finalize() (*Group, error) {
+	for _, g := range d.Groups {
+		if g.forward == nil {
+			g.schema()
+		}
+	}
 	roots := make([]*Group, len(d.QueryRoots))
 	for i, r := range d.QueryRoots {
 		roots[i] = r.Find()

@@ -132,13 +132,20 @@ var identitySizes = map[string][2]int{
 // build takes a batch through the steps core.FinishDAG takes.
 func (b identityBatch) build(tb testing.TB) *DAG {
 	tb.Helper()
+	return b.buildWith(tb, (*DAG).Expand)
+}
+
+// buildWith is build with expand in Expand's place.
+func (b identityBatch) buildWith(tb testing.TB, expand func(*DAG) error) *DAG {
+	tb.Helper()
 	d := New(cost.Estimator{Cat: b.cat})
 	for _, q := range b.queries {
 		if _, err := d.AddQuery(q); err != nil {
 			tb.Fatalf("%s: AddQuery: %v", b.name, err)
 		}
 	}
-	for _, step := range []func() error{d.Expand, d.Subsume, d.Expand} {
+	run := func() error { return expand(d) }
+	for _, step := range []func() error{run, d.Subsume, run} {
 		if err := step(); err != nil {
 			tb.Fatalf("%s: %v", b.name, err)
 		}

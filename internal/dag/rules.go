@@ -12,6 +12,11 @@ import (
 // derivations are suppressed by the expression table; commutativity
 // additionally carries a [PGLK97]-style flag so an expression produced by
 // commuting is not commuted back.
+//
+// The fixpoint is semi-naive: an expression is queued again whenever its
+// input group gains an alternative, but a rule that pairs it with the
+// alternatives of that group fires only on those that joined the group since
+// the expression's last visit (unseen), not on every pair again.
 func (d *DAG) Expand() error {
 	for len(d.worklist) > 0 {
 		e := d.worklist[len(d.worklist)-1]
@@ -29,28 +34,47 @@ func (d *DAG) Expand() error {
 	return nil
 }
 
-// snapshot returns g's expressions as they are now, for a rule to range
-// over while its insertions grow, merge or prune the list itself. Rules run
-// one at a time and range over one list each, so they share the buffer.
-func (d *DAG) snapshot(g *Group) []*Expr {
-	d.snap = append(d.snap[:0], g.Exprs...)
+// unseen returns the expressions of g stamped later than since, as they are
+// now, for a rule to range over while its insertions grow, merge or prune
+// g's list itself. Rules run one at a time and range over one list each, so
+// they share the buffer.
+//
+// since is the clock of the last visit of the expression e the rule is
+// applied to. What the rule made of e and an alternative stamped no later is
+// still in the table and still in the group it was put in — unification has
+// re-keyed it along with the inputs it was made from, and a predicate splits
+// the same way over equivalent groups, whose columns are equal — so firing
+// on that pair again would look up two keys, find both where they belong and
+// change nothing.
+func (d *DAG) unseen(g *Group, since uint32) []*Expr {
+	d.snap = d.snap[:0]
+	for _, e := range g.Exprs {
+		if e.stamp > since {
+			d.snap = append(d.snap, e)
+		}
+	}
 	return d.snap
 }
 
 func (d *DAG) applyRules(e *Expr) error {
+	// The visit is recorded before the rules run: what they add to the input
+	// group themselves is stamped later and so unseen on the next visit, and
+	// a unification under way that re-keys e zeroes seen for good.
+	since := e.seen
+	e.seen = d.clock
 	switch e.key.kind {
 	case kindJoin:
 		if err := d.ruleJoinCommute(e); err != nil {
 			return err
 		}
-		return d.ruleJoinAssociate(e)
+		return d.ruleJoinAssociate(e, since)
 	case kindSelect:
-		if err := d.ruleSelectMerge(e); err != nil {
+		if err := d.ruleSelectMerge(e, since); err != nil {
 			return err
 		}
-		return d.ruleSelectPushdown(e)
+		return d.ruleSelectPushdown(e, since)
 	case kindAggregate:
-		return d.ruleEagerAggregation(e, e.Op.(algebra.Aggregate))
+		return d.ruleEagerAggregation(e, e.Op.(algebra.Aggregate), since)
 	}
 	return nil
 }
@@ -67,7 +91,7 @@ func (d *DAG) applyRules(e *Expr) error {
 // predicate defeats index access (the paper's Q2 "not in" variant, §6.1):
 // each invocation filters and re-aggregates the small materialized
 // pre-aggregate instead of recomputing the full join.
-func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
+func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate, since uint32) error {
 	if e.Subsumption {
 		return nil
 	}
@@ -77,7 +101,7 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 		}
 	}
 	child := e.Children[0].Find()
-	for _, ce := range d.snapshot(child) {
+	for _, ce := range d.unseen(child, since) {
 		if ce.key.kind != kindSelect || ce.Subsumption || ce.dropped {
 			continue
 		}
@@ -86,7 +110,7 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 			continue
 		}
 		base := ce.Children[0].Find()
-		if !base.Schema.HasAll(pcols) {
+		if !base.schema().HasAll(pcols) {
 			continue
 		}
 		gu := unionColumns(op.GroupBy, pcols)
@@ -101,14 +125,9 @@ func (d *DAG) ruleEagerAggregation(e *Expr, op algebra.Aggregate) error {
 			}
 			continue
 		}
-		before := len(d.Groups)
-		inner, err := d.insertOp(algebra.Aggregate{GroupBy: gu, Aggs: op.Aggs}, []*Group{base}, nil, true)
+		ig, err := d.insertSubsumpNode(algebra.Aggregate{GroupBy: gu, Aggs: op.Aggs}, base)
 		if err != nil {
 			return err
-		}
-		ig := inner.Group.Find()
-		if len(d.Groups) > before {
-			ig.SubsumpNode = true
 		}
 		sel, err := d.insertLike(ce, []*Group{ig}, nil, true)
 		if err != nil {
@@ -145,11 +164,11 @@ func (d *DAG) ruleJoinCommute(e *Expr) error {
 // predicate so that conjuncts referring only to B∪C move into the lower
 // join. Derivations that would introduce a cross product are skipped unless
 // the combined predicate itself is empty (pure cross-product query).
-func (d *DAG) ruleJoinAssociate(e *Expr) error {
+func (d *DAG) ruleJoinAssociate(e *Expr, since uint32) error {
 	left := e.Children[0].Find()
 	right := e.Children[1].Find()
 	pBC, pTop := &d.scratch[0], &d.scratch[1]
-	for _, le := range d.snapshot(left) {
+	for _, le := range d.unseen(left, since) {
 		if le.key.kind != kindJoin || le.dropped {
 			continue
 		}
@@ -182,10 +201,10 @@ func (d *DAG) ruleJoinAssociate(e *Expr) error {
 
 // ruleSelectMerge collapses σp(σq(E)) into σ(p∧q)(E) as an alternative
 // derivation.
-func (d *DAG) ruleSelectMerge(e *Expr) error {
+func (d *DAG) ruleSelectMerge(e *Expr, since uint32) error {
 	child := e.Children[0].Find()
 	merged := &d.scratch[0]
-	for _, ce := range d.snapshot(child) {
+	for _, ce := range d.unseen(child, since) {
 		if ce.key.kind != kindSelect || ce.dropped {
 			continue
 		}
@@ -201,10 +220,10 @@ func (d *DAG) ruleSelectMerge(e *Expr) error {
 
 // ruleSelectPushdown rewrites σp(A⋈B): conjuncts of p covered by one side
 // are pushed onto that side, the remainder merges into the join predicate.
-func (d *DAG) ruleSelectPushdown(e *Expr) error {
+func (d *DAG) ruleSelectPushdown(e *Expr, since uint32) error {
 	child := e.Children[0].Find()
 	pA, pB, pJoin := &d.scratch[0], &d.scratch[1], &d.scratch[2]
-	for _, ce := range d.snapshot(child) {
+	for _, ce := range d.unseen(child, since) {
 		if ce.key.kind != kindJoin || ce.dropped {
 			continue
 		}

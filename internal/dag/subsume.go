@@ -104,13 +104,10 @@ func (d *DAG) Subsume() error {
 				continue
 			}
 			sort.Slice(vals, func(i, j int) bool { return algebra.Compare(vals[i], vals[j]) < 0 })
-			disj, err := d.insertOp(algebra.Select{Pred: algebra.OrValues(col, algebra.EQ, vals)},
-				[]*Group{child}, nil, true)
+			dg, err := d.insertSubsumpNode(algebra.Select{Pred: algebra.OrValues(col, algebra.EQ, vals)}, child)
 			if err != nil {
 				return err
 			}
-			dg := disj.Group.Find()
-			dg.SubsumpNode = true
 			for _, m := range members {
 				if m.e.Group.Find() == dg {
 					continue
@@ -134,6 +131,24 @@ func (d *DAG) Subsume() error {
 		}
 	}
 	return nil
+}
+
+// insertSubsumpNode adds op(child), a result no query asked for but several
+// can be derived from — a disjunction, a group-by union, a pre-aggregate —
+// and returns its group, labelled SubsumpNode if the derivation created it.
+// When the batch holds that very expression already, the group is a query's
+// or a rule's own and stays a real one.
+func (d *DAG) insertSubsumpNode(op algebra.Op, child *Group) (*Group, error) {
+	before := len(d.Groups)
+	e, err := d.insertOp(op, []*Group{child}, nil, true)
+	if err != nil {
+		return nil, err
+	}
+	g := e.Group.Find()
+	if len(d.Groups) > before {
+		g.SubsumpNode = true
+	}
+	return g, nil
 }
 
 // sortedKeys returns m's keys in the order less defines.
@@ -185,12 +200,10 @@ func (d *DAG) subsumeAggPair(child *Group, e1 *Expr, a1 algebra.Aggregate, e2 *E
 			merged = append(merged, a)
 		}
 	}
-	ue, err := d.insertOp(algebra.Aggregate{GroupBy: union, Aggs: merged}, []*Group{child}, nil, true)
+	ug, err := d.insertSubsumpNode(algebra.Aggregate{GroupBy: union, Aggs: merged}, child)
 	if err != nil {
 		return err
 	}
-	ug := ue.Group.Find()
-	ug.SubsumpNode = true
 	for _, pair := range []struct {
 		e  *Expr
 		op algebra.Aggregate

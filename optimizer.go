@@ -40,6 +40,10 @@ type Optimizer struct {
 	db    *storage.DB
 	cache *planCache
 
+	// keyPrefix is the "algorithm|options|" head of a plan-cache key, by
+	// algorithm; options do not change after Open, which renders it.
+	keyPrefix map[Algorithm]string
+
 	// shardCount is the result cache's shard count (WithShards), realized
 	// when the store is created.
 	shardCount int
@@ -161,6 +165,10 @@ func Open(cat *Catalog, opts ...Option) (*Optimizer, error) {
 	o := &Optimizer{cat: cat, model: cost.DefaultModel()}
 	for _, opt := range opts {
 		opt(o)
+	}
+	o.keyPrefix = map[Algorithm]string{}
+	for _, alg := range core.Algorithms() {
+		o.keyPrefix[alg] = renderKeyPrefix(alg, o.opts)
 	}
 	if o.rcBudget > 0 {
 		if err := o.ensureResultCache(o.rcBudget, o.rcWarmBudget); err != nil {
@@ -515,7 +523,17 @@ func (o *Optimizer) batchKey(ld *dag.DAG, roots []*dag.Group, alg Algorithm) str
 	for i, g := range roots {
 		parts[i] = fps[g.Find()]
 	}
-	return fmt.Sprintf("%v|%+v|%s", alg, o.opts, strings.Join(parts, ";"))
+	prefix, ok := o.keyPrefix[alg]
+	if !ok { // no such algorithm: Optimize will say so
+		prefix = renderKeyPrefix(alg, o.opts)
+	}
+	return prefix + strings.Join(parts, ";")
+}
+
+// renderKeyPrefix renders the part of a plan-cache key that says how the
+// batch is optimized.
+func renderKeyPrefix(alg Algorithm, opts core.Options) string {
+	return fmt.Sprintf("%v|%+v|", alg, opts)
 }
 
 // bindingsSignature renders a batch's parameter bindings for the

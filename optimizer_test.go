@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mqo/internal/dag"
 	"mqo/internal/tpcd"
 )
 
@@ -173,6 +174,35 @@ func TestPlanCacheAccounting(t *testing.T) {
 	}
 	if s := plain.CacheStats(); s != (CacheStats{}) {
 		t.Errorf("disabled cache reported %+v", s)
+	}
+}
+
+// TestBatchKeyMatchesFormattedOptions pins the plan-cache key to the string
+// it was when every window formatted the whole options struct: algorithm,
+// options as %+v prints them, the roots' canonical fingerprints — for every
+// algorithm, one there is no such, and options set in either order.
+func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
+	opts := Options{MultiPick: 3}
+	opts.Greedy.SpaceBudgetBytes = 1 << 20
+	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2), WithOptions(opts), WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Parallelism = 2
+	queries, err := opt.ParseSQL(sqlBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld, roots, err := opt.buildLogical(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := dag.CanonicalFingerprints(ld)
+	for _, alg := range append(Algorithms(), Algorithm(-1), Algorithm(len(Algorithms()))) {
+		want := fmt.Sprintf("%v|%+v|%s;%s", alg, opts, fps[roots[0].Find()], fps[roots[1].Find()])
+		if got := opt.batchKey(ld, roots, alg); got != want {
+			t.Errorf("%v: key %q, want %q", alg, got, want)
+		}
 	}
 }
 
