@@ -5,10 +5,13 @@
 package mqo_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"mqo"
 	"mqo/internal/bench"
+	"mqo/internal/ssb"
 )
 
 // metricName builds a benchmark metric unit with no whitespace.
@@ -139,5 +142,47 @@ func BenchmarkSpaceBudget(b *testing.B) {
 	e := runExperiment(b, bench.SpaceBudgetCurve)
 	for _, row := range e.Rows {
 		b.ReportMetric(row.Cells[0].Cost, metricName(row.Label, "cost_s"))
+	}
+}
+
+// BenchmarkHotSubmit measures one Submit whose whole answer the result cache
+// already holds — SSB Q1.1 at SF 0.0005, answered three times beforehand so
+// it is computed, read back and its stored-answer plan cached: parse, lower,
+// plan-cache key and hit, pin, a one-row cache-table scan, commit. MaxBatch 1
+// keeps the batching window's timer out of the figure on either side of a
+// comparison. The figures to read are ns/op, B/op and allocs/op.
+func BenchmarkHotSubmit(b *testing.B) {
+	const sf = 0.0005
+	db := mqo.NewDB(256)
+	if err := ssb.LoadDB(db, sf, 1); err != nil {
+		b.Fatal(err)
+	}
+	opt, err := mqo.Open(ssb.Catalog(sf), mqo.WithDB(db), mqo.WithPlanCache(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer opt.Close()
+	svc, err := mqo.Serve(opt, mqo.BatchingOptions{MaxBatch: 1, ResultCacheBytes: 8 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, text := context.Background(), ssb.QuerySQL(1, 0)
+	var ans *mqo.Answer
+	for i := 0; i < 3; i++ {
+		if ans, err = svc.Submit(ctx, text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !ans.Batch.Stored || !ans.Batch.CacheHit || len(ans.Query.Rows) != 1 {
+		b.Fatalf("warm-up left the answer unstored: %+v, %d rows", ans.Batch, len(ans.Query.Rows))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if ans, err = svc.Submit(ctx, text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !ans.Batch.Stored {
+		b.Fatal("the timed Submits were not served from the store")
 	}
 }

@@ -34,6 +34,8 @@ type queryReply struct {
 		NoShareCost float64 `json:"no_share_cost"`
 		CacheHit    bool    `json:"cache_hit"`
 		Algorithm   string  `json:"algorithm"`
+		Stored      bool    `json:"stored"`
+		WaitNS      int64   `json:"wait_ns"`
 		Phases      struct {
 			ParseNS    int64 `json:"parse_ns"`
 			LowerNS    int64 `json:"lower_ns"`
@@ -48,6 +50,7 @@ type statsReply struct {
 		Submitted int64            `json:"submitted"`
 		Batches   int64            `json:"batches"`
 		Queries   int64            `json:"queries"`
+		Stored    int64            `json:"stored"`
 		SizeHist  map[string]int64 `json:"size_hist"`
 		CostSaved float64          `json:"cost_saved"`
 	} `json:"service"`
@@ -59,7 +62,9 @@ type statsReply struct {
 // clients at it, and asserts the micro-batcher actually coalesced them
 // into shared MQO batches: fewer batches than clients, a batch-size
 // distribution with multi-query batches, and estimated cost saved versus
-// no sharing. This is the CI gate for "batched sharing occurred".
+// no sharing. This is the CI gate for "batched sharing occurred". The
+// traffic is cold — no answer is stored, so none may skip its window; what
+// stored answers do is TestEndToEndMetrics's.
 func TestEndToEnd(t *testing.T) {
 	const clients = 12
 	handler, svc, err := newService("tpcd", 0.002, 1, 1024, 64, mqo.BatchingOptions{
@@ -128,6 +133,9 @@ func TestEndToEnd(t *testing.T) {
 		if r.Batch.Algorithm != "Greedy" {
 			t.Errorf("client %d: algorithm %q", i, r.Batch.Algorithm)
 		}
+		if r.Batch.Stored {
+			t.Errorf("client %d: answered without a window, though nothing is stored", i)
+		}
 		seqs[r.Batch.Seq] = true
 	}
 	if len(seqs) >= clients {
@@ -156,8 +164,9 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("stats: submitted %d queries %d, want %d each",
 			stats.Service.Submitted, stats.Service.Queries, clients)
 	}
-	if stats.Service.Batches >= clients {
-		t.Errorf("stats: %d batches for %d clients, want coalescing", stats.Service.Batches, clients)
+	if stats.Service.Batches >= clients || stats.Service.Stored != 0 {
+		t.Errorf("stats: %d batches, %d of them stored answers, for %d clients: want coalescing",
+			stats.Service.Batches, stats.Service.Stored, clients)
 	}
 	multi := false
 	for size, n := range stats.Service.SizeHist {
@@ -223,9 +232,10 @@ func TestSSBWorkload(t *testing.T) {
 // breakdown surfaces in both the per-query batch report and GET /stats.
 // The name keeps it under CI's dedicated `-run 'TestEndToEnd'` e2e step.
 func TestEndToEndMetrics(t *testing.T) {
+	const maxWait = 50 * time.Millisecond
 	handler, svc, err := newService("tpcd", 0.002, 1, 1024, 16, mqo.BatchingOptions{
 		MaxBatch:         2,
-		MaxWait:          50 * time.Millisecond,
+		MaxWait:          maxWait,
 		ResultCacheBytes: 1 << 20,
 	}, "greedy")
 	if err != nil {
@@ -235,20 +245,28 @@ func TestEndToEndMetrics(t *testing.T) {
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 
-	for _, sql := range []string{sqlRevenue, sqlCounts} {
-		body, _ := json.Marshal(map[string]string{"sql": sql})
-		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var r queryReply
-		err = json.NewDecoder(resp.Body).Decode(&r)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Batch.Phases.ParseNS <= 0 || r.Batch.Phases.OptimizeNS <= 0 || r.Batch.Phases.ExecuteNS <= 0 {
-			t.Errorf("batch phases %+v: want parse/optimize/execute all > 0", r.Batch.Phases)
+	// Each query arrives alone three times: computed and spooled, read back
+	// from the store by a plan that is then cached, and — the service having
+	// that plan to find when it asks — answered without waiting for a window.
+	for round := 1; round <= 3; round++ {
+		for _, sql := range []string{sqlRevenue, sqlCounts} {
+			body, _ := json.Marshal(map[string]string{"sql": sql})
+			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r queryReply
+			err = json.NewDecoder(resp.Body).Decode(&r)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Batch.Phases.ParseNS <= 0 || r.Batch.Phases.OptimizeNS <= 0 || r.Batch.Phases.ExecuteNS <= 0 {
+				t.Errorf("batch phases %+v: want parse/optimize/execute all > 0", r.Batch.Phases)
+			}
+			if stored := round == 3; r.Batch.Stored != stored || stored != (r.Batch.WaitNS < int64(maxWait)) {
+				t.Errorf("round %d: stored=%v after a wait of %v, want stored=%v", round, r.Batch.Stored, time.Duration(r.Batch.WaitNS), stored)
+			}
 		}
 	}
 
@@ -283,6 +301,7 @@ func TestEndToEndMetrics(t *testing.T) {
 		`mqo_batch_phase_seconds_sum{phase="execute"}`,
 		"# TYPE mqo_server_queue_wait_seconds histogram",
 		"# TYPE mqo_server_submitted_total counter",
+		"mqo_server_stored_total 2", // the third round's two answers
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -328,6 +347,9 @@ func TestEndToEndMetrics(t *testing.T) {
 		if _, ok := stats.PhaseSeconds[phase]; !ok {
 			t.Errorf("stats phase_seconds missing %q (got %v)", phase, stats.PhaseSeconds)
 		}
+	}
+	if stats.Service.Stored != 2 || stats.Service.Batches != 6 {
+		t.Errorf("stats: %d stored answers among %d batches, want 2 among 6", stats.Service.Stored, stats.Service.Batches)
 	}
 	if stats.PhaseSeconds["execute"] <= 0 || stats.PhaseSeconds["optimize"] <= 0 {
 		t.Errorf("stats phase_seconds %v: want optimize and execute > 0", stats.PhaseSeconds)

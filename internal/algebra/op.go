@@ -243,6 +243,30 @@ func AggT(groupBy []Column, aggs []AggExpr, in *Tree) *Tree {
 	return NewTree(Aggregate{GroupBy: groupBy, Aggs: aggs}, in)
 }
 
+// Fingerprint renders the tree as written: each operator's Fingerprint
+// followed by its inputs' in parentheses. Equal trees render equally, and the
+// rendering needs no DAG — it is what a plan cache can key on before any
+// optimization work is done. Unlike the DAG's canonical fingerprints it does
+// not see through equivalences: two join orders of one query render
+// differently.
+func (t *Tree) Fingerprint() string {
+	var b strings.Builder
+	t.writeFingerprint(&b)
+	return b.String()
+}
+
+func (t *Tree) writeFingerprint(b *strings.Builder) {
+	b.WriteString(t.Op.Fingerprint())
+	b.WriteByte('(')
+	for i, in := range t.Inputs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		in.writeFingerprint(b)
+	}
+	b.WriteByte(')')
+}
+
 // String renders the tree with indentation for debugging.
 func (t *Tree) String() string {
 	var b strings.Builder

@@ -174,8 +174,8 @@ type Stats struct {
 	// saved versus recomputing.
 	SavedCostEst float64 `json:"saved_cost_est"`
 	// Generation increments whenever the set of ready entries changes; the
-	// session plan cache folds it into its keys so cached plans can never
-	// outlive the cache state they were optimized against.
+	// session plan cache records it with every plan, and reuses a plan that
+	// computes anything only at the generation it was optimized against.
 	Generation int64 `json:"generation"`
 }
 
@@ -432,8 +432,14 @@ func (m *Manager) UsedBytes() int64 { return m.Stats().UsedBytes }
 // WarmUsedBytes reports the occupied warm-tier (on-disk) cache space.
 func (m *Manager) WarmUsedBytes() int64 { return m.Stats().WarmUsedBytes }
 
-// Generation reports the ready-set generation (see Stats.Generation).
-func (m *Manager) Generation() int64 { return m.gen.Value() }
+// Generation reports the ready-set generation (see Stats.Generation). A nil
+// store never changes: it stays at generation 0.
+func (m *Manager) Generation() int64 {
+	if m == nil {
+		return 0
+	}
+	return m.gen.Value()
+}
 
 // PerShard snapshots each shard's structure, one shard lock at a time.
 // Summing UsedBytes over shards always equals Stats().UsedBytes.

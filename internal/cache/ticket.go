@@ -268,11 +268,7 @@ func (t *Ticket) wholeCandidates(plan *physical.Plan) []candidate {
 	for _, pn := range plan.Mats {
 		consider(pn, false)
 	}
-	roots := plan.Root.Children
-	if plan.Root.E.Kind != physical.Batch {
-		roots = []*physical.PlanNode{plan.Root}
-	}
-	for _, pn := range roots {
+	for _, pn := range plan.QueryRoots() {
 		if !pn.Mat {
 			consider(pn, true)
 		}
@@ -425,18 +421,45 @@ func (m *Manager) PinPlan(plan *physical.Plan) (*Ticket, bool) {
 	return t, true
 }
 
-// pinTable pins the ready entry backing a cache table, searching shards in
-// index order, one lock at a time (table names are globally unique, so at
-// most one shard owns the name). It reports false when the entry is gone,
-// not ready, or has moved to a different tier than the one the cached plan
-// was priced at.
+// pinTable pins the ready entry backing a cache table. It reports false when
+// the entry is gone, not ready, or has moved to a different tier than the one
+// the cached plan was priced at.
 func (t *Ticket) pinTable(table string, tier cost.Tier) bool {
+	return t.withTable(table, tier, func(e *Entry) { t.pin(e, e.admitValue) })
+}
+
+// ArmAnswer arms n, the root of the one query of the ticket's DAG, with a scan
+// of the table another batch's plan read that same query's answer from. Arm
+// finds a stored result by the canonical fingerprint of the batch it is asked
+// for, and a query's fingerprint can differ between a window — where a
+// sibling query's derivations join its groups — and the query on its own; the
+// table a window's plan read for the query is the query's answer whichever
+// DAG asks. It reports whether the table is still there, ready and in tier;
+// a root Arm already armed with that table is left as it is.
+func (t *Ticket) ArmAnswer(pd *physical.DAG, n *physical.Node, table string, tier cost.Tier) bool {
+	for _, e := range n.Exprs {
+		if e.Kind == physical.CacheScanOp && e.Arm.CacheName == table {
+			return true
+		}
+	}
+	return t.withTable(table, tier, func(e *Entry) {
+		sc := t.m.tierScanCost(e.Tier, e.Bytes)
+		pd.ArmCacheScan(n, table, sc, tier)
+		t.pin(e, float64(n.Cost-sc))
+	})
+}
+
+// withTable calls use, under the owning shard's lock, on the ready entry
+// backing a cache table in the given tier, and reports whether there is one.
+// Shards are searched in index order, one lock at a time (table names are
+// globally unique, so at most one shard owns the name).
+func (t *Ticket) withTable(table string, tier cost.Tier, use func(*Entry)) bool {
 	for _, s := range t.m.shards {
 		s.mu.Lock()
 		e, found := s.byTable[table]
 		usable := found && e.ready && e.Tier == tier
 		if usable {
-			t.pin(e, e.admitValue)
+			use(e)
 		}
 		s.mu.Unlock()
 		if found {

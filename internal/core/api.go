@@ -180,15 +180,6 @@ func BuildDAG(cat *catalog.Catalog, model cost.Model, queries []*algebra.Tree) (
 			return nil, err
 		}
 	}
-	return FinishDAG(ld, model)
-}
-
-// FinishDAG expands an already-populated (pre-expansion) logical DAG —
-// unification and subsumption derivations, pseudo-root finalization — and
-// builds the physical DAG over it. Callers that need the unexpanded DAG
-// first (e.g. for canonical fingerprints) insert queries themselves and
-// hand the DAG over here, avoiding a second insertion pass.
-func FinishDAG(ld *dag.DAG, model cost.Model) (*physical.DAG, error) {
 	if err := ld.Expand(); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,7 @@ package dag
 import "testing"
 
 // BenchmarkExpand times building one batch's expanded DAG — insert, expand,
-// subsume, expand, finalize, the steps core.FinishDAG takes — which is what
+// subsume, expand, finalize, the steps core.BuildDAG takes — which is what
 // a service pays on every window that misses the plan cache.
 func BenchmarkExpand(b *testing.B) {
 	want := map[string]bool{"BQ5": true, "CQ5": true, "BQ5x6": true, "SSBAll": true}

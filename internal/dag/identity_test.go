@@ -129,7 +129,7 @@ var identitySizes = map[string][2]int{
 	"fuzz5": {9, 11}, "fuzz6": {23, 46}, "fuzz7": {9, 14}, "fuzz8": {24, 47},
 }
 
-// build takes a batch through the steps core.FinishDAG takes.
+// build takes a batch through the steps core.BuildDAG takes.
 func (b identityBatch) build(tb testing.TB) *DAG {
 	tb.Helper()
 	return b.buildWith(tb, (*DAG).Expand)

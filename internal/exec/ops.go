@@ -881,6 +881,7 @@ type sortAgg struct {
 	out     storage.Row // the one output row, rewritten by every Next
 	pending storage.Row // first row of the next group: the child's current row
 	done    bool
+	poll    ctxPoll // a group's rows are pulled inside one Next
 }
 
 // newSortAgg compiles the grouping columns and aggregate arguments against
@@ -943,6 +944,9 @@ func (a *sortAgg) Next() (storage.Row, bool, error) {
 		}
 	}
 	for {
+		if err := a.poll.err(); err != nil {
+			return nil, false, err
+		}
 		r, ok, err := a.child.Next()
 		if err != nil {
 			return nil, false, err

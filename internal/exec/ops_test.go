@@ -527,15 +527,25 @@ func (c *cancelIter) Next() (storage.Row, bool, error) {
 }
 
 // TestBlockingOperatorsStopWhenCancelled: a join buffering either of its
-// inputs and a sort pull a whole input inside Open, where drain's own check
-// does not reach; each must return the context's error within drainCheckEvery
-// rows of the cancellation instead of finishing the input.
+// inputs and a sort pull a whole input inside Open, an aggregate a whole group
+// — for a scalar one the whole input — inside one Next, where drain's own
+// check does not reach; each must return the context's error within
+// drainCheckEvery rows of the cancellation instead of finishing the input.
 func TestBlockingOperatorsStopWhenCancelled(t *testing.T) {
 	const n, at = 10 * drainCheckEvery, 3*drainCheckEvery + 17
-	schema := intSchema("t", "k")
+	schema := intSchema("t", "k", "g")
 	rows := make([]storage.Row, n)
 	for i := range rows {
-		rows[i] = storage.Row{algebra.IntVal(int64(i))}
+		rows[i] = storage.Row{algebra.IntVal(int64(i)), algebra.IntVal(7)}
+	}
+	count := []algebra.AggExpr{{Func: algebra.CountAll, As: algebra.Col("", "n")}}
+	agg := func(ctx context.Context, big Iterator, groupBy ...algebra.Column) Iterator {
+		a, err := newSortAgg(big, groupBy, count, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.poll.ctx = ctx
+		return a
 	}
 	few := &sliceIter{rows: rows[:5], schema: intSchema("s", "k")}
 	pred := algebra.ColEq(algebra.Col("s", "k"), algebra.Col("t", "k"))
@@ -572,12 +582,22 @@ func TestBlockingOperatorsStopWhenCancelled(t *testing.T) {
 		{"sort", func(ctx context.Context, big Iterator) Iterator {
 			return &sortIter{child: big, cols: schema.Columns(), poll: ctxPoll{ctx: ctx}}
 		}},
+		{"scalar aggregate", func(ctx context.Context, big Iterator) Iterator {
+			return agg(ctx, big)
+		}},
+		{"aggregate over one long group", func(ctx context.Context, big Iterator) Iterator {
+			return agg(ctx, big, algebra.Col("t", "g"))
+		}},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		big := &cancelIter{sliceIter: sliceIter{rows: rows, schema: schema}, at: at, cancel: cancel}
-		err := c.op(ctx, big).Open()
+		it := c.op(ctx, big)
+		err := it.Open()
+		if err == nil {
+			_, _, err = it.Next()
+		}
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: Open returned %v, want context.Canceled", c.name, err)
+			t.Errorf("%s: Open and the first Next returned %v, want context.Canceled", c.name, err)
 		}
 		if big.pos < at || big.pos > at+drainCheckEvery {
 			t.Errorf("%s: %d rows pulled, cancelled at row %d of %d: want at most %d more", c.name, big.pos, at, n, drainCheckEvery)

@@ -121,11 +121,7 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 
 	var results []QueryResult
 	var rowsOut int64
-	queryRoots := plan.Root.Children
-	if plan.Root.E.Kind != physical.Batch {
-		queryRoots = []*physical.PlanNode{plan.Root}
-	}
-	for _, q := range queryRoots {
+	for _, q := range plan.QueryRoots() {
 		it, err := b.build(q, true, nil)
 		if err != nil {
 			return nil, RunStats{}, err
@@ -192,7 +188,7 @@ const drainCheckEvery = 1024
 
 // ctxPoll is the context check of a loop that pulls rows: drain's, and those
 // of the operators that pull a whole input before they deliver a row (a sort,
-// a join's buffered sides), inside which a cancelled run would otherwise keep
+// a join's buffered sides, an aggregate's group), inside which a cancelled run would otherwise keep
 // working until the root saw its first row. The zero value never fails.
 type ctxPoll struct {
 	ctx  context.Context
@@ -461,7 +457,12 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 			}
 			schema = append(schema, algebra.ColInfo{Col: a.As, Typ: t})
 		}
-		return newSortAgg(child, gb, op.Aggs, schema)
+		a, err := newSortAgg(child, gb, op.Aggs, schema)
+		if err != nil {
+			return nil, err
+		}
+		a.poll.ctx = b.ctx
+		return a, nil
 
 	case physical.ProjectOp:
 		op := pn.E.LE.Op.(algebra.Project)

@@ -35,6 +35,16 @@ type Plan struct {
 	ByNode map[*Node]*PlanNode
 }
 
+// QueryRoots returns the plan nodes of the batch's queries, in batch order:
+// the pseudo-root's children, or the root itself when the plan was extracted
+// for a single node.
+func (p *Plan) QueryRoots() []*PlanNode {
+	if p.Root.E.Kind != Batch {
+		return []*PlanNode{p.Root}
+	}
+	return p.Root.Children
+}
+
 // NewPlan returns an empty plan for incremental extraction (Volcano-RU).
 func NewPlan() *Plan { return &Plan{ByNode: map[*Node]*PlanNode{}} }
 

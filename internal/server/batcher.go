@@ -9,6 +9,11 @@
 // coalesced batch runs through one optimize+execute pass, and each waiter
 // receives exactly its own query's rows. A worker-pool semaphore lets the
 // next window's optimization overlap the previous window's execution.
+//
+// A window exists to find sharing partners. A query whose whole answer is
+// already stored has nothing to share, so it skips the window
+// (SubmitStored): it runs at once, as a batch of one, on the same worker
+// pool and through the same accounting.
 package server
 
 import (
@@ -64,8 +69,8 @@ type PhaseTimes struct {
 	// catalog.
 	Parse time.Duration `json:"parse_ns"`
 	Lower time.Duration `json:"lower_ns"`
-	// Optimize covers DAG construction, plan-cache lookup and the plan
-	// search; Execute is the plan's measured execution wall time; Spool is
+	// Optimize covers the plan-cache lookup and, on a miss, DAG construction
+	// and the plan search; Execute is the plan's measured execution wall time; Spool is
 	// result-cache bookkeeping (spool planning and commit).
 	Optimize time.Duration `json:"optimize_ns"`
 	Execute  time.Duration `json:"execute_ns"`
@@ -123,6 +128,10 @@ type BatchInfo struct {
 	ResultCacheSpool int `json:"result_cache_spools"`
 	// Algorithm names the optimization strategy used.
 	Algorithm string `json:"algorithm"`
+	// Stored reports that the query skipped the batching window: when it
+	// arrived the session already held a plan reading its whole answer from
+	// the result cache, so it ran at once as a batch of one.
+	Stored bool `json:"stored"`
 	// Wait is how long the query waited for its window to flush.
 	Wait time.Duration `json:"wait_ns"`
 	// Phases is the per-phase timing breakdown of the serving lifecycle
@@ -146,6 +155,10 @@ type Stats struct {
 	// carried (excluding ones cancelled before dispatch).
 	Batches int64 `json:"batches"`
 	Queries int64 `json:"queries"`
+	// Stored counts the queries answered without a window (BatchInfo.Stored),
+	// each a batch of one: on a hot service it is what pulls
+	// Queries / Batches towards 1.
+	Stored int64 `json:"stored"`
 	// Cancelled counts queries whose waiter gave up before their batch
 	// was dispatched; Errors counts queries whose batch failed.
 	Cancelled int64 `json:"cancelled"`
@@ -206,6 +219,7 @@ type Batcher struct {
 	submitted     *obs.Counter
 	batches       *obs.Counter
 	queries       *obs.Counter
+	stored        *obs.Counter
 	cancelled     *obs.Counter
 	errored       *obs.Counter
 	planCacheHits *obs.Counter
@@ -238,6 +252,7 @@ func NewBatcher(cfg Config, run Runner) *Batcher {
 		submitted:     reg.RegisterCounter("mqo_server_submitted_total", "Queries accepted by Submit.", &obs.Counter{}),
 		batches:       reg.RegisterCounter("mqo_server_batches_total", "Coalesced batches executed.", &obs.Counter{}),
 		queries:       reg.RegisterCounter("mqo_server_queries_total", "Queries carried by executed batches.", &obs.Counter{}),
+		stored:        reg.RegisterCounter("mqo_server_stored_total", "Queries answered without a batching window: their answer was already stored.", &obs.Counter{}),
 		cancelled:     reg.RegisterCounter("mqo_server_cancelled_total", "Queries whose waiter gave up before dispatch.", &obs.Counter{}),
 		errored:       reg.RegisterCounter("mqo_server_errors_total", "Queries whose batch failed.", &obs.Counter{}),
 		planCacheHits: reg.RegisterCounter("mqo_server_plan_cache_hits_total", "Batches answered from the session plan cache.", &obs.Counter{}),
@@ -259,6 +274,18 @@ func NewBatcher(cfg Config, run Runner) *Batcher {
 // gives up does not fail its batch: the batch still runs for the others,
 // and is only cancelled once every waiter has gone.
 func (b *Batcher) Submit(ctx context.Context, q *algebra.Tree) (*Response, error) {
+	return b.submit(ctx, q, false)
+}
+
+// SubmitStored is Submit for a query the caller knows to have its whole
+// answer stored: it joins no window and runs at once as a batch of one — on
+// a worker slot, counted like any batch, waited for by Close and refused
+// after it.
+func (b *Batcher) SubmitStored(ctx context.Context, q *algebra.Tree) (*Response, error) {
+	return b.submit(ctx, q, true)
+}
+
+func (b *Batcher) submit(ctx context.Context, q *algebra.Tree, stored bool) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -270,6 +297,25 @@ func (b *Batcher) Submit(ctx context.Context, q *algebra.Tree) (*Response, error
 		return nil, ErrClosed
 	}
 	b.submitted.Inc()
+	if stored {
+		b.wg.Add(1)
+		go b.runBatch([]*request{req}, true)
+	} else {
+		b.enqueueLocked(req)
+	}
+	b.mu.Unlock()
+
+	select {
+	case out := <-req.done:
+		return out.resp, out.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// enqueueLocked adds a request to the open window, flushing the window if
+// that fills it. Callers hold b.mu.
+func (b *Batcher) enqueueLocked(req *request) {
 	b.pending = append(b.pending, req)
 	if len(b.pending) >= b.cfg.MaxBatch {
 		b.flushLocked()
@@ -279,14 +325,6 @@ func (b *Batcher) Submit(ctx context.Context, q *algebra.Tree) (*Response, error
 		// race against a size flush cannot touch the next window.
 		gen := b.winGen
 		b.timer = time.AfterFunc(b.cfg.MaxWait, func() { b.flushWindow(gen) })
-	}
-	b.mu.Unlock()
-
-	select {
-	case out := <-req.done:
-		return out.resp, out.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
 }
 
@@ -319,12 +357,13 @@ func (b *Batcher) flushLocked() {
 		return
 	}
 	b.wg.Add(1)
-	go b.runBatch(batch)
+	go b.runBatch(batch, false)
 }
 
-// runBatch executes one flushed batch on a worker slot and demultiplexes
-// per-query results back to the waiters.
-func (b *Batcher) runBatch(batch []*request) {
+// runBatch executes one flushed batch — or, stored set, one query that
+// skipped the window — on a worker slot and demultiplexes per-query results
+// back to the waiters.
+func (b *Batcher) runBatch(batch []*request, stored bool) {
 	defer b.wg.Done()
 	flushed := time.Now() // batching wait ends here; queue+run time is Exec's
 	b.sem <- struct{}{}
@@ -389,6 +428,9 @@ func (b *Batcher) runBatch(batch []*request) {
 	} else {
 		b.batches.Inc()
 		b.queries.Add(int64(len(live)))
+		if stored {
+			b.stored.Inc()
+		}
 		if size := len(live); size < len(b.sizeHist) && obs.Enabled() {
 			b.sizeHist[size].Add(1)
 		}
@@ -420,6 +462,7 @@ func (b *Batcher) runBatch(batch []*request) {
 				ResultCacheHits:  res.ResultCacheHits,
 				ResultCacheSpool: res.ResultCacheSpool,
 				Algorithm:        res.Algorithm,
+				Stored:           stored,
 				Wait:             flushed.Sub(req.enqueued),
 				Phases:           res.Phases,
 				Exec:             res.Exec,
@@ -449,6 +492,7 @@ func (b *Batcher) Stats() Stats {
 		Submitted:         b.submitted.Value(),
 		Batches:           b.batches.Value(),
 		Queries:           b.queries.Value(),
+		Stored:            b.stored.Value(),
 		Cancelled:         b.cancelled.Value(),
 		Errors:            b.errored.Value(),
 		SizeHist:          hist,

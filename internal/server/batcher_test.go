@@ -267,6 +267,132 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 	b.Close() // idempotent
 }
 
+// gateRunner answers like echoRunner but holds every run until released,
+// reporting each run's start and counting how many are in flight at once.
+type gateRunner struct {
+	*echoRunner
+	started chan struct{} // one send per run begun; sized to the test's sends
+	release chan struct{} // closed to let every held run finish
+	inFlight,
+	maxInFlight atomic.Int64
+}
+
+func (g *gateRunner) run(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error) {
+	n := g.inFlight.Add(1)
+	defer g.inFlight.Add(-1)
+	for {
+		seen := g.maxInFlight.Load()
+		if n <= seen || g.maxInFlight.CompareAndSwap(seen, n) {
+			break
+		}
+	}
+	g.started <- struct{}{}
+	<-g.release
+	return g.echoRunner.run(ctx, queries)
+}
+
+// TestSubmitStoredSkipsTheWindow: a query submitted as stored runs at once,
+// alone — it neither waits for MaxWait nor joins the queries pending in the
+// open window — on the worker slots every batch shares, and is counted.
+func TestSubmitStoredSkipsTheWindow(t *testing.T) {
+	const stored, workers = 6, 2
+	g := &gateRunner{echoRunner: newEchoRunner(), started: make(chan struct{}, stored+1), release: make(chan struct{})}
+	b := NewBatcher(Config{MaxBatch: 100, MaxWait: time.Hour, Workers: workers}, g.run)
+
+	windowed := make(chan *Response, 1)
+	go func() {
+		resp, err := b.Submit(context.Background(), g.register())
+		if err != nil {
+			t.Error(err)
+		}
+		windowed <- resp
+	}()
+	for b.Stats().Submitted < 1 { // the window is open and holds one query
+		time.Sleep(100 * time.Microsecond)
+	}
+	resps := make(chan *Response, stored)
+	for i := 0; i < stored; i++ {
+		q := g.register()
+		go func() {
+			resp, err := b.SubmitStored(context.Background(), q)
+			if err != nil {
+				t.Error(err)
+			} else if got := resp.Result.Rows[0][0].I; got != g.id(q) {
+				t.Errorf("query %d got row %d", g.id(q), got)
+			}
+			resps <- resp
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		<-g.started // they run without anyone flushing a window
+	}
+	close(g.release)
+	for i := 0; i < stored; i++ {
+		if resp := <-resps; resp != nil && (!resp.Batch.Stored || resp.Batch.Size != 1) {
+			t.Errorf("stored submission answered by %+v, want a stored batch of one", resp.Batch)
+		}
+	}
+	if got := g.maxInFlight.Load(); got > workers {
+		t.Errorf("%d runs in flight at once, want at most the %d workers", got, workers)
+	}
+	b.Close() // flushes the window the first query is still in
+	if resp := <-windowed; resp != nil && (resp.Batch.Stored || resp.Batch.Size != 1) {
+		t.Errorf("windowed submission answered by %+v, want an ordinary batch of one", resp.Batch)
+	}
+	if s := b.Stats(); s.Stored != stored || s.Batches != stored+1 || s.Queries != stored+1 || s.Submitted != stored+1 {
+		t.Errorf("stats %+v, want %d stored among %d batches", s, stored, stored+1)
+	}
+}
+
+// TestCloseWaitsForStoredRuns: Close during runs that skipped the window
+// waits for them — they finish with their answers — and refuses later ones.
+func TestCloseWaitsForStoredRuns(t *testing.T) {
+	const n = 4
+	g := &gateRunner{echoRunner: newEchoRunner(), started: make(chan struct{}, n), release: make(chan struct{})}
+	b := NewBatcher(Config{Workers: n}, g.run)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		q := g.register()
+		go func() {
+			_, err := b.SubmitStored(context.Background(), q)
+			errs <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-g.started
+	}
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	for {
+		// Close has taken effect once it refuses a submission. One it still
+		// accepts finds every worker slot held, so it gives up on its own.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		_, err := b.SubmitStored(ctx, g.register())
+		cancel()
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("submission during Close got %v, want a timeout or ErrClosed", err)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while stored runs were in flight")
+	default:
+	}
+	close(g.release)
+	<-closed
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("in-flight stored run got %v, want its answer", err)
+		}
+	}
+	if _, err := b.Submit(context.Background(), g.register()); !errors.Is(err, ErrClosed) {
+		t.Errorf("post-Close Submit got %v, want ErrClosed", err)
+	}
+}
+
 // TestStress hammers the batcher from many goroutines (run with -race):
 // every submission must come back with its own id, and coalescing must
 // produce fewer batches than submissions.

@@ -13,7 +13,6 @@ import (
 	"mqo/internal/catalog"
 	"mqo/internal/core"
 	"mqo/internal/cost"
-	"mqo/internal/dag"
 	"mqo/internal/exec"
 	"mqo/internal/obs"
 	"mqo/internal/physical"
@@ -73,10 +72,15 @@ func WithModel(m Model) Option { return func(o *Optimizer) { o.model = m } }
 // concurrently through other means.
 func WithDB(db *DB) Option { return func(o *Optimizer) { o.db = db } }
 
-// WithPlanCache enables a fingerprint-keyed LRU cache of optimized plans
-// holding up to n batches. Batches whose queries have equal canonical
-// fingerprints (same logical expressions, in order) optimized with the
-// same algorithm share one cached Result.
+// WithPlanCache enables an LRU cache of optimized plans holding up to n
+// batches. The key is what the caller sent — each query's tree as written, in
+// order, with the algorithm and options — so batches of equal trees share one
+// cached Result and a hit builds no DAG. Against a result cache an entry also
+// knows the store generation it was planned at: a plan that computes anything
+// is reused only at that generation, a plan that only reads stored answers for
+// as long as the store still holds them (see planCache). The micro-batching
+// service consults the plan cache before it queues a query
+// (Service.SubmitQuery): without one, no query skips its batching window.
 func WithPlanCache(n int) Option {
 	return func(o *Optimizer) {
 		o.cache = nil
@@ -278,29 +282,6 @@ func (o *Optimizer) OptimizeBatch(ctx context.Context, queries []*Query, alg Alg
 	return res, err
 }
 
-// buildLogical builds the batch's pre-expansion logical DAG and query
-// roots — the shared front half of every optimization path (callers that
-// need canonical fingerprints before expansion insert queries here, then
-// hand the DAG to core.FinishDAG).
-func (o *Optimizer) buildLogical(ctx context.Context, queries []*Query) (*dag.DAG, []*dag.Group, error) {
-	if len(queries) == 0 {
-		return nil, nil, fmt.Errorf("mqo: empty query batch")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	ld := dag.New(cost.Estimator{Cat: o.cat})
-	roots := make([]*dag.Group, len(queries))
-	for i, q := range queries {
-		g, err := ld.AddQuery(q)
-		if err != nil {
-			return nil, nil, err
-		}
-		roots[i] = g
-	}
-	return ld, roots, nil
-}
-
 // OptimizeSQL parses a semicolon-separated SQL batch and optimizes it; see
 // OptimizeBatch.
 func (o *Optimizer) OptimizeSQL(ctx context.Context, sqlText string, alg Algorithm) (*Result, error) {
@@ -382,46 +363,39 @@ type execMeta struct {
 }
 
 // planBatch is the one optimize sequence behind OptimizeBatch, Run and the
-// batching service: build logical → key → plan-cache probe → FinishDAG → arm
-// → optimize → spools → put. rc is the result-cache store to plan against,
-// nil for optimize-only calls and cache-less sessions; a nil store yields a
-// nil ticket, which arms, admits and pins nothing. The optimize and spool
-// phase times and the plan-cache outcome are recorded in meta.
+// batching service: key → plan-cache probe → and on a miss only, build the
+// DAG → arm → optimize → spools → put. The key is rendered from the queries
+// as the caller sent them, so a hit builds no DAG at all. rc is the
+// result-cache store to plan against, nil for optimize-only calls and
+// cache-less sessions; a nil store yields a nil ticket, which arms, admits
+// and pins nothing. The optimize and spool phase times and the plan-cache
+// outcome are recorded in meta.
 func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []*Query, alg Algorithm,
 	paramSets []map[string]algebra.Value, meta *execMeta) (*Result, *cache.Ticket, map[*physical.Node]string, error) {
 
-	start := time.Now()
-	ld, roots, err := o.buildLogical(ctx, queries)
-	if err != nil {
+	if len(queries) == 0 {
+		return nil, nil, nil, fmt.Errorf("mqo: empty query batch")
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
+	start := time.Now()
 	var key string
 	if o.cache != nil {
-		key = o.batchKey(ld, roots, alg)
-		if rc != nil {
-			// The plan depends on the cache state it was armed against, so
-			// the key folds in the store's ready-set generation: any admission
-			// or eviction strands older plans on unreachable keys. A
-			// parameterized batch's plan additionally depends on which
-			// bindings were armed, so the concrete binding set joins the key —
-			// the same SQL with different ParamSets must not share a plan.
-			key += "|rc" + strconv.FormatInt(rc.Generation(), 10)
-			if len(paramSets) > 0 {
-				key += "|ps" + bindingsSignature(paramSets)
-			}
-		}
-		if res, ok := o.cache.get(key); ok {
-			if ticket, pinned := rc.PinPlan(res.Plan); pinned {
-				meta.PlanCacheHit = true
-				meta.Phases.Optimize = time.Since(start)
-				return res, ticket, nil, nil
-			}
+		key = o.batchKey(queries, alg, rc != nil, paramSets)
+		if res, ticket, ok := o.cache.get(key, rc); ok {
+			meta.PlanCacheHit = true
+			meta.Phases.Optimize = time.Since(start)
+			return res, ticket, nil, nil
 		}
 	}
-	pd, err := core.FinishDAG(ld, o.model)
+	pd, err := core.BuildDAG(o.cat, o.model, queries)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	// Read before arming: a generation that moves while Arm runs then only
+	// makes the plan look older than it is.
+	gen := rc.Generation()
 	ticket := rc.Arm(pd, paramSets)
 	res, err := core.Optimize(ctx, pd, alg, o.opts)
 	if err != nil {
@@ -433,15 +407,52 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 	spools := ticket.PlanSpools(res.Plan)
 	meta.Phases.Spool = time.Since(spoolStart)
 	if o.cache != nil && len(spools) == 0 && len(ticket.BindingSpools()) == 0 {
-		// Nothing newly spooled: the plan is reusable at this generation.
-		// Spooling batches bump the generation on commit, so caching their
-		// plans would only strand dead entries. The miss caller gets a
-		// defensive copy too: the stored entry is what every later hit
-		// clones from, so no caller may alias it.
-		o.cache.put(key, res)
+		// Nothing newly spooled: the plan is reusable — at this generation
+		// if it computes anything, at any if it only reads stored answers.
+		// A spooling batch bumps the generation on commit, so its plan would
+		// be dead on arrival. The miss caller gets a defensive copy too: the
+		// stored entry is what every later hit clones from, so no caller may
+		// alias it.
+		o.cache.put(key, res, rc, gen)
 		res = cloneResult(res)
 	}
 	return res, ticket, spools, nil
+}
+
+// planStoredAlone gives every query whose answer the batch's plan reads
+// straight from the store a plan-cache entry of its own, if it has none. The
+// query is planned by itself against the store — a DAG of its own, so the
+// entry does not keep the batch's alive — with the table the batch's plan
+// read named as its answer (cache.Ticket.ArmAnswer: its fingerprint alone
+// need not be the one it was stored under), and cached if that plan too only
+// reads it. Best effort: a query it cannot plan simply keeps to the windows.
+func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg Algorithm, plan *Plan) {
+	rc := o.resultCache()
+	for i, pn := range plan.QueryRoots() {
+		if pn.E.Kind != physical.CacheScanOp {
+			continue
+		}
+		alone := queries[i : i+1]
+		key := o.batchKey(alone, alg, true, nil)
+		if found, _ := o.cache.peek(key); found {
+			continue
+		}
+		pd, err := core.BuildDAG(o.cat, o.model, alone)
+		if err != nil {
+			return
+		}
+		gen := rc.Generation()
+		ticket := rc.Arm(pd, nil)
+		ticket.ArmAnswer(pd, pd.QueryRoots[0], pn.E.Arm.CacheName, pn.E.Arm.CacheTier)
+		res, err := core.Optimize(ctx, pd, alg, o.opts)
+		ticket.Abort()
+		if err != nil {
+			return
+		}
+		if readsOnlyStored(res.Plan) {
+			o.cache.put(key, res, rc, gen)
+		}
+	}
 }
 
 // runOnDB optimizes one batch and executes the plan on the attached
@@ -513,21 +524,34 @@ func (o *Optimizer) CacheStats() CacheStats {
 	return o.cache.stats()
 }
 
-// batchKey derives the plan-cache key of a batch: the canonical logical
-// fingerprints of the query roots (computed on the not-yet-expanded DAG —
-// reusing the machinery that lets the §8 result cache match expressions
-// across queries) combined with the algorithm and options.
-func (o *Optimizer) batchKey(ld *dag.DAG, roots []*dag.Group, alg Algorithm) string {
-	fps := dag.CanonicalFingerprints(ld)
-	parts := make([]string, len(roots))
-	for i, g := range roots {
-		parts[i] = fps[g.Find()]
-	}
+// batchKey renders the plan-cache key of a batch from what the caller sent,
+// before any DAG exists: how the batch is optimized (algorithm and options),
+// each query's tree as written (equal trees, equal key; the key does not see
+// through equivalences the way the DAG's canonical fingerprints do), whether
+// it is planned against a result-cache store — an optimize-only call and an
+// executed batch never share a plan — and the concrete parameter bindings: a
+// parameterized plan depends on which bindings were armed, so the same SQL
+// with different ParamSets must not share one.
+func (o *Optimizer) batchKey(queries []*Query, alg Algorithm, stored bool, paramSets []map[string]algebra.Value) string {
 	prefix, ok := o.keyPrefix[alg]
 	if !ok { // no such algorithm: Optimize will say so
 		prefix = renderKeyPrefix(alg, o.opts)
 	}
-	return prefix + strings.Join(parts, ";")
+	var b strings.Builder
+	b.WriteString(prefix)
+	for i, q := range queries {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		b.WriteString(q.Fingerprint())
+	}
+	if stored {
+		b.WriteString("|rc")
+		if len(paramSets) > 0 {
+			b.WriteString("|ps" + bindingsSignature(paramSets))
+		}
+	}
+	return b.String()
 }
 
 // renderKeyPrefix renders the part of a plan-cache key that says how the

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mqo/internal/dag"
 	"mqo/internal/tpcd"
 )
 
@@ -177,10 +176,12 @@ func TestPlanCacheAccounting(t *testing.T) {
 	}
 }
 
-// TestBatchKeyMatchesFormattedOptions pins the plan-cache key to the string
-// it was when every window formatted the whole options struct: algorithm,
-// options as %+v prints them, the roots' canonical fingerprints — for every
-// algorithm, one there is no such, and options set in either order.
+// TestBatchKeyMatchesFormattedOptions pins the plan-cache key: algorithm,
+// options as %+v prints them, the queries' trees as written — for every
+// algorithm, one there is no such, and options set in either order — then
+// the marks of a batch planned against a result-cache store and of its
+// parameter bindings. Equal trees give equal keys, whichever string they were
+// parsed from; the key needs no DAG.
 func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
 	opts := Options{MultiPick: 3}
 	opts.Greedy.SpaceBudgetBytes = 1 << 20
@@ -193,16 +194,37 @@ func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, roots, err := opt.buildLogical(context.Background(), queries)
+	again, err := opt.ParseSQL(sqlBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fps := dag.CanonicalFingerprints(ld)
+	trees := queries[0].Fingerprint() + ";" + queries[1].Fingerprint()
 	for _, alg := range append(Algorithms(), Algorithm(-1), Algorithm(len(Algorithms()))) {
-		want := fmt.Sprintf("%v|%+v|%s;%s", alg, opts, fps[roots[0].Find()], fps[roots[1].Find()])
-		if got := opt.batchKey(ld, roots, alg); got != want {
+		want := fmt.Sprintf("%v|%+v|%s", alg, opts, trees)
+		if got := opt.batchKey(queries, alg, false, nil); got != want {
 			t.Errorf("%v: key %q, want %q", alg, got, want)
 		}
+		if got := opt.batchKey(again, alg, false, nil); got != want {
+			t.Errorf("%v: the same text parsed again: key %q, want %q", alg, got, want)
+		}
+	}
+	binds := []map[string]Value{{"p": IntVal(1)}, {"p": IntVal(2)}}
+	for _, c := range []struct {
+		stored bool
+		binds  []map[string]Value
+		suffix string
+	}{
+		{true, nil, "|rc"},
+		{true, binds, "|rc|ps" + bindingsSignature(binds)},
+		{false, binds, ""}, // no store to arm bindings against: they change no plan
+	} {
+		want := fmt.Sprintf("%v|%+v|%s%s", Greedy, opts, trees, c.suffix)
+		if got := opt.batchKey(queries, Greedy, c.stored, c.binds); got != want {
+			t.Errorf("stored=%v, %d bindings: key %q, want %q", c.stored, len(c.binds), got, want)
+		}
+	}
+	if queries[0].Fingerprint() == queries[1].Fingerprint() {
+		t.Error("two different queries render the same tree fingerprint")
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"mqo/internal/exec"
 	"mqo/internal/physical"
+	"mqo/internal/ssb"
 	"mqo/internal/tpcd"
 )
 
@@ -73,10 +75,9 @@ func TestPlanCacheDefensiveCopiesUnderMutation(t *testing.T) {
 }
 
 // TestPlanCacheWithResultCache: plan-cache hits must interact correctly
-// with the result cache — a cached plan is only reused at the result-cache
-// generation it was optimized under, its referenced spooled tables are
-// pinned for the run, and results stay correct across admissions (which
-// bump the generation and strand older plan-cache keys).
+// with the result cache — a cached plan's spooled tables are pinned for the
+// run, and results stay correct across admissions, which bump the store's
+// generation (what that does to a cached plan is TestPlanCacheValidity's).
 func TestPlanCacheWithResultCache(t *testing.T) {
 	const sf = 0.002
 	db := NewDB(1024)
@@ -97,7 +98,7 @@ func TestPlanCacheWithResultCache(t *testing.T) {
 		}
 		return res
 	}
-	first := run(sqlRevenue) // spools: generation bumps, plan not cached
+	first := run(sqlRevenue) // spools: the commit bumps the generation, so the plan is not cached
 	second := run(sqlRevenue)
 	if second.Exec.IO.Reads >= first.Exec.IO.Reads {
 		t.Errorf("second run reads %d not below first %d", second.Exec.IO.Reads, first.Exec.IO.Reads)
@@ -116,9 +117,9 @@ func TestPlanCacheWithResultCache(t *testing.T) {
 			len(third.Queries[0].Rows), len(second.Queries[0].Rows))
 	}
 
-	// A different query admits new entries → generation bumps → the old
-	// key is stranded; the next repeat re-optimizes (no stale plan with
-	// dead table references is ever served) and still answers from cache.
+	// A different query admits new entries → generation bumps; the repeat
+	// after it — a plan that only reads the stored answer, so still good —
+	// answers from the cache all the same.
 	genBefore := opt.ResultCacheStats().Generation
 	run(sqlCounts)
 	if gen := opt.ResultCacheStats().Generation; gen == genBefore {
@@ -135,5 +136,139 @@ func TestPlanCacheWithResultCache(t *testing.T) {
 	}
 	if st := opt.ResultCacheStats(); st.HitBatches < 2 {
 		t.Errorf("expected repeated hits, stats: %+v", st)
+	}
+}
+
+// TestPlanCacheValidity walks a cached plan's life against the result cache.
+// A plan that only reads stored answers outlives a generation bump and is a
+// hit for as long as its table is there; when the table goes the probe is a
+// miss and the entry is dropped, not left squatting in the LRU. A plan that
+// computes anything is a hit at the generation it was planned at and not
+// after it, parameterized plans included. (That a plan pinned while one of
+// its residual bindings has turned ready is refused is the store's own rule,
+// cache.TestPinPlanRevalidatesBindings: a binding only turns ready through an
+// admission, which moves the generation first.)
+func TestPlanCacheValidity(t *testing.T) {
+	const ample = 16 << 20
+	ctx := context.Background()
+	open := func(cat *Catalog, load func(*DB, float64, int64) error, sf float64) (*Optimizer, func(Batch) bool) {
+		t.Helper()
+		db := NewDB(1024)
+		if err := load(db, sf, 1); err != nil {
+			t.Fatal(err)
+		}
+		opt, err := Open(cat, WithDB(db), WithPlanCache(16), WithResultCache(ample, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(opt.Close)
+		// run executes the batch, checks its rows against the reference and
+		// reports whether its plan came from the plan cache.
+		return opt, func(b Batch) bool {
+			t.Helper()
+			before := opt.CacheStats()
+			b.Algorithm = Greedy
+			res, err := opt.Run(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := b.Queries
+			if b.SQL != "" {
+				if queries, err = opt.ParseSQL(b.SQL); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, q := range queries {
+				rows, schema, err := exec.Reference(db, q, &exec.Env{ParamSets: b.ParamSets})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !exec.EqualRows(res.Queries[i], QueryResult{Schema: schema, Rows: rows}, 1e-9) {
+					t.Fatalf("query %d: %d rows differ from the reference's %d", i, len(res.Queries[i].Rows), len(rows))
+				}
+			}
+			after := opt.CacheStats()
+			if after.Hits+after.Misses != before.Hits+before.Misses+1 {
+				t.Fatalf("one batch moved the plan cache from %+v to %+v", before, after)
+			}
+			return after.Hits > before.Hits
+		}
+	}
+	bump := func(opt *Optimizer, what string, do func()) {
+		t.Helper()
+		gen := opt.ResultCache().Generation()
+		do()
+		if opt.ResultCache().Generation() == gen {
+			t.Fatalf("%s left the generation at %d", what, gen)
+		}
+	}
+
+	opt, run := open(tpcd.Catalog(0.002), tpcd.LoadDB, 0.002)
+	store := opt.ResultCache()
+	entry := func(sql string) (found, stored bool) {
+		t.Helper()
+		queries, err := opt.ParseSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return opt.cache.peek(opt.batchKey(queries, Greedy, true, nil))
+	}
+
+	// A stored answer: spooled by the first run, read by the second, whose
+	// plan is cached as reading only that.
+	run(Batch{SQL: sqlRevenue})
+	if run(Batch{SQL: sqlRevenue}) {
+		t.Error("the plan of a batch that spooled was cached")
+	}
+	if found, stored := entry(sqlRevenue); !found || !stored {
+		t.Fatalf("after its answer was read from the store: entry found=%v stored=%v, want both", found, stored)
+	}
+	bump(opt, "admitting another query's results", func() { run(Batch{SQL: sqlCounts}) })
+	if !run(Batch{SQL: sqlRevenue}) {
+		t.Error("a plan that only reads a stored answer did not survive a generation bump")
+	}
+	// Its table goes: a miss, and the entry with it (the re-optimized plan
+	// spools the answer again, so nothing takes the entry's place).
+	bump(opt, "shrinking the budget to nothing", func() { store.SetBudgets(1, 0) })
+	store.SetBudgets(ample, 0)
+	if run(Batch{SQL: sqlRevenue}) {
+		t.Error("a plan whose table was evicted was served as a hit")
+	}
+	if found, _ := entry(sqlRevenue); found {
+		t.Error("the entry of a plan whose table was evicted stayed in the plan cache")
+	}
+
+	// A plan that computes: under a budget that admits nothing, the batch
+	// spools nothing and its plan is cached at the generation it saw.
+	bump(opt, "shrinking the budget to nothing", func() { store.SetBudgets(1, 0) })
+	if run(Batch{SQL: sqlBatch}) {
+		t.Error("first run of the two-query batch was a hit")
+	}
+	if found, stored := entry(sqlBatch); !found || stored {
+		t.Fatalf("a computing plan that spooled nothing: entry found=%v stored=%v, want found and not stored", found, stored)
+	}
+	if !run(Batch{SQL: sqlBatch}) {
+		t.Error("a computing plan was not reused at the generation it was planned at")
+	}
+	store.SetBudgets(ample, 0)
+	bump(opt, "admitting a query's results", func() { run(Batch{SQL: sqlCounts}) })
+	if run(Batch{SQL: sqlBatch}) {
+		t.Error("a computing plan was reused across a generation bump")
+	}
+
+	// A parameterized plan that reads every binding from the store still
+	// invokes: it computes, and is not carried across a bump either.
+	opt, run = open(ssb.Catalog(0.01), ssb.LoadDB, 0.0002)
+	drill := func(months ...int64) Batch {
+		return Batch{Queries: ssb.DrillParam(int64(len(months))), ParamSets: ssb.DrillParamBindings(months...)}
+	}
+	bump(opt, "admitting three bindings", func() { run(drill(1, 2, 3)) })
+	run(drill(1, 2, 3))
+	if !run(drill(1, 2, 3)) {
+		t.Error("a parameterized plan was not reused at the generation it was planned at")
+	}
+	bump(opt, "admitting another query's results", func() { run(Batch{SQL: ssb.QuerySQL(2, 0)}) })
+	if run(drill(1, 2, 3)) {
+		t.Error("a parameterized plan was reused across a generation bump")
 	}
 }

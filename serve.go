@@ -22,7 +22,9 @@ type BatchingOptions struct {
 	// pending (default 8).
 	MaxBatch int
 	// MaxWait is the longest the first query of a window waits before
-	// the window flushes regardless of size (default 2ms).
+	// the window flushes regardless of size (default 2ms). A query whose
+	// whole answer is already stored waits for no window at all
+	// (Service.SubmitQuery).
 	MaxWait time.Duration
 	// Workers bounds concurrently in-flight batches; batches optimize and
 	// execute fully in parallel over the sharded storage layer (default 2).
@@ -58,12 +60,13 @@ type BatchingOptions struct {
 
 // BatchInfo describes the batch that answered a submitted query: sequence
 // number, size, estimated shared vs. no-sharing cost, plan-cache hit,
-// wait time and the batch's measured execution profile.
+// whether the query skipped the window because its answer was stored, wait
+// time and the batch's measured execution profile.
 type BatchInfo = server.BatchInfo
 
 // ServiceStats is the batching service's accounting: batch-size
-// distribution, cancelled waiters, and estimated cost saved versus
-// optimizing every query alone.
+// distribution, queries answered without a window, cancelled waiters, and
+// estimated cost saved versus optimizing every query alone.
 type ServiceStats = server.Stats
 
 // Answer is the per-query outcome of a micro-batched execution.
@@ -143,8 +146,26 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 }
 
 // SubmitQuery is Submit for an already-parsed algebra query.
+//
+// The service asks before it queues. A window exists to find sharing
+// partners, and a query whose whole answer is stored has none to find: when
+// the session plan cache already holds a plan for q on its own that only
+// reads the stored answer, q skips the window and runs at once as a batch of
+// one — through the same plan-cache hit, pin, execute and commit as any
+// batch, on the same worker slots (BatchInfo.Stored, ServiceStats.Stored).
+// Asking is a peek, neither a hit nor a miss in CacheStats. Should the table
+// be evicted or change tier between the peek and the pin, the pin fails and
+// the batch of one is simply optimized. Without a plan cache (WithPlanCache)
+// there is nothing to ask, and every query joins a window.
 func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
-	resp, err := s.b.Submit(ctx, q)
+	submit := s.b.Submit
+	if s.opt.cache != nil {
+		key := s.opt.batchKey([]*Query{q}, s.alg, s.opt.resultCache() != nil, nil)
+		if _, stored := s.opt.cache.peek(key); stored {
+			submit = s.b.SubmitStored
+		}
+	}
+	resp, err := submit(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -170,6 +191,16 @@ func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) (*serve
 	res, meta, err := s.opt.runOnDB(ctx, queries, s.alg, &exec.Env{Profile: obs.Enabled()})
 	if err != nil {
 		return nil, err
+	}
+	if s.opt.cache != nil && len(queries) > 1 && !meta.PlanCacheHit {
+		// A query need never have arrived alone: under steady heavy traffic a
+		// hot text only ever sits in full windows, and SubmitQuery finds no
+		// plan of its own to let it past them. The window makes one on the
+		// way out, once per text, for each answer its plan read from the
+		// store.
+		seedStart := time.Now()
+		s.opt.planStoredAlone(ctx, queries, s.alg, res.Plan)
+		meta.Phases.Optimize += time.Since(seedStart)
 	}
 	return &server.BatchResult{
 		PerQuery:         res.Queries,
