@@ -78,7 +78,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mqoexplain: %v\n", err)
 		os.Exit(1)
 	}
-	degrees := core.ComputeSharability(pd)
+	degrees := core.ComputeSharability(pd, 0)
 
 	fmt.Printf("queries: %d   logical groups: %d   operation nodes: %d (of %d derived, %d duplicates)   physical nodes: %d\n",
 		len(queries), len(pd.L.LiveGroups()), pd.L.NumExprs(), pd.L.Derivations, pd.L.Duplicates, len(pd.Nodes))

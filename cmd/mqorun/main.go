@@ -27,8 +27,6 @@ func main() {
 	algName := flag.String("alg", "greedy", "algorithm: volcano|volcano-sh|volcano-ru|greedy")
 	sf := flag.Float64("sf", 0.002, "data scale factor for execution")
 	pool := flag.Int("pool", 1024, "buffer pool pages")
-	parallel := flag.Int("parallel", 0, "search-substrate workers (0: auto-tune per phase, 1: serial, n: fan out; plan is identical at every setting)")
-	multipick := flag.Int("multipick", 1, "max greedy picks per evaluation wave (speculative multi-pick; plan is identical at every k)")
 	resCache := flag.Int64("resultcache", 0, "cross-batch result-cache RAM budget in bytes (0 disables)")
 	resCacheWarm := flag.Int64("resultcache-warm", 0, "disk-backed warm-tier budget in bytes (0 disables tiering)")
 	repeat := flag.Int("repeat", 1, "run the batch this many times (with -resultcache, later passes hit the cache)")
@@ -42,7 +40,7 @@ func main() {
 	}
 
 	db := mqo.NewDB(*pool)
-	sessionOpts := []mqo.Option{mqo.WithDB(db), mqo.WithParallelism(*parallel), mqo.WithMultiPick(*multipick)}
+	sessionOpts := []mqo.Option{mqo.WithDB(db)}
 	if *resCache > 0 {
 		sessionOpts = append(sessionOpts, mqo.WithResultCache(*resCache, *resCacheWarm))
 	}

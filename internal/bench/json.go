@@ -20,7 +20,6 @@ type jsonCell struct {
 	DAGExprs              int   `json:"dag_exprs,omitempty"`
 	PhysNodes             int   `json:"phys_nodes,omitempty"`
 	EvalWaves             int64 `json:"eval_waves,omitempty"`
-	SpeculativePicks      int64 `json:"speculative_picks,omitempty"`
 }
 
 type jsonRow struct {
@@ -58,7 +57,6 @@ func (e *Experiment) MarshalJSON() ([]byte, error) {
 				DAGExprs:              c.Stats.DAGExprs,
 				PhysNodes:             c.Stats.PhysNodes,
 				EvalWaves:             c.Stats.EvalWaves,
-				SpeculativePicks:      c.Stats.SpeculativePicks,
 			})
 		}
 		out.Rows = append(out.Rows, jr)

@@ -87,29 +87,18 @@ type Options struct {
 	// greedy benefit waves (each worker on its own physical.CostView
 	// overlay of the shared DAG), Volcano-RU's forward/reverse order
 	// passes (each on a private overlay), and the sharability analysis
-	// (one logical group per worker). 0 — the default — auto-tunes each
-	// phase: serial below the phase's crossover (work estimate = items ×
-	// DAG nodes; the per-phase constants are in parallel.go). 1 forces
-	// strictly serial execution;
-	// n > 1 forces n workers. The materialization set, plan and cost are
-	// identical at every setting (selection breaks ties by benefit, then
-	// node topological order, and the speculation schedules are
-	// worker-count independent); only wall-clock time changes.
-	// Greedy.DisableIncremental forces serial benefit evaluation, since
-	// from-scratch recosting mutates the shared DAG.
+	// (one logical group per worker). 0 — the default, and the only
+	// setting production uses — auto-tunes each phase: serial below the
+	// phase's crossover (work estimate = items × DAG nodes; the per-phase
+	// constants are in parallel.go). 1 forces strictly serial execution and
+	// n > 1 forces n workers; the equivalence tests use them. The
+	// materialization set, plan and cost are identical at every setting
+	// (selection breaks ties by benefit, then node topological order, and
+	// the speculation schedules are worker-count independent); only
+	// wall-clock time changes. Greedy.DisableIncremental forces serial
+	// benefit evaluation, since from-scratch recosting mutates the shared
+	// DAG.
 	Parallelism int
-	// MultiPick is the maximum number of candidates the greedy engine may
-	// commit per benefit-evaluation wave (speculative multi-pick): beyond
-	// the first pick, only candidates whose conflict cones do not clash
-	// with any pick already committed in the wave — whose benefits are
-	// therefore provably unchanged — are committed, in benefit-then-topo
-	// rank order. 0 or 1 is classic single-pick. Every k returns the
-	// identical materialized set, plan and total cost (the order picks
-	// commit in may permute when independent candidates tie exactly in
-	// benefit); larger k skips the evaluation waves serial single-pick
-	// would have spent re-deriving unchanged benefits (Stats.EvalWaves /
-	// Stats.BenefitRecomputations shrink accordingly).
-	MultiPick int
 }
 
 // Stats carries instrumentation from one optimization run.
@@ -130,18 +119,12 @@ type Stats struct {
 	// rediscovering known expressions.
 	DAGDerivations int
 	DAGDuplicates  int
-	// Search-engine instrumentation: EvalWaves counts benefit-evaluation
-	// waves, SpeculativePicks counts multi-pick commits beyond the first
-	// of a wave. Both depend on MultiPick but never on Parallelism.
-	EvalWaves        int64
-	SpeculativePicks int64
-	// Volcano-RU batched-promotion instrumentation (winning order pass):
-	// RUPromotions counts reuse promotions committed; RUPromotionRetests
-	// counts the subset whose state an earlier promotion of the same pass
-	// had dirtied, forcing a re-read — the rest committed straight from
-	// their phase-1 capture as provably independent.
-	RUPromotions       int64
-	RUPromotionRetests int64
+	// EvalWaves counts benefit-evaluation waves; it never depends on
+	// Parallelism.
+	EvalWaves int64
+	// RUPromotions counts the reuse promotions Volcano-RU's winning order
+	// pass committed.
+	RUPromotions int64
 	// Phases breaks OptTime down by search phase (OptPhaseSharability,
 	// OptPhaseCandidates, OptPhaseWaves, OptPhaseCommit). Populated by the greedy
 	// algorithm; nil for the Volcano variants.

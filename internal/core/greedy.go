@@ -3,7 +3,7 @@ package core
 import (
 	"container/heap"
 	"context"
-	"sort"
+	"slices"
 
 	"mqo/internal/cost"
 	"mqo/internal/dag"
@@ -23,19 +23,12 @@ import (
 //  3. the monotonicity heuristic maintains a heap of benefit upper bounds
 //     and recomputes only the top candidates' benefits (§4.3).
 //
-// With Options.MultiPick > 1 the loops additionally commit up to k
-// conflict-free picks per evaluation wave (speculative multi-pick): a
-// candidate whose conflict cone does not clash with any pick already
-// committed this wave has an unchanged benefit after those commits, so
-// committing it immediately reproduces the set serial single-pick would
-// have chosen over its following waves — skipping those waves'
-// recomputations entirely (see the engine's determinism contract for the
-// exact-tie order caveat).
-//
-// Each §4 optimization can be disabled through GreedyOptions for the §6.3
-// ablation experiments. All selection steps break ties deterministically —
-// larger benefit first, then smaller topological number — so serial,
-// parallel and multi-pick runs choose the identical materialization set.
+// As in Figure 4, each round commits the single candidate of largest
+// benefit and then recomputes. Each §4 optimization can be disabled through
+// GreedyOptions for the §6.3 ablation experiments. All selection steps
+// break ties deterministically — larger benefit first, then smaller
+// topological number — so serial and parallel runs choose the identical
+// materialization set.
 func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Result, error) {
 	// Honour cancellation before the sharability analysis and candidate
 	// scan: no stats work should happen — let alone leak — for a run that
@@ -51,7 +44,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	if opts.Greedy.DisableSharability {
 		MarkAllSharable(pd)
 	} else {
-		degrees = ComputeSharabilityN(pd, opts.Parallelism)
+		degrees = ComputeSharability(pd, opts.Parallelism)
 	}
 	sharePhase.end()
 
@@ -95,7 +88,6 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	commitPhase.end()
 	stats.BenefitRecomputations = e.recomps.Load()
 	stats.EvalWaves = e.waves
-	stats.SpeculativePicks = e.specPicks
 	res.Stats = stats
 	return res, nil
 }
@@ -107,39 +99,23 @@ func candidateNode(pd *physical.DAG, n *physical.Node) bool {
 	return n.Sharable && !n.LG.ParamDep && n != pd.Root && n.Cost > 0
 }
 
-// rankDesc returns candidate indices ordered by score descending. The
-// sort is stable over the candidates' topological order, so ties resolve
-// to the smaller topological number — the engine's deterministic pick rule.
-func rankDesc(scores []float64) []int {
-	rank := make([]int, len(scores))
-	for i := range rank {
-		rank[i] = i
-	}
-	sort.SliceStable(rank, func(a, b int) bool { return scores[rank[a]] > scores[rank[b]] })
-	return rank
-}
-
-// dropPicked removes the picked indices from nodes, preserving order.
-func dropPicked(nodes []*physical.Node, picked []int) []*physical.Node {
-	drop := make(map[int]bool, len(picked))
-	for _, i := range picked {
-		drop[i] = true
-	}
-	out := nodes[:0]
-	for i, n := range nodes {
-		if !drop[i] {
-			out = append(out, n)
+// argmax returns the index of the largest score, the first of equals.
+// Candidates are kept in topological order, so ties resolve to the smaller
+// topological number — the engine's deterministic pick rule.
+func argmax(scores []float64) int {
+	b := 0
+	for i, s := range scores {
+		if s > scores[b] {
+			b = i
 		}
 	}
-	return out
+	return b
 }
 
 // greedySpaceBudget implements the paper's §8 space-constrained variant:
 // candidates are picked in order of benefit per unit of materialized-result
 // space until the temporary-storage budget is exhausted. Benefits are
-// recomputed each wave, fanned out over the engine's workers; a candidate
-// that stops fitting the budget never fits again (consumption only grows),
-// so multi-pick may pass over it without changing later serial picks.
+// recomputed each wave, fanned out over the engine's workers.
 func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*physical.Node,
 	e *searchEngine, budget int64) ([]*physical.Node, error) {
 
@@ -154,72 +130,53 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 	var chosen []*physical.Node
 	used := int64(0)
 	for len(remaining) > 0 {
-		// Only candidates that still fit need benefits this wave.
-		affordable := remaining[:0:0]
-		for _, n := range remaining {
-			if used+sizeOf(n) <= budget {
-				affordable = append(affordable, n)
-			}
-		}
-		bens, cones, err := e.evalWave(ctx, affordable)
+		// Only candidates that still fit need benefits; one that stops
+		// fitting never fits again (consumption only grows).
+		remaining = slices.DeleteFunc(remaining, func(n *physical.Node) bool { return used+sizeOf(n) > budget })
+		bens, err := e.evalWave(ctx, remaining)
 		if err != nil {
 			return nil, err
 		}
-		if len(affordable) == 0 {
+		if len(remaining) == 0 {
 			break
 		}
-		rates := make([]float64, len(affordable))
-		for i, n := range affordable {
+		rates := make([]float64, len(remaining))
+		for i, n := range remaining {
 			if bens[i] > 0 {
 				rates[i] = bens[i] / float64(sizeOf(n))
 			}
 		}
-		picked := e.pickPrefix(rankDesc(rates), affordable, cones,
-			func(i int) bool { return bens[i] > 0 && used+sizeOf(affordable[i]) <= budget },
-			func(i int) bool { return used+sizeOf(affordable[i]) > budget },
-			func(i int) { used += sizeOf(affordable[i]) })
-		if len(picked) == 0 {
+		i := argmax(rates)
+		if bens[i] <= 0 {
 			break
 		}
-		for _, i := range picked {
-			chosen = append(chosen, affordable[i])
-		}
-		pickedNodes := make(map[*physical.Node]bool, len(picked))
-		for _, i := range picked {
-			pickedNodes[affordable[i]] = true
-		}
-		kept := remaining[:0]
-		for _, n := range remaining {
-			if !pickedNodes[n] {
-				kept = append(kept, n)
-			}
-		}
-		remaining = kept
+		n := remaining[i]
+		e.commit(n)
+		chosen = append(chosen, n)
+		used += sizeOf(n)
+		remaining = slices.Delete(remaining, i, i+1)
 	}
 	return chosen, nil
 }
 
 // greedyExhaustive is Figure 4 without the monotonicity heuristic: every
 // remaining candidate's benefit is recomputed each wave, fanned out over
-// the engine's workers. Candidates stay in topological order, so the
-// ranked prefix pick is the deterministic (benefit, then topo) rule.
+// the engine's workers, and the best one is committed.
 func greedyExhaustive(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, e *searchEngine) ([]*physical.Node, error) {
 	remaining := append([]*physical.Node(nil), candidates...)
 	var chosen []*physical.Node
 	for len(remaining) > 0 {
-		bens, cones, err := e.evalWave(ctx, remaining)
+		bens, err := e.evalWave(ctx, remaining)
 		if err != nil {
 			return nil, err
 		}
-		picked := e.pickPrefix(rankDesc(bens), remaining, cones,
-			func(i int) bool { return bens[i] > 0 }, nil, nil)
-		if len(picked) == 0 {
+		i := argmax(bens)
+		if bens[i] <= 0 {
 			break
 		}
-		for _, i := range picked {
-			chosen = append(chosen, remaining[i])
-		}
-		remaining = dropPicked(remaining, picked)
+		e.commit(remaining[i])
+		chosen = append(chosen, remaining[i])
+		remaining = slices.Delete(remaining, i, i+1)
 	}
 	return chosen, nil
 }
@@ -231,10 +188,6 @@ type benefitItem struct {
 	// version matches the chooser's version).
 	ub      cost.Cost
 	version int
-	// cone is the conflict cone captured when ub was last recomputed
-	// (multi-pick only, nil otherwise): the dirty-ancestor set of the
-	// what-if, used to prove exactness survives a commit.
-	cone physical.Cone
 }
 
 // itemPrecedes is the deterministic total order of the monotonic heap:
@@ -265,16 +218,9 @@ func (h *benefitHeap) Pop() interface{} {
 // sharing); stale top entries are recomputed — up to speculationWidth per
 // wave, concurrently — and a candidate is chosen only when its exact
 // benefit still tops the heap, so most candidates are never recomputed.
-// The recomputation sequence depends only on the heap state, never on the
-// worker count, so every parallelism level picks the same set.
-//
-// Speculative multi-pick: committing a pick normally stales every heap
-// entry (version bump). With MultiPick > 1, entries that were exact for
-// the pre-commit state and whose conflict cones are disjoint from the pick
-// are promoted to the new version instead — their benefits are provably
-// unchanged — so when such an entry tops the heap it commits immediately,
-// skipping the recomputation wave serial single-pick would have spent
-// re-deriving the very same value.
+// Committing a pick stales every entry (version bump). The recomputation
+// sequence depends only on the heap state, never on the worker count, so
+// every parallelism level picks the same set.
 func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, degrees map[*dag.Group]float64,
 	e *searchEngine) ([]*physical.Node, error) {
 
@@ -291,7 +237,6 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 
 	var chosen []*physical.Node
 	version := 0
-	picksInWave := 0
 	for h.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -305,25 +250,9 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 			}
 			e.commit(top.n)
 			chosen = append(chosen, top.n)
-			picksInWave++
-			if picksInWave > 1 {
-				e.specPicks++
-			}
 			version++
-			if picksInWave < e.multiPick && top.cone.Valid() {
-				// Promote entries whose exactness survives this commit:
-				// conflict-free benefits are bit-identical before and
-				// after, and promotion at every commit of the wave keeps
-				// surviving entries conflict-free with all its picks.
-				for _, it := range *h {
-					if it.version == version-1 && it.cone.Valid() && !top.cone.Conflicts(it.cone) {
-						it.version = version
-					}
-				}
-			}
 			continue
 		}
-		picksInWave = 0
 		// Speculatively recompute the stale entries nearest the top. An
 		// exact entry bounds everything below it, so stop there.
 		var popped, stale []*benefitItem
@@ -339,16 +268,13 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 		for i, it := range stale {
 			nodes[i] = it.n
 		}
-		bens, cones, err := e.evalWave(ctx, nodes)
+		bens, err := e.evalWave(ctx, nodes)
 		if err != nil {
 			return nil, err
 		}
 		for i, it := range stale {
 			it.ub = bens[i]
 			it.version = version
-			if cones != nil {
-				it.cone = cones[i]
-			}
 		}
 		for _, it := range popped {
 			heap.Push(h, it)

@@ -40,7 +40,6 @@ var (
 	optCostRecomputations = obs.Default().Counter("mqo_opt_cost_recomputations_total", "From-scratch cost recomputations.")
 	optBenefitRecomps     = obs.Default().Counter("mqo_opt_benefit_recomputations_total", "Greedy candidate benefit recomputations.")
 	optEvalWaves          = obs.Default().Counter("mqo_opt_eval_waves_total", "Greedy benefit-evaluation waves.")
-	optSpeculativePicks   = obs.Default().Counter("mqo_opt_speculative_picks_total", "Multi-pick commits beyond the first of a wave.")
 	optCandidates         = obs.Default().Counter("mqo_opt_candidates_total", "Greedy sharing candidates considered.")
 	optSharableNodes      = obs.Default().Counter("mqo_opt_sharable_nodes_total", "Physical nodes found sharable.")
 	dagInsertNew          = obs.Default().Counter("mqo_dag_insert_total", "Operation nodes DAG construction derived, by whether the expression table already held them.", obs.L("outcome", "new"))
@@ -86,7 +85,6 @@ func recordOptimizeMetrics(res *Result) {
 	optCostRecomputations.Add(res.Stats.CostRecomputations)
 	optBenefitRecomps.Add(res.Stats.BenefitRecomputations)
 	optEvalWaves.Add(res.Stats.EvalWaves)
-	optSpeculativePicks.Add(res.Stats.SpeculativePicks)
 	optCandidates.Add(int64(res.Stats.Candidates))
 	optSharableNodes.Add(int64(res.Stats.SharableNodes))
 	if saved := float64(res.NoShareCost - res.Cost); saved > 0 {

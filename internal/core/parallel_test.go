@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"mqo/internal/algebra"
 	"mqo/internal/cost"
 	"mqo/internal/physical"
-	"mqo/internal/tpcd"
 )
 
 func materializedIDs(res *Result) []int {
@@ -166,122 +164,6 @@ func TestParallelismDoesNotChangeIncrementalState(t *testing.T) {
 	for _, m := range res.Materialized {
 		if !set[m.ID] {
 			t.Fatalf("result node %d not materialized on the DAG", m.ID)
-		}
-	}
-}
-
-// sortedIDs returns the materialized IDs as a sorted set.
-func sortedIDs(res *Result) []int {
-	ids := materializedIDs(res)
-	sort.Ints(ids)
-	return ids
-}
-
-// TestMultiPickEquivalence is the engine's multi-pick property: across
-// randomized DAGs and all three greedy loop flavours, every multi-pick
-// width k ∈ {1, 2, 4} and every parallelism level must return the same
-// materialized set (as a set — ties among independent candidates may
-// permute commit order), the exact same Result.Cost, byte-identical plans,
-// and never more benefit recomputations or evaluation waves than serial
-// single-pick.
-func TestMultiPickEquivalence(t *testing.T) {
-	variants := []struct {
-		name string
-		opt  GreedyOptions
-	}{
-		{"monotonic", GreedyOptions{}},
-		{"exhaustive", GreedyOptions{DisableMonotonicity: true}},
-		{"space-budget", GreedyOptions{SpaceBudgetBytes: 1 << 24}},
-	}
-	for seed := int64(40); seed < 48; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		batch := randomBatch(rng)
-		pd, err := BuildDAG(testCatalog(), cost.DefaultModel(), batch)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, variant := range variants {
-			ref, err := Optimize(context.Background(), pd, Greedy,
-				Options{Greedy: variant.opt, Parallelism: 1, MultiPick: 1})
-			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, variant.name, err)
-			}
-			refPlan := ref.Plan.String()
-			for _, k := range []int{1, 2, 4} {
-				for _, p := range []int{1, 2, 8} {
-					res, err := Optimize(context.Background(), pd, Greedy,
-						Options{Greedy: variant.opt, Parallelism: p, MultiPick: k})
-					if err != nil {
-						t.Fatalf("seed %d %s k=%d P=%d: %v", seed, variant.name, k, p, err)
-					}
-					if res.Cost != ref.Cost {
-						t.Errorf("seed %d %s k=%d P=%d: cost %v != serial %v",
-							seed, variant.name, k, p, res.Cost, ref.Cost)
-					}
-					if !sameIDs(sortedIDs(res), sortedIDs(ref)) {
-						t.Errorf("seed %d %s k=%d P=%d: set %v != serial %v",
-							seed, variant.name, k, p, sortedIDs(res), sortedIDs(ref))
-					}
-					if plan := res.Plan.String(); plan != refPlan {
-						t.Errorf("seed %d %s k=%d P=%d: plan diverged from serial", seed, variant.name, k, p)
-					}
-					if res.Stats.BenefitRecomputations > ref.Stats.BenefitRecomputations {
-						t.Errorf("seed %d %s k=%d P=%d: %d recomputations exceed single-pick's %d",
-							seed, variant.name, k, p, res.Stats.BenefitRecomputations, ref.Stats.BenefitRecomputations)
-					}
-					if res.Stats.EvalWaves > ref.Stats.EvalWaves {
-						t.Errorf("seed %d %s k=%d P=%d: %d waves exceed single-pick's %d",
-							seed, variant.name, k, p, res.Stats.EvalWaves, ref.Stats.EvalWaves)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMultiPickTenantBatch pins the speculative engine's showcase: on a
-// multi-tenant batch (independent per-tenant copies of BQ1, the shape the
-// micro-batching service produces) multi-pick must commit several
-// independent picks per wave — strictly fewer evaluation waves and benefit
-// recomputations than single-pick — while returning the identical cost and
-// materialized set.
-func TestMultiPickTenantBatch(t *testing.T) {
-	const tenants = 4
-	pd, err := BuildDAG(tpcd.TenantCatalog(1, tenants), cost.DefaultModel(), tpcd.TenantBatch(1, tenants))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, variant := range []struct {
-		name string
-		opt  GreedyOptions
-	}{
-		{"monotonic", GreedyOptions{}},
-		{"exhaustive", GreedyOptions{DisableMonotonicity: true}},
-	} {
-		single, err := Optimize(context.Background(), pd, Greedy,
-			Options{Greedy: variant.opt, Parallelism: 1, MultiPick: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		multi, err := Optimize(context.Background(), pd, Greedy,
-			Options{Greedy: variant.opt, Parallelism: 1, MultiPick: tenants})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multi.Cost != single.Cost || !sameIDs(sortedIDs(multi), sortedIDs(single)) {
-			t.Fatalf("%s: multi-pick diverged (cost %v vs %v, set %v vs %v)",
-				variant.name, multi.Cost, single.Cost, sortedIDs(multi), sortedIDs(single))
-		}
-		if multi.Stats.SpeculativePicks == 0 {
-			t.Errorf("%s: no speculative picks on %d independent tenants", variant.name, tenants)
-		}
-		if multi.Stats.EvalWaves >= single.Stats.EvalWaves {
-			t.Errorf("%s: multi-pick did not save evaluation waves (%d vs %d)",
-				variant.name, multi.Stats.EvalWaves, single.Stats.EvalWaves)
-		}
-		if multi.Stats.BenefitRecomputations >= single.Stats.BenefitRecomputations {
-			t.Errorf("%s: multi-pick did not save recomputations (%d vs %d)",
-				variant.name, multi.Stats.BenefitRecomputations, single.Stats.BenefitRecomputations)
 		}
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"testing"
 )
 
-// TestRUBatchedPromotions: the batched two-phase promotion pass must
-// actually promote on a sharing workload, and most promotions should
-// commit straight from their phase-1 capture (independent of earlier
-// commits) rather than needing a dirty re-read. Byte-equality of the
-// resulting plans with the serial mid-walk rule is enforced separately by
-// the golden snapshots.
+// TestRUBatchedPromotions: Volcano-RU's per-plan promotion rule must
+// actually promote on a sharing workload and keep RU at or below the
+// no-sharing baseline. Byte-equality of the resulting plans is enforced
+// separately by the golden snapshots.
 func TestRUBatchedPromotions(t *testing.T) {
 	// Three queries sharing σ(R)⋈S make the second and third plan walks
 	// promote the shared subexpression.
@@ -22,11 +20,6 @@ func TestRUBatchedPromotions(t *testing.T) {
 	if res.Stats.RUPromotions == 0 {
 		t.Fatal("no reuse promotions on a sharing workload")
 	}
-	if res.Stats.RUPromotionRetests > res.Stats.RUPromotions {
-		t.Logf("note: retests %d exceed promotions %d (heavily overlapping cones)",
-			res.Stats.RUPromotionRetests, res.Stats.RUPromotions)
-	}
-	// The batched pass must not change RU's relationship to the baseline.
 	vol := mustOptimize(t, pd, Volcano)
 	if res.Cost > vol.Cost {
 		t.Errorf("RU cost %.2f exceeds Volcano %.2f", res.Cost, vol.Cost)

@@ -13,23 +13,19 @@ import (
 // a time (which keeps space linear, as the paper suggests). Invocation
 // counts of nested queries multiply the degree (§5). It returns the degree
 // per logical group and marks physical nodes of groups with degree > 1 (and
-// not parameter-dependent) as Sharable. The worker count is auto-tuned.
-func ComputeSharability(pd *physical.DAG) map[*dag.Group]float64 {
-	return ComputeSharabilityN(pd, 0)
-}
-
-// ComputeSharabilityN is ComputeSharability with an explicit parallelism
-// knob (the Options.Parallelism convention: 0 auto-tunes, 1 is serial,
-// n > 1 fans out). The per-z passes are independent — each reads only the
-// flattened logical DAG and writes its own scratch array — so they fan out
-// one logical group per worker; the resulting degrees are identical at
-// every worker count.
+// not parameter-dependent) as Sharable.
+//
+// parallelism follows the Options.Parallelism convention (0 auto-tunes, 1
+// is serial, n > 1 fans out). The per-z passes are independent — each reads
+// only the flattened logical DAG and writes its own scratch array — so they
+// fan out one logical group per worker; the resulting degrees are identical
+// at every worker count.
 //
 // Note that a node can be sharable even with a single parent operation
 // node, when that parent itself occurs multiple times in some plan tree
 // (the paper's e1/e2/e3 example in §3.2); the bottom-up product over the
 // recurrences accounts for this.
-func ComputeSharabilityN(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
+func ComputeSharability(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
 	order := logicalTopoOrder(pd.L, pd.Root.LG)
 	f := flatten(pd.L, order)
 	zs := len(order) - 1 // every group but the root, which comes last

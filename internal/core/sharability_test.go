@@ -104,7 +104,7 @@ func TestSharabilityMatchesRecurrence(t *testing.T) {
 				t.Fatal("no group is shared: the batch checks nothing")
 			}
 			for _, workers := range []int{1, 2, 4} {
-				got := ComputeSharabilityN(pd, workers)
+				got := ComputeSharability(pd, workers)
 				if len(got) != len(want) {
 					t.Fatalf("workers=%d: %d degrees, model %d", workers, len(got), len(want))
 				}
@@ -137,7 +137,7 @@ func BenchmarkSharability(b *testing.B) {
 				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 					b.ReportAllocs()
 					for b.Loop() {
-						if len(ComputeSharabilityN(pd, workers)) == 0 {
+						if len(ComputeSharability(pd, workers)) == 0 {
 							b.Fatal("no degrees")
 						}
 					}

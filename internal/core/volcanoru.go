@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"mqo/internal/cost"
 	"mqo/internal/physical"
 )
 
@@ -90,7 +89,7 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 	count := map[*physical.Node]int{}
 	queryPlans := make([]*physical.PlanNode, len(pd.QueryRoots))
 
-	var promotions, retests int64
+	var promotions int64
 	for _, qi := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -101,7 +100,24 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 		// choice, new nodes are costed under the view's current state.
 		pn := pd.ExtractIntoView(v, plan, qn)
 		queryPlans[qi] = pn
-		promotions += promoteBatch(pd, v, pn, count, &retests)
+		// Count uses and promote nodes worth materializing if used once
+		// more: cost + matcost + count·reuse < (count+1)·cost.
+		pn.Walk(func(p *physical.PlanNode) {
+			node := p.N
+			if node.LG.ParamDep || node == pd.Root {
+				return
+			}
+			count[node]++
+			if v.Materialized(node) {
+				return
+			}
+			c := float64(count[node])
+			nc := v.CostOf(node)
+			if nc+node.MatCost+c*node.ReuseSeq < (c+1)*nc {
+				v.SetMaterialized(node, true)
+				promotions++
+			}
+		})
 	}
 
 	// Combine P1..Pk under the batch root and let Volcano-SH make the
@@ -121,61 +137,5 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 	}
 	res := &Result{Cost: total, Plan: plan, Materialized: mats}
 	res.Stats.RUPromotions = promotions
-	res.Stats.RUPromotionRetests = retests
 	return res, nil
-}
-
-// promoteBatch runs the reuse-promotion rule over one freshly extracted
-// query plan as a batched two-phase pass instead of promoting mid-walk.
-// Phase 1 walks the plan once, counting uses and capturing every
-// not-yet-materialized node's cost under the view at visit time. Phase 2
-// commits the promotions in the same deterministic (walk) order, using the
-// conflict-cone machinery's change tracking (SetMaterializedMark) to
-// re-read state only for candidates an earlier commit actually altered: a
-// candidate outside every earlier promotion's altered cone has a provably
-// unchanged cost, so its phase-1 verdict commits as-is — the promotions
-// are independent and land in one pass. The promotion sequence, and
-// therefore the extracted plan, is byte-for-byte identical to the serial
-// mid-walk rule (the golden snapshots enforce this); only the re-reads
-// serial promotion does against unchanged state are skipped. It returns
-// the number of promotions; retests counts candidates whose state an
-// earlier commit dirtied.
-func promoteBatch(pd *physical.DAG, v *physical.CostView, pn *physical.PlanNode,
-	count map[*physical.Node]int, retests *int64) int64 {
-
-	type cand struct {
-		node *physical.Node
-		uses float64
-		nc   cost.Cost
-	}
-	var cands []cand
-	pn.Walk(func(p *physical.PlanNode) {
-		node := p.N
-		if node.LG.ParamDep || node == pd.Root {
-			return
-		}
-		count[node]++
-		if v.Materialized(node) {
-			return
-		}
-		cands = append(cands, cand{node: node, uses: float64(count[node]), nc: v.CostOf(node)})
-	})
-
-	dirty := map[*physical.Node]bool{}
-	mark := func(x *physical.Node) { dirty[x] = true }
-	var promotions int64
-	for _, c := range cands {
-		nc := c.nc
-		if dirty[c.node] {
-			*retests++
-			nc = v.CostOf(c.node)
-		}
-		// Promote a node worth materializing if used once more:
-		// cost + matcost + count·reuse < (count+1)·cost.
-		if nc+c.node.MatCost+c.uses*c.node.ReuseSeq < (c.uses+1)*nc {
-			v.SetMaterializedMark(c.node, true, mark)
-			promotions++
-		}
-	}
-	return promotions
 }

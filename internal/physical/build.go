@@ -128,8 +128,8 @@ type Node struct {
 	Parents []*PExpr
 	// Topo is the node's topological number — children before parents —
 	// and its position in DAG.Nodes. It is fixed when Build returns, and it
-	// is what the costing state, every CostView and the conflict cones
-	// index their per-node arrays with.
+	// is what the costing state and every CostView index their per-node
+	// arrays with.
 	Topo int
 	gi   int32 // row of the DAG's group table; equal exactly when LG is equal
 

@@ -259,9 +259,8 @@ func (h *nodeHeap) pop() *Node {
 // consumers may now see a different input cost (the changed set S△S′), then
 // walk upward in topological order so no node is processed twice. Under a
 // view the new costs are recorded as overrides, otherwise written to the
-// nodes. mark, when non-nil, sees every node whose cost value changed. It
-// returns the number of nodes re-examined.
-func (pd *DAG) propagate(v *CostView, n *Node, mark func(*Node)) int {
+// nodes. It returns the number of nodes re-examined.
+func (pd *DAG) propagate(v *CostView, n *Node) int {
 	h := &pd.costing.heap
 	if v != nil {
 		h = &v.heap
@@ -281,9 +280,6 @@ func (pd *DAG) propagate(v *CostView, n *Node, mark func(*Node)) int {
 			v.override(cur, next)
 		} else {
 			cur.Cost = next
-		}
-		if next != old && mark != nil {
-			mark(cur)
 		}
 		// A seed's consumers are visited even when its own cost stands:
 		// what changed for them is whether they can reuse it.
@@ -306,7 +302,7 @@ func (pd *DAG) SetMaterialized(n *Node, on bool) int {
 	}
 	pd.SetMaterializedRaw(n, on)
 	cs.Recomputations++
-	touched := pd.propagate(nil, n, nil)
+	touched := pd.propagate(nil, n)
 	cs.Propagations += int64(touched)
 	return touched
 }

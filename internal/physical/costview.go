@@ -37,9 +37,6 @@ type CostView struct {
 	// addList is the nodes materialized in the view and not in the base, in
 	// topological order, for reproducible sums.
 	addList []*Node
-	// touched lists the nodes whose cost the view overrides, in the order
-	// first recorded — within one propagation wave, topological order.
-	touched []*Node
 
 	heap nodeHeap
 
@@ -90,11 +87,7 @@ func (v *CostView) addsOf(gi int32) []*Node {
 // override records c as n's cost under the view.
 func (v *CostView) override(n *Node, c cost.Cost) {
 	o := &v.nodes[n.Topo]
-	if o.costAt != v.epoch {
-		o.costAt = v.epoch
-		v.touched = append(v.touched, n)
-	}
-	o.cost = c
+	o.cost, o.costAt = c, v.epoch
 }
 
 // AcquireView returns a pristine CostView over pd, reusing a pooled view
@@ -144,16 +137,6 @@ func (v *CostView) CostOf(n *Node) cost.Cost { return v.pd.costIn(v, n) }
 // cost overrides, leaving the shared DAG untouched. It returns the number
 // of nodes whose cost was re-examined.
 func (v *CostView) SetMaterialized(n *Node, on bool) int {
-	return v.SetMaterializedMark(n, on, nil)
-}
-
-// SetMaterializedMark is SetMaterialized with change tracking: mark, when
-// non-nil, is called for every node whose cost value the propagation wave
-// actually changed — the `alters` half of a what-if conflict cone. Callers
-// batching several commits (Volcano-RU's reuse promotions) use the marks
-// to prove which pending decisions a committed one could have influenced,
-// and re-examine only those.
-func (v *CostView) SetMaterializedMark(n *Node, on bool, mark func(*Node)) int {
 	pd := v.pd
 	if pd.matIn(v, n) == on {
 		return 0
@@ -180,7 +163,7 @@ func (v *CostView) SetMaterializedMark(n *Node, on bool, mark func(*Node)) int {
 		}
 	}
 	v.Recomputations++
-	touched := pd.propagate(v, n, mark)
+	touched := pd.propagate(v, n)
 	v.Propagations += int64(touched)
 	return touched
 }
@@ -209,7 +192,6 @@ func (v *CostView) TotalCost() cost.Cost {
 // (drain them with DrainCounters).
 func (v *CostView) Reset() {
 	v.addList = v.addList[:0]
-	v.touched = v.touched[:0]
 	v.epoch++
 	if v.epoch == 0 {
 		// Wrapped: a stamp left 2³² resets ago would read as current.
@@ -238,34 +220,14 @@ func (v *CostView) DrainCounters() (propagations, recomputations int64) {
 // of (old - new) over exactly the terms of TotalCost the wave changed,
 // minus the new member's computation and materialization cost — rather
 // than as a subtraction of two full TotalCost sums. In real arithmetic the
-// two are identical; in floats the delta form is what makes benefits
-// bit-stable across commits of independent picks: a candidate whose cone
-// does not conflict with a committed pick sums the exact same per-node
-// deltas before and after the commit, so its benefit — and therefore
-// every benefit-ranked tie among symmetric candidates — reproduces
-// bit-for-bit, which the multi-pick determinism guarantee relies on.
-// (Subtracting whole-DAG totals would instead shift every candidate's
-// rounding whenever the shared materialized list gains a term.)
+// two are identical; in floats they round differently, and the order of a
+// sum is part of its result: near-tied candidates rank by these bits, so
+// the greedy picks — and the golden plan snapshots that lock them — are
+// bit-equal only with this summation order.
 func (v *CostView) WhatIfBenefit(n *Node) cost.Cost {
-	ben, _ := v.whatIf(n, false)
-	return ben
-}
-
-// WhatIfBenefitCone is WhatIfBenefit plus the what-if's conflict cone:
-// the nodes whose cost the wave changed (alters) and the wave's choice
-// points (sensitive) — its seed siblings and every visited node with more
-// than one implementation. The multi-pick engine uses Cone.Conflicts to
-// prove that two candidates' commits cannot affect each other's benefits.
-func (v *CostView) WhatIfBenefitCone(n *Node) (cost.Cost, Cone) {
-	return v.whatIf(n, true)
-}
-
-// whatIf toggles n on inside the pristine view, sums the benefit in delta
-// form (and optionally captures the conflict cone), then resets the view.
-func (v *CostView) whatIf(n *Node, wantCone bool) (cost.Cost, Cone) {
 	pd := v.pd
 	if pd.matIn(v, n) {
-		return 0, Cone{}
+		return 0
 	}
 	v.SetMaterialized(n, true)
 	// Benefit = Σ (old - new) over the changed TotalCost terms — the root
@@ -281,34 +243,6 @@ func (v *CostView) whatIf(n *Node, wantCone bool) (cost.Cost, Cone) {
 		}
 	}
 	ben -= pd.costIn(v, n) + n.MatCost
-
-	var cone Cone
-	if wantCone {
-		cone = Cone{alters: newConeBits(len(pd.Nodes)), sensitive: newConeBits(len(pd.Nodes))}
-		cone.sensitive.add(n)
-		for _, s := range pd.siblings(n) {
-			if n.Prop.Satisfies(s.Prop) {
-				cone.sensitive.add(s)
-			}
-		}
-		for _, x := range v.touched {
-			if v.nodes[x.Topo].cost != x.Cost {
-				cone.alters.add(x)
-				// A changed node whose group already has a materialized
-				// member sits at an armed reuse threshold: its consumers
-				// pay min(cost, reusecost), and two waves that each keep
-				// the cost above reusecost can jointly push it below,
-				// flipping the min non-additively. Treat such nodes as
-				// choice points, not plain value changes.
-				if len(pd.groups[x.gi].mats) > 0 || len(v.addsOf(x.gi)) > 0 {
-					cone.sensitive.add(x)
-				}
-			}
-			if len(x.Exprs) > 1 {
-				cone.sensitive.add(x)
-			}
-		}
-	}
 	v.Reset()
-	return ben, cone
+	return ben
 }

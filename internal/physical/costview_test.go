@@ -155,126 +155,6 @@ func TestCostViewsConcurrent(t *testing.T) {
 	}
 }
 
-// TestConflictCones checks the multi-pick independence test on a DAG with
-// two disjoint sharable clusters: what-ifs inside one cluster must
-// conflict with each other (they compete for the same consumers), while
-// what-ifs in different clusters must not — despite both changing the
-// batch root's cost, which is a pure sum and therefore additive.
-func TestConflictCones(t *testing.T) {
-	// Cluster 1: two queries sharing σ(A)⋈B; cluster 2: two sharing σ(C)⋈D.
-	pd := buildDAG(t,
-		chain([]string{"A", "B"}, 50), chain([]string{"A", "B"}, 60),
-		chain([]string{"C", "D"}, 50), chain([]string{"C", "D"}, 60))
-
-	// Partition candidates by which base tables their group covers.
-	inCluster := func(n *Node, rel string) bool {
-		for _, ci := range n.LG.Schema {
-			if ci.Col.Rel == rel {
-				return true
-			}
-		}
-		return false
-	}
-	v := pd.NewCostView()
-	var ab, cd []*Node
-	cones := map[*Node]Cone{}
-	for _, n := range whatIfCandidates(pd) {
-		_, cone := v.WhatIfBenefitCone(n)
-		if !cone.Valid() {
-			t.Fatalf("node %d: captured cone invalid", n.ID)
-		}
-		if !cone.Sensitive(n) {
-			t.Fatalf("node %d: cone does not contain the toggled node as a choice point", n.ID)
-		}
-		cones[n] = cone
-		switch {
-		case inCluster(n, "A") || inCluster(n, "B"):
-			ab = append(ab, n)
-		case inCluster(n, "C") || inCluster(n, "D"):
-			cd = append(cd, n)
-		}
-	}
-	if len(ab) == 0 || len(cd) == 0 {
-		t.Fatal("fixture produced an empty cluster")
-	}
-	// Across clusters: never conflicting (the shared batch root is additive).
-	for _, a := range ab {
-		for _, c := range cd {
-			if cones[a].Conflicts(cones[c]) {
-				t.Errorf("cross-cluster conflict: node %d vs node %d", a.ID, c.ID)
-			}
-		}
-	}
-	// Within a cluster: same-group siblings (competing materializations of
-	// one logical result) must always conflict.
-	byGroup := map[int32][]*Node{}
-	for _, n := range ab {
-		byGroup[int32(n.LG.ID)] = append(byGroup[int32(n.LG.ID)], n)
-	}
-	checked := false
-	for _, group := range byGroup {
-		for i := 0; i < len(group); i++ {
-			for j := i + 1; j < len(group); j++ {
-				checked = true
-				if !cones[group[i]].Conflicts(cones[group[j]]) {
-					t.Errorf("same-group nodes %d and %d do not conflict", group[i].ID, group[j].ID)
-				}
-			}
-		}
-	}
-	if !checked {
-		t.Log("no multi-node group among candidates; same-group check skipped")
-	}
-	// Conflict symmetry.
-	for _, a := range ab {
-		for _, b := range append(ab, cd...) {
-			if cones[a].Conflicts(cones[b]) != cones[b].Conflicts(cones[a]) {
-				t.Fatalf("conflict test asymmetric for nodes %d, %d", a.ID, b.ID)
-			}
-		}
-	}
-}
-
-// TestConflictConeIndependence is the semantic guarantee behind multi-pick:
-// when two candidates' cones do not conflict, committing one on the shared
-// DAG must leave the other's benefit unchanged up to float rounding — and
-// when they do conflict, nothing is promised, but the engine never
-// co-commits them.
-func TestConflictConeIndependence(t *testing.T) {
-	pd := buildDAG(t,
-		chain([]string{"A", "B"}, 50), chain([]string{"A", "B"}, 60),
-		chain([]string{"C", "D"}, 50), chain([]string{"C", "D"}, 60))
-	cands := whatIfCandidates(pd)
-	v := pd.NewCostView()
-
-	type what struct {
-		ben  cost.Cost
-		cone Cone
-	}
-	before := map[*Node]what{}
-	for _, n := range cands {
-		ben, cone := v.WhatIfBenefitCone(n)
-		before[n] = what{ben, cone}
-	}
-	for _, pick := range cands {
-		if before[pick].ben <= 0 {
-			continue
-		}
-		pd.SetMaterialized(pick, true)
-		for _, other := range cands {
-			if other == pick || before[other].cone.Conflicts(before[pick].cone) {
-				continue
-			}
-			after := v.WhatIfBenefit(other)
-			if !cost.Eq(after, before[other].ben) {
-				t.Errorf("pick %d changed conflict-free node %d's benefit: %v -> %v",
-					pick.ID, other.ID, before[other].ben, after)
-			}
-		}
-		pd.SetMaterialized(pick, false)
-	}
-}
-
 // TestViewPool: AcquireView hands out pristine views, reuses released
 // ones, and never crosses DAGs.
 func TestViewPool(t *testing.T) {

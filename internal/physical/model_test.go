@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -18,8 +17,7 @@ import (
 // The overlay this package had before its per-node state moved onto arrays
 // over Node.Topo, kept as the model the array overlay is held to: the
 // materialized-set delta, the cost overrides, the heap membership and the
-// forced seeds are Go maps keyed by node and group pointers, and the cone
-// is read off the override map in whatever order it yields. It shares the
+// forced seeds are Go maps keyed by node and group pointers. It shares the
 // DAG's nodes (and so the base costs the shared SetMaterialized maintains)
 // but mirrors the base materialized set itself, in mapBase.
 
@@ -223,10 +221,10 @@ func (v *mapView) reset() {
 	v.addList = v.addList[:0]
 }
 
-func (v *mapView) whatIf(n *Node) (cost.Cost, Cone) {
+func (v *mapView) whatIf(n *Node) cost.Cost {
 	pd := v.pd
 	if v.matIn(n) {
-		return 0, Cone{}
+		return 0
 	}
 	v.setMaterialized(n, true)
 	ben := cost.Cost(0)
@@ -239,27 +237,8 @@ func (v *mapView) whatIf(n *Node) (cost.Cost, Cone) {
 		}
 	}
 	ben -= v.costIn(n) + n.MatCost
-
-	cone := Cone{alters: newConeBits(len(pd.Nodes)), sensitive: newConeBits(len(pd.Nodes))}
-	cone.sensitive.add(n)
-	for _, s := range pd.NodesOf(n.LG) {
-		if n.Prop.Satisfies(s.Prop) {
-			cone.sensitive.add(s)
-		}
-	}
-	for x, c := range v.over {
-		if c != x.Cost {
-			cone.alters.add(x)
-			if len(v.base.byGroup[x.LG]) > 0 || len(v.addByGroup[x.LG]) > 0 {
-				cone.sensitive.add(x)
-			}
-		}
-		if len(x.Exprs) > 1 {
-			cone.sensitive.add(x)
-		}
-	}
 	v.reset()
-	return ben, cone
+	return ben
 }
 
 // armedDAG is a nested query — an Invoke over a parameterized body — plus a
@@ -291,12 +270,11 @@ func armedDAG(t *testing.T) *DAG {
 }
 
 // TestCostViewMatchesMapModel drives the array overlay and the map overlay
-// through one seeded sequence — toggles kept inside the view, what-ifs with
-// and without cones, resets, views going back to the pool and coming out
-// again, commits on the shared DAG between fan-outs, and an epoch counter
-// that wraps halfway — and holds them to each other exactly: re-examined
-// counts, every node's cost and membership, totals and benefits by ==, and
-// both cone bitsets.
+// through one seeded sequence — toggles kept inside the view, what-ifs,
+// resets, views going back to the pool and coming out again, commits on the
+// shared DAG between fan-outs, and an epoch counter that wraps halfway — and
+// holds them to each other exactly: re-examined counts, every node's cost
+// and membership, totals and benefits by ==.
 func TestCostViewMatchesMapModel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -349,23 +327,13 @@ func TestCostViewMatchesMapModel(t *testing.T) {
 						t.Fatalf("step %d: re-examined %d nodes, model %d", step, got, want)
 					}
 					same(step, "toggle")
-				case op < 6:
+				case op < 8:
 					pristine()
-					want, _ := model.whatIf(n)
+					want := model.whatIf(n)
 					if got := v.WhatIfBenefit(n); got != want {
 						t.Fatalf("step %d: benefit of node %d %v, model %v", step, n.ID, got, want)
 					}
 					same(step, "what-if")
-				case op < 8:
-					pristine()
-					got, cone := v.WhatIfBenefitCone(n)
-					want, wantCone := model.whatIf(n)
-					if got != want {
-						t.Fatalf("step %d: benefit of node %d %v, model %v", step, n.ID, got, want)
-					}
-					if !slices.Equal(cone.alters, wantCone.alters) || !slices.Equal(cone.sensitive, wantCone.sensitive) {
-						t.Fatalf("step %d: cone of node %d differs from the model's", step, n.ID)
-					}
 				case op < 9: // back to the pool and out again: the same arrays, a later epoch
 					pd.ReleaseView(v)
 					model.reset()

@@ -11,8 +11,8 @@
 //
 //   - Node.Topo, the topological number and the position in DAG.Nodes,
 //     indexes the materialized set (costState.mat), a CostView's cost
-//     overrides and membership flips, the propagation heap's membership,
-//     the conflict cones' bitsets and a plan walk's visited set;
+//     overrides and membership flips, the propagation heap's membership
+//     and a plan walk's visited set;
 //   - the group table row (Node.gi; one row per logical group, found from
 //     the logical side through a slice over dag.GroupID) holds the group's
 //     physical nodes — where Build looks a (group, property) pair up by

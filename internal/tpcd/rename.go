@@ -97,10 +97,8 @@ func renameSuffix(qi int) string { return "_r" + string(rune('a'+qi)) }
 // with every relation of copy j renamed with a per-tenant suffix. Sharing
 // within a tenant's queries is fully preserved while tenants share
 // nothing — the shape a micro-batching service produces when it coalesces
-// unrelated sessions' traffic into one MQO batch, and the natural
-// showcase for speculative multi-pick (one independent pick per tenant
-// per wave). The catalog must contain the tenant copies; see
-// TenantCatalog.
+// unrelated sessions' traffic into one MQO batch. The catalog must contain
+// the tenant copies; see TenantCatalog.
 func TenantBatch(i, m int) []*algebra.Tree {
 	base := BatchQueries(i)
 	out := make([]*algebra.Tree, 0, m*len(base))

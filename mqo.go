@@ -29,9 +29,8 @@
 // later traffic are answered from storage. The optimizer's
 // search substrate auto-tunes its parallelism per batch: on large batches
 // Greedy's benefit waves, Volcano-RU's order passes and the sharability
-// analysis fan out over multiple cores (override with WithParallelism),
-// and WithMultiPick lets Greedy commit several independent picks per
-// wave — neither knob ever changes the chosen plan.
+// analysis fan out over multiple cores. The worker count never changes the
+// chosen plan.
 //
 // For live traffic — independent concurrent requests rather than a
 // pre-assembled batch — Serve (or Optimizer.Submit) runs an adaptive

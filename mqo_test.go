@@ -42,77 +42,6 @@ func TestSessionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWithParallelism: a parallel session must produce the identical plan,
-// cost and materialized set as a serial one — parallelism is a wall-clock
-// knob, never a plan knob.
-func TestWithParallelism(t *testing.T) {
-	const batch = `
-		SELECT nname, SUM(lprice) AS rev FROM lineitem, supplier, nation
-		WHERE lsk = sk AND snk = nk AND lship > 2000 GROUP BY nname;
-		SELECT nname, COUNT(*) AS n FROM lineitem, supplier, nation
-		WHERE lsk = sk AND snk = nk AND lship > 2200 GROUP BY nname`
-	ctx := context.Background()
-	serialOpt, err := Open(tpcd.Catalog(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelOpt, err := Open(tpcd.Catalog(1), WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := serialOpt.OptimizeSQL(ctx, batch, Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := parallelOpt.OptimizeSQL(ctx, batch, Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Cost != serial.Cost {
-		t.Errorf("parallel cost %v != serial cost %v", parallel.Cost, serial.Cost)
-	}
-	if len(parallel.Materialized) != len(serial.Materialized) {
-		t.Fatalf("materialized %d vs %d nodes", len(parallel.Materialized), len(serial.Materialized))
-	}
-	if parallel.Plan.String() != serial.Plan.String() {
-		t.Errorf("parallel plan differs from serial plan:\n%s\nvs\n%s", parallel.Plan, serial.Plan)
-	}
-}
-
-// TestWithMultiPick: a session with speculative multi-pick enabled must
-// produce the identical plan and cost as a single-pick session — multi-
-// pick, like parallelism, is a wall-clock knob, never a plan knob.
-func TestWithMultiPick(t *testing.T) {
-	const batch = `
-		SELECT nname, SUM(lprice) AS rev FROM lineitem, supplier, nation
-		WHERE lsk = sk AND snk = nk AND lship > 2000 GROUP BY nname;
-		SELECT nname, COUNT(*) AS n FROM lineitem, supplier, nation
-		WHERE lsk = sk AND snk = nk AND lship > 2200 GROUP BY nname`
-	ctx := context.Background()
-	single, err := Open(tpcd.Catalog(1), WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := Open(tpcd.Catalog(1), WithMultiPick(4), WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := single.OptimizeSQL(ctx, batch, Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mres, err := multi.OptimizeSQL(ctx, batch, Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mres.Cost != sres.Cost {
-		t.Errorf("multi-pick cost %v != single-pick cost %v", mres.Cost, sres.Cost)
-	}
-	if mres.Plan.String() != sres.Plan.String() {
-		t.Errorf("multi-pick plan differs from single-pick plan")
-	}
-}
-
 // TestParseAlgorithm covers the shared name mapping used by every command.
 func TestParseAlgorithm(t *testing.T) {
 	for name, want := range map[string]Algorithm{

@@ -127,31 +127,6 @@ func WithSpaceBudget(bytes int64) Option {
 	return func(o *Optimizer) { o.opts.Greedy.SpaceBudgetBytes = bytes }
 }
 
-// WithParallelism sets the worker count of the optimizer's search
-// substrate: Greedy's benefit-evaluation waves (each worker on its own
-// cost-view overlay of the batch's DAG), Volcano-RU's forward/reverse
-// order passes, and the sharability analysis. The default, 0, auto-tunes
-// each phase — serial for small batches where the fan-out cannot amortize,
-// fanned out past the measured crossover; 1 forces strictly serial
-// execution; larger values force that many workers. The chosen plan, cost
-// and materialized set are identical at every setting — only optimization
-// wall-clock changes — so plans stay reproducible.
-func WithParallelism(workers int) Option {
-	return func(o *Optimizer) { o.opts.Parallelism = workers }
-}
-
-// WithMultiPick lets Greedy commit up to k conflict-free candidates per
-// benefit-evaluation wave (speculative multi-pick) instead of one. Beyond
-// the first pick of a wave, only candidates provably unaffected by the
-// wave's earlier picks — non-conflicting cost cones on the DAG — are
-// committed, so the materialized set, plan and total cost are identical
-// to single-pick at every k; larger k only skips the evaluation waves
-// that would have re-derived unchanged benefits. 0 or 1 is classic
-// single-pick.
-func WithMultiPick(k int) Option {
-	return func(o *Optimizer) { o.opts.MultiPick = k }
-}
-
 // WithOptions replaces the full optimization options (ablation switches,
 // RU order). Later options still override individual fields.
 func WithOptions(opt Options) Option { return func(o *Optimizer) { o.opts = opt } }

@@ -183,13 +183,12 @@ func TestPlanCacheAccounting(t *testing.T) {
 // parameter bindings. Equal trees give equal keys, whichever string they were
 // parsed from; the key needs no DAG.
 func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
-	opts := Options{MultiPick: 3}
-	opts.Greedy.SpaceBudgetBytes = 1 << 20
-	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2), WithOptions(opts), WithParallelism(2))
+	opts := Options{Parallelism: 2}
+	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2), WithOptions(opts), WithSpaceBudget(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Parallelism = 2
+	opts.Greedy.SpaceBudgetBytes = 1 << 20
 	queries, err := opt.ParseSQL(sqlBatch)
 	if err != nil {
 		t.Fatal(err)
