@@ -12,6 +12,7 @@ import (
 	"mqo"
 	"mqo/internal/bench"
 	"mqo/internal/ssb"
+	"mqo/internal/tpcd"
 )
 
 // metricName builds a benchmark metric unit with no whitespace.
@@ -142,6 +143,30 @@ func BenchmarkSpaceBudget(b *testing.B) {
 	e := runExperiment(b, bench.SpaceBudgetCurve)
 	for _, row := range e.Rows {
 		b.ReportMetric(row.Cells[0].Cost, metricName(row.Label, "cost_s"))
+	}
+}
+
+// BenchmarkOptimizeAllAlgorithms measures one session optimizing TPC-D BQ5
+// under all four algorithms, plan cache off: what opt_scaleup does per batch.
+// The session expands the batch once, before the timer; each operation then
+// builds four physical DAGs over that logical DAG and searches them. The
+// figures to read are ns/op and B/op.
+func BenchmarkOptimizeAllAlgorithms(b *testing.B) {
+	opt, err := mqo.Open(tpcd.Catalog(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, queries := context.Background(), tpcd.BatchQueries(5)
+	if _, err := opt.OptimizeBatch(ctx, queries, mqo.Volcano); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, alg := range mqo.Algorithms() {
+			if _, err := opt.OptimizeBatch(ctx, queries, alg); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

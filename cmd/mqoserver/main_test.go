@@ -291,6 +291,8 @@ func TestEndToEndMetrics(t *testing.T) {
 		"mqo_opt_batches_total",
 		`mqo_dag_insert_total{outcome="new"}`, // DAG construction's derivation accounting
 		`mqo_dag_insert_total{outcome="duplicate"}`,
+		`mqo_dag_memo_total{outcome="hit"}`, // the session's logical-DAG memo
+		`mqo_dag_memo_total{outcome="miss"}`,
 		"mqo_exec_runs_total",
 		"mqo_exec_operator_rows_total", // per-operator executor counters
 		"mqo_resultcache_batches_total",

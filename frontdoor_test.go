@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mqo/internal/cost"
 	"mqo/internal/exec"
 	"mqo/internal/ssb"
 	"mqo/internal/storage"
@@ -139,17 +138,18 @@ func TestFrontDoorEvictionRace(t *testing.T) {
 		t.Errorf("nothing was evicted or demoted: %+v", rc)
 	}
 
-	// Only a pin keeps an entry through a budget of nothing. One kind weighs
-	// nothing and so is never in the way: an empty result demoted to the
-	// warm tier is filed at its zero bytes on disk (ROADMAP item 2).
+	// Only a pin keeps an entry through a budget of nothing; the service has
+	// stopped, so none may be left — an empty result demoted to the warm tier
+	// included.
 	w.svc.Close()
 	store := w.opt.ResultCache()
 	store.WaitPromotions()
-	store.SetBudgets(1, 0)
+	store.SetBudgets(0, 0)
 	for _, e := range store.Entries() {
-		if e.Tier != cost.TierWarm || e.Bytes != 0 {
-			t.Errorf("entry %s (%v tier, %d bytes) survives a budget of nothing: pinned by a batch that has left", e.Table, e.Tier, e.Bytes)
-		}
+		t.Errorf("entry %s (%v tier, %d bytes) survives a budget of nothing: pinned by a batch that has left", e.Table, e.Tier, e.Bytes)
+	}
+	if n := w.db.NumWarm(); n != 0 {
+		t.Errorf("%d warm tables outlive their entries", n)
 	}
 	if ram := w.db.CacheNames(); len(ram) != 0 {
 		t.Errorf("cache tables %v outlive their entries", ram)

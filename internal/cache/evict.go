@@ -158,7 +158,9 @@ func (s *cacheShard) evictLocked(m *Manager, e *Entry) {
 // entries are dropped to make room first, and the demotion is refused (the
 // caller then drops the entry) when the warm slice cannot hold it or only
 // denser warm entries occupy it. On success the entry's accounting moves
-// to real on-disk bytes. The shard lock is held across the row copy —
+// to real on-disk bytes, at least one page as in RAM: an empty result filed
+// at nothing would never put its tier over budget, so no rebalance would ever
+// evict it. The shard lock is held across the row copy —
 // demotion happens inside Commit's rebalance, off every request's critical
 // path.
 func (s *cacheShard) demoteLocked(m *Manager, e *Entry) bool {
@@ -169,7 +171,7 @@ func (s *cacheShard) demoteLocked(m *Manager, e *Entry) bool {
 	if err != nil {
 		return false
 	}
-	s.refileLocked(e, cost.TierWarm, diskBytes)
+	s.refileLocked(e, cost.TierWarm, max(diskBytes, storage.PageSize))
 	m.demotions.Inc()
 	m.gen.Add(1)
 	return true

@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"context"
 	"os"
 	"testing"
 
+	"mqo/internal/algebra"
+	"mqo/internal/core"
 	"mqo/internal/cost"
+	"mqo/internal/storage"
 )
 
 // TestWarmFilesNeverLeak pins down the warm tier's on-disk life cycle: a
@@ -81,5 +85,59 @@ func TestWarmFilesNeverLeak(t *testing.T) {
 	}
 	if n := db.NumCaches(); n != 0 {
 		t.Errorf("%d RAM cache tables survived Close", n)
+	}
+}
+
+// TestEmptyWarmEntryIsEvictable: a result that executed to zero rows is
+// charged one page in RAM, and still one page once demoted — on disk it
+// occupies nothing, but an entry filed at zero bytes never puts its tier over
+// budget, so no rebalance would ever visit it. With both budgets at zero the
+// store must hold nothing, on either tier or on disk.
+func TestEmptyWarmEntryIsEvictable(t *testing.T) {
+	db, cat := makeWorld(t)
+	model := cost.DefaultModel()
+	m := newTestStore(t, db, model, 64<<20, 64<<20, 1)
+	pd, err := core.BuildDAG(cat, model, []*algebra.Tree{chain([]string{"R", "S"}, 90)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticket := m.Arm(pd, nil)
+	res, err := core.Optimize(context.Background(), pd, core.Greedy, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spools := ticket.PlanSpools(res.Plan)
+	if len(spools) == 0 {
+		t.Fatal("nothing admitted")
+	}
+	for n, name := range spools { // executed, and came out empty
+		db.CreateCache(name, n.LG.Schema)
+	}
+	ticket.Commit()
+
+	m.SetBudgets(1, 64<<20)
+	st := m.Stats()
+	if st.Demotions == 0 || st.WarmEntries != len(spools) {
+		t.Fatalf("RAM shrink did not demote the empty entries: %+v", st)
+	}
+	for _, e := range m.Entries() {
+		if e.Bytes != storage.PageSize {
+			t.Errorf("demoted entry %s accounted %d bytes, want one page (%d)", e.Table, e.Bytes, storage.PageSize)
+		}
+	}
+	dir, err := db.WarmDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m.SetBudgets(0, 0)
+	if st := m.Stats(); st.Entries != 0 || st.WarmEntries != 0 || st.WarmUsedBytes != 0 {
+		t.Errorf("entries survive budgets of nothing: %+v", st)
+	}
+	if n := db.NumWarm(); n != 0 {
+		t.Errorf("%d warm tables survive budgets of nothing", n)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("warm dir holds %d files after budgets of nothing (%v)", len(ents), err)
 	}
 }

@@ -149,11 +149,25 @@ type Result struct {
 	Stats       Stats
 }
 
-// BuildDAG constructs the expanded logical DAG for a batch of queries,
-// applies subsumption, finalizes the pseudo-root, and builds the physical
-// DAG. This shared setup is performed once per batch; each algorithm then
-// runs on the same DAG (as in the paper's implementation).
+// BuildDAG builds a batch's logical DAG (BuildLogical) and the physical DAG
+// over it. Every algorithm can then run on the returned DAG in turn, as in
+// the paper's implementation: Optimize resets its costing state first. A
+// caller that keeps the logical DAG instead can build a fresh physical DAG
+// over it per run (physical.Build), from any number of goroutines at once;
+// the session's memo does that.
 func BuildDAG(cat *catalog.Catalog, model cost.Model, queries []*algebra.Tree) (*physical.DAG, error) {
+	ld, err := BuildLogical(cat, queries)
+	if err != nil {
+		return nil, err
+	}
+	return physical.Build(ld, model)
+}
+
+// BuildLogical constructs the expanded logical DAG for a batch of queries:
+// insert, expand, subsume, expand again, finalize the pseudo-root. The DAG
+// it returns is read-only (see dag.DAG) and depends on the catalog and the
+// queries' trees alone.
+func BuildLogical(cat *catalog.Catalog, queries []*algebra.Tree) (*dag.DAG, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: empty query batch")
 	}
@@ -177,7 +191,7 @@ func BuildDAG(cat *catalog.Catalog, model cost.Model, queries []*algebra.Tree) (
 	}
 	dagInsertNew.Add(int64(ld.Derivations - ld.Duplicates))
 	dagInsertDuplicate.Add(int64(ld.Duplicates))
-	return physical.Build(ld, model)
+	return ld, nil
 }
 
 // ClearMaterialized resets the DAG's costing state to the empty

@@ -42,8 +42,8 @@ var (
 	optEvalWaves          = obs.Default().Counter("mqo_opt_eval_waves_total", "Greedy benefit-evaluation waves.")
 	optCandidates         = obs.Default().Counter("mqo_opt_candidates_total", "Greedy sharing candidates considered.")
 	optSharableNodes      = obs.Default().Counter("mqo_opt_sharable_nodes_total", "Physical nodes found sharable.")
-	dagInsertNew          = obs.Default().Counter("mqo_dag_insert_total", "Operation nodes DAG construction derived, by whether the expression table already held them.", obs.L("outcome", "new"))
-	dagInsertDuplicate    = obs.Default().Counter("mqo_dag_insert_total", "Operation nodes DAG construction derived, by whether the expression table already held them.", obs.L("outcome", "duplicate"))
+	dagInsertNew          = obs.Default().Counter("mqo_dag_insert_total", "Operation nodes logical DAG builds derived, by whether the expression table already held them.", obs.L("outcome", "new"))
+	dagInsertDuplicate    = obs.Default().Counter("mqo_dag_insert_total", "Operation nodes logical DAG builds derived, by whether the expression table already held them.", obs.L("outcome", "duplicate"))
 	optEstSavedSeconds    = obs.Default().FloatCounter("mqo_opt_est_saved_seconds_total", "Estimated cost-model seconds saved versus the no-sharing baseline.")
 )
 

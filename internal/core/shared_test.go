@@ -1,0 +1,101 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"mqo/internal/algebra"
+	"mqo/internal/catalog"
+	"mqo/internal/cost"
+	"mqo/internal/physical"
+	"mqo/internal/psp"
+	"mqo/internal/ssb"
+	"mqo/internal/tpcd"
+)
+
+// resultSignature renders everything of a Result that must not depend on
+// which DAG it came from or on timing: the cost's bits, the materialized
+// set, every Stats counter and the plan.
+func resultSignature(res *Result) string {
+	st := res.Stats
+	st.OptTime, st.Phases = 0, nil
+	return fmt.Sprintf("%v cost=%x noshare=%x mats=%v stats=%+v\n%s", res.Algorithm,
+		math.Float64bits(float64(res.Cost)), math.Float64bits(float64(res.NoShareCost)),
+		materializedIDs(res), st, res.Plan)
+}
+
+// TestSharedLogicalDAGConcurrent: a finalized logical DAG is read-only, so
+// any number of goroutines may each build a physical DAG over one and
+// search it. Eight do, under all four algorithms, and every Result must
+// equal the one a fresh, unshared build gives — under -race, any write to the
+// shared DAG is a report.
+func TestSharedLogicalDAGConcurrent(t *testing.T) {
+	const goroutines = 8
+	model := cost.DefaultModel()
+	workloads := []struct {
+		name    string
+		cat     *catalog.Catalog
+		queries []*algebra.Tree
+	}{
+		{"BQ5x6", tpcd.TenantCatalog(1, 6), tpcd.TenantBatch(5, 6)},
+		{"CQ5", psp.Catalog(1), psp.CQ(5)},
+	}
+	for f := 1; f <= 4; f++ {
+		workloads = append(workloads, struct {
+			name    string
+			cat     *catalog.Catalog
+			queries []*algebra.Tree
+		}{fmt.Sprintf("SSB%d", f), ssb.Catalog(1), ssb.Flight(f)})
+	}
+	ctx := context.Background()
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			want := map[Algorithm]string{}
+			for _, alg := range Algorithms() {
+				pd, err := BuildDAG(w.cat, model, w.queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Optimize(ctx, pd, alg, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[alg] = resultSignature(res)
+			}
+
+			ld, err := BuildLogical(w.cat, w.queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					algs := Algorithms()
+					for i := range algs { // each goroutine starts at another algorithm
+						alg := algs[(g+i)%len(algs)]
+						pd, err := physical.Build(ld, model)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						res, err := Optimize(ctx, pd, alg, Options{})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if got := resultSignature(res); got != want[alg] {
+							t.Errorf("goroutine %d, %v: result on the shared DAG differs from a fresh build's:\n%s",
+								g, alg, diffHint(want[alg], got))
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
+}

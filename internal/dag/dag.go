@@ -94,13 +94,16 @@ type Group struct {
 }
 
 // Find resolves the group through unification forwarding, with path
-// compression.
+// compression. It writes only when it shortens a chain, which after Finalize
+// it never does: there every forward already points at its representative.
 func (g *Group) Find() *Group {
 	if g.forward == nil {
 		return g
 	}
 	r := g.forward.Find()
-	g.forward = r
+	if g.forward != r {
+		g.forward = r
+	}
 	return r
 }
 
@@ -110,6 +113,13 @@ func (g *Group) Parents() []*Expr { return g.parents }
 
 // DAG is the logical AND-OR DAG for a batch of queries, sharing a single
 // expression table so common subexpressions across queries unify.
+//
+// A finalized DAG is read-only: Finalize builds every live group's schema
+// and points every forwarded group straight at its representative, so from
+// then on nothing — Find, the group and expression fields, the estimator's
+// Rels — writes to it, and any number of goroutines may read it at once,
+// each building its own physical DAG over it. It must not be added to or
+// expanded again.
 type DAG struct {
 	Est cost.Estimator
 
@@ -513,8 +523,9 @@ func (d *DAG) NumExprs() int {
 }
 
 // Finalize creates the pseudo-root NoOp node over all query roots and
-// returns it, and builds the schemas expansion left for later. Call after
-// all queries are added and Expand has run.
+// returns it, builds the schemas expansion left for later, and compresses
+// every forwarding chain, leaving the DAG read-only (see DAG). Call after all
+// queries are added and Expand has run.
 func (d *DAG) Finalize() (*Group, error) {
 	for _, g := range d.Groups {
 		if g.forward == nil {
@@ -530,5 +541,8 @@ func (d *DAG) Finalize() (*Group, error) {
 		return nil, err
 	}
 	d.Root = e.Group.Find()
+	for _, g := range d.Groups {
+		g.Find()
+	}
 	return d.Root, nil
 }

@@ -26,18 +26,21 @@ import (
 // or algebra queries into optimized — and, with a database, executed —
 // plans.
 //
-// An Optimizer is safe for concurrent use by multiple goroutines. Each
-// optimization call builds its own AND-OR DAG, so no two calls ever share
-// a DAG's mutable costing state; the plan cache is mutex-guarded, and
-// concurrent plan executions proceed in parallel on the attached database,
-// each in a private temp-table namespace. Plan-cache hits hand each caller
-// a defensive copy whose shared plan nodes must be treated as read-only.
+// An Optimizer is safe for concurrent use by multiple goroutines. The
+// session expands each batch composition into its logical AND-OR DAG once
+// and keeps it (dagMemo); every optimization call builds its own physical
+// DAG over that read-only one, so no two calls ever share a DAG's mutable
+// costing state. The plan cache is mutex-guarded, and concurrent plan
+// executions proceed in parallel on the attached database, each in a private
+// temp-table namespace. Plan-cache hits hand each caller a defensive copy
+// whose shared plan nodes must be treated as read-only.
 type Optimizer struct {
 	cat   *catalog.Catalog
 	model cost.Model
 	opts  core.Options
 	db    *storage.DB
 	cache *planCache
+	dags  dagMemo
 
 	// keyPrefix is the "algorithm|options|" head of a plan-cache key, by
 	// algorithm; options do not change after Open, which renders it.
@@ -248,7 +251,8 @@ func (o *Optimizer) parseSQLTimed(sqlText string) ([]*Query, server.PhaseTimes, 
 }
 
 // OptimizeBatch optimizes a batch of algebra queries with the selected
-// algorithm. The batch's AND-OR DAG is built fresh for the call (or the
+// algorithm. The batch's physical DAG is built fresh for the call, over the
+// logical DAG the session expanded the first time it saw these trees (or the
 // whole Result is served from the plan cache when enabled), so concurrent
 // calls never interfere. A cancelled context aborts the optimization
 // promptly with ctx.Err().
@@ -338,9 +342,10 @@ type execMeta struct {
 }
 
 // planBatch is the one optimize sequence behind OptimizeBatch, Run and the
-// batching service: key → plan-cache probe → and on a miss only, build the
-// DAG → arm → optimize → spools → put. The key is rendered from the queries
-// as the caller sent them, so a hit builds no DAG at all. rc is the
+// batching service: key → plan-cache probe → and on a miss only, logical DAG
+// from the memo → physical DAG → arm → optimize → spools → put. The key is
+// rendered from the queries as the caller sent them, so a hit builds no DAG
+// at all, and its trees part keys the memo. rc is the
 // result-cache store to plan against, nil for optimize-only calls and
 // cache-less sessions; a nil store yields a nil ticket, which arms, admits
 // and pins nothing. The optimize and spool phase times and the plan-cache
@@ -355,16 +360,17 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 		return nil, nil, nil, err
 	}
 	start := time.Now()
+	trees := treesKey(queries)
 	var key string
 	if o.cache != nil {
-		key = o.batchKey(queries, alg, rc != nil, paramSets)
+		key = o.batchKey(trees, alg, rc != nil, paramSets)
 		if res, ticket, ok := o.cache.get(key, rc); ok {
 			meta.PlanCacheHit = true
 			meta.Phases.Optimize = time.Since(start)
 			return res, ticket, nil, nil
 		}
 	}
-	pd, err := core.BuildDAG(o.cat, o.model, queries)
+	pd, err := o.buildDAG(trees, queries)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -394,6 +400,16 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 	return res, ticket, spools, nil
 }
 
+// buildDAG returns a fresh physical DAG for queries, whose tree key is trees,
+// over the session's logical DAG of them.
+func (o *Optimizer) buildDAG(trees string, queries []*Query) (*physical.DAG, error) {
+	ld, err := o.dags.logical(o.cat, trees, queries)
+	if err != nil {
+		return nil, err
+	}
+	return physical.Build(ld, o.model)
+}
+
 // planStoredAlone gives every query whose answer the batch's plan reads
 // straight from the store a plan-cache entry of its own, if it has none. The
 // query is planned by itself against the store — a DAG of its own, so the
@@ -408,11 +424,12 @@ func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg A
 			continue
 		}
 		alone := queries[i : i+1]
-		key := o.batchKey(alone, alg, true, nil)
+		trees := treesKey(alone)
+		key := o.batchKey(trees, alg, true, nil)
 		if found, _ := o.cache.peek(key); found {
 			continue
 		}
-		pd, err := core.BuildDAG(o.cat, o.model, alone)
+		pd, err := o.buildDAG(trees, alone)
 		if err != nil {
 			return
 		}
@@ -499,27 +516,33 @@ func (o *Optimizer) CacheStats() CacheStats {
 	return o.cache.stats()
 }
 
+// treesKey renders each query's tree as written, in batch order: equal trees,
+// equal key. The key does not see through equivalences the way the DAG's
+// canonical fingerprints do. It keys the session's logical DAGs, and is the
+// middle of the plan-cache key.
+func treesKey(queries []*Query) string {
+	fps := make([]string, len(queries))
+	for i, q := range queries {
+		fps[i] = q.Fingerprint()
+	}
+	return strings.Join(fps, ";") // one query's is its fingerprint, uncopied
+}
+
 // batchKey renders the plan-cache key of a batch from what the caller sent,
 // before any DAG exists: how the batch is optimized (algorithm and options),
-// each query's tree as written (equal trees, equal key; the key does not see
-// through equivalences the way the DAG's canonical fingerprints do), whether
-// it is planned against a result-cache store — an optimize-only call and an
-// executed batch never share a plan — and the concrete parameter bindings: a
-// parameterized plan depends on which bindings were armed, so the same SQL
-// with different ParamSets must not share one.
-func (o *Optimizer) batchKey(queries []*Query, alg Algorithm, stored bool, paramSets []map[string]algebra.Value) string {
+// its trees (treesKey), whether it is planned against a result-cache store —
+// an optimize-only call and an executed batch never share a plan — and the
+// concrete parameter bindings: a parameterized plan depends on which bindings
+// were armed, so the same SQL with different ParamSets must not share one.
+func (o *Optimizer) batchKey(trees string, alg Algorithm, stored bool, paramSets []map[string]algebra.Value) string {
 	prefix, ok := o.keyPrefix[alg]
 	if !ok { // no such algorithm: Optimize will say so
 		prefix = renderKeyPrefix(alg, o.opts)
 	}
 	var b strings.Builder
+	b.Grow(len(prefix) + len(trees) + len("|rc"))
 	b.WriteString(prefix)
-	for i, q := range queries {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(q.Fingerprint())
-	}
+	b.WriteString(trees)
 	if stored {
 		b.WriteString("|rc")
 		if len(paramSets) > 0 {

@@ -198,12 +198,15 @@ func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	trees := queries[0].Fingerprint() + ";" + queries[1].Fingerprint()
+	if got := treesKey(queries); got != trees {
+		t.Errorf("trees key %q, want %q", got, trees)
+	}
 	for _, alg := range append(Algorithms(), Algorithm(-1), Algorithm(len(Algorithms()))) {
 		want := fmt.Sprintf("%v|%+v|%s", alg, opts, trees)
-		if got := opt.batchKey(queries, alg, false, nil); got != want {
+		if got := opt.batchKey(treesKey(queries), alg, false, nil); got != want {
 			t.Errorf("%v: key %q, want %q", alg, got, want)
 		}
-		if got := opt.batchKey(again, alg, false, nil); got != want {
+		if got := opt.batchKey(treesKey(again), alg, false, nil); got != want {
 			t.Errorf("%v: the same text parsed again: key %q, want %q", alg, got, want)
 		}
 	}
@@ -218,7 +221,7 @@ func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
 		{false, binds, ""}, // no store to arm bindings against: they change no plan
 	} {
 		want := fmt.Sprintf("%v|%+v|%s%s", Greedy, opts, trees, c.suffix)
-		if got := opt.batchKey(queries, Greedy, c.stored, c.binds); got != want {
+		if got := opt.batchKey(trees, Greedy, c.stored, c.binds); got != want {
 			t.Errorf("stored=%v, %d bindings: key %q, want %q", c.stored, len(c.binds), got, want)
 		}
 	}

@@ -160,7 +160,7 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
 	submit := s.b.Submit
 	if s.opt.cache != nil {
-		key := s.opt.batchKey([]*Query{q}, s.alg, s.opt.resultCache() != nil, nil)
+		key := s.opt.batchKey(treesKey([]*Query{q}), s.alg, s.opt.resultCache() != nil, nil)
 		if _, stored := s.opt.cache.peek(key); stored {
 			submit = s.b.SubmitStored
 		}
