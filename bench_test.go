@@ -148,9 +148,9 @@ func BenchmarkSpaceBudget(b *testing.B) {
 
 // BenchmarkOptimizeAllAlgorithms measures one session optimizing TPC-D BQ5
 // under all four algorithms, plan cache off: what opt_scaleup does per batch.
-// The session expands the batch once, before the timer; each operation then
-// builds four physical DAGs over that logical DAG and searches them. The
-// figures to read are ns/op and B/op.
+// The session expands the batch and builds its physical DAG once, before the
+// timer; each operation then resets that DAG's costing state and searches it,
+// four times. The figures to read are ns/op and B/op.
 func BenchmarkOptimizeAllAlgorithms(b *testing.B) {
 	opt, err := mqo.Open(tpcd.Catalog(1))
 	if err != nil {

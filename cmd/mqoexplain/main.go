@@ -116,7 +116,7 @@ func main() {
 		fmt.Println("\nmaterialized results:")
 		for _, m := range res.Materialized {
 			fmt.Printf("  node %d prop=%s rows=%.0f cost=%.2f matcost=%.2f reuse=%.2f\n",
-				m.ID, m.Prop, m.LG.Rel.Rows, m.Cost, m.MatCost, m.ReuseSeq)
+				m.ID, m.Prop, m.LG.Rel.Rows, res.Plan.ByNode[m].Cost, m.MatCost, m.ReuseSeq)
 		}
 	}
 

@@ -293,6 +293,8 @@ func TestEndToEndMetrics(t *testing.T) {
 		`mqo_dag_insert_total{outcome="duplicate"}`,
 		`mqo_dag_memo_total{outcome="hit"}`, // the session's logical-DAG memo
 		`mqo_dag_memo_total{outcome="miss"}`,
+		`mqo_physical_dag_total{outcome="reused"} `, // the idle physical DAG the session kept
+		`mqo_physical_dag_total{outcome="built"} `,
 		"mqo_exec_runs_total",
 		"mqo_exec_operator_rows_total", // per-operator executor counters
 		"mqo_resultcache_batches_total",

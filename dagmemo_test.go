@@ -4,20 +4,24 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"mqo/internal/catalog"
 	"mqo/internal/exec"
+	"mqo/internal/physical"
 	"mqo/internal/psp"
 	"mqo/internal/ssb"
 	"mqo/internal/tpcd"
 )
 
 // memoSignature renders everything of a Result that must not depend on
-// whether its logical DAG was built for it or taken from the session's memo:
-// the cost's bits, the materialized set, every Stats counter (DAG sizes and
-// derivations, waves, benefit recomputations) and the plan.
+// whether its DAGs were built for it or taken from the session's memo: the
+// cost's bits, the materialized set, every Stats counter (DAG sizes and
+// derivations, waves, benefit recomputations), the plan and the cost each of
+// its nodes reports.
 func memoSignature(res *Result) string {
 	st := res.Stats
 	st.OptTime, st.Phases = 0, nil
@@ -25,16 +29,32 @@ func memoSignature(res *Result) string {
 	for i, m := range res.Materialized {
 		mats[i] = m.ID
 	}
-	return fmt.Sprintf("%v cost=%x noshare=%x mats=%v stats=%+v\n%s", res.Algorithm,
-		math.Float64bits(float64(res.Cost)), math.Float64bits(float64(res.NoShareCost)), mats, st, res.Plan)
+	return fmt.Sprintf("%v cost=%x noshare=%x mats=%v stats=%+v\n%s%s", res.Algorithm,
+		math.Float64bits(float64(res.Cost)), math.Float64bits(float64(res.NoShareCost)), mats, st, res.Plan, planCosts(res.Plan))
+}
+
+// planCosts renders the cost every node of a plan reports, its bits, in
+// topological order.
+func planCosts(p *Plan) string {
+	nodes := make([]*physical.PlanNode, 0, len(p.ByNode))
+	for _, pn := range p.ByNode {
+		nodes = append(nodes, pn)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].N.Topo < nodes[j].N.Topo })
+	var b strings.Builder
+	for _, pn := range nodes {
+		fmt.Fprintf(&b, "%d:%x ", pn.N.ID, math.Float64bits(float64(pn.Cost)))
+	}
+	return b.String()
 }
 
 // TestDAGMemoMatchesFreshSession: one session optimizes each golden batch
 // under Greedy, Volcano, Volcano-RU, Volcano-SH and Greedy again — every
-// call after the first on the logical DAG the first one expanded — and each
-// Result must equal what a fresh session returns for the same call. A
-// Result handed out earlier must still print the plan it printed then: the
-// later calls' physical DAGs are their own.
+// call after the first on the logical DAG the first one expanded and the
+// physical DAG the call before it searched — and each Result must equal what
+// a fresh session returns for the same call. A Result handed out earlier
+// must still print the plan it printed then, with the costs it had then,
+// though later calls have re-costed the DAG its plan points into.
 func TestDAGMemoMatchesFreshSession(t *testing.T) {
 	tc, pc, sc := tpcd.Catalog(1), psp.Catalog(1), ssb.Catalog(1)
 	type batch struct {
@@ -61,9 +81,9 @@ func TestDAGMemoMatchesFreshSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits := dagMemoHit.Value()
+		hits, reused := dagMemoHit.Value(), physicalReused.Value()
 		var results []*Result
-		var plans []string
+		var plans, costs []string
 		for _, alg := range order {
 			res, err := opt.OptimizeBatch(ctx, b.queries, alg)
 			if err != nil {
@@ -80,15 +100,19 @@ func TestDAGMemoMatchesFreshSession(t *testing.T) {
 			if got, want := memoSignature(res), memoSignature(want); got != want {
 				t.Errorf("%s %v: the session's result differs from a fresh session's:\n%s\nwant:\n%s", b.name, alg, got, want)
 			}
-			results, plans = append(results, res), append(plans, res.Plan.String())
+			results = append(results, res)
+			plans, costs = append(plans, res.Plan.String()), append(costs, planCosts(res.Plan))
 		}
 		for i, res := range results {
-			if res.Plan.String() != plans[i] {
+			if res.Plan.String() != plans[i] || planCosts(res.Plan) != costs[i] {
 				t.Errorf("%s call %d (%v): the plan changed after later calls", b.name, i, order[i])
 			}
 		}
 		if got := dagMemoHit.Value() - hits; got != int64(len(order)-1) {
 			t.Errorf("%s: %d memo hits over %d calls, want %d", b.name, got, len(order), len(order)-1)
+		}
+		if got := physicalReused.Value() - reused; got != int64(len(order)-1) {
+			t.Errorf("%s: %d physical DAGs re-costed over %d calls, want %d", b.name, got, len(order), len(order)-1)
 		}
 		if n := len(opt.dags.byKey); n != 1 {
 			t.Errorf("%s: the session holds %d logical DAGs, want 1", b.name, n)
@@ -194,5 +218,163 @@ func TestDAGMemoConcurrentRuns(t *testing.T) {
 			t.Errorf("the session holds %d logical DAGs, want 1", n)
 		}
 		opt.Close()
+	}
+}
+
+// TestPhysicalDAGReuseConcurrent: eight goroutines share one session per
+// catalog and optimize BQ5x6, CQ5 and the four SSB flights under all four
+// algorithms, each goroutine starting at another batch and algorithm, so the
+// calls hand each composition's idle physical DAG on from one to the next and
+// overlap on it. Every Result must equal a fresh session's, bit for bit. The
+// SSB session has a database attached, and as many calls again are Runs with
+// Analyze: their executors read plans whose DAG a later call may be
+// re-costing meanwhile, and every est_cost they report must equal a fresh
+// session's (run under -race).
+func TestPhysicalDAGReuseConcurrent(t *testing.T) {
+	const sf, goroutines = 0.0005, 8
+	db := NewDB(512)
+	if err := ssb.LoadDB(db, sf, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Every task runs on its catalog's session: tpcd's tenants, psp, ssb.
+	sessions := []func() (*Optimizer, error){
+		func() (*Optimizer, error) { return Open(tpcd.TenantCatalog(1, 6)) },
+		func() (*Optimizer, error) { return Open(psp.Catalog(1)) },
+		func() (*Optimizer, error) { return Open(ssb.Catalog(sf), WithDB(db)) },
+	}
+	type task struct {
+		name    string
+		session int
+		queries []*Query
+		alg     Algorithm
+		run     bool
+	}
+	var tasks []task
+	for _, alg := range Algorithms() {
+		tasks = append(tasks, task{"BQ5x6", 0, tpcd.TenantBatch(5, 6), alg, false}, task{"CQ5", 1, psp.CQ(5), alg, false})
+		for f := 1; f <= ssb.NumFlights; f++ {
+			name := fmt.Sprintf("SSB%d", f)
+			tasks = append(tasks, task{name, 2, ssb.Flight(f), alg, false}, task{name + " run", 2, ssb.Flight(f), alg, true})
+		}
+	}
+	ctx := context.Background()
+	do := func(opt *Optimizer, tk task) (string, error) {
+		if !tk.run {
+			res, err := opt.OptimizeBatch(ctx, tk.queries, tk.alg)
+			if err != nil {
+				return "", err
+			}
+			return memoSignature(res), nil
+		}
+		res, err := opt.Run(ctx, Batch{Queries: tk.queries, Algorithm: tk.alg, Analyze: true})
+		if err != nil {
+			return "", err
+		}
+		var est strings.Builder
+		res.Exec.Profile.Visit(func(p *exec.NodeProfile) {
+			fmt.Fprintf(&est, "%d:%x ", p.Node, math.Float64bits(p.EstCost))
+		})
+		return memoSignature(res.Result) + "est_cost " + est.String(), nil
+	}
+
+	want := make([]string, len(tasks))
+	for i, tk := range tasks {
+		fresh, err := sessions[tk.session]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = do(fresh, tk); err != nil {
+			t.Fatalf("%s %v, fresh session: %v", tk.name, tk.alg, err)
+		}
+	}
+	shared := make([]*Optimizer, len(sessions))
+	for i, open := range sessions {
+		var err error
+		if shared[i], err = open(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused := physicalReused.Value()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range tasks {
+				j := (g*5 + i) % len(tasks)
+				tk := tasks[j]
+				got, err := do(shared[tk.session], tk)
+				if err != nil {
+					t.Errorf("goroutine %d, %s %v: %v", g, tk.name, tk.alg, err)
+					return
+				}
+				if got != want[j] {
+					t.Errorf("goroutine %d, %s %v: the shared session's result differs from a fresh session's:\n%s\nwant:\n%s",
+						g, tk.name, tk.alg, got, want[j])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if physicalReused.Value() == reused {
+		t.Error("no call re-costed a physical DAG another had searched")
+	}
+}
+
+// TestArmedDAGIsNotReused: the second Run of an SSB flight reads answers the
+// first stored, so the result cache armed its DAG with CacheScans. The session
+// must not keep that DAG: the next optimize-only call of the composition
+// builds one, and its plan reads nothing from the store and equals a fresh
+// session's, physical node count and all.
+func TestArmedDAGIsNotReused(t *testing.T) {
+	const sf = 0.0005
+	db := NewDB(256)
+	if err := ssb.LoadDB(db, sf, 1); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Open(ssb.Catalog(sf), WithDB(db), WithResultCache(8<<20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opt.Close()
+	ctx, queries := context.Background(), ssb.Flight(1)
+	readsStore := func(p *Plan) bool {
+		found := false
+		p.Root.Walk(func(pn *physical.PlanNode) { found = found || pn.E.Kind == physical.CacheScanOp })
+		return found
+	}
+	var hit *ExecResult
+	for i := 0; i < 2; i++ {
+		if hit, err = opt.Run(ctx, Batch{Queries: queries, Algorithm: Greedy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !readsStore(hit.Plan) {
+		t.Fatal("the second Run read nothing from the store: no DAG was armed")
+	}
+	built := physicalBuilt.Value()
+	res, err := opt.OptimizeBatch(ctx, queries, Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := physicalBuilt.Value() - built; got != 1 {
+		t.Errorf("the optimize-only call built %d physical DAGs, want 1: the armed one was kept", got)
+	}
+	if readsStore(res.Plan) {
+		t.Error("an optimize-only plan reads the store")
+	}
+	fresh, err := Open(ssb.Catalog(sf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.OptimizeBatch(ctx, queries, Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PhysNodes != want.Stats.PhysNodes {
+		t.Errorf("%d physical nodes, a fresh build has %d", res.Stats.PhysNodes, want.Stats.PhysNodes)
+	}
+	if got, want := memoSignature(res), memoSignature(want); got != want {
+		t.Errorf("the result differs from a fresh session's:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -151,10 +151,12 @@ type Result struct {
 
 // BuildDAG builds a batch's logical DAG (BuildLogical) and the physical DAG
 // over it. Every algorithm can then run on the returned DAG in turn, as in
-// the paper's implementation: Optimize resets its costing state first. A
-// caller that keeps the logical DAG instead can build a fresh physical DAG
-// over it per run (physical.Build), from any number of goroutines at once;
-// the session's memo does that.
+// the paper's implementation: Optimize resets its costing state first, and a
+// Result it returned stays valid when a later run rewrites the DAG's
+// Node.Cost, which is search scratch (the plan carries PlanNode.Cost). The
+// session's memo keeps a physical DAG per composition for exactly that: one
+// call at a time runs on it. Any number of goroutines can build physical
+// DAGs of their own over one logical DAG (physical.Build).
 func BuildDAG(cat *catalog.Catalog, model cost.Model, queries []*algebra.Tree) (*physical.DAG, error) {
 	ld, err := BuildLogical(cat, queries)
 	if err != nil {
@@ -205,18 +207,21 @@ func ClearMaterialized(pd *physical.DAG) {
 
 // Optimize runs the selected algorithm on the DAG and returns the resulting
 // plan, its estimated cost, and instrumentation. The DAG's costing state is
-// reset before the run and left reflecting the returned result.
+// reset before the run (physical.DAG.Reset, which costs nothing on a DAG
+// already in that state) and left reflecting the returned result, whose plan
+// nodes are stamped with their costs in it (PlanNode.Cost): the DAG may run
+// further optimizations, each rewriting Node.Cost, without changing what an
+// earlier Result reports.
 //
 // The context is consulted at checkpoints inside the algorithms' main
 // loops (each greedy pick, each RU query pass, each SH round); when it is
 // cancelled, Optimize returns ctx.Err() promptly and the DAG's costing
-// state is unspecified (reset it with ClearMaterialized before reuse).
+// state is unspecified (the next Optimize resets it).
 func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ClearMaterialized(pd)
-	pd.ResetCounters()
+	pd.Reset()
 	noShare := pd.TotalCost() // Volcano baseline: empty materialized set
 	start := time.Now()
 	var (
@@ -240,6 +245,9 @@ func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options)
 	if err != nil {
 		return nil, err
 	}
+	for n, pn := range res.Plan.ByNode {
+		pn.Cost = n.Cost
+	}
 	res.Algorithm = alg
 	res.NoShareCost = noShare
 	res.Stats.OptTime = time.Since(start)
@@ -252,9 +260,9 @@ func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options)
 	return res, nil
 }
 
-// optimizeVolcano is the baseline: best plan with no sharing (§3.1).
+// optimizeVolcano is the baseline: best plan with no sharing (§3.1). The
+// DAG's costing state must be the empty materialized set, fully costed.
 func optimizeVolcano(pd *physical.DAG) *Result {
-	pd.Recost()
 	return &Result{Cost: pd.TotalCost(), Plan: pd.ExtractPlan()}
 }
 

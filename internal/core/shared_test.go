@@ -99,3 +99,43 @@ func TestSharedLogicalDAGConcurrent(t *testing.T) {
 		})
 	}
 }
+
+// TestPlanCostsOutliveTheDAG: the four algorithms run on one DAG in turn, as
+// a session's calls do. Each Result's plan nodes carry the costs their nodes
+// had when it was returned, and keep them while the later runs rewrite the
+// DAG's Node.Cost under them.
+func TestPlanCostsOutliveTheDAG(t *testing.T) {
+	pd, err := BuildDAG(tpcd.Catalog(1), cost.DefaultModel(), tpcd.BatchQueries(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stamped []map[*physical.PlanNode]cost.Cost
+	for _, alg := range []Algorithm{Greedy, VolcanoRU, Volcano, VolcanoSH} {
+		res, err := Optimize(context.Background(), pd, alg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs := map[*physical.PlanNode]cost.Cost{}
+		for n, pn := range res.Plan.ByNode {
+			if pn.Cost != n.Cost {
+				t.Errorf("%v: plan node %d reports %v, its node costs %v", alg, n.ID, pn.Cost, n.Cost)
+			}
+			costs[pn] = pn.Cost
+		}
+		stamped = append(stamped, costs)
+	}
+	moved := 0
+	for i, costs := range stamped {
+		for pn, c := range costs {
+			if pn.Cost != c {
+				t.Errorf("run %d: plan node %d reports %v, %v when returned", i, pn.N.ID, pn.Cost, c)
+			}
+			if pn.N.Cost != c {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Error("no later run moved a cost an earlier plan reports")
+	}
+}

@@ -12,9 +12,8 @@ import (
 // take the consolidated best plan (a DAG because of shared choices), run a
 // subsumption prepass, then decide bottom-up which nodes to materialize
 // using the numuses⁻ underestimate, and undo unused subsumption
-// derivations.
+// derivations. The DAG's costing state must be Optimize's entry state.
 func optimizeVolcanoSH(ctx context.Context, pd *physical.DAG) (*Result, error) {
-	pd.Recost()
 	plan := physical.NewPlan()
 	plan.Root = pd.ExtractInto(plan, pd.Root)
 	total, mats, err := volcanoSHOnPlan(ctx, pd, nil, plan)

@@ -19,6 +19,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mqo/internal/algebra"
@@ -226,7 +227,8 @@ func mergeSchemas(l, r algebra.Schema) algebra.Schema {
 // schema returns g's Schema, building it first if it was left nil when g was
 // created. Every alternative of a group has the same canonical schema, so
 // the first join, select or invoke still in g stands for the one that
-// created it (unification drops such an expression only for an equal one).
+// created it (unification drops such an expression only for an equal one) —
+// but a select over g itself, which unification can leave, says nothing.
 func (g *Group) schema() algebra.Schema {
 	if g.Schema != nil {
 		return g.Schema
@@ -237,6 +239,9 @@ func (g *Group) schema() algebra.Schema {
 			g.Schema = mergeSchemas(e.Children[0].Find().schema(), e.Children[1].Find().schema())
 			return g.Schema
 		case kindSelect, kindInvoke:
+			if e.Children[0].Find() == g {
+				continue
+			}
 			g.Schema = e.Children[0].Find().schema()
 			return g.Schema
 		}
@@ -523,13 +528,27 @@ func (d *DAG) NumExprs() int {
 }
 
 // Finalize creates the pseudo-root NoOp node over all query roots and
-// returns it, builds the schemas expansion left for later, and compresses
-// every forwarding chain, leaving the DAG read-only (see DAG). Call after all
-// queries are added and Expand has run.
+// returns it, builds the schemas expansion left for later, drops every
+// expression over its own group, and compresses every forwarding chain,
+// leaving the DAG read-only (see DAG). Call after all queries are added and
+// Expand has run.
+//
+// Unification can leave a select over its own group — σp(G) in G only says
+// that G's rows satisfy p. Such an expression derives nothing, and it would
+// give the physical DAG and the sharability recurrences a cycle.
 func (d *DAG) Finalize() (*Group, error) {
 	for _, g := range d.Groups {
 		if g.forward == nil {
 			g.schema()
+			g.Exprs = slices.DeleteFunc(g.Exprs, func(e *Expr) bool {
+				if !slices.ContainsFunc(e.Children, func(c *Group) bool { return c.Find() == g }) {
+					return false
+				}
+				e.dropped = true
+				delete(d.table, e.key)
+				g.parents = slices.DeleteFunc(g.parents, func(p *Expr) bool { return p == e })
+				return true
+			})
 		}
 	}
 	roots := make([]*Group, len(d.QueryRoots))

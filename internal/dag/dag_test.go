@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -297,27 +298,106 @@ func TestDAGInvariants(t *testing.T) {
 			}
 		}
 	}
-	// Acyclicity: depth-first from root must terminate without revisiting a
-	// group on the current path.
-	var visit func(g *Group, path map[*Group]bool) bool
-	visit = func(g *Group, path map[*Group]bool) bool {
+	checkAcyclic(t, "chains", d)
+}
+
+// checkAcyclic asserts that no group of d is its own input, directly or
+// through others: depth-first from the root never meets a group on the
+// current path.
+func checkAcyclic(t *testing.T, name string, d *DAG) {
+	t.Helper()
+	const onPath, done = 1, 2
+	state := map[*Group]int{}
+	var visit func(g *Group) bool
+	visit = func(g *Group) bool {
 		g = g.Find()
-		if path[g] {
+		switch state[g] {
+		case onPath:
 			return false
+		case done:
+			return true
 		}
-		path[g] = true
-		defer delete(path, g)
+		state[g] = onPath
 		for _, e := range g.Exprs {
 			for _, c := range e.Children {
-				if !visit(c, path) {
+				if !visit(c) {
 					return false
 				}
 			}
 		}
+		state[g] = done
 		return true
 	}
-	if !visit(d.Root, map[*Group]bool{}) {
-		t.Error("DAG contains a cycle through equivalence nodes")
+	if !visit(d.Root) {
+		t.Errorf("%s: the DAG has a cycle through equivalence nodes", name)
+	}
+}
+
+// expandCapped is Expand that gives up instead of running on, after limit
+// visits or at an expression of more than limit conjuncts: a predicate that
+// grows with every merge — doubling, when it merges with itself — adds no
+// group for MaxGroups to count.
+func expandCapped(limit int) func(*DAG) error {
+	return func(d *DAG) error {
+		for visits := 0; len(d.worklist) > 0; visits++ {
+			if visits == limit {
+				return fmt.Errorf("expansion still running after %d visits", limit)
+			}
+			e := d.worklist[len(d.worklist)-1]
+			d.worklist = d.worklist[:len(d.worklist)-1]
+			if e.dropped {
+				continue
+			}
+			if len(e.pred.ids) > limit {
+				return fmt.Errorf("expansion made a predicate of %d conjuncts in group %d", len(e.pred.ids), e.Group.Find().ID)
+			}
+			if err := d.applyRules(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestRepeatedConjunctTerminates stacks selections that repeat a conjunct,
+// σ[10≤D.num](σ[20=D.num](σ[10≤D.num](…))). Beside C ⋈ σ[10≤D.num](D), a
+// group comes to hold a select over itself, and ruleSelectMerge used to
+// lengthen that select's predicate for ever: a conjunction was a multiset of
+// clauses. It is a set now, so the merge ends. A select over its own group
+// fires no rule — pushing it down into each new join of the group would make
+// a new group each time (the two single queries below) — and Finalize drops
+// it, so the DAG has no cycle.
+func TestRepeatedConjunctTerminates(t *testing.T) {
+	dn, bn := algebra.Col("D", "num"), algebra.Col("B", "num")
+	cd := algebra.JoinT(algebra.ColEq(algebra.Col("C", "fk"), algebra.Col("D", "id")), algebra.ScanT("C"), algebra.ScanT("D"))
+	bc := algebra.JoinT(algebra.ColEq(algebra.Col("B", "fk"), algebra.Col("C", "id")), algebra.ScanT("B"), algebra.ScanT("C"))
+	stack := func(col algebra.Column, in *algebra.Tree) *algebra.Tree {
+		ge := algebra.Cmp(col, algebra.GE, algebra.IntVal(10))
+		return algebra.SelectT(ge, algebra.SelectT(algebra.Cmp(col, algebra.EQ, algebra.IntVal(20)), algebra.SelectT(ge, in)))
+	}
+	for i, batch := range [][]*algebra.Tree{
+		{
+			algebra.JoinT(algebra.ColEq(algebra.Col("C", "fk"), algebra.Col("D", "id")), algebra.ScanT("C"),
+				algebra.SelectT(algebra.Cmp(dn, algebra.GE, algebra.IntVal(10)), algebra.ScanT("D"))),
+			stack(dn, algebra.SelectT(algebra.Cmp(dn, algebra.EQ, algebra.IntVal(10)), cd)),
+		},
+		{stack(bn, algebra.ScanT("B"))},
+		{stack(bn, bc)},
+	} {
+		b := identityBatch{name: fmt.Sprintf("batch %d", i), cat: testCatalog(), queries: batch}
+		d := b.buildWith(t, expandCapped(1000))
+		checkAcyclic(t, b.name, d)
+		for _, g := range d.LiveGroups() {
+			for _, e := range g.Exprs {
+				seen := map[clauseID]bool{}
+				for _, id := range e.pred.ids {
+					if seen[id] {
+						t.Errorf("%s: group %d: %s repeats a conjunct", b.name, g.ID, rendering(e))
+					}
+					seen[id] = true
+				}
+			}
+		}
 	}
 }
 

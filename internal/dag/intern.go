@@ -2,6 +2,7 @@ package dag
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"mqo/internal/algebra"
 )
@@ -46,6 +47,11 @@ type clauseID uint32
 // order, each with its interned ID beside it. Rules recombine the clauses of
 // existing expressions through it — concatenating as Predicate.And does,
 // splitting without reordering — and render nothing.
+//
+// What a rule builds is a set of clauses: a clause already there is not added
+// again, so p∧p is p. Were it a multiset, a select over its own group — which
+// unification can leave behind — would let ruleSelectMerge lengthen the
+// select's predicate for ever.
 type pred struct {
 	conj []algebra.Clause
 	ids  []clauseID
@@ -56,16 +62,21 @@ func (p pred) predicate() algebra.Predicate { return algebra.Predicate{Conj: p.c
 
 func (p *pred) reset() { p.conj, p.ids = p.conj[:0], p.ids[:0] }
 
-// add appends q's i-th conjunct.
+// add appends q's i-th conjunct unless p has it.
 func (p *pred) add(q pred, i int) {
+	if slices.Contains(p.ids, q.ids[i]) { // predicates are a few clauses long
+		return
+	}
 	p.conj = append(p.conj, q.conj[i])
 	p.ids = append(p.ids, q.ids[i])
 }
 
-// addAll appends every conjunct of q, as Predicate.And does.
+// addAll appends every conjunct of q that p does not have, as Predicate.And
+// does but for the repeats.
 func (p *pred) addAll(q pred) {
-	p.conj = append(p.conj, q.conj...)
-	p.ids = append(p.ids, q.ids...)
+	for i := range q.ids {
+		p.add(q, i)
+	}
 }
 
 // colSet is a set of columns, one bit per column in interning order.

@@ -69,6 +69,12 @@ func (d *DAG) applyRules(e *Expr) error {
 		}
 		return d.ruleJoinAssociate(e, since)
 	case kindSelect:
+		if e.Children[0].Find() == e.Group.Find() {
+			// σp(G) in G: G's rows all satisfy p already, so merging or
+			// pushing p only stacks the same filter again — and pushing it
+			// into every new join of G makes a new group each time.
+			return nil
+		}
 		if err := d.ruleSelectMerge(e, since); err != nil {
 			return err
 		}
@@ -258,9 +264,8 @@ func (d *DAG) ruleSelectPushdown(e *Expr, since uint32) error {
 			}
 			newB = be.Group.Find()
 		}
-		if newA == gA && newB == gB && len(pJoin.ids) == len(ce.pred.ids) {
-			continue // nothing pushed
-		}
+		// Nothing pushed and no clause added (each is a repeat) finds ce
+		// itself, which unifies e's group with ce's: σp(A⋈B) is A⋈B.
 		if _, err := d.insertPred(kindJoin, pJoin, []*Group{newA, newB}, e.Group, false); err != nil {
 			return err
 		}

@@ -319,7 +319,7 @@ func (b *builder) build(pn *physical.PlanNode, asConsumer bool, need colNeed) (I
 		return b.env.wrapped(it), nil
 	}
 	p := &NodeProfile{Node: pn.N.ID, Op: opName(pn, asConsumer, b.env), Mat: pn.Mat,
-		EstCost: float64(pn.N.Cost), EstRows: pn.N.LG.Rel.Rows}
+		EstCost: float64(pn.Cost), EstRows: pn.N.LG.Rel.Rows}
 	b.prof.push(p)
 	it, err := b.buildOp(pn, asConsumer, need)
 	b.prof.pop()

@@ -134,7 +134,10 @@ type Node struct {
 	gi   int32 // row of the DAG's group table; equal exactly when LG is equal
 
 	// Cost is the current computation cost of the node under the costing
-	// state (set of materialized nodes); maintained by costing.go.
+	// state (set of materialized nodes); maintained by costing.go. It is the
+	// search's scratch: every optimization run on the DAG rewrites it, and a
+	// DAG outlives the optimization it was built for (a session keeps it to
+	// run the next one on). What a plan reports is PlanNode.Cost.
 	Cost cost.Cost
 
 	// MatCost is the additional cost of materializing the node's result
@@ -180,6 +183,10 @@ type DAG struct {
 	kidSlab  []*Node
 
 	costing costState
+
+	// armed is set once the result cache has added an alternative to the DAG
+	// (ArmCacheScan, ArmInvokePartial).
+	armed bool
 
 	// Free list of reusable CostViews (AcquireView / ReleaseView). The
 	// coordinating goroutine of a search acquires and releases its workers'
@@ -553,7 +560,7 @@ func (pd *DAG) addEnforcers(n *Node) error {
 // the armed reuse natively through the ordinary min-over-implementations
 // recurrence, so hits need no special-casing in costing, extraction or the
 // what-if engine. The caller must Recost afterwards (Optimize's entry
-// reset does) before reading costs.
+// reset does) before reading costs, and the DAG is Armed from then on.
 // tier records which storage tier the spooled table lives in; the caller
 // prices scanCost at that tier's read constant (cost.Model.TierScanCost),
 // so a warm (disk-backed) hit is armed at a strictly higher per-page cost
@@ -562,6 +569,7 @@ func (pd *DAG) addEnforcers(n *Node) error {
 func (pd *DAG) ArmCacheScan(n *Node, table string, scanCost cost.Cost, tier cost.Tier) {
 	pd.addExpr(PExpr{Kind: CacheScanOp, Node: n, OpCost: scanCost,
 		Arm: &CacheArm{CacheName: table, CacheTier: tier}})
+	pd.arm()
 }
 
 // ArmInvokePartial adds a partial binding-cache hit alternative to an
@@ -580,7 +588,20 @@ func (pd *DAG) ArmInvokePartial(n *Node, le *dag.Expr, body *Node, residualWeigh
 		Kind: InvokePartial, LE: le, Node: n, OpCost: scanCost,
 		Arm: &CacheArm{BindScans: scans, ResidualBinds: residual, BindFP: bindFP},
 	}, residualWeight, body)
+	pd.arm()
 }
+
+// arm records that the result cache added an alternative: the node costs no
+// longer follow from what Build made.
+func (pd *DAG) arm() {
+	pd.armed = true
+	pd.costing.dirty = true
+}
+
+// Armed reports whether the result cache has added alternatives to the DAG.
+// They price one store generation's entries, so an armed DAG is not one to
+// run a later optimization on.
+func (pd *DAG) Armed() bool { return pd.armed }
 
 // indexable reports whether an index on col can exist for group g: either a
 // base table with a catalog index on col, or any group at all (a temporary

@@ -17,6 +17,12 @@ type costState struct {
 
 	heap nodeHeap // SetMaterialized's propagation front, empty between calls
 
+	// dirty is set by everything that can move a node's cost off what a full
+	// pass under the empty materialized set gives — a materialization, an
+	// armed alternative — and cleared by such a pass (Recost with nothing
+	// materialized). Reset skips the pass while it is clear.
+	dirty bool
+
 	// Counters for the Figure 10 / §6.3 experiments.
 	Propagations   int64 // nodes popped from the propagation heap
 	Recomputations int64 // incremental UpdateCost invocations
@@ -183,6 +189,26 @@ func (pd *DAG) Recost() {
 	for _, n := range pd.Nodes {
 		n.Cost = pd.nodeCost(nil, n)
 	}
+	pd.costing.dirty = len(pd.costing.matList) > 0
+}
+
+// Reset returns the costing state to the one Build left — nothing
+// materialized, every Node.Cost what a full pass gives then, zero counters —
+// plus whatever the result cache armed since. It runs that pass only when
+// something moved a cost since the last one: a DAG straight from Build, or
+// reset already, is left as it is. Sharable flags are left too; the greedy
+// search sets every one before it reads any.
+func (pd *DAG) Reset() {
+	cs := &pd.costing
+	for _, m := range cs.matList {
+		cs.mat[m.Topo] = false
+		pd.groups[m.gi].mats = pd.groups[m.gi].mats[:0]
+	}
+	cs.matList = cs.matList[:0]
+	if cs.dirty {
+		pd.Recost()
+	}
+	pd.ResetCounters()
 }
 
 // TotalCost is bestcost(Q, S): the cost of the best plan for the batch root
@@ -316,6 +342,7 @@ func (pd *DAG) SetMaterializedRaw(n *Node, on bool) {
 		return
 	}
 	cs.mat[n.Topo] = on
+	cs.dirty = true
 	mats := &pd.groups[n.gi].mats
 	if on {
 		*mats = append(*mats, n)

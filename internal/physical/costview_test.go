@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mqo/internal/cost"
+	"mqo/internal/tpcd"
 )
 
 // whatIfCandidates returns the nodes a greedy loop could toggle: everything
@@ -196,5 +197,59 @@ func TestCostViewDrainCounters(t *testing.T) {
 	}
 	if p2, r2 := v.DrainCounters(); p2 != 0 || r2 != 0 {
 		t.Fatalf("drain did not zero counters: %d, %d", p2, r2)
+	}
+}
+
+// TestResetRestoresBuild: whatever a search materialized, Reset returns the
+// DAG to what Build made — nothing materialized, no group with a reusable
+// member, every node's cost bit-equal to a fresh build's, zero counters. A
+// DAG already in that state is left alone, without a costing pass.
+func TestResetRestoresBuild(t *testing.T) {
+	ld := expandLogical(t, tpcd.Catalog(1), tpcd.BatchQueries(5))
+	pd, err := Build(ld, cost.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Build(ld, cost.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	asBuilt := func(what string) {
+		t.Helper()
+		for i, n := range pd.Nodes {
+			if n.Cost != fresh.Nodes[i].Cost || pd.Materialized(n) {
+				t.Fatalf("%s: node %d costs %v (materialized %v), a fresh build's %v", what, n.ID, n.Cost, pd.Materialized(n), fresh.Nodes[i].Cost)
+			}
+		}
+		for i, g := range pd.groups {
+			if len(g.mats) > 0 {
+				t.Fatalf("%s: group row %d still lists %d materialized nodes", what, i, len(g.mats))
+			}
+		}
+		if p, r := pd.Counters(); len(pd.MaterializedSet()) > 0 || p != 0 || r != 0 {
+			t.Fatalf("%s: %d materialized, counters %d/%d", what, len(pd.MaterializedSet()), p, r)
+		}
+	}
+	cands := whatIfCandidates(pd)
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 12; i++ {
+			n := cands[rng.Intn(len(cands))]
+			if round%2 == 0 {
+				pd.SetMaterialized(n, !pd.Materialized(n))
+			} else {
+				pd.SetMaterializedRaw(n, !pd.Materialized(n))
+			}
+		}
+		pd.Reset()
+		asBuilt("after toggles")
+	}
+	pd.Root.Cost++ // a pass would put it back
+	pd.Reset()
+	if pd.Root.Cost == fresh.Root.Cost {
+		t.Error("Reset of a DAG in its built state ran a costing pass")
+	}
+	if pd.Armed() || !armedDAG(t).Armed() {
+		t.Error("Armed does not tell an armed DAG from a built one")
 	}
 }

@@ -22,6 +22,11 @@ type PlanNode struct {
 	// NumParents counts distinct parent plan-node links; it is the basis
 	// of the numuses⁻ underestimate used by Volcano-SH (paper §3.2).
 	NumParents int
+
+	// Cost is N's estimated computation cost under the costing state the
+	// search left behind, stamped when the plan is returned (core.Optimize):
+	// N.Cost itself is scratch the DAG's next optimization rewrites.
+	Cost cost.Cost
 }
 
 // Plan is a consolidated evaluation plan for the batch: the root plan node

@@ -28,12 +28,15 @@ import (
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. The
 // session expands each batch composition into its logical AND-OR DAG once
-// and keeps it (dagMemo); every optimization call builds its own physical
-// DAG over that read-only one, so no two calls ever share a DAG's mutable
-// costing state. The plan cache is mutex-guarded, and concurrent plan
-// executions proceed in parallel on the attached database, each in a private
-// temp-table namespace. Plan-cache hits hand each caller a defensive copy
-// whose shared plan nodes must be treated as read-only.
+// and keeps it (dagMemo), with the physical DAG over it that the last call
+// searched: the next call re-costs that one instead of building another. A
+// call owns the physical DAG it searches, so no two calls ever share a DAG's
+// mutable costing state (Node.Cost and the materialized set are search
+// scratch; a Result's plan carries its costs). The plan cache is
+// mutex-guarded, and concurrent plan executions proceed in parallel on the
+// attached database, each in a private temp-table namespace. Plan-cache hits
+// hand each caller a defensive copy whose shared plan nodes must be treated
+// as read-only.
 type Optimizer struct {
 	cat   *catalog.Catalog
 	model cost.Model
@@ -251,11 +254,12 @@ func (o *Optimizer) parseSQLTimed(sqlText string) ([]*Query, server.PhaseTimes, 
 }
 
 // OptimizeBatch optimizes a batch of algebra queries with the selected
-// algorithm. The batch's physical DAG is built fresh for the call, over the
-// logical DAG the session expanded the first time it saw these trees (or the
-// whole Result is served from the plan cache when enabled), so concurrent
-// calls never interfere. A cancelled context aborts the optimization
-// promptly with ctx.Err().
+// algorithm. The call searches a physical DAG of its own — the one an
+// earlier call on these trees left idle, or one built over the logical DAG
+// the session expanded the first time it saw them — or the whole Result is
+// served from the plan cache when enabled, so concurrent calls never
+// interfere. A cancelled context aborts the optimization promptly with
+// ctx.Err().
 func (o *Optimizer) OptimizeBatch(ctx context.Context, queries []*Query, alg Algorithm) (*Result, error) {
 	res, _, _, err := o.planBatch(ctx, nil, queries, alg, nil, &execMeta{})
 	return res, err
@@ -342,10 +346,10 @@ type execMeta struct {
 }
 
 // planBatch is the one optimize sequence behind OptimizeBatch, Run and the
-// batching service: key → plan-cache probe → and on a miss only, logical DAG
-// from the memo → physical DAG → arm → optimize → spools → put. The key is
-// rendered from the queries as the caller sent them, so a hit builds no DAG
-// at all, and its trees part keys the memo. rc is the
+// batching service: key → plan-cache probe → and on a miss only, physical DAG
+// checked out of the memo → arm → optimize → spools → DAG checked back in →
+// put. The key is rendered from the queries as the caller sent them, so a hit
+// touches no DAG at all, and its trees part keys the memo. rc is the
 // result-cache store to plan against, nil for optimize-only calls and
 // cache-less sessions; a nil store yields a nil ticket, which arms, admits
 // and pins nothing. The optimize and spool phase times and the plan-cache
@@ -370,7 +374,7 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 			return res, ticket, nil, nil
 		}
 	}
-	pd, err := o.buildDAG(trees, queries)
+	ent, pd, err := o.dags.checkout(o.cat, o.model, trees, queries)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -385,8 +389,9 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 	}
 	meta.Phases.Optimize = time.Since(start)
 	spoolStart := time.Now()
-	spools := ticket.PlanSpools(res.Plan)
+	spools := ticket.PlanSpools(res.Plan) // reads Node.Cost
 	meta.Phases.Spool = time.Since(spoolStart)
+	o.dags.checkin(ent, pd)
 	if o.cache != nil && len(spools) == 0 && len(ticket.BindingSpools()) == 0 {
 		// Nothing newly spooled: the plan is reusable — at this generation
 		// if it computes anything, at any if it only reads stored answers.
@@ -398,16 +403,6 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 		res = cloneResult(res)
 	}
 	return res, ticket, spools, nil
-}
-
-// buildDAG returns a fresh physical DAG for queries, whose tree key is trees,
-// over the session's logical DAG of them.
-func (o *Optimizer) buildDAG(trees string, queries []*Query) (*physical.DAG, error) {
-	ld, err := o.dags.logical(o.cat, trees, queries)
-	if err != nil {
-		return nil, err
-	}
-	return physical.Build(ld, o.model)
 }
 
 // planStoredAlone gives every query whose answer the batch's plan reads
@@ -429,7 +424,7 @@ func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg A
 		if found, _ := o.cache.peek(key); found {
 			continue
 		}
-		pd, err := o.buildDAG(trees, alone)
+		ent, pd, err := o.dags.checkout(o.cat, o.model, trees, alone)
 		if err != nil {
 			return
 		}
@@ -441,6 +436,7 @@ func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg A
 		if err != nil {
 			return
 		}
+		o.dags.checkin(ent, pd)
 		if readsOnlyStored(res.Plan) {
 			o.cache.put(key, res, rc, gen)
 		}
