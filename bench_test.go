@@ -172,8 +172,10 @@ func BenchmarkOptimizeAllAlgorithms(b *testing.B) {
 
 // BenchmarkHotSubmit measures one Submit whose whole answer the result cache
 // already holds — SSB Q1.1 at SF 0.0005, answered three times beforehand so
-// it is computed, read back and its stored-answer plan cached: parse, lower,
-// plan-cache key and hit, pin, a one-row cache-table scan, commit. MaxBatch 1
+// it is computed, read back and its stored-answer plan cached. Only the first
+// of those parses and lowers the text; a timed Submit finds it compiled, so
+// what it measures is the plan-cache key and hit, pin, a one-row cache-table
+// scan and commit. MaxBatch 1
 // keeps the batching window's timer out of the figure on either side of a
 // comparison. The figures to read are ns/op, B/op and allocs/op.
 func BenchmarkHotSubmit(b *testing.B) {

@@ -229,7 +229,8 @@ func TestSSBWorkload(t *testing.T) {
 // GET /metrics and asserts the output is Prometheus-parseable and covers
 // every subsystem: optimizer phases, executor operators, the result cache
 // and the batcher's latency quantiles. It also checks the per-phase timing
-// breakdown surfaces in both the per-query batch report and GET /stats.
+// breakdown surfaces in both the per-query batch report and GET /stats, and
+// that only a text's first request parses it.
 // The name keeps it under CI's dedicated `-run 'TestEndToEnd'` e2e step.
 func TestEndToEndMetrics(t *testing.T) {
 	const maxWait = 50 * time.Millisecond
@@ -244,6 +245,8 @@ func TestEndToEndMetrics(t *testing.T) {
 	defer svc.Close()
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
+	stmtHits, stmtMisses := `mqo_sql_statement_total{outcome="hit"}`, `mqo_sql_statement_total{outcome="miss"}`
+	before := scrape(t, ts.URL)
 
 	// Each query arrives alone three times: computed and spooled, read back
 	// from the store by a plan that is then cached, and — the service having
@@ -261,8 +264,12 @@ func TestEndToEndMetrics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Batch.Phases.ParseNS <= 0 || r.Batch.Phases.OptimizeNS <= 0 || r.Batch.Phases.ExecuteNS <= 0 {
-				t.Errorf("batch phases %+v: want parse/optimize/execute all > 0", r.Batch.Phases)
+			if r.Batch.Phases.OptimizeNS <= 0 || r.Batch.Phases.ExecuteNS <= 0 {
+				t.Errorf("batch phases %+v: want optimize/execute > 0", r.Batch.Phases)
+			}
+			// The session compiles a text once: later requests parse nothing.
+			if parsed := r.Batch.Phases.ParseNS > 0 || r.Batch.Phases.LowerNS > 0; parsed != (round == 1) {
+				t.Errorf("round %d: batch phases %+v, want parse time only in round 1", round, r.Batch.Phases)
 			}
 			if stored := round == 3; r.Batch.Stored != stored || stored != (r.Batch.WaitNS < int64(maxWait)) {
 				t.Errorf("round %d: stored=%v after a wait of %v, want stored=%v", round, r.Batch.Stored, time.Duration(r.Batch.WaitNS), stored)
@@ -270,19 +277,15 @@ func TestEndToEndMetrics(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	text := scrape(t, ts.URL)
+	for _, c := range []struct {
+		series string
+		want   float64
+	}{{stmtMisses, 2}, {stmtHits, 4}} {
+		if got := sample(t, text, c.series) - sample(t, before, c.series); got != c.want {
+			t.Errorf("%s moved by %v over three rounds of two texts, want %v", c.series, got, c.want)
+		}
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type %q, want text/plain", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
 
 	// Required coverage: one representative series per subsystem.
 	for _, want := range []string{
@@ -358,6 +361,40 @@ func TestEndToEndMetrics(t *testing.T) {
 	if stats.PhaseSeconds["execute"] <= 0 || stats.PhaseSeconds["optimize"] <= 0 {
 		t.Errorf("stats phase_seconds %v: want optimize and execute > 0", stats.PhaseSeconds)
 	}
+}
+
+// scrape returns the server's GET /metrics text.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("content type %q, want text/plain", ct)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// sample returns the value of one series in a /metrics text.
+func sample(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", series)
+	return 0
 }
 
 // TestBadRequests covers the HTTP error paths.

@@ -29,10 +29,10 @@ var (
 	physicalBuilt  = obs.Default().Counter("mqo_physical_dag_total", "Batch optimizations by whether they re-costed an idle physical DAG the session kept or built one.", obs.L("outcome", "built"))
 )
 
-// dagMemo is a session's LRU of batch compositions, keyed by the batch's trees
-// as written (treesKey): the part of the plan-cache key that says what is
-// optimized, without how. Per composition it keeps the finalized logical DAG
-// and at most one idle physical DAG over it.
+// dagMemo is a session's LRU of batch compositions, keyed by the batch's
+// trees as written (stmtCache.treesKey): the part of the plan-cache key that
+// says what is optimized, without how. Per composition it keeps the finalized
+// logical DAG and at most one idle physical DAG over it.
 //
 // A logical DAG depends on nothing else — the trees and the session's catalog
 // — so every later optimization of the same composition, under any algorithm,

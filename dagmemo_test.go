@@ -160,7 +160,7 @@ func TestDAGMemoIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := dagMemoHit.Value() - hits; got != c.hits {
-			t.Errorf("composition %q: %d memo hits, want %d", treesKey(c.qs), got, c.hits)
+			t.Errorf("composition %q: %d memo hits, want %d", opt.stmts.treesKey(c.qs), got, c.hits)
 		}
 	}
 	if n := len(opt.dags.byKey); n != dagMemoCap {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"mqo/internal/algebra"
@@ -320,6 +321,40 @@ func metricOp(op string) string {
 	return op
 }
 
+// opMetrics is one operator's series on the registry.
+type opMetrics struct {
+	rows, pages *obs.Counter
+	seconds     *obs.FloatCounter
+}
+
+// opSeries holds each operator's series once it has been registered, by
+// metricOp name, so a run looks them up without the registry's lock.
+var opSeries = struct {
+	mu   sync.RWMutex
+	byOp map[string]*opMetrics
+}{byOp: map[string]*opMetrics{}}
+
+// operatorMetrics returns op's series, registering them the first time op
+// runs.
+func operatorMetrics(op string) *opMetrics {
+	opSeries.mu.RLock()
+	m := opSeries.byOp[op]
+	opSeries.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	reg := obs.Default()
+	m = &opMetrics{
+		rows:    reg.Counter("mqo_exec_operator_rows_total", "Rows emitted by executor operators.", obs.L("op", op)),
+		pages:   reg.Counter("mqo_exec_operator_pages_total", "Inclusive page misses by executor operators.", obs.L("op", op)),
+		seconds: reg.FloatCounter("mqo_exec_operator_seconds_total", "Inclusive wall seconds by executor operators.", obs.L("op", op)),
+	}
+	opSeries.mu.Lock()
+	opSeries.byOp[op] = m
+	opSeries.mu.Unlock()
+	return m
+}
+
 // recordRunMetrics exports a completed run — and, when profiled, its
 // per-operator totals — to the registry.
 func recordRunMetrics(stats *RunStats) {
@@ -332,12 +367,11 @@ func recordRunMetrics(stats *RunStats) {
 	if stats.Profile == nil {
 		return
 	}
-	reg := obs.Default()
 	stats.Profile.Visit(func(p *NodeProfile) {
-		op := metricOp(p.Op)
-		reg.Counter("mqo_exec_operator_rows_total", "Rows emitted by executor operators.", obs.L("op", op)).Add(p.Rows)
-		reg.Counter("mqo_exec_operator_pages_total", "Inclusive page misses by executor operators.", obs.L("op", op)).Add(p.Pages)
-		reg.FloatCounter("mqo_exec_operator_seconds_total", "Inclusive wall seconds by executor operators.", obs.L("op", op)).Add(p.Wall.Seconds())
+		m := operatorMetrics(metricOp(p.Op))
+		m.rows.Add(p.Rows)
+		m.pages.Add(p.Pages)
+		m.seconds.Add(p.Wall.Seconds())
 	})
 }
 

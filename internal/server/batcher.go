@@ -7,8 +7,9 @@
 // the two: a submission joins the currently open batching window, the
 // window flushes when it fills (MaxBatch) or ages out (MaxWait), the
 // coalesced batch runs through one optimize+execute pass, and each waiter
-// receives exactly its own query's rows. A worker-pool semaphore lets the
-// next window's optimization overlap the previous window's execution.
+// receives exactly its own query's rows. A fixed pool of workers takes
+// flushed batches off a queue, so the next window's optimization overlaps
+// the previous window's execution.
 //
 // A window exists to find sharing partners. A query whose whole answer is
 // already stored has nothing to share, so it skips the window
@@ -40,9 +41,8 @@ type Config struct {
 	// MaxWait is the longest the first query of a window waits before the
 	// window flushes regardless of size (default 2ms).
 	MaxWait time.Duration
-	// Workers bounds how many batches may be in flight at once (default
-	// 2: one optimizing while another executes; execution itself
-	// serializes on the database's run lock).
+	// Workers is how many worker goroutines run batches, so how many may be
+	// in flight at once (default 2: one optimizing while another executes).
 	Workers int
 }
 
@@ -66,7 +66,7 @@ func (cfg Config) Normalize() Config {
 // rode in.
 type PhaseTimes struct {
 	// Parse is SQL lexing+parsing; Lower is algebra lowering against the
-	// catalog.
+	// catalog. Both are zero for a text the session had compiled already.
 	Parse time.Duration `json:"parse_ns"`
 	Lower time.Duration `json:"lower_ns"`
 	// Optimize covers the plan-cache lookup and, on a miss, DAG construction
@@ -195,14 +195,18 @@ type outcome struct {
 	err  error
 }
 
-// Batcher coalesces Submit calls into batches and runs them on a bounded
-// worker pool. It keeps no background goroutine while idle: the only
-// goroutines are the per-window flush timer and in-flight batch runs.
+// Batcher coalesces Submit calls into batches and runs them on Config.Workers
+// long-lived worker goroutines, started by NewBatcher and stopped by Close. A
+// worker keeps the stack a batch grew, so the next batch does not grow one
+// again. Besides the workers, the only goroutines are the per-window flush
+// timer and, per running batch, one that cancels it once every waiter has
+// gone.
 //
 // The mutex guards only the batching window (pending, timer, generation,
-// closed); all accounting is registry-backed lock-free atomics, so the
-// serving hot path never serializes batch completions on a stats lock and
-// a /stats or /metrics scrape never blocks a flush.
+// closed) and the queue of flushed batches; nothing blocks while holding it.
+// All accounting is registry-backed lock-free atomics, so the serving hot
+// path never serializes batch completions on a stats lock and a /stats or
+// /metrics scrape never blocks a flush.
 type Batcher struct {
 	cfg Config
 	run Runner
@@ -212,6 +216,8 @@ type Batcher struct {
 	timer   *time.Timer // flush timer of the open window, nil when none
 	winGen  int64       // bumped on every flush; stale timers check it
 	closed  bool
+	queue   []job      // flushed batches no worker has taken yet, oldest first
+	ready   *sync.Cond // on mu: the queue grew, or the batcher closed
 
 	seq atomic.Int64
 
@@ -234,8 +240,15 @@ type Batcher struct {
 	batchSizeH    *obs.Histogram
 	batchSeconds  *obs.Histogram
 
-	sem chan struct{}  // worker slots
-	wg  sync.WaitGroup // in-flight batch runs
+	workers sync.WaitGroup
+}
+
+// job is one batch waiting for a worker: a flushed window, or one query that
+// skipped it (stored).
+type job struct {
+	batch   []*request
+	stored  bool
+	flushed time.Time // the batching wait ends here; queue+run time is Exec's
 }
 
 // NewBatcher creates a batcher over the given runner. Its counters are
@@ -244,10 +257,9 @@ type Batcher struct {
 func NewBatcher(cfg Config, run Runner) *Batcher {
 	cfg = cfg.Normalize()
 	reg := obs.Default()
-	return &Batcher{
+	b := &Batcher{
 		cfg: cfg,
 		run: run,
-		sem: make(chan struct{}, cfg.Workers),
 
 		submitted:     reg.RegisterCounter("mqo_server_submitted_total", "Queries accepted by Submit.", &obs.Counter{}),
 		batches:       reg.RegisterCounter("mqo_server_batches_total", "Coalesced batches executed.", &obs.Counter{}),
@@ -267,6 +279,12 @@ func NewBatcher(cfg Config, run Runner) *Batcher {
 		batchSizeH:    reg.RegisterHistogram("mqo_server_batch_size", "Executed batch sizes (queries per batch).", &obs.Histogram{}),
 		batchSeconds:  reg.RegisterHistogram("mqo_server_batch_seconds", "Batch latency from window flush to results demuxed.", &obs.Histogram{}),
 	}
+	b.ready = sync.NewCond(&b.mu)
+	b.workers.Add(cfg.Workers)
+	for range cfg.Workers {
+		go b.work()
+	}
+	return b
 }
 
 // Submit enqueues one query and blocks until its batch has run (returning
@@ -278,9 +296,9 @@ func (b *Batcher) Submit(ctx context.Context, q *algebra.Tree) (*Response, error
 }
 
 // SubmitStored is Submit for a query the caller knows to have its whole
-// answer stored: it joins no window and runs at once as a batch of one — on
-// a worker slot, counted like any batch, waited for by Close and refused
-// after it.
+// answer stored: it joins no window and goes straight to the workers' queue
+// as a batch of one — counted like any batch, waited for by Close and
+// refused after it.
 func (b *Batcher) SubmitStored(ctx context.Context, q *algebra.Tree) (*Response, error) {
 	return b.submit(ctx, q, true)
 }
@@ -298,8 +316,7 @@ func (b *Batcher) submit(ctx context.Context, q *algebra.Tree, stored bool) (*Re
 	}
 	b.submitted.Inc()
 	if stored {
-		b.wg.Add(1)
-		go b.runBatch([]*request{req}, true)
+		b.dispatchLocked([]*request{req}, true)
 	} else {
 		b.enqueueLocked(req)
 	}
@@ -356,19 +373,41 @@ func (b *Batcher) flushLocked() {
 	if len(batch) == 0 {
 		return
 	}
-	b.wg.Add(1)
-	go b.runBatch(batch, false)
+	b.dispatchLocked(batch, false)
+}
+
+// dispatchLocked queues a batch for the workers. Callers hold b.mu.
+func (b *Batcher) dispatchLocked(batch []*request, stored bool) {
+	b.queue = append(b.queue, job{batch: batch, stored: stored, flushed: time.Now()})
+	b.ready.Signal()
+}
+
+// work is one worker: it runs queued batches, oldest first, until the
+// batcher is closed and the queue is empty.
+func (b *Batcher) work() {
+	defer b.workers.Done()
+	b.mu.Lock()
+	for {
+		for len(b.queue) == 0 && !b.closed {
+			b.ready.Wait()
+		}
+		if len(b.queue) == 0 {
+			b.mu.Unlock()
+			return
+		}
+		j := b.queue[0]
+		b.queue[0] = job{}
+		b.queue = b.queue[1:]
+		b.mu.Unlock()
+		b.runBatch(j.batch, j.stored, j.flushed)
+		b.mu.Lock()
+	}
 }
 
 // runBatch executes one flushed batch — or, stored set, one query that
-// skipped the window — on a worker slot and demultiplexes per-query results
-// back to the waiters.
-func (b *Batcher) runBatch(batch []*request, stored bool) {
-	defer b.wg.Done()
-	flushed := time.Now() // batching wait ends here; queue+run time is Exec's
-	b.sem <- struct{}{}
-	defer func() { <-b.sem }()
-
+// skipped the window — and demultiplexes per-query results back to the
+// waiters.
+func (b *Batcher) runBatch(batch []*request, stored bool, flushed time.Time) {
 	// Drop requests whose waiter already gave up; they have stopped
 	// listening, and optimizing their query helps no one.
 	live := batch[:0]
@@ -506,14 +545,16 @@ func (b *Batcher) Stats() Stats {
 	}
 }
 
-// Close flushes the open window, waits for in-flight batches, and makes
-// further Submits fail with ErrClosed. Close is idempotent.
+// Close flushes the open window, waits for every queued and in-flight
+// batch, stops the workers, and makes further Submits fail with ErrClosed.
+// Close is idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if !b.closed {
 		b.closed = true
 		b.flushLocked()
+		b.ready.Broadcast()
 	}
 	b.mu.Unlock()
-	b.wg.Wait()
+	b.workers.Wait()
 }

@@ -155,6 +155,9 @@ type BufferPool struct {
 	reads  atomic.Int64
 	writes atomic.Int64
 	hits   atomic.Int64
+	// dirty counts resident dirty frames, so Flush can tell without a walk
+	// that it has nothing to write.
+	dirty atomic.Int64
 }
 
 // NewBufferPool creates a pool holding up to capacity pages (at least 8),
@@ -197,7 +200,10 @@ func (bp *BufferPool) access(id PageID, fn func(data []byte) error, write bool) 
 	if err := fn(f.data); err != nil {
 		return err
 	}
-	f.dirty = f.dirty || write
+	if write && !f.dirty {
+		f.dirty = true
+		bp.dirty.Add(1)
+	}
 	return nil
 }
 
@@ -218,6 +224,7 @@ func (bp *BufferPool) AllocateWith(init func(data []byte)) (PageID, error) {
 	// what a recycled frame held would otherwise reach the backing store.
 	clear(f.data)
 	f.id, f.dirty = id, true
+	bp.dirty.Add(1)
 	// Allocation faults count as reads, matching the original pool's
 	// accounting (the paper's cost model charges first-touch I/O); the
 	// calibration constants and bench gates are built on these counters.
@@ -230,8 +237,12 @@ func (bp *BufferPool) AllocateWith(init func(data []byte)) (PageID, error) {
 	return id, nil
 }
 
-// Flush writes back all dirty pages.
+// Flush writes back all dirty pages. With none, it returns without taking a
+// shard lock.
 func (bp *BufferPool) Flush() error {
+	if bp.dirty.Load() == 0 {
+		return nil
+	}
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
@@ -243,6 +254,7 @@ func (bp *BufferPool) Flush() error {
 				}
 				bp.writes.Add(1)
 				f.dirty = false
+				bp.dirty.Add(-1)
 			}
 		}
 		s.mu.Unlock()
@@ -307,6 +319,7 @@ func (bp *BufferPool) freeFrameLocked(s *poolShard) (*frame, error) {
 		}
 		bp.writes.Add(1)
 		victim.dirty = false
+		bp.dirty.Add(-1)
 	}
 	s.unlink(victim)
 	delete(s.frames, victim.id)

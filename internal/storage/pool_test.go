@@ -237,3 +237,86 @@ func TestScanAllocatesNoFrames(t *testing.T) {
 		t.Errorf("%d scans faulted %d pages, want every one of %d each time", scans, got, pages)
 	}
 }
+
+// TestDirtyCountMatchesFrames: the pool's count of dirty frames follows every
+// change of a frame's dirty bit — allocation, update, a failed update,
+// eviction's write-back and Flush — so a Flush that finds the count at zero
+// may skip its walk, and one that does not writes exactly the dirty pages.
+func TestDirtyCountMatchesFrames(t *testing.T) {
+	bp := NewBufferPool(NewPager(), 16) // two frames per shard
+	check := func(when string, wantDirty int64) {
+		t.Helper()
+		n := int64(0)
+		for i := range bp.shards {
+			s := &bp.shards[i]
+			s.mu.Lock()
+			for _, f := range s.frames {
+				if f.dirty {
+					n++
+				}
+			}
+			s.mu.Unlock()
+		}
+		if got := bp.dirty.Load(); got != n || n != wantDirty {
+			t.Errorf("%s: count %d, %d frames dirty, want %d", when, got, n, wantDirty)
+		}
+	}
+	flush := func(when string, wantWrites int64) {
+		t.Helper()
+		before := bp.Stats().Writes
+		if err := bp.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := bp.Stats().Writes - before; got != wantWrites {
+			t.Errorf("%s: Flush wrote %d pages, want %d", when, got, wantWrites)
+		}
+		check(when+", flushed", 0)
+	}
+	var ids []PageID
+	for range 8 {
+		id, err := bp.AllocateWith(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	check("8 allocated", 8)
+	flush("8 allocated", 8)
+	flush("clean", 0)
+
+	touch := func(data []byte) error { data[0]++; return nil }
+	for _, id := range ids[:3] {
+		if err := bp.Update(id, touch); err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.Update(id, touch); err != nil { // dirty already
+			t.Fatal(err)
+		}
+		if err := bp.View(id, func([]byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bp.Update(ids[3], func([]byte) error { return fmt.Errorf("no") }); err == nil {
+		t.Fatal("a failing update succeeded")
+	}
+	check("3 updated", 3)
+	flush("3 updated", 3)
+
+	// Sixteen more pages evict the first eight, dirty ones written back.
+	for _, id := range ids[:4] {
+		if err := bp.Update(id, touch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := bp.Stats().Writes
+	for range 16 {
+		if _, err := bp.AllocateWith(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := bp.Stats().Writes - before; got != 4 {
+		t.Errorf("evicting 4 dirty pages wrote %d", got)
+	}
+	check("after eviction", 16)
+	flush("after eviction", 16)
+}

@@ -3,8 +3,9 @@ package mqo
 import "mqo/internal/obs"
 
 // Serving-phase latency histograms on the default registry: one series per
-// phase of the Submit path. Parse and lower are observed per query (they
-// happen before batching); optimize, execute and spool once per batch.
+// phase of the Submit path. Parse and lower are observed per text the session
+// compiles (before batching; a text it holds compiled observes neither);
+// optimize, execute and spool once per batch.
 // BatchInfo.Phases carries the same breakdown per answer, and GET /stats
 // reports the cumulative per-phase seconds.
 var (

@@ -27,9 +27,13 @@ import (
 // plans.
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. The
-// session expands each batch composition into its logical AND-OR DAG once
-// and keeps it (dagMemo), with the physical DAG over it that the last call
-// searched: the next call re-costs that one instead of building another. A
+// session compiles each SQL text it is sent (Submit, Run, OptimizeSQL) once
+// and keeps the lowered queries (stmtCache); it expands each batch
+// composition into its logical AND-OR DAG once and keeps it (dagMemo), with
+// the physical DAG over it that the last call searched: the next call
+// re-costs that one instead of building another. Both rest on one rule: a
+// query's tree is never written after lowering, so calls share trees — and a
+// batching window that got one text twice holds the same *Query twice. A
 // call owns the physical DAG it searches, so no two calls ever share a DAG's
 // mutable costing state (Node.Cost and the materialized set are search
 // scratch; a Result's plan carries its costs). The plan cache is
@@ -43,6 +47,7 @@ type Optimizer struct {
 	opts  core.Options
 	db    *storage.DB
 	cache *planCache
+	stmts stmtCache
 	dags  dagMemo
 
 	// keyPrefix is the "algorithm|options|" head of a plan-cache key, by
@@ -235,7 +240,9 @@ func (o *Optimizer) DB() *DB { return o.db }
 func (o *Optimizer) ParseAlgorithm(name string) (Algorithm, error) { return ParseAlgorithm(name) }
 
 // ParseSQL parses a semicolon-separated batch of SELECT statements against
-// the session catalog into algebra queries.
+// the session catalog into algebra queries. The trees are the caller's to
+// change: ParseSQL parses the text afresh every time, and the session never
+// holds on to what it returns.
 func (o *Optimizer) ParseSQL(sqlText string) ([]*Query, error) {
 	queries, _, err := o.parseSQLTimed(sqlText)
 	return queries, err
@@ -266,9 +273,9 @@ func (o *Optimizer) OptimizeBatch(ctx context.Context, queries []*Query, alg Alg
 }
 
 // OptimizeSQL parses a semicolon-separated SQL batch and optimizes it; see
-// OptimizeBatch.
+// OptimizeBatch. A text the session has compiled before is not parsed again.
 func (o *Optimizer) OptimizeSQL(ctx context.Context, sqlText string, alg Algorithm) (*Result, error) {
-	queries, err := o.ParseSQL(sqlText)
+	queries, _, err := o.compile(sqlText)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +286,7 @@ func (o *Optimizer) OptimizeSQL(ctx context.Context, sqlText string, alg Algorit
 // of SQL and Queries must be set; setting both (or neither) is an error.
 type Batch struct {
 	// SQL is a semicolon-separated batch of SELECT statements, parsed
-	// against the session catalog.
+	// against the session catalog the first time the session sees the text.
 	SQL string
 	// Queries is the batch in algebra form.
 	Queries []*Query
@@ -321,7 +328,7 @@ func (o *Optimizer) Run(ctx context.Context, batch Batch) (*ExecResult, error) {
 	queries := batch.Queries
 	if len(queries) == 0 && batch.SQL != "" {
 		var err error
-		if queries, err = o.ParseSQL(batch.SQL); err != nil {
+		if queries, _, err = o.compile(batch.SQL); err != nil {
 			return nil, err
 		}
 	}
@@ -364,7 +371,7 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 		return nil, nil, nil, err
 	}
 	start := time.Now()
-	trees := treesKey(queries)
+	trees := o.stmts.treesKey(queries)
 	var key string
 	if o.cache != nil {
 		key = o.batchKey(trees, alg, rc != nil, paramSets)
@@ -419,7 +426,7 @@ func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg A
 			continue
 		}
 		alone := queries[i : i+1]
-		trees := treesKey(alone)
+		trees := o.stmts.treesKey(alone)
 		key := o.batchKey(trees, alg, true, nil)
 		if found, _ := o.cache.peek(key); found {
 			continue
@@ -494,7 +501,10 @@ func (o *Optimizer) runOnDB(ctx context.Context, queries []*Query, alg Algorithm
 // WithBatching). Unlike Run — which executes the caller's batch alone —
 // Submit coalesces concurrent callers' queries into one MQO batch, so
 // independent requests share work. Requires WithDB. Blocks until the
-// batch has run or ctx is done.
+// batch has run or ctx is done. A text the session has compiled before is
+// neither parsed nor lowered again: every Submit of it hands the service the
+// same tree, which nothing writes after lowering, so one window can hold the
+// same *Query twice (see Service.Submit).
 func (o *Optimizer) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 	o.svcOnce.Do(func() { o.svc, o.svcErr = Serve(o, o.svcCfg) })
 	if o.svcErr != nil {
@@ -512,24 +522,13 @@ func (o *Optimizer) CacheStats() CacheStats {
 	return o.cache.stats()
 }
 
-// treesKey renders each query's tree as written, in batch order: equal trees,
-// equal key. The key does not see through equivalences the way the DAG's
-// canonical fingerprints do. It keys the session's logical DAGs, and is the
-// middle of the plan-cache key.
-func treesKey(queries []*Query) string {
-	fps := make([]string, len(queries))
-	for i, q := range queries {
-		fps[i] = q.Fingerprint()
-	}
-	return strings.Join(fps, ";") // one query's is its fingerprint, uncopied
-}
-
 // batchKey renders the plan-cache key of a batch from what the caller sent,
 // before any DAG exists: how the batch is optimized (algorithm and options),
-// its trees (treesKey), whether it is planned against a result-cache store —
-// an optimize-only call and an executed batch never share a plan — and the
-// concrete parameter bindings: a parameterized plan depends on which bindings
-// were armed, so the same SQL with different ParamSets must not share one.
+// its trees (stmtCache.treesKey), whether it is planned against a
+// result-cache store — an optimize-only call and an executed batch never
+// share a plan — and the concrete parameter bindings: a parameterized plan
+// depends on which bindings were armed, so the same SQL with different
+// ParamSets must not share one.
 func (o *Optimizer) batchKey(trees string, alg Algorithm, stored bool, paramSets []map[string]algebra.Value) string {
 	prefix, ok := o.keyPrefix[alg]
 	if !ok { // no such algorithm: Optimize will say so

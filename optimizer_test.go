@@ -198,15 +198,15 @@ func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	trees := queries[0].Fingerprint() + ";" + queries[1].Fingerprint()
-	if got := treesKey(queries); got != trees {
+	if got := opt.stmts.treesKey(queries); got != trees {
 		t.Errorf("trees key %q, want %q", got, trees)
 	}
 	for _, alg := range append(Algorithms(), Algorithm(-1), Algorithm(len(Algorithms()))) {
 		want := fmt.Sprintf("%v|%+v|%s", alg, opts, trees)
-		if got := opt.batchKey(treesKey(queries), alg, false, nil); got != want {
+		if got := opt.batchKey(opt.stmts.treesKey(queries), alg, false, nil); got != want {
 			t.Errorf("%v: key %q, want %q", alg, got, want)
 		}
-		if got := opt.batchKey(treesKey(again), alg, false, nil); got != want {
+		if got := opt.batchKey(opt.stmts.treesKey(again), alg, false, nil); got != want {
 			t.Errorf("%v: the same text parsed again: key %q, want %q", alg, got, want)
 		}
 	}

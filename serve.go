@@ -125,8 +125,14 @@ func Serve(o *Optimizer, cfg BatchingOptions) (*Service, error) {
 // caller that gives up (ctx cancelled) does not fail the batch for the
 // other waiters. Parameterized queries are not supported through Submit —
 // use Run, which executes the caller's batch alone with its ParamSets.
+//
+// The session compiles each text once (stmtCache): a repeated text skips
+// parsing, lowering and rendering its plan-cache key, and its answer reports
+// no parse or lower time. Every Submit of one text therefore carries the same
+// tree — nothing writes to a tree after lowering — and two of them landing in
+// one window make a batch that holds the same *Query twice.
 func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
-	queries, pt, err := s.opt.parseSQLTimed(sqlText)
+	queries, pt, err := s.opt.compile(sqlText)
 	if err != nil {
 		return nil, err
 	}
@@ -138,8 +144,9 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 		return nil, err
 	}
 	// Parse and lower happened on this goroutine, before the query joined
-	// its batching window; the Answer's batch copy is private to this
-	// waiter, so the per-query phases patch in here.
+	// its batching window — or not at all, for a text compiled before; the
+	// Answer's batch copy is private to this waiter, so the per-query phases
+	// patch in here.
 	ans.Batch.Phases.Parse = pt.Parse
 	ans.Batch.Phases.Lower = pt.Lower
 	return ans, nil
@@ -152,7 +159,7 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 // the session plan cache already holds a plan for q on its own that only
 // reads the stored answer, q skips the window and runs at once as a batch of
 // one — through the same plan-cache hit, pin, execute and commit as any
-// batch, on the same worker slots (BatchInfo.Stored, ServiceStats.Stored).
+// batch, on the same workers (BatchInfo.Stored, ServiceStats.Stored).
 // Asking is a peek, neither a hit nor a miss in CacheStats. Should the table
 // be evicted or change tier between the peek and the pin, the pin fails and
 // the batch of one is simply optimized. Without a plan cache (WithPlanCache)
@@ -160,7 +167,7 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
 	submit := s.b.Submit
 	if s.opt.cache != nil {
-		key := s.opt.batchKey(treesKey([]*Query{q}), s.alg, s.opt.resultCache() != nil, nil)
+		key := s.opt.batchKey(s.opt.stmts.treesKey([]*Query{q}), s.alg, s.opt.resultCache() != nil, nil)
 		if _, stored := s.opt.cache.peek(key); stored {
 			submit = s.b.SubmitStored
 		}
