@@ -68,15 +68,15 @@ func runParamBatch(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalo
 }
 
 // TestBindingAdmissionRace races two batches with overlapping binding sets
-// through Arm → PlanSpools → execute → Commit against one sharded store
-// under a budget tight enough to force eviction during admission. Run with
-// -race: the point is that concurrent per-binding admission, single-flight
-// claiming and eviction at the shard boundary stay data-race free and the
-// store's accounting stays consistent.
+// through Arm → PlanSpools → execute → Commit against one store under a
+// budget tight enough to force eviction during admission. Run with -race:
+// the point is that concurrent per-binding admission, single-flight claiming
+// and eviction stay data-race free and the store's accounting stays
+// consistent.
 func TestBindingAdmissionRace(t *testing.T) {
 	db, cat := makeWorld(t)
 	// Budget of a few binding entries: concurrent admission has to evict.
-	m := newTestStore(t, db, cost.DefaultModel(), 24<<10, 0, 4)
+	m := newTestStore(t, db, cost.DefaultModel(), 24<<10, 0)
 	q := paramQuery(4)
 
 	var wg sync.WaitGroup
@@ -105,10 +105,10 @@ func TestBindingAdmissionRace(t *testing.T) {
 	}
 }
 
-// TestBindingCacheEquivalence checks the tentpole's correctness invariant:
-// with the binding cache on, a parameterized replay returns byte-identical
-// rows to the cache-off run, across shard counts, and the cold (first
-// batch) plan string is byte-identical across shard counts too.
+// TestBindingCacheEquivalence checks the binding cache's correctness
+// invariant: with the binding cache on, a parameterized replay returns
+// byte-identical rows to the cache-off run, and its second pass is served by
+// a partial hit.
 func TestBindingCacheEquivalence(t *testing.T) {
 	q := paramQuery(4)
 	pass1, pass2 := windowSets(1, 101, 201, 301), windowSets(201, 301, 401, 501)
@@ -118,30 +118,22 @@ func TestBindingCacheEquivalence(t *testing.T) {
 	off1, _ := runParamBatch(t, nil, dbOff, catOff, q, pass1)
 	off2, _ := runParamBatch(t, nil, dbOff, catOff, q, pass2)
 
-	var coldPlans []string
-	for _, shards := range []int{1, 4} {
-		db, cat := makeWorld(t)
-		m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 0, shards)
-		on1, plan1 := runParamBatch(t, m, db, cat, q, pass1)
-		on2, plan2 := runParamBatch(t, m, db, cat, q, pass2)
-		coldPlans = append(coldPlans, plan1)
-		if fmt.Sprint(on1) != fmt.Sprint(off1) {
-			t.Fatalf("shards=%d pass1 rows diverged\non:  %v\noff: %v", shards, on1, off1)
-		}
-		if fmt.Sprint(on2) != fmt.Sprint(off2) {
-			t.Fatalf("shards=%d pass2 rows diverged\non:  %v\noff: %v", shards, on2, off2)
-		}
-		if !strings.Contains(plan2, "InvokePartial") {
-			t.Fatalf("shards=%d second pass did not arm a partial hit:\n%s", shards, plan2)
-		}
-		st := m.Stats()
-		if st.BindingPartialHits < 1 || st.BindingHits < 1 {
-			t.Fatalf("shards=%d: no binding hits recorded: %+v", shards, st)
-		}
+	db, cat := makeWorld(t)
+	m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 0)
+	on1, _ := runParamBatch(t, m, db, cat, q, pass1)
+	on2, plan2 := runParamBatch(t, m, db, cat, q, pass2)
+	if fmt.Sprint(on1) != fmt.Sprint(off1) {
+		t.Fatalf("pass1 rows diverged\non:  %v\noff: %v", on1, off1)
 	}
-	if coldPlans[0] != coldPlans[1] {
-		t.Fatalf("cold plan diverged across shard counts:\n--- shards=1:\n%s\n--- shards=4:\n%s",
-			coldPlans[0], coldPlans[1])
+	if fmt.Sprint(on2) != fmt.Sprint(off2) {
+		t.Fatalf("pass2 rows diverged\non:  %v\noff: %v", on2, off2)
+	}
+	if !strings.Contains(plan2, "InvokePartial") {
+		t.Fatalf("second pass did not arm a partial hit:\n%s", plan2)
+	}
+	st := m.Stats()
+	if st.BindingPartialHits < 1 || st.BindingHits < 1 {
+		t.Fatalf("no binding hits recorded: %+v", st)
 	}
 }
 
@@ -151,7 +143,7 @@ func TestBindingCacheEquivalence(t *testing.T) {
 // the caller re-optimizes against the fuller binding summary.
 func TestPinPlanRevalidatesBindings(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 0, 1)
+	m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 0)
 	model := cost.DefaultModel()
 	q := paramQuery(4)
 
@@ -202,7 +194,7 @@ func TestBindingPartialHitPlanAcrossTiers(t *testing.T) {
 
 	planFor := func(demote bool) string {
 		db, cat := makeWorld(t)
-		m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 16<<20, 2)
+		m := newTestStore(t, db, cost.DefaultModel(), 16<<20, 16<<20)
 		runParamBatch(t, m, db, cat, q, pass1)
 		if demote {
 			m.SetBudgets(1, 16<<20) // demote every unpinned RAM entry to warm

@@ -162,7 +162,7 @@ func TestCanonicalFingerprintsAcrossDAGs(t *testing.T) {
 // rows, reinforced entry.
 func TestHitOnRepeatedBatch(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0)
 	q := chain([]string{"R", "S", "T"}, 90)
 
 	first, firstStats, hits1, spools1 := runBatch(t, m, db, cat, q)
@@ -217,7 +217,7 @@ func TestHitOnRepeatedBatch(t *testing.T) {
 // guards the fingerprint matching across distinct batch DAGs.
 func TestHitAcrossDifferentQueries(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0)
 	if _, _, _, spools := runBatch(t, m, db, cat,
 		chain([]string{"R", "S", "T"}, 90), chain([]string{"R", "S", "P"}, 90)); spools == 0 {
 		t.Fatal("shared batch admitted nothing")
@@ -235,7 +235,7 @@ func TestHitAcrossDifferentQueries(t *testing.T) {
 func TestSingleFlightAdmission(t *testing.T) {
 	db, cat := makeWorld(t)
 	model := cost.DefaultModel()
-	m := newTestStore(t, db, model, 64<<20, 0, 1)
+	m := newTestStore(t, db, model, 64<<20, 0)
 	q := chain([]string{"R", "S"}, 90)
 
 	build := func() (*physical.DAG, *core.Result, *Ticket) {
@@ -288,7 +288,7 @@ func TestSingleFlightAdmission(t *testing.T) {
 // pinned entries survive rebalancing until unpinned.
 func TestBudgetAndEviction(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0)
 	for _, q := range []*algebra.Tree{
 		chain([]string{"R", "S"}, 90),
 		chain([]string{"S", "T"}, 90),
@@ -341,7 +341,7 @@ func TestBudgetAndEviction(t *testing.T) {
 // TestZeroBudgetAdmitsNothing: a zero budget store never spools.
 func TestZeroBudgetAdmitsNothing(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := newTestStore(t, db, cost.DefaultModel(), 0, 0, 1)
+	m := newTestStore(t, db, cost.DefaultModel(), 0, 0)
 	_, _, _, spools := runBatch(t, m, db, cat, chain([]string{"R", "S"}, 90))
 	if spools != 0 || m.UsedBytes() != 0 || db.NumCaches() != 0 {
 		t.Error("zero-budget store admitted entries")
@@ -353,7 +353,7 @@ func TestZeroBudgetAdmitsNothing(t *testing.T) {
 // accounting must stay consistent and storage must mirror the entry set.
 func TestConcurrentBatches(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0, 1)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 0)
 	queries := []*algebra.Tree{
 		chain([]string{"R", "S"}, 90),
 		chain([]string{"S", "T"}, 90),
@@ -402,7 +402,7 @@ func TestConcurrentBatches(t *testing.T) {
 func TestZeroRowResultIsCacheable(t *testing.T) {
 	db, cat := makeWorld(t)
 	model := cost.DefaultModel()
-	m := newTestStore(t, db, model, 64<<20, 0, 1)
+	m := newTestStore(t, db, model, 64<<20, 0)
 	q := chain([]string{"R", "S"}, 90)
 
 	pd, err := core.BuildDAG(cat, model, []*algebra.Tree{q})

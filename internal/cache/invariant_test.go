@@ -17,85 +17,81 @@ import (
 
 // newTestStore creates a store whose invariants are checked when the test
 // ends, whatever state the test left it in.
-func newTestStore(t *testing.T, db *storage.DB, model cost.Model, ramBytes, warmBytes int64, shards int) *Manager {
+func newTestStore(t *testing.T, db *storage.DB, model cost.Model, ramBytes, warmBytes int64) *Manager {
 	t.Helper()
-	m := NewStoreTiered(db, model, ramBytes, warmBytes, shards)
+	m := NewStoreTiered(db, model, ramBytes, warmBytes, 0)
 	t.Cleanup(func() { checkInvariants(t, m) })
 	return m
 }
 
 // checkStructure asserts what must hold at every instant, open tickets and
-// in-flight promotions included. Per shard: the bytes of the RAM-tier
-// (pending included) and warm-tier entries sum to the shard's accounting,
-// and the fingerprint index and byTable hold exactly the same entries, each
-// filed under its own identity in the shard its fingerprint hashes to.
-// Against storage: every ready entry's table exists in the entry's tier,
-// and no cache table or warm file exists without an entry that owns it.
+// in-flight promotions included: the bytes, counts and bindings of the
+// RAM-tier (pending included) and warm-tier entries sum to the store's
+// accounting, and the fingerprint index and byTable hold exactly the same
+// entries, each filed under its own identity. Against storage: every ready
+// entry's table exists in the entry's tier, and no cache table or warm file
+// exists without an entry that owns it.
 func checkStructure(t *testing.T, m *Manager) {
 	t.Helper()
-	// Promotions copy rows outside any shard lock; the lock-ordered sweep
-	// below (all shards held, index order — nothing else ever holds two)
-	// gives one consistent cut through the entry set.
-	for _, s := range m.shards {
-		s.mu.Lock()
-	}
-	defer func() {
-		for _, s := range m.shards {
-			s.mu.Unlock()
-		}
-	}()
+	// Promotions copy rows outside the lock; holding it gives one
+	// consistent cut through the entry set.
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	ramOwner, warmOwner := map[string]bool{}, map[string]bool{}
-	for si, s := range m.shards {
-		var ram, warm int64
-		indexed := 0
-		for fp, byID := range s.index {
-			if len(byID) == 0 {
-				t.Errorf("shard %d: empty index bucket for %q", si, fp)
+	var tiers [2]tierState
+	bound, indexed := 0, 0
+	for fp, byID := range m.index {
+		if len(byID) == 0 {
+			t.Errorf("empty index bucket for %q", fp)
+		}
+		for id, e := range byID {
+			indexed++
+			if e.Key != fp || e.id != id || id != (entryID{e.Prop.Key(), e.Bind}) {
+				t.Errorf("entry %s filed under (%q, %+v)", e.Table, fp, id)
 			}
-			for id, e := range byID {
-				indexed++
-				if e.Key != fp || e.id != id || id != (entryID{e.Prop.Key(), e.Bind}) {
-					t.Errorf("shard %d: entry %s filed under (%q, %+v)", si, e.Table, fp, id)
-				}
-				if s.byTable[e.Table] != e {
-					t.Errorf("shard %d: indexed entry %s missing from byTable", si, e.Table)
-				}
+			if m.byTable[e.Table] != e {
+				t.Errorf("indexed entry %s missing from byTable", e.Table)
 			}
 		}
-		if indexed != len(s.byTable) {
-			t.Errorf("shard %d: index holds %d entries, byTable %d", si, indexed, len(s.byTable))
+	}
+	if indexed != len(m.byTable) {
+		t.Errorf("index holds %d entries, byTable %d", indexed, len(m.byTable))
+	}
+	for table, e := range m.byTable {
+		if e.Table != table {
+			t.Errorf("entry %s misfiled under table %q", e.Table, table)
 		}
-		for table, e := range s.byTable {
-			if e.Table != table || e.si != si || m.shardFor(e.Key) != si {
-				t.Errorf("shard %d: entry %s (si %d) misfiled under table %q", si, e.Table, e.si, table)
-			}
-			if e.Tier == cost.TierWarm {
-				warm += e.Bytes
+		tiers[e.Tier].used += e.Bytes
+		tiers[e.Tier].entries++
+		if e.Bind != "" {
+			bound++
+		}
+		if e.Tier == cost.TierWarm {
+			warmOwner[table] = true
+		} else {
+			ramOwner[table] = true
+			if e.staleWarm {
 				warmOwner[table] = true
-			} else {
-				ram += e.Bytes
-				ramOwner[table] = true
-				if e.staleWarm {
-					warmOwner[table] = true
-				}
-			}
-			if e.promoting {
-				ramOwner[table] = true // the copy exists before it is adopted
-			}
-			if !e.ready {
-				continue
-			}
-			if _, err := m.db.Cache(table); e.Tier == cost.TierRAM && err != nil {
-				t.Errorf("ready RAM entry %s has no cache table", table)
-			}
-			if _, err := m.db.Warm(table); e.Tier == cost.TierWarm && err != nil {
-				t.Errorf("ready warm entry %s has no warm file", table)
 			}
 		}
-		if ram != s.tiers[cost.TierRAM].used || warm != s.tiers[cost.TierWarm].used {
-			t.Errorf("shard %d: entries sum to %d RAM / %d warm bytes, accounting says %d / %d",
-				si, ram, warm, s.tiers[cost.TierRAM].used, s.tiers[cost.TierWarm].used)
+		if e.promoting {
+			ramOwner[table] = true // the copy exists before it is adopted
 		}
+		if !e.ready {
+			continue
+		}
+		if _, err := m.db.Cache(table); e.Tier == cost.TierRAM && err != nil {
+			t.Errorf("ready RAM entry %s has no cache table", table)
+		}
+		if _, err := m.db.Warm(table); e.Tier == cost.TierWarm && err != nil {
+			t.Errorf("ready warm entry %s has no warm file", table)
+		}
+	}
+	for tier := range tiers {
+		tiers[tier].budget = m.tiers[tier].budget
+	}
+	if tiers != m.tiers || bound != m.bound {
+		t.Errorf("entries sum to %+v (%d bound), accounting says %+v (%d bound)", tiers, bound, m.tiers, m.bound)
 	}
 	for _, name := range m.db.CacheNames() {
 		if !ramOwner[name] {
@@ -118,21 +114,19 @@ func checkInvariants(t *testing.T, m *Manager) {
 	m.WaitPromotions()
 	checkStructure(t, m)
 	var ram, warm []string
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for table, e := range s.byTable {
-			if e.pins != 0 || !e.ready || e.promoting || e.staleWarm {
-				t.Errorf("entry %s not quiescent: pins=%d ready=%v promoting=%v staleWarm=%v",
-					table, e.pins, e.ready, e.promoting, e.staleWarm)
-			}
-			if e.Tier == cost.TierWarm {
-				warm = append(warm, table)
-			} else {
-				ram = append(ram, table)
-			}
+	m.mu.Lock()
+	for table, e := range m.byTable {
+		if e.pins != 0 || !e.ready || e.promoting || e.staleWarm {
+			t.Errorf("entry %s not quiescent: pins=%d ready=%v promoting=%v staleWarm=%v",
+				table, e.pins, e.ready, e.promoting, e.staleWarm)
 		}
-		s.mu.Unlock()
+		if e.Tier == cost.TierWarm {
+			warm = append(warm, table)
+		} else {
+			ram = append(ram, table)
+		}
 	}
+	m.mu.Unlock()
 	gotRAM, gotWarm := m.db.CacheNames(), m.db.WarmNames()
 	for _, names := range [][]string{ram, warm, gotRAM, gotWarm} {
 		sort.Strings(names)
@@ -169,12 +163,12 @@ func TestRandomTicketSequences(t *testing.T) {
 		{64 * page, 64 * page}, {6 * page, 64 * page}, {1, 64 * page}, {6 * page, 3 * page},
 		{64 * page, 0}, {3 * page, 0}, {0, 0}, {64 * page, 1},
 	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, seed := range []int64{13, 16} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			db, cat := makeWorldRows(t, 400)
 			model := cost.DefaultModel()
-			m := newTestStore(t, db, model, 64*page, 64*page, shards)
-			rng := rand.New(rand.NewSource(int64(12 + shards)))
+			m := newTestStore(t, db, model, 64*page, 64*page)
+			rng := rand.New(rand.NewSource(seed))
 			pool := []*algebra.Tree{
 				chain([]string{"R", "S"}, 90), chain([]string{"S", "T"}, 90),
 				chain([]string{"R", "S", "T"}, 90), chain([]string{"R", "S", "P"}, 90),

@@ -84,7 +84,7 @@ func TestReplayReadsFewerBasePages(t *testing.T) {
 				if err := c.load(db); err != nil {
 					t.Fatal(err)
 				}
-				m := NewStoreTiered(db, cost.DefaultModel(), ram, warm, 1)
+				m := NewStoreTiered(db, cost.DefaultModel(), ram, warm, 0)
 				defer m.Close()
 				steps := slices.Concat(c.pass1, c.pass2)
 				answers := make([][]exec.QueryResult, len(steps))

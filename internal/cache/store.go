@@ -45,8 +45,8 @@
 // same density-sorted claim loop: single-flight probe of the index, room
 // made by evicting strictly less value-dense unpinned entries, a pinned
 // pending entry inserted immediately so a concurrent batch never spools the
-// same result twice. Table names come from one global sequence, so admission
-// order — not the shard count — fixes the rc<seq> names in plans.
+// same result twice. Table names come from one sequence, so admission order
+// fixes the rc<seq> names in plans.
 //
 // The store has two tiers and one room-maker. The RAM tier holds spooled
 // tables in the primary buffer pool; the warm tier holds heap files on disk.
@@ -56,20 +56,17 @@
 // committed hit on a warm entry schedules an asynchronous single-flight
 // promotion back to RAM that holds its own pin and never blocks the batch.
 //
-// The store is sharded by fingerprint: each shard has its own mutex, index,
-// byte accounting and slice of both budgets, so every entry of one
-// expression — all properties, all bindings — lives in one shard and
-// single-flight admission and Arm's matching stay shard-local. The batch
-// clock, ready-set generation and table-name sequence are global atomics.
-// No two shard locks are ever held at once, and none across optimization or
-// execution.
+// The store is one index under one mutex, with one budget per tier. Every
+// critical section is short — a probe, a claim, a commit, a rebalance — and
+// none spans optimization or execution. One lock makes each commit a single
+// critical section against whole budgets, so admission and eviction weigh
+// every entry against every other. The batch clock, ready-set generation and
+// table-name sequence are atomics read without the lock.
 package cache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -122,8 +119,6 @@ type Entry struct {
 	// staleWarm marks a RAM entry whose warm copy is still on disk because
 	// an in-flight reader may be scanning it; the last unpin drops it.
 	staleWarm bool
-	// si is the index of the shard owning the entry.
-	si int
 }
 
 // entryID tells apart the entries that share a fingerprint.
@@ -187,30 +182,27 @@ func (s Stats) HitRate() float64 {
 	return float64(s.HitBatches) / float64(s.Batches)
 }
 
-// ShardStats is one shard's slice of the store, for tests and /stats.
-type ShardStats struct {
-	Shard           int   `json:"shard"`
-	Entries         int   `json:"entries"`
-	UsedBytes       int64 `json:"used_bytes"`
-	BudgetBytes     int64 `json:"budget_bytes"`
-	WarmEntries     int   `json:"warm_entries"`
-	WarmUsedBytes   int64 `json:"warm_used_bytes"`
-	WarmBudgetBytes int64 `json:"warm_budget_bytes"`
-}
-
-// tierState is one tier's slice of a shard: the entries filed in it and
-// their bytes against the tier's budget slice. Pending entries are filed in
-// the RAM tier at their estimated size.
+// tierState is one tier's accounting: the entries filed in it and their
+// bytes against the tier's budget. Pending entries are filed in the RAM tier
+// at their estimated size.
 type tierState struct {
 	used, budget int64
 	entries      int
 }
 
-// cacheShard is one independently locked slice of the store. An
-// expression's fingerprint picks its shard.
-type cacheShard struct {
+// Manager is the store's controller. All methods are safe for concurrent
+// use; mu is never held across optimization or execution. The event
+// counters are registry-backed lock-free atomics shared between Stats()
+// snapshots and the /metrics scrape; the state gauges mirror the guarded
+// state for the scrape, and the budget and generation gauges double as the
+// store's own lock-free copies of those values.
+type Manager struct {
+	Model cost.Model
+
+	db *storage.DB
+
 	mu sync.Mutex
-	// index is the shard's one lookup structure: fingerprint → (property,
+	// index is the store's one lookup structure: fingerprint → (property,
 	// binding) → entry. Exact probes, Arm's best-satisfying-property match
 	// and the per-binding classification all read it; byTable holds the
 	// same entries by spooled table name.
@@ -218,59 +210,6 @@ type cacheShard struct {
 	byTable map[string]*Entry
 	tiers   [2]tierState // by cost.Tier
 	bound   int          // entries with a non-empty binding
-	// published is the snapshot the scrape gauges currently reflect.
-	published snapshot
-}
-
-// snapshot is one shard's structure at an instant.
-type snapshot struct {
-	ShardStats
-	bound int
-}
-
-// snapshotLocked reads the shard's structure out; Stats, PerShard, the byte
-// getters and the scrape gauges all derive from it.
-func (s *cacheShard) snapshotLocked(si int) snapshot {
-	ram, warm := s.tiers[cost.TierRAM], s.tiers[cost.TierWarm]
-	return snapshot{bound: s.bound, ShardStats: ShardStats{
-		Shard: si, Entries: ram.entries + warm.entries, UsedBytes: ram.used, BudgetBytes: ram.budget,
-		WarmEntries: warm.entries, WarmUsedBytes: warm.used, WarmBudgetBytes: warm.budget}}
-}
-
-// snapshot is snapshotLocked for callers not holding the shard lock.
-func (s *cacheShard) snapshot(si int) snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked(si)
-}
-
-// publishLocked brings the scrape gauges up to date after a state change,
-// with the shard lock held: the shard's own labeled gauges are set, the
-// store-wide ones move by the difference from what this shard last
-// published, so no other shard's lock is needed.
-func (s *cacheShard) publishLocked(m *Manager, si int) {
-	now, was := s.snapshotLocked(si), s.published
-	s.published = now
-	m.shardUsedG[si].Set(now.UsedBytes)
-	m.shardEntriesG[si].Set(int64(now.Entries))
-	m.entriesG.Add(int64(now.Entries - was.Entries))
-	m.usedG.Add(now.UsedBytes - was.UsedBytes)
-	m.warmEntriesG.Add(int64(now.WarmEntries - was.WarmEntries))
-	m.warmUsedG.Add(now.WarmUsedBytes - was.WarmUsedBytes)
-	m.bindEntriesG.Add(int64(now.bound - was.bound))
-}
-
-// Manager is the store's controller. All methods are safe for concurrent
-// use; no shard mutex is ever held across optimization or execution, and
-// no two shard mutexes are ever held at once. The event counters and state
-// gauges are registry-backed lock-free atomics shared between Stats()
-// snapshots and the /metrics scrape; the budget and generation gauges double
-// as the store's own copies of those values.
-type Manager struct {
-	Model cost.Model
-
-	db     *storage.DB
-	shards []*cacheShard
 
 	clock    atomic.Int64
 	tableSeq atomic.Int64
@@ -293,8 +232,7 @@ type Manager struct {
 	bindResidual    *obs.Counter
 	bindAdmissions  *obs.Counter
 	savedCost       *obs.FloatCounter
-	// State gauges: totals across shards (publishLocked) and the store-wide
-	// budgets and ready-set generation.
+	// State gauges (publishLocked) and the ready-set generation.
 	entriesG     *obs.Gauge
 	usedG        *obs.Gauge
 	budgetG      *obs.Gauge
@@ -303,27 +241,21 @@ type Manager struct {
 	warmBudgetG  *obs.Gauge
 	bindEntriesG *obs.Gauge
 	gen          *obs.Gauge
-	// Per-shard gauges (label shard="i").
-	shardUsedG    []*obs.Gauge
-	shardEntriesG []*obs.Gauge
 }
 
-// NewStoreTiered creates a result-cache store over the given database,
-// sharded by expression fingerprint (shards < 1 is treated as 1), with a RAM
-// and a warm (disk) byte budget, each split evenly across shards. A zero
-// warm budget disables the warm tier: eviction drops instead of demoting.
+// NewStoreTiered creates a result-cache store over the given database with a
+// RAM and a warm (disk) byte budget. A zero warm budget disables the warm
+// tier: eviction drops instead of demoting. The last argument is ignored.
 // The store's counters are registered on the default obs registry under
 // mqo_resultcache_* (a newer store instance replaces an older one on the
 // scrape).
-func NewStoreTiered(db *storage.DB, model cost.Model, ramBytes, warmBytes int64, shards int) *Manager {
-	if shards < 1 {
-		shards = 1
-	}
+func NewStoreTiered(db *storage.DB, model cost.Model, ramBytes, warmBytes int64, _ int) *Manager {
 	reg := obs.Default()
 	m := &Manager{
-		Model:  model,
-		db:     db,
-		shards: make([]*cacheShard, shards),
+		Model:   model,
+		db:      db,
+		index:   map[string]map[entryID]*Entry{},
+		byTable: map[string]*Entry{},
 
 		batches:    reg.RegisterCounter("mqo_resultcache_batches_total", "Batches committed against the result cache.", &obs.Counter{}),
 		hitBatches: reg.RegisterCounter("mqo_resultcache_hit_batches_total", "Committed batches whose executed plan read at least one cache table.", &obs.Counter{}),
@@ -350,73 +282,51 @@ func NewStoreTiered(db *storage.DB, model cost.Model, ramBytes, warmBytes int64,
 		bindEntriesG: reg.RegisterGauge("mqo_resultcache_binding_entries", "Per-binding entries currently in the store (pending included).", &obs.Gauge{}),
 		gen:          reg.RegisterGauge("mqo_resultcache_generation", "Ready-set generation.", &obs.Gauge{}),
 	}
-	for i := range m.shards {
-		m.shards[i] = &cacheShard{index: map[string]map[entryID]*Entry{}, byTable: map[string]*Entry{}}
-		label := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
-		m.shardUsedG = append(m.shardUsedG,
-			reg.RegisterGauge("mqo_resultcache_shard_used_bytes", "Bytes of spooled results held per shard.", &obs.Gauge{}, label))
-		m.shardEntriesG = append(m.shardEntriesG,
-			reg.RegisterGauge("mqo_resultcache_shard_entries", "Entries per shard (pending included).", &obs.Gauge{}, label))
-	}
 	m.SetBudgets(ramBytes, warmBytes)
 	return m
 }
 
-// NumShards reports the store's shard count.
-func (m *Manager) NumShards() int { return len(m.shards) }
-
-// shardFor hashes an expression fingerprint to its shard. Every property
-// and binding of one expression lands on the same shard.
-func (m *Manager) shardFor(fp string) int {
-	if len(m.shards) == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(fp))
-	return int(h.Sum32() % uint32(len(m.shards)))
+// publishLocked sets the scrape gauges from the store's state after a change;
+// mu is held.
+func (m *Manager) publishLocked() {
+	ram, warm := m.tiers[cost.TierRAM], m.tiers[cost.TierWarm]
+	m.entriesG.Set(int64(ram.entries + warm.entries))
+	m.usedG.Set(ram.used)
+	m.budgetG.Set(ram.budget)
+	m.warmEntriesG.Set(int64(warm.entries))
+	m.warmUsedG.Set(warm.used)
+	m.warmBudgetG.Set(warm.budget)
+	m.bindEntriesG.Set(int64(m.bound))
 }
 
-// Budget returns the store's total RAM byte budget for spooled results.
+// Budget returns the store's RAM byte budget for spooled results.
 func (m *Manager) Budget() int64 { return m.budgetG.Value() }
 
-// WarmBudget returns the store's total warm-tier (disk) byte budget.
+// WarmBudget returns the store's warm-tier (disk) byte budget.
 func (m *Manager) WarmBudget() int64 { return m.warmBudgetG.Value() }
 
-// SetBudgets resizes both tiers, splitting each budget evenly across shards
-// (remainder to the low shards) and immediately rebalancing: RAM overflow
+// SetBudgets resizes both tiers and immediately rebalances: RAM overflow
 // demotes or evicts, warm overflow drops warm entries and deletes their
 // spill files.
 func (m *Manager) SetBudgets(ramBytes, warmBytes int64) {
-	totals := [2]int64{cost.TierRAM: max(ramBytes, 0), cost.TierWarm: max(warmBytes, 0)}
-	m.budgetG.Set(totals[cost.TierRAM])
-	m.warmBudgetG.Set(totals[cost.TierWarm])
-	n := int64(len(m.shards))
-	for i, s := range m.shards {
-		s.mu.Lock()
-		for tier, total := range totals {
-			s.tiers[tier].budget = total / n
-			if int64(i) < total%n {
-				s.tiers[tier].budget++
-			}
-		}
-		s.rebalanceLocked(m)
-		s.publishLocked(m, i)
-		s.mu.Unlock()
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.tiers[cost.TierRAM].budget = max(ramBytes, 0)
+	m.tiers[cost.TierWarm].budget = max(warmBytes, 0)
+	m.rebalanceLocked()
+	m.publishLocked()
 }
 
 // Entries returns a snapshot of the current cache contents, most valuable
 // first (pending entries included).
 func (m *Manager) Entries() []*Entry {
-	var out []*Entry
-	for _, s := range m.shards {
-		s.mu.Lock()
-		for _, e := range s.byTable {
-			cp := *e
-			out = append(out, &cp)
-		}
-		s.mu.Unlock()
+	m.mu.Lock()
+	out := make([]*Entry, 0, len(m.byTable))
+	for _, e := range m.byTable {
+		cp := *e
+		out = append(out, &cp)
 	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].density() != out[j].density() {
 			return out[i].density() > out[j].density()
@@ -426,7 +336,7 @@ func (m *Manager) Entries() []*Entry {
 	return out
 }
 
-// UsedBytes reports the occupied RAM-tier cache space across all shards.
+// UsedBytes reports the occupied RAM-tier cache space.
 func (m *Manager) UsedBytes() int64 { return m.Stats().UsedBytes }
 
 // WarmUsedBytes reports the occupied warm-tier (on-disk) cache space.
@@ -441,22 +351,19 @@ func (m *Manager) Generation() int64 {
 	return m.gen.Value()
 }
 
-// PerShard snapshots each shard's structure, one shard lock at a time.
-// Summing UsedBytes over shards always equals Stats().UsedBytes.
-func (m *Manager) PerShard() []ShardStats {
-	out := make([]ShardStats, len(m.shards))
-	for i, s := range m.shards {
-		out[i] = s.snapshot(i).ShardStats
-	}
-	return out
-}
-
-// Stats snapshots the accounting: store structure summed over the shard
-// snapshots, event counts straight from the registry-backed atomics.
+// Stats snapshots the accounting: store structure read under the lock, event
+// counts straight from the registry-backed atomics.
 func (m *Manager) Stats() Stats {
-	st := Stats{
-		BudgetBytes:     m.Budget(),
-		WarmBudgetBytes: m.WarmBudget(),
+	m.mu.Lock()
+	ram, warm, bound := m.tiers[cost.TierRAM], m.tiers[cost.TierWarm], m.bound
+	m.mu.Unlock()
+	return Stats{
+		Entries:         ram.entries + warm.entries,
+		UsedBytes:       ram.used,
+		BudgetBytes:     ram.budget,
+		WarmEntries:     warm.entries,
+		WarmUsedBytes:   warm.used,
+		WarmBudgetBytes: warm.budget,
 		Batches:         m.batches.Value(),
 		HitBatches:      m.hitBatches.Value(),
 		Hits:            m.hits.Value(),
@@ -466,6 +373,7 @@ func (m *Manager) Stats() Stats {
 		Demotions:       m.demotions.Value(),
 		Promotions:      m.promotions.Value(),
 
+		BindingEntries:     bound,
 		BindingHits:        m.bindHits.Value(),
 		BindingPartialHits: m.bindPartialHits.Value(),
 		BindingResidual:    m.bindResidual.Value(),
@@ -474,15 +382,6 @@ func (m *Manager) Stats() Stats {
 		SavedCostEst: m.savedCost.Value(),
 		Generation:   m.gen.Value(),
 	}
-	for i, s := range m.shards {
-		sn := s.snapshot(i)
-		st.Entries += sn.Entries
-		st.UsedBytes += sn.UsedBytes
-		st.WarmEntries += sn.WarmEntries
-		st.WarmUsedBytes += sn.WarmUsedBytes
-		st.BindingEntries += sn.bound
-	}
-	return st
 }
 
 // String summarizes the cache state.

@@ -26,7 +26,7 @@ type Ticket struct {
 	// armed maps ready entries the batch's DAG can read to the estimated
 	// per-use saving (recomputation cost minus read-back).
 	armed map[*Entry]float64
-	// pending are the entries this batch admitted, in admission order.
+	// pending are the entries this batch admitted.
 	pending []*Entry
 	// bindSpools maps Invoke plan nodes to binding→table spool assignments
 	// (see BindingSpools).
@@ -93,12 +93,11 @@ func (m *Manager) Arm(pd *physical.DAG, paramSets []map[string]algebra.Value) *T
 func (t *Ticket) armScan(pd *physical.DAG, n *physical.Node) {
 	m := t.m
 	fp := t.fps[n.LG.Find()]
-	s := m.shards[m.shardFor(fp)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var best *Entry
 	var bestCost cost.Cost
-	for id, e := range s.index[fp] {
+	for id, e := range m.index[fp] {
 		if !e.ready || id.bind != "" || !e.Prop.Satisfies(n.Prop) {
 			continue
 		}
@@ -118,22 +117,21 @@ func (t *Ticket) armScan(pd *physical.DAG, n *physical.Node) {
 }
 
 // armInvoke classifies the batch's bindings against the body's entries —
-// one probe per binding of the body fingerprint's shard — and arms an
-// InvokePartial alternative when any binding is ready.
+// one index probe per binding — and arms an InvokePartial alternative when
+// any binding is ready.
 func (t *Ticket) armInvoke(pd *physical.DAG, n *physical.Node, inv *physical.PExpr) {
 	m := t.m
 	body := inv.Children[0]
 	fp, prop := t.fps[body.LG.Find()], body.Prop.Key()
-	s := m.shards[m.shardFor(fp)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var scans []physical.BindScan
 	var tiers []cost.Tier
 	var blocks []float64
 	var residual []string
 	var cached []*Entry
 	for _, bind := range t.binds {
-		e := s.index[fp][entryID{prop, bind}]
+		e := m.index[fp][entryID{prop, bind}]
 		if e == nil || !e.ready {
 			residual = append(residual, bind)
 			continue
@@ -156,9 +154,9 @@ func (t *Ticket) armInvoke(pd *physical.DAG, n *physical.Node, inv *physical.PEx
 	}
 }
 
-// pin records that the batch's plan may read e, with the owning shard's lock
-// held: the first sighting takes the pin, and the largest per-use saving
-// estimate is the one Commit reinforces with.
+// pin records that the batch's plan may read e, with mu held: the first
+// sighting takes the pin, and the largest per-use saving estimate is the one
+// Commit reinforces with.
 func (t *Ticket) pin(e *Entry, saving float64) {
 	if saving < 0 {
 		saving = 0
@@ -351,19 +349,17 @@ func (t *Ticket) admit(cands []candidate, limit int) []candidate {
 	return claimed
 }
 
-// claim admits one candidate if its identity is free and its shard can make
+// claim admits one candidate if its identity is free and the store can make
 // room for it by evicting only strictly less value-dense entries. The new
 // entry enters the index pending and pinned at once — the single-flight
 // claim that stops a concurrent batch from spooling the same result.
 func (m *Manager) claim(c candidate) *Entry {
-	si := m.shardFor(c.fp)
-	s := m.shards[si]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.index[c.fp][c.id] != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.index[c.fp][c.id] != nil {
 		return nil // ready, or claimed by a concurrent batch
 	}
-	if !s.makeRoomLocked(m, cost.TierRAM, c.bytes, c.value/float64(c.bytes)) {
+	if !m.makeRoomLocked(cost.TierRAM, c.bytes, c.value/float64(c.bytes)) {
 		return nil
 	}
 	e := &Entry{
@@ -377,10 +373,9 @@ func (m *Manager) claim(c candidate) *Entry {
 		id:         c.id,
 		admitValue: c.value,
 		pins:       1,
-		si:         si,
 	}
-	s.insertLocked(e)
-	s.publishLocked(m, si)
+	m.insertLocked(e)
+	m.publishLocked()
 	return e
 }
 
@@ -449,34 +444,27 @@ func (t *Ticket) ArmAnswer(pd *physical.DAG, n *physical.Node, table string, tie
 	})
 }
 
-// withTable calls use, under the owning shard's lock, on the ready entry
-// backing a cache table in the given tier, and reports whether there is one.
-// Shards are searched in index order, one lock at a time (table names are
-// globally unique, so at most one shard owns the name).
+// withTable calls use, under mu, on the ready entry backing a cache table in
+// the given tier, and reports whether there is one.
 func (t *Ticket) withTable(table string, tier cost.Tier, use func(*Entry)) bool {
-	for _, s := range t.m.shards {
-		s.mu.Lock()
-		e, found := s.byTable[table]
-		usable := found && e.ready && e.Tier == tier
-		if usable {
-			use(e)
-		}
-		s.mu.Unlock()
-		if found {
-			return usable
-		}
+	m := t.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.byTable[table]
+	if e == nil || !e.ready || e.Tier != tier {
+		return false
 	}
-	return false
+	use(e)
+	return true
 }
 
 // anyReady reports whether any of the given bindings of the expression
 // (fp, prop) has a ready entry.
 func (m *Manager) anyReady(fp string, prop physical.Prop, binds []string) bool {
-	s := m.shards[m.shardFor(fp)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, bind := range binds {
-		if e := s.index[fp][entryID{prop.Key(), bind}]; e != nil && e.ready {
+		if e := m.index[fp][entryID{prop.Key(), bind}]; e != nil && e.ready {
 			return true
 		}
 	}
@@ -487,18 +475,19 @@ func (m *Manager) anyReady(fp string, prop physical.Prop, binds []string) bool {
 // ready with real byte accounting (heap pages actually written, replacing
 // the optimizer estimate), armed entries the executed plan read are
 // reinforced (value-density goes up with every hit) — a warm hit also
-// schedules the entry's promotion — and each touched shard is rebalanced if
-// real sizes overshot its budget slice. It returns the number of distinct
-// entries the executed plan read (the batch's hit count, also what
-// reinforcement was applied to).
+// schedules the entry's promotion — and the store is rebalanced if real
+// sizes overshot its budgets. It returns the number of distinct entries the
+// executed plan read (the batch's hit count, also what reinforcement was
+// applied to).
 func (t *Ticket) Commit() int { return t.finish(true) }
 
 // Abort withdraws a failed batch: pending entries (and any partially
 // spooled tables) are dropped and every pin released.
 func (t *Ticket) Abort() { t.finish(false) }
 
-// finish settles the ticket's pending and armed entries shard by shard, one
-// lock at a time in index order, each group in table-name order.
+// finish settles the ticket's pending and armed entries in one critical
+// section, each group in table-name order. A ticket that holds no entry
+// leaves the store alone.
 func (t *Ticket) finish(executed bool) (hits int) {
 	if t == nil || t.done {
 		return 0
@@ -526,35 +515,29 @@ func (t *Ticket) finish(executed bool) (hits int) {
 		})
 	}
 
-	pending, armed := make([][]*Entry, len(m.shards)), make([][]*Entry, len(m.shards))
-	for _, e := range t.pending {
-		pending[e.si] = append(pending[e.si], e)
-	}
+	pending, armed := t.pending, make([]*Entry, 0, len(t.armed))
 	for e := range t.armed {
-		armed[e.si] = append(armed[e.si], e)
+		armed = append(armed, e)
 	}
 	changed := false
 	var promote []*Entry
-	for si, s := range m.shards {
-		if len(pending[si]) == 0 && len(armed[si]) == 0 {
-			continue
-		}
-		for _, es := range [][]*Entry{pending[si], armed[si]} {
+	if len(pending) > 0 || len(armed) > 0 {
+		for _, es := range [][]*Entry{pending, armed} {
 			sort.Slice(es, func(i, j int) bool { return es[i].Table < es[j].Table })
 		}
-		s.mu.Lock()
-		for _, e := range pending[si] {
+		m.mu.Lock()
+		for _, e := range pending {
 			if _, err := m.db.Cache(e.Table); !executed || err != nil {
 				// Aborted, or the plan never produced the table: withdraw
 				// the claim.
-				s.dropEntryLocked(m, e)
+				m.dropEntryLocked(e)
 				continue
 			}
 			// Real byte accounting, clamped to one page: a zero-row result
 			// is perfectly cacheable (its heap allocated no pages, and
 			// serving the empty scan is maximally cheap) but must not
 			// divide density by zero or dodge eviction forever.
-			s.refileLocked(e, cost.TierRAM, max(m.db.CacheBytes(e.Table), storage.PageSize))
+			m.refileLocked(e, cost.TierRAM, max(m.db.CacheBytes(e.Table), storage.PageSize))
 			e.ready = true
 			m.admissions.Inc()
 			if e.Bind != "" {
@@ -562,7 +545,7 @@ func (t *Ticket) finish(executed bool) (hits int) {
 			}
 			changed = true
 		}
-		for _, e := range armed[si] {
+		for _, e := range armed {
 			if !read[e.Table] {
 				continue
 			}
@@ -592,16 +575,16 @@ func (t *Ticket) finish(executed bool) (hits int) {
 				}
 			}
 		}
-		for _, es := range [][]*Entry{armed[si], pending[si]} {
+		for _, es := range [][]*Entry{armed, pending} {
 			for _, e := range es {
-				s.unpinLocked(m, e)
+				m.unpinLocked(e)
 			}
 		}
-		if s.rebalanceLocked(m) {
+		if m.rebalanceLocked() {
 			changed = true
 		}
-		s.publishLocked(m, si)
-		s.mu.Unlock()
+		m.publishLocked()
+		m.mu.Unlock()
 	}
 	if !executed {
 		return 0

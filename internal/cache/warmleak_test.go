@@ -18,7 +18,7 @@ import (
 // must leave nothing — not even the spill directory — behind.
 func TestWarmFilesNeverLeak(t *testing.T) {
 	db, cat := makeWorld(t)
-	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 64<<20, 2)
+	m := newTestStore(t, db, cost.DefaultModel(), 64<<20, 64<<20)
 	q1 := chain([]string{"R", "S", "T"}, 90)
 	q2 := chain([]string{"R", "S", "P"}, 90)
 	if _, _, _, spools := runBatch(t, m, db, cat, q1, q2); spools == 0 {
@@ -96,7 +96,7 @@ func TestWarmFilesNeverLeak(t *testing.T) {
 func TestEmptyWarmEntryIsEvictable(t *testing.T) {
 	db, cat := makeWorld(t)
 	model := cost.DefaultModel()
-	m := newTestStore(t, db, model, 64<<20, 64<<20, 1)
+	m := newTestStore(t, db, model, 64<<20, 64<<20)
 	pd, err := core.BuildDAG(cat, model, []*algebra.Tree{chain([]string{"R", "S"}, 90)})
 	if err != nil {
 		t.Fatal(err)

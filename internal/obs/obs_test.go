@@ -113,6 +113,23 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+// BenchmarkHistogramObserveParallel is concurrent Observe on one histogram,
+// the write every timed span and operator makes; -cpu sets the writers.
+func BenchmarkHistogramObserveParallel(b *testing.B) {
+	var h Histogram
+	b.RunParallel(func(pb *testing.PB) {
+		for v := 1e-6; pb.Next(); v *= 1.5 {
+			if v > 10 {
+				v = 1e-6
+			}
+			h.Observe(v)
+		}
+	})
+	if h.Count() != int64(b.N) {
+		b.Fatalf("count = %d, want %d", h.Count(), b.N)
+	}
+}
+
 // TestRegistryConcurrent hammers counters, gauges and histograms from
 // parallel writers while a scraper renders the registry. Run under -race.
 func TestRegistryConcurrent(t *testing.T) {

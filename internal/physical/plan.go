@@ -183,8 +183,8 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "%s [node %d, %s, rows %.0f]", pn.E.Kind, pn.N.ID, pn.N.Prop, pn.N.LG.Rel.Rows)
 		if pn.E.Kind == InvokePartial {
 			// Counts only — table names and tiers vary with cache history,
-			// and the rendered plan must stay byte-identical across shard
-			// counts and tiers for the same armed binding sets.
+			// and the rendered plan must stay byte-identical across cache
+			// histories and tiers for the same armed binding sets.
 			fmt.Fprintf(&b, " (%d cached, %d residual)", len(pn.E.Arm.BindScans), len(pn.E.Arm.ResidualBinds))
 		}
 		if pn.Mat {

@@ -1,38 +1,43 @@
-// Concurrency stress for the sharded serving hot path. This is an
-// external test (package server_test) so it can drive the whole stack —
-// mqo.Serve over generated data — against the batcher it lives next to;
-// an in-package test would cycle (the root package imports this one).
+// Concurrency stress for the serving hot path. This is an external test
+// (package server_test) so it can drive the whole stack — mqo.Serve over
+// generated data — against the batcher it lives next to; an in-package test
+// would cycle (the root package imports this one).
 //
 // The suite is meant to run under -race (CI has a dedicated step): it
 // hammers two tenant services with hundreds of concurrent Submits, mixed
 // with mid-flight context cancellations and a result-cache budget shrink,
 // then checks that every waiter came back (answer or its own ctx error),
-// and that the sharded cache's byte accounting still sums exactly.
+// and that the result cache's accounting still matches its entries and
+// storage.
 package server_test
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mqo"
+	"mqo/internal/cost"
 	"mqo/internal/ssb"
 	"mqo/internal/tpcd"
 )
 
-// stressTenant is one tenant's running service plus its query pool.
+// stressTenant is one tenant's running service, its database and its query
+// pool.
 type stressTenant struct {
 	name    string
 	opt     *mqo.Optimizer
 	svc     *mqo.Service
+	db      *mqo.DB
 	queries []*mqo.Query
 }
 
-func openStressTenants(t *testing.T, workers, shards int, rcBudget int64) []*stressTenant {
+func openStressTenants(t *testing.T, workers int, rcBudget int64) []*stressTenant {
 	t.Helper()
 	const sf = 0.003
 	tenants := []struct {
@@ -62,7 +67,7 @@ func openStressTenants(t *testing.T, workers, shards int, rcBudget int64) []*str
 		if err := tn.load(db, sf, 1); err != nil {
 			t.Fatal(err)
 		}
-		opt, err := mqo.Open(tn.cat, mqo.WithDB(db), mqo.WithPlanCache(32), mqo.WithShards(shards))
+		opt, err := mqo.Open(tn.cat, mqo.WithDB(db), mqo.WithPlanCache(32))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,49 +81,61 @@ func openStressTenants(t *testing.T, workers, shards int, rcBudget int64) []*str
 			t.Fatal(err)
 		}
 		t.Cleanup(svc.Close)
-		out = append(out, &stressTenant{name: tn.name, opt: opt, svc: svc, queries: tn.pool()})
+		out = append(out, &stressTenant{name: tn.name, opt: opt, svc: svc, db: db, queries: tn.pool()})
 	}
 	return out
 }
 
-// checkShardAccounting asserts the per-shard byte and entry accounting
-// sums exactly to the aggregate view — the invariant a lost update at a
-// shard boundary would break.
-func checkShardAccounting(t *testing.T, opt *mqo.Optimizer, label string) {
+// checkStoreAgainstStorage checks a drained tenant's result cache against
+// its own accounting and against storage: the listed entries are the counted
+// ones, their bytes sum to each tier's used bytes, and the database holds
+// exactly one cache table per RAM entry and one warm file per warm entry —
+// no orphan, no missing table.
+func checkStoreAgainstStorage(t *testing.T, tn *stressTenant) {
 	t.Helper()
-	store := opt.ResultCache()
+	store := tn.opt.ResultCache()
 	if store == nil {
 		return
 	}
-	var used, entries, budget int64
-	for _, s := range store.PerShard() {
-		if s.UsedBytes < 0 {
-			t.Errorf("%s: shard %d used bytes negative: %d", label, s.Shard, s.UsedBytes)
+	store.WaitPromotions()
+	st, entries := store.Stats(), store.Entries()
+	if len(entries) != st.Entries {
+		t.Errorf("%s: %d entries listed, accounting says %d", tn.name, len(entries), st.Entries)
+	}
+	var used, warmUsed int64
+	var ram, warm []string
+	for _, e := range entries {
+		if e.Tier == cost.TierWarm {
+			warmUsed += e.Bytes
+			warm = append(warm, e.Table)
+		} else {
+			used += e.Bytes
+			ram = append(ram, e.Table)
 		}
-		used += s.UsedBytes
-		entries += int64(s.Entries)
-		budget += s.BudgetBytes
 	}
-	st := store.Stats()
-	if used != st.UsedBytes {
-		t.Errorf("%s: per-shard used bytes sum %d != aggregate %d", label, used, st.UsedBytes)
+	if used != st.UsedBytes || warmUsed != st.WarmUsedBytes {
+		t.Errorf("%s: entries sum to %d RAM / %d warm bytes, accounting says %d / %d",
+			tn.name, used, warmUsed, st.UsedBytes, st.WarmUsedBytes)
 	}
-	if entries != int64(st.Entries) {
-		t.Errorf("%s: per-shard entries sum %d != aggregate %d", label, entries, st.Entries)
-	}
-	if budget != st.BudgetBytes {
-		t.Errorf("%s: per-shard budgets sum %d != aggregate %d", label, budget, st.BudgetBytes)
+	for _, tier := range []struct {
+		name          string
+		entries, have []string
+	}{{"cache tables", ram, tn.db.CacheNames()}, {"warm files", warm, tn.db.WarmNames()}} {
+		slices.Sort(tier.entries)
+		slices.Sort(tier.have)
+		if !slices.Equal(tier.entries, tier.have) {
+			t.Errorf("%s: entries own %v, storage holds %s %v", tn.name, tier.entries, tier.name, tier.have)
+		}
 	}
 }
 
-// TestServeStressShardedHotPath is the -race stress: hundreds of Submits
-// across two tenants and many goroutines, every 5th request racing a
-// cancellation, and a mid-flight result-cache budget shrink. The test
-// passes when it terminates (no deadlock), every waiter got an answer or
-// its own context error (no lost waiters), and the shard accounting still
-// sums exactly.
-func TestServeStressShardedHotPath(t *testing.T) {
-	tenants := openStressTenants(t, 4, 4, 4<<20)
+// TestServeStressHotPath is the -race stress: hundreds of Submits across
+// two tenants and many goroutines, every 5th request racing a cancellation,
+// and a mid-flight result-cache budget shrink. The test passes when it
+// terminates (no deadlock), every waiter got an answer or its own context
+// error (no lost waiters), and the result cache still matches storage.
+func TestServeStressHotPath(t *testing.T) {
+	tenants := openStressTenants(t, 4, 4<<20)
 
 	const requests = 300
 	var (
@@ -176,9 +193,8 @@ func TestServeStressShardedHotPath(t *testing.T) {
 		}(i, sub)
 	}
 
-	// Mid-flight budget shrink on both tenants: SetBudget re-splits the
-	// per-shard budgets and evicts under the new ceiling while batches are
-	// committing against the same shards.
+	// Mid-flight budget shrink on both tenants: SetBudgets evicts under the
+	// new ceiling while batches are committing against the same store.
 	time.Sleep(2 * time.Millisecond)
 	for _, tn := range tenants {
 		tn.opt.ResultCache().SetBudgets(64<<10, 0)
@@ -199,7 +215,7 @@ func TestServeStressShardedHotPath(t *testing.T) {
 	for _, tn := range tenants {
 		// Drain in-flight batches so the accounting snapshot is quiescent.
 		tn.svc.Close()
-		checkShardAccounting(t, tn.opt, tn.name)
+		checkStoreAgainstStorage(t, tn)
 		st := tn.opt.ResultCache().Stats()
 		if st.UsedBytes > st.BudgetBytes {
 			// The shrink must actually be enforced once traffic drains.
@@ -209,12 +225,11 @@ func TestServeStressShardedHotPath(t *testing.T) {
 }
 
 // TestServeStressWorkersReconfigured runs the same mixed workload at
-// several (workers, shards) settings back to back — a cheap sweep that
-// catches shard-count-dependent deadlocks (e.g. a lock order that only
-// trips when shards < workers).
+// several worker counts back to back — a cheap sweep that catches
+// worker-count-dependent deadlocks.
 func TestServeStressWorkersReconfigured(t *testing.T) {
-	for _, cfg := range []struct{ workers, shards int }{{1, 8}, {8, 1}, {2, 2}} {
-		tenants := openStressTenants(t, cfg.workers, cfg.shards, 2<<20)
+	for _, workers := range []int{1, 8, 2} {
+		tenants := openStressTenants(t, workers, 2<<20)
 		var wg sync.WaitGroup
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 60; i++ {
@@ -224,14 +239,14 @@ func TestServeStressWorkersReconfigured(t *testing.T) {
 			go func(tn *stressTenant, q *mqo.Query) {
 				defer wg.Done()
 				if _, err := tn.svc.SubmitQuery(context.Background(), q); err != nil {
-					t.Errorf("workers=%d shards=%d: %v", cfg.workers, cfg.shards, err)
+					t.Errorf("workers=%d: %v", workers, err)
 				}
 			}(tn, q)
 		}
 		wg.Wait()
 		for _, tn := range tenants {
 			tn.svc.Close()
-			checkShardAccounting(t, tn.opt, tn.name)
+			checkStoreAgainstStorage(t, tn)
 		}
 	}
 }

@@ -142,8 +142,8 @@ func (db *DB) WarmDir() (string, error) { return db.ensureWarmDir() }
 // DemoteCache moves a cache table from the RAM tier to the warm tier: its
 // rows are copied into a disk-backed heap file, the RAM table is dropped,
 // and the real on-disk byte count is returned. The caller (the cache
-// manager's shard, holding its shard lock) guarantees no concurrent demote
-// or drop of the same name; concurrent readers of the RAM table are safe
+// manager, holding its lock) guarantees no concurrent demote or drop of
+// the same name; concurrent readers of the RAM table are safe
 // because the copy only reads it and the swap is atomic under db.mu.
 func (db *DB) DemoteCache(name string) (int64, error) {
 	db.mu.RLock()

@@ -54,10 +54,6 @@ type Optimizer struct {
 	// algorithm; options do not change after Open, which renders it.
 	keyPrefix map[Algorithm]string
 
-	// shardCount is the result cache's shard count (WithShards), realized
-	// when the store is created.
-	shardCount int
-
 	// Cross-batch result cache (WithResultCache): a row-backed store of
 	// spooled intermediate results consulted around every executed batch.
 	rcMu         sync.Mutex
@@ -100,16 +96,6 @@ func WithPlanCache(n int) Option {
 		}
 	}
 }
-
-// WithShards splits the cross-batch result cache (result cache only) into n
-// independently locked shards by expression-fingerprint hash, so concurrent
-// workers admitting, pinning and evicting different expressions stop
-// contending on one lock. The default, 1, keeps the exact unsharded
-// semantics. Plans, rows and table names are identical at every shard count
-// — only lock contention changes — though eviction order may differ once
-// per-shard budgets bind. Set it before the store exists: a live store keeps
-// the shard count it was created with.
-func WithShards(n int) Option { return func(o *Optimizer) { o.shardCount = n } }
 
 // WithResultCache enables the cross-batch transient result cache (the
 // paper's §8 caching direction, made real): up to ramBytes of executed
@@ -179,7 +165,7 @@ func (o *Optimizer) ensureResultCache(ramBytes, warmBytes int64) error {
 	o.rcMu.Lock()
 	defer o.rcMu.Unlock()
 	if o.rcache == nil {
-		o.rcache = cache.NewStoreTiered(o.db, o.model, ramBytes, warmBytes, o.shardCount)
+		o.rcache = cache.NewStoreTiered(o.db, o.model, ramBytes, warmBytes, 0)
 	} else if o.rcache.Budget() != ramBytes || o.rcache.WarmBudget() != warmBytes {
 		o.rcache.SetBudgets(ramBytes, warmBytes)
 	}
@@ -315,7 +301,7 @@ type ExecResult struct {
 // database: shared results are materialized once, every query of the batch
 // runs against them, and per-query rows plus measured statistics are
 // returned. Requires WithDB. Concurrent executions proceed in parallel
-// over the database's sharded page layer, each in its own temp-table
+// over the database's buffer pool, each in its own temp-table
 // namespace; a cancelled context aborts both optimization and execution
 // with ctx.Err().
 func (o *Optimizer) Run(ctx context.Context, batch Batch) (*ExecResult, error) {

@@ -83,8 +83,8 @@ func readsOnlyStored(p *physical.Plan) bool {
 // result-cache table it reads, if the plan is still good against store. An
 // entry that is not — planned against another store, computing at an older
 // generation, or refused by PinPlan — is dropped and the probe counts as a
-// miss. PinPlan takes the store's shard locks, so it runs outside the plan
-// cache's own.
+// miss. PinPlan takes the store's lock, so it runs outside the plan cache's
+// own.
 func (c *planCache) get(key string, store *cache.Manager) (*Result, *cache.Ticket, bool) {
 	gen := store.Generation()
 	c.mu.Lock()

@@ -27,14 +27,8 @@ type BatchingOptions struct {
 	// (Service.SubmitQuery).
 	MaxWait time.Duration
 	// Workers bounds concurrently in-flight batches; batches optimize and
-	// execute fully in parallel over the sharded storage layer (default 2).
+	// execute fully in parallel over the storage layer (default 2).
 	Workers int
-	// Shards shards the service's result cache — result cache only —
-	// (equivalent to opening the session with WithShards) into this many
-	// independently locked shards. Applied at Serve time, before the store
-	// exists: a store the session already created keeps its shard count.
-	// 0 keeps the session's current shard count.
-	Shards int
 	// Algorithm selects the optimization strategy for coalesced batches.
 	// The zero value selects Greedy.
 	Algorithm Algorithm
@@ -97,9 +91,6 @@ func Serve(o *Optimizer, cfg BatchingOptions) (*Service, error) {
 	}
 	if o.db == nil {
 		return nil, fmt.Errorf("mqo: Serve: no database attached (use WithDB)")
-	}
-	if cfg.Shards > 0 {
-		o.shardCount = cfg.Shards
 	}
 	if cfg.ResultCacheBytes > 0 {
 		if err := o.ensureResultCache(cfg.ResultCacheBytes, cfg.ResultCacheWarmBytes); err != nil {
