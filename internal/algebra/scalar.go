@@ -128,8 +128,11 @@ func (o CmpOp) Flip() CmpOp {
 }
 
 // Eval evaluates the comparison on concrete values.
-func (o CmpOp) Eval(a, b Value) bool {
-	c := Compare(a, b)
+func (o CmpOp) Eval(a, b Value) bool { return o.Holds(Compare(a, b)) }
+
+// Holds reports whether the comparison holds between two operands that
+// Compare orders as c.
+func (o CmpOp) Holds(c int) bool {
 	switch o {
 	case EQ:
 		return c == 0

@@ -89,14 +89,7 @@ func Compare(a, b Value) int {
 	an, bn := a.IsNumeric(), b.IsNumeric()
 	switch {
 	case an && bn:
-		af, bf := a.AsFloat(), b.AsFloat()
-		if af < bf {
-			return -1
-		}
-		if af > bf {
-			return 1
-		}
-		return 0
+		return CompareFloat(a.AsFloat(), b.AsFloat())
 	case !an && !bn:
 		if a.S < b.S {
 			return -1
@@ -110,6 +103,18 @@ func Compare(a, b Value) int {
 	default:
 		return 1
 	}
+}
+
+// CompareFloat is Compare's order of two numbers: NaN is neither below nor
+// above any number, so it compares equal to every one.
+func CompareFloat(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	if a > b {
+		return 1
+	}
+	return 0
 }
 
 // String renders the value for plans and fingerprints. The rendering is

@@ -233,7 +233,10 @@ func BenchmarkIndexJoin(b *testing.B) {
 
 // BenchmarkTableScan: 20000 fact rows (about 900 pages) from a pool that
 // holds them all, so what is timed is the decode: of every column, and of
-// the four a star join reads.
+// the four a star join reads. The fact table's strings make every record a
+// walk; lineorder's shape — 30000 rows of 10 numbers — takes the fixed-width
+// path, read for four columns, and again under a filter keeping a tenth of
+// the rows, whose predicate gates the scan.
 func BenchmarkTableScan(b *testing.B) {
 	db := storage.NewDB(2048)
 	fs := factSchema()
@@ -242,6 +245,44 @@ func BenchmarkTableScan(b *testing.B) {
 	b.Run("4of17", func(b *testing.B) {
 		benchDrain(b, newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "orderdate", "revenue")), 20000)
 	})
+	const n = 30000
+	ls, lrows := lineorderTable(n)
+	lo := loadTable(b, db, "lineorder", ls, lrows)
+	need := colNeed{}.plus(eachOf([]algebra.Column{
+		algebra.Col("lineorder", "locust"), algebra.Col("lineorder", "lodate"),
+		algebra.Col("lineorder", "loqty"), algebra.Col("lineorder", "lorev")}))
+	b.Run("lineorder4of10", func(b *testing.B) { benchDrain(b, newTableScan(lo.Heap, ls, need), n) })
+	b.Run("lineorder4of10gated", func(b *testing.B) {
+		scan := newTableScan(lo.Heap, ls, need)
+		f, err := newFilter(scan, algebra.Cmp(algebra.Col("lineorder", "loqty"), algebra.LE, algebra.IntVal(5)), &Env{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchDrain(b, f, n/10)
+		if scan.rowsSkipped() == 0 {
+			b.Fatal("the filter's gate dropped nothing")
+		}
+	})
+}
+
+// lineorderTable is internal/ssb's fact table in shape: ten numeric columns,
+// loqty cycling through 1..50.
+func lineorderTable(n int) (algebra.Schema, []storage.Row) {
+	schema := intSchema("lineorder", "lokey", "locust", "lopart", "losupp", "lodate", "loqty", "loprice", "lodisc", "lorev", "loscost")
+	for _, i := range []int{6, 8, 9} {
+		schema[i].Typ = algebra.TFloat
+	}
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		k := int64(i)
+		price := float64(90 + k*37%104860)
+		rows[i] = storage.Row{
+			algebra.IntVal(k/4 + 1), algebra.IntVal(k*7919%dimRows + 1), algebra.IntVal(k*31%200000 + 1), algebra.IntVal(k*17%2000 + 1),
+			algebra.IntVal(19920101 + k%2557), algebra.IntVal(k%50 + 1), algebra.FloatVal(price), algebra.IntVal(k % 11),
+			algebra.FloatVal(price * float64(100-k%11) / 100), algebra.FloatVal(float64(1 + k%1000)),
+		}
+	}
+	return schema, rows
 }
 
 // BenchmarkScanFilterJoin is the pipeline a star query runs: a scan of the

@@ -58,6 +58,18 @@ func (p *spoilIter) Close() error           { p.lapse(); return p.child.Close() 
 func (p *spoilIter) Schema() algebra.Schema { return p.child.Schema() }
 func (p *spoilIter) buffered() int          { return bufferedRows(p.child) }
 
+// gate forwards, so that the scans of a spoiled run are gated as a plain
+// run's are, and the rows a gate lets through are spoiled like any other.
+func (p *spoilIter) gate(by any, g storage.Gate) bool { return setGate(p.child, by, g) }
+
+// NoteGates makes every run under env call note with the kind of each gate a
+// scan takes: "Filter gate", "BNLJoin streamed-side gate" or "BNLJoin
+// holdOuter gate".
+func NoteGates(env *Env, note func(kind string)) *Env {
+	env.onGate = note
+	return env
+}
+
 // TestRowsValidUntilNextOperators runs the operator-level differential tests
 // with every row lapsing as early as the contract allows: the join kernels
 // against the all-pairs loop, an Invoke over its bindings, and the batches of

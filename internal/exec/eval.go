@@ -29,6 +29,9 @@ type Env struct {
 	// wrap, which only tests set, stands between every operator the builder
 	// instantiates and its consumer.
 	wrap func(Iterator) Iterator
+	// onGate, which only tests set, is told the kind of every gate a scan
+	// takes.
+	onGate func(kind string)
 }
 
 func (e *Env) wrapped(it Iterator) Iterator {
@@ -36,6 +39,12 @@ func (e *Env) wrapped(it Iterator) Iterator {
 		return e.wrap(it)
 	}
 	return it
+}
+
+func (e *Env) noteGate(kind string) {
+	if e != nil && e.onGate != nil {
+		e.onGate(kind)
+	}
 }
 
 // valueFunc evaluates a scalar against a row.
@@ -108,37 +117,28 @@ type predFunc func(storage.Row) (bool, error)
 
 // compilePred resolves a CNF predicate against a schema.
 func compilePred(p algebra.Predicate, schema algebra.Schema, env *Env) (predFunc, error) {
-	type compiledCmp struct {
-		l, r valueFunc
-		op   algebra.CmpOp
-	}
-	clauses := make([][]compiledCmp, len(p.Conj))
+	clauses := make([][]predFunc, len(p.Conj))
 	for i, cl := range p.Conj {
 		for _, c := range cl.Disj {
-			lf, err := compileScalar(c.L, schema, env)
+			f, err := compileCmp(c, schema, env)
 			if err != nil {
 				return nil, err
 			}
-			rf, err := compileScalar(c.R, schema, env)
-			if err != nil {
-				return nil, err
-			}
-			clauses[i] = append(clauses[i], compiledCmp{l: lf, r: rf, op: c.Op})
+			clauses[i] = append(clauses[i], f)
 		}
+	}
+	if len(clauses) == 1 && len(clauses[0]) == 1 {
+		return clauses[0][0], nil
 	}
 	return func(r storage.Row) (bool, error) {
 		for _, cl := range clauses {
 			hit := false
 			for _, c := range cl {
-				lv, err := c.l(r)
+				ok, err := c(r)
 				if err != nil {
 					return false, err
 				}
-				rv, err := c.r(r)
-				if err != nil {
-					return false, err
-				}
-				if c.op.Eval(lv, rv) {
+				if ok {
 					hit = true
 					break
 				}
@@ -149,4 +149,60 @@ func compilePred(p algebra.Predicate, schema algebra.Schema, env *Env) (predFunc
 		}
 		return true, nil
 	}, nil
+}
+
+// compileCmp resolves one comparison. A column against a numeric constant,
+// in either order, compares the column's number with the constant's
+// directly, as algebra.Compare would (by AsFloat, NaN equal to every number);
+// a row whose value there is a string falls back to Compare.
+func compileCmp(c algebra.Comparison, schema algebra.Schema, env *Env) (predFunc, error) {
+	if idx, op, k, ok := colVsNumber(c, schema); ok {
+		kf := k.AsFloat()
+		return func(r storage.Row) (bool, error) {
+			if v := &r[idx]; v.IsNumeric() {
+				return op.Holds(algebra.CompareFloat(v.AsFloat(), kf)), nil
+			}
+			return op.Eval(r[idx], k), nil
+		}, nil
+	}
+	lf, err := compileScalar(c.L, schema, env)
+	if err != nil {
+		return nil, err
+	}
+	rf, err := compileScalar(c.R, schema, env)
+	if err != nil {
+		return nil, err
+	}
+	op := c.Op
+	return func(r storage.Row) (bool, error) {
+		lv, err := lf(r)
+		if err != nil {
+			return false, err
+		}
+		rv, err := rf(r)
+		if err != nil {
+			return false, err
+		}
+		return op.Eval(lv, rv), nil
+	}, nil
+}
+
+// colVsNumber matches col op number and number op col, the latter with the
+// operator flipped, for a column of the schema.
+func colVsNumber(c algebra.Comparison, schema algebra.Schema) (idx int, op algebra.CmpOp, k algebra.Value, ok bool) {
+	col, isCol := c.L.(algebra.ColExpr)
+	num, isConst := c.R.(algebra.ConstExpr)
+	op = c.Op
+	if !isCol || !isConst {
+		col, isCol = c.R.(algebra.ColExpr)
+		num, isConst = c.L.(algebra.ConstExpr)
+		op = op.Flip()
+	}
+	if !isCol || !isConst || !num.V.IsNumeric() {
+		return 0, 0, algebra.Value{}, false
+	}
+	if idx = schema.IndexOf(col.C); idx < 0 {
+		return 0, 0, algebra.Value{}, false
+	}
+	return idx, op, num.V, true
 }

@@ -83,10 +83,26 @@ func bufferedRows(child Iterator) int {
 }
 
 // tableScan streams the kept columns of a heap file's rows, holding one
-// decoded page at a time.
+// decoded page at a time. Operators above it may hand it gates (gate), tests
+// its cursor runs on a record's gate columns to drop the row undecoded.
 type tableScan struct {
 	kept
-	cur *storage.HeapCursor
+	cur   *storage.HeapCursor
+	poll  ctxPoll    // polled once per row the gates drop
+	gates *scanGates // nil until an operator hands the scan a gate
+}
+
+// scanGates is what a scan holds once it has been handed a gate: kept apart
+// so that a scan nobody gates, the most common kind, stays small.
+type scanGates struct {
+	owned   []ownedGate
+	skipped int64 // rows the gates dropped since the scan was built
+}
+
+// ownedGate is a gate and the operator that handed it down.
+type ownedGate struct {
+	by any
+	storage.Gate
 }
 
 // newTableScan creates a scan of the need columns of a stored table, whose
@@ -107,7 +123,82 @@ func (s *tableScan) Schema() algebra.Schema { return s.schema }
 
 // buffered is the optional method of an operator that knows how many rows it
 // has still to deliver, so a consumer that keeps them sizes its storage once.
-func (s *tableScan) buffered() int { return int(s.cur.Remaining()) }
+// A gated scan does not know: what its cursor has still to examine is only an
+// upper bound, and 0 is "unknown".
+func (s *tableScan) buffered() int {
+	if s.gates != nil && len(s.gates.owned) > 0 {
+		return 0
+	}
+	return int(s.cur.Remaining())
+}
+
+// gate is the optional method of an operator that can drop rows before they
+// are decoded, or that passes the rows of one that can on unchanged: it sets
+// the gate owned by by, whose Cols are positions in the operator's rows,
+// replacing the one by set before; a zero Gate withdraws it. ok reports that
+// a scan took the gate. A gate is only a pre-filter: a row it errs on is
+// kept, and its owner still decides every row it receives, so a gate changes
+// what is decoded, never an answer or an error, and which pages are read
+// when not at all.
+func (s *tableScan) gate(by any, g storage.Gate) (ok bool) {
+	if s.gates == nil {
+		if g.Test == nil {
+			return true
+		}
+		s.gates = &scanGates{}
+	}
+	owned := slices.DeleteFunc(s.gates.owned, func(o ownedGate) bool { return o.by == by })
+	if g.Test != nil {
+		owned = append(owned, ownedGate{by: by, Gate: g})
+	}
+	s.gates.owned = owned
+	if len(owned) == 0 {
+		s.cur.SetGate(storage.Gate{})
+		return true
+	}
+	cols := owned[0].Cols
+	for _, o := range owned[1:] {
+		for _, c := range o.Cols {
+			if !slices.Contains(cols, c) {
+				cols = append(slices.Clip(cols), c)
+			}
+		}
+	}
+	s.cur.SetGate(storage.Gate{Cols: cols, Test: s.admit})
+	return true
+}
+
+// admit passes a row every gate passes or errs on: an error is the owner's to
+// report, when the row reaches it. A Next may drop many rows, so the run's
+// context is polled once per drainCheckEvery of them.
+func (s *tableScan) admit(r storage.Row) (bool, error) {
+	for _, g := range s.gates.owned {
+		if ok, err := g.Test(r); !ok && err == nil {
+			s.gates.skipped++
+			return false, s.poll.err()
+		}
+	}
+	return true, nil
+}
+
+// setGate hands an operator's gate to the scan below it, through operators
+// that pass its rows on unchanged; ok reports that a scan took it.
+func setGate(it Iterator, by any, g storage.Gate) (ok bool) {
+	if x, is := it.(interface {
+		gate(any, storage.Gate) bool
+	}); is {
+		return x.gate(by, g)
+	}
+	return false
+}
+
+// rowsSkipped is what a profiled run reports as NodeProfile.Skipped.
+func (s *tableScan) rowsSkipped() int64 {
+	if s.gates == nil {
+		return 0
+	}
+	return s.gates.skipped
+}
 
 // decodedAhead is the optional method of an operator some of whose Next calls
 // read a page while the others hand over a decoded row: it counts the latter
@@ -124,6 +215,27 @@ func (s *tableScan) pageMisses() int64 { return s.cur.Faults() }
 type filterIter struct {
 	child Iterator
 	pred  predFunc
+	poll  ctxPoll // polled once per row dropped: a Next may drop many
+}
+
+// newFilter builds a filter and hands its predicate to the scan below it, if
+// any, as a gate: a row the predicate fails is then never decoded.
+func newFilter(child Iterator, p algebra.Predicate, env *Env) (*filterIter, error) {
+	pred, err := compilePred(p, child.Schema(), env)
+	if err != nil {
+		return nil, err
+	}
+	f := &filterIter{child: child, pred: pred}
+	var cols []int
+	p.VisitColumns(func(c algebra.Column) {
+		if i := child.Schema().IndexOf(c); !slices.Contains(cols, i) {
+			cols = append(cols, i)
+		}
+	})
+	if setGate(child, f, storage.Gate{Cols: cols, Test: pred}) {
+		env.noteGate("Filter gate")
+	}
+	return f, nil
 }
 
 func (f *filterIter) Open() error { return f.child.Open() }
@@ -141,11 +253,18 @@ func (f *filterIter) Next() (storage.Row, bool, error) {
 		if keep {
 			return r, true, nil
 		}
+		if err := f.poll.err(); err != nil {
+			return nil, false, err
+		}
 	}
 }
 
 func (f *filterIter) Close() error           { return f.child.Close() }
 func (f *filterIter) Schema() algebra.Schema { return f.child.Schema() }
+
+// gate passes a gate on to the child: the filter delivers the child's rows,
+// at the child's positions.
+func (f *filterIter) gate(by any, g storage.Gate) bool { return setGate(f.child, by, g) }
 
 // projectIter computes named scalar outputs.
 type projectIter struct {
@@ -284,7 +403,7 @@ var keySeed = maphash.MakeSeed()
 func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
 	for _, c := range cols {
 		var x uint64
-		if v := r[c]; v.Typ == algebra.TString {
+		if v := &r[c]; v.Typ == algebra.TString {
 			x = maphash.String(keySeed, v.S)
 		} else {
 			f := v.AsFloat()
@@ -321,12 +440,19 @@ func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
 // buckets. The rows, their order and the pairs evaluated are the same either
 // way; what differs is the memory — the smaller input and the matches of the
 // larger, not the whole right input — and which child is pulled first.
+//
+// Once the buckets a child's rows are matched against are known, the join
+// hands that child — the streamed outer input, or the inner one a held outer
+// input filters — a gate (see tableScan.gate): is there a bucket for this
+// key? A NaN key passes. A scan below then drops, undecoded, the rows the
+// join would have dropped unpaired.
 type nlJoin struct {
 	left, right Iterator
 	pred        predFunc
 	lKey, rKey  []int // key column positions in the outer and the inner row
 	schema      algebra.Schema
 	poll        ctxPoll
+	env         *Env
 	joinScratch
 
 	// holdOuter: Open buffers the outer input and filters the inner by it.
@@ -356,7 +482,7 @@ func newNLJoin(left, right Iterator, p algebra.Predicate, env *Env) (*nlJoin, er
 	if err != nil {
 		return nil, err
 	}
-	j := &nlJoin{left: left, right: right, pred: pred, schema: schema}
+	j := &nlJoin{left: left, right: right, pred: pred, schema: schema, env: env}
 	nOuter := len(left.Schema())
 	lcols, rcols := p.EquiJoinColumns(left.Schema(), right.Schema())
 	for i := range lcols {
@@ -380,6 +506,9 @@ func (j *nlJoin) estimate(outerRows, innerRows float64) {
 // input has buffered that before, and skips the inner rows no outer row's
 // key hashes like.
 func (j *nlJoin) Open() error {
+	// A gate of the last Open tests the buckets this one rebuilds.
+	setGate(j.left, j, storage.Gate{})
+	setGate(j.right, j, storage.Gate{})
 	if err := j.left.Open(); err != nil {
 		return err
 	}
@@ -398,6 +527,9 @@ func (j *nlJoin) Open() error {
 		var err error
 		if filter, err = j.bufferOuter(); err != nil {
 			return err
+		}
+		if filter {
+			j.gateKeys(j.right, j.rKey, "BNLJoin holdOuter gate")
 		}
 	} else if n := bufferedRows(j.right); n > 0 {
 		// Every row is kept, so the child's count sizes the storage once.
@@ -450,7 +582,29 @@ func (j *nlJoin) Open() error {
 		j.bucketed[j.ends[b]] = r
 		j.ends[b]++
 	}
+	if !j.holdOuter {
+		j.gateKeys(j.left, j.lKey, "BNLJoin streamed-side gate")
+	}
 	return nil
+}
+
+// gateKeys hands child a gate that passes a row whose key at cols has a
+// bucket, or is NaN; bucketOf must be the table the row will be matched
+// against, and stay it while the child is pulled.
+func (j *nlJoin) gateKeys(child Iterator, cols []int, kind string) {
+	if len(cols) == 0 {
+		return
+	}
+	if setGate(child, j, storage.Gate{Cols: cols, Test: func(r storage.Row) (bool, error) {
+		h, ok := keyHash(r, cols)
+		if !ok {
+			return true, nil
+		}
+		_, seen := j.bucketOf[h]
+		return seen, nil
+	}}) {
+		j.env.noteGate(kind)
+	}
 }
 
 // bufferOuter holds the outer input and gives every key hash in it a bucket,

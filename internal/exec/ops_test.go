@@ -248,6 +248,10 @@ func joinsMatchAllPairs(t *testing.T, wrap func(Iterator) Iterator) {
 // kept. The rows are the all-pairs loop's either way; the pairs evaluated are
 // pinned, and differ between the two orders only where an inner row is both
 // dropped and, keying being off, would have met every outer row.
+//
+// Over table scans the join gates the input it matches against its buckets,
+// which must pass a NaN key and take -0 for 0: the rows and pairs stay those
+// of the unscanned inputs, and the rows a gate drops are pinned too.
 func TestNLJoinNaNKeys(t *testing.T) {
 	ls, rs := intSchema("l", "a"), intSchema("r", "a")
 	vals := func(fs ...float64) []storage.Row {
@@ -257,35 +261,115 @@ func TestNLJoinNaNKeys(t *testing.T) {
 		}
 		return rows
 	}
-	nan := math.NaN()
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	pred := algebra.ColEq(algebra.Col("l", "a"), algebra.Col("r", "a"))
 	for i, c := range []struct {
-		outer, inner []storage.Row
-		pairs        [2]int64 // holding the inner input, holding the outer
+		outer, inner   []storage.Row
+		pairs, skipped [2]int64 // holding the inner input, holding the outer
 	}{
-		{vals(1, nan, 2), vals(2, 1, 1, 3), [2]int64{7, 7}},  // 2 + 4 + 1: the filter is off
-		{vals(1, 2, 4), vals(2, nan, 1, 7), [2]int64{12, 9}}, // 3 × 4; 3 × 3 with the 7 dropped
-		{vals(nan, 1), vals(nan, 1), [2]int64{4, 4}},
+		{vals(1, nan, 2), vals(2, 1, 1, 3), [2]int64{7, 7}, [2]int64{0, 0}},  // 2 + 4 + 1: the filter is off
+		{vals(1, 2, 4), vals(2, nan, 1, 7), [2]int64{12, 9}, [2]int64{0, 1}}, // 3 × 4; 3 × 3 with the 7 dropped
+		{vals(nan, 1), vals(nan, 1), [2]int64{4, 4}, [2]int64{0, 0}},
+		{vals(negZero, 3, 0), vals(0, 5, negZero), [2]int64{4, 4}, [2]int64{1, 1}}, // the 3, then the 5, meet nothing
 	} {
 		want := allPairs(t, pred, ls, rs, c.outer, c.inner)
-		for o, outerSmaller := range []bool{false, true} {
-			nl, err := newNLJoin(&sliceIter{rows: c.outer, schema: ls}, &sliceIter{rows: c.inner, schema: rs}, pred, &Env{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nl.estimate(estimates(outerSmaller))
-			got := mustDrain(t, nl)
-			if len(got) != len(want) {
-				t.Fatalf("case %d, holding outer: %v: %d rows, want %d", i, outerSmaller, len(got), len(want))
-			}
-			for k := range got { // NaN != NaN, so compare the rendering
-				if fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
-					t.Fatalf("case %d, holding outer: %v, row %d: %v, want %v", i, outerSmaller, k, got[k], want[k])
+		db := storage.NewDB(16)
+		ltab, rtab := loadTable(t, db, "l", ls, c.outer), loadTable(t, db, "r", rs, c.inner)
+		for _, scanned := range []bool{false, true} {
+			for o, outerSmaller := range []bool{false, true} {
+				what := fmt.Sprintf("case %d, scanned: %v, holding outer: %v", i, scanned, outerSmaller)
+				var left, right Iterator = &sliceIter{rows: c.outer, schema: ls}, &sliceIter{rows: c.inner, schema: rs}
+				var lscan, rscan *tableScan
+				if scanned {
+					lscan, rscan = newTableScan(ltab.Heap, ls, nil), newTableScan(rtab.Heap, rs, nil)
+					left, right = lscan, rscan
+				}
+				nl, err := newNLJoin(left, right, pred, &Env{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nl.estimate(estimates(outerSmaller))
+				got := mustDrain(t, nl)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+				}
+				for k := range got { // NaN != NaN, so compare the rendering
+					if fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
+						t.Fatalf("%s, row %d: %v, want %v", what, k, got[k], want[k])
+					}
+				}
+				if nl.pairsEvaluated() != c.pairs[o] {
+					t.Errorf("%s: %d pairs evaluated, want %d", what, nl.pairsEvaluated(), c.pairs[o])
+				}
+				if scanned {
+					if skipped := lscan.rowsSkipped() + rscan.rowsSkipped(); skipped != c.skipped[o] {
+						t.Errorf("%s: the gates dropped %d rows, want %d", what, skipped, c.skipped[o])
+					}
 				}
 			}
-			if nl.pairsEvaluated() != c.pairs[o] {
-				t.Errorf("case %d, holding outer: %v: %d pairs evaluated, want %d", i, outerSmaller, nl.pairsEvaluated(), c.pairs[o])
-			}
+		}
+	}
+}
+
+// TestGateKeepsWhatItErrsOn: a Filter's predicate that fails to evaluate — a
+// parameter nobody bound — gates the scan below it too; the scan keeps the
+// row, so that the Filter reports the error rather than an empty answer.
+func TestGateKeepsWhatItErrsOn(t *testing.T) {
+	db := storage.NewDB(16)
+	schema := intSchema("t", "k")
+	tab := loadTable(t, db, "t", schema, intRows([]int64{1}, []int64{2}))
+	gated := false
+	f, err := newFilter(newTableScan(tab.Heap, schema, nil), algebra.CmpParam(algebra.Col("t", "k"), algebra.EQ, "nobody"),
+		NoteGates(&Env{Params: map[string]algebra.Value{}}, func(string) { gated = true }))
+	if err != nil || !gated {
+		t.Fatal(gated, err)
+	}
+	if _, err := drain(context.Background(), f); err == nil || !strings.Contains(err.Error(), "unbound parameter") {
+		t.Errorf("the filter over its gated scan returned %v, want the unbound parameter", err)
+	}
+}
+
+// TestNLJoinWithdrawsGatesOnReopen: a gate tests the buckets of the Open that
+// set it. The join is opened again — as Invoke does per binding — with the
+// other input now holding a NaN key, which turns that Open's gate off; a gate
+// left over from the first Open would drop rows the NaN key must meet.
+func TestNLJoinWithdrawsGatesOnReopen(t *testing.T) {
+	ls, rs := intSchema("l", "a"), intSchema("r", "a")
+	pred := algebra.ColEq(algebra.Col("l", "a"), algebra.Col("r", "a"))
+	vals := func(fs ...float64) []storage.Row {
+		rows := make([]storage.Row, len(fs))
+		for i, f := range fs {
+			rows[i] = storage.Row{algebra.FloatVal(f)}
+		}
+		return rows
+	}
+	db := storage.NewDB(16)
+	scanned := loadTable(t, db, "s", ls, vals(1, 2, 3, 7))
+	for _, holdOuter := range []bool{false, true} {
+		// The held input is in memory and changes between the Opens; the
+		// other is the scan, gated the first time.
+		held := &sliceIter{rows: vals(1, 2), schema: rs}
+		scan := newTableScan(scanned.Heap, ls, nil)
+		var nl *nlJoin
+		var err error
+		if holdOuter {
+			held.schema = ls
+			scan = newTableScan(scanned.Heap, rs, nil)
+			nl, err = newNLJoin(held, scan, pred, &Env{})
+		} else {
+			nl, err = newNLJoin(scan, held, pred, &Env{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl.estimate(estimates(holdOuter))
+		if got := mustDrain(t, nl); len(got) != 2 || scan.rowsSkipped() != 2 {
+			t.Fatalf("holding outer: %v: %d rows with 3 and 7 skipped (%d), want 2 and 2", holdOuter, len(got), scan.rowsSkipped())
+		}
+		held.rows = vals(1, math.NaN())
+		if got := mustDrain(t, nl); len(got) != 5 || scan.rowsSkipped() != 2 {
+			t.Errorf("holding outer: %v, reopened with a NaN key: %d rows and %d skipped in all, want 5 (1 and NaN's 4) and still 2",
+				holdOuter, len(got), scan.rowsSkipped())
 		}
 	}
 }
@@ -528,7 +612,8 @@ func (c *cancelIter) Next() (storage.Row, bool, error) {
 
 // TestBlockingOperatorsStopWhenCancelled: a join buffering either of its
 // inputs and a sort pull a whole input inside Open, an aggregate a whole group
-// — for a scalar one the whole input — inside one Next, where drain's own
+// — for a scalar one the whole input — inside one Next, and a filter or a
+// gated scan that drops every row the whole of a table, where drain's own
 // check does not reach; each must return the context's error within
 // drainCheckEvery rows of the cancellation instead of finishing the input.
 func TestBlockingOperatorsStopWhenCancelled(t *testing.T) {
@@ -603,6 +688,89 @@ func TestBlockingOperatorsStopWhenCancelled(t *testing.T) {
 			t.Errorf("%s: %d rows pulled, cancelled at row %d of %d: want at most %d more", c.name, big.pos, at, n, drainCheckEvery)
 		}
 		cancel()
+	}
+
+	// A Next that drops rows runs on inside one call as long as nothing
+	// passes: a filter over its whole input, a scan over every page its gate
+	// empties.
+	db := storage.NewDB(16)
+	tab := loadTable(t, db, "t", schema, rows)
+	if pages := tab.Heap.NumPages(); pages < 20 {
+		t.Fatalf("the table has %d pages, want many", pages)
+	}
+	for _, c := range []struct {
+		name string
+		op   func(ctx context.Context, drop predFunc) Iterator
+	}{
+		{"filter dropping every row", func(ctx context.Context, drop predFunc) Iterator {
+			return &filterIter{child: newTableScan(tab.Heap, schema, nil), pred: drop, poll: ctxPoll{ctx: ctx}}
+		}},
+		{"scan whose gate drops every row", func(ctx context.Context, drop predFunc) Iterator {
+			s := newTableScan(tab.Heap, schema, nil)
+			s.poll.ctx = ctx
+			setGate(s, t, storage.Gate{Cols: []int{0}, Test: drop})
+			return s
+		}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		tested := 0
+		it := c.op(ctx, func(storage.Row) (bool, error) {
+			if tested++; tested == at {
+				cancel()
+			}
+			return false, nil
+		})
+		if err := it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := it.Next(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: the first Next returned %v, want context.Canceled", c.name, err)
+		}
+		if tested < at || tested > at+drainCheckEvery {
+			t.Errorf("%s: %d rows tested, cancelled at row %d of %d: want at most %d more", c.name, tested, at, n, drainCheckEvery)
+		}
+		cancel()
+	}
+}
+
+// TestGatedScanBuffersUnknown: a scan knows how many rows it has still to
+// deliver until a gate is set; then the rows its cursor has still to examine
+// are only an upper bound, which a consumer would size its storage by as if
+// exact, so the scan reports 0, "unknown", until the gate is withdrawn.
+func TestGatedScanBuffersUnknown(t *testing.T) {
+	const n = 2000
+	db := storage.NewDB(256)
+	fs := factSchema()
+	tab := loadTable(t, db, "f", fs, factRows(n))
+	scan := newTableScan(tab.Heap, fs, factNeed("custkey", "quantity"))
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	traced := newStatIter(scan, &NodeProfile{}, &profiler{})
+	if got := bufferedRows(traced); got != n {
+		t.Fatalf("an ungated scan promises %d rows, want %d", got, n)
+	}
+	tenth := storage.Gate{Cols: []int{1}, Test: func(r storage.Row) (bool, error) { return r[1].I%10 == 0, nil }}
+	if !setGate(traced, t, tenth) {
+		t.Fatal("the scan refused a gate")
+	}
+	if got := bufferedRows(traced); got != 0 {
+		t.Errorf("a gated scan promises %d rows, want 0 (unknown)", got)
+	}
+	rows := mustDrain(t, traced)
+	if len(rows) != n/10 || scan.cur.Remaining() != 0 || scan.rowsSkipped() != n-n/10 {
+		t.Errorf("the gated scan delivered %d rows and skipped %d, %d left; want %d, %d and 0",
+			len(rows), scan.rowsSkipped(), scan.cur.Remaining(), n/10, n-n/10)
+	}
+	setGate(traced, t, storage.Gate{})
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bufferedRows(traced); got != n {
+		t.Errorf("with its gate withdrawn the scan promises %d rows, want %d", got, n)
+	}
+	if rows := mustDrain(t, traced); len(rows) != n {
+		t.Errorf("with its gate withdrawn the scan delivered %d rows, want %d", len(rows), n)
 	}
 }
 

@@ -16,7 +16,11 @@ import (
 // NodeProfile is the measured execution profile of one instantiated
 // operator. Wall and Pages are inclusive of the operator's children (the
 // usual EXPLAIN ANALYZE convention); Rows counts the rows this operator
-// emitted to its parent.
+// emitted to its parent. A scan's gates run an ancestor's tests below the
+// operators in between, so a node under a gated join emits only the rows
+// that also pass the join's key test: a Filter between them counts the rows
+// that passed both, not its own predicate's selectivity, and a scan's Rows
+// plus Skipped is the rows it examined.
 type NodeProfile struct {
 	Node    int     `json:"node"`
 	Op      string  `json:"op"`
@@ -29,12 +33,13 @@ type NodeProfile struct {
 	Cols       int `json:"cols,omitempty"`
 	StoredCols int `json:"stored_cols,omitempty"`
 
-	Rows  int64         `json:"rows"`
-	Pairs int64         `json:"pairs,omitempty"` // joins: predicate evaluations, exact
-	Kept  int64         `json:"kept,omitempty"`  // joins and sorts: input rows copied into the operator's own storage
-	Pages int64         `json:"pages"`           // buffer-pool misses, inclusive
-	Bytes int64         `json:"bytes"`           // Pages × storage.PageSize
-	Wall  time.Duration `json:"wall_ns"`
+	Rows    int64         `json:"rows"`
+	Skipped int64         `json:"skipped,omitempty"` // scans: rows the gates dropped without decoding them
+	Pairs   int64         `json:"pairs,omitempty"`   // joins: predicate evaluations, exact
+	Kept    int64         `json:"kept,omitempty"`    // joins and sorts: input rows copied into the operator's own storage
+	Pages   int64         `json:"pages"`             // buffer-pool misses, inclusive
+	Bytes   int64         `json:"bytes"`             // Pages × storage.PageSize
+	Wall    time.Duration `json:"wall_ns"`
 
 	Children []*NodeProfile `json:"children,omitempty"`
 }
@@ -272,6 +277,9 @@ func (s *statIter) Close() error {
 	if k, ok := s.child.(interface{ rowsKept() int64 }); ok {
 		s.p.Kept = k.rowsKept()
 	}
+	if g, ok := s.child.(interface{ rowsSkipped() int64 }); ok {
+		s.p.Skipped = g.rowsSkipped()
+	}
 	if l, ok := s.child.(interface{ pageMisses() int64 }); ok {
 		s.p.Pages = l.pageMisses()
 	}
@@ -283,6 +291,10 @@ func (s *statIter) Schema() algebra.Schema { return s.child.Schema() }
 // buffered forwards the child's, so a consumer sizes its storage alike in
 // traced and plain runs; 0 is "unknown".
 func (s *statIter) buffered() int { return bufferedRows(s.child) }
+
+// gate forwards a gate to the child, so a profiled run decodes what a plain
+// one does.
+func (s *statIter) gate(by any, g storage.Gate) bool { return setGate(s.child, by, g) }
 
 // sumPages turns the page misses each operator caused itself into the
 // inclusive counts NodeProfile.Pages documents, children before parents.
@@ -377,7 +389,10 @@ func recordRunMetrics(stats *RunStats) {
 
 // FormatAnalyze renders the EXPLAIN ANALYZE view of a profiled run:
 // per node the optimizer's estimate (cost-model seconds, cardinality)
-// against the measured rows, inclusive pages and inclusive wall time; a
+// against the measured rows, inclusive pages and inclusive wall time; a scan
+// whose gates dropped rows shows skipped=, the rows it dropped undecoded, and
+// every node between it and the join that gated it shows rows= after that
+// join's key test too (NodeProfile); a
 // join also shows pairs=, the predicate evaluations it took (what a keyed
 // probe saves against outer × inner), a join or a sort kept=, the input rows
 // it copied into storage of its own (what a join that holds its smaller input
@@ -395,6 +410,10 @@ func FormatAnalyze(stats RunStats) string {
 		if p.Mat {
 			mat = " [mat]"
 		}
+		skipped := ""
+		if p.Skipped > 0 {
+			skipped = fmt.Sprintf(" skipped=%d", p.Skipped)
+		}
 		pairs := ""
 		if p.Pairs > 0 {
 			pairs = fmt.Sprintf(" pairs=%d", p.Pairs)
@@ -407,9 +426,9 @@ func FormatAnalyze(stats RunStats) string {
 		if p.StoredCols > 0 {
 			cols = fmt.Sprintf(" cols=%d/%d", p.Cols, p.StoredCols)
 		}
-		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s pages=%d bytes=%d time=%s)\n",
+		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s%s pages=%d bytes=%d time=%s)\n",
 			strings.Repeat("  ", indent), p.Op, mat, p.EstCost, p.EstRows,
-			p.Rows, pairs, kept, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
+			p.Rows, skipped, pairs, kept, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
 		for _, c := range p.Children {
 			render(c, indent+1)
 		}

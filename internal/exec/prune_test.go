@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -34,7 +35,9 @@ type step struct {
 // whole rows. A leaf that drops a column something above it reads fails the
 // run (the column no longer resolves) or the comparison; the second pass
 // takes the same risk through cache scans in both tiers, spooled roots and
-// partially cached Invokes, all of which the test insists it crossed.
+// partially cached Invokes, all of which the test insists it crossed. So does
+// a gate that drops a row its owner would have kept, and the test insists it
+// ran a Filter's, a streamed join input's and a held outer input's.
 func TestPrunedPlansMatchReference(t *testing.T) {
 	plansMatchReference(t, func(env *exec.Env) *exec.Env { return env })
 }
@@ -65,6 +68,7 @@ func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 		cq = append(cq, step{queries: psp.CQ(i)})
 	}
 	crossed := map[string]bool{}
+	note := func(kind string) { crossed[kind] = true }
 	for _, w := range []struct {
 		name         string
 		load         func(*storage.DB) error
@@ -116,8 +120,8 @@ func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 						t.Fatalf("%v step %d: %v", alg, k, err)
 					}
 					spools := ticket.PlanSpools(res.Plan)
-					got, _, err := exec.Run(context.Background(), db, model, res.Plan, with(&exec.Env{
-						ParamSets: s.sets, Cache: &exec.CacheIO{Spools: spools, BindSpools: ticket.BindingSpools()}}))
+					got, _, err := exec.Run(context.Background(), db, model, res.Plan, with(exec.NoteGates(&exec.Env{
+						ParamSets: s.sets, Cache: &exec.CacheIO{Spools: spools, BindSpools: ticket.BindingSpools()}}, note)))
 					if err != nil {
 						ticket.Abort()
 						t.Fatalf("%v step %d: %v\nplan:\n%s", alg, k, err, res.Plan)
@@ -151,7 +155,8 @@ func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 		})
 	}
 	for _, path := range []string{"SeqScan", "CacheScan", "CacheScan@warm", "InvokePartial", "spooled root",
-		"BNLJoin", "MergeJoin", "IndexJoin", "SortAgg"} {
+		"BNLJoin", "MergeJoin", "IndexJoin", "SortAgg",
+		"Filter gate", "BNLJoin streamed-side gate", "BNLJoin holdOuter gate"} {
 		if !crossed[path] {
 			t.Errorf("no plan crossed %s", path)
 		}
@@ -214,6 +219,27 @@ func TestNeedSetAnalysis(t *testing.T) {
 		}
 		if text := exec.FormatAnalyze(exec.RunStats{Profile: prof}); !strings.Contains(text, " cols=4/10 pages=") {
 			t.Errorf("EXPLAIN ANALYZE does not show cols=4/10:\n%s", text)
+		}
+	})
+
+	t.Run("a scan drops undecoded what its filter fails", func(t *testing.T) {
+		prof, _ := profiled(t, db, core.Volcano, []*algebra.Tree{ssb.Query(1, 0)})
+		text := exec.FormatAnalyze(exec.RunStats{Profile: prof})
+		facts := 0
+		for _, p := range scansOf(prof.Queries) {
+			if p.StoredCols != lineorderCols {
+				continue
+			}
+			facts++
+			if p.Skipped == 0 || p.Rows+p.Skipped != 12000 {
+				t.Errorf("%s of lineorder delivered %d rows and skipped %d, want some skipped and 12000 in all", p.Op, p.Rows, p.Skipped)
+			}
+			if want := fmt.Sprintf(" rows=%d skipped=%d cols=", p.Rows, p.Skipped); !strings.Contains(text, want) {
+				t.Errorf("EXPLAIN ANALYZE does not show %q:\n%s", want, text)
+			}
+		}
+		if facts != 1 {
+			t.Errorf("%d scans of lineorder, want 1:\n%s", facts, text)
 		}
 	})
 

@@ -85,7 +85,8 @@ type RunStats struct {
 // The context is checked between materializations and once per
 // drainCheckEvery rows pulled, by the drain of a root's output and by the
 // operators that pull a whole input before delivering a row (a sort, a block
-// nested-loops join's Open); a cancelled context aborts the run with
+// nested-loops join's Open), and once per drainCheckEvery rows dropped by a
+// filter or a scan's gates; a cancelled context aborts the run with
 // ctx.Err() (temporary tables are still dropped).
 func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.Plan, env *Env) ([]QueryResult, RunStats, error) {
 	if env == nil {
@@ -186,17 +187,18 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 // checking per row would put a (locking) ctx.Err call on the hot path.
 const drainCheckEvery = 1024
 
-// ctxPoll is the context check of a loop that pulls rows: drain's, and those
-// of the operators that pull a whole input before they deliver a row (a sort,
-// a join's buffered sides, an aggregate's group), inside which a cancelled run would otherwise keep
-// working until the root saw its first row. The zero value never fails.
+// ctxPoll is the context check of a loop that pulls rows: drain's, those of
+// the operators that pull a whole input before they deliver a row (a sort, a
+// join's buffered sides, an aggregate's group), and those that drop rows (a
+// filter, a scan's gates), inside which a cancelled run would otherwise keep
+// working until the root saw its next row. The zero value never fails.
 type ctxPoll struct {
 	ctx  context.Context
 	skip int // calls to let pass before the next check
 }
 
-// err is called once per row pulled: it reports the context's error on the
-// first call and on every drainCheckEvery-th after it.
+// err is called once per row pulled (or dropped): it reports the context's
+// error on the first call and on every drainCheckEvery-th after it.
 func (p *ctxPoll) err() error {
 	if p.skip > 0 {
 		p.skip--
@@ -341,13 +343,13 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 			if err != nil {
 				return nil, fmt.Errorf("exec: spooled node %d not yet computed: %w", pn.N.ID, err)
 			}
-			return newTableScan(ct.Heap, ct.Schema, need), nil
+			return b.scan(ct.Heap, ct.Schema, need), nil
 		}
 		temp, err := b.temps.Temp(tempName(pn))
 		if err != nil {
 			return nil, fmt.Errorf("exec: materialized node %d not yet computed: %w", pn.N.ID, err)
 		}
-		return newTableScan(temp.Heap, temp.Schema, need), nil
+		return b.scan(temp.Heap, temp.Schema, need), nil
 	}
 	switch pn.E.Kind {
 	case physical.CacheScanOp:
@@ -358,17 +360,17 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 				// execution (async promotion completed mid-batch): fall
 				// through to the RAM namespace before failing.
 				if ct, rerr := b.db.Cache(pn.E.Arm.CacheName); rerr == nil {
-					return newTableScan(ct.Heap, ct.Schema, need), nil
+					return b.scan(ct.Heap, ct.Schema, need), nil
 				}
 				return nil, fmt.Errorf("exec: armed warm table for node %d missing: %w", pn.N.ID, err)
 			}
-			return newTableScan(wt.Heap, wt.Schema, need), nil
+			return b.scan(wt.Heap, wt.Schema, need), nil
 		}
 		ct, err := b.db.Cache(pn.E.Arm.CacheName)
 		if err != nil {
 			return nil, fmt.Errorf("exec: armed cache table for node %d missing: %w", pn.N.ID, err)
 		}
-		return newTableScan(ct.Heap, ct.Schema, need), nil
+		return b.scan(ct.Heap, ct.Schema, need), nil
 
 	case physical.SeqScan:
 		op := pn.E.LE.Op.(algebra.Scan)
@@ -376,7 +378,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 		if err != nil {
 			return nil, err
 		}
-		return newTableScan(tab.Heap, requalify(tab.Schema, op.Alias), need), nil
+		return b.scan(tab.Heap, requalify(tab.Schema, op.Alias), need), nil
 
 	case physical.Filter:
 		op := pn.E.LE.Op.(algebra.Select)
@@ -384,11 +386,12 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compilePred(op.Pred, child.Schema(), b.env)
+		f, err := newFilter(child, op.Pred, b.env)
 		if err != nil {
 			return nil, err
 		}
-		return &filterIter{child: child, pred: pred}, nil
+		f.poll.ctx = b.ctx
+		return f, nil
 
 	case physical.IndexSelect:
 		op := pn.E.LE.Op.(algebra.Select)
@@ -522,7 +525,7 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 		if err != nil {
 			return nil, err
 		}
-		return newTableScan(tab.Heap, requalify(tab.Schema, op.Alias), need), nil
+		return b.scan(tab.Heap, requalify(tab.Schema, op.Alias), need), nil
 	}
 	return nil, fmt.Errorf("exec: cannot instantiate %v", pn.E.Kind)
 }
@@ -537,6 +540,14 @@ func (b *builder) joinInputs(pn *physical.PlanNode, need colNeed) (left, right I
 	}
 	right, err = b.build(pn.Children[1], true, need)
 	return left, right, err
+}
+
+// scan returns a scan of a stored relation whose gates, if it is handed any,
+// stop dropping rows when the run is cancelled.
+func (b *builder) scan(heap *storage.HeapFile, stored algebra.Schema, need colNeed) *tableScan {
+	s := newTableScan(heap, stored, need)
+	s.poll.ctx = b.ctx
+	return s
 }
 
 // sort returns a sort of child that stops when the run is cancelled.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -76,21 +77,8 @@ func TestDecodeRowProjection(t *testing.T) {
 func TestDecodeRowDamageInSkippedValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(5)
-		row := randomRow(rng, n)
-		buf := encodeRow(row)
-		starts := make([]int, n+1)
-		for i := range row {
-			starts[i+1] = len(encodeRow(row[:i+1]))
-		}
-		var damaged [][]byte
-		for i := 0; i < n; i++ {
-			bad := slices.Clone(buf)
-			bad[starts[i]] = 0x7f // no such type
-			damaged = append(damaged, bad)
-			// Ends inside value i, which takes at least three bytes.
-			damaged = append(damaged, buf[:starts[i]+1+rng.Intn(starts[i+1]-starts[i]-1)])
-		}
+		row, damaged := damagedRecords(rng)
+		n := len(row)
 		for _, bad := range damaged {
 			if got, err := decodeRow(nil, bad, nil); err == nil {
 				t.Fatalf("row %v: damaged record decoded in full to %v", row, got)
@@ -100,6 +88,149 @@ func TestDecodeRowDamageInSkippedValue(t *testing.T) {
 					t.Fatalf("row %v: damaged record decoded at %v to %v", row, subset(mask, n), got)
 				}
 			}
+		}
+	}
+}
+
+// damagedRecords draws a row of 2 to 6 values and damages its record at each
+// value twice: its type byte overwritten, and the record cut inside it.
+func damagedRecords(rng *rand.Rand) (Row, [][]byte) {
+	n := 2 + rng.Intn(5)
+	row := randomRow(rng, n)
+	buf := encodeRow(row)
+	starts := make([]int, n+1)
+	for i := range row {
+		starts[i+1] = len(encodeRow(row[:i+1]))
+	}
+	var damaged [][]byte
+	for i := 0; i < n; i++ {
+		bad := slices.Clone(buf)
+		bad[starts[i]] = 0x7f // no such type
+		damaged = append(damaged, bad)
+		// Ends inside value i, which takes at least three bytes.
+		damaged = append(damaged, buf[:starts[i]+1+rng.Intn(starts[i+1]-starts[i]-1)])
+	}
+	return row, damaged
+}
+
+// FuzzDecodeRow holds the fixed-width fast path to the walk: over any bytes
+// and any ascending column subset (or every column), locate finds the offsets
+// locateWalk finds, or both fail, and decodeRow decodes the values found
+// there. The committed corpus holds the damaged records of
+// TestDecodeRowDamageInSkippedValue and numeric rows intact and damaged.
+//
+//	go test -run '^$' -fuzz FuzzDecodeRow ./internal/storage
+func FuzzDecodeRow(f *testing.F) {
+	f.Add(encodeRow(Row{algebra.IntVal(7), algebra.FloatVal(-0.5), algebra.DateVal(9000)}), uint64(0b101), false)
+	f.Fuzz(func(t *testing.T, buf []byte, mask uint64, all bool) {
+		var cols []int
+		if !all {
+			cols = subset(int(mask&(1<<20-1)), 20)
+		}
+		want, werr := locateWalk(nil, buf, cols)
+		got, gerr := locate(nil, buf, cols)
+		if (werr == nil) != (gerr == nil) || !slices.Equal(got, want) {
+			t.Fatalf("record %x, cols %v (fixed width: %v): located %v, %v; the walk %v, %v",
+				buf, cols, fixedWidth(buf), got, gerr, want, werr)
+		}
+		row, err := decodeRow(nil, buf, cols)
+		if (err == nil) != (werr == nil) || len(row) != len(want) {
+			t.Fatalf("record %x, cols %v: decoded %v, %v; the walk found %d values, %v", buf, cols, row, err, len(want), werr)
+		}
+		for k, off := range want {
+			var v algebra.Value
+			if _, err := decodeValue(&v, buf[off:]); err != nil {
+				t.Fatalf("record %x: the walk located an undecodable value at %d: %v", buf, off, err)
+			}
+			if g := row[k]; g.Typ != v.Typ || g.I != v.I || math.Float64bits(g.F) != math.Float64bits(v.F) || g.S != v.S {
+				t.Fatalf("record %x, cols %v: value %d decoded as %#v, want %#v", buf, cols, k, g, v)
+			}
+		}
+	})
+}
+
+// TestCursorGate: a gated cursor tests every record once and delivers the
+// rows that pass, in file order, counting every record as examined; it checks
+// a record it drops as fully as one it decodes; a withdrawn gate lets every
+// row through again.
+func TestCursorGate(t *testing.T) {
+	h := NewHeapFile(NewBufferPool(NewPager(), 8))
+	const n = 3*slabRows + 17
+	var rids []RID
+	for i := 0; i < n; i++ {
+		// Numeric rows, and every seventh one with a string: both decoders.
+		r := Row{algebra.IntVal(int64(i)), algebra.FloatVal(float64(i) / 2), algebra.DateVal(int64(i % 3))}
+		if i%7 == 0 {
+			r[1] = algebra.StringVal("seventh")
+		}
+		rid, err := h.Insert(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	c := h.Cursor([]int{0, 2})
+	tests, dropped := 0, 0
+	c.SetGate(Gate{Cols: []int{1}, Test: func(r Row) (bool, error) {
+		tests++
+		if i := (tests - 1) % n; r[1].Typ != algebra.TDate || r[1].I != int64(i%3) {
+			t.Fatalf("record %d: the gate saw %v at position 1", i, r[1])
+		}
+		if r[1].I != 1 {
+			dropped++
+		}
+		return r[1].I == 1, nil
+	}})
+	last := c.Remaining()
+	for i := 0; ; i++ {
+		// Not the rows to come, but a bound on them that only falls.
+		if left := c.Remaining(); left > last || left < int64((n+1)/3-i) {
+			t.Fatalf("before row %d of the gated scan %d rows remain, %d before the last", i, left, last)
+		}
+		last = c.Remaining()
+		r, ok, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != (n+1)/3 {
+				t.Fatalf("the gated scan ended after %d rows, want %d", i, (n+1)/3)
+			}
+			break
+		}
+		if want := (Row{algebra.IntVal(int64(3*i + 1)), algebra.DateVal(1)}); !slices.Equal(r, want) || cap(r) != len(r) {
+			t.Fatalf("gated row %d: %v (cap %d), want %v", i, r, cap(r), want)
+		}
+	}
+	if tests != n || dropped != n-(n+1)/3 || c.Remaining() != 0 {
+		t.Fatalf("the gate tested %d records and dropped %d, %d remain; want %d, %d and 0", tests, dropped, c.Remaining(), n, n-(n+1)/3)
+	}
+
+	// Damage, in a record the gate drops, a value nobody reads.
+	rid := rids[3*slabRows]
+	if err := h.pool.Update(rid.Page, func(data []byte) error {
+		off, _ := slotAt(data, rid.Slot)
+		data[off+9] = 0x7f // the type byte of value 1
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Rewind()
+	for {
+		_, ok, err := c.Next()
+		if err != nil {
+			break
+		}
+		if !ok {
+			t.Fatal("the gated scan stepped over a damaged record it dropped")
+		}
+	}
+
+	c.SetGate(Gate{})
+	c.Rewind()
+	for i := 0; rids[i].Page != rid.Page; i++ {
+		if r, ok, err := c.Next(); err != nil || !ok || r[0].I != int64(i) {
+			t.Fatalf("ungated row %d: %v, %v, %v", i, r, ok, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"mqo/internal/algebra"
 )
@@ -78,49 +79,117 @@ func valueSize(buf []byte) (int, error) {
 	return size, nil
 }
 
-// decodeValue parses one serialized value into *v, which must be the zero
-// Value, and reports the bytes it took.
+// decodeValue parses one serialized value into *v and reports the bytes it
+// took.
 func decodeValue(v *algebra.Value, buf []byte) (int, error) {
 	size, err := valueSize(buf)
 	if err != nil {
 		return 0, err
 	}
-	v.Typ = algebra.Type(buf[0])
-	switch v.Typ {
-	case algebra.TInt, algebra.TDate:
-		v.I = int64(binary.LittleEndian.Uint64(buf[1:]))
-	case algebra.TFloat:
-		v.F = bitsFloat(binary.LittleEndian.Uint64(buf[1:]))
-	case algebra.TString:
-		v.S = string(buf[3:size])
-	}
+	decodeAt(v, buf, 0)
 	return size, nil
 }
 
-// decodeRow walks a serialized row once and appends to dst the values at the
-// positions cols, which must ascend; nil cols stands for every position. A
-// value nobody asked for is stepped over by its encoded length — no Value,
-// no string — but still checked, so a damaged record errors whichever
-// columns are read.
-func decodeRow(dst Row, buf []byte, cols []int) (Row, error) {
-	k := 0
-	for i := 0; len(buf) > 0; i++ {
-		size := 0
-		var err error
-		if cols == nil || (k < len(cols) && cols[k] == i) {
-			dst = append(dst, algebra.Value{})
-			size, err = decodeValue(&dst[len(dst)-1], buf)
-			k++
-		} else {
-			size, err = valueSize(buf)
+// decodeAt parses the value at buf[off:], which locate or valueSize has
+// already checked, into *v, in place: a row's values are not built and then
+// copied.
+func decodeAt(v *algebra.Value, buf []byte, off int) {
+	switch typ := algebra.Type(buf[off]); typ {
+	case algebra.TInt, algebra.TDate:
+		*v = algebra.Value{Typ: typ, I: int64(binary.LittleEndian.Uint64(buf[off+1:]))}
+	case algebra.TFloat:
+		*v = algebra.Value{Typ: typ, F: bitsFloat(binary.LittleEndian.Uint64(buf[off+1:]))}
+	default:
+		n := int(binary.LittleEndian.Uint16(buf[off+1:]))
+		*v = algebra.Value{Typ: typ, S: string(buf[off+3 : off+3+n])}
+	}
+}
+
+// fixedWidth reports whether buf holds numeric values alone: 9·n bytes with
+// a numeric type byte at every 9·i. The walk steps over such a record nine
+// bytes at a time, so it parses as n values, value i at 9·i.
+func fixedWidth(buf []byte) bool {
+	if len(buf)%9 != 0 {
+		return false
+	}
+	for i := 0; i < len(buf); i += 9 {
+		switch algebra.Type(buf[i]) {
+		case algebra.TInt, algebra.TDate, algebra.TFloat:
+		default:
+			return false
 		}
-		if err != nil {
+	}
+	return true
+}
+
+// locate checks a serialized row in full and appends to offs the offset of
+// the value at each of the positions cols, which must ascend; nil cols stands
+// for every position. A fixed-width record is read at 9·col; any other is
+// walked once, a value nobody asked for stepped over by its encoded length,
+// but still checked, so a damaged record errors whichever columns are read.
+func locate(offs []int, buf []byte, cols []int) ([]int, error) {
+	if !fixedWidth(buf) {
+		return locateWalk(offs, buf, cols)
+	}
+	n := len(buf) / 9
+	if cols == nil {
+		for i := 0; i < n; i++ {
+			offs = append(offs, 9*i)
+		}
+		return offs, nil
+	}
+	for _, c := range cols {
+		if c < 0 || c >= n {
+			return nil, fmt.Errorf("storage: column %d requested of a shorter row", c)
+		}
+		offs = append(offs, 9*c)
+	}
+	return offs, nil
+}
+
+// locateWalk is locate for any record.
+func locateWalk(offs []int, buf []byte, cols []int) ([]int, error) {
+	k := 0
+	for i, off := 0, 0; off < len(buf); i++ {
+		size, ok := 9, true
+		switch algebra.Type(buf[off]) {
+		case algebra.TInt, algebra.TDate, algebra.TFloat:
+		case algebra.TString:
+			if ok = off+3 <= len(buf); ok {
+				size = 3 + int(binary.LittleEndian.Uint16(buf[off+1:]))
+			}
+		default:
+			ok = false
+		}
+		if !ok || off+size > len(buf) {
+			_, err := valueSize(buf[off:]) // says what is wrong
 			return nil, err
 		}
-		buf = buf[size:]
+		if cols == nil || (k < len(cols) && cols[k] == i) {
+			offs = append(offs, off)
+			k++
+		}
+		off += size
 	}
 	if k < len(cols) {
 		return nil, fmt.Errorf("storage: column %d requested of a shorter row", cols[k])
+	}
+	return offs, nil
+}
+
+// decodeRow appends to dst the values of a serialized row at the ascending
+// positions cols (nil: all), checking the whole record (locate). A value
+// nobody asked for becomes no Value and no string.
+func decodeRow(dst Row, buf []byte, cols []int) (Row, error) {
+	var at [32]int
+	offs, err := locate(at[:0], buf, cols)
+	if err != nil {
+		return nil, err
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, len(offs))[:start+len(offs)]
+	for k, off := range offs {
+		decodeAt(&dst[start+k], buf, off)
 	}
 	return dst, nil
 }

@@ -156,18 +156,31 @@ func (h *HeapFile) GetCols(dst Row, rid RID, cols []int) (r Row, err error) {
 // reaching the page it is being fed from. A row is valid until the Next that
 // crosses into the following page, which decodes into the same slab; a
 // puller that keeps a row longer copies it.
+//
+// A cursor may carry a Gate, which drops rows before they are decoded: a
+// gated cursor delivers, in file order, the rows that pass it.
 type HeapCursor struct {
-	h     *HeapFile
-	cols  []int
-	width int
-	keep  bool // ScanCols: rows are the callback's to keep, so no slab is reused
+	h    *HeapFile
+	cols []int
+	keep bool  // ScanCols: rows are the callback's to keep, so no slab is reused
+	gate *Gate // nil: every row is decoded
 
 	slab   Row
-	page   []Row // the current page's rows, by slot
+	page   []Row // the current page's rows that passed the gate, in slot order
 	pos    int   // next of them to return
 	next   int   // next of h.pages to decode
-	left   int64 // rows not yet decoded
+	left   int64 // records not yet examined
 	faults int64 // pool misses its page reads took, over every pass
+}
+
+// A Gate is a test a record must pass before a HeapCursor decodes its row.
+// Test is given a row in which only the positions Cols — positions in the
+// cursor's rows, not in the stored record — hold the record's values; it must
+// read no other and keep nothing. It runs under the page's shard lock, so it
+// must not use the pool. An error from it ends the scan with that error.
+type Gate struct {
+	Cols []int
+	Test func(Row) (bool, error)
 }
 
 // Cursor returns a cursor over the file, positioned before its first row.
@@ -179,11 +192,22 @@ func (h *HeapFile) Cursor(cols []int) *HeapCursor {
 
 // Rewind positions the cursor before the first row again. The slab stays.
 func (c *HeapCursor) Rewind() {
-	c.width = c.h.rowWidth(c.cols)
 	c.page, c.pos, c.next, c.left = c.page[:0], 0, 0, c.h.rows
 }
 
-// Remaining is the number of rows still to come.
+// SetGate makes the cursor decode, of the records it examines from now on,
+// only the rows that pass g; the zero Gate lets every row through again. Rows
+// already decoded are delivered either way, and Rewind keeps the gate.
+func (c *HeapCursor) SetGate(g Gate) {
+	c.gate = nil
+	if g.Test != nil {
+		c.gate = &g
+	}
+}
+
+// Remaining is the number of rows not yet examined, plus the decoded ones
+// not yet handed over: the rows still to come when no gate is set, and an
+// upper bound on them when one is.
 func (c *HeapCursor) Remaining() int64 { return c.left + int64(len(c.page)-c.pos) }
 
 // Decoded is the number of coming Next calls that hand over a row already
@@ -221,32 +245,65 @@ func (c *HeapCursor) nextPage() (ok bool, err error) {
 	return err == nil, err
 }
 
-// decodePage is the one routine that turns a heap page into rows: each is
-// carved len == cap from the slab, so an append to one cannot reach the next.
+// decodePage is the one routine that turns a heap page into rows. Each record
+// is located (and so checked) in full and given its place in the slab; the
+// gate's columns are decoded there and tested, and only a row that passes is
+// decoded whole and kept: carved len == cap, so an append to one cannot reach
+// the next.
 func (c *HeapCursor) decodePage(data []byte) (err error) {
 	n := pageNumSlots(data)
+	width := c.h.rowWidth(c.cols)
 	if cap(c.page) < int(n) {
 		c.page = make([]Row, 0, n)
 	}
 	if !c.keep {
 		// The last page's rows are no longer valid: decode over them.
-		if c.slab = c.slab[:0]; cap(c.slab) < c.width*int(n) {
-			c.slab = make(Row, 0, c.width*int(n))
+		if c.slab = c.slab[:0]; cap(c.slab) < width*int(n) {
+			c.slab = make(Row, 0, width*int(n))
 		}
 	}
+	var at [32]int
+	offs := at[:0] // the record's value offsets, by position in its row
 	for s := uint16(0); s < n; s++ {
-		if cap(c.slab)-len(c.slab) < c.width {
-			c.slab = make(Row, 0, c.width*int(min(max(c.left, 1), slabRows)))
-		}
 		off, length := slotAt(data, s)
-		start := len(c.slab)
-		if c.slab, err = decodeRow(c.slab, data[off:off+length], c.cols); err != nil {
+		rec := data[off : off+length]
+		if offs, err = locate(offs[:0], rec, c.cols); err != nil {
 			return err
 		}
 		c.left--
-		c.page = append(c.page, c.slab[start:len(c.slab):len(c.slab)])
+		w := len(offs)
+		if cap(c.slab)-len(c.slab) < w {
+			c.slab = make(Row, 0, max(width, w)*int(min(c.left+1, slabRows)))
+		}
+		start := len(c.slab)
+		row := c.slab[start : start+w : start+w]
+		if c.gate != nil {
+			if pass, err := c.admit(row, rec, offs); err != nil || !pass {
+				if err != nil {
+					return err
+				}
+				continue // the place is the next record's
+			}
+		}
+		for k, o := range offs {
+			decodeAt(&row[k], rec, o)
+		}
+		c.slab = c.slab[:start+w]
+		c.page = append(c.page, row)
 	}
 	return nil
+}
+
+// admit decodes the gate's columns of a located record into row, the place
+// its row would take, and tests it.
+func (c *HeapCursor) admit(row Row, rec []byte, offs []int) (bool, error) {
+	for _, col := range c.gate.Cols {
+		if col >= len(row) {
+			return true, nil // a record too short to test is decoded, and tested by whoever reads it
+		}
+		decodeAt(&row[col], rec, offs[col])
+	}
+	return c.gate.Test(row)
 }
 
 // Scan visits every row in file order.

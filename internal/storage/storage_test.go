@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -357,24 +358,36 @@ func TestCacheNamespaceSurvivesRuns(t *testing.T) {
 // BenchmarkDecodeRow decodes one row of a wide fact table (17 columns: ints,
 // dates, floats and three short strings; wider than internal/ssb's
 // lineorder, which has 10 numeric columns) into a reused buffer: all of it,
-// and the four columns a star join typically reads.
+// and the four columns a star join typically reads. The strings make the
+// record a walk; a row of lineorder's shape is read at fixed offsets.
 func BenchmarkDecodeRow(b *testing.B) {
-	buf := encodeRow(Row{
+	wide := encodeRow(Row{
 		algebra.IntVal(1501), algebra.IntVal(3), algebra.IntVal(2117), algebra.IntVal(155190), algebra.IntVal(828),
 		algebra.DateVal(9131), algebra.StringVal("2-HIGH"), algebra.StringVal("0"), algebra.IntVal(17),
 		algebra.FloatVal(2116823), algebra.FloatVal(18606909), algebra.IntVal(4), algebra.FloatVal(2032150.08),
 		algebra.FloatVal(74711.7), algebra.IntVal(2), algebra.DateVal(9191), algebra.StringVal("REG AIR"),
 	})
+	numeric := encodeRow(Row{
+		algebra.IntVal(1501), algebra.IntVal(2117), algebra.IntVal(155190), algebra.IntVal(828), algebra.IntVal(19950101),
+		algebra.IntVal(17), algebra.FloatVal(21168.23), algebra.IntVal(4), algebra.FloatVal(20321.50), algebra.FloatVal(747.17),
+	})
 	for _, bc := range []struct {
 		name string
+		buf  []byte
 		cols []int
 		want int
-	}{{"all", nil, 17}, {"4of17", []int{2, 4, 5, 12}, 4}} {
+	}{
+		{"all", wide, nil, 17}, {"4of17", wide, []int{2, 4, 5, 12}, 4},
+		{"fixed/all", numeric, nil, 10}, {"fixed/4of10", numeric, []int{1, 4, 5, 8}, 4},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
+			if fixedWidth(bc.buf) != strings.HasPrefix(bc.name, "fixed") {
+				b.Fatalf("%s: fixed width is %v", bc.name, fixedWidth(bc.buf))
+			}
 			b.ReportAllocs()
 			dst := make(Row, 0, 17)
 			for b.Loop() {
-				if r, err := decodeRow(dst, buf, bc.cols); err != nil || len(r) != bc.want {
+				if r, err := decodeRow(dst, bc.buf, bc.cols); err != nil || len(r) != bc.want {
 					b.Fatal(r, err)
 				}
 			}
