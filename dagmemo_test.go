@@ -114,7 +114,7 @@ func TestDAGMemoMatchesFreshSession(t *testing.T) {
 		if got := physicalReused.Value() - reused; got != int64(len(order)-1) {
 			t.Errorf("%s: %d physical DAGs re-costed over %d calls, want %d", b.name, got, len(order), len(order)-1)
 		}
-		if n := len(opt.dags.byKey); n != 1 {
+		if n, _ := opt.memo.dagCounts(); n != 1 {
 			t.Errorf("%s: the session holds %d logical DAGs, want 1", b.name, n)
 		}
 	}
@@ -148,8 +148,9 @@ func TestDAGMemoIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, l := len(opt.dags.byKey), opt.dags.lru.Len(); n != dagMemoCap || l != dagMemoCap {
-		t.Fatalf("after %d distinct compositions the memo holds %d (list %d), want %d", len(batches), n, l, dagMemoCap)
+	if n, counted := opt.memo.dagCounts(); n != dagMemoCap || counted != dagMemoCap || len(opt.memo.entries) != dagMemoCap {
+		t.Fatalf("after %d distinct compositions the memo holds %d DAGs (counted %d) in %d entries, want %d",
+			len(batches), n, counted, len(opt.memo.entries), dagMemoCap)
 	}
 	for _, c := range []struct {
 		qs   []*Query
@@ -163,8 +164,8 @@ func TestDAGMemoIsBounded(t *testing.T) {
 			t.Errorf("composition %q: %d memo hits, want %d", opt.stmts.treesKey(c.qs), got, c.hits)
 		}
 	}
-	if n := len(opt.dags.byKey); n != dagMemoCap {
-		t.Errorf("the memo holds %d, want %d", n, dagMemoCap)
+	if n, counted := opt.memo.dagCounts(); n != dagMemoCap || counted != dagMemoCap || len(opt.memo.entries) != dagMemoCap {
+		t.Errorf("the memo holds %d DAGs (counted %d) in %d entries, want %d", n, counted, len(opt.memo.entries), dagMemoCap)
 	}
 }
 
@@ -214,7 +215,7 @@ func TestDAGMemoConcurrentRuns(t *testing.T) {
 			}(Algorithms()[g%len(Algorithms())])
 		}
 		wg.Wait()
-		if n := len(opt.dags.byKey); n != 1 {
+		if n, _ := opt.memo.dagCounts(); n != 1 {
 			t.Errorf("the session holds %d logical DAGs, want 1", n)
 		}
 		opt.Close()

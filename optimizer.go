@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,31 +27,24 @@ import (
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. The
 // session compiles each SQL text it is sent (Submit, Run, OptimizeSQL) once
-// and keeps the lowered queries (stmtCache); it expands each batch
-// composition into its logical AND-OR DAG once and keeps it (dagMemo), with
-// the physical DAG over it that the last call searched: the next call
-// re-costs that one instead of building another. Both rest on one rule: a
-// query's tree is never written after lowering, so calls share trees — and a
-// batching window that got one text twice holds the same *Query twice. A
+// and keeps the lowered queries (stmtCache), and keeps per batch composition
+// (memo) the logical AND-OR DAG, the physical DAG the last call searched —
+// the next call re-costs it instead of building another — and the plans. Both
+// rest on one rule: a query's tree is never written after lowering, so calls
+// share trees — and a window that got one text twice holds one *Query twice. A
 // call owns the physical DAG it searches, so no two calls ever share a DAG's
 // mutable costing state (Node.Cost and the materialized set are search
-// scratch; a Result's plan carries its costs). The plan cache is
-// mutex-guarded, and concurrent plan executions proceed in parallel on the
-// attached database, each in a private temp-table namespace. Plan-cache hits
-// hand each caller a defensive copy whose shared plan nodes must be treated
-// as read-only.
+// scratch; a Result's plan carries its costs). Concurrent plan executions
+// proceed in parallel on the attached database, each in a private temp-table
+// namespace. Plan-cache hits hand each caller a defensive copy whose shared
+// plan nodes must be treated as read-only.
 type Optimizer struct {
 	cat   *catalog.Catalog
 	model cost.Model
 	opts  core.Options
 	db    *storage.DB
-	cache *planCache
 	stmts stmtCache
-	dags  dagMemo
-
-	// keyPrefix is the "algorithm|options|" head of a plan-cache key, by
-	// algorithm; options do not change after Open, which renders it.
-	keyPrefix map[Algorithm]string
+	memo  memo
 
 	// Cross-batch result cache (WithResultCache): a row-backed store of
 	// spooled intermediate results consulted around every executed batch.
@@ -79,23 +71,16 @@ func WithModel(m Model) Option { return func(o *Optimizer) { o.model = m } }
 // concurrently through other means.
 func WithDB(db *DB) Option { return func(o *Optimizer) { o.db = db } }
 
-// WithPlanCache enables an LRU cache of optimized plans holding up to n
-// batches. The key is what the caller sent — each query's tree as written, in
-// order, with the algorithm and options — so batches of equal trees share one
-// cached Result and a hit builds no DAG. Against a result cache an entry also
-// knows the store generation it was planned at: a plan that computes anything
-// is reused only at that generation, a plan that only reads stored answers for
-// as long as the store still holds them (see planCache). The micro-batching
-// service consults the plan cache before it queues a query
-// (Service.SubmitQuery): without one, no query skips its batching window.
-func WithPlanCache(n int) Option {
-	return func(o *Optimizer) {
-		o.cache = nil
-		if n > 0 {
-			o.cache = newPlanCache(n)
-		}
-	}
-}
+// WithPlanCache keeps up to n optimized plans, least recently used evicted
+// first, in the session memo (see memo) under what the caller sent — each
+// query's tree as written, in order — and how they were planned: batches of
+// equal trees share one cached Result, and a hit builds no DAG. Against a
+// result cache a plan that computes anything is reused only at the store
+// generation it was planned at, one that only reads stored answers while the
+// store holds them. The micro-batching service consults the plan cache
+// before it queues a query (Service.SubmitQuery): without one, no query
+// skips its window.
+func WithPlanCache(n int) Option { return func(o *Optimizer) { o.memo.planCap = max(n, 0) } }
 
 // WithResultCache enables the cross-batch transient result cache (the
 // paper's §8 caching direction, made real): up to ramBytes of executed
@@ -138,13 +123,9 @@ func Open(cat *Catalog, opts ...Option) (*Optimizer, error) {
 	if cat == nil {
 		return nil, fmt.Errorf("mqo: Open: nil catalog")
 	}
-	o := &Optimizer{cat: cat, model: cost.DefaultModel()}
+	o := &Optimizer{cat: cat, model: cost.DefaultModel(), memo: memo{entries: map[string]*memoEntry{}}}
 	for _, opt := range opts {
 		opt(o)
-	}
-	o.keyPrefix = map[Algorithm]string{}
-	for _, alg := range core.Algorithms() {
-		o.keyPrefix[alg] = renderKeyPrefix(alg, o.opts)
 	}
 	if o.rcBudget > 0 {
 		if err := o.ensureResultCache(o.rcBudget, o.rcWarmBudget); err != nil {
@@ -175,9 +156,10 @@ func (o *Optimizer) ensureResultCache(ramBytes, warmBytes int64) error {
 // Close releases the session's serving-side resources: the micro-batching
 // service (if Submit started one) stops accepting work, in-flight warm-tier
 // promotions drain, and the result cache drops every spooled table — RAM
-// and warm — removing the warm tier's spill directory from disk. The
-// Optimizer remains usable for optimize-only (and plain Run) calls
-// afterwards; a later Serve with ResultCacheBytes set re-creates the store.
+// and warm — removing the warm tier's spill directory from disk, and the plans
+// planned against it. The Optimizer remains usable for optimize-only (and
+// plain Run) calls afterwards; a later Serve with ResultCacheBytes set
+// re-creates the store.
 func (o *Optimizer) Close() {
 	o.svcOnce.Do(func() {})
 	if o.svc != nil {
@@ -189,6 +171,7 @@ func (o *Optimizer) Close() {
 	o.rcMu.Unlock()
 	if rc != nil {
 		rc.Close()
+		o.memo.dropStore(rc)
 	}
 }
 
@@ -339,14 +322,13 @@ type execMeta struct {
 }
 
 // planBatch is the one optimize sequence behind OptimizeBatch, Run and the
-// batching service: key → plan-cache probe → and on a miss only, physical DAG
-// checked out of the memo → arm → optimize → spools → DAG checked back in →
-// put. The key is rendered from the queries as the caller sent them, so a hit
-// touches no DAG at all, and its trees part keys the memo. rc is the
-// result-cache store to plan against, nil for optimize-only calls and
-// cache-less sessions; a nil store yields a nil ticket, which arms, admits
-// and pins nothing. The optimize and spool phase times and the plan-cache
-// outcome are recorded in meta.
+// batching service: keys → plan-cache probe → and on a miss only, physical
+// DAG checked out of the memo → arm → optimize → spools → DAG checked back in
+// → put. The memo key is the queries' trees as the caller sent them, so a hit
+// touches no DAG at all. rc is the result-cache store to plan against, nil
+// for optimize-only calls and cache-less sessions; a nil store yields a nil
+// ticket, which arms, admits and pins nothing. The optimize and spool phase
+// times and the plan-cache outcome are recorded in meta.
 func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []*Query, alg Algorithm,
 	paramSets []map[string]algebra.Value, meta *execMeta) (*Result, *cache.Ticket, map[*physical.Node]string, error) {
 
@@ -357,17 +339,15 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 		return nil, nil, nil, err
 	}
 	start := time.Now()
-	trees := o.stmts.treesKey(queries)
-	var key string
-	if o.cache != nil {
-		key = o.batchKey(trees, alg, rc != nil, paramSets)
-		if res, ticket, ok := o.cache.get(key, rc); ok {
+	trees, key := o.stmts.treesKey(queries), newPlanKey(alg, rc, paramSets)
+	if o.memo.planCap > 0 {
+		if res, ticket, ok := o.memo.get(trees, key, rc); ok {
 			meta.PlanCacheHit = true
 			meta.Phases.Optimize = time.Since(start)
 			return res, ticket, nil, nil
 		}
 	}
-	ent, pd, err := o.dags.checkout(o.cat, o.model, trees, queries)
+	ent, pd, err := o.memo.checkout(o.cat, o.model, trees, queries)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -384,15 +364,15 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 	spoolStart := time.Now()
 	spools := ticket.PlanSpools(res.Plan) // reads Node.Cost
 	meta.Phases.Spool = time.Since(spoolStart)
-	o.dags.checkin(ent, pd)
-	if o.cache != nil && len(spools) == 0 && len(ticket.BindingSpools()) == 0 {
+	o.memo.checkin(ent, pd)
+	if o.memo.planCap > 0 && len(spools) == 0 && len(ticket.BindingSpools()) == 0 {
 		// Nothing newly spooled: the plan is reusable — at this generation
 		// if it computes anything, at any if it only reads stored answers.
 		// A spooling batch bumps the generation on commit, so its plan would
 		// be dead on arrival. The miss caller gets a defensive copy too: the
 		// stored entry is what every later hit clones from, so no caller may
 		// alias it.
-		o.cache.put(key, res, rc, gen)
+		o.memo.put(trees, key, res, rc, gen)
 		res = cloneResult(res)
 	}
 	return res, ticket, spools, nil
@@ -406,18 +386,17 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 // need not be the one it was stored under), and cached if that plan too only
 // reads it. Best effort: a query it cannot plan simply keeps to the windows.
 func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg Algorithm, plan *Plan) {
-	rc := o.resultCache()
+	rc, key := o.resultCache(), planKey{alg: alg, stored: true}
 	for i, pn := range plan.QueryRoots() {
 		if pn.E.Kind != physical.CacheScanOp {
 			continue
 		}
 		alone := queries[i : i+1]
 		trees := o.stmts.treesKey(alone)
-		key := o.batchKey(trees, alg, true, nil)
-		if found, _ := o.cache.peek(key); found {
+		if found, _ := o.memo.peek(trees, key); found {
 			continue
 		}
-		ent, pd, err := o.dags.checkout(o.cat, o.model, trees, alone)
+		ent, pd, err := o.memo.checkout(o.cat, o.model, trees, alone)
 		if err != nil {
 			return
 		}
@@ -429,9 +408,9 @@ func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg A
 		if err != nil {
 			return
 		}
-		o.dags.checkin(ent, pd)
+		o.memo.checkin(ent, pd)
 		if readsOnlyStored(res.Plan) {
-			o.cache.put(key, res, rc, gen)
+			o.memo.put(trees, key, res, rc, gen)
 		}
 	}
 }
@@ -501,51 +480,4 @@ func (o *Optimizer) Submit(ctx context.Context, sqlText string) (*Answer, error)
 
 // CacheStats returns plan-cache accounting; zero-valued when the plan
 // cache is disabled.
-func (o *Optimizer) CacheStats() CacheStats {
-	if o.cache == nil {
-		return CacheStats{}
-	}
-	return o.cache.stats()
-}
-
-// batchKey renders the plan-cache key of a batch from what the caller sent,
-// before any DAG exists: how the batch is optimized (algorithm and options),
-// its trees (stmtCache.treesKey), whether it is planned against a
-// result-cache store — an optimize-only call and an executed batch never
-// share a plan — and the concrete parameter bindings: a parameterized plan
-// depends on which bindings were armed, so the same SQL with different
-// ParamSets must not share one.
-func (o *Optimizer) batchKey(trees string, alg Algorithm, stored bool, paramSets []map[string]algebra.Value) string {
-	prefix, ok := o.keyPrefix[alg]
-	if !ok { // no such algorithm: Optimize will say so
-		prefix = renderKeyPrefix(alg, o.opts)
-	}
-	var b strings.Builder
-	b.Grow(len(prefix) + len(trees) + len("|rc"))
-	b.WriteString(prefix)
-	b.WriteString(trees)
-	if stored {
-		b.WriteString("|rc")
-		if len(paramSets) > 0 {
-			b.WriteString("|ps" + bindingsSignature(paramSets))
-		}
-	}
-	return b.String()
-}
-
-// renderKeyPrefix renders the part of a plan-cache key that says how the
-// batch is optimized.
-func renderKeyPrefix(alg Algorithm, opts core.Options) string {
-	return fmt.Sprintf("%v|%+v|", alg, opts)
-}
-
-// bindingsSignature renders a batch's parameter bindings for the
-// plan-cache key, preserving ParamSets order (the executed row order
-// depends on it).
-func bindingsSignature(sets []map[string]algebra.Value) string {
-	parts := make([]string, len(sets))
-	for i, ps := range sets {
-		parts[i] = algebra.BindingKey(ps)
-	}
-	return strings.Join(parts, ";")
-}
+func (o *Optimizer) CacheStats() CacheStats { return o.memo.stats() }

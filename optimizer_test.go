@@ -107,7 +107,9 @@ func TestOptimizeCancellation(t *testing.T) {
 
 // TestPlanCacheAccounting checks hit/miss bookkeeping: identical batches
 // (even parsed from separate SQL strings) hit; different algorithms or
-// different queries miss; eviction respects the LRU capacity.
+// different queries miss; eviction respects the capacity and drops the least
+// recently used plan. A composition's plans sit in one memo entry, beside
+// its DAG.
 func TestPlanCacheAccounting(t *testing.T) {
 	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2))
 	if err != nil {
@@ -154,13 +156,33 @@ func TestPlanCacheAccounting(t *testing.T) {
 	if s := opt.CacheStats(); s.Hits != 2 || s.Misses != 2 {
 		t.Errorf("different algorithm should miss: stats %+v", s)
 	}
+	queries, err := opt.ParseSQL(sqlBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := opt.stmts.treesKey(queries)
+	opt.memo.mu.Lock()
+	ent := opt.memo.entries[trees]
+	if len(opt.memo.entries) != 1 || len(ent.plans) != 2 || ent.ld == nil {
+		t.Errorf("%d memo entries, want one holding both plans and the DAG", len(opt.memo.entries))
+	}
+	opt.memo.mu.Unlock()
 
-	// A third distinct key evicts the least recently used entry (cap 2).
+	// A third distinct plan evicts the least recently used one (cap 2): the
+	// Greedy plan, hit before the Volcano-SH one was put.
 	if _, err := opt.OptimizeSQL(ctx, sqlRevenue, Greedy); err != nil {
 		t.Fatal(err)
 	}
 	if s := opt.CacheStats(); s.Entries != 2 || s.Cap != 2 {
 		t.Errorf("eviction: stats %+v, want 2 entries at cap 2", s)
+	}
+	for _, c := range []struct {
+		alg  Algorithm
+		kept bool
+	}{{Greedy, false}, {VolcanoSH, true}} {
+		if found, _ := opt.memo.peek(trees, planKey{alg: c.alg}); found != c.kept {
+			t.Errorf("%v plan of the batch kept %v after eviction, want %v", c.alg, found, c.kept)
+		}
 	}
 
 	// The cacheless session reports zeroes and still optimizes.
@@ -176,19 +198,18 @@ func TestPlanCacheAccounting(t *testing.T) {
 	}
 }
 
-// TestBatchKeyMatchesFormattedOptions pins the plan-cache key: algorithm,
-// options as %+v prints them, the queries' trees as written — for every
-// algorithm, one there is no such, and options set in either order — then
-// the marks of a batch planned against a result-cache store and of its
-// parameter bindings. Equal trees give equal keys, whichever string they were
-// parsed from; the key needs no DAG.
-func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
-	opts := Options{Parallelism: 2}
-	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2), WithOptions(opts), WithSpaceBudget(1<<20))
+// TestMemoKeys pins the memo's keys. A composition is its queries' trees as
+// written: equal trees give equal keys, whichever string they were parsed
+// from, and the key needs no DAG. A plan is keyed by its algorithm — every
+// one, and one there is no such — and, planned against a result-cache store,
+// by its parameter bindings: none, one empty binding and two bindings are
+// three keys, and without a store to arm them against bindings change no
+// plan. The session's options are in no key: they are fixed at Open.
+func TestMemoKeys(t *testing.T) {
+	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2), WithOptions(Options{Parallelism: 2}), WithSpaceBudget(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Greedy.SpaceBudgetBytes = 1 << 20
 	queries, err := opt.ParseSQL(sqlBatch)
 	if err != nil {
 		t.Fatal(err)
@@ -201,32 +222,44 @@ func TestBatchKeyMatchesFormattedOptions(t *testing.T) {
 	if got := opt.stmts.treesKey(queries); got != trees {
 		t.Errorf("trees key %q, want %q", got, trees)
 	}
-	for _, alg := range append(Algorithms(), Algorithm(-1), Algorithm(len(Algorithms()))) {
-		want := fmt.Sprintf("%v|%+v|%s", alg, opts, trees)
-		if got := opt.batchKey(opt.stmts.treesKey(queries), alg, false, nil); got != want {
-			t.Errorf("%v: key %q, want %q", alg, got, want)
-		}
-		if got := opt.batchKey(opt.stmts.treesKey(again), alg, false, nil); got != want {
-			t.Errorf("%v: the same text parsed again: key %q, want %q", alg, got, want)
-		}
-	}
-	binds := []map[string]Value{{"p": IntVal(1)}, {"p": IntVal(2)}}
-	for _, c := range []struct {
-		stored bool
-		binds  []map[string]Value
-		suffix string
-	}{
-		{true, nil, "|rc"},
-		{true, binds, "|rc|ps" + bindingsSignature(binds)},
-		{false, binds, ""}, // no store to arm bindings against: they change no plan
-	} {
-		want := fmt.Sprintf("%v|%+v|%s%s", Greedy, opts, trees, c.suffix)
-		if got := opt.batchKey(trees, Greedy, c.stored, c.binds); got != want {
-			t.Errorf("stored=%v, %d bindings: key %q, want %q", c.stored, len(c.binds), got, want)
-		}
+	if got := opt.stmts.treesKey(again); got != trees {
+		t.Errorf("the same text parsed again: trees key %q, want %q", got, trees)
 	}
 	if queries[0].Fingerprint() == queries[1].Fingerprint() {
 		t.Error("two different queries render the same tree fingerprint")
+	}
+
+	binds := []map[string]Value{{"p": IntVal(1)}, {"p": IntVal(2)}}
+	for _, alg := range append(Algorithms(), Algorithm(-1), Algorithm(len(Algorithms()))) {
+		if got, want := newPlanKey(alg, nil, binds), (planKey{alg: alg}); got != want {
+			t.Errorf("%v, no store: key %+v, want %+v", alg, got, want)
+		}
+	}
+	store := new(ResultCache)
+	keys := map[planKey]bool{}
+	for _, c := range []struct {
+		binds []map[string]Value
+		want  string
+	}{{nil, ""}, {[]map[string]Value{{}}, ";"}, {binds, "p=1;p=2;"}} {
+		k := newPlanKey(Greedy, store, c.binds)
+		if want := (planKey{alg: Greedy, stored: true, binds: c.want}); k != want {
+			t.Errorf("%d bindings against a store: key %+v, want %+v", len(c.binds), k, want)
+		}
+		keys[k] = true
+	}
+	if len(keys) != 3 {
+		t.Errorf("three binding sets gave %d keys, want 3", len(keys))
+	}
+
+	// The session's options are fixed, and a repeat hits under them.
+	ctx := context.Background()
+	for range 2 {
+		if _, err := opt.OptimizeBatch(ctx, again, Greedy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := opt.CacheStats(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("a repeated batch: stats %+v, want 1 hit and 1 miss", s)
 	}
 }
 

@@ -211,7 +211,7 @@ func TestPlanCacheValidity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return opt.cache.peek(opt.batchKey(opt.stmts.treesKey(queries), Greedy, true, nil))
+		return opt.memo.peek(opt.stmts.treesKey(queries), planKey{alg: Greedy, stored: true})
 	}
 
 	// A stored answer: spooled by the first run, read by the second, whose

@@ -157,9 +157,9 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 // there is nothing to ask, and every query joins a window.
 func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
 	submit := s.b.Submit
-	if s.opt.cache != nil {
-		key := s.opt.batchKey(s.opt.stmts.treesKey([]*Query{q}), s.alg, s.opt.resultCache() != nil, nil)
-		if _, stored := s.opt.cache.peek(key); stored {
+	if s.opt.memo.planCap > 0 {
+		key := newPlanKey(s.alg, s.opt.resultCache(), nil)
+		if _, stored := s.opt.memo.peek(s.opt.stmts.treesKey([]*Query{q}), key); stored {
 			submit = s.b.SubmitStored
 		}
 	}
@@ -190,7 +190,7 @@ func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) (*serve
 	if err != nil {
 		return nil, err
 	}
-	if s.opt.cache != nil && len(queries) > 1 && !meta.PlanCacheHit {
+	if s.opt.memo.planCap > 0 && len(queries) > 1 && !meta.PlanCacheHit {
 		// A query need never have arrived alone: under steady heavy traffic a
 		// hot text only ever sits in full windows, and SubmitQuery finds no
 		// plan of its own to let it past them. The window makes one on the

@@ -1,7 +1,6 @@
 package mqo
 
 import (
-	"container/list"
 	"strings"
 	"sync"
 
@@ -19,37 +18,39 @@ var (
 	stmtMiss = obs.Default().Counter("mqo_sql_statement_total", "SQL texts compiled for Submit, Run and OptimizeSQL, by whether the session already held the text's lowered queries.", obs.L("outcome", "miss"))
 )
 
-// stmtCache is a session's LRU of compiled SQL texts: per text, the queries it
-// lowers to and each query's fingerprint (Query.Fingerprint), so a repeated
+// stmtCache is a session's cache of compiled SQL texts: per text, the queries
+// it lowers to and each query's fingerprint (Query.Fingerprint), so a repeated
 // text is neither parsed, nor lowered, nor rendered again. Its trees never
 // leave the session — ParseSQL hands callers trees of their own — and nothing
-// writes to a tree once it is lowered, so every call shares them. Like the
-// plan cache and the DAG memo, the cache assumes that the tables of the
+// writes to a tree once it is lowered, so every call shares them. A hit or a
+// put stamps the text with the cache's clock; an overflow drops the smallest
+// stamp. Like the session memo, the cache assumes that the tables of the
 // session's catalog do not change under it.
 type stmtCache struct {
 	mu     sync.Mutex
-	lru    *list.List // front = most recently used; values are *stmtEntry
-	byText map[string]*list.Element
+	byText map[string]*stmtEntry
 	// fps is the fingerprint of every tree an entry holds, by pointer: it goes
 	// with the entry.
-	fps map[*Query]string
+	fps   map[*Query]string
+	clock uint64 // the last use stamp handed out
 }
 
 type stmtEntry struct {
-	text    string
 	queries []*Query
+	used    uint64
 }
 
 // get returns the queries text compiled to, if the cache holds them.
 func (c *stmtCache) get(text string) ([]*Query, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byText[text]
+	ent, ok := c.byText[text]
 	if !ok {
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*stmtEntry).queries, true
+	c.clock++
+	ent.used = c.clock
+	return ent.queries, true
 }
 
 // put caches queries, with their fingerprints fps, as what text compiles to,
@@ -59,19 +60,26 @@ func (c *stmtCache) put(text string, queries []*Query, fps []string) []*Query {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.byText == nil {
-		c.lru, c.byText, c.fps = list.New(), map[string]*list.Element{}, map[*Query]string{}
+		c.byText, c.fps = map[string]*stmtEntry{}, map[*Query]string{}
 	}
-	if el, ok := c.byText[text]; ok {
-		return el.Value.(*stmtEntry).queries
+	if ent, ok := c.byText[text]; ok {
+		return ent.queries
 	}
-	c.byText[text] = c.lru.PushFront(&stmtEntry{text: text, queries: queries})
+	c.clock++
+	c.byText[text] = &stmtEntry{queries: queries, used: c.clock}
 	for i, q := range queries {
 		c.fps[q] = fps[i]
 	}
-	if c.lru.Len() > stmtCacheCap {
-		old := c.lru.Remove(c.lru.Back()).(*stmtEntry)
-		delete(c.byText, old.text)
-		for _, q := range old.queries {
+	if len(c.byText) > stmtCacheCap {
+		var oldText string
+		var oldest *stmtEntry
+		for t, ent := range c.byText {
+			if oldest == nil || ent.used < oldest.used {
+				oldText, oldest = t, ent
+			}
+		}
+		delete(c.byText, oldText)
+		for _, q := range oldest.queries {
 			delete(c.fps, q)
 		}
 	}
@@ -81,7 +89,7 @@ func (c *stmtCache) put(text string, queries []*Query, fps []string) []*Query {
 // treesKey renders each query's tree as written, in batch order: equal trees,
 // equal key. A tree the cache holds is not rendered again. The key does not
 // see through equivalences the way the DAG's canonical fingerprints do. It
-// keys the session's logical DAGs, and is the middle of the plan-cache key.
+// keys the session memo's entries.
 func (c *stmtCache) treesKey(queries []*Query) string {
 	fps := make([]string, len(queries))
 	c.mu.Lock()
