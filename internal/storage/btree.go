@@ -18,17 +18,29 @@ type BTree struct {
 	pool   *BufferPool
 	root   PageID
 	height int
+	pages  []PageID // every page the tree allocated, for DB to free when its table drops
 }
 
 // NewBTree creates an empty tree on the pool.
 func NewBTree(pool *BufferPool) (*BTree, error) {
-	pid, err := pool.AllocateWith(func(data []byte) {
+	t := &BTree{pool: pool, height: 1}
+	pid, err := t.allocate(func(data []byte) {
 		encodeNode(data, &btNode{leaf: true, next: InvalidPage})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &BTree{pool: pool, root: pid, height: 1}, nil
+	t.root = pid
+	return t, nil
+}
+
+// allocate is AllocateWith for a page of the tree.
+func (t *BTree) allocate(init func(data []byte)) (PageID, error) {
+	pid, err := t.pool.AllocateWith(init)
+	if err == nil {
+		t.pages = append(t.pages, pid)
+	}
+	return pid, err
 }
 
 // Height returns the tree height (1 = a single leaf).
@@ -248,7 +260,7 @@ func (t *BTree) Insert(key algebra.Value, rid RID) error {
 		return nil
 	}
 	// Grow a new root.
-	newRoot, err := t.pool.AllocateWith(func(data []byte) {
+	newRoot, err := t.allocate(func(data []byte) {
 		encodeNode(data, &btNode{
 			leaf:     false,
 			keys:     []algebra.Value{promoted},
@@ -363,7 +375,7 @@ func (t *BTree) split(pid PageID, n *btNode) (algebra.Value, PageID, bool, error
 		n.keys = n.keys[:mid]
 		n.children = n.children[:mid+1]
 	}
-	rightPid, err := t.pool.AllocateWith(func(data []byte) {
+	rightPid, err := t.allocate(func(data []byte) {
 		encodeNode(data, rightNode)
 	})
 	if err != nil {

@@ -107,19 +107,41 @@ func (r *RunTemps) Temp(name string) (*Table, error) {
 	return r.db.Temp(r.prefix + name)
 }
 
-// End drops the run's temporary tables. Safe to call more than once.
+// End drops the run's temporary tables and frees their pages. Safe to call
+// more than once.
 func (r *RunTemps) End() {
 	if r.ended {
 		return
 	}
 	r.ended = true
+	var dropped []*Table
 	r.db.mu.Lock()
-	for name := range r.db.temps {
+	for name, t := range r.db.temps {
 		if strings.HasPrefix(name, r.prefix) {
 			delete(r.db.temps, name)
+			dropped = append(dropped, t)
 		}
 	}
 	r.db.mu.Unlock()
+	r.db.free(dropped...)
+}
+
+// free hands the pages of dropped tables, heap and indices, back to the pool
+// for reuse. Nobody may read a table once it is dropped: a temp belongs to
+// its ended run, and the result cache drops only entries no plan has pinned.
+func (db *DB) free(tables ...*Table) {
+	var ids []PageID
+	for _, t := range tables {
+		ids = append(ids, t.Heap.pages...)
+		t.idxMu.Lock()
+		for _, bt := range t.Indexes {
+			ids = append(ids, bt.pages...)
+		}
+		t.idxMu.Unlock()
+	}
+	if len(ids) > 0 {
+		db.Pool.Free(ids)
+	}
 }
 
 // CreateTable registers an empty base table. The schema's column order is
@@ -189,20 +211,27 @@ func (db *DB) Cache(name string) (*Table, error) {
 	return nil, fmt.Errorf("storage: unknown cache table %q", name)
 }
 
-// DropCache removes a spooled result table from the cache namespace (its
-// pages remain allocated in the pager; the simulation does not model space
-// reclamation). Dropping an unknown name is a no-op.
+// DropCache removes a spooled result table from the cache namespace and
+// frees its pages. Dropping an unknown name is a no-op.
 func (db *DB) DropCache(name string) {
 	db.mu.Lock()
+	t, ok := db.caches[name]
 	delete(db.caches, name)
 	db.mu.Unlock()
+	if ok {
+		db.free(t)
+	}
 }
 
-// DropCaches discards the whole cache namespace.
+// DropCaches discards the whole cache namespace and frees its pages.
 func (db *DB) DropCaches() {
 	db.mu.Lock()
+	caches := db.caches
 	db.caches = map[string]*Table{}
 	db.mu.Unlock()
+	for _, t := range caches {
+		db.free(t)
+	}
 }
 
 // CacheBytes reports the real stored size of a cache table: heap pages
@@ -243,14 +272,17 @@ func (db *DB) NumTemps() int {
 	return len(db.temps)
 }
 
-// DropTemps discards all temporary tables of every namespace (their pages
-// remain allocated in the pager; the simulation does not model space
-// reclamation). Runs drop their own namespace on End; DropTemps remains
-// for tests and tools that want a clean slate.
+// DropTemps discards all temporary tables of every namespace and frees their
+// pages. Runs drop their own namespace on End; DropTemps remains for tests
+// and tools that want a clean slate.
 func (db *DB) DropTemps() {
 	db.mu.Lock()
+	temps := db.temps
 	db.temps = map[string]*Table{}
 	db.mu.Unlock()
+	for _, t := range temps {
+		db.free(t)
+	}
 }
 
 // EnsureIndex returns t's index on column, building it first if absent.

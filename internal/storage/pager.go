@@ -60,6 +60,9 @@ type PageStore interface {
 	// NumPages returns the number of allocated pages.
 	NumPages() int
 
+	// free takes back pages of dropped tables, whose frames the pool has
+	// already forgotten: a later Allocate may return their ids again.
+	free(ids []PageID)
 	// read fills all PageSize bytes of buf: the pool reads into recycled
 	// frames, so anything left unwritten would be another page's bytes.
 	read(id PageID, buf []byte) error
@@ -70,24 +73,38 @@ type PageStore interface {
 // disk volume. It is safe for concurrent use; reads and writes of distinct
 // allocated pages proceed in parallel under a shared lock (each page's
 // backing slice is stable once allocated, and page-content ownership is the
-// buffer pool's concern).
+// buffer pool's concern). The pages of dropped tables go on a free list that
+// Allocate takes from before it grows the array.
 type Pager struct {
 	mu    sync.RWMutex
 	pages [][]byte
+	freed []PageID
 }
 
 // NewPager returns an empty pager.
 func NewPager() *Pager { return &Pager{} }
 
-// Allocate creates a new zeroed page and returns its id.
+// Allocate returns a zeroed page: a freed one if there is any, else a new one.
 func (p *Pager) Allocate() PageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if n := len(p.freed); n > 0 {
+		id := p.freed[n-1]
+		p.freed = p.freed[:n-1]
+		clear(p.pages[id])
+		return id
+	}
 	p.pages = append(p.pages, make([]byte, PageSize))
 	return PageID(len(p.pages) - 1)
 }
 
-// NumPages returns the number of allocated pages.
+func (p *Pager) free(ids []PageID) {
+	p.mu.Lock()
+	p.freed = append(p.freed, ids...)
+	p.mu.Unlock()
+}
+
+// NumPages returns the number of allocated pages, free ones included.
 func (p *Pager) NumPages() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -136,8 +153,9 @@ type poolShard struct {
 	mu       sync.Mutex
 	capacity int
 	frames   map[PageID]*frame
-	head     *frame // most recently used
-	tail     *frame // least recently used
+	head     *frame   // most recently used
+	tail     *frame   // least recently used
+	spare    []*frame // frames of freed pages, for the next fault to fill
 }
 
 // DefaultPoolShards is the buffer pool's shard count: pages hash to shards
@@ -237,6 +255,27 @@ func (bp *BufferPool) AllocateWith(init func(data []byte)) (PageID, error) {
 	return id, nil
 }
 
+// Free forgets the frames of pages nobody will read again — those of a
+// dropped table — without writing them back, then hands the pages to the
+// backing store for reuse.
+func (bp *BufferPool) Free(ids []PageID) {
+	for _, id := range ids {
+		s := bp.shard(id)
+		s.mu.Lock()
+		if f, ok := s.frames[id]; ok {
+			if f.dirty {
+				f.dirty = false
+				bp.dirty.Add(-1)
+			}
+			s.unlink(f)
+			delete(s.frames, id)
+			s.spare = append(s.spare, f)
+		}
+		s.mu.Unlock()
+	}
+	bp.pager.free(ids)
+}
+
 // Flush writes back all dirty pages. With none, it returns without taking a
 // shard lock.
 func (bp *BufferPool) Flush() error {
@@ -266,6 +305,9 @@ func (bp *BufferPool) Flush() error {
 func (bp *BufferPool) Stats() IOStats {
 	return IOStats{Reads: bp.reads.Load(), Writes: bp.writes.Load(), Hits: bp.hits.Load()}
 }
+
+// NumPages is the number of pages the backing store holds, free or in use.
+func (bp *BufferPool) NumPages() int { return bp.pager.NumPages() }
 
 // Misses is Stats().Reads alone: one atomic load, cheap enough to bracket
 // every page read of a scan and every index probe.
@@ -301,12 +343,17 @@ func (bp *BufferPool) frameLocked(s *poolShard, id PageID) (*frame, error) {
 }
 
 // freeFrameLocked returns an unlinked, clean frame for the caller to fill: a
-// new one while the shard has room, else the least recently used page's,
+// freed page's or a new one while the shard has room, else the least recently used page's,
 // written back first if dirty. Recycling is safe because page bytes never
 // leave the shard lock, which the caller holds: nobody can still be reading
 // the victim. A pool at capacity therefore allocates no frames at all.
 func (bp *BufferPool) freeFrameLocked(s *poolShard) (*frame, error) {
 	if len(s.frames) < s.capacity {
+		if n := len(s.spare); n > 0 {
+			f := s.spare[n-1]
+			s.spare = s.spare[:n-1]
+			return f, nil
+		}
 		return &frame{data: make([]byte, PageSize)}, nil
 	}
 	victim := s.tail

@@ -320,3 +320,49 @@ func TestDirtyCountMatchesFrames(t *testing.T) {
 	check("after eviction", 16)
 	flush("after eviction", 16)
 }
+
+// TestDroppedTablePagesAreReused: a dropped temp table's pages, heap and
+// index, go back to the pager without being written back, and the next table
+// is built on them, reading its own rows and none of the dropped one's.
+func TestDroppedTablePagesAreReused(t *testing.T) {
+	db := NewDB(16)
+	run := db.BeginRun()
+	tab := run.CreateTemp("t", hazardSchema)
+	for id := int64(0); tab.Heap.NumPages() < 40; id++ {
+		if _, err := tab.Heap.Insert(hazardRow(1, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.EnsureIndex(tab, "k"); err != nil {
+		t.Fatal(err)
+	}
+	pages, writes := db.Pool.NumPages(), db.Pool.Stats().Writes
+	run.End()
+	if w := db.Pool.Stats().Writes; w != writes {
+		t.Errorf("dropping the table wrote back %d pages, want none", w-writes)
+	}
+	if err := db.Pool.Flush(); err != nil || db.Pool.Stats().Writes != writes {
+		t.Errorf("a flush after the drop wrote %d pages (%v), want none: the dropped frames stayed dirty",
+			db.Pool.Stats().Writes-writes, err)
+	}
+	again := db.CreateTemp("u", hazardSchema)
+	var n int64
+	for ; again.Heap.NumPages() < 40; n++ {
+		if _, err := again.Heap.Insert(hazardRow(2, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Pool.NumPages(); got != pages {
+		t.Errorf("the second table grew the pager from %d to %d pages, want the first one's reused", pages, got)
+	}
+	id := int64(0)
+	if err := again.Heap.Scan(func(_ RID, r Row) error {
+		if want := hazardRow(2, id); !slices.Equal(r, want) {
+			return fmt.Errorf("row %d reads %v, want %v", id, r, want)
+		}
+		id++
+		return nil
+	}); err != nil || id != n {
+		t.Fatalf("scanned %d of %d rows: %v", id, n, err)
+	}
+}

@@ -48,6 +48,9 @@ func (p *FilePager) NumPages() int {
 	return p.n
 }
 
+// free keeps the pages: a warm table's file goes whole when the table drops.
+func (p *FilePager) free([]PageID) {}
+
 // Bytes is the pager's on-disk footprint: allocated pages times the page
 // size. This is the real byte accounting the cache charges against its
 // warm budget.
@@ -140,11 +143,11 @@ func (db *DB) ensureWarmDir() (string, error) {
 func (db *DB) WarmDir() (string, error) { return db.ensureWarmDir() }
 
 // DemoteCache moves a cache table from the RAM tier to the warm tier: its
-// rows are copied into a disk-backed heap file, the RAM table is dropped,
-// and the real on-disk byte count is returned. The caller (the cache
-// manager, holding its lock) guarantees no concurrent demote or drop of
-// the same name; concurrent readers of the RAM table are safe
-// because the copy only reads it and the swap is atomic under db.mu.
+// rows are copied into a disk-backed heap file, the RAM table is dropped and
+// its pages freed, and the real on-disk byte count is returned. The caller
+// (the cache manager, holding its lock) guarantees no concurrent demote or
+// drop of the same name, and demotes only entries no plan has pinned, so
+// nobody reads the RAM table once it is swapped out.
 func (db *DB) DemoteCache(name string) (int64, error) {
 	db.mu.RLock()
 	t, ok := db.caches[name]
@@ -184,6 +187,7 @@ func (db *DB) DemoteCache(name string) (int64, error) {
 	delete(db.caches, name)
 	db.warm[name] = wt
 	db.mu.Unlock()
+	db.free(t)
 	return fp.Bytes(), nil
 }
 
