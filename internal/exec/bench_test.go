@@ -305,3 +305,53 @@ func BenchmarkScanFilterJoin(b *testing.B) {
 	}
 	benchDrain(b, j, 4000)
 }
+
+// BenchmarkStarJoin is a star query's join chain: the 20000-row fact table
+// streamed up three keyed BNLJoins, each holding a dimension — half the
+// customers, a fifth of the suppliers, a fifth of the quantities. Every
+// join's key test reaches the scan, which decodes only the rows all three
+// keep; the operators are opened again per iteration, as Invoke does.
+func BenchmarkStarJoin(b *testing.B) {
+	db := storage.NewDB(2048)
+	fs, frows := factSchema(), factRows(20000)
+	tab := loadTable(b, db, "f", fs, frows)
+	dim := func(rel string, keys func(k int64) bool, n int64) Iterator {
+		var rows []storage.Row
+		for k := int64(0); k < n; k++ {
+			if keys(k) {
+				rows = append(rows, intRows([]int64{k, k % 50})...)
+			}
+		}
+		return &sliceIter{rows: rows, schema: intSchema(rel, "k", "v")}
+	}
+	levels := []struct {
+		col  string
+		dim  Iterator
+		keep func(f storage.Row) bool
+	}{
+		{"custkey", dim("dc", func(k int64) bool { return k < dimRows/2 }, dimRows),
+			func(f storage.Row) bool { return f[factCustKey].I < dimRows/2 }},
+		{"suppkey", dim("ds", func(k int64) bool { return k%5 == 0 }, 2000),
+			func(f storage.Row) bool { return f[4].I%5 == 0 }},
+		{"quantity", dim("dq", func(k int64) bool { return k <= 10 }, 51),
+			func(f storage.Row) bool { return f[factQuantity].I <= 10 }},
+	}
+	var it Iterator = newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "quantity", "revenue"))
+	for _, l := range levels {
+		j, err := newNLJoin(it, l.dim, algebra.ColEq(algebra.Col("f", l.col), l.dim.Schema()[0].Col), &Env{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		it = j
+	}
+	want := 0
+	for _, f := range frows {
+		if levels[0].keep(f) && levels[1].keep(f) && levels[2].keep(f) {
+			want++
+		}
+	}
+	if want == 0 {
+		b.Fatal("the star join keeps no row")
+	}
+	benchDrain(b, it, want)
+}

@@ -60,11 +60,13 @@ func (p *spoilIter) buffered() int          { return bufferedRows(p.child) }
 
 // gate forwards, so that the scans of a spoiled run are gated as a plain
 // run's are, and the rows a gate lets through are spoiled like any other.
-func (p *spoilIter) gate(by any, g storage.Gate) bool { return setGate(p.child, by, g) }
+func (p *spoilIter) gate(by any, g *gate) bool { return setGate(p.child, by, g) }
 
 // NoteGates makes every run under env call note with the kind of each gate a
-// scan takes: "Filter gate", "BNLJoin streamed-side gate" or "BNLJoin
-// holdOuter gate".
+// scan takes — "Filter gate", "BNLJoin streamed-side gate", "BNLJoin
+// holdOuter gate", and "forwarded gate" when a join passed it on from above
+// — and with "BNLJoin empty held side" when a join held nothing and so never
+// opened its other input.
 func NoteGates(env *Env, note func(kind string)) *Env {
 	env.onGate = note
 	return env

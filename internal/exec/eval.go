@@ -30,7 +30,7 @@ type Env struct {
 	// instantiates and its consumer.
 	wrap func(Iterator) Iterator
 	// onGate, which only tests set, is told the kind of every gate a scan
-	// takes.
+	// takes, and of every join that skipped its other input.
 	onGate func(kind string)
 }
 

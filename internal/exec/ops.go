@@ -23,9 +23,11 @@ import (
 // not disturb the row last pulled from another. Nor does the contract fix
 // the order in which an operator pulls its children: a block nested-loops
 // join drains its right input in Open and then streams its left, or drains
-// the left first and the right after it, as its builder's estimate says.
-// Open may be called again after Close (Invoke re-runs its body per
-// binding); buffers are reused.
+// the left first and the right after it, as its builder's estimate says, and
+// does not open the other at all when the one it holds came out empty. So
+// Close may be called on an iterator that was never opened. Open may be
+// called again after Close (Invoke re-runs its body per binding); buffers
+// are reused.
 type Iterator interface {
 	Open() error
 	Next() (storage.Row, bool, error)
@@ -95,14 +97,50 @@ type tableScan struct {
 // scanGates is what a scan holds once it has been handed a gate: kept apart
 // so that a scan nobody gates, the most common kind, stays small.
 type scanGates struct {
-	owned   []ownedGate
-	skipped int64 // rows the gates dropped since the scan was built
+	owned []ownedGate    // in the order they were handed down
+	list  []storage.Gate // the cursor's, which it reorders; rebuilt from owned
+	poll  func() error   // the scan's poll.err, bound once
 }
 
 // ownedGate is a gate and the operator that handed it down.
 type ownedGate struct {
 	by any
-	storage.Gate
+	g  *gate
+}
+
+// A gate is a test an operator hands down to the scan that produces the
+// columns it reads, through the operators in between (see tableScan.gate):
+// a Filter's predicate, or a keyed BNLJoin's "has this key a bucket?". cols
+// are positions in the rows of the operator it is handed to.
+type gate struct {
+	cols []int
+	test predFunc
+	// keys is the join whose buckets a key gate tests: such a gate can be
+	// rebuilt at other positions, where a Filter's compiled predicate cannot.
+	keys *nlJoin
+	// dropped counts the rows the gate was the first to drop at a scan: its
+	// owner's NodeProfile.Gated.
+	dropped *int64
+	// inner is the gate rebuilt at positions moved back by shift, built once
+	// for the join that forwards it to its inner input on every Open.
+	inner *gate
+	shift int
+}
+
+// moved is g at positions moved back by shift, nil for a gate that cannot be
+// rebuilt.
+func (g *gate) moved(shift int) *gate {
+	if g.keys == nil {
+		return nil
+	}
+	if g.inner == nil || g.shift != shift {
+		cols := make([]int, len(g.cols))
+		for i, c := range g.cols {
+			cols[i] = c - shift
+		}
+		g.inner, g.shift = g.keys.keyGate(cols, g.dropped), shift
+	}
+	return g.inner
 }
 
 // newTableScan creates a scan of the need columns of a stored table, whose
@@ -133,72 +171,51 @@ func (s *tableScan) buffered() int {
 }
 
 // gate is the optional method of an operator that can drop rows before they
-// are decoded, or that passes the rows of one that can on unchanged: it sets
-// the gate owned by by, whose Cols are positions in the operator's rows,
-// replacing the one by set before; a zero Gate withdraws it. ok reports that
-// a scan took the gate. A gate is only a pre-filter: a row it errs on is
-// kept, and its owner still decides every row it receives, so a gate changes
-// what is decoded, never an answer or an error, and which pages are read
-// when not at all.
-func (s *tableScan) gate(by any, g storage.Gate) (ok bool) {
+// are decoded, or that passes on to its inputs the gates of the operators
+// above it: it sets the gate owned by by, replacing the one by set before; a
+// nil gate withdraws it. ok reports that a scan took the gate. The cursor
+// tests a scan's gates one at a time and the first to fail a row drops it,
+// counted in that gate's dropped. A gate is only a pre-filter: a row it errs
+// on is kept, and its owner still decides every row it receives, so a gate
+// changes what is decoded, never an answer or an error. Which pages are read
+// it does not change either; that a join whose held input came out empty
+// never opens its other one (nlJoin) does.
+func (s *tableScan) gate(by any, g *gate) (ok bool) {
 	if s.gates == nil {
-		if g.Test == nil {
+		if g == nil {
 			return true
 		}
-		s.gates = &scanGates{}
+		s.gates = &scanGates{poll: s.poll.err}
 	}
-	owned := slices.DeleteFunc(s.gates.owned, func(o ownedGate) bool { return o.by == by })
-	if g.Test != nil {
-		owned = append(owned, ownedGate{by: by, Gate: g})
-	}
-	s.gates.owned = owned
-	if len(owned) == 0 {
-		s.cur.SetGate(storage.Gate{})
-		return true
-	}
-	cols := owned[0].Cols
-	for _, o := range owned[1:] {
-		for _, c := range o.Cols {
-			if !slices.Contains(cols, c) {
-				cols = append(slices.Clip(cols), c)
-			}
+	owned := s.gates.owned[:0]
+	for _, o := range s.gates.owned {
+		if o.by != by {
+			owned = append(owned, o)
 		}
 	}
-	s.cur.SetGate(storage.Gate{Cols: cols, Test: s.admit})
+	if g != nil {
+		owned = append(owned, ownedGate{by: by, g: g})
+	}
+	list := s.gates.list[:0]
+	for _, o := range owned {
+		list = append(list, storage.Gate{Cols: o.g.cols, Test: o.g.test, Dropped: o.g.dropped})
+	}
+	s.gates.owned, s.gates.list = owned, list
+	s.cur.SetGates(list, s.gates.poll)
 	return true
 }
 
-// admit passes a row every gate passes or errs on: an error is the owner's to
-// report, when the row reaches it. A Next may drop many rows, so the run's
-// context is polled once per drainCheckEvery of them.
-func (s *tableScan) admit(r storage.Row) (bool, error) {
-	for _, g := range s.gates.owned {
-		if ok, err := g.Test(r); !ok && err == nil {
-			s.gates.skipped++
-			return false, s.poll.err()
-		}
-	}
-	return true, nil
-}
-
 // setGate hands an operator's gate to the scan below it, through operators
-// that pass its rows on unchanged; ok reports that a scan took it.
-func setGate(it Iterator, by any, g storage.Gate) (ok bool) {
-	if x, is := it.(interface {
-		gate(any, storage.Gate) bool
-	}); is {
+// that pass its rows on; ok reports that a scan took it.
+func setGate(it Iterator, by any, g *gate) (ok bool) {
+	if x, is := it.(interface{ gate(any, *gate) bool }); is {
 		return x.gate(by, g)
 	}
 	return false
 }
 
 // rowsSkipped is what a profiled run reports as NodeProfile.Skipped.
-func (s *tableScan) rowsSkipped() int64 {
-	if s.gates == nil {
-		return 0
-	}
-	return s.gates.skipped
-}
+func (s *tableScan) rowsSkipped() int64 { return s.cur.Skipped() }
 
 // decodedAhead is the optional method of an operator some of whose Next calls
 // read a page while the others hand over a decoded row: it counts the latter
@@ -216,6 +233,7 @@ type filterIter struct {
 	child Iterator
 	pred  predFunc
 	poll  ctxPoll // polled once per row dropped: a Next may drop many
+	gated int64   // rows its gate was the first to drop at a scan
 }
 
 // newFilter builds a filter and hands its predicate to the scan below it, if
@@ -232,7 +250,7 @@ func newFilter(child Iterator, p algebra.Predicate, env *Env) (*filterIter, erro
 			cols = append(cols, i)
 		}
 	})
-	if setGate(child, f, storage.Gate{Cols: cols, Test: pred}) {
+	if setGate(child, f, &gate{cols: cols, test: pred, dropped: &f.gated}) {
 		env.noteGate("Filter gate")
 	}
 	return f, nil
@@ -264,7 +282,10 @@ func (f *filterIter) Schema() algebra.Schema { return f.child.Schema() }
 
 // gate passes a gate on to the child: the filter delivers the child's rows,
 // at the child's positions.
-func (f *filterIter) gate(by any, g storage.Gate) bool { return setGate(f.child, by, g) }
+func (f *filterIter) gate(by any, g *gate) bool { return setGate(f.child, by, g) }
+
+// rowsGated is what a profiled run reports as NodeProfile.Gated.
+func (f *filterIter) rowsGated() int64 { return f.gated }
 
 // projectIter computes named scalar outputs.
 type projectIter struct {
@@ -439,13 +460,20 @@ func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
 // passed it with none, and Next walks the held outer rows over the same
 // buckets. The rows, their order and the pairs evaluated are the same either
 // way; what differs is the memory — the smaller input and the matches of the
-// larger, not the whole right input — and which child is pulled first.
+// larger, not the whole right input.
 //
-// Once the buckets a child's rows are matched against are known, the join
-// hands that child — the streamed outer input, or the inner one a held outer
-// input filters — a gate (see tableScan.gate): is there a bucket for this
-// key? A NaN key passes. A scan below then drops, undecoded, the rows the
-// join would have dropped unpaired.
+// Open drains the held input before it opens the other, and a held input
+// that comes out empty ends the join there: the other input is never opened,
+// let alone pulled. Otherwise, once the buckets are known, the join hands the
+// other input — the streamed outer, or the inner a held outer filters — a
+// gate (see tableScan.gate): is there a bucket for this key? A NaN key
+// passes. A scan below then drops, undecoded, the rows the join would have
+// dropped unpaired. Because the gate exists before that input is opened, it
+// also reaches joins below that drain their own held input in Open.
+//
+// A join passes the gates of the operators above it on (gate) to the input
+// whose columns they read, so every join's key test reaches the scan that
+// produces its key, however many joins lie in between.
 type nlJoin struct {
 	left, right Iterator
 	pred        predFunc
@@ -460,6 +488,8 @@ type nlJoin struct {
 	outerArena rowArena // the copies of the outer input's rows
 	outer      []storage.Row
 	outerPos   int
+	// none: the held input came out empty, and the other was not opened.
+	none bool
 
 	arena rowArena // the copies of the inner input's rows
 	inner []storage.Row
@@ -472,6 +502,9 @@ type nlJoin struct {
 	bucketed []storage.Row
 	slot     []int32       // per inner row, its bucket; scratch of Open
 	cands    []storage.Row // what is left of the current outer row's bucket
+
+	own   *gate // the join's key gate on its unheld input, built once
+	gated int64 // rows its key gate was the first to drop at a scan
 }
 
 // newNLJoin compiles the join predicate and keys the join on its cross-side
@@ -500,38 +533,67 @@ func (j *nlJoin) estimate(outerRows, innerRows float64) {
 	j.holdOuter = len(j.lKey) > 0 && outerRows < innerRows
 }
 
-// Open buffers the inner input and buckets it in two passes: the first
-// hashes each row and counts its bucket, the second places the rows, so the
-// buckets share one array and keep arrival order. A join that holds its outer
-// input has buffered that before, and skips the inner rows no outer row's
-// key hashes like.
+// Open drains the held input, then gates and opens the other: a join that
+// holds its inner input buckets it, and one that holds its outer input has
+// buffered that first and skips the inner rows no outer row's key hashes
+// like.
 func (j *nlJoin) Open() error {
 	// A gate of the last Open tests the buckets this one rebuilds.
-	setGate(j.left, j, storage.Gate{})
-	setGate(j.right, j, storage.Gate{})
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
+	setGate(j.left, j, nil)
+	setGate(j.right, j, nil)
 	j.init(j.left.Schema(), j.right.Schema())
 	j.arena.reset()
+	j.outerArena.reset()
+	j.outer, j.outerPos, j.none = j.outer[:0], 0, false
 	j.inner, j.ends, j.slot, j.cands = j.inner[:0], j.ends[:0], j.slot[:0], nil
 	if j.bucketOf == nil {
 		j.bucketOf = map[uint64]int32{}
 	}
 	clear(j.bucketOf)
-	filter := false
-	if j.holdOuter {
-		var err error
-		if filter, err = j.bufferOuter(); err != nil {
+	if !j.holdOuter {
+		if err := j.right.Open(); err != nil {
 			return err
 		}
-		if filter {
-			j.gateKeys(j.right, j.rKey, "BNLJoin holdOuter gate")
+		if err := j.bufferInner(false); err != nil || len(j.inner) == 0 {
+			return j.holdsNothing(err)
 		}
-	} else if n := bufferedRows(j.right); n > 0 {
+		if j.bucketOf != nil {
+			j.gateKeys(j.left, j.lKey, "BNLJoin streamed-side gate")
+		}
+		return j.left.Open()
+	}
+	if err := j.left.Open(); err != nil {
+		return err
+	}
+	filter, err := j.bufferOuter()
+	if err != nil || len(j.outer) == 0 {
+		return j.holdsNothing(err)
+	}
+	if filter {
+		j.gateKeys(j.right, j.rKey, "BNLJoin holdOuter gate")
+	}
+	if err := j.right.Open(); err != nil {
+		return err
+	}
+	return j.bufferInner(filter)
+}
+
+// holdsNothing ends an Open whose held input came out empty, err aside: the
+// join has no row to give, whatever the other input holds.
+func (j *nlJoin) holdsNothing(err error) error {
+	if err == nil {
+		j.none = true
+		j.env.noteGate("BNLJoin empty held side")
+	}
+	return err
+}
+
+// bufferInner drains the inner input and buckets it in two passes: the first
+// hashes each row and counts its bucket, the second places the rows, so the
+// buckets share one array and keep arrival order. filter drops the rows
+// whose key hash no held outer row has.
+func (j *nlJoin) bufferInner(filter bool) error {
+	if n := bufferedRows(j.right); n > 0 && !j.holdOuter {
 		// Every row is kept, so the child's count sizes the storage once.
 		j.arena.reserve(n, len(j.right.Schema()))
 		j.inner, j.slot = slices.Grow(j.inner, n), slices.Grow(j.slot, n)
@@ -582,38 +644,73 @@ func (j *nlJoin) Open() error {
 		j.bucketed[j.ends[b]] = r
 		j.ends[b]++
 	}
-	if !j.holdOuter {
-		j.gateKeys(j.left, j.lKey, "BNLJoin streamed-side gate")
-	}
 	return nil
 }
 
-// gateKeys hands child a gate that passes a row whose key at cols has a
-// bucket, or is NaN; bucketOf must be the table the row will be matched
-// against, and stay it while the child is pulled.
+// gateKeys hands child the join's key gate at cols; bucketOf must be the
+// table the child's rows will be matched against, and stay it while the
+// child is pulled.
 func (j *nlJoin) gateKeys(child Iterator, cols []int, kind string) {
 	if len(cols) == 0 {
 		return
 	}
-	if setGate(child, j, storage.Gate{Cols: cols, Test: func(r storage.Row) (bool, error) {
+	if j.own == nil {
+		j.own = j.keyGate(cols, &j.gated)
+	}
+	if setGate(child, j, j.own) {
+		j.env.noteGate(kind)
+	}
+}
+
+// keyGate is a gate that passes a row whose key at cols has a bucket, or is
+// NaN, counting the rows it drops in dropped.
+func (j *nlJoin) keyGate(cols []int, dropped *int64) *gate {
+	return &gate{cols: cols, keys: j, dropped: dropped, test: func(r storage.Row) (bool, error) {
 		h, ok := keyHash(r, cols)
 		if !ok {
 			return true, nil
 		}
 		_, seen := j.bucketOf[h]
 		return seen, nil
-	}}) {
-		j.env.noteGate(kind)
-	}
+	}}
 }
+
+// gate passes a gate from above on to the input that produces the columns it
+// reads: to the outer input at the same positions, to the inner at positions
+// moved back by the outer's width, which only a key gate can be rebuilt at.
+// A gate that reads both inputs stops here. A withdrawal goes to both.
+func (j *nlJoin) gate(by any, g *gate) (ok bool) {
+	if g == nil {
+		ok = setGate(j.left, by, nil)
+		return setGate(j.right, by, nil) || ok
+	}
+	nOuter := len(j.left.Schema())
+	outer, inner := true, true
+	for _, c := range g.cols {
+		outer, inner = outer && c < nOuter, inner && c >= nOuter
+	}
+	switch {
+	case outer:
+		ok = setGate(j.left, by, g)
+	case inner:
+		if m := g.moved(nOuter); m != nil {
+			ok = setGate(j.right, by, m)
+		}
+	}
+	if ok {
+		j.env.noteGate("forwarded gate")
+	}
+	return ok
+}
+
+// rowsGated is what a profiled run reports as NodeProfile.Gated.
+func (j *nlJoin) rowsGated() int64 { return j.gated }
 
 // bufferOuter holds the outer input and gives every key hash in it a bucket,
 // empty as yet. filter reports that an inner row with none of those hashes can
 // be dropped, which a NaN outer key rules out: it equals every number, so its
 // row has to meet all of the inner input.
 func (j *nlJoin) bufferOuter() (filter bool, err error) {
-	j.outerArena.reset()
-	j.outer, j.outerPos = j.outer[:0], 0
 	filter = true
 	for {
 		if err := j.poll.err(); err != nil {
@@ -637,9 +734,10 @@ func (j *nlJoin) bufferOuter() (filter bool, err error) {
 	}
 }
 
-// nextOuter is the next outer row, held or streamed.
+// nextOuter is the next outer row, held or streamed. A join that holds
+// nothing streams nothing: its held rows, none, stand in.
 func (j *nlJoin) nextOuter() (storage.Row, bool, error) {
-	if !j.holdOuter {
+	if !j.holdOuter && !j.none {
 		return j.left.Next()
 	}
 	if j.outerPos == len(j.outer) {

@@ -332,9 +332,10 @@ func TestGateKeepsWhatItErrsOn(t *testing.T) {
 // TestNLJoinWithdrawsGatesOnReopen: a gate tests the buckets of the Open that
 // set it. The join is opened again — as Invoke does per binding — with the
 // other input now holding a NaN key, which turns that Open's gate off; a gate
-// left over from the first Open would drop rows the NaN key must meet.
+// left over from the first Open would drop rows the NaN key must meet. So
+// too when the gate reached the scan through a join in between, on its outer
+// input or, at moved positions, its inner.
 func TestNLJoinWithdrawsGatesOnReopen(t *testing.T) {
-	ls, rs := intSchema("l", "a"), intSchema("r", "a")
 	pred := algebra.ColEq(algebra.Col("l", "a"), algebra.Col("r", "a"))
 	vals := func(fs ...float64) []storage.Row {
 		rows := make([]storage.Row, len(fs))
@@ -344,32 +345,56 @@ func TestNLJoinWithdrawsGatesOnReopen(t *testing.T) {
 		return rows
 	}
 	db := storage.NewDB(16)
-	scanned := loadTable(t, db, "s", ls, vals(1, 2, 3, 7))
-	for _, holdOuter := range []bool{false, true} {
-		// The held input is in memory and changes between the Opens; the
-		// other is the scan, gated the first time.
-		held := &sliceIter{rows: vals(1, 2), schema: rs}
-		scan := newTableScan(scanned.Heap, ls, nil)
-		var nl *nlJoin
-		var err error
-		if holdOuter {
-			held.schema = ls
-			scan = newTableScan(scanned.Heap, rs, nil)
-			nl, err = newNLJoin(held, scan, pred, &Env{})
-		} else {
-			nl, err = newNLJoin(scan, held, pred, &Env{})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		nl.estimate(estimates(holdOuter))
-		if got := mustDrain(t, nl); len(got) != 2 || scan.rowsSkipped() != 2 {
-			t.Fatalf("holding outer: %v: %d rows with 3 and 7 skipped (%d), want 2 and 2", holdOuter, len(got), scan.rowsSkipped())
-		}
-		held.rows = vals(1, math.NaN())
-		if got := mustDrain(t, nl); len(got) != 5 || scan.rowsSkipped() != 2 {
-			t.Errorf("holding outer: %v, reopened with a NaN key: %d rows and %d skipped in all, want 5 (1 and NaN's 4) and still 2",
-				holdOuter, len(got), scan.rowsSkipped())
+	scanned := loadTable(t, db, "s", intSchema("s", "a"), vals(1, 2, 3, 7))
+	for _, through := range []string{"", "outer", "inner"} {
+		for _, holdOuter := range []bool{false, true} {
+			what := fmt.Sprintf("holding outer: %v, through a join's %q input", holdOuter, through)
+			// The held input is in memory and changes between the Opens; the
+			// other is the scan, gated the first time.
+			held := &sliceIter{rows: vals(1, 2), schema: intSchema("r", "a")}
+			scan := newTableScan(scanned.Heap, intSchema("l", "a"), nil)
+			if holdOuter {
+				held.schema = intSchema("l", "a")
+				scan = newTableScan(scanned.Heap, intSchema("r", "a"), nil)
+			}
+			var other Iterator = scan
+			if through != "" {
+				// The join in between keeps every scanned row: its other input
+				// has each key once.
+				dim := &sliceIter{rows: vals(1, 2, 3, 7), schema: intSchema("m", "a")}
+				key := algebra.ColEq(scan.Schema()[0].Col, algebra.Col("m", "a"))
+				var mid *nlJoin
+				var err error
+				if through == "outer" {
+					mid, err = newNLJoin(scan, dim, key, &Env{})
+				} else {
+					mid, err = newNLJoin(dim, scan, key, &Env{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				other = mid
+			}
+			var nl *nlJoin
+			var err error
+			if holdOuter {
+				nl, err = newNLJoin(held, other, pred, &Env{})
+			} else {
+				nl, err = newNLJoin(other, held, pred, &Env{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl.estimate(estimates(holdOuter))
+			if got := mustDrain(t, nl); len(got) != 2 || scan.rowsSkipped() != 2 || nl.gated != 2 {
+				t.Fatalf("%s: %d rows with 3 and 7 skipped (%d, %d credited to the join), want 2, 2 and 2",
+					what, len(got), scan.rowsSkipped(), nl.gated)
+			}
+			held.rows = vals(1, math.NaN())
+			if got := mustDrain(t, nl); len(got) != 5 || scan.rowsSkipped() != 2 {
+				t.Errorf("%s, reopened with a NaN key: %d rows and %d skipped in all, want 5 (1 and NaN's 4) and still 2",
+					what, len(got), scan.rowsSkipped())
+			}
 		}
 	}
 }
@@ -708,7 +733,7 @@ func TestBlockingOperatorsStopWhenCancelled(t *testing.T) {
 		{"scan whose gate drops every row", func(ctx context.Context, drop predFunc) Iterator {
 			s := newTableScan(tab.Heap, schema, nil)
 			s.poll.ctx = ctx
-			setGate(s, t, storage.Gate{Cols: []int{0}, Test: drop})
+			setGate(s, t, &gate{cols: []int{0}, test: drop})
 			return s
 		}},
 	} {
@@ -750,7 +775,7 @@ func TestGatedScanBuffersUnknown(t *testing.T) {
 	if got := bufferedRows(traced); got != n {
 		t.Fatalf("an ungated scan promises %d rows, want %d", got, n)
 	}
-	tenth := storage.Gate{Cols: []int{1}, Test: func(r storage.Row) (bool, error) { return r[1].I%10 == 0, nil }}
+	tenth := &gate{cols: []int{1}, test: func(r storage.Row) (bool, error) { return r[1].I%10 == 0, nil }}
 	if !setGate(traced, t, tenth) {
 		t.Fatal("the scan refused a gate")
 	}
@@ -762,7 +787,7 @@ func TestGatedScanBuffersUnknown(t *testing.T) {
 		t.Errorf("the gated scan delivered %d rows and skipped %d, %d left; want %d, %d and 0",
 			len(rows), scan.rowsSkipped(), scan.cur.Remaining(), n/10, n-n/10)
 	}
-	setGate(traced, t, storage.Gate{})
+	setGate(traced, t, nil)
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -955,6 +980,48 @@ func TestImpliesSoundness(t *testing.T) {
 			if pv && !qv {
 				t.Fatalf("Implies unsound: %v implies %v but row a=%d satisfies only the former", p, q, v)
 			}
+		}
+	}
+}
+
+// TestCloseBeforeOpen: a join whose held input came out empty never opens its
+// other one, and closes it all the same, so closing an operator that was
+// never opened must be safe for every operator.
+func TestCloseBeforeOpen(t *testing.T) {
+	ls, rs := intSchema("l", "k"), intSchema("r", "k")
+	rows := intRows([]int64{1}, []int64{2})
+	src := func(s algebra.Schema) Iterator { return &sliceIter{rows: rows, schema: s} }
+	db := storage.NewDB(16)
+	tab := loadTable(t, db, "l", ls, rows)
+	pred := algebra.ColEq(algebra.Col("l", "k"), algebra.Col("r", "k"))
+	filter, err := newFilter(newTableScan(tab.Heap, ls, nil), algebra.Cmp(algebra.Col("l", "k"), algebra.GT, algebra.IntVal(1)), &Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, err := newNLJoin(src(ls), newTableScan(tab.Heap, rs, nil), pred, &Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := newSortAgg(src(ls), nil, []algebra.AggExpr{{Func: algebra.CountAll, As: algebra.Col("", "n")}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range []Iterator{
+		newTableScan(tab.Heap, ls, nil),
+		filter,
+		&projectIter{child: src(ls)},
+		&sortIter{child: src(ls), cols: ls.Columns()},
+		nl,
+		&mergeJoin{left: src(ls), right: src(rs)},
+		&indexJoin{outer: src(ls)},
+		&indexSelect{},
+		agg,
+		&invokeIter{child: src(ls), env: &Env{}},
+		newStatIter(src(ls), &NodeProfile{}, &profiler{}),
+		spoil(src(ls)),
+	} {
+		if err := it.Close(); err != nil {
+			t.Errorf("%T: Close before Open: %v", it, err)
 		}
 	}
 }

@@ -16,11 +16,14 @@ import (
 // NodeProfile is the measured execution profile of one instantiated
 // operator. Wall and Pages are inclusive of the operator's children (the
 // usual EXPLAIN ANALYZE convention); Rows counts the rows this operator
-// emitted to its parent. A scan's gates run an ancestor's tests below the
-// operators in between, so a node under a gated join emits only the rows
-// that also pass the join's key test: a Filter between them counts the rows
-// that passed both, not its own predicate's selectivity, and a scan's Rows
-// plus Skipped is the rows it examined.
+// emitted to its parent. A scan's gates run its ancestors' tests below the
+// operators in between — every keyed join's above it, through the joins
+// between — so a node under gated joins emits only the rows that also pass
+// every one of their key tests: a Filter or a join in between counts the
+// rows that passed them all, not its own selectivity. A scan's Rows plus
+// Skipped is the rows it examined, and its Skipped is the sum of the Gated
+// of the operators that gated it: each row a scan drops is credited to the
+// gate that was first to fail it.
 type NodeProfile struct {
 	Node    int     `json:"node"`
 	Op      string  `json:"op"`
@@ -35,6 +38,7 @@ type NodeProfile struct {
 
 	Rows    int64         `json:"rows"`
 	Skipped int64         `json:"skipped,omitempty"` // scans: rows the gates dropped without decoding them
+	Gated   int64         `json:"gated,omitempty"`   // filters and joins: rows their gate was the first to drop at a scan
 	Pairs   int64         `json:"pairs,omitempty"`   // joins: predicate evaluations, exact
 	Kept    int64         `json:"kept,omitempty"`    // joins and sorts: input rows copied into the operator's own storage
 	Pages   int64         `json:"pages"`             // buffer-pool misses, inclusive
@@ -280,6 +284,9 @@ func (s *statIter) Close() error {
 	if g, ok := s.child.(interface{ rowsSkipped() int64 }); ok {
 		s.p.Skipped = g.rowsSkipped()
 	}
+	if g, ok := s.child.(interface{ rowsGated() int64 }); ok {
+		s.p.Gated = g.rowsGated()
+	}
 	if l, ok := s.child.(interface{ pageMisses() int64 }); ok {
 		s.p.Pages = l.pageMisses()
 	}
@@ -294,7 +301,7 @@ func (s *statIter) buffered() int { return bufferedRows(s.child) }
 
 // gate forwards a gate to the child, so a profiled run decodes what a plain
 // one does.
-func (s *statIter) gate(by any, g storage.Gate) bool { return setGate(s.child, by, g) }
+func (s *statIter) gate(by any, g *gate) bool { return setGate(s.child, by, g) }
 
 // sumPages turns the page misses each operator caused itself into the
 // inclusive counts NodeProfile.Pages documents, children before parents.
@@ -390,9 +397,10 @@ func recordRunMetrics(stats *RunStats) {
 // FormatAnalyze renders the EXPLAIN ANALYZE view of a profiled run:
 // per node the optimizer's estimate (cost-model seconds, cardinality)
 // against the measured rows, inclusive pages and inclusive wall time; a scan
-// whose gates dropped rows shows skipped=, the rows it dropped undecoded, and
-// every node between it and the join that gated it shows rows= after that
-// join's key test too (NodeProfile); a
+// whose gates dropped rows shows skipped=, the rows it dropped undecoded, the
+// filter or join whose gate was first to drop them gated=, and every node
+// between the scan and the joins that gated it shows rows= after their key
+// tests too (NodeProfile); a
 // join also shows pairs=, the predicate evaluations it took (what a keyed
 // probe saves against outer × inner), a join or a sort kept=, the input rows
 // it copied into storage of its own (what a join that holds its smaller input
@@ -414,6 +422,10 @@ func FormatAnalyze(stats RunStats) string {
 		if p.Skipped > 0 {
 			skipped = fmt.Sprintf(" skipped=%d", p.Skipped)
 		}
+		gated := ""
+		if p.Gated > 0 {
+			gated = fmt.Sprintf(" gated=%d", p.Gated)
+		}
 		pairs := ""
 		if p.Pairs > 0 {
 			pairs = fmt.Sprintf(" pairs=%d", p.Pairs)
@@ -426,9 +438,9 @@ func FormatAnalyze(stats RunStats) string {
 		if p.StoredCols > 0 {
 			cols = fmt.Sprintf(" cols=%d/%d", p.Cols, p.StoredCols)
 		}
-		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s%s pages=%d bytes=%d time=%s)\n",
+		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s%s%s pages=%d bytes=%d time=%s)\n",
 			strings.Repeat("  ", indent), p.Op, mat, p.EstCost, p.EstRows,
-			p.Rows, skipped, pairs, kept, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
+			p.Rows, skipped, gated, pairs, kept, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
 		for _, c := range p.Children {
 			render(c, indent+1)
 		}

@@ -37,7 +37,9 @@ type step struct {
 // takes the same risk through cache scans in both tiers, spooled roots and
 // partially cached Invokes, all of which the test insists it crossed. So does
 // a gate that drops a row its owner would have kept, and the test insists it
-// ran a Filter's, a streamed join input's and a held outer input's.
+// ran a Filter's, a streamed join input's and a held outer input's, a gate a
+// join passed on from above, and a join that held nothing and so never
+// opened its other input.
 func TestPrunedPlansMatchReference(t *testing.T) {
 	plansMatchReference(t, func(env *exec.Env) *exec.Env { return env })
 }
@@ -156,7 +158,8 @@ func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 	}
 	for _, path := range []string{"SeqScan", "CacheScan", "CacheScan@warm", "InvokePartial", "spooled root",
 		"BNLJoin", "MergeJoin", "IndexJoin", "SortAgg",
-		"Filter gate", "BNLJoin streamed-side gate", "BNLJoin holdOuter gate"} {
+		"Filter gate", "BNLJoin streamed-side gate", "BNLJoin holdOuter gate",
+		"forwarded gate", "BNLJoin empty held side"} {
 		if !crossed[path] {
 			t.Errorf("no plan crossed %s", path)
 		}
@@ -181,6 +184,36 @@ func profiled(t *testing.T, db *storage.DB, alg core.Algorithm, queries []*algeb
 		t.Fatalf("%v\nplan:\n%s", err, res.Plan)
 	}
 	return stats.Profile, results
+}
+
+// TestGatedAddsUpToSkipped: every row a scan's gates drop is credited to the
+// one filter or join whose gate was first to fail it, so on every SSB flight,
+// under every algorithm, the operators' Gated add up to the scans' Skipped.
+func TestGatedAddsUpToSkipped(t *testing.T) {
+	db := storage.NewDB(2048)
+	if err := ssb.LoadDB(db, 0.002, 7); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range core.Algorithms() {
+		for f := 1; f <= ssb.NumFlights; f++ {
+			prof, _ := profiled(t, db, alg, ssb.Flight(f))
+			var gated, skipped int64
+			prof.Visit(func(p *exec.NodeProfile) {
+				gated += p.Gated
+				skipped += p.Skipped
+				if p.Gated > 0 && p.StoredCols > 0 {
+					t.Errorf("%v flight %d: scan %s credited with gate drops", alg, f, p.Op)
+				}
+			})
+			if gated != skipped || skipped == 0 {
+				t.Errorf("%v flight %d: the operators' gates were first to drop %d rows, the scans skipped %d",
+					alg, f, gated, skipped)
+			}
+			if text := exec.FormatAnalyze(exec.RunStats{Profile: prof}); !strings.Contains(text, " gated=") {
+				t.Errorf("%v flight %d: EXPLAIN ANALYZE shows no gated=:\n%s", alg, f, text)
+			}
+		}
+	}
 }
 
 // scansOf lists the scan and probe profiles under the given roots.

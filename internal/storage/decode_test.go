@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -171,7 +172,7 @@ func TestCursorGate(t *testing.T) {
 	}
 	c := h.Cursor([]int{0, 2})
 	tests, dropped := 0, 0
-	c.SetGate(Gate{Cols: []int{1}, Test: func(r Row) (bool, error) {
+	c.SetGates([]Gate{{Cols: []int{1}, Test: func(r Row) (bool, error) {
 		tests++
 		if i := (tests - 1) % n; r[1].Typ != algebra.TDate || r[1].I != int64(i%3) {
 			t.Fatalf("record %d: the gate saw %v at position 1", i, r[1])
@@ -180,7 +181,7 @@ func TestCursorGate(t *testing.T) {
 			dropped++
 		}
 		return r[1].I == 1, nil
-	}})
+	}}}, nil)
 	last := c.Remaining()
 	for i := 0; ; i++ {
 		// Not the rows to come, but a bound on them that only falls.
@@ -226,12 +227,87 @@ func TestCursorGate(t *testing.T) {
 		}
 	}
 
-	c.SetGate(Gate{})
+	c.SetGates(nil, nil)
 	c.Rewind()
 	for i := 0; rids[i].Page != rid.Page; i++ {
 		if r, ok, err := c.Next(); err != nil || !ok || r[0].I != int64(i) {
 			t.Fatalf("ungated row %d: %v, %v, %v", i, r, ok, err)
 		}
+	}
+
+	t.Run("list", cursorGateList)
+}
+
+// cursorGateList: a cursor tests a list of gates over rows wider than 64
+// columns one gate at a time, each on its own columns, which hold the
+// record's values when the gate is reached whether or not a gate before it
+// decoded them; the first gate to fail a record drops it, counted in that
+// gate's Dropped, and moves a place forward, so the gate that drops most is
+// soon tested first and the others see only what it passes.
+func cursorGateList(t *testing.T) {
+	const n, width = 3*slabRows + 17, 70
+	want := func(i, c int) algebra.Value {
+		if c == 3 && i%7 == 0 {
+			return algebra.StringVal(fmt.Sprintf("s%d", i)) // both decoders
+		}
+		return algebra.IntVal(int64(i*100 + c))
+	}
+	h := NewHeapFile(NewBufferPool(NewPager(), 8))
+	for i := 0; i < n; i++ {
+		r := make(Row, width)
+		for c := range r {
+			r[c] = want(i, c)
+		}
+		if _, err := h.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tests, dropped [3]int64
+	failing := []func(i int) bool{
+		func(i int) bool { return i%10 == 0 },
+		func(i int) bool { return i%2 == 1 },
+		func(i int) bool { return i%3 == 0 },
+	}
+	gate := func(k int, cols ...int) Gate {
+		return Gate{Cols: cols, Dropped: &dropped[k], Test: func(r Row) (bool, error) {
+			tests[k]++
+			i := int(r[0].I / 100)
+			for _, c := range cols {
+				if r[c] != want(i, c) {
+					t.Fatalf("gate %d, record %d: column %d reads %v, want %v", k, i, c, r[c], want(i, c))
+				}
+			}
+			return !failing[k](i), nil
+		}}
+	}
+	c := h.Cursor(nil)
+	c.SetGates([]Gate{gate(0, 0, 66), gate(1, 0, 2, 69), gate(2, 3, 0, 69)}, nil)
+	kept := 0
+	for i := 0; i < n; i++ {
+		if failing[0](i) || failing[1](i) || failing[2](i) {
+			continue
+		}
+		r, ok, err := c.Next()
+		if err != nil || !ok {
+			t.Fatalf("row %d: %v, %v", i, ok, err)
+		}
+		for col := range r {
+			if r[col] != want(i, col) {
+				t.Fatalf("row %d, column %d: %v, want %v", i, col, r[col], want(i, col))
+			}
+		}
+		kept++
+	}
+	if _, ok, err := c.Next(); ok || err != nil {
+		t.Fatalf("the gated scan went on past its last row: %v, %v", ok, err)
+	}
+	if sum := dropped[0] + dropped[1] + dropped[2]; sum != c.Skipped() || sum != int64(n-kept) {
+		t.Errorf("the gates' Dropped add up to %d, the cursor skipped %d, want both %d", sum, c.Skipped(), n-kept)
+	}
+	// Gate 1 fails every other record: tested first from its first drop on,
+	// it is tested on nearly every record and gate 0 on about half.
+	if tests[1] < n*9/10 || tests[0] > n*6/10 {
+		t.Errorf("gates tested %v times over %d records, want gate 1 on nearly all and gate 0 on about half", tests, n)
 	}
 }
 

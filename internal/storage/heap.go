@@ -157,30 +157,54 @@ func (h *HeapFile) GetCols(dst Row, rid RID, cols []int) (r Row, err error) {
 // crosses into the following page, which decodes into the same slab; a
 // puller that keeps a row longer copies it.
 //
-// A cursor may carry a Gate, which drops rows before they are decoded: a
-// gated cursor delivers, in file order, the rows that pass it.
+// A cursor may carry a list of Gates, which drop rows before they are
+// decoded: a gated cursor delivers, in file order, the rows that pass them
+// all. The gates of a record are tested one at a time, each on its own
+// columns, decoded when it is reached if no gate before it decoded them; the
+// first gate to fail the record drops it undecoded. A gate that drops a row
+// moves a place forward in the list, so the gates that drop most come to be
+// tested first.
 type HeapCursor struct {
-	h    *HeapFile
-	cols []int
-	keep bool  // ScanCols: rows are the callback's to keep, so no slab is reused
-	gate *Gate // nil: every row is decoded
+	h     *HeapFile
+	cols  []int
+	keep  bool    // ScanCols: rows are the callback's to keep, so no slab is reused
+	gated *gating // nil until gates are set
 
 	slab   Row
-	page   []Row // the current page's rows that passed the gate, in slot order
+	page   []Row // the current page's rows that passed the gates, in slot order
 	pos    int   // next of them to return
 	next   int   // next of h.pages to decode
 	left   int64 // records not yet examined
 	faults int64 // pool misses its page reads took, over every pass
 }
 
+// gating is what a cursor holds once it has been given gates: kept apart so
+// that a cursor nobody gates, the most common kind, stays small.
+type gating struct {
+	gates []Gate // empty: every row is decoded
+	poll  func() error
+
+	// seen holds, per position in a row, the stamp of the record a gate last
+	// decoded there: the positions whose seen is stamp hold the values of
+	// the record under test.
+	seen  []uint32
+	stamp uint32
+
+	skipped int64 // records the gates dropped, over every pass
+}
+
 // A Gate is a test a record must pass before a HeapCursor decodes its row.
-// Test is given a row in which only the positions Cols — positions in the
-// cursor's rows, not in the stored record — hold the record's values; it must
-// read no other and keep nothing. It runs under the page's shard lock, so it
-// must not use the pool. An error from it ends the scan with that error.
+// Test is given a row in which the positions Cols — positions in the
+// cursor's rows, not in the stored record — hold the record's values, and
+// some other positions may too; it must read no other and keep nothing. It
+// runs under the page's shard lock, so it must not use the pool. A Test that
+// errs keeps the row: a gate is a pre-filter, and whoever reads the row
+// reports the error. Dropped, when set, counts the rows the gate was the
+// first to fail.
 type Gate struct {
-	Cols []int
-	Test func(Row) (bool, error)
+	Cols    []int
+	Test    func(Row) (bool, error)
+	Dropped *int64
 }
 
 // Cursor returns a cursor over the file, positioned before its first row.
@@ -190,19 +214,27 @@ func (h *HeapFile) Cursor(cols []int) *HeapCursor {
 	return c
 }
 
-// Rewind positions the cursor before the first row again. The slab stays.
+// Rewind positions the cursor before the first row again. The slab and the
+// gates stay.
 func (c *HeapCursor) Rewind() {
 	c.page, c.pos, c.next, c.left = c.page[:0], 0, 0, c.h.rows
 }
 
-// SetGate makes the cursor decode, of the records it examines from now on,
-// only the rows that pass g; the zero Gate lets every row through again. Rows
-// already decoded are delivered either way, and Rewind keeps the gate.
-func (c *HeapCursor) SetGate(g Gate) {
-	c.gate = nil
-	if g.Test != nil {
-		c.gate = &g
+// SetGates makes the cursor decode, of the records it examines from now on,
+// only the rows that pass every one of gates, tested in the order given to
+// begin with; none lets every row through again. Rows already decoded are
+// delivered either way. poll, when set, is called after every row a gate
+// drops, and its error ends the scan: a Next may drop many rows. The cursor
+// keeps the list and reorders it in place, so the caller leaves it alone
+// until it sets the gates again.
+func (c *HeapCursor) SetGates(gates []Gate, poll func() error) {
+	if c.gated == nil {
+		if len(gates) == 0 {
+			return
+		}
+		c.gated = &gating{}
 	}
+	c.gated.gates, c.gated.poll = gates, poll
 }
 
 // Remaining is the number of rows not yet examined, plus the decoded ones
@@ -218,6 +250,15 @@ func (c *HeapCursor) Decoded() int { return len(c.page) - c.pos }
 // since it was created. Like the pool's counters it is exact for a serial
 // caller and approximate while other goroutines fault pages too.
 func (c *HeapCursor) Faults() int64 { return c.faults }
+
+// Skipped is the number of records the gates have dropped since the cursor
+// was created.
+func (c *HeapCursor) Skipped() int64 {
+	if c.gated == nil {
+		return 0
+	}
+	return c.gated.skipped
+}
 
 // Next returns the next row, ok=false after the last.
 func (c *HeapCursor) Next() (r Row, ok bool, err error) {
@@ -247,9 +288,9 @@ func (c *HeapCursor) nextPage() (ok bool, err error) {
 
 // decodePage is the one routine that turns a heap page into rows. Each record
 // is located (and so checked) in full and given its place in the slab; the
-// gate's columns are decoded there and tested, and only a row that passes is
-// decoded whole and kept: carved len == cap, so an append to one cannot reach
-// the next.
+// gates decode their columns there and test them, and only a row that passes
+// is decoded whole — what they decoded is not decoded again — and kept:
+// carved len == cap, so an append to one cannot reach the next.
 func (c *HeapCursor) decodePage(data []byte) (err error) {
 	n := pageNumSlots(data)
 	width := c.h.rowWidth(c.cols)
@@ -277,16 +318,22 @@ func (c *HeapCursor) decodePage(data []byte) (err error) {
 		}
 		start := len(c.slab)
 		row := c.slab[start : start+w : start+w]
-		if c.gate != nil {
-			if pass, err := c.admit(row, rec, offs); err != nil || !pass {
+		if g := c.gated; g == nil || len(g.gates) == 0 {
+			for k, o := range offs {
+				decodeAt(&row[k], rec, o)
+			}
+		} else {
+			if pass, err := g.admit(row, rec, offs); err != nil || !pass {
 				if err != nil {
 					return err
 				}
 				continue // the place is the next record's
 			}
-		}
-		for k, o := range offs {
-			decodeAt(&row[k], rec, o)
+			for k, o := range offs {
+				if g.seen[k] != g.stamp {
+					decodeAt(&row[k], rec, o)
+				}
+			}
 		}
 		c.slab = c.slab[:start+w]
 		c.page = append(c.page, row)
@@ -294,16 +341,45 @@ func (c *HeapCursor) decodePage(data []byte) (err error) {
 	return nil
 }
 
-// admit decodes the gate's columns of a located record into row, the place
-// its row would take, and tests it.
-func (c *HeapCursor) admit(row Row, rec []byte, offs []int) (bool, error) {
-	for _, col := range c.gate.Cols {
-		if col >= len(row) {
-			return true, nil // a record too short to test is decoded, and tested by whoever reads it
-		}
-		decodeAt(&row[col], rec, offs[col])
+// admit tests a located record against the gates in their order, decoding
+// into row, the place the record's row would take, each gate's columns that
+// no gate before it decoded. The first gate to fail the record drops it and
+// swaps places with the gate before it. err is poll's.
+func (g *gating) admit(row Row, rec []byte, offs []int) (pass bool, err error) {
+	if g.stamp++; g.stamp == 0 { // wrapped: every place's stamp is stale again
+		clear(g.seen)
+		g.stamp = 1
 	}
-	return c.gate.Test(row)
+	if len(g.seen) < len(row) {
+		g.seen = append(g.seen, make([]uint32, len(row)-len(g.seen))...)
+	}
+	for i := range g.gates {
+		gate := &g.gates[i]
+		for _, col := range gate.Cols {
+			if col >= len(row) {
+				return true, nil // a record too short to test is decoded, and tested by whoever reads it
+			}
+			if g.seen[col] != g.stamp {
+				decodeAt(&row[col], rec, offs[col])
+				g.seen[col] = g.stamp
+			}
+		}
+		if ok, err := gate.Test(row); ok || err != nil {
+			continue
+		}
+		g.skipped++
+		if gate.Dropped != nil {
+			*gate.Dropped++
+		}
+		if i > 0 {
+			g.gates[i-1], g.gates[i] = g.gates[i], g.gates[i-1]
+		}
+		if g.poll != nil {
+			return false, g.poll()
+		}
+		return false, nil
+	}
+	return true, nil
 }
 
 // Scan visits every row in file order.
