@@ -310,48 +310,69 @@ func BenchmarkScanFilterJoin(b *testing.B) {
 // streamed up three keyed BNLJoins, each holding a dimension — half the
 // customers, a fifth of the suppliers, a fifth of the quantities. Every
 // join's key test reaches the scan, which decodes only the rows all three
-// keep; the operators are opened again per iteration, as Invoke does.
+// keep; the operators are opened again per iteration, as Invoke does. The
+// keys are ints: dense, each join tests them by a bitmap of its held keys;
+// sparse, each dimension also holds one key far beyond the others, which no
+// fact row has, so its range is too wide for a bitmap and the join tests
+// key hashes.
 func BenchmarkStarJoin(b *testing.B) {
 	db := storage.NewDB(2048)
 	fs, frows := factSchema(), factRows(20000)
 	tab := loadTable(b, db, "f", fs, frows)
-	dim := func(rel string, keys func(k int64) bool, n int64) Iterator {
-		var rows []storage.Row
-		for k := int64(0); k < n; k++ {
-			if keys(k) {
-				rows = append(rows, intRows([]int64{k, k % 50})...)
+	for _, sparse := range []bool{false, true} {
+		name, test := "dense", "bitmap"
+		if sparse {
+			name, test = "sparse", "hash"
+		}
+		b.Run(name, func(b *testing.B) {
+			dim := func(rel string, keys func(k int64) bool, n int64) Iterator {
+				var rows []storage.Row
+				for k := int64(0); k < n; k++ {
+					if keys(k) {
+						rows = append(rows, intRows([]int64{k, k % 50})...)
+					}
+				}
+				if sparse {
+					rows = append(rows, intRows([]int64{1 << 40, 0})...)
+				}
+				return &sliceIter{rows: rows, schema: intSchema(rel, "k", "v")}
 			}
-		}
-		return &sliceIter{rows: rows, schema: intSchema(rel, "k", "v")}
+			levels := []struct {
+				col  string
+				dim  Iterator
+				keep func(f storage.Row) bool
+			}{
+				{"custkey", dim("dc", func(k int64) bool { return k < dimRows/2 }, dimRows),
+					func(f storage.Row) bool { return f[factCustKey].I < dimRows/2 }},
+				{"suppkey", dim("ds", func(k int64) bool { return k%5 == 0 }, 2000),
+					func(f storage.Row) bool { return f[4].I%5 == 0 }},
+				{"quantity", dim("dq", func(k int64) bool { return k <= 10 }, 51),
+					func(f storage.Row) bool { return f[factQuantity].I <= 10 }},
+			}
+			var it Iterator = newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "quantity", "revenue"))
+			var joins []*nlJoin
+			for _, l := range levels {
+				j, err := newNLJoin(it, l.dim, algebra.ColEq(algebra.Col("f", l.col), l.dim.Schema()[0].Col), &Env{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				it, joins = j, append(joins, j)
+			}
+			want := 0
+			for _, f := range frows {
+				if levels[0].keep(f) && levels[1].keep(f) && levels[2].keep(f) {
+					want++
+				}
+			}
+			if want == 0 {
+				b.Fatal("the star join keeps no row")
+			}
+			benchDrain(b, it, want)
+			for l, j := range joins {
+				if j.keyTest() != test {
+					b.Fatalf("join %d tested keys by %s, want %s", l+1, j.keyTest(), test)
+				}
+			}
+		})
 	}
-	levels := []struct {
-		col  string
-		dim  Iterator
-		keep func(f storage.Row) bool
-	}{
-		{"custkey", dim("dc", func(k int64) bool { return k < dimRows/2 }, dimRows),
-			func(f storage.Row) bool { return f[factCustKey].I < dimRows/2 }},
-		{"suppkey", dim("ds", func(k int64) bool { return k%5 == 0 }, 2000),
-			func(f storage.Row) bool { return f[4].I%5 == 0 }},
-		{"quantity", dim("dq", func(k int64) bool { return k <= 10 }, 51),
-			func(f storage.Row) bool { return f[factQuantity].I <= 10 }},
-	}
-	var it Iterator = newTableScan(tab.Heap, fs, factNeed("custkey", "suppkey", "quantity", "revenue"))
-	for _, l := range levels {
-		j, err := newNLJoin(it, l.dim, algebra.ColEq(algebra.Col("f", l.col), l.dim.Schema()[0].Col), &Env{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		it = j
-	}
-	want := 0
-	for _, f := range frows {
-		if levels[0].keep(f) && levels[1].keep(f) && levels[2].keep(f) {
-			want++
-		}
-	}
-	if want == 0 {
-		b.Fatal("the star join keeps no row")
-	}
-	benchDrain(b, it, want)
 }

@@ -442,6 +442,94 @@ func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
 	return h, true
 }
 
+// keyBits is a bitmap of a held input's one-column key values, bit k − lo
+// for held key k, which answers "has this key a bucket?" with a range check
+// and a bit test. It is exact under algebra.Compare: every held key is an
+// integral number below 2^53 in magnitude, so it equals its AsFloat, and a
+// probe equals a held key exactly when the probe's number is that integer.
+type keyBits struct {
+	lo, hi int64
+	n      uint64 // hi − lo + 1; 0 when the join tests hashes
+	words  []uint64
+}
+
+const (
+	maxExactInt = 1 << 53 // every integer of smaller magnitude is a float64
+	// A bitmap spans at most bitsPerRow bits per held row plus bitsSlack:
+	// wider key ranges are sparse, and keep the hash test.
+	bitsPerRow = 64
+	bitsSlack  = 4096
+)
+
+// build sets the bitmap to the key values at col of rows and reports whether
+// it could: a string, non-integral, NaN or too large key, or a range wider
+// than the bound, leaves it unset.
+func (b *keyBits) build(rows []storage.Row, col int) bool {
+	b.n = 0
+	if len(rows) == 0 {
+		return false
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, r := range rows {
+		k, ok := exactInt(&r[col])
+		if !ok {
+			return false
+		}
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	n := uint64(hi-lo) + 1
+	if n > bitsPerRow*uint64(len(rows))+bitsSlack {
+		return false
+	}
+	words := int((n + 63) / 64)
+	b.words = slices.Grow(b.words[:0], words)[:words]
+	clear(b.words)
+	for _, r := range rows {
+		k, _ := exactInt(&r[col])
+		d := uint64(k - lo)
+		b.words[d>>6] |= 1 << (d & 63)
+	}
+	b.lo, b.hi, b.n = lo, hi, n
+	return true
+}
+
+// exactInt is a held key's integer, if it is a number that is one and
+// smaller than 2^53 in magnitude.
+func exactInt(v *algebra.Value) (int64, bool) {
+	switch v.Typ {
+	case algebra.TInt, algebra.TDate:
+		return v.I, v.I > -maxExactInt && v.I < maxExactInt
+	case algebra.TFloat:
+		if f := v.F; f == math.Trunc(f) && math.Abs(f) < maxExactInt {
+			return int64(f), true
+		}
+	}
+	return 0, false
+}
+
+// has reports whether some held key compares equal to v. An int or date
+// outside [lo, hi] wraps to an offset past n. A NaN passes, as Compare calls
+// it equal to every number; a non-integral float or a string has no equal.
+func (b *keyBits) has(v *algebra.Value) bool {
+	var d uint64
+	switch v.Typ {
+	case algebra.TInt, algebra.TDate:
+		d = uint64(v.I - b.lo)
+	case algebra.TFloat:
+		f := v.F
+		if f != f {
+			return true
+		}
+		if f < float64(b.lo) || f > float64(b.hi) || f != math.Trunc(f) {
+			return false
+		}
+		d = uint64(int64(f) - b.lo) // -0 is 0
+	default:
+		return false
+	}
+	return d < b.n && b.words[d>>6]&(1<<(d&63)) != 0
+}
+
 // nlJoin is the block nested-loops join: one input is held in memory and
 // each outer (left) row is paired with the inner (right) rows in arrival
 // order. The predicate's cross-side col = col conjuncts (lKey[i] = rKey[i])
@@ -474,6 +562,13 @@ func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
 // A join passes the gates of the operators above it on (gate) to the input
 // whose columns they read, so every join's key test reaches the scan that
 // produces its key, however many joins lie in between.
+//
+// A join keyed on one column whose held keys are integral numbers in a dense
+// enough range (keyBits) answers its key test from a bitmap of them instead:
+// its own gate, the gates it forwards and the holdOuter filter of the inner
+// rows. The bitmap drops only rows the predicate would pair with no held
+// row, so it also drops the hash collisions the hash test lets through; the
+// buckets and the pairs they make are the hash table's either way.
 type nlJoin struct {
 	left, right Iterator
 	pred        predFunc
@@ -502,6 +597,8 @@ type nlJoin struct {
 	bucketed []storage.Row
 	slot     []int32       // per inner row, its bucket; scratch of Open
 	cands    []storage.Row // what is left of the current outer row's bucket
+
+	bits keyBits // set by Open when the held keys allow one
 
 	own   *gate // the join's key gate on its unheld input, built once
 	gated int64 // rows its key gate was the first to drop at a scan
@@ -546,6 +643,7 @@ func (j *nlJoin) Open() error {
 	j.outerArena.reset()
 	j.outer, j.outerPos, j.none = j.outer[:0], 0, false
 	j.inner, j.ends, j.slot, j.cands = j.inner[:0], j.ends[:0], j.slot[:0], nil
+	j.bits.n = 0
 	if j.bucketOf == nil {
 		j.bucketOf = map[uint64]int32{}
 	}
@@ -558,6 +656,7 @@ func (j *nlJoin) Open() error {
 			return j.holdsNothing(err)
 		}
 		if j.bucketOf != nil {
+			j.keyBitmap(j.inner, j.rKey)
 			j.gateKeys(j.left, j.lKey, "BNLJoin streamed-side gate")
 		}
 		return j.left.Open()
@@ -570,6 +669,7 @@ func (j *nlJoin) Open() error {
 		return j.holdsNothing(err)
 	}
 	if filter {
+		j.keyBitmap(j.outer, j.lKey)
 		j.gateKeys(j.right, j.rKey, "BNLJoin holdOuter gate")
 	}
 	if err := j.right.Open(); err != nil {
@@ -588,10 +688,19 @@ func (j *nlJoin) holdsNothing(err error) error {
 	return err
 }
 
+// keyBitmap sets the join's bitmap to its held rows' keys at cols, when
+// there is one column and the keys allow it.
+func (j *nlJoin) keyBitmap(held []storage.Row, cols []int) {
+	if len(cols) == 1 && j.bits.build(held, cols[0]) {
+		j.env.noteGate("BNLJoin key bitmap")
+	}
+}
+
 // bufferInner drains the inner input and buckets it in two passes: the first
 // hashes each row and counts its bucket, the second places the rows, so the
 // buckets share one array and keep arrival order. filter drops the rows
-// whose key hash no held outer row has.
+// whose key no held outer row has: by the bitmap when there is one, else by
+// hash.
 func (j *nlJoin) bufferInner(filter bool) error {
 	if n := bufferedRows(j.right); n > 0 && !j.holdOuter {
 		// Every row is kept, so the child's count sizes the storage once.
@@ -609,6 +718,9 @@ func (j *nlJoin) bufferInner(filter bool) error {
 		}
 		if !ok {
 			break
+		}
+		if filter && j.bits.n > 0 && !j.bits.has(&r[j.rKey[0]]) {
+			continue
 		}
 		h, ok := keyHash(r, j.rKey)
 		b, seen := j.bucketOf[h]
@@ -663,9 +775,13 @@ func (j *nlJoin) gateKeys(child Iterator, cols []int, kind string) {
 }
 
 // keyGate is a gate that passes a row whose key at cols has a bucket, or is
-// NaN, counting the rows it drops in dropped.
+// NaN, counting the rows it drops in dropped. It asks the bitmap when the
+// join has one, the bucket table's hashes otherwise.
 func (j *nlJoin) keyGate(cols []int, dropped *int64) *gate {
 	return &gate{cols: cols, keys: j, dropped: dropped, test: func(r storage.Row) (bool, error) {
+		if j.bits.n > 0 {
+			return j.bits.has(&r[cols[0]]), nil
+		}
 		h, ok := keyHash(r, cols)
 		if !ok {
 			return true, nil
@@ -705,6 +821,18 @@ func (j *nlJoin) gate(by any, g *gate) (ok bool) {
 
 // rowsGated is what a profiled run reports as NodeProfile.Gated.
 func (j *nlJoin) rowsGated() int64 { return j.gated }
+
+// keyTest is what it reports as NodeProfile.Keys: how the last Open tested
+// keys, "" for a join with none.
+func (j *nlJoin) keyTest() string {
+	switch {
+	case len(j.lKey) == 0:
+		return ""
+	case j.bits.n > 0:
+		return "bitmap"
+	}
+	return "hash"
+}
 
 // bufferOuter holds the outer input and gives every key hash in it a bucket,
 // empty as yet. filter reports that an inner row with none of those hashes can

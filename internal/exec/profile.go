@@ -41,6 +41,7 @@ type NodeProfile struct {
 	Gated   int64         `json:"gated,omitempty"`   // filters and joins: rows their gate was the first to drop at a scan
 	Pairs   int64         `json:"pairs,omitempty"`   // joins: predicate evaluations, exact
 	Kept    int64         `json:"kept,omitempty"`    // joins and sorts: input rows copied into the operator's own storage
+	Keys    string        `json:"keys,omitempty"`    // keyed BNLJoins: "bitmap" or "hash", how the last Open tested keys
 	Pages   int64         `json:"pages"`             // buffer-pool misses, inclusive
 	Bytes   int64         `json:"bytes"`             // Pages × storage.PageSize
 	Wall    time.Duration `json:"wall_ns"`
@@ -287,6 +288,9 @@ func (s *statIter) Close() error {
 	if g, ok := s.child.(interface{ rowsGated() int64 }); ok {
 		s.p.Gated = g.rowsGated()
 	}
+	if k, ok := s.child.(interface{ keyTest() string }); ok {
+		s.p.Keys = k.keyTest()
+	}
 	if l, ok := s.child.(interface{ pageMisses() int64 }); ok {
 		s.p.Pages = l.pageMisses()
 	}
@@ -404,7 +408,8 @@ func recordRunMetrics(stats *RunStats) {
 // join also shows pairs=, the predicate evaluations it took (what a keyed
 // probe saves against outer × inner), a join or a sort kept=, the input rows
 // it copied into storage of its own (what a join that holds its smaller input
-// saves against the whole of its right one), a scan or index probe
+// saves against the whole of its right one), a keyed BNLJoin keys=bitmap or
+// keys=hash, how it tested for a key's bucket, a scan or index probe
 // cols=kept/stored, the columns it decoded out of those the relation holds.
 func FormatAnalyze(stats RunStats) string {
 	var sb strings.Builder
@@ -434,13 +439,17 @@ func FormatAnalyze(stats RunStats) string {
 		if p.Kept > 0 {
 			kept = fmt.Sprintf(" kept=%d", p.Kept)
 		}
+		keys := ""
+		if p.Keys != "" {
+			keys = " keys=" + p.Keys
+		}
 		cols := ""
 		if p.StoredCols > 0 {
 			cols = fmt.Sprintf(" cols=%d/%d", p.Cols, p.StoredCols)
 		}
-		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s%s%s pages=%d bytes=%d time=%s)\n",
+		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s%s%s%s pages=%d bytes=%d time=%s)\n",
 			strings.Repeat("  ", indent), p.Op, mat, p.EstCost, p.EstRows,
-			p.Rows, skipped, gated, pairs, kept, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
+			p.Rows, skipped, gated, pairs, kept, keys, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
 		for _, c := range p.Children {
 			render(c, indent+1)
 		}

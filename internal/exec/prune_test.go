@@ -38,8 +38,9 @@ type step struct {
 // partially cached Invokes, all of which the test insists it crossed. So does
 // a gate that drops a row its owner would have kept, and the test insists it
 // ran a Filter's, a streamed join input's and a held outer input's, a gate a
-// join passed on from above, and a join that held nothing and so never
-// opened its other input.
+// join passed on from above, a join that tested its keys by a bitmap of the
+// held ones, and a join that held nothing and so never opened its other
+// input.
 func TestPrunedPlansMatchReference(t *testing.T) {
 	plansMatchReference(t, func(env *exec.Env) *exec.Env { return env })
 }
@@ -159,7 +160,7 @@ func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 	for _, path := range []string{"SeqScan", "CacheScan", "CacheScan@warm", "InvokePartial", "spooled root",
 		"BNLJoin", "MergeJoin", "IndexJoin", "SortAgg",
 		"Filter gate", "BNLJoin streamed-side gate", "BNLJoin holdOuter gate",
-		"forwarded gate", "BNLJoin empty held side"} {
+		"forwarded gate", "BNLJoin empty held side", "BNLJoin key bitmap"} {
 		if !crossed[path] {
 			t.Errorf("no plan crossed %s", path)
 		}

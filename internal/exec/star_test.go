@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -12,17 +13,22 @@ import (
 
 // starCase is one data set of the star-join differential: the keys a fact
 // row holds for each of the three dimensions, and each dimension's keys.
+// keys, where set, is how a join holding dimension d must test keys: a
+// "bitmap" or a "hash".
 type starCase struct {
 	name string
-	fact func(i int) [3]float64
-	dims [3][]float64
+	fact func(i int) [3]algebra.Value
+	dims [3][]algebra.Value
+	keys [3]string
 }
 
 const starFactRows = 240
 
 // starFact is the fact table: the three keys and a payload v = i % 100,
-// alone or spread over 70 columns, the last key past the 64th.
-func starFact(keys func(i int) [3]float64, wide bool) (algebra.Schema, []storage.Row) {
+// alone or spread over 70 columns, the last key past the 64th. A key
+// column's declared type is a label only: each value carries its own, and
+// the typed cases mix them.
+func starFact(keys func(i int) [3]algebra.Value, wide bool) (algebra.Schema, []storage.Row) {
 	at := [4]int{0, 1, 2, 3} // k1, k2, k3, v
 	width := 4
 	if wide {
@@ -46,7 +52,7 @@ func starFact(keys func(i int) [3]float64, wide bool) (algebra.Schema, []storage
 			r[c] = algebra.IntVal(int64(i*1000 + c))
 		}
 		for k, key := range keys(i) {
-			r[at[k]] = algebra.FloatVal(key)
+			r[at[k]] = key
 		}
 		r[at[3]] = algebra.IntVal(int64(i % 100))
 		rows = append(rows, r)
@@ -55,29 +61,63 @@ func starFact(keys func(i int) [3]float64, wide bool) (algebra.Schema, []storage
 }
 
 // starDim is dimension d: its keys and a payload w = j % 4.
-func starDim(d int, keys []float64) (algebra.Schema, []storage.Row) {
+func starDim(d int, keys []algebra.Value) (algebra.Schema, []storage.Row) {
 	rel := fmt.Sprint("d", d+1)
 	schema := algebra.Schema{{Col: algebra.Col(rel, "k"), Typ: algebra.TFloat}, {Col: algebra.Col(rel, "w"), Typ: algebra.TInt}}
 	rows := make([]storage.Row, len(keys))
 	for j, k := range keys {
-		rows[j] = storage.Row{algebra.FloatVal(k), algebra.IntVal(int64(j % 4))}
+		rows[j] = storage.Row{k, algebra.IntVal(int64(j % 4))}
 	}
 	return schema, rows
 }
 
+// keysOf is keys made values by mk: algebra.IntVal, FloatVal or DateVal.
+func keysOf[T any](mk func(T) algebra.Value, keys ...T) []algebra.Value {
+	out := make([]algebra.Value, len(keys))
+	for i, k := range keys {
+		out[i] = mk(k)
+	}
+	return out
+}
+
+// floatFact is a fact table whose keys are all floats.
+func floatFact(keys func(i int) [3]float64) func(i int) [3]algebra.Value {
+	return func(i int) [3]algebra.Value {
+		k := keys(i)
+		return [3]algebra.Value{algebra.FloatVal(k[0]), algebra.FloatVal(k[1]), algebra.FloatVal(k[2])}
+	}
+}
+
 func starCases() []starCase {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
-	plainFact := func(i int) [3]float64 { return [3]float64{float64(i % 9), float64(i * 7 % 11), float64(i * 5 % 13)} }
-	plainDims := [3][]float64{{0, 1, 2, 3, 4, 5, 3}, {2, 3, 4, 5, 6, 7, 8, 9, 10}, {0, 2, 4, 6, 8, 10, 12}}
-	with := func(d int, keys []float64) [3][]float64 {
+	floats := func(k ...float64) []algebra.Value { return keysOf(algebra.FloatVal, k...) }
+	ints := func(k ...int64) []algebra.Value { return keysOf(algebra.IntVal, k...) }
+	dates := func(k ...int64) []algebra.Value { return keysOf(algebra.DateVal, k...) }
+	plain := func(i int) [3]float64 { return [3]float64{float64(i % 9), float64(i * 7 % 11), float64(i * 5 % 13)} }
+	plainFact := floatFact(plain)
+	plainDims := [3][]algebra.Value{floats(0, 1, 2, 3, 4, 5, 3), floats(2, 3, 4, 5, 6, 7, 8, 9, 10), floats(0, 2, 4, 6, 8, 10, 12)}
+	with := func(d int, keys []algebra.Value) [3][]algebra.Value {
 		dims := plainDims
 		dims[d] = keys
 		return dims
 	}
+	// typedFact gives k1 as an int, k2 as a float and k3 as a date, each then
+	// changed by edit.
+	typedFact := func(edit func(i int, k *[3]algebra.Value)) func(i int) [3]algebra.Value {
+		return func(i int) [3]algebra.Value {
+			p := plain(i)
+			k := [3]algebra.Value{algebra.IntVal(int64(p[0])), algebra.FloatVal(p[1]), algebra.DateVal(int64(p[2]))}
+			if edit != nil {
+				edit(i, &k)
+			}
+			return k
+		}
+	}
+	const exact = 1<<53 - 1 // the largest int a bitmap may hold
 	return []starCase{
-		{"plain", plainFact, plainDims},
-		{"NaN and signed zeros", func(i int) [3]float64 {
-			k := plainFact(i)
+		{name: "plain", fact: plainFact, dims: plainDims, keys: [3]string{"bitmap", "bitmap", "bitmap"}},
+		{name: "NaN and signed zeros", fact: floatFact(func(i int) [3]float64 {
+			k := plain(i)
 			if i%17 == 0 {
 				k[0] = nan
 			}
@@ -88,12 +128,91 @@ func starCases() []starCase {
 				k[2] = nan
 			}
 			return k
-		}, [3][]float64{{negZero, 1, 2, 3}, {0, 3, nan, 5}, {negZero, 4, 8}}},
-		{"a dimension of NaN keys alone", plainFact, with(1, []float64{nan, nan})},
-		{"no fact rows", nil, plainDims},
-		{"dimension 1 empty", plainFact, with(0, nil)},
-		{"dimension 2 empty", plainFact, with(1, nil)},
-		{"dimension 3 empty", plainFact, with(2, nil)},
+		}), dims: [3][]algebra.Value{floats(negZero, 1, 2, 3), floats(0, 3, nan, 5), floats(negZero, 4, 8)},
+			keys: [3]string{"bitmap", "hash", "bitmap"}},
+		{name: "a dimension of NaN keys alone", fact: plainFact, dims: with(1, floats(nan, nan))},
+		{name: "no fact rows", dims: plainDims},
+		{name: "dimension 1 empty", fact: plainFact, dims: with(0, nil)},
+		{name: "dimension 2 empty", fact: plainFact, dims: with(1, nil)},
+		{name: "dimension 3 empty", fact: plainFact, dims: with(2, nil)},
+		// Typed keys: an int, a float and a date on the fact side, each
+		// meeting another type or its own on the dimension's.
+		{name: "ints meet floats, 5.0 meets 5", fact: typedFact(nil),
+			dims: [3][]algebra.Value{floats(0, 1, 5, 3, 7, 8), ints(2, 3, 5, 6, 7, 9, 10, 11), dates(0, 4, 8, 12, 5)},
+			keys: [3]string{"bitmap", "bitmap", "bitmap"}},
+		{name: "mixed types on both sides", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			if i%2 == 0 {
+				k[0] = algebra.FloatVal(float64(k[0].I))
+				k[1] = algebra.IntVal(int64(k[1].F))
+				k[2] = algebra.IntVal(k[2].I)
+			}
+		}), dims: [3][]algebra.Value{{algebra.IntVal(1), algebra.FloatVal(2), algebra.DateVal(3), algebra.IntVal(5)},
+			{algebra.FloatVal(4), algebra.IntVal(5), algebra.DateVal(7), algebra.FloatVal(9), algebra.IntVal(10)},
+			{algebra.DateVal(2), algebra.FloatVal(6), algebra.IntVal(10)}},
+			keys: [3]string{"bitmap", "bitmap", "bitmap"}},
+		{name: "non-integral floats", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			if i%3 == 0 {
+				k[0] = algebra.FloatVal(float64(k[0].I) + 0.5)
+				k[1] = algebra.FloatVal(k[1].F + 0.25)
+			}
+		}), dims: [3][]algebra.Value{ints(1, 2, 3, 4), floats(2.25, 3, 4, 5.25, 6), ints(0, 5, 10)},
+			keys: [3]string{"bitmap", "hash", "bitmap"}},
+		{name: "NaN and -0 probing typed keys", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			switch i % 7 {
+			case 0:
+				k[0], k[2] = algebra.FloatVal(nan), algebra.FloatVal(negZero)
+			case 1:
+				k[1] = algebra.FloatVal(negZero)
+			case 2:
+				k[0] = algebra.FloatVal(negZero)
+			}
+		}), dims: [3][]algebra.Value{ints(0, 2, 4), {algebra.FloatVal(negZero), algebra.IntVal(3), algebra.IntVal(8)}, dates(1, 0, 7)},
+			keys: [3]string{"bitmap", "bitmap", "bitmap"}},
+		{name: "the edges of 2^53", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			switch i % 5 {
+			case 0:
+				k[0], k[1], k[2] = algebra.IntVal(exact), algebra.FloatVal(-exact), algebra.IntVal(1<<53+1)
+			case 1:
+				k[0], k[1], k[2] = algebra.FloatVal(1<<53), algebra.IntVal(-exact), algebra.FloatVal(1<<53)
+			case 2:
+				k[0], k[1], k[2] = algebra.IntVal(1<<53), algebra.IntVal(-exact-1), algebra.IntVal(1<<53)
+			case 3:
+				k[0], k[1] = algebra.IntVal(1<<53+1), algebra.FloatVal(-exact-1)
+			}
+		}), dims: [3][]algebra.Value{ints(exact, exact-1, exact-2), ints(-exact, -exact+2), ints(1 << 53)},
+			keys: [3]string{"bitmap", "bitmap", "hash"}},
+		{name: "MinInt64 and MaxInt64 probes", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			switch i % 4 {
+			case 0:
+				k[0], k[1], k[2] = algebra.IntVal(math.MinInt64), algebra.IntVal(math.MaxInt64), algebra.DateVal(math.MinInt64)
+			case 1:
+				k[0], k[1], k[2] = algebra.IntVal(math.MaxInt64), algebra.IntVal(math.MinInt64), algebra.DateVal(math.MaxInt64)
+			case 2:
+				k[0], k[1] = algebra.FloatVal(math.MaxInt64), algebra.FloatVal(math.Inf(-1))
+			}
+		}), dims: [3][]algebra.Value{ints(-3, 0, 2, 5), ints(3, 4, 7, 9), dates(-8, 0, 4, 12)},
+			keys: [3]string{"bitmap", "bitmap", "bitmap"}},
+		{name: "a sparse range falls back to the hash", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			if i%6 == 0 {
+				k[0] = algebra.IntVal(1 << 40)
+			}
+		}), dims: [3][]algebra.Value{ints(0, 1, 3, 1<<40), ints(2, 3, 4, 5), dates(0, 4, bitsPerRow*3+bitsSlack+1)},
+			keys: [3]string{"hash", "bitmap", "hash"}},
+		{name: "strings probe numeric keys", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			if i%3 == 0 {
+				k[0] = algebra.StringVal("1")
+			}
+			if i%5 == 0 {
+				k[2] = algebra.StringVal("")
+			}
+		}), dims: [3][]algebra.Value{ints(1, 2, bitsPerRow*3+bitsSlack), floats(3, 4, 5), dates(0, 4, 8)},
+			keys: [3]string{"bitmap", "bitmap", "bitmap"}},
+		{name: "strings held", fact: typedFact(func(i int, k *[3]algebra.Value) {
+			if i%3 == 0 {
+				k[0] = algebra.StringVal("a")
+			}
+		}), dims: [3][]algebra.Value{{algebra.StringVal("a"), algebra.IntVal(1), algebra.IntVal(2)}, floats(3, 4), dates(0, 4)},
+			keys: [3]string{"hash", "bitmap", "bitmap"}},
 	}
 }
 
@@ -203,9 +322,14 @@ func starDB(t *testing.T, c starCase, wide bool) *storage.DB {
 // which input is held, over NaN and signed-zero keys, a dimension of NaN
 // keys alone (whose join has no bucket table, yet rows), an empty input at
 // each level, and a fact table wider than 64 columns, each plan opened
-// twice. Every answer must be the reference's. The test insists it forwarded
-// a gate and skipped a join whose held input was empty. It runs again with
-// every row spoiled the moment it lapses.
+// twice. The typed cases meet int, date and float keys across and within
+// types, at the edges of the bitmap's key test (keyBits): 5.0 against 5,
+// non-integral floats, NaN and -0 on either side, ±(2^53-1) and 2^53 against
+// 2^53+1, MinInt64 and MaxInt64 probes, a sparse range and one at the bound,
+// strings probing or held. Every answer must be the reference's, and a join
+// holding a dimension must test its keys as the case says. The test insists
+// it forwarded a gate, skipped a join whose held input was empty and gated by
+// a bitmap. It runs again with every row spoiled the moment it lapses.
 func TestStarJoinsMatchReference(t *testing.T) {
 	t.Run("plain", func(t *testing.T) { starJoinsMatchReference(t, func(it Iterator) Iterator { return it }) })
 	t.Run("spoiled", func(t *testing.T) { starJoinsMatchReference(t, spoil) })
@@ -223,18 +347,27 @@ func starJoinsMatchReference(t *testing.T, wrap func(Iterator) Iterator) {
 					t.Fatal(err)
 				}
 				want := Canonicalize(wantSchema, wantRows)
-				top, _ := starPlan(t, db, s, env, wrap)
+				top, joins := starPlan(t, db, s, env, wrap)
 				for open := 1; open <= 2; open++ {
 					if got := Canonicalize(top.Schema(), mustDrain(t, top)); !slices.Equal(got, want) {
 						t.Fatalf("%s, wide %v, %v, open %d: %d rows, want the reference's %d",
 							c.name, wide, s, open, len(got), len(want))
+					}
+					for l, j := range joins {
+						// The join holds the dimension when the fact side is
+						// the outer input and it holds the inner, or the
+						// reverse.
+						if want := c.keys[l]; want != "" && s.factLeft[l] != s.holdOuter[l] && j.keyTest() != want {
+							t.Fatalf("%s, %v: join %d holding its dimension tests keys by %s, want %s",
+								c.name, s, l+1, j.keyTest(), want)
+						}
 					}
 				}
 			}
 		}
 	}
 	for _, kind := range []string{"Filter gate", "BNLJoin streamed-side gate", "BNLJoin holdOuter gate",
-		"forwarded gate", "BNLJoin empty held side"} {
+		"forwarded gate", "BNLJoin empty held side", "BNLJoin key bitmap"} {
 		if !crossed[kind] {
 			t.Errorf("no plan crossed %s", kind)
 		}
@@ -252,13 +385,13 @@ func TestStarJoinGatesReachTheFactScan(t *testing.T) {
 		}
 		return i%10 - 1
 	}
-	db := starDB(t, starCase{fact: func(i int) [3]float64 {
+	db := starDB(t, starCase{fact: floatFact(func(i int) [3]float64 {
 		k := [3]float64{1, 1, 1}
 		if d := missing(i); d >= 0 {
 			k[d] = 2
 		}
 		return k
-	}, dims: [3][]float64{{1}, {1}, {1}}}, true)
+	}), dims: [3][]algebra.Value{keysOf(algebra.FloatVal, 1), keysOf(algebra.FloatVal, 1), keysOf(algebra.FloatVal, 1)}}, true)
 	var want, filtered int
 	var drops [3]int64
 	for i := range starFactRows {
@@ -289,5 +422,91 @@ func TestStarJoinGatesReachTheFactScan(t *testing.T) {
 		if j.pairsEvaluated() != int64(want) {
 			t.Errorf("join %d evaluated %d pairs, want one per row kept, %d", l+1, j.pairsEvaluated(), want)
 		}
+	}
+}
+
+// TestKeyBitsMatchesCompare is the property test of the bitmap alone: over
+// seeded sets of held keys — ints, dates and floats near 0, near ±2^53 and
+// spread thin or wide, some with a non-integral, NaN, string or too large
+// key — it builds exactly when every key is an integral number below 2^53
+// and the range is within the bound, stays within the bound, and then
+// answers every probe as "some held key Compares equal", probes of every
+// type included. One keyBits is rebuilt throughout, as a join re-Opened is.
+func TestKeyBitsMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewPCG(35, 53))
+	const exact = 1<<53 - 1
+	specials := []int64{math.MinInt64, math.MaxInt64, exact, -exact, exact + 1, -exact - 1, exact + 2, -exact - 2}
+	centers := []int64{0, -700, exact - 20, -exact + 20, 1 << 40}
+	spreads := []int64{3, 60, 3000, 1 << 20}
+	value := func(center, spread int64, clean bool) algebra.Value {
+		k := center + rng.Int64N(2*spread+1) - spread
+		kind := rng.IntN(12)
+		if clean {
+			kind = 4 + rng.IntN(8)
+		}
+		switch kind {
+		case 0:
+			return algebra.FloatVal(float64(k) + 0.5)
+		case 1:
+			return algebra.FloatVal(math.NaN())
+		case 2:
+			return algebra.StringVal(fmt.Sprint(k))
+		case 3:
+			return algebra.IntVal(specials[rng.IntN(len(specials))])
+		case 4:
+			return algebra.FloatVal(math.Copysign(0, -1))
+		case 5, 6:
+			return algebra.FloatVal(float64(k))
+		case 7:
+			return algebra.DateVal(k)
+		}
+		return algebra.IntVal(k)
+	}
+	var b keyBits
+	built := 0
+	for trial := range 3000 {
+		center, spread := centers[rng.IntN(len(centers))], spreads[rng.IntN(len(spreads))]
+		clean := rng.IntN(5) > 0
+		held := make([]storage.Row, 1+rng.IntN(40))
+		exactAll, lo, hi := true, math.Inf(1), math.Inf(-1)
+		for i := range held {
+			v := value(center, spread, clean && i > 0 || rng.IntN(20) > 0)
+			held[i] = storage.Row{algebra.StringVal("payload"), v}
+			f := v.AsFloat()
+			exactAll = exactAll && v.IsNumeric() && f == math.Trunc(f) && math.Abs(f) < 1<<53
+			lo, hi = math.Min(lo, f), math.Max(hi, f)
+		}
+		want := exactAll && hi-lo+1 <= float64(bitsPerRow*len(held)+bitsSlack)
+		if got := b.build(held, 1); got != want {
+			t.Fatalf("trial %d: built %v over %v, want %v", trial, got, held, want)
+		}
+		if !want {
+			continue
+		}
+		built++
+		if bits := len(b.words) * 64; bits > bitsPerRow*len(held)+bitsSlack+63 {
+			t.Fatalf("trial %d: %d bits for %d held keys", trial, bits, len(held))
+		}
+		for range 200 {
+			p := value(center, 2*spread, rng.IntN(3) > 0)
+			if rng.IntN(4) == 0 {
+				p = held[rng.IntN(len(held))][1]
+				if p.Typ == algebra.TFloat {
+					p = algebra.IntVal(int64(p.F))
+				} else {
+					p = algebra.FloatVal(float64(p.I))
+				}
+			}
+			oracle := false
+			for _, h := range held {
+				oracle = oracle || algebra.Compare(p, h[1]) == 0
+			}
+			if got := b.has(&p); got != oracle {
+				t.Fatalf("trial %d: has(%v) = %v over held %v, want %v", trial, p, got, held, oracle)
+			}
+		}
+	}
+	if built < 600 {
+		t.Fatalf("only %d of the trials built a bitmap", built)
 	}
 }

@@ -168,14 +168,28 @@ func (db *DB) Table(name string) (*Table, error) {
 }
 
 // CreateTemp registers a temporary table (materialized intermediate
-// result), replacing any previous temp with the same name. Plan execution
-// uses per-run namespaces (BeginRun) instead of calling this directly.
+// result), replacing any previous temp with the same name and freeing its
+// pages. Plan execution uses per-run namespaces (BeginRun) instead of
+// calling this directly.
 func (db *DB) CreateTemp(name string, schema algebra.Schema) *Table {
 	t := &Table{Name: name, Schema: schema, Heap: NewHeapFile(db.Pool), Indexes: map[string]*BTree{}}
-	db.mu.Lock()
-	db.temps[name] = t
-	db.mu.Unlock()
+	db.replace(&db.temps, name, t)
 	return t
+}
+
+// replace registers t under name in the namespace *ns and frees the pages of
+// the table it replaces, if any. Nobody can still be reading a replaced
+// table: exec looks a temp or cache name up (Temp, Cache) before it creates
+// one, and DemoteCache deletes a RAM cache name before PromoteWarm adds it
+// again.
+func (db *DB) replace(ns *map[string]*Table, name string, t *Table) {
+	db.mu.Lock()
+	old, ok := (*ns)[name]
+	(*ns)[name] = t
+	db.mu.Unlock()
+	if ok {
+		db.free(old)
+	}
 }
 
 // Temp looks up a temporary table.
@@ -189,15 +203,13 @@ func (db *DB) Temp(name string) (*Table, error) {
 }
 
 // CreateCache registers a spooled result table in the cache namespace,
-// replacing any previous cache table with the same name. Unlike temps,
-// cache tables survive RunTemps.End: they are the row-backed store behind
-// the cross-batch result cache, and are dropped only by DropCache (cache
-// eviction) or DropCaches.
+// replacing any previous cache table with the same name and freeing its
+// pages. Unlike temps, cache tables survive RunTemps.End: they are the
+// row-backed store behind the cross-batch result cache, and are dropped only
+// by DropCache (cache eviction) or DropCaches.
 func (db *DB) CreateCache(name string, schema algebra.Schema) *Table {
 	t := &Table{Name: name, Schema: schema, Heap: NewHeapFile(db.Pool), Indexes: map[string]*BTree{}}
-	db.mu.Lock()
-	db.caches[name] = t
-	db.mu.Unlock()
+	db.replace(&db.caches, name, t)
 	return t
 }
 

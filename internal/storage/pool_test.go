@@ -321,6 +321,54 @@ func TestDirtyCountMatchesFrames(t *testing.T) {
 	flush("after eviction", 16)
 }
 
+// TestReplacedTablesFreeTheirPages: a table created under a name some table
+// already has replaces it, and the replaced table's pages go back to the
+// pager as a dropped one's do. Each way of replacing one — a cache spooled
+// again, a temp materialized again, a warm table promoted over a RAM copy —
+// does so 50 times, and after the first replacement the pager holds as many
+// pages as it ever will.
+func TestReplacedTablesFreeTheirPages(t *testing.T) {
+	fill := func(t *testing.T, tab *Table, tag int64) {
+		for id := int64(0); tab.Heap.NumPages() < 10; id++ {
+			if _, err := tab.Heap.Insert(hazardRow(tag, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		replace func(t *testing.T, db *DB, i int64)
+	}{
+		{"CreateCache", func(t *testing.T, db *DB, i int64) { fill(t, db.CreateCache("c", hazardSchema), i) }},
+		{"CreateTemp", func(t *testing.T, db *DB, i int64) { fill(t, db.CreateTemp("c", hazardSchema), i) }},
+		{"PromoteWarm", func(t *testing.T, db *DB, i int64) {
+			if i == 0 {
+				fill(t, db.CreateCache("c", hazardSchema), i)
+				if _, err := db.DemoteCache("c"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := db.PromoteWarm("c"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := NewDB(16)
+			defer db.CloseWarm()
+			var after1 int
+			for i := int64(0); i <= 50; i++ {
+				c.replace(t, db, i)
+				if pages := db.Pool.NumPages(); i == 1 {
+					after1 = pages
+				} else if i > 1 && pages != after1 {
+					t.Fatalf("after replacement %d the pager holds %d pages, %d after the first", i, pages, after1)
+				}
+			}
+		})
+	}
+}
+
 // TestDroppedTablePagesAreReused: a dropped temp table's pages, heap and
 // index, go back to the pager without being written back, and the next table
 // is built on them, reading its own rows and none of the dropped one's.

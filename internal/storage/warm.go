@@ -191,8 +191,9 @@ func (db *DB) DemoteCache(name string) (int64, error) {
 	return fp.Bytes(), nil
 }
 
-// PromoteWarm copies a warm table's rows back into a RAM-tier cache table
-// and returns the RAM table's byte size. The warm table stays in place —
+// PromoteWarm copies a warm table's rows back into a RAM-tier cache table,
+// replacing and freeing any RAM table of that name as CreateCache does, and
+// returns the RAM table's byte size. The warm table stays in place —
 // in-flight plans may still be scanning it; the caller drops it via
 // DropWarm once no reader can hold a reference.
 func (db *DB) PromoteWarm(name string) (int64, error) {
@@ -208,11 +209,10 @@ func (db *DB) PromoteWarm(name string) (int64, error) {
 		return insErr
 	})
 	if err != nil {
+		db.free(t)
 		return 0, err
 	}
-	db.mu.Lock()
-	db.caches[name] = t
-	db.mu.Unlock()
+	db.replace(&db.caches, name, t)
 	return int64(t.Heap.NumPages()) * PageSize, nil
 }
 
