@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,6 +27,27 @@ func TestValueCompare(t *testing.T) {
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestCompareFloatOrder: numbers order as PostgreSQL orders floats. The
+// ranks below are that order, ties sharing a rank: -0 equals 0, every NaN
+// equals every other whatever its sign and payload, and NaN is above +Inf.
+func TestCompareFloatOrder(t *testing.T) {
+	ranked := []struct {
+		f    float64
+		rank int
+	}{
+		{math.Inf(-1), 0}, {-math.MaxFloat64, 1}, {-1, 2}, {math.Copysign(0, -1), 3}, {0, 3},
+		{math.SmallestNonzeroFloat64, 4}, {1, 5}, {math.MaxFloat64, 6}, {math.Inf(1), 7},
+		{math.NaN(), 8}, {math.Float64frombits(0xfff8000000000001), 8}, {math.Float64frombits(0x7ff8000000000ace), 8},
+	}
+	for _, a := range ranked {
+		for _, b := range ranked {
+			if got, want := CompareFloat(a.f, b.f), cmp.Compare(a.rank, b.rank); got != want {
+				t.Errorf("CompareFloat(%v, %v) = %d, want %d", a.f, b.f, got, want)
+			}
 		}
 	}
 }

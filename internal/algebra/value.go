@@ -105,16 +105,21 @@ func Compare(a, b Value) int {
 	}
 }
 
-// CompareFloat is Compare's order of two numbers: NaN is neither below nor
-// above any number, so it compares equal to every one.
+// CompareFloat is Compare's order of two numbers, a total one as PostgreSQL
+// orders floats: IEEE order with -0 equal to 0, and every NaN equal to every
+// other NaN and above every number.
 func CompareFloat(a, b float64) int {
-	if a < b {
+	switch {
+	case a < b:
 		return -1
-	}
-	if a > b {
+	case a > b:
+		return 1
+	case a == b, a != a && b != b:
+		return 0
+	case a != a:
 		return 1
 	}
-	return 0
+	return -1
 }
 
 // String renders the value for plans and fingerprints. The rendering is

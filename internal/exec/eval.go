@@ -153,8 +153,8 @@ func compilePred(p algebra.Predicate, schema algebra.Schema, env *Env) (predFunc
 
 // compileCmp resolves one comparison. A column against a numeric constant,
 // in either order, compares the column's number with the constant's
-// directly, as algebra.Compare would (by AsFloat, NaN equal to every number);
-// a row whose value there is a string falls back to Compare.
+// directly, as algebra.Compare would (by AsFloat and CompareFloat); a row
+// whose value there is a string falls back to Compare.
 func compileCmp(c algebra.Comparison, schema algebra.Schema, env *Env) (predFunc, error) {
 	if idx, op, k, ok := colVsNumber(c, schema); ok {
 		kf := k.AsFloat()

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -295,6 +296,67 @@ func TestEqualRowsAcrossRoundingBoundary(t *testing.T) {
 		if EqualRows(one, wrong, 1e-9) {
 			t.Errorf("EqualRows missed %s", what)
 		}
+	}
+}
+
+// TestEqualRowsNaNAndInfinities: at any tolerance a NaN equals a NaN, of
+// any payload, and nothing else, and an infinity equals only itself. A
+// difference of NaN or infinity is not "more than relTol", so a check
+// written as one called a NaN row equal to a 1.0 row.
+func TestEqualRowsNaNAndInfinities(t *testing.T) {
+	schema := algebra.Schema{{Col: algebra.Col("q", "x"), Typ: algebra.TFloat}}
+	one := func(f float64) QueryResult { return QueryResult{schema, []storage.Row{{algebra.FloatVal(f)}}} }
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tol := range []float64{0, 1e-9} {
+		for _, c := range []struct {
+			a, b  float64
+			equal bool
+		}{
+			{nan, nan, true}, {nan, negNaN, true}, {inf, inf, true}, {-inf, -inf, true}, {0, math.Copysign(0, -1), true},
+			{nan, 1, false}, {1, nan, false}, {nan, inf, false}, {inf, 1, false}, {1, -inf, false},
+			{inf, -inf, false}, {inf, math.MaxFloat64, false}, {math.MaxFloat64, -math.MaxFloat64, false},
+		} {
+			if got := EqualRows(one(c.a), one(c.b), tol); got != c.equal {
+				t.Errorf("EqualRows(%v, %v) at %g = %v, want %v", c.a, c.b, tol, got, c.equal)
+			}
+		}
+	}
+}
+
+// TestReferenceGroupsByCompare: the oracle groups rows whose group-by values
+// Compare equal, as SortAgg does. 0.0, -0.0 and the int 0 are one group,
+// NaNs of two payloads another, the int 1 and the date 1 a third. Grouping
+// by the values' rendering made the zeros two groups.
+func TestReferenceGroupsByCompare(t *testing.T) {
+	schema := algebra.Schema{{Col: algebra.Col("t", "g"), Typ: algebra.TFloat}, {Col: algebra.Col("t", "v"), Typ: algebra.TInt}}
+	keys := []algebra.Value{algebra.FloatVal(0), algebra.FloatVal(math.Copysign(0, -1)), algebra.IntVal(0), algebra.FloatVal(math.NaN()),
+		algebra.IntVal(1), algebra.FloatVal(negNaN), algebra.DateVal(1), algebra.FloatVal(0)}
+	rows := make([]storage.Row, len(keys))
+	for i, k := range keys {
+		rows[i] = storage.Row{k, algebra.IntVal(int64(i))}
+	}
+	db := storage.NewDB(16)
+	loadTable(t, db, "t", schema, rows)
+	groupBy := []algebra.Column{algebra.Col("t", "g")}
+	aggs := []algebra.AggExpr{{Func: algebra.CountAll, As: algebra.Col("", "n")}, {Func: algebra.Sum, Arg: algebra.ColOf("t", "v"), As: algebra.Col("", "s")}}
+	got, gotSchema, err := Reference(db, algebra.AggT(groupBy, aggs, algebra.ScanT("t")), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := QueryResult{gotSchema, []storage.Row{ // each group's key is its first row's
+		{algebra.FloatVal(0), algebra.IntVal(4), algebra.FloatVal(0 + 1 + 2 + 7)},
+		{algebra.FloatVal(math.NaN()), algebra.IntVal(2), algebra.FloatVal(3 + 5)},
+		{algebra.IntVal(1), algebra.IntVal(2), algebra.FloatVal(4 + 6)},
+	}}
+	if !EqualRows(QueryResult{gotSchema, got}, want, 0) {
+		t.Errorf("Reference grouped %v, want %v", got, want.Rows)
+	}
+	agg, err := newSortAgg(&sortIter{child: &sliceIter{rows: rows, schema: schema}, cols: groupBy}, groupBy, aggs, gotSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sorted := mustDrain(t, agg); !EqualRows(QueryResult{gotSchema, sorted}, want, 0) {
+		t.Errorf("SortAgg grouped %v, want %v", sorted, want.Rows)
 	}
 }
 

@@ -418,28 +418,27 @@ func (s *joinScratch) rowsKept() int64 { return s.kept }
 var keySeed = maphash.MakeSeed()
 
 // keyHash hashes a row's key columns so that keys equal under
-// algebra.Compare hash alike: numbers by AsFloat with -0 folded into +0,
-// strings by content. ok is false for a NaN key: Compare calls NaN equal to
-// every number, so it belongs in no one bucket.
-func keyHash(r storage.Row, cols []int) (h uint64, ok bool) {
+// algebra.Compare hash alike: numbers by AsFloat with -0 folded into +0 and
+// every NaN into one, strings by content.
+func keyHash(r storage.Row, cols []int) (h uint64) {
 	for _, c := range cols {
 		var x uint64
 		if v := &r[c]; v.Typ == algebra.TString {
 			x = maphash.String(keySeed, v.S)
 		} else {
-			f := v.AsFloat()
-			if f != f {
-				return 0, false
+			switch f := v.AsFloat(); {
+			case f == 0:
+				x = 0 // -0 and +0 differ in bits
+			case f != f:
+				x = math.Float64bits(math.NaN()) // so do NaN payloads
+			default:
+				x = math.Float64bits(f)
 			}
-			if f == 0 {
-				f = 0 // -0 and +0 differ in bits
-			}
-			x = math.Float64bits(f)
 		}
 		h = (h ^ x) * 0x9e3779b97f4a7c15
 		h ^= h >> 32
 	}
-	return h, true
+	return h
 }
 
 // keyBits is a bitmap of a held input's one-column key values, bit k − lo
@@ -508,8 +507,8 @@ func exactInt(v *algebra.Value) (int64, bool) {
 }
 
 // has reports whether some held key compares equal to v. An int or date
-// outside [lo, hi] wraps to an offset past n. A NaN passes, as Compare calls
-// it equal to every number; a non-integral float or a string has no equal.
+// outside [lo, hi] wraps to an offset past n; a non-integral float, a NaN or
+// a string has no equal.
 func (b *keyBits) has(v *algebra.Value) bool {
 	var d uint64
 	switch v.Typ {
@@ -517,9 +516,6 @@ func (b *keyBits) has(v *algebra.Value) bool {
 		d = uint64(v.I - b.lo)
 	case algebra.TFloat:
 		f := v.F
-		if f != f {
-			return true
-		}
 		if f < float64(b.lo) || f > float64(b.hi) || f != math.Trunc(f) {
 			return false
 		}
@@ -554,10 +550,10 @@ func (b *keyBits) has(v *algebra.Value) bool {
 // that comes out empty ends the join there: the other input is never opened,
 // let alone pulled. Otherwise, once the buckets are known, the join hands the
 // other input — the streamed outer, or the inner a held outer filters — a
-// gate (see tableScan.gate): is there a bucket for this key? A NaN key
-// passes. A scan below then drops, undecoded, the rows the join would have
-// dropped unpaired. Because the gate exists before that input is opened, it
-// also reaches joins below that drain their own held input in Open.
+// gate (see tableScan.gate): is there a bucket for this key? A scan below
+// then drops, undecoded, the rows the join would have dropped unpaired.
+// Because the gate exists before that input is opened, it also reaches joins
+// below that drain their own held input in Open.
 //
 // A join passes the gates of the operators above it on (gate) to the input
 // whose columns they read, so every join's key test reaches the scan that
@@ -590,8 +586,6 @@ type nlJoin struct {
 	inner []storage.Row
 	// The hash table: bucketOf numbers the key hashes seen, and bucket b is
 	// bucketed[ends[b-1]:ends[b]], all buckets carved from one array.
-	// bucketOf is nil once an inner key is NaN: every outer row then meets
-	// all of inner.
 	bucketOf map[uint64]int32
 	ends     []int32
 	bucketed []storage.Row
@@ -612,7 +606,7 @@ func newNLJoin(left, right Iterator, p algebra.Predicate, env *Env) (*nlJoin, er
 	if err != nil {
 		return nil, err
 	}
-	j := &nlJoin{left: left, right: right, pred: pred, schema: schema, env: env}
+	j := &nlJoin{left: left, right: right, pred: pred, schema: schema, env: env, bucketOf: map[uint64]int32{}}
 	nOuter := len(left.Schema())
 	lcols, rcols := p.EquiJoinColumns(left.Schema(), right.Schema())
 	for i := range lcols {
@@ -644,38 +638,30 @@ func (j *nlJoin) Open() error {
 	j.outer, j.outerPos, j.none = j.outer[:0], 0, false
 	j.inner, j.ends, j.slot, j.cands = j.inner[:0], j.ends[:0], j.slot[:0], nil
 	j.bits.n = 0
-	if j.bucketOf == nil {
-		j.bucketOf = map[uint64]int32{}
-	}
 	clear(j.bucketOf)
 	if !j.holdOuter {
 		if err := j.right.Open(); err != nil {
 			return err
 		}
-		if err := j.bufferInner(false); err != nil || len(j.inner) == 0 {
+		if err := j.bufferInner(); err != nil || len(j.inner) == 0 {
 			return j.holdsNothing(err)
 		}
-		if j.bucketOf != nil {
-			j.keyBitmap(j.inner, j.rKey)
-			j.gateKeys(j.left, j.lKey, "BNLJoin streamed-side gate")
-		}
+		j.keyBitmap(j.inner, j.rKey)
+		j.gateKeys(j.left, j.lKey, "BNLJoin streamed-side gate")
 		return j.left.Open()
 	}
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	filter, err := j.bufferOuter()
-	if err != nil || len(j.outer) == 0 {
+	if err := j.bufferOuter(); err != nil || len(j.outer) == 0 {
 		return j.holdsNothing(err)
 	}
-	if filter {
-		j.keyBitmap(j.outer, j.lKey)
-		j.gateKeys(j.right, j.rKey, "BNLJoin holdOuter gate")
-	}
+	j.keyBitmap(j.outer, j.lKey)
+	j.gateKeys(j.right, j.rKey, "BNLJoin holdOuter gate")
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	return j.bufferInner(filter)
+	return j.bufferInner()
 }
 
 // holdsNothing ends an Open whose held input came out empty, err aside: the
@@ -698,16 +684,15 @@ func (j *nlJoin) keyBitmap(held []storage.Row, cols []int) {
 
 // bufferInner drains the inner input and buckets it in two passes: the first
 // hashes each row and counts its bucket, the second places the rows, so the
-// buckets share one array and keep arrival order. filter drops the rows
-// whose key no held outer row has: by the bitmap when there is one, else by
-// hash.
-func (j *nlJoin) bufferInner(filter bool) error {
+// buckets share one array and keep arrival order. A join that holds its
+// outer input drops the rows whose key no held outer row has: by the bitmap
+// when there is one, else by hash.
+func (j *nlJoin) bufferInner() error {
 	if n := bufferedRows(j.right); n > 0 && !j.holdOuter {
 		// Every row is kept, so the child's count sizes the storage once.
 		j.arena.reserve(n, len(j.right.Schema()))
 		j.inner, j.slot = slices.Grow(j.inner, n), slices.Grow(j.slot, n)
 	}
-	keyed := true
 	for {
 		if err := j.poll.err(); err != nil {
 			return err
@@ -719,13 +704,13 @@ func (j *nlJoin) bufferInner(filter bool) error {
 		if !ok {
 			break
 		}
-		if filter && j.bits.n > 0 && !j.bits.has(&r[j.rKey[0]]) {
+		if j.holdOuter && j.bits.n > 0 && !j.bits.has(&r[j.rKey[0]]) {
 			continue
 		}
-		h, ok := keyHash(r, j.rKey)
+		h := keyHash(r, j.rKey)
 		b, seen := j.bucketOf[h]
-		if ok && !seen {
-			if filter {
+		if !seen {
+			if j.holdOuter {
 				continue
 			}
 			b = int32(len(j.ends))
@@ -733,16 +718,10 @@ func (j *nlJoin) bufferInner(filter bool) error {
 			j.ends = append(j.ends, 0)
 		}
 		j.inner = append(j.inner, j.arena.keep(r))
-		if keyed = keyed && ok; keyed {
-			j.ends[b]++
-			j.slot = append(j.slot, b)
-		}
+		j.ends[b]++
+		j.slot = append(j.slot, b)
 	}
 	j.kept += int64(len(j.outer) + len(j.inner))
-	if !keyed {
-		j.bucketOf = nil
-		return nil
-	}
 	// Turn the counts into each bucket's start; placing its rows then moves
 	// that up to its end.
 	n := int32(0)
@@ -774,19 +753,15 @@ func (j *nlJoin) gateKeys(child Iterator, cols []int, kind string) {
 	}
 }
 
-// keyGate is a gate that passes a row whose key at cols has a bucket, or is
-// NaN, counting the rows it drops in dropped. It asks the bitmap when the
-// join has one, the bucket table's hashes otherwise.
+// keyGate is a gate that passes a row whose key at cols has a bucket,
+// counting the rows it drops in dropped. It asks the bitmap when the join has
+// one, the bucket table's hashes otherwise.
 func (j *nlJoin) keyGate(cols []int, dropped *int64) *gate {
 	return &gate{cols: cols, keys: j, dropped: dropped, test: func(r storage.Row) (bool, error) {
 		if j.bits.n > 0 {
 			return j.bits.has(&r[cols[0]]), nil
 		}
-		h, ok := keyHash(r, cols)
-		if !ok {
-			return true, nil
-		}
-		_, seen := j.bucketOf[h]
+		_, seen := j.bucketOf[keyHash(r, cols)]
 		return seen, nil
 	}}
 }
@@ -835,27 +810,19 @@ func (j *nlJoin) keyTest() string {
 }
 
 // bufferOuter holds the outer input and gives every key hash in it a bucket,
-// empty as yet. filter reports that an inner row with none of those hashes can
-// be dropped, which a NaN outer key rules out: it equals every number, so its
-// row has to meet all of the inner input.
-func (j *nlJoin) bufferOuter() (filter bool, err error) {
-	filter = true
+// empty as yet: an inner row with none of those hashes can be dropped.
+func (j *nlJoin) bufferOuter() error {
 	for {
 		if err := j.poll.err(); err != nil {
-			return false, err
+			return err
 		}
 		r, ok, err := j.left.Next()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return filter, nil
+		if err != nil || !ok {
+			return err
 		}
 		j.outer = append(j.outer, j.outerArena.keep(r))
-		h, ok := keyHash(r, j.lKey)
-		if !ok {
-			filter = false
-		} else if _, seen := j.bucketOf[h]; !seen {
+		h := keyHash(r, j.lKey)
+		if _, seen := j.bucketOf[h]; !seen {
 			j.bucketOf[h] = int32(len(j.ends))
 			j.ends = append(j.ends, 0)
 		}
@@ -877,11 +844,7 @@ func (j *nlJoin) nextOuter() (storage.Row, bool, error) {
 
 // bucket is the inner rows an outer row has to meet.
 func (j *nlJoin) bucket(outer storage.Row) []storage.Row {
-	h, ok := keyHash(outer, j.lKey)
-	if !ok || j.bucketOf == nil {
-		return j.inner
-	}
-	b, ok := j.bucketOf[h]
+	b, ok := j.bucketOf[keyHash(outer, j.lKey)]
 	if !ok {
 		return nil
 	}

@@ -115,23 +115,21 @@ func evalTree(db *storage.DB, t *algebra.Tree, env *Env) ([]storage.Row, algebra
 			}
 			argFns[i] = f
 		}
-		groups := map[string][]storage.Row{}
-		var order []string
+		// A row joins the first group whose group-by values all Compare
+		// equal to its own, found by a linear search: no hash decides it.
+		var groups [][]storage.Row
+	next:
 		for _, r := range in {
-			var key strings.Builder
-			for _, ix := range gbIdx {
-				key.WriteString(r[ix].String())
-				key.WriteByte('|')
+			for g, rows := range groups {
+				if compareAt(r, gbIdx, rows[0], gbIdx) == 0 {
+					groups[g] = append(rows, r)
+					continue next
+				}
 			}
-			k := key.String()
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], r)
+			groups = append(groups, []storage.Row{r})
 		}
 		if len(op.GroupBy) == 0 && len(groups) == 0 {
-			groups[""] = nil
-			order = append(order, "")
+			groups = append(groups, nil)
 		}
 		outSchema := make(algebra.Schema, 0, len(op.GroupBy)+len(op.Aggs))
 		for i, c := range op.GroupBy {
@@ -145,8 +143,7 @@ func evalTree(db *storage.DB, t *algebra.Tree, env *Env) ([]storage.Row, algebra
 			outSchema = append(outSchema, algebra.ColInfo{Col: a.As, Typ: ty})
 		}
 		var out []storage.Row
-		for _, k := range order {
-			rows := groups[k]
+		for _, rows := range groups {
 			states := make([]aggState, len(op.Aggs))
 			for i, a := range op.Aggs {
 				states[i] = aggState{fn: a.Func, arg: argFns[i]}
@@ -248,7 +245,8 @@ func Canonicalize(schema algebra.Schema, rows []storage.Row) []string {
 
 // EqualRows reports whether two results hold the same multiset of rows,
 // matching columns by name. Floats are equal within relTol relative
-// difference (plans sum in different orders), everything else exactly.
+// difference (plans sum in different orders, see closeFloats), everything
+// else exactly.
 func EqualRows(a, b QueryResult, relTol float64) bool {
 	if len(a.Rows) != len(b.Rows) {
 		return false
@@ -259,13 +257,22 @@ func EqualRows(a, b QueryResult, relTol float64) bool {
 			return false
 		}
 		for j, x := range ra[i].floats {
-			y := rb[i].floats[j]
-			if math.Abs(x-y) > relTol*math.Max(math.Abs(x), math.Abs(y)) {
+			if !closeFloats(x, rb[i].floats[j], relTol) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// closeFloats reports whether x and y are equal within relTol relative
+// difference. An infinity is equal only to itself, and a NaN only to a NaN.
+func closeFloats(x, y, relTol float64) bool {
+	if x == y || x != x && y != y {
+		return true
+	}
+	d := math.Abs(x - y) // NaN or +Inf when only one is NaN or infinite
+	return d <= relTol*math.Max(math.Abs(x), math.Abs(y)) && !math.IsInf(d, 0)
 }
 
 // tolerantRow is a row with its columns in name order: the floats kept as

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -89,7 +88,7 @@ func floatFact(keys func(i int) [3]float64) func(i int) [3]algebra.Value {
 }
 
 func starCases() []starCase {
-	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	floats := func(k ...float64) []algebra.Value { return keysOf(algebra.FloatVal, k...) }
 	ints := func(k ...int64) []algebra.Value { return keysOf(algebra.IntVal, k...) }
 	dates := func(k ...int64) []algebra.Value { return keysOf(algebra.DateVal, k...) }
@@ -116,21 +115,37 @@ func starCases() []starCase {
 	const exact = 1<<53 - 1 // the largest int a bitmap may hold
 	return []starCase{
 		{name: "plain", fact: plainFact, dims: plainDims, keys: [3]string{"bitmap", "bitmap", "bitmap"}},
-		{name: "NaN and signed zeros", fact: floatFact(func(i int) [3]float64 {
+		// NaN keys meet NaN keys of any payload, and only them; an infinity
+		// meets itself.
+		{name: "NaN, infinities and signed zeros", fact: floatFact(func(i int) [3]float64 {
 			k := plain(i)
-			if i%17 == 0 {
+			switch {
+			case i%17 == 0:
 				k[0] = nan
+			case i%13 == 0:
+				k[0] = -inf
 			}
-			if i%19 == 0 {
+			switch {
+			case i%19 == 0:
 				k[1] = negZero
+			case i%11 == 0:
+				k[1] = negNaN
+			case i%29 == 0:
+				k[1] = inf
 			}
 			if i%23 == 0 {
 				k[2] = nan
 			}
 			return k
-		}), dims: [3][]algebra.Value{floats(negZero, 1, 2, 3), floats(0, 3, nan, 5), floats(negZero, 4, 8)},
-			keys: [3]string{"bitmap", "hash", "bitmap"}},
-		{name: "a dimension of NaN keys alone", fact: plainFact, dims: with(1, floats(nan, nan))},
+		}), dims: [3][]algebra.Value{floats(negZero, 1, 2, 3, nan, -inf), floats(0, 3, nan, 5, inf, negNaN), floats(negZero, 4, 8)},
+			keys: [3]string{"hash", "hash", "bitmap"}},
+		{name: "a dimension of NaN keys alone", fact: floatFact(func(i int) [3]float64 {
+			k := plain(i)
+			if i%3 == 0 {
+				k[1] = negNaN
+			}
+			return k
+		}), dims: with(1, floats(nan, negNaN)), keys: [3]string{"", "hash", ""}},
 		{name: "no fact rows", dims: plainDims},
 		{name: "dimension 1 empty", fact: plainFact, dims: with(0, nil)},
 		{name: "dimension 2 empty", fact: plainFact, dims: with(1, nil)},
@@ -217,20 +232,45 @@ func starCases() []starCase {
 }
 
 // starShape is one plan of the star join ((f ⋈ d1) ⋈ d2) ⋈ d3 under a Filter
-// on f.v, d2 filtered on w: at each level, whether the fact side is the
-// outer (left) input and whether the join holds its outer input.
-type starShape struct{ factLeft, holdOuter [3]bool }
-
-func (s starShape) String() string {
-	return fmt.Sprintf("fact left %v, holding outer %v", s.factLeft, s.holdOuter)
+// on f.v, d2 filtered on w: at each level, the join's operator, whether the
+// fact side is the outer (left) input and whether a BNLJoin holds its outer
+// input.
+type starShape struct {
+	kind                [3]joinKind
+	factLeft, holdOuter [3]bool
 }
 
+// joinKind is the operator of one level of a star join.
+type joinKind uint8
+
+const (
+	bnl     joinKind = iota // nlJoin
+	merge                   // mergeJoin over a sort of each input
+	indexed                 // indexJoin of the fact side probing the dimension's B-tree
+)
+
+func (s starShape) String() string {
+	return fmt.Sprintf("kinds %v, fact left %v, holding outer %v", s.kind, s.factLeft, s.holdOuter)
+}
+
+// starShapes is every choice of sides over BNLJoins, then every mix of the
+// three operators with at least one other than a BNLJoin: an indexJoin has
+// the fact side outer, the other levels alternate.
 func starShapes() []starShape {
 	var out []starShape
 	for m := range 64 {
 		var s starShape
 		for l := range 3 {
 			s.factLeft[l], s.holdOuter[l] = m>>l&1 == 0, m>>(l+3)&1 == 1
+		}
+		out = append(out, s)
+	}
+	for m := 1; m < 27; m++ {
+		var s starShape
+		for l, k := 0, m; l < 3; l, k = l+1, k/3 {
+			s.kind[l] = joinKind(k % 3)
+			s.factLeft[l] = s.kind[l] == indexed || (m+l)%2 == 0
+			s.holdOuter[l] = m>>l&1 == 1
 		}
 		out = append(out, s)
 	}
@@ -264,20 +304,48 @@ func starTree(s starShape) *algebra.Tree {
 }
 
 // starPlan builds the shape's operators over gated table scans of db's
-// tables, each wrapped by wrap, and returns the top one and the joins from
-// the bottom up.
+// tables, each wrapped by wrap, and returns the top one and the BNLJoins from
+// the bottom up, nil at a level of another operator.
 func starPlan(t *testing.T, db *storage.DB, s starShape, env *Env, wrap func(Iterator) Iterator) (Iterator, [3]*nlJoin) {
 	t.Helper()
-	scan := func(name string) Iterator {
+	table := func(name string) *storage.Table {
 		tab, err := db.Table(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return tab
+	}
+	scan := func(name string) Iterator {
+		tab := table(name)
 		return wrap(newTableScan(tab.Heap, tab.Schema, nil))
 	}
 	var joins [3]*nlJoin
 	cur := scan("f")
 	for l := range 3 {
+		fk, dk := algebra.Col("f", fmt.Sprint("k", l+1)), algebra.Col(fmt.Sprint("d", l+1), "k")
+		if s.kind[l] == indexed {
+			// The probe reads the dimension's rows unfiltered, so d2's filter
+			// joins the predicate.
+			tab := table(fmt.Sprint("d", l+1))
+			idx, err := db.EnsureIndex(tab, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := &indexJoin{outer: cur, inner: newIndexedSource(tab.Heap, db.Pool, idx, tab.Schema, nil)}
+			j.schema = cur.Schema().Concat(j.inner.schema)
+			p := starPred(l)
+			if l == 1 {
+				p = p.And(starDim2)
+			}
+			if j.pred, err = compilePred(p, j.schema, env); err != nil {
+				t.Fatal(err)
+			}
+			if j.keyFn, err = compileScalar(algebra.ColExpr{C: fk}, cur.Schema(), env); err != nil {
+				t.Fatal(err)
+			}
+			cur = wrap(j)
+			continue
+		}
 		dim := scan(fmt.Sprint("d", l+1))
 		if l == 1 {
 			f, err := newFilter(dim, starDim2, env)
@@ -287,8 +355,21 @@ func starPlan(t *testing.T, db *storage.DB, s starShape, env *Env, wrap func(Ite
 			dim = wrap(f)
 		}
 		left, right := cur, dim
+		lk, rk := fk, dk
 		if !s.factLeft[l] {
-			left, right = dim, cur
+			left, right, lk, rk = dim, cur, dk, fk
+		}
+		if s.kind[l] == merge {
+			j := &mergeJoin{schema: left.Schema().Concat(right.Schema()),
+				lIdx: []int{left.Schema().IndexOf(lk)}, rIdx: []int{right.Schema().IndexOf(rk)},
+				left:  wrap(&sortIter{child: left, cols: []algebra.Column{lk}}),
+				right: wrap(&sortIter{child: right, cols: []algebra.Column{rk}})}
+			var err error
+			if j.pred, err = compilePred(starPred(l), j.schema, env); err != nil {
+				t.Fatal(err)
+			}
+			cur = wrap(j)
+			continue
 		}
 		j, err := newNLJoin(left, right, starPred(l), env)
 		if err != nil {
@@ -319,14 +400,16 @@ func starDB(t *testing.T, c starCase, wide bool) *storage.DB {
 // TestStarJoinsMatchReference is the differential test of gates that travel
 // through joins: star joins three levels deep over gated table scans, under
 // every choice at each level of which side the fact rows come from and
-// which input is held, over NaN and signed-zero keys, a dimension of NaN
-// keys alone (whose join has no bucket table, yet rows), an empty input at
-// each level, and a fact table wider than 64 columns, each plan opened
-// twice. The typed cases meet int, date and float keys across and within
-// types, at the edges of the bitmap's key test (keyBits): 5.0 against 5,
-// non-integral floats, NaN and -0 on either side, ±(2^53-1) and 2^53 against
-// 2^53+1, MinInt64 and MaxInt64 probes, a sparse range and one at the bound,
-// strings probing or held. Every answer must be the reference's, and a join
+// which input is held, and under mixes of BNLJoin, MergeJoin over Sorts and
+// IndexJoin, over NaN keys of two payloads, infinities and signed zeros, a
+// dimension of NaN keys alone, an empty input at each level, and a fact table
+// wider than 64 columns, each plan opened twice. The typed cases meet int,
+// date and float keys across and within types, at the edges of the bitmap's
+// key test (keyBits): 5.0 against 5, non-integral floats, NaN and -0 on
+// either side, ±(2^53-1) and 2^53 against 2^53+1, MinInt64 and MaxInt64
+// probes, a sparse range and one at the bound, strings probing or held. The
+// answers are compared with EqualRows, which tells NaN from ±Inf where
+// Canonicalize's rounding does not. Every answer must be the reference's, and a join
 // holding a dimension must test its keys as the case says. The test insists
 // it forwarded a gate, skipped a join whose held input was empty and gated by
 // a bitmap. It runs again with every row spoiled the moment it lapses.
@@ -341,23 +424,28 @@ func starJoinsMatchReference(t *testing.T, wrap func(Iterator) Iterator) {
 	for _, c := range starCases() {
 		for _, wide := range []bool{false, true} {
 			db := starDB(t, c, wide)
+			reference := map[[3]bool]QueryResult{} // by factLeft, all the tree depends on
 			for _, s := range starShapes() {
-				wantRows, wantSchema, err := Reference(db, starTree(s), nil)
-				if err != nil {
-					t.Fatal(err)
+				want, ok := reference[s.factLeft]
+				if !ok {
+					rows, schema, err := Reference(db, starTree(s), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = QueryResult{schema, rows}
+					reference[s.factLeft] = want
 				}
-				want := Canonicalize(wantSchema, wantRows)
 				top, joins := starPlan(t, db, s, env, wrap)
 				for open := 1; open <= 2; open++ {
-					if got := Canonicalize(top.Schema(), mustDrain(t, top)); !slices.Equal(got, want) {
+					if got := mustDrain(t, top); !EqualRows(QueryResult{top.Schema(), got}, want, 0) {
 						t.Fatalf("%s, wide %v, %v, open %d: %d rows, want the reference's %d",
-							c.name, wide, s, open, len(got), len(want))
+							c.name, wide, s, open, len(got), len(want.Rows))
 					}
 					for l, j := range joins {
 						// The join holds the dimension when the fact side is
 						// the outer input and it holds the inner, or the
 						// reverse.
-						if want := c.keys[l]; want != "" && s.factLeft[l] != s.holdOuter[l] && j.keyTest() != want {
+						if want := c.keys[l]; j != nil && want != "" && s.factLeft[l] != s.holdOuter[l] && j.keyTest() != want {
 							t.Fatalf("%s, %v: join %d holding its dimension tests keys by %s, want %s",
 								c.name, s, l+1, j.keyTest(), want)
 						}

@@ -169,12 +169,7 @@ func compareEncoded(entry []byte, key algebra.Value) (int, error) {
 	if !key.IsNumeric() {
 		return -1, nil
 	}
-	if kf := key.AsFloat(); f < kf {
-		return -1, nil
-	} else if f > kf {
-		return 1, nil
-	}
-	return 0, nil
+	return algebra.CompareFloat(f, key.AsFloat()), nil
 }
 
 // nodeIndex is where each entry of one encoded node starts. Keys vary in

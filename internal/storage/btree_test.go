@@ -290,7 +290,8 @@ func TestBTreeStringKeys(t *testing.T) {
 }
 
 // compareCorpus holds the values where an order over encoded bytes could
-// part from algebra.Compare: signed zeros, NaN, infinities, ints beyond
+// part from algebra.Compare: signed zeros, NaNs of either sign and another
+// payload, infinities, ints beyond
 // float precision, int-vs-float ties, and strings that are empty, prefixes
 // of each other or not ASCII.
 var compareCorpus = []algebra.Value{
@@ -300,7 +301,8 @@ var compareCorpus = []algebra.Value{
 	algebra.DateVal(0), algebra.DateVal(1), algebra.DateVal(9131), algebra.DateVal(-3),
 	algebra.FloatVal(0), algebra.FloatVal(math.Copysign(0, -1)), algebra.FloatVal(1), algebra.FloatVal(1.5),
 	algebra.FloatVal(-1), algebra.FloatVal(2), algebra.FloatVal(9131), algebra.FloatVal(1 << 53),
-	algebra.FloatVal(math.NaN()), algebra.FloatVal(math.Inf(1)), algebra.FloatVal(math.Inf(-1)),
+	algebra.FloatVal(math.NaN()), algebra.FloatVal(math.Float64frombits(0xfff8000000000001)), algebra.FloatVal(math.Float64frombits(0x7ff8000000000ace)),
+	algebra.FloatVal(math.Inf(1)), algebra.FloatVal(math.Inf(-1)),
 	algebra.FloatVal(math.SmallestNonzeroFloat64), algebra.FloatVal(math.MaxFloat64),
 	algebra.StringVal(""), algebra.StringVal("a"), algebra.StringVal("ab"), algebra.StringVal("abc"),
 	algebra.StringVal("b"), algebra.StringVal("1"), algebra.StringVal("é"), algebra.StringVal("e"),
