@@ -213,3 +213,70 @@ func BenchmarkHotSubmit(b *testing.B) {
 		b.Fatal("the timed Submits were not served from the store")
 	}
 }
+
+// dssSession opens a session over a database of pool pages loaded by load,
+// with every cache off.
+func dssSession(b *testing.B, cat *mqo.Catalog, pool int, load func(*mqo.DB) error) *mqo.Optimizer {
+	b.Helper()
+	db := mqo.NewDB(pool)
+	if err := load(db); err != nil {
+		b.Fatal(err)
+	}
+	opt, err := mqo.Open(cat, mqo.WithDB(db))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { opt.Close() })
+	return opt
+}
+
+// sessionBatch is a batch and the session it runs on.
+type sessionBatch struct {
+	opt   *mqo.Optimizer
+	batch mqo.Batch
+}
+
+// runBatches times running each batch once and reports the pool reads the
+// runs took, per operation.
+func runBatches(b *testing.B, batches []sessionBatch) {
+	b.Helper()
+	ctx := context.Background()
+	reads := int64(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, r := range batches {
+			res, err := r.opt.Run(ctx, r.batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reads += res.Exec.IO.Reads
+		}
+	}
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+}
+
+// BenchmarkDSSPass is one pass of the benchmark's dss_batch_cold workload
+// (seed 11): the four SSB flights at SF 0.005 over a 512-page pool and
+// TPC-D BQ5 at SF 0.001 over a 64-page pool, each one batch through
+// Optimizer.Run under Greedy, the tables several times the pool. The queries
+// of a batch that scan one table share a pass over it, so reads/op is the
+// pages the passes fault. The figures to read are ns/op, B/op and reads/op.
+func BenchmarkDSSPass(b *testing.B) {
+	const seed = 11
+	ssbOpt := dssSession(b, ssb.Catalog(0.005), 512, func(db *mqo.DB) error { return ssb.LoadDB(db, 0.005, seed) })
+	tpcdOpt := dssSession(b, tpcd.Catalog(0.001), 64, func(db *mqo.DB) error { return tpcd.LoadDB(db, 0.001, seed) })
+	var batches []sessionBatch
+	for f := 1; f <= ssb.NumFlights; f++ {
+		batches = append(batches, sessionBatch{ssbOpt, mqo.Batch{SQL: ssb.FlightSQL(f), Algorithm: mqo.Greedy}})
+	}
+	batches = append(batches, sessionBatch{tpcdOpt, mqo.Batch{Queries: tpcd.BatchQueries(5), Algorithm: mqo.Greedy}})
+	runBatches(b, batches)
+}
+
+// BenchmarkBQ5Greedy runs TPC-D BQ5 under Greedy at SF 0.01 over a 64-page
+// pool, where Greedy's plan is estimated cheaper than Volcano's but executes
+// slower: its one materialization sorts all of lineitem.
+func BenchmarkBQ5Greedy(b *testing.B) {
+	opt := dssSession(b, tpcd.Catalog(0.01), 64, func(db *mqo.DB) error { return tpcd.LoadDB(db, 0.01, 11) })
+	runBatches(b, []sessionBatch{{opt, mqo.Batch{Queries: tpcd.BatchQueries(5), Algorithm: mqo.Greedy}}})
+}

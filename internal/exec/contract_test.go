@@ -2,14 +2,18 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"mqo/internal/algebra"
+	"mqo/internal/catalog"
 	"mqo/internal/core"
 	"mqo/internal/cost"
+	"mqo/internal/ssb"
 	"mqo/internal/storage"
 )
 
@@ -128,41 +132,91 @@ func TestMergeJoinStopsPullingRight(t *testing.T) {
 }
 
 // TestProfilePagesAreInclusiveAndExact: page misses are counted by the leaves
-// that cause them and summed up the tree once, so a query root's Pages is
-// what the pool says the run read, and a parent's is never below a child's.
+// that cause them and summed up the tree once, so the roots' Pages — the
+// materializations' and the queries' — add up to what the pool says the run
+// read, and a parent's is never below a child's. That holds for a lone query,
+// and for a three-query flight and flight 3 with its materialization, whose
+// lineorder scans one shared pass feeds: each page it reads counts once. No
+// tree counts the time its task was parked, so the trees' times add up to no
+// more than the run's, and the scans the shared pass fed say how many it fed.
 func TestProfilePagesAreInclusiveAndExact(t *testing.T) {
-	db, cat := makeWorld(t)
-	small := storage.NewDB(16) // every page faults
-	copyWorld(t, db, small)
 	model := cost.DefaultModel()
-	pd, err := core.BuildDAG(cat, model, []*algebra.Tree{chainQ([]string{"A", "B", "C"}, 90)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Optimize(context.Background(), pd, core.Volcano, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := Run(context.Background(), small, model, res.Plan, &Env{Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Profile.Mats) != 0 || len(stats.Profile.Queries) != 1 {
-		t.Fatalf("want one query tree and no materialization, got %+v", stats.Profile)
-	}
-	root := stats.Profile.Queries[0]
-	if root.Pages != stats.IO.Reads || root.Pages == 0 || root.Bytes != root.Pages*storage.PageSize {
-		t.Errorf("root reports %d pages (%d bytes), the pool read %d", root.Pages, root.Bytes, stats.IO.Reads)
-	}
-	stats.Profile.Visit(func(p *NodeProfile) {
-		sum := int64(0)
-		for _, c := range p.Children {
-			sum += c.Pages
+	run := func(t *testing.T, db *storage.DB, cat *catalog.Catalog, queries []*algebra.Tree, alg core.Algorithm) RunStats {
+		t.Helper()
+		pd, err := core.BuildDAG(cat, model, queries)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.Pages < sum {
-			t.Errorf("%s reports %d pages, its children %d", p.Op, p.Pages, sum)
+		res, err := core.Optimize(context.Background(), pd, alg, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := Run(context.Background(), db, model, res.Plan, &Env{Profile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pages := profiledPages(stats.Profile); pages != stats.IO.Reads || pages == 0 {
+			t.Errorf("the trees count %d pages, the pool read %d", pages, stats.IO.Reads)
+		}
+		stats.Profile.Visit(func(p *NodeProfile) {
+			sum := int64(0)
+			for _, c := range p.Children {
+				sum += c.Pages
+			}
+			if p.Pages < sum {
+				t.Errorf("%s reports %d pages, its children %d", p.Op, p.Pages, sum)
+			}
+		})
+		return stats
+	}
+
+	t.Run("one query", func(t *testing.T) {
+		db, cat := makeWorld(t)
+		small := storage.NewDB(16) // every page faults
+		copyWorld(t, db, small)
+		stats := run(t, small, cat, []*algebra.Tree{chainQ([]string{"A", "B", "C"}, 90)}, core.Volcano)
+		if len(stats.Profile.Mats) != 0 || len(stats.Profile.Queries) != 1 {
+			t.Fatalf("want one query tree and no materialization, got %+v", stats.Profile)
+		}
+		if root := stats.Profile.Queries[0]; root.Bytes != root.Pages*storage.PageSize {
+			t.Errorf("root reports %d pages, %d bytes", root.Pages, root.Bytes)
 		}
 	})
+
+	db := storage.NewDB(64)
+	if err := ssb.LoadDB(db, 0.002, 1); err != nil { // flight 3's materialization holds rows, and scans lineorder
+		t.Fatal(err)
+	}
+	for _, f := range []int{1, 3} {
+		t.Run(fmt.Sprintf("flight %d", f), func(t *testing.T) {
+			stats := run(t, db, ssb.Catalog(0.002), ssb.Flight(f), core.Greedy)
+			p := stats.Profile
+			if f == 3 && len(p.Mats) == 0 {
+				t.Fatal("flight 3 under Greedy materializes nothing")
+			}
+			var wall time.Duration
+			for _, roots := range [][]*NodeProfile{p.Mats, p.Queries} {
+				for _, r := range roots {
+					wall += r.Wall
+				}
+			}
+			if wall > stats.Wall {
+				t.Errorf("the trees took %v, the run %v: parked time was counted", wall, stats.Wall)
+			}
+			shared := 0
+			p.Visit(func(n *NodeProfile) {
+				if n.Op == "SeqScan" && n.StoredCols == 10 && n.Shared > 1 { // lineorder's
+					shared++
+					if want := fmt.Sprintf(" shared=%d ", n.Shared); !strings.Contains(FormatAnalyze(stats), want) {
+						t.Errorf("EXPLAIN ANALYZE does not say%s", want)
+					}
+				}
+			})
+			if shared < 2 {
+				t.Errorf("%d lineorder scans say a pass fed them with others, want several", shared)
+			}
+		})
+	}
 }
 
 // burstIter is a scan-like child: every per-th Next "reads a page" (and says

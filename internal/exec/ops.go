@@ -84,13 +84,15 @@ func bufferedRows(child Iterator) int {
 	return 0
 }
 
-// tableScan streams the kept columns of a heap file's rows, holding one
-// decoded page at a time. Operators above it may hand it gates (gate), tests
-// its cursor runs on a record's gate columns to drop the row undecoded.
+// tableScan streams the kept columns of a heap file's rows, holding the rows
+// of a page or so at a time. In a run its cursor is fed by the run's shared
+// passes (sched), elsewhere it reads alone. Operators above it may hand it
+// gates (gate), tests its cursor runs on a record's gate columns to drop the
+// row undecoded.
 type tableScan struct {
 	kept
 	cur   *storage.HeapCursor
-	poll  ctxPoll    // polled once per row the gates drop
+	poll  ctxPoll    // with a context, polled once per row the gates drop
 	gates *scanGates // nil until an operator hands the scan a gate
 }
 
@@ -99,7 +101,7 @@ type tableScan struct {
 type scanGates struct {
 	owned []ownedGate    // in the order they were handed down
 	list  []storage.Gate // the cursor's, which it reorders; rebuilt from owned
-	poll  func() error   // the scan's poll.err, bound once
+	poll  func() error   // the scan's poll.err, bound once; nil without a context
 }
 
 // ownedGate is a gate and the operator that handed it down.
@@ -156,7 +158,9 @@ func (s *tableScan) Open() error { s.cur.Rewind(); return nil }
 
 func (s *tableScan) Next() (storage.Row, bool, error) { return s.cur.Next() }
 
-func (s *tableScan) Close() error           { return nil }
+// Close takes the cursor out of the pass feeding it.
+func (s *tableScan) Close() error { s.cur.Leave(); return nil }
+
 func (s *tableScan) Schema() algebra.Schema { return s.schema }
 
 // buffered is the optional method of an operator that knows how many rows it
@@ -185,7 +189,10 @@ func (s *tableScan) gate(by any, g *gate) (ok bool) {
 		if g == nil {
 			return true
 		}
-		s.gates = &scanGates{poll: s.poll.err}
+		s.gates = &scanGates{}
+		if s.poll.ctx != nil {
+			s.gates.poll = s.poll.err
+		}
 	}
 	owned := s.gates.owned[:0]
 	for _, o := range s.gates.owned {
@@ -227,6 +234,9 @@ func (s *tableScan) decodedAhead() int { return s.cur.Decoded() }
 // the pool misses it caused since it was built, which a profiled run reports
 // as NodeProfile.Pages.
 func (s *tableScan) pageMisses() int64 { return s.cur.Faults() }
+
+// sharedBy is what a profiled run reports as NodeProfile.Shared.
+func (s *tableScan) sharedBy() int { return s.cur.Shared() }
 
 // filterIter applies a predicate to its child's rows.
 type filterIter struct {

@@ -16,9 +16,13 @@ import (
 // NodeProfile is the measured execution profile of one instantiated
 // operator. Wall and Pages are inclusive of the operator's children (the
 // usual EXPLAIN ANALYZE convention); Rows counts the rows this operator
-// emitted to its parent. A scan's gates run its ancestors' tests below the
-// operators in between — every keyed join's above it, through the joins
-// between — so a node under gated joins emits only the rows that also pass
+// emitted to its parent. Wall leaves out the time the operator's task spent
+// parked while other tasks ran; a page that a shared pass read for several
+// scans counts in the Pages of the first of them, and its time in the Wall
+// of each, split evenly. A materialization's Pages include its write. A
+// scan's gates run its ancestors' tests below the operators in between —
+// every keyed join's above it, through the joins between — so a node under
+// gated joins emits only the rows that also pass
 // every one of their key tests: a Filter or a join in between counts the
 // rows that passed them all, not its own selectivity. A scan's Rows plus
 // Skipped is the rows it examined, and its Skipped is the sum of the Gated
@@ -42,6 +46,7 @@ type NodeProfile struct {
 	Pairs   int64         `json:"pairs,omitempty"`   // joins: predicate evaluations, exact
 	Kept    int64         `json:"kept,omitempty"`    // joins and sorts: input rows copied into the operator's own storage
 	Keys    string        `json:"keys,omitempty"`    // keyed BNLJoins: "bitmap" or "hash", how the last Open tested keys
+	Shared  int           `json:"shared,omitempty"`  // scans: the cursors fed by the largest pass that fed this one
 	Pages   int64         `json:"pages"`             // buffer-pool misses, inclusive
 	Bytes   int64         `json:"bytes"`             // Pages × storage.PageSize
 	Wall    time.Duration `json:"wall_ns"`
@@ -76,14 +81,19 @@ func (bp *BatchProfile) Visit(fn func(*NodeProfile)) {
 // profiler builds NodeProfile trees as the builder instantiates operators:
 // a stack mirrors the build recursion, so each iterator tree becomes one
 // profile tree per instantiation (materializations and query roots are
-// separate roots even when they reference the same plan node).
+// separate roots even when they reference the same plan node). Each task of
+// a run has its own.
 type profiler struct {
 	stack []*NodeProfile
 	roots []*NodeProfile
+	last  *NodeProfile // the node of the instantiation that returned last
 
 	// fetchWall is the time spent so far in the Next calls of scans that
 	// read a page, each timed exactly; see statIter.
 	fetchWall time.Duration
+	// parked is the time the task has spent parked so far, less its share
+	// of the pages read for it meanwhile (sched.step).
+	parked time.Duration
 }
 
 func (pr *profiler) push(p *NodeProfile) {
@@ -136,9 +146,10 @@ func opName(pn *physical.PlanNode, asConsumer bool, env *Env) string {
 	return pn.E.Kind.String()
 }
 
-// statIter wraps an operator with measurement. The executor drains plans on
-// a single goroutine, so plain (non-atomic) accumulation into the profile
-// node and the profiler is safe.
+// statIter wraps an operator with measurement. The tasks of a run take turns
+// on the run's goroutine, so plain (non-atomic) accumulation into the profile
+// node and the profiler is safe. Every call is timed net of the time its task
+// was parked during it (profiler.parked), which is other tasks' time.
 //
 // Rows, pairs and pages are exact. Page misses are counted where they are
 // caused — by a scan's cursor, an index probe, an Invoke's cache scans and
@@ -221,9 +232,9 @@ func (s *statIter) uncount() {
 
 func (s *statIter) Open() error {
 	s.uncount()
-	start := clock()
+	start, parked := clock(), s.prof.parked
 	err := s.child.Open()
-	s.p.Wall += clock() - start
+	s.p.Wall += clock() - start - (s.prof.parked - parked)
 	return err
 }
 
@@ -233,9 +244,9 @@ func (s *statIter) Next() (storage.Row, bool, error) {
 			s.ahead--
 			return s.child.Next()
 		}
-		start := clock()
+		start, parked := clock(), s.prof.parked
 		r, ok, err := s.child.Next()
-		d := max(clock()-start-clockCost, 0)
+		d := max(clock()-start-clockCost-(s.prof.parked-parked), 0)
 		s.p.Wall += d
 		s.prof.fetchWall += d
 		if ok {
@@ -244,7 +255,7 @@ func (s *statIter) Next() (storage.Row, bool, error) {
 		}
 		return r, ok, err
 	}
-	fetched := s.prof.fetchWall
+	fetched, parked := s.prof.fetchWall, s.prof.parked
 	var start time.Duration
 	timed := s.skip == 0
 	if timed {
@@ -255,7 +266,7 @@ func (s *statIter) Next() (storage.Row, bool, error) {
 	r, ok, err := s.child.Next()
 	fetched = s.prof.fetchWall - fetched // the part of this call spent reading pages below
 	if timed {
-		d := max(clock()-start-clockCost-fetched, 1)
+		d := max(clock()-start-clockCost-fetched-(s.prof.parked-parked), 1)
 		if fetched > 0 {
 			s.p.Wall += d
 		} else {
@@ -273,9 +284,9 @@ func (s *statIter) Next() (storage.Row, bool, error) {
 
 func (s *statIter) Close() error {
 	s.uncount()
-	start := clock()
+	start, parked := clock(), s.prof.parked
 	err := s.child.Close()
-	s.p.Wall += clock() - start
+	s.p.Wall += clock() - start - (s.prof.parked - parked)
 	if j, ok := s.child.(interface{ pairsEvaluated() int64 }); ok {
 		s.p.Pairs = j.pairsEvaluated()
 	}
@@ -293,6 +304,9 @@ func (s *statIter) Close() error {
 	}
 	if l, ok := s.child.(interface{ pageMisses() int64 }); ok {
 		s.p.Pages = l.pageMisses()
+	}
+	if x, ok := s.child.(interface{ sharedBy() int }); ok {
+		s.p.Shared = x.sharedBy()
 	}
 	return err
 }
@@ -410,7 +424,8 @@ func recordRunMetrics(stats *RunStats) {
 // it copied into storage of its own (what a join that holds its smaller input
 // saves against the whole of its right one), a keyed BNLJoin keys=bitmap or
 // keys=hash, how it tested for a key's bucket, a scan or index probe
-// cols=kept/stored, the columns it decoded out of those the relation holds.
+// cols=kept/stored, the columns it decoded out of those the relation holds,
+// and a scan fed by a pass it shared with k-1 other scans shared=k.
 func FormatAnalyze(stats RunStats) string {
 	var sb strings.Builder
 	if stats.Profile == nil {
@@ -447,9 +462,13 @@ func FormatAnalyze(stats RunStats) string {
 		if p.StoredCols > 0 {
 			cols = fmt.Sprintf(" cols=%d/%d", p.Cols, p.StoredCols)
 		}
-		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s%s%s%s pages=%d bytes=%d time=%s)\n",
+		shared := ""
+		if p.Shared > 1 {
+			shared = fmt.Sprintf(" shared=%d", p.Shared)
+		}
+		fmt.Fprintf(&sb, "%s%s%s  (est cost=%.4fs rows=%.0f) (actual rows=%d%s%s%s%s%s%s%s pages=%d bytes=%d time=%s)\n",
 			strings.Repeat("  ", indent), p.Op, mat, p.EstCost, p.EstRows,
-			p.Rows, skipped, gated, pairs, kept, keys, cols, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
+			p.Rows, skipped, gated, pairs, kept, keys, cols, shared, p.Pages, p.Bytes, p.Wall.Round(time.Microsecond))
 		for _, c := range p.Children {
 			render(c, indent+1)
 		}

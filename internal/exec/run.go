@@ -73,8 +73,12 @@ type RunStats struct {
 }
 
 // Run executes an optimized plan against the database: materializes shared
-// results (in dependency order), executes every query of the batch, and
-// reports per-query results plus measured statistics. The run's temporary
+// results, executes every query of the batch, and reports per-query results
+// plus measured statistics. Each materialization and each query root is a
+// task (sched): a query starts once the materializations it reads have
+// committed, a materialization once those it reads have, and the scans of
+// the tasks that run meanwhile are fed by shared passes, one page fault and
+// one record decode for all of them. The run's temporary
 // tables live in a private per-run namespace and are dropped before
 // returning, so concurrent Run calls on one DB are safe and proceed in
 // parallel over the sharded page layer; they can never observe each other's
@@ -82,12 +86,13 @@ type RunStats struct {
 // before/after pool snapshots overlap with other runs); serial callers get
 // exact counts.
 //
-// The context is checked between materializations and once per
+// The context is checked before every page a shared pass reads and once per
 // drainCheckEvery rows pulled, by the drain of a root's output and by the
 // operators that pull a whole input before delivering a row (a sort, a block
 // nested-loops join's Open), and once per drainCheckEvery rows dropped by a
 // filter or a scan's gates; a cancelled context aborts the run with
-// ctx.Err() (temporary tables are still dropped).
+// ctx.Err(), as does the first error of any task; either way every task is
+// stopped and the temporary tables are dropped before Run returns.
 func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.Plan, env *Env) ([]QueryResult, RunStats, error) {
 	if env == nil {
 		env = &Env{}
@@ -107,46 +112,55 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 	before := db.Pool.Stats()
 	warmBefore := db.WarmIO()
 
-	for _, m := range plan.Mats {
-		if err := ctx.Err(); err != nil {
+	roots := plan.QueryRoots()
+	results := make([]QueryResult, len(roots))
+	if len(plan.Mats) == 0 && len(roots) == 1 {
+		// One query and nothing to materialize: nothing to wait for and
+		// nothing to share, so its tree is drained right here.
+		var err error
+		if results[0], err = b.answer(roots[0]); err != nil {
 			return nil, RunStats{}, err
 		}
-		if err := b.materialize(m); err != nil {
+	} else {
+		b.sched = newSched(ctx, env)
+		var mats map[*physical.PlanNode]*task // the task of each materialization
+		if len(plan.Mats) > 0 {
+			mats = make(map[*physical.PlanNode]*task, len(plan.Mats))
+		}
+		for _, m := range plan.Mats {
+			if t := b.sched.add(b, m, true, mats); mats[m] == nil {
+				mats[m] = t
+			}
+		}
+		for _, q := range roots {
+			b.sched.add(b, q, false, mats)
+		}
+		if err := b.sched.run(); err != nil {
 			return nil, RunStats{}, err
 		}
-	}
-	var matRoots int
-	if b.prof != nil {
-		matRoots = len(b.prof.roots)
+		for i, t := range b.sched.tasks[len(plan.Mats):] {
+			results[i] = t.res
+		}
 	}
 
-	var results []QueryResult
 	var rowsOut int64
-	for _, q := range plan.QueryRoots() {
-		it, err := b.build(q, true, nil)
-		if err != nil {
-			return nil, RunStats{}, err
-		}
-		rows, err := drain(ctx, it)
-		if err != nil {
-			return nil, RunStats{}, err
-		}
+	for i, q := range roots {
+		res := results[i]
 		// Spool an admitted query root into the cache namespace: the rows
 		// are in hand, so the only extra cost is the sequential write the
 		// admission already accounted for. Mat roots were spooled by
 		// materialize; a repeated root in one batch spools once.
 		if name, ok := env.Cache.spoolName(q.N); ok && !q.Mat {
 			if _, err := db.Cache(name); err != nil {
-				ct := db.CreateCache(name, it.Schema())
-				for _, r := range rows {
+				ct := db.CreateCache(name, res.Schema)
+				for _, r := range res.Rows {
 					if _, err := ct.Heap.Insert(r); err != nil {
 						return nil, RunStats{}, err
 					}
 				}
 			}
 		}
-		rowsOut += int64(len(rows))
-		results = append(results, QueryResult{Schema: it.Schema(), Rows: rows})
+		rowsOut += int64(len(res.Rows))
 	}
 	if err := db.Pool.Flush(); err != nil {
 		return nil, RunStats{}, err
@@ -176,7 +190,17 @@ func Run(ctx context.Context, db *storage.DB, model cost.Model, plan *physical.P
 		float64(stats.WarmIO.Reads)*warmReadS + float64(stats.WarmIO.Writes)*model.WriteS +
 		float64(stats.WarmIO.Reads+stats.WarmIO.Writes)*model.CPUS
 	if b.prof != nil {
-		stats.Profile = &BatchProfile{Mats: b.prof.roots[:matRoots], Queries: b.prof.roots[matRoots:]}
+		stats.Profile = &BatchProfile{Queries: b.prof.roots}
+		if b.sched != nil {
+			stats.Profile.Queries = nil
+			for _, t := range b.sched.tasks {
+				if t.mat {
+					stats.Profile.Mats = append(stats.Profile.Mats, t.b.prof.roots...)
+				} else {
+					stats.Profile.Queries = append(stats.Profile.Queries, t.b.prof.roots...)
+				}
+			}
+		}
 		stats.Profile.sumPages()
 	}
 	recordRunMetrics(&stats)
@@ -248,6 +272,17 @@ type builder struct {
 	temps *storage.RunTemps
 	env   *Env
 	prof  *profiler // nil unless Env.Profile
+	sched *sched    // runs the tasks of a run of several and feeds their scans; nil in a run of one
+}
+
+// answer builds and drains a query root.
+func (b *builder) answer(q *physical.PlanNode) (QueryResult, error) {
+	it, err := b.build(q, true, nil)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	rows, err := drain(b.ctx, it)
+	return QueryResult{Schema: it.Schema(), Rows: rows}, err
 }
 
 // tempName is the temp-table name of a materialized plan node.
@@ -255,8 +290,10 @@ func tempName(pn *physical.PlanNode) string { return "mat_" + strconv.Itoa(pn.N.
 
 // materialize computes a Mat plan node into its temp table (and temp index
 // for index-property nodes), or — for nodes admitted to the result cache —
-// into a spooled cache table that survives the run. Mats arrive in
-// dependency order, so children temps already exist.
+// into a spooled cache table that survives the run. A task starts once the
+// temps it reads exist; one that needs a transient index temp another task
+// is building waits for it. In a profiled run the pages the write takes are
+// the materialization's own.
 func (b *builder) materialize(pn *physical.PlanNode) error {
 	src := pn
 	ixCol := ""
@@ -268,6 +305,13 @@ func (b *builder) materialize(pn *physical.PlanNode) error {
 	if ixCol == "" { // index materializations are never cache-admitted
 		spool, spooled = b.env.Cache.spoolName(pn.N)
 	}
+	key := tempName(pn)
+	if spooled {
+		key = "cache:" + spool
+	}
+	if err := b.sched.await(key); err != nil {
+		return err
+	}
 	if spooled {
 		if _, err := b.db.Cache(spool); err == nil {
 			return nil // already spooled by this run
@@ -275,13 +319,24 @@ func (b *builder) materialize(pn *physical.PlanNode) error {
 	} else if _, err := b.temps.Temp(tempName(pn)); err == nil {
 		return nil // already materialized
 	}
+	if b.sched != nil {
+		b.sched.building[key] = true
+		defer delete(b.sched.building, key)
+	}
 	it, err := b.build(src, false, nil)
 	if err != nil {
 		return err
 	}
+	var prof *NodeProfile
+	if b.prof != nil {
+		prof = b.prof.last
+	}
 	rows, err := drain(b.ctx, it)
 	if err != nil {
 		return err
+	}
+	if prof != nil {
+		defer func(misses int64) { prof.Pages += b.db.Pool.Misses() - misses }(b.db.Pool.Misses())
 	}
 	var target *storage.Table
 	if spooled {
@@ -325,6 +380,7 @@ func (b *builder) build(pn *physical.PlanNode, asConsumer bool, need colNeed) (I
 	b.prof.push(p)
 	it, err := b.buildOp(pn, asConsumer, need)
 	b.prof.pop()
+	b.prof.last = p
 	if err != nil {
 		return nil, err
 	}
@@ -502,13 +558,18 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 		return b.build(pn.Children[0], true, need)
 
 	case physical.InvokeOp, physical.InvokePartial:
+		// The Invoke rebinds the parameters the task's operators read from
+		// here on, which are the task's own: other tasks run meanwhile.
+		env := *b.env
+		env.Params = maps.Clone(b.env.Params)
+		b.env = &env
 		// The body's rows are teed to, and interleaved with scans of,
 		// per-binding cache tables, which hold whole rows.
 		child, err := b.build(pn.Children[0], true, nil)
 		if err != nil {
 			return nil, err
 		}
-		iv := &invokeIter{child: child, env: b.env, db: b.db,
+		iv := &invokeIter{child: child, env: b.env, db: b.db, ctx: b.ctx, sched: b.sched,
 			spools: b.env.Cache.bindSpools(pn.N)}
 		if pn.E.Kind == physical.InvokePartial {
 			iv.scans = make(map[string]physical.BindScan, len(pn.E.Arm.BindScans))
@@ -542,11 +603,22 @@ func (b *builder) joinInputs(pn *physical.PlanNode, need colNeed) (left, right I
 	return left, right, err
 }
 
-// scan returns a scan of a stored relation whose gates, if it is handed any,
-// stop dropping rows when the run is cancelled.
+// scan returns a scan of a stored relation in the run (newScan).
 func (b *builder) scan(heap *storage.HeapFile, stored algebra.Schema, need colNeed) *tableScan {
+	return newScan(b.ctx, b.sched, heap, stored, need)
+}
+
+// newScan returns a scan of a stored relation fed by the run's shared passes
+// when it has tasks (sched), which check the run's context before every page
+// they read; a scan that reads alone polls the context once per
+// drainCheckEvery rows its gates drop.
+func newScan(ctx context.Context, sched *sched, heap *storage.HeapFile, stored algebra.Schema, need colNeed) *tableScan {
 	s := newTableScan(heap, stored, need)
-	s.poll.ctx = b.ctx
+	if sched != nil {
+		s.cur.SetFeed(sched.feed)
+	} else {
+		s.poll.ctx = ctx
+	}
 	return s
 }
 
@@ -641,12 +713,16 @@ func (b *builder) resolveIndexedSource(pn *physical.PlanNode, col algebra.Column
 		}
 		// Build the stored index lazily on first use: catalog indexes are
 		// metadata; the storage side materializes them on demand, exactly
-		// once even when concurrent runs race on a shared base table.
+		// once even when concurrent runs race on a shared base table. The
+		// pages a build reads are the first probing operator's.
+		before := b.db.Pool.Misses()
 		idx, err := b.db.EnsureIndex(tab, col.Name)
 		if err != nil {
 			return nil, err
 		}
-		return newIndexedSource(tab.Heap, b.db.Pool, idx, requalify(tab.Schema, op.Alias), need), nil
+		src := newIndexedSource(tab.Heap, b.db.Pool, idx, requalify(tab.Schema, op.Alias), need)
+		src.misses = b.db.Pool.Misses() - before
+		return src, nil
 
 	case physical.IndexBuildEnf:
 		name := tempName(pn)
@@ -681,6 +757,8 @@ type invokeIter struct {
 	child Iterator
 	env   *Env
 	db    *storage.DB
+	ctx   context.Context // what its cache scans poll, or
+	sched *sched          // the tasks that feed them
 
 	// scans maps binding keys to cached-binding tables (InvokePartial
 	// only); spools maps binding keys to the tables this run must write.
@@ -756,14 +834,14 @@ func (iv *invokeIter) openBinding() error {
 func (iv *invokeIter) cacheScan(ref physical.BindScan) (*tableScan, error) {
 	if ref.Tier == cost.TierWarm {
 		if wt, err := iv.db.Warm(ref.Table); err == nil {
-			return newTableScan(wt.Heap, wt.Schema, nil), nil
+			return newScan(iv.ctx, iv.sched, wt.Heap, wt.Schema, nil), nil
 		}
 	}
 	ct, err := iv.db.Cache(ref.Table)
 	if err != nil {
 		return nil, fmt.Errorf("exec: armed binding table %s missing: %w", ref.Table, err)
 	}
-	return newTableScan(ct.Heap, ct.Schema, nil), nil
+	return newScan(iv.ctx, iv.sched, ct.Heap, ct.Schema, nil), nil
 }
 
 // closeBinding finishes the current binding: a fully drained spooled

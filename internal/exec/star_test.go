@@ -304,9 +304,10 @@ func starTree(s starShape) *algebra.Tree {
 }
 
 // starPlan builds the shape's operators over gated table scans of db's
-// tables, each wrapped by wrap, and returns the top one and the BNLJoins from
-// the bottom up, nil at a level of another operator.
-func starPlan(t *testing.T, db *storage.DB, s starShape, env *Env, wrap func(Iterator) Iterator) (Iterator, [3]*nlJoin) {
+// tables, each wrapped by wrap and fed by fed's passes (nil: reading alone),
+// and returns the top one and the BNLJoins from the bottom up, nil at a level
+// of another operator.
+func starPlan(t *testing.T, db *storage.DB, s starShape, env *Env, wrap func(Iterator) Iterator, fed *sched) (Iterator, [3]*nlJoin) {
 	t.Helper()
 	table := func(name string) *storage.Table {
 		tab, err := db.Table(name)
@@ -317,7 +318,7 @@ func starPlan(t *testing.T, db *storage.DB, s starShape, env *Env, wrap func(Ite
 	}
 	scan := func(name string) Iterator {
 		tab := table(name)
-		return wrap(newTableScan(tab.Heap, tab.Schema, nil))
+		return wrap(newScan(nil, fed, tab.Heap, tab.Schema, nil))
 	}
 	var joins [3]*nlJoin
 	cur := scan("f")
@@ -435,7 +436,7 @@ func starJoinsMatchReference(t *testing.T, wrap func(Iterator) Iterator) {
 					want = QueryResult{schema, rows}
 					reference[s.factLeft] = want
 				}
-				top, joins := starPlan(t, db, s, env, wrap)
+				top, joins := starPlan(t, db, s, env, wrap, nil)
 				for open := 1; open <= 2; open++ {
 					if got := mustDrain(t, top); !EqualRows(QueryResult{top.Schema(), got}, want, 0) {
 						t.Fatalf("%s, wide %v, %v, open %d: %d rows, want the reference's %d",
@@ -492,7 +493,7 @@ func TestStarJoinGatesReachTheFactScan(t *testing.T) {
 			want++
 		}
 	}
-	top, joins := starPlan(t, db, starShape{factLeft: [3]bool{true, true, true}}, &Env{}, func(it Iterator) Iterator { return it })
+	top, joins := starPlan(t, db, starShape{factLeft: [3]bool{true, true, true}}, &Env{}, func(it Iterator) Iterator { return it }, nil)
 	if rows := mustDrain(t, top); len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}

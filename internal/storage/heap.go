@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Slotted heap page layout:
@@ -119,7 +120,8 @@ func (h *HeapFile) Insert(r Row) (RID, error) {
 	return RID{Page: pid, Slot: slot}, nil
 }
 
-// slabRows is how many scanned rows share one backing array.
+// slabRows is how many rows a scan whose rows are the reader's to keep
+// (ScanCols) carves from one backing array.
 const slabRows = 256
 
 // rowWidth is the number of values a row read at cols holds.
@@ -151,31 +153,42 @@ func (h *HeapFile) GetCols(dst Row, rid RID, cols []int) (r Row, err error) {
 }
 
 // HeapCursor pulls a heap file's rows in file order, decoding the values at
-// the ascending positions cols (nil: all). One page at a time is decoded
-// under its shard lock, so the puller may use the pool between rows without
+// the ascending positions cols (nil: all). Its rows come from passes over the
+// file (Pass): alone, its Next reads the file a page at a time through a pass
+// of its own; given a feed (SetFeed), it waits instead to be fed by a pass it
+// shares with other cursors of the file. Either way a page is decoded under
+// its shard lock, so the puller may use the pool between rows without
 // reaching the page it is being fed from. A row is valid until the Next that
-// crosses into the following page, which decodes into the same slab; a
+// asks for rows the cursor has not been fed yet, which are decoded over it; a
 // puller that keeps a row longer copies it.
 //
 // A cursor may carry a list of Gates, which drop rows before they are
 // decoded: a gated cursor delivers, in file order, the rows that pass them
 // all. The gates of a record are tested one at a time, each on its own
-// columns, decoded when it is reached if no gate before it decoded them; the
-// first gate to fail the record drops it undecoded. A gate that drops a row
-// moves a place forward in the list, so the gates that drop most come to be
-// tested first.
+// columns, decoded when it is reached unless a gate before it decoded them;
+// the first gate to fail the record drops it undecoded. A gate that drops a
+// row moves a place forward in the list, so the gates that drop most come to
+// be tested first.
 type HeapCursor struct {
-	h     *HeapFile
-	cols  []int
-	keep  bool    // ScanCols: rows are the callback's to keep, so no slab is reused
-	gated *gating // nil until gates are set
+	h      *HeapFile
+	cols   []int
+	keep   bool    // ScanCols: rows are the callback's to keep, so no slab is reused
+	spent  bool    // Next handed over every row fed and asked for more: they may be decoded over
+	shared int32   // cursors fed by the largest pass that has fed it
+	gated  *gating // nil until gates are set
 
 	slab   Row
-	page   []Row // the current page's rows that passed the gates, in slot order
-	pos    int   // next of them to return
-	next   int   // next of h.pages to decode
+	rows   []Row // rows fed and not yet handed over are rows[pos:]
+	pos    int
+	next   int   // next of h.pages to feed it from
 	left   int64 // records not yet examined
-	faults int64 // pool misses its page reads took, over every pass
+	faults int64 // pool misses of the pages read for it, over every pass
+	err    error // what made the pass that fed it let it go, for Next to report
+
+	feed func(*HeapCursor) error // set: Next waits to be fed instead of reading alone
+	pass *Pass                   // the pass feeding it, nil when none
+	self [1]*HeapCursor          // the cursors of the pass it reads alone through
+	upos []int                   // where its columns stand among the pass's (nil: at the same positions)
 }
 
 // gating is what a cursor holds once it has been given gates: kept apart so
@@ -214,10 +227,24 @@ func (h *HeapFile) Cursor(cols []int) *HeapCursor {
 	return c
 }
 
-// Rewind positions the cursor before the first row again. The slab and the
-// gates stay.
+// Rewind positions the cursor before the first row again, out of any pass.
+// The slab, the gates and the feed stay.
 func (c *HeapCursor) Rewind() {
-	c.page, c.pos, c.next, c.left = c.page[:0], 0, 0, c.h.rows
+	c.Leave()
+	c.rows, c.pos, c.next, c.left, c.err, c.spent = c.rows[:0], 0, 0, c.h.rows, nil, true
+}
+
+// Leave takes the cursor out of the pass feeding it, if any: the rows it was
+// fed stay its own, and it is fed no more of that pass.
+func (c *HeapCursor) Leave() {
+	p := c.pass
+	if p == nil {
+		return
+	}
+	c.pass = nil
+	if i := slices.Index(p.cons, c); i >= 0 {
+		p.cons = slices.Delete(p.cons, i, i+1)
+	}
 }
 
 // SetGates makes the cursor decode, of the records it examines from now on,
@@ -237,19 +264,50 @@ func (c *HeapCursor) SetGates(gates []Gate, poll func() error) {
 	c.gated.gates, c.gated.poll = gates, poll
 }
 
+// SetFeed makes the cursor's Next, once it has handed over every row it was
+// fed and the file has more, call feed instead of reading a page alone. feed
+// is to return once the cursor is Fed — by having it join a Pass that its
+// caller steps — or with the error that ends the scan.
+func (c *HeapCursor) SetFeed(feed func(*HeapCursor) error) { c.feed = feed }
+
+// Fed reports whether the cursor's coming Next calls can do without another
+// page for now: it has an error to report, has been fed to the end of the
+// file, or holds as many rows as its slab takes.
+func (c *HeapCursor) Fed() bool { return c.err != nil || c.next >= len(c.h.pages) || c.full() }
+
+// full reports whether the cursor, fed by a pass, holds rows not yet handed
+// over and has no room left in its slab for another page of them.
+func (c *HeapCursor) full() bool {
+	return c.pass != nil && !c.spent && c.pos < len(c.rows) &&
+		cap(c.slab)-len(c.slab) < c.h.rowWidth(c.cols)*c.pass.slots
+}
+
+// Heap is the file the cursor reads.
+func (c *HeapCursor) Heap() *HeapFile { return c.h }
+
+// Pass is the pass feeding the cursor, nil when none is.
+func (c *HeapCursor) Pass() *Pass { return c.pass }
+
 // Remaining is the number of rows not yet examined, plus the decoded ones
 // not yet handed over: the rows still to come when no gate is set, and an
 // upper bound on them when one is.
-func (c *HeapCursor) Remaining() int64 { return c.left + int64(len(c.page)-c.pos) }
+func (c *HeapCursor) Remaining() int64 { return c.left + int64(len(c.rows)-c.pos) }
 
 // Decoded is the number of coming Next calls that hand over a row already
-// decoded; the one after them reads a page (or ends the file).
-func (c *HeapCursor) Decoded() int { return len(c.page) - c.pos }
+// decoded; the one after them asks for more (or ends the file).
+func (c *HeapCursor) Decoded() int { return len(c.rows) - c.pos }
 
-// Faults is the number of pool misses the cursor's page reads have caused
-// since it was created. Like the pool's counters it is exact for a serial
-// caller and approximate while other goroutines fault pages too.
+// Faults is the number of pool misses the page reads counted against the
+// cursor have caused since it was created: a pass counts each page it reads
+// against the first of the cursors it feeds. Like the pool's counters it is
+// exact for a serial caller and approximate while other goroutines fault
+// pages too.
 func (c *HeapCursor) Faults() int64 { return c.faults }
+
+// Shared is the number of cursors fed by the largest pass that has fed this
+// one: 1 for a cursor that has only read alone, 0 for one that has read
+// nothing.
+func (c *HeapCursor) Shared() int { return int(c.shared) }
 
 // Skipped is the number of records the gates have dropped since the cursor
 // was created.
@@ -262,90 +320,349 @@ func (c *HeapCursor) Skipped() int64 {
 
 // Next returns the next row, ok=false after the last.
 func (c *HeapCursor) Next() (r Row, ok bool, err error) {
-	for c.pos == len(c.page) {
-		if ok, err := c.nextPage(); err != nil || !ok {
+	for c.pos == len(c.rows) {
+		if c.err != nil {
+			err, c.err = c.err, nil
+			return nil, false, err
+		}
+		if c.next >= len(c.h.pages) {
+			return nil, false, nil
+		}
+		c.spent = true
+		if c.feed != nil {
+			err = c.feed(c)
+		} else {
+			err = c.readAlone()
+		}
+		if err != nil {
 			return nil, false, err
 		}
 	}
-	r = c.page[c.pos]
+	r = c.rows[c.pos]
 	c.pos++
 	return r, true, nil
 }
 
-// nextPage decodes the next page of the file into c.page; ok=false at the end
-// of the file.
-func (c *HeapCursor) nextPage() (ok bool, err error) {
-	if c.next == len(c.h.pages) {
-		return false, nil
-	}
-	c.page, c.pos = c.page[:0], 0
-	misses := c.h.pool.Misses()
-	err = c.h.pool.View(c.h.pages[c.next], c.decodePage)
-	c.faults += c.h.pool.Misses() - misses
-	c.next++
-	return err == nil, err
+// readAlone feeds the cursor the next page of the file through a pass of its
+// own, which reads the cursor's columns.
+func (c *HeapCursor) readAlone() (err error) {
+	c.self[0] = c
+	p := Pass{h: c.h, cons: c.self[:], next: c.next}
+	p.Step()
+	err, c.err = c.err, nil
+	return err
 }
 
-// decodePage is the one routine that turns a heap page into rows. Each record
-// is located (and so checked) in full and given its place in the slab; the
-// gates decode their columns there and test them, and only a row that passes
-// is decoded whole — what they decoded is not decoded again — and kept:
-// carved len == cap, so an append to one cannot reach the next.
-func (c *HeapCursor) decodePage(data []byte) (err error) {
-	n := pageNumSlots(data)
-	width := c.h.rowWidth(c.cols)
-	if cap(c.page) < int(n) {
-		c.page = make([]Row, 0, n)
+// A Pass reads a heap file's pages in file order, each once, for every
+// cursor it feeds. It faults a page once and locates each record once, over
+// the union of the cursors' columns; then each cursor's own gate list tests
+// the record, and a row that passes a cursor's gates is decoded into that
+// cursor's slab and fed to it. A lone cursor's Next reads through a pass of
+// its own; one that several cursors share is stepped by whoever drives them
+// (SetFeed).
+//
+// Cursors join a pass before it reads a page, and it starts where they stand,
+// so each is fed its rows in file order; one that comes later waits for
+// another pass. A cursor that, when the pass reads a page, still holds as
+// many rows as its slab takes — its puller is busy elsewhere — is let go, and
+// is fed by another pass from that page on: no cursor holds more than a slab.
+type Pass struct {
+	h       *HeapFile
+	cons    []*HeapCursor
+	next    int   // next of h.pages to read
+	started bool  // it has read a page, or is reading one
+	cols    []int // the union of the cursors' columns, ascending; nil: all
+	slots   int   // the most records a page it has read held
+}
+
+// NewPass returns a pass over the file that no cursor has joined.
+func (h *HeapFile) NewPass() *Pass { return &Pass{h: h} }
+
+// Join makes the pass feed c, which no pass feeds yet; ok=false when the pass
+// has read a page already or starts elsewhere in the file than c stands. The
+// first cursor to join a pass sets where it starts.
+func (p *Pass) Join(c *HeapCursor) (ok bool) {
+	switch {
+	case p.started || c.pass != nil || c.h != p.h:
+		return false
+	case len(p.cons) == 0:
+		p.next = c.next
+	case c.next != p.next:
+		return false
 	}
-	if !c.keep {
-		// The last page's rows are no longer valid: decode over them.
-		if c.slab = c.slab[:0]; cap(c.slab) < width*int(n) {
-			c.slab = make(Row, 0, width*int(n))
+	p.cons = append(p.cons, c)
+	c.pass = p
+	return true
+}
+
+// Started reports whether the pass has read a page.
+func (p *Pass) Started() bool { return p.started }
+
+// Heap is the file the pass reads.
+func (p *Pass) Heap() *HeapFile { return p.h }
+
+// Cursors are the cursors the pass feeds, in the order they joined; its page
+// reads are counted against the first (HeapCursor.Faults). The slice is the
+// pass's own, for the caller to read before the next Step.
+func (p *Pass) Cursors() []*HeapCursor { return p.cons }
+
+// Step reads the pass's next page and feeds each cursor its rows; at the end
+// of the file, or with no cursor to feed, it lets every cursor go. A cursor
+// the page fails for — a damaged record, or the poll of its gates — is handed
+// the error, which its Next reports, and let go.
+func (p *Pass) Step() {
+	if !p.started {
+		p.start()
+	}
+	cons := p.cons[:0]
+	for _, c := range p.cons {
+		if c.full() {
+			c.pass = nil // busy elsewhere: fed by another pass when it asks
+			continue
+		}
+		if c.spent {
+			c.rows, c.pos, c.spent = c.rows[:0], 0, false
+			if !c.keep {
+				c.slab = c.slab[:0]
+			}
+		}
+		cons = append(cons, c)
+	}
+	clear(p.cons[len(cons):])
+	p.cons = cons
+	if len(p.cons) == 0 || p.next >= len(p.h.pages) {
+		p.finish()
+		return
+	}
+	pool := p.h.pool
+	misses := pool.Misses()
+	err := pool.View(p.h.pages[p.next], p.decodePage)
+	p.cons[0].faults += pool.Misses() - misses
+	p.next++
+	cons = p.cons[:0]
+	for _, c := range p.cons {
+		if c.next = p.next; err != nil {
+			c.err = err
+		}
+		if c.err != nil {
+			c.pass = nil
+			continue
+		}
+		cons = append(cons, c)
+	}
+	clear(p.cons[len(cons):])
+	if p.cons = cons; p.next >= len(p.h.pages) {
+		p.finish()
+	}
+}
+
+// finish lets every cursor of the pass go.
+func (p *Pass) finish() {
+	for _, c := range p.cons {
+		c.pass = nil
+	}
+	clear(p.cons)
+	p.cons = p.cons[:0]
+}
+
+// start fixes, before the first page, the columns the pass locates — all
+// that any of its cursors reads — and where each cursor's columns stand among
+// them.
+func (p *Pass) start() {
+	p.started = true
+	p.cols = p.cons[0].cols
+	for _, c := range p.cons[1:] {
+		p.cols = unionCols(p.cols, c.cols)
+	}
+	for _, c := range p.cons {
+		c.upos = colPositions(c.cols, p.cols)
+		c.shared = max(c.shared, int32(len(p.cons)))
+	}
+}
+
+// unionCols is the ascending union of two ascending column lists, nil (all)
+// when either is.
+func unionCols(a, b []int) []int {
+	if a == nil || b == nil {
+		return nil
+	}
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
 		}
 	}
-	var at [32]int
-	offs := at[:0] // the record's value offsets, by position in its row
-	for s := uint16(0); s < n; s++ {
-		off, length := slotAt(data, s)
-		rec := data[off : off+length]
-		if offs, err = locate(offs[:0], rec, c.cols); err != nil {
+	return out
+}
+
+// colPositions is where each of cols, a subset of all, stands among all: nil
+// when at the same positions. A pass that locates every column (all nil)
+// finds column k at position k.
+func colPositions(cols, all []int) []int {
+	switch {
+	case all == nil:
+		return cols
+	case len(cols) == len(all):
+		return nil
+	}
+	pos := make([]int, len(cols))
+	j := 0
+	for k, col := range cols {
+		for all[j] != col {
+			j++
+		}
+		pos[k] = j
+	}
+	return pos
+}
+
+// decodePage is the one routine that turns a heap page into rows: each cursor
+// in turn takes the page's records (take). A lone cursor locates each
+// record itself as it takes it; for several, each record is located once,
+// over the union of their columns, before they take the page.
+func (p *Pass) decodePage(data []byte) (err error) {
+	n := int(pageNumSlots(data))
+	p.slots = max(p.slots, n)
+	if len(p.cons) == 1 {
+		return p.cons[0].take(data, n, nil, nil, p.cols)
+	}
+	var offsAt [512]int
+	var startsAt [128]int
+	// Record s's values at cols are at offs[starts[s]:starts[s+1]].
+	offs, starts := offsAt[:0], append(startsAt[:0], 0)
+	for s := 0; s < n; s++ {
+		off, length := slotAt(data, uint16(s))
+		if offs, err = locate(offs, data[off:off+length], p.cols); err != nil {
 			return err
+		}
+		starts = append(starts, len(offs))
+	}
+	for _, c := range p.cons {
+		c.err = c.take(data, n, starts, offs, p.cols)
+	}
+	return nil
+}
+
+// take feeds the cursor the rows of the page's n records that pass its
+// gates. Record s's values at the pass's columns cols are at offsets
+// located[starts[s]:starts[s+1]] in it, or, with no starts, located here. The
+// gates test a record in its row's place in the cursor's slab, and only a row
+// that passes them all is decoded whole there — what they decoded is not
+// decoded again — and fed: carved len == cap, so an append to one cannot
+// reach the next. err is a damaged record's, or the gates' poll's.
+func (c *HeapCursor) take(data []byte, n int, starts, located, cols []int) (err error) {
+	if cap(c.rows) < n {
+		c.rows = slices.Grow(c.rows, n-len(c.rows))
+	}
+	if need := c.h.rowWidth(c.cols) * n; !c.keep && len(c.slab) == 0 && cap(c.slab) < need {
+		c.slab = make(Row, 0, need)
+	}
+	upos, g := c.upos, c.gated
+	if g != nil && len(g.gates) == 0 {
+		g = nil
+	}
+	var at [32]int
+	offs := at[:0] // the record's value offsets, by position among cols
+	for s := 0; s < n; s++ {
+		off, length := slotAt(data, uint16(s))
+		rec := data[off : off+length]
+		if starts == nil {
+			if offs, err = locate(offs[:0], rec, cols); err != nil {
+				return err
+			}
+		} else {
+			offs = located[starts[s]:starts[s+1]]
 		}
 		c.left--
 		w := len(offs)
+		if upos != nil {
+			if w = len(upos); cols == nil && w > 0 && upos[w-1] >= len(offs) {
+				return fmt.Errorf("storage: column %d requested of a shorter row", upos[w-1])
+			}
+		}
 		if cap(c.slab)-len(c.slab) < w {
-			c.slab = make(Row, 0, max(width, w)*int(min(c.left+1, slabRows)))
+			c.slab = make(Row, 0, c.slabFor(w, n))
 		}
 		start := len(c.slab)
 		row := c.slab[start : start+w : start+w]
-		if g := c.gated; g == nil || len(g.gates) == 0 {
-			for k, o := range offs {
-				decodeAt(&row[k], rec, o)
-			}
-		} else {
-			if pass, err := g.admit(row, rec, offs); err != nil || !pass {
+		switch {
+		case g != nil:
+			if pass, err := g.admit(row, rec, offs, upos); !pass {
 				if err != nil {
 					return err
 				}
 				continue // the place is the next record's
 			}
-			for k, o := range offs {
+			for k := range row {
 				if g.seen[k] != g.stamp {
-					decodeAt(&row[k], rec, o)
+					decodeAt(&row[k], rec, offs[position(upos, k)])
 				}
+			}
+		case upos == nil:
+			for k, o := range offs {
+				decodeAt(&row[k], rec, o)
+			}
+		default:
+			for k, u := range upos {
+				decodeAt(&row[k], rec, offs[u])
 			}
 		}
 		c.slab = c.slab[:start+w]
-		c.page = append(c.page, row)
+		c.rows = append(c.rows, row)
 	}
 	return nil
+}
+
+// position is where the k-th of a cursor's columns stands among the pass's,
+// over which a record is located.
+func position(upos []int, k int) int {
+	if upos == nil {
+		return k
+	}
+	return upos[k]
+}
+
+// slabFor is the size of the slab a cursor starts when its own has no room
+// for a row of w values, in a page of n records: rows the reader keeps take
+// slabs of slabRows rows, and other cursors twice as large a slab as they had
+// or a page's, whichever is larger, which they go on reusing.
+func (c *HeapCursor) slabFor(w, n int) int {
+	w = max(w, c.h.rowWidth(c.cols))
+	if c.keep {
+		return w * int(min(c.left+1, slabRows))
+	}
+	return max(w*n, 2*cap(c.slab))
 }
 
 // admit tests a located record against the gates in their order, decoding
 // into row, the place the record's row would take, each gate's columns that
 // no gate before it decoded. The first gate to fail the record drops it and
 // swaps places with the gate before it. err is poll's.
-func (g *gating) admit(row Row, rec []byte, offs []int) (pass bool, err error) {
+func (g *gating) admit(row Row, rec []byte, offs, upos []int) (pass bool, err error) {
+	// The first gate, the one that has dropped most, meets a record nothing
+	// has decoded yet: only a record it passes needs its columns marked.
+	first := &g.gates[0]
+	for _, col := range first.Cols {
+		if col >= len(row) {
+			return true, nil // a record too short to test is decoded, and tested by whoever reads it
+		}
+		decodeAt(&row[col], rec, offs[position(upos, col)])
+	}
+	if ok, err := first.Test(row); !ok && err == nil {
+		g.skipped++ // drop(0), by hand: this is where a scan spends its time
+		if first.Dropped != nil {
+			*first.Dropped++
+		}
+		if g.poll != nil {
+			return false, g.poll()
+		}
+		return false, nil
+	}
 	if g.stamp++; g.stamp == 0 { // wrapped: every place's stamp is stale again
 		clear(g.seen)
 		g.stamp = 1
@@ -353,33 +670,41 @@ func (g *gating) admit(row Row, rec []byte, offs []int) (pass bool, err error) {
 	if len(g.seen) < len(row) {
 		g.seen = append(g.seen, make([]uint32, len(row)-len(g.seen))...)
 	}
-	for i := range g.gates {
+	for _, col := range first.Cols {
+		g.seen[col] = g.stamp
+	}
+	for i := 1; i < len(g.gates); i++ {
 		gate := &g.gates[i]
 		for _, col := range gate.Cols {
 			if col >= len(row) {
-				return true, nil // a record too short to test is decoded, and tested by whoever reads it
+				return true, nil
 			}
 			if g.seen[col] != g.stamp {
-				decodeAt(&row[col], rec, offs[col])
+				decodeAt(&row[col], rec, offs[position(upos, col)])
 				g.seen[col] = g.stamp
 			}
 		}
-		if ok, err := gate.Test(row); ok || err != nil {
-			continue
+		if ok, err := gate.Test(row); !ok && err == nil {
+			return false, g.drop(i)
 		}
-		g.skipped++
-		if gate.Dropped != nil {
-			*gate.Dropped++
-		}
-		if i > 0 {
-			g.gates[i-1], g.gates[i] = g.gates[i], g.gates[i-1]
-		}
-		if g.poll != nil {
-			return false, g.poll()
-		}
-		return false, nil
 	}
 	return true, nil
+}
+
+// drop counts a record the i-th gate was the first to fail, moves that gate a
+// place forward and polls.
+func (g *gating) drop(i int) error {
+	g.skipped++
+	if d := g.gates[i].Dropped; d != nil {
+		*d++
+	}
+	if i > 0 {
+		g.gates[i-1], g.gates[i] = g.gates[i], g.gates[i-1]
+	}
+	if g.poll != nil {
+		return g.poll()
+	}
+	return nil
 }
 
 // Scan visits every row in file order.
@@ -396,16 +721,17 @@ func (h *HeapFile) Scan(f func(rid RID, r Row) error) error { return h.ScanCols(
 func (h *HeapFile) ScanCols(cols []int, f func(rid RID, r Row) error) error {
 	c := h.Cursor(cols)
 	c.keep = true
-	for {
-		ok, err := c.nextPage()
-		if err != nil || !ok {
+	for c.next < len(h.pages) {
+		pid := h.pages[c.next]
+		c.spent = true
+		if err := c.readAlone(); err != nil {
 			return err
 		}
-		pid := h.pages[c.next-1]
-		for s, r := range c.page {
+		for s, r := range c.rows {
 			if err := f(RID{Page: pid, Slot: uint16(s)}, r); err != nil {
 				return err
 			}
 		}
 	}
+	return nil
 }
