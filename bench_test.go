@@ -6,11 +6,13 @@ package mqo_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"mqo"
 	"mqo/internal/bench"
+	"mqo/internal/psp"
 	"mqo/internal/ssb"
 	"mqo/internal/tpcd"
 )
@@ -146,27 +148,47 @@ func BenchmarkSpaceBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeAllAlgorithms measures one session optimizing TPC-D BQ5
-// under all four algorithms, plan cache off: what opt_scaleup does per batch.
-// The session expands the batch and builds its physical DAG once, before the
-// timer; each operation then resets that DAG's costing state and searches it,
-// four times. The figures to read are ns/op and B/op.
+// BenchmarkOptimizeAllAlgorithms measures one session optimizing a batch
+// under all four algorithms, plan cache off: what opt_scaleup does per batch,
+// one sub-benchmark for each of its eleven batches — TPC-D BQ1..BQ5 and PSP
+// CQ1..CQ5 at SF 1, and BQ5 for six tenants. The session expands the batch
+// and builds its physical DAG once, before the timer; each operation then
+// resets that DAG's costing state and searches it, four times. The figures to
+// read are ns/op and B/op.
 func BenchmarkOptimizeAllAlgorithms(b *testing.B) {
-	opt, err := mqo.Open(tpcd.Catalog(1))
-	if err != nil {
-		b.Fatal(err)
+	type batch struct {
+		name    string
+		cat     *mqo.Catalog
+		queries []*mqo.Query
 	}
-	ctx, queries := context.Background(), tpcd.BatchQueries(5)
-	if _, err := opt.OptimizeBatch(ctx, queries, mqo.Volcano); err != nil {
-		b.Fatal(err)
+	var batches []batch
+	for i := 1; i <= 5; i++ {
+		batches = append(batches, batch{fmt.Sprintf("BQ%d", i), tpcd.Catalog(1), tpcd.BatchQueries(i)})
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		for _, alg := range mqo.Algorithms() {
-			if _, err := opt.OptimizeBatch(ctx, queries, alg); err != nil {
+	for i := 1; i <= 5; i++ {
+		batches = append(batches, batch{fmt.Sprintf("CQ%d", i), psp.Catalog(1), psp.CQ(i)})
+	}
+	const tenants = 6
+	batches = append(batches, batch{fmt.Sprintf("BQ5x%d", tenants), tpcd.TenantCatalog(1, tenants), tpcd.TenantBatch(5, tenants)})
+	for _, bt := range batches {
+		b.Run(bt.name, func(b *testing.B) {
+			opt, err := mqo.Open(bt.cat)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			ctx := context.Background()
+			if _, err := opt.OptimizeBatch(ctx, bt.queries, mqo.Volcano); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, alg := range mqo.Algorithms() {
+					if _, err := opt.OptimizeBatch(ctx, bt.queries, alg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -90,14 +90,15 @@ type Options struct {
 	// (one logical group per worker). 0 — the default, and the only
 	// setting production uses — auto-tunes each phase: serial below the
 	// phase's crossover (work estimate = items × DAG nodes; the per-phase
-	// constants are in parallel.go). 1 forces strictly serial execution and
-	// n > 1 forces n workers; the equivalence tests use them. The
-	// materialization set, plan and cost are identical at every setting
-	// (selection breaks ties by benefit, then node topological order, and
-	// the speculation schedules are worker-count independent); only
-	// wall-clock time changes. Greedy.DisableIncremental forces serial
-	// benefit evaluation, since from-scratch recosting mutates the shared
-	// DAG.
+	// constants are in parallel.go), and the monotonic greedy loop, whose
+	// waves hold at most speculationWidth candidates, serial at any size. 1
+	// forces strictly serial execution and n > 1 forces n workers; the
+	// equivalence tests use them. The materialization set, plan and cost
+	// are identical at every setting (selection breaks ties by benefit,
+	// then node topological order, and the speculation schedules are
+	// worker-count independent); only wall-clock time changes.
+	// Greedy.DisableIncremental forces serial benefit evaluation, since
+	// from-scratch recosting mutates the shared DAG.
 	Parallelism int
 }
 
@@ -197,10 +198,12 @@ func BuildLogical(cat *catalog.Catalog, queries []*algebra.Tree) (*dag.DAG, erro
 }
 
 // ClearMaterialized resets the DAG's costing state to the empty
-// materialized set.
+// materialized set: it drops the members without propagating and then
+// re-costs in one full pass, so the search counters (Figure 10's
+// propagations and recomputations) count no work of its own.
 func ClearMaterialized(pd *physical.DAG) {
 	for _, m := range pd.MaterializedSet() {
-		pd.SetMaterialized(m, false)
+		pd.SetMaterializedRaw(m, false)
 	}
 	pd.Recost()
 }

@@ -46,11 +46,17 @@ type searchEngine struct {
 	waves int64
 }
 
-// newSearchEngine builds an engine for one optimization run. numCandidates
-// sizes the auto-tune work estimate (candidates × DAG nodes, the cost of
-// one full evaluation wave).
-func newSearchEngine(pd *physical.DAG, opts Options, numCandidates int) *searchEngine {
-	w := resolveWorkers(benefitCrossover, opts.Parallelism, numCandidates*len(pd.Nodes))
+// newSearchEngine builds an engine for one optimization run whose widest
+// evaluation wave holds waveItems candidates. That sizes the auto-tune work
+// estimate (waveItems × DAG nodes, the cost of one full wave), except that a
+// wave no wider than speculationWidth never pays for waking workers
+// (benefitCrossover) and runs serially whatever the DAG's size.
+func newSearchEngine(pd *physical.DAG, opts Options, waveItems int) *searchEngine {
+	units := waveItems * len(pd.Nodes)
+	if waveItems <= speculationWidth {
+		units = 0
+	}
+	w := resolveWorkers(benefitCrossover, opts.Parallelism, units)
 	if opts.Greedy.DisableIncremental {
 		// §6.3 ablation: from-scratch recosting mutates the shared DAG, so
 		// it cannot fan out.

@@ -44,7 +44,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	if opts.Greedy.DisableSharability {
 		MarkAllSharable(pd)
 	} else {
-		degrees = ComputeSharability(pd, opts.Parallelism)
+		degrees = memoSharability(pd, opts.Parallelism)
 	}
 	sharePhase.end()
 
@@ -62,7 +62,13 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	stats.Candidates = len(candidates)
 	candPhase.end()
 
-	e := newSearchEngine(pd, opts, len(candidates))
+	// The monotonic loop's waves hold at most speculationWidth candidates,
+	// the others' every remaining one.
+	wave := len(candidates)
+	if opts.Greedy.SpaceBudgetBytes <= 0 && !opts.Greedy.DisableMonotonicity {
+		wave = min(wave, speculationWidth)
+	}
+	e := newSearchEngine(pd, opts, wave)
 
 	wavePhase := startPhase(&stats, track, OptPhaseWaves)
 	var (

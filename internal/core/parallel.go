@@ -29,23 +29,37 @@ const maxAutoWorkers = 8
 // runs serially, above it it fans out. They differ because the phases do
 // different work per unit, so one shared constant mis-tunes two of the
 // three. Crossovers move wall-clock only, never the chosen plan.
+//
+// The greedy and Volcano-RU figures below are medians of five 0.5 s runs
+// per side, workers 1 against 2 at GOMAXPROCS 2, over opt_scaleup's batches
+// (BenchmarkOptimizeAllAlgorithms runs the same batches end to end), after
+// propagation went decrease-only and a what-if got cheaper.
 const (
 	// Greedy benefit waves (engine.go): each item propagates costs through a
-	// CostView overlay; BQ-scale waves amortize the worker wakeups and
-	// per-view bookkeeping at about this much propagation work, and smaller
-	// batches were faster serial at every worker count.
-	benefitCrossover = 32768
+	// CostView overlay, and a wave pays a fixed price for waking its workers.
+	// A wave of the exhaustive loop (DisableMonotonicity), which holds every
+	// remaining candidate, pays it back from CQ1 (8 568 units: 0.61 → 0.54
+	// ms) and BQ2 (40 698: 3.35 → 2.47 ms) up — BQ5x6 238 → 150 ms — and
+	// not at BQ1 (1 150: 0.12 → 0.16 ms). A wave of the monotonic loop holds
+	// at most speculationWidth candidates: two workers tied at CQ2 and lost
+	// on every other batch, BQ1 to BQ5x6 (+10 to +100 %; BQ5x6 17.7 → 22.0
+	// ms), so waves that narrow run serially (newSearchEngine). Was 32768
+	// while every wave fanned out by this estimate.
+	benefitCrossover = 4096
 	// Sharability analysis (§4.1), one logical group per item, an item one
 	// pass of the recurrences over flat arrays (sharability.go). Lowered
 	// from 65536 when the pass moved off its scratch map: re-measured with
 	// BenchmarkSharability at -cpu 1,2 and the smaller BQ/CQ batches, two
 	// workers tie or lose up to BQ4 (14.8K units) and win from BQ5 (18.6K,
-	// 0.31 → 0.23 ms) and CQ3 (21.8K) up; CQ5 (67.3K) 0.98 → 0.64 ms.
+	// 0.31 → 0.23 ms) and CQ3 (21.8K) up; CQ5 (67.3K) 0.98 → 0.64 ms. It
+	// runs once per physical DAG (memoSharability).
 	sharabilityCrossover = 16384
 	// Volcano-RU's forward/reverse order passes: two heavy items, almost no
-	// scheduling overhead, so running them concurrently wins at half the
-	// benefit crossover.
-	ruCrossover = 16384
+	// scheduling overhead. Running them concurrently loses at CQ1 (476
+	// units: 0.21 → 0.24 ms) and wins from BQ2 (1 292: 0.54 → 0.51 ms) and
+	// BQ3 (2 568: 1.06 → 0.79 ms) up; CQ5 (30 780) 3.41 → 2.98 ms. Was 16384,
+	// which kept every batch below CQ4 serial.
+	ruCrossover = 1024
 )
 
 // resolveWorkers maps the Options.Parallelism knob to a concrete worker

@@ -26,6 +26,34 @@ import (
 // (the paper's e1/e2/e3 example in §3.2); the bottom-up product over the
 // recurrences accounts for this.
 func ComputeSharability(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
+	degrees := degreesOfSharing(pd, parallelism)
+	markSharable(pd, degrees)
+	return degrees
+}
+
+// memoSharability is ComputeSharability for a search: the degrees depend
+// only on the logical DAG and the root, both fixed when the physical DAG is
+// built, so the DAG's first search computes them and keeps them on the DAG
+// (physical.DAG.Degrees) for every later one. The flags are set on every
+// call, because the sharability ablation (MarkAllSharable) overwrites them.
+func memoSharability(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
+	if pd.Degrees == nil {
+		pd.Degrees = degreesOfSharing(pd, parallelism)
+	}
+	markSharable(pd, pd.Degrees)
+	return pd.Degrees
+}
+
+// markSharable sets every node's Sharable flag from its group's degree.
+func markSharable(pd *physical.DAG, degrees map[*dag.Group]float64) {
+	for _, n := range pd.Nodes {
+		n.Sharable = degrees[n.LG] > 1 && !n.LG.ParamDep
+	}
+}
+
+// degreesOfSharing runs the §4.1 analysis: the degree of sharing of every
+// logical group below pd's root.
+func degreesOfSharing(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
 	order := logicalTopoOrder(pd.L, pd.Root.LG)
 	f := flatten(pd.L, order)
 	zs := len(order) - 1 // every group but the root, which comes last
@@ -53,9 +81,6 @@ func ComputeSharability(pd *physical.DAG, parallelism int) map[*dag.Group]float6
 	degrees := make(map[*dag.Group]float64, zs)
 	for z, d := range degs {
 		degrees[order[z]] = d
-	}
-	for _, n := range pd.Nodes {
-		n.Sharable = degrees[n.LG] > 1 && !n.LG.ParamDep
 	}
 	return degrees
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"mqo/internal/catalog"
 	"mqo/internal/cost"
 	"mqo/internal/dag"
+	"mqo/internal/physical"
 	"mqo/internal/psp"
 	"mqo/internal/tpcd"
 )
@@ -142,6 +144,57 @@ func BenchmarkSharability(b *testing.B) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestSharabilityMemo: the degrees a DAG keeps from its first greedy search
+// serve every later one. On one DAG, Greedy, then Greedy with the
+// sharability ablation (which marks every node sharable), then Greedy again
+// must each return what the same run returns on a fresh DAG — plan, cost,
+// materialized set and sharable-node count — and the kept degrees must equal
+// a fresh analysis's, also after the result cache armed the DAG.
+func TestSharabilityMemo(t *testing.T) {
+	for _, b := range sharabilityBatches {
+		t.Run(b.name, func(t *testing.T) {
+			build := func() *physical.DAG {
+				pd, err := BuildDAG(b.cat(), cost.DefaultModel(), b.queries())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pd
+			}
+			pd := build()
+			for i, opts := range []Options{{}, {Greedy: GreedyOptions{DisableSharability: true}}, {}} {
+				got, err := Optimize(context.Background(), pd, Greedy, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Optimize(context.Background(), build(), Greedy, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := renderGolden(got), renderGolden(want); g != w {
+					t.Fatalf("run %d on the kept DAG:\n%s\nfresh DAG:\n%s", i, g, w)
+				}
+				if got.Stats.SharableNodes != want.Stats.SharableNodes {
+					t.Fatalf("run %d: %d sharable nodes, fresh DAG %d", i, got.Stats.SharableNodes, want.Stats.SharableNodes)
+				}
+			}
+			if pd.Degrees == nil {
+				t.Fatal("no degrees kept on the DAG")
+			}
+			pd.ArmCacheScan(pd.QueryRoots[0], "rc_memo", 0.5, cost.TierRAM)
+			kept := pd.Degrees
+			fresh := ComputeSharability(pd, 1)
+			if len(kept) != len(fresh) {
+				t.Fatalf("%d kept degrees, fresh analysis %d", len(kept), len(fresh))
+			}
+			for g, d := range fresh {
+				if kd, ok := kept[g]; !ok || kd != d {
+					t.Fatalf("group %d: kept degree %v, fresh %v", g.ID, kd, d)
+				}
 			}
 		})
 	}

@@ -86,7 +86,7 @@ func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Res
 // an empty materialized set). The shared DAG is read, never written.
 func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, order []int) (*Result, error) {
 	plan := physical.NewPlan()
-	count := map[*physical.Node]int{}
+	count := make([]int, len(pd.Nodes)) // by Node.Topo
 	queryPlans := make([]*physical.PlanNode, len(pd.QueryRoots))
 
 	var promotions int64
@@ -107,11 +107,11 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 			if node.LG.ParamDep || node == pd.Root {
 				return
 			}
-			count[node]++
+			count[node.Topo]++
 			if v.Materialized(node) {
 				return
 			}
-			c := float64(count[node])
+			c := float64(count[node.Topo])
 			nc := v.CostOf(node)
 			if nc+node.MatCost+c*node.ReuseSeq < (c+1)*nc {
 				v.SetMaterialized(node, true)

@@ -36,8 +36,8 @@ func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView
 		pd:        pd,
 		v:         v,
 		plan:      plan,
-		costOf:    map[*physical.PlanNode]cost.Cost{},
-		mat:       map[*physical.PlanNode]bool{},
+		costOf:    make([]cost.Cost, len(pd.Nodes)),
+		mat:       make([]bool, len(pd.Nodes)),
 		origExpr:  map[*physical.PlanNode]*physical.PExpr{},
 		origChild: map[*physical.PlanNode][]*physical.PlanNode{},
 	}
@@ -50,7 +50,7 @@ func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
-		sh.mat = map[*physical.PlanNode]bool{}
+		clear(sh.mat)
 		sh.decide()
 		if !sh.undo() {
 			break
@@ -65,8 +65,10 @@ type shState struct {
 	v    *physical.CostView // overlay the plan was extracted under (may be nil)
 	plan *physical.Plan
 
-	costOf    map[*physical.PlanNode]cost.Cost
-	mat       map[*physical.PlanNode]bool
+	// costOf and mat are by the Topo of a plan node's physical node: a plan
+	// has one plan node per physical node (Plan.ByNode).
+	costOf    []cost.Cost
+	mat       []bool
 	origExpr  map[*physical.PlanNode]*physical.PExpr
 	origChild map[*physical.PlanNode][]*physical.PlanNode
 }
@@ -139,26 +141,26 @@ func (sh *shState) prepass() {
 
 // recountParents recomputes NumParents over the current plan DAG.
 func (sh *shState) recountParents() {
-	counts := map[*physical.PlanNode]int{}
+	counts := make([]int, len(sh.pd.Nodes))
 	sh.plan.Root.Walk(func(pn *physical.PlanNode) {
 		for _, c := range pn.Children {
-			counts[c]++
+			counts[c.N.Topo]++
 		}
 	})
-	sh.plan.Root.Walk(func(pn *physical.PlanNode) { pn.NumParents = counts[pn] })
+	sh.plan.Root.Walk(func(pn *physical.PlanNode) { pn.NumParents = counts[pn.N.Topo] })
 }
 
 // numUses is the paper's numuses⁻ underestimate: the number of parent links
 // in the consolidated plan, with nested-query invocation counts multiplying
 // the link from an Invoke parent (§5).
-func (sh *shState) numUses() map[*physical.PlanNode]float64 {
-	uses := map[*physical.PlanNode]float64{}
+func (sh *shState) numUses() []float64 {
+	uses := make([]float64, len(sh.pd.Nodes))
 	sh.plan.Root.Walk(func(pn *physical.PlanNode) {
 		for _, c := range pn.Children {
-			uses[c] += pn.E.Weight()
+			uses[c.N.Topo] += pn.E.Weight()
 		}
 	})
-	uses[sh.plan.Root] = 1
+	uses[sh.plan.Root.N.Topo] = 1
 	return uses
 }
 
@@ -167,8 +169,8 @@ func (sh *shState) numUses() map[*physical.PlanNode]float64 {
 func (sh *shState) exprCost(e *physical.PExpr, children []*physical.PlanNode) cost.Cost {
 	total := e.OpCost
 	for _, c := range children {
-		contrib := sh.costOf[c]
-		if sh.mat[c] && c.N.ReuseSeq < contrib {
+		contrib := sh.costOf[c.N.Topo]
+		if sh.mat[c.N.Topo] && c.N.ReuseSeq < contrib {
 			contrib = c.N.ReuseSeq
 		}
 		total += e.Weight() * contrib
@@ -180,12 +182,12 @@ func (sh *shState) exprCost(e *physical.PExpr, children []*physical.PlanNode) co
 func (sh *shState) decide() {
 	uses := sh.numUses()
 	for _, pn := range sh.allNodes() {
-		sh.costOf[pn] = sh.exprCost(pn.E, pn.Children)
-		nu := uses[pn]
+		sh.costOf[pn.N.Topo] = sh.exprCost(pn.E, pn.Children)
+		nu := uses[pn.N.Topo]
 		if nu < 2 || pn.N.LG.ParamDep {
 			continue
 		}
-		c := sh.costOf[pn]
+		c := sh.costOf[pn.N.Topo]
 		matc, reuse := pn.N.MatCost, pn.N.ReuseSeq
 		if !pn.N.LG.SubsumpNode {
 			// The paper's test (eq. 2) is matcost/(numuses−1) + reusecost
@@ -195,7 +197,7 @@ func (sh *shState) decide() {
 			// consistent condition is cost + matcost + nu·reuse <
 			// nu·cost:
 			if matc+nu*reuse < (nu-1)*c {
-				sh.mat[pn] = true
+				sh.mat[pn.N.Topo] = true
 			}
 			continue
 		}
@@ -205,7 +207,7 @@ func (sh *shState) decide() {
 		// already account for paying reusecost per use).
 		savings := sh.subsumptionSavings(pn)
 		if c+matc < savings {
-			sh.mat[pn] = true
+			sh.mat[pn.N.Topo] = true
 		}
 	}
 }
@@ -226,10 +228,10 @@ func (sh *shState) subsumptionSavings(pn *physical.PlanNode) cost.Cost {
 		}
 		origCost := sh.exprCost(orig, sh.origChild[p])
 		// Cost via the subsumption derivation assuming pn is materialized.
-		wasMat := sh.mat[pn]
-		sh.mat[pn] = true
+		wasMat := sh.mat[pn.N.Topo]
+		sh.mat[pn.N.Topo] = true
 		subCost := sh.exprCost(p.E, p.Children)
-		sh.mat[pn] = wasMat
+		sh.mat[pn.N.Topo] = wasMat
 		if origCost > subCost {
 			savings += origCost - subCost
 		}
@@ -244,7 +246,7 @@ func (sh *shState) undo() bool {
 	changed := false
 	for pn, orig := range sh.origExpr {
 		sharedInput := pn.Children[0]
-		if sh.mat[sharedInput] {
+		if sh.mat[sharedInput.N.Topo] {
 			continue
 		}
 		pn.E = orig
@@ -264,16 +266,16 @@ func (sh *shState) undo() bool {
 func (sh *shState) finish() (cost.Cost, []*physical.Node) {
 	ordered := sh.nodes()
 	for _, pn := range ordered {
-		sh.costOf[pn] = sh.exprCost(pn.E, pn.Children)
+		sh.costOf[pn.N.Topo] = sh.exprCost(pn.E, pn.Children)
 	}
-	total := sh.costOf[sh.plan.Root]
+	total := sh.costOf[sh.plan.Root.N.Topo]
 	var mats []*physical.Node
 	for _, pn := range ordered {
-		if sh.mat[pn] {
+		if sh.mat[pn.N.Topo] {
 			pn.Mat = true
 			sh.plan.Mats = append(sh.plan.Mats, pn)
 			mats = append(mats, pn.N)
-			total += sh.costOf[pn] + pn.N.MatCost
+			total += sh.costOf[pn.N.Topo] + pn.N.MatCost
 		}
 	}
 	return total, mats

@@ -60,6 +60,7 @@ func (k AlgKind) String() string {
 // off the index property of the node it belongs to (IxCol).
 type PExpr struct {
 	Kind     AlgKind
+	id       int32     // creation ordinal, what a propagation's stamps index (nodeHeap.moved)
 	LE       *dag.Expr // originating logical expression (nil for enforcers)
 	Children []*Node   // carved from the DAG's child slab, never appended to
 	Node     *Node     // owner
@@ -181,8 +182,15 @@ type DAG struct {
 	// allocation of its own.
 	exprSlab []PExpr
 	kidSlab  []*Node
+	numExprs int32 // operation nodes made so far, armed ones included
 
 	costing costState
+
+	// Degrees caches the §4.1 degree of sharing of every logical group
+	// below the root (core's sharability analysis). They depend only on L
+	// and Root, both fixed when Build returns, so the DAG's first greedy
+	// search computes them and every later one reads them; nil until then.
+	Degrees map[*dag.Group]float64
 
 	// armed is set once the result cache has added an alternative to the DAG
 	// (ArmCacheScan, ArmInvokePartial).
@@ -334,6 +342,8 @@ func (pd *DAG) addWeighted(e PExpr, weight float64, children ...*Node) {
 	e.Children, pd.kidSlab = pd.kidSlab[:k:k], pd.kidSlab[k:]
 	copy(e.Children, children)
 	e.weight = weight
+	e.id = pd.numExprs
+	pd.numExprs++
 	*p = e
 	p.Node.Exprs = append(p.Node.Exprs, p)
 	for _, c := range children {

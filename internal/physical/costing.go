@@ -230,9 +230,27 @@ func (pd *DAG) TotalCost() cost.Cost {
 type nodeHeap struct {
 	items []*Node
 	in    []bool // by Node.Topo: the node is in items
+	// moved[e.id] == round says an input of operation node e moved in the
+	// current propagation: it is a seed, or its cost changed. Such an e's
+	// cost may differ from the last round's; a decrease-only update re-prices
+	// those and no others (lowerCost).
+	moved []uint32
+	round uint32
 }
 
 func newNodeHeap(nodes int) nodeHeap { return nodeHeap{in: make([]bool, nodes)} }
+
+// nextRound starts a propagation over a DAG of exprs operation nodes: no
+// input has moved in it yet. (Once the counter wraps, a stamp from 2³² rounds
+// ago reads as current; that only re-prices an operation node whose cost
+// stands.)
+func (h *nodeHeap) nextRound(exprs int32) {
+	if int(exprs) > len(h.moved) {
+		// The result cache armed alternatives since the heap was made.
+		h.moved = append(h.moved, make([]uint32, int(exprs)-len(h.moved))...)
+	}
+	h.round++
+}
 
 func (h *nodeHeap) add(n *Node) {
 	if h.in[n.Topo] {
@@ -281,16 +299,26 @@ func (h *nodeHeap) pop() *Node {
 }
 
 // propagate is the paper's incremental cost update (Figure 5) after n's
-// materialization was toggled: seed with the nodes of n's group whose
-// consumers may now see a different input cost (the changed set S△S′), then
-// walk upward in topological order so no node is processed twice. Under a
-// view the new costs are recorded as overrides, otherwise written to the
-// nodes. It returns the number of nodes re-examined.
-func (pd *DAG) propagate(v *CostView, n *Node) int {
+// materialization was toggled, to on when on is set: seed with the nodes of
+// n's group whose consumers may now see a different input cost (the changed
+// set S△S′), then walk upward in topological order so no node is processed
+// twice. Under a view the new costs are recorded as overrides, otherwise
+// written to the nodes. It returns the number of nodes re-examined.
+//
+// A node is re-examined when one of its inputs moved. After a
+// materialization is turned off, each is re-costed in full (nodeCost). One
+// turned on can only lower costs — C(e) gains a reuse option and loses none,
+// and OpCost + w·x with w ≥ 0 is monotone in floats — so a node's operation
+// nodes with no moved input keep their cost, and its new cost is the least
+// of its old one and those of the operation nodes that have a moved input
+// (lowerCost): the value nodeCost would return, bit for bit, for a fraction
+// of the work.
+func (pd *DAG) propagate(v *CostView, n *Node, on bool) int {
 	h := &pd.costing.heap
 	if v != nil {
 		h = &v.heap
 	}
+	h.nextRound(pd.numExprs)
 	for _, s := range pd.siblings(n) {
 		if n.Prop.Satisfies(s.Prop) {
 			h.add(s)
@@ -301,7 +329,12 @@ func (pd *DAG) propagate(v *CostView, n *Node) int {
 		cur := h.pop()
 		touched++
 		old := pd.costIn(v, cur)
-		next := pd.nodeCost(v, cur)
+		var next cost.Cost
+		if on {
+			next = pd.lowerCost(v, h, cur, old)
+		} else {
+			next = pd.nodeCost(v, cur)
+		}
 		if v != nil {
 			v.override(cur, next)
 		} else {
@@ -311,11 +344,28 @@ func (pd *DAG) propagate(v *CostView, n *Node) int {
 		// what changed for them is whether they can reuse it.
 		if next != old || (cur.gi == n.gi && n.Prop.Satisfies(cur.Prop)) {
 			for _, p := range cur.Parents {
+				h.moved[p.id] = h.round
 				h.add(p.Node)
 			}
 		}
 	}
 	return touched
+}
+
+// lowerCost is nodeCost after an addition to the materialized set, given the
+// node's cost old before it: the operation nodes with an input that moved
+// this round are re-priced, the others keep the cost old already accounts
+// for (see propagate).
+func (pd *DAG) lowerCost(v *CostView, h *nodeHeap, n *Node, old cost.Cost) cost.Cost {
+	best := old
+	for _, e := range n.Exprs {
+		if h.moved[e.id] == h.round {
+			if ec := pd.exprCostIn(v, e); ec < best {
+				best = ec
+			}
+		}
+	}
+	return best
 }
 
 // SetMaterialized toggles the materialization status of n and incrementally
@@ -328,7 +378,7 @@ func (pd *DAG) SetMaterialized(n *Node, on bool) int {
 	}
 	pd.SetMaterializedRaw(n, on)
 	cs.Recomputations++
-	touched := pd.propagate(nil, n)
+	touched := pd.propagate(nil, n, on)
 	cs.Propagations += int64(touched)
 	return touched
 }

@@ -163,7 +163,7 @@ func (v *CostView) SetMaterialized(n *Node, on bool) int {
 		}
 	}
 	v.Recomputations++
-	touched := pd.propagate(v, n)
+	touched := pd.propagate(v, n, on)
 	v.Propagations += int64(touched)
 	return touched
 }

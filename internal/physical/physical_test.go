@@ -6,6 +6,9 @@ import (
 
 	"mqo/internal/algebra"
 	"mqo/internal/catalog"
+	"mqo/internal/cost"
+	"mqo/internal/psp"
+	"mqo/internal/tpcd"
 )
 
 func testCatalog() *catalog.Catalog {
@@ -118,35 +121,72 @@ func TestCostingPositiveAndMonotoneAtRoot(t *testing.T) {
 }
 
 // TestIncrementalMatchesScratch is the central §4.2 correctness property:
-// incremental cost update must agree with from-scratch recosting for random
-// materialization sets.
+// incremental cost update — a full re-cost of every node the propagation
+// reaches when a materialization goes, the decrease-only update when one
+// comes — leaves every node at the cost a from-scratch Recost gives the same
+// materialized set, to the bit. A seeded sequence toggles nodes on the shared
+// DAG and inside a view over it; after each step a twin DAG, built the same
+// way, is given the same set and re-costed from scratch.
 func TestIncrementalMatchesScratch(t *testing.T) {
-	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"B", "C", "D"}, 60))
-	rng := rand.New(rand.NewSource(7))
-	var current []*Node
-	for trial := 0; trial < 60; trial++ {
-		// Random toggle.
-		n := pd.Nodes[rng.Intn(len(pd.Nodes))]
-		if n == pd.Root || n.LG.ParamDep {
-			continue
-		}
-		if pd.Materialized(n) {
-			pd.SetMaterialized(n, false)
-			for i, m := range current {
-				if m == n {
-					current = append(current[:i], current[i+1:]...)
-					break
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) *DAG
+	}{
+		{"BQ5", func(t *testing.T) *DAG { return buildOver(t, tpcd.Catalog(1), tpcd.BatchQueries(5)) }},
+		{"CQ3", func(t *testing.T) *DAG { return buildOver(t, psp.Catalog(1), psp.CQ(3)) }},
+		{"armed", armedDAG},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pd, twin := tc.build(t), tc.build(t)
+			for i, n := range pd.Nodes {
+				if m := twin.Nodes[i]; m.ID != n.ID || len(m.Exprs) != len(n.Exprs) {
+					t.Fatalf("twin node %d is node %d with %d operation nodes, want node %d with %d",
+						i, m.ID, len(m.Exprs), n.ID, len(n.Exprs))
 				}
 			}
-		} else {
-			pd.SetMaterialized(n, true)
-			current = append(current, n)
-		}
-		incr := pd.TotalCost()
-		scratch := pd.BestCostWith(current)
-		if diff := incr - scratch; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("trial %d: incremental %v != scratch %v (set size %d)", trial, incr, scratch, len(current))
-		}
+			cands := whatIfCandidates(pd)
+			v := pd.AcquireView()
+			rng := rand.New(rand.NewSource(7))
+
+			scratch := func(step int, where string, costOf func(*Node) cost.Cost, mat func(*Node) bool) {
+				t.Helper()
+				for i, n := range pd.Nodes {
+					twin.SetMaterializedRaw(twin.Nodes[i], mat(n))
+				}
+				twin.Recost()
+				for i, n := range pd.Nodes {
+					if got, want := costOf(n), twin.Nodes[i].Cost; got != want {
+						t.Fatalf("step %d (%s): node %d cost %v, from scratch %v", step, where, n.ID, got, want)
+					}
+				}
+			}
+
+			const steps = 300
+			ons, offs := 0, 0
+			for step := 0; step < steps; step++ {
+				n := cands[rng.Intn(len(cands))]
+				var on bool
+				if rng.Intn(3) == 0 {
+					// On the shared DAG, the view pristine as between fan-outs.
+					v.Reset()
+					on = !pd.Materialized(n)
+					pd.SetMaterialized(n, on)
+					scratch(step, "shared", func(n *Node) cost.Cost { return n.Cost }, pd.Materialized)
+				} else {
+					on = !v.Materialized(n)
+					v.SetMaterialized(n, on)
+					scratch(step, "view", v.CostOf, v.Materialized)
+				}
+				if on {
+					ons++
+				} else {
+					offs++
+				}
+			}
+			if ons == 0 || offs == 0 {
+				t.Fatalf("%d toggles on and %d off: the sequence checks one rule only", ons, offs)
+			}
+		})
 	}
 }
 
