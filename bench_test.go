@@ -7,8 +7,12 @@ package mqo_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mqo"
 	"mqo/internal/bench"
@@ -192,17 +196,22 @@ func BenchmarkOptimizeAllAlgorithms(b *testing.B) {
 	}
 }
 
-// BenchmarkHotSubmit measures one Submit whose whole answer the result cache
-// already holds — SSB Q1.1 at SF 0.0005, answered three times beforehand so
-// it is computed, read back and its stored-answer plan cached. Only the first
-// of those parses and lowers the text; a timed Submit finds it compiled, so
-// what it measures is the plan-cache key and hit, pin, a one-row cache-table
-// scan and commit. MaxBatch 1
-// keeps the batching window's timer out of the figure on either side of a
-// comparison. The figures to read are ns/op, B/op and allocs/op.
-func BenchmarkHotSubmit(b *testing.B) {
+// servePool is serve_zipf_hot's pool without its seeded variants: the 13
+// SSB queries and the 16 drill-down steps of the four flights.
+func servePool() []string {
+	pool := ssb.AllQuerySQL()
+	for f := 1; f <= ssb.NumFlights; f++ {
+		pool = append(pool, ssb.DrillDownSQL(f, ssb.MaxDrillSteps)...)
+	}
+	return pool
+}
+
+// hotService opens a service over SSB at SF 0.0005 with a 64-plan cache and
+// a 16 MB result cache, which holds every answer of servePool.
+func hotService(b *testing.B, cfg mqo.BatchingOptions) *mqo.Service {
+	b.Helper()
 	const sf = 0.0005
-	db := mqo.NewDB(256)
+	db := mqo.NewDB(64)
 	if err := ssb.LoadDB(db, sf, 1); err != nil {
 		b.Fatal(err)
 	}
@@ -210,30 +219,124 @@ func BenchmarkHotSubmit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer opt.Close()
-	svc, err := mqo.Serve(opt, mqo.BatchingOptions{MaxBatch: 1, ResultCacheBytes: 8 << 20})
+	cfg.ResultCacheBytes = 16 << 20
+	svc, err := mqo.Serve(opt, cfg)
 	if err != nil {
+		opt.Close()
 		b.Fatal(err)
 	}
-	ctx, text := context.Background(), ssb.QuerySQL(1, 0)
-	var ans *mqo.Answer
-	for i := 0; i < 3; i++ {
-		if ans, err = svc.Submit(ctx, text); err != nil {
-			b.Fatal(err)
+	b.Cleanup(func() {
+		svc.Close()
+		opt.Close()
+	})
+	return svc
+}
+
+// storeAll submits each text three times on its own, so its answer is
+// computed, read back and its stored-answer plan cached, and fails unless
+// the last answer was served stored.
+func storeAll(b *testing.B, svc *mqo.Service, texts []string) {
+	b.Helper()
+	for _, text := range texts {
+		var ans *mqo.Answer
+		var err error
+		for i := 0; i < 3; i++ {
+			if ans, err = svc.Submit(context.Background(), text); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !ans.Batch.Stored || !ans.Batch.CacheHit {
+			b.Fatalf("warm-up left the answer unstored: %+v\n%s", ans.Batch, text)
 		}
 	}
-	if !ans.Batch.Stored || !ans.Batch.CacheHit || len(ans.Query.Rows) != 1 {
-		b.Fatalf("warm-up left the answer unstored: %+v, %d rows", ans.Batch, len(ans.Query.Rows))
+}
+
+// BenchmarkHotSubmit measures one Submit whose whole answer the result cache
+// already holds — SSB Q1.1. Only the first warm-up Submit of a text parses
+// and lowers it; a timed Submit finds it compiled, so what it measures is
+// the plan-cache key and hit, pin, a one-row cache-table scan and commit.
+// stored=1 holds Q1.1's answer alone, stored=29 every answer of servePool:
+// a cost that grows with the store shows as the difference. MaxBatch 1
+// keeps the batching window's timer out of the figure on either side of a
+// comparison. The figures to read are ns/op, B/op and allocs/op.
+func BenchmarkHotSubmit(b *testing.B) {
+	text := ssb.QuerySQL(1, 0)
+	for _, texts := range [][]string{{text}, servePool()} {
+		b.Run(fmt.Sprintf("stored=%d", len(texts)), func(b *testing.B) {
+			svc := hotService(b, mqo.BatchingOptions{MaxBatch: 1})
+			storeAll(b, svc, texts)
+			ctx := context.Background()
+			var ans *mqo.Answer
+			var err error
+			b.ReportAllocs()
+			for b.Loop() {
+				if ans, err = svc.Submit(ctx, text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !ans.Batch.Stored || len(ans.Query.Rows) != 1 {
+				b.Fatalf("the timed Submits were not served from the store: %+v, %d rows", ans.Batch, len(ans.Query.Rows))
+			}
+		})
 	}
+}
+
+// BenchmarkServeClosedLoop is serve_zipf_hot's closed loop: eight clients,
+// each sending its next text when the last is answered, replay 1 000
+// Zipf(1.1) draws over servePool against two workers with windows of up to
+// eight texts or 2 ms. The service is warmed up until a whole replay is
+// served stored, so an op is one replay of a hot service: what concurrent
+// stored answers cost, the result cache's commit under its one lock
+// included. stored_frac is the share of timed answers served stored.
+func BenchmarkServeClosedLoop(b *testing.B) {
+	const clients, draws = 8, 1000
+	pool := servePool()
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(len(pool)-1))
+	replay := make([]string, draws)
+	for i := range replay {
+		replay[i] = pool[zipf.Uint64()]
+	}
+	svc := hotService(b, mqo.BatchingOptions{Workers: 2, MaxBatch: 8, MaxWait: 2 * time.Millisecond})
+	storeAll(b, svc, pool)
+	run := func() (stored int) {
+		var next, nStored atomic.Int64
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < draws; i = next.Add(1) - 1 {
+					ans, err := svc.Submit(context.Background(), replay[i])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if ans.Batch.Stored {
+						nStored.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+		return int(nStored.Load())
+	}
+	for round := 1; run() < draws; round++ {
+		if round == 10 {
+			b.Fatal("ten warm-up replays and still answers computed, not stored")
+		}
+	}
+	stored, total := 0, 0
 	b.ReportAllocs()
 	for b.Loop() {
-		if ans, err = svc.Submit(ctx, text); err != nil {
-			b.Fatal(err)
-		}
+		stored += run()
+		total += draws
 	}
-	if !ans.Batch.Stored {
-		b.Fatal("the timed Submits were not served from the store")
-	}
+	b.ReportMetric(float64(stored)/float64(total), "stored_frac")
 }
 
 // dssSession opens a session over a database of pool pages loaded by load,

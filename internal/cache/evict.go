@@ -101,16 +101,21 @@ func (m *Manager) makeRoomLocked(tier cost.Tier, bytes int64, density float64) b
 
 // rebalanceLocked evicts lowest-density unpinned entries while the store
 // is over either tier's budget (real sizes can overshoot the admission
-// estimates); it reports whether anything was evicted or moved. RAM
-// eviction demotes into the warm tier when the entry earns the space, so
-// the warm tier is visited second and mops up any resulting overflow.
-// Pinned entries may hold the store over budget transiently — the next
-// Commit/Abort rebalances again.
+// estimates); it reports whether anything was evicted or moved. A tier
+// within its budget is not looked at, so a commit that evicts nothing
+// costs nothing per stored entry. RAM eviction demotes into the warm tier
+// when the entry earns the space, so the warm tier is checked second and
+// mops up any resulting overflow. Pinned entries may hold the store over
+// budget transiently — the next Commit/Abort rebalances again.
 func (m *Manager) rebalanceLocked() bool {
 	evicted := false
 	for _, tier := range []cost.Tier{cost.TierRAM, cost.TierWarm} {
+		ts := &m.tiers[tier]
+		if ts.used <= ts.budget {
+			continue
+		}
 		for _, v := range m.victimsLocked(tier) {
-			if m.tiers[tier].used <= m.tiers[tier].budget {
+			if ts.used <= ts.budget {
 				break
 			}
 			m.evictLocked(v)

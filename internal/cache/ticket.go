@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"mqo/internal/algebra"
 	"mqo/internal/cost"
@@ -523,7 +525,7 @@ func (t *Ticket) finish(executed bool) (hits int) {
 	var promote []*Entry
 	if len(pending) > 0 || len(armed) > 0 {
 		for _, es := range [][]*Entry{pending, armed} {
-			sort.Slice(es, func(i, j int) bool { return es[i].Table < es[j].Table })
+			slices.SortFunc(es, func(a, b *Entry) int { return strings.Compare(a.Table, b.Table) })
 		}
 		m.mu.Lock()
 		for _, e := range pending {
