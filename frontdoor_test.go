@@ -2,6 +2,7 @@ package mqo
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -165,11 +166,18 @@ func TestFrontDoorEvictionRace(t *testing.T) {
 // query's own DAG does not give it (a sibling's derivations join its groups):
 // planned alone they find nothing in the store unless told which table the
 // window's plan read.
+//
+// The time a window spends making those plans is part of its optimize phase:
+// what /stats totals as phase_seconds.optimize is what the answers' batches
+// report, each batch counted once.
 func TestFrontDoorWithoutSoloPhase(t *testing.T) {
 	const clients, maxRounds = 8, 12
 	texts := ssb.AllQuerySQL()[:clients]
 	w := newFrontDoorWorld(t, texts, BatchingOptions{MaxBatch: clients, MaxWait: 50 * time.Millisecond,
 		ResultCacheBytes: 8 << 20}, WithPlanCache(64))
+	var mu sync.Mutex
+	optimize := map[int64]time.Duration{} // by batch Seq
+	optimizeBefore, batchesBefore := phaseSecondsSnapshot()["optimize"], phaseOptimize.Count()
 	for round := 1; ; round++ {
 		stored := make([]bool, clients)
 		var wg sync.WaitGroup
@@ -180,6 +188,9 @@ func TestFrontDoorWithoutSoloPhase(t *testing.T) {
 				defer wg.Done()
 				if ans := w.submit(t, c); ans != nil {
 					stored[c] = ans.Batch.Stored
+					mu.Lock()
+					optimize[ans.Batch.Seq] = ans.Batch.Phases.Optimize
+					mu.Unlock()
 				}
 			}(c)
 			for w.svc.Stats().Submitted == before { // windows fill in the same order every round
@@ -212,5 +223,46 @@ func TestFrontDoorWithoutSoloPhase(t *testing.T) {
 	// invisible: each front-door answer was one plan-cache hit.
 	if pc := w.opt.CacheStats(); pc.Hits < st.Stored {
 		t.Errorf("plan cache %+v counts fewer hits than the %d stored answers", pc, st.Stored)
+	}
+	var answered time.Duration
+	for _, d := range optimize {
+		answered += d
+	}
+	registry := phaseSecondsSnapshot()["optimize"] - optimizeBefore
+	if math.Abs(registry-answered.Seconds()) > 1e-6 {
+		t.Errorf("phase_seconds.optimize grew by %.6f s; the %d batches' answers report %.6f s",
+			registry, len(optimize), answered.Seconds())
+	}
+	if n := phaseOptimize.Count() - batchesBefore; n != int64(len(optimize)) {
+		t.Errorf("the optimize phase was observed %d times for %d batches", n, len(optimize))
+	}
+}
+
+// TestStoredSubmitAllocs: a Submit whose answer is stored allocates no more
+// than its pin, scan and commit need — no watcher goroutine or context of
+// its own for its batch of one, no copy of the cached plan, no trace context
+// while tracing is off. The bound is what BenchmarkHotSubmit's allocs/op may
+// read; a path that grows past it allocated for machinery a stored answer
+// does not use.
+func TestStoredSubmitAllocs(t *testing.T) {
+	const maxAllocs = 40
+	text := ssb.QuerySQL(1, 0)
+	w := newFrontDoorWorld(t, []string{text}, BatchingOptions{MaxBatch: 1, ResultCacheBytes: 16 << 20},
+		WithPlanCache(64))
+	var ans *Answer
+	for i := 0; i < 3; i++ { // computed, read back, then served stored
+		ans = w.submit(t, 0)
+	}
+	if ans == nil || !ans.Batch.Stored {
+		t.Fatalf("the third Submit was not served stored: %+v", ans)
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		if ans, err := w.svc.Submit(ctx, text); err != nil || !ans.Batch.Stored {
+			t.Fatalf("a timed Submit was not served stored: %v", err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("a stored Submit allocates %.0f times, want at most %d", allocs, maxAllocs)
 	}
 }

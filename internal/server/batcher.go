@@ -105,8 +105,8 @@ type BatchResult struct {
 }
 
 // Runner optimizes and executes one coalesced batch. It is called from
-// worker goroutines and must be safe for concurrent use. The context is
-// cancelled when every waiter of the batch has given up.
+// worker goroutines and must be safe for concurrent use. The context ends
+// when every waiter of the batch has given up (batchContext).
 type Runner func(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error)
 
 // BatchInfo describes the batch a query was answered by.
@@ -198,9 +198,8 @@ type outcome struct {
 // Batcher coalesces Submit calls into batches and runs them on Config.Workers
 // long-lived worker goroutines, started by NewBatcher and stopped by Close. A
 // worker keeps the stack a batch grew, so the next batch does not grow one
-// again. Besides the workers, the only goroutines are the per-window flush
-// timer and, per running batch, one that cancels it once every waiter has
-// gone.
+// again. Besides the workers, the only goroutine is the per-window flush
+// timer: a batch starts none (batchContext).
 //
 // The mutex guards only the batching window (pending, timer, generation,
 // closed) and the queue of flushed batches; nothing blocks while holding it.
@@ -395,9 +394,12 @@ func (b *Batcher) work() {
 			b.mu.Unlock()
 			return
 		}
+		// Shift rather than reslice, so the queue keeps its capacity and a
+		// dispatch to an idle worker appends without allocating.
 		j := b.queue[0]
-		b.queue[0] = job{}
-		b.queue = b.queue[1:]
+		n := copy(b.queue, b.queue[1:])
+		b.queue[n] = job{}
+		b.queue = b.queue[:n]
 		b.mu.Unlock()
 		b.runBatch(j.batch, j.stored, j.flushed)
 		b.mu.Lock()
@@ -427,28 +429,8 @@ func (b *Batcher) runBatch(batch []*request, stored bool, flushed time.Time) {
 		b.queueWait.ObserveDuration(flushed.Sub(req.enqueued))
 	}
 
-	// The batch context is independent of any single waiter: one waiter
-	// cancelling must not fail the batch for the rest. Only when every
-	// waiter has gone is the whole run aborted.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var remaining sync.WaitGroup
-	remaining.Add(len(live))
-	stops := make([]func() bool, len(live))
-	for i, req := range live {
-		stops[i] = context.AfterFunc(req.ctx, remaining.Done)
-	}
-	go func() {
-		remaining.Wait()
-		cancel()
-	}()
-	defer func() {
-		for _, stop := range stops {
-			if stop() {
-				remaining.Done()
-			}
-		}
-	}()
+	ctx, release := batchContext(live)
+	defer release()
 
 	queries := make([]*algebra.Tree, len(live))
 	for i, req := range live {
@@ -507,6 +489,36 @@ func (b *Batcher) runBatch(batch []*request, stored bool, flushed time.Time) {
 				Exec:             res.Exec,
 			},
 		}}
+	}
+}
+
+// batchContext returns the context a batch runs under, and the function that
+// releases it once the run is over. The context ends when the batch's last
+// waiter's does, not before: one waiter cancelling must not fail the batch
+// for the rest. A batch of one runs under its waiter's own context. For
+// several, each waiter's context counts down on ending, and the last to end
+// cancels the batch's; nothing is started that outlives the release.
+func batchContext(live []*request) (context.Context, func()) {
+	if len(live) == 1 {
+		return live[0].ctx, func() {}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var remaining atomic.Int64
+	remaining.Store(int64(len(live)))
+	gone := func() {
+		if remaining.Add(-1) == 0 {
+			cancel()
+		}
+	}
+	stops := make([]func() bool, len(live))
+	for i, req := range live {
+		stops[i] = context.AfterFunc(req.ctx, gone)
+	}
+	return ctx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
 	}
 }
 

@@ -181,36 +181,92 @@ func TestCancelledWaiterDoesNotFailBatch(t *testing.T) {
 	}
 }
 
-// TestAllWaitersGoneCancelsBatch: when every waiter of a dispatched batch
-// gives up, the batch context is cancelled so the runner can abort.
+// TestAllWaitersGoneCancelsBatch: a dispatched batch's context ends once its
+// last waiter has given up, and not while any waiter still listens. A window
+// of one and a stored query run under their waiter's own context; a window of
+// several under one its waiters' departures count down.
 func TestAllWaitersGoneCancelsBatch(t *testing.T) {
-	started := make(chan struct{})
-	aborted := make(chan error, 1)
-	run := func(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error) {
-		close(started)
-		select {
-		case <-ctx.Done():
-			aborted <- ctx.Err()
-			return nil, ctx.Err()
-		case <-time.After(5 * time.Second):
-			aborted <- nil
-			return nil, errors.New("never cancelled")
-		}
-	}
-	b := NewBatcher(Config{MaxBatch: 1, MaxWait: time.Hour}, run)
-	defer b.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go b.Submit(ctx, &algebra.Tree{})
-	<-started
-	cancel()
-	select {
-	case err := <-aborted:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("runner saw %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch context never cancelled after all waiters left")
+	for _, tc := range []struct {
+		name          string
+		stored        bool
+		waiters, quit int
+	}{
+		{"window=1", false, 1, 1},
+		{"window=3/all-leave", false, 3, 3},
+		{"window=3/two-leave", false, 3, 2},
+		{"stored", true, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			started := make(chan context.Context, 1)
+			release := make(chan struct{})
+			run := func(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error) {
+				started <- ctx
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-release:
+					return &BatchResult{PerQuery: make([]exec.QueryResult, len(queries))}, nil
+				}
+			}
+			b := NewBatcher(Config{MaxBatch: tc.waiters, MaxWait: time.Hour}, run)
+			defer b.Close()
+			var once sync.Once
+			finish := func() { once.Do(func() { close(release) }) }
+			defer finish() // a run the test gave up on still ends, so Close returns
+			submit := b.Submit
+			if tc.stored {
+				submit = b.SubmitStored
+			}
+			cancels := make([]context.CancelFunc, tc.waiters)
+			errs := make(chan error, tc.waiters)
+			for i := range cancels {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cancels[i] = cancel
+				go func() {
+					_, err := submit(ctx, &algebra.Tree{})
+					errs <- err
+				}()
+			}
+			var ctx context.Context
+			select {
+			case ctx = <-started:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the batch never ran")
+			}
+			for _, cancel := range cancels[:tc.quit] {
+				cancel()
+			}
+			if tc.quit == tc.waiters {
+				select {
+				case <-ctx.Done():
+					if !errors.Is(ctx.Err(), context.Canceled) {
+						t.Errorf("runner's context ended with %v, want context.Canceled", ctx.Err())
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("the batch's context never ended after every waiter left")
+				}
+			} else {
+				time.Sleep(20 * time.Millisecond) // time for a wrong cancellation to land
+				if err := ctx.Err(); err != nil {
+					t.Errorf("the batch's context ended (%v) with %d waiter(s) still listening", err, tc.waiters-tc.quit)
+				}
+				finish()
+			}
+			answered := 0
+			for range tc.waiters {
+				err := <-errs
+				switch {
+				case err == nil:
+					answered++
+				case !errors.Is(err, context.Canceled):
+					t.Errorf("a waiter got %v, want an answer or context.Canceled", err)
+				}
+			}
+			if answered != tc.waiters-tc.quit {
+				t.Errorf("%d waiters answered, want the %d that stayed", answered, tc.waiters-tc.quit)
+			}
+		})
 	}
 }
 

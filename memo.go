@@ -156,8 +156,9 @@ func readsOnlyStored(p *physical.Plan) bool {
 	return true
 }
 
-// get returns the plan cached for trees under k, with the ticket pinning
-// every result-cache table it reads, if the plan is still good against store.
+// get returns the plan cached for trees under k — the cached Result itself,
+// which no one may write to — with the ticket pinning every result-cache
+// table it reads, if the plan is still good against store.
 // A plan that is not — planned against another store, computing at an older
 // generation, or refused by PinPlan — is dropped and the probe counts as a
 // miss. PinPlan takes the store's lock, so it runs outside the memo's own.
@@ -190,7 +191,7 @@ func (m *memo) get(trees string, k planKey, store *cache.Manager) (*Result, *cac
 		m.clock++
 		pe.used = m.clock
 	}
-	return cloneResult(pe.res), ticket, true
+	return pe.res, ticket, true
 }
 
 // peek reports whether trees hold a plan under k that only reads stored
@@ -204,9 +205,9 @@ func (m *memo) peek(trees string, k planKey) (found, stored bool) {
 	return false, false
 }
 
-// cloneResult shallow-copies a cached Result: fresh Result and Plan
-// structs, fresh top-level slices and plan-node map, shared (immutable)
-// plan nodes.
+// cloneResult shallow-copies a cached Result for a caller outside the
+// session: fresh Result and Plan structs, fresh top-level slices and
+// plan-node map, shared (immutable) plan nodes.
 func cloneResult(r *Result) *Result {
 	cp := *r
 	cp.Materialized = append([]*physical.Node(nil), r.Materialized...)

@@ -36,8 +36,10 @@ import (
 // mutable costing state (Node.Cost and the materialized set are search
 // scratch; a Result's plan carries its costs). Concurrent plan executions
 // proceed in parallel on the attached database, each in a private temp-table
-// namespace. Plan-cache hits hand each caller a defensive copy whose shared
-// plan nodes must be treated as read-only.
+// namespace. Every Result the plan cache holds reaches a caller of
+// OptimizeBatch, OptimizeSQL or Run as a defensive copy whose shared plan
+// nodes must be treated as read-only; the service, which hands out only rows
+// and BatchInfo, reads the cached plan in place.
 type Optimizer struct {
 	cat   *catalog.Catalog
 	model cost.Model
@@ -237,7 +239,11 @@ func (o *Optimizer) parseSQLTimed(sqlText string) ([]*Query, server.PhaseTimes, 
 // interfere. A cancelled context aborts the optimization promptly with
 // ctx.Err().
 func (o *Optimizer) OptimizeBatch(ctx context.Context, queries []*Query, alg Algorithm) (*Result, error) {
-	res, _, _, err := o.planBatch(ctx, nil, queries, alg, nil, &execMeta{})
+	var meta execMeta
+	res, _, _, err := o.planBatch(ctx, nil, queries, alg, nil, &meta)
+	if meta.planCached {
+		res = cloneResult(res)
+	}
 	return res, err
 }
 
@@ -301,9 +307,16 @@ func (o *Optimizer) Run(ctx context.Context, batch Batch) (*ExecResult, error) {
 			return nil, err
 		}
 	}
-	res, _, err := o.runOnDB(ctx, queries, batch.Algorithm,
+	res, meta, err := o.runOnDB(ctx, queries, batch.Algorithm,
 		&exec.Env{ParamSets: batch.ParamSets, Profile: batch.Analyze})
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	phaseOptimize.ObserveDuration(meta.Phases.Optimize)
+	if meta.planCached {
+		res.Result = cloneResult(res.Result)
+	}
+	return res, nil
 }
 
 // execMeta reports what the caches did for one executed batch (the
@@ -312,6 +325,10 @@ type execMeta struct {
 	// PlanCacheHit reports whether the plan came from the session plan
 	// cache.
 	PlanCacheHit bool
+	// planCached reports that the Result is the one the plan cache holds —
+	// a hit's, or a miss's that cached it — so a caller outside the session
+	// gets a copy (cloneResult), while the service reads it in place.
+	planCached bool
 	// ResultCacheHits counts distinct spooled tables the executed plan
 	// read; ResultCacheSpools counts results the batch admitted and wrote.
 	ResultCacheHits   int
@@ -325,10 +342,12 @@ type execMeta struct {
 // batching service: keys → plan-cache probe → and on a miss only, physical
 // DAG checked out of the memo → arm → optimize → spools → DAG checked back in
 // → put. The memo key is the queries' trees as the caller sent them, so a hit
-// touches no DAG at all. rc is the result-cache store to plan against, nil
-// for optimize-only calls and cache-less sessions; a nil store yields a nil
-// ticket, which arms, admits and pins nothing. The optimize and spool phase
-// times and the plan-cache outcome are recorded in meta.
+// touches no DAG at all. A Result the plan cache holds is returned as it is
+// (meta.planCached): the public calls copy it, the service only reads it. rc
+// is the result-cache store to plan against, nil for optimize-only calls and
+// cache-less sessions; a nil store yields a nil ticket, which arms, admits and
+// pins nothing. The optimize and spool phase times and the plan-cache outcome
+// are recorded in meta.
 func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []*Query, alg Algorithm,
 	paramSets []map[string]algebra.Value, meta *execMeta) (*Result, *cache.Ticket, map[*physical.Node]string, error) {
 
@@ -342,7 +361,7 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 	trees, key := o.stmts.treesKey(queries), newPlanKey(alg, rc, paramSets)
 	if o.memo.planCap > 0 {
 		if res, ticket, ok := o.memo.get(trees, key, rc); ok {
-			meta.PlanCacheHit = true
+			meta.PlanCacheHit, meta.planCached = true, true
 			meta.Phases.Optimize = time.Since(start)
 			return res, ticket, nil, nil
 		}
@@ -369,11 +388,9 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 		// Nothing newly spooled: the plan is reusable — at this generation
 		// if it computes anything, at any if it only reads stored answers.
 		// A spooling batch bumps the generation on commit, so its plan would
-		// be dead on arrival. The miss caller gets a defensive copy too: the
-		// stored entry is what every later hit clones from, so no caller may
-		// alias it.
+		// be dead on arrival.
 		o.memo.put(trees, key, res, rc, gen)
-		res = cloneResult(res)
+		meta.planCached = true
 	}
 	return res, ticket, spools, nil
 }
@@ -422,16 +439,22 @@ func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg A
 // every algorithm prices cache hits natively), the chosen plan's worthwhile
 // results are spooled during execution, and the ticket commits — real byte
 // accounting, hit reinforcement, eviction — once the run succeeds, or
-// aborts when it fails. Without one the ticket is nil and does nothing.
+// aborts when it fails. Without one the ticket is nil and does nothing. The
+// caller observes the optimize phase once its time is final (Service.runBatch
+// adds what seeding took), and copies a Result the plan cache holds before
+// it leaves the session.
 func (o *Optimizer) runOnDB(ctx context.Context, queries []*Query, alg Algorithm, env *exec.Env) (*ExecResult, execMeta, error) {
 	meta := execMeta{}
-	// Each batch gets its own trace track, so the optimizer-phase and
-	// executor spans recorded below it line up per batch in the trace view.
-	track := obs.NewTrack()
-	ctx = obs.WithTrack(ctx, track)
-	span := obs.StartSpan("batch", track, map[string]string{
-		"algorithm": alg.String(), "queries": strconv.Itoa(len(queries))})
-	defer span.End()
+	// While tracing, each batch gets its own trace track, so the
+	// optimizer-phase and executor spans recorded below it line up per batch
+	// in the trace view. Off, a span on track 0 records nothing.
+	var track int64
+	if obs.Tracing() {
+		track = obs.NewTrack()
+		ctx = obs.WithTrack(ctx, track)
+		defer obs.StartSpan("batch", track, map[string]string{
+			"algorithm": alg.String(), "queries": strconv.Itoa(len(queries))}).End()
+	}
 
 	optSpan := obs.StartSpan("optimize", track, nil)
 	res, ticket, spools, err := o.planBatch(ctx, o.resultCache(), queries, alg, env.ParamSets, &meta)
@@ -439,7 +462,6 @@ func (o *Optimizer) runOnDB(ctx context.Context, queries []*Query, alg Algorithm
 	if err != nil {
 		return nil, meta, err
 	}
-	phaseOptimize.ObserveDuration(meta.Phases.Optimize)
 	env.Cache = &exec.CacheIO{Spools: spools, BindSpools: ticket.BindingSpools()}
 	results, stats, err := exec.Run(ctx, o.db, o.model, res.Plan, env)
 	if err != nil {

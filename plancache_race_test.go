@@ -2,76 +2,145 @@ package mqo
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"mqo/internal/exec"
-	"mqo/internal/physical"
 	"mqo/internal/ssb"
 	"mqo/internal/tpcd"
 )
 
-// TestPlanCacheDefensiveCopiesUnderMutation: every plan-cache hitter gets
-// a defensive copy of the Result — concurrent callers mutating the
-// top-level slices (Result.Materialized, Plan.Mats, Plan.ByNode) must not
-// corrupt each other's view or the stored entry (run under -race in CI).
-// Plan *nodes* stay shared and read-only; the mutations here only touch
-// the per-caller containers the contract says are private.
+// resultShape is what a caller can see of a Result without reading its plan
+// nodes: the cost and the sizes of the containers that are the caller's own.
+type resultShape struct {
+	cost                     float64
+	mats, materialized, keys int
+}
+
+func shapeOf(res *Result) resultShape {
+	return resultShape{float64(res.Cost), len(res.Plan.Mats), len(res.Materialized), len(res.Plan.ByNode)}
+}
+
+// scribble is a hostile caller: it reorders and grows the Result's top-level
+// slices, writes to its plan-node map and overwrites its cost — everything the
+// contract says is the caller's own. It grows Plan.Mats only with the plan's
+// own nodes, so a plan that wrongly shared it still executes.
+func scribble(res *Result) {
+	slices.Reverse(res.Materialized)
+	res.Materialized = append(res.Materialized, nil)
+	slices.Reverse(res.Plan.Mats)
+	res.Plan.Mats = append(res.Plan.Mats, res.Plan.Mats...)
+	res.Plan.ByNode[nil] = nil
+	res.Cost = -1
+}
+
+// TestPlanCacheDefensiveCopiesUnderMutation: every Result the plan cache
+// holds reaches a caller outside the session as a defensive copy — a hit's,
+// and the miss's that cached it. Concurrent callers scribbling on the
+// top-level containers (Result.Materialized, Plan.Mats, Plan.ByNode) and the
+// cost must not corrupt each other's view or the stored entry (run under
+// -race in CI). Plan *nodes* stay shared and read-only. OptimizeSQL is checked
+// on an optimize-only session; Run on a session with a database, a plan cache
+// and a result cache, where the plan cached is one that reads the answers from
+// the store, and every run's rows must stay the first run's.
 func TestPlanCacheDefensiveCopiesUnderMutation(t *testing.T) {
-	opt, err := Open(tpcd.Catalog(1), WithPlanCache(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	ref, err := opt.OptimizeSQL(ctx, sqlBatch, Greedy)
-	if err != nil {
-		t.Fatal(err)
+	hammer := func(t *testing.T, want resultShape, call func() (*Result, error)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					res, err := call()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := shapeOf(res); got != want {
+						t.Errorf("a hit observed a mutated copy: %+v, want %+v", got, want)
+						return
+					}
+					scribble(res)
+				}
+			}()
+		}
+		wg.Wait()
+		res, err := call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shapeOf(res); got != want {
+			t.Errorf("stored entry corrupted: %+v, want %+v", got, want)
+		}
 	}
-	wantMats, wantMaterialized := len(ref.Plan.Mats), len(ref.Materialized)
 
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				res, err := opt.OptimizeSQL(ctx, sqlBatch, Greedy)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(res.Plan.Mats) != wantMats || len(res.Materialized) != wantMaterialized {
-					t.Errorf("hit observed a mutated copy: %d mats, %d materialized",
-						len(res.Plan.Mats), len(res.Materialized))
-					return
-				}
-				// Hostile caller: reorder and grow the top-level slices and
-				// scribble on the per-caller node map.
-				for j, k := 0, len(res.Materialized)-1; j < k; j, k = j+1, k-1 {
-					res.Materialized[j], res.Materialized[k] = res.Materialized[k], res.Materialized[j]
-				}
-				res.Materialized = append(res.Materialized, nil)
-				for j, k := 0, len(res.Plan.Mats)-1; j < k; j, k = j+1, k-1 {
-					res.Plan.Mats[j], res.Plan.Mats[k] = res.Plan.Mats[k], res.Plan.Mats[j]
-				}
-				res.Plan.Mats = append(res.Plan.Mats, (*physical.PlanNode)(nil))
-				res.Plan.ByNode[nil] = nil
+	t.Run("optimize", func(t *testing.T) {
+		opt, err := Open(tpcd.Catalog(1), WithPlanCache(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := opt.OptimizeSQL(ctx, sqlBatch, Greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := shapeOf(ref)
+		scribble(ref) // the miss that cached the plan
+		hammer(t, want, func() (*Result, error) { return opt.OptimizeSQL(ctx, sqlBatch, Greedy) })
+		if st := opt.CacheStats(); st.Hits == 0 {
+			t.Error("no plan-cache hits recorded, test exercised nothing")
+		}
+	})
+
+	t.Run("run", func(t *testing.T) {
+		const sf = 0.002
+		db := NewDB(1024)
+		if err := tpcd.LoadDB(db, sf, 1); err != nil {
+			t.Fatal(err)
+		}
+		opt, err := Open(tpcd.Catalog(sf), WithDB(db), WithPlanCache(8), WithResultCache(16<<20, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(opt.Close)
+		first, err := opt.Run(ctx, Batch{SQL: sqlBatch, Algorithm: Greedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() (*Result, error) {
+			res, err := opt.Run(ctx, Batch{SQL: sqlBatch, Algorithm: Greedy})
+			if err != nil {
+				return nil, err
 			}
-		}()
-	}
-	wg.Wait()
-
-	final, err := opt.OptimizeSQL(ctx, sqlBatch, Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(final.Plan.Mats) != wantMats || len(final.Materialized) != wantMaterialized {
-		t.Errorf("stored entry corrupted: %d mats, %d materialized (want %d, %d)",
-			len(final.Plan.Mats), len(final.Materialized), wantMats, wantMaterialized)
-	}
-	if st := opt.CacheStats(); st.Hits == 0 {
-		t.Error("no plan-cache hits recorded, test exercised nothing")
-	}
+			for i := range res.Queries {
+				if !exec.EqualRows(res.Queries[i], first.Queries[i], 1e-9) {
+					return nil, fmt.Errorf("query %d: %d rows differ from the first run's %d",
+						i, len(res.Queries[i].Rows), len(first.Queries[i].Rows))
+				}
+			}
+			return res.Result, nil
+		}
+		// The first run spooled its answers, so its plan was not cached; the
+		// next reads them from the store and is the miss that caches its plan.
+		before := opt.CacheStats()
+		put, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := opt.CacheStats(); st.Entries != before.Entries+1 || st.Misses != before.Misses+1 {
+			t.Fatalf("the second run did not cache its plan: plan cache %+v, then %+v", before, st)
+		}
+		want := shapeOf(put)
+		scribble(put)
+		hits := opt.CacheStats().Hits
+		hammer(t, want, run)
+		if st := opt.CacheStats(); st.Hits < hits+8*20 {
+			t.Errorf("plan cache %+v: want every hammering run a hit", st)
+		}
+	})
 }
 
 // TestPlanCacheWithResultCache: plan-cache hits must interact correctly

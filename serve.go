@@ -182,7 +182,8 @@ func (s *Service) Close() { s.b.Close() }
 
 // runBatch is the server.Runner: one coalesced batch through the session's
 // single execution path (plan cache and result cache consulted around the
-// optimize+execute pass).
+// optimize+execute pass). It hands back rows and accounting only, so it
+// reads a cached plan in place instead of copying it.
 func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) (*server.BatchResult, error) {
 	// The serving path profiles every run while observability is on: the
 	// per-operator registry series come from here.
@@ -200,6 +201,9 @@ func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) (*serve
 		s.opt.planStoredAlone(ctx, queries, s.alg, res.Plan)
 		meta.Phases.Optimize += time.Since(seedStart)
 	}
+	// Observed once it is final, so /stats' phase_seconds.optimize is what
+	// the answers' batch.phases add up to.
+	phaseOptimize.ObserveDuration(meta.Phases.Optimize)
 	return &server.BatchResult{
 		PerQuery:         res.Queries,
 		Cost:             res.Cost,

@@ -91,7 +91,13 @@ func (c *stmtCache) put(text string, queries []*Query, fps []string) []*Query {
 // see through equivalences the way the DAG's canonical fingerprints do. It
 // keys the session memo's entries.
 func (c *stmtCache) treesKey(queries []*Query) string {
-	fps := make([]string, len(queries))
+	var window [8]string // up to a default window's worth stays off the heap
+	var fps []string
+	if len(queries) <= len(window) {
+		fps = window[:len(queries)]
+	} else {
+		fps = make([]string, len(queries))
+	}
 	c.mu.Lock()
 	for i, q := range queries {
 		fps[i] = c.fps[q]
