@@ -113,10 +113,13 @@ type ownedGate struct {
 // A gate is a test an operator hands down to the scan that produces the
 // columns it reads, through the operators in between (see tableScan.gate):
 // a Filter's predicate, or a keyed BNLJoin's "has this key a bucket?". cols
-// are positions in the rows of the operator it is handed to.
+// are positions in the rows of the operator it is handed to. It sets test
+// or, for a key on one column, key: a test given that column's value alone,
+// which a pass feeding several scans runs for them all (storage.Gate).
 type gate struct {
 	cols []int
 	test predFunc
+	key  func(algebra.Value) bool
 	// keys is the join whose buckets a key gate tests: such a gate can be
 	// rebuilt at other positions, where a Filter's compiled predicate cannot.
 	keys *nlJoin
@@ -205,7 +208,7 @@ func (s *tableScan) gate(by any, g *gate) (ok bool) {
 	}
 	list := s.gates.list[:0]
 	for _, o := range owned {
-		list = append(list, storage.Gate{Cols: o.g.cols, Test: o.g.test, Dropped: o.g.dropped})
+		list = append(list, storage.Gate{Cols: o.g.cols, Key: o.g.key, Test: o.g.test, Dropped: o.g.dropped})
 	}
 	s.gates.owned, s.gates.list = owned, list
 	s.cur.SetGates(list, s.gates.poll)
@@ -432,23 +435,28 @@ var keySeed = maphash.MakeSeed()
 // every NaN into one, strings by content.
 func keyHash(r storage.Row, cols []int) (h uint64) {
 	for _, c := range cols {
-		var x uint64
-		if v := &r[c]; v.Typ == algebra.TString {
-			x = maphash.String(keySeed, v.S)
-		} else {
-			switch f := v.AsFloat(); {
-			case f == 0:
-				x = 0 // -0 and +0 differ in bits
-			case f != f:
-				x = math.Float64bits(math.NaN()) // so do NaN payloads
-			default:
-				x = math.Float64bits(f)
-			}
-		}
-		h = (h ^ x) * 0x9e3779b97f4a7c15
-		h ^= h >> 32
+		h = mixKey(h, &r[c])
 	}
 	return h
+}
+
+// mixKey is h, the hash of a key's columns before v, with v mixed in.
+func mixKey(h uint64, v *algebra.Value) uint64 {
+	var x uint64
+	if v.Typ == algebra.TString {
+		x = maphash.String(keySeed, v.S)
+	} else {
+		switch f := v.AsFloat(); {
+		case f == 0:
+			x = 0 // -0 and +0 differ in bits
+		case f != f:
+			x = math.Float64bits(math.NaN()) // so do NaN payloads
+		default:
+			x = math.Float64bits(f)
+		}
+	}
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // keyBits is a bitmap of a held input's one-column key values, bit k − lo
@@ -764,16 +772,26 @@ func (j *nlJoin) gateKeys(child Iterator, cols []int, kind string) {
 }
 
 // keyGate is a gate that passes a row whose key at cols has a bucket,
-// counting the rows it drops in dropped. It asks the bitmap when the join has
-// one, the bucket table's hashes otherwise.
+// counting the rows it drops in dropped: a key gate on one column, a test on
+// several. It asks the bitmap when the join has one, the bucket table's
+// hashes otherwise.
 func (j *nlJoin) keyGate(cols []int, dropped *int64) *gate {
-	return &gate{cols: cols, keys: j, dropped: dropped, test: func(r storage.Row) (bool, error) {
-		if j.bits.n > 0 {
-			return j.bits.has(&r[cols[0]]), nil
+	g := &gate{cols: cols, keys: j, dropped: dropped}
+	if len(cols) == 1 {
+		g.key = func(v algebra.Value) bool {
+			if j.bits.n > 0 {
+				return j.bits.has(&v)
+			}
+			_, seen := j.bucketOf[mixKey(0, &v)]
+			return seen
 		}
+		return g
+	}
+	g.test = func(r storage.Row) (bool, error) {
 		_, seen := j.bucketOf[keyHash(r, cols)]
 		return seen, nil
-	}}
+	}
+	return g
 }
 
 // gate passes a gate from above on to the input that produces the columns it

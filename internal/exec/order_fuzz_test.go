@@ -33,10 +33,13 @@ func fuzzValue(kind uint8, bits uint64, s string) algebra.Value {
 // FuzzCompareOrder holds algebra.Compare to a total order over values built
 // from raw bits — ints, dates, floats of every payload, strings — and the
 // executor's key tests to it: values that Compare equal hash alike
-// (keyHash), and a bitmap of held keys (keyBits), whenever it builds, finds
-// a probe exactly when some held key Compares equal to it. The committed
-// corpus holds NaNs of two payloads and signs, signed zeros, infinities,
-// 2^53 against 2^53+1 and an int against a string.
+// (keyHash), and a join's one-column key gate, asked by value (gate.key),
+// finds a probe exactly when some held key Compares equal to it, both from
+// the bucket table's hashes and, whenever the held keys allow one, from a
+// bitmap (keyBits). The committed corpus holds NaNs of two payloads and
+// signs, signed zeros, infinities, 2^53 against 2^53+1 and an int against a
+// string, and, for the key gate, NaN keys probed by other payloads and a -0
+// key probed by 0.
 //
 //	go test -run '^$' -fuzz FuzzCompareOrder ./internal/exec
 func FuzzCompareOrder(f *testing.F) {
@@ -64,20 +67,26 @@ func FuzzCompareOrder(f *testing.F) {
 			}
 		}
 		held := []storage.Row{{vals[0]}, {vals[1]}}
-		var bits keyBits
-		if !bits.build(held, 0) {
-			return
-		}
 		probes := append(vals, algebra.FloatVal(math.NaN()), algebra.FloatVal(math.Copysign(0, -1)))
 		for _, v := range vals {
 			if k, ok := exactInt(&v); ok {
 				probes = append(probes, algebra.IntVal(k-1), algebra.FloatVal(float64(k+1)), algebra.DateVal(k))
 			}
 		}
-		for _, p := range probes {
-			want := cmp(p, vals[0]) == 0 || cmp(p, vals[1]) == 0
-			if got := bits.has(&p); got != want {
-				t.Fatalf("has(%v) over held %v, %v = %v, want %v", p, vals[0], vals[1], got, want)
+		j := &nlJoin{bucketOf: map[uint64]int32{}}
+		for b, r := range held {
+			j.bucketOf[keyHash(r, []int{0})] = int32(b)
+		}
+		key := j.keyGate([]int{0}, nil).key
+		for _, test := range []string{"hash", "bitmap"} {
+			if test == "bitmap" && !j.bits.build(held, 0) {
+				break
+			}
+			for _, p := range probes {
+				want := cmp(p, vals[0]) == 0 || cmp(p, vals[1]) == 0
+				if got := key(p); got != want {
+					t.Fatalf("the %s key gate over held %v, %v finds %v: %v, want %v", test, vals[0], vals[1], p, got, want)
+				}
 			}
 		}
 	})

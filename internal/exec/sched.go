@@ -311,7 +311,8 @@ func (s *sched) advance() error {
 		}
 	}
 	s.steps = started
-	if len(started) == 0 {
+	opening := len(started) == 0
+	if opening {
 		if first == nil {
 			return errors.New("exec: every task of the run waits and no scan can advance")
 		}
@@ -325,6 +326,9 @@ func (s *sched) advance() error {
 	}
 	for _, p := range started {
 		s.step(p)
+	}
+	if opening && started[0].KeyTested() > 1 {
+		s.env.noteGate("shared key gates")
 	}
 	return nil
 }

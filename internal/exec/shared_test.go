@@ -36,7 +36,8 @@ func runTrees(ctx context.Context, s *sched, trees []Iterator) ([]QueryResult, e
 
 // TestSharedScansMatchReference runs batches whose queries scan the same
 // tables, so that shared passes feed them, and checks every answer: the SSB
-// flights and TPC-D BQ1-5 under all four algorithms, profiled and with every
+// flights (whose lineorder passes test the key gates of several scans at
+// once) and TPC-D BQ1-5 under all four algorithms, profiled and with every
 // row spoiled the moment it lapses, against Reference; and trees built by
 // hand, each against the same tree reading alone — every star shape of
 // star_test.go over one fact table at once, a table joined with itself by a
@@ -53,7 +54,7 @@ func TestSharedScansMatchReference(t *testing.T) {
 		for f := 1; f <= ssb.NumFlights; f++ {
 			batches = append(batches, ssb.Flight(f))
 		}
-		sharedBatchesMatchReference(t, db, ssb.Catalog(0.002), batches, nil)
+		sharedBatchesMatchReference(t, db, ssb.Catalog(0.002), batches, nil, "shared key gates")
 	})
 	t.Run("tpcd BQ1-5", func(t *testing.T) {
 		db := storage.NewDB(64)
@@ -162,11 +163,12 @@ func sharedTreesMatchAlone(t *testing.T, name string, s *sched, alone, fed []Ite
 
 // sharedBatchesMatchReference runs each batch under every algorithm,
 // profiled and spoiled, and compares its answers with Reference's; some run
-// must have fed scans by a shared pass.
-func sharedBatchesMatchReference(t *testing.T, db *storage.DB, cat *catalog.Catalog, batches [][]*algebra.Tree, sets []map[string]algebra.Value) {
+// must have fed scans by a shared pass, and some have noted each gate kind
+// of need (NoteGates).
+func sharedBatchesMatchReference(t *testing.T, db *storage.DB, cat *catalog.Catalog, batches [][]*algebra.Tree, sets []map[string]algebra.Value, need ...string) {
 	t.Helper()
 	model := cost.DefaultModel()
-	shared := false
+	noted := map[string]bool{}
 	for b, queries := range batches {
 		want := make([]QueryResult, len(queries))
 		for i, q := range queries {
@@ -185,7 +187,7 @@ func sharedBatchesMatchReference(t *testing.T, db *storage.DB, cat *catalog.Cata
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := SpoilRows(NoteGates(&Env{ParamSets: sets, Profile: true}, func(kind string) { shared = shared || kind == "shared pass" }))
+			env := SpoilRows(NoteGates(&Env{ParamSets: sets, Profile: true}, func(kind string) { noted[kind] = true }))
 			got, stats, err := Run(context.Background(), db, model, res.Plan, env)
 			if err != nil {
 				t.Fatalf("batch %d, %v: %v\nplan:\n%s", b, alg, err, res.Plan)
@@ -201,8 +203,10 @@ func sharedBatchesMatchReference(t *testing.T, db *storage.DB, cat *catalog.Cata
 			}
 		}
 	}
-	if !shared {
-		t.Error("no run fed its scans by a shared pass")
+	for _, kind := range append(need, "shared pass") {
+		if !noted[kind] {
+			t.Errorf("no run noted %q", kind)
+		}
 	}
 }
 

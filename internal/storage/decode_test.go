@@ -236,6 +236,7 @@ func TestCursorGate(t *testing.T) {
 	}
 
 	t.Run("list", cursorGateList)
+	t.Run("keys first", cursorKeyGatesFirst)
 }
 
 // cursorGateList: a cursor tests a list of gates over rows wider than 64
@@ -308,6 +309,61 @@ func cursorGateList(t *testing.T) {
 	// it is tested on nearly every record and gate 0 on about half.
 	if tests[1] < n*9/10 || tests[0] > n*6/10 {
 		t.Errorf("gates tested %v times over %d records, want gate 1 on nearly all and gate 0 on about half", tests, n)
+	}
+}
+
+// cursorKeyGatesFirst: a cursor tests its key gates before its other gates,
+// whatever the order of the list, in ascending order of the column they
+// read, and keeps that order however often a later one drops a row: each
+// gate is tested on exactly the records every gate before it passes, and
+// counts exactly the records it is the first to fail.
+func cursorKeyGatesFirst(t *testing.T) {
+	const n = 3*slabRows + 17
+	h := NewHeapFile(NewBufferPool(NewPager(), 8))
+	for i := 0; i < n; i++ {
+		if _, err := h.Insert(Row{algebra.IntVal(int64(i)), algebra.FloatVal(float64(i % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tests, dropped [3]int64
+	c := h.Cursor(nil)
+	c.SetGates([]Gate{
+		{Cols: []int{0}, Dropped: &dropped[2], Test: func(r Row) (bool, error) {
+			tests[2]++
+			return r[0].I%3 != 0, nil
+		}},
+		{Cols: []int{1}, Dropped: &dropped[1], Key: func(v algebra.Value) bool {
+			tests[1]++
+			return v.F < 2 // drops every other record: more than key gate 0
+		}},
+		{Cols: []int{0}, Dropped: &dropped[0], Key: func(v algebra.Value) bool {
+			tests[0]++
+			return v.I%10 != 0
+		}},
+	}, nil)
+	for {
+		_, ok, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	var want, tested [3]int64
+	for i := 0; i < n; i++ {
+		fails := []bool{i%10 == 0, i%4 >= 2, i%3 == 0}
+		for k, f := range fails {
+			tested[k]++
+			if f {
+				want[k]++
+				break
+			}
+		}
+	}
+	if tests != tested || dropped != want || c.Skipped() != want[0]+want[1]+want[2] {
+		t.Errorf("gates tested %v times and dropped %v, the cursor skipped %d; want %v, %v and %d",
+			tests, dropped, c.Skipped(), tested, want, want[0]+want[1]+want[2])
 	}
 }
 

@@ -1,9 +1,14 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
+
+	"mqo/internal/algebra"
 )
 
 // Slotted heap page layout:
@@ -166,9 +171,13 @@ func (h *HeapFile) GetCols(dst Row, rid RID, cols []int) (r Row, err error) {
 // decoded: a gated cursor delivers, in file order, the rows that pass them
 // all. The gates of a record are tested one at a time, each on its own
 // columns, decoded when it is reached unless a gate before it decoded them;
-// the first gate to fail the record drops it undecoded. A gate that drops a
-// row moves a place forward in the list, so the gates that drop most come to
-// be tested first.
+// the first gate to fail the record drops it undecoded and counts it. Key
+// gates come first, in ascending order of the file column they read and, on
+// one column, in list order, and keep that order; the other gates follow, and
+// one that drops a row moves a place forward among them, so those that drop
+// most come to be tested first. The order is the same whether the cursor
+// reads alone or a pass tests its key gates for it (Pass), so every record is
+// counted against the same gate either way.
 type HeapCursor struct {
 	h      *HeapFile
 	cols   []int
@@ -194,7 +203,8 @@ type HeapCursor struct {
 // gating is what a cursor holds once it has been given gates: kept apart so
 // that a cursor nobody gates, the most common kind, stays small.
 type gating struct {
-	gates []Gate // empty: every row is decoded
+	gates []Gate // in the order they are tested; empty: every row is decoded
+	keys  int    // gates[:keys] are the Key gates
 	poll  func() error
 
 	// seen holds, per position in a row, the stamp of the record a gate last
@@ -207,15 +217,19 @@ type gating struct {
 }
 
 // A Gate is a test a record must pass before a HeapCursor decodes its row.
-// Test is given a row in which the positions Cols — positions in the
-// cursor's rows, not in the stored record — hold the record's values, and
-// some other positions may too; it must read no other and keep nothing. It
-// runs under the page's shard lock, so it must not use the pool. A Test that
-// errs keeps the row: a gate is a pre-filter, and whoever reads the row
-// reports the error. Dropped, when set, counts the rows the gate was the
-// first to fail.
+// Cols are positions in the cursor's rows, not in the stored record. A gate
+// sets exactly one of Key and Test. Key tests the one column Cols[0]: it is
+// given that value alone and never errs, which lets a pass that feeds several
+// cursors decode a column once and test every cursor's key gates on it
+// (Pass). Test is given a row in which the positions Cols hold the record's
+// values, and some other positions may too; it must read no other and keep
+// nothing. A Test that errs keeps the row: a gate is a pre-filter, and
+// whoever reads the row reports the error. Either runs under the page's shard
+// lock, so it must not use the pool. Dropped, when set, counts the rows the
+// gate was the first to fail.
 type Gate struct {
 	Cols    []int
+	Key     func(algebra.Value) bool
 	Test    func(Row) (bool, error)
 	Dropped *int64
 }
@@ -244,12 +258,14 @@ func (c *HeapCursor) Leave() {
 	c.pass = nil
 	if i := slices.Index(p.cons, c); i >= 0 {
 		p.cons = slices.Delete(p.cons, i, i+1)
+		p.regroup = true
 	}
 }
 
 // SetGates makes the cursor decode, of the records it examines from now on,
-// only the rows that pass every one of gates, tested in the order given to
-// begin with; none lets every row through again. Rows already decoded are
+// only the rows that pass every one of gates: the Key gates in ascending
+// order of their file column, then the others in the order given to begin
+// with; none lets every row through again. Rows already decoded are
 // delivered either way. poll, when set, is called after every row a gate
 // drops, and its error ends the scan: a Next may drop many rows. The cursor
 // keeps the list and reorders it in place, so the caller leaves it alone
@@ -261,7 +277,31 @@ func (c *HeapCursor) SetGates(gates []Gate, poll func() error) {
 		}
 		c.gated = &gating{}
 	}
-	c.gated.gates, c.gated.poll = gates, poll
+	slices.SortStableFunc(gates, func(a, b Gate) int { return cmp.Compare(c.testRank(a), c.testRank(b)) })
+	keys := 0
+	for keys < len(gates) && gates[keys].Key != nil {
+		keys++
+	}
+	c.gated.gates, c.gated.keys, c.gated.poll = gates, keys, poll
+	if c.pass != nil {
+		c.pass.regroup = true
+	}
+}
+
+// testRank places a gate in the cursor's test order: a Key gate by the file
+// column it reads, after every such gate one that reads outside the cursor's
+// columns, and every other gate last.
+func (c *HeapCursor) testRank(g Gate) int {
+	if g.Key == nil {
+		return math.MaxInt
+	}
+	switch pos := g.Cols[0]; {
+	case c.cols == nil:
+		return pos
+	case pos < len(c.cols):
+		return c.cols[pos]
+	}
+	return math.MaxInt - 1
 }
 
 // SetFeed makes the cursor's Next, once it has handed over every row it was
@@ -361,6 +401,17 @@ func (c *HeapCursor) readAlone() (err error) {
 // its own; one that several cursors share is stepped by whoever drives them
 // (SetFeed).
 //
+// A pass that feeds 2 to 64 cursors tests their Key gates itself, once per
+// record for them all. It groups the gates by the column they read when it
+// starts, and again when its cursors or a cursor's gates change, never per
+// page. A record's live mask has a bit for each cursor with key gates; the
+// pass decodes each grouped column of the record once, unless none of the
+// column's cursors is still live, and calls each live cursor's gates on it,
+// in that cursor's order (HeapCursor), clearing the cursor's bit and counting
+// the record against the first gate that fails it. A cursor then drops a
+// record whose bit is clear with one bit test, and runs only its other gates
+// on the rest.
+//
 // Cursors join a pass before it reads a page, and it starts where they stand,
 // so each is fed its rows in file order; one that comes later waits for
 // another pass. A cursor that, when the pass reads a page, still holds as
@@ -371,8 +422,32 @@ type Pass struct {
 	cons    []*HeapCursor
 	next    int   // next of h.pages to read
 	started bool  // it has read a page, or is reading one
+	regroup bool  // cons or a cursor's gates changed since the last group
 	cols    []int // the union of the cursors' columns, ascending; nil: all
 	slots   int   // the most records a page it has read held
+
+	keyed uint64    // bit i: the pass tests the key gates of cons[i]
+	keys  []keyGate // those gates, by the column they read, ascending
+	reach int       // the fewest located values a record it tests has
+	spill *page     // for pages larger than decodePage's arrays, grown to slots
+}
+
+// page is what a pass that feeds several cursors has found in the page it is
+// reading: record s has its values at the pass's columns at offsets
+// offs[starts[s]:starts[s+1]] and, when the pass tests key gates, the live
+// mask live[s], the bits of keyed whose cursor's key gates it passed.
+type page struct {
+	offs, starts []int
+	live         []uint64
+}
+
+// keyGate is a cursor's key gate that a pass tests for it.
+type keyGate struct {
+	pos     int    // of the column it reads, among the pass's columns
+	bit     uint64 // the cursor's
+	key     func(algebra.Value) bool
+	dropped *int64
+	g       *gating // the cursor's
 }
 
 // NewPass returns a pass over the file that no cursor has joined.
@@ -394,6 +469,10 @@ func (p *Pass) Join(c *HeapCursor) (ok bool) {
 	c.pass = p
 	return true
 }
+
+// KeyTested is the number of cursors whose key gates the pass tests for them,
+// as it grouped them for the last page it read.
+func (p *Pass) KeyTested() int { return bits.OnesCount64(p.keyed) }
 
 // Started reports whether the pass has read a page.
 func (p *Pass) Started() bool { return p.started }
@@ -429,10 +508,16 @@ func (p *Pass) Step() {
 		cons = append(cons, c)
 	}
 	clear(p.cons[len(cons):])
+	if len(cons) < len(p.cons) {
+		p.regroup = true
+	}
 	p.cons = cons
 	if len(p.cons) == 0 || p.next >= len(p.h.pages) {
 		p.finish()
 		return
+	}
+	if p.regroup {
+		p.group()
 	}
 	pool := p.h.pool
 	misses := pool.Misses()
@@ -451,6 +536,9 @@ func (p *Pass) Step() {
 		cons = append(cons, c)
 	}
 	clear(p.cons[len(cons):])
+	if len(cons) < len(p.cons) {
+		p.regroup = true
+	}
 	if p.cons = cons; p.next >= len(p.h.pages) {
 		p.finish()
 	}
@@ -478,6 +566,59 @@ func (p *Pass) start() {
 		c.upos = colPositions(c.cols, p.cols)
 		c.shared = max(c.shared, int32(len(p.cons)))
 	}
+	p.regroup = true
+}
+
+// group sets which cursors' key gates the pass tests, and lists those gates
+// by column: every key gate of each cursor whose key gates all read within
+// its columns, when the pass feeds 2 to 64 cursors, else none.
+func (p *Pass) group() {
+	p.regroup, p.keyed, p.reach = false, 0, 0
+	clear(p.keys)
+	p.keys = p.keys[:0]
+	if len(p.cons) < 2 || len(p.cons) > 64 {
+		return
+	}
+	n := 0
+	for _, c := range p.cons {
+		if c.keysShared() {
+			n += c.gated.keys
+		}
+	}
+	p.keys = slices.Grow(p.keys, n)
+	for i, c := range p.cons {
+		if !c.keysShared() {
+			continue
+		}
+		g, bit := c.gated, uint64(1)<<i
+		p.keyed |= bit
+		if n := len(c.upos); n > 0 {
+			p.reach = max(p.reach, c.upos[n-1]+1) // a shorter record is the cursor's to report
+		}
+		for _, k := range g.gates[:g.keys] {
+			pos := position(c.upos, k.Cols[0])
+			p.reach = max(p.reach, pos+1)
+			p.keys = append(p.keys, keyGate{pos: pos, bit: bit, key: k.Key, dropped: k.Dropped, g: g})
+		}
+	}
+	// Positions ascend with file columns, and the sort keeps each cursor's
+	// gates on one column in its order.
+	slices.SortStableFunc(p.keys, func(a, b keyGate) int { return cmp.Compare(a.pos, b.pos) })
+}
+
+// keysShared reports whether a pass that feeds other cursors too may test
+// the cursor's key gates: it has some, and they read within its columns.
+func (c *HeapCursor) keysShared() bool {
+	g := c.gated
+	if g == nil || g.keys == 0 {
+		return false
+	}
+	for _, k := range g.gates[:g.keys] {
+		if c.cols != nil && k.Cols[0] >= len(c.cols) {
+			return false
+		}
+	}
+	return true
 }
 
 // unionCols is the ascending union of two ascending column lists, nil (all)
@@ -524,61 +665,133 @@ func colPositions(cols, all []int) []int {
 // decodePage is the one routine that turns a heap page into rows: each cursor
 // in turn takes the page's records (take). A lone cursor locates each
 // record itself as it takes it; for several, each record is located once,
-// over the union of their columns, before they take the page.
+// over the union of their columns, and tested against the key gates the pass
+// groups, before they take the page.
 func (p *Pass) decodePage(data []byte) (err error) {
 	n := int(pageNumSlots(data))
 	p.slots = max(p.slots, n)
 	if len(p.cons) == 1 {
-		return p.cons[0].take(data, n, nil, nil, p.cols)
+		return p.cons[0].take(data, n, p, nil, 0)
 	}
 	var offsAt [512]int
-	var startsAt [128]int
-	// Record s's values at cols are at offs[starts[s]:starts[s+1]].
-	offs, starts := offsAt[:0], append(startsAt[:0], 0)
+	var startsAt [129]int
+	var liveAt [128]uint64
+	pg := page{offs: offsAt[:0], starts: startsAt[:0], live: liveAt[:0]}
+	if w := p.width(); n >= len(startsAt) || n*w > len(offsAt) {
+		if p.spill == nil || cap(p.spill.starts) <= n {
+			p.spill = &page{make([]int, 0, p.slots*w), make([]int, 0, p.slots+1), make([]uint64, 0, p.slots)}
+		}
+		pg = *p.spill
+	}
+	pg.starts = append(pg.starts, 0)
 	for s := 0; s < n; s++ {
 		off, length := slotAt(data, uint16(s))
-		if offs, err = locate(offs, data[off:off+length], p.cols); err != nil {
+		if pg.offs, err = locate(pg.offs, data[off:off+length], p.cols); err != nil {
 			return err
 		}
-		starts = append(starts, len(offs))
+		pg.starts = append(pg.starts, len(pg.offs))
 	}
-	for _, c := range p.cons {
-		c.err = c.take(data, n, starts, offs, p.cols)
+	if p.keyed != 0 {
+		p.testKeys(&pg, data, n)
+	}
+	for i, c := range p.cons {
+		c.err = c.take(data, n, p, &pg, p.keyed&(1<<uint(i)))
 	}
 	return nil
 }
 
-// take feeds the cursor the rows of the page's n records that pass its
-// gates. Record s's values at the pass's columns cols are at offsets
-// located[starts[s]:starts[s+1]] in it, or, with no starts, located here. The
-// gates test a record in its row's place in the cursor's slab, and only a row
-// that passes them all is decoded whole there — what they decoded is not
-// decoded again — and fed: carved len == cap, so an append to one cannot
-// reach the next. err is a damaged record's, or the gates' poll's.
-func (c *HeapCursor) take(data []byte, n int, starts, located, cols []int) (err error) {
+// width is the number of values the pass locates in a record: when it
+// locates them all, as many as the file's last row had.
+func (p *Pass) width() int {
+	if p.cols == nil {
+		return p.h.width
+	}
+	return len(p.cols)
+}
+
+// testKeys sets the live mask of each of the page's n records that has the
+// values the grouped gates read, counting each record a gate is the first of
+// its cursor's to fail. A column is decoded when the first gate on it whose
+// cursor is still live is reached, so not at all when none is.
+func (p *Pass) testKeys(pg *page, data []byte, n int) {
+	pg.live = pg.live[:n]
+	for s := 0; s < n; s++ {
+		live := p.keyed
+		if offs := pg.offs[pg.starts[s]:pg.starts[s+1]]; len(offs) >= p.reach {
+			off, length := slotAt(data, uint16(s))
+			rec := data[off : off+length]
+			var v algebra.Value
+			at := -1 // the position v was decoded from
+			for k := range p.keys {
+				kg := &p.keys[k]
+				if live&kg.bit == 0 {
+					continue
+				}
+				if kg.pos != at {
+					decodeAt(&v, rec, offs[kg.pos])
+					at = kg.pos
+				}
+				if !kg.key(v) {
+					kg.g.skipped++
+					if kg.dropped != nil {
+						*kg.dropped++
+					}
+					if live &^= kg.bit; live == 0 {
+						break
+					}
+				}
+			}
+		}
+		pg.live[s] = live
+	}
+}
+
+// take feeds the cursor the rows of the page's n records that pass its gates.
+// pg is what the pass p found in the page, nil when the cursor is its only
+// one and locates each record here. bit is the cursor's in the records' live
+// masks, 0 when the pass does not test its key gates: a record the pass
+// tested is dropped when the bit is clear, and otherwise meets only the
+// cursor's other gates. The gates test a record in its row's place
+// in the cursor's slab, and only a row that passes them all is decoded whole
+// there — what they decoded is not decoded again — and fed: carved len ==
+// cap, so an append to one cannot reach the next. err is a damaged record's,
+// or the gates' poll's.
+func (c *HeapCursor) take(data []byte, n int, p *Pass, pg *page, bit uint64) (err error) {
 	if cap(c.rows) < n {
 		c.rows = slices.Grow(c.rows, n-len(c.rows))
 	}
 	if need := c.h.rowWidth(c.cols) * n; !c.keep && len(c.slab) == 0 && cap(c.slab) < need {
 		c.slab = make(Row, 0, need)
 	}
-	upos, g := c.upos, c.gated
+	upos, g, cols := c.upos, c.gated, p.cols
 	if g != nil && len(g.gates) == 0 {
 		g = nil
 	}
 	var at [32]int
 	offs := at[:0] // the record's value offsets, by position among cols
 	for s := 0; s < n; s++ {
+		c.left--
+		from := 0 // the first gate to test the record
+		if bit != 0 && pg.starts[s+1]-pg.starts[s] >= p.reach {
+			if pg.live[s]&bit == 0 {
+				if g.poll != nil {
+					if err = g.poll(); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			from = g.keys
+		}
 		off, length := slotAt(data, uint16(s))
 		rec := data[off : off+length]
-		if starts == nil {
+		if pg == nil {
 			if offs, err = locate(offs[:0], rec, cols); err != nil {
 				return err
 			}
 		} else {
-			offs = located[starts[s]:starts[s+1]]
+			offs = pg.offs[pg.starts[s]:pg.starts[s+1]]
 		}
-		c.left--
 		w := len(offs)
 		if upos != nil {
 			if w = len(upos); cols == nil && w > 0 && upos[w-1] >= len(offs) {
@@ -591,8 +804,8 @@ func (c *HeapCursor) take(data []byte, n int, starts, located, cols []int) (err 
 		start := len(c.slab)
 		row := c.slab[start : start+w : start+w]
 		switch {
-		case g != nil:
-			if pass, err := g.admit(row, rec, offs, upos); !pass {
+		case g != nil && from < len(g.gates):
+			if pass, err := g.admit(row, rec, offs, upos, from); !pass {
 				if err != nil {
 					return err
 				}
@@ -639,22 +852,37 @@ func (c *HeapCursor) slabFor(w, n int) int {
 	return max(w*n, 2*cap(c.slab))
 }
 
-// admit tests a located record against the gates in their order, decoding
-// into row, the place the record's row would take, each gate's columns that
-// no gate before it decoded. The first gate to fail the record drops it and
-// swaps places with the gate before it. err is poll's.
-func (g *gating) admit(row Row, rec []byte, offs, upos []int) (pass bool, err error) {
-	// The first gate, the one that has dropped most, meets a record nothing
-	// has decoded yet: only a record it passes needs its columns marked.
-	first := &g.gates[0]
-	for _, col := range first.Cols {
+// admit tests a located record against gates[from:] in their order, decoding
+// into row, the place the record's row would take, each Test gate's columns
+// that no gate before it decoded; a Key gate is given its value alone. The
+// first gate to fail the record drops it (drop). err is poll's.
+func (g *gating) admit(row Row, rec []byte, offs, upos []int, from int) (pass bool, err error) {
+	// The first gate, a key gate or the other that has dropped most, meets a
+	// record nothing has decoded yet: only a record it passes needs its
+	// columns marked.
+	first := &g.gates[from]
+	var ok bool
+	if first.Key != nil {
+		col := first.Cols[0]
 		if col >= len(row) {
 			return true, nil // a record too short to test is decoded, and tested by whoever reads it
 		}
-		decodeAt(&row[col], rec, offs[position(upos, col)])
+		var v algebra.Value
+		decodeAt(&v, rec, offs[position(upos, col)])
+		ok = first.Key(v)
+	} else {
+		for _, col := range first.Cols {
+			if col >= len(row) {
+				return true, nil
+			}
+			decodeAt(&row[col], rec, offs[position(upos, col)])
+		}
+		if ok, err = first.Test(row); err != nil {
+			ok = true
+		}
 	}
-	if ok, err := first.Test(row); !ok && err == nil {
-		g.skipped++ // drop(0), by hand: this is where a scan spends its time
+	if !ok {
+		g.skipped++ // drop(from), by hand: this is where a scan spends its time
 		if first.Dropped != nil {
 			*first.Dropped++
 		}
@@ -670,11 +898,25 @@ func (g *gating) admit(row Row, rec []byte, offs, upos []int) (pass bool, err er
 	if len(g.seen) < len(row) {
 		g.seen = append(g.seen, make([]uint32, len(row)-len(g.seen))...)
 	}
-	for _, col := range first.Cols {
-		g.seen[col] = g.stamp
+	if first.Key == nil {
+		for _, col := range first.Cols {
+			g.seen[col] = g.stamp
+		}
 	}
-	for i := 1; i < len(g.gates); i++ {
+	for i := from + 1; i < len(g.gates); i++ {
 		gate := &g.gates[i]
+		if gate.Key != nil {
+			col := gate.Cols[0]
+			if col >= len(row) {
+				return true, nil
+			}
+			var v algebra.Value
+			decodeAt(&v, rec, offs[position(upos, col)])
+			if !gate.Key(v) {
+				return false, g.drop(i)
+			}
+			continue
+		}
 		for _, col := range gate.Cols {
 			if col >= len(row) {
 				return true, nil
@@ -692,13 +934,13 @@ func (g *gating) admit(row Row, rec []byte, offs, upos []int) (pass bool, err er
 }
 
 // drop counts a record the i-th gate was the first to fail, moves that gate a
-// place forward and polls.
+// place forward among the gates that are not key gates, and polls.
 func (g *gating) drop(i int) error {
 	g.skipped++
 	if d := g.gates[i].Dropped; d != nil {
 		*d++
 	}
-	if i > 0 {
+	if i > g.keys {
 		g.gates[i-1], g.gates[i] = g.gates[i], g.gates[i-1]
 	}
 	if g.poll != nil {
