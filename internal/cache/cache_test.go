@@ -74,7 +74,7 @@ func chain(tables []string, selConst int64) *algebra.Tree {
 // optimize, decide spools, execute, commit — under the given binding sets;
 // a nil store runs it uncached. It returns the executed rows and stats, the
 // plan and the number of whole-expression spools.
-func runTicket(t *testing.T, m *Manager, db *storage.DB, cat *catalog.Catalog,
+func runTicket(t testing.TB, m *Manager, db *storage.DB, cat *catalog.Catalog,
 	queries []*algebra.Tree, sets []map[string]algebra.Value) ([]exec.QueryResult, exec.RunStats, *physical.Plan, int) {
 	t.Helper()
 	model := cost.DefaultModel()

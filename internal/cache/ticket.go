@@ -184,11 +184,12 @@ func (m *Manager) tierScanCost(t cost.Tier, bytes int64) cost.Cost {
 
 // Admission bounds per batch, so a single large batch cannot churn the whole
 // store. Bindings are small (often one aggregate row each) but arrive in
-// set-sized groups, so their bound is the wider one.
-const (
-	maxAdmitPerBatch     = 4
-	maxBindAdmitPerBatch = 64
-)
+// set-sized groups, so their bound is the wider one. The binding bound is a
+// variable only so BenchmarkBindingReplay can set it to 0, which turns
+// per-binding caching off; nothing else changes it.
+const maxAdmitPerBatch = 4
+
+var maxBindAdmitPerBatch = 64
 
 // candidate is one result a batch offers for admission: the rows plan node
 // n produces for the expression (fp, prop), under one binding or — id.bind

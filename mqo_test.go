@@ -2,7 +2,6 @@ package mqo
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"mqo/internal/tpcd"
@@ -69,21 +68,4 @@ func TestAlgorithmString(t *testing.T) {
 	if s := Greedy.String(); s != "Greedy" {
 		t.Errorf("got %q, want %q", s, "Greedy")
 	}
-}
-
-// ExampleOpen shows the minimal optimization session.
-func ExampleOpen() {
-	opt, err := Open(tpcd.Catalog(1))
-	if err != nil {
-		panic(err)
-	}
-	ctx := context.Background()
-	batch := []*Query{tpcd.Q11()}
-	v, _ := opt.OptimizeBatch(ctx, batch, Volcano)
-	g, _ := opt.OptimizeBatch(ctx, batch, Greedy)
-	fmt.Printf("greedy beats volcano: %v\n", g.Cost < v.Cost)
-	fmt.Printf("materialized shared results: %v\n", len(g.Materialized) > 0)
-	// Output:
-	// greedy beats volcano: true
-	// materialized shared results: true
 }

@@ -105,14 +105,8 @@ func WithResultCache(ramBytes, warmBytes int64) Option {
 	return func(o *Optimizer) { o.rcBudget, o.rcWarmBudget = ramBytes, warmBytes }
 }
 
-// WithSpaceBudget bounds the total size of materialized results chosen by
-// Greedy to the given number of bytes (the paper's §8 extension).
-func WithSpaceBudget(bytes int64) Option {
-	return func(o *Optimizer) { o.opts.Greedy.SpaceBudgetBytes = bytes }
-}
-
-// WithOptions replaces the full optimization options (ablation switches,
-// RU order). Later options still override individual fields.
+// WithOptions sets the optimization options: the Greedy ablation switches
+// and space budget, the RU order and the search parallelism.
 func WithOptions(opt Options) Option { return func(o *Optimizer) { o.opts = opt } }
 
 // WithBatching tunes the micro-batching service behind Optimizer.Submit
@@ -205,10 +199,6 @@ func (o *Optimizer) Model() Model { return o.model }
 
 // DB returns the attached database, or nil.
 func (o *Optimizer) DB() *DB { return o.db }
-
-// ParseAlgorithm maps a user-facing name to an Algorithm; see the
-// package-level ParseAlgorithm.
-func (o *Optimizer) ParseAlgorithm(name string) (Algorithm, error) { return ParseAlgorithm(name) }
 
 // ParseSQL parses a semicolon-separated batch of SELECT statements against
 // the session catalog into algebra queries. The trees are the caller's to

@@ -206,7 +206,8 @@ func TestPlanCacheAccounting(t *testing.T) {
 // three keys, and without a store to arm them against bindings change no
 // plan. The session's options are in no key: they are fixed at Open.
 func TestMemoKeys(t *testing.T) {
-	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2), WithOptions(Options{Parallelism: 2}), WithSpaceBudget(1<<20))
+	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2),
+		WithOptions(Options{Parallelism: 2, Greedy: GreedyOptions{SpaceBudgetBytes: 1 << 20}}))
 	if err != nil {
 		t.Fatal(err)
 	}

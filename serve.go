@@ -257,7 +257,7 @@ const maxQueryBodyBytes = 1 << 20
 //	POST /query  {"sql": "SELECT ..."}      -> columns, rows, batch info
 //	GET  /stats                             -> batching + plan-cache stats
 //
-// It is the handler cmd/mqoserver serves and examples/server drives.
+// It is the handler cmd/mqoserver serves and ExampleServe drives.
 func ServiceHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
