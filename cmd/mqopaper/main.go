@@ -1,4 +1,4 @@
-// Command mqobench regenerates the paper's experiments (§6: Figures 6-10,
+// Command mqopaper regenerates the paper's experiments (§6: Figures 6-10,
 // the §6.3 ablations, the §6.4 sensitivity checks) plus the observability
 // overhead measurement. With no flags it runs every experiment; -experiment
 // selects one by name (-h lists them).
@@ -6,8 +6,8 @@
 // (one element per experiment) instead of the human-readable tables —
 // the format CI archives as BENCH_paper.json.
 //
-//	mqobench -experiment fig6
-//	mqobench -experiment fig6 -json > fig6.json
+//	mqopaper -experiment fig6
+//	mqopaper -experiment fig6 -json > fig6.json
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 	which := flag.String("experiment", "all", "experiment to run ("+valid+")")
 	flag.Parse()
 	if *maxCQ < 1 || *maxCQ > 5 {
-		fmt.Fprintf(os.Stderr, "mqobench: -maxcq %d outside 1-5\n", *maxCQ)
+		fmt.Fprintf(os.Stderr, "mqopaper: -maxcq %d outside 1-5\n", *maxCQ)
 		os.Exit(2)
 	}
 
@@ -61,7 +61,7 @@ func main() {
 		}
 		exp, err := r.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mqobench: %s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "mqopaper: %s: %v\n", r.name, err)
 			os.Exit(1)
 		}
 		if !*asJSON {
@@ -70,14 +70,14 @@ func main() {
 		results = append(results, exp)
 	}
 	if len(results) == 0 {
-		fmt.Fprintf(os.Stderr, "mqobench: unknown experiment %q (want %s)\n", *which, valid)
+		fmt.Fprintf(os.Stderr, "mqopaper: unknown experiment %q (want %s)\n", *which, valid)
 		os.Exit(2)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "mqobench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "mqopaper: %v\n", err)
 			os.Exit(1)
 		}
 	}

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// TestMain re-enters main with MQOBENCH_ARGS as the command line when the
+// TestMain re-enters main with MQOPAPER_ARGS as the command line when the
 // variable is set, so the tests can observe the process's exit status.
 func TestMain(m *testing.M) {
-	if args, ok := os.LookupEnv("MQOBENCH_ARGS"); ok {
+	if args, ok := os.LookupEnv("MQOPAPER_ARGS"); ok {
 		os.Args = append(os.Args[:1], strings.Fields(args)...)
 		main()
 		return
@@ -24,7 +24,7 @@ func TestMain(m *testing.M) {
 func TestBadFlagValuesExit2(t *testing.T) {
 	for _, args := range []string{"-maxcq 9", "-maxcq 0", "-maxcq -1", "-experiment nope"} {
 		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "MQOBENCH_ARGS="+args)
+		cmd.Env = append(os.Environ(), "MQOPAPER_ARGS="+args)
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Count(string(out), "\n") != 1 {

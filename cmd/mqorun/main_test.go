@@ -1,11 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"mqo/internal/obs"
 )
 
 var rowsTotal = regexp.MustCompile(`executed: \d+ queries, (\d+) rows total`)
@@ -44,8 +49,9 @@ func TestEveryWorkloadRuns(t *testing.T) {
 	}
 }
 
-// TestExitStatus: a command line mqorun cannot run (a bad flag or -n, an
-// unknown workload or algorithm) exits 2, a failed run 1.
+// TestExitStatus: a command line mqorun cannot run (a bad flag, flag value
+// or -n, an unknown workload or algorithm) exits 2, a failed run 1. None of
+// the -serve cases gets as far as starting a server.
 func TestExitStatus(t *testing.T) {
 	for _, c := range []struct {
 		args  []string
@@ -57,6 +63,21 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-alg", "nope"}, true},
 		{[]string{"-workload", "ssb", "-n", "9"}, true},
 		{[]string{"-workload", "cq", "-n", "0"}, true},
+		{[]string{"-sf", "0"}, true},
+		{[]string{"-sf", "-1"}, true},
+		{[]string{"-sf", "NaN"}, true},
+		{[]string{"-resultcache", "-1"}, true},
+		{[]string{"-resultcache", "4096", "-resultcache-warm", "-1"}, true},
+		{[]string{"-resultcache-warm", "4096"}, true},
+		{[]string{"-max-wait", "0s"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-max-wait", "-1ms"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-max-batch", "0"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-max-batch", "1025"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-workers", "0"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-workers", "65"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-sf", "-1"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-sql", "SELECT nname FROM nation"}, true},
+		{[]string{"-serve", "127.0.0.1:0", "-alg", "nope"}, true},
 		{[]string{"-sql", "SELECT x FROM nothing"}, false},
 	} {
 		var out strings.Builder
@@ -67,7 +88,40 @@ func TestExitStatus(t *testing.T) {
 		}
 	}
 	var out strings.Builder
-	if err := run([]string{"-h"}, &out); err != nil || !strings.Contains(out.String(), "-workload") {
-		t.Errorf("-h: %v, output %q; want the flags and no error", err, out.String())
+	if err := run([]string{"-h"}, &out); err != nil || !strings.Contains(out.String(), "-workload") ||
+		!strings.Contains(out.String(), "(1-1024)") || !strings.Contains(out.String(), "(1-64)") {
+		t.Errorf("-h: %v, output %q; want the flags with their bounds and no error", err, out.String())
+	}
+}
+
+// TestRunTrace: -trace traces a run too, writing a chrome trace that holds
+// the batch's executor span.
+func TestRunTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var out strings.Builder
+	if err := run([]string{"-workload", "bq", "-n", "1", "-sf", "0.0005", "-trace", path}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if obs.Tracing() {
+		t.Error("tracing still on after the run")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct{ Name string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("trace is not chrome JSON: %v", err)
+	}
+	execSpans := 0
+	for _, e := range trace.TraceEvents {
+		if e.Name == "exec" {
+			execSpans++
+		}
+	}
+	if execSpans == 0 {
+		t.Errorf("trace holds no exec span among %d events", len(trace.TraceEvents))
 	}
 }

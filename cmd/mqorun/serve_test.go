@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,7 +59,13 @@ type statsReply struct {
 	PhaseSeconds map[string]float64 `json:"phase_seconds"`
 }
 
-// TestEndToEnd boots the full mqoserver stack over HTTP, fires concurrent
+// workload returns the named workload of the table.
+func workload(name string) namedWorkload {
+	i := slices.IndexFunc(workloads, func(w namedWorkload) bool { return w.name == name })
+	return workloads[i]
+}
+
+// TestEndToEnd boots the full serving stack over HTTP, fires concurrent
 // clients at it, and asserts the micro-batcher actually coalesced them
 // into shared MQO batches: fewer batches than clients, a batch-size
 // distribution with multi-query batches, and estimated cost saved versus
@@ -67,7 +74,7 @@ type statsReply struct {
 // stored answers do is TestEndToEndMetrics's.
 func TestEndToEnd(t *testing.T) {
 	const clients = 12
-	handler, svc, err := newService("tpcd", 0.002, 1, 1024, 64, mqo.BatchingOptions{
+	handler, svc, opt, err := newService(workload("bq"), 0.002, 1024, 64, mqo.BatchingOptions{
 		MaxBatch: clients,
 		MaxWait:  500 * time.Millisecond,
 		Workers:  2,
@@ -75,6 +82,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer opt.Close()
 	defer svc.Close()
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
@@ -185,12 +193,13 @@ func TestEndToEnd(t *testing.T) {
 // TestSSBWorkload boots the server over generated SSB data and runs one
 // flight query through the full HTTP path.
 func TestSSBWorkload(t *testing.T) {
-	handler, svc, err := newService("ssb", 0.002, 1, 1024, 16, mqo.BatchingOptions{
+	handler, svc, opt, err := newService(workload("ssb"), 0.002, 1024, 16, mqo.BatchingOptions{
 		MaxBatch: 1, MaxWait: time.Millisecond,
 	}, "greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer opt.Close()
 	defer svc.Close()
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
@@ -218,9 +227,9 @@ func TestSSBWorkload(t *testing.T) {
 		t.Errorf("%d rows, want 1", len(r.Rows))
 	}
 
-	if _, _, err := newService("nosuch", 0.002, 1, 256, 0, mqo.BatchingOptions{
-		MaxBatch: 1, MaxWait: time.Millisecond,
-	}, "greedy"); err == nil {
+	// The workload table is run's: an unknown name is refused before any
+	// server starts.
+	if err := run([]string{"-serve", "127.0.0.1:0", "-workload", "nosuch"}, io.Discard); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -234,7 +243,7 @@ func TestSSBWorkload(t *testing.T) {
 // The name keeps it under CI's dedicated `-run 'TestEndToEnd'` e2e step.
 func TestEndToEndMetrics(t *testing.T) {
 	const maxWait = 50 * time.Millisecond
-	handler, svc, err := newService("tpcd", 0.002, 1, 1024, 16, mqo.BatchingOptions{
+	handler, svc, opt, err := newService(workload("bq"), 0.002, 1024, 16, mqo.BatchingOptions{
 		MaxBatch:         2,
 		MaxWait:          maxWait,
 		ResultCacheBytes: 1 << 20,
@@ -242,6 +251,7 @@ func TestEndToEndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer opt.Close()
 	defer svc.Close()
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
@@ -399,12 +409,13 @@ func sample(t *testing.T, text, series string) float64 {
 
 // TestBadRequests covers the HTTP error paths.
 func TestBadRequests(t *testing.T) {
-	handler, svc, err := newService("tpcd", 0.002, 1, 256, 0, mqo.BatchingOptions{
+	handler, svc, opt, err := newService(workload("bq"), 0.002, 256, 0, mqo.BatchingOptions{
 		MaxBatch: 1, MaxWait: time.Millisecond,
 	}, "volcano-ru")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer opt.Close()
 	defer svc.Close()
 	ts := httptest.NewServer(handler)
 	defer ts.Close()

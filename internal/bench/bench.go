@@ -5,7 +5,7 @@
 // (Figure 10), the §6.3 optimization ablations, and the §6.4 no-sharing
 // overhead, memory- and data-scale sensitivity checks — and, beside them,
 // Observe, the instrumentation-overhead measurement CI gates. Wall-clock
-// performance is measured by the benchmark/ module, not here. cmd/mqobench
+// performance is measured by the benchmark/ module, not here. cmd/mqopaper
 // and the root bench_test.go are thin wrappers over this package.
 package bench
 

@@ -149,7 +149,7 @@ func TestAblationShapes(t *testing.T) {
 			t.Errorf("sharability: maxCQ %d accepted", maxCQ)
 		}
 	}
-	mono, err := AblationMonotonicity(3) // mqobench's default
+	mono, err := AblationMonotonicity(3) // mqopaper's default
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type jsonExperiment struct {
 }
 
 // MarshalJSON renders the experiment in a stable machine-readable shape
-// (mqobench -json, what CI archives as BENCH_paper.json):
+// (mqopaper -json, what CI archives as BENCH_paper.json):
 // algorithms by name, costs in cost-model seconds, optimization times in
 // wall seconds, instrumentation counters flattened per cell.
 func (e *Experiment) MarshalJSON() ([]byte, error) {

@@ -158,7 +158,7 @@ func opName(pn *physical.PlanNode, asConsumer bool, env *Env) string {
 //
 // Open and Close are timed exactly. Next is timed exactly while its calls are
 // slow and sampled once they are cheap, because two clock reads around a call
-// that hands over one row cost several times the call (mqobench's observe
+// that hands over one row cost several times the call (mqopaper's observe
 // experiment gates the whole wrapper at 5 % of an unprofiled run). A
 // pipelined tree is bursty, though: one Next of a scan in some forty decodes
 // a page and costs a hundred times its neighbours, and it must neither be

@@ -8,7 +8,7 @@
 // executor's per-operator counters and the serving path's latency
 // histograms can all record under concurrency without a shared lock. The
 // package-wide Enabled switch turns all recording into an immediate return,
-// which is what mqobench's observe experiment (instrumented vs disabled)
+// which is what mqopaper's observe experiment (instrumented vs disabled)
 // toggles.
 package obs
 

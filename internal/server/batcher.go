@@ -77,37 +77,14 @@ type PhaseTimes struct {
 	Spool    time.Duration `json:"spool_ns"`
 }
 
-// BatchResult is what a Runner returns for one coalesced batch: per-query
-// results in submission order plus batch-level accounting.
-type BatchResult struct {
-	// PerQuery holds one result per submitted query, in the order the
-	// queries were handed to the Runner.
-	PerQuery []exec.QueryResult
-	// Cost is the estimated cost of the executed (shared) plan.
-	Cost float64
-	// NoShareCost is the estimated cost of the best no-sharing plan for
-	// the same batch (the Volcano baseline).
-	NoShareCost float64
-	// CacheHit reports whether the plan came from the session plan cache.
-	CacheHit bool
-	// ResultCacheHits counts distinct spooled result-cache tables the
-	// executed plan read; ResultCacheSpool counts results the batch
-	// admitted and wrote to the cross-batch store.
-	ResultCacheHits  int
-	ResultCacheSpool int
-	// Algorithm names the optimization strategy that produced the plan.
-	Algorithm string
-	// Exec is the measured execution profile of the batch run.
-	Exec exec.RunStats
-	// Phases is the batch's per-phase timing breakdown (optimize, execute,
-	// spool; parse/lower are patched in per query by the caller).
-	Phases PhaseTimes
-}
-
-// Runner optimizes and executes one coalesced batch. It is called from
-// worker goroutines and must be safe for concurrent use. The context ends
-// when every waiter of the batch has given up (batchContext).
-type Runner func(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error)
+// Runner optimizes and executes one coalesced batch: one result per query,
+// in the order the queries were handed to it, and the batch's BatchInfo with
+// what the run knows — costs, cache traffic, algorithm, the optimize,
+// execute and spool phases and the execution profile. The batcher fills in
+// the rest per waiter (Seq, Size, Stored, Wait, parse and lower). It is
+// called from worker goroutines and must be safe for concurrent use. The
+// context ends when every waiter of the batch has given up (batchContext).
+type Runner func(ctx context.Context, queries []*algebra.Tree) ([]exec.QueryResult, BatchInfo, error)
 
 // BatchInfo describes the batch a query was answered by.
 type BatchInfo struct {
@@ -143,8 +120,11 @@ type BatchInfo struct {
 
 // Response is the per-query outcome of a batched run.
 type Response struct {
-	Result exec.QueryResult
-	Batch  BatchInfo
+	// Query holds this submission's rows and schema — only its own, even
+	// though the batch computed several queries' results in one run.
+	Query exec.QueryResult
+	// Batch describes the coalesced batch that produced the answer.
+	Batch BatchInfo
 }
 
 // Stats is the service's accounting, shaped for JSON (GET /stats).
@@ -186,6 +166,7 @@ type Stats struct {
 type request struct {
 	ctx      context.Context
 	query    *algebra.Tree
+	compiled PhaseTimes // the query's parse and lower, before it was submitted
 	enqueued time.Time
 	done     chan outcome // buffered(1): runBatch never blocks on a waiter
 }
@@ -289,24 +270,25 @@ func NewBatcher(cfg Config, run Runner) *Batcher {
 // Submit enqueues one query and blocks until its batch has run (returning
 // this query's rows) or ctx is done (returning ctx.Err()). A waiter that
 // gives up does not fail its batch: the batch still runs for the others,
-// and is only cancelled once every waiter has gone.
-func (b *Batcher) Submit(ctx context.Context, q *algebra.Tree) (*Response, error) {
-	return b.submit(ctx, q, false)
+// and is only cancelled once every waiter has gone. compiled carries the
+// query's parse and lower times into its answer's phases.
+func (b *Batcher) Submit(ctx context.Context, q *algebra.Tree, compiled PhaseTimes) (*Response, error) {
+	return b.submit(ctx, q, compiled, false)
 }
 
 // SubmitStored is Submit for a query the caller knows to have its whole
 // answer stored: it joins no window and goes straight to the workers' queue
 // as a batch of one — counted like any batch, waited for by Close and
 // refused after it.
-func (b *Batcher) SubmitStored(ctx context.Context, q *algebra.Tree) (*Response, error) {
-	return b.submit(ctx, q, true)
+func (b *Batcher) SubmitStored(ctx context.Context, q *algebra.Tree, compiled PhaseTimes) (*Response, error) {
+	return b.submit(ctx, q, compiled, true)
 }
 
-func (b *Batcher) submit(ctx context.Context, q *algebra.Tree, stored bool) (*Response, error) {
+func (b *Batcher) submit(ctx context.Context, q *algebra.Tree, compiled PhaseTimes, stored bool) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req := &request{ctx: ctx, query: q, enqueued: time.Now(), done: make(chan outcome, 1)}
+	req := &request{ctx: ctx, query: q, compiled: compiled, enqueued: time.Now(), done: make(chan outcome, 1)}
 
 	b.mu.Lock()
 	if b.closed {
@@ -438,57 +420,44 @@ func (b *Batcher) runBatch(batch []*request, stored bool, flushed time.Time) {
 	}
 	seq := b.seq.Add(1)
 
-	res, err := b.run(ctx, queries)
-	if err == nil && len(res.PerQuery) != len(queries) {
+	results, info, err := b.run(ctx, queries)
+	if err == nil && len(results) != len(queries) {
 		err = errors.New("server: runner returned wrong result count")
 	}
 	b.batchSeconds.ObserveDuration(time.Since(flushed))
 
 	if err != nil {
 		b.errored.Add(int64(len(live)))
-	} else {
-		b.batches.Inc()
-		b.queries.Add(int64(len(live)))
-		if stored {
-			b.stored.Inc()
-		}
-		if size := len(live); size < len(b.sizeHist) && obs.Enabled() {
-			b.sizeHist[size].Add(1)
-		}
-		b.batchSizeH.Observe(float64(len(live)))
-		b.maxBatch.SetMax(int64(len(live)))
-		b.costShared.Add(res.Cost)
-		b.costNoShare.Add(res.NoShareCost)
-		b.costSaved.Add(res.NoShareCost - res.Cost)
-		if res.CacheHit {
-			b.planCacheHits.Inc()
-		}
-		b.rcHits.Add(int64(res.ResultCacheHits))
-		b.rcSpools.Add(int64(res.ResultCacheSpool))
-	}
-
-	for i, req := range live {
-		if err != nil {
+		for _, req := range live {
 			req.done <- outcome{err: err}
-			continue
 		}
-		req.done <- outcome{resp: &Response{
-			Result: res.PerQuery[i],
-			Batch: BatchInfo{
-				Seq:              seq,
-				Size:             len(live),
-				Cost:             res.Cost,
-				NoShareCost:      res.NoShareCost,
-				CacheHit:         res.CacheHit,
-				ResultCacheHits:  res.ResultCacheHits,
-				ResultCacheSpool: res.ResultCacheSpool,
-				Algorithm:        res.Algorithm,
-				Stored:           stored,
-				Wait:             flushed.Sub(req.enqueued),
-				Phases:           res.Phases,
-				Exec:             res.Exec,
-			},
-		}}
+		return
+	}
+	b.batches.Inc()
+	b.queries.Add(int64(len(live)))
+	if stored {
+		b.stored.Inc()
+	}
+	if size := len(live); size < len(b.sizeHist) && obs.Enabled() {
+		b.sizeHist[size].Add(1)
+	}
+	b.batchSizeH.Observe(float64(len(live)))
+	b.maxBatch.SetMax(int64(len(live)))
+	b.costShared.Add(info.Cost)
+	b.costNoShare.Add(info.NoShareCost)
+	b.costSaved.Add(info.NoShareCost - info.Cost)
+	if info.CacheHit {
+		b.planCacheHits.Inc()
+	}
+	b.rcHits.Add(int64(info.ResultCacheHits))
+	b.rcSpools.Add(int64(info.ResultCacheSpool))
+
+	info.Seq, info.Size, info.Stored = seq, len(live), stored
+	for i, req := range live {
+		resp := &Response{Query: results[i], Batch: info}
+		resp.Batch.Wait = flushed.Sub(req.enqueued)
+		resp.Batch.Phases.Parse, resp.Batch.Phases.Lower = req.compiled.Parse, req.compiled.Lower
+		req.done <- outcome{resp: resp}
 	}
 }
 

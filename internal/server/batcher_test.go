@@ -35,33 +35,33 @@ func (e *echoRunner) register() *algebra.Tree {
 	return q
 }
 
-func (e *echoRunner) run(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error) {
+func (e *echoRunner) run(ctx context.Context, queries []*algebra.Tree) ([]exec.QueryResult, BatchInfo, error) {
 	if e.delay > 0 {
 		select {
 		case <-time.After(e.delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, BatchInfo{}, ctx.Err()
 		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.err != nil {
-		return nil, e.err
+		return nil, BatchInfo{}, e.err
 	}
 	var seen []int64
-	res := &BatchResult{NoShareCost: float64(len(queries)), Cost: 1, Algorithm: "echo"}
+	var results []exec.QueryResult
 	for _, q := range queries {
 		id, ok := e.ids[q]
 		if !ok {
-			return nil, errors.New("unknown query")
+			return nil, BatchInfo{}, errors.New("unknown query")
 		}
 		seen = append(seen, id)
-		res.PerQuery = append(res.PerQuery, exec.QueryResult{
+		results = append(results, exec.QueryResult{
 			Rows: []storage.Row{{algebra.IntVal(id)}},
 		})
 	}
 	e.batches = append(e.batches, seen)
-	return res, nil
+	return results, BatchInfo{NoShareCost: float64(len(queries)), Cost: 1, Algorithm: "echo"}, nil
 }
 
 func (e *echoRunner) id(q *algebra.Tree) int64 {
@@ -91,13 +91,20 @@ func submitN(t *testing.T, b *Batcher, e *echoRunner, n int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := b.Submit(context.Background(), q)
+			compiled := PhaseTimes{Parse: time.Duration(id), Lower: time.Duration(2 * id)}
+			resp, err := b.Submit(context.Background(), q, compiled)
 			if err != nil {
 				errs <- err
 				return
 			}
-			if got := resp.Result.Rows[0][0].I; got != id {
+			if got := resp.Query.Rows[0][0].I; got != id {
 				errs <- fmt.Errorf("query %d got row %d", id, got)
+			}
+			// The runner's batch info reaches every waiter, with the
+			// waiter's own parse and lower beside it.
+			if bi := resp.Batch; bi.Algorithm != "echo" || bi.Cost != 1 || bi.NoShareCost != float64(bi.Size) ||
+				bi.Phases.Parse != compiled.Parse || bi.Phases.Lower != compiled.Lower {
+				errs <- fmt.Errorf("query %d: batch info %+v, want the runner's and its own parse and lower", id, bi)
 			}
 		}()
 	}
@@ -163,7 +170,7 @@ func TestCancelledWaiterDoesNotFailBatch(t *testing.T) {
 	qctx, qcancel := context.WithCancel(context.Background())
 	quitErr := make(chan error, 1)
 	go func() {
-		_, err := b.Submit(qctx, quitter)
+		_, err := b.Submit(qctx, quitter, PhaseTimes{})
 		quitErr <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the quitter join the window
@@ -199,13 +206,13 @@ func TestAllWaitersGoneCancelsBatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			started := make(chan context.Context, 1)
 			release := make(chan struct{})
-			run := func(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error) {
+			run := func(ctx context.Context, queries []*algebra.Tree) ([]exec.QueryResult, BatchInfo, error) {
 				started <- ctx
 				select {
 				case <-ctx.Done():
-					return nil, ctx.Err()
+					return nil, BatchInfo{}, ctx.Err()
 				case <-release:
-					return &BatchResult{PerQuery: make([]exec.QueryResult, len(queries))}, nil
+					return make([]exec.QueryResult, len(queries)), BatchInfo{}, nil
 				}
 			}
 			b := NewBatcher(Config{MaxBatch: tc.waiters, MaxWait: time.Hour}, run)
@@ -224,7 +231,7 @@ func TestAllWaitersGoneCancelsBatch(t *testing.T) {
 				defer cancel()
 				cancels[i] = cancel
 				go func() {
-					_, err := submit(ctx, &algebra.Tree{})
+					_, err := submit(ctx, &algebra.Tree{}, PhaseTimes{})
 					errs <- err
 				}()
 			}
@@ -286,7 +293,7 @@ func TestRunnerErrorReachesEveryWaiter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := b.Submit(context.Background(), q); errors.Is(err, boom) {
+			if _, err := b.Submit(context.Background(), q, PhaseTimes{}); errors.Is(err, boom) {
 				failures.Add(1)
 			}
 		}()
@@ -309,7 +316,7 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 	done := make(chan error, 1)
 	q := e.register()
 	go func() {
-		_, err := b.Submit(context.Background(), q)
+		_, err := b.Submit(context.Background(), q, PhaseTimes{})
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -317,7 +324,7 @@ func TestCloseFlushesAndRejects(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Errorf("waiter of the final flush got %v", err)
 	}
-	if _, err := b.Submit(context.Background(), e.register()); !errors.Is(err, ErrClosed) {
+	if _, err := b.Submit(context.Background(), e.register(), PhaseTimes{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-Close Submit got %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
@@ -333,7 +340,7 @@ type gateRunner struct {
 	maxInFlight atomic.Int64
 }
 
-func (g *gateRunner) run(ctx context.Context, queries []*algebra.Tree) (*BatchResult, error) {
+func (g *gateRunner) run(ctx context.Context, queries []*algebra.Tree) ([]exec.QueryResult, BatchInfo, error) {
 	n := g.inFlight.Add(1)
 	defer g.inFlight.Add(-1)
 	for {
@@ -357,7 +364,7 @@ func TestSubmitStoredSkipsTheWindow(t *testing.T) {
 
 	windowed := make(chan *Response, 1)
 	go func() {
-		resp, err := b.Submit(context.Background(), g.register())
+		resp, err := b.Submit(context.Background(), g.register(), PhaseTimes{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -370,10 +377,10 @@ func TestSubmitStoredSkipsTheWindow(t *testing.T) {
 	for i := 0; i < stored; i++ {
 		q := g.register()
 		go func() {
-			resp, err := b.SubmitStored(context.Background(), q)
+			resp, err := b.SubmitStored(context.Background(), q, PhaseTimes{})
 			if err != nil {
 				t.Error(err)
-			} else if got := resp.Result.Rows[0][0].I; got != g.id(q) {
+			} else if got := resp.Query.Rows[0][0].I; got != g.id(q) {
 				t.Errorf("query %d got row %d", g.id(q), got)
 			}
 			resps <- resp
@@ -410,7 +417,7 @@ func TestCloseWaitsForStoredRuns(t *testing.T) {
 	for i := 0; i < n; i++ {
 		q := g.register()
 		go func() {
-			_, err := b.SubmitStored(context.Background(), q)
+			_, err := b.SubmitStored(context.Background(), q, PhaseTimes{})
 			errs <- err
 		}()
 	}
@@ -423,7 +430,7 @@ func TestCloseWaitsForStoredRuns(t *testing.T) {
 		// Close has taken effect once it refuses a submission. One it still
 		// accepts finds every worker slot held, so it gives up on its own.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, err := b.SubmitStored(ctx, g.register())
+		_, err := b.SubmitStored(ctx, g.register(), PhaseTimes{})
 		cancel()
 		if errors.Is(err, ErrClosed) {
 			break
@@ -444,7 +451,7 @@ func TestCloseWaitsForStoredRuns(t *testing.T) {
 			t.Errorf("in-flight stored run got %v, want its answer", err)
 		}
 	}
-	if _, err := b.Submit(context.Background(), g.register()); !errors.Is(err, ErrClosed) {
+	if _, err := b.Submit(context.Background(), g.register(), PhaseTimes{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-Close Submit got %v, want ErrClosed", err)
 	}
 }
@@ -467,12 +474,12 @@ func TestStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := b.Submit(context.Background(), q)
+			resp, err := b.Submit(context.Background(), q, PhaseTimes{})
 			if err != nil {
 				errs <- err
 				return
 			}
-			if got := resp.Result.Rows[0][0].I; got != id {
+			if got := resp.Query.Rows[0][0].I; got != id {
 				errs <- fmt.Errorf("query %d got row %d", id, got)
 			}
 			if resp.Batch.Size < 1 || resp.Batch.Seq < 1 {

@@ -33,11 +33,11 @@
 // chosen plan.
 //
 // For live traffic — independent concurrent requests rather than a
-// pre-assembled batch — Serve (or Optimizer.Submit) runs an adaptive
-// micro-batching service that coalesces whatever arrives within a
-// batching window into one MQO batch, executes the shared plan once, and
-// hands each caller its own query's rows; ServiceHandler exposes the
-// service over HTTP+JSON (see cmd/mqoserver).
+// pre-assembled batch — Serve runs an adaptive micro-batching service that
+// coalesces whatever arrives within a batching window into one MQO batch,
+// executes the shared plan once, and hands each caller its own query's
+// rows; ServiceHandler exposes the service over HTTP+JSON (see
+// cmd/mqorun's -serve).
 package mqo
 
 import (

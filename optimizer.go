@@ -26,8 +26,8 @@ import (
 // plans.
 //
 // An Optimizer is safe for concurrent use by multiple goroutines. The
-// session compiles each SQL text it is sent (Submit, Run, OptimizeSQL) once
-// and keeps the lowered queries (stmtCache), and keeps per batch composition
+// session compiles each SQL text it is sent (Run, OptimizeSQL, Service.Submit)
+// once and keeps the lowered queries (stmtCache), and keeps per batch composition
 // (memo) the logical AND-OR DAG, the physical DAG the last call searched —
 // the next call re-costs it instead of building another — and the plans. Both
 // rest on one rule: a query's tree is never written after lowering, so calls
@@ -54,12 +54,6 @@ type Optimizer struct {
 	rcache       *cache.Manager
 	rcBudget     int64
 	rcWarmBudget int64
-
-	// Micro-batching service behind Submit, started on first use.
-	svcCfg  BatchingOptions
-	svcOnce sync.Once
-	svc     *Service
-	svcErr  error
 }
 
 // Option configures an Optimizer at Open time.
@@ -109,11 +103,6 @@ func WithResultCache(ramBytes, warmBytes int64) Option {
 // and space budget, the RU order and the search parallelism.
 func WithOptions(opt Options) Option { return func(o *Optimizer) { o.opts = opt } }
 
-// WithBatching tunes the micro-batching service behind Optimizer.Submit
-// (window size, max wait, workers, algorithm). It does not start the
-// service; the first Submit does.
-func WithBatching(cfg BatchingOptions) Option { return func(o *Optimizer) { o.svcCfg = cfg } }
-
 // Open creates an optimizer session over the given catalog.
 func Open(cat *Catalog, opts ...Option) (*Optimizer, error) {
 	if cat == nil {
@@ -149,18 +138,13 @@ func (o *Optimizer) ensureResultCache(ramBytes, warmBytes int64) error {
 	return nil
 }
 
-// Close releases the session's serving-side resources: the micro-batching
-// service (if Submit started one) stops accepting work, in-flight warm-tier
-// promotions drain, and the result cache drops every spooled table — RAM
-// and warm — removing the warm tier's spill directory from disk, and the plans
-// planned against it. The Optimizer remains usable for optimize-only (and
+// Close releases the session's serving-side resources — close a Service
+// over the session first: in-flight warm-tier promotions drain, and the
+// result cache drops every spooled table — RAM and warm — removing the warm
+// tier's spill directory from disk, and the plans planned against it. The Optimizer remains usable for optimize-only (and
 // plain Run) calls afterwards; a later Serve with ResultCacheBytes set
 // re-creates the store.
 func (o *Optimizer) Close() {
-	o.svcOnce.Do(func() {})
-	if o.svc != nil {
-		o.svc.Close()
-	}
 	o.rcMu.Lock()
 	rc := o.rcache
 	o.rcache = nil
@@ -471,23 +455,6 @@ func (o *Optimizer) runOnDB(ctx context.Context, queries []*Query, alg Algorithm
 		phaseSpool.ObserveDuration(meta.Phases.Spool)
 	}
 	return &ExecResult{Result: res, Queries: results, Exec: stats}, meta, nil
-}
-
-// Submit enqueues one SELECT for micro-batched execution on the session's
-// batching service, starting the service on first use (tune it with
-// WithBatching). Unlike Run — which executes the caller's batch alone —
-// Submit coalesces concurrent callers' queries into one MQO batch, so
-// independent requests share work. Requires WithDB. Blocks until the
-// batch has run or ctx is done. A text the session has compiled before is
-// neither parsed nor lowered again: every Submit of it hands the service the
-// same tree, which nothing writes after lowering, so one window can hold the
-// same *Query twice (see Service.Submit).
-func (o *Optimizer) Submit(ctx context.Context, sqlText string) (*Answer, error) {
-	o.svcOnce.Do(func() { o.svc, o.svcErr = Serve(o, o.svcCfg) })
-	if o.svcErr != nil {
-		return nil, o.svcErr
-	}
-	return o.svc.Submit(ctx, sqlText)
 }
 
 // CacheStats returns plan-cache accounting; zero-valued when the plan

@@ -14,7 +14,7 @@ import (
 	"mqo/internal/server"
 )
 
-// BatchingOptions tunes the micro-batching service (Serve, Submit). The
+// BatchingOptions tunes the micro-batching service (Serve). The
 // zero value means: windows of up to 8 queries, 2ms max wait, 2 workers,
 // Greedy by default (the paper's strongest heuristic).
 type BatchingOptions struct {
@@ -63,14 +63,11 @@ type BatchInfo = server.BatchInfo
 // estimated cost saved versus optimizing every query alone.
 type ServiceStats = server.Stats
 
-// Answer is the per-query outcome of a micro-batched execution.
-type Answer struct {
-	// Query holds this submission's rows and schema — only its own, even
-	// though the batch computed several queries' results in one run.
-	Query QueryResult
-	// Batch describes the coalesced batch that produced the answer.
-	Batch BatchInfo
-}
+// Answer is the per-query outcome of a micro-batched execution: Query holds
+// this submission's rows and schema — only its own, even though the batch
+// computed several queries' results in one run — and Batch describes the
+// coalesced batch that produced it.
+type Answer = server.Response
 
 // Service is a running micro-batching query service over one Optimizer:
 // concurrent Submit calls coalesce into MQO batches (whatever arrives
@@ -130,17 +127,9 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 	if len(queries) != 1 {
 		return nil, fmt.Errorf("mqo: Submit: want exactly one SELECT, got %d", len(queries))
 	}
-	ans, err := s.SubmitQuery(ctx, queries[0])
-	if err != nil {
-		return nil, err
-	}
 	// Parse and lower happened on this goroutine, before the query joined
-	// its batching window — or not at all, for a text compiled before; the
-	// Answer's batch copy is private to this waiter, so the per-query phases
-	// patch in here.
-	ans.Batch.Phases.Parse = pt.Parse
-	ans.Batch.Phases.Lower = pt.Lower
-	return ans, nil
+	// its batching window — or not at all, for a text compiled before.
+	return s.submit(ctx, queries[0], pt)
 }
 
 // SubmitQuery is Submit for an already-parsed algebra query.
@@ -156,6 +145,10 @@ func (s *Service) Submit(ctx context.Context, sqlText string) (*Answer, error) {
 // the batch of one is simply optimized. Without a plan cache (WithPlanCache)
 // there is nothing to ask, and every query joins a window.
 func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
+	return s.submit(ctx, q, server.PhaseTimes{})
+}
+
+func (s *Service) submit(ctx context.Context, q *Query, compiled server.PhaseTimes) (*Answer, error) {
 	submit := s.b.Submit
 	if s.opt.memo.planCap > 0 {
 		key := newPlanKey(s.alg, s.opt.resultCache(), nil)
@@ -163,11 +156,7 @@ func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
 			submit = s.b.SubmitStored
 		}
 	}
-	resp, err := submit(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Query: resp.Result, Batch: resp.Batch}, nil
+	return submit(ctx, q, compiled)
 }
 
 // Stats snapshots the service's accounting.
@@ -184,12 +173,12 @@ func (s *Service) Close() { s.b.Close() }
 // single execution path (plan cache and result cache consulted around the
 // optimize+execute pass). It hands back rows and accounting only, so it
 // reads a cached plan in place instead of copying it.
-func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) (*server.BatchResult, error) {
+func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) ([]exec.QueryResult, BatchInfo, error) {
 	// The serving path profiles every run while observability is on: the
 	// per-operator registry series come from here.
 	res, meta, err := s.opt.runOnDB(ctx, queries, s.alg, &exec.Env{Profile: obs.Enabled()})
 	if err != nil {
-		return nil, err
+		return nil, BatchInfo{}, err
 	}
 	if s.opt.memo.planCap > 0 && len(queries) > 1 && !meta.PlanCacheHit {
 		// A query need never have arrived alone: under steady heavy traffic a
@@ -204,8 +193,7 @@ func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) (*serve
 	// Observed once it is final, so /stats' phase_seconds.optimize is what
 	// the answers' batch.phases add up to.
 	phaseOptimize.ObserveDuration(meta.Phases.Optimize)
-	return &server.BatchResult{
-		PerQuery:         res.Queries,
+	return res.Queries, BatchInfo{
 		Cost:             res.Cost,
 		NoShareCost:      res.NoShareCost,
 		CacheHit:         meta.PlanCacheHit,
@@ -257,7 +245,7 @@ const maxQueryBodyBytes = 1 << 20
 //	POST /query  {"sql": "SELECT ..."}      -> columns, rows, batch info
 //	GET  /stats                             -> batching + plan-cache stats
 //
-// It is the handler cmd/mqoserver serves and ExampleServe drives.
+// It is the handler `mqorun -serve` serves and ExampleServe drives.
 func ServiceHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {

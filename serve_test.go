@@ -44,7 +44,7 @@ func equalRows(a, b []Row) bool {
 }
 
 // TestSubmitCoalesces is the acceptance test for the micro-batching
-// service: K concurrent Submits on one session coalesce into fewer than K
+// service: K concurrent Submits on one service coalesce into fewer than K
 // optimizer batches, every client receives exactly its own query's rows
 // (verified against solo runs), and the service stats report the
 // batch-size distribution and the estimated cost saved versus no sharing.
@@ -58,11 +58,15 @@ func TestSubmitCoalesces(t *testing.T) {
 	if err := tpcd.LoadDB(db, sf, 1); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Open(tpcd.Catalog(sf), WithDB(db), WithPlanCache(8),
-		WithBatching(BatchingOptions{MaxBatch: k, MaxWait: 500 * time.Millisecond}))
+	opt, err := Open(tpcd.Catalog(sf), WithDB(db), WithPlanCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := Serve(opt, BatchingOptions{MaxBatch: k, MaxWait: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
 
 	// Ground truth: each query executed alone.
 	sqls := []string{sqlRevenue, sqlCounts}
@@ -82,7 +86,7 @@ func TestSubmitCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ans, err := opt.Submit(context.Background(), sqls[i%len(sqls)])
+			ans, err := svc.Submit(context.Background(), sqls[i%len(sqls)])
 			if err != nil {
 				errs <- fmt.Errorf("client %d: %v", i, err)
 				return
@@ -107,7 +111,7 @@ func TestSubmitCoalesces(t *testing.T) {
 		t.Errorf("%d concurrent Submits ran as %d batches; want coalescing (< %d)", k, len(batches), k)
 	}
 
-	stats := opt.svc.Stats()
+	stats := svc.Stats()
 	if stats.Queries != k {
 		t.Errorf("stats: %d queries executed, want %d", stats.Queries, k)
 	}
@@ -139,7 +143,12 @@ func TestSubmitRejectsMultiStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := opt.Submit(context.Background(), sqlBatch); err == nil {
+	svc, err := Serve(opt, BatchingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.Submit(context.Background(), sqlBatch); err == nil {
 		t.Error("multi-statement Submit succeeded, want error")
 	}
 }
@@ -188,11 +197,8 @@ func TestServeRequiresDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Serve(opt, BatchingOptions{}); err == nil {
-		t.Error("Serve without WithDB succeeded, want error")
-	}
-	if _, err := opt.Submit(context.Background(), sqlRevenue); err == nil {
-		t.Error("Submit without WithDB succeeded, want error")
+	if svc, err := Serve(opt, BatchingOptions{}); err == nil || svc != nil {
+		t.Errorf("Serve without WithDB returned %v, %v; want no service and an error", svc, err)
 	}
 }
 
@@ -203,22 +209,26 @@ func TestSubmitHonoursContext(t *testing.T) {
 	if err := tpcd.LoadDB(db, 0.002, 1); err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Open(tpcd.Catalog(0.002), WithDB(db),
-		WithBatching(BatchingOptions{MaxBatch: 8, MaxWait: 100 * time.Millisecond}))
+	opt, err := Open(tpcd.Catalog(0.002), WithDB(db))
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := Serve(opt, BatchingOptions{MaxBatch: 8, MaxWait: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	quit := make(chan error, 1)
 	go func() {
-		_, err := opt.Submit(ctx, sqlCounts)
+		_, err := svc.Submit(ctx, sqlCounts)
 		quit <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 
-	ans, err := opt.Submit(context.Background(), sqlRevenue)
+	ans, err := svc.Submit(context.Background(), sqlRevenue)
 	if err != nil {
 		t.Fatalf("surviving waiter failed: %v", err)
 	}
