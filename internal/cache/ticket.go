@@ -14,8 +14,8 @@ import (
 )
 
 // Ticket is one batch's handle on the store: the entries its plan may read
-// (pinned), the admissions it owes rows for (pending, pinned), and the
-// per-entry saving estimates for reinforcement. Exactly one of Commit and
+// (pinned) and the admissions it owes rows for (pending, pinned); what a read
+// saved is on the plan (physical.CacheArm.Saving). Exactly one of Commit and
 // Abort must be called. A nil *Ticket — a session without a result cache —
 // is valid: it admits nothing and its Commit and Abort do nothing.
 type Ticket struct {
@@ -25,9 +25,9 @@ type Ticket struct {
 	// binds are the batch's binding keys (algebra.BindingKey per ParamSet,
 	// in ParamSets order; Arm tickets only).
 	binds []string
-	// armed maps ready entries the batch's DAG can read to the estimated
-	// per-use saving (recomputation cost minus read-back).
-	armed map[*Entry]float64
+	// armed are the ready entries the batch's plan may read, each pinned
+	// once.
+	armed map[*Entry]bool
 	// pending are the entries this batch admitted.
 	pending []*Entry
 	// bindSpools maps Invoke plan nodes to binding→table spool assignments
@@ -63,7 +63,7 @@ func (m *Manager) Arm(pd *physical.DAG, paramSets []map[string]algebra.Value) *T
 	if m == nil {
 		return nil
 	}
-	t := &Ticket{m: m, fps: dag.CanonicalFingerprints(pd.L), armed: map[*Entry]float64{}}
+	t := &Ticket{m: m, fps: dag.CanonicalFingerprints(pd.L), armed: map[*Entry]bool{}}
 	for _, ps := range paramSets {
 		t.binds = append(t.binds, algebra.BindingKey(ps))
 	}
@@ -115,7 +115,7 @@ func (t *Ticket) armScan(pd *physical.DAG, n *physical.Node) {
 		return
 	}
 	pd.ArmCacheScan(n, best.Table, bestCost, best.Tier)
-	t.pin(best, float64(n.Cost-bestCost))
+	t.pin(best)
 }
 
 // armInvoke classifies the batch's bindings against the body's entries —
@@ -138,7 +138,10 @@ func (t *Ticket) armInvoke(pd *physical.DAG, n *physical.Node, inv *physical.PEx
 			residual = append(residual, bind)
 			continue
 		}
-		scans = append(scans, physical.BindScan{Bind: bind, Table: e.Table, Tier: e.Tier})
+		// Per-use saving: one body invocation replaced by one tier-priced
+		// table read-back.
+		saving := float64(body.Cost) - float64(m.tierScanCost(e.Tier, e.Bytes))
+		scans = append(scans, physical.BindScan{Bind: bind, Table: e.Table, Tier: e.Tier, Saving: saving})
 		tiers = append(tiers, e.Tier)
 		blocks = append(blocks, float64(e.Bytes)/float64(m.Model.BlockSize))
 		cached = append(cached, e)
@@ -150,25 +153,16 @@ func (t *Ticket) armInvoke(pd *physical.DAG, n *physical.Node, inv *physical.PEx
 	weight := cost.ResidualInvokeWeight(inv.Weight(), len(residual), len(t.binds))
 	pd.ArmInvokePartial(n, inv.LE, body, weight, scanCost, scans, residual, fp)
 	for _, e := range cached {
-		// Per-use saving: one body invocation replaced by one tier-priced
-		// table read-back.
-		t.pin(e, float64(body.Cost)-float64(m.tierScanCost(e.Tier, e.Bytes)))
+		t.pin(e)
 	}
 }
 
 // pin records that the batch's plan may read e, with mu held: the first
-// sighting takes the pin, and the largest per-use saving estimate is the one
-// Commit reinforces with.
-func (t *Ticket) pin(e *Entry, saving float64) {
-	if saving < 0 {
-		saving = 0
-	}
-	prev, seen := t.armed[e]
-	if !seen {
+// sighting takes the pin.
+func (t *Ticket) pin(e *Entry) {
+	if !t.armed[e] {
+		t.armed[e] = true
 		e.pins++
-	}
-	if !seen || saving > prev {
-		t.armed[e] = saving
 	}
 }
 
@@ -398,7 +392,7 @@ func (m *Manager) PinPlan(plan *physical.Plan) (*Ticket, bool) {
 	if m == nil {
 		return nil, true
 	}
-	t := &Ticket{m: m, armed: map[*Entry]float64{}, plan: plan}
+	t := &Ticket{m: m, armed: map[*Entry]bool{}, plan: plan}
 	ok := true
 	plan.Root.Walk(func(pn *physical.PlanNode) {
 		switch pn.E.Kind {
@@ -423,7 +417,7 @@ func (m *Manager) PinPlan(plan *physical.Plan) (*Ticket, bool) {
 // the entry is gone, not ready, or has moved to a different tier than the one
 // the cached plan was priced at.
 func (t *Ticket) pinTable(table string, tier cost.Tier) bool {
-	return t.withTable(table, tier, func(e *Entry) { t.pin(e, e.admitValue) })
+	return t.withTable(table, tier, t.pin)
 }
 
 // ArmAnswer arms n, the root of the one query of the ticket's DAG, with a scan
@@ -443,7 +437,7 @@ func (t *Ticket) ArmAnswer(pd *physical.DAG, n *physical.Node, table string, tie
 	return t.withTable(table, tier, func(e *Entry) {
 		sc := t.m.tierScanCost(e.Tier, e.Bytes)
 		pd.ArmCacheScan(n, table, sc, tier)
-		t.pin(e, float64(n.Cost-sc))
+		t.pin(e)
 	})
 }
 
@@ -498,19 +492,22 @@ func (t *Ticket) finish(executed bool) (hits int) {
 	t.done = true
 	m := t.m
 
-	// Which armed tables did the executed plan actually read? An
-	// InvokePartial node reads every one of its binding tables; it also
-	// counts one partial hit and its residual recomputes here, since plan
-	// extraction choosing the expression is what makes the hit real.
-	read := map[string]bool{}
+	// Which armed tables did the executed plan actually read, and what did
+	// the reads save? Each is the largest per-use saving the plan's arms
+	// recorded for it, so a plan saves the same from the plan cache as when
+	// it was optimized. An InvokePartial node reads every one of its binding
+	// tables; it also counts one partial hit and its residual recomputes
+	// here, since plan extraction choosing the expression is what makes the
+	// hit real.
+	read := map[string]float64{}
 	if executed && t.plan != nil {
 		t.plan.Root.Walk(func(pn *physical.PlanNode) {
 			switch pn.E.Kind {
 			case physical.CacheScanOp:
-				read[pn.E.Arm.CacheName] = true
+				read[pn.E.Arm.CacheName] = max(read[pn.E.Arm.CacheName], pn.E.Arm.Saving)
 			case physical.InvokePartial:
 				for _, bs := range pn.E.Arm.BindScans {
-					read[bs.Table] = true
+					read[bs.Table] = max(read[bs.Table], bs.Saving)
 				}
 				m.bindPartialHits.Inc()
 				m.bindResidual.Add(int64(len(pn.E.Arm.ResidualBinds)))
@@ -549,10 +546,10 @@ func (t *Ticket) finish(executed bool) (hits int) {
 			changed = true
 		}
 		for _, e := range armed {
-			if !read[e.Table] {
+			saving, ok := read[e.Table]
+			if !ok {
 				continue
 			}
-			saving := t.armed[e]
 			if saving <= 0 {
 				saving = e.admitValue
 			}

@@ -78,13 +78,12 @@ type RunStats struct {
 // task (sched): a query starts once the materializations it reads have
 // committed, a materialization once those it reads have, and the scans of
 // the tasks that run meanwhile are fed by shared passes, one page fault and
-// one record decode for all of them. The run's temporary
-// tables live in a private per-run namespace and are dropped before
-// returning, so concurrent Run calls on one DB are safe and proceed in
-// parallel over the sharded page layer; they can never observe each other's
-// temps. Under concurrency the per-run IOStats are approximate (the
-// before/after pool snapshots overlap with other runs); serial callers get
-// exact counts.
+// one record decode for all of them. The run's temporary tables are its own
+// (storage.RunTemps) and are dropped before returning, so concurrent Run
+// calls on one DB are safe and proceed in parallel over the buffer pool;
+// they can never observe each other's temps. Under concurrency the per-run
+// IOStats are approximate (the before/after pool snapshots overlap with
+// other runs); serial callers get exact counts.
 //
 // The context is checked before every page a shared pass reads and once per
 // drainCheckEvery rows pulled, by the drain of a root's output and by the
@@ -265,7 +264,7 @@ func drain(ctx context.Context, it Iterator) ([]storage.Row, error) {
 }
 
 // builder instantiates iterators for plan nodes. Temps (materialized
-// intermediates) go through the run's private namespace.
+// intermediates) are the run's own.
 type builder struct {
 	ctx   context.Context
 	db    *storage.DB

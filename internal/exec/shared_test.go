@@ -244,7 +244,7 @@ func (f *failIter) gate(by any, g *gate) bool { return setGate(f.Iterator, by, g
 // TestRunStopsEveryTask cancels a run of three queries in the middle of the
 // pass they share, and fails one of its operators with an error. Either way
 // Run returns the error, every task's coroutine is gone (the goroutine count
-// is back where it was), no shard of the pool is left locked by a page a
+// is back where it was), the pool's latch is not left held by a page a
 // stopped task was fed from, and the run's temps are dropped.
 func TestRunStopsEveryTask(t *testing.T) {
 	db := storage.NewDB(64)
@@ -298,14 +298,14 @@ func TestRunStopsEveryTask(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			everyShardFree(t, db, lineorder)
+			poolLatchFree(t, lineorder)
 		}
 	}
 }
 
-// everyShardFree views a page of every shard of the pool, which blocks for
-// good if a shard lock was left held.
-func everyShardFree(t *testing.T, db *storage.DB, tab *storage.Table) {
+// poolLatchFree scans tab, which blocks for good if the pool's latch was left
+// held.
+func poolLatchFree(t *testing.T, tab *storage.Table) {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
@@ -317,6 +317,6 @@ func everyShardFree(t *testing.T, db *storage.DB, tab *storage.Table) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("a shard of the pool is still locked")
+		t.Fatal("the pool's latch is still held")
 	}
 }

@@ -99,6 +99,11 @@ func (e *PExpr) IxCol() algebra.Column {
 type CacheArm struct {
 	CacheName string    // spooled result table (CacheScanOp)
 	CacheTier cost.Tier // storage tier of the spooled table (CacheScanOp)
+	// Saving is the estimated per-use saving of the CacheScanOp: the node's
+	// cost when it was armed minus the read-back. A plan that reads the
+	// table credits it, whether it was just optimized or comes from the
+	// session plan cache.
+	Saving float64
 
 	// InvokePartial parameters: the cached bindings served by table scans,
 	// the residual binding keys recomputed through the body child, and the
@@ -111,12 +116,14 @@ type CacheArm struct {
 }
 
 // BindScan names one cached binding of a partial Invoke hit: which binding
-// (algebra.BindingKey), which spooled table serves it, and the storage tier
-// the hit was priced at.
+// (algebra.BindingKey), which spooled table serves it, the storage tier the
+// hit was priced at, and its estimated per-use saving (one body invocation
+// minus the table's read-back; see CacheArm.Saving).
 type BindScan struct {
-	Bind  string
-	Table string
-	Tier  cost.Tier
+	Bind   string
+	Table  string
+	Tier   cost.Tier
+	Saving float64
 }
 
 // Node is a physical equivalence node: a logical group constrained to a
@@ -578,7 +585,7 @@ func (pd *DAG) addEnforcers(n *Node) error {
 // honestly. The executor routes the scan to the matching namespace.
 func (pd *DAG) ArmCacheScan(n *Node, table string, scanCost cost.Cost, tier cost.Tier) {
 	pd.addExpr(PExpr{Kind: CacheScanOp, Node: n, OpCost: scanCost,
-		Arm: &CacheArm{CacheName: table, CacheTier: tier}})
+		Arm: &CacheArm{CacheName: table, CacheTier: tier, Saving: float64(n.Cost - scanCost)}})
 	pd.arm()
 }
 

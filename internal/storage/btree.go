@@ -407,7 +407,7 @@ func (t *BTree) SeekFirst() (*BTreeIter, error) {
 }
 
 // BTreeIter iterates leaf entries in ascending key order over its own copy
-// of the current leaf, taken under the leaf's shard lock.
+// of the current leaf, taken under the pool latch.
 type BTreeIter struct {
 	tree *BTree
 	leaf [PageSize]byte

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -33,31 +31,29 @@ func (t *Table) Index(column string) (*BTree, bool) {
 	return bt, ok
 }
 
-// DB is a set of stored tables over one buffer pool, plus a temp-table
-// namespace used by materialization during plan execution and a cache
-// namespace of spooled result tables that survive across runs (the
-// transient materialized-view store behind the result cache).
+// DB is a set of stored tables over one buffer pool, plus a cache namespace
+// of spooled result tables that survive across runs (the transient
+// materialized-view store behind the result cache). A plan execution's
+// materialized intermediates are not the DB's: they belong to the run
+// (BeginRun).
 //
 // The whole DB is safe for concurrent use. Catalog operations (CreateTable,
-// Table, CreateTemp, Temp, DropTemps, and the Cache* family) share one
-// RWMutex; page access goes through the sharded buffer pool. Plan
-// executions no longer serialize on a run lock: BeginRun is just a lease
-// handing out a private temp-table namespace ("run<N>/"), so independent
-// runs proceed fully concurrently. Correctness rests on table ownership
-// (see the package comment): base tables are read-only after load, each
-// run's temps are private to it, and cache tables are written by exactly
-// one run before becoming visible to others.
+// Table and the Cache* family) share one RWMutex; page access goes through
+// the buffer pool. Independent runs proceed concurrently, each with its own
+// temp tables. Correctness rests on table ownership (see the package
+// comment): base tables are read-only after load, each run's temps are
+// private to it, and cache tables are written by exactly one run before
+// becoming visible to others.
 type DB struct {
 	Pool *BufferPool
 
-	mu      sync.RWMutex // guards tables, temps, caches, warm and warmDir
+	mu      sync.RWMutex // guards tables, caches, warm and warmDir
 	tables  map[string]*Table
-	temps   map[string]*Table
 	caches  map[string]*Table
 	warm    map[string]*warmTable // warm-tier (disk-backed) cache tables
 	warmDir string                // lazily created spill directory
 
-	runSeq  atomic.Int64 // distinct temp namespace per run
+	temps   atomic.Int64 // live temp tables of runs not yet ended
 	warmSeq atomic.Int64 // distinct spill file per demotion
 
 	// Running warm-tier I/O totals of dropped warm tables; WarmIO folds
@@ -72,57 +68,65 @@ func NewDB(poolPages int) *DB {
 	return &DB{
 		Pool:   NewBufferPool(NewPager(), poolPages),
 		tables: map[string]*Table{},
-		temps:  map[string]*Table{},
 		caches: map[string]*Table{},
 		warm:   map[string]*warmTable{},
 	}
 }
 
-// RunTemps is one plan execution's view of the database: a private
-// temp-table namespace, so concurrent runs on the same DB can never read or
-// drop each other's intermediates.
+// RunTemps is one plan execution's temp tables: the materialized
+// intermediates of its plan, private to it, so concurrent runs on the same DB
+// can never read or drop each other's. A run's tasks run one at a time, so
+// its tables need no lock.
 type RunTemps struct {
 	db     *DB
-	prefix string
-	ended  bool
+	tables map[string]*Table
 }
 
-// BeginRun opens a fresh per-run temp namespace. It never blocks:
-// independent runs execute concurrently over the sharded page layer.
-// Callers must call End exactly once when done.
+// BeginRun opens a run with no temp tables. It never blocks: independent
+// runs execute concurrently over the buffer pool. Callers must call End
+// exactly once when done.
 func (db *DB) BeginRun() *RunTemps {
-	seq := db.runSeq.Add(1)
-	prefix := "run" + strconv.FormatInt(seq, 10) + "/"
-	return &RunTemps{db: db, prefix: prefix}
+	return &RunTemps{db: db}
 }
 
-// CreateTemp registers a temporary table in the run's namespace, replacing
-// any previous temp of the run with the same name.
+// CreateTemp registers a temporary table of the run, replacing any previous
+// temp of the run with the same name and freeing its pages. Nobody can still
+// be reading a replaced temp: exec looks a temp up (Temp) before it creates
+// one.
 func (r *RunTemps) CreateTemp(name string, schema algebra.Schema) *Table {
-	return r.db.CreateTemp(r.prefix+name, schema)
+	t := &Table{Name: name, Schema: schema, Heap: NewHeapFile(r.db.Pool), Indexes: map[string]*BTree{}}
+	if old, ok := r.tables[name]; ok {
+		r.db.free(old)
+	} else {
+		r.db.temps.Add(1)
+	}
+	if r.tables == nil {
+		r.tables = map[string]*Table{}
+	}
+	r.tables[name] = t
+	return t
 }
 
 // Temp looks up a temporary table of the run.
 func (r *RunTemps) Temp(name string) (*Table, error) {
-	return r.db.Temp(r.prefix + name)
+	if t, ok := r.tables[name]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("storage: unknown temp table %q", name)
 }
 
 // End drops the run's temporary tables and frees their pages. Safe to call
 // more than once.
 func (r *RunTemps) End() {
-	if r.ended {
+	if len(r.tables) == 0 {
 		return
 	}
-	r.ended = true
-	var dropped []*Table
-	r.db.mu.Lock()
-	for name, t := range r.db.temps {
-		if strings.HasPrefix(name, r.prefix) {
-			delete(r.db.temps, name)
-			dropped = append(dropped, t)
-		}
+	r.db.temps.Add(-int64(len(r.tables)))
+	dropped := make([]*Table, 0, len(r.tables))
+	for _, t := range r.tables {
+		dropped = append(dropped, t)
 	}
-	r.db.mu.Unlock()
+	clear(r.tables)
 	r.db.free(dropped...)
 }
 
@@ -167,39 +171,18 @@ func (db *DB) Table(name string) (*Table, error) {
 	return nil, fmt.Errorf("storage: unknown table %q", name)
 }
 
-// CreateTemp registers a temporary table (materialized intermediate
-// result), replacing any previous temp with the same name and freeing its
-// pages. Plan execution uses per-run namespaces (BeginRun) instead of
-// calling this directly.
-func (db *DB) CreateTemp(name string, schema algebra.Schema) *Table {
-	t := &Table{Name: name, Schema: schema, Heap: NewHeapFile(db.Pool), Indexes: map[string]*BTree{}}
-	db.replace(&db.temps, name, t)
-	return t
-}
-
-// replace registers t under name in the namespace *ns and frees the pages of
-// the table it replaces, if any. Nobody can still be reading a replaced
-// table: exec looks a temp or cache name up (Temp, Cache) before it creates
-// one, and DemoteCache deletes a RAM cache name before PromoteWarm adds it
-// again.
-func (db *DB) replace(ns *map[string]*Table, name string, t *Table) {
+// replaceCache registers t under name in the cache namespace and frees the
+// pages of the table it replaces, if any. Nobody can still be reading a
+// replaced table: exec looks a cache name up (Cache) before it creates one,
+// and DemoteCache deletes a RAM cache name before PromoteWarm adds it again.
+func (db *DB) replaceCache(name string, t *Table) {
 	db.mu.Lock()
-	old, ok := (*ns)[name]
-	(*ns)[name] = t
+	old, ok := db.caches[name]
+	db.caches[name] = t
 	db.mu.Unlock()
 	if ok {
 		db.free(old)
 	}
-}
-
-// Temp looks up a temporary table.
-func (db *DB) Temp(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t, ok := db.temps[name]; ok {
-		return t, nil
-	}
-	return nil, fmt.Errorf("storage: unknown temp table %q", name)
 }
 
 // CreateCache registers a spooled result table in the cache namespace,
@@ -209,7 +192,7 @@ func (db *DB) Temp(name string) (*Table, error) {
 // by DropCache (cache eviction) or DropCaches.
 func (db *DB) CreateCache(name string, schema algebra.Schema) *Table {
 	t := &Table{Name: name, Schema: schema, Heap: NewHeapFile(db.Pool), Indexes: map[string]*BTree{}}
-	db.replace(&db.caches, name, t)
+	db.replaceCache(name, t)
 	return t
 }
 
@@ -277,25 +260,9 @@ func (db *DB) CacheNames() []string {
 	return names
 }
 
-// NumTemps returns the number of live temporary tables (all namespaces).
-func (db *DB) NumTemps() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.temps)
-}
-
-// DropTemps discards all temporary tables of every namespace and frees their
-// pages. Runs drop their own namespace on End; DropTemps remains for tests
-// and tools that want a clean slate.
-func (db *DB) DropTemps() {
-	db.mu.Lock()
-	temps := db.temps
-	db.temps = map[string]*Table{}
-	db.mu.Unlock()
-	for _, t := range temps {
-		db.free(t)
-	}
-}
+// NumTemps returns the number of live temporary tables of all runs not yet
+// ended.
+func (db *DB) NumTemps() int { return int(db.temps.Load()) }
 
 // EnsureIndex returns t's index on column, building it first if absent.
 // The build runs under the table's index lock, so concurrent callers get

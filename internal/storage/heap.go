@@ -70,7 +70,7 @@ func pageInsert(p []byte, rec []byte) (uint16, bool) {
 // HeapFile is an append-only sequence of slotted pages holding rows. A heap
 // file has a single writer at a time (the engine's table life cycle
 // guarantees this); rows are encoded into and decoded out of page bytes
-// inside the pool's accessors, under the page's shard lock.
+// inside the pool's accessors, under the pool latch.
 type HeapFile struct {
 	pool  *BufferPool
 	pages []PageID
@@ -162,7 +162,7 @@ func (h *HeapFile) GetCols(dst Row, rid RID, cols []int) (r Row, err error) {
 // file (Pass): alone, its Next reads the file a page at a time through a pass
 // of its own; given a feed (SetFeed), it waits instead to be fed by a pass it
 // shares with other cursors of the file. Either way a page is decoded under
-// its shard lock, so the puller may use the pool between rows without
+// the pool latch, so the puller may use the pool between rows without
 // reaching the page it is being fed from. A row is valid until the Next that
 // asks for rows the cursor has not been fed yet, which are decoded over it; a
 // puller that keeps a row longer copies it.
@@ -224,8 +224,8 @@ type gating struct {
 // (Pass). Test is given a row in which the positions Cols hold the record's
 // values, and some other positions may too; it must read no other and keep
 // nothing. A Test that errs keeps the row: a gate is a pre-filter, and
-// whoever reads the row reports the error. Either runs under the page's shard
-// lock, so it must not use the pool. Dropped, when set, counts the rows the
+// whoever reads the row reports the error. Either runs under the pool latch,
+// so it must not use the pool. Dropped, when set, counts the rows the
 // gate was the first to fail.
 type Gate struct {
 	Cols    []int
@@ -954,7 +954,7 @@ func (h *HeapFile) Scan(f func(rid RID, r Row) error) error { return h.ScanCols(
 
 // ScanCols visits every row in file order, decoding only the values at the
 // ascending positions cols (nil: all). One page at a time is decoded under
-// its shard lock and the callbacks run after it, so f may use the pool — fault,
+// the pool latch and the callbacks run after it, so f may use the pool — fault,
 // evict, insert into an index — without reaching the page it is being fed
 // from. The callback may keep the row: rows are carved len == cap from slabs
 // of slabRows rows that are never decoded into twice, so a scan allocates a

@@ -1,30 +1,27 @@
 // Package storage implements the paged storage engine the execution engine
-// runs on: a pager over fixed 4 KB pages, a sharded buffer pool with LRU
-// eviction and I/O accounting, slotted heap pages, heap files, and B+-tree
-// indices.
+// runs on: a pager over fixed 4 KB pages, a buffer pool with LRU eviction and
+// I/O accounting, slotted heap pages, heap files, and B+-tree indices.
 //
 // The engine substitutes for the commercial DBMS the paper used in its
 // Figure 7 execution experiment: every page read/write is counted, so a run
 // reports a simulated I/O time using the paper's cost constants alongside
 // wall-clock time.
 //
-// Concurrency model: the pager and buffer pool are safe for concurrent use
-// (the pool shards its frame table and LRU by page id, so independent plan
-// executions fault and evict pages in parallel instead of serializing on
-// one pool lock), and there is one access rule: page bytes never leave the
-// shard lock. View, Update and AllocateWith run a callback on a page's bytes
-// with the page's shard locked; nothing hands the bytes out, so the lock is
-// the pin. That is what lets an eviction pass its victim's frame straight to
-// the fault that caused it — no reader can be looking at the old page — and
-// what keeps eviction from writing back or dropping a page mid-mutation. A
-// callback decodes, copies out or edits in place; it must not keep the slice
-// and must not call into the pool (its lock is held, and locks do not
-// nest). What a table's pages *say* is still synchronized by ownership:
-// every page belongs to exactly one heap file or B-tree, and the engine's
-// table life cycle guarantees a table is never written and read
-// concurrently (base tables are read-only after load, temp tables are
-// private to their run, cache tables become visible to other runs only
-// after their writer committed).
+// Concurrency model: the buffer pool is safe for concurrent use under one
+// latch, which also serializes every call into its backing store, and there
+// is one access rule: page bytes never leave the latch. View, Update and
+// AllocateWith run a callback on a page's bytes with the latch held; nothing
+// hands the bytes out, so the latch is the pin. That is what lets an eviction
+// pass its victim's frame straight to the fault that caused it — no reader
+// can be looking at the old page — and what keeps eviction from writing back
+// or dropping a page mid-mutation. A callback decodes, copies out or edits in
+// place; it must not keep the slice and must not call into the pool (the
+// latch is held, and it does not nest). What a table's pages *say* is still
+// synchronized by ownership: every page belongs to exactly one heap file or
+// B-tree, and the engine's table life cycle guarantees a table is never
+// written and read concurrently (base tables are read-only after load, temp
+// tables are private to their run, cache tables become visible to other runs
+// only after their writer committed).
 package storage
 
 import (
@@ -70,13 +67,10 @@ type PageStore interface {
 }
 
 // Pager is the backing store: an in-memory array of pages standing in for a
-// disk volume. It is safe for concurrent use; reads and writes of distinct
-// allocated pages proceed in parallel under a shared lock (each page's
-// backing slice is stable once allocated, and page-content ownership is the
-// buffer pool's concern). The pages of dropped tables go on a free list that
-// Allocate takes from before it grows the array.
+// disk volume. It has no lock of its own: the buffer pool over it makes
+// every call under its latch. The pages of dropped tables go on a free list
+// that Allocate takes from before it grows the array.
 type Pager struct {
-	mu    sync.RWMutex
 	pages [][]byte
 	freed []PageID
 }
@@ -86,8 +80,6 @@ func NewPager() *Pager { return &Pager{} }
 
 // Allocate returns a zeroed page: a freed one if there is any, else a new one.
 func (p *Pager) Allocate() PageID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if n := len(p.freed); n > 0 {
 		id := p.freed[n-1]
 		p.freed = p.freed[:n-1]
@@ -98,43 +90,24 @@ func (p *Pager) Allocate() PageID {
 	return PageID(len(p.pages) - 1)
 }
 
-func (p *Pager) free(ids []PageID) {
-	p.mu.Lock()
-	p.freed = append(p.freed, ids...)
-	p.mu.Unlock()
-}
+func (p *Pager) free(ids []PageID) { p.freed = append(p.freed, ids...) }
 
 // NumPages returns the number of allocated pages, free ones included.
-func (p *Pager) NumPages() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.pages)
-}
-
-func (p *Pager) slot(id PageID) ([]byte, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if int(id) < 0 || int(id) >= len(p.pages) {
-		return nil, fmt.Errorf("storage: access to unallocated page %d", id)
-	}
-	return p.pages[id], nil
-}
+func (p *Pager) NumPages() int { return len(p.pages) }
 
 func (p *Pager) read(id PageID, buf []byte) error {
-	s, err := p.slot(id)
-	if err != nil {
+	if int(id) < 0 || int(id) >= len(p.pages) {
 		return fmt.Errorf("storage: read of unallocated page %d", id)
 	}
-	copy(buf, s)
+	copy(buf, p.pages[id])
 	return nil
 }
 
 func (p *Pager) write(id PageID, buf []byte) error {
-	s, err := p.slot(id)
-	if err != nil {
+	if int(id) < 0 || int(id) >= len(p.pages) {
 		return fmt.Errorf("storage: write of unallocated page %d", id)
 	}
-	copy(s, buf)
+	copy(p.pages[id], buf)
 	return nil
 }
 
@@ -147,71 +120,53 @@ type frame struct {
 	next  *frame
 }
 
-// poolShard is one independently locked slice of the buffer pool: its own
-// frame table, LRU chain and capacity share.
-type poolShard struct {
-	mu       sync.Mutex
+// BufferPool caches pages with LRU replacement and lock-free I/O accounting.
+// All methods are safe for concurrent use; see the package comment for the
+// page-content ownership rules.
+type BufferPool struct {
+	pager PageStore
+
+	mu       sync.Mutex // the latch: guards frames, the LRU chain, spare and every pager call
 	capacity int
 	frames   map[PageID]*frame
 	head     *frame   // most recently used
 	tail     *frame   // least recently used
 	spare    []*frame // frames of freed pages, for the next fault to fill
-}
-
-// DefaultPoolShards is the buffer pool's shard count: pages hash to shards
-// by id, so sequentially allocated heap pages spread round-robin and
-// concurrent runs rarely contend on one shard lock.
-const DefaultPoolShards = 8
-
-// BufferPool caches pages with per-shard LRU replacement and lock-free I/O
-// accounting. All methods are safe for concurrent use; see the package
-// comment for the page-content ownership rules.
-type BufferPool struct {
-	pager  PageStore
-	shards []poolShard
 
 	reads  atomic.Int64
 	writes atomic.Int64
 	hits   atomic.Int64
 	// dirty counts resident dirty frames, so Flush can tell without a walk
-	// that it has nothing to write.
+	// or the latch that it has nothing to write.
 	dirty atomic.Int64
 }
 
-// NewBufferPool creates a pool holding up to capacity pages (at least 8),
-// split evenly across DefaultPoolShards shards.
+// NewBufferPool creates a pool holding up to max(capacity, 8) pages, exactly:
+// no rounding. Every pool the benchmark and the commands build (64, 256, 512,
+// 1024 pages) is a multiple of 8, so none is a page larger or smaller than
+// when the pool rounded its capacity up to one.
 func NewBufferPool(pager PageStore, capacity int) *BufferPool {
-	perShard := (max(capacity, 8) + DefaultPoolShards - 1) / DefaultPoolShards
-	bp := &BufferPool{pager: pager, shards: make([]poolShard, DefaultPoolShards)}
-	for i := range bp.shards {
-		bp.shards[i] = poolShard{capacity: perShard, frames: map[PageID]*frame{}}
-	}
-	return bp
+	return &BufferPool{pager: pager, capacity: max(capacity, 8), frames: map[PageID]*frame{}}
 }
 
-func (bp *BufferPool) shard(id PageID) *poolShard {
-	return &bp.shards[uint32(id)%uint32(len(bp.shards))]
-}
-
-// View applies fn to the page's bytes under the page's shard lock, faulting
-// the page in if needed. It is the only way to read a page: data is the
-// pool's frame, valid until fn returns and not to be written.
+// View applies fn to the page's bytes under the pool latch, faulting the page
+// in if needed. It is the only way to read a page: data is the pool's frame,
+// valid until fn returns and not to be written.
 func (bp *BufferPool) View(id PageID, fn func(data []byte) error) error {
 	return bp.access(id, fn, false)
 }
 
 // Update is View for writers: fn may edit the page's bytes, and the page is
-// marked dirty unless fn fails. Eviction needs the same shard lock, so it can
+// marked dirty unless fn fails. Eviction needs the same latch, so it can
 // never write back or drop the frame mid-mutation and no update is ever lost.
 func (bp *BufferPool) Update(id PageID, fn func(data []byte) error) error {
 	return bp.access(id, fn, true)
 }
 
 func (bp *BufferPool) access(id PageID, fn func(data []byte) error, write bool) error {
-	s := bp.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := bp.frameLocked(s, id)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, err := bp.frameLocked(id)
 	if err != nil {
 		return err
 	}
@@ -226,18 +181,17 @@ func (bp *BufferPool) access(id PageID, fn func(data []byte) error, write bool) 
 }
 
 // AllocateWith creates a new page, initializes it with init under the
-// shard lock, and leaves it resident and dirty. The atomic
+// latch, and leaves it resident and dirty. The atomic
 // allocate-initialize replaces the old Allocate/MarkDirty pair, whose
 // window allowed a concurrent eviction to persist a half-initialized page.
 func (bp *BufferPool) AllocateWith(init func(data []byte)) (PageID, error) {
-	id := bp.pager.Allocate()
-	s := bp.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := bp.freeFrameLocked(s)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	f, err := bp.freeFrameLocked()
 	if err != nil {
 		return InvalidPage, err
 	}
+	id := bp.pager.Allocate()
 	// A new page is zeroed: initHeapPage writes a header, not the body, and
 	// what a recycled frame held would otherwise reach the backing store.
 	clear(f.data)
@@ -247,8 +201,8 @@ func (bp *BufferPool) AllocateWith(init func(data []byte)) (PageID, error) {
 	// accounting (the paper's cost model charges first-touch I/O); the
 	// calibration constants and bench gates are built on these counters.
 	bp.reads.Add(1)
-	s.frames[id] = f
-	s.pushFront(f)
+	bp.frames[id] = f
+	bp.pushFront(f)
 	if init != nil {
 		init(f.data)
 	}
@@ -259,44 +213,39 @@ func (bp *BufferPool) AllocateWith(init func(data []byte)) (PageID, error) {
 // dropped table — without writing them back, then hands the pages to the
 // backing store for reuse.
 func (bp *BufferPool) Free(ids []PageID) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	for _, id := range ids {
-		s := bp.shard(id)
-		s.mu.Lock()
-		if f, ok := s.frames[id]; ok {
+		if f, ok := bp.frames[id]; ok {
 			if f.dirty {
 				f.dirty = false
 				bp.dirty.Add(-1)
 			}
-			s.unlink(f)
-			delete(s.frames, id)
-			s.spare = append(s.spare, f)
+			bp.unlink(f)
+			delete(bp.frames, id)
+			bp.spare = append(bp.spare, f)
 		}
-		s.mu.Unlock()
 	}
 	bp.pager.free(ids)
 }
 
-// Flush writes back all dirty pages. With none, it returns without taking a
-// shard lock.
+// Flush writes back all dirty pages. With none, it returns without taking
+// the latch.
 func (bp *BufferPool) Flush() error {
 	if bp.dirty.Load() == 0 {
 		return nil
 	}
-	for i := range bp.shards {
-		s := &bp.shards[i]
-		s.mu.Lock()
-		for _, f := range s.frames {
-			if f.dirty {
-				if err := bp.pager.write(f.id, f.data); err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				bp.writes.Add(1)
-				f.dirty = false
-				bp.dirty.Add(-1)
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for _, f := range bp.frames {
+		if f.dirty {
+			if err := bp.pager.write(f.id, f.data); err != nil {
+				return err
 			}
+			bp.writes.Add(1)
+			f.dirty = false
+			bp.dirty.Add(-1)
 		}
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -307,7 +256,11 @@ func (bp *BufferPool) Stats() IOStats {
 }
 
 // NumPages is the number of pages the backing store holds, free or in use.
-func (bp *BufferPool) NumPages() int { return bp.pager.NumPages() }
+func (bp *BufferPool) NumPages() int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.pager.NumPages()
+}
 
 // Misses is Stats().Reads alone: one atomic load, cheap enough to bracket
 // every page read of a scan and every index probe.
@@ -321,14 +274,15 @@ func (bp *BufferPool) ResetStats() {
 }
 
 // frameLocked returns the resident frame for id, faulting it in if needed.
-// The shard lock is held.
-func (bp *BufferPool) frameLocked(s *poolShard, id PageID) (*frame, error) {
-	if f, ok := s.frames[id]; ok {
+// The latch is held.
+func (bp *BufferPool) frameLocked(id PageID) (*frame, error) {
+	if f, ok := bp.frames[id]; ok {
 		bp.hits.Add(1)
-		s.touch(f)
+		bp.unlink(f)
+		bp.pushFront(f)
 		return f, nil
 	}
-	f, err := bp.freeFrameLocked(s)
+	f, err := bp.freeFrameLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -337,28 +291,28 @@ func (bp *BufferPool) frameLocked(s *poolShard, id PageID) (*frame, error) {
 	}
 	f.id = id
 	bp.reads.Add(1)
-	s.frames[id] = f
-	s.pushFront(f)
+	bp.frames[id] = f
+	bp.pushFront(f)
 	return f, nil
 }
 
 // freeFrameLocked returns an unlinked, clean frame for the caller to fill: a
-// freed page's or a new one while the shard has room, else the least recently used page's,
-// written back first if dirty. Recycling is safe because page bytes never
-// leave the shard lock, which the caller holds: nobody can still be reading
-// the victim. A pool at capacity therefore allocates no frames at all.
-func (bp *BufferPool) freeFrameLocked(s *poolShard) (*frame, error) {
-	if len(s.frames) < s.capacity {
-		if n := len(s.spare); n > 0 {
-			f := s.spare[n-1]
-			s.spare = s.spare[:n-1]
+// freed page's or a new one while the pool has room, else the least recently
+// used page's, written back first if dirty. Recycling is safe because page
+// bytes never leave the latch, which the caller holds: nobody can still be
+// reading the victim. A pool at capacity therefore allocates no frames at all.
+func (bp *BufferPool) freeFrameLocked() (*frame, error) {
+	if len(bp.frames) < bp.capacity {
+		if n := len(bp.spare); n > 0 {
+			f := bp.spare[n-1]
+			bp.spare = bp.spare[:n-1]
 			return f, nil
 		}
 		return &frame{data: make([]byte, PageSize)}, nil
 	}
-	victim := s.tail
+	victim := bp.tail
 	if victim == nil {
-		return nil, fmt.Errorf("storage: buffer pool shard empty during eviction")
+		return nil, fmt.Errorf("storage: buffer pool empty during eviction")
 	}
 	if victim.dirty {
 		if err := bp.pager.write(victim.id, victim.data); err != nil {
@@ -368,38 +322,33 @@ func (bp *BufferPool) freeFrameLocked(s *poolShard) (*frame, error) {
 		victim.dirty = false
 		bp.dirty.Add(-1)
 	}
-	s.unlink(victim)
-	delete(s.frames, victim.id)
+	bp.unlink(victim)
+	delete(bp.frames, victim.id)
 	return victim, nil
 }
 
-func (s *poolShard) touch(f *frame) {
-	s.unlink(f)
-	s.pushFront(f)
-}
-
-func (s *poolShard) pushFront(f *frame) {
+func (bp *BufferPool) pushFront(f *frame) {
 	f.prev = nil
-	f.next = s.head
-	if s.head != nil {
-		s.head.prev = f
+	f.next = bp.head
+	if bp.head != nil {
+		bp.head.prev = f
 	}
-	s.head = f
-	if s.tail == nil {
-		s.tail = f
+	bp.head = f
+	if bp.tail == nil {
+		bp.tail = f
 	}
 }
 
-func (s *poolShard) unlink(f *frame) {
+func (bp *BufferPool) unlink(f *frame) {
 	if f.prev != nil {
 		f.prev.next = f.next
-	} else if s.head == f {
-		s.head = f.next
+	} else if bp.head == f {
+		bp.head = f.next
 	}
 	if f.next != nil {
 		f.next.prev = f.prev
-	} else if s.tail == f {
-		s.tail = f.prev
+	} else if bp.tail == f {
+		bp.tail = f.prev
 	}
 	f.prev, f.next = nil, nil
 }

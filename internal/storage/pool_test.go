@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"container/list"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -12,7 +14,7 @@ import (
 )
 
 // The pool recycles a victim's frame into the fault that evicted it, which is
-// only sound while no reader holds page bytes outside the shard lock. These
+// only sound while no reader holds page bytes outside the pool latch. These
 // tests put a reader in the position where it would: mid-scan, with its own
 // callback (and other goroutines) evicting every frame of the pool. They fail
 // against a pool that recycles frames under an accessor that hands the bytes
@@ -46,7 +48,7 @@ func hazardTable(t testing.TB, db *DB, tag int64, pages int) (*Table, int64) {
 }
 
 // scanUnderEviction scans tab while its callback faults every page of other
-// — more pages than the pool has frames, in every shard — so each page of
+// — more pages than the pool has frames — so each page of
 // tab is long evicted, and its frame refilled, before its rows are all
 // delivered. It reports the first row that is not the model's.
 func scanUnderEviction(tab *Table, tag, rows int64, other *Table) error {
@@ -71,7 +73,7 @@ func scanUnderEviction(tab *Table, tag, rows int64, other *Table) error {
 
 // pullUnderEviction is scanUnderEviction through a cursor: between pulls
 // every frame of the pool is refilled, and the row pulled before must still
-// read as the model's afterwards — it was decoded under the shard lock into
+// read as the model's afterwards — it was decoded under the pool latch into
 // the cursor's slab, not left pointing into the frame.
 func pullUnderEviction(tab *Table, tag, rows int64, other *Table) error {
 	c := tab.Heap.Cursor(nil)
@@ -151,7 +153,7 @@ func TestScanSurvivesEvictionByItsCallback(t *testing.T) {
 }
 
 // TestRecycledFramesConcurrent runs the same from four goroutines, each over
-// its own tables, on one 8-frame pool: every shard's one frame changes hands
+// its own tables, on one 8-frame pool: every frame changes hands
 // between goroutines all the time. Run it under -race.
 func TestRecycledFramesConcurrent(t *testing.T) {
 	db := NewDB(8)
@@ -243,20 +245,17 @@ func TestScanAllocatesNoFrames(t *testing.T) {
 // eviction's write-back and Flush — so a Flush that finds the count at zero
 // may skip its walk, and one that does not writes exactly the dirty pages.
 func TestDirtyCountMatchesFrames(t *testing.T) {
-	bp := NewBufferPool(NewPager(), 16) // two frames per shard
+	bp := NewBufferPool(NewPager(), 16)
 	check := func(when string, wantDirty int64) {
 		t.Helper()
 		n := int64(0)
-		for i := range bp.shards {
-			s := &bp.shards[i]
-			s.mu.Lock()
-			for _, f := range s.frames {
-				if f.dirty {
-					n++
-				}
+		bp.mu.Lock()
+		for _, f := range bp.frames {
+			if f.dirty {
+				n++
 			}
-			s.mu.Unlock()
 		}
+		bp.mu.Unlock()
 		if got := bp.dirty.Load(); got != n || n != wantDirty {
 			t.Errorf("%s: count %d, %d frames dirty, want %d", when, got, n, wantDirty)
 		}
@@ -335,12 +334,13 @@ func TestReplacedTablesFreeTheirPages(t *testing.T) {
 			}
 		}
 	}
+	var run *RunTemps // the CreateTemp case's run
 	for _, c := range []struct {
 		name    string
 		replace func(t *testing.T, db *DB, i int64)
 	}{
 		{"CreateCache", func(t *testing.T, db *DB, i int64) { fill(t, db.CreateCache("c", hazardSchema), i) }},
-		{"CreateTemp", func(t *testing.T, db *DB, i int64) { fill(t, db.CreateTemp("c", hazardSchema), i) }},
+		{"CreateTemp", func(t *testing.T, db *DB, i int64) { fill(t, run.CreateTemp("c", hazardSchema), i) }},
 		{"PromoteWarm", func(t *testing.T, db *DB, i int64) {
 			if i == 0 {
 				fill(t, db.CreateCache("c", hazardSchema), i)
@@ -356,6 +356,8 @@ func TestReplacedTablesFreeTheirPages(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			db := NewDB(16)
 			defer db.CloseWarm()
+			run = db.BeginRun()
+			defer run.End()
 			var after1 int
 			for i := int64(0); i <= 50; i++ {
 				c.replace(t, db, i)
@@ -393,7 +395,7 @@ func TestDroppedTablePagesAreReused(t *testing.T) {
 		t.Errorf("a flush after the drop wrote %d pages (%v), want none: the dropped frames stayed dirty",
 			db.Pool.Stats().Writes-writes, err)
 	}
-	again := db.CreateTemp("u", hazardSchema)
+	again := db.BeginRun().CreateTemp("u", hazardSchema)
 	var n int64
 	for ; again.Heap.NumPages() < 40; n++ {
 		if _, err := again.Heap.Insert(hazardRow(2, n)); err != nil {
@@ -412,5 +414,218 @@ func TestDroppedTablePagesAreReused(t *testing.T) {
 		return nil
 	}); err != nil || id != n {
 		t.Fatalf("scanned %d of %d rows: %v", id, n, err)
+	}
+}
+
+// poolModel is the reference the buffer pool is held to: one container/list
+// LRU of max(n, 8) resident pages, front most recently used, over a pager
+// model that hands freed page ids out again last in, first out.
+type poolModel struct {
+	cap      int
+	lru      *list.List // of *modelPage
+	resident map[PageID]*list.Element
+	value    map[PageID]byte // what each live page's first byte holds
+	freed    []PageID        // the pager's free list
+	pages    int             // pages the pager ever allocated
+	dirty    int64
+	spare    int // frames of freed pages waiting for a fault
+	frames   int // frames the pool ever made
+	io       IOStats
+}
+
+type modelPage struct {
+	id    PageID
+	dirty bool
+}
+
+// fault makes room for one more resident page: a spare frame, a new one, or
+// the least recently used page's, written back if dirty.
+func (m *poolModel) fault() {
+	switch {
+	case len(m.resident) < m.cap && m.spare > 0:
+		m.spare--
+	case len(m.resident) < m.cap:
+		m.frames++
+	default:
+		victim := m.lru.Remove(m.lru.Back()).(*modelPage)
+		delete(m.resident, victim.id)
+		if victim.dirty {
+			m.io.Writes++
+			m.dirty--
+		}
+	}
+	m.io.Reads++
+}
+
+// access is View (write false) or Update of id; a failed update dirties
+// nothing.
+func (m *poolModel) access(id PageID, write, fails bool) {
+	el, ok := m.resident[id]
+	if ok {
+		m.io.Hits++
+		m.lru.MoveToFront(el)
+	} else {
+		m.fault()
+		el = m.lru.PushFront(&modelPage{id: id})
+		m.resident[id] = el
+	}
+	if p := el.Value.(*modelPage); write && !fails && !p.dirty {
+		p.dirty = true
+		m.dirty++
+	}
+}
+
+func (m *poolModel) allocate() PageID {
+	var id PageID
+	if n := len(m.freed); n > 0 {
+		id, m.freed = m.freed[n-1], m.freed[:n-1]
+	} else {
+		id = PageID(m.pages)
+		m.pages++
+	}
+	m.fault()
+	m.resident[id] = m.lru.PushFront(&modelPage{id: id, dirty: true})
+	m.dirty++
+	return id
+}
+
+func (m *poolModel) free(ids []PageID) {
+	for _, id := range ids {
+		if el, ok := m.resident[id]; ok {
+			if el.Value.(*modelPage).dirty {
+				m.dirty--
+			}
+			m.lru.Remove(el)
+			delete(m.resident, id)
+			m.spare++
+		}
+		delete(m.value, id)
+	}
+	m.freed = append(m.freed, ids...)
+}
+
+func (m *poolModel) flush() {
+	for el := m.lru.Front(); el != nil; el = el.Next() {
+		if p := el.Value.(*modelPage); p.dirty {
+			p.dirty = false
+			m.io.Writes++
+		}
+	}
+	m.dirty = 0
+}
+
+// TestPoolMatchesLRUModel drives a pool through a seeded random sequence of
+// View, Update (some failing), AllocateWith, Free and Flush over about twice
+// as many pages as it has frames, at capacities 8, 13 and 64. After every
+// step the pool must agree with poolModel: the I/O counters, the resident
+// pages in LRU order, the dirty count and dirty frames, the page ids
+// allocation hands out, how many freed frames wait for reuse and how many
+// frames the pool ever made — and every page read holds what was last
+// written to it.
+func TestPoolMatchesLRUModel(t *testing.T) {
+	for _, n := range []int{8, 13, 64} {
+		t.Run(fmt.Sprint("capacity=", n), func(t *testing.T) {
+			bp := NewBufferPool(NewPager(), n)
+			m := &poolModel{cap: max(n, 8), lru: list.New(), resident: map[PageID]*list.Element{}, value: map[PageID]byte{}}
+			rng := rand.New(rand.NewSource(int64(n)))
+			made := map[*frame]bool{}
+			var live []PageID
+			for step := 0; step < 4000; step++ {
+				var op string
+				switch r := rng.Intn(100); {
+				case r < 15 || len(live) < 2*m.cap && r < 40:
+					op = "AllocateWith"
+					v := byte(rng.Intn(256))
+					id, err := bp.AllocateWith(func(data []byte) { data[0] = v })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := m.allocate(); id != want {
+						t.Fatalf("step %d: AllocateWith returned page %d, want %d", step, id, want)
+					}
+					live = append(live, id)
+					m.value[id] = v
+				case r < 20:
+					op = "Free"
+					rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+					k := min(len(live), 1+rng.Intn(3))
+					ids := slices.Clone(live[len(live)-k:])
+					live = live[:len(live)-k]
+					bp.Free(ids)
+					m.free(ids)
+				case r < 23:
+					op = "Flush"
+					if err := bp.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					m.flush()
+				case len(live) == 0:
+					continue
+				case r < 60:
+					op = "View"
+					id := live[rng.Intn(len(live))]
+					var got byte
+					if err := bp.View(id, func(data []byte) error { got = data[0]; return nil }); err != nil {
+						t.Fatal(err)
+					}
+					if got != m.value[id] {
+						t.Fatalf("step %d: page %d reads %d, want %d", step, id, got, m.value[id])
+					}
+					m.access(id, false, false)
+				default:
+					op = "Update"
+					id, v, fails := live[rng.Intn(len(live))], byte(rng.Intn(256)), rng.Intn(10) == 0
+					err := bp.Update(id, func(data []byte) error {
+						if fails {
+							return fmt.Errorf("no")
+						}
+						data[0] = v
+						return nil
+					})
+					if (err != nil) != fails {
+						t.Fatalf("step %d: Update returned %v", step, err)
+					}
+					if !fails {
+						m.value[id] = v
+					}
+					m.access(id, true, fails)
+				}
+
+				if got := bp.Stats(); got != m.io {
+					t.Fatalf("step %d (%s): I/O %+v, model %+v", step, op, got, m.io)
+				}
+				bp.mu.Lock()
+				var order []PageID
+				dirty := int64(0)
+				for f := bp.head; f != nil; f = f.next {
+					order = append(order, f.id)
+					if f.dirty {
+						dirty++
+					}
+					made[f] = true
+				}
+				for _, f := range bp.spare {
+					made[f] = true
+				}
+				resident, spare := len(bp.frames), len(bp.spare)
+				bp.mu.Unlock()
+				var want []PageID
+				for el := m.lru.Front(); el != nil; el = el.Next() {
+					want = append(want, el.Value.(*modelPage).id)
+				}
+				if !slices.Equal(order, want) || resident != len(want) {
+					t.Fatalf("step %d (%s): resident %v (%d framed), model %v", step, op, order, resident, want)
+				}
+				if got := bp.dirty.Load(); got != m.dirty || dirty != m.dirty {
+					t.Fatalf("step %d (%s): dirty count %d, %d frames dirty, model %d", step, op, got, dirty, m.dirty)
+				}
+				if spare != m.spare || len(made) != m.frames {
+					t.Fatalf("step %d (%s): %d spare frames of %d made, model %d of %d", step, op, spare, len(made), m.spare, m.frames)
+				}
+			}
+			if m.io.Hits == 0 || m.io.Writes == 0 || m.frames != m.cap || m.pages <= m.cap {
+				t.Errorf("the sequence never hit, wrote back or filled the pool: %+v, %d frames, %d pages", m.io, m.frames, m.pages)
+			}
+		})
 	}
 }

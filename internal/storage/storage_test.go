@@ -269,16 +269,20 @@ func TestDBTablesAndIndexes(t *testing.T) {
 	if _, err := db.Table("none"); err == nil {
 		t.Error("unknown table lookup should fail")
 	}
-	tmp := db.CreateTemp("t1", schema)
+	run := db.BeginRun()
+	tmp := run.CreateTemp("t1", schema)
 	if tmp == nil {
 		t.Fatal("CreateTemp failed")
 	}
-	if _, err := db.Temp("t1"); err != nil {
-		t.Error(err)
+	if got, err := run.Temp("t1"); err != nil || got != tmp {
+		t.Errorf("Temp = %p, %v; want %p", got, err, tmp)
 	}
-	db.DropTemps()
-	if _, err := db.Temp("t1"); err == nil {
-		t.Error("temp should be gone after DropTemps")
+	if _, err := db.BeginRun().Temp("t1"); err == nil {
+		t.Error("another run sees the temp")
+	}
+	run.End()
+	if _, err := run.Temp("t1"); err == nil || db.NumTemps() != 0 {
+		t.Errorf("temp should be gone after End (%d live)", db.NumTemps())
 	}
 }
 

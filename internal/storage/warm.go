@@ -212,7 +212,7 @@ func (db *DB) PromoteWarm(name string) (int64, error) {
 		db.free(t)
 		return 0, err
 	}
-	db.replace(&db.caches, name, t)
+	db.replaceCache(name, t)
 	return int64(t.Heap.NumPages()) * PageSize, nil
 }
 

@@ -207,9 +207,14 @@ func (m *memo) peek(trees string, k planKey) (found, stored bool) {
 
 // cloneResult shallow-copies a cached Result for a caller outside the
 // session: fresh Result and Plan structs, fresh top-level slices and
-// plan-node map, shared (immutable) plan nodes.
-func cloneResult(r *Result) *Result {
+// plan-node map, shared (immutable) plan nodes. A plan-cache hit's copy
+// reports the hit's own optimize phase as Stats.OptTime, not the time of
+// the search that built the plan.
+func cloneResult(r *Result, meta *execMeta) *Result {
 	cp := *r
+	if meta.PlanCacheHit {
+		cp.Stats.OptTime = meta.Phases.Optimize
+	}
 	cp.Materialized = append([]*physical.Node(nil), r.Materialized...)
 	if r.Plan != nil {
 		p := *r.Plan

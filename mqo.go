@@ -61,7 +61,10 @@ type (
 	GreedyOptions = core.GreedyOptions
 	// Result is an optimized batch: plan, cost, materialized set, stats.
 	Result = core.Result
-	// Stats is per-run instrumentation (opt time, greedy counters).
+	// Stats is per-run instrumentation (opt time, greedy counters). A
+	// Result served from the session plan cache reports the serving call's
+	// own optimize time as OptTime; its other fields describe the search
+	// that built the plan.
 	Stats = core.Stats
 	// Model holds the cost-model constants (§6).
 	Model = cost.Model

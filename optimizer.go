@@ -216,7 +216,7 @@ func (o *Optimizer) OptimizeBatch(ctx context.Context, queries []*Query, alg Alg
 	var meta execMeta
 	res, _, _, err := o.planBatch(ctx, nil, queries, alg, nil, &meta)
 	if meta.planCached {
-		res = cloneResult(res)
+		res = cloneResult(res, &meta)
 	}
 	return res, err
 }
@@ -288,7 +288,7 @@ func (o *Optimizer) Run(ctx context.Context, batch Batch) (*ExecResult, error) {
 	}
 	phaseOptimize.ObserveDuration(meta.Phases.Optimize)
 	if meta.planCached {
-		res.Result = cloneResult(res.Result)
+		res.Result = cloneResult(res.Result, &meta)
 	}
 	return res, nil
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mqo/internal/tpcd"
 )
@@ -412,5 +414,63 @@ func TestResultCacheSession(t *testing.T) {
 	// WithResultCache without a database must fail at Open.
 	if _, err := Open(tpcd.Catalog(sf), WithResultCache(1<<20, 0)); err == nil {
 		t.Error("WithResultCache without WithDB should fail")
+	}
+}
+
+// TestPlanCacheHitReportsItsOwnOptTime: a Result served from the plan cache,
+// by OptimizeBatch or by Run, reports the serving call's own optimize phase
+// as Stats.OptTime, not the time of the search that built the plan. Its
+// other Stats are that search's, and the cached Result is left as it was.
+func TestPlanCacheHitReportsItsOwnOptTime(t *testing.T) {
+	const sf = 0.0005
+	db := NewDB(256)
+	if err := tpcd.LoadDB(db, sf, 1); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Open(tpcd.Catalog(sf), WithDB(db), WithPlanCache(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	queries, err := opt.ParseSQL(sqlBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, err := opt.OptimizeBatch(ctx, queries, Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cached plan's search took an hour, as far as a copy of it can tell.
+	const search = time.Hour
+	opt.memo.mu.Lock()
+	cached := opt.memo.entries[opt.stmts.treesKey(queries)].plans[planKey{alg: Greedy}].res
+	cached.Stats.OptTime = search
+	opt.memo.mu.Unlock()
+
+	check := func(call string, st Stats) {
+		t.Helper()
+		if st.OptTime <= 0 || st.OptTime >= search {
+			t.Errorf("%s: a plan-cache hit reports an optimization time of %v", call, st.OptTime)
+		}
+		st.OptTime = miss.Stats.OptTime
+		if !reflect.DeepEqual(st, miss.Stats) {
+			t.Errorf("%s: a plan-cache hit reports %+v, the search that built the plan %+v", call, st, miss.Stats)
+		}
+	}
+	hit, err := opt.OptimizeBatch(ctx, queries, Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("OptimizeBatch", hit.Stats)
+	ran, err := opt.Run(ctx, Batch{Queries: queries, Algorithm: Greedy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Run", ran.Stats)
+	if s := opt.CacheStats(); s.Hits != 2 || s.Misses != 1 {
+		t.Errorf("plan cache %+v, want 2 hits and 1 miss", s)
+	}
+	if cached.Stats.OptTime != search {
+		t.Errorf("the cached Result's optimization time became %v", cached.Stats.OptTime)
 	}
 }

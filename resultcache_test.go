@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"mqo/internal/ssb"
 	"mqo/internal/tpcd"
 )
 
@@ -141,5 +142,54 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 		if len(rows3[bi]) != len(rows1[bi]) {
 			t.Fatalf("post-eviction batch %d: %d rows, want %d", bi, len(rows3[bi]), len(rows1[bi]))
 		}
+	}
+}
+
+// TestSavedCostIndependentOfPlanCache: what the result cache reports saved
+// is what the executed plans read, whether a plan was optimized for the
+// batch or served from the plan cache. One sequence of Runs — the SSB
+// flights and flight 1's and 4's drill-downs a query at a time, replayed,
+// under a RAM budget smaller than what they spool, so entries move to the
+// warm tier and back — on a session with a plan cache and on one without
+// gives the same hits, warm hits and estimated saving.
+func TestSavedCostIndependentOfPlanCache(t *testing.T) {
+	const sf = 0.002
+	db := NewDB(256)
+	if err := ssb.LoadDB(db, sf, 1); err != nil {
+		t.Fatal(err)
+	}
+	var seq [][]*Query
+	for f := 1; f <= 4; f++ {
+		seq = append(seq, ssb.Flight(f))
+	}
+	for _, f := range []int{1, 4} {
+		seq = append(seq, ssb.DrillDown(f, ssb.MaxDrillSteps)...)
+	}
+	replay := func(planCache int) ResultCacheStats {
+		opt, err := Open(ssb.Catalog(sf), WithDB(db), WithPlanCache(planCache), WithResultCache(64<<10, 16<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer opt.Close()
+		for pass := 0; pass < 3; pass++ {
+			for _, queries := range seq {
+				if _, err := opt.Run(context.Background(), Batch{Queries: queries, Algorithm: Greedy}); err != nil {
+					t.Fatal(err)
+				}
+				opt.ResultCache().WaitPromotions()
+			}
+		}
+		if st := opt.CacheStats(); planCache > 0 && st.Hits == 0 {
+			t.Errorf("the plan cache never hit: %+v", st)
+		}
+		return opt.ResultCacheStats()
+	}
+	cached, fresh := replay(128), replay(0)
+	if cached.Hits == 0 || cached.WarmHits == 0 {
+		t.Errorf("the replay never hit the warm tier: %+v", cached)
+	}
+	if cached.Hits != fresh.Hits || cached.WarmHits != fresh.WarmHits || cached.SavedCostEst != fresh.SavedCostEst {
+		t.Errorf("with a plan cache: %d hits, %d warm, %v s saved; without: %d, %d, %v s",
+			cached.Hits, cached.WarmHits, cached.SavedCostEst, fresh.Hits, fresh.WarmHits, fresh.SavedCostEst)
 	}
 }
