@@ -245,7 +245,7 @@ func TestFrontDoorWithoutSoloPhase(t *testing.T) {
 // read; a path that grows past it allocated for machinery a stored answer
 // does not use.
 func TestStoredSubmitAllocs(t *testing.T) {
-	const maxAllocs = 38
+	const maxAllocs = 32
 	text := ssb.QuerySQL(1, 0)
 	w := newFrontDoorWorld(t, []string{text}, BatchingOptions{MaxBatch: 1, ResultCacheBytes: 16 << 20},
 		WithPlanCache(64))

@@ -20,6 +20,9 @@ import (
 // is valid: it admits nothing and its Commit and Abort do nothing.
 type Ticket struct {
 	m *Manager
+	// pd is the batch DAG (Arm tickets only): PlanSpools values candidates
+	// at the costs the search left on it.
+	pd *physical.DAG
 	// fps are the batch DAG's canonical fingerprints (Arm tickets only).
 	fps map[*dag.Group]string
 	// binds are the batch's binding keys (algebra.BindingKey per ParamSet,
@@ -63,7 +66,7 @@ func (m *Manager) Arm(pd *physical.DAG, paramSets []map[string]algebra.Value) *T
 	if m == nil {
 		return nil
 	}
-	t := &Ticket{m: m, fps: dag.CanonicalFingerprints(pd.L), armed: map[*Entry]bool{}}
+	t := &Ticket{m: m, pd: pd, fps: dag.CanonicalFingerprints(pd.L), armed: map[*Entry]bool{}}
 	for _, ps := range paramSets {
 		t.binds = append(t.binds, algebra.BindingKey(ps))
 	}
@@ -140,7 +143,7 @@ func (t *Ticket) armInvoke(pd *physical.DAG, n *physical.Node, inv *physical.PEx
 		}
 		// Per-use saving: one body invocation replaced by one tier-priced
 		// table read-back.
-		saving := float64(body.Cost) - float64(m.tierScanCost(e.Tier, e.Bytes))
+		saving := float64(pd.CostOf(body)) - float64(m.tierScanCost(e.Tier, e.Bytes))
 		scans = append(scans, physical.BindScan{Bind: bind, Table: e.Table, Tier: e.Tier, Saving: saving})
 		tiers = append(tiers, e.Tier)
 		blocks = append(blocks, float64(e.Bytes)/float64(m.Model.BlockSize))
@@ -253,7 +256,7 @@ func (t *Ticket) wholeCandidates(plan *physical.Plan) []candidate {
 		// Value: what a future use saves — recomputation minus read-back —
 		// discounted by the extra write a root spool pays now (a Mat node's
 		// write replaces its temp write, already paid for by the plan).
-		value := float64(n.Cost - n.ReuseSeq)
+		value := float64(t.pd.CostOf(n) - n.ReuseSeq)
 		if extraWrite {
 			value -= float64(n.MatCost)
 		}
@@ -297,7 +300,7 @@ func (t *Ticket) bindingCandidates(plan *physical.Plan) []candidate {
 		// invocation minus the read-back and the spool write paid now.
 		c := candidate{n: pn.N, fp: t.fps[body.LG.Find()], prop: body.Prop, id: entryID{prop: body.Prop.Key()},
 			bytes: int64(body.LG.Rel.Blocks(m.Model)) * m.Model.BlockSize,
-			value: float64(body.Cost - body.ReuseSeq - body.MatCost), topo: body.Topo}
+			value: float64(t.pd.CostOf(body) - body.ReuseSeq - body.MatCost), topo: body.Topo}
 		for _, bind := range residual {
 			c.id.bind = bind
 			cands = append(cands, c)

@@ -153,8 +153,8 @@ type Result struct {
 // BuildDAG builds a batch's logical DAG (BuildLogical) and the physical DAG
 // over it. Every algorithm can then run on the returned DAG in turn, as in
 // the paper's implementation: Optimize resets its costing state first, and a
-// Result it returned stays valid when a later run rewrites the DAG's
-// Node.Cost, which is search scratch (the plan carries PlanNode.Cost). The
+// Result it returned stays valid when a later run rewrites the DAG's node
+// costs, which are search scratch (the plan carries PlanNode.Cost). The
 // session's memo keeps a physical DAG per composition for exactly that: one
 // call at a time runs on it. Any number of goroutines can build physical
 // DAGs of their own over one logical DAG (physical.Build).
@@ -213,7 +213,7 @@ func ClearMaterialized(pd *physical.DAG) {
 // reset before the run (physical.DAG.Reset, which costs nothing on a DAG
 // already in that state) and left reflecting the returned result, whose plan
 // nodes are stamped with their costs in it (PlanNode.Cost): the DAG may run
-// further optimizations, each rewriting Node.Cost, without changing what an
+// further optimizations, each rewriting the node costs, without changing what an
 // earlier Result reports.
 //
 // The context is consulted at checkpoints inside the algorithms' main
@@ -249,7 +249,7 @@ func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options)
 		return nil, err
 	}
 	for n, pn := range res.Plan.ByNode {
-		pn.Cost = n.Cost
+		pn.Cost = pd.CostOf(n)
 	}
 	res.Algorithm = alg
 	res.NoShareCost = noShare

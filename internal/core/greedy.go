@@ -102,7 +102,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 // sharable, not parameter-dependent, not the batch root, and not already
 // free (a base-index access point costs nothing to begin with).
 func candidateNode(pd *physical.DAG, n *physical.Node) bool {
-	return n.Sharable && !n.LG.ParamDep && n != pd.Root && n.Cost > 0
+	return n.Sharable && !n.LG.ParamDep && n != pd.Root && pd.CostOf(n) > 0
 }
 
 // argmax returns the index of the largest score, the first of equals.
@@ -235,10 +235,10 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 		deg := 2.0
 		if degrees != nil {
 			deg = degrees[n.LG]
-		} else if p := float64(len(n.Parents)); p > deg {
+		} else if p := float64(pd.NumParents(n)); p > deg {
 			deg = p
 		}
-		heap.Push(h, &benefitItem{n: n, ub: n.Cost * deg, version: -1})
+		heap.Push(h, &benefitItem{n: n, ub: pd.CostOf(n) * deg, version: -1})
 	}
 
 	var chosen []*physical.Node

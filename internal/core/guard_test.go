@@ -60,8 +60,8 @@ func TestGuardFallbackCountsOnlySearchWork(t *testing.T) {
 		t.Fatalf("fallback plan:\n%s\nfresh Volcano plan:\n%s", g, w)
 	}
 	for i, n := range pd.Nodes {
-		if n.Cost != twin.Nodes[i].Cost {
-			t.Fatalf("node %d costs %v after the fallback, %v on a fresh DAG", n.ID, n.Cost, twin.Nodes[i].Cost)
+		if pd.CostOf(n) != twin.CostOf(twin.Nodes[i]) {
+			t.Fatalf("node %d costs %v after the fallback, %v on a fresh DAG", n.ID, pd.CostOf(n), twin.CostOf(twin.Nodes[i]))
 		}
 	}
 }

@@ -103,7 +103,7 @@ func TestSharedLogicalDAGConcurrent(t *testing.T) {
 // TestPlanCostsOutliveTheDAG: the four algorithms run on one DAG in turn, as
 // a session's calls do. Each Result's plan nodes carry the costs their nodes
 // had when it was returned, and keep them while the later runs rewrite the
-// DAG's Node.Cost under them.
+// DAG's costs (DAG.CostOf) under them.
 func TestPlanCostsOutliveTheDAG(t *testing.T) {
 	pd, err := BuildDAG(tpcd.Catalog(1), cost.DefaultModel(), tpcd.BatchQueries(5))
 	if err != nil {
@@ -117,8 +117,8 @@ func TestPlanCostsOutliveTheDAG(t *testing.T) {
 		}
 		costs := map[*physical.PlanNode]cost.Cost{}
 		for n, pn := range res.Plan.ByNode {
-			if pn.Cost != n.Cost {
-				t.Errorf("%v: plan node %d reports %v, its node costs %v", alg, n.ID, pn.Cost, n.Cost)
+			if pn.Cost != pd.CostOf(n) {
+				t.Errorf("%v: plan node %d reports %v, its node costs %v", alg, n.ID, pn.Cost, pd.CostOf(n))
 			}
 			costs[pn] = pn.Cost
 		}
@@ -130,7 +130,7 @@ func TestPlanCostsOutliveTheDAG(t *testing.T) {
 			if pn.Cost != c {
 				t.Errorf("run %d: plan node %d reports %v, %v when returned", i, pn.N.ID, pn.Cost, c)
 			}
-			if pn.N.Cost != c {
+			if pd.CostOf(pn.N) != c {
 				moved++
 			}
 		}

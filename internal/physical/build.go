@@ -60,7 +60,7 @@ func (k AlgKind) String() string {
 // off the index property of the node it belongs to (IxCol).
 type PExpr struct {
 	Kind     AlgKind
-	id       int32     // creation ordinal, what a propagation's stamps index (nodeHeap.moved)
+	id       int32     // creation ordinal, what the flat arrays index (flatDAG.exprs)
 	LE       *dag.Expr // originating logical expression (nil for enforcers)
 	Children []*Node   // carved from the DAG's child slab, never appended to
 	Node     *Node     // owner
@@ -128,25 +128,22 @@ type BindScan struct {
 
 // Node is a physical equivalence node: a logical group constrained to a
 // physical property.
+//
+// A node's current computation cost under the materialized set is not a
+// field: it lives in the costing state's array over Topo (DAG.CostOf), and
+// the operation nodes that read the node as an input are found through the
+// DAG's flat arrays (flatDAG), not through the node.
 type Node struct {
-	ID      int
-	LG      *dag.Group
-	Prop    Prop
-	Exprs   []*PExpr
-	Parents []*PExpr
+	ID    int
+	LG    *dag.Group
+	Prop  Prop
+	Exprs []*PExpr
 	// Topo is the node's topological number — children before parents —
 	// and its position in DAG.Nodes. It is fixed when Build returns, and it
 	// is what the costing state and every CostView index their per-node
 	// arrays with.
 	Topo int
 	gi   int32 // row of the DAG's group table; equal exactly when LG is equal
-
-	// Cost is the current computation cost of the node under the costing
-	// state (set of materialized nodes); maintained by costing.go. It is the
-	// search's scratch: every optimization run on the DAG rewrites it, and a
-	// DAG outlives the optimization it was built for (a session keeps it to
-	// run the next one on). What a plan reports is PlanNode.Cost.
-	Cost cost.Cost
 
 	// MatCost is the additional cost of materializing the node's result
 	// when first computed (sequential write; 0 for index nodes whose
@@ -191,6 +188,7 @@ type DAG struct {
 	kidSlab  []*Node
 	numExprs int32 // operation nodes made so far, armed ones included
 
+	flat    flatDAG
 	costing costState
 
 	// Degrees caches the §4.1 degree of sharing of every logical group
@@ -217,9 +215,6 @@ type group struct {
 	// (a handful), in creation order. build finds an existing node by
 	// comparing properties over this list.
 	nodes []*Node
-	// mats are the nodes materialized in the shared costing state, in the
-	// order they were set (costing.go).
-	mats []*Node
 	// equi[i] holds the sorted equi-join column pairs of the group's i-th
 	// logical expression, a join, computed by the first physical node that implements it and
 	// shared by the rest.
@@ -250,6 +245,7 @@ func Build(l *dag.DAG, model cost.Model) (*DAG, error) {
 		pd.QueryRoots = append(pd.QueryRoots, n)
 	}
 	pd.assignTopo()
+	pd.flatten()
 	pd.initCosting()
 	return pd, nil
 }
@@ -353,9 +349,6 @@ func (pd *DAG) addWeighted(e PExpr, weight float64, children ...*Node) {
 	pd.numExprs++
 	*p = e
 	p.Node.Exprs = append(p.Node.Exprs, p)
-	for _, c := range children {
-		c.Parents = append(c.Parents, p)
-	}
 }
 
 // addImplementations adds every applicable algorithm for logical expression
@@ -573,11 +566,12 @@ func (pd *DAG) addEnforcers(n *Node) error {
 // result back. It is the result cache's pre-pass hook, run on a freshly
 // built batch DAG before the search engine: the cached result then behaves
 // like an already-materialized node with zero setup cost — every algorithm
-// (and every CostView overlay, which reads node expressions live) prices
-// the armed reuse natively through the ordinary min-over-implementations
-// recurrence, so hits need no special-casing in costing, extraction or the
-// what-if engine. The caller must Recost afterwards (Optimize's entry
-// reset does) before reading costs, and the DAG is Armed from then on.
+// and every CostView overlay prices the armed reuse natively through the
+// ordinary min-over-implementations recurrence, so hits need no
+// special-casing in costing, extraction or the what-if engine. The caller
+// must Recost afterwards (Optimize's entry reset does) before costing
+// anything: that pass lays the new operation node into the flat arrays the
+// recurrences read (flatDAG). The DAG is Armed from then on.
 // tier records which storage tier the spooled table lives in; the caller
 // prices scanCost at that tier's read constant (cost.Model.TierScanCost),
 // so a warm (disk-backed) hit is armed at a strictly higher per-page cost
@@ -585,7 +579,7 @@ func (pd *DAG) addEnforcers(n *Node) error {
 // honestly. The executor routes the scan to the matching namespace.
 func (pd *DAG) ArmCacheScan(n *Node, table string, scanCost cost.Cost, tier cost.Tier) {
 	pd.addExpr(PExpr{Kind: CacheScanOp, Node: n, OpCost: scanCost,
-		Arm: &CacheArm{CacheName: table, CacheTier: tier, Saving: float64(n.Cost - scanCost)}})
+		Arm: &CacheArm{CacheName: table, CacheTier: tier, Saving: float64(pd.CostOf(n) - scanCost)}})
 	pd.arm()
 }
 
@@ -699,6 +693,141 @@ func (pd *DAG) assignTopo() {
 		visit(n)
 	}
 	pd.Nodes = order
+}
+
+// flatDAG is the DAG as the costing recurrences (costing.go) read it, laid
+// out over the dense identities when Build returns:
+//
+//   - operation node x (PExpr.id) costs exprs[x].op plus exprs[x].w times
+//     each of its inputs, the nodes at topological numbers
+//     kids[exprs[x].kidLo:exprs[x+1].kidLo], and is owned by the node at
+//     exprs[x].owner;
+//   - node t (Node.Topo) is read as an input by the operation nodes
+//     parents[nodes[t].parLo:nodes[t+1].parLo], and is slot nodes[t].slot of
+//     group row nodes[t].gi;
+//   - a set of a group's nodes is a bitmask over their slots, the
+//     nodes[t].words words from nodes[t].matLo of an array of groupWords
+//     over all groups (the costing state's materialized set, a view's
+//     flips), and the nodes of t's group whose property satisfies t's are
+//     the mask at sat[nodes[t].satLo:].
+//
+// The last entry of exprs and of nodes only closes the range before it.
+// Arming the result cache's alternatives adds operation nodes, and the next
+// Recost lays the DAG out again (flatten); nodes and groups never change.
+type flatDAG struct {
+	exprs      []flatExpr
+	kids       []int32
+	nodes      []flatNode
+	parents    []int32
+	sat        []uint64
+	groupWords int32
+}
+
+type flatExpr struct {
+	op    cost.Cost
+	w     float64
+	owner int32
+	kidLo int32
+}
+
+type flatNode struct {
+	reuse        cost.Cost // Node.ReuseSeq
+	gi, slot     int32
+	parLo        int32
+	satLo        int32
+	matLo, words int32
+}
+
+// flatten lays out pd's structure as flatDAG, reusing the arrays of an
+// earlier layout where they are large enough.
+func (pd *DAG) flatten() {
+	f := &pd.flat
+	nodes, exprs := len(pd.Nodes), int(pd.numExprs)
+	if f.nodes == nil {
+		f.layoutGroups(pd)
+	}
+	f.exprs = resize(f.exprs, exprs+1)
+	f.exprs[exprs] = flatExpr{}
+	for t := range f.nodes {
+		f.nodes[t].parLo = 0
+	}
+	// Count, then place: an operation node's inputs go to its range of kids
+	// and it goes to each input's range of parents. Each count becomes its
+	// range's end, which the placement decrements to the range's start.
+	for t, n := range pd.Nodes {
+		for _, e := range n.Exprs {
+			f.exprs[e.id] = flatExpr{op: e.OpCost, w: e.weight, owner: int32(t), kidLo: int32(len(e.Children))}
+			for _, c := range e.Children {
+				f.nodes[c.Topo].parLo++
+			}
+		}
+	}
+	kids := int32(0)
+	for x := range f.exprs {
+		kids += f.exprs[x].kidLo
+		f.exprs[x].kidLo = kids
+	}
+	parents := int32(0)
+	for t := range f.nodes {
+		parents += f.nodes[t].parLo
+		f.nodes[t].parLo = parents
+	}
+	f.kids = resize(f.kids, int(kids))
+	f.parents = resize(f.parents, int(parents))
+	for t := nodes - 1; t >= 0; t-- {
+		n := pd.Nodes[t]
+		for i := len(n.Exprs) - 1; i >= 0; i-- {
+			e := n.Exprs[i]
+			for j := len(e.Children) - 1; j >= 0; j-- {
+				c := e.Children[j].Topo
+				f.exprs[e.id].kidLo--
+				f.kids[f.exprs[e.id].kidLo] = int32(c)
+				f.nodes[c].parLo--
+				f.parents[f.nodes[c].parLo] = e.id
+			}
+		}
+	}
+}
+
+// layoutGroups fills what arming never changes: each node's group row,
+// slot and reuse cost, the groups' bitmask words and the satisfied-by masks.
+func (f *flatDAG) layoutGroups(pd *DAG) {
+	f.nodes = make([]flatNode, len(pd.Nodes)+1)
+	satWords := 0
+	for _, row := range pd.groups {
+		satWords += (len(row.nodes) + 63) / 64 * len(row.nodes)
+	}
+	f.sat = make([]uint64, satWords)
+	satLo := int32(0)
+	for g, row := range pd.groups {
+		words := int32(len(row.nodes)+63) / 64
+		for slot, c := range row.nodes {
+			f.nodes[c.Topo] = flatNode{reuse: c.ReuseSeq, gi: int32(g), slot: int32(slot), satLo: satLo,
+				matLo: f.groupWords, words: words}
+			for i, m := range row.nodes {
+				if m.Prop.Satisfies(c.Prop) {
+					f.sat[satLo+int32(i/64)] |= 1 << (i % 64)
+				}
+			}
+			satLo += words
+		}
+		f.groupWords += words
+	}
+}
+
+// serves reports whether node m, of node c's group, can serve c's property.
+func (f *flatDAG) serves(m, c int) bool {
+	slot := f.nodes[m].slot
+	return f.sat[f.nodes[c].satLo+slot/64]&(1<<(slot%64)) != 0
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short. The contents are the caller's to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // singleColOrParam matches predicates of the form col op (const|param).

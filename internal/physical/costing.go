@@ -1,13 +1,24 @@
 package physical
 
-import "mqo/internal/cost"
+import (
+	"math"
+	"math/bits"
 
-// costState tracks the set of materialized nodes and supports full and
-// incremental recosting of the DAG (paper Figure 5). Membership is an array
-// over Node.Topo; the per-group lists the reuse test scans are the group
-// table's mats.
+	"mqo/internal/cost"
+)
+
+// costState tracks the set of materialized nodes and the node costs under
+// it, and supports full and incremental recosting of the DAG (paper
+// Figure 5). Everything is an array over the flat layout (flatDAG): costs
+// by Node.Topo, membership by group bitmask word.
 type costState struct {
-	mat []bool // by Node.Topo
+	cost []cost.Cost // by Node.Topo: the node's computation cost under the set
+	mat  []uint64    // by group bitmask word: the members
+	// setAt[t] orders the members of one group by when they were set, the
+	// order plan extraction picks the first usable one in (firstUsableMat).
+	// Valid for members only; the count restarts when the set empties.
+	setAt []uint32
+	sets  uint32
 	// matList is the materialized set in topological order. Cost totals sum
 	// over this list, never over mat: float64 addition is not associative,
 	// so the order of the sum is part of the result — a different order
@@ -15,7 +26,7 @@ type costState struct {
 	// and break the serial ≡ parallel plan guarantee.
 	matList []*Node
 
-	heap nodeHeap // SetMaterialized's propagation front, empty between calls
+	front front // SetMaterialized's propagation front, empty between calls
 
 	// dirty is set by everything that can move a node's cost off what a full
 	// pass under the empty materialized set gives — a materialization, an
@@ -24,7 +35,7 @@ type costState struct {
 	dirty bool
 
 	// Counters for the Figure 10 / §6.3 experiments.
-	Propagations   int64 // nodes popped from the propagation heap
+	Propagations   int64 // nodes popped from the propagation front
 	Recomputations int64 // incremental UpdateCost invocations
 }
 
@@ -52,17 +63,43 @@ func removeNode(list []*Node, n *Node) []*Node {
 
 // initCosting initializes the costing state and runs a full bottom-up pass.
 func (pd *DAG) initCosting() {
-	pd.costing = costState{mat: make([]bool, len(pd.Nodes)), heap: newNodeHeap(len(pd.Nodes))}
+	nodes := len(pd.Nodes)
+	pd.costing = costState{
+		cost:  make([]cost.Cost, nodes),
+		mat:   make([]uint64, pd.flat.groupWords),
+		setAt: make([]uint32, nodes),
+		front: newFront(nodes, len(pd.flat.exprs)-1),
+	}
 	pd.Recost()
 }
 
+// bit returns node t's word in a group bitmask array and its bit there.
+func (f *flatDAG) bit(t int) (int32, uint64) {
+	n := &f.nodes[t]
+	return n.matLo + n.slot/64, 1 << (n.slot % 64)
+}
+
 // Materialized reports whether n is currently materialized.
-func (pd *DAG) Materialized(n *Node) bool { return pd.costing.mat[n.Topo] }
+func (pd *DAG) Materialized(n *Node) bool {
+	w, b := pd.flat.bit(n.Topo)
+	return pd.costing.mat[w]&b != 0
+}
 
 // MaterializedSet returns the current set of materialized nodes, in
 // topological order.
 func (pd *DAG) MaterializedSet() []*Node {
 	return append([]*Node(nil), pd.costing.matList...)
+}
+
+// CostOf returns n's current computation cost under the materialized set.
+// It is the search's scratch: every optimization run on the DAG rewrites
+// it, and a DAG outlives the optimization it was built for (a session keeps
+// it to run the next one on). What a plan reports is PlanNode.Cost.
+func (pd *DAG) CostOf(n *Node) cost.Cost { return pd.costing.cost[n.Topo] }
+
+// NumParents returns the number of operation nodes that read n as an input.
+func (pd *DAG) NumParents(n *Node) int {
+	return int(pd.flat.nodes[n.Topo+1].parLo - pd.flat.nodes[n.Topo].parLo)
 }
 
 // Counters returns the (propagations, recomputations) instrumentation.
@@ -88,112 +125,158 @@ func (pd *DAG) AddCounters(propagations, recomputations int64) {
 // overlay: with v == nil they read and describe the DAG's own (shared)
 // costing state; with a view they see the view's private materialization
 // delta and cost overrides instead, leaving the DAG untouched. This is the
-// single implementation of the paper's C(e)/cost recurrences used by both
-// the shared state machine and the concurrent what-if engine.
+// single implementation of the paper's C(e)/cost recurrences used by full
+// passes, propagation, the concurrent what-if engine and plan extraction.
+// Nodes are named by topological number and operation nodes by id, and
+// every read is of the flat arrays (flatDAG).
 
-// costIn is the current computation cost of n under the overlay.
-func (pd *DAG) costIn(v *CostView, n *Node) cost.Cost {
+// costIn is the current computation cost of node t under the overlay.
+func (pd *DAG) costIn(v *CostView, t int) cost.Cost {
 	if v != nil {
-		if o := &v.nodes[n.Topo]; o.costAt == v.epoch {
+		if o := &v.nodes[t]; o.costAt == v.epoch {
 			return o.cost
 		}
 	}
-	return n.Cost
+	return pd.costing.cost[t]
 }
 
-// matIn reports whether n is materialized under the overlay.
-func (pd *DAG) matIn(v *CostView, n *Node) bool {
-	return pd.costing.mat[n.Topo] != (v != nil && v.flipped(n))
+// matWord is word k of the materialized-set bitmask array under the
+// overlay: the base's members, with the view's flips of group g applied.
+func (pd *DAG) matWord(v *CostView, g, k int32) uint64 {
+	w := pd.costing.mat[k]
+	if v != nil && v.flipAt[g] == v.epoch {
+		w ^= v.flips[k]
+	}
+	return w
 }
 
-// firstUsableMat returns the first node materialized under the overlay
-// that can serve input c's requirement for consumer owner, or nil. It
-// excludes owner itself (a node must not account its own materialization
-// while computing its own cost), and when the consumer is an enforcer of
-// the same group only c's own materialization qualifies: allowing a
-// sibling's would let two sibling materializations cyclically claim to
-// derive from each other. It is the single scan behind both costing
-// (reusableBy) and plan extraction, so extracted plans always match the
-// costs computed for them.
-func (pd *DAG) firstUsableMat(v *CostView, c, owner *Node) *Node {
-	sameGroup := owner != nil && owner.gi == c.gi
-	usable := func(m *Node) bool {
-		if m == owner || (sameGroup && m != c) {
-			return false
-		}
-		return m.Prop.Satisfies(c.Prop)
+// matIn reports whether node t is materialized under the overlay.
+func (pd *DAG) matIn(v *CostView, t int) bool {
+	k, b := pd.flat.bit(t)
+	return pd.matWord(v, pd.flat.nodes[t].gi, k)&b != 0
+}
+
+// serveMask returns word k (counted from the group's first) of the mask of
+// the members of c's group that may serve input c, whose flat entry is cn,
+// of an operation node owned by owner: the nodes whose property satisfies
+// c's, except that owner itself never does (a node must not account its own
+// materialization while computing its own cost), and that only c does when
+// the consumer is an enforcer of c's own group (allowing a sibling would
+// let two sibling materializations cyclically claim to derive from each
+// other). ANDed with the materialized set (matWord), it is the single reuse
+// rule behind both costing (reusableBy) and plan extraction
+// (firstUsableMat), so extracted plans always match the costs computed for
+// them.
+func (f *flatDAG) serveMask(cn *flatNode, c, owner int, k int32) uint64 {
+	if f.nodes[owner].gi != cn.gi {
+		return f.sat[cn.satLo+k]
 	}
-	for _, m := range pd.groups[c.gi].mats {
-		if v != nil && v.flipped(m) {
-			continue
-		}
-		if usable(m) {
-			return m
-		}
+	// c satisfies its own property: its own bit is all that may serve.
+	if owner == c || k != cn.slot/64 {
+		return 0
 	}
-	if v != nil {
-		for _, m := range v.addsOf(c.gi) {
-			if usable(m) {
-				return m
-			}
-		}
-	}
-	return nil
+	return 1 << (cn.slot % 64)
 }
 
 // reusableBy reports whether some materialized node of c's logical group
-// can serve c's requirement for consumer owner.
-func (pd *DAG) reusableBy(v *CostView, c, owner *Node) bool {
-	return pd.firstUsableMat(v, c, owner) != nil
+// can serve c's requirement for a consumer owned by owner.
+func (pd *DAG) reusableBy(v *CostView, cn *flatNode, c, owner int) bool {
+	f := &pd.flat
+	for k := range cn.words {
+		if w := pd.matWord(v, cn.gi, cn.matLo+k); w != 0 && w&f.serveMask(cn, c, owner, k) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// firstUsableMat returns the node materialized under the overlay that plan
+// extraction links input c of consumer owner to, or nil: of the members
+// that may serve it (serveMask), the base's first set, else the view's first
+// added.
+func (pd *DAG) firstUsableMat(v *CostView, c, owner *Node) *Node {
+	f := &pd.flat
+	cn := &f.nodes[c.Topo]
+	var first *Node
+	firstBase, firstAt := false, uint32(0)
+	for k := range cn.words {
+		base := pd.costing.mat[cn.matLo+k]
+		for w := pd.matWord(v, cn.gi, cn.matLo+k) & f.serveMask(cn, c.Topo, owner.Topo, k); w != 0; w &= w - 1 {
+			m := pd.groups[cn.gi].nodes[k*64+int32(bits.TrailingZeros64(w))]
+			inBase := base&(w&-w) != 0
+			at := pd.costing.setAt[m.Topo]
+			if !inBase {
+				at = v.nodes[m.Topo].setAt
+			}
+			if first == nil || inBase && !firstBase || inBase == firstBase && at < firstAt {
+				first, firstBase, firstAt = m, inBase, at
+			}
+		}
+	}
+	return first
 }
 
 // childCost is the paper's C(e): the cost of input c as seen by a consuming
 // operator owned by owner — min(cost, reusecost) when a satisfying
 // materialization exists.
-func (pd *DAG) childCost(v *CostView, c, owner *Node) cost.Cost {
+func (pd *DAG) childCost(v *CostView, c, owner int) cost.Cost {
 	cc := pd.costIn(v, c)
-	if c.ReuseSeq < cc && pd.reusableBy(v, c, owner) {
-		return c.ReuseSeq
+	if cn := &pd.flat.nodes[c]; cn.reuse < cc && pd.reusableBy(v, cn, c, owner) {
+		return cn.reuse
 	}
 	return cc
 }
 
-// exprCostIn computes the cost of one physical operation node under the
-// overlay's materialization state.
-func (pd *DAG) exprCostIn(v *CostView, e *PExpr) cost.Cost {
-	total := e.OpCost
-	for _, c := range e.Children {
-		total += e.weight * pd.childCost(v, c, e.Node)
+// exprCost computes the cost of operation node x under the overlay's
+// materialization state — unless a partial sum reaches bound first, when it
+// returns that partial sum instead. Every term is non-negative (operator
+// costs, and weights times input costs), and adding a non-negative float
+// never lowers a sum, so the cost is then at or above bound too: a caller
+// that only asks whether the cost is below bound gets the full sum's answer.
+func (pd *DAG) exprCost(v *CostView, x int32, bound cost.Cost) cost.Cost {
+	f := &pd.flat
+	e := &f.exprs[x]
+	owner := int(e.owner)
+	total := e.op
+	for _, c := range f.kids[e.kidLo:f.exprs[x+1].kidLo] {
+		if total >= bound {
+			break
+		}
+		total += e.w * pd.childCost(v, int(c), owner)
 	}
 	return total
 }
 
-// exprCost computes the cost of one physical operation node under the
-// current (shared) materialization state.
-func (pd *DAG) exprCost(e *PExpr) cost.Cost { return pd.exprCostIn(nil, e) }
-
 // nodeCost computes min over the node's operation nodes.
 func (pd *DAG) nodeCost(v *CostView, n *Node) cost.Cost {
-	best := cost.Cost(0)
-	for i, e := range n.Exprs {
-		c := pd.exprCostIn(v, e)
-		if i == 0 || c < best {
+	best := unpriced
+	for _, e := range n.Exprs {
+		if c := pd.exprCost(v, e.id, best); c < best {
 			best = c
 		}
 	}
 	return best
 }
 
-// Recost performs a full bottom-up costing pass in topological order.
+// unpriced is the bound of an operation node's first pricing: none.
+var unpriced = cost.Cost(math.Inf(1))
+
+// Recost performs a full bottom-up costing pass in topological order. It
+// first lays the DAG out again if the result cache armed alternatives since
+// the last layout.
 func (pd *DAG) Recost() {
-	for _, n := range pd.Nodes {
-		n.Cost = pd.nodeCost(nil, n)
+	if len(pd.flat.exprs)-1 != int(pd.numExprs) {
+		pd.flatten()
+		pd.costing.front.fit(int(pd.numExprs))
+	}
+	for t, n := range pd.Nodes {
+		pd.costing.cost[t] = pd.nodeCost(nil, n)
 	}
 	pd.costing.dirty = len(pd.costing.matList) > 0
 }
 
 // Reset returns the costing state to the one Build left — nothing
-// materialized, every Node.Cost what a full pass gives then, zero counters —
+// materialized, every cost what a full pass gives then, zero counters —
 // plus whatever the result cache armed since. It runs that pass only when
 // something moved a cost since the last one: a DAG straight from Build, or
 // reset already, is left as it is. Sharable flags are left too; the greedy
@@ -201,10 +284,10 @@ func (pd *DAG) Recost() {
 func (pd *DAG) Reset() {
 	cs := &pd.costing
 	for _, m := range cs.matList {
-		cs.mat[m.Topo] = false
-		pd.groups[m.gi].mats = pd.groups[m.gi].mats[:0]
+		k, _ := pd.flat.bit(m.Topo)
+		cs.mat[k] = 0
 	}
-	cs.matList = cs.matList[:0]
+	cs.matList, cs.sets = cs.matList[:0], 0
 	if cs.dirty {
 		pd.Recost()
 	}
@@ -216,86 +299,75 @@ func (pd *DAG) Reset() {
 // materializing every member (paper §4, Figure 5's TotalCost). Summation
 // runs in topological order so the result is bit-reproducible.
 func (pd *DAG) TotalCost() cost.Cost {
-	total := pd.Root.Cost
-	for _, m := range pd.costing.matList {
-		total += m.Cost + m.MatCost
+	cs := &pd.costing
+	total := cs.cost[pd.Root.Topo]
+	for _, m := range cs.matList {
+		total += cs.cost[m.Topo] + m.MatCost
 	}
 	return total
 }
 
-// nodeHeap is a min-heap of nodes ordered by topological number, used to
-// propagate cost changes upward without revisiting nodes (paper Figure 5).
-// Topological numbers are unique, so the pop order is the same for any
-// insertion order.
-type nodeHeap struct {
-	items []*Node
-	in    []bool // by Node.Topo: the node is in items
-	// moved[e.id] == round says an input of operation node e moved in the
-	// current propagation: it is a seed, or its cost changed. Such an e's
-	// cost may differ from the last round's; a decrease-only update re-prices
-	// those and no others (lowerCost).
-	moved []uint32
-	round uint32
+// front is a propagation's frontier over topological numbers, with a list
+// per node of its operation nodes whose input moved in the propagation.
+// Every node it holds is a parent of one already popped, or a seed, and
+// parents follow their inputs in topological order, so popping the lowest
+// set bit pops in ascending order — the order Figure 5 needs to process
+// each node once, after all its inputs — with a scan that only moves
+// forward.
+type front struct {
+	words []uint64 // by Node.Topo/64: the nodes waiting to be re-examined
+	lo    int      // no word before lo holds a bit
+	size  int      // bits set
+	// head[t] is 1 + the first operation node on node t's moved list, 0 for
+	// an empty list; next[x] is 1 + the operation node after x on its list,
+	// -1 after the last, 0 when x is on no list. Popping a node empties its
+	// list, so between propagations every entry is 0.
+	head []int32 // by Node.Topo
+	next []int32 // by PExpr.id
 }
 
-func newNodeHeap(nodes int) nodeHeap { return nodeHeap{in: make([]bool, nodes)} }
+func newFront(nodes, exprs int) front {
+	return front{words: make([]uint64, (nodes+63)/64), head: make([]int32, nodes), next: make([]int32, exprs)}
+}
 
-// nextRound starts a propagation over a DAG of exprs operation nodes: no
-// input has moved in it yet. (Once the counter wraps, a stamp from 2³² rounds
-// ago reads as current; that only re-prices an operation node whose cost
-// stands.)
-func (h *nodeHeap) nextRound(exprs int32) {
-	if int(exprs) > len(h.moved) {
-		// The result cache armed alternatives since the heap was made.
-		h.moved = append(h.moved, make([]uint32, int(exprs)-len(h.moved))...)
+// fit extends the moved-list links to cover exprs operation nodes: the
+// result cache may have armed alternatives since the front was made.
+func (f *front) fit(exprs int) {
+	if len(f.next) < exprs {
+		f.next = append(f.next, make([]int32, exprs-len(f.next))...)
 	}
-	h.round++
 }
 
-func (h *nodeHeap) add(n *Node) {
-	if h.in[n.Topo] {
+func (f *front) add(t int) {
+	k, b := t/64, uint64(1)<<(t%64)
+	if f.words[k]&b != 0 {
 		return
 	}
-	h.in[n.Topo] = true
-	h.items = append(h.items, n)
-	i := len(h.items) - 1
-	for i > 0 {
-		up := (i - 1) / 2
-		if h.items[up].Topo < n.Topo {
-			break
-		}
-		h.items[i] = h.items[up]
-		i = up
-	}
-	h.items[i] = n
+	f.words[k] |= b
+	f.size++
+	f.lo = min(f.lo, k)
 }
 
-func (h *nodeHeap) pop() *Node {
-	top := h.items[0]
-	h.in[top.Topo] = false
-	last := len(h.items) - 1
-	n := h.items[last]
-	h.items[last] = nil
-	h.items = h.items[:last]
-	i := 0
-	for {
-		kid := 2*i + 1
-		if kid >= last {
-			break
-		}
-		if kid+1 < last && h.items[kid+1].Topo < h.items[kid].Topo {
-			kid++
-		}
-		if n.Topo < h.items[kid].Topo {
-			break
-		}
-		h.items[i] = h.items[kid]
-		i = kid
+// pop removes and returns the lowest node of a non-empty front.
+func (f *front) pop() int {
+	for f.words[f.lo] == 0 {
+		f.lo++
 	}
-	if last > 0 {
-		h.items[i] = n
+	w := f.words[f.lo]
+	f.words[f.lo] = w & (w - 1)
+	f.size--
+	return f.lo*64 + bits.TrailingZeros64(w)
+}
+
+// moved puts operation node x, owned by node t, on t's moved list.
+func (f *front) moved(x int32, t int) {
+	if f.next[x] != 0 {
+		return
 	}
-	return top
+	if f.next[x] = f.head[t]; f.next[x] == 0 {
+		f.next[x] = -1
+	}
+	f.head[t] = x + 1
 }
 
 // propagate is the paper's incremental cost update (Figure 5) after n's
@@ -303,67 +375,74 @@ func (h *nodeHeap) pop() *Node {
 // n's group whose consumers may now see a different input cost (the changed
 // set S△S′), then walk upward in topological order so no node is processed
 // twice. Under a view the new costs are recorded as overrides, otherwise
-// written to the nodes. It returns the number of nodes re-examined.
+// written to the costing state. It returns the number of nodes re-examined.
 //
 // A node is re-examined when one of its inputs moved. After a
 // materialization is turned off, each is re-costed in full (nodeCost). One
 // turned on can only lower costs — C(e) gains a reuse option and loses none,
 // and OpCost + w·x with w ≥ 0 is monotone in floats — so a node's operation
 // nodes with no moved input keep their cost, and its new cost is the least
-// of its old one and those of the operation nodes that have a moved input
+// of its old one and those of the operation nodes on its moved list
 // (lowerCost): the value nodeCost would return, bit for bit, for a fraction
 // of the work.
 func (pd *DAG) propagate(v *CostView, n *Node, on bool) int {
-	h := &pd.costing.heap
+	f := &pd.flat
+	fr := &pd.costing.front
 	if v != nil {
-		h = &v.heap
+		fr = &v.front
 	}
-	h.nextRound(pd.numExprs)
 	for _, s := range pd.siblings(n) {
-		if n.Prop.Satisfies(s.Prop) {
-			h.add(s)
+		if f.serves(n.Topo, s.Topo) {
+			fr.add(s.Topo)
 		}
 	}
+	gi := f.nodes[n.Topo].gi
 	touched := 0
-	for len(h.items) > 0 {
-		cur := h.pop()
+	for fr.size > 0 {
+		t := fr.pop()
 		touched++
-		old := pd.costIn(v, cur)
+		old := pd.costIn(v, t)
 		var next cost.Cost
 		if on {
-			next = pd.lowerCost(v, h, cur, old)
+			next = pd.lowerCost(v, fr, t, old)
 		} else {
-			next = pd.nodeCost(v, cur)
+			next = pd.nodeCost(v, pd.Nodes[t])
 		}
 		if v != nil {
-			v.override(cur, next)
+			v.override(t, next)
 		} else {
-			cur.Cost = next
+			pd.costing.cost[t] = next
 		}
 		// A seed's consumers are visited even when its own cost stands:
 		// what changed for them is whether they can reuse it.
-		if next != old || (cur.gi == n.gi && n.Prop.Satisfies(cur.Prop)) {
-			for _, p := range cur.Parents {
-				h.moved[p.id] = h.round
-				h.add(p.Node)
+		if next != old || (f.nodes[t].gi == gi && f.serves(n.Topo, t)) {
+			for _, x := range f.parents[f.nodes[t].parLo:f.nodes[t+1].parLo] {
+				owner := int(f.exprs[x].owner)
+				if on {
+					fr.moved(x, owner)
+				}
+				fr.add(owner)
 			}
 		}
 	}
 	return touched
 }
 
-// lowerCost is nodeCost after an addition to the materialized set, given the
-// node's cost old before it: the operation nodes with an input that moved
-// this round are re-priced, the others keep the cost old already accounts
-// for (see propagate).
-func (pd *DAG) lowerCost(v *CostView, h *nodeHeap, n *Node, old cost.Cost) cost.Cost {
+// lowerCost is nodeCost after an addition to the materialized set, given
+// node t's cost old before it: the operation nodes on t's moved list are
+// re-priced, the others keep the cost old already accounts for (see
+// propagate). It empties the list.
+func (pd *DAG) lowerCost(v *CostView, fr *front, t int, old cost.Cost) cost.Cost {
 	best := old
-	for _, e := range n.Exprs {
-		if h.moved[e.id] == h.round {
-			if ec := pd.exprCostIn(v, e); ec < best {
-				best = ec
-			}
+	x := fr.head[t] - 1
+	fr.head[t] = 0
+	for x >= 0 {
+		if ec := pd.exprCost(v, x, best); ec < best {
+			best = ec
 		}
+		after := fr.next[x]
+		fr.next[x] = 0
+		x = after - 1
 	}
 	return best
 }
@@ -373,7 +452,7 @@ func (pd *DAG) lowerCost(v *CostView, h *nodeHeap, n *Node, old cost.Cost) cost.
 // the number of nodes whose cost was re-examined.
 func (pd *DAG) SetMaterialized(n *Node, on bool) int {
 	cs := &pd.costing
-	if cs.mat[n.Topo] == on {
+	if pd.Materialized(n) == on {
 		return 0
 	}
 	pd.SetMaterializedRaw(n, on)
@@ -388,18 +467,18 @@ func (pd *DAG) SetMaterialized(n *Node, on bool) int {
 // the §6.3 ablation that disables incremental cost update, and for tests.
 func (pd *DAG) SetMaterializedRaw(n *Node, on bool) {
 	cs := &pd.costing
-	if cs.mat[n.Topo] == on {
+	if pd.Materialized(n) == on {
 		return
 	}
-	cs.mat[n.Topo] = on
+	k, b := pd.flat.bit(n.Topo)
+	cs.mat[k] ^= b
 	cs.dirty = true
-	mats := &pd.groups[n.gi].mats
 	if on {
-		*mats = append(*mats, n)
+		cs.sets++
+		cs.setAt[n.Topo] = cs.sets
 		cs.matList = insertTopo(cs.matList, n)
 		return
 	}
-	*mats = removeNode(*mats, n)
 	cs.matList = removeNode(cs.matList, n)
 }
 

@@ -19,26 +19,37 @@ import "mqo/internal/cost"
 // A CostView is not safe for concurrent use by multiple goroutines; use
 // one view per worker.
 //
-// Everything a view holds per node is an array over Node.Topo, and per
-// group an array over the group table's rows — both fixed when the DAG was
-// built — so the recurrences' reads under a view (costIn, matIn,
-// firstUsableMat) are array reads. An entry belongs to the view's current
-// delta only when its stamp equals the view's epoch: Reset is one increment
-// however many nodes the what-if touched, and a pooled view's arrays are
-// allocated once for the DAG's lifetime. What is summed is never read off
-// the arrays: totals and benefits walk the topologically ordered matList /
-// addList, because the order of a float64 sum is part of its result.
+// Everything a view holds is an array over the DAG's flat layout (flatDAG),
+// fixed when the DAG was built: cost overrides by Node.Topo, its own
+// propagation front, and its materialized set as the base's with some
+// members flipped — bitmask words like the base's, applied to a group's
+// words by XOR — so whether a materialized node can serve an input under
+// the view is one AND of a group's word with the input's satisfied-by mask
+// (serveMask), as it is on the base. An entry belongs to the view's
+// current delta only when its stamp equals the view's epoch: Reset is one
+// increment however many nodes the what-if touched, and a pooled view's
+// arrays are allocated once for the DAG's lifetime. What is summed is never
+// read off the arrays: totals and benefits walk the topologically ordered
+// matList / addList, because the order of a float64 sum is part of its
+// result.
 type CostView struct {
 	pd *DAG
 
 	epoch uint32     // never zero, so a zeroed stamp is never current
 	nodes []viewNode // by Node.Topo
-	adds  []viewAdds // by group row: the group's nodes materialized in the view only
+	// flips are the group bitmask words (flatNode.matLo) of the nodes whose
+	// membership under the view is the opposite of the base's (the base does
+	// not change while a view holds a delta, so "opposite" is all a view
+	// needs to say); a group's words are current when flipAt[g] equals the
+	// epoch, all zero otherwise.
+	flips  []uint64
+	flipAt []uint32 // by group row
+	adds   uint32   // nodes added in the epoch so far, for viewNode.setAt
 	// addList is the nodes materialized in the view and not in the base, in
 	// topological order, for reproducible sums.
 	addList []*Node
 
-	heap nodeHeap
+	front front
 
 	// Propagation instrumentation, accumulated across what-ifs until the
 	// owner drains it (DrainCounters) into the DAG's Figure 10 counters.
@@ -49,44 +60,27 @@ type CostView struct {
 // viewNode is a view's private state of one node.
 type viewNode struct {
 	cost   cost.Cost
-	costAt uint32 // cost overrides Node.Cost when equal to the epoch
-	// flipAt, when equal to the epoch, says the node's materialization under
-	// the view is the opposite of the base's. (The base does not change
-	// while a view holds a delta, so "opposite" is all a view needs to say.)
-	flipAt uint32
-}
-
-type viewAdds struct {
-	nodes []*Node
-	at    uint32 // nodes is current when equal to the epoch, stale otherwise
+	costAt uint32 // cost overrides the base's when equal to the epoch
+	// setAt orders the view's additions to one group by when they were
+	// added (firstUsableMat); valid for the view's additions only.
+	setAt uint32
 }
 
 // NewCostView returns an empty overlay over pd's current costing state.
 func (pd *DAG) NewCostView() *CostView {
 	return &CostView{
-		pd:    pd,
-		epoch: 1,
-		nodes: make([]viewNode, len(pd.Nodes)),
-		adds:  make([]viewAdds, len(pd.groups)),
-		heap:  newNodeHeap(len(pd.Nodes)),
+		pd:     pd,
+		epoch:  1,
+		nodes:  make([]viewNode, len(pd.Nodes)),
+		flips:  make([]uint64, len(pd.costing.mat)),
+		flipAt: make([]uint32, len(pd.groups)),
+		front:  newFront(len(pd.Nodes), len(pd.flat.exprs)-1),
 	}
 }
 
-// flipped reports whether n's materialization under the view differs from
-// the base's.
-func (v *CostView) flipped(n *Node) bool { return v.nodes[n.Topo].flipAt == v.epoch }
-
-// addsOf returns the nodes of group row gi materialized in the view only.
-func (v *CostView) addsOf(gi int32) []*Node {
-	if a := &v.adds[gi]; a.at == v.epoch {
-		return a.nodes
-	}
-	return nil
-}
-
-// override records c as n's cost under the view.
-func (v *CostView) override(n *Node, c cost.Cost) {
-	o := &v.nodes[n.Topo]
+// override records c as node t's cost under the view.
+func (v *CostView) override(t int, c cost.Cost) {
+	o := &v.nodes[t]
 	o.cost, o.costAt = c, v.epoch
 }
 
@@ -105,6 +99,7 @@ func (pd *DAG) AcquireView() *CostView {
 	v := pd.views[n-1]
 	pd.views[n-1] = nil
 	pd.views = pd.views[:n-1]
+	v.front.fit(len(pd.flat.exprs) - 1)
 	return v
 }
 
@@ -127,10 +122,10 @@ func (pd *DAG) ReleaseView(v *CostView) {
 func (v *CostView) DAG() *DAG { return v.pd }
 
 // Materialized reports whether n is materialized under the view.
-func (v *CostView) Materialized(n *Node) bool { return v.pd.matIn(v, n) }
+func (v *CostView) Materialized(n *Node) bool { return v.pd.matIn(v, n.Topo) }
 
 // CostOf returns n's computation cost under the view.
-func (v *CostView) CostOf(n *Node) cost.Cost { return v.pd.costIn(v, n) }
+func (v *CostView) CostOf(n *Node) cost.Cost { return v.pd.costIn(v, n.Topo) }
 
 // SetMaterialized toggles the materialization status of n inside the view
 // and incrementally propagates the cost change to affected ancestors as
@@ -138,27 +133,24 @@ func (v *CostView) CostOf(n *Node) cost.Cost { return v.pd.costIn(v, n) }
 // of nodes whose cost was re-examined.
 func (v *CostView) SetMaterialized(n *Node, on bool) int {
 	pd := v.pd
-	if pd.matIn(v, n) == on {
+	if pd.matIn(v, n.Topo) == on {
 		return 0
 	}
-	base := pd.costing.mat[n.Topo]
-	if on == base {
-		v.nodes[n.Topo].flipAt = 0
-	} else {
-		v.nodes[n.Topo].flipAt = v.epoch
+	fn := &pd.flat.nodes[n.Topo]
+	if v.flipAt[fn.gi] != v.epoch {
+		clear(v.flips[fn.matLo : fn.matLo+fn.words])
+		v.flipAt[fn.gi] = v.epoch
 	}
-	if !base {
-		// The by-group and topological lists hold the view's additions;
-		// removals of base members are the flipped entries of the base's.
-		a := &v.adds[n.gi]
-		if a.at != v.epoch {
-			a.nodes, a.at = a.nodes[:0], v.epoch
-		}
+	k, b := pd.flat.bit(n.Topo)
+	v.flips[k] ^= b
+	if pd.costing.mat[k]&b == 0 {
+		// The topological list holds the view's additions; removals of
+		// base members are flipped bits of the base's.
 		if on {
-			a.nodes = append(a.nodes, n)
+			v.adds++
+			v.nodes[n.Topo].setAt = v.adds
 			v.addList = insertTopo(v.addList, n)
 		} else {
-			a.nodes = removeNode(a.nodes, n)
 			v.addList = removeNode(v.addList, n)
 		}
 	}
@@ -174,15 +166,15 @@ func (v *CostView) SetMaterialized(n *Node, on bool) int {
 // float64 sum is bit-reproducible across runs and workers.
 func (v *CostView) TotalCost() cost.Cost {
 	pd := v.pd
-	total := pd.costIn(v, pd.Root)
+	total := pd.costIn(v, pd.Root.Topo)
 	for _, m := range pd.costing.matList {
-		if v.flipped(m) {
+		if !pd.matIn(v, m.Topo) {
 			continue
 		}
-		total += pd.costIn(v, m) + m.MatCost
+		total += pd.costIn(v, m.Topo) + m.MatCost
 	}
 	for _, m := range v.addList {
-		total += pd.costIn(v, m) + m.MatCost
+		total += pd.costIn(v, m.Topo) + m.MatCost
 	}
 	return total
 }
@@ -191,14 +183,12 @@ func (v *CostView) TotalCost() cost.Cost {
 // overlay of the DAG's current state. Instrumentation counters are kept
 // (drain them with DrainCounters).
 func (v *CostView) Reset() {
-	v.addList = v.addList[:0]
+	v.addList, v.adds = v.addList[:0], 0
 	v.epoch++
 	if v.epoch == 0 {
 		// Wrapped: a stamp left 2³² resets ago would read as current.
 		clear(v.nodes)
-		for i := range v.adds {
-			v.adds[i].at = 0
-		}
+		clear(v.flipAt)
 		v.epoch = 1
 	}
 }
@@ -226,7 +216,7 @@ func (v *CostView) DrainCounters() (propagations, recomputations int64) {
 // bit-equal only with this summation order.
 func (v *CostView) WhatIfBenefit(n *Node) cost.Cost {
 	pd := v.pd
-	if pd.matIn(v, n) {
+	if pd.matIn(v, n.Topo) {
 		return 0
 	}
 	v.SetMaterialized(n, true)
@@ -234,15 +224,16 @@ func (v *CostView) WhatIfBenefit(n *Node) cost.Cost {
 	// and the base materialized list, walked in topological order for
 	// reproducible float sums — minus the new member's own contribution.
 	ben := cost.Cost(0)
+	base := pd.costing.cost
 	if o := &v.nodes[pd.Root.Topo]; o.costAt == v.epoch {
-		ben += pd.Root.Cost - o.cost
+		ben += base[pd.Root.Topo] - o.cost
 	}
 	for _, m := range pd.costing.matList {
 		if o := &v.nodes[m.Topo]; o.costAt == v.epoch {
-			ben += m.Cost - o.cost
+			ben += base[m.Topo] - o.cost
 		}
 	}
-	ben -= pd.costIn(v, n) + n.MatCost
+	ben -= pd.costIn(v, n.Topo) + n.MatCost
 	v.Reset()
 	return ben
 }

@@ -30,7 +30,7 @@ func TestCostViewMatchesDAGToggle(t *testing.T) {
 	base := pd.TotalCost()
 	costs := make([]float64, len(pd.Nodes))
 	for i, n := range pd.Nodes {
-		costs[i] = n.Cost
+		costs[i] = pd.CostOf(n)
 	}
 
 	v := pd.NewCostView()
@@ -52,8 +52,8 @@ func TestCostViewMatchesDAGToggle(t *testing.T) {
 		t.Fatalf("base state drifted: %v vs %v", pd.TotalCost(), base)
 	}
 	for i, n := range pd.Nodes {
-		if n.Cost != costs[i] {
-			t.Fatalf("node %d cost changed from %v to %v", n.ID, costs[i], n.Cost)
+		if pd.CostOf(n) != costs[i] {
+			t.Fatalf("node %d cost changed from %v to %v", n.ID, costs[i], pd.CostOf(n))
 		}
 	}
 }
@@ -217,13 +217,14 @@ func TestResetRestoresBuild(t *testing.T) {
 	asBuilt := func(what string) {
 		t.Helper()
 		for i, n := range pd.Nodes {
-			if n.Cost != fresh.Nodes[i].Cost || pd.Materialized(n) {
-				t.Fatalf("%s: node %d costs %v (materialized %v), a fresh build's %v", what, n.ID, n.Cost, pd.Materialized(n), fresh.Nodes[i].Cost)
+			if pd.CostOf(n) != fresh.CostOf(fresh.Nodes[i]) || pd.Materialized(n) {
+				t.Fatalf("%s: node %d costs %v (materialized %v), a fresh build's %v",
+					what, n.ID, pd.CostOf(n), pd.Materialized(n), fresh.CostOf(fresh.Nodes[i]))
 			}
 		}
-		for i, g := range pd.groups {
-			if len(g.mats) > 0 {
-				t.Fatalf("%s: group row %d still lists %d materialized nodes", what, i, len(g.mats))
+		for k, w := range pd.costing.mat {
+			if w != 0 {
+				t.Fatalf("%s: bitmask word %d still holds materialized nodes %b", what, k, w)
 			}
 		}
 		if p, r := pd.Counters(); len(pd.MaterializedSet()) > 0 || p != 0 || r != 0 {
@@ -244,9 +245,9 @@ func TestResetRestoresBuild(t *testing.T) {
 		pd.Reset()
 		asBuilt("after toggles")
 	}
-	pd.Root.Cost++ // a pass would put it back
+	pd.costing.cost[pd.Root.Topo]++ // a pass would put it back
 	pd.Reset()
-	if pd.Root.Cost == fresh.Root.Cost {
+	if pd.CostOf(pd.Root) == fresh.CostOf(fresh.Root) {
 		t.Error("Reset of a DAG in its built state ran a costing pass")
 	}
 	if pd.Armed() || !armedDAG(t).Armed() {

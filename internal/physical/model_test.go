@@ -77,8 +77,9 @@ type mapView struct {
 	addByGroup map[*dag.Group][]*Node
 	addList    []*Node
 
-	heap   mapHeap
-	forced map[*Node]bool
+	heap    mapHeap
+	forced  map[*Node]bool
+	readers map[*Node][]*Node // the owners of the operation nodes reading a node
 }
 
 func newMapView(pd *DAG, base *mapBase) *mapView {
@@ -90,14 +91,27 @@ func newMapView(pd *DAG, base *mapBase) *mapView {
 		addByGroup: map[*dag.Group][]*Node{},
 		heap:       mapHeap{inHeap: map[*Node]bool{}},
 		forced:     map[*Node]bool{},
+		readers:    readersOf(pd),
 	}
+}
+
+func readersOf(pd *DAG) map[*Node][]*Node {
+	readers := map[*Node][]*Node{}
+	for _, n := range pd.Nodes {
+		for _, e := range n.Exprs {
+			for _, c := range e.Children {
+				readers[c] = append(readers[c], n)
+			}
+		}
+	}
+	return readers
 }
 
 func (v *mapView) costIn(n *Node) cost.Cost {
 	if c, ok := v.over[n]; ok {
 		return c
 	}
-	return n.Cost
+	return v.pd.CostOf(n)
 }
 
 func (v *mapView) matIn(n *Node) bool {
@@ -190,8 +204,8 @@ func (v *mapView) setMaterialized(n *Node, on bool) int {
 		next := v.nodeCost(cur)
 		v.over[cur] = next
 		if next != old || v.forced[cur] {
-			for _, p := range cur.Parents {
-				h.add(p.Node)
+			for _, p := range v.readers[cur] {
+				h.add(p)
 			}
 		}
 	}
@@ -229,11 +243,11 @@ func (v *mapView) whatIf(n *Node) cost.Cost {
 	v.setMaterialized(n, true)
 	ben := cost.Cost(0)
 	if c, ok := v.over[pd.Root]; ok {
-		ben += pd.Root.Cost - c
+		ben += pd.CostOf(pd.Root) - c
 	}
 	for _, m := range v.base.list {
 		if c, ok := v.over[m]; ok {
-			ben += m.Cost - c
+			ben += pd.CostOf(m) - c
 		}
 	}
 	ben -= v.costIn(n) + n.MatCost
@@ -254,7 +268,7 @@ func armedDAG(t *testing.T) *DAG {
 	for _, n := range pd.Nodes {
 		switch e := n.Exprs[0]; {
 		case e.Kind == InvokeOp:
-			pd.ArmInvokePartial(n, e.LE, e.Children[0], e.Weight()/4, n.Cost/8,
+			pd.ArmInvokePartial(n, e.LE, e.Children[0], e.Weight()/4, pd.CostOf(n)/8,
 				[]BindScan{{Bind: "x=1", Table: "b1"}}, []string{"x=2"}, "fp")
 			partials++
 		case e.Kind == BNLJoin && !n.LG.ParamDep && scans < 3:

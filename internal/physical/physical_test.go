@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestEveryNodeHasImplementation(t *testing.T) {
 		if len(n.Exprs) == 0 {
 			t.Fatalf("node %d (%s) has no implementations", n.ID, n.Prop)
 		}
-		if n.Cost < 0 {
+		if pd.CostOf(n) < 0 {
 			t.Fatalf("node %d has negative cost", n.ID)
 		}
 	}
@@ -100,7 +101,7 @@ func TestEveryNodeHasImplementation(t *testing.T) {
 
 func TestCostingPositiveAndMonotoneAtRoot(t *testing.T) {
 	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50))
-	if pd.Root.Cost <= 0 {
+	if pd.CostOf(pd.Root) <= 0 {
 		t.Fatal("root cost must be positive")
 	}
 	base := pd.TotalCost()
@@ -108,9 +109,9 @@ func TestCostingPositiveAndMonotoneAtRoot(t *testing.T) {
 	// the extra materialization cost, so it may go up or down, but Root
 	// computation cost alone can never increase.
 	for _, n := range pd.Nodes[:len(pd.Nodes)/2] {
-		rootBefore := pd.Root.Cost
+		rootBefore := pd.CostOf(pd.Root)
 		pd.SetMaterialized(n, true)
-		if pd.Root.Cost > rootBefore+1e-9 {
+		if pd.CostOf(pd.Root) > rootBefore+1e-9 {
 			t.Fatalf("materializing node %d increased root computation cost", n.ID)
 		}
 		pd.SetMaterialized(n, false)
@@ -155,7 +156,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				}
 				twin.Recost()
 				for i, n := range pd.Nodes {
-					if got, want := costOf(n), twin.Nodes[i].Cost; got != want {
+					if got, want := costOf(n), twin.CostOf(twin.Nodes[i]); got != want {
 						t.Fatalf("step %d (%s): node %d cost %v, from scratch %v", step, where, n.ID, got, want)
 					}
 				}
@@ -171,7 +172,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 					v.Reset()
 					on = !pd.Materialized(n)
 					pd.SetMaterialized(n, on)
-					scratch(step, "shared", func(n *Node) cost.Cost { return n.Cost }, pd.Materialized)
+					scratch(step, "shared", pd.CostOf, pd.Materialized)
 				} else {
 					on = !v.Materialized(n)
 					v.SetMaterialized(n, on)
@@ -316,5 +317,60 @@ func TestWalkVisitsOnceChildrenFirst(t *testing.T) {
 	visits := 0
 	if allocs := testing.AllocsPerRun(10, func() { p.Root.Walk(func(*PlanNode) { visits++ }) }); allocs != 0 {
 		t.Errorf("a walk allocated %.0f times", allocs)
+	}
+}
+
+// TestWideGroup holds the reuse rule to a group wider than a bitmask word.
+// No workload has one (BQ5×6's widest group has 12 nodes), so the group is
+// made by hand: node i delivers the sort order on the first i+1 of 150
+// columns, so node j can serve node i exactly when j ≥ i, and the root reads
+// nodes 70 and 130, which lie in different words from each other and from
+// the node that serves them.
+func TestWideGroup(t *testing.T) {
+	const width = 150
+	cols := make([]algebra.Column, width)
+	for i := range cols {
+		cols[i] = algebra.Col("W", fmt.Sprintf("c%d", i))
+	}
+	pd := &DAG{}
+	wide := make([]*Node, width)
+	for i := range wide {
+		n := &Node{ID: i, Prop: SortProp(cols[:i+1]...), Topo: i, ReuseSeq: 1, MatCost: 1}
+		pd.addExpr(PExpr{Kind: SeqScan, Node: n, OpCost: cost.Cost(100 + i)})
+		wide[i] = n
+	}
+	root := &Node{ID: width, Topo: width, gi: 1}
+	pd.addExpr(PExpr{Kind: Batch, Node: root}, wide[70], wide[130])
+	pd.Nodes, pd.Root = append(wide, root), root
+	pd.groups = []group{{nodes: wide}, {nodes: []*Node{root}}}
+	pd.flatten()
+	pd.initCosting()
+
+	if got := pd.CostOf(root); got != 170+230 {
+		t.Fatalf("root costs %v with nothing materialized, want 400", got)
+	}
+	pd.SetMaterialized(wide[140], true)
+	if got := pd.CostOf(root); got != 2 {
+		t.Errorf("root costs %v with node 140 materialized, want two reads at 1", got)
+	}
+	if m := pd.firstUsableMat(nil, wide[70], root); m != wide[140] {
+		t.Errorf("node 70 reads node %v, want 140", m)
+	}
+	v := pd.AcquireView()
+	v.SetMaterialized(wide[100], true)
+	v.SetMaterialized(wide[140], false)
+	if got := v.CostOf(root); got != 1+230 {
+		t.Errorf("under the view root costs %v, want a read of node 100 for node 70 and node 130 computed", got)
+	}
+	if m, none := pd.firstUsableMat(v, wide[70], root), pd.firstUsableMat(v, wide[130], root); m != wide[100] || none != nil {
+		t.Errorf("under the view node 70 reads %v and node 130 reads %v, want node 100 and none", m, none)
+	}
+	v.SetMaterialized(wide[149], true)
+	if m := pd.firstUsableMat(v, wide[70], root); m != wide[100] {
+		t.Errorf("after a second addition node 70 reads %v, want the first added, node 100", m)
+	}
+	pd.ReleaseView(v)
+	if got := pd.CostOf(root); got != 2 {
+		t.Errorf("the view moved the base: root costs %v", got)
 	}
 }

@@ -25,7 +25,8 @@ type PlanNode struct {
 
 	// Cost is N's estimated computation cost under the costing state the
 	// search left behind, stamped when the plan is returned (core.Optimize):
-	// N.Cost itself is scratch the DAG's next optimization rewrites.
+	// the DAG's cost of N (DAG.CostOf) is scratch its next optimization
+	// rewrites.
 	Cost cost.Cost
 }
 
@@ -97,10 +98,9 @@ func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 	pn := &PlanNode{N: n}
 	p.ByNode[n] = pn
 	var best *PExpr
-	bestCost := cost.Cost(0)
-	for i, e := range n.Exprs {
-		c := pd.exprCostIn(v, e)
-		if i == 0 || c < bestCost {
+	bestCost := unpriced
+	for _, e := range n.Exprs {
+		if c := pd.exprCost(v, e.id, bestCost); c < bestCost {
 			best, bestCost = e, c
 		}
 	}
@@ -108,7 +108,7 @@ func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 	pn.Children = make([]*PlanNode, len(best.Children))
 	for i, c := range best.Children {
 		target := c
-		if m := pd.bestSatisfyingMat(v, c, n); m != nil && c.ReuseSeq < pd.costIn(v, c) {
+		if m := pd.firstUsableMat(v, c, n); m != nil && c.ReuseSeq < pd.costIn(v, c.Topo) {
 			target = m
 		}
 		cp := pd.ExtractIntoView(v, p, target)
@@ -116,13 +116,6 @@ func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 		pn.Children[i] = cp
 	}
 	return pn
-}
-
-// bestSatisfyingMat returns a node materialized under the overlay serving
-// c's requirement, or nil. It is the same scan costing uses (reusableBy),
-// so extracted plans match the costs computed for them.
-func (pd *DAG) bestSatisfyingMat(v *CostView, c, owner *Node) *Node {
-	return pd.firstUsableMat(v, c, owner)
 }
 
 // Walk visits every plan node reachable from pn once, children first. A

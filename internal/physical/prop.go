@@ -7,22 +7,29 @@
 // (§4.2), which all three MQO heuristics build on.
 //
 // Identities are dense integers fixed when Build returns, and everything
-// the searches do per node or per group indexes a slice with one of them:
+// the searches do per node, per operation node or per group indexes a slice
+// with one of them. Build lays the DAG out over them once (flatDAG), and the
+// costing recurrences read nothing else:
 //
 //   - Node.Topo, the topological number and the position in DAG.Nodes,
-//     indexes the materialized set (costState.mat), a CostView's cost
-//     overrides and membership flips, the propagation heap's membership
-//     and a plan walk's visited set;
+//     indexes node costs (the costing state's, a CostView's overrides),
+//     each node's range of the parents array, the propagation front's bits
+//     and moved lists, and a plan walk's visited set;
+//   - PExpr.id, the operation node's creation ordinal, indexes its operator
+//     cost, input weight, owner and range of input topological numbers, and
+//     the links of the moved lists;
 //   - the group table row (Node.gi; one row per logical group, found from
 //     the logical side through a slice over dag.GroupID) holds the group's
 //     physical nodes — where Build looks a (group, property) pair up by
-//     comparing properties, never by rendering them — its materialized
-//     nodes, and its joins' equi-column pairs, computed once per logical
-//     join; a CostView's per-group additions are indexed by the same row.
+//     comparing properties, never by rendering them — and its joins'
+//     equi-column pairs, computed once per logical join; a node's slot in
+//     the row is its bit in the group's bitmask words, which hold the
+//     materialized set and a CostView's membership flips.
 //
 // Arming the result cache's alternatives after Build adds operation nodes
 // to existing nodes; it never adds a node or a group, so the indices hold
-// for the DAG's lifetime.
+// for the DAG's lifetime, and the Recost that prices the armed DAG lays it
+// out again.
 package physical
 
 import (

@@ -33,7 +33,7 @@ import (
 // rest on one rule: a query's tree is never written after lowering, so calls
 // share trees — and a window that got one text twice holds one *Query twice. A
 // call owns the physical DAG it searches, so no two calls ever share a DAG's
-// mutable costing state (Node.Cost and the materialized set are search
+// mutable costing state (node costs and the materialized set are search
 // scratch; a Result's plan carries its costs). Concurrent plan executions
 // proceed in parallel on the attached database, each in a private temp-table
 // namespace. Every Result the plan cache holds reaches a caller of
@@ -355,7 +355,7 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 	}
 	meta.Phases.Optimize = time.Since(start)
 	spoolStart := time.Now()
-	spools := ticket.PlanSpools(res.Plan) // reads Node.Cost
+	spools := ticket.PlanSpools(res.Plan) // reads the DAG's costs
 	meta.Phases.Spool = time.Since(spoolStart)
 	o.memo.checkin(ent, pd)
 	if o.memo.planCap > 0 && len(spools) == 0 && len(ticket.BindingSpools()) == 0 {
