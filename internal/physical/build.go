@@ -60,7 +60,7 @@ func (k AlgKind) String() string {
 // off the index property of the node it belongs to (IxCol).
 type PExpr struct {
 	Kind     AlgKind
-	id       int32     // creation ordinal, what the flat arrays index (flatDAG.exprs)
+	id       int32     // position in the flat layout, what its arrays index (flatDAG.exprs)
 	LE       *dag.Expr // originating logical expression (nil for enforcers)
 	Children []*Node   // carved from the DAG's child slab, never appended to
 	Node     *Node     // owner
@@ -739,52 +739,54 @@ type flatNode struct {
 }
 
 // flatten lays out pd's structure as flatDAG, reusing the arrays of an
-// earlier layout where they are large enough.
+// earlier layout where they are large enough. It numbers the operation nodes
+// in the order it lays them out — by owner in topological order, then as
+// the owner lists them — so a propagation, which climbs the DAG in
+// topological order, reads the arrays over PExpr.id from front to back.
 func (pd *DAG) flatten() {
 	f := &pd.flat
-	nodes, exprs := len(pd.Nodes), int(pd.numExprs)
 	if f.nodes == nil {
 		f.layoutGroups(pd)
 	}
-	f.exprs = resize(f.exprs, exprs+1)
-	f.exprs[exprs] = flatExpr{}
 	for t := range f.nodes {
 		f.nodes[t].parLo = 0
 	}
-	// Count, then place: an operation node's inputs go to its range of kids
-	// and it goes to each input's range of parents. Each count becomes its
-	// range's end, which the placement decrements to the range's start.
-	for t, n := range pd.Nodes {
+	kids := 0
+	for _, n := range pd.Nodes {
 		for _, e := range n.Exprs {
-			f.exprs[e.id] = flatExpr{op: e.OpCost, w: e.weight, owner: int32(t), kidLo: int32(len(e.Children))}
+			kids += len(e.Children)
 			for _, c := range e.Children {
 				f.nodes[c.Topo].parLo++
 			}
 		}
 	}
-	kids := int32(0)
-	for x := range f.exprs {
-		kids += f.exprs[x].kidLo
-		f.exprs[x].kidLo = kids
-	}
+	// Each node's count of readers becomes the end of its range of parents,
+	// which placing the readers below decrements to the range's start.
 	parents := int32(0)
 	for t := range f.nodes {
 		parents += f.nodes[t].parLo
 		f.nodes[t].parLo = parents
 	}
-	f.kids = resize(f.kids, int(kids))
+	f.exprs = resize(f.exprs, int(pd.numExprs)+1)
+	f.kids = resize(f.kids, kids)
 	f.parents = resize(f.parents, int(parents))
-	for t := nodes - 1; t >= 0; t-- {
-		n := pd.Nodes[t]
-		for i := len(n.Exprs) - 1; i >= 0; i-- {
-			e := n.Exprs[i]
-			for j := len(e.Children) - 1; j >= 0; j-- {
-				c := e.Children[j].Topo
-				f.exprs[e.id].kidLo--
-				f.kids[f.exprs[e.id].kidLo] = int32(c)
-				f.nodes[c].parLo--
-				f.parents[f.nodes[c].parLo] = e.id
+	x, k := int32(0), int32(0)
+	for t, n := range pd.Nodes {
+		for _, e := range n.Exprs {
+			e.id = x
+			f.exprs[x] = flatExpr{op: e.OpCost, w: e.weight, owner: int32(t), kidLo: k}
+			for _, c := range e.Children {
+				f.kids[k] = int32(c.Topo)
+				k++
 			}
+			x++
+		}
+	}
+	f.exprs[x] = flatExpr{kidLo: k}
+	for x--; x >= 0; x-- {
+		for _, c := range f.kids[f.exprs[x].kidLo:f.exprs[x+1].kidLo] {
+			f.nodes[c].parLo--
+			f.parents[f.nodes[c].parLo] = x
 		}
 	}
 }
