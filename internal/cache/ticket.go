@@ -19,6 +19,7 @@ import (
 // Abort must be called. A nil *Ticket — a session without a result cache —
 // is valid: it admits nothing and its Commit and Abort do nothing.
 type Ticket struct {
+	// m is the store; nil once Commit or Abort settled the ticket.
 	m *Manager
 	// pd is the batch DAG (Arm tickets only): PlanSpools values candidates
 	// at the costs the search left on it.
@@ -39,7 +40,6 @@ type Ticket struct {
 	// plan is the executed plan, recorded by PlanSpools / PinPlan; Commit
 	// walks it to see which armed tables were actually read.
 	plan *physical.Plan
-	done bool
 }
 
 // Arm is the result cache's pre-pass over a freshly built batch DAG, run
@@ -489,11 +489,11 @@ func (t *Ticket) Abort() { t.finish(false) }
 // section, each group in table-name order. A ticket that holds no entry
 // leaves the store alone.
 func (t *Ticket) finish(executed bool) (hits int) {
-	if t == nil || t.done {
+	if t == nil || t.m == nil {
 		return 0
 	}
-	t.done = true
 	m := t.m
+	t.m = nil
 
 	// Which armed tables did the executed plan actually read, and what did
 	// the reads save? Each is the largest per-use saving the plan's arms

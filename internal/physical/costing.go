@@ -331,10 +331,11 @@ func newFront(nodes, exprs int) front {
 }
 
 // fit extends the moved-list links to cover exprs operation nodes: the
-// result cache may have armed alternatives since the front was made.
+// result cache may have armed alternatives since the front was made. The
+// links are all 0 between propagations, so new ones need no copy of the old.
 func (f *front) fit(exprs int) {
 	if len(f.next) < exprs {
-		f.next = append(f.next, make([]int32, exprs-len(f.next))...)
+		f.next = make([]int32, exprs)
 	}
 }
 
