@@ -213,8 +213,8 @@ func ClearMaterialized(pd *physical.DAG) {
 // reset before the run (physical.DAG.Reset, which costs nothing on a DAG
 // already in that state) and left reflecting the returned result, whose plan
 // nodes are stamped with their costs in it (PlanNode.Cost): the DAG may run
-// further optimizations, each rewriting the node costs, without changing what an
-// earlier Result reports.
+// further optimizations, each rewriting the node costs, without changing
+// what an earlier Result reports.
 //
 // The context is consulted at checkpoints inside the algorithms' main
 // loops (each greedy pick, each RU query pass, each SH round); when it is
