@@ -16,7 +16,7 @@ type costState struct {
 	mat  []uint64    // by group bitmask word: the members
 	// setAt[t] orders the members of one group by when they were set, the
 	// order plan extraction picks the first usable one in (firstUsableMat).
-	// Valid for members only; the count restarts when the set empties.
+	// Valid for members only; Reset restarts the count.
 	setAt []uint32
 	sets  uint32
 	// matList is the materialized set in topological order. Cost totals sum
