@@ -386,7 +386,7 @@ func printDAG(out io.Writer, cat *mqo.Catalog, queries []*mqo.Query) error {
 	if err != nil {
 		return err
 	}
-	degrees := core.ComputeSharability(pd, 0)
+	degrees := core.ComputeSharability(pd)
 	groups := pd.L.LiveGroups()
 	fmt.Fprintf(out, "queries: %d   logical groups: %d   operation nodes: %d (of %d derived, %d duplicates)   physical nodes: %d\n",
 		len(queries), len(groups), pd.L.NumExprs(), pd.L.Derivations, pd.L.Duplicates, len(pd.Nodes))

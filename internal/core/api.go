@@ -83,23 +83,6 @@ type Options struct {
 	// default both the forward and reverse orders are tried and the
 	// cheaper plan kept (§3.3).
 	RUForwardOnly bool
-	// Parallelism is the worker count of the shared search substrate: the
-	// greedy benefit waves (each worker on its own physical.CostView
-	// overlay of the shared DAG), Volcano-RU's forward/reverse order
-	// passes (each on a private overlay), and the sharability analysis
-	// (one logical group per worker). 0 — the default, and the only
-	// setting production uses — auto-tunes each phase: serial below the
-	// phase's crossover (work estimate = items × DAG nodes; the per-phase
-	// constants are in parallel.go), and the monotonic greedy loop, whose
-	// waves hold at most speculationWidth candidates, serial at any size. 1
-	// forces strictly serial execution and n > 1 forces n workers; the
-	// equivalence tests use them. The materialization set, plan and cost
-	// are identical at every setting (selection breaks ties by benefit,
-	// then node topological order, and the speculation schedules are
-	// worker-count independent); only wall-clock time changes.
-	// Greedy.DisableIncremental forces serial benefit evaluation, since
-	// from-scratch recosting mutates the shared DAG.
-	Parallelism int
 }
 
 // Stats carries instrumentation from one optimization run.
@@ -120,8 +103,8 @@ type Stats struct {
 	// rediscovering known expressions.
 	DAGDerivations int
 	DAGDuplicates  int
-	// EvalWaves counts benefit-evaluation waves; it never depends on
-	// Parallelism.
+	// EvalWaves counts benefit-evaluation waves: the batches of candidates
+	// whose benefits one greedy round recomputes.
 	EvalWaves int64
 	// RUPromotions counts the reuse promotions Volcano-RU's winning order
 	// pass committed.

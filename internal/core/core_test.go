@@ -124,7 +124,7 @@ func TestSharabilityExample(t *testing.T) {
 	q1 := algebra.JoinT(pSP, algebra.JoinT(pRS, algebra.ScanT("R"), algebra.ScanT("S")), algebra.ScanT("P"))
 	q2 := algebra.JoinT(pRS, algebra.ScanT("R"), algebra.JoinT(pST, algebra.ScanT("S"), algebra.ScanT("T")))
 	pd := mustBuild(t, q1, q2)
-	degrees := ComputeSharability(pd, 0)
+	degrees := ComputeSharability(pd)
 
 	degreeOf := func(has, hasNot []algebra.Column) float64 {
 		for g, d := range degrees {

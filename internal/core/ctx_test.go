@@ -36,9 +36,10 @@ func TestOptimizePreCancelled(t *testing.T) {
 	}
 }
 
-// TestGreedyCancelledMidLoop: cancellation that occurs after the greedy
-// loop has started (simulated deterministically with countdownCtx) aborts
-// the run with ctx.Err() instead of returning a result.
+// TestGreedyCancelledMidLoop: cancellation at any checkpoint of each of
+// Greedy's three loops (simulated deterministically with countdownCtx) —
+// before the first pick, between picks, between two benefits of a wave —
+// aborts the run with ctx.Err() instead of returning a result.
 func TestGreedyCancelledMidLoop(t *testing.T) {
 	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990))
 	// Sanity: uncancelled, the same DAG optimizes fine and has candidates
@@ -55,12 +56,23 @@ func TestGreedyCancelledMidLoop(t *testing.T) {
 		{"exhaustive", Options{Greedy: GreedyOptions{DisableMonotonicity: true}}},
 		{"space-budget", Options{Greedy: GreedyOptions{SpaceBudgetBytes: 1 << 30}}},
 	} {
-		// Survive the entry checkpoint (1 poll), then cancel on the first
-		// in-loop poll.
-		ctx := &countdownCtx{Context: context.Background(), n: 1}
-		_, err := Optimize(ctx, pd, Greedy, variant.opt)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("greedy/%s: got err %v, want context.Canceled", variant.name, err)
+		// Sweep the cancellation point from the first poll after Optimize's
+		// entry checkpoint to the first one the run never reaches.
+		n := int32(1)
+		for ; ; n++ {
+			ctx := &countdownCtx{Context: context.Background(), n: n}
+			res, err := Optimize(ctx, pd, Greedy, variant.opt)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Fatalf("greedy/%s n=%d: got (%v, %v), want (nil, context.Canceled)", variant.name, n, res, err)
+			}
+		}
+		// Entry, the pre-scan check and a wave's own check come before
+		// the first benefit: a sweep past them reached inside the loop.
+		if n <= 4 {
+			t.Errorf("greedy/%s: the run polled %d times, never inside its loop", variant.name, n)
 		}
 	}
 }
@@ -85,51 +97,28 @@ func TestGreedyCancelledBeforeCandidateScan(t *testing.T) {
 // TestCancelledRunDoesNotLeakStats: instrumentation accumulated by a
 // cancelled run (greedy candidate scans, benefit recomputations, CostView
 // propagation counters) must not surface in the Stats of a subsequent
-// successful run on the same DAG — serial or parallel.
+// successful run on the same DAG.
 func TestCancelledRunDoesNotLeakStats(t *testing.T) {
 	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990))
-	for _, parallelism := range []int{1, 4} {
-		opt := Options{Parallelism: parallelism}
-		clean, err := Optimize(context.Background(), pd, Greedy, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cancel mid-loop: work happens, then the run dies.
-		ctx := &countdownCtx{Context: context.Background(), n: 2}
-		if res, err := Optimize(ctx, pd, Greedy, opt); !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("P=%d: cancelled run returned (%v, %v)", parallelism, res, err)
-		}
-		after, err := Optimize(context.Background(), pd, Greedy, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Stats.BenefitRecomputations != clean.Stats.BenefitRecomputations ||
-			after.Stats.CostPropagations != clean.Stats.CostPropagations ||
-			after.Stats.CostRecomputations != clean.Stats.CostRecomputations ||
-			after.Stats.Candidates != clean.Stats.Candidates {
-			t.Errorf("P=%d: stats after a cancelled run differ from a clean run:\nclean %+v\nafter %+v",
-				parallelism, clean.Stats, after.Stats)
-		}
+	clean, err := Optimize(context.Background(), pd, Greedy, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestParallelGreedyCancelledMidLoop: cancellation aborts the worker
-// fan-out promptly too.
-func TestParallelGreedyCancelledMidLoop(t *testing.T) {
-	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990))
-	for _, variant := range []struct {
-		name string
-		opt  Options
-	}{
-		{"monotonic", Options{Parallelism: 4}},
-		{"exhaustive", Options{Greedy: GreedyOptions{DisableMonotonicity: true}, Parallelism: 4}},
-		{"space-budget", Options{Greedy: GreedyOptions{SpaceBudgetBytes: 1 << 30}, Parallelism: 4}},
-	} {
-		ctx := &countdownCtx{Context: context.Background(), n: 2}
-		res, err := Optimize(ctx, pd, Greedy, variant.opt)
-		if !errors.Is(err, context.Canceled) || res != nil {
-			t.Errorf("parallel greedy/%s: got (%v, %v), want (nil, context.Canceled)", variant.name, res, err)
-		}
+	// Cancel mid-loop: work happens, then the run dies.
+	ctx := &countdownCtx{Context: context.Background(), n: 5}
+	if res, err := Optimize(ctx, pd, Greedy, Options{}); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled run returned (%v, %v)", res, err)
+	}
+	after, err := Optimize(context.Background(), pd, Greedy, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Stats.BenefitRecomputations != clean.Stats.BenefitRecomputations ||
+		after.Stats.CostPropagations != clean.Stats.CostPropagations ||
+		after.Stats.CostRecomputations != clean.Stats.CostRecomputations ||
+		after.Stats.Candidates != clean.Stats.Candidates {
+		t.Errorf("stats after a cancelled run differ from a clean run:\nclean %+v\nafter %+v",
+			clean.Stats, after.Stats)
 	}
 }
 
@@ -144,7 +133,7 @@ func TestVolcanoRUCancelledMidLoop(t *testing.T) {
 }
 
 // TestVolcanoRUCancelledLeavesStateClean: the overlay-hosted order passes
-// never write to the shared DAG, so a run cancelled at ANY checkpoint —
+// never write to the DAG, so a run cancelled at ANY checkpoint —
 // mid-forward-pass, mid-reverse-pass, inside the SH phase — leaves the
 // DAG's costing state exactly as Optimize's entry reset left it: an empty
 // materialized set whose costs agree with scratch recosting. (Before the
@@ -153,26 +142,22 @@ func TestVolcanoRUCancelledMidLoop(t *testing.T) {
 func TestVolcanoRUCancelledLeavesStateClean(t *testing.T) {
 	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990),
 		chain([]string{"S", "T", "P"}, 980))
-	for _, parallelism := range []int{1, 2} {
-		// Sweep the cancellation point across every checkpoint the
-		// algorithm polls, from "immediately" to "never reached".
-		for n := int32(1); n < 16; n++ {
-			ctx := &countdownCtx{Context: context.Background(), n: n}
-			res, err := Optimize(ctx, pd, VolcanoRU, Options{Parallelism: parallelism})
-			if err == nil {
-				break // countdown outlived the run: nothing left to probe
-			}
-			if !errors.Is(err, context.Canceled) || res != nil {
-				t.Fatalf("P=%d n=%d: cancelled run returned (%v, %v)", parallelism, n, res, err)
-			}
-			if got := pd.MaterializedSet(); len(got) != 0 {
-				t.Fatalf("P=%d n=%d: cancelled RU left %d nodes materialized on the shared DAG",
-					parallelism, n, len(got))
-			}
-			if want := pd.BestCostWith(nil); pd.TotalCost() != want {
-				t.Fatalf("P=%d n=%d: cancelled RU left inconsistent costs (%v vs scratch %v)",
-					parallelism, n, pd.TotalCost(), want)
-			}
+	// Sweep the cancellation point across every checkpoint the algorithm
+	// polls, from "immediately" to "never reached".
+	for n := int32(1); n < 16; n++ {
+		ctx := &countdownCtx{Context: context.Background(), n: n}
+		res, err := Optimize(ctx, pd, VolcanoRU, Options{})
+		if err == nil {
+			break // countdown outlived the run: nothing left to probe
+		}
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("n=%d: cancelled run returned (%v, %v)", n, res, err)
+		}
+		if got := pd.MaterializedSet(); len(got) != 0 {
+			t.Fatalf("n=%d: cancelled RU left %d nodes materialized on the DAG", n, len(got))
+		}
+		if want := pd.BestCostWith(nil); pd.TotalCost() != want {
+			t.Fatalf("n=%d: cancelled RU left inconsistent costs (%v vs scratch %v)", n, pd.TotalCost(), want)
 		}
 	}
 }
@@ -183,28 +168,24 @@ func TestVolcanoRUCancelledLeavesStateClean(t *testing.T) {
 // the subsequent run must return the identical result.
 func TestVolcanoRUCancelledRunDoesNotLeakStats(t *testing.T) {
 	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990))
-	for _, parallelism := range []int{1, 2} {
-		opt := Options{Parallelism: parallelism}
-		clean, err := Optimize(context.Background(), pd, VolcanoRU, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := &countdownCtx{Context: context.Background(), n: 2}
-		if res, err := Optimize(ctx, pd, VolcanoRU, opt); !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("P=%d: cancelled run returned (%v, %v)", parallelism, res, err)
-		}
-		after, err := Optimize(context.Background(), pd, VolcanoRU, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Cost != clean.Cost || after.Plan.String() != clean.Plan.String() {
-			t.Errorf("P=%d: result after a cancelled run diverged (cost %v vs %v)",
-				parallelism, after.Cost, clean.Cost)
-		}
-		if after.Stats.CostPropagations != clean.Stats.CostPropagations ||
-			after.Stats.CostRecomputations != clean.Stats.CostRecomputations {
-			t.Errorf("P=%d: stats after a cancelled run differ from a clean run:\nclean %+v\nafter %+v",
-				parallelism, clean.Stats, after.Stats)
-		}
+	clean, err := Optimize(context.Background(), pd, VolcanoRU, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countdownCtx{Context: context.Background(), n: 2}
+	if res, err := Optimize(ctx, pd, VolcanoRU, Options{}); !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled run returned (%v, %v)", res, err)
+	}
+	after, err := Optimize(context.Background(), pd, VolcanoRU, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Cost != clean.Cost || after.Plan.String() != clean.Plan.String() {
+		t.Errorf("result after a cancelled run diverged (cost %v vs %v)", after.Cost, clean.Cost)
+	}
+	if after.Stats.CostPropagations != clean.Stats.CostPropagations ||
+		after.Stats.CostRecomputations != clean.Stats.CostRecomputations {
+		t.Errorf("stats after a cancelled run differ from a clean run:\nclean %+v\nafter %+v",
+			clean.Stats, after.Stats)
 	}
 }

@@ -66,7 +66,7 @@ func TestGoldenPartialHitPlans(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		ticket := store.Arm(pd, c.warm)
-		res, err := Optimize(context.Background(), pd, Greedy, Options{Parallelism: 1})
+		res, err := Optimize(context.Background(), pd, Greedy, Options{})
 		if err != nil {
 			t.Fatalf("%s: warm-up optimize: %v", c.name, err)
 		}
@@ -91,7 +91,7 @@ func TestGoldenPartialHitPlans(t *testing.T) {
 				}
 				t2 := store.Arm(pd2, c.sets)
 				defer t2.Abort()
-				res2, err := Optimize(context.Background(), pd2, alg, Options{Parallelism: 1})
+				res2, err := Optimize(context.Background(), pd2, alg, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

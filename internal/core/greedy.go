@@ -12,14 +12,13 @@ import (
 )
 
 // optimizeGreedy implements the paper's Figure 4 greedy heuristic with the
-// three efficiency optimizations of §4, running on the shared search-engine
-// substrate (engine.go):
+// three efficiency optimizations of §4:
 //
-//  1. only sharable nodes are candidates (§4.1), found by the — optionally
-//     fanned-out — sharability analysis;
-//  2. benefits are computed with incremental cost update (§4.2), via
-//     physical.CostView overlays so candidate evaluations never touch the
-//     shared DAG and can run on a worker pool (Options.Parallelism);
+//  1. only sharable nodes are candidates (§4.1), found by the sharability
+//     analysis;
+//  2. benefits are computed with incremental cost update (§4.2), as
+//     what-ifs in the DAG's physical.CostView, so evaluating a candidate
+//     never writes to the DAG;
 //  3. the monotonicity heuristic maintains a heap of benefit upper bounds
 //     and recomputes only the top candidates' benefits (§4.3).
 //
@@ -27,8 +26,7 @@ import (
 // benefit and then recomputes. Each §4 optimization can be disabled through
 // GreedyOptions for the §6.3 ablation experiments. All selection steps
 // break ties deterministically — larger benefit first, then smaller
-// topological number — so serial and parallel runs choose the identical
-// materialization set.
+// topological number.
 func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Result, error) {
 	// Honour cancellation before the sharability analysis and candidate
 	// scan: no stats work should happen — let alone leak — for a run that
@@ -44,7 +42,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	if opts.Greedy.DisableSharability {
 		MarkAllSharable(pd)
 	} else {
-		degrees = memoSharability(pd, opts.Parallelism)
+		degrees = memoSharability(pd)
 	}
 	sharePhase.end()
 
@@ -62,13 +60,10 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	stats.Candidates = len(candidates)
 	candPhase.end()
 
-	// The monotonic loop's waves hold at most speculationWidth candidates,
-	// the others' every remaining one.
-	wave := len(candidates)
-	if opts.Greedy.SpaceBudgetBytes <= 0 && !opts.Greedy.DisableMonotonicity {
-		wave = min(wave, speculationWidth)
+	e := &benefitEval{pd: pd}
+	if !opts.Greedy.DisableIncremental {
+		e.v = pd.View()
 	}
-	e := newSearchEngine(pd, opts, wave)
 
 	wavePhase := startPhase(&stats, track, OptPhaseWaves)
 	var (
@@ -83,7 +78,9 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	default:
 		chosen, err = greedyMonotonic(ctx, pd, candidates, degrees, e)
 	}
-	e.close()
+	if e.v != nil {
+		pd.AddCounters(e.v.DrainCounters())
+	}
 	wavePhase.end()
 	if err != nil {
 		return nil, err
@@ -92,7 +89,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	commitPhase := startPhase(&stats, track, OptPhaseCommit)
 	res := &Result{Cost: pd.TotalCost(), Plan: pd.ExtractPlan(), Materialized: chosen}
 	commitPhase.end()
-	stats.BenefitRecomputations = e.recomps.Load()
+	stats.BenefitRecomputations = e.recomps
 	stats.EvalWaves = e.waves
 	res.Stats = stats
 	return res, nil
@@ -105,9 +102,48 @@ func candidateNode(pd *physical.DAG, n *physical.Node) bool {
 	return n.Sharable && !n.LG.ParamDep && n != pd.Root && pd.CostOf(n) > 0
 }
 
+// benefitEval computes candidates' benefits for one greedy run, counting
+// the work for Stats.
+type benefitEval struct {
+	pd *physical.DAG
+	// v is the DAG's CostView, in which every benefit is a what-if; nil
+	// under the §6.3 DisableIncremental ablation, which re-costs the DAG
+	// from scratch instead.
+	v       *physical.CostView
+	recomps int64 // benefit recomputations
+	waves   int64 // non-empty evaluation waves
+}
+
+// evalWave computes the benefits of nodes against the DAG's current state,
+// in input order. The context is consulted before the wave and before each
+// benefit; once it is done, evalWave returns ctx.Err().
+func (e *benefitEval) evalWave(ctx context.Context, nodes []*physical.Node) ([]cost.Cost, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(nodes) == 0 {
+		return nil, nil
+	}
+	e.waves++
+	base := e.pd.TotalCost()
+	out := make([]cost.Cost, len(nodes))
+	for i, n := range nodes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		e.recomps++
+		if e.v != nil {
+			out[i] = e.v.WhatIfBenefit(n)
+		} else {
+			out[i] = base - e.pd.BestCostWith(append(e.pd.MaterializedSet(), n))
+		}
+	}
+	return out, nil
+}
+
 // argmax returns the index of the largest score, the first of equals.
 // Candidates are kept in topological order, so ties resolve to the smaller
-// topological number — the engine's deterministic pick rule.
+// topological number — the deterministic pick rule.
 func argmax(scores []float64) int {
 	b := 0
 	for i, s := range scores {
@@ -120,10 +156,10 @@ func argmax(scores []float64) int {
 
 // greedySpaceBudget implements the paper's §8 space-constrained variant:
 // candidates are picked in order of benefit per unit of materialized-result
-// space until the temporary-storage budget is exhausted. Benefits are
-// recomputed each wave, fanned out over the engine's workers.
+// space until the temporary-storage budget is exhausted. Every remaining
+// candidate's benefit is recomputed each wave.
 func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*physical.Node,
-	e *searchEngine, budget int64) ([]*physical.Node, error) {
+	e *benefitEval, budget int64) ([]*physical.Node, error) {
 
 	sizeOf := func(n *physical.Node) int64 {
 		s := int64(n.LG.Rel.Blocks(pd.Model)) * pd.Model.BlockSize
@@ -157,7 +193,7 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 			break
 		}
 		n := remaining[i]
-		e.commit(n)
+		pd.SetMaterialized(n, true)
 		chosen = append(chosen, n)
 		used += sizeOf(n)
 		remaining = slices.Delete(remaining, i, i+1)
@@ -166,9 +202,9 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 }
 
 // greedyExhaustive is Figure 4 without the monotonicity heuristic: every
-// remaining candidate's benefit is recomputed each wave, fanned out over
-// the engine's workers, and the best one is committed.
-func greedyExhaustive(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, e *searchEngine) ([]*physical.Node, error) {
+// remaining candidate's benefit is recomputed each wave, and the best one
+// is committed.
+func greedyExhaustive(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, e *benefitEval) ([]*physical.Node, error) {
 	remaining := append([]*physical.Node(nil), candidates...)
 	var chosen []*physical.Node
 	for len(remaining) > 0 {
@@ -180,7 +216,7 @@ func greedyExhaustive(ctx context.Context, pd *physical.DAG, candidates []*physi
 		if bens[i] <= 0 {
 			break
 		}
-		e.commit(remaining[i])
+		pd.SetMaterialized(remaining[i], true)
 		chosen = append(chosen, remaining[i])
 		remaining = slices.Delete(remaining, i, i+1)
 	}
@@ -219,16 +255,22 @@ func (h *benefitHeap) Pop() interface{} {
 	return it
 }
 
+// speculationWidth is how many stale heap entries the monotonic loop
+// recomputes per wave. Figure 4's schedule recomputes the top entry alone
+// (width 1: 214 benefit recomputations on BQ5); the loop recomputes the
+// stale entries nearest the top eight at a time (216 on BQ5), and the
+// Figure 10 counters, TestFigure10Counters' pins among them, are this
+// schedule's. The once-per-version rule bounds the extra work.
+const speculationWidth = 8
+
 // greedyMonotonic is Figure 4 with the §4.3 monotonicity heuristic: a heap
 // orders candidates by benefit upper bound (initially cost × degree of
 // sharing); stale top entries are recomputed — up to speculationWidth per
-// wave, concurrently — and a candidate is chosen only when its exact
-// benefit still tops the heap, so most candidates are never recomputed.
-// Committing a pick stales every entry (version bump). The recomputation
-// sequence depends only on the heap state, never on the worker count, so
-// every parallelism level picks the same set.
+// wave — and a candidate is chosen only when its exact benefit still tops
+// the heap, so most candidates are never recomputed. Committing a pick
+// stales every entry (version bump).
 func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, degrees map[*dag.Group]float64,
-	e *searchEngine) ([]*physical.Node, error) {
+	e *benefitEval) ([]*physical.Node, error) {
 
 	h := &benefitHeap{}
 	for _, n := range candidates {
@@ -254,7 +296,7 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 			if top.ub <= 0 {
 				break // maximum benefit is non-positive: done
 			}
-			e.commit(top.n)
+			pd.SetMaterialized(top.n, true)
 			chosen = append(chosen, top.n)
 			version++
 			continue

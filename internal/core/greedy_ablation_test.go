@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
+	"mqo/internal/algebra"
 	"mqo/internal/cost"
+	"mqo/internal/physical"
 	"mqo/internal/psp"
 )
 
@@ -39,4 +42,32 @@ func TestGreedyAblationsAgreeOnPSP(t *testing.T) {
 	if diff := pd.TotalCost() - pd.BestCostWith(pd.MaterializedSet()); diff > 1e-6 || diff < -1e-6 {
 		t.Error("incremental costing state diverges from scratch recosting")
 	}
+}
+
+// BenchmarkGreedyExhaustive times the greedy loop without the monotonicity
+// heuristic (every remaining candidate's benefit recomputed every round —
+// the §6.3 worst case, whose time mqopaper's monotonicity ablation
+// reports) on a batch big enough for the benefit loop to dominate.
+func BenchmarkGreedyExhaustive(b *testing.B) {
+	pd := benchDAG(b)
+	opt := Options{Greedy: GreedyOptions{DisableMonotonicity: true}}
+	for b.Loop() {
+		if _, err := Optimize(context.Background(), pd, Greedy, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDAG builds six random batches as one.
+func benchDAG(tb testing.TB) *physical.DAG {
+	rng := rand.New(rand.NewSource(42))
+	var batch []*algebra.Tree
+	for i := 0; i < 6; i++ {
+		batch = append(batch, randomBatch(rng)...)
+	}
+	pd, err := BuildDAG(testCatalog(), cost.DefaultModel(), batch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pd
 }

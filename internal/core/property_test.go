@@ -113,7 +113,7 @@ func TestDegreesAreUpperBoundsOnPlanUses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degrees := ComputeSharability(pd, 0)
+	degrees := ComputeSharability(pd)
 	ClearMaterialized(pd)
 	pd.Recost()
 	plan := pd.ExtractPlan()

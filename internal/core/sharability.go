@@ -15,18 +15,12 @@ import (
 // per logical group and marks physical nodes of groups with degree > 1 (and
 // not parameter-dependent) as Sharable.
 //
-// parallelism follows the Options.Parallelism convention (0 auto-tunes, 1
-// is serial, n > 1 fans out). The per-z passes are independent — each reads
-// only the flattened logical DAG and writes its own scratch array — so they
-// fan out one logical group per worker; the resulting degrees are identical
-// at every worker count.
-//
 // Note that a node can be sharable even with a single parent operation
 // node, when that parent itself occurs multiple times in some plan tree
 // (the paper's e1/e2/e3 example in §3.2); the bottom-up product over the
 // recurrences accounts for this.
-func ComputeSharability(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
-	degrees := degreesOfSharing(pd, parallelism)
+func ComputeSharability(pd *physical.DAG) map[*dag.Group]float64 {
+	degrees := degreesOfSharing(pd)
 	markSharable(pd, degrees)
 	return degrees
 }
@@ -36,9 +30,9 @@ func ComputeSharability(pd *physical.DAG, parallelism int) map[*dag.Group]float6
 // built, so the DAG's first search computes them and keeps them on the DAG
 // (physical.DAG.Degrees) for every later one. The flags are set on every
 // call, because the sharability ablation (MarkAllSharable) overwrites them.
-func memoSharability(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
+func memoSharability(pd *physical.DAG) map[*dag.Group]float64 {
 	if pd.Degrees == nil {
-		pd.Degrees = degreesOfSharing(pd, parallelism)
+		pd.Degrees = degreesOfSharing(pd)
 	}
 	markSharable(pd, pd.Degrees)
 	return pd.Degrees
@@ -52,35 +46,16 @@ func markSharable(pd *physical.DAG, degrees map[*dag.Group]float64) {
 }
 
 // degreesOfSharing runs the §4.1 analysis: the degree of sharing of every
-// logical group below pd's root.
-func degreesOfSharing(pd *physical.DAG, parallelism int) map[*dag.Group]float64 {
+// logical group below pd's root, one pass of the recurrences per group, all
+// in one scratch array.
+func degreesOfSharing(pd *physical.DAG) map[*dag.Group]float64 {
 	order := logicalTopoOrder(pd.L, pd.Root.LG)
 	f := flatten(pd.L, order)
-	zs := len(order) - 1 // every group but the root, which comes last
-
-	workers := resolveWorkers(sharabilityCrossover, parallelism, zs*len(order))
-	if workers > zs {
-		workers = zs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// degs[z] is the degree of order[z]; written by exactly one worker each,
-	// read only after the join. Scratch arrays are per-worker, reused across
-	// that worker's passes.
-	degs := make([]float64, zs)
-	scratch := make([][]float64, workers)
-	_ = parallelFor(nil, workers, zs, func(w, z int) {
-		if scratch[w] == nil {
-			scratch[w] = make([]float64, len(order))
-		}
-		degs[z] = f.degreeOfSharing(z, scratch[w])
-	})
-
-	degrees := make(map[*dag.Group]float64, zs)
-	for z, d := range degs {
-		degrees[order[z]] = d
+	scratch := make([]float64, len(order))
+	zs := order[:len(order)-1] // every group but the root, which comes last
+	degrees := make(map[*dag.Group]float64, len(zs))
+	for z, g := range zs {
+		degrees[g] = f.degreeOfSharing(z, scratch)
 	}
 	return degrees
 }

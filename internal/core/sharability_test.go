@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -80,8 +79,8 @@ var sharabilityBatches = []struct {
 }
 
 // TestSharabilityMatchesRecurrence: the array kernel returns, for every
-// group and at every worker count, exactly the degree the map-based pass
-// computes, and marks the same nodes sharable.
+// group, exactly the degree the map-based pass computes, and marks the same
+// nodes sharable.
 func TestSharabilityMatchesRecurrence(t *testing.T) {
 	for _, b := range sharabilityBatches {
 		t.Run(b.name, func(t *testing.T) {
@@ -105,29 +104,25 @@ func TestSharabilityMatchesRecurrence(t *testing.T) {
 			if above == 0 {
 				t.Fatal("no group is shared: the batch checks nothing")
 			}
-			for _, workers := range []int{1, 2, 4} {
-				got := ComputeSharability(pd, workers)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: %d degrees, model %d", workers, len(got), len(want))
+			got := ComputeSharability(pd)
+			if len(got) != len(want) {
+				t.Fatalf("%d degrees, model %d", len(got), len(want))
+			}
+			for g, d := range want {
+				if gd, ok := got[g]; !ok || gd != d {
+					t.Fatalf("group %d degree %v, model %v", g.ID, gd, d)
 				}
-				for g, d := range want {
-					if gd, ok := got[g]; !ok || gd != d {
-						t.Fatalf("workers=%d: group %d degree %v, model %v", workers, g.ID, gd, d)
-					}
-				}
-				for _, n := range pd.Nodes {
-					if n.Sharable != (want[n.LG] > 1 && !n.LG.ParamDep) {
-						t.Fatalf("workers=%d: node %d sharable=%v at degree %v", workers, n.ID, n.Sharable, want[n.LG])
-					}
+			}
+			for _, n := range pd.Nodes {
+				if n.Sharable != (want[n.LG] > 1 && !n.LG.ParamDep) {
+					t.Fatalf("node %d sharable=%v at degree %v", n.ID, n.Sharable, want[n.LG])
 				}
 			}
 		})
 	}
 }
 
-// BenchmarkSharability times the §4.1 analysis alone. Run it at -cpu 1,2
-// to place sharabilityCrossover: workers=0 is what the constant chooses,
-// 1 and 2 are the two sides of the choice.
+// BenchmarkSharability times the §4.1 analysis alone.
 func BenchmarkSharability(b *testing.B) {
 	for _, batch := range sharabilityBatches[:3] {
 		b.Run(batch.name, func(b *testing.B) {
@@ -135,15 +130,11 @@ func BenchmarkSharability(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, workers := range []int{0, 1, 2} {
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					b.ReportAllocs()
-					for b.Loop() {
-						if len(ComputeSharability(pd, workers)) == 0 {
-							b.Fatal("no degrees")
-						}
-					}
-				})
+			b.ReportAllocs()
+			for b.Loop() {
+				if len(ComputeSharability(pd)) == 0 {
+					b.Fatal("no degrees")
+				}
 			}
 		})
 	}
@@ -187,7 +178,7 @@ func TestSharabilityMemo(t *testing.T) {
 			}
 			pd.ArmCacheScan(pd.QueryRoots[0], "rc_memo", 0.5, cost.TierRAM)
 			kept := pd.Degrees
-			fresh := ComputeSharability(pd, 1)
+			fresh := ComputeSharability(pd)
 			if len(kept) != len(fresh) {
 				t.Fatalf("%d kept degrees, fresh analysis %d", len(kept), len(fresh))
 			}

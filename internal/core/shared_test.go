@@ -27,6 +27,14 @@ func resultSignature(res *Result) string {
 		materializedIDs(res), st, res.Plan)
 }
 
+func materializedIDs(res *Result) []int {
+	ids := make([]int, len(res.Materialized))
+	for i, m := range res.Materialized {
+		ids[i] = m.ID
+	}
+	return ids
+}
+
 // TestSharedLogicalDAGConcurrent: a finalized logical DAG is read-only, so
 // any number of goroutines may each build a physical DAG over one and
 // search it. Eight do, under all four algorithms, and every Result must
@@ -137,5 +145,89 @@ func TestPlanCostsOutliveTheDAG(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Error("no later run moved a cost an earlier plan reports")
+	}
+}
+
+// TestOneViewPerDAG: a DAG keeps one CostView for every search it runs. On
+// one BQ5 DAG, back to back: the four algorithms, Greedy's exhaustive and
+// space-budget loops, a Greedy and a Volcano-RU run each cancelled with work
+// left in the view, then Greedy and Volcano-RU again. Every run returns
+// what the same run returns on a fresh build — plan, cost bits,
+// materialized set and every Stats counter, or the same error — and every
+// search starts on the same view, pristine: no delta over the DAG's costing
+// state and zero counters.
+func TestOneViewPerDAG(t *testing.T) {
+	build := func() *physical.DAG {
+		pd, err := BuildDAG(tpcd.Catalog(1), cost.DefaultModel(), tpcd.BatchQueries(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pd
+	}
+	pristine := func(pd *physical.DAG, v *physical.CostView) error {
+		if v.Propagations != 0 || v.Recomputations != 0 {
+			return fmt.Errorf("counters %d, %d", v.Propagations, v.Recomputations)
+		}
+		if v.TotalCost() != pd.TotalCost() {
+			return fmt.Errorf("total %v, the DAG's %v", v.TotalCost(), pd.TotalCost())
+		}
+		for _, n := range pd.Nodes {
+			if v.CostOf(n) != pd.CostOf(n) || v.Materialized(n) != pd.Materialized(n) {
+				return fmt.Errorf("node %d costs %v (materialized %v), on the DAG %v (%v)",
+					n.ID, v.CostOf(n), v.Materialized(n), pd.CostOf(n), pd.Materialized(n))
+			}
+		}
+		return nil
+	}
+	exhaustive := Options{Greedy: GreedyOptions{DisableMonotonicity: true}}
+	budget := Options{Greedy: GreedyOptions{SpaceBudgetBytes: 1 << 30}}
+	runs := []struct {
+		alg Algorithm
+		opt Options
+		// cancelAt is the countdownCtx poll the run is cancelled at, 0
+		// for none: both land inside the search, after what-ifs.
+		cancelAt int32
+	}{
+		{Volcano, Options{}, 0},
+		{VolcanoSH, Options{}, 0},
+		{VolcanoRU, Options{}, 0},
+		{Greedy, Options{}, 0},
+		{Greedy, exhaustive, 0},
+		{Greedy, budget, 0},
+		{Greedy, Options{}, 10},
+		{VolcanoRU, Options{}, 4},
+		{Greedy, Options{}, 0},
+		{VolcanoRU, Options{}, 0},
+	}
+	run := func(pd *physical.DAG, alg Algorithm, opt Options, cancelAt int32) string {
+		var ctx context.Context = context.Background()
+		if cancelAt > 0 {
+			ctx = &countdownCtx{Context: ctx, n: cancelAt}
+		}
+		res, err := Optimize(ctx, pd, alg, opt)
+		if err != nil {
+			return err.Error()
+		}
+		return resultSignature(res)
+	}
+	pd := build()
+	view := pd.View()
+	for i, r := range runs {
+		what := fmt.Sprintf("run %d (%v %+v, cancelled at %d)", i, r.alg, r.opt.Greedy, r.cancelAt)
+		// What Optimize does first; a second Reset inside it changes nothing.
+		pd.Reset()
+		if pd.View() != view {
+			t.Fatalf("%s: the DAG made a second view", what)
+		}
+		if err := pristine(pd, view); err != nil {
+			t.Fatalf("%s starts on a view that is not pristine: %v", what, err)
+		}
+		got, want := run(pd, r.alg, r.opt, r.cancelAt), run(build(), r.alg, r.opt, r.cancelAt)
+		if got != want {
+			t.Fatalf("%s on the kept DAG differs from a fresh build's:\n%s", what, diffHint(want, got))
+		}
+		if (r.cancelAt > 0) != (got == context.Canceled.Error()) {
+			t.Fatalf("%s returned %.60q", what, got)
+		}
 	}
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"mqo/internal/catalog"
 	"mqo/internal/cost"
+	"mqo/internal/physical"
 )
 
 // fuzzCatalog builds the test schema with every table's cardinality scaled
@@ -42,9 +44,12 @@ func fuzzCatalog(rng *rand.Rand, global float64) (*catalog.Catalog, map[string]f
 // EXPECTED to change the plans:
 //
 //  1. every heuristic's plan costs no more than Volcano's on the same DAG;
-//  2. monotonic greedy and the exhaustive ablation agree on cost;
-//  3. the parallel engine reproduces serial greedy's cost and materialized
-//     set at every statistics point;
+//  2. monotonic greedy and the exhaustive ablation agree on cost, and the
+//     monotonic loop recomputes no more benefits than the exhaustive one;
+//  3. after Volcano-RU and after each of Greedy's three loops (monotonic,
+//     exhaustive, space budget) the DAG's costing state describes the
+//     returned result: its materialized set is the result's, and its
+//     total agrees with a from-scratch costing of that set;
 //  4. scaling EVERY table's cardinality up never makes any algorithm's
 //     plan cheaper (costs move with stats).
 func TestCatalogStatMutationFuzz(t *testing.T) {
@@ -58,36 +63,58 @@ func TestCatalogStatMutationFuzz(t *testing.T) {
 		}
 
 		volcano := mustOptimize(t, pd, Volcano)
-		costs := map[Algorithm]float64{Volcano: volcano.Cost}
+		results := map[Algorithm]*Result{}
 		for _, alg := range []Algorithm{VolcanoSH, VolcanoRU, Greedy} {
 			res := mustOptimize(t, pd, alg)
-			costs[alg] = res.Cost
+			results[alg] = res
 			if !cost.Leq(res.Cost, volcano.Cost) {
 				t.Errorf("trial %d: %v cost %f exceeds Volcano %f", trial, alg, res.Cost, volcano.Cost)
 			}
+			if alg != VolcanoSH {
+				checkStateDescribes(t, pd, res, fmt.Sprintf("trial %d %v", trial, alg))
+			}
 		}
 
-		exh, err := Optimize(context.Background(), pd, Greedy,
-			Options{Greedy: GreedyOptions{DisableMonotonicity: true}})
-		if err != nil {
-			t.Fatal(err)
+		mono := results[Greedy]
+		for _, loop := range []GreedyOptions{{DisableMonotonicity: true}, {SpaceBudgetBytes: 1 << 24}} {
+			res, err := Optimize(context.Background(), pd, Greedy, Options{Greedy: loop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStateDescribes(t, pd, res, fmt.Sprintf("trial %d greedy %+v", trial, loop))
+			if !loop.DisableMonotonicity {
+				continue
+			}
+			if !cost.Eq(mono.Cost, res.Cost) {
+				t.Errorf("trial %d: monotonic greedy %f != exhaustive %f", trial, mono.Cost, res.Cost)
+			}
+			if mono.Stats.BenefitRecomputations > res.Stats.BenefitRecomputations {
+				t.Errorf("trial %d: monotonic greedy recomputed %d benefits, exhaustive %d",
+					trial, mono.Stats.BenefitRecomputations, res.Stats.BenefitRecomputations)
+			}
 		}
-		if !cost.Eq(costs[Greedy], exh.Cost) {
-			t.Errorf("trial %d: monotonic greedy %f != exhaustive %f", trial, costs[Greedy], exh.Cost)
-		}
+	}
+}
 
-		serial, err := Optimize(context.Background(), pd, Greedy, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
+// checkStateDescribes fails unless pd's costing state, as a search left it,
+// describes res: the same materialized set, and a total that a from-scratch
+// costing of that set agrees with.
+func checkStateDescribes(t *testing.T, pd *physical.DAG, res *Result, what string) {
+	t.Helper()
+	set := map[*physical.Node]bool{}
+	for _, m := range pd.MaterializedSet() {
+		set[m] = true
+	}
+	if len(set) != len(res.Materialized) {
+		t.Fatalf("%s: the DAG has %d materialized nodes, the result %d", what, len(set), len(res.Materialized))
+	}
+	for _, m := range res.Materialized {
+		if !set[m] {
+			t.Fatalf("%s: result node %d is not materialized on the DAG", what, m.ID)
 		}
-		par, err := Optimize(context.Background(), pd, Greedy, Options{Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Cost != serial.Cost || !sameIDs(materializedIDs(par), materializedIDs(serial)) {
-			t.Errorf("trial %d: parallel greedy diverged from serial (cost %v vs %v)",
-				trial, par.Cost, serial.Cost)
-		}
+	}
+	if got, want := pd.TotalCost(), pd.BestCostWith(pd.MaterializedSet()); !cost.Eq(got, want) {
+		t.Fatalf("%s: the DAG's total %v, from scratch %v", what, got, want)
 	}
 }
 

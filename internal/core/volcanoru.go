@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"mqo/internal/physical"
 )
@@ -13,68 +14,36 @@ import (
 // materialization decisions. Both the given and the reverse query order are
 // tried and the cheaper result returned (§3.3), unless opt.RUForwardOnly.
 //
-// Each order pass runs on a private physical.CostView overlay of the shared
-// DAG — its candidate materializations and the cost updates they trigger
-// live entirely in the view — so the two passes are independent and run
-// concurrently when the substrate fans out (Options.Parallelism). The
-// shared DAG sees no writes at all until the winning order's materialized
-// set commits at the end; error and cancellation paths therefore leave the
-// DAG's costing state exactly as Optimize's entry reset left it, with
-// nothing to restore.
+// Each order pass runs in the DAG's physical.CostView — its candidate
+// materializations and the cost updates they trigger live entirely in the
+// view, which is reset between the passes. The DAG sees no writes at all
+// until the winning order's materialized set commits at the end; error and
+// cancellation paths therefore leave the DAG's costing state exactly as
+// Optimize's entry reset left it, with nothing to restore.
 func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Result, error) {
 	n := len(pd.QueryRoots)
-	forward := make([]int, n)
-	for i := range forward {
-		forward[i] = i
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	orders := [][]int{forward}
-	if !opt.RUForwardOnly && n > 1 {
-		reverse := make([]int, n)
-		for i := range reverse {
-			reverse[i] = n - 1 - i
+	v := pd.View()
+	best, err := runRUOrder(ctx, pd, v, order)
+	if err == nil && !opt.RUForwardOnly && n > 1 {
+		v.Reset()
+		slices.Reverse(order)
+		var rev *Result
+		rev, err = runRUOrder(ctx, pd, v, order)
+		// Strictly cheaper only, so the forward order wins ties.
+		if err == nil && rev.Cost < best.Cost {
+			best = rev
 		}
-		orders = append(orders, reverse)
 	}
-
-	workers := 1
-	if len(orders) > 1 {
-		workers = resolveWorkers(ruCrossover, opt.Parallelism, len(pd.Nodes)*n)
-	}
-	results := make([]*Result, len(orders))
-	errs := make([]error, len(orders))
-	views := make([]*physical.CostView, len(orders))
-	for i := range views {
-		views[i] = pd.AcquireView()
-	}
-	_ = parallelFor(ctx, workers, len(orders), func(w, i int) {
-		results[i], errs[i] = runRUOrder(ctx, pd, views[i], orders[i])
-	})
-	// Drain the views' propagation instrumentation into the Figure 10
-	// counters and pool them again; both happen after the join, from this
-	// goroutine only, so the totals are deterministic.
-	for _, v := range views {
-		pd.AddCounters(v.DrainCounters())
-		pd.ReleaseView(v)
-	}
-	if err := ctx.Err(); err != nil {
+	pd.AddCounters(v.DrainCounters())
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Deterministic winner: strictly cheaper only, so the forward order
-	// wins ties regardless of which pass finished first.
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Cost < best.Cost {
-			best = r
-		}
-	}
-	// The only shared-state write of the whole algorithm: leave the DAG
-	// costing state reflecting the returned result.
+	// The only write to the DAG of the whole algorithm: leave its costing
+	// state reflecting the returned result.
 	for _, m := range best.Materialized {
 		pd.SetMaterialized(m, true)
 	}
@@ -83,7 +52,7 @@ func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Res
 
 // runRUOrder runs one Volcano-RU pass over the queries in the given order,
 // entirely on the supplied CostView (which must be pristine over a DAG with
-// an empty materialized set). The shared DAG is read, never written.
+// an empty materialized set). The DAG is read, never written.
 func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, order []int) (*Result, error) {
 	plan := physical.NewPlan()
 	count := make([]int, len(pd.Nodes)) // by Node.Topo

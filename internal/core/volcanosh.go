@@ -27,10 +27,10 @@ func optimizeVolcanoSH(ctx context.Context, pd *physical.DAG) (*Result, error) {
 // extracted consolidated plan (also the second phase of Volcano-RU). It
 // rewrites the plan in place (subsumption switches, Mat marks, Mats list)
 // and returns the total cost and materialized set. The optional CostView
-// is the overlay the plan was extracted under (Volcano-RU passes their
-// per-order view); it is consulted only when the subsumption prepass
-// extracts additional child plans, so the pass reads — never writes — the
-// shared DAG and may run concurrently with other passes on other views.
+// is the overlay the plan was extracted under (Volcano-RU passes the view
+// its order pass ran in); it is consulted only when the subsumption
+// prepass extracts additional child plans, and the pass reads — never
+// writes — the DAG.
 func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView, plan *physical.Plan) (cost.Cost, []*physical.Node, error) {
 	sh := &shState{
 		pd:        pd,

@@ -3,7 +3,6 @@ package physical
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mqo/internal/algebra"
 	"mqo/internal/cost"
@@ -201,11 +200,8 @@ type DAG struct {
 	// (ArmCacheScan, ArmInvokePartial).
 	armed bool
 
-	// Free list of reusable CostViews (AcquireView / ReleaseView). The
-	// coordinating goroutine of a search acquires and releases its workers'
-	// views serially, so one mutex-guarded slice suffices.
-	viewMu sync.Mutex
-	views  []*CostView
+	// view is the DAG's one CostView (View), nil until a search asks for it.
+	view *CostView
 }
 
 // group is a row of the group table: what the physical layer keeps per

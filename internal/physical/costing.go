@@ -23,7 +23,7 @@ type costState struct {
 	// over this list, never over mat: float64 addition is not associative,
 	// so the order of the sum is part of the result — a different order
 	// could move a total by an ulp, enough to flip a near-tie greedy pick
-	// and break the serial ≡ parallel plan guarantee.
+	// and change the plan.
 	matList []*Node
 
 	front front // SetMaterialized's propagation front, empty between calls
@@ -113,9 +113,9 @@ func (pd *DAG) ResetCounters() {
 }
 
 // AddCounters merges externally accumulated (propagations, recomputations)
-// counts — typically drained from CostViews after a what-if fan-out — into
-// the DAG's instrumentation, keeping Figure 10's counters meaningful under
-// concurrent benefit evaluation.
+// counts — drained from the DAG's CostView after a search's what-ifs — into
+// the DAG's instrumentation, so Figure 10's counters include the work done
+// in the view.
 func (pd *DAG) AddCounters(propagations, recomputations int64) {
 	pd.costing.Propagations += propagations
 	pd.costing.Recomputations += recomputations
@@ -126,7 +126,7 @@ func (pd *DAG) AddCounters(propagations, recomputations int64) {
 // costing state; with a view they see the view's private materialization
 // delta and cost overrides instead, leaving the DAG untouched. This is the
 // single implementation of the paper's C(e)/cost recurrences used by full
-// passes, propagation, the concurrent what-if engine and plan extraction.
+// passes, propagation, the what-if benefits and plan extraction.
 // Nodes are named by topological number and operation nodes by id, and
 // every read is of the flat arrays (flatDAG).
 
@@ -268,6 +268,9 @@ func (pd *DAG) Recost() {
 	if len(pd.flat.exprs)-1 != int(pd.numExprs) {
 		pd.flatten()
 		pd.costing.front.fit(int(pd.numExprs))
+		if pd.view != nil {
+			pd.view.front.fit(int(pd.numExprs))
+		}
 	}
 	for t, n := range pd.Nodes {
 		pd.costing.cost[t] = pd.nodeCost(nil, n)
@@ -276,11 +279,11 @@ func (pd *DAG) Recost() {
 }
 
 // Reset returns the costing state to the one Build left — nothing
-// materialized, every cost what a full pass gives then, zero counters —
-// plus whatever the result cache armed since. It runs that pass only when
-// something moved a cost since the last one: a DAG straight from Build, or
-// reset already, is left as it is. Sharable flags are left too; the greedy
-// search sets every one before it reads any.
+// materialized, every cost what a full pass gives then, zero counters, the
+// DAG's CostView pristine — plus whatever the result cache armed since. It
+// runs that pass only when something moved a cost since the last one: a DAG
+// straight from Build, or reset already, is left as it is. Sharable flags
+// are left too; the greedy search sets every one before it reads any.
 func (pd *DAG) Reset() {
 	cs := &pd.costing
 	for _, m := range cs.matList {
@@ -292,6 +295,9 @@ func (pd *DAG) Reset() {
 		pd.Recost()
 	}
 	pd.ResetCounters()
+	if pd.view != nil {
+		pd.view.Reset()
+	}
 }
 
 // TotalCost is bestcost(Q, S): the cost of the best plan for the batch root

@@ -2,22 +2,18 @@ package physical
 
 import "mqo/internal/cost"
 
-// CostView is a private what-if overlay over a DAG's costing state: a
+// CostView is a what-if overlay over a DAG's costing state: a
 // materialized-set delta (additions and removals) plus per-node cost
 // overrides, maintained with the same incremental dirty-ancestor
 // propagation as DAG.SetMaterialized (paper Figure 5) but without ever
-// writing to the shared DAG. Several CostViews over one DAG can therefore
-// evaluate what-if materializations concurrently — the parallel benefit
-// loop of the greedy heuristic hands one view to each worker.
+// writing to the DAG. A search tries materializations in the view — a
+// greedy benefit (WhatIfBenefit), a Volcano-RU order pass — and commits to
+// the DAG only what it keeps.
 //
-// A CostView treats the underlying DAG as an immutable snapshot: while any
-// view is in use the DAG's costing state (node costs, materialized set)
-// must not change. Toggle on the DAG only between fan-out rounds, then keep
-// using the same views — they read base costs live, so no copying is needed
-// to refresh them.
-//
-// A CostView is not safe for concurrent use by multiple goroutines; use
-// one view per worker.
+// A DAG has one view (DAG.View), used by whichever search holds the DAG. The
+// view treats the DAG's costing state as its base: toggle on the DAG only
+// while the view is pristine (between what-ifs); the view reads base costs
+// live, so it needs no refresh afterwards.
 //
 // Everything a view holds is an array over the DAG's flat layout (flatDAG),
 // fixed when the DAG was built: cost overrides by Node.Topo, its own
@@ -27,8 +23,8 @@ import "mqo/internal/cost"
 // the view is one AND of a group's word with the input's satisfied-by mask
 // (serveMask), as it is on the base. An entry belongs to the view's
 // current delta only when its stamp equals the view's epoch: Reset is one
-// increment however many nodes the what-if touched, and a pooled view's
-// arrays are allocated once for the DAG's lifetime. What is summed is never
+// increment however many nodes the what-if touched, and the view's arrays
+// are allocated once for the DAG's lifetime. What is summed is never
 // read off the arrays: totals and benefits walk the topologically ordered
 // matList / addList, because the order of a float64 sum is part of its
 // result.
@@ -66,8 +62,8 @@ type viewNode struct {
 	setAt uint32
 }
 
-// NewCostView returns an empty overlay over pd's current costing state.
-func (pd *DAG) NewCostView() *CostView {
+// newCostView returns an empty overlay over pd's current costing state.
+func newCostView(pd *DAG) *CostView {
 	return &CostView{
 		pd:     pd,
 		epoch:  1,
@@ -84,42 +80,16 @@ func (v *CostView) override(t int, c cost.Cost) {
 	o.cost, o.costAt = c, v.epoch
 }
 
-// AcquireView returns a pristine CostView over pd, reusing a pooled view
-// when one is free. Views are bound to their DAG: the pool keeps the
-// per-view arrays across search phases — greedy benefit waves, Volcano-RU
-// order passes — instead of reallocating them per phase. Return views with
-// ReleaseView.
-func (pd *DAG) AcquireView() *CostView {
-	pd.viewMu.Lock()
-	defer pd.viewMu.Unlock()
-	n := len(pd.views)
-	if n == 0 {
-		return pd.NewCostView()
+// View returns the DAG's CostView, made on first use and kept for the DAG's
+// lifetime, so its arrays are allocated once. DAG.Reset leaves it pristine,
+// as Optimize's entry reset does before every search; a search drains its
+// counters (DrainCounters, AddCounters) before it returns.
+func (pd *DAG) View() *CostView {
+	if pd.view == nil {
+		pd.view = newCostView(pd)
 	}
-	v := pd.views[n-1]
-	pd.views[n-1] = nil
-	pd.views = pd.views[:n-1]
-	v.front.fit(len(pd.flat.exprs) - 1)
-	return v
+	return pd.view
 }
-
-// ReleaseView resets v and returns it to pd's pool. The caller must drain
-// the view's instrumentation counters first (DrainCounters) if it wants
-// them; ReleaseView discards whatever is left so the next owner starts at
-// zero.
-func (pd *DAG) ReleaseView(v *CostView) {
-	if v == nil || v.pd != pd {
-		return
-	}
-	v.Reset()
-	v.Propagations, v.Recomputations = 0, 0
-	pd.viewMu.Lock()
-	pd.views = append(pd.views, v)
-	pd.viewMu.Unlock()
-}
-
-// DAG returns the view's underlying DAG.
-func (v *CostView) DAG() *DAG { return v.pd }
 
 // Materialized reports whether n is materialized under the view.
 func (v *CostView) Materialized(n *Node) bool { return v.pd.matIn(v, n.Topo) }
@@ -129,7 +99,7 @@ func (v *CostView) CostOf(n *Node) cost.Cost { return v.pd.costIn(v, n.Topo) }
 
 // SetMaterialized toggles the materialization status of n inside the view
 // and incrementally propagates the cost change to affected ancestors as
-// cost overrides, leaving the shared DAG untouched. It returns the number
+// cost overrides, leaving the DAG untouched. It returns the number
 // of nodes whose cost was re-examined.
 func (v *CostView) SetMaterialized(n *Node, on bool) int {
 	pd := v.pd
@@ -163,7 +133,7 @@ func (v *CostView) SetMaterialized(n *Node, on bool) int {
 // TotalCost is bestcost(Q, S) under the view: the root's cost plus the
 // computation and materialization cost of every member of the view's
 // materialized set. Both lists are walked in topological order, so the
-// float64 sum is bit-reproducible across runs and workers.
+// float64 sum is bit-reproducible across runs.
 func (v *CostView) TotalCost() cost.Cost {
 	pd := v.pd
 	total := pd.costIn(v, pd.Root.Topo)
@@ -202,8 +172,8 @@ func (v *CostView) DrainCounters() (propagations, recomputations int64) {
 }
 
 // WhatIfBenefit computes bestcost(Q, S) - bestcost(Q, S ∪ {n}) — the
-// benefit of additionally materializing n — without touching the shared
-// DAG. The view must be pristine when called (as it is between WhatIf*
+// benefit of additionally materializing n — without touching the DAG.
+// The view must be pristine when called (as it is between WhatIf*
 // calls) and is reset afterwards, ready for the next what-if.
 //
 // The benefit is computed in DELTA form — the sum, in topological order,

@@ -285,8 +285,8 @@ func armedDAG(t *testing.T) *DAG {
 
 // TestCostViewMatchesMapModel drives the array overlay and the map overlay
 // through one seeded sequence — toggles kept inside the view, what-ifs,
-// resets, views going back to the pool and coming out again, commits on the
-// shared DAG between fan-outs, and an epoch counter that wraps halfway — and
+// resets, commits on the DAG between what-ifs, and an epoch counter that
+// wraps halfway — and
 // holds them to each other exactly: re-examined counts, every node's cost
 // and membership, totals and benefits by ==.
 func TestCostViewMatchesMapModel(t *testing.T) {
@@ -303,7 +303,7 @@ func TestCostViewMatchesMapModel(t *testing.T) {
 			cands := whatIfCandidates(pd)
 			base := &mapBase{mat: map[*Node]bool{}, byGroup: map[*dag.Group][]*Node{}}
 			model := newMapView(pd, base)
-			v := pd.AcquireView()
+			v := pd.View()
 			rng := rand.New(rand.NewSource(21))
 
 			same := func(step int, what string) {
@@ -334,7 +334,7 @@ func TestCostViewMatchesMapModel(t *testing.T) {
 					v.epoch = math.MaxUint32 - 2
 				}
 				n := cands[rng.Intn(len(cands))]
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(9); {
 				case op < 4: // a toggle that stays in the view
 					on := !model.matIn(n)
 					if got, want := v.SetMaterialized(n, on), model.setMaterialized(n, on); got != want {
@@ -348,14 +348,7 @@ func TestCostViewMatchesMapModel(t *testing.T) {
 						t.Fatalf("step %d: benefit of node %d %v, model %v", step, n.ID, got, want)
 					}
 					same(step, "what-if")
-				case op < 9: // back to the pool and out again: the same arrays, a later epoch
-					pd.ReleaseView(v)
-					model.reset()
-					if again := pd.AcquireView(); again != v {
-						t.Fatalf("step %d: the pool handed out a fresh view", step)
-					}
-					same(step, "reuse")
-				default: // a commit on the shared DAG, views pristine as between fan-outs
+				default: // a commit on the DAG, the view pristine as between what-ifs
 					pristine()
 					on := !pd.Materialized(n)
 					pd.SetMaterialized(n, on)
@@ -373,14 +366,13 @@ func TestCostViewMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestWhatIfAllocatesNothing: once a pooled view has been through a wave,
+// TestWhatIfAllocatesNothing: once the DAG's view has been through a wave,
 // its arrays and lists are as large as that wave needs, and the next wave's
 // what-ifs allocate nothing.
 func TestWhatIfAllocatesNothing(t *testing.T) {
 	pd := buildOver(t, tpcd.Catalog(1), tpcd.BatchQueries(5))
 	cands := whatIfCandidates(pd)
-	v := pd.AcquireView()
-	defer pd.ReleaseView(v)
+	v := pd.View()
 	wave := func() {
 		for _, n := range cands {
 			v.WhatIfBenefit(n)

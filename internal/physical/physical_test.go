@@ -146,7 +146,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				}
 			}
 			cands := whatIfCandidates(pd)
-			v := pd.AcquireView()
+			v := pd.View()
 			rng := rand.New(rand.NewSource(7))
 
 			scratch := func(step int, where string, costOf func(*Node) cost.Cost, mat func(*Node) bool) {
@@ -168,7 +168,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				n := cands[rng.Intn(len(cands))]
 				var on bool
 				if rng.Intn(3) == 0 {
-					// On the shared DAG, the view pristine as between fan-outs.
+					// On the DAG, the view pristine as between what-ifs.
 					v.Reset()
 					on = !pd.Materialized(n)
 					pd.SetMaterialized(n, on)
@@ -356,7 +356,7 @@ func TestWideGroup(t *testing.T) {
 	if m := pd.firstUsableMat(nil, wide[70], root); m != wide[140] {
 		t.Errorf("node 70 reads node %v, want 140", m)
 	}
-	v := pd.AcquireView()
+	v := pd.View()
 	v.SetMaterialized(wide[100], true)
 	v.SetMaterialized(wide[140], false)
 	if got := v.CostOf(root); got != 1+230 {
@@ -369,7 +369,6 @@ func TestWideGroup(t *testing.T) {
 	if m := pd.firstUsableMat(v, wide[70], root); m != wide[100] {
 		t.Errorf("after a second addition node 70 reads %v, want the first added, node 100", m)
 	}
-	pd.ReleaseView(v)
 	if got := pd.CostOf(root); got != 2 {
 		t.Errorf("the view moved the base: root costs %v", got)
 	}

@@ -87,10 +87,10 @@ func (pd *DAG) ExtractInto(p *Plan, n *Node) *PlanNode {
 
 // ExtractIntoView is ExtractInto under a CostView overlay: extraction
 // choices (best implementation, materialized-reuse links) follow the view's
-// private costing state instead of the shared DAG's, so concurrent search
-// passes — e.g. Volcano-RU's forward and reverse orders — can each extract
-// plans against their own what-if state without any shared-DAG writes. A
-// nil view reads the shared state.
+// what-if state instead of the DAG's, so a search pass — Volcano-RU's
+// forward or reverse order — extracts plans against its own candidate
+// materializations without writing to the DAG. A nil view reads the DAG's
+// state.
 func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 	if pn, ok := p.ByNode[n]; ok {
 		return pn

@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkPropagate times one full greedy what-if wave — every candidate
-// with a cost to save, on one pooled view — over the BQ5 batch and its
+// with a cost to save, on the DAG's view — over the BQ5 batch and its
 // six-tenant copy, and reports the time per node the incremental cost
 // update (Figure 5) popped: the update's unit of work.
 func BenchmarkPropagate(b *testing.B) {
@@ -23,8 +23,7 @@ func BenchmarkPropagate(b *testing.B) {
 					cands = append(cands, n)
 				}
 			}
-			v := pd.AcquireView()
-			defer pd.ReleaseView(v)
+			v := pd.View()
 			v.DrainCounters()
 			for b.Loop() {
 				for _, n := range cands {

@@ -26,11 +26,8 @@
 // "volcano-ru", ...) to Algorithm values; WithResultCache turns on the
 // paper's §8 result cache — a row-backed store of spooled intermediate
 // results that survives across batches, so repeated subexpressions in
-// later traffic are answered from storage. The optimizer's
-// search substrate auto-tunes its parallelism per batch: on large batches
-// Greedy's benefit waves, Volcano-RU's order passes and the sharability
-// analysis fan out over multiple cores. The worker count never changes the
-// chosen plan.
+// later traffic are answered from storage. Each search runs on one
+// goroutine; a session runs independent calls concurrently.
 //
 // For live traffic — independent concurrent requests rather than a
 // pre-assembled batch — Serve runs an adaptive micro-batching service that

@@ -100,7 +100,7 @@ func WithResultCache(ramBytes, warmBytes int64) Option {
 }
 
 // WithOptions sets the optimization options: the Greedy ablation switches
-// and space budget, the RU order and the search parallelism.
+// and space budget, and the RU order.
 func WithOptions(opt Options) Option { return func(o *Optimizer) { o.opts = opt } }
 
 // Open creates an optimizer session over the given catalog.

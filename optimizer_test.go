@@ -209,7 +209,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 // plan. The session's options are in no key: they are fixed at Open.
 func TestMemoKeys(t *testing.T) {
 	opt, err := Open(tpcd.Catalog(1), WithPlanCache(2),
-		WithOptions(Options{Parallelism: 2, Greedy: GreedyOptions{SpaceBudgetBytes: 1 << 20}}))
+		WithOptions(Options{Greedy: GreedyOptions{SpaceBudgetBytes: 1 << 20}}))
 	if err != nil {
 		t.Fatal(err)
 	}
