@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"mqo/internal/algebra"
 )
 
 // countdownCtx reports the context as cancelled after its Err method has
@@ -119,6 +121,37 @@ func TestCancelledRunDoesNotLeakStats(t *testing.T) {
 		after.Stats.Candidates != clean.Stats.Candidates {
 		t.Errorf("stats after a cancelled run differ from a clean run:\nclean %+v\nafter %+v",
 			clean.Stats, after.Stats)
+	}
+}
+
+// TestParallelGreedyCancelledMidLoop: each of Greedy's three loops,
+// cancelled on its second poll, returns (nil, context.Canceled), and the
+// uncancelled run that follows on the same DAG returns what a fresh build
+// gives. The name is from when the loops fanned out over workers.
+func TestParallelGreedyCancelledMidLoop(t *testing.T) {
+	queries := []*algebra.Tree{chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990)}
+	pd := mustBuild(t, queries...)
+	for _, variant := range []struct {
+		name string
+		opt  Options
+	}{
+		{"monotonic", Options{}},
+		{"exhaustive", Options{Greedy: GreedyOptions{DisableMonotonicity: true}}},
+		{"space-budget", Options{Greedy: GreedyOptions{SpaceBudgetBytes: 1 << 30}}},
+	} {
+		ctx := &countdownCtx{Context: context.Background(), n: 2}
+		res, err := Optimize(ctx, pd, Greedy, variant.opt)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("greedy/%s: got (%v, %v), want (nil, context.Canceled)", variant.name, res, err)
+		}
+		after, err := Optimize(context.Background(), pd, Greedy, variant.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultSignature(after), freshSignature(t, queries, Greedy, variant.opt); got != want {
+			t.Errorf("greedy/%s after a cancelled run differs from a fresh build's:\n%s",
+				variant.name, diffHint(want, got))
+		}
 	}
 }
 
