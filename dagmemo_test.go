@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mqo/internal/catalog"
+	"mqo/internal/core"
 	"mqo/internal/exec"
 	"mqo/internal/physical"
 	"mqo/internal/psp"
@@ -230,18 +231,26 @@ func TestDAGMemoConcurrentRuns(t *testing.T) {
 // SSB session has a database attached, and as many calls again are Runs with
 // Analyze: their executors read plans whose DAG a later call may be
 // re-costing meanwhile, and every est_cost they report must equal a fresh
-// session's (run under -race).
+// session's. A fourth session, with a result cache that already holds the
+// flights' answers, Runs them too: every call arms the DAG it checks out,
+// lays it out again and strips it at checkin, while other calls execute
+// plans that read the CacheScans armed on it before. What it plans depends
+// on what the store holds by then, so its answers' rows are what must equal
+// a fresh session's (run under -race).
 func TestPhysicalDAGReuseConcurrent(t *testing.T) {
 	const sf, goroutines = 0.0005, 8
 	db := NewDB(512)
 	if err := ssb.LoadDB(db, sf, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Every task runs on its catalog's session: tpcd's tenants, psp, ssb.
+	// Every task runs on its catalog's session: tpcd's tenants, psp, ssb, and
+	// ssb with a result cache.
+	const cached = 3
 	sessions := []func() (*Optimizer, error){
 		func() (*Optimizer, error) { return Open(tpcd.TenantCatalog(1, 6)) },
 		func() (*Optimizer, error) { return Open(psp.Catalog(1)) },
 		func() (*Optimizer, error) { return Open(ssb.Catalog(sf), WithDB(db)) },
+		func() (*Optimizer, error) { return Open(ssb.Catalog(sf), WithDB(db), WithResultCache(8<<20, 0)) },
 	}
 	type task struct {
 		name    string
@@ -255,38 +264,43 @@ func TestPhysicalDAGReuseConcurrent(t *testing.T) {
 		tasks = append(tasks, task{"BQ5x6", 0, tpcd.TenantBatch(5, 6), alg, false}, task{"CQ5", 1, psp.CQ(5), alg, false})
 		for f := 1; f <= ssb.NumFlights; f++ {
 			name := fmt.Sprintf("SSB%d", f)
-			tasks = append(tasks, task{name, 2, ssb.Flight(f), alg, false}, task{name + " run", 2, ssb.Flight(f), alg, true})
+			tasks = append(tasks, task{name, 2, ssb.Flight(f), alg, false}, task{name + " run", 2, ssb.Flight(f), alg, true},
+				task{name + " cached", cached, ssb.Flight(f), alg, true})
 		}
 	}
 	ctx := context.Background()
-	do := func(opt *Optimizer, tk task) (string, error) {
+	do := func(opt *Optimizer, tk task) (string, []QueryResult, error) {
 		if !tk.run {
 			res, err := opt.OptimizeBatch(ctx, tk.queries, tk.alg)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
-			return memoSignature(res), nil
+			return memoSignature(res), nil, nil
 		}
 		res, err := opt.Run(ctx, Batch{Queries: tk.queries, Algorithm: tk.alg, Analyze: true})
 		if err != nil {
-			return "", err
+			return "", nil, err
+		}
+		if tk.session == cached {
+			return "", res.Queries, nil
 		}
 		var est strings.Builder
 		res.Exec.Profile.Visit(func(p *exec.NodeProfile) {
 			fmt.Fprintf(&est, "%d:%x ", p.Node, math.Float64bits(p.EstCost))
 		})
-		return memoSignature(res.Result) + "est_cost " + est.String(), nil
+		return memoSignature(res.Result) + "est_cost " + est.String(), nil, nil
 	}
 
-	want := make([]string, len(tasks))
+	want, wantRows := make([]string, len(tasks)), make([][]QueryResult, len(tasks))
 	for i, tk := range tasks {
 		fresh, err := sessions[tk.session]()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want[i], err = do(fresh, tk); err != nil {
+		if want[i], wantRows[i], err = do(fresh, tk); err != nil {
 			t.Fatalf("%s %v, fresh session: %v", tk.name, tk.alg, err)
 		}
+		fresh.Close()
 	}
 	shared := make([]*Optimizer, len(sessions))
 	for i, open := range sessions {
@@ -294,7 +308,15 @@ func TestPhysicalDAGReuseConcurrent(t *testing.T) {
 		if shared[i], err = open(); err != nil {
 			t.Fatal(err)
 		}
+		defer shared[i].Close()
 	}
+	// Store the flights' answers, so that every concurrent Run arms its DAG.
+	for f := 1; f <= ssb.NumFlights; f++ {
+		if _, err := shared[cached].Run(ctx, Batch{Queries: ssb.Flight(f), Algorithm: Greedy}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := shared[cached].ResultCacheStats().HitBatches
 	reused := physicalReused.Value()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -304,10 +326,16 @@ func TestPhysicalDAGReuseConcurrent(t *testing.T) {
 			for i := range tasks {
 				j := (g*5 + i) % len(tasks)
 				tk := tasks[j]
-				got, err := do(shared[tk.session], tk)
+				got, rows, err := do(shared[tk.session], tk)
 				if err != nil {
 					t.Errorf("goroutine %d, %s %v: %v", g, tk.name, tk.alg, err)
 					return
+				}
+				for i := range rows {
+					if !exec.EqualRows(rows[i], wantRows[j][i], 1e-9) {
+						t.Errorf("goroutine %d, %s %v, query %d: %d rows differ from a fresh session's %d",
+							g, tk.name, tk.alg, i, len(rows[i].Rows), len(wantRows[j][i].Rows))
+					}
 				}
 				if got != want[j] {
 					t.Errorf("goroutine %d, %s %v: the shared session's result differs from a fresh session's:\n%s\nwant:\n%s",
@@ -320,13 +348,16 @@ func TestPhysicalDAGReuseConcurrent(t *testing.T) {
 	if physicalReused.Value() == reused {
 		t.Error("no call re-costed a physical DAG another had searched")
 	}
+	if shared[cached].ResultCacheStats().HitBatches == hits {
+		t.Error("no call read a stored answer")
+	}
 }
 
 // TestArmedDAGIsNotReused: the second Run of an SSB flight reads answers the
 // first stored, so the result cache armed its DAG with CacheScans. The session
-// must not keep that DAG: the next optimize-only call of the composition
-// builds one, and its plan reads nothing from the store and equals a fresh
-// session's, physical node count and all.
+// keeps the DAG but not the armed alternatives: the next optimize-only call of
+// the composition builds no DAG, and its plan reads nothing from the store and
+// equals a fresh session's, physical node count and all.
 func TestArmedDAGIsNotReused(t *testing.T) {
 	const sf = 0.0005
 	db := NewDB(256)
@@ -358,8 +389,8 @@ func TestArmedDAGIsNotReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := physicalBuilt.Value() - built; got != 1 {
-		t.Errorf("the optimize-only call built %d physical DAGs, want 1: the armed one was kept", got)
+	if got := physicalBuilt.Value() - built; got != 0 {
+		t.Errorf("the optimize-only call built %d physical DAGs, want 0: the armed one was not kept", got)
 	}
 	if readsStore(res.Plan) {
 		t.Error("an optimize-only plan reads the store")
@@ -377,5 +408,103 @@ func TestArmedDAGIsNotReused(t *testing.T) {
 	}
 	if got, want := memoSignature(res), memoSignature(want); got != want {
 		t.Errorf("the result differs from a fresh session's:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestArmedReplayReusesDAGs: SSB's sixteen drill-down steps, one query a
+// batch, are run three times through a session with a result cache and no plan
+// cache, and so is flight 1's parameterized drill-down through another, with
+// bindings that overlap the first pass's. Pass 1 builds every DAG and stores
+// answers; passes 2 and 3 plan over DAGs the store arms. Checkin strips the
+// armed alternatives and keeps the DAG, so pass 3 builds none. Each pass-3
+// plan must equal one planned over a DAG built aside, armed against the same
+// store and aborted — costs, plan-node costs and every armed alternative's
+// saving to the bit: the strip must restore the costs Arm reads before it arms
+// the DAG again.
+func TestArmedReplayReusesDAGs(t *testing.T) {
+	const sf = 0.0005
+	db := NewDB(256)
+	if err := ssb.LoadDB(db, sf, 1); err != nil {
+		t.Fatal(err)
+	}
+	var steps []Batch
+	for f := 1; f <= ssb.NumFlights; f++ {
+		for _, step := range ssb.DrillDown(f, ssb.MaxDrillSteps) {
+			steps = append(steps, Batch{Queries: step, Algorithm: Greedy})
+		}
+	}
+	// Each pass binds months pass 1 stored one of, and another: its plan serves
+	// them in part from the store.
+	param := Batch{Queries: ssb.DrillParam(2), Algorithm: Greedy}
+	months := [][]int64{{1, 2}, {2, 3}, {1, 4}}
+	// savings renders the saving of every armed alternative a plan reads.
+	savings := func(p *Plan) string {
+		var b strings.Builder
+		p.Root.Walk(func(pn *physical.PlanNode) {
+			if arm := pn.E.Arm; arm != nil {
+				fmt.Fprintf(&b, "%d:%s:%x", pn.N.ID, pn.E.Kind, math.Float64bits(arm.Saving))
+				for _, bs := range arm.BindScans {
+					fmt.Fprintf(&b, ",%s:%x", bs.Bind, math.Float64bits(bs.Saving))
+				}
+				b.WriteByte(' ')
+			}
+		})
+		return b.String()
+	}
+	ctx := context.Background()
+	read := map[physical.AlgKind]int{}
+	for _, batches := range [][]Batch{steps, {param}} {
+		// SF 0.01 statistics: over them a binding's answer is worth storing
+		// (ssb.DrillParam).
+		opt, err := Open(ssb.Catalog(0.01), WithDB(db), WithResultCache(16<<20, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := opt.ResultCache()
+		for pass := 1; pass <= 3; pass++ {
+			built := physicalBuilt.Value()
+			for i, b := range batches {
+				if b.Queries[0] == param.Queries[0] {
+					b.ParamSets = ssb.DrillParamBindings(months[pass-1]...)
+				}
+				var want string
+				if pass == 3 {
+					pd, err := core.BuildDAG(opt.cat, opt.model, b.Queries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ticket := store.Arm(pd, b.ParamSets)
+					res, err := core.Optimize(ctx, pd, b.Algorithm, opt.opts)
+					ticket.Abort()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = memoSignature(res) + savings(res.Plan)
+				}
+				er, err := opt.Run(ctx, b)
+				if err != nil {
+					t.Fatalf("pass %d, batch %d: %v", pass, i, err)
+				}
+				if pass < 3 {
+					continue
+				}
+				if got := memoSignature(er.Result) + savings(er.Plan); got != want {
+					t.Errorf("batch %d: the plan over the reused DAG differs from one over a DAG armed aside:\n%s\nwant:\n%s", i, got, want)
+				}
+				er.Plan.Root.Walk(func(pn *physical.PlanNode) { read[pn.E.Kind]++ })
+			}
+			want := int64(0)
+			if pass == 1 {
+				want = int64(len(batches))
+			}
+			if got := physicalBuilt.Value() - built; got != want {
+				t.Errorf("%d batches, pass %d built %d physical DAGs, want %d", len(batches), pass, got, want)
+			}
+		}
+		opt.Close()
+	}
+	if read[physical.CacheScanOp] == 0 || read[physical.InvokePartial] == 0 {
+		t.Errorf("pass 3 read %d stored answers and %d stored binding sets, want both",
+			read[physical.CacheScanOp], read[physical.InvokePartial])
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"mqo/internal/cost"
 	"mqo/internal/physical"
+	"mqo/internal/ssb"
 )
 
 // referee computes the paper's Figure 5 TotalCost(Q, M) from scratch: the
@@ -156,8 +157,9 @@ func checkAgainstReferee(t *testing.T, pd *physical.DAG, alg Algorithm, res *Res
 
 // TestCostsMatchReferee holds every search's reported cost to the referee
 // (checkAgainstReferee): all four algorithms on every golden batch of the
-// paper's experiments (BQ1–5, CQ1–5) and on the random batches of the
-// statistics fuzz.
+// paper's experiments (BQ1–5, CQ1–5), on the random batches of the
+// statistics fuzz, and on an SSB DAG the result cache's alternatives were
+// armed on — once fresh, once after Disarm and arming again.
 func TestCostsMatchReferee(t *testing.T) {
 	model := cost.DefaultModel()
 	for _, w := range goldenWorkloads() {
@@ -180,15 +182,63 @@ func TestCostsMatchReferee(t *testing.T) {
 		}
 		refereeAlgorithms(t, pd, fmt.Sprintf("fuzz trial %d", trial))
 	}
+
+	pd, err := BuildDAG(ssb.Catalog(0.01), model, append(ssb.DrillParam(4), ssb.Flight(1)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	armReferee(t, pd)
+	fresh := refereeAlgorithms(t, pd, "armed SSB")
+	pd.Disarm()
+	pd.Reset()
+	armReferee(t, pd)
+	again := refereeAlgorithms(t, pd, "armed SSB, disarmed and armed again")
+	for i, c := range again {
+		if c != fresh[i] {
+			t.Errorf("%v: armed again, cost %v; armed fresh, %v", Algorithms()[i], c, fresh[i])
+		}
+	}
 }
 
-func refereeAlgorithms(t *testing.T, pd *physical.DAG, name string) {
+// armReferee arms what the result cache would on pd: a warm-tier CacheScan,
+// priced as a leaf at its read-back, on every third parameter-free node, and
+// beside every Invoke an InvokePartial serving one of two bindings.
+func armReferee(t *testing.T, pd *physical.DAG) {
 	t.Helper()
+	m := pd.Model
+	scans, partials := 0, 0
+	for _, n := range pd.Nodes {
+		e := n.Exprs[0]
+		switch {
+		case e.Kind == physical.InvokeOp:
+			body := e.Children[0]
+			blocks := body.Blocks(m)
+			pd.ArmInvokePartial(n, e.LE, body, cost.ResidualInvokeWeight(e.Weight(), 1, 2),
+				m.BindingReadbackCost([]cost.Tier{cost.TierWarm}, []float64{blocks}),
+				[]physical.BindScan{{Bind: "b1", Table: "t1", Tier: cost.TierWarm}}, []string{"b2"}, "fp")
+			partials++
+		case n != pd.Root && !n.LG.ParamDep && !n.Prop.HasIx && n.Topo%3 == 0:
+			pd.ArmCacheScan(n, "t", m.TierScanCost(cost.TierWarm, n.Blocks(m)), cost.TierWarm)
+			scans++
+		}
+	}
+	if scans == 0 || partials == 0 {
+		t.Fatalf("armed %d CacheScans and %d InvokePartials", scans, partials)
+	}
+}
+
+// refereeAlgorithms checks every algorithm's result on pd against the
+// referee and returns their costs, in Algorithms order.
+func refereeAlgorithms(t *testing.T, pd *physical.DAG, name string) []cost.Cost {
+	t.Helper()
+	var costs []cost.Cost
 	for _, alg := range Algorithms() {
 		res, err := Optimize(context.Background(), pd, alg, Options{})
 		if err != nil {
 			t.Fatalf("%s %v: %v", name, alg, err)
 		}
 		checkAgainstReferee(t, pd, alg, res, fmt.Sprintf("%s %v", name, alg))
+		costs = append(costs, res.Cost)
 	}
+	return costs
 }

@@ -185,7 +185,8 @@ type DAG struct {
 	// allocation of its own.
 	exprSlab []PExpr
 	kidSlab  []*Node
-	numExprs int32 // operation nodes made so far, armed ones included
+	numExprs int32 // the DAG's operation nodes, armed ones included
+	built    int32 // of them, the ones Build made; arming appends the rest
 
 	flat    flatDAG
 	costing costState
@@ -195,10 +196,6 @@ type DAG struct {
 	// and Root, both fixed when Build returns, so the DAG's first greedy
 	// search computes them and every later one reads them; nil until then.
 	Degrees map[*dag.Group]float64
-
-	// armed is set once the result cache has added an alternative to the DAG
-	// (ArmCacheScan, ArmInvokePartial).
-	armed bool
 
 	// view is the DAG's one CostView (View), nil until a search asks for it.
 	view *CostView
@@ -240,6 +237,7 @@ func Build(l *dag.DAG, model cost.Model) (*DAG, error) {
 		}
 		pd.QueryRoots = append(pd.QueryRoots, n)
 	}
+	pd.built = pd.numExprs
 	pd.assignTopo()
 	pd.flatten()
 	pd.initCosting()
@@ -345,6 +343,7 @@ func (pd *DAG) addWeighted(e PExpr, weight float64, children ...*Node) {
 	pd.numExprs++
 	*p = e
 	p.Node.Exprs = append(p.Node.Exprs, p)
+	pd.costing.dirty, pd.flat.stale = true, true
 }
 
 // addImplementations adds every applicable algorithm for logical expression
@@ -557,26 +556,25 @@ func (pd *DAG) addEnforcers(n *Node) error {
 	return nil
 }
 
-// ArmCacheScan adds a CacheScan access path for a spooled result table to
-// node n: a leaf implementation whose only cost is reading the stored
-// result back. It is the result cache's pre-pass hook, run on a freshly
-// built batch DAG before the search engine: the cached result then behaves
-// like an already-materialized node with zero setup cost — every algorithm
-// and every CostView overlay prices the armed reuse natively through the
-// ordinary min-over-implementations recurrence, so hits need no
-// special-casing in costing, extraction or the what-if engine. The caller
-// must Recost afterwards (Optimize's entry reset does) before costing
-// anything: that pass lays the new operation node into the flat arrays the
-// recurrences read (flatDAG). The DAG is Armed from then on.
-// tier records which storage tier the spooled table lives in; the caller
-// prices scanCost at that tier's read constant (cost.Model.TierScanCost),
-// so a warm (disk-backed) hit is armed at a strictly higher per-page cost
-// than a RAM hit and the algorithms trade it off against recomputation
-// honestly. The executor routes the scan to the matching namespace.
+// ArmCacheScan adds a CacheScan access path for a spooled result table to node
+// n: a leaf implementation whose only cost is reading the stored result back.
+// It is the result cache's pre-pass hook, run on a batch DAG as Build made it
+// (or Disarm and Reset restored it) before the search engine: the cached
+// result then behaves like an already-materialized node with zero setup cost —
+// every algorithm and every CostView overlay prices the armed reuse natively
+// through the ordinary min-over-implementations recurrence, so hits need no
+// special-casing in costing, extraction or the what-if engine. The caller must
+// Recost afterwards (Optimize's entry reset does) before costing anything:
+// that pass lays the new operation node into the flat arrays the recurrences
+// read (flatDAG). Disarm removes it. tier records which storage tier the
+// spooled table lives in; the caller prices scanCost at that tier's read
+// constant (cost.Model.TierScanCost), so a warm (disk-backed) hit is armed at
+// a strictly higher per-page cost than a RAM hit and the algorithms trade it
+// off against recomputation honestly. The executor routes the scan to the
+// matching namespace.
 func (pd *DAG) ArmCacheScan(n *Node, table string, scanCost cost.Cost, tier cost.Tier) {
 	pd.addExpr(PExpr{Kind: CacheScanOp, Node: n, OpCost: scanCost,
 		Arm: &CacheArm{CacheName: table, CacheTier: tier, Saving: float64(pd.CostOf(n) - scanCost)}})
-	pd.arm()
 }
 
 // ArmInvokePartial adds a partial binding-cache hit alternative to an
@@ -595,20 +593,24 @@ func (pd *DAG) ArmInvokePartial(n *Node, le *dag.Expr, body *Node, residualWeigh
 		Kind: InvokePartial, LE: le, Node: n, OpCost: scanCost,
 		Arm: &CacheArm{BindScans: scans, ResidualBinds: residual, BindFP: bindFP},
 	}, residualWeight, body)
-	pd.arm()
 }
 
-// arm records that the result cache added an alternative: the node costs no
-// longer follow from what Build made.
-func (pd *DAG) arm() {
-	pd.armed = true
-	pd.costing.dirty = true
+// Disarm strips what the result cache armed, the tail arming appended to its
+// owners' lists, so the next Reset lays the DAG out and costs it as Build did.
+// Stripped slab slots are never reused: a cached plan may point at one.
+func (pd *DAG) Disarm() {
+	for t := 0; pd.numExprs > pd.built; t++ {
+		n := pd.Nodes[t]
+		k := len(n.Exprs)
+		for n.Exprs[k-1].Arm != nil { // Build gave every node an operation node
+			k--
+		}
+		clear(n.Exprs[k:])
+		pd.numExprs -= int32(len(n.Exprs) - k)
+		n.Exprs = n.Exprs[:k]
+		pd.costing.dirty, pd.flat.stale = true, true
+	}
 }
-
-// Armed reports whether the result cache has added alternatives to the DAG.
-// They price one store generation's entries, so an armed DAG is not one to
-// run a later optimization on.
-func (pd *DAG) Armed() bool { return pd.armed }
 
 // indexable reports whether an index on col can exist for group g: either a
 // base table with a catalog index on col, or any group at all (a temporary
@@ -708,8 +710,8 @@ func (pd *DAG) assignTopo() {
 //     the mask at sat[nodes[t].satLo:].
 //
 // The last entry of exprs and of nodes only closes the range before it.
-// Arming the result cache's alternatives adds operation nodes, and the next
-// Recost lays the DAG out again (flatten); nodes and groups never change.
+// Arming adds operation nodes and Disarm removes them; the next Recost lays
+// the DAG out again (stale, flatten). Nodes and groups never change.
 type flatDAG struct {
 	exprs      []flatExpr
 	kids       []int32
@@ -717,6 +719,7 @@ type flatDAG struct {
 	parents    []int32
 	sat        []uint64
 	groupWords int32
+	stale      bool // operation nodes were added or removed since the layout
 }
 
 type flatExpr struct {
@@ -741,6 +744,7 @@ type flatNode struct {
 // topological order, reads the arrays over PExpr.id from front to back.
 func (pd *DAG) flatten() {
 	f := &pd.flat
+	f.stale = false
 	if f.nodes == nil {
 		f.layoutGroups(pd)
 	}

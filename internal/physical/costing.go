@@ -29,9 +29,9 @@ type costState struct {
 	front front // SetMaterialized's propagation front, empty between calls
 
 	// dirty is set by everything that can move a node's cost off what a full
-	// pass under the empty materialized set gives — a materialization, an
-	// armed alternative — and cleared by such a pass (Recost with nothing
-	// materialized). Reset skips the pass while it is clear.
+	// pass under the empty materialized set gives — a materialization, arming,
+	// Disarm — and cleared by such a pass (Recost with nothing materialized).
+	// Reset skips the pass while it is clear.
 	dirty bool
 
 	// Counters for the Figure 10 / §6.3 experiments.
@@ -262,10 +262,9 @@ func (pd *DAG) nodeCost(v *CostView, n *Node) cost.Cost {
 var unpriced = cost.Cost(math.Inf(1))
 
 // Recost performs a full bottom-up costing pass in topological order. It
-// first lays the DAG out again if the result cache armed alternatives since
-// the last layout.
+// first lays the DAG out again if arming or Disarm left the layout stale.
 func (pd *DAG) Recost() {
-	if len(pd.flat.exprs)-1 != int(pd.numExprs) {
+	if pd.flat.stale {
 		pd.flatten()
 		pd.costing.front.fit(int(pd.numExprs))
 		if pd.view != nil {
@@ -280,10 +279,10 @@ func (pd *DAG) Recost() {
 
 // Reset returns the costing state to the one Build left — nothing
 // materialized, every cost what a full pass gives then, zero counters, the
-// DAG's CostView pristine — plus whatever the result cache armed since. It
+// DAG's CostView pristine — plus what the result cache armed since Disarm. It
 // runs that pass only when something moved a cost since the last one: a DAG
-// straight from Build, or reset already, is left as it is. Sharable flags
-// are left too; the greedy search sets every one before it reads any.
+// straight from Build, or reset already, is left as it is. Sharable flags are
+// left too; the greedy search sets every one before it reads any.
 func (pd *DAG) Reset() {
 	cs := &pd.costing
 	for _, m := range cs.matList {

@@ -1,7 +1,9 @@
 package physical
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -223,7 +225,104 @@ func TestResetRestoresBuild(t *testing.T) {
 	if pd.CostOf(pd.Root) == fresh.CostOf(fresh.Root) {
 		t.Error("Reset of a DAG in its built state ran a costing pass")
 	}
-	if pd.Armed() || !armedDAG(t).Armed() {
-		t.Error("Armed does not tell an armed DAG from a built one")
+
+	// Armed: what the result cache arms comes off again with Disarm. The BQ5
+	// DAG gets CacheScans; a nested query's also an InvokePartial.
+	nested, err := Build(expandLogical(t, testCatalog(), nestedTrees()), cost.DefaultModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*DAG{pd, nested} {
+		disarmRestoresBuild(t, d)
+	}
+	asBuilt("after arming and Disarm")
+}
+
+// disarmRestoresBuild holds pd, which nothing armed, to fresh builds over its
+// logical DAG. Arming one set of nodes, Disarm and arming as many others
+// without a Reset between must cost the DAG as a fresh build armed the second
+// way: the layout must not be taken for current because the count of
+// operation nodes is back where it was. Arming, Disarm and Reset must leave
+// the flat arrays, every operation node's id and every node's cost
+// bit-identical to a fresh build's.
+func disarmRestoresBuild(t *testing.T, pd *DAG) {
+	t.Helper()
+	build := func() *DAG {
+		d, err := Build(pd.L, pd.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	var first, second []int // topological numbers; an Invoke's node is second's
+	for _, n := range pd.Nodes {
+		switch {
+		case n.Exprs[0].Kind == InvokeOp:
+			second = append(second, n.Topo)
+		case n == pd.Root || n.LG.ParamDep || n.Prop.HasIx || n.Topo%3 != 0:
+		case len(first) <= len(second):
+			first = append(first, n.Topo)
+		default:
+			second = append(second, n.Topo)
+		}
+	}
+	first = first[:min(len(first), len(second))]
+	if len(first) == 0 {
+		t.Fatal("no nodes to arm")
+	}
+	// Priced off the node alone: the DAG's costs when the second set is
+	// armed are still the first set's.
+	arm := func(d *DAG, topos []int) {
+		for _, topo := range topos {
+			n := d.Nodes[topo]
+			read := d.Model.TierScanCost(cost.TierWarm, n.Blocks(d.Model)) / 4
+			if e := n.Exprs[0]; e.Kind == InvokeOp {
+				d.ArmInvokePartial(n, e.LE, e.Children[0], e.Weight()/4, read,
+					[]BindScan{{Bind: "x=1", Table: "b1"}}, []string{"x=2"}, "fp")
+			} else {
+				d.ArmCacheScan(n, "c", read, cost.TierWarm)
+			}
+		}
+	}
+	sameCosts := func(what string, d *DAG) {
+		t.Helper()
+		for i, n := range pd.Nodes {
+			if got, want := pd.CostOf(n), d.CostOf(d.Nodes[i]); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("%s: node %d costs %v, a fresh build's %v", what, n.ID, got, want)
+			}
+		}
+	}
+
+	arm(pd, first)
+	pd.Recost()
+	pd.Disarm()
+	arm(pd, second)
+	pd.Reset()
+	want := build()
+	arm(want, second)
+	want.Recost()
+	sameCosts("armed, disarmed and armed again", want)
+	if pd.numExprs != want.numExprs || pd.numExprs == pd.built {
+		t.Fatalf("%d operation nodes, a fresh build armed alike %d (%d built)", pd.numExprs, want.numExprs, pd.built)
+	}
+
+	pd.Disarm()
+	pd.Reset()
+	want = build()
+	sameCosts("disarmed and reset", want)
+	if !reflect.DeepEqual(pd.flat, want.flat) {
+		t.Fatal("disarmed and reset: the flat layout differs from a fresh build's")
+	}
+	for i, n := range pd.Nodes {
+		m := want.Nodes[i]
+		if len(n.Exprs) != len(m.Exprs) {
+			t.Fatalf("disarmed: node %d has %d operation nodes, a fresh build's %d", n.ID, len(n.Exprs), len(m.Exprs))
+		}
+		for j, e := range n.Exprs {
+			if e.id != m.Exprs[j].id || e.Kind != m.Exprs[j].Kind || e.Arm != nil {
+				t.Fatalf("disarmed: node %d's operation node %d is %v #%d, a fresh build's %v #%d",
+					n.ID, j, e.Kind, e.id, m.Exprs[j].Kind, m.Exprs[j].id)
+			}
+		}
 	}
 }

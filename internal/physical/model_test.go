@@ -255,15 +255,20 @@ func (v *mapView) whatIf(n *Node) cost.Cost {
 	return ben
 }
 
-// armedDAG is a nested query — an Invoke over a parameterized body — plus a
-// chain sharing its invariant join, with the result cache's two kinds of
-// armed alternative added by hand: CacheScans on a few nodes and an
-// InvokePartial beside the Invoke.
-func armedDAG(t *testing.T) *DAG {
+// nestedTrees are a nested query — an Invoke over a parameterized body —
+// and a chain sharing its invariant join.
+func nestedTrees() []*algebra.Tree {
 	inner := algebra.SelectT(algebra.CmpParam(algebra.Col("B", "num"), algebra.EQ, "x"),
 		algebra.JoinT(algebra.ColEq(algebra.Col("A", "fk"), algebra.Col("B", "id")),
 			algebra.ScanT("A"), algebra.ScanT("B")))
-	pd := buildDAG(t, algebra.NewTree(algebra.Invoke{Times: 40}, inner), chain([]string{"A", "B", "C"}, 50))
+	return []*algebra.Tree{algebra.NewTree(algebra.Invoke{Times: 40}, inner), chain([]string{"A", "B", "C"}, 50)}
+}
+
+// armedDAG is the DAG of nestedTrees with the result cache's two kinds of
+// armed alternative added by hand: CacheScans on a few nodes and an
+// InvokePartial beside the Invoke.
+func armedDAG(t *testing.T) *DAG {
+	pd := buildDAG(t, nestedTrees()...)
 	scans, partials := 0, 0
 	for _, n := range pd.Nodes {
 		switch e := n.Exprs[0]; {

@@ -15,9 +15,9 @@
 //     indexes node costs (the costing state's, a CostView's overrides),
 //     each node's range of the parents array, the propagation front's bits
 //     and moved lists, and a plan walk's visited set;
-//   - PExpr.id, the operation node's creation ordinal, indexes its operator
-//     cost, input weight, owner and range of input topological numbers, and
-//     the links of the moved lists;
+//   - PExpr.id, the operation node's place in the layout, indexes its
+//     operator cost, input weight, owner and range of input topological
+//     numbers, and the links of the moved lists;
 //   - the group table row (Node.gi; one row per logical group, found from
 //     the logical side through a slice over dag.GroupID) holds the group's
 //     physical nodes — where Build looks a (group, property) pair up by
@@ -26,10 +26,9 @@
 //     the row is its bit in the group's bitmask words, which hold the
 //     materialized set and a CostView's membership flips.
 //
-// Arming the result cache's alternatives after Build adds operation nodes
-// to existing nodes; it never adds a node or a group, so the indices hold
-// for the DAG's lifetime, and the Recost that prices the armed DAG lays it
-// out again.
+// Arming the result cache's alternatives adds operation nodes and Disarm takes
+// them off; neither touches a node or a group, so those indices hold for the
+// DAG's lifetime, and the next Recost renumbers the operation nodes.
 package physical
 
 import (

@@ -19,9 +19,9 @@ import (
 // What one retains, measured (live heap after a collection): the finalized
 // logical DAG of BQ5 0.62 MB, of the six-tenant BQ5 3.76 MB, of CQ5 0.54 MB,
 // of SSB flight 3 0.09 MB; the idle physical DAG over it once all four
-// algorithms have run on it — nodes, operation nodes, costing state and the
-// CostViews a two-worker search pooled — BQ5 0.60 MB, six-tenant BQ5 3.60 MB,
-// CQ5 1.01 MB, SSB flight 3 0.12 MB. Sixteen six-tenant pairs are some 120 MB.
+// algorithms ran on it — nodes, operation nodes, costing state, its CostView —
+// BQ5 0.67 MB, six-tenant BQ5 3.93 MB, CQ5 1.11 MB, SSB flight 3 0.13 MB, up
+// to 0.03 more once armed and stripped. Sixteen six-tenant pairs are ~125 MB.
 const dagMemoCap = 16
 
 var (
@@ -50,9 +50,9 @@ type CacheStats struct {
 //
 // A logical DAG depends only on the trees and the catalog, and no reader writes
 // to it (dag.DAG): calls share it. A physical DAG is one call's at a time
-// (checkout, checkin); the next optimization re-costs it (core.Optimize
-// resets it), unless the result cache armed it — its extra alternatives
-// priced one store generation — or two calls overlapped.
+// (checkout, checkin): the result cache arms it for that call only, checkin
+// strips it, and the next optimization re-costs it (core.Optimize resets it).
+// Calls that overlap on a composition build more; one is kept.
 //
 // A plan knows the result-cache store and generation it was planned at. A
 // plan that computes anything is reused only at that generation: an admission
@@ -344,13 +344,11 @@ func (m *memo) evictDAGLocked() {
 	}
 }
 
-// checkin hands back pd, checked out of ent, once the caller reads its costing
-// state no more. It becomes the idle DAG unless it is armed, there is one, or
-// its logical DAG is not the entry's any more (evicted since).
+// checkin strips what the result cache armed on pd, checked out of ent, once
+// the caller reads its costing state no more, and makes pd the idle DAG unless
+// there is one or its logical DAG is not the entry's any more (evicted since).
 func (m *memo) checkin(ent *memoEntry, pd *physical.DAG) {
-	if pd.Armed() {
-		return
-	}
+	pd.Disarm()
 	m.mu.Lock()
 	if ent.idle == nil && ent.ld == pd.L {
 		ent.idle = pd
