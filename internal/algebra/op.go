@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -15,6 +14,8 @@ type Op interface {
 	// Fingerprint returns a canonical rendering of the operator and its
 	// parameters (not its inputs).
 	Fingerprint() string
+	// AppendFingerprint appends Fingerprint's rendering to dst.
+	AppendFingerprint(dst []byte) []byte
 	// String is a short human-readable form for plan printing.
 	String() string
 }
@@ -31,7 +32,13 @@ type Scan struct {
 func (s Scan) Arity() int { return 0 }
 
 // Fingerprint implements Op.
-func (s Scan) Fingerprint() string { return "scan(" + s.Table + " as " + s.Alias + ")" }
+func (s Scan) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Op.
+func (s Scan) AppendFingerprint(dst []byte) []byte {
+	dst = append(append(append(dst, "scan("...), s.Table...), " as "...)
+	return append(append(dst, s.Alias...), ')')
+}
 
 // String implements Op.
 func (s Scan) String() string {
@@ -50,7 +57,12 @@ type Select struct {
 func (s Select) Arity() int { return 1 }
 
 // Fingerprint implements Op.
-func (s Select) Fingerprint() string { return "select[" + s.Pred.Fingerprint() + "]" }
+func (s Select) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Op.
+func (s Select) AppendFingerprint(dst []byte) []byte {
+	return append(s.Pred.AppendFingerprint(append(dst, "select["...)), ']')
+}
 
 // String implements Op.
 func (s Select) String() string { return "Select[" + s.Pred.String() + "]" }
@@ -65,7 +77,12 @@ type Join struct {
 func (j Join) Arity() int { return 2 }
 
 // Fingerprint implements Op.
-func (j Join) Fingerprint() string { return "join[" + j.Pred.Fingerprint() + "]" }
+func (j Join) Fingerprint() string { return string(j.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Op.
+func (j Join) AppendFingerprint(dst []byte) []byte {
+	return append(j.Pred.AppendFingerprint(append(dst, "join["...)), ']')
+}
 
 // String implements Op.
 func (j Join) String() string { return "Join[" + j.Pred.String() + "]" }
@@ -109,12 +126,17 @@ type AggExpr struct {
 }
 
 // Fingerprint returns the canonical rendering of the aggregate expression.
-func (a AggExpr) Fingerprint() string {
-	arg := "*"
+func (a AggExpr) Fingerprint() string { return string(a.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends Fingerprint's rendering to dst.
+func (a AggExpr) AppendFingerprint(dst []byte) []byte {
+	dst = append(append(dst, a.Func.String()...), '(')
 	if a.Arg != nil {
-		arg = a.Arg.Fingerprint()
+		dst = a.Arg.AppendFingerprint(dst)
+	} else {
+		dst = append(dst, '*')
 	}
-	return a.Func.String() + "(" + arg + ") as " + a.As.String()
+	return a.As.appendTo(append(dst, ") as "...))
 }
 
 // Aggregate groups its input by GroupBy and computes Aggs per group. With an
@@ -128,18 +150,16 @@ type Aggregate struct {
 func (a Aggregate) Arity() int { return 1 }
 
 // Fingerprint implements Op.
-func (a Aggregate) Fingerprint() string {
-	gb := make([]string, len(a.GroupBy))
-	for i, c := range a.GroupBy {
-		gb[i] = c.String()
-	}
-	sort.Strings(gb)
-	ag := make([]string, len(a.Aggs))
-	for i, e := range a.Aggs {
-		ag[i] = e.Fingerprint()
-	}
-	sort.Strings(ag)
-	return "agg[" + strings.Join(gb, ",") + "][" + strings.Join(ag, ",") + "]"
+func (a Aggregate) Fingerprint() string { return string(a.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Op: group-by columns and aggregates each in
+// sorted order.
+func (a Aggregate) AppendFingerprint(dst []byte) []byte {
+	dst = appendSorted(append(dst, "agg["...), len(a.GroupBy), ",",
+		func(dst []byte, i int) []byte { return a.GroupBy[i].appendTo(dst) })
+	dst = appendSorted(append(dst, "]["...), len(a.Aggs), ",",
+		func(dst []byte, i int) []byte { return a.Aggs[i].AppendFingerprint(dst) })
+	return append(dst, ']')
 }
 
 // String implements Op.
@@ -171,12 +191,18 @@ type Project struct {
 func (p Project) Arity() int { return 1 }
 
 // Fingerprint implements Op.
-func (p Project) Fingerprint() string {
-	parts := make([]string, len(p.Exprs))
+func (p Project) Fingerprint() string { return string(p.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Op.
+func (p Project) AppendFingerprint(dst []byte) []byte {
+	dst = append(dst, "project["...)
 	for i, e := range p.Exprs {
-		parts[i] = e.Expr.Fingerprint() + " as " + e.As.String()
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = e.As.appendTo(append(e.Expr.AppendFingerprint(dst), " as "...))
 	}
-	return "project[" + strings.Join(parts, ",") + "]"
+	return append(dst, ']')
 }
 
 // String implements Op.
@@ -193,7 +219,12 @@ type NoOp struct {
 func (n NoOp) Arity() int { return n.NInputs }
 
 // Fingerprint implements Op.
-func (n NoOp) Fingerprint() string { return "noop/" + strconv.Itoa(n.NInputs) }
+func (n NoOp) Fingerprint() string { return string(n.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Op.
+func (n NoOp) AppendFingerprint(dst []byte) []byte {
+	return strconv.AppendInt(append(dst, "noop/"...), int64(n.NInputs), 10)
+}
 
 // String implements Op.
 func (n NoOp) String() string { return "Batch" }
@@ -211,7 +242,12 @@ type Invoke struct {
 func (iv Invoke) Arity() int { return 1 }
 
 // Fingerprint implements Op.
-func (iv Invoke) Fingerprint() string { return "invoke/" + strconv.FormatInt(iv.Times, 10) }
+func (iv Invoke) Fingerprint() string { return string(iv.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Op.
+func (iv Invoke) AppendFingerprint(dst []byte) []byte {
+	return strconv.AppendInt(append(dst, "invoke/"...), iv.Times, 10)
+}
 
 // String implements Op.
 func (iv Invoke) String() string { return "Invoke×" + strconv.FormatInt(iv.Times, 10) }
@@ -249,22 +285,20 @@ func AggT(groupBy []Column, aggs []AggExpr, in *Tree) *Tree {
 // optimization work is done. Unlike the DAG's canonical fingerprints it does
 // not see through equivalences: two join orders of one query render
 // differently.
-func (t *Tree) Fingerprint() string {
-	var b strings.Builder
-	t.writeFingerprint(&b)
-	return b.String()
-}
+func (t *Tree) Fingerprint() string { return string(t.AppendFingerprint(nil)) }
 
-func (t *Tree) writeFingerprint(b *strings.Builder) {
-	b.WriteString(t.Op.Fingerprint())
-	b.WriteByte('(')
+// AppendFingerprint appends Fingerprint's rendering to dst. Rendering into a
+// buffer the caller keeps allocates nothing once the buffer has grown to the
+// rendering's length.
+func (t *Tree) AppendFingerprint(dst []byte) []byte {
+	dst = append(t.Op.AppendFingerprint(dst), '(')
 	for i, in := range t.Inputs {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		in.writeFingerprint(b)
+		dst = in.AppendFingerprint(dst)
 	}
-	b.WriteByte(')')
+	return append(dst, ')')
 }
 
 // String renders the tree with indentation for debugging.

@@ -1,8 +1,8 @@
 package algebra
 
 import (
-	"sort"
-	"strings"
+	"bytes"
+	"slices"
 )
 
 // Scalar is a scalar-valued expression tree: column references, constants,
@@ -12,6 +12,8 @@ type Scalar interface {
 	// Fingerprint returns a canonical rendering; two scalars with the same
 	// fingerprint are semantically identical.
 	Fingerprint() string
+	// AppendFingerprint appends Fingerprint's rendering to dst.
+	AppendFingerprint(dst []byte) []byte
 	// VisitColumns calls f for every column referenced by the expression.
 	VisitColumns(f func(Column))
 	// HasParam reports whether the expression references a parameter.
@@ -56,7 +58,10 @@ func ColOf(rel, name string) ColExpr { return ColExpr{C: Col(rel, name)} }
 func ConstOf(v Value) ConstExpr { return ConstExpr{V: v} }
 
 // Fingerprint implements Scalar.
-func (e ColExpr) Fingerprint() string { return e.C.String() }
+func (e ColExpr) Fingerprint() string { return string(e.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Scalar.
+func (e ColExpr) AppendFingerprint(dst []byte) []byte { return e.C.appendTo(dst) }
 
 // VisitColumns implements Scalar.
 func (e ColExpr) VisitColumns(f func(Column)) { f(e.C) }
@@ -65,7 +70,10 @@ func (e ColExpr) VisitColumns(f func(Column)) { f(e.C) }
 func (e ColExpr) HasParam() bool { return false }
 
 // Fingerprint implements Scalar.
-func (e ConstExpr) Fingerprint() string { return e.V.String() }
+func (e ConstExpr) Fingerprint() string { return string(e.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Scalar.
+func (e ConstExpr) AppendFingerprint(dst []byte) []byte { return e.V.appendTo(dst) }
 
 // VisitColumns implements Scalar.
 func (e ConstExpr) VisitColumns(func(Column)) {}
@@ -74,7 +82,10 @@ func (e ConstExpr) VisitColumns(func(Column)) {}
 func (e ConstExpr) HasParam() bool { return false }
 
 // Fingerprint implements Scalar.
-func (e ParamExpr) Fingerprint() string { return "?" + e.Name }
+func (e ParamExpr) Fingerprint() string { return string(e.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Scalar.
+func (e ParamExpr) AppendFingerprint(dst []byte) []byte { return append(append(dst, '?'), e.Name...) }
 
 // VisitColumns implements Scalar.
 func (e ParamExpr) VisitColumns(func(Column)) {}
@@ -83,8 +94,12 @@ func (e ParamExpr) VisitColumns(func(Column)) {}
 func (e ParamExpr) HasParam() bool { return true }
 
 // Fingerprint implements Scalar.
-func (e BinExpr) Fingerprint() string {
-	return "(" + e.L.Fingerprint() + e.Op.String() + e.R.Fingerprint() + ")"
+func (e BinExpr) Fingerprint() string { return string(e.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements Scalar.
+func (e BinExpr) AppendFingerprint(dst []byte) []byte {
+	dst = append(e.L.AppendFingerprint(append(dst, '(')), e.Op.String()...)
+	return append(e.R.AppendFingerprint(dst), ')')
 }
 
 // VisitColumns implements Scalar.
@@ -160,14 +175,27 @@ type Comparison struct {
 // Fingerprint returns a canonical rendering. A comparison is normalized so
 // that the lexicographically smaller side appears on the left; this makes
 // a.x = b.y and b.y = a.x fingerprint identically.
-func (c Comparison) Fingerprint() string {
-	l, r := c.L.Fingerprint(), c.R.Fingerprint()
-	op := c.Op
-	if r < l {
-		l, r = r, l
-		op = op.Flip()
+func (c Comparison) Fingerprint() string { return string(c.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends Fingerprint's rendering to dst. It renders the
+// sides in place, l op r, and rewrites the span as r flip(op) l when r
+// renders smaller; Flip keeps an operator's length.
+func (c Comparison) AppendFingerprint(dst []byte) []byte {
+	start := len(dst)
+	dst = c.L.AppendFingerprint(dst)
+	lEnd := len(dst)
+	dst = append(dst, c.Op.String()...)
+	rStart := len(dst)
+	dst = c.R.AppendFingerprint(dst)
+	end := len(dst)
+	if bytes.Compare(dst[rStart:end], dst[start:lEnd]) >= 0 {
+		return dst
 	}
-	return l + op.String() + r
+	// Assemble the swapped form past the end, then move it over the span.
+	dst = append(dst, dst[rStart:end]...)
+	dst = append(dst, c.Op.Flip().String()...)
+	dst = append(dst, dst[start:lEnd]...)
+	return dst[:start+copy(dst[start:], dst[end:])]
 }
 
 // VisitColumns calls f for every referenced column.
@@ -183,13 +211,12 @@ func (c Comparison) HasParam() bool { return c.L.HasParam() || c.R.HasParam() }
 type Clause struct{ Disj []Comparison }
 
 // Fingerprint returns a canonical rendering with disjuncts sorted.
-func (cl Clause) Fingerprint() string {
-	parts := make([]string, len(cl.Disj))
-	for i, c := range cl.Disj {
-		parts[i] = c.Fingerprint()
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " OR ")
+func (cl Clause) Fingerprint() string { return string(cl.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends Fingerprint's rendering to dst.
+func (cl Clause) AppendFingerprint(dst []byte) []byte {
+	return appendSorted(dst, len(cl.Disj), " OR ",
+		func(dst []byte, i int) []byte { return cl.Disj[i].AppendFingerprint(dst) })
 }
 
 // VisitColumns calls f for every referenced column.
@@ -206,21 +233,52 @@ type Predicate struct{ Conj []Clause }
 // IsTrue reports whether the predicate is the empty (always-true) predicate.
 func (p Predicate) IsTrue() bool { return len(p.Conj) == 0 }
 
-// Fingerprint returns a canonical rendering with conjuncts sorted.
-func (p Predicate) Fingerprint() string {
+// Fingerprint returns a canonical rendering with conjuncts sorted, each
+// clause of more than one disjunct in parentheses.
+func (p Predicate) Fingerprint() string { return string(p.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends Fingerprint's rendering to dst.
+func (p Predicate) AppendFingerprint(dst []byte) []byte {
 	if p.IsTrue() {
-		return "true"
+		return append(dst, "true"...)
 	}
-	parts := make([]string, len(p.Conj))
-	for i, cl := range p.Conj {
-		s := cl.Fingerprint()
-		if len(cl.Disj) > 1 {
-			s = "(" + s + ")"
+	return appendSorted(dst, len(p.Conj), " AND ", func(dst []byte, i int) []byte {
+		cl := p.Conj[i]
+		if len(cl.Disj) <= 1 {
+			return cl.AppendFingerprint(dst)
 		}
-		parts[i] = s
+		return append(cl.AppendFingerprint(append(dst, '(')), ')')
+	})
+}
+
+// span is a rendering's place in a buffer, [lo, hi).
+type span struct{ lo, hi int }
+
+// appendSorted appends n parts, rendered by part, sorted bytewise — the
+// order sort.Strings gives their strings — and joined by sep. It renders
+// them past dst's end, sorts their spans and moves the joined result over
+// them; only a list of more than 32 parts allocates its spans.
+func appendSorted(dst []byte, n int, sep string, part func(dst []byte, i int) []byte) []byte {
+	if n == 1 {
+		return part(dst, 0)
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, " AND ")
+	var small [32]span
+	spans := small[:0]
+	start := len(dst)
+	for i := range n {
+		lo := len(dst)
+		dst = part(dst, i)
+		spans = append(spans, span{lo, len(dst)})
+	}
+	end := len(dst)
+	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(dst[a.lo:a.hi], dst[b.lo:b.hi]) })
+	for i, s := range spans {
+		if i > 0 {
+			dst = append(dst, sep...)
+		}
+		dst = append(dst, dst[s.lo:s.hi]...)
+	}
+	return dst[:start+copy(dst[start:], dst[end:])]
 }
 
 // String renders the predicate (same as Fingerprint).

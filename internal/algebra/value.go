@@ -124,18 +124,20 @@ func CompareFloat(a, b float64) int {
 
 // String renders the value for plans and fingerprints. The rendering is
 // canonical: equal values always render identically.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendTo(nil)) }
+
+func (v Value) appendTo(dst []byte) []byte {
 	switch v.Typ {
 	case TInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case TDate:
-		return "d" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(dst, 'd'), v.I, 10)
 	case TFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case TString:
-		return strconv.Quote(v.S)
+		return strconv.AppendQuote(dst, v.S)
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // Column names a column of a relation. Rel is the relation alias introduced
@@ -150,6 +152,10 @@ func Col(rel, name string) Column { return Column{Rel: rel, Name: name} }
 
 // String returns the qualified "rel.name" form.
 func (c Column) String() string { return c.Rel + "." + c.Name }
+
+func (c Column) appendTo(dst []byte) []byte {
+	return append(append(append(dst, c.Rel...), '.'), c.Name...)
+}
 
 // Less orders columns lexicographically, used to canonicalize column sets.
 func (c Column) Less(o Column) bool {

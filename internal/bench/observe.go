@@ -63,14 +63,20 @@ func Observe() (*Experiment, error) {
 	// The modes alternate pass by pass and the overhead is the median over
 	// the pairs of one pass against the other: this machine runs up to half
 	// slower for seconds at a time, which a pair shares and two best-of-N
-	// taken one after the other do not.
+	// taken one after the other do not. Which mode leads alternates too, so
+	// neither always runs second, on the heap and caches the first left.
 	const reps = 25
 	var best [2]time.Duration
 	var rows [2]int64
 	ratios := make([]float64, 0, reps)
 	for rep := -1; rep < reps; rep++ { // rep -1 warms up: page cache, allocator
 		var d [2]time.Duration
-		for mode, instrumented := range []bool{false, true} {
+		for i := range 2 {
+			mode := i // 0 uninstrumented, 1 instrumented
+			if rep%2 != 0 {
+				mode = 1 - i
+			}
+			instrumented := mode == 1
 			obs.SetEnabled(instrumented)
 			start := time.Now()
 			r, err := pass(instrumented)

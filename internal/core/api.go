@@ -238,7 +238,7 @@ func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options)
 	res.NoShareCost = noShare
 	res.Stats.OptTime = time.Since(start)
 	res.Stats.CostPropagations, res.Stats.CostRecomputations = pd.Counters()
-	res.Stats.DAGGroups = len(pd.L.LiveGroups())
+	res.Stats.DAGGroups = pd.L.NumGroups()
 	res.Stats.DAGExprs = pd.L.NumExprs()
 	res.Stats.DAGDerivations, res.Stats.DAGDuplicates = pd.L.Derivations, pd.L.Duplicates
 	res.Stats.PhysNodes = len(pd.Nodes)

@@ -55,7 +55,7 @@ func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Res
 // an empty materialized set). The DAG is read, never written.
 func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, order []int) (*Result, error) {
 	plan := physical.NewPlan()
-	count := make([]int, len(pd.Nodes)) // by Node.Topo
+	var count []int // by PlanNode.Index, grown with the plan
 	queryPlans := make([]*physical.PlanNode, len(pd.QueryRoots))
 
 	var promotions int64
@@ -69,6 +69,7 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 		// choice, new nodes are costed under the view's current state.
 		pn := pd.ExtractIntoView(v, plan, qn)
 		queryPlans[qi] = pn
+		count = append(count, make([]int, len(plan.ByNode)-len(count))...)
 		// Count uses and promote nodes worth materializing if used once
 		// more: cost + matcost + count·reuse < (count+1)·cost.
 		pn.Walk(func(p *physical.PlanNode) {
@@ -76,11 +77,11 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 			if node.LG.ParamDep || node == pd.Root {
 				return
 			}
-			count[node.Topo]++
+			count[p.Index]++
 			if v.Materialized(node) {
 				return
 			}
-			c := float64(count[node.Topo])
+			c := float64(count[p.Index])
 			nc := v.CostOf(node)
 			if nc+node.MatCost+c*node.ReuseSeq < (c+1)*nc {
 				v.SetMaterialized(node, true)
@@ -92,7 +93,7 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 	// Combine P1..Pk under the batch root and let Volcano-SH make the
 	// final materialization decisions.
 	batch := pd.Root.Exprs[0]
-	root := &physical.PlanNode{N: pd.Root, E: batch, Children: make([]*physical.PlanNode, len(queryPlans))}
+	root := &physical.PlanNode{N: pd.Root, E: batch, Children: make([]*physical.PlanNode, len(queryPlans)), Index: int32(len(plan.ByNode))}
 	for i, qp := range queryPlans {
 		qp.NumParents++
 		root.Children[i] = qp

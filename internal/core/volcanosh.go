@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"mqo/internal/cost"
+	"mqo/internal/dag"
 	"mqo/internal/physical"
 )
 
@@ -36,12 +38,13 @@ func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView
 		pd:        pd,
 		v:         v,
 		plan:      plan,
-		costOf:    make([]cost.Cost, len(pd.Nodes)),
-		mat:       make([]bool, len(pd.Nodes)),
+		order:     make([]*physical.PlanNode, 0, len(plan.ByNode)),
 		origExpr:  map[*physical.PlanNode]*physical.PExpr{},
 		origChild: map[*physical.PlanNode][]*physical.PlanNode{},
 	}
 	sh.prepass()
+	// The prepass extracted the plan's last nodes: size the scratch to it.
+	sh.per = make([]shNode, len(plan.ByNode))
 	// The decisions and the undo step interact: undoing a subsumption
 	// switch removes uses that justified other materializations, so we
 	// re-decide after every undo until the plan is stable. Each round can
@@ -50,7 +53,9 @@ func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
-		clear(sh.mat)
+		for i := range sh.per {
+			sh.per[i].mat = false
+		}
 		sh.decide()
 		if !sh.undo() {
 			break
@@ -65,33 +70,50 @@ type shState struct {
 	v    *physical.CostView // overlay the plan was extracted under (may be nil)
 	plan *physical.Plan
 
-	// costOf and mat are by the Topo of a plan node's physical node: a plan
-	// has one plan node per physical node (Plan.ByNode).
-	costOf    []cost.Cost
-	mat       []bool
+	// per is each plan node's scratch, by PlanNode.Index: sized to the plan,
+	// not to the DAG.
+	per       []shNode
+	order     []*physical.PlanNode // nodes' and allNodes' one slice
 	origExpr  map[*physical.PlanNode]*physical.PExpr
 	origChild map[*physical.PlanNode][]*physical.PlanNode
 }
 
+// shNode is one plan node's scratch: its cost under the decisions so far,
+// its numuses⁻ and whether it is materialized.
+type shNode struct {
+	cost cost.Cost
+	uses float64
+	mat  bool
+}
+
 // nodes returns the plan nodes reachable from the root in topological
-// order (children before parents).
+// order (children before parents), in a slice the next nodes or allNodes
+// call reuses.
 func (sh *shState) nodes() []*physical.PlanNode {
-	var out []*physical.PlanNode
+	out := sh.order[:0]
 	sh.plan.Root.Walk(func(pn *physical.PlanNode) { out = append(out, pn) })
-	sort.Slice(out, func(i, j int) bool { return out[i].N.Topo < out[j].N.Topo })
-	return out
+	sh.order = out
+	return sortByTopo(out)
 }
 
 // allNodes returns every plan node ever extracted (including original
 // derivations switched out by the prepass, whose costs the savings
-// computation still needs), in topological order.
+// computation still needs), in topological order, in the slice nodes
+// returns too.
 func (sh *shState) allNodes() []*physical.PlanNode {
-	out := make([]*physical.PlanNode, 0, len(sh.plan.ByNode))
+	out := sh.order[:0]
 	for _, pn := range sh.plan.ByNode {
 		out = append(out, pn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].N.Topo < out[j].N.Topo })
-	return out
+	sh.order = out
+	return sortByTopo(out)
+}
+
+// sortByTopo sorts plan nodes by their physical nodes' topological numbers,
+// which are distinct: a plan has one plan node per physical node.
+func sortByTopo(pns []*physical.PlanNode) []*physical.PlanNode {
+	slices.SortFunc(pns, func(a, b *physical.PlanNode) int { return cmp.Compare(a.N.Topo, b.N.Topo) })
+	return pns
 }
 
 // prepass switches applicable subsumption derivations into the plan (paper
@@ -101,8 +123,13 @@ func (sh *shState) allNodes() []*physical.PlanNode {
 // present in the plan (so sharing is possible) or a subsumption-introduced
 // node (disjunction / group-by-union) worth introducing.
 func (sh *shState) prepass() {
-	present := map[int32]bool{} // logical group IDs in the plan
-	sh.plan.Root.Walk(func(pn *physical.PlanNode) { present[int32(pn.N.LG.ID)] = true })
+	present := make([]dag.GroupID, 0, len(sh.plan.ByNode)) // logical group IDs in the plan, sorted
+	mark := func(id dag.GroupID) {
+		if i, found := slices.BinarySearch(present, id); !found {
+			present = slices.Insert(present, i, id)
+		}
+	}
+	sh.plan.Root.Walk(func(pn *physical.PlanNode) { mark(pn.N.LG.ID) })
 
 	for _, pn := range sh.nodes() {
 		if pn.E.LE == nil || pn.E.LE.Subsumption {
@@ -114,7 +141,7 @@ func (sh *shState) prepass() {
 			}
 			applicable := true
 			for _, c := range alt.Children {
-				if !present[int32(c.LG.ID)] && !c.LG.SubsumpNode {
+				if _, found := slices.BinarySearch(present, c.LG.ID); !found && !c.LG.SubsumpNode {
 					applicable = false
 					break
 				}
@@ -130,7 +157,7 @@ func (sh *shState) prepass() {
 				cp := sh.pd.ExtractIntoView(sh.v, sh.plan, c)
 				cp.NumParents++
 				pn.Children[i] = cp
-				present[int32(c.LG.ID)] = true
+				mark(c.LG.ID)
 			}
 			break
 		}
@@ -139,29 +166,32 @@ func (sh *shState) prepass() {
 	sh.recountParents()
 }
 
-// recountParents recomputes NumParents over the current plan DAG.
+// recountParents recomputes NumParents over the current plan DAG. The walk
+// visits a node before any of its parents, so zeroing its count there comes
+// before the parents' links add to it.
 func (sh *shState) recountParents() {
-	counts := make([]int, len(sh.pd.Nodes))
 	sh.plan.Root.Walk(func(pn *physical.PlanNode) {
+		pn.NumParents = 0
 		for _, c := range pn.Children {
-			counts[c.N.Topo]++
+			c.NumParents++
 		}
 	})
-	sh.plan.Root.Walk(func(pn *physical.PlanNode) { pn.NumParents = counts[pn.N.Topo] })
 }
 
-// numUses is the paper's numuses⁻ underestimate: the number of parent links
-// in the consolidated plan, with nested-query invocation counts multiplying
-// the link from an Invoke parent (§5).
-func (sh *shState) numUses() []float64 {
-	uses := make([]float64, len(sh.pd.Nodes))
+// countUses sets every plan node's numuses⁻, the paper's underestimate: the
+// number of parent links in the consolidated plan, with nested-query
+// invocation counts multiplying the link from an Invoke parent (§5). A
+// node the plan no longer reaches counts 0.
+func (sh *shState) countUses() {
+	for i := range sh.per {
+		sh.per[i].uses = 0
+	}
 	sh.plan.Root.Walk(func(pn *physical.PlanNode) {
 		for _, c := range pn.Children {
-			uses[c.N.Topo] += pn.E.Weight()
+			sh.per[c.Index].uses += pn.E.Weight()
 		}
 	})
-	uses[sh.plan.Root.N.Topo] = 1
-	return uses
+	sh.per[sh.plan.Root.Index].uses = 1
 }
 
 // exprCost evaluates one plan alternative: operator cost plus child
@@ -169,8 +199,8 @@ func (sh *shState) numUses() []float64 {
 func (sh *shState) exprCost(e *physical.PExpr, children []*physical.PlanNode) cost.Cost {
 	total := e.OpCost
 	for _, c := range children {
-		contrib := sh.costOf[c.N.Topo]
-		if sh.mat[c.N.Topo] && c.N.ReuseSeq < contrib {
+		contrib := sh.per[c.Index].cost
+		if sh.per[c.Index].mat && c.N.ReuseSeq < contrib {
 			contrib = c.N.ReuseSeq
 		}
 		total += e.Weight() * contrib
@@ -180,14 +210,15 @@ func (sh *shState) exprCost(e *physical.PExpr, children []*physical.PlanNode) co
 
 // decide runs the bottom-up materialization decisions of Figure 2.
 func (sh *shState) decide() {
-	uses := sh.numUses()
+	sh.countUses()
 	for _, pn := range sh.allNodes() {
-		sh.costOf[pn.N.Topo] = sh.exprCost(pn.E, pn.Children)
-		nu := uses[pn.N.Topo]
+		s := &sh.per[pn.Index]
+		s.cost = sh.exprCost(pn.E, pn.Children)
+		nu := s.uses
 		if nu < 2 || pn.N.LG.ParamDep {
 			continue
 		}
-		c := sh.costOf[pn.N.Topo]
+		c := s.cost
 		matc, reuse := pn.N.MatCost, pn.N.ReuseSeq
 		if !pn.N.LG.SubsumpNode {
 			// The paper's test (eq. 2) is matcost/(numuses−1) + reusecost
@@ -197,7 +228,7 @@ func (sh *shState) decide() {
 			// consistent condition is cost + matcost + nu·reuse <
 			// nu·cost:
 			if matc+nu*reuse < (nu-1)*c {
-				sh.mat[pn.N.Topo] = true
+				s.mat = true
 			}
 			continue
 		}
@@ -207,7 +238,7 @@ func (sh *shState) decide() {
 		// already account for paying reusecost per use).
 		savings := sh.subsumptionSavings(pn)
 		if c+matc < savings {
-			sh.mat[pn.N.Topo] = true
+			s.mat = true
 		}
 	}
 }
@@ -228,10 +259,11 @@ func (sh *shState) subsumptionSavings(pn *physical.PlanNode) cost.Cost {
 		}
 		origCost := sh.exprCost(orig, sh.origChild[p])
 		// Cost via the subsumption derivation assuming pn is materialized.
-		wasMat := sh.mat[pn.N.Topo]
-		sh.mat[pn.N.Topo] = true
+		s := &sh.per[pn.Index]
+		wasMat := s.mat
+		s.mat = true
 		subCost := sh.exprCost(p.E, p.Children)
-		sh.mat[pn.N.Topo] = wasMat
+		s.mat = wasMat
 		if origCost > subCost {
 			savings += origCost - subCost
 		}
@@ -246,7 +278,7 @@ func (sh *shState) undo() bool {
 	changed := false
 	for pn, orig := range sh.origExpr {
 		sharedInput := pn.Children[0]
-		if sh.mat[sharedInput.N.Topo] {
+		if sh.per[sharedInput.Index].mat {
 			continue
 		}
 		pn.E = orig
@@ -266,16 +298,16 @@ func (sh *shState) undo() bool {
 func (sh *shState) finish() (cost.Cost, []*physical.Node) {
 	ordered := sh.nodes()
 	for _, pn := range ordered {
-		sh.costOf[pn.N.Topo] = sh.exprCost(pn.E, pn.Children)
+		sh.per[pn.Index].cost = sh.exprCost(pn.E, pn.Children)
 	}
-	total := sh.costOf[sh.plan.Root.N.Topo]
+	total := sh.per[sh.plan.Root.Index].cost
 	var mats []*physical.Node
 	for _, pn := range ordered {
-		if sh.mat[pn.N.Topo] {
+		if s := sh.per[pn.Index]; s.mat {
 			pn.Mat = true
 			sh.plan.Mats = append(sh.plan.Mats, pn)
 			mats = append(mats, pn.N)
-			total += sh.costOf[pn.N.Topo] + pn.N.MatCost
+			total += s.cost + pn.N.MatCost
 		}
 	}
 	return total, mats

@@ -518,11 +518,24 @@ func (d *DAG) LiveGroups() []*Group {
 	return out
 }
 
+// NumGroups counts live groups: len(LiveGroups()) without building it.
+func (d *DAG) NumGroups() int {
+	n := 0
+	for _, g := range d.Groups {
+		if g.forward == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // NumExprs counts live operation nodes.
 func (d *DAG) NumExprs() int {
 	n := 0
-	for _, g := range d.LiveGroups() {
-		n += len(g.Exprs)
+	for _, g := range d.Groups {
+		if g.forward == nil {
+			n += len(g.Exprs)
+		}
 	}
 	return n
 }

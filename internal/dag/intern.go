@@ -131,8 +131,9 @@ type interner struct {
 	ops        map[string]uint32      // Op.Fingerprint() of a scan, aggregate, project or invoke → ID
 	lists      map[string]uint32      // packed ID list (a predicate's sorted clause IDs, a NoOp's inputs) → ID
 
-	sorted []clauseID // scratch of predID
-	packed []byte     // scratch of list
+	sorted   []clauseID // scratch of predID
+	packed   []byte     // scratch of list
+	rendered []byte     // scratch of clause and opID
 }
 
 func newInterner() interner {
@@ -164,14 +165,17 @@ func (in *interner) schemaCols(s algebra.Schema) colSet {
 
 // clause interns one clause by the rendering Predicate.Fingerprint gives it.
 func (in *interner) clause(cl algebra.Clause) clauseID {
-	s := cl.Fingerprint()
+	s := in.rendered[:0]
 	if len(cl.Disj) > 1 {
-		s = "(" + s + ")"
+		s = append(cl.AppendFingerprint(append(s, '(')), ')')
+	} else {
+		s = cl.AppendFingerprint(s)
 	}
-	id, ok := in.clauses[s]
+	in.rendered = s
+	id, ok := in.clauses[string(s)] // no allocation on a hit
 	if !ok {
 		id = clauseID(len(in.clauseCols))
-		in.clauses[s] = id
+		in.clauses[string(s)] = id
 		var set colSet
 		cl.VisitColumns(func(c algebra.Column) { set = set.with(in.col(c)) })
 		in.clauseCols = append(in.clauseCols, set)
@@ -190,11 +194,12 @@ func (in *interner) pred(p algebra.Predicate) pred {
 
 // opID interns an operator that has no predicate by its rendering.
 func (in *interner) opID(op algebra.Op) uint32 {
-	s := op.Fingerprint()
-	id, ok := in.ops[s]
+	s := op.AppendFingerprint(in.rendered[:0])
+	in.rendered = s
+	id, ok := in.ops[string(s)]
 	if !ok {
 		id = uint32(len(in.ops))
-		in.ops[s] = id
+		in.ops[string(s)] = id
 	}
 	return id
 }

@@ -19,6 +19,12 @@ type PlanNode struct {
 	// written to temporary storage, and read by every consumer.
 	Mat bool
 
+	// Index is the plan node's place in its plan's extraction order, dense
+	// from 0 to len(Plan.ByNode)-1 (a node added by hand takes the next
+	// one): a search's per-plan-node scratch is an array of the plan's
+	// size, not of the DAG's.
+	Index int32
+
 	// NumParents counts distinct parent plan-node links; it is the basis
 	// of the numuses⁻ underestimate used by Volcano-SH (paper §3.2).
 	NumParents int
@@ -95,7 +101,7 @@ func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 	if pn, ok := p.ByNode[n]; ok {
 		return pn
 	}
-	pn := &PlanNode{N: n}
+	pn := &PlanNode{N: n, Index: int32(len(p.ByNode))}
 	p.ByNode[n] = pn
 	var best *PExpr
 	bestCost := unpriced

@@ -44,9 +44,12 @@ type CacheStats struct {
 }
 
 // memo is a session's memo of batch compositions, under one mutex: one entry
-// per composition, keyed by the batch's trees as written
-// (stmtCache.treesKey), holding its finalized logical DAG, at most one idle
-// physical DAG over it, and its plans by how they were planned (planKey).
+// per composition, keyed by the batch's trees as written (stmtCache.key),
+// holding its finalized logical DAG, at most one idle physical DAG over it,
+// and its plans by how they were planned (planKey). Calls pass the key as
+// the bytes of a reused buffer (memoKey): a lookup converts them in the map
+// index, which copies nothing, and only an entry's insertion copies them
+// into the string the entry keeps.
 //
 // A logical DAG depends only on the trees and the catalog, and no reader writes
 // to it (dag.DAG): calls share it. A physical DAG is one call's at a time
@@ -77,10 +80,11 @@ type memo struct {
 	hits, misses  int64
 }
 
-// memoEntry is one composition's: its logical DAG, nil while it has none; a
-// physical DAG over it that no call holds, or nil; the logical DAG's use
-// stamp; and its plans.
+// memoEntry is one composition's: its key; its logical DAG, nil while it has
+// none; a physical DAG over it that no call holds, or nil; the logical DAG's
+// use stamp; and its plans.
 type memoEntry struct {
+	key     string
 	ld      *dag.DAG
 	idle    *physical.DAG
 	dagUsed uint64
@@ -132,11 +136,11 @@ type planEntry struct {
 
 // entryLocked returns the entry for trees, making an empty one if there is
 // none.
-func (m *memo) entryLocked(trees string) *memoEntry {
-	ent := m.entries[trees]
+func (m *memo) entryLocked(trees []byte) *memoEntry {
+	ent := m.entries[string(trees)]
 	if ent == nil {
-		ent = &memoEntry{plans: map[planKey]*planEntry{}}
-		m.entries[trees] = ent
+		ent = &memoEntry{key: string(trees), plans: map[planKey]*planEntry{}}
+		m.entries[ent.key] = ent
 	}
 	return ent
 }
@@ -162,10 +166,10 @@ func readsOnlyStored(p *physical.Plan) bool {
 // A plan that is not — planned against another store, computing at an older
 // generation, or refused by PinPlan — is dropped and the probe counts as a
 // miss. PinPlan takes the store's lock, so it runs outside the memo's own.
-func (m *memo) get(trees string, k planKey, store *cache.Manager) (*Result, *cache.Ticket, bool) {
+func (m *memo) get(trees []byte, k planKey, store *cache.Manager) (*Result, *cache.Ticket, bool) {
 	gen := store.Generation()
 	m.mu.Lock()
-	ent := m.entries[trees]
+	ent := m.entries[string(trees)]
 	var pe *planEntry
 	if ent != nil {
 		pe = ent.plans[k]
@@ -182,7 +186,7 @@ func (m *memo) get(trees string, k planKey, store *cache.Manager) (*Result, *cac
 	if !ok {
 		m.misses++
 		if current {
-			m.dropPlanLocked(trees, k)
+			m.dropPlanLocked(ent, k)
 		}
 		return nil, nil, false
 	}
@@ -196,10 +200,10 @@ func (m *memo) get(trees string, k planKey, store *cache.Manager) (*Result, *cac
 
 // peek reports whether trees hold a plan under k that only reads stored
 // answers. It is neither a hit nor a miss and uses nothing.
-func (m *memo) peek(trees string, k planKey) (found, stored bool) {
+func (m *memo) peek(trees []byte, k planKey) (found, stored bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ent := m.entries[trees]; ent != nil && ent.plans[k] != nil {
+	if ent := m.entries[string(trees)]; ent != nil && ent.plans[k] != nil {
 		return true, ent.plans[k].stored
 	}
 	return false, false
@@ -228,7 +232,7 @@ func cloneResult(r *Result, meta *execMeta) *Result {
 // put caches res, planned against store at generation gen, for trees under
 // k, replacing any plan there, and drops the least recently used plans
 // beyond planCap.
-func (m *memo) put(trees string, k planKey, res *Result, store *cache.Manager, gen int64) {
+func (m *memo) put(trees []byte, k planKey, res *Result, store *cache.Manager, gen int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ent := m.entryLocked(trees)
@@ -238,28 +242,27 @@ func (m *memo) put(trees string, k planKey, res *Result, store *cache.Manager, g
 	m.clock++
 	ent.plans[k] = &planEntry{res: res, store: store, gen: gen, stored: readsOnlyStored(res.Plan), used: m.clock}
 	for m.nPlans > m.planCap {
-		var oldTrees string
+		var oldEnt *memoEntry
 		var oldKey planKey
 		var oldest *planEntry
-		for t, e := range m.entries {
+		for _, e := range m.entries {
 			for key, pe := range e.plans {
 				if oldest == nil || pe.used < oldest.used {
-					oldTrees, oldKey, oldest = t, key, pe
+					oldEnt, oldKey, oldest = e, key, pe
 				}
 			}
 		}
-		m.dropPlanLocked(oldTrees, oldKey)
+		m.dropPlanLocked(oldEnt, oldKey)
 	}
 }
 
-// dropPlanLocked deletes the plan cached for trees under k, and the entry
-// with it if it holds nothing else.
-func (m *memo) dropPlanLocked(trees string, k planKey) {
-	ent := m.entries[trees]
+// dropPlanLocked deletes the plan ent caches under k, and ent with it if it
+// holds nothing else.
+func (m *memo) dropPlanLocked(ent *memoEntry, k planKey) {
 	delete(ent.plans, k)
 	m.nPlans--
 	if len(ent.plans) == 0 && ent.ld == nil {
-		delete(m.entries, trees)
+		delete(m.entries, ent.key)
 	}
 }
 
@@ -268,10 +271,10 @@ func (m *memo) dropPlanLocked(trees string, k planKey) {
 func (m *memo) dropStore(store *cache.Manager) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for trees, ent := range m.entries {
+	for _, ent := range m.entries {
 		for k, pe := range ent.plans {
 			if pe.store == store {
-				m.dropPlanLocked(trees, k)
+				m.dropPlanLocked(ent, k)
 			}
 		}
 	}
@@ -291,9 +294,9 @@ func (m *memo) stats() CacheStats {
 // checkin: the idle one, reset, or one built over the logical DAG, expanded
 // now if there is none. Concurrent misses each expand; the first to finish is
 // kept and the others use its DAG.
-func (m *memo) checkout(cat *catalog.Catalog, model cost.Model, trees string, queries []*Query) (*memoEntry, *physical.DAG, error) {
+func (m *memo) checkout(cat *catalog.Catalog, model cost.Model, trees []byte, queries []*Query) (*memoEntry, *physical.DAG, error) {
 	m.mu.Lock()
-	ent := m.entries[trees]
+	ent := m.entries[string(trees)]
 	if ent != nil && ent.ld != nil {
 		m.clock++
 		ent.dagUsed = m.clock
@@ -330,17 +333,16 @@ func (m *memo) checkout(cat *catalog.Catalog, model cost.Model, trees string, qu
 // evictDAGLocked drops the least recently used logical DAG, and the idle
 // physical DAG over it.
 func (m *memo) evictDAGLocked() {
-	var oldTrees string
 	var oldest *memoEntry
-	for t, e := range m.entries {
+	for _, e := range m.entries {
 		if e.ld != nil && (oldest == nil || e.dagUsed < oldest.dagUsed) {
-			oldTrees, oldest = t, e
+			oldest = e
 		}
 	}
 	oldest.ld, oldest.idle = nil, nil
 	m.nDAGs--
 	if len(oldest.plans) == 0 {
-		delete(m.entries, oldTrees)
+		delete(m.entries, oldest.key)
 	}
 }
 

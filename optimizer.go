@@ -332,7 +332,9 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 		return nil, nil, nil, err
 	}
 	start := time.Now()
-	trees, key := o.stmts.treesKey(queries), newPlanKey(alg, rc, paramSets)
+	mk, key := o.stmts.key(queries), newPlanKey(alg, rc, paramSets)
+	defer mk.release()
+	trees := mk.b // read by the memo only until the call returns
 	if o.memo.planCap > 0 {
 		if res, ticket, ok := o.memo.get(trees, key, rc); ok {
 			meta.PlanCacheHit, meta.planCached = true, true
@@ -377,33 +379,39 @@ func (o *Optimizer) planBatch(ctx context.Context, rc *cache.Manager, queries []
 // need not be the one it was stored under), and cached if that plan too only
 // reads it. Best effort: a query it cannot plan simply keeps to the windows.
 func (o *Optimizer) planStoredAlone(ctx context.Context, queries []*Query, alg Algorithm, plan *Plan) {
-	rc, key := o.resultCache(), planKey{alg: alg, stored: true}
 	for i, pn := range plan.QueryRoots() {
-		if pn.E.Kind != physical.CacheScanOp {
-			continue
-		}
-		alone := queries[i : i+1]
-		trees := o.stmts.treesKey(alone)
-		if found, _ := o.memo.peek(trees, key); found {
-			continue
-		}
-		ent, pd, err := o.memo.checkout(o.cat, o.model, trees, alone)
-		if err != nil {
+		if pn.E.Kind == physical.CacheScanOp && o.planOneStored(ctx, queries[i:i+1], alg, pn) != nil {
 			return
-		}
-		gen := rc.Generation()
-		ticket := rc.Arm(pd, nil)
-		ticket.ArmAnswer(pd, pd.QueryRoots[0], pn.E.Arm.CacheName, pn.E.Arm.CacheTier)
-		res, err := core.Optimize(ctx, pd, alg, o.opts)
-		ticket.Abort()
-		if err != nil {
-			return
-		}
-		o.memo.checkin(ent, pd)
-		if readsOnlyStored(res.Plan) {
-			o.memo.put(trees, key, res, rc, gen)
 		}
 	}
+}
+
+// planOneStored is planStoredAlone for one query, alone, whose answer the
+// batch's plan read at pn.
+func (o *Optimizer) planOneStored(ctx context.Context, alone []*Query, alg Algorithm, pn *physical.PlanNode) error {
+	rc, key := o.resultCache(), planKey{alg: alg, stored: true}
+	mk := o.stmts.key(alone)
+	defer mk.release()
+	if found, _ := o.memo.peek(mk.b, key); found {
+		return nil
+	}
+	ent, pd, err := o.memo.checkout(o.cat, o.model, mk.b, alone)
+	if err != nil {
+		return err
+	}
+	gen := rc.Generation()
+	ticket := rc.Arm(pd, nil)
+	ticket.ArmAnswer(pd, pd.QueryRoots[0], pn.E.Arm.CacheName, pn.E.Arm.CacheTier)
+	res, err := core.Optimize(ctx, pd, alg, o.opts)
+	ticket.Abort()
+	if err != nil {
+		return err
+	}
+	o.memo.checkin(ent, pd)
+	if readsOnlyStored(res.Plan) {
+		o.memo.put(mk.b, key, res, rc, gen)
+	}
+	return nil
 }
 
 // runOnDB optimizes one batch and executes the plan on the attached

@@ -182,7 +182,7 @@ func TestPlanCacheAccounting(t *testing.T) {
 		alg  Algorithm
 		kept bool
 	}{{Greedy, false}, {VolcanoSH, true}} {
-		if found, _ := opt.memo.peek(trees, planKey{alg: c.alg}); found != c.kept {
+		if found, _ := opt.memo.peek([]byte(trees), planKey{alg: c.alg}); found != c.kept {
 			t.Errorf("%v plan of the batch kept %v after eviction, want %v", c.alg, found, c.kept)
 		}
 	}

@@ -280,7 +280,7 @@ func TestPlanCacheValidity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return opt.memo.peek(opt.stmts.treesKey(queries), planKey{alg: Greedy, stored: true})
+		return opt.memo.peek([]byte(opt.stmts.treesKey(queries)), planKey{alg: Greedy, stored: true})
 	}
 
 	// A stored answer: spooled by the first run, read by the second, whose

@@ -151,8 +151,10 @@ func (s *Service) SubmitQuery(ctx context.Context, q *Query) (*Answer, error) {
 func (s *Service) submit(ctx context.Context, q *Query, compiled server.PhaseTimes) (*Answer, error) {
 	submit := s.b.Submit
 	if s.opt.memo.planCap > 0 {
-		key := newPlanKey(s.alg, s.opt.resultCache(), nil)
-		if _, stored := s.opt.memo.peek(s.opt.stmts.treesKey([]*Query{q}), key); stored {
+		mk := s.opt.stmts.key([]*Query{q})
+		_, stored := s.opt.memo.peek(mk.b, newPlanKey(s.alg, s.opt.resultCache(), nil))
+		mk.release()
+		if stored {
 			submit = s.b.SubmitStored
 		}
 	}

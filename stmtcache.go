@@ -1,7 +1,6 @@
 package mqo
 
 import (
-	"strings"
 	"sync"
 
 	"mqo/internal/obs"
@@ -26,6 +25,12 @@ var (
 // put stamps the text with the cache's clock; an overflow drops the smallest
 // stamp. Like the session memo, the cache assumes that the tables of the
 // session's catalog do not change under it.
+//
+// The cache also renders the session memo's keys (key, appendTreesKeyLocked): a
+// tree it holds by its kept fingerprint, any other tree — a caller's — in
+// full on every call, into a key buffer the session reuses. A caller's tree
+// is never keyed by pointer: its fields are exported, and a tree changed in
+// place must not find the DAG of what it was.
 type stmtCache struct {
 	mu     sync.Mutex
 	byText map[string]*stmtEntry
@@ -33,6 +38,8 @@ type stmtCache struct {
 	// with the entry.
 	fps   map[*Query]string
 	clock uint64 // the last use stamp handed out
+	// spare holds key buffers (memoKey) no call is using.
+	spare []*memoKey
 }
 
 type stmtEntry struct {
@@ -86,29 +93,67 @@ func (c *stmtCache) put(text string, queries []*Query, fps []string) []*Query {
 	return queries
 }
 
-// treesKey renders each query's tree as written, in batch order: equal trees,
-// equal key. A tree the cache holds is not rendered again. The key does not
+// appendTreesKeyLocked appends the key of a batch to dst: each query's tree
+// as written (Query.Fingerprint), in batch order, joined by ";". Equal
+// trees, equal key. A tree the cache holds is not rendered again, and a
+// caller's is rendered every time, with c.mu let go meanwhile: its fields
+// are the caller's to change, so nothing about it is kept. The key does not
 // see through equivalences the way the DAG's canonical fingerprints do. It
 // keys the session memo's entries.
-func (c *stmtCache) treesKey(queries []*Query) string {
-	var window [8]string // up to a default window's worth stays off the heap
-	var fps []string
-	if len(queries) <= len(window) {
-		fps = window[:len(queries)]
-	} else {
-		fps = make([]string, len(queries))
-	}
-	c.mu.Lock()
+func (c *stmtCache) appendTreesKeyLocked(dst []byte, queries []*Query) []byte {
 	for i, q := range queries {
-		fps[i] = c.fps[q]
+		if i > 0 {
+			dst = append(dst, ';')
+		}
+		if fp, ok := c.fps[q]; ok {
+			dst = append(dst, fp...)
+			continue
+		}
+		c.mu.Unlock()
+		dst = q.AppendFingerprint(dst)
+		c.mu.Lock()
+	}
+	return dst
+}
+
+// memoKey is a batch's key rendered into a buffer the session reuses: the
+// memo looks it up without a copy and copies it only into an entry it
+// inserts.
+type memoKey struct {
+	b []byte
+	c *stmtCache
+}
+
+// spareKeys bounds the key buffers a session keeps for reuse: one per call
+// rendering a key at the same time, up to a serving session's workers and
+// front doors.
+const spareKeys = 8
+
+// key renders the key of queries into a spare buffer of the session, or a
+// new one, which the caller hands back with release once no memo call reads
+// the key any more. Unlike a sync.Pool's, the spares survive collections,
+// so a key renders with no allocation once its buffer has grown.
+func (c *stmtCache) key(queries []*Query) *memoKey {
+	c.mu.Lock()
+	var k *memoKey
+	if n := len(c.spare); n > 0 {
+		k, c.spare = c.spare[n-1], c.spare[:n-1]
+	} else {
+		k = &memoKey{c: c}
+	}
+	k.b = c.appendTreesKeyLocked(k.b[:0], queries)
+	c.mu.Unlock() // not deferred: a render that panics has let go of it
+	return k
+}
+
+// release hands the buffer back to the session.
+func (k *memoKey) release() {
+	c := k.c
+	c.mu.Lock()
+	if len(c.spare) < spareKeys {
+		c.spare = append(c.spare, k)
 	}
 	c.mu.Unlock()
-	for i, q := range queries {
-		if fps[i] == "" {
-			fps[i] = q.Fingerprint()
-		}
-	}
-	return strings.Join(fps, ";") // one query's is its fingerprint, uncopied
 }
 
 // compile returns the queries sqlText lowers to, shared with every other call
