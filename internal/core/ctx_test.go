@@ -97,7 +97,7 @@ func TestGreedyCancelledBeforeCandidateScan(t *testing.T) {
 }
 
 // TestCancelledRunDoesNotLeakStats: instrumentation accumulated by a
-// cancelled run (greedy candidate scans, benefit recomputations, CostView
+// cancelled run (greedy candidate scans, benefit recomputations, what-if
 // propagation counters) must not surface in the Stats of a subsequent
 // successful run on the same DAG.
 func TestCancelledRunDoesNotLeakStats(t *testing.T) {
@@ -165,13 +165,11 @@ func TestVolcanoRUCancelledMidLoop(t *testing.T) {
 	}
 }
 
-// TestVolcanoRUCancelledLeavesStateClean: the overlay-hosted order passes
-// never write to the DAG, so a run cancelled at ANY checkpoint —
+// TestVolcanoRUCancelledLeavesStateClean: each order pass is rolled back on
+// every path out of it, so a run cancelled at ANY checkpoint —
 // mid-forward-pass, mid-reverse-pass, inside the SH phase — leaves the
 // DAG's costing state exactly as Optimize's entry reset left it: an empty
-// materialized set whose costs agree with scratch recosting. (Before the
-// overlay refactor, runRUOrder mutated shared state and restored it only
-// on success, so error paths could leave it half-cleared.)
+// materialized set whose costs agree with scratch recosting.
 func TestVolcanoRUCancelledLeavesStateClean(t *testing.T) {
 	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990),
 		chain([]string{"S", "T", "P"}, 980))

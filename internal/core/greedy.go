@@ -17,8 +17,7 @@ import (
 //  1. only sharable nodes are candidates (§4.1), found by the sharability
 //     analysis;
 //  2. benefits are computed with incremental cost update (§4.2), as
-//     what-ifs in the DAG's physical.CostView, so evaluating a candidate
-//     never writes to the DAG;
+//     what-ifs on the DAG that roll back (physical.DAG.WhatIfBenefit);
 //  3. the monotonicity heuristic maintains a heap of benefit upper bounds
 //     and recomputes only the top candidates' benefits (§4.3).
 //
@@ -60,10 +59,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	stats.Candidates = len(candidates)
 	candPhase.end()
 
-	e := &benefitEval{pd: pd}
-	if !opts.Greedy.DisableIncremental {
-		e.v = pd.View()
-	}
+	e := &benefitEval{pd: pd, scratch: opts.Greedy.DisableIncremental}
 
 	wavePhase := startPhase(&stats, track, OptPhaseWaves)
 	var (
@@ -77,9 +73,6 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 		chosen, err = greedyExhaustive(ctx, pd, candidates, e)
 	default:
 		chosen, err = greedyMonotonic(ctx, pd, candidates, degrees, e)
-	}
-	if e.v != nil {
-		pd.AddCounters(e.v.DrainCounters())
 	}
 	wavePhase.end()
 	if err != nil {
@@ -106,10 +99,9 @@ func candidateNode(pd *physical.DAG, n *physical.Node) bool {
 // the work for Stats.
 type benefitEval struct {
 	pd *physical.DAG
-	// v is the DAG's CostView, in which every benefit is a what-if; nil
-	// under the §6.3 DisableIncremental ablation, which re-costs the DAG
-	// from scratch instead.
-	v       *physical.CostView
+	// scratch is the §6.3 DisableIncremental ablation: re-cost the DAG from
+	// scratch for every benefit instead of a what-if.
+	scratch bool
 	recomps int64 // benefit recomputations
 	waves   int64 // non-empty evaluation waves
 }
@@ -132,10 +124,10 @@ func (e *benefitEval) evalWave(ctx context.Context, nodes []*physical.Node) ([]c
 			return nil, err
 		}
 		e.recomps++
-		if e.v != nil {
-			out[i] = e.v.WhatIfBenefit(n)
-		} else {
+		if e.scratch {
 			out[i] = base - e.pd.BestCostWith(append(e.pd.MaterializedSet(), n))
+		} else {
+			out[i] = e.pd.WhatIfBenefit(n)
 		}
 	}
 	return out, nil

@@ -18,7 +18,7 @@ import (
 // reads only the DAG's structure — nodes, operation nodes, their operator
 // costs, weights and properties — and has its own min, its own C(e) and its
 // own reuse rule, so it shares nothing with the incremental machinery it
-// referees (propagation, cost views, the search's cost store).
+// referees (propagation, what-ifs, the search's cost store).
 type referee struct {
 	mats map[*physical.Node]bool
 	memo map[*physical.Node]float64

@@ -12,7 +12,7 @@ import (
 // The tests in this file keep the names they had when Greedy and Volcano-RU
 // could fan a search out over workers, and guard what that comparison was
 // for: a search's result is a function of the DAG and the options alone.
-// With one thread and one kept CostView per DAG, that means a search rerun
+// With one thread and one costing state per DAG, that means a search rerun
 // on a DAG that has already been searched returns, bit for bit, what the same
 // search returns on a fresh build.
 
@@ -119,7 +119,7 @@ func TestParallelGreedyMatchesLegacySerialCost(t *testing.T) {
 // TestParallelismDoesNotChangeIncrementalState: after a greedy run that
 // follows a Volcano-RU run on the same DAG, the DAG's costing state
 // describes the greedy result exactly — nothing of the earlier search's
-// view survives into it.
+// what-ifs survives into it.
 func TestParallelismDoesNotChangeIncrementalState(t *testing.T) {
 	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990))
 	ru := mustOptimize(t, pd, VolcanoRU)
@@ -132,7 +132,7 @@ func TestParallelismDoesNotChangeIncrementalState(t *testing.T) {
 }
 
 // TestVolcanoRUConcurrentMatchesSerial: Volcano-RU runs its forward pass,
-// resets the DAG's one view and runs its reverse pass. Run twice on one DAG
+// rolls it back and runs its reverse pass. Run twice on one DAG
 // it returns the same result both times, the result a fresh build gives, and
 // leaves the DAG's costing state describing that result.
 func TestVolcanoRUConcurrentMatchesSerial(t *testing.T) {

@@ -148,14 +148,14 @@ func TestPlanCostsOutliveTheDAG(t *testing.T) {
 	}
 }
 
-// TestOneViewPerDAG: a DAG keeps one CostView for every search it runs. On
-// one BQ5 DAG, back to back: the four algorithms, Greedy's exhaustive and
-// space-budget loops, a Greedy and a Volcano-RU run each cancelled with work
-// left in the view, then Greedy and Volcano-RU again. Every run returns
-// what the same run returns on a fresh build — plan, cost bits,
-// materialized set and every Stats counter, or the same error — and every
-// search starts on the same view, pristine: no delta over the DAG's costing
-// state and zero counters.
+// TestOneViewPerDAG: a DAG keeps one costing state for every search it
+// runs, and what-ifs roll back on it. On one BQ5 DAG, back to back: the four
+// algorithms, Greedy's exhaustive and space-budget loops, a Greedy and a
+// Volcano-RU run each cancelled inside a span of what-ifs, then Greedy and
+// Volcano-RU again. Every run returns what the same run returns on a fresh
+// build — plan, cost bits, materialized set and every Stats counter, or the
+// same error — and every search starts on the state a fresh build has:
+// nothing materialized, every cost bit-equal, zero counters.
 func TestOneViewPerDAG(t *testing.T) {
 	build := func() *physical.DAG {
 		pd, err := BuildDAG(tpcd.Catalog(1), cost.DefaultModel(), tpcd.BatchQueries(5))
@@ -164,17 +164,18 @@ func TestOneViewPerDAG(t *testing.T) {
 		}
 		return pd
 	}
-	pristine := func(pd *physical.DAG, v *physical.CostView) error {
-		if v.Propagations != 0 || v.Recomputations != 0 {
-			return fmt.Errorf("counters %d, %d", v.Propagations, v.Recomputations)
+	fresh := build()
+	pristine := func(pd *physical.DAG) error {
+		if p, r := pd.Counters(); p != 0 || r != 0 {
+			return fmt.Errorf("counters %d, %d", p, r)
 		}
-		if v.TotalCost() != pd.TotalCost() {
-			return fmt.Errorf("total %v, the DAG's %v", v.TotalCost(), pd.TotalCost())
+		if pd.TotalCost() != fresh.TotalCost() {
+			return fmt.Errorf("total %v, a fresh build's %v", pd.TotalCost(), fresh.TotalCost())
 		}
-		for _, n := range pd.Nodes {
-			if v.CostOf(n) != pd.CostOf(n) || v.Materialized(n) != pd.Materialized(n) {
-				return fmt.Errorf("node %d costs %v (materialized %v), on the DAG %v (%v)",
-					n.ID, v.CostOf(n), v.Materialized(n), pd.CostOf(n), pd.Materialized(n))
+		for i, n := range pd.Nodes {
+			if m := fresh.Nodes[i]; pd.CostOf(n) != fresh.CostOf(m) || pd.Materialized(n) {
+				return fmt.Errorf("node %d costs %v (materialized %v), on a fresh build %v",
+					n.ID, pd.CostOf(n), pd.Materialized(n), fresh.CostOf(m))
 			}
 		}
 		return nil
@@ -211,16 +212,12 @@ func TestOneViewPerDAG(t *testing.T) {
 		return resultSignature(res)
 	}
 	pd := build()
-	view := pd.View()
 	for i, r := range runs {
 		what := fmt.Sprintf("run %d (%v %+v, cancelled at %d)", i, r.alg, r.opt.Greedy, r.cancelAt)
 		// What Optimize does first; a second Reset inside it changes nothing.
 		pd.Reset()
-		if pd.View() != view {
-			t.Fatalf("%s: the DAG made a second view", what)
-		}
-		if err := pristine(pd, view); err != nil {
-			t.Fatalf("%s starts on a view that is not pristine: %v", what, err)
+		if err := pristine(pd); err != nil {
+			t.Fatalf("%s starts on a costing state that is not a fresh build's: %v", what, err)
 		}
 		got, want := run(pd, r.alg, r.opt, r.cancelAt), run(build(), r.alg, r.opt, r.cancelAt)
 		if got != want {

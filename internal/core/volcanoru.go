@@ -14,46 +14,42 @@ import (
 // materialization decisions. Both the given and the reverse query order are
 // tried and the cheaper result returned (§3.3), unless opt.RUForwardOnly.
 //
-// Each order pass runs in the DAG's physical.CostView — its candidate
-// materializations and the cost updates they trigger live entirely in the
-// view, which is reset between the passes. The DAG sees no writes at all
-// until the winning order's materialized set commits at the end; error and
-// cancellation paths therefore leave the DAG's costing state exactly as
-// Optimize's entry reset left it, with nothing to restore.
+// Each order pass runs on the DAG between Mark and Rollback: its candidate
+// materializations and the cost updates they trigger are rolled back after
+// the pass, on error and cancellation too, so the DAG's costing state is
+// Optimize's entry state until the winning order's materialized set commits
+// at the end.
 func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Result, error) {
 	n := len(pd.QueryRoots)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	v := pd.View()
-	best, err := runRUOrder(ctx, pd, v, order)
+	best, err := runRUOrder(ctx, pd, order)
 	if err == nil && !opt.RUForwardOnly && n > 1 {
-		v.Reset()
 		slices.Reverse(order)
 		var rev *Result
-		rev, err = runRUOrder(ctx, pd, v, order)
+		rev, err = runRUOrder(ctx, pd, order)
 		// Strictly cheaper only, so the forward order wins ties.
 		if err == nil && rev.Cost < best.Cost {
 			best = rev
 		}
 	}
-	pd.AddCounters(v.DrainCounters())
 	if err != nil {
 		return nil, err
 	}
-	// The only write to the DAG of the whole algorithm: leave its costing
-	// state reflecting the returned result.
+	// Leave the costing state reflecting the returned result.
 	for _, m := range best.Materialized {
 		pd.SetMaterialized(m, true)
 	}
 	return best, nil
 }
 
-// runRUOrder runs one Volcano-RU pass over the queries in the given order,
-// entirely on the supplied CostView (which must be pristine over a DAG with
-// an empty materialized set). The DAG is read, never written.
-func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, order []int) (*Result, error) {
+// runRUOrder runs one Volcano-RU pass over the queries in the given order
+// on a DAG with an empty materialized set, and rolls the pass back.
+func runRUOrder(ctx context.Context, pd *physical.DAG, order []int) (*Result, error) {
+	pd.Mark()
+	defer pd.Rollback()
 	plan := physical.NewPlan()
 	var count []int // by PlanNode.Index, grown with the plan
 	queryPlans := make([]*physical.PlanNode, len(pd.QueryRoots))
@@ -66,8 +62,8 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 		qn := pd.QueryRoots[qi]
 		// Optimize Q_i assuming the current candidate set N is
 		// materialized; nodes shared with earlier plans keep their cached
-		// choice, new nodes are costed under the view's current state.
-		pn := pd.ExtractIntoView(v, plan, qn)
+		// choice, new nodes are costed under the pass's current state.
+		pn := pd.ExtractInto(plan, qn)
 		queryPlans[qi] = pn
 		count = append(count, make([]int, len(plan.ByNode)-len(count))...)
 		// Count uses and promote nodes worth materializing if used once
@@ -78,13 +74,13 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 				return
 			}
 			count[p.Index]++
-			if v.Materialized(node) {
+			if pd.Materialized(node) {
 				return
 			}
 			c := float64(count[p.Index])
-			nc := v.CostOf(node)
+			nc := pd.CostOf(node)
 			if nc+node.MatCost+c*node.ReuseSeq < (c+1)*nc {
-				v.SetMaterialized(node, true)
+				pd.SetMaterialized(node, true)
 				promotions++
 			}
 		})
@@ -101,7 +97,7 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, v *physical.CostView, ord
 	plan.Root = root
 	plan.ByNode[pd.Root] = root
 
-	total, mats, err := volcanoSHOnPlan(ctx, pd, v, plan)
+	total, mats, err := volcanoSHOnPlan(ctx, pd, plan)
 	if err != nil {
 		return nil, err
 	}

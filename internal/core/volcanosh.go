@@ -18,7 +18,7 @@ import (
 func optimizeVolcanoSH(ctx context.Context, pd *physical.DAG) (*Result, error) {
 	plan := physical.NewPlan()
 	plan.Root = pd.ExtractInto(plan, pd.Root)
-	total, mats, err := volcanoSHOnPlan(ctx, pd, nil, plan)
+	total, mats, err := volcanoSHOnPlan(ctx, pd, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -28,15 +28,13 @@ func optimizeVolcanoSH(ctx context.Context, pd *physical.DAG) (*Result, error) {
 // volcanoSHOnPlan runs the Volcano-SH materialization pass over an already
 // extracted consolidated plan (also the second phase of Volcano-RU). It
 // rewrites the plan in place (subsumption switches, Mat marks, Mats list)
-// and returns the total cost and materialized set. The optional CostView
-// is the overlay the plan was extracted under (Volcano-RU passes the view
-// its order pass ran in); it is consulted only when the subsumption
-// prepass extracts additional child plans, and the pass reads — never
-// writes — the DAG.
-func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView, plan *physical.Plan) (cost.Cost, []*physical.Node, error) {
+// and returns the total cost and materialized set. The DAG's costing state
+// must be the one the plan was extracted under (in Volcano-RU, its order
+// pass's): the subsumption prepass extracts more child plans under it. The
+// pass reads — never writes — the DAG.
+func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, plan *physical.Plan) (cost.Cost, []*physical.Node, error) {
 	sh := &shState{
 		pd:        pd,
-		v:         v,
 		plan:      plan,
 		order:     make([]*physical.PlanNode, 0, len(plan.ByNode)),
 		origExpr:  map[*physical.PlanNode]*physical.PExpr{},
@@ -67,7 +65,6 @@ func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, v *physical.CostView
 
 type shState struct {
 	pd   *physical.DAG
-	v    *physical.CostView // overlay the plan was extracted under (may be nil)
 	plan *physical.Plan
 
 	// per is each plan node's scratch, by PlanNode.Index: sized to the plan,
@@ -154,7 +151,7 @@ func (sh *shState) prepass() {
 			pn.E = alt
 			pn.Children = make([]*physical.PlanNode, len(alt.Children))
 			for i, c := range alt.Children {
-				cp := sh.pd.ExtractIntoView(sh.v, sh.plan, c)
+				cp := sh.pd.ExtractInto(sh.plan, c)
 				cp.NumParents++
 				pn.Children[i] = cp
 				mark(c.LG.ID)

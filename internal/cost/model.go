@@ -12,7 +12,7 @@ import "math"
 type Cost = float64
 
 // Eq reports whether two costs agree within Tolerance. Incremental cost
-// propagation, overlay what-ifs and from-scratch recosting accumulate
+// propagation, what-ifs and from-scratch recosting accumulate
 // float64 rounding in different orders; invariant checks comparing them
 // must use this instead of ==.
 func Eq(a, b Cost) bool {

@@ -139,8 +139,7 @@ type Node struct {
 	Exprs []*PExpr
 	// Topo is the node's topological number — children before parents —
 	// and its position in DAG.Nodes. It is fixed when Build returns, and it
-	// is what the costing state and every CostView index their per-node
-	// arrays with.
+	// is what the costing state indexes its per-node arrays with.
 	Topo int
 	gi   int32 // row of the DAG's group table; equal exactly when LG is equal
 
@@ -196,9 +195,6 @@ type DAG struct {
 	// and Root, both fixed when Build returns, so the DAG's first greedy
 	// search computes them and every later one reads them; nil until then.
 	Degrees map[*dag.Group]float64
-
-	// view is the DAG's one CostView (View), nil until a search asks for it.
-	view *CostView
 }
 
 // group is a row of the group table: what the physical layer keeps per
@@ -561,7 +557,7 @@ func (pd *DAG) addEnforcers(n *Node) error {
 // It is the result cache's pre-pass hook, run on a batch DAG as Build made it
 // (or Disarm and Reset restored it) before the search engine: the cached
 // result then behaves like an already-materialized node with zero setup cost —
-// every algorithm and every CostView overlay prices the armed reuse natively
+// every algorithm and every what-if prices the armed reuse natively
 // through the ordinary min-over-implementations recurrence, so hits need no
 // special-casing in costing, extraction or the what-if engine. The caller must
 // Recost afterwards (Optimize's entry reset does) before costing anything:
@@ -705,9 +701,9 @@ func (pd *DAG) assignTopo() {
 //     group row nodes[t].gi;
 //   - a set of a group's nodes is a bitmask over their slots, the
 //     nodes[t].words words from nodes[t].matLo of an array of groupWords
-//     over all groups (the costing state's materialized set, a view's
-//     flips), and the nodes of t's group whose property satisfies t's are
-//     the mask at sat[nodes[t].satLo:].
+//     over all groups (the costing state's materialized set), and the
+//     nodes of t's group whose property satisfies t's are the mask at
+//     sat[nodes[t].satLo:].
 //
 // The last entry of exprs and of nodes only closes the range before it.
 // Arming adds operation nodes and Disarm removes them; the next Recost lays

@@ -9,8 +9,9 @@ import (
 
 // costState tracks the set of materialized nodes and the node costs under
 // it, and supports full and incremental recosting of the DAG (paper
-// Figure 5). Everything is an array over the flat layout (flatDAG): costs
-// by Node.Topo, membership by group bitmask word.
+// Figure 5) and what-ifs that roll back (Mark, Rollback). Everything is an
+// array over the flat layout (flatDAG): costs by Node.Topo, membership by
+// group bitmask word.
 type costState struct {
 	cost []cost.Cost // by Node.Topo: the node's computation cost under the set
 	mat  []uint64    // by group bitmask word: the members
@@ -26,7 +27,8 @@ type costState struct {
 	// and change the plan.
 	matList []*Node
 
-	front front // SetMaterialized's propagation front, empty between calls
+	front   front   // SetMaterialized's propagation front, empty between calls
+	journal journal // what SetMaterialized overwrote since Mark
 
 	// dirty is set by everything that can move a node's cost off what a full
 	// pass under the empty materialized set gives — a materialization, arming,
@@ -37,6 +39,32 @@ type costState struct {
 	// Counters for the Figure 10 / §6.3 experiments.
 	Propagations   int64 // nodes popped from the propagation front
 	Recomputations int64 // incremental UpdateCost invocations
+}
+
+// journal records what SetMaterialized overwrites between DAG.Mark and
+// DAG.Rollback, so that Rollback can put it back bit for bit: each node's
+// cost before its first write, and each membership toggle with the node's
+// setAt before it. The counters are not journaled: a what-if's work counts.
+type journal struct {
+	marked bool
+	sets   uint32 // costState.sets at Mark
+	dirty  bool   // costState.dirty at Mark
+	// at[t] is 1 + the place of node t's entry in costs, 0 while it has
+	// none. It is made at the DAG's first Mark: a DAG that runs no what-if
+	// never pays for it.
+	at      []int32 // by Node.Topo
+	costs   []oldCost
+	toggles []toggle
+}
+
+type oldCost struct {
+	t   int32
+	old cost.Cost
+}
+
+type toggle struct {
+	n     *Node
+	setAt uint32
 }
 
 // insertTopo inserts n into a Topo-sorted node list.
@@ -112,49 +140,11 @@ func (pd *DAG) ResetCounters() {
 	pd.costing.Propagations, pd.costing.Recomputations = 0, 0
 }
 
-// AddCounters merges externally accumulated (propagations, recomputations)
-// counts — drained from the DAG's CostView after a search's what-ifs — into
-// the DAG's instrumentation, so Figure 10's counters include the work done
-// in the view.
-func (pd *DAG) AddCounters(propagations, recomputations int64) {
-	pd.costing.Propagations += propagations
-	pd.costing.Recomputations += recomputations
-}
-
-// The costing primitives below are parameterized by an optional *CostView
-// overlay: with v == nil they read and describe the DAG's own (shared)
-// costing state; with a view they see the view's private materialization
-// delta and cost overrides instead, leaving the DAG untouched. This is the
-// single implementation of the paper's C(e)/cost recurrences used by full
-// passes, propagation, the what-if benefits and plan extraction.
-// Nodes are named by topological number and operation nodes by id, and
-// every read is of the flat arrays (flatDAG).
-
-// costIn is the current computation cost of node t under the overlay.
-func (pd *DAG) costIn(v *CostView, t int) cost.Cost {
-	if v != nil {
-		if o := &v.nodes[t]; o.costAt == v.epoch {
-			return o.cost
-		}
-	}
-	return pd.costing.cost[t]
-}
-
-// matWord is word k of the materialized-set bitmask array under the
-// overlay: the base's members, with the view's flips of group g applied.
-func (pd *DAG) matWord(v *CostView, g, k int32) uint64 {
-	w := pd.costing.mat[k]
-	if v != nil && v.flipAt[g] == v.epoch {
-		w ^= v.flips[k]
-	}
-	return w
-}
-
-// matIn reports whether node t is materialized under the overlay.
-func (pd *DAG) matIn(v *CostView, t int) bool {
-	k, b := pd.flat.bit(t)
-	return pd.matWord(v, pd.flat.nodes[t].gi, k)&b != 0
-}
+// The costing primitives below are the single implementation of the
+// paper's C(e)/cost recurrences used by full passes, propagation, the
+// what-if benefits and plan extraction. Nodes are named by topological
+// number and operation nodes by id, and every read is of the flat arrays
+// (flatDAG).
 
 // serveMask returns word k (counted from the group's first) of the mask of
 // the members of c's group that may serve input c, whose flat entry is cn,
@@ -163,10 +153,9 @@ func (pd *DAG) matIn(v *CostView, t int) bool {
 // materialization while computing its own cost), and that only c does when
 // the consumer is an enforcer of c's own group (allowing a sibling would
 // let two sibling materializations cyclically claim to derive from each
-// other). ANDed with the materialized set (matWord), it is the single reuse
-// rule behind both costing (reusableBy) and plan extraction
-// (firstUsableMat), so extracted plans always match the costs computed for
-// them.
+// other). ANDed with the materialized set, it is the single reuse rule
+// behind both costing (reusableBy) and plan extraction (firstUsableMat), so
+// extracted plans always match the costs computed for them.
 func (f *flatDAG) serveMask(cn *flatNode, c, owner int, k int32) uint64 {
 	if f.nodes[owner].gi != cn.gi {
 		return f.sat[cn.satLo+k]
@@ -180,36 +169,29 @@ func (f *flatDAG) serveMask(cn *flatNode, c, owner int, k int32) uint64 {
 
 // reusableBy reports whether some materialized node of c's logical group
 // can serve c's requirement for a consumer owned by owner.
-func (pd *DAG) reusableBy(v *CostView, cn *flatNode, c, owner int) bool {
+func (pd *DAG) reusableBy(cn *flatNode, c, owner int) bool {
 	f := &pd.flat
 	for k := range cn.words {
-		if w := pd.matWord(v, cn.gi, cn.matLo+k); w != 0 && w&f.serveMask(cn, c, owner, k) != 0 {
+		if w := pd.costing.mat[cn.matLo+k]; w != 0 && w&f.serveMask(cn, c, owner, k) != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// firstUsableMat returns the node materialized under the overlay that plan
-// extraction links input c of consumer owner to, or nil: of the members
-// that may serve it (serveMask), the base's first set, else the view's first
-// added.
-func (pd *DAG) firstUsableMat(v *CostView, c, owner *Node) *Node {
+// firstUsableMat returns the materialized node that plan extraction links
+// input c of consumer owner to, or nil: of the members that may serve it
+// (serveMask), the first set.
+func (pd *DAG) firstUsableMat(c, owner *Node) *Node {
 	f := &pd.flat
+	cs := &pd.costing
 	cn := &f.nodes[c.Topo]
 	var first *Node
-	firstBase, firstAt := false, uint32(0)
 	for k := range cn.words {
-		base := pd.costing.mat[cn.matLo+k]
-		for w := pd.matWord(v, cn.gi, cn.matLo+k) & f.serveMask(cn, c.Topo, owner.Topo, k); w != 0; w &= w - 1 {
+		for w := cs.mat[cn.matLo+k] & f.serveMask(cn, c.Topo, owner.Topo, k); w != 0; w &= w - 1 {
 			m := pd.groups[cn.gi].nodes[k*64+int32(bits.TrailingZeros64(w))]
-			inBase := base&(w&-w) != 0
-			at := pd.costing.setAt[m.Topo]
-			if !inBase {
-				at = v.nodes[m.Topo].setAt
-			}
-			if first == nil || inBase && !firstBase || inBase == firstBase && at < firstAt {
-				first, firstBase, firstAt = m, inBase, at
+			if first == nil || cs.setAt[m.Topo] < cs.setAt[first.Topo] {
+				first = m
 			}
 		}
 	}
@@ -219,21 +201,21 @@ func (pd *DAG) firstUsableMat(v *CostView, c, owner *Node) *Node {
 // childCost is the paper's C(e): the cost of input c as seen by a consuming
 // operator owned by owner — min(cost, reusecost) when a satisfying
 // materialization exists.
-func (pd *DAG) childCost(v *CostView, c, owner int) cost.Cost {
-	cc := pd.costIn(v, c)
-	if cn := &pd.flat.nodes[c]; cn.reuse < cc && pd.reusableBy(v, cn, c, owner) {
+func (pd *DAG) childCost(c, owner int) cost.Cost {
+	cc := pd.costing.cost[c]
+	if cn := &pd.flat.nodes[c]; cn.reuse < cc && pd.reusableBy(cn, c, owner) {
 		return cn.reuse
 	}
 	return cc
 }
 
-// exprCost computes the cost of operation node x under the overlay's
-// materialization state — unless a partial sum reaches bound first, when it
-// returns that partial sum instead. Every term is non-negative (operator
+// exprCost computes the cost of operation node x under the materialized
+// set — unless a partial sum reaches bound first, when it returns that
+// partial sum instead. Every term is non-negative (operator
 // costs, and weights times input costs), and adding a non-negative float
 // never lowers a sum, so the cost is then at or above bound too: a caller
 // that only asks whether the cost is below bound gets the full sum's answer.
-func (pd *DAG) exprCost(v *CostView, x int32, bound cost.Cost) cost.Cost {
+func (pd *DAG) exprCost(x int32, bound cost.Cost) cost.Cost {
 	f := &pd.flat
 	e := &f.exprs[x]
 	owner := int(e.owner)
@@ -242,16 +224,16 @@ func (pd *DAG) exprCost(v *CostView, x int32, bound cost.Cost) cost.Cost {
 		if total >= bound {
 			break
 		}
-		total += e.w * pd.childCost(v, int(c), owner)
+		total += e.w * pd.childCost(int(c), owner)
 	}
 	return total
 }
 
 // nodeCost computes min over the node's operation nodes.
-func (pd *DAG) nodeCost(v *CostView, n *Node) cost.Cost {
+func (pd *DAG) nodeCost(n *Node) cost.Cost {
 	best := unpriced
 	for _, e := range n.Exprs {
-		if c := pd.exprCost(v, e.id, best); c < best {
+		if c := pd.exprCost(e.id, best); c < best {
 			best = c
 		}
 	}
@@ -267,19 +249,16 @@ func (pd *DAG) Recost() {
 	if pd.flat.stale {
 		pd.flatten()
 		pd.costing.front.fit(int(pd.numExprs))
-		if pd.view != nil {
-			pd.view.front.fit(int(pd.numExprs))
-		}
 	}
 	for t, n := range pd.Nodes {
-		pd.costing.cost[t] = pd.nodeCost(nil, n)
+		pd.costing.cost[t] = pd.nodeCost(n)
 	}
 	pd.costing.dirty = len(pd.costing.matList) > 0
 }
 
 // Reset returns the costing state to the one Build left — nothing
-// materialized, every cost what a full pass gives then, zero counters, the
-// DAG's CostView pristine — plus what the result cache armed since Disarm. It
+// materialized, every cost what a full pass gives then, zero counters, an
+// empty journal — plus what the result cache armed since Disarm. It
 // runs that pass only when something moved a cost since the last one: a DAG
 // straight from Build, or reset already, is left as it is. Sharable flags are
 // left too; the greedy search sets every one before it reads any.
@@ -290,13 +269,11 @@ func (pd *DAG) Reset() {
 		cs.mat[k] = 0
 	}
 	cs.matList, cs.sets = cs.matList[:0], 0
+	cs.journal.forget()
 	if cs.dirty {
 		pd.Recost()
 	}
 	pd.ResetCounters()
-	if pd.view != nil {
-		pd.view.Reset()
-	}
 }
 
 // TotalCost is bestcost(Q, S): the cost of the best plan for the batch root
@@ -380,8 +357,7 @@ func (f *front) moved(x int32, t int) {
 // materialization was toggled, to on when on is set: seed with the nodes of
 // n's group whose consumers may now see a different input cost (the changed
 // set S△S′), then walk upward in topological order so no node is processed
-// twice. Under a view the new costs are recorded as overrides, otherwise
-// written to the costing state. It returns the number of nodes re-examined.
+// twice. It returns the number of nodes re-examined.
 //
 // A node is re-examined when one of its inputs moved. After a
 // materialization is turned off, each is re-costed in full (nodeCost). One
@@ -391,12 +367,10 @@ func (f *front) moved(x int32, t int) {
 // of its old one and those of the operation nodes on its moved list
 // (lowerCost): the value nodeCost would return, bit for bit, for a fraction
 // of the work.
-func (pd *DAG) propagate(v *CostView, n *Node, on bool) int {
+func (pd *DAG) propagate(n *Node, on bool) int {
 	f := &pd.flat
-	fr := &pd.costing.front
-	if v != nil {
-		fr = &v.front
-	}
+	cs := &pd.costing
+	fr := &cs.front
 	for _, s := range pd.siblings(n) {
 		if f.serves(n.Topo, s.Topo) {
 			fr.add(s.Topo)
@@ -407,21 +381,18 @@ func (pd *DAG) propagate(v *CostView, n *Node, on bool) int {
 	for fr.size > 0 {
 		t := fr.pop()
 		touched++
-		old := pd.costIn(v, t)
-		var next cost.Cost
-		if on {
-			next = pd.lowerCost(v, fr, t, old)
-		} else {
-			next = pd.nodeCost(v, pd.Nodes[t])
+		old := cs.cost[t]
+		if cs.journal.marked {
+			cs.journal.cost(t, old)
 		}
-		if v != nil {
-			v.override(t, next)
+		if on {
+			cs.cost[t] = pd.lowerCost(fr, t, old)
 		} else {
-			pd.costing.cost[t] = next
+			cs.cost[t] = pd.nodeCost(pd.Nodes[t])
 		}
 		// A seed's consumers are visited even when its own cost stands:
 		// what changed for them is whether they can reuse it.
-		if next != old || (f.nodes[t].gi == gi && f.serves(n.Topo, t)) {
+		if cs.cost[t] != old || (f.nodes[t].gi == gi && f.serves(n.Topo, t)) {
 			for _, x := range f.parents[f.nodes[t].parLo:f.nodes[t+1].parLo] {
 				owner := int(f.exprs[x].owner)
 				if on {
@@ -438,12 +409,12 @@ func (pd *DAG) propagate(v *CostView, n *Node, on bool) int {
 // node t's cost old before it: the operation nodes on t's moved list are
 // re-priced, the others keep the cost old already accounts for (see
 // propagate). It empties the list.
-func (pd *DAG) lowerCost(v *CostView, fr *front, t int, old cost.Cost) cost.Cost {
+func (pd *DAG) lowerCost(fr *front, t int, old cost.Cost) cost.Cost {
 	best := old
 	x := fr.head[t] - 1
 	fr.head[t] = 0
 	for x >= 0 {
-		if ec := pd.exprCost(v, x, best); ec < best {
+		if ec := pd.exprCost(x, best); ec < best {
 			best = ec
 		}
 		after := fr.next[x]
@@ -463,7 +434,7 @@ func (pd *DAG) SetMaterialized(n *Node, on bool) int {
 	}
 	pd.SetMaterializedRaw(n, on)
 	cs.Recomputations++
-	touched := pd.propagate(nil, n, on)
+	touched := pd.propagate(n, on)
 	cs.Propagations += int64(touched)
 	return touched
 }
@@ -475,6 +446,9 @@ func (pd *DAG) SetMaterializedRaw(n *Node, on bool) {
 	cs := &pd.costing
 	if pd.Materialized(n) == on {
 		return
+	}
+	if cs.journal.marked {
+		cs.journal.toggles = append(cs.journal.toggles, toggle{n, cs.setAt[n.Topo]})
 	}
 	k, b := pd.flat.bit(n.Topo)
 	cs.mat[k] ^= b
@@ -510,4 +484,99 @@ func (pd *DAG) BestCostWith(set []*Node) cost.Cost {
 	}
 	pd.Recost()
 	return total
+}
+
+// Mark starts a what-if: from here until Rollback, the journal records what
+// SetMaterialized overwrites. Only SetMaterialized and SetMaterializedRaw may
+// change the costing state before the Rollback (no Recost, no arming).
+func (pd *DAG) Mark() {
+	cs := &pd.costing
+	j := &cs.journal
+	j.forget()
+	if j.at == nil {
+		j.at = make([]int32, len(pd.Nodes))
+	}
+	j.marked, j.sets, j.dirty = true, cs.sets, cs.dirty
+}
+
+// Rollback puts the costing state back as Mark found it, bit for bit: node
+// costs, the bitmask words, matList, setAt, sets and dirty. The counters keep
+// the span's work. Without a Mark since the last Rollback or Reset it does
+// nothing.
+func (pd *DAG) Rollback() {
+	cs := &pd.costing
+	j := &cs.journal
+	if !j.marked {
+		return
+	}
+	for i := len(j.toggles) - 1; i >= 0; i-- {
+		n := j.toggles[i].n
+		k, b := pd.flat.bit(n.Topo)
+		if cs.mat[k] ^= b; cs.mat[k]&b != 0 {
+			cs.matList = insertTopo(cs.matList, n)
+		} else {
+			cs.matList = removeNode(cs.matList, n)
+		}
+		cs.setAt[n.Topo] = j.toggles[i].setAt
+	}
+	for _, e := range j.costs {
+		cs.cost[e.t] = e.old
+	}
+	cs.sets, cs.dirty = j.sets, j.dirty
+	j.forget()
+}
+
+// cost records node t's cost old before the span's first write of it.
+func (j *journal) cost(t int, old cost.Cost) {
+	if j.at[t] == 0 {
+		j.costs = append(j.costs, oldCost{int32(t), old})
+		j.at[t] = int32(len(j.costs))
+	}
+}
+
+// delta is node t's cost at Mark less its cost now: 0 for a node the span
+// has not written.
+func (pd *DAG) delta(t int) cost.Cost {
+	if i := pd.costing.journal.at[t]; i > 0 {
+		return pd.costing.journal.costs[i-1].old - pd.costing.cost[t]
+	}
+	return 0
+}
+
+// forget empties the journal and ends the span.
+func (j *journal) forget() {
+	for _, e := range j.costs {
+		j.at[e.t] = 0
+	}
+	j.costs, j.toggles, j.marked = j.costs[:0], j.toggles[:0], false
+}
+
+// WhatIfBenefit computes bestcost(Q, S) - bestcost(Q, S ∪ {n}), the benefit
+// of additionally materializing n: it materializes n inside a Mark, reads
+// the benefit off the journal and rolls back.
+//
+// The benefit is computed in DELTA form — the sum, in topological order,
+// of (old - new) over exactly the terms of TotalCost the wave changed,
+// minus the new member's computation and materialization cost — rather
+// than as a subtraction of two full TotalCost sums. In real arithmetic the
+// two are identical; in floats they round differently, and the order of a
+// sum is part of its result: near-tied candidates rank by these bits, so
+// the greedy picks — and the golden plan snapshots that lock them — are
+// bit-equal only with this summation order.
+func (pd *DAG) WhatIfBenefit(n *Node) cost.Cost {
+	if pd.Materialized(n) {
+		return 0
+	}
+	pd.Mark()
+	pd.SetMaterialized(n, true)
+	cs := &pd.costing
+	ben := pd.delta(pd.Root.Topo)
+	for _, m := range cs.matList {
+		if m != n {
+			ben += pd.delta(m.Topo)
+		}
+	}
+	ben -= cs.cost[n.Topo] + n.MatCost
+	pd.Rollback()
+	return ben
 }

@@ -2,8 +2,8 @@ package physical
 
 import (
 	"container/heap"
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -14,12 +14,12 @@ import (
 	"mqo/internal/tpcd"
 )
 
-// The overlay this package had before its per-node state moved onto arrays
-// over Node.Topo, kept as the model the array overlay is held to: the
-// materialized-set delta, the cost overrides, the heap membership and the
-// forced seeds are Go maps keyed by node and group pointers. It shares the
-// DAG's nodes (and so the base costs the shared SetMaterialized maintains)
-// but mirrors the base materialized set itself, in mapBase.
+// A what-if overlay over a snapshot of the DAG's costing state, kept as the
+// model a Mark span on the DAG is held to: the materialized-set delta, the
+// cost overrides, the heap membership and the forced seeds are Go maps keyed
+// by node and group pointers. It shares the DAG's nodes, copies their costs
+// when the span starts (snapshot) and mirrors the committed materialized set
+// itself, in mapBase.
 
 type mapBase struct {
 	mat     map[*Node]bool
@@ -68,8 +68,9 @@ func (h *mapHeap) pop() *Node {
 }
 
 type mapView struct {
-	pd   *DAG
-	base *mapBase
+	pd       *DAG
+	base     *mapBase
+	baseCost []cost.Cost // by Node.Topo, the DAG's at the last snapshot
 
 	over       map[*Node]cost.Cost
 	matAdd     map[*Node]bool
@@ -84,7 +85,7 @@ type mapView struct {
 
 func newMapView(pd *DAG, base *mapBase) *mapView {
 	return &mapView{
-		pd: pd, base: base,
+		pd: pd, base: base, baseCost: slices.Clone(pd.costing.cost),
 		over:       map[*Node]cost.Cost{},
 		matAdd:     map[*Node]bool{},
 		matDel:     map[*Node]bool{},
@@ -107,11 +108,14 @@ func readersOf(pd *DAG) map[*Node][]*Node {
 	return readers
 }
 
+// snapshot copies the DAG's costs as the base, after a commit.
+func (v *mapView) snapshot() { v.baseCost = slices.Clone(v.pd.costing.cost) }
+
 func (v *mapView) costIn(n *Node) cost.Cost {
 	if c, ok := v.over[n]; ok {
 		return c
 	}
-	return v.pd.CostOf(n)
+	return v.baseCost[n.Topo]
 }
 
 func (v *mapView) matIn(n *Node) bool {
@@ -213,15 +217,20 @@ func (v *mapView) setMaterialized(n *Node, on bool) int {
 	return touched
 }
 
+// totalCost sums the root and the members, the base's and the added ones
+// merged into one topological list, as DAG.TotalCost does.
 func (v *mapView) totalCost() cost.Cost {
-	total := v.costIn(v.pd.Root)
+	var list []*Node
 	for _, m := range v.base.list {
-		if v.matDel[m] {
-			continue
+		if !v.matDel[m] {
+			list = append(list, m)
 		}
-		total += v.costIn(m) + m.MatCost
 	}
 	for _, m := range v.addList {
+		list = insertTopo(list, m)
+	}
+	total := v.costIn(v.pd.Root)
+	for _, m := range list {
 		total += v.costIn(m) + m.MatCost
 	}
 	return total
@@ -243,11 +252,11 @@ func (v *mapView) whatIf(n *Node) cost.Cost {
 	v.setMaterialized(n, true)
 	ben := cost.Cost(0)
 	if c, ok := v.over[pd.Root]; ok {
-		ben += pd.CostOf(pd.Root) - c
+		ben += v.baseCost[pd.Root.Topo] - c
 	}
 	for _, m := range v.base.list {
 		if c, ok := v.over[m]; ok {
-			ben += pd.CostOf(m) - c
+			ben += v.baseCost[m.Topo] - c
 		}
 	}
 	ben -= v.costIn(n) + n.MatCost
@@ -288,12 +297,11 @@ func armedDAG(t *testing.T) *DAG {
 	return pd
 }
 
-// TestCostViewMatchesMapModel drives the array overlay and the map overlay
-// through one seeded sequence — toggles kept inside the view, what-ifs,
-// resets, commits on the DAG between what-ifs, and an epoch counter that
-// wraps halfway — and
-// holds them to each other exactly: re-examined counts, every node's cost
-// and membership, totals and benefits by ==.
+// TestCostViewMatchesMapModel drives Mark spans on the DAG and the map
+// overlay through one seeded sequence — toggles kept inside a span,
+// what-ifs, rollbacks, commits on the DAG between spans — and holds them to
+// each other exactly: re-examined counts, every node's cost and membership,
+// totals and benefits by ==.
 func TestCostViewMatchesMapModel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -308,79 +316,78 @@ func TestCostViewMatchesMapModel(t *testing.T) {
 			cands := whatIfCandidates(pd)
 			base := &mapBase{mat: map[*Node]bool{}, byGroup: map[*dag.Group][]*Node{}}
 			model := newMapView(pd, base)
-			v := pd.View()
 			rng := rand.New(rand.NewSource(21))
 
 			same := func(step int, what string) {
 				t.Helper()
-				if got, want := v.TotalCost(), model.totalCost(); got != want {
+				if got, want := pd.TotalCost(), model.totalCost(); got != want {
 					t.Fatalf("step %d (%s): total %v, model %v", step, what, got, want)
 				}
 				for _, n := range pd.Nodes {
-					if got, want := v.CostOf(n), model.costIn(n); got != want {
+					if got, want := pd.CostOf(n), model.costIn(n); got != want {
 						t.Fatalf("step %d (%s): node %d cost %v, model %v", step, what, n.ID, got, want)
 					}
-					if got, want := v.Materialized(n), model.matIn(n); got != want {
+					if got, want := pd.Materialized(n), model.matIn(n); got != want {
 						t.Fatalf("step %d (%s): node %d materialized %v, model %v", step, what, n.ID, got, want)
 					}
 				}
 			}
-			pristine := func() {
-				v.Reset()
+			inSpan := false
+			pristine := func(step int) {
+				if inSpan {
+					pd.Rollback()
+					inSpan = false
+				}
 				model.reset()
+				same(step, "rollback")
 			}
 
 			const steps = 400
 			for step := 0; step < steps; step++ {
-				if step == steps/2 {
-					// Stamps written in the first epochs are still in the
-					// arrays; wrap so the same epoch numbers come round.
-					pristine()
-					v.epoch = math.MaxUint32 - 2
-				}
 				n := cands[rng.Intn(len(cands))]
 				switch op := rng.Intn(9); {
-				case op < 4: // a toggle that stays in the view
+				case op < 4: // a toggle that stays in the span
+					if !inSpan {
+						pd.Mark()
+						inSpan = true
+					}
 					on := !model.matIn(n)
-					if got, want := v.SetMaterialized(n, on), model.setMaterialized(n, on); got != want {
+					if got, want := pd.SetMaterialized(n, on), model.setMaterialized(n, on); got != want {
 						t.Fatalf("step %d: re-examined %d nodes, model %d", step, got, want)
 					}
 					same(step, "toggle")
 				case op < 8:
-					pristine()
+					pristine(step)
 					want := model.whatIf(n)
-					if got := v.WhatIfBenefit(n); got != want {
+					if got := pd.WhatIfBenefit(n); got != want {
 						t.Fatalf("step %d: benefit of node %d %v, model %v", step, n.ID, got, want)
 					}
 					same(step, "what-if")
-				default: // a commit on the DAG, the view pristine as between what-ifs
-					pristine()
+				default: // a commit on the DAG, between spans
+					pristine(step)
 					on := !pd.Materialized(n)
 					pd.SetMaterialized(n, on)
 					base.toggle(n, on)
 					if got, want := pd.TotalCost(), pd.BestCostWith(pd.MaterializedSet()); !cost.Eq(got, want) {
-						t.Fatalf("step %d: shared total %v, from scratch %v", step, got, want)
+						t.Fatalf("step %d: committed total %v, from scratch %v", step, got, want)
 					}
+					model.snapshot()
 					same(step, "commit")
 				}
-			}
-			if v.epoch >= math.MaxUint32-2 {
-				t.Fatalf("epoch %d: the counter never wrapped", v.epoch)
 			}
 		})
 	}
 }
 
-// TestWhatIfAllocatesNothing: once the DAG's view has been through a wave,
-// its arrays and lists are as large as that wave needs, and the next wave's
-// what-ifs allocate nothing.
+// TestWhatIfAllocatesNothing: once the DAG's journal has been through a
+// wave, its arrays and lists are as large as that wave needs, and the next
+// wave's what-ifs allocate nothing.
 func TestWhatIfAllocatesNothing(t *testing.T) {
 	pd := buildOver(t, tpcd.Catalog(1), tpcd.BatchQueries(5))
 	cands := whatIfCandidates(pd)
-	v := pd.View()
 	wave := func() {
 		for _, n := range cands {
-			v.WhatIfBenefit(n)
+			pd.WhatIfBenefit(n)
 		}
 	}
 	wave()

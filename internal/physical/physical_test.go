@@ -125,9 +125,9 @@ func TestCostingPositiveAndMonotoneAtRoot(t *testing.T) {
 // incremental cost update — a full re-cost of every node the propagation
 // reaches when a materialization goes, the decrease-only update when one
 // comes — leaves every node at the cost a from-scratch Recost gives the same
-// materialized set, to the bit. A seeded sequence toggles nodes on the shared
-// DAG and inside a view over it; after each step a twin DAG, built the same
-// way, is given the same set and re-costed from scratch.
+// materialized set, to the bit. A seeded sequence toggles nodes on the DAG,
+// committed or inside Mark spans that are rolled back; after each step a twin
+// DAG, built the same way, is given the same set and re-costed from scratch.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -146,17 +146,16 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				}
 			}
 			cands := whatIfCandidates(pd)
-			v := pd.View()
 			rng := rand.New(rand.NewSource(7))
 
-			scratch := func(step int, where string, costOf func(*Node) cost.Cost, mat func(*Node) bool) {
+			scratch := func(step int, where string) {
 				t.Helper()
 				for i, n := range pd.Nodes {
-					twin.SetMaterializedRaw(twin.Nodes[i], mat(n))
+					twin.SetMaterializedRaw(twin.Nodes[i], pd.Materialized(n))
 				}
 				twin.Recost()
 				for i, n := range pd.Nodes {
-					if got, want := costOf(n), twin.CostOf(twin.Nodes[i]); got != want {
+					if got, want := pd.CostOf(n), twin.CostOf(twin.Nodes[i]); got != want {
 						t.Fatalf("step %d (%s): node %d cost %v, from scratch %v", step, where, n.ID, got, want)
 					}
 				}
@@ -164,20 +163,31 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 
 			const steps = 300
 			ons, offs := 0, 0
+			inSpan := false
+			var before costingSnapshot
 			for step := 0; step < steps; step++ {
 				n := cands[rng.Intn(len(cands))]
-				var on bool
 				if rng.Intn(3) == 0 {
-					// On the DAG, the view pristine as between what-ifs.
-					v.Reset()
-					on = !pd.Materialized(n)
-					pd.SetMaterialized(n, on)
-					scratch(step, "shared", pd.CostOf, pd.Materialized)
-				} else {
-					on = !v.Materialized(n)
-					v.SetMaterialized(n, on)
-					scratch(step, "view", v.CostOf, v.Materialized)
+					// A commit, after rolling back the span open before it.
+					if inSpan {
+						pd.Rollback()
+						inSpan = false
+						if diff := sameCosting(pd, before); diff != "" {
+							t.Fatalf("step %d: Rollback left the %s changed", step, diff)
+						}
+					}
+				} else if !inSpan {
+					before = snapshotCosting(pd)
+					pd.Mark()
+					inSpan = true
 				}
+				on := !pd.Materialized(n)
+				pd.SetMaterialized(n, on)
+				where := "committed"
+				if inSpan {
+					where = "in a span"
+				}
+				scratch(step, where)
 				if on {
 					ons++
 				} else {
@@ -353,23 +363,31 @@ func TestWideGroup(t *testing.T) {
 	if got := pd.CostOf(root); got != 2 {
 		t.Errorf("root costs %v with node 140 materialized, want two reads at 1", got)
 	}
-	if m := pd.firstUsableMat(nil, wide[70], root); m != wide[140] {
+	if m := pd.firstUsableMat(wide[70], root); m != wide[140] {
 		t.Errorf("node 70 reads node %v, want 140", m)
 	}
-	v := pd.View()
-	v.SetMaterialized(wide[100], true)
-	v.SetMaterialized(wide[140], false)
-	if got := v.CostOf(root); got != 1+230 {
-		t.Errorf("under the view root costs %v, want a read of node 100 for node 70 and node 130 computed", got)
+	pd.Mark()
+	pd.SetMaterialized(wide[100], true)
+	pd.SetMaterialized(wide[140], false)
+	if got := pd.CostOf(root); got != 1+230 {
+		t.Errorf("in the span root costs %v, want a read of node 100 for node 70 and node 130 computed", got)
 	}
-	if m, none := pd.firstUsableMat(v, wide[70], root), pd.firstUsableMat(v, wide[130], root); m != wide[100] || none != nil {
-		t.Errorf("under the view node 70 reads %v and node 130 reads %v, want node 100 and none", m, none)
+	if m, none := pd.firstUsableMat(wide[70], root), pd.firstUsableMat(wide[130], root); m != wide[100] || none != nil {
+		t.Errorf("in the span node 70 reads %v and node 130 reads %v, want node 100 and none", m, none)
 	}
-	v.SetMaterialized(wide[149], true)
-	if m := pd.firstUsableMat(v, wide[70], root); m != wide[100] {
-		t.Errorf("after a second addition node 70 reads %v, want the first added, node 100", m)
+	pd.SetMaterialized(wide[149], true)
+	if m := pd.firstUsableMat(wide[70], root); m != wide[100] {
+		t.Errorf("after a second addition node 70 reads %v, want the first set, node 100", m)
 	}
+	pd.SetMaterialized(wide[140], true)
+	if m := pd.firstUsableMat(wide[70], root); m != wide[100] {
+		t.Errorf("with node 140 set again node 70 reads %v, want the first set, node 100", m)
+	}
+	pd.Rollback()
 	if got := pd.CostOf(root); got != 2 {
-		t.Errorf("the view moved the base: root costs %v", got)
+		t.Errorf("Rollback left root costing %v, want 2", got)
+	}
+	if m := pd.firstUsableMat(wide[70], root); m != wide[140] {
+		t.Errorf("after Rollback node 70 reads node %v, want 140", m)
 	}
 }

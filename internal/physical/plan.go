@@ -88,16 +88,6 @@ func (pd *DAG) FinishPlan(p *Plan) {
 // a materialized node of the same group, the link goes to that node's plan
 // node, so sharing appears as a DAG edge rather than a plan copy.
 func (pd *DAG) ExtractInto(p *Plan, n *Node) *PlanNode {
-	return pd.ExtractIntoView(nil, p, n)
-}
-
-// ExtractIntoView is ExtractInto under a CostView overlay: extraction
-// choices (best implementation, materialized-reuse links) follow the view's
-// what-if state instead of the DAG's, so a search pass — Volcano-RU's
-// forward or reverse order — extracts plans against its own candidate
-// materializations without writing to the DAG. A nil view reads the DAG's
-// state.
-func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 	if pn, ok := p.ByNode[n]; ok {
 		return pn
 	}
@@ -106,7 +96,7 @@ func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 	var best *PExpr
 	bestCost := unpriced
 	for _, e := range n.Exprs {
-		if c := pd.exprCost(v, e.id, bestCost); c < bestCost {
+		if c := pd.exprCost(e.id, bestCost); c < bestCost {
 			best, bestCost = e, c
 		}
 	}
@@ -114,10 +104,10 @@ func (pd *DAG) ExtractIntoView(v *CostView, p *Plan, n *Node) *PlanNode {
 	pn.Children = make([]*PlanNode, len(best.Children))
 	for i, c := range best.Children {
 		target := c
-		if m := pd.firstUsableMat(v, c, n); m != nil && c.ReuseSeq < pd.costIn(v, c.Topo) {
+		if m := pd.firstUsableMat(c, n); m != nil && c.ReuseSeq < pd.CostOf(c) {
 			target = m
 		}
-		cp := pd.ExtractIntoView(v, p, target)
+		cp := pd.ExtractInto(p, target)
 		cp.NumParents++
 		pn.Children[i] = cp
 	}

@@ -3,8 +3,8 @@
 // property (sort order, presence of a temporary index), with operation
 // nodes for every applicable implementation algorithm and enforcers (sort,
 // index build). It also implements the Volcano costing of the DAG given a
-// set of materialized nodes (§3.1), both from scratch and incrementally
-// (§4.2), which all three MQO heuristics build on.
+// set of materialized nodes (§3.1), from scratch and incrementally (§4.2),
+// with the rolled-back what-ifs all three MQO heuristics build on.
 //
 // Identities are dense integers fixed when Build returns, and everything
 // the searches do per node, per operation node or per group indexes a slice
@@ -12,8 +12,7 @@
 // costing recurrences read nothing else:
 //
 //   - Node.Topo, the topological number and the position in DAG.Nodes,
-//     indexes node costs (the costing state's, a CostView's overrides),
-//     each node's range of the parents array, the propagation front's bits
+//     indexes node costs, the journal's entries, each node's range of the parents array, the propagation front's bits
 //     and moved lists, and a plan walk's visited set;
 //   - PExpr.id, the operation node's place in the layout, indexes its
 //     operator cost, input weight, owner and range of input topological
@@ -24,7 +23,7 @@
 //     comparing properties, never by rendering them — and its joins'
 //     equi-column pairs, computed once per logical join; a node's slot in
 //     the row is its bit in the group's bitmask words, which hold the
-//     materialized set and a CostView's membership flips.
+//     materialized set.
 //
 // Arming the result cache's alternatives adds operation nodes and Disarm takes
 // them off; neither touches a node or a group, so those indices hold for the

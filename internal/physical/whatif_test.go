@@ -1,12 +1,15 @@
 package physical
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"mqo/internal/algebra"
 	"mqo/internal/cost"
 	"mqo/internal/tpcd"
 )
@@ -24,133 +27,178 @@ func whatIfCandidates(pd *DAG) []*Node {
 	return out
 }
 
-// TestCostViewMatchesDAGToggle: for every candidate node, the overlay's
-// what-if benefit must equal the benefit obtained by actually toggling the
-// shared DAG, and the what-if must leave the DAG bit-for-bit untouched.
+// costingSnapshot is a copy of a DAG's costing state: everything Rollback
+// restores, costs by their bits.
+type costingSnapshot struct {
+	cost    []uint64
+	mat     []uint64
+	setAt   []uint32
+	matList []*Node
+	sets    uint32
+	dirty   bool
+}
+
+func snapshotCosting(pd *DAG) costingSnapshot {
+	cs := &pd.costing
+	s := costingSnapshot{mat: slices.Clone(cs.mat), setAt: slices.Clone(cs.setAt),
+		matList: slices.Clone(cs.matList), sets: cs.sets, dirty: cs.dirty}
+	for _, c := range cs.cost {
+		s.cost = append(s.cost, math.Float64bits(float64(c)))
+	}
+	return s
+}
+
+// sameCosting reports how pd's costing state differs from want, "" when it
+// is the same to the bit.
+func sameCosting(pd *DAG, want costingSnapshot) string {
+	got := snapshotCosting(pd)
+	switch {
+	case !slices.Equal(got.cost, want.cost):
+		return "node costs"
+	case !slices.Equal(got.mat, want.mat):
+		return "bitmask words"
+	case !slices.Equal(got.setAt, want.setAt):
+		return "setAt"
+	case !slices.Equal(got.matList, want.matList):
+		return "matList"
+	case got.sets != want.sets || got.dirty != want.dirty:
+		return fmt.Sprintf("sets %d dirty %v, want %d %v", got.sets, got.dirty, want.sets, want.dirty)
+	}
+	return ""
+}
+
+// TestCostViewMatchesDAGToggle: for every candidate node, the what-if
+// benefit must equal the benefit obtained by toggling the DAG and back, and
+// the what-if must leave the DAG's costing state bit for bit as it was.
 func TestCostViewMatchesDAGToggle(t *testing.T) {
 	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50))
 	base := pd.TotalCost()
-	costs := make([]float64, len(pd.Nodes))
-	for i, n := range pd.Nodes {
-		costs[i] = pd.CostOf(n)
-	}
-
-	v := newCostView(pd)
 	for _, n := range whatIfCandidates(pd) {
-		got := v.WhatIfBenefit(n)
+		before := snapshotCosting(pd)
+		got := pd.WhatIfBenefit(n)
+		if diff := sameCosting(pd, before); diff != "" {
+			t.Fatalf("node %d: the what-if left the %s changed", n.ID, diff)
+		}
 
 		pd.SetMaterialized(n, true)
 		want := base - pd.TotalCost()
 		pd.SetMaterialized(n, false)
 
-		// The view computes the benefit in delta form (per-changed-node
+		// The what-if computes the benefit in delta form (per-changed-node
 		// differences) for bit-stability across independent commits; it
 		// agrees with the two-totals subtraction to float rounding.
 		if !cost.Eq(got, want) {
-			t.Fatalf("node %d: view benefit %v != DAG toggle benefit %v", n.ID, got, want)
-		}
-	}
-	if pd.TotalCost() != base {
-		t.Fatalf("base state drifted: %v vs %v", pd.TotalCost(), base)
-	}
-	for i, n := range pd.Nodes {
-		if pd.CostOf(n) != costs[i] {
-			t.Fatalf("node %d cost changed from %v to %v", n.ID, costs[i], pd.CostOf(n))
+			t.Fatalf("node %d: what-if benefit %v != DAG toggle benefit %v", n.ID, got, want)
 		}
 	}
 }
 
 // TestCostViewMultiToggleMatchesScratch: a random sequence of toggles kept
-// inside one view must agree with from-scratch recosting of the same set —
-// the §4.2 incremental-update property, lifted to the overlay.
+// inside one Mark span must agree with from-scratch recosting of the same set
+// on a twin DAG — the §4.2 incremental-update property inside a span — and
+// Rollback must undo all of it.
 func TestCostViewMultiToggleMatchesScratch(t *testing.T) {
-	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"B", "C", "D"}, 60))
+	qs := []*algebra.Tree{chain([]string{"A", "B", "C"}, 50), chain([]string{"B", "C", "D"}, 60)}
+	pd, twin := buildDAG(t, qs...), buildDAG(t, qs...)
 	cands := whatIfCandidates(pd)
 	rng := rand.New(rand.NewSource(11))
-	v := newCostView(pd)
-	set := map[*Node]bool{}
+	before := snapshotCosting(pd)
+	pd.Mark()
+	set := map[int]bool{}
 	for trial := 0; trial < 80; trial++ {
 		n := cands[rng.Intn(len(cands))]
-		on := !v.Materialized(n)
-		v.SetMaterialized(n, on)
+		on := !pd.Materialized(n)
+		pd.SetMaterialized(n, on)
 		if on {
-			set[n] = true
+			set[n.Topo] = true
 		} else {
-			delete(set, n)
+			delete(set, n.Topo)
 		}
 		var list []*Node
-		for m := range set {
-			list = append(list, m)
+		for topo := range set {
+			list = append(list, twin.Nodes[topo])
 		}
-		scratch := pd.BestCostWith(list)
-		if !cost.Eq(v.TotalCost(), scratch) {
-			t.Fatalf("trial %d: view total %v != scratch %v (set size %d)", trial, v.TotalCost(), scratch, len(list))
+		if scratch := twin.BestCostWith(list); !cost.Eq(pd.TotalCost(), scratch) {
+			t.Fatalf("trial %d: span total %v != scratch %v (set size %d)", trial, pd.TotalCost(), scratch, len(list))
 		}
+	}
+	pd.Rollback()
+	if diff := sameCosting(pd, before); diff != "" {
+		t.Fatalf("Rollback left the %s changed", diff)
 	}
 }
 
-// TestCostViewOverBaseMaterializations: a view over a DAG that already has
-// materialized nodes must see them, and must support turning them off
-// privately (matDel) without touching the base.
+// TestCostViewOverBaseMaterializations: a span may take a committed member
+// off and put it back (so its setAt, and the order of its group's members,
+// moves), and Rollback must restore costs, bitmask words, matList, setAt,
+// sets and dirty exactly.
 func TestCostViewOverBaseMaterializations(t *testing.T) {
-	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50))
+	qs := []*algebra.Tree{chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50)}
+	pd, twin := buildDAG(t, qs...), buildDAG(t, qs...)
 	cands := whatIfCandidates(pd)
-	m := cands[len(cands)/2]
+	m, other := cands[len(cands)/2], cands[len(cands)/3]
 	pd.SetMaterialized(m, true)
+	pd.SetMaterialized(other, true)
 	base := pd.TotalCost()
+	before := snapshotCosting(pd)
 
-	v := newCostView(pd)
-	if !v.Materialized(m) {
-		t.Fatal("view does not see base materialization")
+	pd.Mark()
+	pd.SetMaterialized(m, false)
+	if pd.Materialized(m) {
+		t.Fatal("the span still sees the removed member")
 	}
-	if v.TotalCost() != base {
-		t.Fatalf("pristine view total %v != base %v", v.TotalCost(), base)
+	if want := twin.BestCostWith([]*Node{twin.Nodes[other.Topo]}); !cost.Eq(pd.TotalCost(), want) {
+		t.Fatalf("span total after removal %v != the remaining set's cost %v", pd.TotalCost(), want)
 	}
-	v.SetMaterialized(m, false)
-	if v.Materialized(m) {
-		t.Fatal("view still sees removed materialization")
+	pd.SetMaterialized(m, true)
+	if pd.costing.setAt[m.Topo] == before.setAt[m.Topo] {
+		t.Fatal("re-adding the member did not move its setAt: the test checks nothing")
 	}
-	if want := pd.BestCostWith(nil); !cost.Eq(v.TotalCost(), want) {
-		t.Fatalf("view total after removal %v != empty-set cost %v", v.TotalCost(), want)
+	if !cost.Eq(pd.TotalCost(), base) {
+		t.Fatalf("round-trip span total %v != base %v", pd.TotalCost(), base)
 	}
-	if !pd.Materialized(m) || pd.TotalCost() != base {
-		t.Fatal("view removal leaked into the shared DAG")
+	pd.Rollback()
+	if diff := sameCosting(pd, before); diff != "" {
+		t.Fatalf("Rollback left the %s changed", diff)
 	}
-	// Re-adding inside the view must restore the base total exactly.
-	v.SetMaterialized(m, true)
-	if v.TotalCost() != base {
-		t.Fatalf("round-trip view total %v != base %v", v.TotalCost(), base)
+	if pd.TotalCost() != base {
+		t.Fatalf("total after Rollback %v != base %v", pd.TotalCost(), base)
 	}
 }
 
-// TestCostViewsConcurrent: a view never writes its DAG. Under -race, views
-// over one DAG computing benefits at once would report any write, and each
-// must compute the benefits one view computes alone.
+// TestCostViewsConcurrent: what-ifs write only their own DAG. Two physical
+// DAGs built over one logical DAG compute benefits at once, race-free under
+// -race, and each computes the benefits a DAG computes alone.
 func TestCostViewsConcurrent(t *testing.T) {
-	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50))
-	cands := whatIfCandidates(pd)
-
-	want := make([]float64, len(cands))
-	ref := newCostView(pd)
+	ld := expandLogical(t, testCatalog(), []*algebra.Tree{chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50)})
+	var dags [3]*DAG
+	for i := range dags {
+		pd, err := Build(ld, cost.DefaultModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dags[i] = pd
+	}
+	ref := dags[2]
+	cands := whatIfCandidates(ref)
+	want := make([]cost.Cost, len(cands))
 	for i, n := range cands {
 		want[i] = ref.WhatIfBenefit(n)
 	}
 
-	const workers = 8
 	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
+	errs := make(chan string, 2)
+	for _, pd := range dags[:2] {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			v := newCostView(pd)
-			for i := w; i < len(cands); i += workers {
-				if got := v.WhatIfBenefit(cands[i]); got != want[i] {
-					errs <- "benefit mismatch"
+			for i, n := range cands {
+				if got := pd.WhatIfBenefit(pd.Nodes[n.Topo]); got != want[i] {
+					errs <- fmt.Sprintf("node %d: benefit %v, alone %v", n.ID, got, want[i])
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -159,19 +207,21 @@ func TestCostViewsConcurrent(t *testing.T) {
 	}
 }
 
-// TestCostViewDrainCounters: counters accumulate across what-ifs and zero
-// on drain.
+// TestCostViewDrainCounters: what-ifs count their work into the DAG's
+// counters, and Rollback does not take it back.
 func TestCostViewDrainCounters(t *testing.T) {
 	pd := buildDAG(t, chain([]string{"A", "B"}, 50))
-	v := newCostView(pd)
 	n := whatIfCandidates(pd)[0]
-	v.WhatIfBenefit(n)
-	p, r := v.DrainCounters()
-	if p == 0 || r == 0 {
-		t.Fatalf("counters not accumulated: propagations %d, recomputations %d", p, r)
+	pd.WhatIfBenefit(n)
+	p, r := pd.Counters()
+	if p == 0 || r != 1 {
+		t.Fatalf("a what-if counted propagations %d, recomputations %d", p, r)
 	}
-	if p2, r2 := v.DrainCounters(); p2 != 0 || r2 != 0 {
-		t.Fatalf("drain did not zero counters: %d, %d", p2, r2)
+	pd.Mark()
+	pd.SetMaterialized(n, true)
+	pd.Rollback()
+	if p2, r2 := pd.Counters(); p2 != 2*p || r2 != 2 {
+		t.Fatalf("after a span and its Rollback: %d, %d; want %d, 2", p2, r2, 2*p)
 	}
 }
 
@@ -205,10 +255,16 @@ func TestResetRestoresBuild(t *testing.T) {
 		if p, r := pd.Counters(); len(pd.MaterializedSet()) > 0 || p != 0 || r != 0 {
 			t.Fatalf("%s: %d materialized, counters %d/%d", what, len(pd.MaterializedSet()), p, r)
 		}
+		if j := &pd.costing.journal; j.marked || len(j.costs) > 0 || len(j.toggles) > 0 {
+			t.Fatalf("%s: the journal holds %d costs and %d toggles", what, len(j.costs), len(j.toggles))
+		}
 	}
 	cands := whatIfCandidates(pd)
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 4; round++ {
+		if round == 3 {
+			pd.Mark() // a span left open: Reset ends it
+		}
 		for i := 0; i < 12; i++ {
 			n := cands[rng.Intn(len(cands))]
 			if round%2 == 0 {

@@ -16,12 +16,12 @@ import (
 )
 
 // dagMemoCap bounds how many batch compositions a session keeps DAGs for.
-// What one retains, measured (live heap after a collection): the finalized
-// logical DAG of BQ5 0.62 MB, of the six-tenant BQ5 3.76 MB, of CQ5 0.54 MB,
-// of SSB flight 3 0.09 MB; the idle physical DAG over it once all four
-// algorithms ran on it — nodes, operation nodes, costing state, its CostView —
-// BQ5 0.67 MB, six-tenant BQ5 3.93 MB, CQ5 1.11 MB, SSB flight 3 0.13 MB, up
-// to 0.03 more once armed and stripped. Sixteen six-tenant pairs are ~125 MB.
+// What one retains, measured (live heap after two collections): the finalized
+// logical DAG of BQ5 0.60 MB, of the six-tenant BQ5 3.66 MB, of CQ5 0.53 MB,
+// of SSB flight 3 0.08 MB; the idle physical DAG over it once all four
+// algorithms ran on it — nodes, operation nodes, costing state, its journal —
+// BQ5 0.63 MB, six-tenant BQ5 3.67 MB, CQ5 1.04 MB, SSB flight 3 0.12 MB, up
+// to 0.03 more once armed and stripped. Sixteen six-tenant pairs are ~117 MB.
 const dagMemoCap = 16
 
 var (

@@ -317,10 +317,18 @@ func jsonValue(v Value) interface{} {
 	}
 }
 
+// writeJSON answers code with v as JSON. v is encoded before the status is
+// written, so a value JSON cannot hold (a float's ±Inf or NaN) is answered
+// 500 with a JSON error, never a status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": err.Error()}) // strings always encode
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write leaves no one to tell
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -2,6 +2,7 @@ package mqo
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -294,5 +295,41 @@ func TestConcurrentRunsOneDB(t *testing.T) {
 	}
 	if n := db.NumTemps(); n != 0 {
 		t.Errorf("%d temp tables leaked after all runs ended", n)
+	}
+}
+
+// TestQueryNonFiniteAnswer: a result that holds a float JSON cannot carry
+// (here +Inf, from an overflowing product) is answered with a well-formed
+// JSON error body, never a status line with an empty body.
+func TestQueryNonFiniteAnswer(t *testing.T) {
+	db := NewDB(256)
+	if err := tpcd.LoadDB(db, 0.002, 1); err != nil {
+		t.Fatal(err)
+	}
+	opt, err := Open(tpcd.Catalog(0.002), WithDB(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Serve(opt, BatchingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(ServiceHandler(svc))
+	defer srv.Close()
+
+	huge := "1" + strings.Repeat("0", 200) + ".0"
+	q := fmt.Sprintf("SELECT nname, SUM(nk * %s * %s) AS x FROM nation GROUP BY nname", huge, huge)
+	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(fmt.Sprintf(`{"sql": %q}`, q)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("status %d with a body that is not JSON: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || body["error"] == nil {
+		t.Errorf("status %d, body %v; want 500 and an error", resp.StatusCode, body)
 	}
 }
