@@ -1,7 +1,6 @@
 // Command mqopaper regenerates the paper's experiments (§6: Figures 6-10,
-// the §6.3 ablations, the §6.4 sensitivity checks) plus the observability
-// overhead measurement. With no flags it runs every experiment; -experiment
-// selects one by name (-h lists them).
+// the §6.3 ablations, the §6.4 sensitivity checks). With no flags it runs
+// every experiment; -experiment selects one by name (-h lists them).
 // With -json the results are emitted as a machine-readable JSON array
 // (one element per experiment) instead of the human-readable tables —
 // the format CI archives as BENCH_paper.json.
@@ -23,27 +22,9 @@ import (
 func main() {
 	maxCQ := flag.Int("maxcq", 3, "largest PSP composite for the ablation experiments (1-5)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	runners := []struct {
-		name string
-		run  func() (*bench.Experiment, error)
-	}{
-		{"fig6", bench.Figure6},
-		{"q2ni", bench.Q2NotIn},
-		{"fig7", bench.Figure7},
-		{"fig8", bench.Figure8},
-		{"fig9", bench.Figure9},
-		{"fig10", bench.Figure10},
-		{"monotonicity", func() (*bench.Experiment, error) { return bench.AblationMonotonicity(*maxCQ) }},
-		{"sharability", func() (*bench.Experiment, error) { return bench.AblationSharability(*maxCQ) }},
-		{"nosharing", bench.NoSharingOverhead},
-		{"memory", bench.MemorySensitivity},
-		{"scale", bench.ScaleSensitivity},
-		{"space", bench.SpaceBudgetCurve},
-		{"observe", bench.Observe},
-	}
-	names := make([]string, len(runners))
-	for i, r := range runners {
-		names[i] = r.name
+	var names []string
+	for _, r := range bench.Experiments(*maxCQ) {
+		names = append(names, r.Name)
 	}
 	valid := strings.Join(names, "|") + "|all"
 
@@ -55,13 +36,13 @@ func main() {
 	}
 
 	var results []*bench.Experiment
-	for _, r := range runners {
-		if *which != "all" && *which != r.name {
+	for _, r := range bench.Experiments(*maxCQ) { // after Parse: the ablations take -maxcq
+		if *which != "all" && *which != r.Name {
 			continue
 		}
-		exp, err := r.run()
+		exp, err := r.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mqopaper: %s: %v\n", r.name, err)
+			fmt.Fprintf(os.Stderr, "mqopaper: %s: %v\n", r.Name, err)
 			os.Exit(1)
 		}
 		if !*asJSON {

@@ -3,10 +3,10 @@
 // optimization times per algorithm (Figures 6, 8, 9), measured execution
 // with and without MQO (Figure 7), the greedy complexity counters
 // (Figure 10), the §6.3 optimization ablations, and the §6.4 no-sharing
-// overhead, memory- and data-scale sensitivity checks — and, beside them,
-// Observe, the instrumentation-overhead measurement CI gates. Wall-clock
-// performance is measured by the benchmark/ module, not here. cmd/mqopaper
-// and the root bench_test.go are thin wrappers over this package.
+// overhead, memory- and data-scale sensitivity checks. Experiments lists
+// them in order. Wall-clock performance is measured by the benchmark/
+// module, not here. cmd/mqopaper and the root bench_test.go are thin
+// wrappers over this package.
 package bench
 
 import (
@@ -48,6 +48,32 @@ type Experiment struct {
 	Title string
 	Rows  []Row
 	Notes []string
+}
+
+// Runner is one experiment under the name mqopaper selects it by, which is
+// also the Name of the Experiment it returns.
+type Runner struct {
+	Name string
+	Run  func() (*Experiment, error)
+}
+
+// Experiments lists the paper's experiments in the order mqopaper runs and
+// prints them; the §6.3 ablations run over PSP composites CQ1..CQmaxCQ.
+func Experiments(maxCQ int) []Runner {
+	return []Runner{
+		{"fig6", Figure6},
+		{"q2ni", Q2NotIn},
+		{"fig7", Figure7},
+		{"fig8", Figure8},
+		{"fig9", Figure9},
+		{"fig10", Figure10},
+		{"monotonicity", func() (*Experiment, error) { return AblationMonotonicity(maxCQ) }},
+		{"sharability", func() (*Experiment, error) { return AblationSharability(maxCQ) }},
+		{"nosharing", NoSharingOverhead},
+		{"memory", MemorySensitivity},
+		{"scale", ScaleSensitivity},
+		{"space", SpaceBudgetCurve},
+	}
 }
 
 // optimizeAll runs every algorithm on a batch and returns the cells.

@@ -25,21 +25,18 @@ var timingKeys = map[string]bool{
 	"benefit_s":     true,
 }
 
-// TestPaperOutputsPinned locks the paper's experiments — every one mqopaper
-// runs except observe, at its default -maxcq — to a snapshot: costs,
+// TestPaperOutputsPinned locks the paper's experiments — every one of
+// Experiments, at mqopaper's default -maxcq — to a snapshot: costs,
 // counters, row labels and notes, everything in their JSON but the timings.
 func TestPaperOutputsPinned(t *testing.T) {
-	runs := []func() (*Experiment, error){
-		Figure6, Q2NotIn, Figure7, Figure8, Figure9, Figure10,
-		func() (*Experiment, error) { return AblationMonotonicity(3) },
-		func() (*Experiment, error) { return AblationSharability(3) },
-		NoSharingOverhead, MemorySensitivity, ScaleSensitivity, SpaceBudgetCurve,
-	}
 	var all []any
-	for _, run := range runs {
-		e, err := run()
+	for _, r := range Experiments(3) {
+		e, err := r.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if e.Name != r.Name {
+			t.Errorf("runner %q returned experiment %q", r.Name, e.Name)
 		}
 		raw, err := json.Marshal(e)
 		if err != nil {

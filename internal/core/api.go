@@ -79,10 +79,6 @@ type GreedyOptions struct {
 // Options configures Optimize.
 type Options struct {
 	Greedy GreedyOptions
-	// RUForwardOnly restricts Volcano-RU to the given query order; by
-	// default both the forward and reverse orders are tried and the
-	// cheaper plan kept (§3.3).
-	RUForwardOnly bool
 }
 
 // Stats carries instrumentation from one optimization run.
@@ -221,7 +217,7 @@ func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options)
 		res, err = optimizeVolcanoSH(ctx, pd)
 		res = guardBaseline(pd, res, err, noShare)
 	case VolcanoRU:
-		res, err = optimizeVolcanoRU(ctx, pd, opt)
+		res, err = optimizeVolcanoRU(ctx, pd)
 		res = guardBaseline(pd, res, err, noShare)
 	case Greedy:
 		res, err = optimizeGreedy(ctx, pd, opt)

@@ -257,7 +257,8 @@ func TestNestedQueryInvokeBenefits(t *testing.T) {
 func TestVolcanoRUOrderSensitivity(t *testing.T) {
 	pd := mustBuild(t, chain([]string{"R", "S", "T"}, 990), chain([]string{"R", "S", "P"}, 990))
 	both := mustOptimize(t, pd, VolcanoRU)
-	fwd, err := Optimize(context.Background(), pd, VolcanoRU, Options{RUForwardOnly: true})
+	pd.Reset()
+	fwd, err := runRUOrder(context.Background(), pd, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

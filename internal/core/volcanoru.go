@@ -12,21 +12,21 @@ import (
 // (materializing a candidate as soon as one further use would pay for it),
 // then run Volcano-SH over the combined DAG-structured plan for the final
 // materialization decisions. Both the given and the reverse query order are
-// tried and the cheaper result returned (§3.3), unless opt.RUForwardOnly.
+// tried and the cheaper result returned (§3.3).
 //
 // Each order pass runs on the DAG between Mark and Rollback: its candidate
 // materializations and the cost updates they trigger are rolled back after
 // the pass, on error and cancellation too, so the DAG's costing state is
 // Optimize's entry state until the winning order's materialized set commits
 // at the end.
-func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG, opt Options) (*Result, error) {
+func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG) (*Result, error) {
 	n := len(pd.QueryRoots)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	best, err := runRUOrder(ctx, pd, order)
-	if err == nil && !opt.RUForwardOnly && n > 1 {
+	if err == nil && n > 1 {
 		slices.Reverse(order)
 		var rev *Result
 		rev, err = runRUOrder(ctx, pd, order)

@@ -158,12 +158,11 @@ func opName(pn *physical.PlanNode, asConsumer bool, env *Env) string {
 //
 // Open and Close are timed exactly. Next is timed exactly while its calls are
 // slow and sampled once they are cheap, because two clock reads around a call
-// that hands over one row cost several times the call (mqopaper's observe
-// experiment gates the whole wrapper at 5 % of an unprofiled run). A
-// pipelined tree is bursty, though: one Next of a scan in some forty decodes
-// a page and costs a hundred times its neighbours, and it must neither be
-// scaled by a period learnt from them nor teach them its own. So the two
-// kinds of call are kept apart:
+// that hands over one row cost several times the call, and every serving
+// batch runs profiled. A pipelined tree is bursty, though: one Next of a scan
+// in some forty decodes a page and costs a hundred times its neighbours, and
+// it must neither be scaled by a period learnt from them nor teach them its
+// own. So the two kinds of call are kept apart:
 //
 //   - A scan says how many decoded rows it has in hand (decodedAhead). The
 //     call after those reads a page: it is timed exactly, and its time goes to

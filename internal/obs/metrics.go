@@ -6,10 +6,7 @@
 // Every hot-path mutation is a handful of atomic operations — no mutex is
 // ever taken on Add/Set/Observe — so the optimizer's search loops, the
 // executor's per-operator counters and the serving path's latency
-// histograms can all record under concurrency without a shared lock. The
-// package-wide Enabled switch turns all recording into an immediate return,
-// which is what mqopaper's observe experiment (instrumented vs disabled)
-// toggles.
+// histograms can all record under concurrency without a shared lock.
 package obs
 
 import (
@@ -19,19 +16,6 @@ import (
 	"unsafe"
 )
 
-// enabled gates every metric mutation. Default on: mutations are cheap
-// atomics. SetEnabled(false) makes recording a single atomic load + return.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric/span recording on or off globally.
-// Registered metrics keep their accumulated values when disabled.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether recording is on.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a lock-free monotonically increasing integer metric.
 type Counter struct{ v atomic.Int64 }
 
@@ -39,12 +23,7 @@ type Counter struct{ v atomic.Int64 }
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (n must be >= 0 for Prometheus semantics; not enforced).
-func (c *Counter) Add(n int64) {
-	if !enabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -55,9 +34,6 @@ type FloatCounter struct{ bits atomic.Uint64 }
 
 // Add adds f via a CAS loop on the float's bit pattern.
 func (c *FloatCounter) Add(f float64) {
-	if !enabled.Load() {
-		return
-	}
 	for {
 		old := c.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + f)
@@ -73,9 +49,7 @@ func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load
 // Gauge is a lock-free integer metric that can go up and down.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value. Unlike Add/Observe, Set is not gated on Enabled:
-// gauges mirror state (bytes used, entries), and a disabled registry must
-// not freeze them into lies.
+// Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adjusts the value by n.
@@ -158,9 +132,6 @@ func BucketBound(i int) float64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	s := &h.shards[shardIdx()]
 	s.counts[bucketOf(v)].Add(1)
 	s.count.Add(1)

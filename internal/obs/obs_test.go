@@ -241,25 +241,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-func TestEnabledGate(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	c := r.Counter("gate_total", "help")
-	h := r.Histogram("gate_seconds", "help")
-	SetEnabled(false)
-	c.Inc()
-	h.Observe(1)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatal("disabled registry still recorded")
-	}
-	SetEnabled(true)
-	c.Inc()
-	h.Observe(1)
-	if c.Value() != 1 || h.Count() != 1 {
-		t.Fatal("re-enabled registry did not record")
-	}
-}
-
 func TestTracerRoundTrip(t *testing.T) {
 	if Tracing() {
 		t.Fatal("tracing unexpectedly on")

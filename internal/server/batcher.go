@@ -438,7 +438,7 @@ func (b *Batcher) runBatch(batch []*request, stored bool, flushed time.Time) {
 	if stored {
 		b.stored.Inc()
 	}
-	if size := len(live); size < len(b.sizeHist) && obs.Enabled() {
+	if size := len(live); size < len(b.sizeHist) {
 		b.sizeHist[size].Add(1)
 	}
 	b.batchSizeH.Observe(float64(len(live)))

@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	"mqo/internal/algebra"
 	"mqo/internal/exec"
-	"mqo/internal/obs"
 	"mqo/internal/server"
 )
 
@@ -176,9 +177,9 @@ func (s *Service) Close() { s.b.Close() }
 // optimize+execute pass). It hands back rows and accounting only, so it
 // reads a cached plan in place instead of copying it.
 func (s *Service) runBatch(ctx context.Context, queries []*algebra.Tree) ([]exec.QueryResult, BatchInfo, error) {
-	// The serving path profiles every run while observability is on: the
-	// per-operator registry series come from here.
-	res, meta, err := s.opt.runOnDB(ctx, queries, s.alg, &exec.Env{Profile: obs.Enabled()})
+	// The serving path profiles every run: the per-operator registry series
+	// come from here.
+	res, meta, err := s.opt.runOnDB(ctx, queries, s.alg, &exec.Env{Profile: true})
 	if err != nil {
 		return nil, BatchInfo{}, err
 	}
@@ -305,12 +306,16 @@ func ServiceHandler(s *Service) http.Handler {
 }
 
 // jsonValue converts a SQL value to its natural JSON representation
-// (dates as days-since-epoch integers).
+// (dates as days-since-epoch integers). A float that JSON has no number for
+// is the string /metrics spells it with: "+Inf", "-Inf" or "NaN".
 func jsonValue(v Value) interface{} {
 	switch v.Typ {
 	case algebra.TInt, algebra.TDate:
 		return v.I
 	case algebra.TFloat:
+		if math.IsInf(v.F, 0) || math.IsNaN(v.F) {
+			return strconv.FormatFloat(v.F, 'g', -1, 64)
+		}
 		return v.F
 	default:
 		return v.S
@@ -318,8 +323,8 @@ func jsonValue(v Value) interface{} {
 }
 
 // writeJSON answers code with v as JSON. v is encoded before the status is
-// written, so a value JSON cannot hold (a float's ±Inf or NaN) is answered
-// 500 with a JSON error, never a status with an empty body.
+// written, so a value JSON cannot hold is answered 500 with a JSON error,
+// never a status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	body, err := json.Marshal(v)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -298,9 +299,9 @@ func TestConcurrentRunsOneDB(t *testing.T) {
 	}
 }
 
-// TestQueryNonFiniteAnswer: a result that holds a float JSON cannot carry
-// (here +Inf, from an overflowing product) is answered with a well-formed
-// JSON error body, never a status line with an empty body.
+// TestQueryNonFiniteAnswer: a result that holds a float JSON has no number
+// for (here +Inf, from an overflowing product) is answered 200 with its
+// rows, the float spelled "+Inf" as /metrics spells it.
 func TestQueryNonFiniteAnswer(t *testing.T) {
 	db := NewDB(256)
 	if err := tpcd.LoadDB(db, 0.002, 1); err != nil {
@@ -325,11 +326,45 @@ func TestQueryNonFiniteAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body map[string]any
+	var body struct {
+		Columns []string `json:"columns"`
+		Rows    [][]any  `json:"rows"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("status %d with a body that is not JSON: %v", resp.StatusCode, err)
 	}
-	if resp.StatusCode != http.StatusInternalServerError || body["error"] == nil {
-		t.Errorf("status %d, body %v; want 500 and an error", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK || len(body.Rows) == 0 {
+		t.Fatalf("status %d, %d rows; want 200 and the nations' rows", resp.StatusCode, len(body.Rows))
+	}
+	if len(body.Columns) != 2 || !strings.HasSuffix(body.Columns[1], "x") {
+		t.Fatalf("columns %v; want nname and x", body.Columns)
+	}
+	const x = 1
+	for _, row := range body.Rows {
+		if row[x] != "+Inf" {
+			t.Errorf("row %v: x = %#v, want \"+Inf\"", row, row[x])
+		}
+	}
+}
+
+// TestJSONValueNonFinite: the floats JSON has no number for render as the
+// strings /metrics uses; every other float stays a number.
+func TestJSONValueNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		f    float64
+		want any
+	}{
+		{math.Inf(1), "+Inf"},
+		{math.Inf(-1), "-Inf"},
+		{math.NaN(), "NaN"},
+		{-2.5, -2.5},
+	} {
+		got := jsonValue(FloatVal(c.f))
+		if got != c.want {
+			t.Errorf("jsonValue(%v) = %#v, want %#v", c.f, got, c.want)
+		}
+		if _, err := json.Marshal(got); err != nil {
+			t.Errorf("jsonValue(%v) does not encode: %v", c.f, err)
+		}
 	}
 }
