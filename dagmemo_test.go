@@ -37,9 +37,9 @@ func memoSignature(res *Result) string {
 // planCosts renders the cost every node of a plan reports, its bits, in
 // topological order.
 func planCosts(p *Plan) string {
-	nodes := make([]*physical.PlanNode, 0, len(p.ByNode))
-	for _, pn := range p.ByNode {
-		nodes = append(nodes, pn)
+	nodes := make([]*physical.PlanNode, 0, len(p.Nodes))
+	for i := range p.Nodes {
+		nodes = append(nodes, &p.Nodes[i])
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].N.Topo < nodes[j].N.Topo })
 	var b strings.Builder

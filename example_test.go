@@ -177,7 +177,7 @@ func ExampleOptimizer_OptimizeBatch() {
 		// The plan node carries the cost; the DAG node's is the session's
 		// scratch, rewritten by its next optimization of this batch.
 		fmt.Printf("  node %d %-24s rows %.0f (compute %.1f s, write %.1f s, reuse %.1f s)\n",
-			m.ID, m.Prop, m.LG.Rel.Rows, greedy.Plan.ByNode[m].Cost, m.MatCost, m.ReuseSeq)
+			m.ID, m.Prop, m.LG.Rel.Rows, greedy.Plan.Node(m).Cost, m.MatCost, m.ReuseSeq)
 	}
 
 	// Execution comparison on generated data: a second session at the

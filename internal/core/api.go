@@ -191,9 +191,10 @@ func ClearMaterialized(pd *physical.DAG) {
 // plan, its estimated cost, and instrumentation. The DAG's costing state is
 // reset before the run (physical.DAG.Reset, which costs nothing on a DAG
 // already in that state) and left reflecting the returned result, whose plan
-// nodes are stamped with their costs in it (PlanNode.Cost): the DAG may run
-// further optimizations, each rewriting the node costs, without changing
-// what an earlier Result reports.
+// nodes are stamped with their costs in it (PlanNode.Cost). The plan is
+// sealed (physical.Draft.Seal), its storage its own: the DAG may run further
+// optimizations, each rewriting the node costs and reusing the DAG's drafts
+// and scratch, without changing what an earlier Result reports.
 //
 // The context is consulted at checkpoints inside the algorithms' main
 // loops (each greedy pick, each RU query pass, each SH round); when it is
@@ -226,9 +227,6 @@ func Optimize(ctx context.Context, pd *physical.DAG, alg Algorithm, opt Options)
 	}
 	if err != nil {
 		return nil, err
-	}
-	for n, pn := range res.Plan.ByNode {
-		pn.Cost = pd.CostOf(n)
 	}
 	res.Algorithm = alg
 	res.NoShareCost = noShare

@@ -262,8 +262,8 @@ func TestVolcanoRUOrderSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if both.Cost > fwd.Cost+1e-9 {
-		t.Errorf("considering both orders (%.3f) must not be worse than forward only (%.3f)", both.Cost, fwd.Cost)
+	if both.Cost > fwd.cost+1e-9 {
+		t.Errorf("considering both orders (%.3f) must not be worse than forward only (%.3f)", both.Cost, fwd.cost)
 	}
 }
 

@@ -35,6 +35,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	}
 	track := obs.TrackFrom(ctx)
 	stats := Stats{}
+	s := scratchOf(pd)
 
 	sharePhase := startPhase(&stats, track, OptPhaseSharability)
 	var degrees map[*dag.Group]float64
@@ -46,7 +47,7 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 	sharePhase.end()
 
 	candPhase := startPhase(&stats, track, OptPhaseCandidates)
-	var candidates []*physical.Node
+	candidates := s.candidates[:0]
 	for _, n := range pd.Nodes {
 		if n.Sharable {
 			stats.SharableNodes++
@@ -56,10 +57,11 @@ func optimizeGreedy(ctx context.Context, pd *physical.DAG, opts Options) (*Resul
 		}
 		candidates = append(candidates, n)
 	}
+	s.candidates = candidates
 	stats.Candidates = len(candidates)
 	candPhase.end()
 
-	e := &benefitEval{pd: pd, scratch: opts.Greedy.DisableIncremental}
+	e := &benefitEval{pd: pd, s: s, recost: opts.Greedy.DisableIncremental}
 
 	wavePhase := startPhase(&stats, track, OptPhaseWaves)
 	var (
@@ -99,16 +101,18 @@ func candidateNode(pd *physical.DAG, n *physical.Node) bool {
 // the work for Stats.
 type benefitEval struct {
 	pd *physical.DAG
-	// scratch is the §6.3 DisableIncremental ablation: re-cost the DAG from
+	s  *scratch
+	// recost is the §6.3 DisableIncremental ablation: re-cost the DAG from
 	// scratch for every benefit instead of a what-if.
-	scratch bool
+	recost  bool
 	recomps int64 // benefit recomputations
 	waves   int64 // non-empty evaluation waves
 }
 
 // evalWave computes the benefits of nodes against the DAG's current state,
-// in input order. The context is consulted before the wave and before each
-// benefit; once it is done, evalWave returns ctx.Err().
+// in input order, into an array the next wave reuses. The context is
+// consulted before the wave and before each benefit; once it is done,
+// evalWave returns ctx.Err().
 func (e *benefitEval) evalWave(ctx context.Context, nodes []*physical.Node) ([]cost.Cost, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -118,13 +122,14 @@ func (e *benefitEval) evalWave(ctx context.Context, nodes []*physical.Node) ([]c
 	}
 	e.waves++
 	base := e.pd.TotalCost()
-	out := make([]cost.Cost, len(nodes))
+	out := extend(e.s.bens[:0], len(nodes))
+	e.s.bens = out
 	for i, n := range nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		e.recomps++
-		if e.scratch {
+		if e.recost {
 			out[i] = base - e.pd.BestCostWith(append(e.pd.MaterializedSet(), n))
 		} else {
 			out[i] = e.pd.WhatIfBenefit(n)
@@ -160,7 +165,7 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 		}
 		return s
 	}
-	remaining := append([]*physical.Node(nil), candidates...)
+	remaining := append(e.s.remaining[:0], candidates...)
 	var chosen []*physical.Node
 	used := int64(0)
 	for len(remaining) > 0 {
@@ -174,7 +179,8 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 		if len(remaining) == 0 {
 			break
 		}
-		rates := make([]float64, len(remaining))
+		rates := extend(e.s.rates[:0], len(remaining))
+		e.s.rates = rates
 		for i, n := range remaining {
 			if bens[i] > 0 {
 				rates[i] = bens[i] / float64(sizeOf(n))
@@ -190,6 +196,7 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 		used += sizeOf(n)
 		remaining = slices.Delete(remaining, i, i+1)
 	}
+	e.s.remaining = remaining
 	return chosen, nil
 }
 
@@ -197,7 +204,7 @@ func greedySpaceBudget(ctx context.Context, pd *physical.DAG, candidates []*phys
 // remaining candidate's benefit is recomputed each wave, and the best one
 // is committed.
 func greedyExhaustive(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, e *benefitEval) ([]*physical.Node, error) {
-	remaining := append([]*physical.Node(nil), candidates...)
+	remaining := append(e.s.remaining[:0], candidates...)
 	var chosen []*physical.Node
 	for len(remaining) > 0 {
 		bens, err := e.evalWave(ctx, remaining)
@@ -212,6 +219,7 @@ func greedyExhaustive(ctx context.Context, pd *physical.DAG, candidates []*physi
 		chosen = append(chosen, remaining[i])
 		remaining = slices.Delete(remaining, i, i+1)
 	}
+	e.s.remaining = remaining
 	return chosen, nil
 }
 
@@ -264,15 +272,21 @@ const speculationWidth = 8
 func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physical.Node, degrees map[*dag.Group]float64,
 	e *benefitEval) ([]*physical.Node, error) {
 
-	h := &benefitHeap{}
-	for _, n := range candidates {
+	s := e.s
+	// The entries live in one array the heap points into, made before the
+	// first push and never grown while the heap holds them.
+	s.items = extend(s.items[:0], len(candidates))
+	h := &s.heap
+	*h = slices.Grow((*h)[:0], len(candidates))
+	for i, n := range candidates {
 		deg := 2.0
 		if degrees != nil {
 			deg = degrees[n.LG]
 		} else if p := float64(pd.NumParents(n)); p > deg {
 			deg = p
 		}
-		heap.Push(h, &benefitItem{n: n, ub: pd.CostOf(n) * deg, version: -1})
+		s.items[i] = benefitItem{n: n, ub: pd.CostOf(n) * deg, version: -1}
+		heap.Push(h, &s.items[i])
 	}
 
 	var chosen []*physical.Node
@@ -295,7 +309,10 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 		}
 		// Speculatively recompute the stale entries nearest the top. An
 		// exact entry bounds everything below it, so stop there.
-		var popped, stale []*benefitItem
+		var poppedA [speculationWidth + 1]*benefitItem
+		var staleA [speculationWidth]*benefitItem
+		var nodesA [speculationWidth]*physical.Node
+		popped, stale, nodes := poppedA[:0], staleA[:0], nodesA[:0]
 		for h.Len() > 0 && len(stale) < speculationWidth {
 			it := heap.Pop(h).(*benefitItem)
 			popped = append(popped, it)
@@ -303,10 +320,7 @@ func greedyMonotonic(ctx context.Context, pd *physical.DAG, candidates []*physic
 				break
 			}
 			stale = append(stale, it)
-		}
-		nodes := make([]*physical.Node, len(stale))
-		for i, it := range stale {
-			nodes[i] = it.n
+			nodes = append(nodes, it.n)
 		}
 		bens, err := e.evalWave(ctx, nodes)
 		if err != nil {

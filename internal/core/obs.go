@@ -24,6 +24,13 @@ var (
 		OptPhaseWaves:       obs.Default().Histogram("mqo_opt_phase_seconds", "Optimizer search phase wall time in seconds.", obs.L("phase", OptPhaseWaves)),
 		OptPhaseCommit:      obs.Default().Histogram("mqo_opt_phase_seconds", "Optimizer search phase wall time in seconds.", obs.L("phase", OptPhaseCommit)),
 	}
+	// optPhaseSpan names each phase's trace span.
+	optPhaseSpan = map[string]string{
+		OptPhaseSharability: "opt:" + OptPhaseSharability,
+		OptPhaseCandidates:  "opt:" + OptPhaseCandidates,
+		OptPhaseWaves:       "opt:" + OptPhaseWaves,
+		OptPhaseCommit:      "opt:" + OptPhaseCommit,
+	}
 	optSeconds = map[Algorithm]*obs.Histogram{
 		Volcano:   obs.Default().Histogram("mqo_opt_seconds", "End-to-end optimization wall time per batch in seconds.", obs.L("algorithm", Volcano.String())),
 		VolcanoSH: obs.Default().Histogram("mqo_opt_seconds", "End-to-end optimization wall time per batch in seconds.", obs.L("algorithm", VolcanoSH.String())),
@@ -58,7 +65,7 @@ type phaseTimer struct {
 
 func startPhase(stats *Stats, track int64, name string) phaseTimer {
 	return phaseTimer{stats: stats, name: name, start: time.Now(),
-		span: obs.StartSpan("opt:"+name, track, nil)}
+		span: obs.StartSpan(optPhaseSpan[name], track, nil)}
 }
 
 func (p phaseTimer) end() {

@@ -27,15 +27,16 @@ func ComputeSharability(pd *physical.DAG) map[*dag.Group]float64 {
 
 // memoSharability is ComputeSharability for a search: the degrees depend
 // only on the logical DAG and the root, both fixed when the physical DAG is
-// built, so the DAG's first search computes them and keeps them on the DAG
-// (physical.DAG.Degrees) for every later one. The flags are set on every
-// call, because the sharability ablation (MarkAllSharable) overwrites them.
+// built, so the DAG's first search computes them and keeps them in its
+// scratch for every later one. The flags are set on every call, because the
+// sharability ablation (MarkAllSharable) overwrites them.
 func memoSharability(pd *physical.DAG) map[*dag.Group]float64 {
-	if pd.Degrees == nil {
-		pd.Degrees = degreesOfSharing(pd)
+	s := scratchOf(pd)
+	if s.degrees == nil {
+		s.degrees = degreesOfSharing(pd)
 	}
-	markSharable(pd, pd.Degrees)
-	return pd.Degrees
+	markSharable(pd, s.degrees)
+	return s.degrees
 }
 
 // markSharable sets every node's Sharable flag from its group's degree.

@@ -173,11 +173,11 @@ func TestSharabilityMemo(t *testing.T) {
 					t.Fatalf("run %d: %d sharable nodes, fresh DAG %d", i, got.Stats.SharableNodes, want.Stats.SharableNodes)
 				}
 			}
-			if pd.Degrees == nil {
+			kept := scratchOf(pd).degrees
+			if kept == nil {
 				t.Fatal("no degrees kept on the DAG")
 			}
 			pd.ArmCacheScan(pd.QueryRoots[0], "rc_memo", 0.5, cost.TierRAM)
-			kept := pd.Degrees
 			fresh := ComputeSharability(pd)
 			if len(kept) != len(fresh) {
 				t.Fatalf("%d kept degrees, fresh analysis %d", len(kept), len(fresh))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,34 +112,45 @@ func TestSharedLogicalDAGConcurrent(t *testing.T) {
 // TestPlanCostsOutliveTheDAG: the four algorithms run on one DAG in turn, as
 // a session's calls do. Each Result's plan nodes carry the costs their nodes
 // had when it was returned, and keep them while the later runs rewrite the
-// DAG's costs (DAG.CostOf) under them.
+// DAG's costs (DAG.CostOf) under them. Each Result's plan is its own: after
+// three more rounds of all four algorithms on the DAG, whose searches reuse
+// the DAG's drafts and scratch, it prints the same plan and reports the same
+// Mats, and every node the same Index, NumParents, Mat, Cost and children.
 func TestPlanCostsOutliveTheDAG(t *testing.T) {
 	pd, err := BuildDAG(tpcd.Catalog(1), cost.DefaultModel(), tpcd.BatchQueries(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stamped []map[*physical.PlanNode]cost.Cost
-	for _, alg := range []Algorithm{Greedy, VolcanoRU, Volcano, VolcanoSH} {
+	algs := []Algorithm{Greedy, VolcanoRU, Volcano, VolcanoSH}
+	var results []*Result
+	var snapshots []string
+	for _, alg := range algs {
 		res, err := Optimize(context.Background(), pd, alg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs := map[*physical.PlanNode]cost.Cost{}
-		for n, pn := range res.Plan.ByNode {
-			if pn.Cost != pd.CostOf(n) {
-				t.Errorf("%v: plan node %d reports %v, its node costs %v", alg, n.ID, pn.Cost, pd.CostOf(n))
+		for i := range res.Plan.Nodes {
+			if pn := &res.Plan.Nodes[i]; pn.Cost != pd.CostOf(pn.N) {
+				t.Errorf("%v: plan node %d reports %v, its node costs %v", alg, pn.N.ID, pn.Cost, pd.CostOf(pn.N))
 			}
-			costs[pn] = pn.Cost
 		}
-		stamped = append(stamped, costs)
+		results = append(results, res)
+		snapshots = append(snapshots, planSnapshot(res.Plan))
+	}
+	for range 3 {
+		for _, alg := range algs {
+			if _, err := Optimize(context.Background(), pd, alg, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	moved := 0
-	for i, costs := range stamped {
-		for pn, c := range costs {
-			if pn.Cost != c {
-				t.Errorf("run %d: plan node %d reports %v, %v when returned", i, pn.N.ID, pn.Cost, c)
-			}
-			if pd.CostOf(pn.N) != c {
+	for i, res := range results {
+		if got := planSnapshot(res.Plan); got != snapshots[i] {
+			t.Errorf("%v's plan changed under later searches:\n%s", algs[i], diffHint(snapshots[i], got))
+		}
+		for j := range res.Plan.Nodes {
+			if pn := &res.Plan.Nodes[j]; pd.CostOf(pn.N) != pn.Cost {
 				moved++
 			}
 		}
@@ -146,6 +158,27 @@ func TestPlanCostsOutliveTheDAG(t *testing.T) {
 	if moved == 0 {
 		t.Error("no later run moved a cost an earlier plan reports")
 	}
+}
+
+// planSnapshot renders what a caller reads of a plan: its String, its Mats
+// and, for every plan node, its Index, NumParents, Mat, Cost bits and the
+// plan nodes its children are (addresses and indexes).
+func planSnapshot(p *physical.Plan) string {
+	var b strings.Builder
+	b.WriteString(p.String())
+	for _, m := range p.Mats {
+		fmt.Fprintf(&b, "mat %p %d\n", m, m.Index)
+	}
+	for i := range p.Nodes {
+		pn := &p.Nodes[i]
+		fmt.Fprintf(&b, "%p index %d node %d parents %d mat %v cost %x children", pn, pn.Index, pn.N.ID,
+			pn.NumParents, pn.Mat, math.Float64bits(float64(pn.Cost)))
+		for _, c := range pn.Children {
+			fmt.Fprintf(&b, " %p/%d", c, c.Index)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // TestOneViewPerDAG: a DAG keeps one costing state for every search it

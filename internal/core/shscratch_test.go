@@ -30,10 +30,12 @@ func bytesPerRun(runs int, f func()) uint64 {
 
 // TestVolcanoSHRUBytes holds one Volcano-SH and one Volcano-RU optimization
 // of the six-tenant BQ5 batch (3 337 physical nodes), on a DAG built once,
-// to the bytes they allocated once their scratch was sized to the plan
-// instead of the DAG: 124 904 and 276 544 bytes (about 287 000 for
-// Volcano-RU under -race), against 322 128 and 648 816 when every call and
-// every pass allocated arrays over every physical node.
+// to the bytes they allocate once the DAG keeps their drafts and scratch
+// between searches: 48 072 and 48 624 bytes, with or without -race, nearly
+// all of it the sealed plan of ~630 nodes. They allocated 124 904 and
+// 276 544 when every call extracted its plans node by node into a map and
+// made its own scratch, and 322 128 and 648 816 when that scratch spanned
+// every physical node.
 func TestVolcanoSHRUBytes(t *testing.T) {
 	pd, err := BuildDAG(tpcd.TenantCatalog(1, 6), cost.DefaultModel(), tpcd.TenantBatch(5, 6))
 	if err != nil {
@@ -43,7 +45,7 @@ func TestVolcanoSHRUBytes(t *testing.T) {
 	for _, c := range []struct {
 		alg   Algorithm
 		bound uint64
-	}{{VolcanoSH, 140_000}, {VolcanoRU, 320_000}} {
+	}{{VolcanoSH, 55_000}, {VolcanoRU, 56_000}} {
 		got := bytesPerRun(5, func() {
 			if _, err := Optimize(ctx, pd, c.alg, Options{}); err != nil {
 				t.Fatal(err)
@@ -51,6 +53,49 @@ func TestVolcanoSHRUBytes(t *testing.T) {
 		})
 		if got > c.bound {
 			t.Errorf("%v allocated %d bytes on the six-tenant BQ5, want at most %d", c.alg, got, c.bound)
+		}
+	}
+}
+
+// TestSearchAllocationsArePlanSized: a search on a DAG searched before
+// allocates the plan it returns and a fixed handful of objects besides — the
+// Result, the sealed plan's arrays, the materialized list, Greedy's phase
+// map — however large the plan: each algorithm's bound holds for BQ5 (~100
+// plan nodes), CQ5 (~250) and the six-tenant BQ5 (~620) alike. Measured: 4
+// allocations for Volcano, 7–10 for Volcano-SH, 10–16 for Volcano-RU and
+// 11–14 for Greedy, with or without -race; 205–1 161, 231–1 277, 473–2 555
+// and 712–4 098 when every search extracted a heap of plan nodes into a map
+// and made its own scratch.
+func TestSearchAllocationsArePlanSized(t *testing.T) {
+	bound := map[Algorithm]float64{Volcano: 6, VolcanoSH: 12, VolcanoRU: 18, Greedy: 16}
+	for _, b := range []struct {
+		name    string
+		cat     *catalog.Catalog
+		queries []*algebra.Tree
+	}{
+		{"BQ5", tpcd.Catalog(1), tpcd.BatchQueries(5)},
+		{"CQ5", psp.Catalog(1), psp.CQ(5)},
+		{"BQ5x6", tpcd.TenantCatalog(1, 6), tpcd.TenantBatch(5, 6)},
+	} {
+		pd, err := BuildDAG(b.cat, cost.DefaultModel(), b.queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for _, alg := range Algorithms() {
+			if _, err := Optimize(ctx, pd, alg, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, alg := range Algorithms() {
+			got := testing.AllocsPerRun(5, func() {
+				if _, err := Optimize(ctx, pd, alg, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > bound[alg] {
+				t.Errorf("%s, %v: a search on a searched DAG made %.0f allocations, want at most %.0f", b.name, alg, got, bound[alg])
+			}
 		}
 	}
 }

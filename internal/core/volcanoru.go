@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 
+	"mqo/internal/cost"
 	"mqo/internal/physical"
 )
 
@@ -20,18 +21,19 @@ import (
 // Optimize's entry state until the winning order's materialized set commits
 // at the end.
 func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG) (*Result, error) {
+	s := scratchOf(pd)
 	n := len(pd.QueryRoots)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	s.order = extend(s.order[:0], n)
+	for i := range s.order {
+		s.order[i] = i
 	}
-	best, err := runRUOrder(ctx, pd, order)
+	best, err := runRUOrder(ctx, pd, s.order)
 	if err == nil && n > 1 {
-		slices.Reverse(order)
-		var rev *Result
-		rev, err = runRUOrder(ctx, pd, order)
+		slices.Reverse(s.order)
+		var rev ruPass
+		rev, err = runRUOrder(ctx, pd, s.order)
 		// Strictly cheaper only, so the forward order wins ties.
-		if err == nil && rev.Cost < best.Cost {
+		if err == nil && rev.cost < best.cost {
 			best = rev
 		}
 	}
@@ -39,33 +41,47 @@ func optimizeVolcanoRU(ctx context.Context, pd *physical.DAG) (*Result, error) {
 		return nil, err
 	}
 	// Leave the costing state reflecting the returned result.
-	for _, m := range best.Materialized {
+	for _, m := range best.mats {
 		pd.SetMaterialized(m, true)
 	}
-	return best, nil
+	res := &Result{Cost: best.cost, Plan: best.plan.Seal(), Materialized: best.mats}
+	res.Stats.RUPromotions = best.promotions
+	return res, nil
+}
+
+// ruPass is what one Volcano-RU order pass found: its plan's cost, the plan,
+// its materialized set and the reuse promotions it committed. The draft is
+// the DAG's: it stays readable until the second draft after it (NewDraft).
+type ruPass struct {
+	cost       cost.Cost
+	plan       *physical.Draft
+	mats       []*physical.Node
+	promotions int64
 }
 
 // runRUOrder runs one Volcano-RU pass over the queries in the given order
 // on a DAG with an empty materialized set, and rolls the pass back.
-func runRUOrder(ctx context.Context, pd *physical.DAG, order []int) (*Result, error) {
+func runRUOrder(ctx context.Context, pd *physical.DAG, order []int) (ruPass, error) {
 	pd.Mark()
 	defer pd.Rollback()
-	plan := physical.NewPlan()
-	var count []int // by PlanNode.Index, grown with the plan
-	queryPlans := make([]*physical.PlanNode, len(pd.QueryRoots))
+	s := scratchOf(pd)
+	plan := pd.NewDraft()
+	count := s.count[:0] // by PlanNode.Index, grown with the plan
+	queryPlans := extend(s.queryPlans[:0], len(pd.QueryRoots))
+	s.queryPlans = queryPlans
 
 	var promotions int64
 	for _, qi := range order {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return ruPass{}, err
 		}
 		qn := pd.QueryRoots[qi]
 		// Optimize Q_i assuming the current candidate set N is
 		// materialized; nodes shared with earlier plans keep their cached
 		// choice, new nodes are costed under the pass's current state.
-		pn := pd.ExtractInto(plan, qn)
+		pn := plan.Extract(qn)
 		queryPlans[qi] = pn
-		count = append(count, make([]int, len(plan.ByNode)-len(count))...)
+		count = extend(count, plan.Len())
 		// Count uses and promote nodes worth materializing if used once
 		// more: cost + matcost + count·reuse < (count+1)·cost.
 		pn.Walk(func(p *physical.PlanNode) {
@@ -85,23 +101,20 @@ func runRUOrder(ctx context.Context, pd *physical.DAG, order []int) (*Result, er
 			}
 		})
 	}
+	s.count = count
 
 	// Combine P1..Pk under the batch root and let Volcano-SH make the
 	// final materialization decisions.
-	batch := pd.Root.Exprs[0]
-	root := &physical.PlanNode{N: pd.Root, E: batch, Children: make([]*physical.PlanNode, len(queryPlans)), Index: int32(len(plan.ByNode))}
+	root := plan.Add(pd.Root, pd.Root.Exprs[0], len(queryPlans))
 	for i, qp := range queryPlans {
 		qp.NumParents++
 		root.Children[i] = qp
 	}
 	plan.Root = root
-	plan.ByNode[pd.Root] = root
 
 	total, mats, err := volcanoSHOnPlan(ctx, pd, plan)
 	if err != nil {
-		return nil, err
+		return ruPass{}, err
 	}
-	res := &Result{Cost: total, Plan: plan, Materialized: mats}
-	res.Stats.RUPromotions = promotions
-	return res, nil
+	return ruPass{cost: total, plan: plan, mats: mats, promotions: promotions}, nil
 }

@@ -16,33 +16,29 @@ import (
 // using the numuses⁻ underestimate, and undo unused subsumption
 // derivations. The DAG's costing state must be Optimize's entry state.
 func optimizeVolcanoSH(ctx context.Context, pd *physical.DAG) (*Result, error) {
-	plan := physical.NewPlan()
-	plan.Root = pd.ExtractInto(plan, pd.Root)
+	plan := pd.NewDraft()
+	plan.Root = plan.Extract(pd.Root)
 	total, mats, err := volcanoSHOnPlan(ctx, pd, plan)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cost: total, Plan: plan, Materialized: mats}, nil
+	return &Result{Cost: total, Plan: plan.Seal(), Materialized: mats}, nil
 }
 
 // volcanoSHOnPlan runs the Volcano-SH materialization pass over an already
 // extracted consolidated plan (also the second phase of Volcano-RU). It
-// rewrites the plan in place (subsumption switches, Mat marks, Mats list)
+// rewrites the draft in place (subsumption switches, Mat marks, Mats list)
 // and returns the total cost and materialized set. The DAG's costing state
 // must be the one the plan was extracted under (in Volcano-RU, its order
 // pass's): the subsumption prepass extracts more child plans under it. The
-// pass reads — never writes — the DAG.
-func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, plan *physical.Plan) (cost.Cost, []*physical.Node, error) {
-	sh := &shState{
-		pd:        pd,
-		plan:      plan,
-		order:     make([]*physical.PlanNode, 0, len(plan.ByNode)),
-		origExpr:  map[*physical.PlanNode]*physical.PExpr{},
-		origChild: map[*physical.PlanNode][]*physical.PlanNode{},
-	}
+// pass writes no cost and no materialization of the DAG: only the draft and
+// the search scratch the DAG keeps.
+func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, plan *physical.Draft) (cost.Cost, []*physical.Node, error) {
+	sh := &scratchOf(pd).sh
+	sh.plan = plan
 	sh.prepass()
 	// The prepass extracted the plan's last nodes: size the scratch to it.
-	sh.per = make([]shNode, len(plan.ByNode))
+	sh.per = extend(sh.per[:0], plan.Len())
 	// The decisions and the undo step interact: undoing a subsumption
 	// switch removes uses that justified other materializations, so we
 	// re-decide after every undo until the plan is stable. Each round can
@@ -63,16 +59,18 @@ func volcanoSHOnPlan(ctx context.Context, pd *physical.DAG, plan *physical.Plan)
 	return total, mats, nil
 }
 
+// shState is one Volcano-SH pass over a draft plan. per, origExpr and
+// origKids are by PlanNode.Index: sized to the plan, not to the DAG.
 type shState struct {
-	pd   *physical.DAG
-	plan *physical.Plan
+	plan *physical.Draft
 
-	// per is each plan node's scratch, by PlanNode.Index: sized to the plan,
-	// not to the DAG.
-	per       []shNode
-	order     []*physical.PlanNode // nodes' and allNodes' one slice
-	origExpr  map[*physical.PlanNode]*physical.PExpr
-	origChild map[*physical.PlanNode][]*physical.PlanNode
+	per     []shNode
+	order   []*physical.PlanNode // nodes' and allNodes' one slice
+	present []dag.GroupID        // the prepass's logical groups in the plan, sorted
+	// origExpr[i] and origKids[i] are what the prepass switched plan node
+	// i away from, nil for a node it did not switch.
+	origExpr []*physical.PExpr
+	origKids [][]*physical.PlanNode
 }
 
 // shNode is one plan node's scratch: its cost under the decisions so far,
@@ -99,8 +97,8 @@ func (sh *shState) nodes() []*physical.PlanNode {
 // returns too.
 func (sh *shState) allNodes() []*physical.PlanNode {
 	out := sh.order[:0]
-	for _, pn := range sh.plan.ByNode {
-		out = append(out, pn)
+	for i := range sh.plan.Len() {
+		out = append(out, sh.plan.At(int32(i)))
 	}
 	sh.order = out
 	return sortByTopo(out)
@@ -120,13 +118,17 @@ func sortByTopo(pns []*physical.PlanNode) []*physical.PlanNode {
 // present in the plan (so sharing is possible) or a subsumption-introduced
 // node (disjunction / group-by-union) worth introducing.
 func (sh *shState) prepass() {
-	present := make([]dag.GroupID, 0, len(sh.plan.ByNode)) // logical group IDs in the plan, sorted
+	present := sh.present[:0] // logical group IDs in the plan, sorted
 	mark := func(id dag.GroupID) {
 		if i, found := slices.BinarySearch(present, id); !found {
 			present = slices.Insert(present, i, id)
 		}
 	}
 	sh.plan.Root.Walk(func(pn *physical.PlanNode) { mark(pn.N.LG.ID) })
+	// Only the nodes extracted so far can be switched; the arrays cover the
+	// nodes the switches extract once the prepass is over.
+	sh.origExpr = extend(sh.origExpr[:0], sh.plan.Len())
+	sh.origKids = extend(sh.origKids[:0], sh.plan.Len())
 
 	for _, pn := range sh.nodes() {
 		if pn.E.LE == nil || pn.E.LE.Subsumption {
@@ -146,12 +148,12 @@ func (sh *shState) prepass() {
 			if !applicable {
 				continue
 			}
-			sh.origExpr[pn] = pn.E
-			sh.origChild[pn] = pn.Children
+			sh.origExpr[pn.Index] = pn.E
+			sh.origKids[pn.Index] = pn.Children
 			pn.E = alt
-			pn.Children = make([]*physical.PlanNode, len(alt.Children))
+			pn.Children = sh.plan.Kids(len(alt.Children))
 			for i, c := range alt.Children {
-				cp := sh.pd.ExtractInto(sh.plan, c)
+				cp := sh.plan.Extract(c)
 				cp.NumParents++
 				pn.Children[i] = cp
 				mark(c.LG.ID)
@@ -159,6 +161,9 @@ func (sh *shState) prepass() {
 			break
 		}
 	}
+	sh.present = present
+	sh.origExpr = extend(sh.origExpr, sh.plan.Len())
+	sh.origKids = extend(sh.origKids, sh.plan.Len())
 	// Parent counts changed by the switches: recompute from scratch.
 	sh.recountParents()
 }
@@ -245,7 +250,7 @@ func (sh *shState) decide() {
 func (sh *shState) subsumptionSavings(pn *physical.PlanNode) cost.Cost {
 	var savings cost.Cost
 	sh.plan.Root.Walk(func(p *physical.PlanNode) {
-		orig, switched := sh.origExpr[p], false
+		orig, switched := sh.origExpr[p.Index], false
 		for _, c := range p.Children {
 			if c == pn {
 				switched = true
@@ -254,7 +259,7 @@ func (sh *shState) subsumptionSavings(pn *physical.PlanNode) cost.Cost {
 		if orig == nil || !switched {
 			return
 		}
-		origCost := sh.exprCost(orig, sh.origChild[p])
+		origCost := sh.exprCost(orig, sh.origKids[p.Index])
 		// Cost via the subsumption derivation assuming pn is materialized.
 		s := &sh.per[pn.Index]
 		wasMat := s.mat
@@ -273,15 +278,18 @@ func (sh *shState) subsumptionSavings(pn *physical.PlanNode) cost.Cost {
 // anything changed.
 func (sh *shState) undo() bool {
 	changed := false
-	for pn, orig := range sh.origExpr {
+	for i, orig := range sh.origExpr {
+		if orig == nil {
+			continue
+		}
+		pn := sh.plan.At(int32(i))
 		sharedInput := pn.Children[0]
 		if sh.per[sharedInput.Index].mat {
 			continue
 		}
 		pn.E = orig
-		pn.Children = sh.origChild[pn]
-		delete(sh.origExpr, pn)
-		delete(sh.origChild, pn)
+		pn.Children = sh.origKids[i]
+		sh.origExpr[i], sh.origKids[i] = nil, nil
 		changed = true
 	}
 	if changed {

@@ -74,7 +74,7 @@ func TestSpoolAndCacheScanRoundTrip(t *testing.T) {
 		table, ok := spools[qn]
 		if !ok { // Mat root spooled under its own node
 			for _, q := range roots {
-				if q == res.Plan.ByNode[qn] {
+				if q == res.Plan.Node(qn) {
 					table, ok = spools[q.N], true
 				}
 			}

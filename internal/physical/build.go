@@ -190,11 +190,11 @@ type DAG struct {
 	flat    flatDAG
 	costing costState
 
-	// Degrees caches the §4.1 degree of sharing of every logical group
-	// below the root (core's sharability analysis). They depend only on L
-	// and Root, both fixed when Build returns, so the DAG's first greedy
-	// search computes them and every later one reads them; nil until then.
-	Degrees map[*dag.Group]float64
+	// Scratch is what core's searches keep between searches of the DAG
+	// (the degrees of sharing, working arrays); nil until the first. A DAG
+	// keeps its plan drafts the same way (NewDraft).
+	Scratch any
+	drafts  drafts
 }
 
 // group is a row of the group table: what the physical layer keeps per

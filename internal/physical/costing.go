@@ -261,8 +261,11 @@ func (pd *DAG) Recost() {
 // empty journal — plus what the result cache armed since Disarm. It
 // runs that pass only when something moved a cost since the last one: a DAG
 // straight from Build, or reset already, is left as it is. Sharable flags are
-// left too; the greedy search sets every one before it reads any.
+// left too; the greedy search sets every one before it reads any. The next
+// NewDraft returns the first of the DAG's two drafts, so a search that
+// needs one draft always builds on the same storage.
 func (pd *DAG) Reset() {
+	pd.drafts.next = 0
 	cs := &pd.costing
 	for _, m := range cs.matList {
 		k, _ := pd.flat.bit(m.Topo)

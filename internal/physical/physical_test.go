@@ -315,7 +315,8 @@ func TestWalkVisitsOnceChildrenFirst(t *testing.T) {
 		at[pn] = len(at)
 	})
 	shared := false
-	for _, pn := range p.ByNode {
+	for i := range p.Nodes {
+		pn := &p.Nodes[i]
 		if _, ok := at[pn]; !ok {
 			t.Errorf("node %d not visited", pn.N.ID)
 		}

@@ -1,7 +1,6 @@
 package mqo
 
 import (
-	"maps"
 	"strings"
 	"sync"
 
@@ -19,9 +18,10 @@ import (
 // What one retains, measured (live heap after two collections): the finalized
 // logical DAG of BQ5 0.60 MB, of the six-tenant BQ5 3.66 MB, of CQ5 0.53 MB,
 // of SSB flight 3 0.08 MB; the idle physical DAG over it once all four
-// algorithms ran on it — nodes, operation nodes, costing state, its journal —
-// BQ5 0.63 MB, six-tenant BQ5 3.67 MB, CQ5 1.04 MB, SSB flight 3 0.12 MB, up
-// to 0.03 more once armed and stripped. Sixteen six-tenant pairs are ~117 MB.
+// algorithms ran on it — nodes, operation nodes, costing state, its journal,
+// its two plan drafts and the searches' scratch — BQ5 0.67 MB, six-tenant
+// BQ5 3.94 MB, CQ5 1.16 MB, SSB flight 3 0.13 MB, up to 0.03 more once armed
+// and stripped. Sixteen six-tenant pairs are ~122 MB.
 const dagMemoCap = 16
 
 var (
@@ -210,8 +210,8 @@ func (m *memo) peek(trees []byte, k planKey) (found, stored bool) {
 }
 
 // cloneResult shallow-copies a cached Result for a caller outside the
-// session: fresh Result and Plan structs, fresh top-level slices and
-// plan-node map, shared (immutable) plan nodes. A plan-cache hit's copy
+// session: fresh Result and Plan structs, fresh Mats and Materialized
+// slices, shared (immutable) plan nodes. A plan-cache hit's copy
 // reports the hit's own optimize phase as Stats.OptTime, not the time of
 // the search that built the plan.
 func cloneResult(r *Result, meta *execMeta) *Result {
@@ -223,7 +223,6 @@ func cloneResult(r *Result, meta *execMeta) *Result {
 	if r.Plan != nil {
 		p := *r.Plan
 		p.Mats = append([]*physical.PlanNode(nil), r.Plan.Mats...)
-		p.ByNode = maps.Clone(r.Plan.ByNode)
 		cp.Plan = &p
 	}
 	return &cp

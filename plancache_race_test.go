@@ -15,31 +15,33 @@ import (
 // resultShape is what a caller can see of a Result without reading its plan
 // nodes: the cost and the sizes of the containers that are the caller's own.
 type resultShape struct {
-	cost                     float64
-	mats, materialized, keys int
+	cost                      float64
+	mats, materialized, nodes int
 }
 
 func shapeOf(res *Result) resultShape {
-	return resultShape{float64(res.Cost), len(res.Plan.Mats), len(res.Materialized), len(res.Plan.ByNode)}
+	return resultShape{float64(res.Cost), len(res.Plan.Mats), len(res.Materialized), len(res.Plan.Nodes)}
 }
 
 // scribble is a hostile caller: it reorders and grows the Result's top-level
-// slices, writes to its plan-node map and overwrites its cost — everything the
-// contract says is the caller's own. It grows Plan.Mats only with the plan's
-// own nodes, so a plan that wrongly shared it still executes.
+// slices, shortens its Plan's view of the plan-node array and overwrites its
+// cost — everything the contract says is the caller's own: the Result and
+// Plan structs and the Mats and Materialized slices are copies, the plan
+// nodes are shared. It grows Plan.Mats only with the plan's own nodes, so a
+// plan that wrongly shared it still executes.
 func scribble(res *Result) {
 	slices.Reverse(res.Materialized)
 	res.Materialized = append(res.Materialized, nil)
 	slices.Reverse(res.Plan.Mats)
 	res.Plan.Mats = append(res.Plan.Mats, res.Plan.Mats...)
-	res.Plan.ByNode[nil] = nil
+	res.Plan.Nodes = res.Plan.Nodes[:len(res.Plan.Nodes)-1]
 	res.Cost = -1
 }
 
 // TestPlanCacheDefensiveCopiesUnderMutation: every Result the plan cache
 // holds reaches a caller outside the session as a defensive copy — a hit's,
 // and the miss's that cached it. Concurrent callers scribbling on the
-// top-level containers (Result.Materialized, Plan.Mats, Plan.ByNode) and the
+// top-level containers (Result.Materialized, Plan.Mats, the Plan struct) and the
 // cost must not corrupt each other's view or the stored entry (run under
 // -race in CI). Plan *nodes* stay shared and read-only. OptimizeSQL is checked
 // on an optimize-only session; Run on a session with a database, a plan cache
