@@ -1,156 +1,24 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§6). Each benchmark runs the corresponding experiment from
-// internal/bench and reports the headline quantities as custom metrics, so
-// `go test -bench=. -benchmem` reproduces the paper's study end to end.
+// Benchmarks of the public API on the paths the repository's benchmark
+// workloads time: a session optimizing opt_scaleup's batches, one stored
+// Submit and serve_zipf_hot's closed loop, and dss_batch_cold's pass. The
+// paper's figures are cmd/mqopaper's (-json), pinned by internal/bench's
+// TestPaperOutputsPinned.
 package mqo_test
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mqo"
-	"mqo/internal/bench"
 	"mqo/internal/psp"
 	"mqo/internal/ssb"
 	"mqo/internal/tpcd"
 )
-
-// metricName builds a benchmark metric unit with no whitespace.
-func metricName(parts ...string) string {
-	joined := strings.Join(parts, "_")
-	joined = strings.ReplaceAll(joined, " ", "")
-	return strings.ReplaceAll(joined, "%", "pct")
-}
-
-// reportCells publishes per-algorithm plan costs as benchmark metrics.
-func reportCells(b *testing.B, e *bench.Experiment) {
-	b.Helper()
-	for _, row := range e.Rows {
-		for _, c := range row.Cells {
-			b.ReportMetric(c.Cost, metricName(row.Label, c.Alg.String(), "cost_s"))
-		}
-	}
-}
-
-func runExperiment(b *testing.B, f func() (*bench.Experiment, error)) *bench.Experiment {
-	b.Helper()
-	var e *bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = f()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return e
-}
-
-// BenchmarkFigure6 regenerates Figure 6: stand-alone TPC-D queries Q2,
-// Q2-D, Q11, Q15 — estimated cost and optimization time per algorithm.
-func BenchmarkFigure6(b *testing.B) {
-	e := runExperiment(b, bench.Figure6)
-	reportCells(b, e)
-}
-
-// BenchmarkQ2NotIn regenerates the §6.1 "not in" variant of Q2 (paper:
-// ≈9× improvement for Greedy over Volcano).
-func BenchmarkQ2NotIn(b *testing.B) {
-	e := runExperiment(b, bench.Q2NotIn)
-	reportCells(b, e)
-	b.ReportMetric(e.Rows[0].Cells[0].Cost/e.Rows[0].Cells[3].Cost, "improvement_x")
-}
-
-// BenchmarkFigure7 regenerates the Figure 7 substitute: actual execution of
-// the stand-alone queries on the built-in engine, No-MQO vs MQO.
-func BenchmarkFigure7(b *testing.B) {
-	e := runExperiment(b, bench.Figure7)
-	for _, row := range e.Rows {
-		b.ReportMetric(row.Extra["NoMQO_sim_s"], metricName(row.Label, "NoMQO_sim_s"))
-		b.ReportMetric(row.Extra["MQO_sim_s"], metricName(row.Label, "MQO_sim_s"))
-	}
-}
-
-// BenchmarkFigure8 regenerates Figure 8: batched TPC-D queries BQ1..BQ5.
-func BenchmarkFigure8(b *testing.B) {
-	e := runExperiment(b, bench.Figure8)
-	reportCells(b, e)
-}
-
-// BenchmarkFigure9 regenerates Figure 9: PSP scaleup queries CQ1..CQ5.
-func BenchmarkFigure9(b *testing.B) {
-	e := runExperiment(b, bench.Figure9)
-	reportCells(b, e)
-}
-
-// BenchmarkFigure10 regenerates Figure 10: greedy cost propagations and
-// cost recomputations across CQ1..CQ5.
-func BenchmarkFigure10(b *testing.B) {
-	e := runExperiment(b, bench.Figure10)
-	for _, row := range e.Rows {
-		b.ReportMetric(row.Extra["cost_propagations"], metricName(row.Label, "propagations"))
-		b.ReportMetric(row.Extra["cost_recomputations"], metricName(row.Label, "recomputations"))
-	}
-}
-
-// BenchmarkAblationMonotonicity regenerates the §6.3 monotonicity
-// experiment (benefit recomputations with vs without the heuristic).
-func BenchmarkAblationMonotonicity(b *testing.B) {
-	e := runExperiment(b, func() (*bench.Experiment, error) { return bench.AblationMonotonicity(3) })
-	for _, row := range e.Rows {
-		b.ReportMetric(row.Extra["with_benefit_recomps"], metricName(row.Label, "with"))
-		b.ReportMetric(row.Extra["without_benefit_recomps"], metricName(row.Label, "without"))
-	}
-}
-
-// BenchmarkAblationSharability regenerates the §6.3 sharability experiment.
-func BenchmarkAblationSharability(b *testing.B) {
-	e := runExperiment(b, func() (*bench.Experiment, error) { return bench.AblationSharability(3) })
-	for _, row := range e.Rows {
-		b.ReportMetric(row.Extra["with_candidates"], metricName(row.Label, "with_candidates"))
-		b.ReportMetric(row.Extra["without_candidates"], metricName(row.Label, "without_candidates"))
-	}
-}
-
-// BenchmarkNoSharingOverhead regenerates the §6.4 no-overlap overhead
-// experiment (paper: ~25% Greedy overhead; sharability terminates greedy
-// immediately).
-func BenchmarkNoSharingOverhead(b *testing.B) {
-	e := runExperiment(b, bench.NoSharingOverhead)
-	b.ReportMetric(e.Rows[0].Extra["overhead_pct"], "overhead_pct")
-}
-
-// BenchmarkMemorySensitivity regenerates the §6.4 memory check (6/32/128
-// MB per operator).
-func BenchmarkMemorySensitivity(b *testing.B) {
-	e := runExperiment(b, bench.MemorySensitivity)
-	for _, row := range e.Rows {
-		b.ReportMetric(row.Extra["greedy_over_volcano"], metricName(row.Label, "greedy_over_volcano"))
-	}
-}
-
-// BenchmarkScaleSensitivity regenerates the §6.4 data-scale check (BQ5 at
-// SF 1 vs SF 100 statistics).
-func BenchmarkScaleSensitivity(b *testing.B) {
-	e := runExperiment(b, bench.ScaleSensitivity)
-	for _, row := range e.Rows {
-		b.ReportMetric(row.Extra["benefit_s"], metricName(row.Label, "benefit_s"))
-	}
-}
-
-// BenchmarkSpaceBudget exercises the §8 space-constrained greedy extension:
-// plan cost as the materialization budget grows.
-func BenchmarkSpaceBudget(b *testing.B) {
-	e := runExperiment(b, bench.SpaceBudgetCurve)
-	for _, row := range e.Rows {
-		b.ReportMetric(row.Cells[0].Cost, metricName(row.Label, "cost_s"))
-	}
-}
 
 // BenchmarkOptimizeAllAlgorithms measures one session optimizing a batch
 // under all four algorithms, plan cache off: what opt_scaleup does per batch,

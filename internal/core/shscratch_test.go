@@ -31,11 +31,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 // TestVolcanoSHRUBytes holds one Volcano-SH and one Volcano-RU optimization
 // of the six-tenant BQ5 batch (3 337 physical nodes), on a DAG built once,
 // to the bytes they allocate once the DAG keeps their drafts and scratch
-// between searches: 48 072 and 48 624 bytes, with or without -race, nearly
-// all of it the sealed plan of ~630 nodes. They allocated 124 904 and
-// 276 544 when every call extracted its plans node by node into a map and
-// made its own scratch, and 322 128 and 648 816 when that scratch spanned
-// every physical node.
+// between searches. Nearly all of it is the sealed plan of ~630 nodes, with
+// or without -race, so each bound is that plan and a small margin: a search
+// that extracts node by node into a map, or makes scratch of its own, or
+// scratch that spans the DAG, allocates more than twice the bound.
 func TestVolcanoSHRUBytes(t *testing.T) {
 	pd, err := BuildDAG(tpcd.TenantCatalog(1, 6), cost.DefaultModel(), tpcd.TenantBatch(5, 6))
 	if err != nil {
@@ -61,11 +60,9 @@ func TestVolcanoSHRUBytes(t *testing.T) {
 // allocates the plan it returns and a fixed handful of objects besides — the
 // Result, the sealed plan's arrays, the materialized list, Greedy's phase
 // map — however large the plan: each algorithm's bound holds for BQ5 (~100
-// plan nodes), CQ5 (~250) and the six-tenant BQ5 (~620) alike. Measured: 4
-// allocations for Volcano, 7–10 for Volcano-SH, 10–16 for Volcano-RU and
-// 11–14 for Greedy, with or without -race; 205–1 161, 231–1 277, 473–2 555
-// and 712–4 098 when every search extracted a heap of plan nodes into a map
-// and made its own scratch.
+// plan nodes), CQ5 (~250) and the six-tenant BQ5 (~620) alike, with or
+// without -race. A search that allocates per plan node or per candidate
+// makes hundreds to thousands of allocations and fails.
 func TestSearchAllocationsArePlanSized(t *testing.T) {
 	bound := map[Algorithm]float64{Volcano: 6, VolcanoSH: 12, VolcanoRU: 18, Greedy: 16}
 	for _, b := range []struct {

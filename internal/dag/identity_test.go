@@ -116,7 +116,7 @@ func identityBatches(tb testing.TB) []identityBatch {
 }
 
 // identitySizes records {live groups, expressions} of every batch's expanded
-// DAG as the string-keyed DAG built it. The first eleven sum to the 2,000
+// DAG: a change to them changes plans. The first eleven sum to the 2,000
 // groups and 8,246 expressions the benchmark's opt_scaleup reports per
 // algorithm sweep.
 var identitySizes = map[string][2]int{

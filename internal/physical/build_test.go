@@ -22,10 +22,11 @@ func TestPExprSize(t *testing.T) {
 }
 
 // TestBuildAllocations holds Build on the six-tenant BQ5 batch to the
-// allocation count it reached when the string-keyed memo, the per-node
-// equi-join columns and the per-expression weight and child slices went
-// (125 265 before, about 34 000 after), and then the per-node parent lists,
-// which the flat layout's one parents array replaced (24 059).
+// allocations of its slab layout: operation nodes and their child arrays
+// come from per-DAG chunks, a logical join's equi-column pairs are shared by
+// its physical alternatives, and the flat layout keeps every node's parents
+// in one array. A per-node or per-expression slice or map coming back adds
+// thousands of allocations and fails the bound.
 func TestBuildAllocations(t *testing.T) {
 	ld := expandLogical(t, tpcd.TenantCatalog(1, 6), tpcd.TenantBatch(5, 6))
 	model := cost.DefaultModel()

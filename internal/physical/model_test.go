@@ -297,12 +297,12 @@ func armedDAG(t *testing.T) *DAG {
 	return pd
 }
 
-// TestCostViewMatchesMapModel drives Mark spans on the DAG and the map
+// TestWhatIfSpanMatchesMapModel drives Mark spans on the DAG and the map
 // overlay through one seeded sequence — toggles kept inside a span,
 // what-ifs, rollbacks, commits on the DAG between spans — and holds them to
 // each other exactly: re-examined counts, every node's cost and membership,
 // totals and benefits by ==.
-func TestCostViewMatchesMapModel(t *testing.T) {
+func TestWhatIfSpanMatchesMapModel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func(*testing.T) *DAG

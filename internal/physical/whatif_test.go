@@ -67,10 +67,10 @@ func sameCosting(pd *DAG, want costingSnapshot) string {
 	return ""
 }
 
-// TestCostViewMatchesDAGToggle: for every candidate node, the what-if
+// TestWhatIfMatchesDAGToggle: for every candidate node, the what-if
 // benefit must equal the benefit obtained by toggling the DAG and back, and
 // the what-if must leave the DAG's costing state bit for bit as it was.
-func TestCostViewMatchesDAGToggle(t *testing.T) {
+func TestWhatIfMatchesDAGToggle(t *testing.T) {
 	pd := buildDAG(t, chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50))
 	base := pd.TotalCost()
 	for _, n := range whatIfCandidates(pd) {
@@ -93,11 +93,11 @@ func TestCostViewMatchesDAGToggle(t *testing.T) {
 	}
 }
 
-// TestCostViewMultiToggleMatchesScratch: a random sequence of toggles kept
+// TestSpanTogglesMatchScratch: a random sequence of toggles kept
 // inside one Mark span must agree with from-scratch recosting of the same set
 // on a twin DAG — the §4.2 incremental-update property inside a span — and
 // Rollback must undo all of it.
-func TestCostViewMultiToggleMatchesScratch(t *testing.T) {
+func TestSpanTogglesMatchScratch(t *testing.T) {
 	qs := []*algebra.Tree{chain([]string{"A", "B", "C"}, 50), chain([]string{"B", "C", "D"}, 60)}
 	pd, twin := buildDAG(t, qs...), buildDAG(t, qs...)
 	cands := whatIfCandidates(pd)
@@ -128,11 +128,11 @@ func TestCostViewMultiToggleMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestCostViewOverBaseMaterializations: a span may take a committed member
+// TestSpanOverBaseMaterializations: a span may take a committed member
 // off and put it back (so its setAt, and the order of its group's members,
 // moves), and Rollback must restore costs, bitmask words, matList, setAt,
 // sets and dirty exactly.
-func TestCostViewOverBaseMaterializations(t *testing.T) {
+func TestSpanOverBaseMaterializations(t *testing.T) {
 	qs := []*algebra.Tree{chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50)}
 	pd, twin := buildDAG(t, qs...), buildDAG(t, qs...)
 	cands := whatIfCandidates(pd)
@@ -166,10 +166,10 @@ func TestCostViewOverBaseMaterializations(t *testing.T) {
 	}
 }
 
-// TestCostViewsConcurrent: what-ifs write only their own DAG. Two physical
+// TestWhatIfsConcurrent: what-ifs write only their own DAG. Two physical
 // DAGs built over one logical DAG compute benefits at once, race-free under
 // -race, and each computes the benefits a DAG computes alone.
-func TestCostViewsConcurrent(t *testing.T) {
+func TestWhatIfsConcurrent(t *testing.T) {
 	ld := expandLogical(t, testCatalog(), []*algebra.Tree{chain([]string{"A", "B", "C"}, 50), chain([]string{"A", "B", "D"}, 50)})
 	var dags [3]*DAG
 	for i := range dags {
@@ -207,9 +207,9 @@ func TestCostViewsConcurrent(t *testing.T) {
 	}
 }
 
-// TestCostViewDrainCounters: what-ifs count their work into the DAG's
+// TestWhatIfCountsSurviveRollback: what-ifs count their work into the DAG's
 // counters, and Rollback does not take it back.
-func TestCostViewDrainCounters(t *testing.T) {
+func TestWhatIfCountsSurviveRollback(t *testing.T) {
 	pd := buildDAG(t, chain([]string{"A", "B"}, 50))
 	n := whatIfCandidates(pd)[0]
 	pd.WhatIfBenefit(n)
