@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"mqo/internal/algebra"
@@ -178,7 +179,7 @@ func BenchmarkNLJoinTheta(b *testing.B) {
 // on the key beforehand.
 func BenchmarkMergeJoin(b *testing.B) {
 	fs := factSchema()
-	sorted := &sortIter{child: &sliceIter{rows: factRows(20000), schema: fs}, cols: []algebra.Column{algebra.Col("f", "custkey")}}
+	sorted := sortOn(&sliceIter{rows: factRows(20000), schema: fs}, algebra.Col("f", "custkey"))
 	frows, err := drain(context.Background(), sorted)
 	if err != nil {
 		b.Fatal(err)
@@ -193,6 +194,75 @@ func BenchmarkMergeJoin(b *testing.B) {
 		left: &sliceIter{rows: frows, schema: fs}, right: &sliceIter{rows: drows, schema: ds},
 		lIdx: []int{factCustKey}, rIdx: []int{0}, pred: pred, schema: schema,
 	}, 20000)
+}
+
+// BenchmarkSort sorts 16 to 60 000 rows on three keys: a scattered
+// number, an SSB brand string ("MFGR#" and four digits, so every key shares
+// its first 8 bytes with many others), and a year with a brand after it,
+// seven years, so most pairs tie on the first column. Each iteration opens
+// the sort, pulls every row and closes it, giving its storage back; before
+// timing, the benchmark checks that the rows come out in order. The sizes
+// below radixMin take the comparison sort, the others the radix passes.
+func BenchmarkSort(b *testing.B) {
+	schema := algebra.Schema{
+		{Col: algebra.Col("s", "k"), Typ: algebra.TInt}, {Col: algebra.Col("s", "brand"), Typ: algebra.TString},
+		{Col: algebra.Col("s", "year"), Typ: algebra.TInt}, {Col: algebra.Col("s", "revenue"), Typ: algebra.TFloat},
+	}
+	for _, n := range []int{16, 32, 64, 256, 1000, 60000} {
+		rows := make([]storage.Row, n)
+		for i := range rows {
+			k := int64(i)
+			rows[i] = storage.Row{algebra.IntVal(k * 7919 % 100003), algebra.StringVal(fmt.Sprintf("MFGR#%d%d%d", 1+k%5, 1+k*7%5, 1+k*13%40)),
+				algebra.IntVal(1992 + k*3%7), algebra.FloatVal(float64(k%1000) / 4)}
+		}
+		for _, key := range []struct {
+			name string
+			cols []algebra.Column
+		}{
+			{"numeric", []algebra.Column{algebra.Col("s", "k")}},
+			{"brand", []algebra.Column{algebra.Col("s", "brand")}},
+			{"year,brand", []algebra.Column{algebra.Col("s", "year"), algebra.Col("s", "brand")}},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", key.name, n), func(b *testing.B) {
+				s := sortOn(&sliceIter{rows: rows, schema: schema}, key.cols...)
+				out := mustDrainB(b, s)
+				for i := 1; i < len(out); i++ {
+					if compareAt(out[i-1], s.idx, out[i], s.idx) > 0 {
+						b.Fatalf("row %d %v sorts after row %d %v", i-1, out[i-1], i, out[i])
+					}
+				}
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := s.Open(); err != nil {
+						b.Fatal(err)
+					}
+					got := 0
+					for {
+						_, ok, err := s.Next()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						got++
+					}
+					if err := s.Close(); err != nil || got != n {
+						b.Fatalf("%d rows, want %d (%v)", got, n, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// mustDrainB is drain that fails the benchmark on an error.
+func mustDrainB(b *testing.B, it Iterator) []storage.Row {
+	rows, err := drain(context.Background(), it)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
 }
 
 // need is the column set a consumer of the named fact columns asks for.

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -39,9 +38,7 @@ func spoil(it Iterator) Iterator { return &spoilIter{child: it} }
 
 func (p *spoilIter) lapse() {
 	for i, v := range p.last {
-		// The type stays, so that the garbage is compared and added up like a
-		// value rather than tripping a type check.
-		p.last[i] = algebra.Value{Typ: v.Typ, I: math.MinInt64 + 7, F: -1.2345e300, S: "\x00spoiled"}
+		p.last[i] = garbage(v.Typ, 0)
 	}
 	p.last = nil
 }

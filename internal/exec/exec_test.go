@@ -351,7 +351,7 @@ func TestReferenceGroupsByCompare(t *testing.T) {
 	if !EqualRows(QueryResult{gotSchema, got}, want, 0) {
 		t.Errorf("Reference grouped %v, want %v", got, want.Rows)
 	}
-	agg, err := newSortAgg(&sortIter{child: &sliceIter{rows: rows, schema: schema}, cols: groupBy}, groupBy, aggs, gotSchema)
+	agg, err := newSortAgg(sortOn(&sliceIter{rows: rows, schema: schema}, groupBy...), groupBy, aggs, gotSchema)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -26,55 +27,17 @@ import (
 // the left first and the right after it, as its builder's estimate says, and
 // does not open the other at all when the one it holds came out empty. So
 // Close may be called on an iterator that was never opened. Open may be
-// called again after Close (Invoke re-runs its body per binding); buffers
-// are reused.
+// called again after Close (Invoke re-runs its body per binding).
+//
+// Close ends every row the iterator handed out: an operator that keeps rows
+// gives its storage back to pools every run shares, and another operator,
+// of this run or another, may be writing it the moment Close returns.
 type Iterator interface {
 	Open() error
 	Next() (storage.Row, bool, error)
 	Close() error
 	Schema() algebra.Schema
 }
-
-// rowArena is the storage of an operator that keeps rows: copies are carved
-// len == cap from slabs, so keeping rows allocates once per slab, not once
-// per row, and an append to one row cannot reach the next.
-type rowArena struct {
-	slab storage.Row // the newest slab; rows are carved off its free end
-}
-
-// maxSlab bounds, in values, the slabs an arena grows by: what it allocates
-// beyond the rows it keeps is one slab at most.
-const maxSlab = 4096
-
-// alloc returns an unwritten row of width values.
-func (a *rowArena) alloc(width int) storage.Row {
-	if cap(a.slab)-len(a.slab) < width {
-		// The first slab holds four rows, as most results are a few rows,
-		// and each is twice the last up to maxSlab.
-		a.slab = make(storage.Row, 0, max(min(2*cap(a.slab), maxSlab), 4*width))
-	}
-	n := len(a.slab) + width
-	a.slab = a.slab[:n]
-	return a.slab[n-width : n : n]
-}
-
-// keep returns the arena's copy of r.
-func (a *rowArena) keep(r storage.Row) storage.Row {
-	out := a.alloc(len(r))
-	copy(out, r)
-	return out
-}
-
-// reserve makes room for rows more rows of width values in one slab, for a
-// caller that knows how many are coming.
-func (a *rowArena) reserve(rows, width int) {
-	if n := rows * width; cap(a.slab)-len(a.slab) < n {
-		a.slab = make(storage.Row, 0, n)
-	}
-}
-
-// reset takes back every row handed out, to carve the newest slab again.
-func (a *rowArena) reset() { a.slab = a.slab[:0] }
 
 // bufferedRows is what the child's buffered method promises, 0 without one.
 func bufferedRows(child Iterator) int {
@@ -329,15 +292,52 @@ func (p *projectIter) Next() (storage.Row, bool, error) {
 func (p *projectIter) Close() error           { return p.child.Close() }
 func (p *projectIter) Schema() algebra.Schema { return p.schema }
 
-// sortIter fully sorts its child's output by the given columns.
+// sortIter fully sorts its child's output by the given columns. It copies,
+// of each row, the columns its consumer reads, and keys each copy on every
+// sort column: a uint64 whose unsigned order never contradicts
+// algebra.Compare, the normalized key of Graefe's "Implementing Sorting in
+// Database Systems" (2006) cut to a word (sortKey). It orders (key, position)
+// pairs by the keys, by radix passes from radixMin rows up and by comparing
+// them below; where keys are equal that may hide unequal values (strings longer
+// than a key holds), by the values; and then by position. So the sort is
+// stable, and it compares values only where keys cannot decide.
 type sortIter struct {
-	child Iterator
-	cols  []algebra.Column
-	poll  ctxPoll
-	arena rowArena // the copies of the child's rows
-	rows  []storage.Row
-	pos   int
-	kept  int64 // rows copied since the sort was built
+	child  Iterator
+	schema algebra.Schema // the copied columns
+	keep   []int          // their positions in the child's rows; nil: all
+	idx    []int          // the sort columns' positions in the copies
+	poll   ctxPoll
+	arena  rowArena      // the copies of the child's rows
+	rows   []storage.Row // the copies, in input order
+	order  []keyed       // the copies' positions in sorted order, after Open
+	keys   []uint64      // the copies' keys, len(idx) a copy, in input order
+	exact  []bool        // per sort column: its equal keys are equal values
+	pos    int
+	kept   int64 // rows copied since the sort was built
+}
+
+// keyed is a copied row's position in input order and a sort key of it: the
+// first column's, but for the key a radix pass orders by.
+type keyed struct {
+	key uint64
+	at  int
+}
+
+// newSort builds a sort of child on cols that copies the columns in need
+// (nil: all of them), resolving both once however often it is opened.
+func newSort(child Iterator, cols []algebra.Column, need colNeed) (*sortIter, error) {
+	s := &sortIter{child: child, schema: child.Schema(), idx: make([]int, len(cols)), exact: make([]bool, len(cols))}
+	if need != nil {
+		if k := need.of(s.schema); len(k.cols) < len(s.schema) {
+			s.keep, s.schema = k.cols, k.schema
+		}
+	}
+	for i, c := range cols {
+		if s.idx[i] = s.schema.IndexOf(c); s.idx[i] < 0 {
+			return nil, fmt.Errorf("exec: sort column %v not in schema", c)
+		}
+	}
+	return s, nil
 }
 
 func (s *sortIter) Open() error {
@@ -346,16 +346,10 @@ func (s *sortIter) Open() error {
 	}
 	s.arena.reset()
 	s.rows, s.pos = s.rows[:0], 0
+	width := len(s.schema)
 	if n := bufferedRows(s.child); n > 0 {
-		s.arena.reserve(n, len(s.child.Schema()))
-		s.rows = slices.Grow(s.rows, n)
-	}
-	idxs := make([]int, len(s.cols))
-	for i, c := range s.cols {
-		idxs[i] = s.child.Schema().IndexOf(c)
-		if idxs[i] < 0 {
-			return fmt.Errorf("exec: sort column %v not in schema", c)
-		}
+		s.arena.reserve(n, width)
+		s.rows = headers.grow(s.rows, n)
 	}
 	for {
 		if err := s.poll.err(); err != nil {
@@ -368,28 +362,263 @@ func (s *sortIter) Open() error {
 		if !ok {
 			break
 		}
-		s.rows = append(s.rows, s.arena.keep(r))
+		c := s.arena.alloc(width)
+		if s.keep == nil {
+			copy(c, r)
+		} else {
+			for i, k := range s.keep {
+				c[i] = r[k]
+			}
+		}
+		s.rows = append(headers.grow(s.rows, 1), c)
 	}
 	s.kept += int64(len(s.rows))
-	slices.SortStableFunc(s.rows, func(a, b storage.Row) int { return compareAt(a, idxs, b, idxs) })
+	s.sort()
 	return nil
 }
 
+// sort keys the copies and orders them.
+func (s *sortIter) sort() {
+	n, k := len(s.rows), len(s.idx)
+	s.order = sortKeys.grow(s.order[:0], n)[:n]
+	s.keys = uint64s.grow(s.keys[:0], n*k)[:n*k]
+	exact := k // the first column whose equal keys may hide unequal values
+	for c, col := range s.idx {
+		mixed, cut, short := s.classify(col)
+		if s.exact[c] = cut < 0 || short; !s.exact[c] {
+			exact = min(exact, c)
+		}
+		for i, r := range s.rows {
+			if strs := !mixed && cut >= 0; strs {
+				s.keys[i*k+c] = shortKey(r[col].S[cut:], short)
+			} else {
+				s.keys[i*k+c] = sortKey(&r[col], mixed)
+			}
+		}
+	}
+	for i := range s.order {
+		s.order[i] = keyed{at: i}
+		if k > 0 {
+			s.order[i].key = s.keys[i*k]
+		}
+	}
+	if k == 0 {
+		return
+	}
+	if n < radixMin {
+		slices.SortFunc(s.order, s.compare)
+		return
+	}
+	// A stable pass per column, the last first, orders the copies by their
+	// keys and, where those are equal, by position. Past a column whose keys
+	// are not exact, keys no longer decide: the passes stop there, and the
+	// runs of copies whose keys are equal up to it are compared in full.
+	last := min(exact, k-1)
+	spare := sortKeys.get(n)[:n]
+	for c := last; c >= 0; c-- {
+		for i, e := range s.order {
+			s.order[i].key = s.keys[e.at*k+c]
+		}
+		s.order, spare = radixSort(s.order, spare)
+	}
+	sortKeys.put(spare)
+	if exact == k {
+		return
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && slices.Equal(s.keysOf(s.order[j].at)[:last+1], s.keysOf(s.order[i].at)[:last+1]) {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(s.order[i:j], s.compare)
+		}
+		i = j
+	}
+}
+
+// keysOf is the sort keys of the copy at i.
+func (s *sortIter) keysOf(i int) []uint64 {
+	k := len(s.idx)
+	return s.keys[i*k : i*k+k]
+}
+
+// compare orders two copies by their first keys, then by the rest of their
+// keys and, where a key may hide unequal values, by the values, then by
+// position.
+func (s *sortIter) compare(a, b keyed) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	ka, kb := s.keysOf(a.at), s.keysOf(b.at)
+	for c, col := range s.idx {
+		switch {
+		case ka[c] < kb[c]:
+			return -1
+		case ka[c] > kb[c]:
+			return 1
+		}
+		if !s.exact[c] {
+			if d := algebra.Compare(s.rows[a.at][col], s.rows[b.at][col]); d != 0 {
+				return d
+			}
+		}
+	}
+	return a.at - b.at
+}
+
+// radixMin is the fewest rows a sort orders by radixSort: below it, the
+// count arrays of its passes cost more than comparing. BenchmarkSort sets it:
+// on each of its keys the radix passes take 14–23 % longer than comparing at
+// 32 rows and 12–28 % less at 64.
+const radixMin = 64
+
+// radixSort orders keys by key, a byte at a time from the least significant,
+// skipping the bytes every key has alike. Each pass is stable, so equal keys
+// keep their order. It returns the sorted keys and the other buffer, each
+// of the two it was given.
+func radixSort(keys, spare []keyed) (sorted, other []keyed) {
+	var diff uint64
+	for _, e := range keys {
+		diff |= e.key ^ keys[0].key
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, e := range keys {
+			at[byte(e.key>>shift)]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for _, e := range keys {
+			b := byte(e.key >> shift)
+			spare[at[b]] = e
+			at[b]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys, spare
+}
+
+// classify reads the copies' values at col: mixed reports numbers and
+// strings both, and cut is the length of the prefix all the strings share
+// (0 in a mixed column), −1 when there are none. The strings' keys are taken
+// past that prefix, and short reports that what is left of each is at most 7
+// bytes, so that a key can hold it whole (shortKey).
+func (s *sortIter) classify(col int) (mixed bool, cut int, short bool) {
+	nums, first, longest := false, "", 0
+	cut = -1
+	for _, r := range s.rows {
+		v := &r[col]
+		switch {
+		case v.IsNumeric():
+			nums = true
+			continue
+		case cut < 0:
+			first, cut = v.S, len(v.S)
+		default:
+			cut = min(cut, len(v.S))
+			for i := 0; i < cut; i++ {
+				if v.S[i] != first[i] {
+					cut = i
+				}
+			}
+		}
+		longest = max(longest, len(v.S))
+	}
+	switch {
+	case nums && cut >= 0:
+		return true, 0, false
+	case cut < 0:
+		return false, cut, false
+	}
+	return false, cut, longest-cut <= 7
+}
+
 func (s *sortIter) Next() (storage.Row, bool, error) {
-	if s.pos >= len(s.rows) {
+	if s.pos >= len(s.order) {
 		return nil, false, nil
 	}
-	r := s.rows[s.pos]
+	r := s.rows[s.order[s.pos].at]
 	s.pos++
 	return r, true, nil
 }
 
-func (s *sortIter) Close() error           { return s.child.Close() }
-func (s *sortIter) Schema() algebra.Schema { return s.child.Schema() }
-func (s *sortIter) buffered() int          { return len(s.rows) - s.pos }
+// Close gives the copies and their keys back to the pools.
+func (s *sortIter) Close() error {
+	s.arena.release()
+	headers.put(s.rows)
+	sortKeys.put(s.order)
+	uint64s.put(s.keys)
+	s.rows, s.order, s.keys, s.pos = nil, nil, nil, 0
+	return s.child.Close()
+}
+
+func (s *sortIter) Schema() algebra.Schema { return s.schema }
+func (s *sortIter) buffered() int          { return len(s.order) - s.pos }
 
 // rowsKept is what a profiled run reports as NodeProfile.Kept.
 func (s *sortIter) rowsKept() int64 { return s.kept }
+
+// sortKey is v's sort key in a column of one class, numbers or strings: of
+// two values of the class, the one with the smaller key is the smaller under
+// algebra.Compare, and two numbers have equal keys exactly when they compare
+// equal. In a mixed column every key is halved and a string's gets the top
+// bit, which puts strings above every number, as Compare does.
+func sortKey(v *algebra.Value, mixed bool) uint64 {
+	switch {
+	case v.IsNumeric() && mixed:
+		return numKey(v.AsFloat()) >> 1
+	case v.IsNumeric():
+		return numKey(v.AsFloat())
+	case mixed:
+		return 1<<63 | strKey(v.S)>>1
+	}
+	return strKey(v.S)
+}
+
+// numKey orders numbers as algebra.CompareFloat does: the float bits with the
+// sign bit set on the positives and every bit flipped on the negatives, −0 as
+// 0, and every NaN one above +Inf.
+func numKey(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0
+	case f != f:
+		return numKey(math.Inf(1)) + 1
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// strKey is a string's first 8 bytes, big-endian, padded with zero bytes: a
+// string that shares them with another, or extends it by zero bytes, has its
+// key.
+func strKey(s string) uint64 {
+	var b [8]byte
+	copy(b[:], s)
+	return binary.BigEndian.Uint64(b[:])
+}
+
+// shortKey is strKey, or, for a string known short — at most 7 bytes — its
+// bytes and then its length, a key no other string has: of two strings
+// padded alike the shorter is a prefix of the longer, and the smaller.
+func shortKey(s string, short bool) uint64 {
+	if short {
+		return strKey(s) | uint64(len(s))
+	}
+	return strKey(s)
+}
 
 // joinScratch is the row a join's predicate sees, and its output row when the
 // pair passes: the outer row followed by the inner candidate, overwritten for
@@ -709,7 +938,7 @@ func (j *nlJoin) bufferInner() error {
 	if n := bufferedRows(j.right); n > 0 && !j.holdOuter {
 		// Every row is kept, so the child's count sizes the storage once.
 		j.arena.reserve(n, len(j.right.Schema()))
-		j.inner, j.slot = slices.Grow(j.inner, n), slices.Grow(j.slot, n)
+		j.inner, j.slot = headers.grow(j.inner, n), int32s.grow(j.slot, n)
 	}
 	for {
 		if err := j.poll.err(); err != nil {
@@ -733,11 +962,11 @@ func (j *nlJoin) bufferInner() error {
 			}
 			b = int32(len(j.ends))
 			j.bucketOf[h] = b
-			j.ends = append(j.ends, 0)
+			j.ends = append(int32s.grow(j.ends, 1), 0)
 		}
-		j.inner = append(j.inner, j.arena.keep(r))
+		j.inner = append(headers.grow(j.inner, 1), j.arena.keep(r))
 		j.ends[b]++
-		j.slot = append(j.slot, b)
+		j.slot = append(int32s.grow(j.slot, 1), b)
 	}
 	j.kept += int64(len(j.outer) + len(j.inner))
 	// Turn the counts into each bucket's start; placing its rows then moves
@@ -747,7 +976,7 @@ func (j *nlJoin) bufferInner() error {
 		j.ends[b] = n
 		n += count
 	}
-	j.bucketed = slices.Grow(j.bucketed[:0], len(j.inner))[:len(j.inner)]
+	j.bucketed = headers.grow(j.bucketed[:0], len(j.inner))[:len(j.inner)]
 	for i, r := range j.inner {
 		b := j.slot[i]
 		j.bucketed[j.ends[b]] = r
@@ -848,11 +1077,11 @@ func (j *nlJoin) bufferOuter() error {
 		if err != nil || !ok {
 			return err
 		}
-		j.outer = append(j.outer, j.outerArena.keep(r))
+		j.outer = append(headers.grow(j.outer, 1), j.outerArena.keep(r))
 		h := keyHash(r, j.lKey)
 		if _, seen := j.bucketOf[h]; !seen {
 			j.bucketOf[h] = int32(len(j.ends))
-			j.ends = append(j.ends, 0)
+			j.ends = append(int32s.grow(j.ends, 1), 0)
 		}
 	}
 }
@@ -901,7 +1130,17 @@ func (j *nlJoin) Next() (storage.Row, bool, error) {
 	}
 }
 
+// Close gives the held rows and the arrays that bucket them back to the
+// pools.
 func (j *nlJoin) Close() error {
+	j.arena.release()
+	j.outerArena.release()
+	headers.put(j.outer)
+	headers.put(j.inner)
+	headers.put(j.bucketed)
+	int32s.put(j.ends)
+	int32s.put(j.slot)
+	j.outer, j.inner, j.bucketed, j.ends, j.slot, j.cands = nil, nil, nil, nil, nil, nil
 	if err := j.left.Close(); err != nil {
 		return err
 	}
@@ -1000,7 +1239,10 @@ func (j *mergeJoin) Next() (storage.Row, bool, error) {
 	}
 }
 
+// Close gives the key group's copies back to the pools.
 func (j *mergeJoin) Close() error {
+	j.arena.release()
+	j.group = j.group[:0]
 	if err := j.left.Close(); err != nil {
 		return err
 	}
@@ -1073,6 +1315,13 @@ func (s *indexedSource) probeEq(v algebra.Value, out []storage.Row) ([]storage.R
 // pageMisses reports the probes'.
 func (s *indexedSource) pageMisses() int64 { return s.misses }
 
+// release gives the last probe's rows back to the pools.
+func (s *indexedSource) release() {
+	if s != nil {
+		s.arena.release()
+	}
+}
+
 // indexJoin probes the inner index once per outer row.
 type indexJoin struct {
 	outer  Iterator
@@ -1117,7 +1366,12 @@ func (j *indexJoin) Next() (storage.Row, bool, error) {
 	}
 }
 
-func (j *indexJoin) Close() error           { return j.outer.Close() }
+func (j *indexJoin) Close() error {
+	j.inner.release()
+	j.matches = j.matches[:0]
+	return j.outer.Close()
+}
+
 func (j *indexJoin) Schema() algebra.Schema { return j.schema }
 
 // columns and pageMisses report the probed inner's.
@@ -1181,7 +1435,12 @@ func (s *indexSelect) Next() (storage.Row, bool, error) {
 	return r, true, nil
 }
 
-func (s *indexSelect) Close() error           { return nil }
+func (s *indexSelect) Close() error {
+	s.source.release()
+	s.rows = s.rows[:0]
+	return nil
+}
+
 func (s *indexSelect) Schema() algebra.Schema { return s.schema }
 func (s *indexSelect) buffered() int          { return len(s.rows) - s.pos }
 

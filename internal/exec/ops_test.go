@@ -254,8 +254,8 @@ func joinsMatchAllPairs(t *testing.T, wrap func(Iterator) Iterator) {
 					lk, rk = append(lk, l(k)), append(rk, r(k))
 					mj.lIdx, mj.rIdx = append(mj.lIdx, ls.IndexOf(l(k))), append(mj.rIdx, rs.IndexOf(r(k)))
 				}
-				mj.left = wrap(&sortIter{child: wrap(&sliceIter{rows: lrows, schema: ls}), cols: lk})
-				mj.right = wrap(&sortIter{child: wrap(&sliceIter{rows: rrows, schema: rs}), cols: rk})
+				mj.left = wrap(sortOn(wrap(&sliceIter{rows: lrows, schema: ls}), lk...))
+				mj.right = wrap(sortOn(wrap(&sliceIter{rows: rrows, schema: rs}), rk...))
 				if got := mustDrain(t, wrap(mj)); !EqualRows(QueryResult{schema, got}, QueryResult{schema, want}, 0) {
 					t.Fatalf("%s: mergeJoin gave %d rows, all-pairs %d:\n%v\n%v", what, len(got), len(want), got, want)
 				}
@@ -361,8 +361,8 @@ func TestMergeJoinNaNKeys(t *testing.T) {
 	} {
 		want := allPairs(t, pred, ls, rs, c.outer, c.inner)
 		mj := &mergeJoin{pred: compiled, schema: schema, lIdx: []int{0}, rIdx: []int{0},
-			left:  &sortIter{child: &sliceIter{rows: c.outer, schema: ls}, cols: ls.Columns()},
-			right: &sortIter{child: &sliceIter{rows: c.inner, schema: rs}, cols: rs.Columns()}}
+			left:  sortOn(&sliceIter{rows: c.outer, schema: ls}, ls.Columns()...),
+			right: sortOn(&sliceIter{rows: c.inner, schema: rs}, rs.Columns()...)}
 		if got := mustDrain(t, mj); !EqualRows(QueryResult{schema, got}, QueryResult{schema, want}, 0) {
 			t.Errorf("case %d: mergeJoin gave %d rows, all-pairs %d:\n%v\n%v", i, len(got), len(want), got, want)
 		}
@@ -758,7 +758,9 @@ func TestBlockingOperatorsStopWhenCancelled(t *testing.T) {
 			return nl
 		}},
 		{"sort", func(ctx context.Context, big Iterator) Iterator {
-			return &sortIter{child: big, cols: schema.Columns(), poll: ctxPoll{ctx: ctx}}
+			s := sortOn(big, schema.Columns()...)
+			s.poll.ctx = ctx
+			return s
 		}},
 		{"scalar aggregate", func(ctx context.Context, big Iterator) Iterator {
 			return agg(ctx, big)
@@ -901,19 +903,129 @@ func TestAnalyzeShowsJoinPairs(t *testing.T) {
 	}
 }
 
-func TestSortIterOrdersAndIsStable(t *testing.T) {
-	schema := intSchema("t", "k", "seq")
-	rows := intRows([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{1, 3}, []int64{2, 4})
-	s := &sortIter{child: &sliceIter{rows: rows, schema: schema}, cols: []algebra.Column{algebra.Col("t", "k")}}
-	out, err := drain(context.Background(), s)
+// sortOn is a sort of child on cols that copies every column.
+func sortOn(child Iterator, cols ...algebra.Column) *sortIter {
+	s, err := newSort(child, cols, nil)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	wantK := []int64{1, 1, 2, 3, 3}
-	wantSeq := []int64{1, 3, 4, 0, 2} // stability: original order within equal keys
+	return s
+}
+
+// TestSortIterOrdersAndIsStable holds the keyed sort to a stable sort by
+// algebra.Compare, computed here with slices.SortStableFunc, over 2 400 rows
+// of each shape, which the radix passes sort, and over radixMin − 1, which a
+// comparison sort does: a numeric column with NaNs of two payloads, signed
+// zeros, infinities and 2^53 against 2^53+1; two columns whose first has few
+// values; strings that share their first 8 bytes, or extend one another by
+// zero bytes; strings whose column shares a prefix, with at most 7 bytes past
+// it, which their keys hold whole, or with 8; a column mixing numbers and
+// strings; and a string column between two exact ones. Each sort copies three
+// of the four columns, and the rows it delivers are the reference's, bit for
+// bit, in the reference's order, after a re-Open too.
+func TestSortIterOrdersAndIsStable(t *testing.T) {
+	small := intRows([]int64{3, 0}, []int64{1, 1}, []int64{3, 2}, []int64{1, 3}, []int64{2, 4})
+	out := mustDrain(t, sortOn(&sliceIter{rows: small, schema: intSchema("t", "k", "seq")}, algebra.Col("t", "k")))
+	wantK, wantSeq := []int64{1, 1, 2, 3, 3}, []int64{1, 3, 4, 0, 2} // stability: input order within equal keys
 	for i := range out {
 		if out[i][0].I != wantK[i] || out[i][1].I != wantSeq[i] {
 			t.Fatalf("sorted[%d] = %v, want k=%d seq=%d", i, out[i], wantK[i], wantSeq[i])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	num := func() algebra.Value {
+		special := []float64{math.NaN(), math.Float64frombits(0xfff8000000000002), math.Copysign(0, -1), 0,
+			math.Inf(1), math.Inf(-1), 1 << 53, -0.5, 2.5}
+		switch rng.Intn(4) {
+		case 0:
+			return algebra.FloatVal(special[rng.Intn(len(special))])
+		case 1:
+			return algebra.IntVal([]int64{1 << 53, 1<<53 + 1, -3, 2}[rng.Intn(4)])
+		case 2:
+			return algebra.DateVal(int64(rng.Intn(50)))
+		}
+		return algebra.FloatVal(float64(rng.Intn(100)-50) / 4)
+	}
+	few := func() algebra.Value { return algebra.IntVal(int64(rng.Intn(7))) }
+	str := func() algebra.Value {
+		special := []string{"", "abc", "abc\x00", "abc\x00\x00", "MFGR#2", "MFGR#22", "ASIA", "ASIA\xff"}
+		if rng.Intn(3) == 0 {
+			return algebra.StringVal(special[rng.Intn(len(special))])
+		}
+		return algebra.StringVal(fmt.Sprintf("MFGR#22%d", rng.Intn(40)))
+	}
+	// Strings that share "MFGR#2" and have at most 7 bytes past it, which
+	// their keys hold whole, and strings that go on to 8.
+	brand := func(special ...string) func() algebra.Value {
+		return func() algebra.Value {
+			if rng.Intn(4) == 0 {
+				return algebra.StringVal(special[rng.Intn(len(special))])
+			}
+			return algebra.StringVal(fmt.Sprintf("MFGR#2%d", rng.Intn(400)))
+		}
+	}
+	short := brand("MFGR#2", "MFGR#2\x00", "MFGR#2\x00\x00", "MFGR#21234567", "MFGR#2123456\x00")
+	long := brand("MFGR#2", "MFGR#2\x00", "MFGR#21234567", "MFGR#212345670", "MFGR#212345678")
+	mixed := func() algebra.Value {
+		if rng.Intn(2) == 0 {
+			return num()
+		}
+		return str()
+	}
+	for _, c := range []struct {
+		name   string
+		k1, k2 func() algebra.Value
+		cols   []algebra.Column
+	}{
+		{"numbers", num, few, []algebra.Column{algebra.Col("t", "k1")}},
+		{"two columns", few, num, []algebra.Column{algebra.Col("t", "k1"), algebra.Col("t", "k2")}},
+		{"shared prefixes", str, mixed, []algebra.Column{algebra.Col("t", "k1"), algebra.Col("t", "k2")}},
+		{"short past a shared prefix", short, few, []algebra.Column{algebra.Col("t", "k1"), algebra.Col("t", "k2")}},
+		{"long past a shared prefix", few, long, []algebra.Column{algebra.Col("t", "k1"), algebra.Col("t", "k2")}},
+		{"mixed column", mixed, few, []algebra.Column{algebra.Col("t", "k1"), algebra.Col("t", "k2")}},
+		{"second column first", few, str, []algebra.Column{algebra.Col("t", "k2"), algebra.Col("t", "k1")}},
+		{"strings between", few, str, []algebra.Column{algebra.Col("t", "k1"), algebra.Col("t", "k2"), algebra.Col("t", "seq")}},
+	} {
+		for _, n := range []int{2400, radixMin - 1} {
+			sortMatchesStable(t, fmt.Sprintf("%s, %d rows", c.name, n), n, c.k1, c.k2, c.cols)
+		}
+	}
+}
+
+// sortMatchesStable sorts n rows of k1's and k2's values, a column the sort
+// does not copy and a position on cols, and holds the sort to
+// slices.SortStableFunc.
+func sortMatchesStable(t *testing.T, name string, n int, k1, k2 func() algebra.Value, cols []algebra.Column) {
+	t.Helper()
+	schema := intSchema("t", "k1", "pad", "k2", "seq")
+	rows := make([]storage.Row, n)
+	for i := range rows {
+		rows[i] = storage.Row{k1(), algebra.IntVal(-1), k2(), algebra.IntVal(int64(i))}
+	}
+	idx := make([]int, len(cols))
+	for i, col := range cols {
+		idx[i] = schema.IndexOf(col)
+	}
+	want := slices.Clone(rows)
+	slices.SortStableFunc(want, func(a, b storage.Row) int { return compareAt(a, idx, b, idx) })
+	kept := []algebra.Column{algebra.Col("t", "k1"), algebra.Col("t", "k2"), algebra.Col("t", "seq")}
+	s, err := newSort(&sliceIter{rows: rows, schema: schema}, cols, colNeed{}.plus(eachOf(kept)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Schema().Columns(); !slices.Equal(got, kept) {
+		t.Fatalf("%s: the sort copies %v", name, got)
+	}
+	for _, pass := range []string{"", ", reopened"} {
+		got := mustDrain(t, s)
+		if len(got) != n {
+			t.Fatalf("%s%s: %d rows, want %d", name, pass, len(got), n)
+		}
+		for i, r := range got {
+			if w := want[i]; !sameValues(r, storage.Row{w[0], w[2], w[3]}) {
+				t.Fatalf("%s%s: row %d is %v, want %v", name, pass, i, r, w)
+			}
 		}
 	}
 }
@@ -1092,7 +1204,7 @@ func TestCloseBeforeOpen(t *testing.T) {
 		newTableScan(tab.Heap, ls, nil),
 		filter,
 		&projectIter{child: src(ls)},
-		&sortIter{child: src(ls), cols: ls.Columns()},
+		sortOn(src(ls), ls.Columns()...),
 		nl,
 		&mergeJoin{left: src(ls), right: src(rs)},
 		&indexJoin{outer: src(ls)},

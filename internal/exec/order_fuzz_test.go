@@ -9,11 +9,12 @@ import (
 )
 
 // fuzzValue is a value made from raw bits: an int, a date, a float of any
-// payload or a prefix of s, and, so that ties and dense key sets are common,
-// a small int, a small date or a small float that may be integral or not.
+// payload, a prefix or a suffix of s, and, so that ties and dense key sets
+// are common, a small int, a small date or a small float that may be
+// integral or not.
 func fuzzValue(kind uint8, bits uint64, s string) algebra.Value {
 	small := int64(int16(bits))
-	switch kind % 7 {
+	switch kind % 8 {
 	case 0:
 		return algebra.IntVal(int64(bits))
 	case 1:
@@ -26,6 +27,8 @@ func fuzzValue(kind uint8, bits uint64, s string) algebra.Value {
 		return algebra.IntVal(small)
 	case 5:
 		return algebra.DateVal(small)
+	case 7:
+		return algebra.StringVal(s[bits%uint64(len(s)+1):])
 	}
 	return algebra.FloatVal(float64(small) / float64(1+bits>>16&1))
 }
@@ -36,10 +39,13 @@ func fuzzValue(kind uint8, bits uint64, s string) algebra.Value {
 // (keyHash), and a join's one-column key gate, asked by value (gate.key),
 // finds a probe exactly when some held key Compares equal to it, both from
 // the bucket table's hashes and, whenever the held keys allow one, from a
-// bitmap (keyBits). The committed corpus holds NaNs of two payloads and
-// signs, signed zeros, infinities, 2^53 against 2^53+1 and an int against a
-// string, and, for the key gate, NaN keys probed by other payloads and a -0
-// key probed by 0.
+// bitmap (keyBits). A sort's keys (sortKey) never order two values against
+// Compare, within numbers, within strings and in a column mixing both, and
+// two numbers have equal keys exactly when they compare equal. The committed
+// corpus holds NaNs of two payloads and signs, signed zeros, infinities,
+// 2^53 against 2^53+1, an int against a string, "abc" against "abc\x00" and
+// brands sharing their first 8 bytes, and, for the key gate, NaN keys probed
+// by other payloads and a -0 key probed by 0.
 //
 //	go test -run '^$' -fuzz FuzzCompareOrder ./internal/exec
 func FuzzCompareOrder(f *testing.F) {
@@ -57,6 +63,19 @@ func FuzzCompareOrder(f *testing.F) {
 				}
 				if cmp(x, y) == 0 && keyHash(storage.Row{x}, []int{0}) != keyHash(storage.Row{y}, []int{0}) {
 					t.Fatalf("%v and %v Compare equal but hash apart", x, y)
+				}
+				if mx, my := sortKey(&x, true), sortKey(&y, true); mx < my && cmp(x, y) >= 0 {
+					t.Fatalf("in a mixed column %v keys %#x below %v's %#x, but Compare gives %d", x, mx, y, my, cmp(x, y))
+				}
+				if x.IsNumeric() != y.IsNumeric() {
+					continue
+				}
+				kx, ky := sortKey(&x, false), sortKey(&y, false)
+				if kx < ky && cmp(x, y) >= 0 {
+					t.Fatalf("%v keys %#x below %v's %#x, but Compare gives %d", x, kx, y, ky, cmp(x, y))
+				}
+				if x.IsNumeric() && (kx == ky) != (cmp(x, y) == 0) {
+					t.Fatalf("%v and %v key %#x and %#x, and Compare gives %d", x, y, kx, ky, cmp(x, y))
 				}
 				for _, z := range vals {
 					// x ≤ y ≤ z gives x ≤ z, strictly if either step is.

@@ -49,8 +49,14 @@ func TestPrunedPlansMatchReference(t *testing.T) {
 // overwritten with garbage the moment the Iterator contract lets them lapse
 // (exec.SpoilRows): an operator that keeps a row across its child's next Next
 // without copying it — which passes unnoticed as long as the next page, probe
-// or pair happens to land elsewhere — then answers wrongly every time.
-func TestRowsValidUntilNext(t *testing.T) { plansMatchReference(t, exec.SpoilRows) }
+// or pair happens to land elsewhere — then answers wrongly every time. The
+// storage an operator gives back when it closes is overwritten too, and
+// handed out again at once (exec.PoisonReleases): a row read after its
+// operator closed reads garbage or another operator's rows.
+func TestRowsValidUntilNext(t *testing.T) {
+	exec.PoisonReleases(t)
+	plansMatchReference(t, exec.SpoilRows)
+}
 
 func plansMatchReference(t *testing.T, with func(*exec.Env) *exec.Env) {
 	const (

@@ -235,17 +235,24 @@ func (p *ctxPoll) err() error {
 }
 
 // drain exhausts an iterator, honouring context cancellation. The rows it
-// returns are copies of its own, so they outlive the iterator.
+// returns are copies of its own, so they outlive the iterator: they are the
+// run's answers, and their storage is never given back.
 func drain(ctx context.Context, it Iterator) ([]storage.Row, error) {
+	var arena rowArena
+	return drainInto(ctx, it, &arena)
+}
+
+// drainInto is drain with the copies carved from arena and the slice of them
+// taken from the pools, which a caller done with both can give back.
+func drainInto(ctx context.Context, it Iterator, arena *rowArena) ([]storage.Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	var arena rowArena
 	var rows []storage.Row
 	if n := bufferedRows(it); n > 0 {
 		arena.reserve(n, len(it.Schema()))
-		rows = make([]storage.Row, 0, n)
+		rows = headers.get(n)
 	}
 	poll := ctxPoll{ctx: ctx}
 	for {
@@ -259,7 +266,7 @@ func drain(ctx context.Context, it Iterator) ([]storage.Row, error) {
 		if !ok {
 			return rows, nil
 		}
-		rows = append(rows, arena.keep(r))
+		rows = append(headers.grow(rows, 1), arena.keep(r))
 	}
 }
 
@@ -330,10 +337,14 @@ func (b *builder) materialize(pn *physical.PlanNode) error {
 	if b.prof != nil {
 		prof = b.prof.last
 	}
-	rows, err := drain(b.ctx, it)
+	// The rows are the table's once written: their copies go back after.
+	var arena rowArena
+	defer arena.release()
+	rows, err := drainInto(b.ctx, it, &arena)
 	if err != nil {
 		return err
 	}
+	defer headers.put(rows)
 	if prof != nil {
 		defer func(misses int64) { prof.Pages += b.db.Pool.Misses() - misses }(b.db.Pool.Misses())
 	}
@@ -493,7 +504,9 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 			return nil, err
 		}
 		if pn.E.Kind == physical.SortAgg && !sortedOn(pn.Children[0], pn.E.SortCols) {
-			child = b.env.wrapped(b.sort(child, pn.E.SortCols))
+			if child, err = b.sort(child, pn.E.SortCols, reads); err != nil {
+				return nil, err
+			}
 		}
 		gb := op.GroupBy
 		if pn.E.Kind == physical.SortAgg {
@@ -545,11 +558,12 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 		return &projectIter{child: child, funcs: funcs, schema: schema}, nil
 
 	case physical.SortEnf:
-		child, err := b.build(pn.Children[0], true, need.plus(eachOf(pn.E.SortCols)))
+		need = need.plus(eachOf(pn.E.SortCols))
+		child, err := b.build(pn.Children[0], true, need)
 		if err != nil {
 			return nil, err
 		}
-		return b.sort(child, pn.E.SortCols), nil
+		return b.newSort(child, pn.E.SortCols, need)
 
 	case physical.IndexBuildEnf:
 		// Consumed as plain data (an Any-requirement parent reusing the
@@ -591,15 +605,15 @@ func (b *builder) buildOp(pn *physical.PlanNode, asConsumer bool, need colNeed) 
 }
 
 // joinInputs builds a join's two inputs. Both are asked for what the parent
-// reads plus the join's predicate and key columns; each side's leaves keep
-// the ones they store.
-func (b *builder) joinInputs(pn *physical.PlanNode, need colNeed) (left, right Iterator, err error) {
+// reads plus the join's predicate and key columns, the set it returns; each
+// side's leaves keep the ones they store.
+func (b *builder) joinInputs(pn *physical.PlanNode, need colNeed) (left, right Iterator, _ colNeed, err error) {
 	need = need.plus(pn.E.LE.Op.(algebra.Join).Pred.VisitColumns, eachOf(pn.E.SortCols), eachOf(pn.E.RightCols))
 	if left, err = b.build(pn.Children[0], true, need); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	right, err = b.build(pn.Children[1], true, need)
-	return left, right, err
+	return left, right, need, err
 }
 
 // scan returns a scan of a stored relation in the run (newScan).
@@ -621,15 +635,30 @@ func newScan(ctx context.Context, sched *sched, heap *storage.HeapFile, stored a
 	return s
 }
 
-// sort returns a sort of child that stops when the run is cancelled.
-func (b *builder) sort(child Iterator, cols []algebra.Column) *sortIter {
-	return &sortIter{child: child, cols: cols, poll: ctxPoll{ctx: b.ctx}}
+// newSort returns a sort of child on cols that copies the columns in need
+// and stops when the run is cancelled.
+func (b *builder) newSort(child Iterator, cols []algebra.Column, need colNeed) (*sortIter, error) {
+	s, err := newSort(child, cols, need)
+	if err != nil {
+		return nil, err
+	}
+	s.poll.ctx = b.ctx
+	return s, nil
+}
+
+// sort is newSort's sort as its consumer sees it.
+func (b *builder) sort(child Iterator, cols []algebra.Column, need colNeed) (Iterator, error) {
+	s, err := b.newSort(child, cols, need)
+	if err != nil {
+		return nil, err
+	}
+	return b.env.wrapped(s), nil
 }
 
 // buildNLJoin hands the join the plan's cardinalities of its two inputs, by
 // which it decides the one to hold.
 func (b *builder) buildNLJoin(pn *physical.PlanNode, need colNeed) (Iterator, error) {
-	left, right, err := b.joinInputs(pn, need)
+	left, right, _, err := b.joinInputs(pn, need)
 	if err != nil {
 		return nil, err
 	}
@@ -643,17 +672,21 @@ func (b *builder) buildNLJoin(pn *physical.PlanNode, need colNeed) (Iterator, er
 }
 
 func (b *builder) buildMergeJoin(pn *physical.PlanNode, need colNeed) (Iterator, error) {
-	left, right, err := b.joinInputs(pn, need)
+	left, right, need, err := b.joinInputs(pn, need)
 	if err != nil {
 		return nil, err
 	}
 	// Inputs must arrive sorted on the join keys; when a link was replaced
 	// by a differently-sorted materialization, re-sort explicitly.
 	if !sortedOn(pn.Children[0], pn.E.SortCols) {
-		left = b.env.wrapped(b.sort(left, pn.E.SortCols))
+		if left, err = b.sort(left, pn.E.SortCols, need); err != nil {
+			return nil, err
+		}
 	}
 	if !sortedOn(pn.Children[1], pn.E.RightCols) {
-		right = b.env.wrapped(b.sort(right, pn.E.RightCols))
+		if right, err = b.sort(right, pn.E.RightCols, need); err != nil {
+			return nil, err
+		}
 	}
 	op := pn.E.LE.Op.(algebra.Join)
 	schema := left.Schema().Concat(right.Schema())
@@ -895,11 +928,15 @@ func (iv *invokeIter) Next() (storage.Row, bool, error) {
 	return nil, false, nil
 }
 
+// Close gives the teed rows' copies back to the pools.
 func (iv *invokeIter) Close() error {
+	var err error
 	if iv.started {
-		return iv.closeBinding(false)
+		err = iv.closeBinding(false)
 	}
-	return nil
+	iv.arena.release()
+	iv.buf = iv.buf[:0]
+	return err
 }
 
 func (iv *invokeIter) Schema() algebra.Schema { return iv.child.Schema() }

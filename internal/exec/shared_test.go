@@ -43,8 +43,10 @@ func runTrees(ctx context.Context, s *sched, trees []Iterator) ([]QueryResult, e
 // star_test.go over one fact table at once, a table joined with itself by a
 // merge and by a block nested-loops join next to another scan of it, an
 // Invoke that re-opens its scan for every binding next to a query over the
-// same table, and an ungated scan next to gated ones.
+// same table, and an ungated scan next to gated ones. The pools operators
+// keep rows in are poisoned throughout (PoisonReleases).
 func TestSharedScansMatchReference(t *testing.T) {
+	PoisonReleases(t)
 	t.Run("ssb flights", func(t *testing.T) {
 		db := storage.NewDB(64)
 		if err := ssb.LoadDB(db, 0.002, 7); err != nil {
@@ -245,8 +247,11 @@ func (f *failIter) gate(by any, g *gate) bool { return setGate(f.Iterator, by, g
 // pass they share, and fails one of its operators with an error. Either way
 // Run returns the error, every task's coroutine is gone (the goroutine count
 // is back where it was), the pool's latch is not left held by a page a
-// stopped task was fed from, and the run's temps are dropped.
+// stopped task was fed from, and the run's temps are dropped. The pools
+// operators keep rows in are poisoned, so an operator a stopped task closed
+// twice, or not at all before another reused its storage, fails the test.
 func TestRunStopsEveryTask(t *testing.T) {
+	PoisonReleases(t)
 	db := storage.NewDB(64)
 	if err := ssb.LoadDB(db, 0.002, 1); err != nil { // the materialization and two queries share lineorder
 		t.Fatal(err)

@@ -363,8 +363,8 @@ func starPlan(t *testing.T, db *storage.DB, s starShape, env *Env, wrap func(Ite
 		if s.kind[l] == merge {
 			j := &mergeJoin{schema: left.Schema().Concat(right.Schema()),
 				lIdx: []int{left.Schema().IndexOf(lk)}, rIdx: []int{right.Schema().IndexOf(rk)},
-				left:  wrap(&sortIter{child: left, cols: []algebra.Column{lk}}),
-				right: wrap(&sortIter{child: right, cols: []algebra.Column{rk}})}
+				left:  wrap(sortOn(left, lk)),
+				right: wrap(sortOn(right, rk))}
 			var err error
 			if j.pred, err = compilePred(starPred(l), j.schema, env); err != nil {
 				t.Fatal(err)
@@ -413,8 +413,10 @@ func starDB(t *testing.T, c starCase, wide bool) *storage.DB {
 // Canonicalize's rounding does not. Every answer must be the reference's, and a join
 // holding a dimension must test its keys as the case says. The test insists
 // it forwarded a gate, skipped a join whose held input was empty and gated by
-// a bitmap. It runs again with every row spoiled the moment it lapses.
+// a bitmap. It runs again with every row spoiled the moment it lapses, and
+// throughout with the pools operators keep rows in poisoned (PoisonReleases).
 func TestStarJoinsMatchReference(t *testing.T) {
+	PoisonReleases(t)
 	t.Run("plain", func(t *testing.T) { starJoinsMatchReference(t, func(it Iterator) Iterator { return it }) })
 	t.Run("spoiled", func(t *testing.T) { starJoinsMatchReference(t, spoil) })
 }
